@@ -90,7 +90,12 @@ fn paper_reference(section: &str) -> Option<&'static str> {
              threads per query. This reproduction's persistent WorkerPool \
              plus the admission-controlled Server front end mirror that \
              architecture; answers stay identical to fresh single-threaded \
-             sessions (tests/tests/server_oracle.rs).",
+             sessions (tests/tests/server_oracle.rs). History: until \
+             2026-09-25 this section also timed a per-section scoped-spawn \
+             baseline (`worker_threads(0)`); its last recorded run (1 \
+             hardware thread, scale 0.1) was 321.2 vs 420.0 queries/s, the \
+             persistent pool at 1.31x, after which the scoped-spawn dispatch \
+             path was deleted from the engine.",
         ),
         "scheduling" => Some(
             "Paper (Section 6 setup): the evaluation ran inside SQL Server, \

@@ -456,9 +456,9 @@ pub struct ServingThroughputMode {
 }
 
 /// The serving-throughput experiment: the same small-query request stream
-/// executed (a) with per-section scoped spawns vs the engine's persistent
-/// worker pool, and (b) burst-submitted through the `Server` front end under
-/// a saturating vs an admission-limited concurrency cap.
+/// (a) executed through a session over the engine's persistent worker pool,
+/// and (b) burst-submitted through the `Server` front end under a saturating
+/// vs an admission-limited concurrency cap.
 #[derive(Debug, Clone)]
 pub struct ServingThroughputResult {
     pub workload: String,
@@ -466,8 +466,8 @@ pub struct ServingThroughputResult {
     pub num_requests: usize,
     /// Hardware threads the host exposes.
     pub available_parallelism: usize,
-    /// Direct session execution: scoped spawns vs persistent pool.
-    pub execution_modes: Vec<ServingThroughputMode>,
+    /// Direct session execution over the engine's persistent pool.
+    pub session_mode: ServingThroughputMode,
     /// Burst submission through `Server::submit`: saturating vs
     /// admission-limited `max_concurrent_queries`.
     pub submit_modes: Vec<ServingThroughputMode>,
@@ -478,8 +478,8 @@ pub struct ServingThroughputResult {
 
 /// Runs the serving-throughput experiment. Small-query traffic is simulated
 /// by a low `parallel_threshold` (64), so every query opens parallel
-/// sections and the fixed cost per section — thread spawn vs pool unpark —
-/// dominates; `num_requests` requests round-robin over the workload's
+/// sections and the fixed cost per section (a pool unpark) dominates;
+/// `num_requests` requests round-robin over the workload's
 /// prepared statements. Wall time is the best of three sweeps.
 pub fn run_serving_throughput(scale: Scale, num_requests: usize) -> ServingThroughputResult {
     let workload = star::generate(scale, 3, 2, 33);
@@ -488,56 +488,40 @@ pub fn run_serving_throughput(scale: Scale, num_requests: usize) -> ServingThrou
         .with_num_threads(4)
         .with_parallel_threshold(64);
 
-    let mut execution_modes = Vec::new();
-    let mut expected_rows: Option<u64> = None;
-    for (label, pool_workers) in [("scoped spawns", Some(0)), ("persistent pool", None)] {
-        let mut builder = Engine::builder()
-            .catalog(workload.catalog.clone())
-            .exec_config(config);
-        if let Some(workers) = pool_workers {
-            builder = builder.worker_threads(workers);
-        }
-        let engine = builder.build().expect("engine builds");
-        let session = engine.session();
-        let prepared: Vec<_> = workload
-            .queries
-            .iter()
-            .map(|q| engine.prepare(q, OptimizerChoice::Bqo).expect("optimizes"))
-            .collect();
-        let mut best = f64::INFINITY;
-        let mut rows = 0u64;
-        for _ in 0..3 {
-            let start = std::time::Instant::now();
-            rows = (0..num_requests)
-                .map(|i| {
-                    session
-                        .run(&prepared[i % prepared.len()])
-                        .expect("executes")
-                        .output_rows
-                })
-                .sum();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        match expected_rows {
-            Some(expected) => assert_eq!(rows, expected, "{label} changed the answers"),
-            None => expected_rows = Some(rows),
-        }
-        execution_modes.push(ServingThroughputMode {
-            label: label.to_string(),
-            elapsed_secs: best,
-            queries_per_sec: num_requests as f64 / best.max(1e-12),
-        });
-    }
-    let output_rows = expected_rows.expect("at least one execution mode ran");
-
-    // Burst submission through the Server front end. Both modes share one
-    // engine (and therefore one warm plan cache and worker pool); only the
-    // admission cap differs.
     let engine = Engine::builder()
         .catalog(workload.catalog.clone())
         .exec_config(config)
         .build()
         .expect("engine builds");
+    let session = engine.session();
+    let prepared: Vec<_> = workload
+        .queries
+        .iter()
+        .map(|q| engine.prepare(q, OptimizerChoice::Bqo).expect("optimizes"))
+        .collect();
+    let mut best = f64::INFINITY;
+    let mut output_rows = 0u64;
+    for _ in 0..3 {
+        let start = std::time::Instant::now();
+        output_rows = (0..num_requests)
+            .map(|i| {
+                session
+                    .run(&prepared[i % prepared.len()])
+                    .expect("executes")
+                    .output_rows
+            })
+            .sum();
+        best = best.min(start.elapsed().as_secs_f64());
+    }
+    let session_mode = ServingThroughputMode {
+        label: "persistent pool".to_string(),
+        elapsed_secs: best,
+        queries_per_sec: num_requests as f64 / best.max(1e-12),
+    };
+
+    // Burst submission through the Server front end. Both modes share the
+    // engine above (and therefore one warm plan cache and worker pool); only
+    // the admission cap differs.
     let mut submit_modes = Vec::new();
     for (label, max_concurrent) in [
         ("saturating (8 concurrent)", 8),
@@ -583,7 +567,7 @@ pub fn run_serving_throughput(scale: Scale, num_requests: usize) -> ServingThrou
         workload: "STAR".to_string(),
         num_requests,
         available_parallelism: std::thread::available_parallelism().map_or(1, |p| p.get()),
-        execution_modes,
+        session_mode,
         submit_modes,
         output_rows,
     }
@@ -1239,12 +1223,11 @@ mod tests {
     fn serving_throughput_keeps_answers_and_reports_all_modes() {
         let result = run_serving_throughput(TINY, 8);
         assert_eq!(result.num_requests, 8);
-        assert_eq!(result.execution_modes.len(), 2);
         assert_eq!(result.submit_modes.len(), 2);
         // run_serving_throughput asserts identical rows across every mode
         // internally; spot-check the report fields.
         assert!(result.output_rows > 0);
-        for mode in result.execution_modes.iter().chain(&result.submit_modes) {
+        for mode in std::iter::once(&result.session_mode).chain(&result.submit_modes) {
             assert!(mode.elapsed_secs > 0.0, "{}", mode.label);
             assert!(mode.queries_per_sec > 0.0, "{}", mode.label);
         }

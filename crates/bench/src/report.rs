@@ -461,31 +461,11 @@ pub fn render_serving_throughput(result: &ServingThroughputResult) -> String {
     );
     let _ = writeln!(
         out,
-        "Session execution: per-section scoped spawns vs the engine's persistent worker pool"
+        "Session execution over the engine's persistent worker pool, then Server burst \
+         submit under two admission caps (one shared engine/pool)"
     );
     let _ = writeln!(out, "{:<28} {:>14} {:>14}", "mode", "wall ms", "queries/s");
-    for mode in &result.execution_modes {
-        let _ = writeln!(
-            out,
-            "{:<28} {:>14.2} {:>14.1}",
-            mode.label,
-            mode.elapsed_secs * 1e3,
-            mode.queries_per_sec
-        );
-    }
-    if let [scoped, pooled] = result.execution_modes.as_slice() {
-        let _ = writeln!(
-            out,
-            "-> persistent pool serves the stream at {:.2}x the scoped-spawn throughput",
-            pooled.queries_per_sec / scoped.queries_per_sec.max(1e-12)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "Server burst submit: admission caps over one shared engine/pool"
-    );
-    let _ = writeln!(out, "{:<28} {:>14} {:>14}", "mode", "wall ms", "queries/s");
-    for mode in &result.submit_modes {
+    for mode in std::iter::once(&result.session_mode).chain(&result.submit_modes) {
         let _ = writeln!(
             out,
             "{:<28} {:>14.2} {:>14.1}",

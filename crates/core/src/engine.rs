@@ -24,7 +24,7 @@ use std::sync::{Arc, OnceLock};
 /// the pool gets `max(default num_threads, available_parallelism, 4) - 1`
 /// helper threads, so per-session `num_threads` overrides up to at least 4
 /// (and up to the hardware width) are served by parked pool workers instead
-/// of the scoped-spawn fallback.
+/// of running inline.
 const MIN_DEFAULT_PARALLELISM: usize = 4;
 
 /// Default helper-worker count for an engine pool (see
@@ -373,7 +373,8 @@ impl Engine {
             executor = executor.with_cancel_token(token);
         }
         executor
-            .execute_bound(BoundPlan::new(graph, plan))
+            .execute(BoundPlan::new(graph, plan), false)
+            .map(|(result, _)| result)
             .map_err(|e| BqoError::from_exec(name, e))
     }
 }
@@ -504,9 +505,8 @@ impl EngineBuilder {
     /// threads (the calling thread always participates as worker 0 on top).
     /// Without this, the pool is sized to
     /// `max(default num_threads, available_parallelism, 4) - 1`. `0` disables
-    /// the pool: parallel sections fall back to per-section scoped spawns —
-    /// the lever the serving-throughput bench uses to measure what the pool
-    /// saves.
+    /// the pool: every parallel section runs inline on the calling thread,
+    /// whatever `num_threads` a session asks for.
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = Some(threads);
         self
@@ -768,14 +768,9 @@ impl Session {
         if let Some(token) = options.cancel {
             executor = executor.with_cancel_token(token);
         }
-        let (result, rows) = if options.collect_rows {
-            executor
-                .execute_bound_with_rows(stmt.bound())
-                .map(|(result, rows)| (result, Some(rows)))
-        } else {
-            executor.execute_bound(stmt.bound()).map(|r| (r, None))
-        }
-        .map_err(|e| BqoError::from_exec(&stmt.name, e))?;
+        let (result, rows) = executor
+            .execute(stmt.bound(), options.collect_rows)
+            .map_err(|e| BqoError::from_exec(&stmt.name, e))?;
         Ok(StatementOutput {
             result,
             rows,
@@ -788,34 +783,6 @@ impl Session {
     #[doc(hidden)]
     pub fn run(&self, stmt: &PreparedStatement) -> Result<QueryResult, BqoError> {
         self.execute(stmt, RunOptions::new()).map(|out| out.result)
-    }
-
-    /// Runs a prepared statement with an explicit execution configuration.
-    /// Thin wrapper over [`Session::execute`], kept for existing callers.
-    #[doc(hidden)]
-    pub fn run_with(
-        &self,
-        stmt: &PreparedStatement,
-        config: ExecConfig,
-    ) -> Result<QueryResult, BqoError> {
-        self.execute(stmt, RunOptions::new().with_exec_config(config))
-            .map(|out| out.result)
-    }
-
-    /// Runs a prepared statement and returns the concatenated output rows.
-    /// Thin wrapper over [`Session::execute`] with
-    /// [`RunOptions::collecting_rows`], kept for existing callers.
-    #[doc(hidden)]
-    pub fn run_with_rows(
-        &self,
-        stmt: &PreparedStatement,
-        config: ExecConfig,
-    ) -> Result<(QueryResult, Batch), BqoError> {
-        self.execute(
-            stmt,
-            RunOptions::new().with_exec_config(config).collecting_rows(),
-        )
-        .map(|out| (out.result, out.rows.expect("rows were collected")))
     }
 
     /// EXPLAIN-style rendering of a statement's plan under the session's

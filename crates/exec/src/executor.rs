@@ -227,9 +227,8 @@ impl ExecConfig {
 /// graph together with the physical plan chosen for it.
 ///
 /// This is the execution layer's view of `bqo-core`'s `PreparedStatement`:
-/// the run entry points ([`Executor::execute_bound`],
-/// [`Executor::execute_bound_with_rows`]) take this pair as one unit so
-/// callers cannot accidentally execute a plan against the wrong graph.
+/// [`Executor::execute`] takes this pair as one unit so callers cannot
+/// accidentally execute a plan against the wrong graph.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundPlan<'a> {
     /// The join graph supplying relation names and local predicates.
@@ -245,7 +244,7 @@ impl<'a> BoundPlan<'a> {
     }
 }
 
-/// Errors surfaced by the executor's run entry points.
+/// Errors surfaced by [`Executor::execute`].
 ///
 /// Ordinary runtime failures (missing table, bad column, …) pass through as
 /// [`ExecError::Storage`]. A run aborted by its [`CancelToken`] — explicit
@@ -362,10 +361,11 @@ impl<'a> Executor<'a> {
     }
 
     /// Attaches a persistent [`WorkerPool`]: parallel sections dispatch their
-    /// helper claim loops to the pool's parked workers instead of spawning
-    /// scoped threads per section. The `Engine` facade in `bqo-core` attaches
-    /// its engine-owned pool here for every parallel run; results and
-    /// counters are identical with and without a pool.
+    /// helper claim loops to the pool's parked workers. Without a pool (or
+    /// with a 0-worker / shut-down one) every section runs inline on the
+    /// calling thread, whatever `num_threads` says. The `Engine` facade in
+    /// `bqo-core` attaches its engine-owned pool here for every parallel run;
+    /// results and counters are identical with and without a pool.
     pub fn with_worker_pool(mut self, pool: WorkerPool) -> Self {
         self.pool = Some(pool);
         self
@@ -385,51 +385,17 @@ impl<'a> Executor<'a> {
         self.config
     }
 
-    /// Executes a physical plan. The join graph supplies relation names
-    /// (to find tables in the catalog) and local predicates.
+    /// Executes a bound statement — the executor's single entry point. The
+    /// join graph supplies relation names (to find tables in the catalog) and
+    /// local predicates. With `collect_rows` the concatenated output rows are
+    /// returned as well (`None` otherwise): the differential harnesses
+    /// compare that [`Batch`] bit for bit across configurations.
     pub fn execute(
         &self,
-        graph: &JoinGraph,
-        plan: &PhysicalPlan,
-    ) -> Result<QueryResult, ExecError> {
-        let (result, _) = self.run(graph, plan, false)?;
-        Ok(result)
-    }
-
-    /// Executes a physical plan and additionally returns the concatenated
-    /// output rows. This is the differential-testing entry point: the
-    /// parallel-oracle harness compares the returned [`Batch`] bit for bit
-    /// across `(batch_size, num_threads)` configurations.
-    pub fn execute_with_rows(
-        &self,
-        graph: &JoinGraph,
-        plan: &PhysicalPlan,
-    ) -> Result<(QueryResult, Batch), ExecError> {
-        let (result, rows) = self.run(graph, plan, true)?;
-        Ok((result, rows.expect("rows were collected")))
-    }
-
-    /// Executes a bound statement — the entry point the serving facade in
-    /// `bqo-core` drives with its owned `PreparedStatement`s.
-    pub fn execute_bound(&self, bound: BoundPlan<'_>) -> Result<QueryResult, ExecError> {
-        self.execute(bound.graph, bound.plan)
-    }
-
-    /// Executes a bound statement and additionally returns the concatenated
-    /// output rows (see [`Executor::execute_with_rows`]).
-    pub fn execute_bound_with_rows(
-        &self,
         bound: BoundPlan<'_>,
-    ) -> Result<(QueryResult, Batch), ExecError> {
-        self.execute_with_rows(bound.graph, bound.plan)
-    }
-
-    fn run(
-        &self,
-        graph: &JoinGraph,
-        plan: &PhysicalPlan,
         collect_rows: bool,
     ) -> Result<(QueryResult, Option<Batch>), ExecError> {
+        let BoundPlan { graph, plan } = bound;
         let start = Instant::now();
         let mut ctx = ExecContext::with_pool(self.config, self.pool.clone());
         if let Some(token) = &self.cancel {
@@ -474,27 +440,40 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// Executes a physical plan against a catalog with the given configuration —
-/// the one-call entry point the `Engine` facade in `bqo-core` delegates to.
-pub fn execute_plan(
-    catalog: &Catalog,
-    graph: &JoinGraph,
-    plan: &PhysicalPlan,
-    config: ExecConfig,
-) -> Result<QueryResult, ExecError> {
-    Executor::with_config(catalog, config).execute(graph, plan)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::OperatorKind;
+    use crate::pool::WorkerPool;
     use bqo_plan::{
         push_down_bitvectors, ColumnPredicate, CompareOp, JoinEdge, PhysicalPlan, QuerySpec, RelId,
         RelationInfo, RightDeepTree,
     };
     use bqo_storage::generator::DataGenerator;
     use bqo_storage::{Catalog, TableBuilder};
+
+    /// Runs `plan` without collecting rows.
+    fn run(exec: &Executor<'_>, graph: &JoinGraph, plan: &PhysicalPlan) -> QueryResult {
+        let (result, rows) = exec.execute(BoundPlan::new(graph, plan), false).unwrap();
+        assert!(rows.is_none(), "rows are returned only when asked for");
+        result
+    }
+
+    /// Runs `plan`, also returning the concatenated output rows.
+    fn run_rows(
+        exec: &Executor<'_>,
+        graph: &JoinGraph,
+        plan: &PhysicalPlan,
+    ) -> (QueryResult, Batch) {
+        let (result, rows) = exec.execute(BoundPlan::new(graph, plan), true).unwrap();
+        (result, rows.expect("collect_rows was set"))
+    }
+
+    /// An executor with a 3-worker pool attached, so `num_threads > 1`
+    /// configurations really fan out (a bare executor runs inline).
+    fn pooled<'a>(catalog: &'a Catalog, config: ExecConfig) -> Executor<'a> {
+        Executor::with_config(catalog, config).with_worker_pool(WorkerPool::new(3))
+    }
 
     /// Small hand-built star: fact(12 rows) -> d1(4 rows), d2(3 rows).
     fn tiny_catalog() -> Catalog {
@@ -561,7 +540,7 @@ mod tests {
         let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let exec = Executor::with_config(&catalog, ExecConfig::exact_filters());
-        let result = exec.execute(&g, &plan).unwrap();
+        let result = run(&exec, &g, &plan);
         assert_eq!(result.output_rows, EXPECTED_ROWS);
         // Both filters were created and they eliminated fact rows before the
         // joins: the fact scan outputs exactly the surviving 4 rows.
@@ -589,7 +568,7 @@ mod tests {
                 ExecConfig::without_bitvectors(),
             ] {
                 let exec = Executor::with_config(&catalog, config);
-                let result = exec.execute(&g, &plan).unwrap();
+                let result = run(&exec, &g, &plan);
                 assert_eq!(result.output_rows, EXPECTED_ROWS);
             }
         }
@@ -601,19 +580,23 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let oracle = Executor::with_config(
-            &catalog,
-            ExecConfig::exact_filters().with_batch_size(usize::MAX),
-        )
-        .execute(&g, &plan)
-        .unwrap();
-        for batch_size in [1usize, 2, 3, 7, 1024] {
-            let result = Executor::with_config(
+        let oracle = run(
+            &Executor::with_config(
                 &catalog,
-                ExecConfig::exact_filters().with_batch_size(batch_size),
-            )
-            .execute(&g, &plan)
-            .unwrap();
+                ExecConfig::exact_filters().with_batch_size(usize::MAX),
+            ),
+            &g,
+            &plan,
+        );
+        for batch_size in [1usize, 2, 3, 7, 1024] {
+            let result = run(
+                &Executor::with_config(
+                    &catalog,
+                    ExecConfig::exact_filters().with_batch_size(batch_size),
+                ),
+                &g,
+                &plan,
+            );
             assert_eq!(result.output_rows, oracle.output_rows, "{batch_size}");
             assert_eq!(
                 result.metrics.filter_stats.probed, oracle.metrics.filter_stats.probed,
@@ -640,12 +623,16 @@ mod tests {
         let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
 
-        let with = Executor::with_config(&catalog, ExecConfig::exact_filters())
-            .execute(&g, &plan)
-            .unwrap();
-        let without = Executor::with_config(&catalog, ExecConfig::without_bitvectors())
-            .execute(&g, &plan)
-            .unwrap();
+        let with = run(
+            &Executor::with_config(&catalog, ExecConfig::exact_filters()),
+            &g,
+            &plan,
+        );
+        let without = run(
+            &Executor::with_config(&catalog, ExecConfig::without_bitvectors()),
+            &g,
+            &plan,
+        );
         assert!(without.metrics.total_probe_rows() > with.metrics.total_probe_rows());
         assert_eq!(without.metrics.filters_created, 0);
         assert_eq!(without.metrics.filter_stats.probed, 0);
@@ -693,10 +680,12 @@ mod tests {
         let tree = RightDeepTree::new(vec![sales, store, item]).to_join_tree();
         let plan = push_down_bitvectors(&graph, PhysicalPlan::from_join_tree(&graph, &tree));
 
-        let with = Executor::new(&catalog).execute(&graph, &plan).unwrap();
-        let without = Executor::with_config(&catalog, ExecConfig::without_bitvectors())
-            .execute(&graph, &plan)
-            .unwrap();
+        let with = run(&Executor::new(&catalog), &graph, &plan);
+        let without = run(
+            &Executor::with_config(&catalog, ExecConfig::without_bitvectors()),
+            &graph,
+            &plan,
+        );
         assert_eq!(with.output_rows, without.output_rows);
         assert!(with.output_rows > 0);
         // The bloom filters (default config) may pass a few extra tuples but
@@ -714,9 +703,7 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let result = Executor::with_config(&catalog, config)
-            .execute(&g, &plan)
-            .unwrap();
+        let result = run(&Executor::with_config(&catalog, config), &g, &plan);
         assert_eq!(result.output_rows, EXPECTED_ROWS);
     }
 
@@ -738,31 +725,10 @@ mod tests {
         let forced = config.with_parallel_threshold(0);
         assert_eq!(forced.parallel_threshold, 1);
         assert_eq!(forced.workers_for(4), 4);
-
-        // The gate is purely an overhead guard: forcing fan-out on a tiny
-        // input changes neither results nor counters.
-        let catalog = tiny_catalog();
-        let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
-        let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let oracle = Executor::with_config(&catalog, ExecConfig::exact_filters())
-            .execute_with_rows(&g, &plan)
-            .unwrap();
-        let config = ExecConfig::exact_filters()
-            .with_num_threads(4)
-            .with_parallel_threshold(1);
-        let (result, rows) = Executor::with_config(&catalog, config)
-            .execute_with_rows(&g, &plan)
-            .unwrap();
-        assert_eq!(result.output_rows, oracle.0.output_rows);
-        assert_eq!(result.metrics.operators, oracle.0.metrics.operators);
-        assert_eq!(result.metrics.filter_stats, oracle.0.metrics.filter_stats);
-        assert_eq!(rows, oracle.1);
     }
 
     #[test]
-    fn pool_backed_executor_matches_the_scoped_path() {
-        use crate::pool::WorkerPool;
+    fn pool_backed_executor_matches_the_inline_path() {
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
         let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
@@ -770,26 +736,28 @@ mod tests {
         let config = ExecConfig::exact_filters()
             .with_num_threads(4)
             .with_parallel_threshold(1);
-        let scoped = Executor::with_config(&catalog, config)
-            .execute_with_rows(&g, &plan)
-            .unwrap();
+        // The gate is purely an overhead guard: forcing fan-out on a tiny
+        // input changes neither results nor counters. With no pool attached
+        // the same configuration runs inline.
+        let inline = run_rows(&Executor::with_config(&catalog, config), &g, &plan);
         let pool = WorkerPool::new(3);
-        let pooled = Executor::with_config(&catalog, config)
-            .with_worker_pool(pool.clone())
-            .execute_with_rows(&g, &plan)
-            .unwrap();
-        assert_eq!(pooled.0.output_rows, scoped.0.output_rows);
-        assert_eq!(pooled.0.metrics.operators, scoped.0.metrics.operators);
-        assert_eq!(pooled.0.metrics.filter_stats, scoped.0.metrics.filter_stats);
-        assert_eq!(pooled.1, scoped.1);
-        // A shut-down pool degrades gracefully (scoped fallback), results
-        // unchanged.
+        let pooled = run_rows(
+            &Executor::with_config(&catalog, config).with_worker_pool(pool.clone()),
+            &g,
+            &plan,
+        );
+        assert_eq!(pooled.0.output_rows, inline.0.output_rows);
+        assert_eq!(pooled.0.metrics.operators, inline.0.metrics.operators);
+        assert_eq!(pooled.0.metrics.filter_stats, inline.0.metrics.filter_stats);
+        assert_eq!(pooled.1, inline.1);
+        // A shut-down pool degrades gracefully (inline), results unchanged.
         pool.shutdown();
-        let degraded = Executor::with_config(&catalog, config)
-            .with_worker_pool(pool)
-            .execute_with_rows(&g, &plan)
-            .unwrap();
-        assert_eq!(degraded.1, scoped.1);
+        let degraded = run_rows(
+            &Executor::with_config(&catalog, config).with_worker_pool(pool),
+            &g,
+            &plan,
+        );
+        assert_eq!(degraded.1, inline.1);
     }
 
     #[test]
@@ -798,17 +766,17 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let serial = Executor::with_config(&catalog, ExecConfig::exact_filters())
-            .execute_with_rows(&g, &plan)
-            .unwrap();
+        let serial = run_rows(
+            &Executor::with_config(&catalog, ExecConfig::exact_filters()),
+            &g,
+            &plan,
+        );
         for threads in [2usize, 4, 8] {
             for batch_size in [1usize, 3, 1024, usize::MAX] {
                 let config = ExecConfig::exact_filters()
                     .with_batch_size(batch_size)
                     .with_num_threads(threads);
-                let (result, rows) = Executor::with_config(&catalog, config)
-                    .execute_with_rows(&g, &plan)
-                    .unwrap();
+                let (result, rows) = run_rows(&pooled(&catalog, config), &g, &plan);
                 assert_eq!(result.output_rows, serial.0.output_rows);
                 assert_eq!(result.metrics.operators, serial.0.metrics.operators);
                 assert_eq!(result.metrics.filter_stats, serial.0.metrics.filter_stats);
@@ -839,13 +807,15 @@ mod tests {
                 ..ExecConfig::default()
             },
         ] {
-            let oracle = Executor::with_config(
-                &catalog,
-                base.with_kernel_mode(KernelMode::Scalar)
-                    .with_batch_size(usize::MAX),
-            )
-            .execute_with_rows(&g, &plan)
-            .unwrap();
+            let oracle = run_rows(
+                &Executor::with_config(
+                    &catalog,
+                    base.with_kernel_mode(KernelMode::Scalar)
+                        .with_batch_size(usize::MAX),
+                ),
+                &g,
+                &plan,
+            );
             for mode in [KernelMode::Vectorized, KernelMode::Scalar] {
                 for threads in [1usize, 4] {
                     for batch_size in [1usize, 7, 1024, usize::MAX] {
@@ -854,9 +824,7 @@ mod tests {
                             .with_num_threads(threads)
                             .with_batch_size(batch_size)
                             .with_parallel_threshold(1);
-                        let (result, rows) = Executor::with_config(&catalog, config)
-                            .execute_with_rows(&g, &plan)
-                            .unwrap();
+                        let (result, rows) = run_rows(&pooled(&catalog, config), &g, &plan);
                         let label = format!("{mode:?} threads={threads} batch={batch_size}");
                         assert_eq!(result.output_rows, oracle.0.output_rows, "{label}");
                         assert_eq!(
@@ -889,23 +857,6 @@ mod tests {
     }
 
     #[test]
-    fn bound_plan_entry_point_matches_execute() {
-        let catalog = tiny_catalog();
-        let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
-        let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let exec = Executor::with_config(&catalog, ExecConfig::exact_filters());
-        let direct = exec.execute(&g, &plan).unwrap();
-        let bound = exec.execute_bound(BoundPlan::new(&g, &plan)).unwrap();
-        assert_eq!(bound.output_rows, direct.output_rows);
-        let (result, rows) = exec
-            .execute_bound_with_rows(BoundPlan::new(&g, &plan))
-            .unwrap();
-        assert_eq!(result.output_rows, direct.output_rows);
-        assert_eq!(rows.num_rows() as u64, direct.output_rows);
-    }
-
-    #[test]
     fn missing_table_in_catalog_is_an_error() {
         let catalog = tiny_catalog();
         let mut g = JoinGraph::new();
@@ -913,7 +864,7 @@ mod tests {
         let tree = RightDeepTree::new(vec![ghost]).to_join_tree();
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
         let exec = Executor::new(&catalog);
-        assert!(exec.execute(&g, &plan).is_err());
+        assert!(exec.execute(BoundPlan::new(&g, &plan), false).is_err());
     }
 
     #[test]
@@ -929,7 +880,7 @@ mod tests {
         );
         let tree = RightDeepTree::new(vec![d1]).to_join_tree();
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
-        let result = Executor::new(&catalog).execute(&g, &plan).unwrap();
+        let result = run(&Executor::new(&catalog), &g, &plan);
         assert_eq!(result.output_rows, 2);
         assert_eq!(result.metrics.tuples_by_kind(OperatorKind::Leaf), 2);
         assert_eq!(result.metrics.tuples_by_kind(OperatorKind::Join), 0);
@@ -950,7 +901,7 @@ mod tests {
         g.add_edge(JoinEdge::pkfk(fact, "d1_sk", d1, "sk", 4.0));
         let tree = RightDeepTree::new(vec![fact, d1]).to_join_tree();
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
-        let result = Executor::new(&catalog).execute(&g, &plan).unwrap();
+        let result = run(&Executor::new(&catalog), &g, &plan);
         assert_eq!(result.output_rows, 0);
         assert_eq!(result.metrics.tuples_by_kind(OperatorKind::Join), 0);
     }
@@ -961,14 +912,17 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let plain = Executor::with_config(&catalog, ExecConfig::exact_filters())
-            .execute_with_rows(&g, &plan)
-            .unwrap();
+        let plain = run_rows(
+            &Executor::with_config(&catalog, ExecConfig::exact_filters()),
+            &g,
+            &plan,
+        );
         let token = CancelToken::new();
-        let observed = Executor::with_config(&catalog, ExecConfig::exact_filters())
-            .with_cancel_token(token)
-            .execute_with_rows(&g, &plan)
-            .unwrap();
+        let observed = run_rows(
+            &Executor::with_config(&catalog, ExecConfig::exact_filters()).with_cancel_token(token),
+            &g,
+            &plan,
+        );
         assert_eq!(observed.0.output_rows, plain.0.output_rows);
         assert_eq!(observed.1, plain.1);
     }
@@ -985,9 +939,9 @@ mod tests {
             let config = ExecConfig::exact_filters()
                 .with_num_threads(threads)
                 .with_parallel_threshold(1);
-            let err = Executor::with_config(&catalog, config)
+            let err = pooled(&catalog, config)
                 .with_cancel_token(token.clone())
-                .execute(&g, &plan)
+                .execute(BoundPlan::new(&g, &plan), false)
                 .unwrap_err();
             assert!(err.is_cancelled(), "threads {threads}");
             let metrics = err.partial_metrics().expect("cancelled carries metrics");
@@ -1010,7 +964,7 @@ mod tests {
         let token = CancelToken::with_deadline(Instant::now() + Duration::from_millis(10));
         let err = Executor::with_config(&catalog, config)
             .with_cancel_token(token.clone())
-            .execute(&g, &plan)
+            .execute(BoundPlan::new(&g, &plan), false)
             .unwrap_err();
         assert!(err.is_cancelled());
         assert!(
@@ -1027,15 +981,19 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let plain = Executor::with_config(&catalog, ExecConfig::exact_filters())
-            .execute_with_rows(&g, &plan)
-            .unwrap();
-        let throttled = Executor::with_config(
-            &catalog,
-            ExecConfig::exact_filters().with_scan_throttle(Duration::from_micros(100)),
-        )
-        .execute_with_rows(&g, &plan)
-        .unwrap();
+        let plain = run_rows(
+            &Executor::with_config(&catalog, ExecConfig::exact_filters()),
+            &g,
+            &plan,
+        );
+        let throttled = run_rows(
+            &Executor::with_config(
+                &catalog,
+                ExecConfig::exact_filters().with_scan_throttle(Duration::from_micros(100)),
+            ),
+            &g,
+            &plan,
+        );
         assert_eq!(throttled.0.output_rows, plain.0.output_rows);
         assert_eq!(throttled.0.metrics.operators, plain.0.metrics.operators);
         assert_eq!(throttled.1, plain.1);

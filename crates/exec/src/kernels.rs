@@ -1,4 +1,4 @@
-//! Vectorized probe kernels.
+//! Probe kernels, and the one place [`KernelMode`] is dispatched.
 //!
 //! The per-morsel hot loops of the scan and join operators — bitvector
 //! membership tests over candidate rows — are implemented here in two
@@ -17,10 +17,163 @@
 //! eliminated = rejected), so every downstream merge, batch boundary and
 //! counter is bit-identical — the `kernel_oracle` suite property-tests this
 //! over word-aligned and ragged lengths.
+//!
+//! Operators never look at the mode. They call the config-taking functions
+//! below ([`scan_morsel`], [`scan_batch`], [`batch_keys`], [`probe_mask`],
+//! [`filter_batch`]), and every `Scalar`/`Vectorized` `match` lives in this
+//! file.
 
-use crate::batch::{gather_keys, row_key};
-use bqo_bitvector::{BitvectorFilter, FilterStats};
+use crate::batch::{gather_keys, row_key, Batch};
+use crate::executor::{ExecConfig, KernelMode};
+use bqo_bitvector::{AnyFilter, BitvectorFilter, FilterStats};
+use bqo_plan::{ColumnPredicate, ColumnRef};
 use bqo_storage::Column;
+use std::ops::Range;
+use std::sync::Arc;
+
+/// One pushed-down bitvector filter as a scan morsel sees it: the published
+/// filter and the indices of the columns its probe key is read from. The
+/// filter is `None` when its source join published nothing — possible only
+/// for malformed plans — which skips the slot.
+pub type ScanFilter<'a> = (Option<&'a AnyFilter>, &'a [usize]);
+
+/// The scan's per-morsel kernel: the physical `rows` of `columns` that pass
+/// every local predicate (paired with the index of the column it reads) and
+/// then every pushed-down filter in placement order — a row eliminated by
+/// one filter is never probed by the next. Survivors come back ascending;
+/// `stats` (one slot per filter) stays morsel-local, so the kernel shares no
+/// mutable state. Both kernel modes produce identical survivors, order and
+/// counters.
+pub fn scan_morsel(
+    config: &ExecConfig,
+    columns: &[Arc<Column>],
+    rows: Range<usize>,
+    predicates: &[(&ColumnPredicate, usize)],
+    filters: &[ScanFilter<'_>],
+    stats: &mut [FilterStats],
+) -> Vec<usize> {
+    let mut mask = vec![true; rows.len()];
+    for &(predicate, column) in predicates {
+        let predicate_mask = predicate.evaluate_range(&columns[column], rows.start, rows.end);
+        for (acc, p) in mask.iter_mut().zip(predicate_mask) {
+            *acc &= p;
+        }
+    }
+    let mut survivors: Vec<usize> = rows.clone().filter(|&r| mask[r - rows.start]).collect();
+
+    let mut scratch = ProbeScratch::default();
+    for (&(filter, key_columns), slot_stats) in filters.iter().zip(stats) {
+        let Some(filter) = filter else {
+            continue;
+        };
+        let key_columns: Vec<&Column> = key_columns.iter().map(|&i| &*columns[i]).collect();
+        match config.kernel_mode {
+            KernelMode::Scalar => retain_scalar(filter, &key_columns, &mut survivors, slot_stats),
+            // Gather keys column-at-a-time, probe 64 rows per survivor
+            // word, compact in place.
+            KernelMode::Vectorized => probe_retain(
+                filter,
+                &key_columns,
+                &mut survivors,
+                slot_stats,
+                &mut scratch,
+            ),
+        }
+    }
+    survivors
+}
+
+/// The batch a scan emits for the physical `rows` of `columns`. Vectorized
+/// emission is zero-copy: the batch shares the columns and marks `rows` in a
+/// selection vector — logically identical to the dense batch the scalar
+/// shape gathers.
+pub fn scan_batch(
+    config: &ExecConfig,
+    schema: &[ColumnRef],
+    columns: &[Arc<Column>],
+    rows: &[usize],
+) -> Batch {
+    let physical_rows = columns.first().map_or(0, |c| c.len());
+    match config.kernel_mode {
+        KernelMode::Vectorized if u32::try_from(physical_rows).is_ok() => {
+            let selection = rows.iter().map(|&r| r as u32).collect(); // CAST-OK: r < physical_rows, which the guard proved fits u32
+            Batch::from_shared(schema.to_vec(), columns.to_vec()).with_selection(selection)
+        }
+        _ => Batch::new(
+            schema.to_vec(),
+            columns.iter().map(|c| c.take(rows)).collect(),
+        ),
+    }
+}
+
+/// Collapsed join keys of every logical row of `batch`; both shapes produce
+/// identical keys (the kernel differential suite pins this).
+pub fn batch_keys(config: &ExecConfig, batch: &Batch, columns: &[ColumnRef]) -> Vec<i64> {
+    match config.kernel_mode {
+        KernelMode::Scalar => batch.key_values(columns),
+        KernelMode::Vectorized => batch.key_values_vectorized(columns),
+    }
+}
+
+/// The keep-mask of `filter` over `keys`, recording one probe per key in
+/// `stats` — the hash join's residual-filter kernel.
+pub fn probe_mask(
+    config: &ExecConfig,
+    filter: &AnyFilter,
+    keys: &[i64],
+    stats: &mut FilterStats,
+) -> Vec<bool> {
+    match config.kernel_mode {
+        KernelMode::Scalar => mask_scalar(filter, keys, stats),
+        KernelMode::Vectorized => probe_mask_range(
+            filter,
+            keys,
+            0,
+            keys.len(),
+            stats,
+            &mut ProbeScratch::default(),
+        ),
+    }
+}
+
+/// Keeps the logical rows of `batch` where `mask` is true. The vectorized
+/// shape refines the selection vector in place instead of materializing the
+/// survivors; logically identical output either way.
+pub fn filter_batch(config: &ExecConfig, batch: Batch, mask: &[bool]) -> Batch {
+    match config.kernel_mode {
+        KernelMode::Scalar => batch.filter(mask),
+        KernelMode::Vectorized => batch.filter_select(mask),
+    }
+}
+
+/// The scalar oracle's retain loop: one `maybe_contains` per candidate row.
+fn retain_scalar<F: BitvectorFilter + ?Sized>(
+    filter: &F,
+    columns: &[&Column],
+    rows: &mut Vec<usize>,
+    stats: &mut FilterStats,
+) {
+    rows.retain(|&row| {
+        let keep = filter.maybe_contains(row_key(columns, row));
+        stats.record(!keep);
+        keep
+    });
+}
+
+/// The scalar oracle's mask loop: one `maybe_contains` per key.
+fn mask_scalar<F: BitvectorFilter + ?Sized>(
+    filter: &F,
+    keys: &[i64],
+    stats: &mut FilterStats,
+) -> Vec<bool> {
+    keys.iter()
+        .map(|&k| {
+            let keep = filter.maybe_contains(k);
+            stats.record(!keep);
+            keep
+        })
+        .collect()
+}
 
 /// Minimum candidate count before the word-level path engages; below it the
 /// scalar loop runs (identical results, no gather/mask setup cost). Plays
@@ -40,7 +193,8 @@ pub struct ProbeScratch {
 /// into `columns`) whose join key passes `filter`, preserving order, and
 /// counts every candidate as probed and every rejected one as eliminated —
 /// exactly like the scalar loop
-/// `rows.retain(|&r| { let keep = filter.maybe_contains(row_key(columns, r)); stats.record(!keep); keep })`.
+/// `rows.retain(|&r| { let keep = filter.maybe_contains(row_key(columns, r)); stats.record(!keep); keep })`,
+/// which it falls back to below [`VECTOR_MIN_ROWS`].
 pub fn probe_retain<F: BitvectorFilter + ?Sized>(
     filter: &F,
     columns: &[&Column],
@@ -50,12 +204,7 @@ pub fn probe_retain<F: BitvectorFilter + ?Sized>(
 ) {
     let before = rows.len();
     if before < VECTOR_MIN_ROWS {
-        rows.retain(|&row| {
-            let keep = filter.maybe_contains(row_key(columns, row));
-            stats.record(!keep);
-            keep
-        });
-        return;
+        return retain_scalar(filter, columns, rows, stats);
     }
     gather_keys(columns, rows, &mut scratch.keys);
     filter.probe_words(&scratch.keys, &mut scratch.words);
@@ -79,14 +228,7 @@ pub fn probe_mask_range<F: BitvectorFilter + ?Sized>(
 ) -> Vec<bool> {
     let slice = &keys[start..end];
     if slice.len() < VECTOR_MIN_ROWS {
-        return slice
-            .iter()
-            .map(|&k| {
-                let keep = filter.maybe_contains(k);
-                stats.record(!keep);
-                keep
-            })
-            .collect();
+        return mask_scalar(filter, slice, stats);
     }
     filter.probe_words(slice, &mut scratch.words);
     let mut mask = Vec::with_capacity(slice.len());
@@ -116,20 +258,7 @@ fn compact_by_mask(rows: &mut Vec<usize>, words: &[u64]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqo_bitvector::{AnyFilter, FilterKind};
-
-    fn scalar_retain(
-        filter: &AnyFilter,
-        columns: &[&Column],
-        rows: &mut Vec<usize>,
-        stats: &mut FilterStats,
-    ) {
-        rows.retain(|&row| {
-            let keep = filter.maybe_contains(row_key(columns, row));
-            stats.record(!keep);
-            keep
-        });
-    }
+    use bqo_bitvector::FilterKind;
 
     #[test]
     fn probe_retain_matches_scalar_loop() {
@@ -142,7 +271,7 @@ mod tests {
             let candidates: Vec<usize> = (0..len).collect();
             let mut scalar_rows = candidates.clone();
             let mut scalar_stats = FilterStats::new();
-            scalar_retain(&filter, &cols, &mut scalar_rows, &mut scalar_stats);
+            retain_scalar(&filter, &cols, &mut scalar_rows, &mut scalar_stats);
 
             let mut vec_rows = candidates;
             let mut vec_stats = FilterStats::new();
@@ -190,14 +319,7 @@ mod tests {
             (0, 300),
         ] {
             let mut scalar_stats = FilterStats::new();
-            let scalar_mask: Vec<bool> = keys[start..end]
-                .iter()
-                .map(|&k| {
-                    let keep = filter.maybe_contains(k);
-                    scalar_stats.record(!keep);
-                    keep
-                })
-                .collect();
+            let scalar_mask = mask_scalar(&filter, &keys[start..end], &mut scalar_stats);
             let mut vec_stats = FilterStats::new();
             let mask = probe_mask_range(&filter, &keys, start, end, &mut vec_stats, &mut scratch);
             assert_eq!(mask, scalar_mask, "range {start}..{end}");

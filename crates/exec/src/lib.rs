@@ -6,9 +6,11 @@
 //! plans produced by `bqo-plan` / `bqo-optimizer`, with
 //!
 //! * a [`PhysicalOperator`] trait (`open` / `next_batch` / `close`) with
-//!   [`ScanOp`] (local predicates + pushed-down bitvector probes applied per
-//!   batch) and [`HashJoinOp`] (build side drained at `open`, its bitvector
-//!   filter published to the shared [`ExecContext`], probe side streamed),
+//!   exactly two implementations: [`ScanOp`] (local predicates + pushed-down
+//!   bitvector probes applied per morsel over any `ChunkSource` — resident
+//!   in-memory tables and chunk-fetched `.bqo` files alike) and
+//!   [`HashJoinOp`] (build side drained at `open`, its bitvector filter
+//!   published to the shared [`ExecContext`], probe side streamed),
 //! * a [`PipelineBuilder`] lowering a `PhysicalPlan + JoinGraph` into the
 //!   operator tree without cloning plan payloads,
 //! * bitvector filters applied wherever Algorithm 1 placed them (scans or
@@ -23,12 +25,13 @@
 //!   rows, bitvector membership is probed 64 rows per survivor word
 //!   and composite join keys are hashed column-at-a-time — with the
 //!   row-at-a-time scalar kernels retained as a differential oracle behind
-//!   [`ExecConfig::kernel_mode`] / `BQO_FORCE_SCALAR`,
+//!   [`ExecConfig::kernel_mode`] / `BQO_FORCE_SCALAR`; the mode is dispatched
+//!   inside [`kernels`] only, operators never branch on it,
 //! * a persistent [`WorkerPool`] (see [`pool`]): helper workers for the
 //!   parallel sections are parked pool threads woken per section instead of
 //!   freshly spawned ones, so a serving workload of many small queries stops
 //!   paying per-query thread start-up ([`Executor::with_worker_pool`];
-//!   executors without a pool keep the scoped-spawn fallback), gated by
+//!   an executor without a pool runs every section inline), gated by
 //!   [`ExecConfig::parallel_threshold`] so tiny inputs stay inline,
 //! * **cooperative cancellation** (see [`cancel`]): a cloneable
 //!   [`CancelToken`] (atomic flag + optional deadline) attached via
@@ -47,10 +50,10 @@
 //! * a switch to ignore bitvector filters entirely, mirroring the
 //!   SQL Server option used for the Table 4 comparison.
 //!
-//! [`Executor`] is the low-level driver that compiles a plan and drains the
-//! root operator ([`Executor::execute_with_rows`] additionally returns the
-//! concatenated output rows for differential testing); user-facing code goes
-//! through the `Engine` facade in `bqo-core`.
+//! [`Executor`] is the low-level driver: its one entry point,
+//! [`Executor::execute`], compiles a plan, drains the root operator and, on
+//! request, returns the concatenated output rows for differential testing.
+//! User-facing code goes through the `Engine` facade in `bqo-core`.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
@@ -68,11 +71,11 @@ pub mod pool;
 pub use batch::Batch;
 pub use cancel::{CancelToken, Interrupted};
 pub use executor::{
-    execute_plan, BoundPlan, ExecConfig, ExecError, Executor, KernelMode, QueryResult,
-    DEFAULT_BATCH_SIZE, DEFAULT_PARALLEL_THRESHOLD,
+    BoundPlan, ExecConfig, ExecError, Executor, KernelMode, QueryResult, DEFAULT_BATCH_SIZE,
+    DEFAULT_PARALLEL_THRESHOLD,
 };
 pub use metrics::{ExecutionMetrics, OperatorKind, OperatorMetrics};
-pub use morsel::{chunk_morsels, morsels, run_morsels, run_morsels_with, Morsel};
-pub use operators::{FileScanOp, HashJoinOp, PhysicalOperator, ScanOp};
+pub use morsel::{chunk_morsels, morsels, run_morsels_with, Morsel};
+pub use operators::{HashJoinOp, PhysicalOperator, ScanOp};
 pub use pipeline::{ExecContext, PipelineBuilder};
 pub use pool::WorkerPool;

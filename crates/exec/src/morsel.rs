@@ -5,11 +5,11 @@
 //! batch seam) and dispatches them to worker threads — the calling thread
 //! participates as worker 0, and callers gate small inputs inline (see
 //! `ExecConfig::parallel_threshold`) since fanning out costs more than a few
-//! hundred probes. Helpers come from a persistent [`WorkerPool`] when one is
-//! attached ([`run_morsels_with`] — the serving path, where per-query thread
-//! spawns would dominate small queries) and fall back to per-section scoped
-//! spawns otherwise. Three properties make the parallel path bit-identical
-//! to the serial one:
+//! hundred probes. Helpers are the parked threads of a persistent
+//! [`WorkerPool`] ([`run_morsels_with`]); without a pool — or with a
+//! 0-worker or shut-down one — the section runs inline on the calling
+//! thread. Three properties make the parallel path bit-identical to the
+//! serial one:
 //!
 //! 1. **Shared-state-free kernels.** A kernel only reads shared immutable
 //!    state (columns, published bitvector filters, hash tables) and returns
@@ -30,7 +30,6 @@ use crate::cancel::{CancelToken, Interrupted};
 use crate::pool::WorkerPool;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::thread;
 
 /// A contiguous range of rows `[start, end)` claimed as one unit of work.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,33 +91,11 @@ pub fn chunk_morsels(num_rows: usize, num_threads: usize) -> Vec<Morsel> {
 ///
 /// Workers claim morsels from a shared atomic cursor (work stealing over a
 /// contiguous range); results are slotted by morsel index, so the returned
-/// vector is independent of scheduling. With one worker (or one morsel) the
-/// kernels run inline on the calling thread. Helper workers are scoped
-/// threads spawned for this section; the serving path avoids that per-section
-/// cost by passing a persistent pool to [`run_morsels_with`].
-///
-/// # Panics
-/// Propagates kernel panics to the caller.
-pub fn run_morsels<T, K>(num_threads: usize, morsels: &[Morsel], kernel: K) -> Vec<T>
-where
-    T: Send,
-    K: Fn(&Morsel) -> T + Sync,
-{
-    run_morsels_with(None, None, num_threads, morsels, kernel)
-        .expect("a section without a cancel token cannot be interrupted")
-}
-
-/// [`run_morsels`] with an optional persistent [`WorkerPool`] supplying the
-/// helper workers and an optional [`CancelToken`] checked at every
-/// morsel-claim boundary.
-///
-/// With `Some(pool)` (and a pool that still has live workers), helper claim
-/// loops are dispatched to the pool's parked threads instead of spawning
-/// scoped threads — the per-query fixed cost drops from thread start-up to a
-/// queue push + unpark. With `None` (or a shut-down/empty pool) the scoped
-/// fallback of [`run_morsels`] is used. Results are identical in all cases:
-/// every worker variant claims from the same atomic cursor and results are
-/// merged in morsel order.
+/// vector is independent of scheduling. The calling thread is worker 0 and
+/// the helpers are `pool`'s parked threads — the per-section fixed cost is a
+/// queue push + unpark, never a thread spawn. With one worker, one morsel,
+/// no pool, or a pool without live workers (0-worker or shut down) the
+/// kernels run inline on the calling thread, in morsel order.
 ///
 /// With `Some(token)`, every worker re-checks the token before claiming its
 /// next morsel; a fired token stops all claim loops and the section returns
@@ -127,6 +104,9 @@ where
 /// of kernel work. A token that fires after the last morsel was claimed does
 /// not fail the section: the complete result set is returned and the *next*
 /// check point observes the cancellation.
+///
+/// # Panics
+/// Propagates kernel panics to the caller.
 pub fn run_morsels_with<T, K>(
     pool: Option<&WorkerPool>,
     cancel: Option<&CancelToken>,
@@ -139,39 +119,17 @@ where
     K: Fn(&Morsel) -> T + Sync,
 {
     let workers = num_threads.max(1).min(morsels.len());
-    if workers <= 1 {
-        let mut out = Vec::with_capacity(morsels.len());
-        for morsel in morsels {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                return Err(Interrupted);
-            }
-            out.push(kernel(morsel));
+    if let Some(pool) = pool.filter(|pool| workers > 1 && pool.num_workers() > 0) {
+        return run_morsels_pooled(pool, cancel, workers, morsels, kernel);
+    }
+    let mut out = Vec::with_capacity(morsels.len());
+    for morsel in morsels {
+        if cancel.is_some_and(CancelToken::is_cancelled) {
+            return Err(Interrupted);
         }
-        return Ok(out);
+        out.push(kernel(morsel));
     }
-    match pool {
-        Some(pool) if pool.num_workers() > 0 => {
-            run_morsels_pooled(pool, cancel, workers, morsels, kernel)
-        }
-        _ => run_morsels_scoped(cancel, workers, morsels, kernel),
-    }
-}
-
-/// Merges `(index, value)` pairs into morsel-order slots; `Err(Interrupted)`
-/// if any morsel went unclaimed (only possible when a cancel token fired).
-fn merge_slots<T>(
-    len: usize,
-    produced: impl IntoIterator<Item = (usize, T)>,
-) -> Result<Vec<T>, Interrupted> {
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(len);
-    slots.resize_with(len, || None);
-    for (i, value) in produced {
-        slots[i] = Some(value);
-    }
-    slots
-        .into_iter()
-        .map(|slot| slot.ok_or(Interrupted))
-        .collect()
+    Ok(out)
 }
 
 /// Pool-backed parallel section: the claim loop runs once on the caller and
@@ -213,58 +171,18 @@ where
     };
     pool.run_mirrored(workers - 1, &claim_all);
 
-    // Deterministic merge: identical to the scoped path — results are slotted
-    // by morsel index, so scheduling (and which copies ran at all) is
-    // invisible.
-    merge_slots(
-        morsels.len(),
-        produced.into_inner().expect("morsel result sink poisoned"),
-    )
-}
-
-/// Scoped-spawn parallel section (the pre-pool path, kept as the fallback for
-/// executors without an attached pool and as the bench baseline).
-fn run_morsels_scoped<T, K>(
-    cancel: Option<&CancelToken>,
-    workers: usize,
-    morsels: &[Morsel],
-    kernel: K,
-) -> Result<Vec<T>, Interrupted>
-where
-    T: Send,
-    K: Fn(&Morsel) -> T + Sync,
-{
-    let cursor = AtomicUsize::new(0);
-    let claim_all = || {
-        let mut produced = Vec::new();
-        loop {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
-            // ORDERING: Relaxed — the counter only allocates a unique
-            // morsel index; the produced results are published via the
-            // section's join/latch, which supplies the happens-before edge.
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(morsel) = morsels.get(i) else {
-                break;
-            };
-            produced.push((i, kernel(morsel)));
-        }
-        produced
-    };
-    let mut produced: Vec<(usize, T)> = Vec::with_capacity(morsels.len());
-    thread::scope(|scope| {
-        // The calling thread is worker 0; only `workers - 1` threads spawn.
-        let handles: Vec<_> = (1..workers).map(|_| scope.spawn(claim_all)).collect();
-        produced.extend(claim_all());
-        for handle in handles {
-            match handle.join() {
-                Ok(values) => produced.extend(values),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    merge_slots(morsels.len(), produced)
+    // Deterministic merge: results are slotted by morsel index, so scheduling
+    // (and which copies ran at all) is invisible. A morsel can be left
+    // unclaimed only when the cancel token fired.
+    let mut slots: Vec<Option<T>> = Vec::with_capacity(morsels.len());
+    slots.resize_with(morsels.len(), || None);
+    for (i, value) in produced.into_inner().expect("morsel result sink poisoned") {
+        slots[i] = Some(value);
+    }
+    slots
+        .into_iter()
+        .map(|slot| slot.ok_or(Interrupted))
+        .collect()
 }
 
 #[cfg(test)]
@@ -306,64 +224,57 @@ mod tests {
         assert_eq!(chunk_morsels(10, 0).len(), 1);
     }
 
-    #[test]
-    fn run_morsels_is_in_order_for_any_thread_count() {
-        let ms = morsels(1000, 7);
-        let serial = run_morsels(1, &ms, |m| m.rows().sum::<usize>());
-        for threads in [2, 3, 4, 8] {
-            let parallel = run_morsels(threads, &ms, |m| m.rows().sum::<usize>());
-            assert_eq!(serial, parallel, "threads {threads}");
-        }
+    /// Runs an uncancellable section over `pool`.
+    fn run<T: Send>(
+        pool: Option<&WorkerPool>,
+        threads: usize,
+        ms: &[Morsel],
+        kernel: impl Fn(&Morsel) -> T + Sync,
+    ) -> Vec<T> {
+        run_morsels_with(pool, None, threads, ms, kernel).expect("no cancel token attached")
     }
 
     #[test]
-    fn run_morsels_handles_empty_and_single() {
-        assert!(run_morsels(4, &[], |m| m.len()).is_empty());
-        let one = morsels(5, usize::MAX);
-        assert_eq!(run_morsels(4, &one, |m| m.len()), vec![5]);
-    }
-
-    #[test]
-    #[should_panic(expected = "kernel exploded")]
-    fn worker_panics_propagate() {
-        let ms = morsels(64, 1);
-        run_morsels(4, &ms, |m| {
-            if m.index == 33 {
-                panic!("kernel exploded");
-            }
-            m.len()
-        });
-    }
-
-    #[test]
-    fn pooled_sections_match_the_serial_order_for_any_thread_count() {
+    fn sections_are_in_morsel_order_for_any_thread_count() {
         let pool = WorkerPool::new(3);
         let ms = morsels(1000, 7);
-        let serial = run_morsels(1, &ms, |m| m.rows().sum::<usize>());
+        let serial = run(None, 1, &ms, |m| m.rows().sum::<usize>());
         for threads in [2, 3, 4, 8] {
-            let pooled =
-                run_morsels_with(Some(&pool), None, threads, &ms, |m| m.rows().sum::<usize>())
-                    .unwrap();
+            let pooled = run(Some(&pool), threads, &ms, |m| m.rows().sum::<usize>());
             assert_eq!(serial, pooled, "threads {threads}");
         }
         // Repeated sections reuse the same parked workers.
         for _ in 0..10 {
-            let pooled =
-                run_morsels_with(Some(&pool), None, 4, &ms, |m| m.rows().sum::<usize>()).unwrap();
-            assert_eq!(serial, pooled);
+            assert_eq!(
+                run(Some(&pool), 4, &ms, |m| m.rows().sum::<usize>()),
+                serial
+            );
         }
     }
 
     #[test]
-    fn shut_down_pool_falls_back_to_scoped_workers() {
-        let pool = WorkerPool::new(2);
-        pool.shutdown();
+    fn sections_handle_empty_and_single() {
+        let pool = WorkerPool::new(3);
+        assert!(run(Some(&pool), 4, &[], |m| m.len()).is_empty());
+        let one = morsels(5, usize::MAX);
+        assert_eq!(run(Some(&pool), 4, &one, |m| m.len()), vec![5]);
+    }
+
+    #[test]
+    fn no_pool_or_a_dead_pool_runs_inline_on_the_caller() {
+        let caller = std::thread::current().id();
         let ms = morsels(100, 3);
-        let serial = run_morsels(1, &ms, |m| m.len());
-        assert_eq!(
-            run_morsels_with(Some(&pool), None, 4, &ms, |m| m.len()).unwrap(),
-            serial
-        );
+        let serial = run(None, 1, &ms, |m| m.len());
+        let empty = WorkerPool::new(0);
+        let shut_down = WorkerPool::new(2);
+        shut_down.shutdown();
+        for pool in [None, Some(&empty), Some(&shut_down)] {
+            let out = run(pool, 4, &ms, |m| {
+                assert_eq!(std::thread::current().id(), caller);
+                m.len()
+            });
+            assert_eq!(out, serial);
+        }
     }
 
     #[test]
@@ -371,7 +282,7 @@ mod tests {
     fn pooled_worker_panics_propagate() {
         let pool = WorkerPool::new(3);
         let ms = morsels(64, 1);
-        let _ = run_morsels_with(Some(&pool), None, 4, &ms, |m| {
+        run(Some(&pool), 4, &ms, |m| {
             if m.index == 33 {
                 panic!("pooled kernel exploded");
             }
@@ -381,24 +292,24 @@ mod tests {
 
     #[test]
     fn a_pre_fired_token_interrupts_before_any_kernel_runs() {
+        let pool = WorkerPool::new(3);
         let token = CancelToken::new();
         token.cancel();
         let ms = morsels(100, 3);
-        for threads in [1usize, 4] {
-            let result = run_morsels_with(None, Some(&token), threads, &ms, |m| m.len());
+        for (pool, threads) in [(None, 1usize), (Some(&pool), 4)] {
+            let result = run_morsels_with(pool, Some(&token), threads, &ms, |m| m.len());
             assert_eq!(result, Err(Interrupted), "threads {threads}");
         }
     }
 
     #[test]
     fn a_token_fired_mid_section_stops_the_remaining_claims() {
-        use std::sync::atomic::AtomicUsize;
-        // The kernel fires the token itself on morsel 10: every path (serial,
-        // scoped, pooled) must stop claiming within one morsel and report the
+        // The kernel fires the token itself on morsel 10: both paths (inline,
+        // pooled) must stop claiming within one morsel and report the
         // interruption instead of fabricating a full result set.
         let pool = WorkerPool::new(3);
         let ms = morsels(10_000, 1);
-        for (label, pool) in [("scoped", None), ("pooled", Some(&pool))] {
+        for (label, pool) in [("inline", None), ("pooled", Some(&pool))] {
             let token = CancelToken::new();
             let ran = AtomicUsize::new(0);
             let result = run_morsels_with(pool, Some(&token), 4, &ms, |m| {
@@ -418,11 +329,12 @@ mod tests {
 
     #[test]
     fn an_unfired_token_changes_nothing() {
+        let pool = WorkerPool::new(3);
         let token = CancelToken::new();
         let ms = morsels(1000, 7);
-        let serial = run_morsels(1, &ms, |m| m.rows().sum::<usize>());
+        let serial = run(None, 1, &ms, |m| m.rows().sum::<usize>());
         for threads in [1, 2, 4] {
-            let result = run_morsels_with(None, Some(&token), threads, &ms, |m| {
+            let result = run_morsels_with(Some(&pool), Some(&token), threads, &ms, |m| {
                 m.rows().sum::<usize>()
             });
             assert_eq!(result.unwrap(), serial, "threads {threads}");

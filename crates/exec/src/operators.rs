@@ -28,16 +28,15 @@
 //! partition contiguous row ranges and per-morsel outputs merge in morsel
 //! order.
 
-use crate::batch::{row_key, Batch};
-use crate::executor::KernelMode;
-use crate::kernels::{probe_mask_range, probe_retain, ProbeScratch};
+use crate::batch::Batch;
+use crate::kernels::{batch_keys, filter_batch, probe_mask, scan_batch, scan_morsel, ScanFilter};
 use crate::metrics::OperatorKind;
 use crate::morsel::{chunk_morsels, morsels, Morsel};
 use crate::pipeline::ExecContext;
 use bqo_bitvector::hash::FxHashMap;
 use bqo_bitvector::{AnyFilter, BitvectorFilter, FilterStats};
-use bqo_plan::{BitvectorPlacement, ColumnRef, NodeId, RelId, RelationInfo};
-use bqo_storage::{ChunkSource, Column, StorageError, Table, Value};
+use bqo_plan::{BitvectorPlacement, ColumnPredicate, ColumnRef, NodeId, RelId, RelationInfo};
+use bqo_storage::{ChunkSource, Column, StorageError, Value};
 use std::sync::Arc;
 
 /// A pull-based physical operator producing batches of rows.
@@ -50,266 +49,6 @@ pub trait PhysicalOperator {
 
     /// Releases resources and records the operator's accumulated metrics.
     fn close(&mut self, ctx: &mut ExecContext);
-}
-
-/// Scan of one base relation: local predicates plus any bitvector filters
-/// Algorithm 1 pushed down to this scan, evaluated morsel by morsel (in
-/// parallel when configured) before the surviving rows are materialized into
-/// batches.
-pub struct ScanOp<'p> {
-    node: NodeId,
-    info: &'p RelationInfo,
-    table: Arc<Table>,
-    schema: Vec<ColumnRef>,
-    /// Bitvector placements targeting this scan, keyed by placement index.
-    placements: Vec<(usize, &'p BitvectorPlacement)>,
-    /// Per placement: the table column indices its probe columns resolve to
-    /// (resolved once at open, indexed per morsel on the hot path).
-    placement_cols: Vec<Vec<usize>>,
-    /// Rows surviving the local predicates and every pushed-down bitvector
-    /// filter, in ascending row order (computed at open, morsel-parallel).
-    survivors: Vec<usize>,
-    /// Position inside `survivors` of the first row not yet emitted.
-    pos: usize,
-    cursor: usize,
-    emitted_any: bool,
-    output_rows: u64,
-}
-
-impl std::fmt::Debug for ScanOp<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ScanOp")
-            .field("node", &self.node)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<'p> ScanOp<'p> {
-    /// Creates a scan operator for `relation`.
-    pub fn new(
-        node: NodeId,
-        relation: RelId,
-        info: &'p RelationInfo,
-        table: Arc<Table>,
-        placements: Vec<(usize, &'p BitvectorPlacement)>,
-    ) -> Self {
-        let schema = table
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| ColumnRef::new(relation, f.name.clone()))
-            .collect();
-        ScanOp {
-            node,
-            info,
-            table,
-            schema,
-            placements,
-            placement_cols: Vec::new(),
-            survivors: Vec::new(),
-            pos: 0,
-            cursor: 0,
-            emitted_any: false,
-            output_rows: 0,
-        }
-    }
-
-    /// An empty batch carrying this scan's output schema (emitted when no row
-    /// survives, so parents still learn the schema).
-    fn empty_batch(&self) -> Batch {
-        let columns = self
-            .table
-            .columns()
-            .iter()
-            .map(|c| Column::empty(c.data_type()))
-            .collect();
-        Batch::new(self.schema.clone(), columns)
-    }
-}
-
-impl PhysicalOperator for ScanOp<'_> {
-    fn open(&mut self, ctx: &mut ExecContext) -> Result<(), StorageError> {
-        // Resolve predicate columns once; missing columns fail here, before
-        // any kernel runs.
-        let pred_cols: Vec<&Column> = self
-            .info
-            .predicates
-            .iter()
-            .map(|p| self.table.column(&p.column))
-            .collect::<Result<_, _>>()?;
-
-        // Resolve each placement's probe columns to table column indices once.
-        self.placement_cols = self
-            .placements
-            .iter()
-            .map(|(_, placement)| {
-                placement
-                    .probe_columns
-                    .iter()
-                    .map(|c| {
-                        self.table.schema().index_of(&c.column).ok_or_else(|| {
-                            StorageError::ColumnNotFound {
-                                table: self.info.name.clone(),
-                                column: c.column.clone(),
-                            }
-                        })
-                    })
-                    .collect()
-            })
-            .collect::<Result<_, _>>()?;
-
-        // Evaluate local predicates and pushed-down bitvector probes with one
-        // shared-state-free kernel per morsel. Every filter targeting this
-        // scan is already published: a hash join publishes its filters before
-        // opening its probe side, and placement targets always sit below the
-        // source join's probe child. (A missing filter — possible only for
-        // malformed plans — skips that placement, like the serial path did.)
-        let morsel_list = morsels(self.table.num_rows(), ctx.config.effective_morsel_size());
-        let num_threads = ctx.config.workers_for(self.table.num_rows());
-        let predicates = &self.info.predicates;
-        let throttle = ctx.config.scan_throttle;
-        let kernel_mode = ctx.config.kernel_mode;
-        let (survivors, merged_stats) = {
-            let filters: Vec<Option<&AnyFilter>> = self
-                .placements
-                .iter()
-                .map(|&(idx, _)| ctx.filter(idx))
-                .collect();
-            let probe_cols: Vec<Vec<&Column>> = self
-                .placement_cols
-                .iter()
-                .map(|idxs| idxs.iter().map(|&i| self.table.column_at(i)).collect())
-                .collect();
-            let per_morsel = ctx.run_morsels(num_threads, &morsel_list, |m| {
-                // Latency-injection knob: stretch each scan morsel so
-                // scheduling and cancellation tests/benches get long-running
-                // queries with a known per-morsel granularity.
-                if let Some(throttle) = throttle {
-                    std::thread::sleep(throttle);
-                }
-                // Rows of this morsel surviving the local predicates...
-                let mut mask = vec![true; m.len()];
-                for (predicate, column) in predicates.iter().zip(&pred_cols) {
-                    let predicate_mask = predicate.evaluate_range(column, m.start, m.end);
-                    for (acc, p) in mask.iter_mut().zip(predicate_mask) {
-                        *acc &= p;
-                    }
-                }
-                let mut rows: Vec<usize> = m.rows().filter(|&r| mask[r - m.start]).collect();
-
-                // ...then every pushed-down bitvector filter, in placement
-                // order (a row eliminated by one filter is never probed by
-                // the next). Counters stay morsel-local. The two kernel
-                // modes produce identical survivors, order and counters.
-                let mut stats = vec![FilterStats::new(); filters.len()];
-                match kernel_mode {
-                    KernelMode::Scalar => {
-                        for (slot, filter) in filters.iter().enumerate() {
-                            let Some(filter) = filter else {
-                                continue;
-                            };
-                            let columns = &probe_cols[slot];
-                            let slot_stats = &mut stats[slot];
-                            rows.retain(|&row| {
-                                let keep = filter.maybe_contains(row_key(columns, row));
-                                slot_stats.record(!keep);
-                                keep
-                            });
-                        }
-                    }
-                    KernelMode::Vectorized => {
-                        // Gather keys column-at-a-time, probe 64 rows per
-                        // survivor word, compact in place.
-                        let mut scratch = ProbeScratch::default();
-                        for (slot, filter) in filters.iter().enumerate() {
-                            let Some(filter) = filter else {
-                                continue;
-                            };
-                            probe_retain(
-                                *filter,
-                                &probe_cols[slot],
-                                &mut rows,
-                                &mut stats[slot],
-                                &mut scratch,
-                            );
-                        }
-                    }
-                }
-                (rows, stats)
-            })?;
-
-            // Deterministic merge: concatenate rows and sum counters in
-            // morsel order, independent of worker scheduling.
-            let mut survivors = Vec::new();
-            let mut merged = vec![FilterStats::new(); self.placements.len()];
-            for (rows, stats) in per_morsel {
-                survivors.extend(rows);
-                for (acc, s) in merged.iter_mut().zip(&stats) {
-                    acc.merge(s);
-                }
-            }
-            (survivors, merged)
-        };
-        for stats in &merged_stats {
-            ctx.merge_filter_stats(stats);
-        }
-
-        self.survivors = survivors;
-        self.pos = 0;
-        self.cursor = 0;
-        Ok(())
-    }
-
-    fn next_batch(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, StorageError> {
-        // The serial-loop cancellation seam: one check per batch pull.
-        ctx.check_cancelled()?;
-        // Emission granularity is unchanged from the serial executor: one
-        // batch per `batch_size` table-row range with at least one survivor,
-        // so parents observe identical batch boundaries for every
-        // `(num_threads, morsel_size)` combination.
-        let num_rows = self.table.num_rows();
-        let batch_size = ctx.config.batch_size.max(1);
-        while self.cursor < num_rows {
-            let end = num_rows.min(self.cursor.saturating_add(batch_size));
-            self.cursor = end;
-
-            let from = self.pos;
-            while self.pos < self.survivors.len() && self.survivors[self.pos] < end {
-                self.pos += 1;
-            }
-            if self.pos == from {
-                continue;
-            }
-            let rows = &self.survivors[from..self.pos];
-            let vectorized =
-                ctx.config.kernel_mode == KernelMode::Vectorized && num_rows <= u32::MAX as usize;
-            let batch = if vectorized {
-                // Zero-copy emission: share the table's columns and mark the
-                // survivors in a selection vector. Logically identical to the
-                // dense batch the scalar path materializes below.
-                let selection: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
-                Batch::from_shared(self.schema.clone(), self.table.columns().to_vec())
-                    .with_selection(selection)
-            } else {
-                let columns: Vec<Column> =
-                    self.table.columns().iter().map(|c| c.take(rows)).collect();
-                Batch::new(self.schema.clone(), columns)
-            };
-            self.output_rows += batch.num_rows() as u64;
-            self.emitted_any = true;
-            return Ok(Some(batch));
-        }
-        if !self.emitted_any {
-            self.emitted_any = true;
-            return Ok(Some(self.empty_batch()));
-        }
-        Ok(None)
-    }
-
-    fn close(&mut self, ctx: &mut ExecContext) {
-        ctx.metrics
-            .record_operator(self.node, OperatorKind::Leaf, self.output_rows, 0, 0);
-    }
 }
 
 /// Why a pruned-by-filter chunk's counters are exact: pruning runs only
@@ -330,60 +69,74 @@ enum ChunkDecision {
     PrunedByFilter,
 }
 
-/// Per-chunk kernel output of a file scan's filter pass.
-struct ChunkScan {
+/// Per-morsel output of a scan's filter pass.
+struct MorselScan {
     /// Surviving rows as global row ids (ascending).
     rows: Vec<usize>,
-    /// The survivors' values, dense, one column per schema field.
+    /// Fetched sources only: the survivors' values, dense, one column per
+    /// schema field.
     columns: Vec<Column>,
     /// Morsel-local bitvector counters, one per placement slot.
     stats: Vec<FilterStats>,
-    /// Whether the chunk's data was actually fetched.
-    read: bool,
-    /// Bytes fetched (0 for pruned chunks).
-    bytes: u64,
+    /// Bytes fetched for this morsel's chunk (`None`: nothing was read).
+    bytes_read: Option<u64>,
 }
 
-/// Out-of-core scan of a chunked table source ([`ChunkSource`], i.e. an
-/// on-disk columnar file): the file-backed counterpart of [`ScanOp`].
+/// Scan of one base relation through its [`ChunkSource`]: local predicates
+/// plus any bitvector filters Algorithm 1 pushed down to this scan, evaluated
+/// morsel by morsel (in parallel when configured) before the surviving rows
+/// are emitted as batches.
 ///
-/// Morsels are chunk-aligned — one morsel per chunk — so a worker fetches,
-/// filters and compacts one chunk end to end and at most
-/// `num_threads` chunks are in memory at once. Before fetching, each
-/// chunk's zone maps are tested against the scan's local predicates *and*
-/// against the first pushed-down bitvector filter's surviving key range
-/// ([`BitvectorFilter::probe_range_empty`]); a chunk that provably
-/// contributes nothing is skipped entirely. Rows, batch boundaries,
-/// `FilterStats` and operator counters are bit-identical to running
-/// [`ScanOp`] over the same rows in memory, for every `(num_threads,
-/// batch_size, kernel_mode, zone_map_pruning)` combination.
-pub struct FileScanOp<'p> {
+/// Where a morsel's columns come from is the source's choice, never the
+/// configuration's:
+///
+/// * A source with [`ChunkSource::resident_columns`] (an in-memory table)
+///   shares those columns across `effective_morsel_size()`-row morsels and
+///   emits zero-copy batches over them. Nothing is fetched, so the storage
+///   counters stay 0.
+/// * Any other source (an on-disk columnar file) is scanned with
+///   chunk-aligned morsels — one morsel per chunk — so a worker fetches,
+///   filters and compacts one chunk end to end and at most `num_threads`
+///   chunks are in memory at once. Before fetching, each chunk's zone maps
+///   are tested against the scan's local predicates *and* against the first
+///   pushed-down bitvector filter's surviving key range
+///   ([`BitvectorFilter::probe_range_empty`]); a chunk that provably
+///   contributes nothing is skipped entirely.
+///
+/// Rows, batch boundaries, `FilterStats` and operator counters are
+/// bit-identical between the two, for every `(num_threads, batch_size,
+/// morsel_size, kernel mode, zone_map_pruning)` combination.
+pub struct ScanOp<'p> {
     node: NodeId,
     info: &'p RelationInfo,
     source: Arc<dyn ChunkSource>,
     schema: Vec<ColumnRef>,
+    /// Bitvector placements targeting this scan, keyed by placement index.
     placements: Vec<(usize, &'p BitvectorPlacement)>,
-    placement_cols: Vec<Vec<usize>>,
-    /// Global row ids surviving all predicates and filters (ascending).
+    /// Global row ids surviving the local predicates and every pushed-down
+    /// bitvector filter, ascending (computed at open, morsel-parallel).
     survivors: Vec<usize>,
-    /// The survivors' values, dense, aligned with `survivors`.
-    survivor_cols: Vec<Column>,
+    /// The columns batches are emitted from: the source's resident columns
+    /// (indexed by global row id), or else the survivors' values compacted
+    /// in survivor order (indexed by position in `survivors`).
+    columns: Vec<Arc<Column>>,
+    /// Position inside `survivors` of the first row not yet emitted.
     pos: usize,
     cursor: usize,
     emitted_any: bool,
     output_rows: u64,
 }
 
-impl std::fmt::Debug for FileScanOp<'_> {
+impl std::fmt::Debug for ScanOp<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileScanOp")
+        f.debug_struct("ScanOp")
             .field("node", &self.node)
             .finish_non_exhaustive()
     }
 }
 
-impl<'p> FileScanOp<'p> {
-    /// Creates a file scan over `source`.
+impl<'p> ScanOp<'p> {
+    /// Creates a scan of `relation` over `source`.
     pub fn new(
         node: NodeId,
         relation: RelId,
@@ -397,15 +150,14 @@ impl<'p> FileScanOp<'p> {
             .iter()
             .map(|f| ColumnRef::new(relation, f.name.clone()))
             .collect();
-        FileScanOp {
+        ScanOp {
             node,
             info,
             source,
             schema,
             placements,
-            placement_cols: Vec::new(),
             survivors: Vec::new(),
-            survivor_cols: Vec::new(),
+            columns: Vec::new(),
             pos: 0,
             cursor: 0,
             emitted_any: false,
@@ -413,15 +165,10 @@ impl<'p> FileScanOp<'p> {
         }
     }
 
-    fn empty_batch(&self) -> Batch {
-        let columns = self
-            .source
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| Column::empty(f.data_type))
-            .collect();
-        Batch::new(self.schema.clone(), columns)
+    /// One empty column per schema field.
+    fn empty_columns(&self) -> Vec<Column> {
+        let fields = self.source.schema().fields();
+        fields.iter().map(|f| Column::empty(f.data_type)).collect()
     }
 
     /// Resolves `column` to its schema index.
@@ -436,16 +183,45 @@ impl<'p> FileScanOp<'p> {
     }
 }
 
-impl PhysicalOperator for FileScanOp<'_> {
+/// The pruning decision for one chunk of a fetched source, from its zone
+/// maps alone — no chunk data is touched here.
+fn chunk_decision(
+    source: &dyn ChunkSource,
+    chunk: usize,
+    predicates: &[(&ColumnPredicate, usize)],
+    filters: &[ScanFilter<'_>],
+) -> ChunkDecision {
+    for &(p, ci) in predicates {
+        if let Some((min, max)) = source.zone_map(chunk, ci) {
+            if !p.range_may_pass(&min, &max) {
+                return ChunkDecision::PrunedByPredicate;
+            }
+        }
+    }
+    // Bitvector-range pruning is counter-exact only with no local
+    // predicates, only for the first placement, and only for a
+    // single-column integer join key.
+    if let ([], Some(&(Some(filter), &[ci]))) = (predicates, filters.first()) {
+        if let Some((Value::Int64(lo), Value::Int64(hi))) = source.zone_map(chunk, ci) {
+            if filter.probe_range_empty(lo, hi) {
+                return ChunkDecision::PrunedByFilter;
+            }
+        }
+    }
+    ChunkDecision::Scan
+}
+
+impl PhysicalOperator for ScanOp<'_> {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), StorageError> {
-        // Resolve predicate and placement columns once, before any I/O.
-        let pred_cols: Vec<usize> = self
+        // Resolve predicate and placement columns once; missing columns fail
+        // here, before any I/O or kernel runs.
+        let predicates: Vec<(&ColumnPredicate, usize)> = self
             .info
             .predicates
             .iter()
-            .map(|p| self.column_index(&p.column))
-            .collect::<Result<_, _>>()?;
-        self.placement_cols = self
+            .map(|p| Ok((p, self.column_index(&p.column)?)))
+            .collect::<Result<_, StorageError>>()?;
+        let placement_cols: Vec<Vec<usize>> = self
             .placements
             .iter()
             .map(|(_, placement)| {
@@ -457,213 +233,140 @@ impl PhysicalOperator for FileScanOp<'_> {
             })
             .collect::<Result<_, _>>()?;
 
-        // One morsel per chunk: fetch granularity, work granularity and
-        // cancellation granularity coincide out-of-core.
-        let chunk_list: Vec<Morsel> = (0..self.source.num_chunks())
-            .map(|i| {
-                let (start, end) = self.source.chunk_range(i);
-                Morsel {
-                    index: i,
-                    start,
-                    end,
-                }
-            })
-            .collect();
-        let num_threads = ctx.config.workers_for(self.source.num_rows());
-        let predicates = &self.info.predicates;
-        let throttle = ctx.config.scan_throttle;
-        let kernel_mode = ctx.config.kernel_mode;
-        let prune = ctx.config.zone_map_pruning;
+        // Resident columns are shared by `effective_morsel_size()`-row
+        // morsels. A fetched source gets one morsel per chunk: fetch
+        // granularity, work granularity and cancellation granularity
+        // coincide out-of-core.
         let source = &self.source;
-        let placement_cols = &self.placement_cols;
+        let resident = source.resident_columns();
+        let morsel_list: Vec<Morsel> = match resident {
+            Some(_) => morsels(source.num_rows(), ctx.config.effective_morsel_size()),
+            None => (0..source.num_chunks())
+                .map(|index| {
+                    let (start, end) = source.chunk_range(index);
+                    Morsel { index, start, end }
+                })
+                .collect(),
+        };
+        let num_threads = ctx.config.workers_for(source.num_rows());
+        let config = ctx.config;
 
-        let (survivors, survivor_cols, merged_stats, chunks_read, chunks_pruned, bytes_read) = {
-            let filters: Vec<Option<&AnyFilter>> = self
+        // Evaluate local predicates and pushed-down bitvector probes with one
+        // shared-state-free kernel per morsel. Every filter targeting this
+        // scan is already published: a hash join publishes its filters before
+        // opening its probe side, and placement targets always sit below the
+        // source join's probe child.
+        let per_morsel = {
+            let filters: Vec<ScanFilter<'_>> = self
                 .placements
                 .iter()
-                .map(|&(idx, _)| ctx.filter(idx))
+                .zip(&placement_cols)
+                .map(|(&(idx, _), cols)| (ctx.filter(idx), cols.as_slice()))
                 .collect();
-
-            // Pruning decisions from the footer's zone maps — no chunk data
-            // is touched here.
-            let decisions: Vec<ChunkDecision> = chunk_list
-                .iter()
-                .map(|m| {
-                    if !prune {
-                        return ChunkDecision::Scan;
-                    }
-                    for (p, &ci) in predicates.iter().zip(&pred_cols) {
-                        if let Some((min, max)) = source.zone_map(m.index, ci) {
-                            if !p.range_may_pass(&min, &max) {
-                                return ChunkDecision::PrunedByPredicate;
-                            }
-                        }
-                    }
-                    // Bitvector-range pruning is counter-exact only with no
-                    // local predicates, only for the first placement, and
-                    // only for a single-column integer join key.
-                    if predicates.is_empty() {
-                        if let (Some(Some(filter)), Some(cols)) =
-                            (filters.first(), placement_cols.first())
-                        {
-                            if let [ci] = cols[..] {
-                                if let Some((Value::Int64(lo), Value::Int64(hi))) =
-                                    source.zone_map(m.index, ci)
-                                {
-                                    if filter.probe_range_empty(lo, hi) {
-                                        return ChunkDecision::PrunedByFilter;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    ChunkDecision::Scan
-                })
-                .collect();
-
-            let per_chunk = ctx.run_morsels(num_threads, &chunk_list, |m| {
-                if let Some(throttle) = throttle {
+            ctx.run_morsels(num_threads, &morsel_list, |m| {
+                // Latency-injection knob: stretch each scan morsel so
+                // scheduling and cancellation tests/benches get long-running
+                // queries with a known per-morsel granularity.
+                if let Some(throttle) = config.scan_throttle {
                     std::thread::sleep(throttle);
                 }
-                let mut stats = vec![FilterStats::new(); filters.len()];
-                match decisions[m.index] {
-                    ChunkDecision::PrunedByPredicate => Ok(ChunkScan {
-                        rows: Vec::new(),
-                        columns: Vec::new(),
-                        stats,
-                        read: false,
-                        bytes: 0,
-                    }),
+                let mut out = MorselScan {
+                    rows: Vec::new(),
+                    columns: Vec::new(),
+                    stats: vec![FilterStats::new(); filters.len()],
+                    bytes_read: None,
+                };
+                if let Some(columns) = resident {
+                    out.rows = scan_morsel(
+                        &config,
+                        columns,
+                        m.rows(),
+                        &predicates,
+                        &filters,
+                        &mut out.stats,
+                    );
+                    return Ok(out);
+                }
+                let decision = if config.zone_map_pruning {
+                    chunk_decision(source.as_ref(), m.index, &predicates, &filters)
+                } else {
+                    ChunkDecision::Scan
+                };
+                match decision {
+                    ChunkDecision::PrunedByPredicate => {}
                     ChunkDecision::PrunedByFilter => {
                         // See `ChunkDecision`: slot 0 probed and eliminated
                         // every row of this chunk.
-                        stats[0].probed += m.len() as u64;
-                        stats[0].eliminated += m.len() as u64;
-                        Ok(ChunkScan {
-                            rows: Vec::new(),
-                            columns: Vec::new(),
-                            stats,
-                            read: false,
-                            bytes: 0,
-                        })
+                        out.stats[0].probed += m.len() as u64;
+                        out.stats[0].eliminated += m.len() as u64;
                     }
                     ChunkDecision::Scan => {
                         let columns = source.read_chunk(m.index)?;
-                        let mut mask = vec![true; m.len()];
-                        for (predicate, &ci) in predicates.iter().zip(&pred_cols) {
-                            let predicate_mask = predicate.evaluate_range(&columns[ci], 0, m.len());
-                            for (acc, p) in mask.iter_mut().zip(predicate_mask) {
-                                *acc &= p;
-                            }
-                        }
-                        let mut rows: Vec<usize> = (0..m.len()).filter(|&r| mask[r]).collect();
-                        let probe_cols: Vec<Vec<&Column>> = placement_cols
-                            .iter()
-                            .map(|idxs| idxs.iter().map(|&i| columns[i].as_ref()).collect())
-                            .collect();
-                        match kernel_mode {
-                            KernelMode::Scalar => {
-                                for (slot, filter) in filters.iter().enumerate() {
-                                    let Some(filter) = filter else {
-                                        continue;
-                                    };
-                                    let columns = &probe_cols[slot];
-                                    let slot_stats = &mut stats[slot];
-                                    rows.retain(|&row| {
-                                        let keep = filter.maybe_contains(row_key(columns, row));
-                                        slot_stats.record(!keep);
-                                        keep
-                                    });
-                                }
-                            }
-                            KernelMode::Vectorized => {
-                                let mut scratch = ProbeScratch::default();
-                                for (slot, filter) in filters.iter().enumerate() {
-                                    let Some(filter) = filter else {
-                                        continue;
-                                    };
-                                    probe_retain(
-                                        *filter,
-                                        &probe_cols[slot],
-                                        &mut rows,
-                                        &mut stats[slot],
-                                        &mut scratch,
-                                    );
-                                }
-                            }
-                        }
+                        let local = scan_morsel(
+                            &config,
+                            &columns,
+                            0..m.len(),
+                            &predicates,
+                            &filters,
+                            &mut out.stats,
+                        );
                         // Compact the survivors before the chunk's columns
                         // are dropped — this is what bounds memory to the
                         // survivor set plus `num_threads` in-flight chunks.
-                        let dense: Vec<Column> = columns.iter().map(|c| c.take(&rows)).collect();
-                        let global: Vec<usize> = rows.iter().map(|&r| m.start + r).collect();
-                        Ok(ChunkScan {
-                            rows: global,
-                            columns: dense,
-                            stats,
-                            read: true,
-                            bytes: source.chunk_byte_size(m.index),
-                        })
+                        out.columns = columns.iter().map(|c| c.take(&local)).collect();
+                        out.rows = local.iter().map(|&r| m.start + r).collect();
+                        out.bytes_read = Some(source.chunk_byte_size(m.index));
                     }
                 }
-            })?;
+                Ok(out)
+            })?
+        };
 
-            // Deterministic merge in chunk order.
-            let mut survivors = Vec::new();
-            let mut survivor_cols: Vec<Column> = self
-                .source
-                .schema()
-                .fields()
-                .iter()
-                .map(|f| Column::empty(f.data_type))
-                .collect();
-            let mut merged = vec![FilterStats::new(); self.placements.len()];
-            let (mut chunks_read, mut chunks_pruned, mut bytes_read) = (0u64, 0u64, 0u64);
-            for result in per_chunk {
-                let chunk: ChunkScan = result?;
-                if chunk.read {
-                    chunks_read += 1;
-                    bytes_read += chunk.bytes;
-                } else {
-                    chunks_pruned += 1;
-                }
-                survivors.extend(chunk.rows);
-                for (acc, c) in survivor_cols.iter_mut().zip(&chunk.columns) {
-                    acc.append(c)?;
-                }
-                for (acc, s) in merged.iter_mut().zip(&chunk.stats) {
-                    acc.merge(s);
+        // Deterministic merge: concatenate rows and sum counters in morsel
+        // order, independent of worker scheduling.
+        let mut survivors = Vec::new();
+        let mut compacted = self.empty_columns();
+        let mut merged = vec![FilterStats::new(); self.placements.len()];
+        for result in per_morsel {
+            let morsel: MorselScan = result?;
+            if resident.is_none() {
+                match morsel.bytes_read {
+                    Some(bytes) => {
+                        ctx.metrics.chunks_read += 1;
+                        ctx.metrics.bytes_read += bytes;
+                    }
+                    None => ctx.metrics.chunks_pruned += 1,
                 }
             }
-            (
-                survivors,
-                survivor_cols,
-                merged,
-                chunks_read,
-                chunks_pruned,
-                bytes_read,
-            )
-        };
-        for stats in &merged_stats {
+            survivors.extend(morsel.rows);
+            for (acc, c) in compacted.iter_mut().zip(&morsel.columns) {
+                acc.append(c)?;
+            }
+            for (acc, s) in merged.iter_mut().zip(&morsel.stats) {
+                acc.merge(s);
+            }
+        }
+        for stats in &merged {
             ctx.merge_filter_stats(stats);
         }
-        ctx.metrics.chunks_read += chunks_read;
-        ctx.metrics.chunks_pruned += chunks_pruned;
-        ctx.metrics.bytes_read += bytes_read;
 
         self.survivors = survivors;
-        self.survivor_cols = survivor_cols;
+        self.columns = match resident {
+            Some(columns) => columns.to_vec(),
+            None => compacted.into_iter().map(Arc::new).collect(),
+        };
         self.pos = 0;
         self.cursor = 0;
         Ok(())
     }
 
     fn next_batch(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, StorageError> {
+        // The serial-loop cancellation seam: one check per batch pull.
         ctx.check_cancelled()?;
-        // Identical batch boundaries to ScanOp: one batch per `batch_size`
-        // range of the *global* row space with at least one survivor. The
-        // batches are dense; a dense batch and a selection batch over the
-        // same logical rows are interchangeable downstream.
+        // Emission granularity is unchanged from the serial executor: one
+        // batch per `batch_size` range of the global row space with at least
+        // one survivor, so parents observe identical batch boundaries for
+        // every `(num_threads, morsel_size)` combination and every source.
         let num_rows = self.source.num_rows();
         let batch_size = ctx.config.batch_size.max(1);
         while self.cursor < num_rows {
@@ -677,18 +380,27 @@ impl PhysicalOperator for FileScanOp<'_> {
             if self.pos == from {
                 continue;
             }
-            // Survivor values are already compacted in survivor order, so a
-            // batch is a contiguous slice of the survivor columns.
-            let idx: Vec<usize> = (from..self.pos).collect();
-            let columns: Vec<Column> = self.survivor_cols.iter().map(|c| c.take(&idx)).collect();
-            let batch = Batch::new(self.schema.clone(), columns);
+            let batch = if self.source.resident_columns().is_some() {
+                let rows = &self.survivors[from..self.pos];
+                scan_batch(&ctx.config, &self.schema, &self.columns, rows)
+            } else {
+                // Survivor values are already compacted in survivor order,
+                // so a batch is a contiguous slice of the compacted columns,
+                // copied out dense (a dense batch and a selection batch over
+                // the same logical rows are interchangeable downstream).
+                let rows: Vec<usize> = (from..self.pos).collect();
+                let columns = self.columns.iter().map(|c| c.take(&rows)).collect();
+                Batch::new(self.schema.clone(), columns)
+            };
             self.output_rows += batch.num_rows() as u64;
             self.emitted_any = true;
             return Ok(Some(batch));
         }
         if !self.emitted_any {
+            // No row survived: emit one empty batch so parents still learn
+            // the schema.
             self.emitted_any = true;
-            return Ok(Some(self.empty_batch()));
+            return Ok(Some(Batch::new(self.schema.clone(), self.empty_columns())));
         }
         Ok(None)
     }
@@ -762,16 +474,6 @@ impl<'p> HashJoinOp<'p> {
     }
 }
 
-/// Extracts collapsed join keys from a batch with the kernel-mode-selected
-/// implementation; both produce identical keys (the kernel differential
-/// suite pins this).
-fn batch_keys(mode: KernelMode, batch: &Batch, cols: &[ColumnRef]) -> Vec<i64> {
-    match mode {
-        KernelMode::Scalar => batch.key_values(cols),
-        KernelMode::Vectorized => batch.key_values_vectorized(cols),
-    }
-}
-
 impl PhysicalOperator for HashJoinOp<'_> {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), StorageError> {
         // 1. Drain the build side completely.
@@ -786,11 +488,7 @@ impl PhysicalOperator for HashJoinOp<'_> {
         // 2. Publish the bitvector filters sourced at this join, so they are
         //    in place before any probe-side operator produces rows.
         for &(idx, placement) in &self.source_placements {
-            let build_keys = batch_keys(
-                ctx.config.kernel_mode,
-                &self.build_batch,
-                &placement.build_columns,
-            );
+            let build_keys = batch_keys(&ctx.config, &self.build_batch, &placement.build_columns);
             let filter = AnyFilter::from_keys(ctx.config.filter_kind, &build_keys);
             ctx.publish_filter(idx, filter);
         }
@@ -801,11 +499,7 @@ impl PhysicalOperator for HashJoinOp<'_> {
         //    order, exactly as the serial insertion loop produced it. (The
         //    filters of step 2 are always published single-threaded, keeping
         //    publication order deterministic.)
-        let build_keys = batch_keys(
-            ctx.config.kernel_mode,
-            &self.build_batch,
-            &self.build_key_cols,
-        );
+        let build_keys = batch_keys(&ctx.config, &self.build_batch, &self.build_key_cols);
         self.build_rows = build_keys.len() as u64;
         let workers = ctx.config.workers_for(build_keys.len());
         let chunks = chunk_morsels(build_keys.len(), workers);
@@ -838,9 +532,9 @@ impl PhysicalOperator for HashJoinOp<'_> {
     fn next_batch(&mut self, ctx: &mut ExecContext) -> Result<Option<Batch>, StorageError> {
         // The serial-loop cancellation seam: one check per probe batch.
         ctx.check_cancelled()?;
-        let kernel_mode = ctx.config.kernel_mode;
+        let config = ctx.config;
         while let Some(probe_batch) = self.probe.next_batch(ctx)? {
-            let probe_keys = batch_keys(kernel_mode, &probe_batch, &self.probe_key_cols);
+            let probe_keys = batch_keys(&config, &probe_batch, &self.probe_key_cols);
             self.probe_rows += probe_keys.len() as u64;
 
             // Probe the hash table one contiguous row chunk per worker; the
@@ -883,32 +577,12 @@ impl PhysicalOperator for HashJoinOp<'_> {
                     let Some(filter) = ctx.filter(idx) else {
                         continue;
                     };
-                    let keys = batch_keys(kernel_mode, &output, &placement.probe_columns);
+                    let keys = batch_keys(&config, &output, &placement.probe_columns);
                     let workers = ctx.config.workers_for(keys.len());
                     let chunks = chunk_morsels(keys.len(), workers);
                     let parts = ctx.run_morsels(workers, &chunks, |m| {
                         let mut stats = FilterStats::new();
-                        let mask: Vec<bool> = match kernel_mode {
-                            KernelMode::Scalar => m
-                                .rows()
-                                .map(|row| {
-                                    let keep = filter.maybe_contains(keys[row]);
-                                    stats.record(!keep);
-                                    keep
-                                })
-                                .collect(),
-                            KernelMode::Vectorized => {
-                                let mut scratch = ProbeScratch::default();
-                                probe_mask_range(
-                                    filter,
-                                    &keys,
-                                    m.start,
-                                    m.end,
-                                    &mut stats,
-                                    &mut scratch,
-                                )
-                            }
-                        };
+                        let mask = probe_mask(&config, filter, &keys[m.rows()], &mut stats);
                         (mask, stats)
                     })?;
                     let mut mask: Vec<bool> = Vec::with_capacity(keys.len());
@@ -916,13 +590,7 @@ impl PhysicalOperator for HashJoinOp<'_> {
                         mask.extend(part);
                         merged.merge(&stats);
                     }
-                    // Vectorized mode refines the selection vector in place
-                    // instead of materializing the survivors; logically
-                    // identical output either way.
-                    output = match kernel_mode {
-                        KernelMode::Scalar => output.filter(&mask),
-                        KernelMode::Vectorized => output.filter_select(&mask),
-                    };
+                    output = filter_batch(&config, output, &mask);
                 }
                 ctx.merge_filter_stats(&merged);
                 self.residual_rows[slot].0 += output.num_rows() as u64;

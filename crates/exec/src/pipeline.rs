@@ -4,13 +4,12 @@ use crate::cancel::CancelToken;
 use crate::executor::ExecConfig;
 use crate::metrics::ExecutionMetrics;
 use crate::morsel::{run_morsels_with, Morsel};
-use crate::operators::{FileScanOp, HashJoinOp, PhysicalOperator, ScanOp};
+use crate::operators::{HashJoinOp, PhysicalOperator, ScanOp};
 use crate::pool::WorkerPool;
 use bqo_bitvector::{AnyFilter, FilterStats};
 use bqo_plan::{JoinGraph, NodeId, PhysicalNode, PhysicalPlan};
-use bqo_storage::{Catalog, StorageError, TableBacking};
+use bqo_storage::{Catalog, StorageError};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// State shared by every operator of one running pipeline: the execution
 /// configuration, the worker pool supplying parallel-section helpers (if
@@ -37,7 +36,7 @@ impl std::fmt::Debug for ExecContext {
 
 impl ExecContext {
     /// Creates a fresh context for one query execution (no worker pool —
-    /// parallel sections spawn scoped helpers).
+    /// parallel sections run inline on the calling thread).
     pub fn new(config: ExecConfig) -> Self {
         ExecContext::with_pool(config, None)
     }
@@ -81,8 +80,8 @@ impl ExecContext {
     }
 
     /// Runs a morsel kernel with up to `num_threads` workers, drawing helpers
-    /// from the context's worker pool when one is attached and falling back
-    /// to scoped spawns otherwise (see [`run_morsels_with`]). Operators call
+    /// from the context's worker pool when one is attached and running
+    /// inline otherwise (see [`run_morsels_with`]). Operators call
     /// this for every parallel section so one executor configuration decides
     /// the scheduling mode for the whole pipeline. The context's cancel token
     /// is re-checked at every morsel claim; an interrupted section surfaces
@@ -136,7 +135,9 @@ impl ExecContext {
 /// the tables of a catalog.
 ///
 /// Lowering borrows the plan's node payloads (join keys, placement columns)
-/// instead of cloning them; only the `Arc<Table>` handles are refcounted.
+/// instead of cloning them; only the `Arc<dyn ChunkSource>` handles are
+/// refcounted. Every scan lowers to the same [`ScanOp`], whatever backs the
+/// table.
 pub struct PipelineBuilder<'p> {
     catalog: &'p Catalog,
     graph: &'p JoinGraph,
@@ -183,22 +184,10 @@ impl<'p> PipelineBuilder<'p> {
                 } else {
                     Vec::new()
                 };
-                match &self.catalog.table_meta(&info.name)?.backing {
-                    TableBacking::Memory(table) => Ok(Box::new(ScanOp::new(
-                        node,
-                        *relation,
-                        info,
-                        Arc::clone(table),
-                        placements,
-                    ))),
-                    TableBacking::Source(source) => Ok(Box::new(FileScanOp::new(
-                        node,
-                        *relation,
-                        info,
-                        Arc::clone(source),
-                        placements,
-                    ))),
-                }
+                let source = self.catalog.table_meta(&info.name)?.scan_source();
+                Ok(Box::new(ScanOp::new(
+                    node, *relation, info, source, placements,
+                )))
             }
             PhysicalNode::HashJoin { build, probe, keys } => {
                 let build_op = self.lower(*build)?;
@@ -216,5 +205,122 @@ impl<'p> PipelineBuilder<'p> {
                 )))
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::batch::Batch;
+    use crate::executor::KernelMode;
+    use bqo_plan::{ColumnPredicate, CompareOp, RelationInfo, RightDeepTree};
+    use bqo_storage::{ChunkSource, Column, Schema, Table, TableBuilder, TableStats, Value};
+    use std::sync::{Arc, Mutex, Weak};
+
+    /// `table` served as a fetched source of 4-row chunks that remembers
+    /// every column `read_chunk` handed out.
+    #[derive(Debug)]
+    struct Fetched {
+        table: Table,
+        handed_out: Mutex<Vec<Weak<Column>>>,
+    }
+
+    impl ChunkSource for Fetched {
+        fn name(&self) -> &str {
+            self.table.name()
+        }
+        fn schema(&self) -> &Schema {
+            self.table.schema()
+        }
+        fn num_rows(&self) -> usize {
+            self.table.num_rows()
+        }
+        fn chunk_rows(&self) -> usize {
+            4
+        }
+        fn zone_map(&self, _chunk: usize, _column: usize) -> Option<(Value, Value)> {
+            None
+        }
+        fn read_chunk(&self, chunk: usize) -> Result<Vec<Arc<Column>>, StorageError> {
+            let (start, end) = self.chunk_range(chunk);
+            let rows: Vec<usize> = (start..end).collect();
+            let columns = self.table.columns().iter();
+            let columns: Vec<_> = columns.map(|c| Arc::new(c.take(&rows))).collect();
+            let mut handed_out = self.handed_out.lock().unwrap();
+            handed_out.extend(columns.iter().map(Arc::downgrade));
+            Ok(columns)
+        }
+        fn chunk_byte_size(&self, _chunk: usize) -> u64 {
+            32
+        }
+        fn fingerprint(&self) -> u64 {
+            0
+        }
+        fn table_stats(&self) -> TableStats {
+            self.table.compute_stats()
+        }
+    }
+
+    fn table() -> Table {
+        let values = (0..10).collect();
+        TableBuilder::new("t")
+            .with_i64("v", values)
+            .build()
+            .unwrap()
+    }
+
+    /// Lowers and opens a vectorized scan of `t` where `v < 7`, calls
+    /// `after_open`, and returns the batches the scan emits.
+    fn scan(catalog: &Catalog, after_open: impl FnOnce()) -> Vec<Batch> {
+        let predicate = ColumnPredicate::new("v", CompareOp::Lt, 7i64);
+        let mut graph = JoinGraph::new();
+        let t =
+            graph.add_relation(RelationInfo::new("t", 10.0, 7.0).with_predicates(vec![predicate]));
+        let tree = RightDeepTree::new(vec![t]).to_join_tree();
+        let plan = PhysicalPlan::from_join_tree(&graph, &tree);
+        let config = ExecConfig::default()
+            .with_batch_size(3)
+            .with_kernel_mode(KernelMode::Vectorized);
+        let mut ctx = ExecContext::new(config);
+        let mut op = PipelineBuilder::new(catalog, &graph, &plan, config)
+            .build()
+            .unwrap();
+        op.open(&mut ctx).unwrap();
+        after_open();
+        let mut batches = Vec::new();
+        while let Some(batch) = op.next_batch(&mut ctx).unwrap() {
+            batches.push(batch);
+        }
+        assert_eq!(batches.iter().map(Batch::num_rows).sum::<usize>(), 7);
+        batches
+    }
+
+    #[test]
+    fn resident_scan_emits_zero_copy_batches_over_the_table_columns() {
+        let mut catalog = Catalog::new();
+        catalog.register_table(table());
+        let table = catalog.table("t").unwrap();
+        for batch in scan(&catalog, || ()) {
+            assert!(!batch.is_dense());
+            assert!(Arc::ptr_eq(&batch.columns()[0], &table.columns()[0]));
+        }
+    }
+
+    #[test]
+    fn fetched_scan_compacts_survivors_and_drops_every_chunk() {
+        let source = Arc::new(Fetched {
+            table: table(),
+            handed_out: Mutex::new(Vec::new()),
+        });
+        let mut catalog = Catalog::new();
+        catalog.register_source(Arc::clone(&source) as Arc<dyn ChunkSource>);
+        // Once `open` returns, no `read_chunk` result is alive: neither the
+        // operator nor any batch it emits later can alias one.
+        let batches = scan(&catalog, || {
+            let handed_out = source.handed_out.lock().unwrap();
+            assert_eq!(handed_out.len(), 3);
+            assert!(handed_out.iter().all(|column| column.upgrade().is_none()));
+        });
+        assert_eq!(batches.len(), 3);
     }
 }

@@ -1,11 +1,11 @@
 //! Persistent worker pool for the morsel-parallel sections.
 //!
-//! Before this module, every parallel section (`run_morsels`) paid a
-//! `thread::scope` spawn for each helper worker — acceptable for one long
-//! analytical query, but a measurable fixed cost for serving traffic made of
-//! many small queries. A [`WorkerPool`] amortizes that cost: a fixed set of
-//! threads is spawned once, parks on a condition variable while idle, and is
-//! woken whenever a parallel section injects work.
+//! Spawning a thread for each helper worker of each parallel section is
+//! acceptable for one long analytical query, but a measurable fixed cost
+//! for serving traffic made of many small queries. A [`WorkerPool`]
+//! amortizes that cost: a fixed set of threads is spawned once, parks on a
+//! condition variable while idle, and is woken whenever a parallel section
+//! injects work.
 //!
 //! The unit of work is deliberately *mirrored*: [`WorkerPool::run_mirrored`]
 //! enqueues `copies` executions of one `Fn() + Sync` task, runs the task once
@@ -28,7 +28,7 @@
 //! * **Panic propagation.** A panicking task copy is caught on the worker
 //!   (the worker thread survives and keeps serving), recorded, and re-thrown
 //!   on the calling thread after the section completes — the same observable
-//!   behavior as the scoped-spawn path.
+//!   behavior as a kernel panicking inline.
 //! * **Graceful, idempotent shutdown.** [`WorkerPool::shutdown`] stops
 //!   accepting new work, lets workers drain everything already queued, and
 //!   joins them. Calling it twice (or dropping the last handle after an

@@ -61,28 +61,27 @@ pub struct TableMeta {
 }
 
 impl TableMeta {
+    /// The rows' [`ChunkSource`], whichever backing provides it.
+    fn as_source(&self) -> &dyn ChunkSource {
+        match &self.backing {
+            TableBacking::Memory(t) => t.as_ref(),
+            TableBacking::Source(s) => s.as_ref(),
+        }
+    }
+
     /// The table's schema, regardless of backing.
     pub fn schema(&self) -> &Schema {
-        match &self.backing {
-            TableBacking::Memory(t) => t.schema(),
-            TableBacking::Source(s) => s.schema(),
-        }
+        self.as_source().schema()
     }
 
     /// The table's row count, regardless of backing.
     pub fn num_rows(&self) -> usize {
-        match &self.backing {
-            TableBacking::Memory(t) => t.num_rows(),
-            TableBacking::Source(s) => s.num_rows(),
-        }
+        self.as_source().num_rows()
     }
 
     /// Approximate size in bytes (in memory or on disk).
     pub fn byte_size(&self) -> usize {
-        match &self.backing {
-            TableBacking::Memory(t) => t.byte_size(),
-            TableBacking::Source(s) => s.byte_size(),
-        }
+        self.as_source().byte_size()
     }
 
     /// The in-memory table, when this entry is memory-backed.
@@ -98,6 +97,15 @@ impl TableMeta {
         match &self.backing {
             TableBacking::Memory(_) => None,
             TableBacking::Source(s) => Some(s),
+        }
+    }
+
+    /// The table as the executor scans it, regardless of backing: an
+    /// in-memory table is a [`ChunkSource`] of one resident chunk.
+    pub fn scan_source(&self) -> Arc<dyn ChunkSource> {
+        match &self.backing {
+            TableBacking::Memory(t) => Arc::clone(t) as Arc<dyn ChunkSource>,
+            TableBacking::Source(s) => Arc::clone(s),
         }
     }
 
@@ -451,50 +459,7 @@ mod tests {
 
     #[test]
     fn register_source_behaves_like_a_table() {
-        use crate::source::ChunkSource;
-        use crate::Value;
-
-        #[derive(Debug)]
-        struct FakeSource {
-            table: Table,
-            fingerprint: u64,
-        }
-        impl ChunkSource for FakeSource {
-            fn name(&self) -> &str {
-                self.table.name()
-            }
-            fn schema(&self) -> &crate::Schema {
-                self.table.schema()
-            }
-            fn num_rows(&self) -> usize {
-                self.table.num_rows()
-            }
-            fn chunk_rows(&self) -> usize {
-                2
-            }
-            fn zone_map(&self, _c: usize, _col: usize) -> Option<(Value, Value)> {
-                None
-            }
-            fn read_chunk(&self, chunk: usize) -> crate::Result<Vec<Arc<crate::Column>>> {
-                let (start, end) = self.chunk_range(chunk);
-                let rows: Vec<usize> = (start..end).collect();
-                Ok(self
-                    .table
-                    .columns()
-                    .iter()
-                    .map(|c| Arc::new(c.take(&rows)))
-                    .collect())
-            }
-            fn chunk_byte_size(&self, _chunk: usize) -> u64 {
-                16
-            }
-            fn fingerprint(&self) -> u64 {
-                self.fingerprint
-            }
-            fn table_stats(&self) -> TableStats {
-                self.table.compute_stats()
-            }
-        }
+        use crate::source::tests::VecSource;
 
         let table = TableBuilder::new("disk")
             .with_i64("id", vec![1, 2, 3, 4, 5])
@@ -502,8 +467,9 @@ mod tests {
             .unwrap();
         let mut c = catalog();
         let tag_before = c.schema_tag();
-        c.register_source(Arc::new(FakeSource {
+        c.register_source(Arc::new(VecSource {
             table: table.clone(),
+            chunk_rows: 2,
             fingerprint: 7,
         }));
         // Stats, schema and keys work through the meta accessors…
@@ -521,8 +487,9 @@ mod tests {
         // under the same name re-tags the catalog.
         let tag_a = c.schema_tag();
         assert_ne!(tag_a, tag_before);
-        c.register_source(Arc::new(FakeSource {
+        c.register_source(Arc::new(VecSource {
             table,
+            chunk_rows: 2,
             fingerprint: 8,
         }));
         assert_ne!(c.schema_tag(), tag_a);

@@ -1,10 +1,12 @@
 //! Chunked table sources: the abstraction behind out-of-core scans.
 //!
-//! An in-memory [`crate::Table`] hands the executor all of its columns at
-//! once. A [`ChunkSource`] instead exposes a table as a sequence of
-//! fixed-size row chunks that are materialized on demand — the shape of the
-//! on-disk columnar format in `bqo-format` — together with per-chunk
-//! min/max *zone maps* the scan can consult **before** reading a chunk.
+//! A [`ChunkSource`] exposes a table as a sequence of fixed-size row chunks
+//! that are materialized on demand — the shape of the on-disk columnar
+//! format in `bqo-format` — together with per-chunk min/max *zone maps* the
+//! scan can consult **before** reading a chunk. It is the one interface the
+//! executor scans through: an in-memory [`crate::Table`] implements it as a
+//! single chunk whose columns are already resident
+//! ([`ChunkSource::resident_columns`]).
 //! Zone-map pruning composes with the paper's bitvector pushdown: both are
 //! semi-join reducers applied ahead of the join, one driven by the scan's
 //! local predicates and one by the surviving build keys of a pushed-down
@@ -67,6 +69,16 @@ pub trait ChunkSource: Send + Sync + std::fmt::Debug {
     /// backing tracks them).
     fn read_chunk(&self, chunk: usize) -> Result<Vec<Arc<Column>>>;
 
+    /// The whole table's columns, when they are already resident in memory
+    /// (one per schema field, each `num_rows` long). The scan shares resident
+    /// columns across all of its morsels and emits zero-copy batches over
+    /// them; a source returning `None` (the default) is fetched one chunk per
+    /// morsel and its survivors are compacted before the chunk is dropped.
+    /// Only [`crate::Table`] overrides this.
+    fn resident_columns(&self) -> Option<&[Arc<Column>]> {
+        None
+    }
+
     /// Approximate on-disk (or in-memory) size of `chunk` in bytes, for the
     /// scan's `bytes_read` accounting.
     fn chunk_byte_size(&self, chunk: usize) -> u64;
@@ -95,16 +107,17 @@ pub trait ChunkSource: Send + Sync + std::fmt::Debug {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::table::{Table, TableBuilder};
 
-    /// Minimal in-memory ChunkSource used to pin the default-method
-    /// arithmetic; the real implementation lives in `bqo-format`.
+    /// Minimal fetched (non-resident) in-memory ChunkSource for this crate's
+    /// tests; the real implementation lives in `bqo-format`.
     #[derive(Debug)]
-    struct VecSource {
-        table: Table,
-        chunk_rows: usize,
+    pub(crate) struct VecSource {
+        pub(crate) table: Table,
+        pub(crate) chunk_rows: usize,
+        pub(crate) fingerprint: u64,
     }
 
     impl ChunkSource for VecSource {
@@ -138,7 +151,7 @@ mod tests {
             ((end - start) * 8) as u64
         }
         fn fingerprint(&self) -> u64 {
-            42
+            self.fingerprint
         }
         fn table_stats(&self) -> TableStats {
             self.table.compute_stats()
@@ -152,6 +165,7 @@ mod tests {
                 .build()
                 .unwrap(),
             chunk_rows,
+            fingerprint: 42,
         }
     }
 

@@ -2,6 +2,7 @@
 
 use crate::column::Column;
 use crate::schema::{Field, Schema};
+use crate::source::ChunkSource;
 use crate::stats::TableStats;
 use crate::value::{DataType, Value};
 use crate::{Result, StorageError};
@@ -125,6 +126,54 @@ impl Table {
     /// Approximate in-memory size in bytes.
     pub fn byte_size(&self) -> usize {
         self.columns.iter().map(|c| c.byte_size()).sum()
+    }
+}
+
+/// An in-memory table is a [`ChunkSource`] of one resident chunk: the scan
+/// reads it through the same interface as an on-disk file, but
+/// [`ChunkSource::resident_columns`] hands it the shared column handles
+/// directly, so nothing is fetched, pruned or copied.
+impl ChunkSource for Table {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn num_rows(&self) -> usize {
+        self.num_rows
+    }
+
+    fn chunk_rows(&self) -> usize {
+        self.num_rows
+    }
+
+    fn zone_map(&self, _chunk: usize, _column: usize) -> Option<(Value, Value)> {
+        None
+    }
+
+    fn read_chunk(&self, _chunk: usize) -> Result<Vec<Arc<Column>>> {
+        Ok(self.columns.clone())
+    }
+
+    fn resident_columns(&self) -> Option<&[Arc<Column>]> {
+        Some(&self.columns)
+    }
+
+    fn chunk_byte_size(&self, _chunk: usize) -> u64 {
+        self.byte_size() as u64
+    }
+
+    /// In-memory tables carry no content fingerprint: the catalog tells them
+    /// apart by its mutation version and row counts.
+    fn fingerprint(&self) -> u64 {
+        0
+    }
+
+    fn table_stats(&self) -> TableStats {
+        self.compute_stats()
     }
 }
 

@@ -6,13 +6,76 @@
 //! generator, and executed twice: once serially (`num_threads = 1`) and once
 //! with the generated thread count. Rows, per-operator counters and
 //! bitvector probe counts must match exactly.
+//!
+//! The same harness states the scan's chunk-aligned-morsel invariant: the
+//! star re-registered through a re-chunked, fetched [`ChunkSource`] (one
+//! morsel per chunk, zone-map pruning, per-chunk compaction) answers exactly
+//! like the plain in-memory tables.
 
-use bqo_core::exec::ExecConfig;
+use bqo_core::exec::{ExecConfig, KernelMode};
 use bqo_core::storage::generator::DataGenerator;
-use bqo_core::storage::Catalog;
+use bqo_core::storage::{
+    Catalog, ChunkSource, Column, Schema, StorageError, Table, TableStats, Value,
+};
 use bqo_core::{ColumnPredicate, CompareOp, Engine, OptimizerChoice, QuerySpec, RunOptions};
 use bqo_integration_tests::env_threads;
 use proptest::prelude::*;
+use std::sync::Arc;
+
+/// An in-memory table served as a fetched source of `chunk_rows`-row chunks:
+/// every `read_chunk` copies the chunk out, and zone maps are the chunk's
+/// exact min/max.
+#[derive(Debug)]
+struct Rechunked {
+    table: Table,
+    chunk_rows: usize,
+}
+
+impl ChunkSource for Rechunked {
+    fn name(&self) -> &str {
+        self.table.name()
+    }
+    fn schema(&self) -> &Schema {
+        self.table.schema()
+    }
+    fn num_rows(&self) -> usize {
+        self.table.num_rows()
+    }
+    fn chunk_rows(&self) -> usize {
+        self.chunk_rows
+    }
+    fn zone_map(&self, chunk: usize, column: usize) -> Option<(Value, Value)> {
+        let (start, end) = self.chunk_range(chunk);
+        let column = self.table.column_at(column);
+        let mut values = (start..end).map(|row| column.value(row));
+        let first = values.next()?;
+        Some(values.fold((first.clone(), first), |(min, max), v| {
+            if v.total_cmp(&min).is_lt() {
+                (v, max)
+            } else if v.total_cmp(&max).is_gt() {
+                (min, v)
+            } else {
+                (min, max)
+            }
+        }))
+    }
+    fn read_chunk(&self, chunk: usize) -> Result<Vec<Arc<Column>>, StorageError> {
+        let (start, end) = self.chunk_range(chunk);
+        let rows: Vec<usize> = (start..end).collect();
+        let columns = self.table.columns().iter();
+        Ok(columns.map(|c| Arc::new(c.take(&rows))).collect())
+    }
+    fn chunk_byte_size(&self, chunk: usize) -> u64 {
+        let (start, end) = self.chunk_range(chunk);
+        (end - start) as u64
+    }
+    fn fingerprint(&self) -> u64 {
+        self.chunk_rows as u64
+    }
+    fn table_stats(&self) -> TableStats {
+        self.table.compute_stats()
+    }
+}
 
 /// One generated dimension: `(rows, categories, predicate bound)`.
 type DimSpec = (usize, usize, i64);
@@ -21,15 +84,27 @@ fn dim_strategy() -> impl Strategy<Value = DimSpec> {
     (2usize..60, 2usize..8, 1i64..8)
 }
 
-/// Builds the star catalog and query for one generated case.
-fn build_star(seed: u64, fact_rows: usize, skew: f64, dims: &[DimSpec]) -> (Engine, QuerySpec) {
+/// Builds the star catalog and query for one generated case. With
+/// `chunk_rows`, every table is registered through [`Rechunked`] instead of
+/// as a plain in-memory table.
+fn build_star(
+    seed: u64,
+    fact_rows: usize,
+    skew: f64,
+    dims: &[DimSpec],
+    chunk_rows: Option<usize>,
+) -> (Engine, QuerySpec) {
     let gen = DataGenerator::new(seed);
     let mut catalog = Catalog::new();
+    let register = |catalog: &mut Catalog, table: Table| match chunk_rows {
+        None => catalog.register_table(table),
+        Some(chunk_rows) => catalog.register_source(Arc::new(Rechunked { table, chunk_rows })),
+    };
     let mut fact_dims = Vec::new();
     let mut spec = QuerySpec::new(format!("prop_star_{seed}")).table("fact");
     for (i, &(rows, categories, bound)) in dims.iter().enumerate() {
         let name = format!("d{i}");
-        catalog.register_table(gen.dimension_table(&name, rows, categories));
+        register(&mut catalog, gen.dimension_table(&name, rows, categories));
         catalog
             .declare_primary_key(&name, &format!("{name}_sk"))
             .unwrap();
@@ -47,7 +122,7 @@ fn build_star(seed: u64, fact_rows: usize, skew: f64, dims: &[DimSpec]) -> (Engi
                 ColumnPredicate::new(format!("{name}_category"), CompareOp::Lt, bound),
             );
     }
-    catalog.register_table(gen.fact_table("fact", fact_rows, &fact_dims));
+    register(&mut catalog, gen.fact_table("fact", fact_rows, &fact_dims));
     let engine = Engine::from_catalog(catalog);
     (engine, spec)
 }
@@ -69,7 +144,7 @@ proptest! {
         morsel_size in 1usize..300,
         num_threads in 2usize..9,
     ) {
-        let (engine, spec) = build_star(seed, fact_rows, skew, &dims);
+        let (engine, spec) = build_star(seed, fact_rows, skew, &dims, None);
         let session = engine.session();
         let prepared = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
 
@@ -122,7 +197,7 @@ proptest! {
         dims in prop::collection::vec(dim_strategy(), 1..4),
         num_threads in 2usize..9,
     ) {
-        let (engine, spec) = build_star(seed, fact_rows, 0.3, &dims);
+        let (engine, spec) = build_star(seed, fact_rows, 0.3, &dims, None);
         let session = engine.session();
         let config = ExecConfig::default().with_num_threads(num_threads);
         let bqo_stmt = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
@@ -144,5 +219,52 @@ proptest! {
             .result;
         prop_assert_eq!(bqo.output_rows, baseline.output_rows);
         prop_assert_eq!(baseline.metrics.filters_created, 0usize);
+    }
+
+    /// The chunk-aligned-morsel invariant: a fetched source scanned one
+    /// morsel per chunk — whatever the chunk size, with or without zone-map
+    /// pruning — yields the rows, `FilterStats` and per-operator counters of
+    /// the in-memory scan under the same configuration.
+    #[test]
+    fn rechunked_sources_answer_like_in_memory_tables(
+        seed in 0u64..1_000_000,
+        fact_rows in 0usize..3000,
+        skew in 0.0f64..1.2,
+        dims in prop::collection::vec(dim_strategy(), 1..4),
+        chunk_choice in 0usize..5,
+        batch_size in 1usize..300,
+        morsel_size in 1usize..300,
+        parallel in 0usize..2,
+        scalar in 0usize..2,
+        pruning in 0usize..2,
+    ) {
+        let chunk_rows = [1, 7, 64, fact_rows.max(1), fact_rows + 1][chunk_choice];
+        let config = ExecConfig::default()
+            .with_batch_size(batch_size)
+            .with_morsel_size(morsel_size)
+            .with_num_threads([1, 4][parallel])
+            .with_parallel_threshold(1)
+            .with_kernel_mode([KernelMode::Vectorized, KernelMode::Scalar][scalar])
+            .with_zone_map_pruning(pruning == 1);
+        let run = |chunk_rows| {
+            let (engine, spec) = build_star(seed, fact_rows, skew, &dims, chunk_rows);
+            let prepared = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
+            let options = RunOptions::new().with_exec_config(config).collecting_rows();
+            engine.session().execute(&prepared, options).unwrap()
+        };
+        let (memory, fetched) = (run(None), run(Some(chunk_rows)));
+
+        prop_assert_eq!(fetched.result.output_rows, memory.result.output_rows);
+        prop_assert_eq!(&fetched.rows, &memory.rows);
+        prop_assert_eq!(&fetched.result.metrics.operators, &memory.result.metrics.operators);
+        prop_assert_eq!(fetched.result.metrics.filter_stats, memory.result.metrics.filter_stats);
+        prop_assert_eq!(fetched.result.metrics.filters_created, memory.result.metrics.filters_created);
+        // Only fetched chunks are counted, and only pruning skips any.
+        prop_assert_eq!(memory.result.metrics.chunks_read + memory.result.metrics.chunks_pruned, 0);
+        let table_rows = dims.iter().map(|d| d.0).chain([fact_rows]);
+        let chunks: usize = table_rows.map(|rows| rows.div_ceil(chunk_rows)).sum();
+        let metrics = &fetched.result.metrics;
+        prop_assert_eq!(metrics.chunks_read + metrics.chunks_pruned, chunks as u64);
+        prop_assert!(pruning == 1 || metrics.chunks_pruned == 0);
     }
 }

@@ -1,10 +1,10 @@
 //! Runtime tests for the persistent `bqo_exec::WorkerPool` behind the
 //! pool-backed executor: shutdown/drop idempotence, panic containment, and
-//! bit-identical execution against the serial and scoped-spawn paths when the
-//! pool supplies the helper workers.
+//! bit-identical execution against the serial/inline path when the pool
+//! supplies the helper workers.
 
 use bqo_core::exec::pool::WorkerPool;
-use bqo_core::exec::{morsels, run_morsels, run_morsels_with, ExecConfig};
+use bqo_core::exec::{morsels, run_morsels_with, ExecConfig};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{Engine, OptimizerChoice, RunOptions};
 use bqo_integration_tests::env_threads;
@@ -73,17 +73,18 @@ fn kernel_panics_propagate_and_workers_survive() {
 }
 
 #[test]
-fn pooled_morsel_runs_match_serial_and_scoped() {
+fn pooled_morsel_runs_match_serial_and_inline() {
     let pool = WorkerPool::new(3);
     let ms = morsels(10_000, 17);
-    let serial = run_morsels(1, &ms, |m| m.rows().map(|r| r * r).sum::<usize>());
+    let kernel = |m: &bqo_core::exec::Morsel| m.rows().map(|r| r * r).sum::<usize>();
+    let serial = run_morsels_with(None, None, 1, &ms, kernel).expect("no cancel token attached");
     for threads in [2usize, 4, env_threads().max(2)] {
-        let scoped = run_morsels(threads, &ms, |m| m.rows().map(|r| r * r).sum::<usize>());
-        let pooled = run_morsels_with(Some(&pool), None, threads, &ms, |m| {
-            m.rows().map(|r| r * r).sum::<usize>()
-        })
-        .expect("no cancel token attached");
-        assert_eq!(serial, scoped, "scoped threads {threads}");
+        // No pool: the section runs inline whatever the thread count.
+        let inline =
+            run_morsels_with(None, None, threads, &ms, kernel).expect("no cancel token attached");
+        let pooled = run_morsels_with(Some(&pool), None, threads, &ms, kernel)
+            .expect("no cancel token attached");
+        assert_eq!(serial, inline, "inline threads {threads}");
         assert_eq!(serial, pooled, "pooled threads {threads}");
     }
 }
@@ -165,7 +166,7 @@ fn concurrent_sessions_share_the_engine_pool() {
 }
 
 #[test]
-fn worker_threads_zero_disables_the_pool_but_not_parallelism() {
+fn worker_threads_zero_disables_the_pool_and_runs_inline() {
     let workload = star::generate(Scale(0.02), 2, 1, 29);
     let engine = Engine::builder()
         .catalog(workload.catalog)
@@ -180,7 +181,7 @@ fn worker_threads_zero_disables_the_pool_but_not_parallelism() {
     let serial = session
         .execute(&stmt, RunOptions::new().collecting_rows())
         .unwrap();
-    // Parallel runs fall back to scoped spawns and stay bit-identical.
+    // "Parallel" configurations run inline and stay bit-identical.
     let out = session
         .execute(
             &stmt,
