@@ -14,7 +14,28 @@ use crate::BitvectorFilter;
 /// How much larger than the number of inserted keys the key range may be
 /// before a bitmap is considered too sparse and the filter falls back to a
 /// hash set.
-const MAX_RANGE_EXPANSION: i64 = 64;
+const MAX_RANGE_EXPANSION: u64 = 64;
+
+/// The smallest key `min` and the number of slots (`max - min + 1`) a
+/// structure addressed directly by `key - min` needs for `keys`, or `None`
+/// when there are no keys or their span is too sparse to be worth it: wider
+/// than `MAX_RANGE_EXPANSION` slots per key, or not addressable at all.
+/// Computed overflow-free — a span wider than `i64::MAX` (any composite or
+/// string key digest) is sparse, never a wrapped small number. The bitmap
+/// filter and the executor's join table share this one rule.
+pub fn dense_span(keys: &[i64]) -> Option<(i64, usize)> {
+    let (min, max) = keys
+        .iter()
+        .fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+    let span = max.checked_sub(min)?.unsigned_abs().checked_add(1)?;
+    let budget = u64::try_from(keys.len())
+        .ok()?
+        .saturating_mul(MAX_RANGE_EXPANSION);
+    if span > budget || span > i64::MAX.unsigned_abs() - 64 {
+        return None;
+    }
+    Some((min, usize::try_from(span).ok()?))
+}
 
 /// A no-false-positive filter that uses a dense bitmap over the observed key
 /// range when the keys are dense enough, and a hash set otherwise.
@@ -44,16 +65,11 @@ impl RangeBitmapFilter {
                 inserted: 0,
             };
         }
-        let min = keys.iter().copied().min().unwrap();
-        let max = keys.iter().copied().max().unwrap();
-        let range = (max - min).saturating_add(1);
-        let dense_enough = range <= (keys.len() as i64).saturating_mul(MAX_RANGE_EXPANSION) // CAST-OK: value bounded below 2^63
-            && range <= i64::MAX - 64;
-        if dense_enough {
-            let num_words = (range as usize).div_ceil(64); // CAST-OK: range > 0 and bounded by the density check above
+        if let Some((min, span)) = dense_span(keys) {
+            let num_words = span.div_ceil(64);
             let mut words = vec![0u64; num_words];
             for &k in keys {
-                let offset = (k - min) as usize; // CAST-OK: k - min in [0, range) for keys that built this bitmap
+                let offset = (k - min) as usize; // CAST-OK: k - min in [0, span) for keys that built this bitmap
                 words[offset / 64] |= 1u64 << (offset % 64);
             }
             RangeBitmapFilter::Bitmap {
@@ -296,6 +312,36 @@ mod tests {
         for k in 0..1000 {
             assert_eq!(f.maybe_contains(k), k % 3 == 0);
         }
+    }
+
+    #[test]
+    fn span_wider_than_i64_is_sparse_not_a_wrapped_allocation() {
+        // `max - min` overflows i64 here; it used to wrap negative, pass the
+        // density check and abort allocating ~2^61 words.
+        let keys = [i64::MIN + 5, 0, i64::MAX - 5];
+        let f = RangeBitmapFilter::from_keys(&keys);
+        assert!(!f.is_dense());
+        for &k in &keys {
+            assert!(f.maybe_contains(k));
+        }
+        assert!(!f.maybe_contains(1));
+        assert!(!RangeBitmapFilter::from_keys(&[i64::MIN, i64::MAX]).is_dense());
+    }
+
+    #[test]
+    fn dense_span_threshold_and_extremes() {
+        assert_eq!(dense_span(&[10]), Some((10, 1)));
+        assert_eq!(dense_span(&[124, -3]), Some((-3, 128)));
+        assert_eq!(dense_span(&[-3, 125]), None);
+        assert_eq!(dense_span(&[0, 127]), Some((0, 128)));
+        assert_eq!(dense_span(&[0, 5, 127, 5]), Some((0, 128)));
+        assert_eq!(dense_span(&[i64::MIN, i64::MAX]), None);
+        assert_eq!(dense_span(&[i64::MIN, -1]), None);
+        assert_eq!(
+            dense_span(&[i64::MAX - 3, i64::MAX]),
+            Some((i64::MAX - 3, 4))
+        );
+        assert_eq!(dense_span(&[]), None);
     }
 
     #[test]

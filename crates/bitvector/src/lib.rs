@@ -34,7 +34,7 @@ pub mod exact;
 pub mod hash;
 pub mod stats;
 
-pub use bitmap::RangeBitmapFilter;
+pub use bitmap::{dense_span, RangeBitmapFilter};
 pub use blocked::BlockedBloomFilter;
 pub use bloom::BloomFilter;
 pub use exact::ExactFilter;

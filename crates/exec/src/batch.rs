@@ -1,32 +1,65 @@
-//! Materialized intermediate results.
+//! Intermediate results as row ids over shared columns.
 //!
-//! A [`Batch`] owns its columns behind `Arc` handles and may carry an
-//! optional *selection vector*: a list of physical row indices that are
-//! logically alive. Filters (predicate evaluation, pushed-down bitvector
-//! probes, hash-probe residuals) mark survivors by refining the selection
-//! instead of copying every surviving row; compaction to a dense layout
-//! happens only at operator boundaries that need it (build-side concat,
-//! join output assembly). Two batches compare equal iff their *logical*
-//! content matches, so a fully-selected or zero-survivor batch is
-//! indistinguishable from its dense equivalent.
+//! A [`Batch`] never owns the values flowing through a pipeline: it holds
+//! `Arc` handles to its source relations' columns plus, per source relation,
+//! one `u32` *row-id vector* saying which physical row of that relation each
+//! logical row reads. A scan's output is the one-relation case (its
+//! selection vector); a hash join's output lists its build side's relations
+//! and then its probe side's, each gathered through the join's match lists —
+//! so a join level costs one `u32` gather per relation below it, filters
+//! (predicates, bitvector probes, residuals) refine the row ids in place,
+//! and a build side is stacked as row ids (`Batch::stack`). Values are
+//! copied exactly once, by [`Batch::into_dense`] where the pipeline's root
+//! join hands a batch to its caller, who therefore only ever sees dense or
+//! single-selection batches. Two batches compare equal iff their *logical*
+//! content matches, whatever their layouts.
 
-use bqo_plan::{ColumnRef, RelId};
-use bqo_storage::{Column, Table};
+use crate::join_table::row_id;
+use bqo_bitvector::hash::{combine_key, fold_parts};
+use bqo_plan::ColumnRef;
+use bqo_storage::{Column, StorageError};
 use std::sync::Arc;
 
-/// A fully materialized intermediate result: a set of columns, each tagged
-/// with the base relation and column name it originated from, plus an
-/// optional selection vector of logically-alive physical rows.
+/// A run of adjacent columns read through one row-id vector: the columns of
+/// one source relation (or of one earlier materialization).
+#[derive(Debug, Clone)]
+struct Source {
+    /// One past the run's last column (it starts at the previous `end`).
+    end: usize,
+    /// The physical row behind each logical row; `None` is the identity
+    /// (dense: logical row `i` is physical row `i`).
+    rows: Option<Vec<u32>>,
+}
+
+impl Source {
+    /// This source inside a join output: restricted to (and reordered by)
+    /// the logical rows `keep`, its columns `shift` places further right.
+    fn joined(&self, keep: &[u32], shift: usize) -> Source {
+        let rows = match &self.rows {
+            None => keep.to_vec(),
+            Some(rows) => keep.iter().map(|&i| rows[i as usize]).collect(),
+        };
+        Source {
+            end: self.end + shift,
+            rows: Some(rows),
+        }
+    }
+}
+
+/// An intermediate result: columns tagged with the base relation and column
+/// name they originated from, read through one row-id vector per source
+/// relation (see the module docs).
 ///
 /// `PartialEq` compares schema and *logical* cell values exactly — the
 /// differential-testing harness uses it to assert bit-identical output rows
-/// across execution configurations, including dense-vs-selected layouts.
+/// across execution configurations, whatever the layouts.
 #[derive(Debug, Clone)]
 pub struct Batch {
     schema: Vec<ColumnRef>,
     columns: Vec<Arc<Column>>,
-    physical_rows: usize,
-    selection: Option<Vec<u32>>,
+    /// In column order, never empty; together they cover every column.
+    sources: Vec<Source>,
+    num_rows: usize,
 }
 
 impl Batch {
@@ -59,82 +92,75 @@ impl Batch {
                 "all columns must have the same length"
             );
         }
+        let dense = Source {
+            end: columns.len(),
+            rows: None,
+        };
         Batch {
             schema,
             columns,
-            physical_rows,
-            selection: None,
+            sources: vec![dense],
+            num_rows: physical_rows,
         }
     }
 
     /// Creates an empty batch (no columns, no rows).
     pub fn empty() -> Self {
-        Batch {
-            schema: Vec::new(),
-            columns: Vec::new(),
-            physical_rows: 0,
-            selection: None,
-        }
+        Batch::from_shared(Vec::new(), Vec::new())
     }
 
-    /// Materializes a base table into a batch, qualifying every column with
-    /// the relation id it belongs to in the current query. The table's
-    /// columns are shared, not copied.
-    pub fn from_table(relation: RelId, table: &Table) -> Self {
-        let schema = table
-            .schema()
-            .fields()
-            .iter()
-            .map(|f| ColumnRef::new(relation, f.name.clone()))
-            .collect();
-        Batch::from_shared(schema, table.columns().to_vec())
-    }
-
-    /// Restricts this batch to the given physical row indices.
-    ///
-    /// Replaces any existing selection — indices are interpreted against the
-    /// *physical* columns (use [`Batch::filter_select`] to refine logically).
+    /// The one row-id vector of a single-relation batch (`None`: dense).
     ///
     /// # Panics
-    /// Debug-asserts that every index is in bounds.
+    /// Panics on a multi-relation row-id batch, which has no single
+    /// selection; operators never hand one to a caller (the root join
+    /// densifies its output).
+    pub fn selection(&self) -> Option<&[u32]> {
+        assert!(
+            self.sources.len() == 1,
+            "multi-relation row-id batch: densify it first"
+        );
+        self.sources[0].rows.as_deref()
+    }
+
+    /// Restricts this single-relation batch to the given physical row
+    /// indices, replacing any existing selection (use
+    /// [`Batch::filter_select`] to refine logically).
+    ///
+    /// # Panics
+    /// Panics on a multi-relation batch; debug-asserts that every index is
+    /// in bounds.
     pub fn with_selection(mut self, selection: Vec<u32>) -> Self {
+        assert!(self.sources.len() == 1, "multi-relation row-id batch");
+        let physical_rows = self.columns.first().map_or(0, |c| c.len());
         debug_assert!(
-            selection.iter().all(|&p| (p as usize) < self.physical_rows),
+            selection.iter().all(|&p| (p as usize) < physical_rows),
             "selection index out of bounds"
         );
-        self.selection = Some(selection);
+        self.num_rows = selection.len();
+        self.sources[0].rows = Some(selection);
         self
     }
 
-    /// Number of logical rows (selection length when selected).
+    /// Number of logical rows.
     pub fn num_rows(&self) -> usize {
-        match &self.selection {
-            Some(sel) => sel.len(),
-            None => self.physical_rows,
-        }
+        self.num_rows
     }
 
-    /// Number of physical rows backing this batch.
-    pub fn physical_rows(&self) -> usize {
-        self.physical_rows
-    }
-
-    /// Whether every physical row is logically alive (no selection vector).
+    /// Whether every physical row is logically alive, in order (no row ids).
     pub fn is_dense(&self) -> bool {
-        self.selection.is_none()
+        self.sources.iter().all(|s| s.rows.is_none())
     }
 
-    /// The selection vector, if any.
-    pub fn selection(&self) -> Option<&[u32]> {
-        self.selection.as_deref()
+    /// Number of source relations the batch reads row ids through.
+    pub fn num_sources(&self) -> usize {
+        self.sources.len()
     }
 
-    /// Maps a logical row index to the physical row it references.
+    /// The physical row behind a logical row of this single-relation batch.
     pub fn physical_row(&self, logical: usize) -> usize {
-        match &self.selection {
-            Some(sel) => sel[logical] as usize,
-            None => logical,
-        }
+        self.selection()
+            .map_or(logical, |sel| sel[logical] as usize)
     }
 
     /// Number of columns.
@@ -149,8 +175,8 @@ impl Batch {
 
     /// All physical columns as shared handles.
     ///
-    /// When the batch carries a selection vector, these are the *physical*
-    /// columns — index them via [`Batch::physical_row`].
+    /// When the batch carries row ids, these are the *physical* columns —
+    /// index them via [`Batch::physical_row`].
     pub fn columns(&self) -> &[Arc<Column>] {
         &self.columns
     }
@@ -165,128 +191,55 @@ impl Batch {
         self.index_of(column).map(|i| &*self.columns[i])
     }
 
-    /// A column by relation and name (physical rows).
-    pub fn column_by_parts(&self, relation: RelId, name: &str) -> Option<&Column> {
-        self.schema
-            .iter()
-            .position(|c| c.relation == relation && c.column == name)
-            .map(|i| &*self.columns[i])
+    /// The row ids column `index` is read through (`None`: identity).
+    fn rows_of(&self, index: usize) -> Option<&[u32]> {
+        let source = self.sources.iter().find(|s| index < s.end);
+        source.and_then(|s| s.rows.as_deref())
     }
 
     /// Keeps only the logical rows where `mask` is true, materializing a
-    /// dense batch. This is the scalar-oracle path; [`Batch::filter_select`]
-    /// is the lazy equivalent.
+    /// dense batch; [`Batch::filter_select`] is the lazy equivalent.
     pub fn filter(&self, mask: &[bool]) -> Batch {
-        assert_eq!(mask.len(), self.num_rows(), "mask length mismatch");
-        match &self.selection {
-            None => {
-                let columns: Vec<Arc<Column>> = self
-                    .columns
-                    .iter()
-                    .map(|c| Arc::new(c.filter(mask)))
-                    .collect();
-                let num_rows = mask.iter().filter(|&&b| b).count();
-                Batch {
-                    schema: self.schema.clone(),
-                    columns,
-                    physical_rows: num_rows,
-                    selection: None,
-                }
-            }
-            Some(sel) => {
-                let indices: Vec<usize> = sel
-                    .iter()
-                    .zip(mask)
-                    .filter_map(|(&p, &keep)| keep.then_some(p as usize))
-                    .collect();
-                let columns: Vec<Arc<Column>> = self
-                    .columns
-                    .iter()
-                    .map(|c| Arc::new(c.take(&indices)))
-                    .collect();
-                Batch {
-                    schema: self.schema.clone(),
-                    columns,
-                    physical_rows: indices.len(),
-                    selection: None,
-                }
-            }
-        }
+        self.clone().filter_select(mask).into_dense()
     }
 
     /// Keeps only the logical rows where `mask` is true *without copying any
-    /// column data*: survivors are recorded in the selection vector. The
-    /// result is logically identical to [`Batch::filter`] on the same mask.
+    /// column data*: every source's row ids are refined in place. The result
+    /// is logically identical to [`Batch::filter`] on the same mask.
     pub fn filter_select(mut self, mask: &[bool]) -> Batch {
         assert_eq!(mask.len(), self.num_rows(), "mask length mismatch");
-        let selection: Vec<u32> = match self.selection.take() {
-            None => mask
-                .iter()
-                .enumerate()
-                .filter_map(|(i, &keep)| keep.then_some(i as u32))
-                .collect(),
-            Some(sel) => sel
-                .into_iter()
-                .zip(mask)
-                .filter_map(|(p, &keep)| keep.then_some(p))
-                .collect(),
-        };
-        self.selection = Some(selection);
+        let kept = |(&keep, row): (&bool, u32)| keep.then_some(row);
+        for source in &mut self.sources {
+            source.rows = Some(match source.rows.take() {
+                None => mask.iter().zip(0..).filter_map(kept).collect(),
+                Some(rows) => mask.iter().zip(rows).filter_map(kept).collect(),
+            });
+        }
+        self.num_rows = mask.iter().filter(|&&keep| keep).count();
         self
     }
 
-    /// Builds a dense batch taking *logical* rows at `indices` (duplicates
-    /// allowed).
-    pub fn take(&self, indices: &[usize]) -> Batch {
-        let columns: Vec<Arc<Column>> = match &self.selection {
-            None => self
-                .columns
-                .iter()
-                .map(|c| Arc::new(c.take(indices)))
-                .collect(),
-            Some(sel) => {
-                let phys: Vec<usize> = indices.iter().map(|&i| sel[i] as usize).collect();
-                self.columns
-                    .iter()
-                    .map(|c| Arc::new(c.take(&phys)))
-                    .collect()
-            }
-        };
-        Batch {
-            schema: self.schema.clone(),
-            columns,
-            physical_rows: indices.len(),
-            selection: None,
-        }
-    }
-
-    /// Compacts this batch to a dense layout, gathering the selected rows.
-    /// A no-op for batches that are already dense.
+    /// Compacts this batch to a dense layout, gathering every column through
+    /// its source's row ids — the one place a join pipeline copies values:
+    /// its root join calls this on each batch it hands to the caller. A
+    /// no-op for batches that are already dense.
     pub fn into_dense(self) -> Batch {
-        match self.selection {
-            None => self,
-            Some(sel) => {
-                let phys: Vec<usize> = sel.iter().map(|&p| p as usize).collect();
-                let columns: Vec<Arc<Column>> = self
-                    .columns
-                    .iter()
-                    .map(|c| Arc::new(c.take(&phys)))
-                    .collect();
-                Batch {
-                    schema: self.schema,
-                    columns,
-                    physical_rows: phys.len(),
-                    selection: None,
-                }
-            }
+        if self.is_dense() {
+            return self;
         }
+        let columns = (0..self.columns.len())
+            .map(|i| match self.rows_of(i) {
+                None => Arc::clone(&self.columns[i]),
+                Some(rows) => Arc::new(self.columns[i].gather(rows)),
+            })
+            .collect();
+        Batch::from_shared(self.schema, columns)
     }
 
-    /// Concatenates a sequence of schema-identical batches row-wise into a
-    /// dense batch (used to drain a hash join's build side into one
-    /// materialized batch). Selected inputs are compacted first, so a
-    /// zero-survivor or fully-selected batch contributes exactly its logical
-    /// rows.
+    /// Concatenates schema-identical batches row-wise into a dense batch (how
+    /// a caller collects a pipeline's output), each contributing exactly its
+    /// logical rows. Inputs are consumed: a column nobody else holds — every
+    /// column a root join emits — has its values moved, not cloned.
     ///
     /// # Panics
     /// Panics if the batches disagree on schema or column types.
@@ -299,44 +252,99 @@ impl Batch {
         for batch in iter {
             assert_eq!(first.schema, batch.schema, "schema mismatch in concat");
             let batch = batch.into_dense();
-            for (dst, src) in first.columns.iter_mut().zip(batch.columns.iter()) {
-                Arc::make_mut(dst)
-                    .append(src)
-                    .expect("column type mismatch in concat");
+            for (dst, src) in first.columns.iter_mut().zip(batch.columns) {
+                let dst = Arc::make_mut(dst);
+                match Arc::try_unwrap(src) {
+                    Ok(owned) => dst.append_owned(owned),
+                    Err(shared) => dst.append(&shared),
+                }
+                .expect("column type mismatch in concat");
             }
-            first.physical_rows += batch.physical_rows;
         }
-        first
+        Batch::from_shared(first.schema, first.columns)
     }
 
-    /// Concatenates the columns of two row-aligned batches (used by hash join
-    /// output assembly after both sides were `take`n to the same length).
-    pub fn zip(left: Batch, right: Batch) -> Batch {
+    /// Stacks a hash join's drained build side row-wise *as row ids*: when
+    /// every batch reads the same shared columns (batches of one scan or one
+    /// join always do) the row-id vectors are concatenated and no value is
+    /// copied; batches over different columns fall back to
+    /// [`Batch::concat`]. Fails with [`StorageError::RowIdOverflow`] when the
+    /// stacked rows outgrow `u32` row ids.
+    pub(crate) fn stack(mut batches: Vec<Batch>) -> Result<Batch, StorageError> {
+        if batches.len() <= 1 {
+            return Ok(batches.pop().unwrap_or_else(Batch::empty));
+        }
+        let num_rows = batches.iter().map(Batch::num_rows).sum();
+        row_id(num_rows)?;
+        let first = &batches[0];
+        let shared = batches.iter().all(|b| {
+            let ends = b.sources.iter().map(|s| s.end);
+            let columns = b.columns.iter().zip(&first.columns);
+            b.schema == first.schema
+                && ends.eq(first.sources.iter().map(|s| s.end))
+                && columns.into_iter().all(|(x, y)| Arc::ptr_eq(x, y))
+        });
+        if !shared {
+            return Ok(Batch::concat(batches));
+        }
+        let mut stacked: Vec<Vec<u32>> = first
+            .sources
+            .iter()
+            .map(|_| Vec::with_capacity(num_rows))
+            .collect();
+        for batch in &batches {
+            for (acc, source) in stacked.iter_mut().zip(&batch.sources) {
+                match &source.rows {
+                    Some(rows) => acc.extend_from_slice(rows),
+                    // Dense rows are their own ids; `num_rows` fits `u32`.
+                    None => acc.extend(0..batch.num_rows as u32),
+                }
+            }
+        }
+        let mut out = batches.swap_remove(0);
+        for (source, rows) in out.sources.iter_mut().zip(stacked) {
+            source.rows = Some(rows);
+        }
+        out.num_rows = num_rows;
+        Ok(out)
+    }
+
+    /// A hash join's output for the matched pairs `(build_rows[i],
+    /// probe_rows[i])` of logical rows: `build`'s columns then `probe`'s,
+    /// every source relation of either side gathered through the match list
+    /// — `u32` row ids only, no value is touched.
+    pub(crate) fn join(
+        build: &Batch,
+        build_rows: &[u32],
+        probe: &Batch,
+        probe_rows: &[u32],
+    ) -> Batch {
         assert_eq!(
-            left.num_rows(),
-            right.num_rows(),
-            "row count mismatch in zip"
+            build_rows.len(),
+            probe_rows.len(),
+            "match lists must pair up"
         );
-        let left = left.into_dense();
-        let right = right.into_dense();
-        let mut schema = left.schema;
-        schema.extend(right.schema);
-        let mut columns = left.columns;
-        columns.extend(right.columns);
+        let build_sources = build.sources.iter().map(|s| s.joined(build_rows, 0));
+        let shift = build.columns.len();
+        let probe_sources = probe.sources.iter().map(|s| s.joined(probe_rows, shift));
+        let columns = build.columns.iter().chain(&probe.columns);
         Batch {
-            schema,
-            columns,
-            physical_rows: left.physical_rows,
-            selection: None,
+            schema: build.schema.iter().chain(&probe.schema).cloned().collect(),
+            columns: columns.cloned().collect(),
+            sources: build_sources.chain(probe_sources).collect(),
+            num_rows: build_rows.len(),
         }
     }
 
-    fn key_cols(&self, key_columns: &[ColumnRef]) -> Vec<&Column> {
+    /// The key columns paired with the row ids each is read through.
+    fn key_cols(&self, key_columns: &[ColumnRef]) -> Vec<(&Column, Option<&[u32]>)> {
         key_columns
             .iter()
             .map(|c| {
-                self.column(c)
-                    .unwrap_or_else(|| panic!("key column {c:?} not found in batch"))
+                let index = self
+                    .index_of(c)
+                    .unwrap_or_else(|| panic!("key column {c:?} not found in batch"));
+                (&*self.columns[index], self.rows_of(index))
             })
             .collect()
     }
@@ -346,17 +354,15 @@ impl Batch {
     /// Scalar row-at-a-time reference implementation.
     pub fn key_values(&self, key_columns: &[ColumnRef]) -> Vec<i64> {
         let cols = self.key_cols(key_columns);
-        if self.selection.is_none() {
-            if let [Column::Int64(values)] = cols.as_slice() {
-                return values.to_vec();
-            }
-        }
-        match &self.selection {
-            None => (0..self.physical_rows)
-                .map(|row| row_key(&cols, row))
-                .collect(),
-            Some(sel) => sel.iter().map(|&p| row_key(&cols, p as usize)).collect(),
-        }
+        let part = |&(col, rows): &(&Column, Option<&[u32]>), logical| {
+            part_at(col, physical(rows, logical))
+        };
+        (0..self.num_rows)
+            .map(|logical| match cols.as_slice() {
+                [col] => part(col, logical),
+                cols => combine_key(&cols.iter().map(|c| part(c, logical)).collect::<Vec<_>>()),
+            })
+            .collect()
     }
 
     /// Column-at-a-time equivalent of [`Batch::key_values`]: the per-column
@@ -366,12 +372,11 @@ impl Batch {
     pub fn key_values_vectorized(&self, key_columns: &[ColumnRef]) -> Vec<i64> {
         let cols = self.key_cols(key_columns);
         let mut out = Vec::new();
-        match &self.selection {
-            None => gather_keys_impl(&cols, 0..self.physical_rows, self.physical_rows, &mut out),
-            Some(sel) => {
-                gather_keys_impl(&cols, sel.iter().map(|&p| p as usize), sel.len(), &mut out)
-            }
-        }
+        let parts_of = |i: usize, parts: &mut Vec<i64>| match cols[i] {
+            (col, None) => gather_parts(col, 0..self.num_rows, parts),
+            (col, Some(rows)) => gather_parts(col, rows.iter().map(|&p| p as usize), parts),
+        };
+        fold_keys(cols.len(), self.num_rows, parts_of, &mut out);
         out
     }
 }
@@ -384,23 +389,20 @@ impl PartialEq for Batch {
         if self.is_dense() && other.is_dense() {
             return self.columns == other.columns;
         }
-        if self
-            .columns
-            .iter()
-            .zip(other.columns.iter())
-            .any(|(a, b)| a.data_type() != b.data_type())
-        {
-            return false;
-        }
-        (0..self.num_rows()).all(|r| {
-            let pa = self.physical_row(r);
-            let pb = other.physical_row(r);
-            self.columns
-                .iter()
-                .zip(other.columns.iter())
-                .all(|(a, b)| a.value(pa) == b.value(pb))
+        (0..self.columns.len()).all(|i| {
+            let (a, b) = (&self.columns[i], &other.columns[i]);
+            let (rows_a, rows_b) = (self.rows_of(i), other.rows_of(i));
+            a.data_type() == b.data_type()
+                && (0..self.num_rows)
+                    .all(|r| a.value(physical(rows_a, r)) == b.value(physical(rows_b, r)))
         })
     }
+}
+
+/// The physical row behind logical row `logical` of row ids `rows`.
+#[inline]
+fn physical(rows: Option<&[u32]>, logical: usize) -> usize {
+    rows.map_or(logical, |rows| rows[logical] as usize)
 }
 
 /// The join-key value of one row over a set of key columns: a single `Int64`
@@ -409,11 +411,10 @@ impl PartialEq for Batch {
 /// workloads only join on integer surrogate keys). Scans and joins share this
 /// so a filter built from build-side keys probes identically everywhere.
 pub fn row_key(cols: &[&Column], row: usize) -> i64 {
-    if let [Column::Int64(values)] = cols {
-        return values[row];
+    match cols {
+        [col] => part_at(col, row),
+        _ => combine_key(&cols.iter().map(|c| part_at(c, row)).collect::<Vec<_>>()),
     }
-    let parts: Vec<i64> = cols.iter().map(|c| part_at(c, row)).collect();
-    bqo_bitvector::hash::combine_key(&parts)
 }
 
 /// One column's contribution to a composite key for one physical row.
@@ -451,28 +452,23 @@ fn gather_parts<I: Iterator<Item = usize>>(col: &Column, rows: I, out: &mut Vec<
     }
 }
 
-fn gather_keys_impl<I: Iterator<Item = usize> + Clone>(
-    cols: &[&Column],
-    rows: I,
+/// Folds `num_cols` key columns into one collapsed key per row: `parts_of`
+/// gathers column `i`'s parts for all `len` rows. `combine_key` of a single
+/// part is the identity, so a lone key column's parts are the keys.
+fn fold_keys(
+    num_cols: usize,
     len: usize,
+    mut parts_of: impl FnMut(usize, &mut Vec<i64>),
     out: &mut Vec<i64>,
 ) {
-    if let [Column::Int64(values)] = cols {
-        out.clear();
-        out.extend(rows.map(|r| values[r]));
-        return;
-    }
-    if let [col] = cols {
-        // combine_key of a single part is the identity, so a lone non-integer
-        // key column's parts are the keys.
-        gather_parts(col, rows, out);
-        return;
+    if num_cols == 1 {
+        return parts_of(0, out);
     }
     let mut acc = vec![0u64; len];
     let mut parts = Vec::with_capacity(len);
-    for col in cols {
-        gather_parts(col, rows.clone(), &mut parts);
-        bqo_bitvector::hash::fold_parts(&mut acc, &parts);
+    for col in 0..num_cols {
+        parts_of(col, &mut parts);
+        fold_parts(&mut acc, &parts);
     }
     out.clear();
     out.extend(acc.into_iter().map(|a| a as i64));
@@ -483,13 +479,24 @@ fn gather_keys_impl<I: Iterator<Item = usize> + Clone>(
 /// per row; the scan's vectorized probe kernel uses this to feed word-level
 /// bitvector probes.
 pub fn gather_keys(cols: &[&Column], rows: &[usize], out: &mut Vec<i64>) {
-    gather_keys_impl(cols, rows.iter().copied(), rows.len(), out);
+    let parts_of =
+        |i: usize, parts: &mut Vec<i64>| gather_parts(cols[i], rows.iter().copied(), parts);
+    fold_keys(cols.len(), rows.len(), parts_of, out);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqo_storage::TableBuilder;
+    use bqo_plan::RelId;
+    use bqo_storage::{Table, TableBuilder};
+
+    /// A base table as a batch sharing its columns, every column qualified
+    /// with `relation`.
+    fn from_table(relation: RelId, table: &Table) -> Batch {
+        let fields = table.schema().fields().iter();
+        let schema = fields.map(|f| ColumnRef::new(relation, f.name.clone()));
+        Batch::from_shared(schema.collect(), table.columns().to_vec())
+    }
 
     fn sample() -> Batch {
         let t = TableBuilder::new("t")
@@ -497,7 +504,7 @@ mod tests {
             .with_utf8("name", vec!["a".into(), "b".into(), "c".into(), "d".into()])
             .build()
             .unwrap();
-        Batch::from_table(RelId(0), &t)
+        from_table(RelId(0), &t)
     }
 
     #[test]
@@ -507,11 +514,10 @@ mod tests {
         assert_eq!(b.num_columns(), 2);
         assert!(b.column(&ColumnRef::new(RelId(0), "id")).is_some());
         assert!(b.column(&ColumnRef::new(RelId(1), "id")).is_none());
-        assert!(b.column_by_parts(RelId(0), "name").is_some());
     }
 
     #[test]
-    fn filter_and_take() {
+    fn filter_materializes_the_survivors() {
         let b = sample();
         let filtered = b.filter(&[true, false, true, false]);
         assert_eq!(filtered.num_rows(), 2);
@@ -522,16 +528,6 @@ mod tests {
                 .as_i64()
                 .unwrap(),
             &[1, 3]
-        );
-        let taken = b.take(&[3, 3, 0]);
-        assert_eq!(taken.num_rows(), 3);
-        assert_eq!(
-            taken
-                .column(&ColumnRef::new(RelId(0), "id"))
-                .unwrap()
-                .as_i64()
-                .unwrap(),
-            &[4, 4, 1]
         );
     }
 
@@ -572,21 +568,6 @@ mod tests {
     }
 
     #[test]
-    fn take_maps_through_selection() {
-        let b = sample().filter_select(&[false, true, true, true]); // rows 2,3,4
-        let taken = b.take(&[2, 0]);
-        assert!(taken.is_dense());
-        assert_eq!(
-            taken
-                .column(&ColumnRef::new(RelId(0), "id"))
-                .unwrap()
-                .as_i64()
-                .unwrap(),
-            &[4, 2]
-        );
-    }
-
-    #[test]
     fn selected_batch_equals_dense_equivalent() {
         let b = sample();
         // Fully selected == dense.
@@ -604,37 +585,143 @@ mod tests {
         assert_ne!(some, none);
     }
 
-    #[test]
-    fn zip_concatenates_columns() {
-        let left = sample().take(&[0, 1]);
-        let t2 = TableBuilder::new("u")
-            .with_f64("x", vec![0.5, 1.5])
+    /// `u(x)`: a second relation to join `sample()` with.
+    fn other() -> Batch {
+        let t = TableBuilder::new("u")
+            .with_f64("x", vec![0.5, 1.5, 2.5])
             .build()
             .unwrap();
-        let right = Batch::from_table(RelId(1), &t2);
-        let zipped = Batch::zip(left, right);
-        assert_eq!(zipped.num_rows(), 2);
-        assert_eq!(zipped.num_columns(), 3);
-        assert!(zipped.column(&ColumnRef::new(RelId(1), "x")).is_some());
+        from_table(RelId(1), &t)
+    }
+
+    /// The dense batch holding `sample()` rows `left` beside `other()` rows
+    /// `right`.
+    fn dense_pairs(left: &[i64], right: &[f64]) -> Batch {
+        let names = ["a", "b", "c", "d"];
+        let mut schema = sample().schema().to_vec();
+        schema.extend_from_slice(other().schema());
+        let columns = vec![
+            Column::Int64(left.to_vec()),
+            Column::Utf8(
+                left.iter()
+                    .map(|&id| names[id as usize - 1].into())
+                    .collect(),
+            ),
+            Column::Float64(right.to_vec()),
+        ];
+        Batch::new(schema, columns)
     }
 
     #[test]
-    fn zip_compacts_selected_inputs() {
-        let left = sample().filter_select(&[true, false, true, false]);
-        let right = sample().filter_select(&[false, true, false, true]);
-        let zipped = Batch::zip(left, right);
-        assert_eq!(zipped.num_rows(), 2);
-        assert!(zipped.is_dense());
-        assert_eq!(zipped.columns()[0].as_i64().unwrap(), &[1, 3]);
-        assert_eq!(zipped.columns()[2].as_i64().unwrap(), &[2, 4]);
+    fn multi_relation_row_id_batch_equals_its_dense_equivalent() {
+        // Build side: a selection; probe side: dense. Duplicates and
+        // reordering on both sides.
+        let build = sample().filter_select(&[false, true, true, true]); // ids 2,3,4
+        let joined = Batch::join(&build, &[2, 0, 0], &other(), &[1, 1, 2]);
+        assert_eq!(joined.num_sources(), 2);
+        assert_eq!(joined.num_rows(), 3);
+        assert_eq!(joined.num_columns(), 3);
+        // No value was copied: the columns are the inputs' columns.
+        assert!(Arc::ptr_eq(&joined.columns()[0], &build.columns()[0]));
+        let dense = dense_pairs(&[4, 2, 2], &[1.5, 1.5, 2.5]);
+        assert_eq!(joined, dense);
+        assert_eq!(dense, joined);
+        assert_ne!(joined, dense_pairs(&[4, 2, 2], &[1.5, 1.5, 0.5]));
+        assert_ne!(joined, dense_pairs(&[4, 2, 3], &[1.5, 1.5, 2.5]));
+
+        // Keys read through each column's own row ids, in both shapes.
+        let refs = [
+            ColumnRef::new(RelId(0), "id"),
+            ColumnRef::new(RelId(1), "x"),
+        ];
+        assert_eq!(joined.key_values(&refs), dense.key_values(&refs));
+        assert_eq!(joined.key_values_vectorized(&refs), dense.key_values(&refs));
+        assert_eq!(joined.key_values_vectorized(&refs[..1]), vec![4, 2, 2]);
+
+        // Filtering refines every relation's row ids together.
+        let filtered = joined.clone().filter_select(&[true, false, true]);
+        assert_eq!(filtered, dense_pairs(&[4, 2], &[1.5, 2.5]));
+        assert_eq!(joined.filter(&[true, false, true]), filtered);
+
+        // A join output is itself a valid join input (three relations).
+        let again = Batch::join(&other(), &[0, 0], &joined, &[2, 0]);
+        assert_eq!(again.num_sources(), 3);
+        assert_eq!(
+            again.key_values(&[ColumnRef::new(RelId(0), "id")]),
+            vec![2, 4]
+        );
     }
 
     #[test]
-    #[should_panic(expected = "row count mismatch")]
-    fn zip_rejects_mismatched_rows() {
-        let left = sample();
-        let right = sample().take(&[0]);
-        Batch::zip(left, right);
+    fn root_output_is_dense_or_a_single_selection() {
+        // A scan root's batches: one selection, readable as is.
+        let selected = sample().filter_select(&[true, false, true, false]);
+        assert_eq!(selected.num_sources(), 1);
+        assert_eq!(selected.selection(), Some(&[0u32, 2][..]));
+        assert_eq!(selected.physical_row(1), 2);
+
+        // A join root's batches: gathered once into owned dense columns,
+        // which the single-relation accessors then describe.
+        let joined = Batch::join(&sample(), &[3, 1], &other(), &[0, 2]);
+        let root = joined.clone().into_dense();
+        assert!(root.is_dense());
+        assert_eq!(root.num_sources(), 1);
+        assert_eq!(root.columns()[0].len(), 2);
+        assert_eq!(root.physical_row(1), 1);
+        assert_eq!(root.columns()[0].as_i64().unwrap(), &[4, 2]);
+        assert_eq!(root, joined);
+        // A zero-row join output still materializes its schema.
+        let none = Batch::join(&sample(), &[], &other(), &[]).into_dense();
+        assert!(none.is_dense());
+        assert_eq!((none.num_rows(), none.num_columns()), (0, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "multi-relation row-id batch")]
+    fn single_relation_accessors_reject_multi_relation_batches() {
+        Batch::join(&sample(), &[0], &other(), &[0]).physical_row(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "match lists must pair up")]
+    fn join_rejects_mismatched_match_lists() {
+        Batch::join(&sample(), &[0, 1], &other(), &[0]);
+    }
+
+    #[test]
+    fn stack_concatenates_row_ids_without_copying_values() {
+        let b = sample();
+        let stacked = Batch::stack(vec![
+            b.clone().filter_select(&[false, false, true, false]), // id 3
+            b.clone().with_selection(Vec::new()),                  // nothing
+            b.clone().with_selection(vec![1, 1, 0]),               // ids 2,2,1
+            b.clone(),                                             // dense: 1,2,3,4
+        ])
+        .unwrap();
+        assert!(Arc::ptr_eq(&stacked.columns()[0], &b.columns()[0]));
+        assert_eq!(stacked.selection(), Some(&[2u32, 1, 1, 0, 0, 1, 2, 3][..]));
+        let ids = [ColumnRef::new(RelId(0), "id")];
+        assert_eq!(stacked.key_values(&ids), vec![3, 2, 2, 1, 1, 2, 3, 4]);
+
+        // Multi-relation batches stack relation by relation.
+        let u = other();
+        let pairs = |build: &[u32], probe: &[u32]| Batch::join(&b, build, &u, probe);
+        let stacked = Batch::stack(vec![pairs(&[0], &[2]), pairs(&[3, 1], &[0, 0])]).unwrap();
+        assert_eq!(stacked.num_sources(), 2);
+        assert_eq!(stacked, dense_pairs(&[1, 4, 2], &[2.5, 0.5, 0.5]));
+
+        // One batch (or none) is returned as is.
+        assert_eq!(Batch::stack(vec![b.clone()]).unwrap(), b);
+        assert_eq!(Batch::stack(Vec::new()).unwrap().num_columns(), 0);
+    }
+
+    #[test]
+    fn stack_falls_back_to_values_for_batches_over_different_columns() {
+        // Equal contents, separately allocated columns.
+        let stacked = Batch::stack(vec![sample().filter(&[true; 4]), sample()]).unwrap();
+        assert!(stacked.is_dense());
+        let ids = [ColumnRef::new(RelId(0), "id")];
+        assert_eq!(stacked.key_values(&ids), vec![1, 2, 3, 4, 1, 2, 3, 4]);
     }
 
     #[test]
@@ -665,7 +752,7 @@ mod tests {
             .with_bool("q", vec![true, false, true, false, true])
             .build()
             .unwrap();
-        let b = Batch::from_table(RelId(0), &t);
+        let b = from_table(RelId(0), &t);
         let combos: Vec<Vec<ColumnRef>> = vec![
             vec![ColumnRef::new(RelId(0), "a")],
             vec![ColumnRef::new(RelId(0), "s")],
@@ -694,7 +781,7 @@ mod tests {
             .with_i64("b", vec![1, 2, 3, 4])
             .build()
             .unwrap();
-        let b = Batch::from_table(RelId(0), &t);
+        let b = from_table(RelId(0), &t);
         let refs = [ColumnRef::new(RelId(0), "a"), ColumnRef::new(RelId(0), "b")];
         let cols: Vec<&Column> = refs.iter().map(|c| b.column(c).unwrap()).collect();
         let rows = [3usize, 0, 0, 2];
@@ -715,7 +802,7 @@ mod tests {
             .with_i64("b", vec![1, 2, 1])
             .build()
             .unwrap();
-        let b = Batch::from_table(RelId(0), &t);
+        let b = from_table(RelId(0), &t);
         let keys = b.key_values(&[ColumnRef::new(RelId(0), "a"), ColumnRef::new(RelId(0), "b")]);
         assert_eq!(keys.len(), 3);
         assert_ne!(keys[0], keys[1]);
@@ -731,7 +818,8 @@ mod tests {
     #[test]
     fn concat_stacks_batches_row_wise() {
         let b = sample();
-        let stacked = Batch::concat(vec![b.take(&[0, 1]), b.take(&[2]), b.take(&[3])]);
+        let part = |rows: Vec<u32>| b.clone().with_selection(rows);
+        let stacked = Batch::concat(vec![part(vec![0, 1]), part(vec![2]), part(vec![3])]);
         assert_eq!(stacked.num_rows(), 4);
         assert_eq!(
             stacked
@@ -767,13 +855,36 @@ mod tests {
     }
 
     #[test]
+    fn concat_moves_owned_columns_and_copies_shared_ones() {
+        // Owned inputs (what a materialized join root emits): the strings of
+        // the later batches are moved, so their heap buffers are reused.
+        let owned = |name: &str| {
+            let schema = vec![ColumnRef::new(RelId(0), "name")];
+            Batch::new(schema, vec![Column::Utf8(vec![name.repeat(40)])])
+        };
+        let (first, second) = (owned("a"), owned("b"));
+        let buffer = second.columns()[0].as_utf8().unwrap()[0].as_ptr();
+        let stacked = Batch::concat(vec![first, second]);
+        let names = stacked.columns()[0].as_utf8().unwrap();
+        assert_eq!(names, &["a".repeat(40), "b".repeat(40)]);
+        assert_eq!(names[1].as_ptr(), buffer);
+
+        // Shared inputs (a scan's batches over table columns) are copied.
+        let b = sample();
+        let stacked = Batch::concat(vec![b.clone(), b.clone()]);
+        assert_eq!(stacked.num_rows(), 8);
+        assert_eq!(b.num_rows(), 4);
+        assert!(stacked.is_dense());
+    }
+
+    #[test]
     fn concat_does_not_mutate_shared_table_columns() {
         let t = TableBuilder::new("t")
             .with_i64("id", vec![1, 2])
             .build()
             .unwrap();
-        let a = Batch::from_table(RelId(0), &t);
-        let b = Batch::from_table(RelId(0), &t);
+        let a = from_table(RelId(0), &t);
+        let b = from_table(RelId(0), &t);
         let stacked = Batch::concat(vec![a, b]);
         assert_eq!(stacked.num_rows(), 4);
         // The original table still has its own rows.
@@ -788,7 +899,7 @@ mod tests {
             .with_i64("b", vec![1, 2, 1])
             .build()
             .unwrap();
-        let b = Batch::from_table(RelId(0), &t);
+        let b = from_table(RelId(0), &t);
         let refs = [ColumnRef::new(RelId(0), "a"), ColumnRef::new(RelId(0), "b")];
         let keys = b.key_values(&refs);
         let cols: Vec<&Column> = refs.iter().map(|c| b.column(c).unwrap()).collect();

@@ -29,12 +29,12 @@ pub const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 pub enum KernelMode {
     /// Word-level vectorized kernels (the default): bitvector membership is
     /// probed 64 rows per survivor word, composite join keys are hashed
-    /// column-at-a-time, and filters mark survivors in selection vectors
-    /// instead of materializing survivor batches.
+    /// column-at-a-time, and the join table is probed a morsel at a time.
     #[default]
     Vectorized,
-    /// Row-at-a-time scalar kernels — the original implementation, kept as
-    /// the oracle. Pin it globally with `BQO_FORCE_SCALAR=1`.
+    /// Row-at-a-time scalar key, filter-probe and join-probe loops over the
+    /// same row-id batches and the same join table — kept as the oracle. Pin
+    /// it globally with `BQO_FORCE_SCALAR=1`.
     Scalar,
 }
 
@@ -71,8 +71,8 @@ pub struct ExecConfig {
     /// unbatched (one batch per scan). Values below 1 are treated as 1.
     pub batch_size: usize,
     /// Worker threads for the morsel-parallel sections (scan predicate and
-    /// bitvector-probe evaluation, partitioned hash-join build, hash-probe
-    /// and residual-filter loops). `1` (the default) runs everything inline
+    /// bitvector-probe evaluation, the join table's count-then-scatter
+    /// build, hash-probe and residual-filter loops). `1` (the default) runs everything inline
     /// on the calling thread — the serial path. Results and all counters are
     /// bit-identical for every value; values below 1 are treated as 1.
     pub num_threads: usize,

@@ -1,30 +1,34 @@
 //! Probe kernels, and the one place [`KernelMode`] is dispatched.
 //!
 //! The per-morsel hot loops of the scan and join operators — bitvector
-//! membership tests over candidate rows — are implemented here in two
-//! interchangeable shapes selected by [`crate::KernelMode`]:
+//! membership tests over candidate rows, join-key extraction, the join-table
+//! probe — are implemented here in two interchangeable shapes selected by
+//! [`crate::KernelMode`]:
 //!
-//! * the **scalar** shape probes one row at a time through
-//!   [`BitvectorFilter::maybe_contains`] (the original implementation, kept
-//!   as the differential-testing oracle), and
+//! * the **scalar** shape works one row at a time — one
+//!   [`BitvectorFilter::maybe_contains`], [`crate::batch::row_key`] or
+//!   [`JoinTable::get`] per row (the original loops, kept as the
+//!   differential-testing oracle), and
 //! * the **vectorized** shape gathers the candidate rows' join keys
 //!   column-at-a-time ([`crate::batch::gather_keys`]), probes them 64 keys
-//!   per survivor word ([`BitvectorFilter::probe_words`]), and compacts the
-//!   survivors in place from the word masks.
+//!   per survivor word ([`BitvectorFilter::probe_words`]), compacts the
+//!   survivors in place from the word masks, and probes the join table a
+//!   morsel at a time (`JoinTable::probe`).
 //!
-//! Both shapes produce identical surviving rows **in the same order** and
-//! identical [`FilterStats`] (probed = candidates before the filter,
+//! Both shapes run over the same row-id [`Batch`]es and the same
+//! [`JoinTable`] and produce identical surviving rows **in the same order**
+//! and identical [`FilterStats`] (probed = candidates before the filter,
 //! eliminated = rejected), so every downstream merge, batch boundary and
 //! counter is bit-identical — the `kernel_oracle` suite property-tests this
 //! over word-aligned and ragged lengths.
 //!
 //! Operators never look at the mode. They call the config-taking functions
-//! below ([`scan_morsel`], [`scan_batch`], [`batch_keys`], [`probe_mask`],
-//! [`filter_batch`]), and every `Scalar`/`Vectorized` `match` lives in this
-//! file.
+//! below ([`scan_morsel`], [`batch_keys`], [`probe_mask`], [`join_probe`]),
+//! and every `Scalar`/`Vectorized` `match` lives in this file.
 
 use crate::batch::{gather_keys, row_key, Batch};
 use crate::executor::{ExecConfig, KernelMode};
+use crate::join_table::JoinTable;
 use bqo_bitvector::{AnyFilter, BitvectorFilter, FilterStats};
 use bqo_plan::{ColumnPredicate, ColumnRef};
 use bqo_storage::Column;
@@ -83,26 +87,22 @@ pub fn scan_morsel(
     survivors
 }
 
-/// The batch a scan emits for the physical `rows` of `columns`. Vectorized
-/// emission is zero-copy: the batch shares the columns and marks `rows` in a
-/// selection vector — logically identical to the dense batch the scalar
-/// shape gathers.
+/// The batch a scan emits for the physical `rows` of `columns`: zero-copy,
+/// sharing the columns and marking `rows` in the batch's row-id vector.
+/// (Columns longer than `u32` row ids address are gathered dense instead.)
 pub fn scan_batch(
-    config: &ExecConfig,
     schema: &[ColumnRef],
     columns: &[Arc<Column>],
-    rows: &[usize],
+    rows: impl Iterator<Item = usize>,
 ) -> Batch {
     let physical_rows = columns.first().map_or(0, |c| c.len());
-    match config.kernel_mode {
-        KernelMode::Vectorized if u32::try_from(physical_rows).is_ok() => {
-            let selection = rows.iter().map(|&r| r as u32).collect(); // CAST-OK: r < physical_rows, which the guard proved fits u32
-            Batch::from_shared(schema.to_vec(), columns.to_vec()).with_selection(selection)
-        }
-        _ => Batch::new(
-            schema.to_vec(),
-            columns.iter().map(|c| c.take(rows)).collect(),
-        ),
+    if u32::try_from(physical_rows).is_ok() {
+        let selection = rows.map(|r| r as u32).collect(); // CAST-OK: r < physical_rows, which the guard proved fits u32
+        Batch::from_shared(schema.to_vec(), columns.to_vec()).with_selection(selection)
+    } else {
+        let rows: Vec<usize> = rows.collect();
+        let columns = columns.iter().map(|c| c.take(&rows)).collect();
+        Batch::new(schema.to_vec(), columns)
     }
 }
 
@@ -136,14 +136,32 @@ pub fn probe_mask(
     }
 }
 
-/// Keeps the logical rows of `batch` where `mask` is true. The vectorized
-/// shape refines the selection vector in place instead of materializing the
-/// survivors; logically identical output either way.
-pub fn filter_batch(config: &ExecConfig, batch: Batch, mask: &[bool]) -> Batch {
+/// The hash join's probe kernel over `keys[rows]`: every `(build row, probe
+/// row)` match pair as two parallel lists, probe rows in order and each
+/// key's build rows ascending. A probe row's id is its position in `keys`,
+/// whose length the caller has checked fits `u32` (`join_table::row_id`).
+pub fn join_probe(
+    config: &ExecConfig,
+    table: &JoinTable,
+    keys: &[i64],
+    rows: Range<usize>,
+) -> (Vec<u32>, Vec<u32>) {
+    let first_row = rows.start as u32; // CAST-OK: rows.start <= keys.len(), which the caller checked fits u32
+    let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
     match config.kernel_mode {
-        KernelMode::Scalar => batch.filter(mask),
-        KernelMode::Vectorized => batch.filter_select(mask),
+        KernelMode::Scalar => {
+            for (&key, probe_row) in keys[rows].iter().zip(first_row..) {
+                for &build_row in table.get(key) {
+                    build_rows.push(build_row);
+                    probe_rows.push(probe_row);
+                }
+            }
+        }
+        KernelMode::Vectorized => {
+            table.probe(&keys[rows], first_row, &mut build_rows, &mut probe_rows)
+        }
     }
+    (build_rows, probe_rows)
 }
 
 /// The scalar oracle's retain loop: one `maybe_contains` per candidate row.

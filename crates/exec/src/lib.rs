@@ -9,21 +9,24 @@
 //!   exactly two implementations: [`ScanOp`] (local predicates + pushed-down
 //!   bitvector probes applied per morsel over any `ChunkSource` — resident
 //!   in-memory tables and chunk-fetched `.bqo` files alike) and
-//!   [`HashJoinOp`] (build side drained at `open`, its bitvector filter
-//!   published to the shared [`ExecContext`], probe side streamed),
+//!   [`HashJoinOp`] (build side drained at `open` as row ids and indexed in
+//!   one flat [`JoinTable`], its bitvector filter published to the shared
+//!   [`ExecContext`], probe side streamed),
 //! * a [`PipelineBuilder`] lowering a `PhysicalPlan + JoinGraph` into the
 //!   operator tree without cloning plan payloads,
 //! * bitvector filters applied wherever Algorithm 1 placed them (scans or
 //!   residual positions above joins),
 //! * **morsel-driven parallelism** (see [`morsel`]): scan predicate and
-//!   filter-probe evaluation, the partitioned hash-join build and the
-//!   hash-probe loops run as shared-state-free kernels over fixed-size row
+//!   filter-probe evaluation, the join table's count-then-scatter build and
+//!   the hash-probe loops run as shared-state-free kernels over fixed-size row
 //!   morsels, fanned out across [`ExecConfig::num_threads`] workers with a
 //!   deterministic in-morsel-order merge,
-//! * **vectorized probe kernels** (see [`kernels`]): [`Batch`]es carry
-//!   optional selection vectors so filters mark survivors without copying
-//!   rows, bitvector membership is probed 64 rows per survivor word
-//!   and composite join keys are hashed column-at-a-time — with the
+//! * **late materialization** (see [`batch`]): [`Batch`]es carry one `u32`
+//!   row-id vector per source relation over shared columns; every output
+//!   column is gathered once, where the root hands batches to its caller,
+//! * **vectorized probe kernels** (see [`kernels`]): bitvector membership
+//!   is probed 64 rows per survivor word and composite join keys are
+//!   hashed column-at-a-time — with the
 //!   row-at-a-time scalar kernels retained as a differential oracle behind
 //!   [`ExecConfig::kernel_mode`] / `BQO_FORCE_SCALAR`; the mode is dispatched
 //!   inside [`kernels`] only, operators never branch on it,
@@ -61,6 +64,7 @@
 pub mod batch;
 pub mod cancel;
 pub mod executor;
+pub mod join_table;
 pub mod kernels;
 pub mod metrics;
 pub mod morsel;
@@ -74,6 +78,7 @@ pub use executor::{
     BoundPlan, ExecConfig, ExecError, Executor, KernelMode, QueryResult, DEFAULT_BATCH_SIZE,
     DEFAULT_PARALLEL_THRESHOLD,
 };
+pub use join_table::JoinTable;
 pub use metrics::{ExecutionMetrics, OperatorKind, OperatorMetrics};
 pub use morsel::{chunk_morsels, morsels, run_morsels_with, Morsel};
 pub use operators::{HashJoinOp, PhysicalOperator, ScanOp};

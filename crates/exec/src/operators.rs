@@ -4,9 +4,10 @@
 //! interface of the executor:
 //!
 //! * [`PhysicalOperator::open`] prepares operator state. Hash joins drain
-//!   their entire build side here, publish the bitvector filters sourced at
-//!   the join to the [`ExecContext`], and only then open their probe side —
-//!   which guarantees every filter is available before any probe-side scan
+//!   their entire build side here (as row ids, indexed by one flat
+//!   [`JoinTable`]), publish the bitvector filters sourced at the join to
+//!   the [`ExecContext`], and only then open their probe side — which
+//!   guarantees every filter is available before any probe-side scan
 //!   produces its first batch (the same ordering the paper's Algorithm 1
 //!   relies on).
 //! * [`PhysicalOperator::next_batch`] pulls the next batch of at most
@@ -19,6 +20,16 @@
 //!   accumulated per-operator counters into the context's
 //!   [`crate::ExecutionMetrics`].
 //!
+//! What flows between operators is row ids, not values (see
+//! [`crate::batch`]): a scan emits zero-copy selection batches over its
+//! source's columns, a join pairs its build side's and its probe batch's
+//! row ids per source relation, and no operator below the root copies a
+//! column. Materialization happens in one place: the pipeline's root join
+//! (the one [`crate::PipelineBuilder`] lowers with `is_root`) gathers each
+//! output column once, through [`Batch::into_dense`], as it returns a batch
+//! — so callers of a pipeline only ever see dense or single-selection
+//! batches.
+//!
 //! Contract: between `open` and the first `None`, an operator yields at least
 //! one batch (possibly empty) so downstream operators always observe its
 //! output schema. Neither batching granularity nor parallelism changes
@@ -29,11 +40,11 @@
 //! order.
 
 use crate::batch::Batch;
-use crate::kernels::{batch_keys, filter_batch, probe_mask, scan_batch, scan_morsel, ScanFilter};
+use crate::join_table::{row_id, JoinTable};
+use crate::kernels::{batch_keys, join_probe, probe_mask, scan_batch, scan_morsel, ScanFilter};
 use crate::metrics::OperatorKind;
 use crate::morsel::{chunk_morsels, morsels, Morsel};
 use crate::pipeline::ExecContext;
-use bqo_bitvector::hash::FxHashMap;
 use bqo_bitvector::{AnyFilter, BitvectorFilter, FilterStats};
 use bqo_plan::{BitvectorPlacement, ColumnPredicate, ColumnRef, NodeId, RelId, RelationInfo};
 use bqo_storage::{ChunkSource, Column, StorageError, Value};
@@ -339,8 +350,8 @@ impl PhysicalOperator for ScanOp<'_> {
                 }
             }
             survivors.extend(morsel.rows);
-            for (acc, c) in compacted.iter_mut().zip(&morsel.columns) {
-                acc.append(c)?;
+            for (acc, c) in compacted.iter_mut().zip(morsel.columns) {
+                acc.append_owned(c)?;
             }
             for (acc, s) in merged.iter_mut().zip(&morsel.stats) {
                 acc.merge(s);
@@ -380,17 +391,14 @@ impl PhysicalOperator for ScanOp<'_> {
             if self.pos == from {
                 continue;
             }
+            // Zero-copy either way: resident columns are indexed by global
+            // row id, a fetched source's compacted columns by survivor
+            // position.
             let batch = if self.source.resident_columns().is_some() {
-                let rows = &self.survivors[from..self.pos];
-                scan_batch(&ctx.config, &self.schema, &self.columns, rows)
+                let rows = self.survivors[from..self.pos].iter().copied();
+                scan_batch(&self.schema, &self.columns, rows)
             } else {
-                // Survivor values are already compacted in survivor order,
-                // so a batch is a contiguous slice of the compacted columns,
-                // copied out dense (a dense batch and a selection batch over
-                // the same logical rows are interchangeable downstream).
-                let rows: Vec<usize> = (from..self.pos).collect();
-                let columns = self.columns.iter().map(|c| c.take(&rows)).collect();
-                Batch::new(self.schema.clone(), columns)
+                scan_batch(&self.schema, &self.columns, from..self.pos)
             };
             self.output_rows += batch.num_rows() as u64;
             self.emitted_any = true;
@@ -411,10 +419,12 @@ impl PhysicalOperator for ScanOp<'_> {
     }
 }
 
-/// Hash join: the build side is drained and hashed at `open` (publishing the
-/// bitvector filters sourced at this join before the probe side opens), the
-/// probe side is streamed batch by batch. Residual bitvector filters targeted
-/// at this join's output are applied to each output batch.
+/// Hash join: the build side is drained at `open` and kept as one row-id
+/// batch (`Batch::stack`) plus a flat [`JoinTable`] over its join keys
+/// (publishing the bitvector filters sourced at this join before the probe
+/// side opens); the probe side is streamed batch by batch, each output batch
+/// pairing build and probe row ids (`Batch::join`). Residual bitvector
+/// filters targeted at this join's output refine each output batch's row ids.
 pub struct HashJoinOp<'p> {
     node: NodeId,
     build: Box<dyn PhysicalOperator + 'p>,
@@ -425,8 +435,10 @@ pub struct HashJoinOp<'p> {
     source_placements: Vec<(usize, &'p BitvectorPlacement)>,
     /// Residual placements applied to this join's output batches.
     residual_placements: Vec<(usize, &'p BitvectorPlacement)>,
+    /// The pipeline's root join densifies the batches it hands out.
+    is_root: bool,
     build_batch: Batch,
-    table: FxHashMap<i64, Vec<u32>>,
+    table: JoinTable,
     emitted_any: bool,
     build_rows: u64,
     probe_rows: u64,
@@ -445,7 +457,8 @@ impl std::fmt::Debug for HashJoinOp<'_> {
 }
 
 impl<'p> HashJoinOp<'p> {
-    /// Creates a hash join over two child operators.
+    /// Creates a hash join over two child operators. `is_root` marks the
+    /// join whose output leaves the pipeline.
     pub fn new(
         node: NodeId,
         build: Box<dyn PhysicalOperator + 'p>,
@@ -453,6 +466,7 @@ impl<'p> HashJoinOp<'p> {
         keys: &'p [bqo_plan::JoinKeyPair],
         source_placements: Vec<(usize, &'p BitvectorPlacement)>,
         residual_placements: Vec<(usize, &'p BitvectorPlacement)>,
+        is_root: bool,
     ) -> Self {
         let residual_rows = vec![(0, false); residual_placements.len()];
         HashJoinOp {
@@ -463,8 +477,9 @@ impl<'p> HashJoinOp<'p> {
             probe_key_cols: keys.iter().map(|k| k.probe.clone()).collect(),
             source_placements,
             residual_placements,
+            is_root,
             build_batch: Batch::empty(),
-            table: FxHashMap::default(),
+            table: JoinTable::default(),
             emitted_any: false,
             build_rows: 0,
             probe_rows: 0,
@@ -476,14 +491,14 @@ impl<'p> HashJoinOp<'p> {
 
 impl PhysicalOperator for HashJoinOp<'_> {
     fn open(&mut self, ctx: &mut ExecContext) -> Result<(), StorageError> {
-        // 1. Drain the build side completely.
+        // 1. Drain the build side completely, keeping it as row ids.
         self.build.open(ctx)?;
         let mut batches = Vec::new();
         while let Some(batch) = self.build.next_batch(ctx)? {
             batches.push(batch);
         }
         self.build.close(ctx);
-        self.build_batch = Batch::concat(batches);
+        self.build_batch = Batch::stack(batches)?;
 
         // 2. Publish the bitvector filters sourced at this join, so they are
         //    in place before any probe-side operator produces rows.
@@ -493,37 +508,11 @@ impl PhysicalOperator for HashJoinOp<'_> {
             ctx.publish_filter(idx, filter);
         }
 
-        // 3. Hash the build side: each worker hashes one contiguous row
-        //    partition, then the partitions are merged on this thread in
-        //    partition order — so every key's row list stays in ascending row
-        //    order, exactly as the serial insertion loop produced it. (The
-        //    filters of step 2 are always published single-threaded, keeping
-        //    publication order deterministic.)
+        // 3. Index the build side in the flat table (row lists ascending for
+        //    any worker count; step 2 always publishes single-threaded).
         let build_keys = batch_keys(&ctx.config, &self.build_batch, &self.build_key_cols);
         self.build_rows = build_keys.len() as u64;
-        let workers = ctx.config.workers_for(build_keys.len());
-        let chunks = chunk_morsels(build_keys.len(), workers);
-        let mut partitions = ctx.run_morsels(workers, &chunks, |m| {
-            let mut partition: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
-            for row in m.rows() {
-                partition
-                    .entry(build_keys[row])
-                    .or_default()
-                    .push(row as u32);
-            }
-            partition
-        })?;
-        self.table = if partitions.len() <= 1 {
-            partitions.pop().unwrap_or_default()
-        } else {
-            let mut table: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
-            for partition in partitions {
-                for (key, rows) in partition {
-                    table.entry(key).or_default().extend(rows);
-                }
-            }
-            table
-        };
+        self.table = JoinTable::build(ctx, &build_keys)?;
 
         // 4. Only now open the probe side.
         self.probe.open(ctx)
@@ -535,38 +524,26 @@ impl PhysicalOperator for HashJoinOp<'_> {
         let config = ctx.config;
         while let Some(probe_batch) = self.probe.next_batch(ctx)? {
             let probe_keys = batch_keys(&config, &probe_batch, &self.probe_key_cols);
+            row_id(probe_keys.len())?;
             self.probe_rows += probe_keys.len() as u64;
 
-            // Probe the hash table one contiguous row chunk per worker; the
+            // Probe the join table one contiguous row chunk per worker; the
             // chunk outputs concatenate in chunk order, reproducing the
             // serial left-to-right match order exactly.
             let table = &self.table;
             let workers = ctx.config.workers_for(probe_keys.len());
             let chunks = chunk_morsels(probe_keys.len(), workers);
             let matched = ctx.run_morsels(workers, &chunks, |m| {
-                let mut build_indices: Vec<usize> = Vec::new();
-                let mut probe_indices: Vec<usize> = Vec::new();
-                for row in m.rows() {
-                    if let Some(matches) = table.get(&probe_keys[row]) {
-                        for &b in matches {
-                            build_indices.push(b as usize);
-                            probe_indices.push(row);
-                        }
-                    }
-                }
-                (build_indices, probe_indices)
+                join_probe(&config, table, &probe_keys, m.rows())
             })?;
-            let mut build_indices: Vec<usize> = Vec::new();
-            let mut probe_indices: Vec<usize> = Vec::new();
+            let mut matched = matched.into_iter();
+            let (mut build_rows, mut probe_rows) = matched.next().unwrap_or_default();
             for (b, p) in matched {
-                build_indices.extend(b);
-                probe_indices.extend(p);
+                build_rows.extend(b);
+                probe_rows.extend(p);
             }
 
-            let mut output = Batch::zip(
-                self.build_batch.take(&build_indices),
-                probe_batch.take(&probe_indices),
-            );
+            let mut output = Batch::join(&self.build_batch, &build_rows, &probe_batch, &probe_rows);
             self.join_output_rows += output.num_rows() as u64;
 
             // Residual bitvector filters targeted at this join's output,
@@ -590,7 +567,7 @@ impl PhysicalOperator for HashJoinOp<'_> {
                         mask.extend(part);
                         merged.merge(&stats);
                     }
-                    output = filter_batch(&config, output, &mask);
+                    output = output.filter_select(&mask);
                 }
                 ctx.merge_filter_stats(&merged);
                 self.residual_rows[slot].0 += output.num_rows() as u64;
@@ -601,6 +578,9 @@ impl PhysicalOperator for HashJoinOp<'_> {
                 continue;
             }
             self.emitted_any = true;
+            if self.is_root {
+                output = output.into_dense();
+            }
             return Ok(Some(output));
         }
         Ok(None)

@@ -191,6 +191,7 @@ impl Config {
                 "crates/storage/src/".to_string(),
             ],
             cast_audited_files: vec![
+                "crates/exec/src/join_table.rs".to_string(),
                 "crates/exec/src/kernels.rs".to_string(),
                 "crates/bitvector/src/bitmap.rs".to_string(),
                 "crates/bitvector/src/blocked.rs".to_string(),

@@ -123,15 +123,26 @@ impl Column {
         }
     }
 
+    /// The rows at `rows`, in the given order, duplicates allowed.
+    fn pick(&self, rows: impl Iterator<Item = usize>) -> Column {
+        match self {
+            Column::Int64(v) => Column::Int64(rows.map(|i| v[i]).collect()),
+            Column::Float64(v) => Column::Float64(rows.map(|i| v[i]).collect()),
+            Column::Utf8(v) => Column::Utf8(rows.map(|i| v[i].clone()).collect()),
+            Column::Bool(v) => Column::Bool(rows.map(|i| v[i]).collect()),
+        }
+    }
+
     /// Builds a new column containing only the rows selected by `indices`
     /// (in the given order, duplicates allowed).
     pub fn take(&self, indices: &[usize]) -> Column {
-        match self {
-            Column::Int64(v) => Column::Int64(indices.iter().map(|&i| v[i]).collect()),
-            Column::Float64(v) => Column::Float64(indices.iter().map(|&i| v[i]).collect()),
-            Column::Utf8(v) => Column::Utf8(indices.iter().map(|&i| v[i].clone()).collect()),
-            Column::Bool(v) => Column::Bool(indices.iter().map(|&i| v[i]).collect()),
-        }
+        self.pick(indices.iter().copied())
+    }
+
+    /// [`Column::take`] over `u32` row ids — the form the executor's row-id
+    /// batches carry (`u32 -> usize` is lossless on every supported target).
+    pub fn gather(&self, rows: &[u32]) -> Column {
+        self.pick(rows.iter().map(|&i| i as usize))
     }
 
     /// Builds a new column keeping only rows where `mask[i]` is true.
@@ -160,6 +171,24 @@ impl Column {
             (Column::Float64(a), Column::Float64(b)) => a.extend_from_slice(b),
             (Column::Utf8(a), Column::Utf8(b)) => a.extend_from_slice(b),
             (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(b),
+            (a, b) => {
+                return Err(StorageError::TypeMismatch {
+                    expected: a.data_type().to_string(),
+                    actual: b.data_type().to_string(),
+                })
+            }
+        }
+        Ok(())
+    }
+
+    /// [`Column::append`] for a column the caller owns: the values are moved,
+    /// not cloned (no `String::clone` per `Utf8` cell).
+    pub fn append_owned(&mut self, other: Column) -> Result<(), StorageError> {
+        match (self, other) {
+            (Column::Int64(a), Column::Int64(mut b)) => a.append(&mut b),
+            (Column::Float64(a), Column::Float64(mut b)) => a.append(&mut b),
+            (Column::Utf8(a), Column::Utf8(mut b)) => a.append(&mut b),
+            (Column::Bool(a), Column::Bool(mut b)) => a.append(&mut b),
             (a, b) => {
                 return Err(StorageError::TypeMismatch {
                     expected: a.data_type().to_string(),
@@ -251,10 +280,21 @@ mod tests {
     }
 
     #[test]
+    fn append_owned_moves_values_and_checks_types() {
+        let mut c = Column::from(vec!["a".to_string()]);
+        c.append_owned(Column::from(vec!["b".to_string(), "c".to_string()]))
+            .unwrap();
+        assert_eq!(c.as_utf8().unwrap(), &["a", "b", "c"]);
+        let err = c.append_owned(Column::from(vec![true])).unwrap_err();
+        assert!(matches!(err, StorageError::TypeMismatch { .. }));
+    }
+
+    #[test]
     fn take_reorders_and_duplicates() {
         let c = Column::from(vec![10i64, 20, 30]);
         let t = c.take(&[2, 0, 0]);
         assert_eq!(t.as_i64().unwrap(), &[30, 10, 10]);
+        assert_eq!(c.gather(&[2, 0, 0]), t);
     }
 
     #[test]

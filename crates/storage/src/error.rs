@@ -32,6 +32,11 @@ pub enum StorageError {
     /// lives here so cancellation can travel the same `Result` channel as
     /// every other runtime failure.
     Cancelled,
+    /// An intermediate result holds more rows than a `u32` row id can
+    /// address. Raised by the execution layer, whose join tables and row-id
+    /// batches reference rows through `u32`s; it lives here for the same
+    /// reason as [`StorageError::Cancelled`].
+    RowIdOverflow { rows: usize },
 }
 
 impl fmt::Display for StorageError {
@@ -61,6 +66,9 @@ impl fmt::Display for StorageError {
                 write!(f, "format error in `{path}`: {detail}")
             }
             StorageError::Cancelled => write!(f, "execution was cancelled"),
+            StorageError::RowIdOverflow { rows } => {
+                write!(f, "{rows} rows exceed the u32 row-id space of a join")
+            }
         }
     }
 }
@@ -120,6 +128,14 @@ mod tests {
             StorageError::Cancelled.to_string(),
             "execution was cancelled"
         );
+    }
+
+    #[test]
+    fn display_row_id_overflow() {
+        let e = StorageError::RowIdOverflow {
+            rows: 5_000_000_000,
+        };
+        assert!(e.to_string().contains("5000000000 rows"));
     }
 
     #[test]

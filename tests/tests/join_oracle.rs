@@ -1,0 +1,621 @@
+//! Join oracle: the row-id hash join and its flat `JoinTable` against a
+//! naive nested-loop reference.
+//!
+//! Every scenario is a hand-built catalog, join graph and join tree chosen
+//! to hit one corner of the join: an empty build or probe side, keys that
+//! all miss, heavy duplicates on both sides, negative and `i64::MIN`/`MAX`
+//! keys, key spans on either side of the direct-addressing density
+//! threshold, composite and `Utf8` keys (matched through digests), a build
+//! side that is itself a join output (multi-relation row ids, with a
+//! composite key whose columns come from two different relations), and four
+//! join levels. The reference evaluates the same tree with nested loops in
+//! the order a hash join emits (probe rows in order, each one's build
+//! matches in order; build columns first).
+//!
+//! Each scenario runs — with and without bitvector filters — through
+//! {1, 4} threads × {vectorized, scalar} kernels × {memory, `.bqo`} backing
+//! × two batch sizes, and every cell must give the reference rows **in
+//! order**, the oracle cell's batch boundaries and counters, and only
+//! dense/single-selection batches at the pipeline root.
+//!
+//! The last test is the engine-level regression for the composite-key abort
+//! (`RangeBitmapFilter::from_keys` span overflow).
+
+use bqo_core::{Engine, OptimizerChoice, QuerySpec, RunOptions};
+use bqo_exec::{
+    Batch, ExecConfig, ExecContext, ExecutionMetrics, JoinTable, KernelMode, PipelineBuilder,
+    WorkerPool,
+};
+use bqo_format::{write_table, AccessMode, CatalogExt};
+use bqo_integration_tests::env_threads;
+use bqo_plan::{
+    push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, JoinGraph, JoinTree,
+    PhysicalPlan, RelId, RelationInfo,
+};
+use bqo_storage::{Catalog, Table, TableBuilder, Value};
+use std::collections::BTreeSet;
+
+/// One hand-built join: tables, the graph joining them and the tree to run.
+struct Scenario {
+    name: &'static str,
+    tables: Vec<Table>,
+    graph: JoinGraph,
+    tree: JoinTree,
+}
+
+impl Scenario {
+    /// Registers `tables` as relations `RelId(0..)` in order; `edges` are
+    /// `(left relation, left column, right relation, right column)`.
+    fn new(
+        name: &'static str,
+        tables: Vec<(Table, Vec<ColumnPredicate>)>,
+        edges: &[(usize, &str, usize, &str)],
+        tree: JoinTree,
+    ) -> Scenario {
+        let mut graph = JoinGraph::new();
+        let mut registered = Vec::new();
+        for (table, predicates) in tables {
+            let rows = table.num_rows() as f64;
+            let info = RelationInfo::new(table.name(), rows, rows).with_predicates(predicates);
+            graph.add_relation(info);
+            registered.push(table);
+        }
+        for &(left, left_column, right, right_column) in edges {
+            let edge = JoinEdge::new(
+                RelId(left),
+                RelId(right),
+                left_column,
+                right_column,
+                8.0,
+                8.0,
+                false,
+                false,
+            );
+            graph.add_edge(edge);
+        }
+        Scenario {
+            name,
+            tables: registered,
+            graph,
+            tree,
+        }
+    }
+
+    fn memory_catalog(&self) -> Catalog {
+        let mut catalog = Catalog::new();
+        for table in &self.tables {
+            catalog.register_table(table.clone());
+        }
+        catalog
+    }
+
+    /// The same tables served from `.bqo` files of 7-row chunks.
+    fn file_catalog(&self, dir: &std::path::Path) -> Catalog {
+        let mut catalog = Catalog::new();
+        for table in &self.tables {
+            let path = dir.join(format!("{}-{}.bqo", self.name, table.name()));
+            write_table(&path, table, 7).expect("write table file");
+            catalog
+                .register_file_with(&path, AccessMode::Buffered)
+                .expect("register file");
+        }
+        catalog
+    }
+}
+
+fn leaf(relation: usize) -> JoinTree {
+    JoinTree::Leaf(RelId(relation))
+}
+
+/// Schema and rows of `tree` by nested loops, in hash-join emission order.
+fn reference(s: &Scenario, tree: &JoinTree) -> (Vec<ColumnRef>, Vec<Vec<Value>>) {
+    match tree {
+        JoinTree::Leaf(relation) => {
+            let table = &s.tables[relation.0];
+            let mut keep = vec![true; table.num_rows()];
+            for predicate in &s.graph.relation(*relation).predicates {
+                let column = table.column(&predicate.column).expect("predicate column");
+                for (keep, pass) in keep.iter_mut().zip(predicate.evaluate(column)) {
+                    *keep &= pass;
+                }
+            }
+            let fields = table.schema().fields();
+            let schema = fields
+                .iter()
+                .map(|f| ColumnRef::new(*relation, f.name.clone()));
+            let rows = (0..table.num_rows())
+                .filter(|&row| keep[row])
+                .map(|row| table.columns().iter().map(|c| c.value(row)).collect());
+            (schema.collect(), rows.collect())
+        }
+        JoinTree::Join { build, probe } => {
+            let (build_schema, build_rows) = reference(s, build);
+            let (probe_schema, probe_rows) = reference(s, probe);
+            let index_in = |schema: &[ColumnRef], relation: RelId, column: &str| {
+                let wanted = ColumnRef::new(relation, column);
+                schema
+                    .iter()
+                    .position(|c| *c == wanted)
+                    .expect("key column")
+            };
+            let (build_set, probe_set) = (build.relation_set(), probe.relation_set());
+            let key_pairs: Vec<(usize, usize)> = s
+                .graph
+                .edges_across(&build_set, &probe_set)
+                .into_iter()
+                .map(|edge| {
+                    let (b, p) = if build_set.contains(&edge.left) {
+                        (edge.left, edge.right)
+                    } else {
+                        (edge.right, edge.left)
+                    };
+                    (
+                        index_in(&build_schema, b, edge.column_of(b)),
+                        index_in(&probe_schema, p, edge.column_of(p)),
+                    )
+                })
+                .collect();
+            let mut rows = Vec::new();
+            for probe_row in &probe_rows {
+                for build_row in &build_rows {
+                    if key_pairs.iter().all(|&(b, p)| build_row[b] == probe_row[p]) {
+                        rows.push(build_row.iter().chain(probe_row).cloned().collect());
+                    }
+                }
+            }
+            let schema = build_schema.into_iter().chain(probe_schema).collect();
+            (schema, rows)
+        }
+    }
+}
+
+/// What one execution exposes: the root's batches as emitted, and counters.
+struct Run {
+    batches: Vec<Batch>,
+    metrics: ExecutionMetrics,
+}
+
+fn run(catalog: &Catalog, s: &Scenario, plan: &PhysicalPlan, config: ExecConfig) -> Run {
+    let pool = (config.num_threads > 1).then(|| WorkerPool::new(config.num_threads - 1));
+    let mut ctx = ExecContext::with_pool(config, pool);
+    let mut root = PipelineBuilder::new(catalog, &s.graph, plan, config)
+        .build()
+        .expect("lowering");
+    root.open(&mut ctx).expect("open");
+    let mut batches = Vec::new();
+    while let Some(batch) = root.next_batch(&mut ctx).expect("next_batch") {
+        batches.push(batch);
+    }
+    root.close(&mut ctx);
+    Run {
+        batches,
+        metrics: ctx.into_metrics(),
+    }
+}
+
+/// The logical rows of a root batch, read the way callers read them.
+fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
+    let cells = |row: usize| {
+        let physical = batch.physical_row(row);
+        batch.columns().iter().map(move |c| c.value(physical))
+    };
+    (0..batch.num_rows())
+        .map(|row| cells(row).collect())
+        .collect()
+}
+
+/// Runs the whole matrix over `s`; returns the number of reference rows so
+/// each test can pin that its scenario is not vacuous.
+fn assert_matches_reference(s: &Scenario) -> usize {
+    let dir = std::env::temp_dir().join(format!("bqo-join-oracle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let memory = s.memory_catalog();
+    let file = s.file_catalog(&dir);
+    let (schema, expected) = reference(s, &s.tree);
+    let bare = PhysicalPlan::from_join_tree(&s.graph, &s.tree);
+    let filtered = push_down_bitvectors(&s.graph, bare.clone());
+    let mut threads = vec![1, 4];
+    if !threads.contains(&env_threads()) {
+        threads.push(env_threads());
+    }
+
+    for (plan, bitvectors) in [(&filtered, true), (&bare, false)] {
+        for batch_size in [3, 4096] {
+            // Tiny morsels and no inline gate, so 4 threads really fan out.
+            let mut base = ExecConfig::default()
+                .with_batch_size(batch_size)
+                .with_morsel_size(2)
+                .with_parallel_threshold(1);
+            base.enable_bitvectors = bitvectors;
+            let oracle_config = base
+                .with_num_threads(1)
+                .with_kernel_mode(KernelMode::Scalar);
+            let oracle = run(&memory, s, plan, oracle_config);
+            for (backing, catalog) in [("memory", &memory), ("file", &file)] {
+                for &num_threads in &threads {
+                    for kernel_mode in [KernelMode::Vectorized, KernelMode::Scalar] {
+                        let config = base
+                            .with_num_threads(num_threads)
+                            .with_kernel_mode(kernel_mode);
+                        let got = run(catalog, s, plan, config);
+                        let cell = format!(
+                            "{} [{backing}, {num_threads} thread(s), {kernel_mode:?}, \
+                             batch {batch_size}, bitvectors {bitvectors}]",
+                            s.name
+                        );
+
+                        // Rows, in order, through the root batches as emitted.
+                        for batch in &got.batches {
+                            assert!(
+                                batch.num_sources() <= 1,
+                                "{cell}: row-id batch left the root"
+                            );
+                            assert_eq!(batch.schema(), &schema[..], "{cell}: schema");
+                        }
+                        let rows: Vec<_> = got.batches.iter().flat_map(rows_of).collect();
+                        assert_eq!(rows, expected, "{cell}: rows");
+                        assert_eq!(
+                            rows_of(&Batch::concat(got.batches.clone())),
+                            expected,
+                            "{cell}: concatenated rows"
+                        );
+
+                        // Batch boundaries and every counter, against the
+                        // serial scalar in-memory cell.
+                        let sizes = |run: &Run| -> Vec<usize> {
+                            run.batches.iter().map(Batch::num_rows).collect()
+                        };
+                        assert_eq!(sizes(&got), sizes(&oracle), "{cell}: batch boundaries");
+                        let (m, o) = (&got.metrics, &oracle.metrics);
+                        assert_eq!(m.operators, o.operators, "{cell}: operator counters");
+                        assert_eq!(m.filter_stats, o.filter_stats, "{cell}: FilterStats");
+                        assert_eq!(m.filters_created, o.filters_created, "{cell}: filters");
+                        assert_eq!(m.logical_work(), o.logical_work(), "{cell}: logical work");
+                    }
+                }
+            }
+        }
+    }
+    // Files are named per scenario; the directory is shared by the suite's
+    // concurrently running tests, so only this scenario's files go.
+    for table in &s.tables {
+        let _ = std::fs::remove_file(dir.join(format!("{}-{}.bqo", s.name, table.name())));
+    }
+    expected.len()
+}
+
+fn int_table(name: &str, columns: &[(&str, Vec<i64>)]) -> Table {
+    let mut builder = TableBuilder::new(name);
+    for (column, values) in columns {
+        builder = builder.with_i64(*column, values.clone());
+    }
+    builder.build().expect("well-formed table")
+}
+
+/// `probe(k, tag) ⋈ build(k, label)` on `k`, `build` hashed.
+fn two_way(
+    name: &'static str,
+    build_keys: Vec<i64>,
+    build_predicates: Vec<ColumnPredicate>,
+    probe_keys: Vec<i64>,
+    probe_predicates: Vec<ColumnPredicate>,
+) -> Scenario {
+    let labels = (0..build_keys.len())
+        .map(|i| format!("label-{i}"))
+        .collect();
+    let build = TableBuilder::new("build")
+        .with_i64("k", build_keys)
+        .with_utf8("label", labels)
+        .build()
+        .expect("build table");
+    let tags = (0..probe_keys.len() as i64).collect();
+    let probe = int_table("probe", &[("k", probe_keys), ("tag", tags)]);
+    Scenario::new(
+        name,
+        vec![(build, build_predicates), (probe, probe_predicates)],
+        &[(1, "k", 0, "k")],
+        JoinTree::join(leaf(0), leaf(1)),
+    )
+}
+
+fn none() -> Vec<ColumnPredicate> {
+    Vec::new()
+}
+
+#[test]
+fn empty_build_side() {
+    let nothing = vec![ColumnPredicate::new("k", CompareOp::Lt, -100i64)];
+    let rows = assert_matches_reference(&two_way(
+        "empty-build",
+        vec![1, 2, 3],
+        nothing,
+        (0..20).collect(),
+        none(),
+    ));
+    assert!(rows == 0, "{rows} reference rows");
+}
+
+#[test]
+fn empty_probe_side() {
+    let nothing = vec![ColumnPredicate::new("k", CompareOp::Gt, 1000i64)];
+    let rows = assert_matches_reference(&two_way(
+        "empty-probe",
+        (0..20).collect(),
+        none(),
+        vec![1, 2, 3],
+        nothing,
+    ));
+    assert!(rows == 0, "{rows} reference rows");
+}
+
+#[test]
+fn every_probe_key_misses() {
+    let rows = assert_matches_reference(&two_way(
+        "all-miss",
+        (0..30).map(|i| i * 2).collect(),
+        none(),
+        (0..30).map(|i| i * 2 + 1).collect(),
+        none(),
+    ));
+    assert!(rows == 0, "{rows} reference rows");
+}
+
+#[test]
+fn heavy_duplicates_on_both_sides() {
+    let rows = assert_matches_reference(&two_way(
+        "duplicates",
+        (0..30).map(|i| i % 3).collect(),
+        vec![ColumnPredicate::new("label", CompareOp::Gt, "label-14")],
+        (0..40).map(|i| (i * 7) % 4).collect(),
+        none(),
+    ));
+    assert!(rows > 0, "{rows} reference rows");
+}
+
+#[test]
+fn negative_and_extreme_keys() {
+    let build = vec![i64::MAX, -7, i64::MIN, 0, -7, i64::MAX, i64::MIN + 1, 42];
+    let probe = vec![
+        0,
+        i64::MIN,
+        5,
+        -7,
+        i64::MAX,
+        i64::MAX - 1,
+        i64::MIN,
+        -8,
+        42,
+        -7,
+    ];
+    assert!(assert_matches_reference(&two_way("extreme-keys", build, none(), probe, none())) > 0);
+    let negatives: Vec<i64> = (-30..-10).collect();
+    let probe = (-40..0).map(|i| i / 2 * 2).collect();
+    assert!(
+        assert_matches_reference(&two_way("negative-keys", negatives, none(), probe, none())) > 0
+    );
+}
+
+#[test]
+fn key_spans_on_both_sides_of_the_density_threshold() {
+    // 4 build rows: a span of 256 is the last direct-addressed one.
+    for (name, top) in [("dense-span", 255), ("sparse-span", 256)] {
+        let build = vec![0, 17, 17, top];
+        let ctx = ExecContext::new(ExecConfig::default());
+        let table = JoinTable::build(&ctx, &build).expect("table");
+        assert_eq!(table.is_direct(), top == 255, "{name}");
+        let probe = (-5..270).step_by(3).chain([17, top, 0]).collect();
+        assert!(assert_matches_reference(&two_way(name, build, none(), probe, none())) > 0);
+    }
+}
+
+#[test]
+fn composite_key() {
+    let dims = int_table(
+        "dims",
+        &[
+            ("a", (0..24).map(|i| i % 6).collect()),
+            ("b", (0..24).map(|i| i / 6).collect()),
+        ],
+    );
+    let facts = int_table(
+        "facts",
+        &[
+            ("a", (0..50).map(|i| (i * 5) % 7).collect()),
+            ("b", (0..50).map(|i| (i * 3) % 5).collect()),
+            ("amount", (0..50).collect()),
+        ],
+    );
+    let rows = assert_matches_reference(&Scenario::new(
+        "composite",
+        vec![(dims, none()), (facts, none())],
+        &[(1, "a", 0, "a"), (1, "b", 0, "b")],
+        JoinTree::join(leaf(0), leaf(1)),
+    ));
+    assert!(rows > 0, "{rows} reference rows");
+}
+
+#[test]
+fn utf8_key() {
+    let name_of = |i: i64| format!("city-{}", i % 9);
+    let cities = TableBuilder::new("cities")
+        .with_utf8("name", (0..12).map(name_of).collect())
+        .with_i64("population", (0..12).map(|i| i * 1000).collect())
+        .build()
+        .expect("cities");
+    let visits = TableBuilder::new("visits")
+        .with_utf8("city", (0..35).map(|i| name_of(i * 4 + 1)).collect())
+        .with_i64("day", (0..35).collect())
+        .build()
+        .expect("visits");
+    let rows = assert_matches_reference(&Scenario::new(
+        "utf8",
+        vec![(cities, none()), (visits, none())],
+        &[(1, "city", 0, "name")],
+        JoinTree::join(leaf(0), leaf(1)),
+    ));
+    assert!(rows > 0, "{rows} reference rows");
+}
+
+#[test]
+fn build_side_is_a_join_output() {
+    // (regions ⋈ stores) is hashed as one multi-relation row-id batch and
+    // probed by sales on a composite key with one column from each of them.
+    let regions = TableBuilder::new("regions")
+        .with_i64("region", (0..5).collect())
+        .with_utf8("region_name", (0..5).map(|i| format!("r{i}")).collect())
+        .build()
+        .expect("regions");
+    let stores = int_table(
+        "stores",
+        &[
+            ("store", (0..18).collect()),
+            ("region", (0..18).map(|i| i % 6).collect()),
+        ],
+    );
+    let sales = int_table(
+        "sales",
+        &[
+            ("store", (0..60).map(|i| (i * 7) % 20).collect()),
+            ("region", (0..60).map(|i| (i * 7) % 20 % 6).collect()),
+            ("qty", (0..60).map(|i| i % 4).collect()),
+        ],
+    );
+    let rows = assert_matches_reference(&Scenario::new(
+        "bushy",
+        vec![
+            (regions, none()),
+            (
+                stores,
+                vec![ColumnPredicate::new("store", CompareOp::Ge, 3i64)],
+            ),
+            (
+                sales,
+                vec![ColumnPredicate::new("qty", CompareOp::Gt, 0i64)],
+            ),
+        ],
+        &[
+            (1, "region", 0, "region"),
+            (2, "store", 1, "store"),
+            (2, "region", 0, "region"),
+        ],
+        JoinTree::join(JoinTree::join(leaf(0), leaf(1)), leaf(2)),
+    ));
+    assert!(rows > 0, "{rows} reference rows");
+}
+
+#[test]
+fn four_join_levels() {
+    // Right-deep: every level's probe side is the join output below it, so
+    // the root batch carries five relations' row ids.
+    let dim = |name: &str, rows: i64, modulus: i64| {
+        TableBuilder::new(name)
+            .with_i64("sk", (0..rows).collect())
+            .with_utf8(
+                "label",
+                (0..rows)
+                    .map(|i| format!("{name}-{}", i % modulus))
+                    .collect(),
+            )
+            .build()
+            .expect("dimension")
+    };
+    let fact = int_table(
+        "fact",
+        &[
+            ("d0_sk", (0..80).map(|i| i % 11).collect()),
+            ("d1_sk", (0..80).map(|i| (i * 3) % 8).collect()),
+            ("d2_sk", (0..80).map(|i| (i * 5) % 13).collect()),
+            ("d3_sk", (0..80).map(|i| i % 4).collect()),
+        ],
+    );
+    let edges = [
+        (0, "d0_sk", 1, "sk"),
+        (0, "d1_sk", 2, "sk"),
+        (0, "d2_sk", 3, "sk"),
+        (0, "d3_sk", 4, "sk"),
+    ];
+    let tree = (1..=4).fold(leaf(0), |probe, d| JoinTree::join(leaf(d), probe));
+    let rows = assert_matches_reference(&Scenario::new(
+        "four-levels",
+        vec![
+            (fact, none()),
+            (
+                dim("d0", 9, 3),
+                vec![ColumnPredicate::new("sk", CompareOp::Lt, 7i64)],
+            ),
+            (dim("d1", 8, 8), none()),
+            (
+                dim("d2", 10, 2),
+                vec![ColumnPredicate::new("label", CompareOp::Eq, "d2-1")],
+            ),
+            (dim("d3", 4, 4), none()),
+        ],
+        &edges,
+        tree,
+    ));
+    assert!(rows > 0, "{rows} reference rows");
+}
+
+/// `f.a = d.a AND f.b = d.b` through the engine with the default (bitmap)
+/// filter kind used to abort the process: the composite-key digests span
+/// more than `i64::MAX`, `max - min` wrapped negative and passed the bitmap
+/// density check. It must return what the filter-free baseline returns.
+#[test]
+fn composite_key_join_through_the_engine_matches_the_baseline() {
+    let dims = int_table(
+        "d",
+        &[
+            ("a", (0..1_000).map(|i| i % 50).collect()),
+            ("b", (0..1_000).map(|i| i / 50).collect()),
+            ("weight", (0..1_000).map(|i| i % 7).collect()),
+        ],
+    );
+    let facts = int_table(
+        "f",
+        &[
+            ("a", (0..20_000).map(|i| (i * 31) % 60).collect()),
+            ("b", (0..20_000).map(|i| (i * 17) % 25).collect()),
+            ("amount", (0..20_000).collect()),
+        ],
+    );
+    let mut catalog = Catalog::new();
+    catalog.register_table(dims);
+    catalog.register_table(facts);
+    let engine = Engine::builder()
+        .catalog(catalog)
+        .worker_threads(4)
+        .build()
+        .expect("engine");
+    let query = QuerySpec::new("composite")
+        .table("f")
+        .table("d")
+        .join("f", "a", "d", "a")
+        .join("f", "b", "d", "b")
+        .predicate("d", ColumnPredicate::new("weight", CompareOp::Lt, 3i64));
+
+    // Join orders may differ between the optimizers: compare row multisets
+    // with the columns put in one canonical order.
+    let canonical_rows = |choice: OptimizerChoice, num_threads: usize| {
+        let stmt = engine.prepare(&query, choice).expect("prepare");
+        let config = ExecConfig::default().with_num_threads(num_threads);
+        let options = RunOptions::new().with_exec_config(config).collecting_rows();
+        let out = engine.session().execute(&stmt, options).expect("execute");
+        let batch = out.rows.expect("rows were collected");
+        let mut order: Vec<usize> = (0..batch.num_columns()).collect();
+        order.sort_by_key(|&i| format!("{:?}", batch.schema()[i]));
+        let mut rows: Vec<String> = rows_of(&batch)
+            .iter()
+            .map(|row| format!("{:?}", order.iter().map(|&i| &row[i]).collect::<Vec<_>>()))
+            .collect();
+        rows.sort();
+        (out.result.output_rows, rows)
+    };
+    let (expected_count, expected) = canonical_rows(OptimizerChoice::BaselineNoBitvectors, 1);
+    assert!(expected_count > 0, "the join must match something");
+    let threads: BTreeSet<usize> = [1, 4, env_threads()].into_iter().collect();
+    for num_threads in threads {
+        let (count, rows) = canonical_rows(OptimizerChoice::Bqo, num_threads);
+        assert_eq!(count, expected_count, "{num_threads} thread(s)");
+        assert_eq!(rows, expected, "{num_threads} thread(s)");
+    }
+}

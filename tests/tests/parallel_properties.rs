@@ -11,8 +11,12 @@
 //! star re-registered through a re-chunked, fetched [`ChunkSource`] (one
 //! morsel per chunk, zone-map pruning, per-chunk compaction) answers exactly
 //! like the plain in-memory tables.
+//!
+//! And the join table's determinism contract: whatever the number of build
+//! workers, every key's CSR row list is the ascending list of build rows
+//! carrying that key.
 
-use bqo_core::exec::{ExecConfig, KernelMode};
+use bqo_core::exec::{ExecConfig, ExecContext, JoinTable, KernelMode, WorkerPool};
 use bqo_core::storage::generator::DataGenerator;
 use bqo_core::storage::{
     Catalog, ChunkSource, Column, Schema, StorageError, Table, TableStats, Value,
@@ -266,5 +270,41 @@ proptest! {
         let metrics = &fetched.result.metrics;
         prop_assert_eq!(metrics.chunks_read + metrics.chunks_pruned, chunks as u64);
         prop_assert!(pruning == 1 || metrics.chunks_pruned == 0);
+    }
+
+    /// Count-then-scatter is deterministic: for 1/2/4/8 build workers, over
+    /// dense (direct-addressed), sparse (hashed) and extreme key sets, every
+    /// key's row list is exactly the ascending build rows carrying it.
+    #[test]
+    fn join_table_row_lists_are_ascending_for_every_worker_count(
+        raw in prop::collection::vec(-40i64..40, 0..400),
+        shape in 0usize..3,
+    ) {
+        let keys: Vec<i64> = match shape {
+            0 => raw.clone(),
+            1 => raw.iter().map(|k| k * 1_000_000_007).collect(),
+            _ => raw.iter().map(|k| if k % 2 == 0 { i64::MAX - k.abs() } else { i64::MIN + k.abs() }).collect(),
+        };
+        let mut expected: std::collections::BTreeMap<i64, Vec<u32>> = Default::default();
+        for (row, &key) in keys.iter().enumerate() {
+            expected.entry(key).or_default().push(row as u32);
+        }
+        for workers in [1usize, 2, 4, 8] {
+            let config = ExecConfig::default()
+                .with_num_threads(workers)
+                .with_parallel_threshold(1);
+            let ctx = ExecContext::with_pool(config, Some(WorkerPool::new(workers - 1)));
+            let table = JoinTable::build(&ctx, &keys).unwrap();
+            prop_assert_eq!(table.num_rows(), keys.len());
+            for (&key, rows) in &expected {
+                prop_assert!(rows.windows(2).all(|pair| pair[0] < pair[1]));
+                prop_assert_eq!((workers, key, table.get(key)), (workers, key, &rows[..]));
+            }
+            for miss in [41, -41, 1_000_000_006, i64::MAX, 0] {
+                if !expected.contains_key(&miss) {
+                    prop_assert!(table.get(miss).is_empty());
+                }
+            }
+        }
     }
 }
