@@ -7,17 +7,11 @@
 //! BQO_SCALE=0.1 BQO_QUERIES=20 cargo run -p bqo-bench --bin reproduce --release -- fig8
 //! ```
 //!
-//! Available experiments: `fig2`, `table2`, `table3`, `fig7`, `fig8`, `fig9`,
-//! `fig10`, `table4`, `parallel_scaling`, `serving_throughput`, `scheduling`,
-//! `probe_throughput`, `storage_scan`, `ablation_threshold`, `ablation_fpr`,
-//! `all`.
-//!
-//! `probe_throughput` additionally writes the machine-readable
-//! `BENCH_probe.json` (rows/sec per kernel, scalar vs vectorized) next to
-//! `EXPERIMENTS.md` so later PRs have a perf trajectory to regress against.
-//! `storage_scan` likewise writes `BENCH_storage.json`: it serializes the
-//! TPC-DS-like tables to `.bqo` files (run with `BQO_SCALE=1` for the paper's
-//! full-scale setting) and re-runs the pushdown workload out of core.
+//! Available experiments: the names in [`SECTIONS`], or `all`; any other
+//! argument is rejected. Every section reports deterministic logical-work
+//! counters; the wall times printed next to them are single-shot
+//! `ExecutionMetrics::elapsed` readings. Throughput, latency and per-layer
+//! timings with spreads come from `benchmark/` (see `BENCHMARK.json`).
 //!
 //! Full (`all`) runs write the Markdown record to `EXPERIMENTS.md` in the
 //! current directory. Partial runs leave the committed record alone unless
@@ -26,6 +20,27 @@
 
 use bqo_bench::{default_query_count, default_scale, experiments, report};
 use std::fmt::Write as _;
+
+/// Every section `reproduce` can run, in output order.
+const SECTIONS: [&str; 10] = [
+    "fig2",
+    "table2",
+    "table3",
+    "fig7",
+    "fig8",
+    "fig9",
+    "fig10",
+    "table4",
+    "ablation_threshold",
+    "ablation_fpr",
+];
+
+/// The first argument that names neither a section nor `all`.
+fn first_unknown_section(args: &[String]) -> Option<&str> {
+    args.iter().map(String::as_str).find(|arg| {
+        !arg.eq_ignore_ascii_case("all") && !SECTIONS.iter().any(|s| arg.eq_ignore_ascii_case(s))
+    })
+}
 
 /// What the paper reports for each experiment, quoted next to our output so
 /// EXPERIMENTS.md reads as a side-by-side comparison.
@@ -51,12 +66,23 @@ fn paper_reference(section: &str) -> Option<&'static str> {
         "fig7" => Some(
             "Paper (Figure 7): a bitvector filter wins once it eliminates \
              roughly 5% of the probe input; the benefit grows as the \
-             build-side predicate becomes more selective.",
+             build-side predicate becomes more selective. History: until \
+             2026-10-02 a `probe_throughput` section timed the probe kernels \
+             themselves; its last recorded run (scale 0.1, BENCH_probe.json) \
+             had the vectorized dense-bitmap kernel at 3.4x the scalar one and \
+             the scan+probe path end to end at 1.05x. Those rates are now \
+             `bitvector.probe_mrows_per_s.*` in benchmark/.",
         ),
         "fig8" => Some(
             "Paper (Figure 8): the bitvector-aware optimizer reduces total \
              workload CPU by 13-29%, with the largest wins on the low- \
-             selectivity (L) group.",
+             selectivity (L) group. History: until 2026-10-02 a \
+             `serving_throughput` section timed this engine's serving path; \
+             its last scoped-spawn baseline (2026-09-25, 1 hardware thread, \
+             scale 0.1) read 321.2 vs 420.0 queries/s, the persistent worker \
+             pool at 1.31x, after which the scoped-spawn path was deleted. \
+             Serving throughput is now the `serve-param` workload in \
+             benchmark/.",
         ),
         "fig9" => Some(
             "Paper (Figure 9): BQO plans shift tuples out of join operators — \
@@ -74,58 +100,6 @@ fn paper_reference(section: &str) -> Option<&'static str> {
              0.7-0.8x of the no-filter runs, with >90% of queries containing \
              at least one filter.",
         ),
-        "parallel_scaling" => Some(
-            "Paper (Section 6 setup): the evaluation executed inside a \
-             commercial multi-core engine (SQL Server on a 2-socket server), \
-             where bitvector probe work on scans and joins is spread across \
-             parallel workers. This reproduction's morsel-driven executor \
-             keeps rows and counters bit-identical to the serial path at \
-             every thread count (tests/tests/parallel_oracle.rs); wall-clock \
-             speedup depends on the hardware threads the host exposes.",
-        ),
-        "serving_throughput" => Some(
-            "Paper (Section 6 setup): the evaluation ran inside SQL Server, a \
-             commercial engine whose serving stack reuses worker threads and \
-             admission-controls concurrent queries rather than spawning \
-             threads per query. This reproduction's persistent WorkerPool \
-             plus the admission-controlled Server front end mirror that \
-             architecture; answers stay identical to fresh single-threaded \
-             sessions (tests/tests/server_oracle.rs). History: until \
-             2026-09-25 this section also timed a per-section scoped-spawn \
-             baseline (`worker_threads(0)`); its last recorded run (1 \
-             hardware thread, scale 0.1) was 321.2 vs 420.0 queries/s, the \
-             persistent pool at 1.31x, after which the scoped-spawn dispatch \
-             path was deleted from the engine.",
-        ),
-        "scheduling" => Some(
-            "Paper (Section 6 setup): the evaluation ran inside SQL Server, \
-             whose workload-management stack admission-controls and \
-             prioritizes concurrent requests rather than serving them \
-             first-come-first-served. This reproduction's Server front end \
-             mirrors that: priority/deadline dispatch serves interactive \
-             probes past a slow batch backlog while FIFO drains the backlog \
-             first, with bit-identical answers either way \
-             (tests/tests/server_oracle.rs).",
-        ),
-        "probe_throughput" => Some(
-            "Paper (Section 6 setup): the evaluation ran inside SQL Server, \
-             whose batch-mode execution probes bitmap filters over vectors of \
-             rows rather than row-at-a-time. This reproduction's word-level \
-             probe kernels (selection-vector batches, 64 rows per survivor \
-             word) play that role; the scalar kernels remain as the \
-             differential oracle and both modes are bit-identical \
-             (tests/tests/kernel_oracle.rs).",
-        ),
-        "storage_scan" => Some(
-            "Paper (Section 6 setup): the evaluation ran over on-disk TPC-DS, \
-             JOB and CUSTOMER databases inside SQL Server, where scans stream \
-             column segments with zone-map (segment elimination) pruning. \
-             This reproduction's .bqo columnar files play that role: chunked \
-             scans with per-chunk min/max zone maps prune chunks against both \
-             local predicates and pushed-down bitvector filters, with answers \
-             bit-identical to the in-memory tables \
-             (tests/tests/storage_oracle.rs).",
-        ),
         "ablation_threshold" => Some(
             "Paper (Section 6.3): the λ threshold trades filter count against \
              benefit; small thresholds keep nearly all filters, λ→1 disables \
@@ -142,6 +116,13 @@ fn paper_reference(section: &str) -> Option<&'static str> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = first_unknown_section(&args) {
+        eprintln!(
+            "unknown section `{unknown}`; valid sections: {}, all",
+            SECTIONS.join(", ")
+        );
+        std::process::exit(2);
+    }
     let selected: Vec<String> = if args.is_empty() {
         vec!["all".to_string()]
     } else {
@@ -179,8 +160,10 @@ fn main() {
         doc,
         "Each section shows this reproduction's measurements followed by the \
          corresponding claim from the paper (Ding, Chaudhuri, Narasayya — \
-         SIGMOD 2020). Wall-clock numbers depend on the machine; the logical \
-         work counters are deterministic."
+         SIGMOD 2020). The logical work counters are deterministic; wall-clock \
+         numbers are single-shot readings that depend on the machine \
+         (benchmark-grade timings with spreads come from `benchmark/`, see \
+         `BENCHMARK.json`)."
     );
     let _ = writeln!(doc);
 
@@ -238,44 +221,6 @@ fn main() {
             report::render_table4(&experiments::run_table4(scale, queries)),
         );
     }
-    if wants("parallel_scaling") {
-        record(
-            "parallel_scaling",
-            report::render_parallel_scaling(&experiments::run_parallel_scaling(
-                scale,
-                queries.min(8),
-            )),
-        );
-    }
-    if wants("serving_throughput") {
-        record(
-            "serving_throughput",
-            report::render_serving_throughput(&experiments::run_serving_throughput(
-                scale,
-                (queries.max(1)) * 8,
-            )),
-        );
-    }
-    if wants("scheduling") {
-        record(
-            "scheduling",
-            report::render_scheduling(&experiments::run_scheduling(scale, 4)),
-        );
-    }
-    if wants("probe_throughput") {
-        let result = experiments::run_probe_throughput(scale);
-        record("probe_throughput", report::render_probe_throughput(&result));
-        let json = report::render_probe_json(&result);
-        std::fs::write("BENCH_probe.json", &json).expect("write BENCH_probe.json");
-        println!("wrote BENCH_probe.json");
-    }
-    if wants("storage_scan") {
-        let result = experiments::run_storage_scan(scale, queries);
-        record("storage_scan", report::render_storage_scan(&result));
-        let json = report::render_storage_json(&result);
-        std::fs::write("BENCH_storage.json", &json).expect("write BENCH_storage.json");
-        println!("wrote BENCH_storage.json");
-    }
     if wants("ablation_threshold") {
         record(
             "ablation_threshold",
@@ -310,5 +255,34 @@ fn main() {
     match std::fs::write(&path, &doc) {
         Ok(()) => println!("recorded results in {path}"),
         Err(e) => eprintln!("could not write {path}: {e}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn only_surviving_sections_and_all_are_accepted() {
+        assert_eq!(first_unknown_section(&args(&[])), None);
+        assert_eq!(first_unknown_section(&args(&["all"])), None);
+        assert_eq!(first_unknown_section(&args(&SECTIONS)), None);
+        assert_eq!(first_unknown_section(&args(&["FIG2", "Table4"])), None);
+        assert_eq!(
+            first_unknown_section(&args(&["fig2", "storage_scan", "nope"])),
+            Some("storage_scan")
+        );
+        for deleted in [
+            "parallel_scaling",
+            "serving_throughput",
+            "scheduling",
+            "probe_throughput",
+        ] {
+            assert_eq!(first_unknown_section(&args(&[deleted])), Some(deleted));
+        }
     }
 }

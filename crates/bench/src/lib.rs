@@ -1,11 +1,12 @@
-//! Shared experiment drivers for the benchmark harness.
+//! Experiment drivers for the paper's evaluation section.
 //!
-//! Every table and figure of the paper's evaluation section has a
-//! corresponding `run_*` function here returning a plain data structure, plus
-//! a `print_*` function rendering it the way the paper reports it. The
-//! `reproduce` binary and the Criterion benches are thin wrappers around
-//! these functions; EXPERIMENTS.md records their output next to the paper's
-//! numbers.
+//! Every table and figure of the paper has a corresponding `run_*` function
+//! here returning a plain data structure of deterministic logical-work
+//! counters, plus a `render_*`/`print_*` pair rendering it the way the paper
+//! reports it. The `reproduce` binary is a thin wrapper around these
+//! functions; EXPERIMENTS.md records their output next to the paper's
+//! numbers. Timing claims (throughput, latency, per-layer rates, with
+//! spreads) are not made here: they belong to `benchmark/` (`BENCHMARK.json`).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
@@ -15,18 +16,15 @@ pub mod report;
 
 use bqo_core::workloads::Scale;
 
-/// The items the experiment drivers, criterion benches and cross-crate
-/// integration tests all need: re-exported here so downstream targets can
-/// depend on `bqo-bench` alone.
+/// The items the experiment drivers and cross-crate integration tests all
+/// need: re-exported here so downstream targets can depend on `bqo-bench`
+/// alone.
 pub mod prelude {
     pub use bqo_core::exec::ExecConfig;
     pub use bqo_core::optimizer::exhaustive_best_right_deep;
     pub use bqo_core::plan::{push_down_bitvectors, CostModel, PhysicalPlan, RightDeepTree};
     pub use bqo_core::workloads::{job_like, Scale};
-    pub use bqo_core::{
-        BqoError, CacheStatus, Engine, OptimizerChoice, Params, PlanCache, PreparedStatement,
-        Session,
-    };
+    pub use bqo_core::{Engine, OptimizerChoice, RunOptions};
 }
 
 /// Default scale factor for benchmark workloads. Override with the

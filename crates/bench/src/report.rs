@@ -6,9 +6,7 @@
 //! a `print_*` convenience wrapper.
 
 use crate::experiments::{
-    Figure2Result, Figure7Point, FilterKindAblationRow, ParallelScalingResult,
-    ProbeThroughputResult, SchedulingResult, ServingThroughputResult, StorageScanResult, Table2Row,
-    ThresholdAblationRow,
+    Figure2Result, Figure7Point, FilterKindAblationRow, Table2Row, ThresholdAblationRow,
 };
 use bqo_core::experiment::{BitvectorEffectReport, WorkloadReport};
 use bqo_core::workloads::WorkloadStats;
@@ -391,317 +389,6 @@ pub fn render_ablation_filter_kind(rows: &[FilterKindAblationRow]) -> String {
     out
 }
 
-/// Renders the morsel-parallel scaling experiment.
-pub fn print_parallel_scaling(result: &ParallelScalingResult) {
-    print!("{}", render_parallel_scaling(result));
-}
-
-/// Render variant of [`print_parallel_scaling`], returning the section text.
-pub fn render_parallel_scaling(result: &ParallelScalingResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Parallel scaling — morsel-driven execution of the {} workload's BQO plans",
-        result.workload
-    );
-    let _ = writeln!(
-        out,
-        "(host exposes {} hardware thread{}; speedups flatten beyond that)",
-        result.available_parallelism,
-        if result.available_parallelism == 1 {
-            ""
-        } else {
-            "s"
-        }
-    );
-    let _ = writeln!(
-        out,
-        "{:>8} {:>14} {:>10} {:>14}",
-        "threads", "wall ms", "speedup", "output rows"
-    );
-    for p in &result.points {
-        let _ = writeln!(
-            out,
-            "{:>8} {:>14.2} {:>9.2}x {:>14}",
-            p.num_threads,
-            p.elapsed_secs * 1e3,
-            p.speedup,
-            p.output_rows
-        );
-    }
-    let _ = writeln!(
-        out,
-        "-> rows identical at every thread count (asserted); counters are \
-         covered bit-for-bit by tests/tests/parallel_oracle.rs"
-    );
-    let _ = writeln!(out);
-    out
-}
-
-/// Renders the serving-throughput experiment.
-pub fn print_serving_throughput(result: &ServingThroughputResult) {
-    print!("{}", render_serving_throughput(result));
-}
-
-/// Render variant of [`print_serving_throughput`], returning the section
-/// text.
-pub fn render_serving_throughput(result: &ServingThroughputResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Serving throughput — {} requests of small {} queries (host exposes {} hardware thread{})",
-        result.num_requests,
-        result.workload,
-        result.available_parallelism,
-        if result.available_parallelism == 1 {
-            ""
-        } else {
-            "s"
-        }
-    );
-    let _ = writeln!(
-        out,
-        "Session execution over the engine's persistent worker pool, then Server burst \
-         submit under two admission caps (one shared engine/pool)"
-    );
-    let _ = writeln!(out, "{:<28} {:>14} {:>14}", "mode", "wall ms", "queries/s");
-    for mode in std::iter::once(&result.session_mode).chain(&result.submit_modes) {
-        let _ = writeln!(
-            out,
-            "{:<28} {:>14.2} {:>14.1}",
-            mode.label,
-            mode.elapsed_secs * 1e3,
-            mode.queries_per_sec
-        );
-    }
-    let _ = writeln!(
-        out,
-        "-> answers identical across every mode (asserted); admission keeps queueing \
-         bounded ({} output rows per stream)",
-        result.output_rows
-    );
-    let _ = writeln!(out);
-    out
-}
-
-/// Renders the multi-tenant scheduling experiment.
-pub fn print_scheduling(result: &SchedulingResult) {
-    print!("{}", render_scheduling(result));
-}
-
-/// Render variant of [`print_scheduling`], returning the section text.
-pub fn render_scheduling(result: &SchedulingResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Scheduling — {} high-priority probes behind {} slow low-priority {} requests \
-         (single execution slot)",
-        result.high_probes, result.low_backlog, result.workload
-    );
-    let _ = writeln!(
-        out,
-        "{:<20} {:>20} {:>16} {:>22}",
-        "policy", "probe queue wait ms", "probe total ms", "lows done before probe"
-    );
-    for p in &result.policies {
-        let _ = writeln!(
-            out,
-            "{:<20} {:>20.1} {:>16.1} {:>18}/{}",
-            p.policy,
-            p.high_queue_wait_ms,
-            p.high_total_ms,
-            p.lows_finished_before_high,
-            result.low_backlog
-        );
-    }
-    if let [fifo, priority] = result.policies.as_slice() {
-        let _ = writeln!(
-            out,
-            "-> priority/deadline dispatch serves the probes with {:.1}x less queue wait \
-             than FIFO; answers identical under both policies (asserted, {} rows)",
-            fifo.high_queue_wait_ms / priority.high_queue_wait_ms.max(1e-9),
-            fifo.output_rows
-        );
-    }
-    let _ = writeln!(out);
-    out
-}
-
-/// Renders the probe-throughput comparison (ISSUE 8 acceptance: ≥2x on the
-/// scan+probe kernel path at scale 0.1).
-pub fn print_probe_throughput(result: &ProbeThroughputResult) {
-    print!("{}", render_probe_throughput(result));
-}
-
-/// Render variant of [`print_probe_throughput`], returning the section text.
-pub fn render_probe_throughput(result: &ProbeThroughputResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Probe throughput — scalar row-at-a-time vs vectorized word-level kernels \
-         ({} keys per round)",
-        result.keys_per_round
-    );
-    let _ = writeln!(
-        out,
-        "{:>26} {:>16} {:>16} {:>9} {:>12}",
-        "kernel", "scalar Mrows/s", "vector Mrows/s", "speedup", "survivors"
-    );
-    for point in result
-        .kernels
-        .iter()
-        .chain(std::iter::once(&result.end_to_end))
-    {
-        let _ = writeln!(
-            out,
-            "{:>26} {:>16.1} {:>16.1} {:>8.2}x {:>12}",
-            point.kernel,
-            point.scalar_mrows_per_sec,
-            point.vectorized_mrows_per_sec,
-            point.speedup,
-            point.survivors
-        );
-    }
-    let _ = writeln!(
-        out,
-        "(survivor counts are asserted identical between the two shapes; \
-         end-to-end rows/sec counts bitvector-probed tuples per second across \
-         the star workload's BQO plans)"
-    );
-    let _ = writeln!(out);
-    out
-}
-
-/// Machine-readable record of the probe-throughput run (`BENCH_probe.json`):
-/// rows/sec per kernel, scalar vs vectorized, so later PRs can regress
-/// against the trajectory. Hand-rolled JSON — the build has no serde.
-pub fn render_probe_json(result: &ProbeThroughputResult) -> String {
-    fn entry(out: &mut String, point: &crate::experiments::ProbeKernelPoint) {
-        let _ = write!(
-            out,
-            "    {{\"kernel\": \"{}\", \"scalar_rows_per_sec\": {:.0}, \
-             \"vectorized_rows_per_sec\": {:.0}, \"speedup\": {:.3}, \
-             \"survivors\": {}}}",
-            point.kernel,
-            point.scalar_mrows_per_sec * 1e6,
-            point.vectorized_mrows_per_sec * 1e6,
-            point.speedup,
-            point.survivors
-        );
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"experiment\": \"probe_throughput\",");
-    let _ = writeln!(out, "  \"keys_per_round\": {},", result.keys_per_round);
-    let _ = writeln!(out, "  \"kernels\": [");
-    for (i, point) in result.kernels.iter().enumerate() {
-        entry(&mut out, point);
-        let _ = writeln!(
-            out,
-            "{}",
-            if i + 1 < result.kernels.len() {
-                ","
-            } else {
-                ""
-            }
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"end_to_end\":");
-    entry(&mut out, &result.end_to_end);
-    let _ = writeln!(out);
-    let _ = writeln!(out, "}}");
-    out
-}
-
-/// Renders the storage-scan experiment (ISSUE 9: out-of-core execution from
-/// `.bqo` files must match in-memory answers, with zone maps pruning ≥50% of
-/// chunks on the clustered selective scan).
-pub fn print_storage_scan(result: &StorageScanResult) {
-    print!("{}", render_storage_scan(result));
-}
-
-/// Render variant of [`print_storage_scan`], returning the section text.
-pub fn render_storage_scan(result: &StorageScanResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Storage scan — pushdown workload from .bqo files vs memory \
-         (scale {}, {} queries)",
-        result.scale, result.queries
-    );
-    let _ = writeln!(
-        out,
-        "wrote {} rows / {:.1} MiB in {:.2}s",
-        result.rows_written,
-        result.file_bytes as f64 / (1024.0 * 1024.0),
-        result.write_secs
-    );
-    let _ = writeln!(
-        out,
-        "{:>28} {:>9} {:>12} {:>12} {:>13} {:>14}",
-        "backing", "secs", "output rows", "chunks read", "chunks pruned", "bytes read"
-    );
-    for point in result.workload.iter().chain(result.clustered.iter()) {
-        let _ = writeln!(
-            out,
-            "{:>28} {:>9.3} {:>12} {:>12} {:>13} {:>14}",
-            point.backing,
-            point.secs,
-            point.output_rows,
-            point.chunks_read,
-            point.chunks_pruned,
-            point.bytes_read
-        );
-    }
-    let _ = writeln!(
-        out,
-        "clustered selective scan pruned {:.1}% of chunks via zone maps \
-         (answers asserted identical across every backing and pruning setting)",
-        result.clustered_pruning_ratio * 100.0
-    );
-    let _ = writeln!(out);
-    out
-}
-
-/// Machine-readable record of the storage-scan run (`BENCH_storage.json`):
-/// per-backing wall clock and chunk counters so later PRs can regress the
-/// out-of-core path. Hand-rolled JSON — the build has no serde.
-pub fn render_storage_json(result: &StorageScanResult) -> String {
-    fn entries(out: &mut String, points: &[crate::experiments::StorageScanPoint]) {
-        for (i, p) in points.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"backing\": \"{}\", \"secs\": {:.6}, \"output_rows\": {}, \
-                 \"chunks_read\": {}, \"chunks_pruned\": {}, \"bytes_read\": {}}}",
-                p.backing, p.secs, p.output_rows, p.chunks_read, p.chunks_pruned, p.bytes_read
-            );
-            let _ = writeln!(out, "{}", if i + 1 < points.len() { "," } else { "" });
-        }
-    }
-    let mut out = String::new();
-    let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"experiment\": \"storage_scan\",");
-    let _ = writeln!(out, "  \"scale\": {},", result.scale);
-    let _ = writeln!(out, "  \"queries\": {},", result.queries);
-    let _ = writeln!(out, "  \"rows_written\": {},", result.rows_written);
-    let _ = writeln!(out, "  \"file_bytes\": {},", result.file_bytes);
-    let _ = writeln!(out, "  \"write_secs\": {:.6},", result.write_secs);
-    let _ = writeln!(out, "  \"workload\": [");
-    entries(&mut out, &result.workload);
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"clustered\": [");
-    entries(&mut out, &result.clustered);
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"clustered_pruning_ratio\": {:.4}",
-        result.clustered_pruning_ratio
-    );
-    let _ = writeln!(out, "}}");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -719,43 +406,5 @@ mod tests {
         print_figure9(&reports);
         print_figure10(&reports, 3);
         print_table4(&experiments::run_table4(Scale(0.01), 2));
-        print_parallel_scaling(&experiments::run_parallel_scaling(Scale(0.01), 1));
-        print_serving_throughput(&experiments::run_serving_throughput(Scale(0.01), 8));
-        print_scheduling(&experiments::run_scheduling(Scale(0.01), 2));
-        print_probe_throughput(&experiments::run_probe_throughput(Scale(0.01)));
-        print_storage_scan(&experiments::run_storage_scan(Scale(0.01), 2));
-    }
-
-    #[test]
-    fn probe_json_is_well_formed() {
-        let result = experiments::run_probe_throughput(Scale(0.01));
-        let json = render_probe_json(&result);
-        // Structural smoke checks (no JSON parser in the build): balanced
-        // braces/brackets, one object per kernel plus the end-to-end entry.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(
-            json.matches("\"kernel\":").count(),
-            result.kernels.len() + 1
-        );
-        assert!(json.contains("\"experiment\": \"probe_throughput\""));
-        assert!(json.contains("end_to_end(scan+probe)"));
-    }
-
-    #[test]
-    fn storage_json_is_well_formed() {
-        let result = experiments::run_storage_scan(Scale(0.01), 2);
-        let json = render_storage_json(&result);
-        // Structural smoke checks (no JSON parser in the build): balanced
-        // braces/brackets, one object per measured point.
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert_eq!(
-            json.matches("\"backing\":").count(),
-            result.workload.len() + result.clustered.len()
-        );
-        assert!(json.contains("\"experiment\": \"storage_scan\""));
-        assert!(json.contains("\"clustered_pruning_ratio\":"));
-        assert!(json.contains("file(mmap)"));
     }
 }

@@ -44,6 +44,9 @@ pub enum CacheStatus {
     /// An entry existed but the bind's selectivities left its envelope — the
     /// optimizer re-ran and the entry was replaced.
     Reoptimized,
+    /// The cache was not consulted: the statement wraps a hand-built plan
+    /// (`Engine::prepare_plan`, or a `Server` plan request).
+    Bypassed,
 }
 
 #[derive(Debug, Clone)]

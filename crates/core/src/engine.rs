@@ -6,6 +6,7 @@
 //! Engine (Arc-internal, Clone + Send + Sync)
 //!   ├── prepare(spec, choice)          -> PreparedStatement   (owned, 'static)
 //!   ├── bind(spec, params, choice)     -> PreparedStatement   (via PlanCache)
+//!   ├── prepare_plan(name, graph, plan) -> PreparedStatement  (hand-built, no cache)
 //!   └── session() -> Session ── execute(&stmt, RunOptions) -> StatementOutput
 //! ```
 
@@ -295,7 +296,6 @@ impl Engine {
         let estimated_cost = CostModel::new(&graph).cout_physical(&plan);
         Ok(PreparedStatement {
             name: bound.name.clone(),
-            choice,
             graph,
             plan,
             estimated_cost,
@@ -305,77 +305,33 @@ impl Engine {
         })
     }
 
-    /// Convenience: prepare and run in one call with the engine's execution
-    /// configuration.
-    pub fn run(&self, query: &QuerySpec, choice: OptimizerChoice) -> Result<QueryResult, BqoError> {
-        let stmt = self.prepare(query, choice)?;
-        self.session().run(&stmt)
-    }
-
-    /// Executes a hand-built physical plan (e.g. a specific join order under
-    /// study, as in the Figure 2 experiment) with the engine's execution
-    /// configuration. Error context is labelled with the joined relation
-    /// names; use [`Engine::execute_plan_named`] when a real query name is
-    /// available.
-    pub fn execute_plan(
+    /// Wraps a hand-built physical plan (e.g. a specific join order under
+    /// study, as in the Figure 2 experiment) as a [`PreparedStatement`], so it
+    /// executes through [`Session::execute`] like any optimized statement.
+    /// Neither the optimizer nor the plan cache is consulted
+    /// ([`CacheStatus::Bypassed`]); `name` labels execution errors and the
+    /// cost estimate is the bitvector-aware `Cout` of `plan` over `graph`.
+    ///
+    /// # Panics
+    ///
+    /// If `plan` has no root: costing walks the plan exactly as executing it
+    /// would.
+    pub fn prepare_plan(
         &self,
-        graph: &JoinGraph,
-        plan: &PhysicalPlan,
-    ) -> Result<QueryResult, BqoError> {
-        self.execute_plan_named_with(&plan_label(graph), graph, plan, self.inner.exec_config)
-    }
-
-    /// Executes a hand-built physical plan with an explicit configuration.
-    pub fn execute_plan_with(
-        &self,
-        graph: &JoinGraph,
-        plan: &PhysicalPlan,
-        config: ExecConfig,
-    ) -> Result<QueryResult, BqoError> {
-        self.execute_plan_named_with(&plan_label(graph), graph, plan, config)
-    }
-
-    /// Executes a hand-built physical plan, attaching `name` (e.g. the
-    /// originating query's name) to any execution error.
-    pub fn execute_plan_named(
-        &self,
-        name: &str,
-        graph: &JoinGraph,
-        plan: &PhysicalPlan,
-    ) -> Result<QueryResult, BqoError> {
-        self.execute_plan_named_with(name, graph, plan, self.inner.exec_config)
-    }
-
-    /// Executes a hand-built physical plan with an explicit configuration,
-    /// attaching `name` to any execution error.
-    pub fn execute_plan_named_with(
-        &self,
-        name: &str,
-        graph: &JoinGraph,
-        plan: &PhysicalPlan,
-        config: ExecConfig,
-    ) -> Result<QueryResult, BqoError> {
-        self.execute_plan_request(name, graph, plan, config, None)
-    }
-
-    /// Cancellation-aware plan execution for the serving layer: like
-    /// [`Engine::execute_plan_named_with`], additionally observing `cancel`.
-    pub(crate) fn execute_plan_request(
-        &self,
-        name: &str,
-        graph: &JoinGraph,
-        plan: &PhysicalPlan,
-        config: ExecConfig,
-        cancel: Option<CancelToken>,
-    ) -> Result<QueryResult, BqoError> {
-        let mut executor = self.executor_for(config);
-        if let Some(token) = cancel {
-            executor = executor.with_cancel_token(token);
+        name: impl Into<String>,
+        graph: JoinGraph,
+        plan: PhysicalPlan,
+    ) -> PreparedStatement {
+        let estimated_cost = CostModel::new(&graph).cout_physical(&plan);
+        PreparedStatement {
+            name: name.into(),
+            graph,
+            plan: Arc::new(plan),
+            estimated_cost,
+            cache_status: CacheStatus::Bypassed,
+            default_exec: self.inner.exec_config,
+            sql: None,
         }
-        executor
-            .execute(BoundPlan::new(graph, plan), false)
-            .map(|(result, _)| result)
-            .map_err(|e| BqoError::from_exec(name, e))
     }
 }
 
@@ -405,16 +361,6 @@ fn optimize(graph: &JoinGraph, choice: OptimizerChoice) -> PhysicalPlan {
         OptimizerChoice::Bqo => BqoOptimizer::new().optimize(graph),
         OptimizerChoice::BqoWithThreshold(t) => BqoOptimizer::with_threshold(t).optimize(graph),
     }
-}
-
-/// Descriptive label for ad-hoc plans executed without a query name: the
-/// joined relation names.
-fn plan_label(graph: &JoinGraph) -> String {
-    if graph.num_relations() == 0 {
-        return "(empty plan)".to_string();
-    }
-    let names: Vec<&str> = graph.relations().iter().map(|r| r.name.as_str()).collect();
-    names.join(" ⋈ ")
 }
 
 /// Renders a row-count knob, showing `usize::MAX` as "unbatched".
@@ -558,7 +504,6 @@ impl EngineBuilder {
 #[derive(Debug, Clone)]
 pub struct PreparedStatement {
     name: String,
-    choice: OptimizerChoice,
     graph: JoinGraph,
     plan: Arc<PhysicalPlan>,
     estimated_cost: CoutBreakdown,
@@ -573,11 +518,6 @@ impl PreparedStatement {
     /// The query's name (copied from the [`QuerySpec`]).
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    /// Which optimizer produced the plan.
-    pub fn choice(&self) -> OptimizerChoice {
-        self.choice
     }
 
     /// The statistics-annotated join graph the statement was bound against.
@@ -603,8 +543,9 @@ impl PreparedStatement {
     }
 
     /// Whether this statement's plan came from the cache ([`CacheStatus::Hit`]),
-    /// a first optimization ([`CacheStatus::Miss`]) or an envelope-exit
-    /// re-optimization ([`CacheStatus::Reoptimized`]).
+    /// a first optimization ([`CacheStatus::Miss`]), an envelope-exit
+    /// re-optimization ([`CacheStatus::Reoptimized`]) or was hand-built
+    /// ([`CacheStatus::Bypassed`], see [`Engine::prepare_plan`]).
     pub fn cache_status(&self) -> CacheStatus {
         self.cache_status
     }
@@ -730,25 +671,6 @@ impl Session {
         self
     }
 
-    /// Convenience passthrough to [`Engine::prepare`].
-    pub fn prepare(
-        &self,
-        query: &QuerySpec,
-        choice: OptimizerChoice,
-    ) -> Result<PreparedStatement, BqoError> {
-        self.engine.prepare(query, choice)
-    }
-
-    /// Convenience passthrough to [`Engine::bind`].
-    pub fn bind(
-        &self,
-        query: &QuerySpec,
-        params: &Params,
-        choice: OptimizerChoice,
-    ) -> Result<PreparedStatement, BqoError> {
-        self.engine.bind(query, params, choice)
-    }
-
     /// Runs a prepared statement through the pull-based operator pipeline —
     /// the single execution entry point. [`RunOptions`] selects the
     /// configuration (session default unless overridden), whether to collect
@@ -776,13 +698,6 @@ impl Session {
             rows,
             cache_status: stmt.cache_status,
         })
-    }
-
-    /// Runs a prepared statement with the session's execution configuration.
-    /// Thin wrapper over [`Session::execute`], kept for existing callers.
-    #[doc(hidden)]
-    pub fn run(&self, stmt: &PreparedStatement) -> Result<QueryResult, BqoError> {
-        self.execute(stmt, RunOptions::new()).map(|out| out.result)
     }
 
     /// EXPLAIN-style rendering of a statement's plan under the session's
@@ -819,16 +734,6 @@ mod tests {
         assert_send_sync::<Session>();
         assert_send_sync::<PreparedStatement>();
         assert_send_sync::<PlanCache>();
-    }
-
-    #[test]
-    fn plan_label_names_relations() {
-        use bqo_plan::RelationInfo;
-        let mut g = JoinGraph::new();
-        assert_eq!(plan_label(&g), "(empty plan)");
-        g.add_relation(RelationInfo::new("fact", 1.0, 1.0));
-        g.add_relation(RelationInfo::new("dim", 1.0, 1.0));
-        assert_eq!(plan_label(&g), "fact ⋈ dim");
     }
 
     #[test]

@@ -41,9 +41,8 @@
 //!   (backpressure via [`SubmitError::QueueFull`], per-tenant quotas via
 //!   [`SubmitError::TenantQuotaExceeded`]) and returns a [`Ticket`]
 //!   (`wait` / `cancel` / timeout). Dispatch picks by (priority,
-//!   earliest-deadline, FIFO tiebreak) under the default
-//!   [`SchedulingPolicy::PriorityDeadline`]; cancellation and deadline
-//!   expiry propagate through a cooperative [`CancelToken`] that aborts
+//!   earliest-deadline, FIFO tiebreak); cancellation and deadline expiry
+//!   propagate through a cooperative [`CancelToken`] that aborts
 //!   in-flight queries at morsel granularity, surfacing as
 //!   [`ServeError::Cancelled`] / [`ServeError::DeadlineExceeded`] with the
 //!   partial [`ExecutionMetrics`]. At most
@@ -69,7 +68,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use bqo_core::{CacheStatus, Engine, OptimizerChoice, Params};
+//! use bqo_core::{CacheStatus, Engine, OptimizerChoice, Params, RunOptions};
 //! use bqo_core::workloads::{star, Scale};
 //!
 //! // Generate a small star-schema workload and build an engine around it.
@@ -81,11 +80,12 @@
 //! let query = &workload.queries[0];
 //! let stmt = engine.prepare(query, OptimizerChoice::Bqo).unwrap();
 //! println!("{}", session.explain(&stmt));
-//! let result = session.run(&stmt).unwrap();
+//! let result = session.execute(&stmt, RunOptions::new()).unwrap().result;
 //!
 //! // The same query prepared with the baseline returns the same answer.
 //! let baseline = engine.prepare(query, OptimizerChoice::Baseline).unwrap();
-//! assert_eq!(result.output_rows, session.run(&baseline).unwrap().output_rows);
+//! let baseline_result = session.execute(&baseline, RunOptions::new()).unwrap().result;
+//! assert_eq!(result.output_rows, baseline_result.output_rows);
 //!
 //! // Parameterized serving: one template, many binds, one cache entry.
 //! let template = star::build_param_query("by_category", 3, &[0]);
@@ -97,7 +97,9 @@
 //!     .unwrap();
 //! assert_eq!(a.cache_status(), CacheStatus::Miss);
 //! assert_eq!(b.cache_status(), CacheStatus::Hit); // optimizer skipped
-//! assert!(session.run(&a).unwrap().output_rows <= session.run(&b).unwrap().output_rows);
+//! let rows_a = session.execute(&a, RunOptions::new()).unwrap().result.output_rows;
+//! let rows_b = session.execute(&b, RunOptions::new()).unwrap().result.output_rows;
+//! assert!(rows_a <= rows_b);
 //! ```
 //!
 //! ## Execution model
@@ -144,8 +146,8 @@ pub use engine::{
 };
 pub use error::{BqoError, QueryPhase};
 pub use server::{
-    LatencyStats, QueryOptions, QueryOutput, Request, RequestBuilder, SchedulingPolicy, ServeError,
-    Server, ServerConfig, ServerStats, SubmitError, TenantQuota, TenantStats, Ticket,
+    LatencyStats, QueryOptions, QueryOutput, Request, RequestBuilder, ServeError, Server,
+    ServerConfig, ServerStats, SubmitError, TenantQuota, TenantStats, Ticket,
 };
 
 pub use bqo_exec::{
@@ -208,6 +210,14 @@ mod tests {
     use bqo_workloads::{star, tpcds_like, Scale};
     use std::sync::Arc;
 
+    fn rows(session: &Session, stmt: &PreparedStatement) -> u64 {
+        session
+            .execute(stmt, RunOptions::new())
+            .unwrap()
+            .result
+            .output_rows
+    }
+
     #[test]
     fn optimize_and_execute_star_query() {
         let w = star::generate(Scale(0.02), 3, 2, 5);
@@ -219,19 +229,9 @@ mod tests {
             let nobv = engine
                 .prepare(q, OptimizerChoice::BaselineNoBitvectors)
                 .unwrap();
-            let bqo_rows = session.run(&bqo).unwrap().output_rows;
-            assert_eq!(
-                bqo_rows,
-                session.run(&base).unwrap().output_rows,
-                "{}",
-                q.name
-            );
-            assert_eq!(
-                bqo_rows,
-                session.run(&nobv).unwrap().output_rows,
-                "{}",
-                q.name
-            );
+            let bqo_rows = rows(&session, &bqo);
+            assert_eq!(bqo_rows, rows(&session, &base), "{}", q.name);
+            assert_eq!(bqo_rows, rows(&session, &nobv), "{}", q.name);
             assert!(bqo.estimated_cost().total <= base.estimated_cost().total + 1e-6);
         }
     }
@@ -244,12 +244,7 @@ mod tests {
         for q in &w.queries {
             let opt = engine.prepare(q, OptimizerChoice::Bqo).unwrap();
             let opt_b = engine.prepare(q, OptimizerChoice::Baseline).unwrap();
-            assert_eq!(
-                session.run(&opt).unwrap().output_rows,
-                session.run(&opt_b).unwrap().output_rows,
-                "{}",
-                q.name
-            );
+            assert_eq!(rows(&session, &opt), rows(&session, &opt_b), "{}", q.name);
             assert_eq!(
                 opt.plan().relation_set(opt.plan().root()).len(),
                 opt_b.plan().relation_set(opt_b.plan().root()).len()
@@ -276,10 +271,10 @@ mod tests {
         let engine = Engine::from_catalog(w.catalog);
         let stmt = engine.prepare(&w.queries[0], OptimizerChoice::Bqo).unwrap();
         let session = engine.session();
-        let expected = session.run(&stmt).unwrap().output_rows;
+        let expected = rows(&session, &stmt);
         let handle = std::thread::spawn(move || stmt);
         let stmt = handle.join().unwrap();
-        assert_eq!(session.run(&stmt).unwrap().output_rows, expected);
+        assert_eq!(rows(&session, &stmt), expected);
     }
 
     #[test]
@@ -316,7 +311,7 @@ mod tests {
                 OptimizerChoice::Bqo,
             )
             .unwrap();
-        assert!(engine.session().run(&stmt).unwrap().output_rows > 0);
+        assert!(rows(&engine.session(), &stmt) > 0);
     }
 
     #[test]
@@ -362,8 +357,9 @@ mod tests {
             .table("dim")
             .join("fact", "dim_sk", "dim", "sk")
             .predicate("dim", ColumnPredicate::new("cat", CompareOp::Eq, 0i64));
-        let result = engine.run(&q, OptimizerChoice::Bqo).unwrap();
-        assert_eq!(result.output_rows, 3);
+        let stmt = engine.prepare(&q, OptimizerChoice::Bqo).unwrap();
+        let out = engine.session().execute(&stmt, RunOptions::new()).unwrap();
+        assert_eq!(out.result.output_rows, 3);
     }
 
     #[test]

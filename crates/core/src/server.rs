@@ -8,11 +8,10 @@
 //! **submit** [`Request`]s (built with [`Request::builder`]) and the server
 //! shapes the traffic —
 //!
-//! * **Priority/deadline-aware scheduling.** Under the default
-//!   [`SchedulingPolicy::PriorityDeadline`], dispatch picks the queued
+//! * **Priority/deadline-aware scheduling.** Dispatch picks the queued
 //!   request with the highest [`QueryOptions::priority`], breaking ties by
-//!   earliest deadline and then submission order; [`SchedulingPolicy::Fifo`]
-//!   keeps the plain first-in-first-out baseline. At most
+//!   earliest deadline and then submission order (so equal-priority,
+//!   deadline-free traffic is served first-in-first-out). At most
 //!   [`ServerConfig::max_concurrent_queries`] statements execute at once (a
 //!   fixed set of persistent dispatcher threads).
 //! * **Per-tenant quotas.** With a [`ServerConfig::tenant_quota`], each named
@@ -84,19 +83,6 @@ use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How the dispatcher picks the next queued request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulingPolicy {
-    /// Strict submission order, ignoring priorities and deadlines (the
-    /// baseline the scheduling bench compares against). Tenant concurrency
-    /// quotas still apply.
-    Fifo,
-    /// Pick by highest [`QueryOptions::priority`], then earliest deadline
-    /// (requests without one sort last), then submission order.
-    #[default]
-    PriorityDeadline,
-}
-
 /// Uniform per-tenant admission bounds (applied to every *named* tenant;
 /// requests without a tenant are exempt).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,9 +121,6 @@ pub struct ServerConfig {
     /// indefinitely. A timed-out wait leaves the request running — a later
     /// [`Ticket::wait_timeout`] can still collect the result.
     pub default_timeout: Option<Duration>,
-    /// How dispatch orders the queue (default
-    /// [`SchedulingPolicy::PriorityDeadline`]).
-    pub policy: SchedulingPolicy,
     /// Per-tenant admission/concurrency bounds; `None` (the default) leaves
     /// tenants unbounded (global bounds still apply).
     pub tenant_quota: Option<TenantQuota>,
@@ -149,7 +132,6 @@ impl Default for ServerConfig {
             max_concurrent_queries: 4,
             queue_capacity: 128,
             default_timeout: None,
-            policy: SchedulingPolicy::default(),
             tenant_quota: None,
         }
     }
@@ -176,12 +158,6 @@ impl ServerConfig {
         self
     }
 
-    /// The same configuration with a different [`SchedulingPolicy`].
-    pub fn with_policy(mut self, policy: SchedulingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// The same configuration with a per-tenant quota.
     pub fn with_tenant_quota(mut self, quota: TenantQuota) -> Self {
         self.tenant_quota = Some(quota);
@@ -196,16 +172,14 @@ pub struct QueryOptions {
     /// [`ServerConfig::tenant_quota`] and show up in [`Server::stats_for`];
     /// `None` is the anonymous tenant (unbounded, aggregated globally only).
     pub tenant: Option<String>,
-    /// Scheduling priority — higher values dispatch first under
-    /// [`SchedulingPolicy::PriorityDeadline`]. Default 0.
+    /// Scheduling priority — higher values dispatch first. Default 0.
     pub priority: i32,
     /// Relative deadline, measured from submission. A request still queued
     /// when it expires resolves to [`ServeError::DeadlineExceeded`] without
     /// executing; one caught mid-execution is aborted cooperatively.
     pub deadline: Option<Duration>,
     /// Collect the concatenated output rows into [`QueryOutput::rows`]
-    /// (spec requests only; the differential-testing mode of the server
-    /// oracle).
+    /// (the differential-testing mode of the server oracle).
     pub collect_rows: bool,
     /// Execution-configuration override for this request; `None` uses the
     /// engine's default configuration.
@@ -465,12 +439,11 @@ pub struct QueryOutput {
     /// Row count and execution metrics.
     pub result: QueryResult,
     /// Concatenated output rows, when requested via
-    /// [`QueryOptions::collect_rows`] (spec and SQL requests; hand-built
-    /// plan requests never carry rows).
+    /// [`QueryOptions::collect_rows`].
     pub rows: Option<Batch>,
-    /// How the plan was obtained from the plan cache (`None` for hand-built
-    /// plan requests).
-    pub cache_status: Option<CacheStatus>,
+    /// How the plan was obtained from the plan cache
+    /// ([`CacheStatus::Bypassed`] for hand-built plan requests).
+    pub cache_status: CacheStatus,
     /// Time the request spent queued before a dispatcher picked it up.
     pub queue_wait: Duration,
     /// Submit-to-completion wall time (queueing + planning + execution).
@@ -519,6 +492,15 @@ impl TicketShared {
         TicketShared {
             phase: Mutex::new(TicketPhase::Queued),
             done: Condvar::new(),
+        }
+    }
+
+    /// Marks the ticket running unless it already resolved (a cancel or
+    /// expiry that has not yet removed its queue entry).
+    fn start(&self) {
+        let mut phase = self.phase.lock().expect("ticket poisoned");
+        if matches!(*phase, TicketPhase::Queued) {
+            *phase = TicketPhase::Running;
         }
     }
 
@@ -943,6 +925,26 @@ struct ServerShared {
 }
 
 impl ServerShared {
+    fn new(engine: Engine, config: ServerConfig) -> Self {
+        ServerShared {
+            engine,
+            config,
+            state: Mutex::new(QueueState {
+                queue: VecDeque::new(),
+                accepting: true,
+                paused: false,
+                running: 0,
+                usage: HashMap::new(),
+                next_seq: 0,
+            }),
+            work: Condvar::new(),
+            counters: ServerCounters::default(),
+            queue_wait: LatencyHistogram::new(),
+            run_time: LatencyHistogram::new(),
+            tenants: Mutex::new(HashMap::new()),
+        }
+    }
+
     fn tenant_cell(&self, tenant: &str) -> Arc<TenantCell> {
         let mut tenants = self.tenants.lock().expect("tenant stats poisoned");
         Arc::clone(
@@ -1065,23 +1067,7 @@ impl Server {
         let config = config
             .with_max_concurrent_queries(config.max_concurrent_queries)
             .with_queue_capacity(config.queue_capacity);
-        let shared = Arc::new(ServerShared {
-            engine,
-            config,
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                accepting: true,
-                paused: false,
-                running: 0,
-                usage: HashMap::new(),
-                next_seq: 0,
-            }),
-            work: Condvar::new(),
-            counters: ServerCounters::default(),
-            queue_wait: LatencyHistogram::new(),
-            run_time: LatencyHistogram::new(),
-            tenants: Mutex::new(HashMap::new()),
-        });
+        let shared = Arc::new(ServerShared::new(engine, config));
         let handles = (0..config.max_concurrent_queries)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -1319,9 +1305,9 @@ fn expire_queued(shared: &ServerShared, state: &mut QueueState) {
     }
 }
 
-/// Index of the next dispatchable queued request under the configured
-/// policy, or `None` when nothing is eligible (empty queue or every queued
-/// tenant at its concurrency quota).
+/// Index of the next dispatchable queued request — the eligible one that
+/// [`beats`] every other — or `None` when nothing is eligible (empty queue or
+/// every queued tenant at its concurrency quota).
 fn pick_next(config: &ServerConfig, state: &QueueState) -> Option<usize> {
     let eligible = |request: &QueuedRequest| -> bool {
         match (&config.tenant_quota, request.options.tenant.as_deref()) {
@@ -1332,25 +1318,20 @@ fn pick_next(config: &ServerConfig, state: &QueueState) -> Option<usize> {
             _ => true,
         }
     };
-    match config.policy {
-        SchedulingPolicy::Fifo => state.queue.iter().position(eligible),
-        SchedulingPolicy::PriorityDeadline => {
-            let mut best: Option<(usize, &QueuedRequest)> = None;
-            for (i, request) in state.queue.iter().enumerate() {
-                if !eligible(request) {
-                    continue;
-                }
-                let beats = match best {
-                    None => true,
-                    Some((_, cur)) => beats(request, cur),
-                };
-                if beats {
-                    best = Some((i, request));
-                }
-            }
-            best.map(|(i, _)| i)
+    let mut best: Option<(usize, &QueuedRequest)> = None;
+    for (i, request) in state.queue.iter().enumerate() {
+        if !eligible(request) {
+            continue;
+        }
+        let beats = match best {
+            None => true,
+            Some((_, cur)) => beats(request, cur),
+        };
+        if beats {
+            best = Some((i, request));
         }
     }
+    best.map(|(i, _)| i)
 }
 
 /// Whether `a` should dispatch before `b`: higher priority, then earlier
@@ -1367,27 +1348,35 @@ fn beats(a: &QueuedRequest, b: &QueuedRequest) -> bool {
     }
 }
 
-fn dispatcher_loop(shared: Arc<ServerShared>) {
+/// Blocks until a queued request is dispatchable and books it into
+/// execution; `None` once the server is shut down and drained.
+fn next_request(shared: &ServerShared) -> Option<QueuedRequest> {
+    let mut state = shared.state.lock().expect("server queue poisoned");
     loop {
-        let request = {
-            let mut state = shared.state.lock().expect("server queue poisoned");
-            loop {
-                // A paused server holds requests in the queue — unless it is
-                // shutting down, in which case draining wins.
-                if !state.paused || !state.accepting {
-                    expire_queued(&shared, &mut state);
-                    if let Some(index) = pick_next(&shared.config, &state) {
-                        let request = state.queue.remove(index).expect("picked index exists");
-                        state.note_dispatched(&request);
-                        break request;
-                    }
-                    if !state.accepting && state.queue.is_empty() {
-                        return;
-                    }
-                }
-                state = shared.work.wait(state).expect("server queue poisoned");
+        // A paused server holds requests in the queue — unless it is
+        // shutting down, in which case draining wins.
+        if !state.paused || !state.accepting {
+            expire_queued(shared, &mut state);
+            if let Some(index) = pick_next(&shared.config, &state) {
+                let request = state.queue.remove(index).expect("picked index exists");
+                state.note_dispatched(&request);
+                // Flipped under the queue lock (lock order queue → ticket):
+                // once `stats().running` counts the request, a cancel finds
+                // it `Running` and aborts it mid-flight with its metrics
+                // instead of resolving it as never started.
+                request.ticket.start();
+                return Some(request);
             }
-        };
+            if !state.accepting && state.queue.is_empty() {
+                return None;
+            }
+        }
+        state = shared.work.wait(state).expect("server queue poisoned");
+    }
+}
+
+fn dispatcher_loop(shared: Arc<ServerShared>) {
+    while let Some(request) = next_request(&shared) {
         let tenant = request.options.tenant.clone();
         serve_one(&shared, request);
         {
@@ -1402,14 +1391,14 @@ fn dispatcher_loop(shared: Arc<ServerShared>) {
 
 /// Executes one dequeued request and resolves its ticket.
 fn serve_one(shared: &ServerShared, request: QueuedRequest) {
-    {
-        let mut phase = request.ticket.phase.lock().expect("ticket poisoned");
-        if matches!(*phase, TicketPhase::Finished(_)) {
-            // Cancelled/expired between pop and execution start: the ticket
-            // is already resolved (and accounted by whoever resolved it).
-            return;
-        }
-        *phase = TicketPhase::Running;
+    if matches!(
+        *request.ticket.phase.lock().expect("ticket poisoned"),
+        TicketPhase::Finished(_)
+    ) {
+        // Cancelled/expired before the dispatcher popped its queue entry:
+        // the ticket is already resolved (and accounted by whoever resolved
+        // it).
+        return;
     }
     let queue_wait = request.submitted.elapsed();
     shared.queue_wait.record(queue_wait);
@@ -1480,59 +1469,35 @@ fn serve_one(shared: &ServerShared, request: QueuedRequest) {
 /// request's cancel token throughout execution.
 fn run_request(shared: &ServerShared, request: &QueuedRequest) -> Result<QueryOutput, BqoError> {
     let engine = &shared.engine;
-    let config = request
-        .options
-        .exec_config
-        .unwrap_or_else(|| engine.exec_config());
-    // Executes a statement prepared on the dispatcher (spec or SQL paths).
-    let execute_stmt = |stmt: crate::PreparedStatement| -> Result<QueryOutput, BqoError> {
-        let mut options = RunOptions::new()
-            .with_exec_config(config)
-            .with_cancel_token(request.cancel.clone());
-        if request.options.collect_rows {
-            options = options.collecting_rows();
-        }
-        let out = engine.session().execute(&stmt, options)?;
-        Ok(QueryOutput {
-            result: out.result,
-            rows: out.rows,
-            cache_status: Some(out.cache_status),
-            queue_wait: Duration::ZERO,
-            total_wall: Duration::ZERO,
-        })
-    };
-    match &request.statement {
-        Statement::Spec { spec, params } => {
-            let stmt = match params {
-                Some(params) => engine.bind(spec, params, request.choice)?,
-                None => engine.prepare(spec, request.choice)?,
-            };
-            execute_stmt(stmt)
-        }
-        Statement::Sql { text, params } => {
-            let stmt = match params {
-                Some(params) => engine.bind_sql(text, params, request.choice)?,
-                None => engine.prepare_sql(text, request.choice)?,
-            };
-            execute_stmt(stmt)
-        }
+    let choice = request.choice;
+    let stmt = match &request.statement {
+        Statement::Spec {
+            spec,
+            params: Some(params),
+        } => engine.bind(spec, params, choice)?,
+        Statement::Spec { spec, params: None } => engine.prepare(spec, choice)?,
+        Statement::Sql {
+            text,
+            params: Some(params),
+        } => engine.bind_sql(text, params, choice)?,
+        Statement::Sql { text, params: None } => engine.prepare_sql(text, choice)?,
         Statement::Plan { name, graph, plan } => {
-            let result = engine.execute_plan_request(
-                name,
-                graph,
-                plan,
-                config,
-                Some(request.cancel.clone()),
-            )?;
-            Ok(QueryOutput {
-                result,
-                rows: None,
-                cache_status: None,
-                queue_wait: Duration::ZERO,
-                total_wall: Duration::ZERO,
-            })
+            engine.prepare_plan(name, graph.clone(), plan.clone())
         }
-    }
+    };
+    let options = RunOptions {
+        exec_config: request.options.exec_config,
+        collect_rows: request.options.collect_rows,
+        cancel: Some(request.cancel.clone()),
+    };
+    let out = engine.session().execute(&stmt, options)?;
+    Ok(QueryOutput {
+        result: out.result,
+        rows: out.rows,
+        cache_status: out.cache_status,
+        queue_wait: Duration::ZERO,
+        total_wall: Duration::ZERO,
+    })
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1571,14 +1536,11 @@ mod tests {
         assert_eq!(config.max_concurrent_queries, 1);
         assert_eq!(config.queue_capacity, 1);
         assert_eq!(config.default_timeout, None);
-        assert_eq!(config.policy, SchedulingPolicy::PriorityDeadline);
         assert_eq!(config.tenant_quota, None);
         let config = config
             .with_default_timeout(Duration::from_millis(5))
-            .with_policy(SchedulingPolicy::Fifo)
             .with_tenant_quota(TenantQuota::new(0, 0));
         assert_eq!(config.default_timeout, Some(Duration::from_millis(5)));
-        assert_eq!(config.policy, SchedulingPolicy::Fifo);
         assert_eq!(config.tenant_quota, Some(TenantQuota::new(1, 1)));
     }
 
@@ -1680,6 +1642,47 @@ mod tests {
         // Full tie: submission order.
         assert!(beats(&queued(0, None, 1), &queued(0, None, 2)));
         assert!(!beats(&queued(0, None, 2), &queued(0, None, 1)));
+    }
+
+    /// The window `server_oracle::midflight_cancel_aborts_and_frees_the_slot`
+    /// used to lose: a dispatcher has booked the request (`stats().running`
+    /// counts it) but not started executing it. A cancel landing there must
+    /// abort it as a running request — partial metrics, accounted by the
+    /// dispatcher — not resolve it as never started.
+    #[test]
+    fn cancel_between_dispatch_and_execution_is_a_midflight_abort() {
+        use bqo_workloads::{star, Scale};
+        let engine = Engine::from_catalog(star::build_catalog(Scale(0.02), 2, 7));
+        // No dispatcher threads: the test thread plays the dispatcher, so
+        // the window stays open for as long as the cancel takes.
+        let shared = Arc::new(ServerShared::new(engine, ServerConfig::default()));
+        let server = Server {
+            owner: Arc::new(ServerOwner {
+                shared: Arc::clone(&shared),
+                handles: Mutex::new(Vec::new()),
+            }),
+            shared,
+        };
+        let spec = star::build_query("windowed", 2, &[(0, 3)]);
+        let ticket = server
+            .submit(Request::builder().query(&spec).build().unwrap())
+            .unwrap();
+        let request = next_request(&server.shared).expect("one request is queued");
+        assert_eq!(server.stats().running, 1);
+
+        assert!(ticket.cancel());
+        assert!(
+            !ticket.is_finished(),
+            "a running request resolves on its dispatcher"
+        );
+        assert_eq!(server.stats().cancelled, 0);
+
+        serve_one(&server.shared, request);
+        match ticket.try_wait() {
+            Some(Err(ServeError::Cancelled { partial: Some(_) })) => {}
+            other => panic!("expected a mid-flight cancel, got {other:?}"),
+        }
+        assert_eq!(server.stats().cancelled, 1);
     }
 
     #[test]

@@ -86,16 +86,16 @@ pub struct ExecConfig {
     /// calling thread. Purely an overhead guard — results and counters are
     /// identical for every value (kernels partition contiguous row ranges and
     /// merge in order). Lower it (e.g. to 1) to force fan-out on small
-    /// inputs, as the serving-throughput bench does to isolate scheduling
-    /// costs. Values below 1 are treated as 1.
+    /// inputs, as the oracle suites do to reach the parallel path on tiny
+    /// tables. Values below 1 are treated as 1.
     pub parallel_threshold: usize,
     /// Latency-injection knob: sleep this long inside every scan morsel
     /// kernel. `None` (the default) adds nothing. Results and counters are
     /// unaffected — the sleep happens before the kernel touches any rows —
     /// so a throttled run is bit-identical to an unthrottled one, just
-    /// slower with a known per-morsel granularity. Tests and benches use it
-    /// to build deterministic long-running queries for cancellation and
-    /// scheduling scenarios.
+    /// slower with a known per-morsel granularity. Tests use it to build
+    /// deterministic long-running queries for cancellation and scheduling
+    /// scenarios.
     pub scan_throttle: Option<Duration>,
     /// Which probe/filter kernel implementations the operators run
     /// ([`KernelMode::Vectorized`] by default, unless `BQO_FORCE_SCALAR` is

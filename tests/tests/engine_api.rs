@@ -71,14 +71,17 @@ fn batch_size_sweep_matches_the_pre_redesign_oracle() {
 
     let mut probed = Vec::new();
     let mut eliminated = Vec::new();
+    let stmt = engine.prepare_plan("tiny_star", graph, plan);
     for batch_size in BATCH_SIZES {
         let result = engine
-            .execute_plan_with(
-                &graph,
-                &plan,
-                ExecConfig::exact_filters().with_batch_size(batch_size),
+            .session()
+            .execute(
+                &stmt,
+                RunOptions::new()
+                    .with_exec_config(ExecConfig::exact_filters().with_batch_size(batch_size)),
             )
-            .unwrap();
+            .unwrap()
+            .result;
         assert_eq!(result.output_rows, 4, "batch_size {batch_size}");
         assert_eq!(result.metrics.filters_created, 2, "batch_size {batch_size}");
         assert_eq!(
@@ -292,9 +295,8 @@ fn unknown_column_in_query_spec_is_a_descriptive_error() {
     assert!(msg.contains("ghost_sk"), "{msg}");
 }
 
-/// Execution errors keep real query context: `execute_plan_named` threads
-/// the caller's query name through, and the unnamed variants label the error
-/// with the joined relation names instead of a placeholder.
+/// Execution errors keep real query context: `Engine::prepare_plan` threads
+/// the caller's query name through to the error.
 #[test]
 fn execution_phase_errors_carry_query_context() {
     let engine = tiny_star_engine();
@@ -309,21 +311,13 @@ fn execution_phase_errors_carry_query_context() {
     let plan = PhysicalPlan::from_join_tree(&graph, &tree);
 
     let empty = Engine::builder().build().unwrap();
-    // Named execution: the provided query name ends up in the error.
+    // The provided query name ends up in the error.
+    let stmt = empty.prepare_plan("runtime_ghost", graph, plan);
     let err = empty
-        .execute_plan_named("runtime_ghost", &graph, &plan)
+        .session()
+        .execute(&stmt, RunOptions::new())
         .expect_err("missing table at runtime must not panic");
     assert_eq!(err.phase(), QueryPhase::Execution);
     assert_eq!(err.query(), Some("runtime_ghost"));
     assert!(err.to_string().contains("runtime_ghost"), "{err}");
-
-    // Unnamed execution: no "<ad-hoc plan>" placeholder — the label names
-    // the joined relations.
-    let err = empty
-        .execute_plan(&graph, &plan)
-        .expect_err("missing table at runtime must not panic");
-    assert_eq!(err.phase(), QueryPhase::Execution);
-    let msg = err.to_string();
-    assert!(!msg.contains("ad-hoc"), "{msg}");
-    assert!(msg.contains("fact") && msg.contains("d1"), "{msg}");
 }

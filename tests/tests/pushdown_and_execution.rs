@@ -24,9 +24,15 @@ fn star_fact_scan_output_equals_final_join_cardinality() {
     let tree = RightDeepTree::new(order).to_join_tree();
     let plan = push_down_bitvectors(&graph, PhysicalPlan::from_join_tree(&graph, &tree));
 
+    let stmt = engine.prepare_plan(&query.name, graph.clone(), plan.clone());
     let result = engine
-        .execute_plan_named_with(&query.name, &graph, &plan, ExecConfig::exact_filters())
-        .unwrap();
+        .session()
+        .execute(
+            &stmt,
+            RunOptions::new().with_exec_config(ExecConfig::exact_filters()),
+        )
+        .unwrap()
+        .result;
 
     // Find the fact scan's recorded output.
     let fact_scan = plan
@@ -106,12 +112,10 @@ fn postprocessing_reduces_probe_work_without_changing_answers() {
             p.placements.clear();
             p
         };
-        let a = engine
-            .execute_plan_named(&query.name, &graph, with.plan())
-            .unwrap();
-        let b = engine
-            .execute_plan_named(&query.name, &graph, &without_plan)
-            .unwrap();
+        let without = engine.prepare_plan(&query.name, graph, without_plan);
+        let session = engine.session();
+        let a = session.execute(&with, RunOptions::new()).unwrap().result;
+        let b = session.execute(&without, RunOptions::new()).unwrap().result;
         assert_eq!(a.output_rows, b.output_rows, "{}", query.name);
         if a.metrics.total_probe_rows() < b.metrics.total_probe_rows() {
             reduced += 1;

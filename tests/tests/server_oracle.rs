@@ -13,7 +13,7 @@ use bqo_core::exec::{Batch, ExecConfig};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
     CacheStatus, Engine, OptimizerChoice, Params, PhysicalPlan, QuerySpec, Request, RunOptions,
-    SchedulingPolicy, ServeError, Server, ServerConfig, SubmitError, TenantQuota,
+    ServeError, Server, ServerConfig, SubmitError, TenantQuota,
 };
 use bqo_integration_tests::env_threads;
 use std::time::{Duration, Instant};
@@ -191,7 +191,7 @@ fn server_matches_fresh_single_threaded_sessions() {
                             canonical_rows(oracle_batch),
                             "{label}"
                         );
-                        assert!(output.cache_status.is_some(), "{label}");
+                        assert_ne!(output.cache_status, CacheStatus::Bypassed, "{label}");
                         assert!(output.total_wall >= output.queue_wait, "{label}");
                     }
                 }
@@ -351,7 +351,12 @@ fn saturated_queue_rejects_with_queue_full() {
     let expected = {
         let engine = Engine::from_catalog(catalog);
         let stmt = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
-        engine.session().run(&stmt).unwrap().output_rows
+        engine
+            .session()
+            .execute(&stmt, RunOptions::new())
+            .unwrap()
+            .result
+            .output_rows
     };
 
     server.pause();
@@ -442,8 +447,8 @@ fn tenant_quota_bounds_queued_requests() {
 
 /// Priority scheduling under saturation: with the backlog full of slow
 /// low-priority requests, a later high-priority submission is dispatched
-/// next (not behind the whole backlog). The FIFO baseline, in contrast,
-/// serves the backlog in submission order.
+/// next (not behind the whole backlog). Equal-priority, deadline-free
+/// traffic, in contrast, is served strictly in submission order.
 #[test]
 fn high_priority_is_not_starved_by_a_low_priority_backlog() {
     let catalog = star::build_catalog(Scale(0.02), 2, 31);
@@ -456,8 +461,8 @@ fn high_priority_is_not_starved_by_a_low_priority_backlog() {
         .with_morsel_size(64)
         .with_scan_throttle(Duration::from_millis(4));
 
-    // Priority/deadline policy: the high-priority probe overtakes the
-    // backlog — it completes while low-priority requests are still queued.
+    // The high-priority probe overtakes the backlog — it completes while
+    // low-priority requests are still queued.
     let engine = Engine::from_catalog(catalog.clone());
     let server = Server::new(
         engine,
@@ -494,15 +499,14 @@ fn high_priority_is_not_starved_by_a_low_priority_backlog() {
         assert!(low.wait().is_ok(), "backlog still drains");
     }
 
-    // FIFO baseline: the same traffic serves strictly in submission order,
-    // so the probe finishes last.
+    // Equal priorities, no deadlines: the same traffic serves strictly in
+    // submission order (the `seq` tie-break), so the probe finishes last.
     let engine = Engine::from_catalog(catalog);
     let server = Server::new(
         engine,
         ServerConfig::default()
             .with_max_concurrent_queries(1)
-            .with_queue_capacity(64)
-            .with_policy(SchedulingPolicy::Fifo),
+            .with_queue_capacity(64),
     );
     server.pause();
     let lows: Vec<_> = (0..low_backlog)
@@ -516,14 +520,66 @@ fn high_priority_is_not_starved_by_a_low_priority_backlog() {
             server.submit(request).unwrap()
         })
         .collect();
-    let probe = Request::builder().query(&spec).priority(5).build().unwrap();
-    let high = server.submit(probe).unwrap();
+    let probe = Request::builder().query(&spec).priority(0).build().unwrap();
+    let last = server.submit(probe).unwrap();
     server.resume();
-    high.wait().expect("probe serves eventually");
-    // Under FIFO the probe ran last: the whole backlog already finished.
-    for low in &lows {
-        assert!(low.is_finished(), "FIFO served the backlog first");
+    let mut previous_wait = last.wait().expect("probe serves eventually").queue_wait;
+    // The probe ran last: the whole backlog already finished, each request
+    // dispatched only after the one submitted before it had run.
+    for low in lows.iter().rev() {
+        assert!(
+            low.is_finished(),
+            "submission order served the backlog first"
+        );
+        let wait = low.wait().expect("backlog request served").queue_wait;
+        assert!(
+            wait < previous_wait,
+            "requests dispatch in submission order ({wait:?} vs {previous_wait:?})"
+        );
+        previous_wait = wait;
     }
+    server.shutdown();
+}
+
+/// A hand-built plan is the same executable unit as an optimized statement:
+/// the same join order submitted as `.plan(..)` and obtained via `.query(..)`
+/// returns `==` rows (when asked to collect them), operator counters and
+/// filter statistics.
+#[test]
+fn plan_requests_collect_rows_like_spec_requests() {
+    let catalog = star::build_catalog(Scale(0.02), DIMS, 61);
+    let engine = Engine::from_catalog(catalog);
+    let server = Server::new(engine.clone(), ServerConfig::default());
+    let spec = star::build_query("same_order", DIMS, &[(0, 7), (1, 12)]);
+    // The optimizer's own plan, resubmitted by hand.
+    let stmt = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
+    let by_plan = Request::builder()
+        .plan(stmt.name(), stmt.graph().clone(), stmt.plan().clone())
+        .collect_rows()
+        .build()
+        .unwrap();
+    let by_spec = Request::builder()
+        .query(&spec)
+        .collect_rows()
+        .build()
+        .unwrap();
+    let by_plan = server.submit(by_plan).unwrap().wait().unwrap();
+    let by_spec = server.submit(by_spec).unwrap().wait().unwrap();
+
+    let rows = by_plan.rows.expect("plan requests honour collect_rows");
+    assert_eq!(rows.num_rows() as u64, by_plan.result.output_rows);
+    assert_eq!(Some(rows), by_spec.rows);
+    assert_eq!(by_plan.result.output_rows, by_spec.result.output_rows);
+    assert_eq!(
+        by_plan.result.metrics.operators,
+        by_spec.result.metrics.operators
+    );
+    assert_eq!(
+        by_plan.result.metrics.filter_stats,
+        by_spec.result.metrics.filter_stats
+    );
+    assert_eq!(by_plan.cache_status, CacheStatus::Bypassed);
+    assert_eq!(by_spec.cache_status, CacheStatus::Hit);
     server.shutdown();
 }
 
@@ -699,7 +755,7 @@ fn worker_panic_propagates_through_ticket_wait() {
     let ticket = server.submit(plain_request(&spec)).unwrap();
     let output = ticket.wait().expect("server still serves after a panic");
     assert!(output.result.output_rows > 0);
-    assert_eq!(output.cache_status, Some(CacheStatus::Miss));
+    assert_eq!(output.cache_status, CacheStatus::Miss);
     assert_eq!(server.stats().completed, 1);
 }
 
