@@ -2,7 +2,7 @@
 //!
 //! Every table and figure of the paper has a corresponding `run_*` function
 //! here returning a plain data structure of deterministic logical-work
-//! counters, plus a `render_*`/`print_*` pair rendering it the way the paper
+//! counters, plus a `render_*` function rendering it the way the paper
 //! reports it. The `reproduce` binary is a thin wrapper around these
 //! functions; EXPERIMENTS.md records their output next to the paper's
 //! numbers. Timing claims (throughput, latency, per-layer rates, with

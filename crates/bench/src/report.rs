@@ -1,9 +1,9 @@
 //! Plain-text rendering of the experiment results, mirroring how the paper
 //! presents them.
 //!
-//! Every section has a `render_*` function returning the text (used by the
-//! `reproduce` binary both for stdout and for the EXPERIMENTS.md record) and
-//! a `print_*` convenience wrapper.
+//! Every section has a `render_*` function returning the text; the
+//! `reproduce` binary uses it both for stdout and for the EXPERIMENTS.md
+//! record.
 
 use crate::experiments::{
     Figure2Result, Figure7Point, FilterKindAblationRow, Table2Row, ThresholdAblationRow,
@@ -13,11 +13,6 @@ use bqo_core::workloads::WorkloadStats;
 use std::fmt::Write;
 
 /// Renders the Figure 2 motivating example.
-pub fn print_figure2(result: &Figure2Result) {
-    print!("{}", render_figure2(result));
-}
-
-/// Render variant of [`print_figure2`], returning the section text.
 pub fn render_figure2(result: &Figure2Result) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -63,11 +58,6 @@ pub fn render_figure2(result: &Figure2Result) -> String {
 }
 
 /// Renders the Table 2 plan-space summary.
-pub fn print_table2(rows: &[Table2Row]) {
-    print!("{}", render_table2(rows));
-}
-
-/// Render variant of [`print_table2`], returning the section text.
 pub fn render_table2(rows: &[Table2Row]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -99,11 +89,6 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
 }
 
 /// Renders the Table 3 workload statistics.
-pub fn print_table3(stats: &[WorkloadStats]) {
-    print!("{}", render_table3(stats));
-}
-
-/// Render variant of [`print_table3`], returning the section text.
 pub fn render_table3(stats: &[WorkloadStats]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "Table 3 — workload statistics (synthetic stand-ins)");
@@ -129,11 +114,6 @@ pub fn render_table3(stats: &[WorkloadStats]) -> String {
 }
 
 /// Renders the Figure 7 overhead profile.
-pub fn print_figure7(points: &[Figure7Point]) {
-    print!("{}", render_figure7(points));
-}
-
-/// Render variant of [`print_figure7`], returning the section text.
 pub fn render_figure7(points: &[Figure7Point]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -172,11 +152,6 @@ pub fn render_figure7(points: &[Figure7Point]) -> String {
 }
 
 /// Renders the Figure 8 per-selectivity-group CPU comparison.
-pub fn print_figure8(reports: &[WorkloadReport]) {
-    print!("{}", render_figure8(reports));
-}
-
-/// Render variant of [`print_figure8`], returning the section text.
 pub fn render_figure8(reports: &[WorkloadReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -217,11 +192,6 @@ pub fn render_figure8(reports: &[WorkloadReport]) -> String {
 }
 
 /// Renders the Figure 9 tuple breakdown.
-pub fn print_figure9(reports: &[WorkloadReport]) {
-    print!("{}", render_figure9(reports));
-}
-
-/// Render variant of [`print_figure9`], returning the section text.
 pub fn render_figure9(reports: &[WorkloadReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -253,11 +223,6 @@ pub fn render_figure9(reports: &[WorkloadReport]) -> String {
 }
 
 /// Renders the Figure 10 per-query comparison (top queries by baseline cost).
-pub fn print_figure10(reports: &[WorkloadReport], top: usize) {
-    print!("{}", render_figure10(reports, top));
-}
-
-/// Render variant of [`print_figure10`], returning the section text.
 pub fn render_figure10(reports: &[WorkloadReport], top: usize) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -292,11 +257,6 @@ pub fn render_figure10(reports: &[WorkloadReport], top: usize) -> String {
 }
 
 /// Renders the Table 4 with/without-bitvector comparison.
-pub fn print_table4(reports: &[BitvectorEffectReport]) {
-    print!("{}", render_table4(reports));
-}
-
-/// Render variant of [`print_table4`], returning the section text.
 pub fn render_table4(reports: &[BitvectorEffectReport]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -328,11 +288,6 @@ pub fn render_table4(reports: &[BitvectorEffectReport]) -> String {
 }
 
 /// Renders the λ-threshold ablation.
-pub fn print_ablation_threshold(rows: &[ThresholdAblationRow]) {
-    print!("{}", render_ablation_threshold(rows));
-}
-
-/// Render variant of [`print_ablation_threshold`], returning the section text.
 pub fn render_ablation_threshold(rows: &[ThresholdAblationRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -359,11 +314,6 @@ pub fn render_ablation_threshold(rows: &[ThresholdAblationRow]) -> String {
 }
 
 /// Renders the filter implementation ablation.
-pub fn print_ablation_filter_kind(rows: &[FilterKindAblationRow]) {
-    print!("{}", render_ablation_filter_kind(rows));
-}
-
-/// Render variant of [`print_ablation_filter_kind`], returning the section text.
 pub fn render_ablation_filter_kind(rows: &[FilterKindAblationRow]) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -398,13 +348,16 @@ mod tests {
     #[test]
     fn printers_do_not_panic_on_real_results() {
         // Smoke-test the formatting code against tiny real experiment output.
-        print_table2(&experiments::run_table2()[..2]);
-        print_table3(&experiments::run_table3(Scale(0.01), 2));
-        print_figure7(&experiments::run_figure7(Scale(0.02), 1));
         let reports = experiments::run_workload_comparisons(Scale(0.01), 3);
-        print_figure8(&reports);
-        print_figure9(&reports);
-        print_figure10(&reports, 3);
-        print_table4(&experiments::run_table4(Scale(0.01), 2));
+        let sections = [
+            render_table2(&experiments::run_table2()[..2]),
+            render_table3(&experiments::run_table3(Scale(0.01), 2)),
+            render_figure7(&experiments::run_figure7(Scale(0.02), 1)),
+            render_figure8(&reports),
+            render_figure9(&reports),
+            render_figure10(&reports, 3),
+            render_table4(&experiments::run_table4(Scale(0.01), 2)),
+        ];
+        assert!(sections.iter().all(|section| section.lines().count() > 2));
     }
 }

@@ -5,15 +5,15 @@
 //! that case literally a bitmap indexed by key value: one shift and one AND
 //! per probe, no hashing, no false positives. This is the cheapest possible
 //! filter probe and the implementation the executor uses by default; the
-//! Bloom variants remain available for the ablation experiments and for key
-//! domains too sparse for a bitmap.
+//! Bloom variants remain available for the ablation experiments.
 
-use crate::hash::FxHashSet;
+use crate::key_index::KeyIndex;
 use crate::BitvectorFilter;
+use std::sync::Arc;
 
 /// How much larger than the number of inserted keys the key range may be
 /// before a bitmap is considered too sparse and the filter falls back to a
-/// hash set.
+/// hashed key index.
 const MAX_RANGE_EXPANSION: u64 = 64;
 
 /// The smallest key `min` and the number of slots (`max - min + 1`) a
@@ -38,50 +38,49 @@ pub fn dense_span(keys: &[i64]) -> Option<(i64, usize)> {
 }
 
 /// A no-false-positive filter that uses a dense bitmap over the observed key
-/// range when the keys are dense enough, and a hash set otherwise.
+/// range when the keys are dense enough, and a hashed key index otherwise.
 #[derive(Debug, Clone)]
 pub enum RangeBitmapFilter {
-    /// Dense representation: bit `key - min` is set for every inserted key.
+    /// Dense representation: bit `key - min` is set for every key.
     Bitmap {
         /// Smallest key the bitmap can represent (bit 0).
         min: i64,
-        /// The bit words; bit `key - min` is set for inserted keys.
+        /// The bit words; bit `key - min` is set for member keys.
         words: Vec<u64>,
-        /// Number of distinct keys inserted.
-        inserted: usize,
     },
-    /// Sparse fallback.
-    Sparse(FxHashSet<i64>),
+    /// Sparse representation: membership in an open-addressing key index —
+    /// shared with the join table that was built over the same keys when the
+    /// filter is that table's view.
+    Sparse(Arc<KeyIndex>),
 }
 
 impl RangeBitmapFilter {
     /// Builds a filter from a slice of keys, choosing the dense or sparse
-    /// representation based on the observed key range.
+    /// representation based on the observed key range (see [`dense_span`]).
     pub fn from_keys(keys: &[i64]) -> Self {
-        if keys.is_empty() {
-            return RangeBitmapFilter::Bitmap {
-                min: 0,
-                words: Vec::new(),
-                inserted: 0,
-            };
+        match dense_span(keys) {
+            Some((min, span)) => RangeBitmapFilter::dense(min, span, keys),
+            None if keys.is_empty() => RangeBitmapFilter::dense(0, 0, keys),
+            None => RangeBitmapFilter::hashed(keys),
         }
-        if let Some((min, span)) = dense_span(keys) {
-            let num_words = span.div_ceil(64);
-            let mut words = vec![0u64; num_words];
-            for &k in keys {
-                let offset = (k - min) as usize; // CAST-OK: k - min in [0, span) for keys that built this bitmap
-                words[offset / 64] |= 1u64 << (offset % 64);
-            }
-            RangeBitmapFilter::Bitmap {
-                min,
-                words,
-                inserted: keys.len(),
-            }
-        } else {
-            let mut set = FxHashSet::with_capacity_and_hasher(keys.len(), Default::default());
-            set.extend(keys.iter().copied());
-            RangeBitmapFilter::Sparse(set)
+    }
+
+    /// The dense representation over `span` slots starting at `min`, for
+    /// `keys` that all lie in `[min, min + span)` — the caller ran
+    /// [`dense_span`] over them or, like the join table, already addresses
+    /// them this way.
+    pub fn dense(min: i64, span: usize, keys: &[i64]) -> Self {
+        let mut words = vec![0u64; span.div_ceil(64)];
+        for &k in keys {
+            let offset = (k - min) as usize; // CAST-OK: k - min in [0, span) by the caller's contract
+            words[offset / 64] |= 1u64 << (offset % 64);
         }
+        RangeBitmapFilter::Bitmap { min, words }
+    }
+
+    /// The sparse representation over a freshly built index of `keys`.
+    pub(crate) fn hashed(keys: &[i64]) -> Self {
+        RangeBitmapFilter::Sparse(Arc::new(KeyIndex::build(keys).0))
     }
 
     /// True when the dense bitmap representation is in use.
@@ -111,47 +110,21 @@ fn dense_probe_word(min: i64, words: &[u64], keys: &[i64]) -> u64 {
     mask
 }
 
-impl BitvectorFilter for RangeBitmapFilter {
-    fn insert(&mut self, key: i64) {
-        match self {
-            // Inserting outside the pre-sized range would require resizing;
-            // incremental insertion therefore always goes to the sparse form.
-            RangeBitmapFilter::Bitmap {
-                min,
-                words,
-                inserted,
-            } => {
-                let offset = key - *min;
-                // CAST-OK: offset checked non-negative on this line
-                if offset >= 0 && (offset as usize) < words.len() * 64 {
-                    words[offset as usize / 64] |= 1u64 << (offset as usize % 64); // CAST-OK: offset checked non-negative and in bounds above
-                    *inserted += 1;
-                } else {
-                    // Degrade to the sparse representation, keeping the
-                    // already-inserted keys.
-                    let mut set = FxHashSet::default();
-                    for (w, word) in words.iter().enumerate() {
-                        let mut bits = *word;
-                        while bits != 0 {
-                            let b = bits.trailing_zeros() as i64; // CAST-OK: trailing_zeros() <= 64 fits i64
-                            set.insert(*min + w as i64 * 64 + b); // CAST-OK: word index; words.len() * 64 fits i64 (range check at build)
-                            bits &= bits - 1;
-                        }
-                    }
-                    set.insert(key);
-                    *self = RangeBitmapFilter::Sparse(set);
-                }
-            }
-            RangeBitmapFilter::Sparse(set) => {
-                set.insert(key);
-            }
-        }
+/// Sparse probe of up to 64 keys: one index lookup per key.
+#[inline]
+fn sparse_probe_word(index: &KeyIndex, keys: &[i64]) -> u64 {
+    let mut mask = 0u64;
+    for (i, &k) in keys.iter().enumerate() {
+        mask |= u64::from(index.contains(k)) << i;
     }
+    mask
+}
 
+impl BitvectorFilter for RangeBitmapFilter {
     #[inline]
     fn maybe_contains(&self, key: i64) -> bool {
         match self {
-            RangeBitmapFilter::Bitmap { min, words, .. } => {
+            RangeBitmapFilter::Bitmap { min, words } => {
                 let offset = key.wrapping_sub(*min);
                 // CAST-OK: short-circuit: only evaluated when offset >= 0
                 if offset < 0 || offset as usize >= words.len() * 64 {
@@ -160,7 +133,7 @@ impl BitvectorFilter for RangeBitmapFilter {
                 let offset = offset as usize; // CAST-OK: offset checked non-negative and in bounds above
                 words[offset / 64] & (1u64 << (offset % 64)) != 0
             }
-            RangeBitmapFilter::Sparse(set) => set.contains(&key),
+            RangeBitmapFilter::Sparse(index) => index.contains(key),
         }
     }
 
@@ -177,14 +150,8 @@ impl BitvectorFilter for RangeBitmapFilter {
     fn probe_word(&self, keys: &[i64]) -> u64 {
         debug_assert!(keys.len() <= 64, "probe_word takes at most 64 keys");
         match self {
-            RangeBitmapFilter::Bitmap { min, words, .. } => dense_probe_word(*min, words, keys),
-            RangeBitmapFilter::Sparse(set) => {
-                let mut mask = 0u64;
-                for (i, &k) in keys.iter().enumerate() {
-                    mask |= u64::from(set.contains(&k)) << i;
-                }
-                mask
-            }
+            RangeBitmapFilter::Bitmap { min, words } => dense_probe_word(*min, words, keys),
+            RangeBitmapFilter::Sparse(index) => sparse_probe_word(index, keys),
         }
     }
 
@@ -194,25 +161,21 @@ impl BitvectorFilter for RangeBitmapFilter {
         out.clear();
         out.reserve(keys.len().div_ceil(64));
         match self {
-            RangeBitmapFilter::Bitmap { min, words, .. } => {
+            RangeBitmapFilter::Bitmap { min, words } => {
                 for chunk in keys.chunks(64) {
                     out.push(dense_probe_word(*min, words, chunk));
                 }
             }
-            RangeBitmapFilter::Sparse(set) => {
+            RangeBitmapFilter::Sparse(index) => {
                 for chunk in keys.chunks(64) {
-                    let mut mask = 0u64;
-                    for (i, &k) in chunk.iter().enumerate() {
-                        mask |= u64::from(set.contains(&k)) << i;
-                    }
-                    out.push(mask);
+                    out.push(sparse_probe_word(index, chunk));
                 }
             }
         }
     }
 
     // Exact range-emptiness in both representations: the dense bitmap scans
-    // the words overlapping the (clamped) offset window, the sparse set
+    // the words overlapping the (clamped) offset window, the sparse index
     // iterates whichever of {stored keys, probe range} is smaller. Arithmetic
     // goes through i128 so extreme `[lo, hi]` bounds cannot overflow.
     fn probe_range_empty(&self, lo: i64, hi: i64) -> bool {
@@ -220,7 +183,7 @@ impl BitvectorFilter for RangeBitmapFilter {
             return true;
         }
         match self {
-            RangeBitmapFilter::Bitmap { min, words, .. } => {
+            RangeBitmapFilter::Bitmap { min, words } => {
                 let limit = (words.len() as i128) * 64; // CAST-OK: widening; i128 holds any value involved
                 let lo_off = (i128::from(lo) - i128::from(*min)).max(0);
                 let hi_off = (i128::from(hi) - i128::from(*min)).min(limit - 1);
@@ -243,34 +206,16 @@ impl BitvectorFilter for RangeBitmapFilter {
                 }
                 true
             }
-            RangeBitmapFilter::Sparse(set) => {
+            RangeBitmapFilter::Sparse(index) => {
                 let width = i128::from(hi) - i128::from(lo) + 1;
                 // CAST-OK: widening; i128 holds any value involved
-                if width <= set.len() as i128 {
-                    (lo..=hi).all(|k| !set.contains(&k))
+                if width <= index.num_keys() as i128 {
+                    (lo..=hi).all(|k| !index.contains(k))
                 } else {
-                    set.iter().all(|&k| k < lo || k > hi)
+                    index.keys().all(|k| k < lo || k > hi)
                 }
             }
         }
-    }
-
-    fn inserted(&self) -> usize {
-        match self {
-            RangeBitmapFilter::Bitmap { inserted, .. } => *inserted,
-            RangeBitmapFilter::Sparse(set) => set.len(),
-        }
-    }
-
-    fn byte_size(&self) -> usize {
-        match self {
-            RangeBitmapFilter::Bitmap { words, .. } => words.len() * 8,
-            RangeBitmapFilter::Sparse(set) => set.capacity() * 16,
-        }
-    }
-
-    fn expected_fpr(&self) -> f64 {
-        0.0
     }
 }
 
@@ -283,14 +228,12 @@ mod tests {
         let keys: Vec<i64> = (100..1100).collect();
         let f = RangeBitmapFilter::from_keys(&keys);
         assert!(f.is_dense());
-        assert_eq!(f.inserted(), 1000);
         for k in 100..1100 {
             assert!(f.maybe_contains(k));
         }
         assert!(!f.maybe_contains(99));
         assert!(!f.maybe_contains(1100));
         assert!(!f.maybe_contains(-5));
-        assert_eq!(f.expected_fpr(), 0.0);
     }
 
     #[test]
@@ -347,33 +290,9 @@ mod tests {
     #[test]
     fn empty_filter_rejects_everything() {
         let f = RangeBitmapFilter::from_keys(&[]);
+        assert!(f.is_dense());
         assert!(!f.maybe_contains(0));
-        assert_eq!(f.inserted(), 0);
-        assert_eq!(f.byte_size(), 0);
-    }
-
-    #[test]
-    fn incremental_insert_within_range() {
-        let mut f = RangeBitmapFilter::from_keys(&[0, 99]);
-        assert!(f.is_dense());
-        f.insert(50);
-        assert!(f.maybe_contains(50));
-        assert!(f.is_dense());
-    }
-
-    #[test]
-    fn incremental_insert_outside_range_degrades_gracefully() {
-        let mut f = RangeBitmapFilter::from_keys(&[0, 1, 2, 3]);
-        f.insert(1_000_000);
-        assert!(!f.is_dense());
-        for k in 0..4 {
-            assert!(
-                f.maybe_contains(k),
-                "old key {k} must survive the downgrade"
-            );
-        }
-        assert!(f.maybe_contains(1_000_000));
-        assert!(!f.maybe_contains(17));
+        assert!(f.probe_range_empty(i64::MIN, i64::MAX));
     }
 
     #[test]

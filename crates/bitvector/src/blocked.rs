@@ -16,14 +16,22 @@ pub struct BlockedBloomFilter {
     words: Vec<u64>,
     num_blocks: u64,
     hashes_per_key: u32,
-    inserted: usize,
 }
 
 impl BlockedBloomFilter {
-    /// Creates a filter sized for `expected_keys` at roughly `bits_per_key`
+    /// Builds a filter over `keys` at roughly `bits_per_key` bits per key.
+    pub fn from_keys(keys: &[i64], bits_per_key: usize) -> Self {
+        let mut filter = BlockedBloomFilter::with_capacity(keys.len(), bits_per_key);
+        for &key in keys {
+            filter.insert(key);
+        }
+        filter
+    }
+
+    /// An empty filter sized for `expected_keys` at roughly `bits_per_key`
     /// bits per key, rounded up to a power-of-two number of blocks so the
     /// block index is a bit mask rather than a modulo.
-    pub fn with_capacity(expected_keys: usize, bits_per_key: usize) -> Self {
+    fn with_capacity(expected_keys: usize, bits_per_key: usize) -> Self {
         let bits_per_key = bits_per_key.max(1);
         let total_bits = ((expected_keys.max(1) * bits_per_key) as u64).max(BLOCK_BITS); // CAST-OK: usize widens losslessly into u64 on supported targets
         let num_blocks = total_bits.div_ceil(BLOCK_BITS).next_power_of_two();
@@ -33,7 +41,15 @@ impl BlockedBloomFilter {
             words: vec![0u64; (num_blocks as usize) * BLOCK_WORDS], // CAST-OK: block count is bounded by the filter's in-memory size
             num_blocks,
             hashes_per_key,
-            inserted: 0,
+        }
+    }
+
+    fn insert(&mut self, key: i64) {
+        let (block, positions) = self.block_and_bits(key);
+        let base = block * BLOCK_WORDS;
+        // CAST-OK: hashes_per_key is clamped to 1..=8 at construction
+        for &pos in positions.iter().take(self.hashes_per_key as usize) {
+            self.words[base + (pos / 64) as usize] |= 1u64 << (pos % 64); // CAST-OK: word index; bounded by the range/mask check
         }
     }
 
@@ -53,16 +69,6 @@ impl BlockedBloomFilter {
 }
 
 impl BitvectorFilter for BlockedBloomFilter {
-    fn insert(&mut self, key: i64) {
-        let (block, positions) = self.block_and_bits(key);
-        let base = block * BLOCK_WORDS;
-        // CAST-OK: hashes_per_key is clamped to 1..=8 at construction
-        for &pos in positions.iter().take(self.hashes_per_key as usize) {
-            self.words[base + (pos / 64) as usize] |= 1u64 << (pos % 64); // CAST-OK: word index; bounded by the range/mask check
-        }
-        self.inserted += 1;
-    }
-
     fn maybe_contains(&self, key: i64) -> bool {
         let (block, positions) = self.block_and_bits(key);
         let base = block * BLOCK_WORDS;
@@ -96,23 +102,6 @@ impl BitvectorFilter for BlockedBloomFilter {
             mask |= u64::from(hit) << i;
         }
         mask
-    }
-
-    fn inserted(&self) -> usize {
-        self.inserted
-    }
-
-    fn byte_size(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    fn expected_fpr(&self) -> f64 {
-        // Approximate with the classic formula on the average block load;
-        // blocked filters have a slightly higher true FPR due to block skew.
-        let k = self.hashes_per_key as f64; // CAST-OK: estimate math; f64 rounding is acceptable here
-        let n = self.inserted as f64; // CAST-OK: estimate math; f64 rounding is acceptable here
-        let m = (self.num_blocks * BLOCK_BITS) as f64; // CAST-OK: estimate math; f64 rounding is acceptable here
-        (1.0 - (-k * n / m).exp()).powf(k)
     }
 }
 
@@ -149,17 +138,6 @@ mod tests {
         let mut f = BlockedBloomFilter::with_capacity(1, 8);
         f.insert(99);
         assert!(f.maybe_contains(99));
-        assert_eq!(f.byte_size(), 64);
-    }
-
-    #[test]
-    fn expected_fpr_nonzero_after_inserts() {
-        let mut f = BlockedBloomFilter::with_capacity(100, 8);
-        assert_eq!(f.expected_fpr(), 0.0);
-        for i in 0..100 {
-            f.insert(i);
-        }
-        assert!(f.expected_fpr() > 0.0);
-        assert!(f.expected_fpr() < 0.2);
+        assert_eq!(f.words.len(), BLOCK_WORDS);
     }
 }

@@ -18,16 +18,23 @@ pub struct BloomFilter {
     bits: Vec<u64>,
     /// `num_bits - 1`; `num_bits` is always a power of two.
     bit_mask: u64,
-    num_bits: u64,
     num_hashes: u32,
-    inserted: usize,
 }
 
 impl BloomFilter {
-    /// Creates a filter sized for `expected_keys` keys at `bits_per_key` bits
+    /// Builds a filter over `keys` at `bits_per_key` bits per key.
+    pub fn from_keys(keys: &[i64], bits_per_key: usize) -> Self {
+        let mut filter = BloomFilter::with_capacity(keys.len(), bits_per_key);
+        for &key in keys {
+            filter.insert(key);
+        }
+        filter
+    }
+
+    /// An empty filter sized for `expected_keys` keys at `bits_per_key` bits
     /// per key (rounded up to a power of two). Both values are clamped to
     /// sane minima so tiny builds still work.
-    pub fn with_capacity(expected_keys: usize, bits_per_key: usize) -> Self {
+    fn with_capacity(expected_keys: usize, bits_per_key: usize) -> Self {
         let bits_per_key = bits_per_key.max(1);
         let requested = ((expected_keys.max(1) * bits_per_key) as u64).max(64); // CAST-OK: usize widens losslessly into u64 on supported targets
         let num_bits = requested.next_power_of_two();
@@ -37,26 +44,15 @@ impl BloomFilter {
         BloomFilter {
             bits: vec![0u64; num_words],
             bit_mask: num_bits - 1,
-            num_bits,
             num_hashes,
-            inserted: 0,
         }
     }
 
-    /// Number of hash functions used per key.
-    pub fn num_hashes(&self) -> u32 {
-        self.num_hashes
-    }
-
-    /// Total number of bits in the filter.
-    pub fn num_bits(&self) -> u64 {
-        self.num_bits
-    }
-
-    /// Fraction of bits set to one (filter load).
-    pub fn load_factor(&self) -> f64 {
-        let ones: u64 = self.bits.iter().map(|w| u64::from(w.count_ones())).sum();
-        ones as f64 / self.num_bits as f64 // CAST-OK: estimate math; f64 rounding is acceptable here
+    fn insert(&mut self, key: i64) {
+        let positions: Vec<u64> = self.probes(key).collect();
+        for pos in positions {
+            self.bits[(pos / 64) as usize] |= 1u64 << (pos % 64); // CAST-OK: word index; bounded by the range/mask check
+        }
     }
 
     #[inline]
@@ -71,14 +67,6 @@ impl BloomFilter {
 }
 
 impl BitvectorFilter for BloomFilter {
-    fn insert(&mut self, key: i64) {
-        let positions: Vec<u64> = self.probes(key).collect();
-        for pos in positions {
-            self.bits[(pos / 64) as usize] |= 1u64 << (pos % 64); // CAST-OK: word index; bounded by the range/mask check
-        }
-        self.inserted += 1;
-    }
-
     fn maybe_contains(&self, key: i64) -> bool {
         self.probes(key)
             // CAST-OK: word index; bounded by the range/mask check
@@ -111,22 +99,6 @@ impl BitvectorFilter for BloomFilter {
         }
         mask
     }
-
-    fn inserted(&self) -> usize {
-        self.inserted
-    }
-
-    fn byte_size(&self) -> usize {
-        self.bits.len() * 8
-    }
-
-    fn expected_fpr(&self) -> f64 {
-        // (1 - e^{-kn/m})^k
-        let k = self.num_hashes as f64; // CAST-OK: estimate math; f64 rounding is acceptable here
-        let n = self.inserted as f64; // CAST-OK: estimate math; f64 rounding is acceptable here
-        let m = self.num_bits as f64; // CAST-OK: estimate math; f64 rounding is acceptable here
-        (1.0 - (-k * n / m).exp()).powf(k)
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +114,6 @@ mod tests {
         for i in 0..5000i64 {
             assert!(f.maybe_contains(i * 13));
         }
-        assert_eq!(f.inserted(), 5000);
     }
 
     #[test]
@@ -165,38 +136,19 @@ mod tests {
     }
 
     #[test]
-    fn expected_fpr_tracks_observed() {
-        let mut f = BloomFilter::with_capacity(10_000, 8);
-        for i in 0..10_000i64 {
-            f.insert(i);
-        }
-        let observed = (1_000_000..1_100_000)
-            .filter(|&k| f.maybe_contains(k))
-            .count() as f64
-            / 100_000.0;
-        let expected = f.expected_fpr();
-        assert!(
-            (observed - expected).abs() < 0.02,
-            "observed {observed} vs expected {expected}"
-        );
-    }
-
-    #[test]
     fn tiny_filter_does_not_panic() {
         let mut f = BloomFilter::with_capacity(0, 0);
         f.insert(5);
         assert!(f.maybe_contains(5));
-        assert!(f.num_bits() >= 64);
-        assert!(f.num_hashes() >= 1);
+        assert!(f.bits.len() * 64 >= 64);
+        assert!(f.num_hashes >= 1);
     }
 
     #[test]
     fn load_factor_reasonable() {
-        let mut f = BloomFilter::with_capacity(1000, 8);
-        for i in 0..1000 {
-            f.insert(i);
-        }
-        let load = f.load_factor();
+        let f = BloomFilter::from_keys(&(0..1000).collect::<Vec<i64>>(), 8);
+        let ones: u32 = f.bits.iter().map(|w| w.count_ones()).sum();
+        let load = f64::from(ones) / (f.bits.len() * 64) as f64;
         // At optimal k the load is about 50%.
         assert!(load > 0.3 && load < 0.7, "load = {load}");
     }
@@ -206,6 +158,5 @@ mod tests {
         let f = BloomFilter::with_capacity(100, 8);
         assert!(!f.maybe_contains(1));
         assert!(!f.maybe_contains(42));
-        assert_eq!(f.expected_fpr(), 0.0);
     }
 }

@@ -1,71 +1,6 @@
-//! Hashing helpers shared by the filters and the hash-join executor.
-//!
-//! A small FxHash-style multiplicative hasher is implemented locally so the
-//! hot join/probe paths do not pay SipHash's cost and no extra dependency is
-//! required (see the Rust performance guidance on alternative hashers).
-
-use std::hash::{BuildHasherDefault, Hasher};
-
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-/// FxHash-style 64-bit hasher: fast multiplicative mixing, good enough for
-/// integer keys, not HashDoS resistant (irrelevant for synthetic workloads).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FxHasher64 {
-    state: u64,
-}
-
-impl FxHasher64 {
-    #[inline]
-    fn mix(&mut self, word: u64) {
-        self.state = (self.state.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-}
-
-impl Hasher for FxHasher64 {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.state
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.mix(u64::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.mix(v);
-    }
-
-    #[inline]
-    fn write_i64(&mut self, v: i64) {
-        self.mix(v as u64); // CAST-OK: two's-complement bit reinterpret; hashing is bit-uniform
-    }
-
-    #[inline]
-    fn write_usize(&mut self, v: usize) {
-        self.mix(v as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
-    }
-}
-
-/// `BuildHasher` for `HashMap`/`HashSet` with [`FxHasher64`].
-pub type FxBuildHasher = BuildHasherDefault<FxHasher64>;
-
-/// Hash map keyed by join keys using the fast hasher.
-pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-
-/// Hash set using the fast hasher.
-pub type FxHashSet<K> = std::collections::HashSet<K, FxBuildHasher>;
+//! Hashing helpers shared by the filters and the hash-join executor: the
+//! Bloom variants' key digest and the fold that collapses composite join
+//! keys into one 64-bit value.
 
 /// Hashes a single 64-bit key to a well-mixed 64-bit digest
 /// (SplitMix64 finalizer).
@@ -80,7 +15,7 @@ pub fn hash_key(key: i64) -> u64 {
 /// Combines an accumulated hash with the next column's key, used to collapse
 /// composite join keys into a single 64-bit value.
 #[inline]
-pub fn hash_pair(acc: u64, key: i64) -> u64 {
+fn hash_pair(acc: u64, key: i64) -> u64 {
     // boost::hash_combine-style mixing on 64 bits.
     acc ^ (hash_key(key)
         .wrapping_add(0x9e3779b97f4a7c15)
@@ -128,7 +63,6 @@ pub fn fold_parts(acc: &mut [u64], parts: &[i64]) {
 mod tests {
     use super::*;
     use std::collections::HashSet;
-    use std::hash::{BuildHasher, Hash};
 
     #[test]
     fn hash_key_is_deterministic_and_spreads() {
@@ -182,28 +116,5 @@ mod tests {
     fn fold_parts_rejects_length_mismatch() {
         let mut acc = vec![0u64; 2];
         fold_parts(&mut acc, &[1]);
-    }
-
-    #[test]
-    fn fx_hasher_usable_in_hashmap() {
-        let mut m: FxHashMap<i64, usize> = FxHashMap::default();
-        for i in 0..1000 {
-            m.insert(i, i as usize);
-        }
-        assert_eq!(m.len(), 1000);
-        assert_eq!(m[&500], 500);
-    }
-
-    #[test]
-    fn fx_hasher_handles_unaligned_bytes() {
-        let bh = FxBuildHasher::default();
-        let h1 = bh.hash_one("abc");
-        let h2 = bh.hash_one("abd");
-        assert_ne!(h1, h2);
-        // Same value hashes the same.
-        assert_eq!(bh.hash_one(12345u64), bh.hash_one(12345u64));
-        let mut hasher = FxHasher64::default();
-        "hello world, this is more than eight bytes".hash(&mut hasher);
-        assert_ne!(hasher.finish(), 0);
     }
 }

@@ -7,18 +7,20 @@
 //! small false-positive rate.
 //!
 //! This crate provides:
-//! * [`RangeBitmapFilter`] — a dense bitmap over the observed key range (with
-//!   a hash-set fallback for sparse domains): the classic "bitmap filter" on
-//!   surrogate keys, no false positives, the cheapest probe, and the
-//!   executor's default.
-//! * [`ExactFilter`] — a hash-set based filter with no false positives, used
-//!   both by the analytical cost model's assumptions and as a "perfect
-//!   filter" ablation in the benchmarks.
+//! * [`RangeBitmapFilter`] — a dense bitmap over the observed key range, or
+//!   membership in a hashed [`KeyIndex`] for sparse domains: the classic
+//!   "bitmap or hash filter" on surrogate keys, no false positives, the
+//!   cheapest probe, and the executor's default. A hash join does not build
+//!   it separately: the filter it publishes is a view of its join table
+//!   (the same keys, and for sparse keys the same `Arc<KeyIndex>`).
+//! * [`KeyIndex`] — the open-addressing `i64 -> slot` index that both the
+//!   sparse filter and the executor's join table hold.
 //! * [`BloomFilter`] — a classic Bloom filter with configurable bits per key.
 //! * [`BlockedBloomFilter`] — a cache-line blocked variant that mirrors the
 //!   register-blocked filters used by modern engines.
 //! * [`FilterKind`] / [`AnyFilter`] — a small runtime-dispatch wrapper so the
-//!   executor can be configured with any of the above.
+//!   executor can be configured with any of the above;
+//!   [`AnyFilter::from_keys`] is the one way to build a filter from keys.
 //!
 //! All filters operate on 64-bit keys. Multi-column join keys are combined
 //! into one 64-bit hash by the executor before reaching the filter.
@@ -30,22 +32,21 @@
 pub mod bitmap;
 pub mod blocked;
 pub mod bloom;
-pub mod exact;
 pub mod hash;
+pub mod key_index;
 pub mod stats;
 
 pub use bitmap::{dense_span, RangeBitmapFilter};
 pub use blocked::BlockedBloomFilter;
 pub use bloom::BloomFilter;
-pub use exact::ExactFilter;
-pub use hash::{hash_key, hash_pair, FxHasher64};
+pub use hash::hash_key;
+pub use key_index::KeyIndex;
 pub use stats::FilterStats;
 
-/// Common behaviour of all bitvector filter implementations.
+/// Common behaviour of all bitvector filter implementations: filters are
+/// built whole from their keys ([`AnyFilter::from_keys`]) and then only
+/// probed.
 pub trait BitvectorFilter: Send + Sync {
-    /// Inserts a key (from the build side of a hash join).
-    fn insert(&mut self, key: i64);
-
     /// Tests a key; `false` means the key is definitely absent, `true` means
     /// it is present (exact filter) or probably present (Bloom variants).
     fn maybe_contains(&self, key: i64) -> bool;
@@ -106,27 +107,20 @@ pub trait BitvectorFilter: Send + Sync {
         }
         (lo..=hi).all(|k| !self.maybe_contains(k))
     }
-
-    /// Number of keys inserted.
-    fn inserted(&self) -> usize;
-
-    /// Approximate size of the filter in bytes.
-    fn byte_size(&self) -> usize;
-
-    /// Expected false-positive rate given the current load (0 for exact).
-    fn expected_fpr(&self) -> f64;
 }
 
 /// Which filter implementation the executor should build at hash joins.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FilterKind {
-    /// Range bitmap over dense surrogate keys (hash-set fallback for sparse
+    /// Range bitmap over dense surrogate keys (hashed key index for sparse
     /// domains): no false positives, cheapest probe. This is what the
     /// paper's "bitmap or hash filter" amounts to on warehouse schemas and
     /// is the executor's default.
     #[default]
     Bitmap,
-    /// Hash-set filter with no false positives (the analysis assumption).
+    /// Always the hashed key index, whatever the key range: no false
+    /// positives (the analysis assumption) at a hash probe's cost — the
+    /// "perfect filter" ablation.
     Exact,
     /// Classic Bloom filter with the given bits per key.
     Bloom {
@@ -143,10 +137,8 @@ pub enum FilterKind {
 /// Runtime-dispatched filter built from a [`FilterKind`].
 #[derive(Debug, Clone)]
 pub enum AnyFilter {
-    /// Range-anchored bitmap (or sparse hash set) — no false positives.
+    /// Range bitmap or hashed key index — no false positives.
     Bitmap(RangeBitmapFilter),
-    /// Hash-set filter — no false positives.
-    Exact(ExactFilter),
     /// Classic Bloom filter.
     Bloom(BloomFilter),
     /// Cache-line blocked Bloom filter.
@@ -154,50 +146,25 @@ pub enum AnyFilter {
 }
 
 impl AnyFilter {
-    /// Creates a filter of the requested kind sized for `expected_keys`.
-    pub fn with_capacity(kind: FilterKind, expected_keys: usize) -> Self {
-        match kind {
-            // The bitmap needs to see the key range up front; incremental
-            // construction uses the (equivalent, slightly slower) exact set.
-            FilterKind::Bitmap | FilterKind::Exact => {
-                AnyFilter::Exact(ExactFilter::with_capacity(expected_keys))
-            }
-            FilterKind::Bloom { bits_per_key } => {
-                AnyFilter::Bloom(BloomFilter::with_capacity(expected_keys, bits_per_key))
-            }
-            FilterKind::BlockedBloom { bits_per_key } => AnyFilter::BlockedBloom(
-                BlockedBloomFilter::with_capacity(expected_keys, bits_per_key),
-            ),
-        }
-    }
-
     /// Builds a filter of the requested kind from a slice of keys.
     pub fn from_keys(kind: FilterKind, keys: &[i64]) -> Self {
-        if kind == FilterKind::Bitmap {
-            return AnyFilter::Bitmap(RangeBitmapFilter::from_keys(keys));
+        match kind {
+            FilterKind::Bitmap => AnyFilter::Bitmap(RangeBitmapFilter::from_keys(keys)),
+            FilterKind::Exact => AnyFilter::Bitmap(RangeBitmapFilter::hashed(keys)),
+            FilterKind::Bloom { bits_per_key } => {
+                AnyFilter::Bloom(BloomFilter::from_keys(keys, bits_per_key))
+            }
+            FilterKind::BlockedBloom { bits_per_key } => {
+                AnyFilter::BlockedBloom(BlockedBloomFilter::from_keys(keys, bits_per_key))
+            }
         }
-        let mut f = Self::with_capacity(kind, keys.len());
-        for &k in keys {
-            f.insert(k);
-        }
-        f
     }
 }
 
 impl BitvectorFilter for AnyFilter {
-    fn insert(&mut self, key: i64) {
-        match self {
-            AnyFilter::Bitmap(f) => f.insert(key),
-            AnyFilter::Exact(f) => f.insert(key),
-            AnyFilter::Bloom(f) => f.insert(key),
-            AnyFilter::BlockedBloom(f) => f.insert(key),
-        }
-    }
-
     fn maybe_contains(&self, key: i64) -> bool {
         match self {
             AnyFilter::Bitmap(f) => f.maybe_contains(key),
-            AnyFilter::Exact(f) => f.maybe_contains(key),
             AnyFilter::Bloom(f) => f.maybe_contains(key),
             AnyFilter::BlockedBloom(f) => f.maybe_contains(key),
         }
@@ -206,7 +173,6 @@ impl BitvectorFilter for AnyFilter {
     fn probe_word(&self, keys: &[i64]) -> u64 {
         match self {
             AnyFilter::Bitmap(f) => f.probe_word(keys),
-            AnyFilter::Exact(f) => f.probe_word(keys),
             AnyFilter::Bloom(f) => f.probe_word(keys),
             AnyFilter::BlockedBloom(f) => f.probe_word(keys),
         }
@@ -216,7 +182,6 @@ impl BitvectorFilter for AnyFilter {
     fn probe_words(&self, keys: &[i64], out: &mut Vec<u64>) {
         match self {
             AnyFilter::Bitmap(f) => f.probe_words(keys, out),
-            AnyFilter::Exact(f) => f.probe_words(keys, out),
             AnyFilter::Bloom(f) => f.probe_words(keys, out),
             AnyFilter::BlockedBloom(f) => f.probe_words(keys, out),
         }
@@ -225,36 +190,8 @@ impl BitvectorFilter for AnyFilter {
     fn probe_range_empty(&self, lo: i64, hi: i64) -> bool {
         match self {
             AnyFilter::Bitmap(f) => f.probe_range_empty(lo, hi),
-            AnyFilter::Exact(f) => f.probe_range_empty(lo, hi),
             AnyFilter::Bloom(f) => f.probe_range_empty(lo, hi),
             AnyFilter::BlockedBloom(f) => f.probe_range_empty(lo, hi),
-        }
-    }
-
-    fn inserted(&self) -> usize {
-        match self {
-            AnyFilter::Bitmap(f) => f.inserted(),
-            AnyFilter::Exact(f) => f.inserted(),
-            AnyFilter::Bloom(f) => f.inserted(),
-            AnyFilter::BlockedBloom(f) => f.inserted(),
-        }
-    }
-
-    fn byte_size(&self) -> usize {
-        match self {
-            AnyFilter::Bitmap(f) => f.byte_size(),
-            AnyFilter::Exact(f) => f.byte_size(),
-            AnyFilter::Bloom(f) => f.byte_size(),
-            AnyFilter::BlockedBloom(f) => f.byte_size(),
-        }
-    }
-
-    fn expected_fpr(&self) -> f64 {
-        match self {
-            AnyFilter::Bitmap(f) => f.expected_fpr(),
-            AnyFilter::Exact(f) => f.expected_fpr(),
-            AnyFilter::Bloom(f) => f.expected_fpr(),
-            AnyFilter::BlockedBloom(f) => f.expected_fpr(),
         }
     }
 }
@@ -266,11 +203,9 @@ mod tests {
     fn exercise(kind: FilterKind) {
         let keys: Vec<i64> = (0..1000).map(|i| i * 7 + 3).collect();
         let f = AnyFilter::from_keys(kind, &keys);
-        assert_eq!(f.inserted(), 1000);
         for &k in &keys {
             assert!(f.maybe_contains(k), "inserted key must be found ({kind:?})");
         }
-        assert!(f.byte_size() > 0);
     }
 
     #[test]
@@ -288,7 +223,8 @@ mod tests {
         for k in 1000..2000 {
             assert!(!f.maybe_contains(k));
         }
-        assert_eq!(f.expected_fpr(), 0.0);
+        // Dense keys, but the exact kind never takes the bitmap.
+        assert!(matches!(f, AnyFilter::Bitmap(ref f) if !f.is_dense()));
     }
 
     #[test]
@@ -298,7 +234,6 @@ mod tests {
         let false_positives = (100_000..200_000).filter(|&k| f.maybe_contains(k)).count();
         let fpr = false_positives as f64 / 100_000.0;
         assert!(fpr < 0.05, "observed fpr {fpr} too high for 10 bits/key");
-        assert!(f.expected_fpr() < 0.05);
     }
 
     #[test]

@@ -12,8 +12,14 @@
 //! * **direct** — when the keys' span is dense (surrogate-key dimensions,
 //!   the paper's star/snowflake case) the slot *is* `key - min`: one
 //!   subtraction and one bounds check, no hashing;
-//! * **hashed** — otherwise one open-addressing `i64 -> slot` table (linear
-//!   probing, load factor at most 1/2), slots numbered in first-seen order.
+//! * **hashed** — otherwise one open-addressing [`KeyIndex`] (it lives in
+//!   `bqo-bitvector`), slots numbered in first-seen order.
+//!
+//! The bitvector filter the join publishes is a view of this table
+//! ([`JoinTable::filter`]): built from the same gathered keys with the
+//! table's own `min` and slot count when direct, the very same
+//! `Arc<KeyIndex>` probed for membership only when hashed — one key gather
+//! and one key index per join.
 //!
 //! The arrays are built by count-then-scatter. Each worker owns a contiguous
 //! *slot range* — hence a contiguous range of `rows` — counts the build rows
@@ -21,12 +27,13 @@
 //! the per-range pieces are then concatenated, so every key's row list is
 //! ascending and identical for every worker count (the determinism contract
 //! `parallel_properties` pins) with no re-hash merge. Slot assignment of the
-//! hashed shape is one sequential find-or-insert pass.
+//! hashed shape is the index's one sequential find-or-insert pass.
 
 use crate::morsel::chunk_morsels;
 use crate::pipeline::ExecContext;
-use bqo_bitvector::dense_span;
+use bqo_bitvector::{dense_span, KeyIndex, RangeBitmapFilter};
 use bqo_storage::StorageError;
+use std::sync::Arc;
 
 /// `row` as a `u32` row id, or [`StorageError::RowIdOverflow`] when it does
 /// not fit — the one checked conversion every build side and probe batch
@@ -35,28 +42,13 @@ pub(crate) fn row_id(row: usize) -> Result<u32, StorageError> {
     u32::try_from(row).map_err(|_| StorageError::RowIdOverflow { rows: row })
 }
 
-/// Marks an unoccupied entry of the open-addressing table. Never a real
-/// slot: slots number distinct keys, of which there are at most `u32::MAX`.
-const EMPTY: u32 = u32::MAX;
-
 /// How a key finds its slot.
 #[derive(Debug, Clone)]
 enum SlotIndex {
     /// Slot `key - min`, valid below `offsets.len() - 1`.
     Direct { min: i64 },
-    /// Open addressing over `(key, slot)` entries; the home position of a
-    /// key is the top bits of its multiplicative hash.
-    Hashed {
-        entries: Vec<(i64, u32)>,
-        shift: u32,
-    },
-}
-
-/// Fibonacci hashing: the top `64 - shift` bits of `key * 2^64 / phi`.
-#[inline]
-fn home(key: i64, shift: u32) -> usize {
-    let hash = (key as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15); // CAST-OK: two's-complement bit reinterpret; hashing is bit-uniform
-    (hash >> shift) as usize // CAST-OK: at most `64 - shift` bits, the table's index width
+    /// The slot the shared key index assigned.
+    Hashed(Arc<KeyIndex>),
 }
 
 /// The direct-addressed slot of `key`: `key - min` when below `limit`. A key
@@ -67,22 +59,6 @@ fn direct_slot(min: i64, limit: usize, key: i64) -> Option<usize> {
     let offset = key.wrapping_sub(min) as u64; // CAST-OK: two's-complement reinterpret; out-of-range keys fail the limit test
     let in_range = offset < limit as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
     in_range.then_some(offset as usize) // CAST-OK: offset < limit, which is a usize
-}
-
-/// The slot stored for `key` in the open-addressing table, if any.
-#[inline]
-fn hashed_slot(entries: &[(i64, u32)], shift: u32, key: i64) -> Option<usize> {
-    let mut at = home(key, shift);
-    loop {
-        let (stored, slot) = entries[at];
-        if slot == EMPTY {
-            return None;
-        }
-        if stored == key {
-            return Some(slot as usize); // CAST-OK: u32 widens losslessly into usize on supported targets
-        }
-        at = (at + 1) & (entries.len() - 1);
-    }
 }
 
 /// A flat key → build-rows table (see the module docs).
@@ -124,35 +100,27 @@ impl JoinTable {
             });
         }
 
-        // Load factor <= 1/2, at least two entries so `shift` stays < 64.
-        let capacity = keys.len().saturating_mul(2).next_power_of_two().max(2);
-        let shift = 64 - capacity.trailing_zeros();
-        let mut entries = vec![(0i64, EMPTY); capacity];
-        let mut num_slots = 0u32;
-        let mut slots = Vec::with_capacity(keys.len());
-        for &key in keys {
-            let mut at = home(key, shift);
-            let slot = loop {
-                let entry = &mut entries[at];
-                if entry.1 == EMPTY {
-                    *entry = (key, num_slots);
-                    num_slots += 1;
-                    break entry.1;
-                }
-                if entry.0 == key {
-                    break entry.1;
-                }
-                at = (at + 1) & (capacity - 1);
-            };
-            slots.push(slot);
-        }
+        let (index, slots) = KeyIndex::build(keys);
         let slot_of = |row: usize| slots[row] as usize; // CAST-OK: u32 widens losslessly into usize on supported targets
-        let (offsets, rows) = scatter(ctx, keys.len(), num_slots as usize, slot_of)?; // CAST-OK: u32 widens losslessly into usize on supported targets
+        let (offsets, rows) = scatter(ctx, keys.len(), index.num_keys(), slot_of)?;
         Ok(JoinTable {
-            index: SlotIndex::Hashed { entries, shift },
+            index: SlotIndex::Hashed(Arc::new(index)),
             offsets,
             rows,
         })
+    }
+
+    /// The default ([`bqo_bitvector::FilterKind::Bitmap`]) bitvector filter
+    /// over `keys`, the keys this table was built from, as a view of the
+    /// table: a direct table already knows the bitmap's `min` and span, a
+    /// hashed table shares its key index.
+    pub fn filter(&self, keys: &[i64]) -> RangeBitmapFilter {
+        match &self.index {
+            SlotIndex::Direct { min } => {
+                RangeBitmapFilter::dense(*min, self.offsets.len() - 1, keys)
+            }
+            SlotIndex::Hashed(index) => RangeBitmapFilter::Sparse(Arc::clone(index)),
+        }
     }
 
     /// The slot owning `key`, if any build row carries it.
@@ -160,7 +128,7 @@ impl JoinTable {
     fn slot(&self, key: i64) -> Option<usize> {
         match &self.index {
             SlotIndex::Direct { min } => direct_slot(*min, self.offsets.len() - 1, key),
-            SlotIndex::Hashed { entries, shift } => hashed_slot(entries, *shift, key),
+            SlotIndex::Hashed(index) => index.slot(key),
         }
     }
 
@@ -197,9 +165,8 @@ impl JoinTable {
                 let slots = probe_rows_of.map(|(&key, row)| (direct_slot(*min, limit, key), row));
                 self.emit(slots, build_rows, probe_rows)
             }
-            SlotIndex::Hashed { entries, shift } => {
-                let slots =
-                    probe_rows_of.map(|(&key, row)| (hashed_slot(entries, *shift, key), row));
+            SlotIndex::Hashed(index) => {
+                let slots = probe_rows_of.map(|(&key, row)| (index.slot(key), row));
                 self.emit(slots, build_rows, probe_rows)
             }
         }

@@ -3,13 +3,15 @@
 //! [`PhysicalOperator`] is the batch-at-a-time (Volcano-with-batches)
 //! interface of the executor:
 //!
-//! * [`PhysicalOperator::open`] prepares operator state. Hash joins drain
-//!   their entire build side here (as row ids, indexed by one flat
-//!   [`JoinTable`]), publish the bitvector filters sourced at the join to
-//!   the [`ExecContext`], and only then open their probe side — which
-//!   guarantees every filter is available before any probe-side scan
+//! * [`PhysicalOperator::open`] prepares operator state. A hash join, in
+//!   this order: (1) drains its entire build side as row ids, (2) gathers
+//!   the build keys once, (3) indexes them in one flat [`JoinTable`],
+//!   (4) publishes the bitvector filter sourced at the join — a view of that
+//!   table — to the [`ExecContext`], and only then (5) opens its probe side,
+//!   which guarantees every filter is available before any probe-side scan
 //!   produces its first batch (the same ordering the paper's Algorithm 1
-//!   relies on).
+//!   relies on). A table build that fails (`RowIdOverflow`, `Cancelled`)
+//!   publishes nothing and leaves `filters_created` untouched.
 //! * [`PhysicalOperator::next_batch`] pulls the next batch of at most
 //!   [`crate::ExecConfig::batch_size`] rows, or `None` once exhausted. Local
 //!   predicates and pushed-down bitvector probes run as shared-state-free
@@ -45,7 +47,7 @@ use crate::kernels::{batch_keys, join_probe, probe_mask, scan_batch, scan_morsel
 use crate::metrics::OperatorKind;
 use crate::morsel::{chunk_morsels, morsels, Morsel};
 use crate::pipeline::ExecContext;
-use bqo_bitvector::{AnyFilter, BitvectorFilter, FilterStats};
+use bqo_bitvector::{AnyFilter, BitvectorFilter, FilterKind, FilterStats};
 use bqo_plan::{BitvectorPlacement, ColumnPredicate, ColumnRef, NodeId, RelId, RelationInfo};
 use bqo_storage::{ChunkSource, Column, StorageError, Value};
 use std::sync::Arc;
@@ -420,9 +422,11 @@ impl PhysicalOperator for ScanOp<'_> {
 }
 
 /// Hash join: the build side is drained at `open` and kept as one row-id
-/// batch (`Batch::stack`) plus a flat [`JoinTable`] over its join keys
-/// (publishing the bitvector filters sourced at this join before the probe
-/// side opens); the probe side is streamed batch by batch, each output batch
+/// batch (`Batch::stack`) plus a flat [`JoinTable`] over its join keys,
+/// gathered once; the bitvector filter sourced at this join is published as
+/// a view of that table ([`JoinTable::filter`]) — after the table is built,
+/// so a failed or cancelled build publishes nothing, and before the probe
+/// side opens. The probe side is streamed batch by batch, each output batch
 /// pairing build and probe row ids (`Batch::join`). Residual bitvector
 /// filters targeted at this join's output refine each output batch's row ids.
 pub struct HashJoinOp<'p> {
@@ -431,8 +435,9 @@ pub struct HashJoinOp<'p> {
     probe: Box<dyn PhysicalOperator + 'p>,
     build_key_cols: Vec<ColumnRef>,
     probe_key_cols: Vec<ColumnRef>,
-    /// Placements whose filter this join creates from its build side.
-    source_placements: Vec<(usize, &'p BitvectorPlacement)>,
+    /// Indices of the placements whose filter this join creates from its
+    /// build side.
+    source_placements: Vec<usize>,
     /// Residual placements applied to this join's output batches.
     residual_placements: Vec<(usize, &'p BitvectorPlacement)>,
     /// The pipeline's root join densifies the batches it hands out.
@@ -464,7 +469,7 @@ impl<'p> HashJoinOp<'p> {
         build: Box<dyn PhysicalOperator + 'p>,
         probe: Box<dyn PhysicalOperator + 'p>,
         keys: &'p [bqo_plan::JoinKeyPair],
-        source_placements: Vec<(usize, &'p BitvectorPlacement)>,
+        source_placements: Vec<usize>,
         residual_placements: Vec<(usize, &'p BitvectorPlacement)>,
         is_root: bool,
     ) -> Self {
@@ -500,19 +505,23 @@ impl PhysicalOperator for HashJoinOp<'_> {
         self.build.close(ctx);
         self.build_batch = Batch::stack(batches)?;
 
-        // 2. Publish the bitvector filters sourced at this join, so they are
-        //    in place before any probe-side operator produces rows.
-        for &(idx, placement) in &self.source_placements {
-            let build_keys = batch_keys(&ctx.config, &self.build_batch, &placement.build_columns);
-            let filter = AnyFilter::from_keys(ctx.config.filter_kind, &build_keys);
-            ctx.publish_filter(idx, filter);
-        }
-
-        // 3. Index the build side in the flat table (row lists ascending for
-        //    any worker count; step 2 always publishes single-threaded).
+        // 2. Gather the build keys, once, and index them in the flat table
+        //    (row lists ascending for any worker count).
         let build_keys = batch_keys(&ctx.config, &self.build_batch, &self.build_key_cols);
         self.build_rows = build_keys.len() as u64;
         self.table = JoinTable::build(ctx, &build_keys)?;
+
+        // 3. Publish the bitvector filter sourced at this join (Algorithm 1
+        //    places it exactly once), so it is in place before any
+        //    probe-side operator produces rows: the default kind is a view
+        //    of the table, the others are built from the same keys.
+        for &idx in &self.source_placements {
+            let filter = match ctx.config.filter_kind {
+                FilterKind::Bitmap => AnyFilter::Bitmap(self.table.filter(&build_keys)),
+                kind => AnyFilter::from_keys(kind, &build_keys),
+            };
+            ctx.publish_filter(idx, filter);
+        }
 
         // 4. Only now open the probe side.
         self.probe.open(ctx)

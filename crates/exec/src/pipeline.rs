@@ -196,7 +196,10 @@ impl<'p> PipelineBuilder<'p> {
                 let is_root = node == self.plan.root();
                 let (source, residual) = if self.config.enable_bitvectors {
                     (
-                        self.plan.indexed_placements_from(node).collect(),
+                        self.plan
+                            .indexed_placements_from(node)
+                            .map(|(idx, _)| idx)
+                            .collect(),
                         self.plan.indexed_placements_at(node).collect(),
                     )
                 } else {

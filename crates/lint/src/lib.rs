@@ -196,8 +196,8 @@ impl Config {
                 "crates/bitvector/src/bitmap.rs".to_string(),
                 "crates/bitvector/src/blocked.rs".to_string(),
                 "crates/bitvector/src/bloom.rs".to_string(),
-                "crates/bitvector/src/exact.rs".to_string(),
                 "crates/bitvector/src/hash.rs".to_string(),
+                "crates/bitvector/src/key_index.rs".to_string(),
                 "crates/format/src/codec.rs".to_string(),
                 "crates/format/src/reader.rs".to_string(),
                 "crates/format/src/writer.rs".to_string(),

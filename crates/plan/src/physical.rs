@@ -71,7 +71,9 @@ pub enum PhysicalNode {
 /// Where a bitvector filter created at `source_join` is applied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitvectorPlacement {
-    /// The hash join whose build side creates the filter.
+    /// The hash join whose build side creates the filter — from the
+    /// equi-join columns of that build side (the join's `keys[..].build`),
+    /// as Algorithm 1 has it, so the placement does not repeat them.
     pub source_join: NodeId,
     /// The operator whose output the filter is applied to. When this is a
     /// scan, the filter was pushed all the way down (the interesting case for
@@ -81,8 +83,6 @@ pub struct BitvectorPlacement {
     /// The probe-side columns the filter checks (one per join key; composite
     /// keys are hashed together).
     pub probe_columns: Vec<ColumnRef>,
-    /// The build-side columns the filter is created from.
-    pub build_columns: Vec<ColumnRef>,
 }
 
 /// A physical plan: an operator arena, its root, and bitvector placements.
@@ -245,7 +245,6 @@ impl PhysicalPlan {
                 source_join: p.source_join,
                 target: p.target,
                 probe_columns: p.probe_columns.iter().map(remap_col).collect(),
-                build_columns: p.build_columns.iter().map(remap_col).collect(),
             })
             .collect();
         PhysicalPlan {
@@ -444,10 +443,6 @@ mod tests {
                 assert_eq!(cr.relation, map[c.relation.0]);
                 assert_eq!(cr.column, c.column);
             }
-            for (c, cr) in p.build_columns.iter().zip(&pr.build_columns) {
-                assert_eq!(cr.relation, map[c.relation.0]);
-                assert_eq!(cr.column, c.column);
-            }
         }
         // Remapping by the identity is a no-op; remapping twice by the
         // involution `map` round-trips.
@@ -498,7 +493,6 @@ mod tests {
             source_join: root,
             target: scan_fact,
             probe_columns: vec![ColumnRef::new(fact, "d1_sk")],
-            build_columns: vec![ColumnRef::new(dims[0], "sk")],
         });
         assert_eq!(plan.placements_at(scan_fact).len(), 1);
         assert_eq!(plan.placements_from(root).len(), 1);

@@ -23,7 +23,6 @@ use std::collections::BTreeSet;
 struct PendingFilter {
     source_join: NodeId,
     probe_columns: Vec<ColumnRef>,
-    build_columns: Vec<ColumnRef>,
 }
 
 impl PendingFilter {
@@ -57,7 +56,6 @@ fn push_down_node(
                     source_join: f.source_join,
                     target: node,
                     probe_columns: f.probe_columns,
-                    build_columns: f.build_columns,
                 });
             }
         }
@@ -73,7 +71,6 @@ fn push_down_node(
             to_probe.push(PendingFilter {
                 source_join: node,
                 probe_columns: keys.iter().map(|k| k.probe.clone()).collect(),
-                build_columns: keys.iter().map(|k| k.build.clone()).collect(),
             });
 
             // Route the incoming filters (line 12-23).
@@ -90,7 +87,6 @@ fn push_down_node(
                         source_join: f.source_join,
                         target: node,
                         probe_columns: f.probe_columns,
-                        build_columns: f.build_columns,
                     }),
                 }
             }

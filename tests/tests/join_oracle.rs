@@ -21,6 +21,7 @@
 //! The last test is the engine-level regression for the composite-key abort
 //! (`RangeBitmapFilter::from_keys` span overflow).
 
+use bqo_core::bitvector::{AnyFilter, RangeBitmapFilter};
 use bqo_core::{Engine, OptimizerChoice, QuerySpec, RunOptions};
 use bqo_exec::{
     Batch, ExecConfig, ExecContext, ExecutionMetrics, JoinTable, KernelMode, PipelineBuilder,
@@ -34,6 +35,7 @@ use bqo_plan::{
 };
 use bqo_storage::{Catalog, Table, TableBuilder, Value};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One hand-built join: tables, the graph joining them and the tree to run.
 struct Scenario {
@@ -406,6 +408,44 @@ fn key_spans_on_both_sides_of_the_density_threshold() {
         let probe = (-5..270).step_by(3).chain([17, top, 0]).collect();
         assert!(assert_matches_reference(&two_way(name, build, none(), probe, none())) > 0);
     }
+}
+
+/// One key index per join: a hashed table's filter views, and the filter the
+/// join publishes, hold the table's own `KeyIndex` allocation — the second
+/// index cannot grow back unnoticed.
+#[test]
+fn hashed_table_and_its_published_filter_share_one_index() {
+    let sparse = |filter: &RangeBitmapFilter| match filter {
+        RangeBitmapFilter::Sparse(index) => Arc::clone(index),
+        RangeBitmapFilter::Bitmap { .. } => panic!("sparse keys took the dense bitmap"),
+    };
+    let build = vec![0, 1 << 40, -(1 << 50), 1 << 40];
+    let ctx = ExecContext::new(ExecConfig::default());
+    let table = JoinTable::build(&ctx, &build).expect("table");
+    assert!(!table.is_direct());
+    let (first, second) = (sparse(&table.filter(&build)), sparse(&table.filter(&build)));
+    assert!(Arc::ptr_eq(&first, &second));
+    // The table and the two handles above: the views were not copies.
+    assert_eq!(Arc::strong_count(&first), 3);
+
+    // Through the operator: once `open` returns, the join's table, the
+    // filter it published and the handle taken here hold the one index.
+    let s = two_way("shared-index", build, none(), vec![1 << 40, 5], none());
+    let plan = PhysicalPlan::from_join_tree(&s.graph, &s.tree);
+    let plan = push_down_bitvectors(&s.graph, plan);
+    let catalog = s.memory_catalog();
+    let config = ExecConfig::default();
+    let mut ctx = ExecContext::new(config);
+    let mut root = PipelineBuilder::new(&catalog, &s.graph, &plan, config)
+        .build()
+        .expect("lowering");
+    root.open(&mut ctx).expect("open");
+    assert_eq!(ctx.metrics.filters_created, 1);
+    let Some(AnyFilter::Bitmap(published)) = ctx.filter(0) else {
+        panic!("the join published no range-bitmap filter");
+    };
+    assert_eq!(Arc::strong_count(&sparse(published)), 3);
+    root.close(&mut ctx);
 }
 
 #[test]

@@ -6,8 +6,11 @@
 //! vectorized kernel to the row-at-a-time scalar reference it replaced:
 //!
 //! * word-level bitvector probes (`probe_word`/`probe_words`) for every
-//!   filter kind — dense bitmap, sparse bitmap fallback, exact set, Bloom,
-//!   blocked Bloom — against a `maybe_contains` loop,
+//!   filter kind — dense bitmap, sparse (hashed-index) bitmap, exact, Bloom,
+//!   blocked Bloom, and the dense and sparse filter views of a `JoinTable` —
+//!   against a `maybe_contains` loop,
+//! * the filter view a hash join publishes (`JoinTable::filter`) against the
+//!   independently built `AnyFilter::from_keys(FilterKind::Bitmap, ..)`,
 //! * chunked composite-key hashing (`fold_parts` / `gather_keys` /
 //!   `Batch::key_values_vectorized`) against `combine_key` / `row_key` /
 //!   `Batch::key_values`,
@@ -28,7 +31,7 @@ use bqo_core::bitvector::hash::{combine_key, fold_parts};
 use bqo_core::bitvector::{AnyFilter, BitvectorFilter, FilterKind, FilterStats};
 use bqo_core::exec::batch::{gather_keys, row_key};
 use bqo_core::exec::kernels::{probe_mask_range, probe_retain, ProbeScratch};
-use bqo_core::exec::{Batch, ExecConfig, KernelMode};
+use bqo_core::exec::{Batch, ExecConfig, ExecContext, JoinTable, KernelMode, WorkerPool};
 use bqo_core::storage::generator::DataGenerator;
 use bqo_core::storage::{Catalog, Column};
 use bqo_core::{ColumnPredicate, CompareOp, Engine, OptimizerChoice, QuerySpec, RunOptions};
@@ -36,28 +39,47 @@ use bqo_integration_tests::env_threads;
 use bqo_plan::{ColumnRef, RelId};
 use proptest::prelude::*;
 
-/// The filter shapes under test. Index 4 spreads the keys so far apart that
-/// `RangeBitmapFilter` takes its sparse hash-set fallback arm — the word
-/// probe must agree with the scalar probe in both representations.
-const NUM_FILTER_SHAPES: usize = 5;
+/// The filter shapes under test. Shapes 4 and 6 spread the keys so far
+/// apart that `RangeBitmapFilter` takes its sparse hashed-index arm — the
+/// word probe must agree with the scalar probe in both representations.
+/// Shapes 5 and 6 are what a hash join publishes: the filter view of the
+/// `JoinTable` built over the keys (direct-addressed and hashed).
+const NUM_FILTER_SHAPES: usize = 7;
+
+/// A context fanning out over `BQO_TEST_THREADS` workers with no inline
+/// gate, so table builds really run in parallel at 4 threads.
+fn table_ctx() -> ExecContext {
+    let threads = env_threads();
+    let config = ExecConfig::default()
+        .with_num_threads(threads)
+        .with_parallel_threshold(1);
+    let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
+    ExecContext::with_pool(config, pool)
+}
+
+/// The filter view of the join table built over `keys`.
+fn table_view(keys: &[i64]) -> AnyFilter {
+    let table = JoinTable::build(&table_ctx(), keys).expect("join table");
+    AnyFilter::Bitmap(table.filter(keys))
+}
 
 fn build_filter(shape: usize, members: &[i64]) -> AnyFilter {
+    // Spread keys to defeat the dense range representation.
+    let spread = |keys: &[i64]| -> Vec<i64> { keys.iter().map(|&k| probe_key(4, k)).collect() };
     match shape {
         0 => AnyFilter::from_keys(FilterKind::Bitmap, members),
         1 => AnyFilter::from_keys(FilterKind::Exact, members),
         2 => AnyFilter::from_keys(FilterKind::Bloom { bits_per_key: 8 }, members),
         3 => AnyFilter::from_keys(FilterKind::BlockedBloom { bits_per_key: 10 }, members),
-        _ => {
-            // Spread keys to defeat the dense range representation.
-            let sparse: Vec<i64> = members.iter().map(|&k| k.wrapping_mul(1_000_003)).collect();
-            AnyFilter::from_keys(FilterKind::Bitmap, &sparse)
-        }
+        4 => AnyFilter::from_keys(FilterKind::Bitmap, &spread(members)),
+        5 => table_view(members),
+        _ => table_view(&spread(members)),
     }
 }
 
 /// Maps probe keys into the same domain the filter of `shape` was built on.
 fn probe_key(shape: usize, key: i64) -> i64 {
-    if shape == 4 {
+    if matches!(shape, 4 | 6) {
         key.wrapping_mul(1_000_003)
     } else {
         key
@@ -118,8 +140,77 @@ fn word_probes_cover_boundary_lengths_for_all_filter_shapes() {
     }
 }
 
+/// `JoinTable::filter` — the filter a hash join publishes — must be
+/// indistinguishable from the independently built default filter over the
+/// same keys: same representation, same scalar and word probes over `probes`,
+/// same range-emptiness over every pair of `bounds`.
+fn assert_view_matches_from_keys(keys: &[i64], probes: &[i64], bounds: &[i64]) {
+    let view = table_view(keys);
+    let built = AnyFilter::from_keys(FilterKind::Bitmap, keys);
+    let is_dense = |f: &AnyFilter| matches!(f, AnyFilter::Bitmap(f) if f.is_dense());
+    assert_eq!(is_dense(&view), is_dense(&built), "keys {keys:?}");
+    assert_eq!(scalar_mask(&view, probes), scalar_mask(&built, probes));
+    let (mut view_words, mut built_words) = (Vec::new(), Vec::new());
+    view.probe_words(probes, &mut view_words);
+    built.probe_words(probes, &mut built_words);
+    assert_eq!(view_words, built_words, "keys {keys:?}");
+    for &lo in bounds {
+        for &hi in bounds {
+            assert_eq!(
+                view.probe_range_empty(lo, hi),
+                built.probe_range_empty(lo, hi),
+                "keys {keys:?} range [{lo}, {hi}]"
+            );
+        }
+    }
+}
+
+#[test]
+fn join_table_filter_view_matches_from_keys_on_corner_key_sets() {
+    let key_sets: [Vec<i64>; 9] = [
+        vec![],
+        vec![5; 70],
+        vec![3, 3, 9, 3, 9, 9, 3, 4],
+        (-90..-20).rev().collect(),
+        vec![i64::MIN, i64::MAX, 0, i64::MIN, -1],
+        vec![i64::MAX - 3, i64::MAX, i64::MAX - 1],
+        (0..300).map(|k| k * 3 % 200).collect(),
+        (0..100).map(|k| k * 1_000_000_007).collect(),
+        vec![i64::MIN, i64::MIN + 100, i64::MIN + 7],
+    ];
+    // Both sides of the 64x threshold: `[0, 127]` is dense, `[0, 128]` sparse.
+    let threshold = [vec![0, 127], vec![0, 128]];
+    for keys in key_sets.iter().chain(&threshold) {
+        let mut probes: Vec<i64> = (-140..140).collect();
+        probes.extend([i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX]);
+        for &key in keys {
+            probes.extend([key.wrapping_sub(1), key, key.wrapping_add(1)]);
+        }
+        let mut bounds = vec![i64::MIN, -91, -20, -1, 0, 1, 4, 127, 128, 129, i64::MAX];
+        bounds.extend(keys.iter().take(6));
+        assert_view_matches_from_keys(keys, &probes, &bounds);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random key sets, near and spread: the join table's filter view agrees
+    /// with `AnyFilter::from_keys(FilterKind::Bitmap, ..)` everywhere.
+    #[test]
+    fn join_table_filter_view_matches_from_keys(
+        keys in prop::collection::vec(-60i64..200, 0..80),
+        stride in 0usize..3,
+        probes in prop::collection::vec(-100i64..260, 0..150),
+        bounds in prop::collection::vec(-100i64..260, 2..6),
+    ) {
+        let stride = [1i64, 3, 1_000_003][stride];
+        let scale = |k: &i64| k.wrapping_mul(stride);
+        let keys: Vec<i64> = keys.iter().map(scale).collect();
+        let probes: Vec<i64> = probes.iter().map(scale).collect();
+        let bounds: Vec<i64> = bounds.iter().map(scale).collect();
+        assert_view_matches_from_keys(&keys, &probes, &bounds);
+    }
 
     /// Random keys and member sets: `probe_words` agrees bit-for-bit with
     /// the scalar `maybe_contains` loop for every filter shape.
