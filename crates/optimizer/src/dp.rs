@@ -7,8 +7,22 @@
 //! minimizes plain `Cout` — the effect of bitvector filters is *not* part of
 //! the cost — over bushy trees without cross products.
 
-use bqo_plan::{CardinalityEstimator, CostModel, JoinGraph, JoinTree, RelId};
-use std::collections::{BTreeSet, HashMap};
+use bqo_plan::{CostModel, JoinGraph, JoinTree, RelSet};
+use std::collections::HashMap;
+
+/// Queries with more relations than this get the greedy tree instead of the
+/// exact one: DPsub visits every subset of the relations.
+const DP_RELATION_LIMIT: usize = 12;
+
+/// The join tree a conventional optimizer picks: minimum plain `Cout`, exact
+/// up to [`DP_RELATION_LIMIT`] relations and greedy beyond.
+pub(crate) fn conventional_tree(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
+    if graph.num_relations() <= DP_RELATION_LIMIT {
+        DpOptimizer::new().best_tree(graph, cost_model)
+    } else {
+        GreedyOptimizer::new().best_tree(graph, cost_model)
+    }
+}
 
 /// Exact dynamic-programming optimizer (DPsub over connected subsets).
 #[derive(Debug, Clone, Copy, Default)]
@@ -39,48 +53,42 @@ impl DpOptimizer {
         );
 
         let est = cost_model.estimator();
-        // best[mask] = (cost, tree). Cost is the full Cout of the subplan
+        // best[set] = (cost, tree). Cost is the full Cout of the subplan
         // (base cardinalities + intermediate join results).
-        let mut best: HashMap<u32, (f64, JoinTree)> = HashMap::new();
+        let mut best: HashMap<RelSet, (f64, JoinTree)> = HashMap::new();
         for r in graph.relation_ids() {
-            best.insert(1u32 << r.index(), (est.base_card(r), JoinTree::Leaf(r)));
+            best.insert(RelSet::single(r), (est.base_card(r), JoinTree::Leaf(r)));
         }
 
-        let full: u32 = if n == 32 { u32::MAX } else { (1u32 << n) - 1 };
-        for mask in 1..=full {
-            if mask.count_ones() < 2 {
+        let full = RelSet::first_n(n);
+        // Subsets in ascending mask order, so both halves of every split of
+        // a set are final before the set itself is visited.
+        for set in (1..=full.0).map(RelSet) {
+            if set.len() < 2 || !graph.is_connected_subset(set) {
                 continue;
             }
-            let set = mask_to_set(mask);
-            if !graph.is_connected_subset(&set) {
-                continue;
-            }
-            let output = est.join_card(&set);
+            let output = est.join_card(set);
             let mut best_here: Option<(f64, JoinTree)> = None;
-            // Enumerate proper subsets of `mask` as the build side.
-            let mut sub = (mask - 1) & mask;
+            // Every proper subset of `set` as the build side, in descending
+            // mask order: each unordered split is seen in both orientations,
+            // and both matter for a hash join (build vs probe).
+            let mut sub = (set.0 - 1) & set.0;
             while sub > 0 {
-                let other = mask & !sub;
-                if sub < other {
-                    // Each (sub, other) unordered pair is visited twice; both
-                    // orders matter for hash joins (build vs probe), so keep
-                    // both but avoid re-checking connectivity twice by letting
-                    // the lookup below fail fast.
-                }
-                if let (Some((c1, t1)), Some((c2, t2))) = (best.get(&sub), best.get(&other)) {
-                    let build_set = mask_to_set(sub);
-                    let probe_set = mask_to_set(other);
-                    if !graph.edges_across(&build_set, &probe_set).is_empty() {
+                let (build_set, probe_set) = (RelSet(sub), set - RelSet(sub));
+                if let (Some((c1, t1)), Some((c2, t2))) =
+                    (best.get(&build_set), best.get(&probe_set))
+                {
+                    if graph.are_joined(build_set, probe_set) {
                         let cost = c1 + c2 + output;
                         if best_here.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
                             best_here = Some((cost, JoinTree::join(t1.clone(), t2.clone())));
                         }
                     }
                 }
-                sub = (sub - 1) & mask;
+                sub = (sub - 1) & set.0;
             }
             if let Some(entry) = best_here {
-                best.insert(mask, entry);
+                best.insert(set, entry);
             }
         }
         best.remove(&full)
@@ -103,28 +111,23 @@ impl GreedyOptimizer {
 
     /// Builds a bushy tree by greedily merging the cheapest connected pair.
     pub fn best_tree(&self, graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
-        let est: &CardinalityEstimator<'_> = cost_model.estimator();
+        let est = cost_model.estimator();
         assert!(
             graph.num_relations() > 0,
             "cannot optimize an empty join graph"
         );
-        let mut fragments: Vec<(BTreeSet<RelId>, JoinTree)> = graph
+        let mut fragments: Vec<(RelSet, JoinTree)> = graph
             .relation_ids()
-            .map(|r| ([r].into_iter().collect(), JoinTree::Leaf(r)))
+            .map(|r| (RelSet::single(r), JoinTree::Leaf(r)))
             .collect();
         while fragments.len() > 1 {
             let mut best_pair: Option<(usize, usize, f64)> = None;
             for i in 0..fragments.len() {
                 for j in i + 1..fragments.len() {
-                    if graph
-                        .edges_across(&fragments[i].0, &fragments[j].0)
-                        .is_empty()
-                    {
+                    if !graph.are_joined(fragments[i].0, fragments[j].0) {
                         continue;
                     }
-                    let mut merged = fragments[i].0.clone();
-                    merged.extend(fragments[j].0.iter().copied());
-                    let card = est.join_card(&merged);
+                    let card = est.join_card(fragments[i].0 | fragments[j].0);
                     if best_pair.map(|(_, _, c)| card < c).unwrap_or(true) {
                         best_pair = Some((i, j, card));
                     }
@@ -135,32 +138,22 @@ impl GreedyOptimizer {
             // Keep the smaller side as the hash-join build input.
             let (set_j, tree_j) = fragments.swap_remove(j);
             let (set_i, tree_i) = fragments.swap_remove(i.min(fragments.len()));
-            let (build, probe, build_set, probe_set) =
-                if est.join_card(&set_i) <= est.join_card(&set_j) {
-                    (tree_i, tree_j, set_i, set_j)
-                } else {
-                    (tree_j, tree_i, set_j, set_i)
-                };
-            let mut merged = build_set;
-            merged.extend(probe_set);
-            fragments.push((merged, JoinTree::join(build, probe)));
+            let (build, probe) = if est.join_card(set_i) <= est.join_card(set_j) {
+                (tree_i, tree_j)
+            } else {
+                (tree_j, tree_i)
+            };
+            fragments.push((set_i | set_j, JoinTree::join(build, probe)));
         }
         fragments.pop().unwrap().1
     }
-}
-
-fn mask_to_set(mask: u32) -> BTreeSet<RelId> {
-    (0..32)
-        .filter(|i| mask & (1 << i) != 0)
-        .map(|i| RelId(i as usize))
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerate::exhaustive_best_right_deep;
-    use bqo_plan::{JoinEdge, RelationInfo};
+    use bqo_plan::{JoinEdge, RelId, RelationInfo};
 
     fn star(filters: &[f64]) -> JoinGraph {
         let mut g = JoinGraph::new();

@@ -5,8 +5,7 @@
 //! sets of Theorems 4.1, 5.1 and 5.3 contain a minimum-cost plan, and (b) by
 //! the Table 2 reproduction to count the plan-space sizes.
 
-use bqo_plan::{CostModel, JoinGraph, RelId, RightDeepTree};
-use std::collections::BTreeSet;
+use bqo_plan::{CostModel, JoinGraph, RelId, RelSet, RightDeepTree};
 
 /// Enumerates every right-deep tree without cross products for the graph.
 ///
@@ -14,50 +13,39 @@ use std::collections::BTreeSet;
 /// callers should only use this for small queries (the tests use up to ~9
 /// relations).
 pub fn enumerate_right_deep(graph: &JoinGraph) -> Vec<RightDeepTree> {
-    let all: Vec<RelId> = graph.relation_ids().collect();
+    let all = RelSet::first_n(graph.num_relations());
     let mut plans = Vec::new();
-    if all.is_empty() {
-        return plans;
-    }
-    if all.len() == 1 {
-        plans.push(RightDeepTree::new(all));
-        return plans;
-    }
-    for &first in &all {
-        let mut order = vec![first];
-        let mut remaining: BTreeSet<RelId> = all.iter().copied().filter(|&r| r != first).collect();
-        extend(graph, &mut order, &mut remaining, &mut plans);
+    for first in all.iter() {
+        let remaining = all - RelSet::single(first);
+        extend(graph, &mut vec![first], remaining, &mut plans);
     }
     plans
 }
 
+/// Appends to `plans` every completion of `order` by the relations of
+/// `remaining`.
 fn extend(
     graph: &JoinGraph,
     order: &mut Vec<RelId>,
-    remaining: &mut BTreeSet<RelId>,
+    remaining: RelSet,
     plans: &mut Vec<RightDeepTree>,
 ) {
     if remaining.is_empty() {
         plans.push(RightDeepTree::new(order.clone()));
         return;
     }
-    let prefix: BTreeSet<RelId> = order.iter().copied().collect();
-    let candidates: Vec<RelId> = remaining
-        .iter()
-        .copied()
-        .filter(|&r| graph.connects_to_set(r, &prefix))
-        .collect();
-    for rel in candidates {
-        order.push(rel);
-        remaining.remove(&rel);
-        extend(graph, order, remaining, plans);
-        remaining.insert(rel);
-        order.pop();
+    let prefix: RelSet = order.iter().copied().collect();
+    for rel in remaining.iter() {
+        if graph.neighbors(rel).intersects(prefix) {
+            order.push(rel);
+            extend(graph, order, remaining - RelSet::single(rel), plans);
+            order.pop();
+        }
     }
 }
 
-/// Counts the right-deep trees without cross products without materializing
-/// them (still exponential time, but no allocation per plan).
+/// Counts the right-deep trees without cross products by enumerating them
+/// (exponential time and memory, like [`enumerate_right_deep`]).
 pub fn count_right_deep_plans(graph: &JoinGraph) -> u64 {
     enumerate_right_deep(graph).len() as u64
 }

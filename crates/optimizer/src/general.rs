@@ -16,8 +16,7 @@
 //! right-deep-flavoured shape the paper's plan space favours.
 
 use crate::snowflake::optimize_snowflake;
-use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId};
-use std::collections::BTreeSet;
+use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
 
 /// Produces a bitvector-aware join tree for an arbitrary join graph.
 pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
@@ -44,24 +43,21 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
     facts.sort_by(|a, b| est.base_card(*a).total_cmp(&est.base_card(*b)));
 
     // Assign every relation to the snowflake of exactly one fact.
-    let mut claimed: BTreeSet<RelId> = facts.iter().copied().collect();
-    let mut snowflakes: Vec<(RelId, BTreeSet<RelId>)> = Vec::new();
+    let mut claimed: RelSet = facts.iter().copied().collect();
+    let mut snowflakes: Vec<(RelId, RelSet)> = Vec::new();
     for &fact in &facts {
-        let members = expand_snowflake(graph, fact, &claimed);
-        claimed.extend(members.iter().copied());
+        let members = expand_snowflake(graph, fact, claimed);
+        claimed = claimed | members;
         snowflakes.push((fact, members));
     }
     // Relations still unclaimed (not reachable through PKFK edges from any
     // fact, e.g. a detached dimension joined on a non-key column): attach
     // each to the first snowflake it is adjacent to.
-    let unclaimed: Vec<RelId> = graph
-        .relation_ids()
-        .filter(|r| !claimed.contains(r))
-        .collect();
-    for rel in unclaimed {
+    let unclaimed = RelSet::first_n(graph.num_relations()) - claimed;
+    for rel in unclaimed.iter() {
         let target = snowflakes
             .iter_mut()
-            .find(|(_, members)| graph.neighbors(rel).iter().any(|n| members.contains(n)))
+            .find(|(_, members)| graph.neighbors(rel).intersects(*members))
             .map(|(_, members)| members);
         if let Some(members) = target {
             members.insert(rel);
@@ -71,12 +67,12 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
     }
 
     // Optimize each snowflake with Algorithm 2.
-    let mut optimized: Vec<(BTreeSet<RelId>, JoinTree)> = snowflakes
+    let mut optimized: Vec<(RelSet, JoinTree)> = snowflakes
         .iter()
-        .map(|(fact, members)| {
+        .map(|&(fact, members)| {
             (
-                members.clone(),
-                optimize_snowflake(graph, cost_model, members, *fact),
+                members,
+                optimize_snowflake(graph, cost_model, members, fact),
             )
         })
         .collect();
@@ -90,18 +86,18 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
     while !optimized.is_empty() {
         let next_idx = optimized
             .iter()
-            .position(|(set, _)| !graph.edges_across(&assembled_set, set).is_empty())
+            .position(|&(set, _)| graph.are_joined(assembled_set, set))
             .unwrap_or(0);
         let (set, tree) = optimized.remove(next_idx);
         // Keep the smaller side as the build input.
-        let assembled_card = est.join_card(&assembled_set);
-        let next_card = est.join_card(&set);
+        let assembled_card = est.join_card(assembled_set);
+        let next_card = est.join_card(set);
         assembled = if next_card <= assembled_card {
             JoinTree::join(tree, assembled)
         } else {
             JoinTree::join(assembled, tree)
         };
-        assembled_set.extend(set);
+        assembled_set = assembled_set | set;
     }
     assembled
 }
@@ -109,16 +105,13 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
 /// Expands a fact table into its snowflake: follow PKFK edges pointing away
 /// from the already-included relations, never claiming another fact table or
 /// a relation already claimed by an earlier snowflake.
-fn expand_snowflake(graph: &JoinGraph, fact: RelId, claimed: &BTreeSet<RelId>) -> BTreeSet<RelId> {
-    let mut members: BTreeSet<RelId> = [fact].into_iter().collect();
+fn expand_snowflake(graph: &JoinGraph, fact: RelId, claimed: RelSet) -> RelSet {
+    let mut members = RelSet::single(fact);
     let mut frontier = vec![fact];
     while let Some(current) = frontier.pop() {
         for edge in graph.edges_of(current) {
             let other = edge.other(current);
-            if members.contains(&other) {
-                continue;
-            }
-            if claimed.contains(&other) && other != fact {
+            if members.contains(other) || claimed.contains(other) {
                 continue;
             }
             // Follow the edge only if it points outwards (the join column is
@@ -216,12 +209,12 @@ mod tests {
         let f1 = g.relation_by_name("f1").unwrap();
         let shared = g.relation_by_name("shared_dim").unwrap();
         let d2 = g.relation_by_name("f2_dim").unwrap();
-        let claimed: BTreeSet<RelId> = [f1, f2].into_iter().collect();
-        let members = expand_snowflake(&g, f2, &claimed);
-        assert!(members.contains(&f2));
-        assert!(members.contains(&shared));
-        assert!(members.contains(&d2));
-        assert!(!members.contains(&f1));
+        let claimed: RelSet = [f1, f2].into_iter().collect();
+        let members = expand_snowflake(&g, f2, claimed);
+        assert!(members.contains(f2));
+        assert!(members.contains(shared));
+        assert!(members.contains(d2));
+        assert!(!members.contains(f1));
     }
 
     #[test]

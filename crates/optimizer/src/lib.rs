@@ -32,6 +32,7 @@ use bqo_plan::{push_down_bitvectors, CostModel, JoinGraph, PhysicalPlan};
 
 pub use candidates::{branch_candidates, candidate_plans, snowflake_candidates, star_candidates};
 pub use costed_bv::prune_low_benefit_filters;
+use dp::conventional_tree;
 pub use dp::{DpOptimizer, GreedyOptimizer};
 pub use enumerate::{count_right_deep_plans, enumerate_right_deep, exhaustive_best_right_deep};
 pub use general::optimize_join_graph;
@@ -54,57 +55,30 @@ pub trait Optimizer {
 /// constant so they cannot drift from the optimizer's behaviour.
 pub const DEFAULT_LAMBDA_THRESHOLD: f64 = 0.05;
 
-/// Configuration of the bitvector-aware optimizer.
+/// The paper's bitvector-aware query optimizer.
 #[derive(Debug, Clone, Copy)]
-pub struct BqoConfig {
+pub struct BqoOptimizer {
     /// Minimum estimated eliminated fraction (λ) a bitvector filter must
     /// achieve to be kept (Section 6.3). The paper profiles ~10% as the
     /// break-even and uses 5% in the implementation.
     pub lambda_threshold: f64,
-    /// Whether to apply the cost-based filter pruning at all.
-    pub cost_based_filters: bool,
-    /// Alternative-plan integration (Section 6.4): also evaluate the plan the
-    /// conventional optimizer would have produced under the bitvector-aware
-    /// cost, and keep whichever is cheaper. This is how the technique avoids
-    /// regressions when the original plan is already good (e.g. bushy plans
-    /// for queries with weakly filtered dimensions).
-    pub alternative_plan: bool,
-    /// Queries with more relations than this use the greedy fallback when
-    /// producing the alternative plan.
-    pub dp_relation_limit: usize,
 }
 
-impl Default for BqoConfig {
+impl Default for BqoOptimizer {
     fn default() -> Self {
-        BqoConfig {
-            lambda_threshold: DEFAULT_LAMBDA_THRESHOLD,
-            cost_based_filters: true,
-            alternative_plan: true,
-            dp_relation_limit: 12,
-        }
+        BqoOptimizer::with_threshold(DEFAULT_LAMBDA_THRESHOLD)
     }
 }
 
-/// The paper's bitvector-aware query optimizer.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BqoOptimizer {
-    pub config: BqoConfig,
-}
-
 impl BqoOptimizer {
-    /// Creates the optimizer with default configuration.
+    /// Creates the optimizer with the default λ threshold.
     pub fn new() -> Self {
         BqoOptimizer::default()
     }
 
     /// Creates the optimizer with an explicit λ threshold.
     pub fn with_threshold(lambda_threshold: f64) -> Self {
-        BqoOptimizer {
-            config: BqoConfig {
-                lambda_threshold,
-                ..Default::default()
-            },
-        }
+        BqoOptimizer { lambda_threshold }
     }
 }
 
@@ -116,15 +90,14 @@ impl Optimizer for BqoOptimizer {
     fn optimize(&self, graph: &JoinGraph) -> PhysicalPlan {
         let cost_model = CostModel::new(graph);
         let mut tree = optimize_join_graph(graph, &cost_model);
-        if self.config.alternative_plan && graph.num_relations() > 1 {
-            // Section 6.4, alternative-plan integration: compare against the
-            // conventional optimizer's plan under the bitvector-aware cost and
-            // keep the cheaper of the two.
-            let conventional = if graph.num_relations() <= self.config.dp_relation_limit {
-                DpOptimizer::new().best_tree(graph, &cost_model)
-            } else {
-                GreedyOptimizer::new().best_tree(graph, &cost_model)
-            };
+        if graph.num_relations() > 1 {
+            // Section 6.4, alternative-plan integration: also evaluate the
+            // plan the conventional optimizer would have produced under the
+            // bitvector-aware cost, and keep whichever is cheaper. This is
+            // how the technique avoids regressions when the original plan is
+            // already good (e.g. bushy plans for queries with weakly
+            // filtered dimensions).
+            let conventional = conventional_tree(graph, &cost_model);
             let bqo_cost = cost_model.cout_join_tree(&tree, true).total;
             let conventional_cost = cost_model.cout_join_tree(&conventional, true).total;
             if conventional_cost < bqo_cost {
@@ -133,9 +106,7 @@ impl Optimizer for BqoOptimizer {
         }
         let plan = PhysicalPlan::from_join_tree(graph, &tree);
         let mut plan = push_down_bitvectors(graph, plan);
-        if self.config.cost_based_filters {
-            prune_low_benefit_filters(&cost_model, &mut plan, self.config.lambda_threshold);
-        }
+        prune_low_benefit_filters(&cost_model, &mut plan, self.lambda_threshold);
         plan
     }
 }
@@ -144,24 +115,17 @@ impl Optimizer for BqoOptimizer {
 #[derive(Debug, Clone, Copy)]
 pub struct BaselineOptimizer {
     /// When true (the default, matching SQL Server), bitvector filters are
-    /// added to the chosen plan as a post-processing step. When false the
-    /// plan executes without any bitvector filters (the Table 4 ablation).
+    /// added to the chosen plan as a post-processing step and, like SQL
+    /// Server's, dropped again where they are not expected to eliminate more
+    /// than [`DEFAULT_LAMBDA_THRESHOLD`]. When false the plan executes
+    /// without any bitvector filters (the Table 4 ablation).
     pub add_bitvectors: bool,
-    /// The baseline also selects filters heuristically (SQL Server does not
-    /// attach a bitvector filter that is not expected to eliminate anything);
-    /// filters below this estimated elimination fraction are dropped.
-    pub filter_threshold: f64,
-    /// Queries with more relations than this use the greedy fallback instead
-    /// of exact dynamic programming.
-    pub dp_relation_limit: usize,
 }
 
 impl Default for BaselineOptimizer {
     fn default() -> Self {
         BaselineOptimizer {
             add_bitvectors: true,
-            filter_threshold: DEFAULT_LAMBDA_THRESHOLD,
-            dp_relation_limit: 12,
         }
     }
 }
@@ -176,7 +140,6 @@ impl BaselineOptimizer {
     pub fn without_bitvectors() -> Self {
         BaselineOptimizer {
             add_bitvectors: false,
-            ..Default::default()
         }
     }
 }
@@ -192,19 +155,13 @@ impl Optimizer for BaselineOptimizer {
 
     fn optimize(&self, graph: &JoinGraph) -> PhysicalPlan {
         let cost_model = CostModel::new(graph);
-        let tree = if graph.num_relations() <= self.dp_relation_limit {
-            DpOptimizer::new().best_tree(graph, &cost_model)
-        } else {
-            GreedyOptimizer::new().best_tree(graph, &cost_model)
-        };
-        let plan = PhysicalPlan::from_join_tree(graph, &tree);
+        let tree = conventional_tree(graph, &cost_model);
+        let mut plan = PhysicalPlan::from_join_tree(graph, &tree);
         if self.add_bitvectors {
-            let mut plan = push_down_bitvectors(graph, plan);
-            prune_low_benefit_filters(&cost_model, &mut plan, self.filter_threshold);
-            plan
-        } else {
-            plan
+            plan = push_down_bitvectors(graph, plan);
+            prune_low_benefit_filters(&cost_model, &mut plan, DEFAULT_LAMBDA_THRESHOLD);
         }
+        plan
     }
 }
 

@@ -23,8 +23,7 @@
 //! Within a group, branches are ordered by how strongly they reduce the fact
 //! table (most selective first).
 
-use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId};
-use std::collections::BTreeSet;
+use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
 
 /// The priority group a branch falls into (Section 6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -75,37 +74,25 @@ impl BranchInfo {
 pub fn analyze_branches(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
-    subset: &BTreeSet<RelId>,
+    subset: RelSet,
     fact: RelId,
 ) -> Vec<BranchInfo> {
     let est = cost_model.estimator();
     let fact_rows = est.base_card(fact);
     let mut branches = Vec::new();
     for component in graph.components_excluding(fact) {
-        let members_in_subset: Vec<RelId> = component
-            .iter()
-            .copied()
-            .filter(|r| subset.contains(r))
-            .collect();
-        if members_in_subset.is_empty() {
-            continue;
-        }
-        let fact_neighbors: Vec<RelId> = members_in_subset
-            .iter()
-            .copied()
-            .filter(|&r| graph.are_adjacent(r, fact))
-            .collect();
+        let members = component & subset;
+        let fact_neighbors: Vec<RelId> = (members & graph.neighbors(fact)).iter().collect();
         if fact_neighbors.is_empty() {
             // Not reachable from the fact inside this subset; skip (Algorithm
             // 3 will pick it up in a later snowflake).
             continue;
         }
-        let ordered = connected_order(graph, &members_in_subset, &fact_neighbors);
-        let set: BTreeSet<RelId> = ordered.iter().copied().collect();
-        let keep = est.semijoin_keep_fraction(fact, &set);
+        let ordered = connected_order(graph, members, &fact_neighbors);
+        let keep = est.semijoin_keep_fraction(fact, members);
         let has_pkfk_to_fact = fact_neighbors.iter().any(|&r| graph.points_to(fact, r));
         let larger_than_fact = ordered.iter().any(|&r| est.base_card(r) > fact_rows);
-        let is_chain = is_chain_branch(graph, &ordered, fact);
+        let is_chain = is_chain_branch(graph, &ordered, members, &fact_neighbors);
         let group = if !has_pkfk_to_fact {
             BranchGroup::P0
         } else if larger_than_fact {
@@ -129,60 +116,42 @@ pub fn analyze_branches(
 /// Orders a branch's relations so that the first relation joins the fact and
 /// every later relation joins an earlier one (a "partially ordered" prefix in
 /// the paper's terminology).
-fn connected_order(graph: &JoinGraph, members: &[RelId], fact_neighbors: &[RelId]) -> Vec<RelId> {
-    let member_set: BTreeSet<RelId> = members.iter().copied().collect();
+fn connected_order(graph: &JoinGraph, members: RelSet, fact_neighbors: &[RelId]) -> Vec<RelId> {
     let mut order = Vec::with_capacity(members.len());
-    let mut placed: BTreeSet<RelId> = BTreeSet::new();
+    let mut placed = RelSet::default();
     let mut frontier: Vec<RelId> = fact_neighbors.to_vec();
     while let Some(next) = frontier.pop() {
         if !placed.insert(next) {
             continue;
         }
         order.push(next);
-        for n in graph.neighbors(next) {
-            if member_set.contains(&n) && !placed.contains(&n) {
-                frontier.push(n);
-            }
-        }
+        frontier.extend(((graph.neighbors(next) & members) - placed).iter());
     }
-    // Any disconnected leftovers (cannot happen for true components) keep
-    // their original order at the end.
-    for &m in members {
-        if !placed.contains(&m) {
-            order.push(m);
-        }
-    }
+    // Members the subset cuts off from the fact's neighbours keep their id
+    // order at the end.
+    order.extend((members - placed).iter());
     order
 }
 
 /// True when the branch is a chain: exactly one relation joins the fact, and
 /// the branch's internal graph is a path starting there.
-fn is_chain_branch(graph: &JoinGraph, ordered: &[RelId], fact: RelId) -> bool {
-    let set: BTreeSet<RelId> = ordered.iter().copied().collect();
-    let roots: Vec<RelId> = ordered
-        .iter()
-        .copied()
-        .filter(|&r| graph.are_adjacent(r, fact))
-        .collect();
-    if roots.len() != 1 {
+fn is_chain_branch(
+    graph: &JoinGraph,
+    ordered: &[RelId],
+    members: RelSet,
+    fact_neighbors: &[RelId],
+) -> bool {
+    let [root] = fact_neighbors else {
         return false;
-    }
-    for &r in ordered {
-        let internal_degree = graph
-            .neighbors(r)
-            .into_iter()
-            .filter(|n| set.contains(n))
-            .count();
-        let limit = if r == roots[0] || Some(&r) == ordered.last() {
+    };
+    ordered.iter().all(|r| {
+        let limit = if r == root || Some(r) == ordered.last() {
             1
         } else {
             2
         };
-        if internal_degree > limit {
-            return false;
-        }
-    }
-    true
+        (graph.neighbors(*r) & members).len() <= limit
+    })
 }
 
 /// Chain rotations of Theorem 5.3: for a chain branch ordered root-to-leaf
@@ -206,13 +175,11 @@ fn chain_rotations(members: &[RelId]) -> Vec<Vec<RelId>> {
 /// on the probe side instead of the build side (the P3 swap of Algorithm 2,
 /// line 12–13).
 fn join_branches_onto(
-    graph: &JoinGraph,
     cost_model: &CostModel<'_>,
     fact: RelId,
     branches: &[&BranchInfo],
     mut plan: JoinTree,
 ) -> JoinTree {
-    let _ = graph;
     let est = cost_model.estimator();
     let fact_rows = est.base_card(fact);
     for branch in branches {
@@ -236,10 +203,10 @@ fn join_branches_onto(
 pub fn optimize_snowflake(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
-    subset: &BTreeSet<RelId>,
+    subset: RelSet,
     fact: RelId,
 ) -> JoinTree {
-    assert!(subset.contains(&fact), "subset must contain the fact table");
+    assert!(subset.contains(fact), "subset must contain the fact table");
     if subset.len() == 1 {
         return JoinTree::Leaf(fact);
     }
@@ -256,7 +223,7 @@ pub fn optimize_snowflake(
 
     // Candidate 1: fact table as the right-most leaf; all branches join onto
     // it in priority order.
-    let mut best = join_branches_onto(graph, cost_model, fact, &branch_refs, JoinTree::Leaf(fact));
+    let mut best = join_branches_onto(cost_model, fact, &branch_refs, JoinTree::Leaf(fact));
     let mut best_cost = cost_model.cout_join_tree(&best, true).total;
 
     // Candidates 2..: each branch in turn forms the bottom of the probe
@@ -290,7 +257,7 @@ pub fn optimize_snowflake(
                 .filter(|(j, _)| *j != i)
                 .map(|(_, b)| b)
                 .collect();
-            let plan = join_branches_onto(graph, cost_model, fact, &rest, plan);
+            let plan = join_branches_onto(cost_model, fact, &rest, plan);
             let cost = cost_model.cout_join_tree(&plan, true).total;
             if cost < best_cost {
                 best_cost = cost;
@@ -307,8 +274,8 @@ mod tests {
     use crate::enumerate::exhaustive_best_right_deep;
     use bqo_plan::{JoinEdge, RelationInfo};
 
-    fn full_set(graph: &JoinGraph) -> BTreeSet<RelId> {
-        graph.relation_ids().collect()
+    fn full_set(graph: &JoinGraph) -> RelSet {
+        RelSet::first_n(graph.num_relations())
     }
 
     /// Clean star with mixed selectivities.
@@ -357,7 +324,7 @@ mod tests {
     fn star_branches_are_p1_chains() {
         let (g, fact) = star();
         let model = CostModel::new(&g);
-        let branches = analyze_branches(&g, &model, &full_set(&g), fact);
+        let branches = analyze_branches(&g, &model, full_set(&g), fact);
         assert_eq!(branches.len(), 3);
         for b in &branches {
             assert_eq!(b.group, BranchGroup::P1);
@@ -376,7 +343,7 @@ mod tests {
     fn irregular_branches_get_p0_and_p3() {
         let (g, fact) = irregular();
         let model = CostModel::new(&g);
-        let branches = analyze_branches(&g, &model, &full_set(&g), fact);
+        let branches = analyze_branches(&g, &model, full_set(&g), fact);
         let group_of = |name: &str| {
             branches
                 .iter()
@@ -393,7 +360,7 @@ mod tests {
     fn star_result_matches_exhaustive_optimum() {
         let (g, fact) = star();
         let model = CostModel::new(&g);
-        let tree = optimize_snowflake(&g, &model, &full_set(&g), fact);
+        let tree = optimize_snowflake(&g, &model, full_set(&g), fact);
         assert!(tree.has_no_cross_products(&g));
         let cost = model.cout_join_tree(&tree, true).total;
         let (_, best) = exhaustive_best_right_deep(&g, &model, true).unwrap();
@@ -407,7 +374,7 @@ mod tests {
     fn snowflake_result_matches_exhaustive_optimum() {
         let (g, fact) = snowflake();
         let model = CostModel::new(&g);
-        let tree = optimize_snowflake(&g, &model, &full_set(&g), fact);
+        let tree = optimize_snowflake(&g, &model, full_set(&g), fact);
         assert!(tree.has_no_cross_products(&g));
         let cost = model.cout_join_tree(&tree, true).total;
         let (_, best) = exhaustive_best_right_deep(&g, &model, true).unwrap();
@@ -418,7 +385,7 @@ mod tests {
     fn irregular_graph_still_produces_valid_plan() {
         let (g, fact) = irregular();
         let model = CostModel::new(&g);
-        let tree = optimize_snowflake(&g, &model, &full_set(&g), fact);
+        let tree = optimize_snowflake(&g, &model, full_set(&g), fact);
         assert_eq!(tree.relation_set().len(), 4);
         assert!(tree.has_no_cross_products(&g));
     }
@@ -427,7 +394,7 @@ mod tests {
     fn large_dimension_is_not_used_as_build_side() {
         let (g, fact) = irregular();
         let model = CostModel::new(&g);
-        let tree = optimize_snowflake(&g, &model, &full_set(&g), fact);
+        let tree = optimize_snowflake(&g, &model, full_set(&g), fact);
         // Wherever the oversized dimension appears, it must be on the probe
         // side of its join.
         fn check(tree: &JoinTree, g: &JoinGraph) {
@@ -446,7 +413,7 @@ mod tests {
     fn single_relation_subset() {
         let (g, fact) = star();
         let model = CostModel::new(&g);
-        let tree = optimize_snowflake(&g, &model, &[fact].into_iter().collect(), fact);
+        let tree = optimize_snowflake(&g, &model, RelSet::single(fact), fact);
         assert_eq!(tree, JoinTree::Leaf(fact));
     }
 

@@ -10,6 +10,7 @@
 
 use crate::graph::{JoinEdge, JoinGraph, RelationInfo};
 use crate::predicate::{ColumnPredicate, Params};
+use crate::relset::RelSet;
 use bqo_storage::{Catalog, StorageError};
 use std::collections::{BTreeSet, HashMap};
 
@@ -164,10 +165,33 @@ impl QuerySpec {
 
     /// Resolves the query against a catalog into a statistics-annotated
     /// [`JoinGraph`].
+    ///
+    /// This is where a query's shape is validated: the optimizers assume a
+    /// connected graph of at most [`RelSet::CAPACITY`] distinct relations
+    /// without self-joins and panic on anything else.
+    ///
+    /// # Errors
+    /// [`StorageError::InvalidArgument`], naming the query and the offending
+    /// tables, if a table is listed twice, a join has the same table on both
+    /// sides, there are more than [`RelSet::CAPACITY`] tables, or some table
+    /// is not connected to the others by join conditions (a cross product);
+    /// the catalog's own errors for unknown tables and columns.
     pub fn to_join_graph(&self, catalog: &Catalog) -> Result<JoinGraph, StorageError> {
+        let invalid =
+            |what: String| StorageError::InvalidArgument(format!("query `{}` {what}", self.name));
+        if self.tables.len() > RelSet::CAPACITY {
+            return Err(invalid(format!(
+                "joins {} tables; at most {} are supported",
+                self.tables.len(),
+                RelSet::CAPACITY
+            )));
+        }
         let mut graph = JoinGraph::new();
         let mut ids = HashMap::new();
         for table_name in &self.tables {
+            if ids.contains_key(table_name) {
+                return Err(invalid(format!("lists table `{table_name}` twice")));
+            }
             let meta = catalog.table_meta(table_name)?;
             let base_rows = meta.stats.row_count as f64;
             let predicates = self.predicates.get(table_name).cloned().unwrap_or_default();
@@ -209,6 +233,12 @@ impl QuerySpec {
                 .ok_or_else(|| StorageError::TableNotFound {
                     table: join.right_table.clone(),
                 })?;
+            if left == right {
+                return Err(invalid(format!(
+                    "joins table `{}` with itself; self-joins are not supported",
+                    join.left_table
+                )));
+            }
             let left_stats = catalog.stats(&join.left_table)?;
             let right_stats = catalog.stats(&join.right_table)?;
             let left_col = left_stats.column(&join.left_column).ok_or_else(|| {
@@ -235,6 +265,18 @@ impl QuerySpec {
                 left_unique,
                 right_unique,
             ));
+        }
+        let all = RelSet::first_n(graph.num_relations());
+        if let Some(first) = all.first() {
+            let stranded = all - graph.component_of(first, all);
+            if !stranded.is_empty() {
+                let names: Vec<&str> = stranded.iter().map(|r| self.tables[r.0].as_str()).collect();
+                return Err(invalid(format!(
+                    "has no join condition connecting `{}` to `{}`; cross products are not supported",
+                    names.join("`, `"),
+                    self.tables[first.0]
+                )));
+            }
         }
         Ok(graph)
     }

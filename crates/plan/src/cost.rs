@@ -16,11 +16,11 @@
 //! semi-join semantics of Section 3.2.
 
 use crate::estimator::CardinalityEstimator;
-use crate::graph::{JoinGraph, RelId};
+use crate::graph::JoinGraph;
 use crate::physical::{NodeId, PhysicalNode, PhysicalPlan};
 use crate::pushdown::push_down_bitvectors;
+use crate::relset::RelSet;
 use crate::tree::{JoinTree, RightDeepTree};
-use std::collections::{BTreeSet, HashMap};
 
 /// Per-plan cost report.
 #[derive(Debug, Clone, PartialEq)]
@@ -91,20 +91,15 @@ impl<'a> CostModel<'a> {
     /// `Cout` of a physical plan, honouring whatever bitvector placements it
     /// carries.
     pub fn cout_physical(&self, plan: &PhysicalPlan) -> CoutBreakdown {
-        let mut eff_sets: HashMap<NodeId, BTreeSet<RelId>> = HashMap::new();
-        self.effective_set(plan, plan.root(), &mut eff_sets);
-
+        let effective = effective_sets(plan);
         let mut per_node = Vec::with_capacity(plan.num_nodes());
         let mut base_total = 0.0;
         let mut join_total = 0.0;
         for (id, node) in plan.nodes() {
             let rel_set = plan.relation_set(id);
-            let eff = eff_sets
-                .get(&id)
-                .cloned()
-                .unwrap_or_else(|| rel_set.clone());
-            let external: BTreeSet<RelId> = eff.difference(&rel_set).copied().collect();
-            let card = self.estimator.semi_reduced_card(&rel_set, &external);
+            let card = self
+                .estimator
+                .semi_reduced_card(rel_set, effective[id.0] - rel_set);
             per_node.push((id, card));
             match node {
                 PhysicalNode::Scan { .. } => base_total += card,
@@ -119,12 +114,6 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Estimated output cardinality of the whole plan (the final join
-    /// result), honouring bitvector placements.
-    pub fn estimated_output(&self, plan: &PhysicalPlan) -> f64 {
-        self.cout_physical(plan).card_of(plan.root()).unwrap_or(0.0)
-    }
-
     /// Estimated fraction of rows a bitvector filter eliminates at its target
     /// (the paper's λ used by the cost-based filter selection, Section 6.3).
     pub fn estimated_elimination_fraction(
@@ -132,86 +121,80 @@ impl<'a> CostModel<'a> {
         plan: &PhysicalPlan,
         placement_index: usize,
     ) -> f64 {
+        let effective = effective_sets(plan);
         let placement = &plan.placements[placement_index];
-        let mut eff_sets: HashMap<NodeId, BTreeSet<RelId>> = HashMap::new();
-        self.effective_set(plan, plan.root(), &mut eff_sets);
-
-        // Source side: the effective relation set feeding the filter.
-        let source_set = match plan.node(placement.source_join) {
-            PhysicalNode::HashJoin { build, .. } => eff_sets
-                .get(build)
-                .cloned()
-                .unwrap_or_else(|| plan.relation_set(*build)),
-            _ => return 0.0,
+        // The effective relation set feeding a filter: that of its source
+        // join's build side.
+        let source_of = |join: NodeId| match plan.node(join) {
+            PhysicalNode::HashJoin { build, .. } => Some(effective[build.0]),
+            PhysicalNode::Scan { .. } => None,
+        };
+        let Some(source_set) = source_of(placement.source_join) else {
+            return 0.0;
         };
         // Target side: cardinality before this particular filter, i.e. the
         // target's relation set reduced by every *other* filter that reaches
         // it.
         let target_rels = plan.relation_set(placement.target);
-        let mut other_external: BTreeSet<RelId> = BTreeSet::new();
-        for (i, p) in plan.placements.iter().enumerate() {
-            if i == placement_index || p.target != placement.target {
-                continue;
-            }
-            if let PhysicalNode::HashJoin { build, .. } = plan.node(p.source_join) {
-                let s = eff_sets
-                    .get(build)
-                    .cloned()
-                    .unwrap_or_else(|| plan.relation_set(*build));
-                other_external.extend(s.difference(&target_rels).copied());
-            }
-        }
+        let other_external = plan
+            .indexed_placements_at(placement.target)
+            .filter(|(i, _)| *i != placement_index)
+            .filter_map(|(_, p)| source_of(p.source_join))
+            .fold(RelSet::default(), |all, s| all | (s - target_rels));
         let before = self
             .estimator
-            .semi_reduced_card(&target_rels, &other_external);
-        let mut with_this: BTreeSet<RelId> = other_external.clone();
-        with_this.extend(source_set.difference(&target_rels).copied());
-        let after = self.estimator.semi_reduced_card(&target_rels, &with_this);
+            .semi_reduced_card(target_rels, other_external);
+        let after = self
+            .estimator
+            .semi_reduced_card(target_rels, other_external | (source_set - target_rels));
         if before <= 0.0 {
             0.0
         } else {
             (1.0 - after / before).clamp(0.0, 1.0)
         }
     }
+}
 
-    /// Computes, for every node, the "effective" relation set: the node's own
-    /// relations plus (transitively) the relations standing behind every
-    /// bitvector filter applied at or below it. The estimated cardinality of
-    /// the node is the semi-join-reduced cardinality of its relation set with
-    /// respect to the external part of this effective set.
-    fn effective_set(
-        &self,
-        plan: &PhysicalPlan,
-        node: NodeId,
-        memo: &mut HashMap<NodeId, BTreeSet<RelId>>,
-    ) -> BTreeSet<RelId> {
-        if let Some(set) = memo.get(&node) {
-            return set.clone();
+/// For every node (indexed by [`NodeId`]), the "effective" relation set: the
+/// node's own relations plus (transitively) the relations standing behind
+/// every bitvector filter applied at or below it. The estimated cardinality
+/// of the node is the semi-join-reduced cardinality of its relation set with
+/// respect to the external part of this effective set.
+fn effective_sets(plan: &PhysicalPlan) -> Vec<RelSet> {
+    // Every effective set has a member, so the empty set marks "not yet
+    // computed". A filter's source is the build side of an ancestor of its
+    // target, which depends on nothing below the target: the recursion ends.
+    fn fill(plan: &PhysicalPlan, node: NodeId, sets: &mut [RelSet]) -> RelSet {
+        if !sets[node.0].is_empty() {
+            return sets[node.0];
         }
-        let mut set: BTreeSet<RelId> = match plan.node(node) {
-            PhysicalNode::Scan { relation } => [*relation].into_iter().collect(),
+        let mut set = match plan.node(node) {
+            PhysicalNode::Scan { relation } => RelSet::single(*relation),
             PhysicalNode::HashJoin { build, probe, .. } => {
-                let mut s = self.effective_set(plan, *build, memo);
-                s.extend(self.effective_set(plan, *probe, memo));
-                s
+                fill(plan, *build, sets) | fill(plan, *probe, sets)
             }
         };
         // Filters applied at this node contribute the effective set of the
         // source join's build side.
-        for placement in plan.placements_at(node) {
+        for placement in plan.placements.iter().filter(|p| p.target == node) {
             if let PhysicalNode::HashJoin { build, .. } = plan.node(placement.source_join) {
-                set.extend(self.effective_set(plan, *build, memo));
+                set = set | fill(plan, *build, sets);
             }
         }
-        memo.insert(node, set.clone());
+        sets[node.0] = set;
         set
     }
+    let mut sets = vec![RelSet::default(); plan.num_nodes()];
+    for (id, _) in plan.nodes() {
+        fill(plan, id, &mut sets);
+    }
+    sets
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{JoinEdge, JoinGraph, RelationInfo};
+    use crate::graph::{JoinEdge, JoinGraph, RelId, RelationInfo};
 
     /// Star: fact 1M rows; d1 100 rows filtered to 10; d2 1000 rows
     /// unfiltered; d3 10 rows filtered to 2.
@@ -353,7 +336,7 @@ mod tests {
         let model = CostModel::new(&g);
         let tree = RightDeepTree::new(vec![fact, d[0], d[1], d[2]]).to_join_tree();
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let out = model.estimated_output(&plan);
+        let out = model.cout_physical(&plan).card_of(plan.root()).unwrap();
         assert!((out - 20_000.0).abs() < 1e-3);
     }
 
@@ -372,13 +355,13 @@ mod tests {
                 _ => unreachable!(),
             };
             let src_rels = plan.relation_set(src_build);
-            if src_rels.contains(&d[1]) {
+            if src_rels.contains(d[1]) {
                 assert!(
                     lambda < 0.05,
                     "unfiltered dim should not eliminate: {lambda}"
                 );
             }
-            if src_rels.contains(&d[2]) {
+            if src_rels.contains(d[2]) {
                 assert!(lambda > 0.5, "d3 keeps 20%, so λ should be ~0.8: {lambda}");
             }
         }

@@ -19,7 +19,7 @@
 //! yields exactly the cardinality of the full join.
 
 use crate::graph::{JoinGraph, RelId};
-use std::collections::BTreeSet;
+use crate::relset::RelSet;
 
 /// Statistics-based cardinality estimator bound to one join graph.
 #[derive(Debug, Clone, Copy)]
@@ -49,13 +49,13 @@ impl<'a> CardinalityEstimator<'a> {
     /// for join columns. A disconnected set is estimated as a cross product
     /// (callers that enumerate plans without cross products never ask for
     /// one).
-    pub fn join_card(&self, set: &BTreeSet<RelId>) -> f64 {
+    pub fn join_card(&self, set: RelSet) -> f64 {
         if set.is_empty() {
             return 0.0;
         }
-        let mut card: f64 = set.iter().map(|&r| self.base_card(r)).product();
+        let mut card: f64 = set.iter().map(|r| self.base_card(r)).product();
         for edge in self.graph.edges() {
-            if set.contains(&edge.left) && set.contains(&edge.right) {
+            if set.contains(edge.left) && set.contains(edge.right) {
                 card *= edge.selectivity();
             }
         }
@@ -76,33 +76,27 @@ impl<'a> CardinalityEstimator<'a> {
     /// the estimate is independent of the order filters are applied in, which
     /// is what makes the paper's equal-cost lemmas hold exactly under this
     /// estimator.
-    pub fn semi_reduced_card(&self, core: &BTreeSet<RelId>, external: &BTreeSet<RelId>) -> f64 {
+    pub fn semi_reduced_card(&self, core: RelSet, external: RelSet) -> f64 {
         if core.is_empty() {
             return 0.0;
         }
         let core_card = self.join_card(core);
-        if external.is_empty() || core_card <= 0.0 {
+        if external.is_subset(core) || core_card <= 0.0 {
             return core_card;
         }
-        let mut full = core.clone();
-        full.extend(external.iter().copied());
-        if full.len() == core.len() {
-            return core_card;
-        }
-        let full_card = self.join_card(&full);
+        let full_card = self.join_card(core | external);
         core_card * (full_card / core_card).min(1.0)
     }
 
     /// Estimated fraction of `target`'s rows kept by a bitvector filter whose
     /// source is the (already reduced) set `source`. This is the paper's λ
     /// complement: `1 - λ` where λ is the eliminated fraction.
-    pub fn semijoin_keep_fraction(&self, target: RelId, source: &BTreeSet<RelId>) -> f64 {
-        let core: BTreeSet<RelId> = [target].into_iter().collect();
+    pub fn semijoin_keep_fraction(&self, target: RelId, source: RelSet) -> f64 {
         let base = self.base_card(target);
         if base <= 0.0 {
             return 1.0;
         }
-        (self.semi_reduced_card(&core, source) / base).clamp(0.0, 1.0)
+        (self.semi_reduced_card(RelSet::single(target), source) / base).clamp(0.0, 1.0)
     }
 }
 
@@ -219,7 +213,7 @@ mod tests {
         (g, vec![r0, r1, r2])
     }
 
-    fn set(ids: &[RelId]) -> BTreeSet<RelId> {
+    fn set(ids: &[RelId]) -> RelSet {
         ids.iter().copied().collect()
     }
 
@@ -236,7 +230,7 @@ mod tests {
         let (g, fact, dims) = star();
         let est = CardinalityEstimator::new(&g);
         // |fact ⋈ d1| = |fact| * |d1_filtered| / |d1_base| = 1M * 10/100.
-        let card = est.join_card(&set(&[fact, dims[0]]));
+        let card = est.join_card(set(&[fact, dims[0]]));
         assert!((card - 100_000.0).abs() < 1e-6);
     }
 
@@ -244,7 +238,7 @@ mod tests {
     fn star_full_join_card_multiplies_selectivities() {
         let (g, fact, dims) = star();
         let est = CardinalityEstimator::new(&g);
-        let card = est.join_card(&set(&[fact, dims[0], dims[1], dims[2]]));
+        let card = est.join_card(set(&[fact, dims[0], dims[1], dims[2]]));
         // 1M * (10/100) * (1000/1000) * (2/10) = 20000
         assert!((card - 20_000.0).abs() < 1e-6);
     }
@@ -254,18 +248,18 @@ mod tests {
         let (g, r) = chain();
         let est = CardinalityEstimator::new(&g);
         // |r1 ⋈ r2| = 1000 * 5/100 = 50
-        assert!((est.join_card(&set(&[r[1], r[2]])) - 50.0).abs() < 1e-6);
+        assert!((est.join_card(set(&[r[1], r[2]])) - 50.0).abs() < 1e-6);
         // |r0 ⋈ r1 ⋈ r2| = 100000 * (1000/1000) * (5/100) = 5000
-        assert!((est.join_card(&set(&[r[0], r[1], r[2]])) - 5000.0).abs() < 1e-6);
+        assert!((est.join_card(set(&[r[0], r[1], r[2]])) - 5000.0).abs() < 1e-6);
     }
 
     #[test]
     fn empty_set_has_zero_card() {
         let (g, _, _) = star();
         let est = CardinalityEstimator::new(&g);
-        assert_eq!(est.join_card(&BTreeSet::new()), 0.0);
+        assert_eq!(est.join_card(RelSet::default()), 0.0);
         assert_eq!(
-            est.semi_reduced_card(&BTreeSet::new(), &BTreeSet::new()),
+            est.semi_reduced_card(RelSet::default(), RelSet::default()),
             0.0
         );
     }
@@ -275,8 +269,8 @@ mod tests {
         // The paper's Lemma 3: |R0 / (R1..Rn)| = |R0 ⋈ R1 ⋈ ... ⋈ Rn|.
         let (g, fact, dims) = star();
         let est = CardinalityEstimator::new(&g);
-        let reduced = est.semi_reduced_card(&set(&[fact]), &set(&dims));
-        let full = est.join_card(&set(&[fact, dims[0], dims[1], dims[2]]));
+        let reduced = est.semi_reduced_card(set(&[fact]), set(&dims));
+        let full = est.join_card(set(&[fact, dims[0], dims[1], dims[2]]));
         assert!((reduced - full).abs() < 1e-6);
     }
 
@@ -285,7 +279,7 @@ mod tests {
         let (g, fact, dims) = star();
         let est = CardinalityEstimator::new(&g);
         // Dimension semi-joined by the huge fact table stays at its own size.
-        let reduced = est.semi_reduced_card(&set(&[dims[1]]), &set(&[fact]));
+        let reduced = est.semi_reduced_card(set(&[dims[1]]), set(&[fact]));
         assert!(reduced <= est.base_card(dims[1]) + 1e-9);
     }
 
@@ -294,8 +288,8 @@ mod tests {
         let (g, fact, dims) = star();
         let est = CardinalityEstimator::new(&g);
         let core = set(&[fact, dims[0]]);
-        let with_overlap = est.semi_reduced_card(&core, &set(&[dims[0], dims[2]]));
-        let without = est.semi_reduced_card(&core, &set(&[dims[2]]));
+        let with_overlap = est.semi_reduced_card(core, set(&[dims[0], dims[2]]));
+        let without = est.semi_reduced_card(core, set(&[dims[2]]));
         assert!((with_overlap - without).abs() < 1e-9);
     }
 
@@ -305,8 +299,8 @@ mod tests {
         // the same answer because the estimator sorts internally.
         let (g, r) = chain();
         let est = CardinalityEstimator::new(&g);
-        let a = est.semi_reduced_card(&set(&[r[0]]), &set(&[r[1], r[2]]));
-        let b = est.semi_reduced_card(&set(&[r[0]]), &set(&[r[2], r[1]]));
+        let a = est.semi_reduced_card(set(&[r[0]]), set(&[r[1], r[2]]));
+        let b = est.semi_reduced_card(set(&[r[0]]), set(&[r[2], r[1]]));
         assert_eq!(a, b);
     }
 
@@ -314,8 +308,8 @@ mod tests {
     fn chain_semi_reduction_matches_full_join() {
         let (g, r) = chain();
         let est = CardinalityEstimator::new(&g);
-        let reduced = est.semi_reduced_card(&set(&[r[0]]), &set(&[r[1], r[2]]));
-        let full = est.join_card(&set(&[r[0], r[1], r[2]]));
+        let reduced = est.semi_reduced_card(set(&[r[0]]), set(&[r[1], r[2]]));
+        let full = est.join_card(set(&[r[0], r[1], r[2]]));
         assert!((reduced - full).abs() < 1e-6);
     }
 
@@ -324,10 +318,10 @@ mod tests {
         let (g, fact, dims) = star();
         let est = CardinalityEstimator::new(&g);
         // d3 keeps 2 of 10 keys, so the fact keeps ~20% of its rows.
-        let keep = est.semijoin_keep_fraction(fact, &set(&[dims[2]]));
+        let keep = est.semijoin_keep_fraction(fact, set(&[dims[2]]));
         assert!((keep - 0.2).abs() < 1e-9);
         // An unfiltered dimension eliminates nothing.
-        let keep_all = est.semijoin_keep_fraction(fact, &set(&[dims[1]]));
+        let keep_all = est.semijoin_keep_fraction(fact, set(&[dims[1]]));
         assert!((keep_all - 1.0).abs() < 1e-9);
     }
 
@@ -398,7 +392,7 @@ mod tests {
         let (g, fact, dims) = star();
         let est = CardinalityEstimator::new(&g);
         // Semi-joining a tiny dimension with the huge fact cannot exceed 1.
-        let keep = est.semijoin_keep_fraction(dims[1], &set(&[fact]));
+        let keep = est.semijoin_keep_fraction(dims[1], set(&[fact]));
         assert!(keep <= 1.0);
         assert!(keep > 0.0);
     }

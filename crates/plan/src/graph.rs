@@ -1,7 +1,7 @@
 //! The join graph: relations, equi-join edges and PKFK metadata.
 
 use crate::predicate::ColumnPredicate;
-use std::collections::BTreeSet;
+use crate::relset::RelSet;
 use std::fmt;
 
 /// Identifier of a relation inside one [`JoinGraph`] (dense index).
@@ -201,12 +201,6 @@ impl JoinEdge {
     pub fn selectivity(&self) -> f64 {
         1.0 / self.left_distinct.max(self.right_distinct)
     }
-
-    /// True when this edge is a PKFK join in the paper's sense
-    /// `other -> rel_with_key` (the join column is a key on at least one side).
-    pub fn is_key_join(&self) -> bool {
-        self.left_unique || self.right_unique
-    }
 }
 
 /// Shape classification of a join graph, used to pick candidate plan sets.
@@ -247,6 +241,8 @@ pub struct JoinGraph {
     edges: Vec<JoinEdge>,
     /// For each relation, the indices of incident edges.
     adjacency: Vec<Vec<usize>>,
+    /// For each relation, the relations it shares an edge with.
+    neighbors: Vec<RelSet>,
 }
 
 impl JoinGraph {
@@ -256,10 +252,19 @@ impl JoinGraph {
     }
 
     /// Adds a relation and returns its id.
+    ///
+    /// # Panics
+    /// Panics if the graph already holds [`RelSet::CAPACITY`] relations.
     pub fn add_relation(&mut self, info: RelationInfo) -> RelId {
         let id = RelId(self.relations.len());
+        assert!(
+            id.0 < RelSet::CAPACITY,
+            "a join graph holds at most {} relations",
+            RelSet::CAPACITY
+        );
         self.relations.push(info);
         self.adjacency.push(Vec::new());
+        self.neighbors.push(RelSet::default());
         id
     }
 
@@ -280,6 +285,8 @@ impl JoinGraph {
         let idx = self.edges.len();
         self.adjacency[edge.left.0].push(idx);
         self.adjacency[edge.right.0].push(idx);
+        self.neighbors[edge.left.0].insert(edge.right);
+        self.neighbors[edge.right.0].insert(edge.left);
         self.edges.push(edge);
     }
 
@@ -338,95 +345,65 @@ impl JoinGraph {
 
     /// True if two relations share at least one join edge.
     pub fn are_adjacent(&self, a: RelId, b: RelId) -> bool {
-        self.adjacency[a.0]
-            .iter()
-            .any(|&i| self.edges[i].touches(b))
+        self.neighbors[a.0].contains(b)
     }
 
-    /// Neighbouring relations of `rel` (deduplicated, unordered).
-    pub fn neighbors(&self, rel: RelId) -> Vec<RelId> {
-        let mut out: Vec<RelId> = self.adjacency[rel.0]
-            .iter()
-            .map(|&i| self.edges[i].other(rel))
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// Neighbouring relations of `rel`.
+    pub fn neighbors(&self, rel: RelId) -> RelSet {
+        self.neighbors[rel.0]
     }
 
-    /// True if `rel` joins with at least one relation in `set`.
-    pub fn connects_to_set(&self, rel: RelId, set: &BTreeSet<RelId>) -> bool {
-        self.adjacency[rel.0]
-            .iter()
-            .any(|&i| set.contains(&self.edges[i].other(rel)))
-    }
-
-    /// Relations of `set` that `rel` joins with.
-    pub fn neighbors_in_set(&self, rel: RelId, set: &BTreeSet<RelId>) -> BTreeSet<RelId> {
-        self.adjacency[rel.0]
-            .iter()
-            .map(|&i| self.edges[i].other(rel))
-            .filter(|r| set.contains(r))
-            .collect()
+    /// True if some join edge has one endpoint in `a` and the other in `b`.
+    pub fn are_joined(&self, a: RelSet, b: RelSet) -> bool {
+        a.iter().any(|r| self.neighbors[r.0].intersects(b))
     }
 
     /// Edges with exactly one endpoint in `a` and the other in `b`.
-    pub fn edges_across(&self, a: &BTreeSet<RelId>, b: &BTreeSet<RelId>) -> Vec<&JoinEdge> {
+    pub fn edges_across(&self, a: RelSet, b: RelSet) -> Vec<&JoinEdge> {
         self.edges
             .iter()
             .filter(|e| {
-                (a.contains(&e.left) && b.contains(&e.right))
-                    || (a.contains(&e.right) && b.contains(&e.left))
+                (a.contains(e.left) && b.contains(e.right))
+                    || (a.contains(e.right) && b.contains(e.left))
             })
             .collect()
     }
 
+    /// The relations of `within` reachable from `start` through edges whose
+    /// endpoints both lie in `within` (`start` included).
+    pub(crate) fn component_of(&self, start: RelId, within: RelSet) -> RelSet {
+        let mut reached = RelSet::single(start);
+        let mut frontier = reached;
+        while let Some(r) = frontier.first() {
+            frontier.remove(r);
+            let new = (self.neighbors[r.0] & within) - reached;
+            reached = reached | new;
+            frontier = frontier | new;
+        }
+        reached
+    }
+
     /// True if the induced subgraph on `set` is connected (singletons and the
     /// empty set count as connected).
-    pub fn is_connected_subset(&self, set: &BTreeSet<RelId>) -> bool {
-        if set.len() <= 1 {
-            return true;
-        }
-        let start = *set.iter().next().unwrap();
-        let mut visited = BTreeSet::new();
-        let mut stack = vec![start];
-        visited.insert(start);
-        while let Some(r) = stack.pop() {
-            for edge in self.edges_of(r) {
-                let o = edge.other(r);
-                if set.contains(&o) && visited.insert(o) {
-                    stack.push(o);
-                }
-            }
-        }
-        visited.len() == set.len()
+    pub fn is_connected_subset(&self, set: RelSet) -> bool {
+        set.first()
+            .is_none_or(|start| self.component_of(start, set) == set)
     }
 
     /// True if the whole graph is connected.
     pub fn is_connected(&self) -> bool {
-        let all: BTreeSet<RelId> = self.relation_ids().collect();
-        self.is_connected_subset(&all)
+        self.is_connected_subset(RelSet::first_n(self.num_relations()))
     }
 
-    /// Connected components of the graph with `excluded` removed.
-    pub fn components_excluding(&self, excluded: RelId) -> Vec<Vec<RelId>> {
-        let mut remaining: BTreeSet<RelId> =
-            self.relation_ids().filter(|&r| r != excluded).collect();
+    /// Connected components of the graph with `excluded` removed, ordered by
+    /// their smallest relation id.
+    pub fn components_excluding(&self, excluded: RelId) -> Vec<RelSet> {
+        let mut remaining = RelSet::first_n(self.num_relations());
+        remaining.remove(excluded);
         let mut components = Vec::new();
-        while let Some(&start) = remaining.iter().next() {
-            let mut component = Vec::new();
-            let mut stack = vec![start];
-            remaining.remove(&start);
-            while let Some(r) = stack.pop() {
-                component.push(r);
-                for edge in self.edges_of(r) {
-                    let o = edge.other(r);
-                    if o != excluded && remaining.remove(&o) {
-                        stack.push(o);
-                    }
-                }
-            }
-            component.sort_unstable();
+        while let Some(start) = remaining.first() {
+            let component = self.component_of(start, remaining);
+            remaining = remaining - component;
             components.push(component);
         }
         components
@@ -496,8 +473,7 @@ impl JoinGraph {
             if r == fact {
                 continue;
             }
-            let neighbors = self.neighbors(r);
-            if neighbors != vec![fact] || !self.points_to(fact, r) {
+            if self.neighbors(r) != RelSet::single(fact) || !self.points_to(fact, r) {
                 return None;
             }
             dims.push(r);
@@ -511,7 +487,7 @@ impl JoinGraph {
     fn try_snowflake(&self, fact: RelId) -> Option<Vec<Vec<RelId>>> {
         let mut branches = Vec::new();
         for component in self.components_excluding(fact) {
-            let branch = self.order_branch(fact, &component)?;
+            let branch = self.order_branch(fact, component)?;
             branches.push(branch);
         }
         Some(branches)
@@ -520,31 +496,25 @@ impl JoinGraph {
     /// Orders the relations of one fact-less component into a chain
     /// `R_{i,1}, ..., R_{i,n_i}` starting at the relation adjacent to the
     /// fact. Returns `None` if the component is not a valid snowflake branch.
-    fn order_branch(&self, fact: RelId, component: &[RelId]) -> Option<Vec<RelId>> {
-        let set: BTreeSet<RelId> = component.iter().copied().collect();
+    fn order_branch(&self, fact: RelId, component: RelSet) -> Option<Vec<RelId>> {
         // Exactly one relation of the branch joins the fact, and the fact
         // must point to it.
-        let roots: Vec<RelId> = component
-            .iter()
-            .copied()
-            .filter(|&r| self.are_adjacent(r, fact))
-            .collect();
-        if roots.len() != 1 || !self.points_to(fact, roots[0]) {
+        let roots = component & self.neighbors(fact);
+        let root = roots.first()?;
+        if roots.len() != 1 || !self.points_to(fact, root) {
             return None;
         }
-        let mut order = vec![roots[0]];
+        let mut order = vec![root];
         let mut prev: Option<RelId> = None;
-        let mut current = roots[0];
+        let mut current = root;
         loop {
-            let next: Vec<RelId> = self
-                .neighbors(current)
-                .into_iter()
-                .filter(|&n| set.contains(&n) && Some(n) != prev)
-                .collect();
-            match next.len() {
-                0 => break,
-                1 => {
-                    let n = next[0];
+            let mut next = self.neighbors(current) & component;
+            if let Some(p) = prev {
+                next.remove(p);
+            }
+            match (next.first(), next.len()) {
+                (None, _) => break,
+                (Some(n), 1) => {
                     if !self.points_to(current, n) {
                         return None;
                     }
@@ -589,17 +559,18 @@ impl JoinGraph {
             let mut prev: Option<RelId> = None;
             let mut current = start;
             while order.len() < n {
-                let next: Vec<RelId> = self
-                    .neighbors(current)
-                    .into_iter()
-                    .filter(|&x| Some(x) != prev)
-                    .collect();
-                if next.len() != 1 || !self.points_to(current, next[0]) {
-                    continue 'outer;
+                let mut next = self.neighbors(current);
+                if let Some(p) = prev {
+                    next.remove(p);
                 }
-                prev = Some(current);
-                current = next[0];
-                order.push(current);
+                match next.first() {
+                    Some(n) if next.len() == 1 && self.points_to(current, n) => {
+                        prev = Some(current);
+                        current = n;
+                        order.push(current);
+                    }
+                    _ => continue 'outer,
+                }
             }
             return Some(order);
         }
@@ -610,6 +581,7 @@ impl JoinGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     /// fact(1M) -> d1(100), d2(1000), d3(10)
     fn star() -> (JoinGraph, RelId, Vec<RelId>) {
@@ -644,7 +616,7 @@ mod tests {
         assert!(g.are_adjacent(fact, dims[0]));
         assert!(!g.are_adjacent(dims[0], dims[1]));
         assert_eq!(g.neighbors(fact).len(), 3);
-        assert_eq!(g.neighbors(dims[2]), vec![fact]);
+        assert_eq!(g.neighbors(dims[2]), RelSet::single(fact));
         assert_eq!(g.edges_between(fact, dims[1]).len(), 1);
         assert!(g.edges_between(dims[0], dims[1]).is_empty());
     }
@@ -667,7 +639,6 @@ mod tests {
         assert!(e.unique_on(RelId(1)));
         assert!(!e.unique_on(RelId(0)));
         assert!((e.selectivity() - 0.01).abs() < 1e-12);
-        assert!(e.is_key_join());
     }
 
     #[test]
@@ -681,12 +652,11 @@ mod tests {
     fn connectivity() {
         let (g, fact, dims) = star();
         assert!(g.is_connected());
-        let sub: BTreeSet<RelId> = [fact, dims[0]].into_iter().collect();
-        assert!(g.is_connected_subset(&sub));
-        let disconnected: BTreeSet<RelId> = [dims[0], dims[1]].into_iter().collect();
-        assert!(!g.is_connected_subset(&disconnected));
-        let empty = BTreeSet::new();
-        assert!(g.is_connected_subset(&empty));
+        let sub: RelSet = [fact, dims[0]].into_iter().collect();
+        assert!(g.is_connected_subset(sub));
+        let disconnected: RelSet = [dims[0], dims[1]].into_iter().collect();
+        assert!(!g.is_connected_subset(disconnected));
+        assert!(g.is_connected_subset(RelSet::default()));
     }
 
     #[test]
@@ -815,19 +785,21 @@ mod tests {
     #[test]
     fn edges_across_sets() {
         let (g, fact, dims) = star();
-        let left: BTreeSet<RelId> = [fact].into_iter().collect();
-        let right: BTreeSet<RelId> = [dims[0], dims[1]].into_iter().collect();
-        assert_eq!(g.edges_across(&left, &right).len(), 2);
-        let none: BTreeSet<RelId> = [dims[2]].into_iter().collect();
-        assert_eq!(g.edges_across(&right, &none).len(), 0);
+        let left = RelSet::single(fact);
+        let right: RelSet = [dims[0], dims[1]].into_iter().collect();
+        assert_eq!(g.edges_across(left, right).len(), 2);
+        assert!(g.are_joined(left, right) && g.are_joined(right, left));
+        let none = RelSet::single(dims[2]);
+        assert_eq!(g.edges_across(right, none).len(), 0);
+        assert!(!g.are_joined(right, none));
     }
 
     #[test]
-    fn neighbors_in_set() {
-        let (g, fact, dims) = star();
-        let set: BTreeSet<RelId> = [dims[0], dims[2]].into_iter().collect();
-        let n = g.neighbors_in_set(fact, &set);
-        assert_eq!(n, set);
-        assert!(g.neighbors_in_set(dims[0], &set).is_empty());
+    #[should_panic(expected = "at most 128 relations")]
+    fn a_graph_holds_at_most_capacity_relations() {
+        let mut g = JoinGraph::new();
+        for i in 0..=RelSet::CAPACITY {
+            g.add_relation(RelationInfo::new(format!("r{i}"), 1.0, 1.0));
+        }
     }
 }

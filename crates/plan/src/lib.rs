@@ -6,6 +6,8 @@
 //! * [`graph`] — the join-graph model ([`JoinGraph`], [`RelationInfo`],
 //!   [`JoinEdge`]) with PKFK metadata and shape classification
 //!   (star / snowflake / branch / general, fact-table detection).
+//! * [`relset`] — [`RelSet`], the `Copy` bitset every "set of relations" in
+//!   the planner and the optimizers is written as.
 //! * [`tree`] — join-tree representations, in particular the right-deep
 //!   trees the paper's analysis is about.
 //! * [`estimator`] — the cardinality estimator: join cardinalities over
@@ -36,6 +38,7 @@ pub mod graph;
 pub mod physical;
 pub mod predicate;
 pub mod pushdown;
+pub mod relset;
 pub mod tree;
 pub mod unparse;
 
@@ -50,4 +53,5 @@ pub use physical::{
 };
 pub use predicate::{ColumnPredicate, CompareOp, Params, PredicateValue};
 pub use pushdown::push_down_bitvectors;
+pub use relset::RelSet;
 pub use tree::{JoinTree, RightDeepTree};

@@ -6,8 +6,8 @@
 //! directly; the cost model in [`crate::cost`] estimates `Cout` over it.
 
 use crate::graph::{JoinGraph, RelId};
+use crate::relset::RelSet;
 use crate::tree::JoinTree;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Identifier of a node inside one [`PhysicalPlan`] arena.
@@ -89,6 +89,8 @@ pub struct BitvectorPlacement {
 #[derive(Debug, Clone, Default)]
 pub struct PhysicalPlan {
     nodes: Vec<PhysicalNode>,
+    /// The base relations under each node, recorded when the node is added.
+    rel_sets: Vec<RelSet>,
     root: Option<NodeId>,
     /// Bitvector filter placements chosen by Algorithm 1 for this plan.
     pub placements: Vec<BitvectorPlacement>,
@@ -100,9 +102,19 @@ impl PhysicalPlan {
         PhysicalPlan::default()
     }
 
-    /// Adds a node and returns its id.
+    /// Adds a node and returns its id. The inputs of a join must have been
+    /// added before it.
+    ///
+    /// # Panics
+    /// Panics if a join names an input that is not in the plan yet.
     pub fn add_node(&mut self, node: PhysicalNode) -> NodeId {
         let id = NodeId(self.nodes.len());
+        self.rel_sets.push(match &node {
+            PhysicalNode::Scan { relation } => RelSet::single(*relation),
+            PhysicalNode::HashJoin { build, probe, .. } => {
+                self.rel_sets[build.0] | self.rel_sets[probe.0]
+            }
+        });
         self.nodes.push(node);
         id
     }
@@ -144,15 +156,8 @@ impl PhysicalPlan {
     }
 
     /// The set of base relations under a node.
-    pub fn relation_set(&self, id: NodeId) -> BTreeSet<RelId> {
-        match self.node(id) {
-            PhysicalNode::Scan { relation } => [*relation].into_iter().collect(),
-            PhysicalNode::HashJoin { build, probe, .. } => {
-                let mut set = self.relation_set(*build);
-                set.extend(self.relation_set(*probe));
-                set
-            }
-        }
+    pub fn relation_set(&self, id: NodeId) -> RelSet {
+        self.rel_sets[id.0]
     }
 
     /// Placements targeted at a given node.
@@ -160,14 +165,6 @@ impl PhysicalPlan {
         self.placements
             .iter()
             .filter(|p| p.target == target)
-            .collect()
-    }
-
-    /// Placements created by a given join.
-    pub fn placements_from(&self, source_join: NodeId) -> Vec<&BitvectorPlacement> {
-        self.placements
-            .iter()
-            .filter(|p| p.source_join == source_join)
             .collect()
     }
 
@@ -218,10 +215,9 @@ impl PhysicalPlan {
             relation: remap_rel(&col.relation),
             column: col.column.clone(),
         };
-        let nodes = self
-            .nodes
-            .iter()
-            .map(|node| match node {
+        let mut remapped = PhysicalPlan::new();
+        for node in &self.nodes {
+            remapped.add_node(match node {
                 PhysicalNode::Scan { relation } => PhysicalNode::Scan {
                     relation: remap_rel(relation),
                 },
@@ -236,9 +232,10 @@ impl PhysicalPlan {
                         })
                         .collect(),
                 },
-            })
-            .collect();
-        let placements = self
+            });
+        }
+        remapped.root = self.root;
+        remapped.placements = self
             .placements
             .iter()
             .map(|p| BitvectorPlacement {
@@ -247,11 +244,7 @@ impl PhysicalPlan {
                 probe_columns: p.probe_columns.iter().map(remap_col).collect(),
             })
             .collect();
-        PhysicalPlan {
-            nodes,
-            root: self.root,
-            placements,
-        }
+        remapped
     }
 
     /// Builds a physical plan (without bitvector placements) from a logical
@@ -272,15 +265,15 @@ impl PhysicalPlan {
         match tree {
             JoinTree::Leaf(rel) => self.add_node(PhysicalNode::Scan { relation: *rel }),
             JoinTree::Join { build, probe } => {
-                let build_set = build.relation_set();
-                let probe_set = probe.relation_set();
                 let build_id = self.build_node(graph, build);
                 let probe_id = self.build_node(graph, probe);
+                let build_set = self.relation_set(build_id);
+                let probe_set = self.relation_set(probe_id);
                 let keys: Vec<JoinKeyPair> = graph
-                    .edges_across(&build_set, &probe_set)
+                    .edges_across(build_set, probe_set)
                     .into_iter()
                     .map(|edge| {
-                        let (build_rel, probe_rel) = if build_set.contains(&edge.left) {
+                        let (build_rel, probe_rel) = if build_set.contains(edge.left) {
                             (edge.left, edge.right)
                         } else {
                             (edge.right, edge.left)
@@ -495,7 +488,6 @@ mod tests {
             probe_columns: vec![ColumnRef::new(fact, "d1_sk")],
         });
         assert_eq!(plan.placements_at(scan_fact).len(), 1);
-        assert_eq!(plan.placements_from(root).len(), 1);
         assert!(plan.placements_at(root).is_empty());
         // The indexed variants see the same placements with their arena index.
         let indexed: Vec<usize> = plan

@@ -14,9 +14,9 @@
 //! executor applies them at run time and the cost model uses them to compute
 //! the bitvector-aware `Cout`.
 
-use crate::graph::{JoinGraph, RelId};
+use crate::graph::JoinGraph;
 use crate::physical::{BitvectorPlacement, ColumnRef, NodeId, PhysicalNode, PhysicalPlan};
-use std::collections::BTreeSet;
+use crate::relset::RelSet;
 
 /// A filter travelling down the plan during push-down.
 #[derive(Debug, Clone)]
@@ -27,7 +27,7 @@ struct PendingFilter {
 
 impl PendingFilter {
     /// Relations referenced by the filter's probe-side columns.
-    fn referenced(&self) -> BTreeSet<RelId> {
+    fn referenced(&self) -> RelSet {
         self.probe_columns.iter().map(|c| c.relation).collect()
     }
 }
@@ -76,8 +76,8 @@ fn push_down_node(
             // Route the incoming filters (line 12-23).
             for f in incoming {
                 let referenced = f.referenced();
-                let in_build = referenced.is_subset(&build_set);
-                let in_probe = referenced.is_subset(&probe_set);
+                let in_build = referenced.is_subset(build_set);
+                let in_probe = referenced.is_subset(probe_set);
                 match (in_build, in_probe) {
                     (true, false) => to_build.push(f),
                     (false, true) => to_probe.push(f),
@@ -100,8 +100,9 @@ fn push_down_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::{JoinEdge, JoinGraph, RelationInfo};
+    use crate::graph::{JoinEdge, JoinGraph, RelId, RelationInfo};
     use crate::tree::{JoinTree, RightDeepTree};
+    use std::collections::BTreeSet;
 
     fn scan_of(plan: &PhysicalPlan, rel: RelId) -> NodeId {
         plan.nodes()

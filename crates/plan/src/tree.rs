@@ -11,7 +11,7 @@
 //! dynamic-programming optimizer (it can be left-deep, right-deep or bushy).
 
 use crate::graph::{JoinGraph, RelId};
-use std::collections::BTreeSet;
+use crate::relset::RelSet;
 use std::fmt;
 
 /// A right-deep tree in the paper's `T(X_0, ..., X_n)` notation.
@@ -30,7 +30,7 @@ impl RightDeepTree {
             !order.is_empty(),
             "a plan must contain at least one relation"
         );
-        let distinct: BTreeSet<RelId> = order.iter().copied().collect();
+        let distinct: RelSet = order.iter().copied().collect();
         assert_eq!(
             distinct.len(),
             order.len(),
@@ -42,11 +42,6 @@ impl RightDeepTree {
     /// The order `X_0, X_1, ..., X_n` (right-most leaf first).
     pub fn order(&self) -> &[RelId] {
         &self.order
-    }
-
-    /// The right-most leaf `X_0` (bottom of the probe pipeline).
-    pub fn rightmost(&self) -> RelId {
-        self.order[0]
     }
 
     /// Number of relations.
@@ -65,7 +60,7 @@ impl RightDeepTree {
     }
 
     /// The set of relations in the plan.
-    pub fn relation_set(&self) -> BTreeSet<RelId> {
+    pub fn relation_set(&self) -> RelSet {
         self.order.iter().copied().collect()
     }
 
@@ -73,10 +68,9 @@ impl RightDeepTree {
     /// graph: every build relation `X_i` (i >= 1) must join with at least one
     /// relation in the prefix `{X_0, ..., X_{i-1}}`.
     pub fn has_no_cross_products(&self, graph: &JoinGraph) -> bool {
-        let mut prefix: BTreeSet<RelId> = BTreeSet::new();
-        prefix.insert(self.order[0]);
+        let mut prefix = RelSet::single(self.order[0]);
         for &rel in &self.order[1..] {
-            if !graph.connects_to_set(rel, &prefix) {
+            if !graph.neighbors(rel).intersects(prefix) {
                 return false;
             }
             prefix.insert(rel);
@@ -133,21 +127,10 @@ impl JoinTree {
     }
 
     /// All relations in the subtree.
-    pub fn relation_set(&self) -> BTreeSet<RelId> {
-        let mut out = BTreeSet::new();
-        self.collect_relations(&mut out);
-        out
-    }
-
-    fn collect_relations(&self, out: &mut BTreeSet<RelId>) {
+    pub fn relation_set(&self) -> RelSet {
         match self {
-            JoinTree::Leaf(r) => {
-                out.insert(*r);
-            }
-            JoinTree::Join { build, probe } => {
-                build.collect_relations(out);
-                probe.collect_relations(out);
-            }
+            JoinTree::Leaf(r) => RelSet::single(*r),
+            JoinTree::Join { build, probe } => build.relation_set() | probe.relation_set(),
         }
     }
 
@@ -187,46 +170,13 @@ impl JoinTree {
         }
     }
 
-    /// Converts a right-deep tree back to the order notation, if possible.
-    pub fn to_right_deep(&self) -> Option<RightDeepTree> {
-        if !self.is_right_deep() {
-            return None;
-        }
-        let mut builds = Vec::new();
-        let mut node = self;
-        loop {
-            match node {
-                JoinTree::Leaf(r) => {
-                    let mut order = vec![*r];
-                    order.extend(builds.iter().rev().copied());
-                    // builds were collected top-down; the order notation wants
-                    // bottom-up, and we reversed, so flip back appropriately:
-                    // collected: top build first ... bottom build last, so the
-                    // reversed iteration gives bottom build first, which is
-                    // exactly X_1, X_2, ..., X_n.
-                    return Some(RightDeepTree::new(order));
-                }
-                JoinTree::Join { build, probe } => {
-                    if let JoinTree::Leaf(r) = **build {
-                        builds.push(r);
-                        node = probe;
-                    } else {
-                        return None;
-                    }
-                }
-            }
-        }
-    }
-
     /// Checks that no join in the tree is a cross product with respect to the
     /// join graph (each join's two input relation sets must share an edge).
     pub fn has_no_cross_products(&self, graph: &JoinGraph) -> bool {
         match self {
             JoinTree::Leaf(_) => true,
             JoinTree::Join { build, probe } => {
-                let b = build.relation_set();
-                let p = probe.relation_set();
-                !graph.edges_across(&b, &p).is_empty()
+                graph.are_joined(build.relation_set(), probe.relation_set())
                     && build.has_no_cross_products(graph)
                     && probe.has_no_cross_products(graph)
             }
@@ -262,11 +212,14 @@ mod tests {
     #[test]
     fn right_deep_basics() {
         let t = RightDeepTree::new(vec![RelId(0), RelId(1), RelId(2)]);
-        assert_eq!(t.rightmost(), RelId(0));
         assert_eq!(t.len(), 3);
         assert_eq!(t.num_joins(), 2);
         assert_eq!(t.to_string(), "T(R0, R1, R2)");
         assert_eq!(t.relation_set().len(), 3);
+        // T(X_0, X_1, X_2) is (X_2 ⋈ (X_1 ⋈ X_0)): each new relation builds.
+        let jt = RightDeepTree::new(vec![RelId(2), RelId(0), RelId(1)]).to_join_tree();
+        assert!(jt.is_right_deep());
+        assert_eq!(jt.to_string(), "(R1 ⋈ (R0 ⋈ R2))");
     }
 
     #[test]
@@ -286,17 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn conversion_round_trip() {
-        let t = RightDeepTree::new(vec![RelId(2), RelId(0), RelId(1)]);
-        let jt = t.to_join_tree();
-        assert!(jt.is_right_deep());
-        assert_eq!(jt.num_relations(), 3);
-        assert_eq!(jt.num_joins(), 2);
-        let back = jt.to_right_deep().unwrap();
-        assert_eq!(back, t);
-    }
-
-    #[test]
     fn join_tree_shapes() {
         let right = JoinTree::join(
             JoinTree::Leaf(RelId(2)),
@@ -311,7 +253,6 @@ mod tests {
         );
         assert!(left.is_left_deep());
         assert!(!left.is_right_deep());
-        assert!(left.to_right_deep().is_none());
 
         let bushy = JoinTree::join(
             JoinTree::join(JoinTree::Leaf(RelId(0)), JoinTree::Leaf(RelId(1))),
@@ -349,6 +290,5 @@ mod tests {
         let jt = t.to_join_tree();
         assert_eq!(jt, JoinTree::Leaf(RelId(5)));
         assert!(jt.is_right_deep() && jt.is_left_deep());
-        assert_eq!(jt.to_right_deep().unwrap(), t);
     }
 }

@@ -18,7 +18,9 @@
 //!
 //! with `<op>` one of `= <> != < <= > >=`, literals being integers, floats
 //! (including scientific notation), single-quoted strings (`''` escapes a
-//! quote) and `TRUE`/`FALSE`. Errors at every stage carry a byte [`Span`]
+//! quote) and `TRUE`/`FALSE`. A `CROSS JOIN`ed table must be tied in by a
+//! later `ON` condition: a query whose join graph stays disconnected is a
+//! planning error, not a cross product. Errors at every stage carry a byte [`Span`]
 //! and render a caret diagnostic pointing into the original text:
 //!
 //! ```text

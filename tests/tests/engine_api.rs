@@ -295,6 +295,56 @@ fn unknown_column_in_query_spec_is_a_descriptive_error() {
     assert!(msg.contains("ghost_sk"), "{msg}");
 }
 
+/// Query shapes the optimizers cannot plan are planning errors naming the
+/// query and the offending tables — under both optimizers, and the engine
+/// keeps serving afterwards.
+#[test]
+fn malformed_query_shapes_are_descriptive_errors() {
+    let engine = tiny_star_engine();
+    let too_many = (0..129).fold(QuerySpec::new("too_many"), |spec, i| {
+        spec.table(format!("t{i}"))
+    });
+    let cases = [
+        (
+            QuerySpec::new("cross").table("d1").table("d2"),
+            "no join condition connecting `d2` to `d1`",
+        ),
+        (
+            QuerySpec::new("self_join")
+                .table("d1")
+                .join("d1", "sk", "d1", "sk"),
+            "joins table `d1` with itself",
+        ),
+        (
+            QuerySpec::new("twice")
+                .table("d1")
+                .table("d1")
+                .table("fact")
+                .join("fact", "d1_sk", "d1", "sk"),
+            "lists table `d1` twice",
+        ),
+        (too_many, "joins 129 tables; at most 128"),
+    ];
+    for (spec, expected) in &cases {
+        for choice in [OptimizerChoice::Bqo, OptimizerChoice::Baseline] {
+            let err = engine
+                .prepare(spec, choice)
+                .expect_err("malformed query shape must not plan");
+            assert_eq!(err.phase(), QueryPhase::Planning);
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("query `{}`", spec.name)), "{msg}");
+            assert!(msg.contains(expected), "{msg}");
+        }
+    }
+    let ok = QuerySpec::new("ok")
+        .table("fact")
+        .table("d1")
+        .join("fact", "d1_sk", "d1", "sk");
+    let stmt = engine.prepare(&ok, OptimizerChoice::Bqo).unwrap();
+    let rows = engine.session().execute(&stmt, RunOptions::new()).unwrap();
+    assert_eq!(rows.result.output_rows, 12);
+}
+
 /// Execution errors keep real query context: `Engine::prepare_plan` threads
 /// the caller's query name through to the error.
 #[test]

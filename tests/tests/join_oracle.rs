@@ -143,10 +143,10 @@ fn reference(s: &Scenario, tree: &JoinTree) -> (Vec<ColumnRef>, Vec<Vec<Value>>)
             let (build_set, probe_set) = (build.relation_set(), probe.relation_set());
             let key_pairs: Vec<(usize, usize)> = s
                 .graph
-                .edges_across(&build_set, &probe_set)
+                .edges_across(build_set, probe_set)
                 .into_iter()
                 .map(|edge| {
-                    let (b, p) = if build_set.contains(&edge.left) {
+                    let (b, p) = if build_set.contains(edge.left) {
                         (edge.left, edge.right)
                     } else {
                         (edge.right, edge.left)

@@ -149,14 +149,14 @@ fn placements_are_structurally_valid_across_workload_plans() {
                 let probe_rels = plan.relation_set(*probe);
                 let target_rels = plan.relation_set(placement.target);
                 assert!(
-                    target_rels.is_subset(&probe_rels),
+                    target_rels.is_subset(probe_rels),
                     "{}: filter target escapes the probe side",
                     query.name
                 );
                 // The filter's probe columns must belong to the target.
                 for col in &placement.probe_columns {
                     assert!(
-                        target_rels.contains(&col.relation),
+                        target_rels.contains(col.relation),
                         "{}: filter column outside its target",
                         query.name
                     );

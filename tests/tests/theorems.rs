@@ -135,7 +135,7 @@ proptest! {
         // partially ordered (Lemma 6), so they must share one cost.
         let costs: Vec<f64> = enumerate_right_deep(&graph)
             .into_iter()
-            .filter(|p| p.rightmost() == fact)
+            .filter(|p| p.order()[0] == fact)
             .map(|p| model.cout_right_deep_total(&p, true))
             .collect();
         prop_assert!(!costs.is_empty());
