@@ -8,16 +8,18 @@
 //! and then its probe side's, each gathered through the join's match lists —
 //! so a join level costs one `u32` gather per relation below it, filters
 //! (predicates, bitvector probes, residuals) refine the row ids in place,
-//! and a build side is stacked as row ids (`Batch::stack`). Values are
-//! copied exactly once, by [`Batch::into_dense`] where the pipeline's root
-//! join hands a batch to its caller, who therefore only ever sees dense or
-//! single-selection batches. Two batches compare equal iff their *logical*
-//! content matches, whatever their layouts.
+//! and a build side is stacked as row ids (`Batch::stack`). The root join
+//! hands out the same row-id batches every other join does: values are
+//! gathered once, by [`Batch::concat`], when rows are collected — each into
+//! its final place in an exactly-sized column — and never when the caller
+//! only counts. Two batches compare equal iff their *logical* content
+//! matches, whatever their layouts.
 
 use crate::join_table::row_id;
 use bqo_bitvector::hash::{combine_key, fold_parts};
 use bqo_plan::ColumnRef;
 use bqo_storage::{Column, StorageError};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// A run of adjacent columns read through one row-id vector: the columns of
@@ -55,7 +57,8 @@ impl Source {
 /// across execution configurations, whatever the layouts.
 #[derive(Debug, Clone)]
 pub struct Batch {
-    schema: Vec<ColumnRef>,
+    /// One allocation per operator, shared by every batch it emits.
+    schema: Arc<[ColumnRef]>,
     columns: Vec<Arc<Column>>,
     /// In column order, never empty; together they cover every column.
     sources: Vec<Source>,
@@ -71,14 +74,18 @@ impl Batch {
         Batch::from_shared(schema, columns.into_iter().map(Arc::new).collect())
     }
 
-    /// Creates a dense batch from matching schema and shared column handles.
-    ///
-    /// Cloning the `Arc`s is a refcount bump — scans use this to emit
-    /// batches over table columns without copying them.
+    /// Creates a dense batch from matching schema and shared column handles
+    /// — refcount bumps, nothing is copied.
     ///
     /// # Panics
     /// Panics if lengths are inconsistent.
     pub fn from_shared(schema: Vec<ColumnRef>, columns: Vec<Arc<Column>>) -> Self {
+        Batch::with_schema(schema.into(), columns)
+    }
+
+    /// [`Batch::from_shared`] under a schema the caller already shares: how
+    /// an operator stamps its one schema on every batch it emits.
+    pub fn with_schema(schema: Arc<[ColumnRef]>, columns: Vec<Arc<Column>>) -> Self {
         assert_eq!(
             schema.len(),
             columns.len(),
@@ -113,12 +120,11 @@ impl Batch {
     ///
     /// # Panics
     /// Panics on a multi-relation row-id batch, which has no single
-    /// selection; operators never hand one to a caller (the root join
-    /// densifies its output).
+    /// selection: a join's batches are read through [`Batch::concat`].
     pub fn selection(&self) -> Option<&[u32]> {
         assert!(
             self.sources.len() == 1,
-            "multi-relation row-id batch: densify it first"
+            "multi-relation row-id batch: concat it first"
         );
         self.sources[0].rows.as_deref()
     }
@@ -220,9 +226,9 @@ impl Batch {
     }
 
     /// Compacts this batch to a dense layout, gathering every column through
-    /// its source's row ids — the one place a join pipeline copies values:
-    /// its root join calls this on each batch it hands to the caller. A
-    /// no-op for batches that are already dense.
+    /// its source's row ids. A no-op for batches that are already dense.
+    /// Pipelines never call this ([`Batch::concat`] is their one gather); it
+    /// is the per-batch reference the differential suites compare against.
     pub fn into_dense(self) -> Batch {
         if self.is_dense() {
             return self;
@@ -230,38 +236,53 @@ impl Batch {
         let columns = (0..self.columns.len())
             .map(|i| match self.rows_of(i) {
                 None => Arc::clone(&self.columns[i]),
-                Some(rows) => Arc::new(self.columns[i].gather(rows)),
+                Some(rows) => {
+                    let rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+                    Arc::new(self.columns[i].take(&rows))
+                }
             })
             .collect();
-        Batch::from_shared(self.schema, columns)
+        Batch::with_schema(self.schema, columns)
     }
 
-    /// Concatenates schema-identical batches row-wise into a dense batch (how
-    /// a caller collects a pipeline's output), each contributing exactly its
-    /// logical rows. Inputs are consumed: a column nobody else holds — every
-    /// column a root join emits — has its values moved, not cloned.
+    /// Concatenates schema-identical batches row-wise into a dense batch —
+    /// the one place a pipeline's values are copied: every output column is
+    /// allocated once at the summed logical row count and filled through
+    /// each batch's own row ids, source column straight to final place.
     ///
     /// # Panics
     /// Panics if the batches disagree on schema or column types.
     pub fn concat(batches: Vec<Batch>) -> Batch {
-        let mut iter = batches.into_iter();
-        let Some(first) = iter.next() else {
-            return Batch::empty();
+        Batch::try_concat(batches, || Ok::<(), Infallible>(()))
+            .unwrap_or_else(|never| match never {})
+    }
+
+    /// [`Batch::concat`] calling `check` before each batch is gathered: the
+    /// first error drops the partial columns and is returned — how an
+    /// executor keeps the gather cancellable.
+    pub fn try_concat<E>(
+        batches: Vec<Batch>,
+        mut check: impl FnMut() -> Result<(), E>,
+    ) -> Result<Batch, E> {
+        let Some(first) = batches.first() else {
+            return Ok(Batch::empty());
         };
-        let mut first = first.into_dense();
-        for batch in iter {
-            assert_eq!(first.schema, batch.schema, "schema mismatch in concat");
-            let batch = batch.into_dense();
-            for (dst, src) in first.columns.iter_mut().zip(batch.columns) {
-                let dst = Arc::make_mut(dst);
-                match Arc::try_unwrap(src) {
-                    Ok(owned) => dst.append_owned(owned),
-                    Err(shared) => dst.append(&shared),
-                }
-                .expect("column type mismatch in concat");
+        let num_rows = batches.iter().map(Batch::num_rows).sum();
+        let sized = |c: &Arc<Column>| Column::with_capacity(c.data_type(), num_rows);
+        let mut columns: Vec<Column> = first.columns.iter().map(sized).collect();
+        for batch in &batches {
+            check()?;
+            assert!(
+                same_schema(&first.schema, &batch.schema),
+                "schema mismatch in concat"
+            );
+            for (i, (dst, src)) in columns.iter_mut().zip(&batch.columns).enumerate() {
+                dst.extend_rows(src, batch.rows_of(i))
+                    .expect("column type mismatch in concat");
             }
         }
-        Batch::from_shared(first.schema, first.columns)
+        let columns = columns.into_iter().map(Arc::new).collect();
+        Ok(Batch::with_schema(Arc::clone(&first.schema), columns))
     }
 
     /// Stacks a hash join's drained build side row-wise *as row ids*: when
@@ -280,7 +301,7 @@ impl Batch {
         let shared = batches.iter().all(|b| {
             let ends = b.sources.iter().map(|s| s.end);
             let columns = b.columns.iter().zip(&first.columns);
-            b.schema == first.schema
+            same_schema(&b.schema, &first.schema)
                 && ends.eq(first.sources.iter().map(|s| s.end))
                 && columns.into_iter().all(|(x, y)| Arc::ptr_eq(x, y))
         });
@@ -312,8 +333,10 @@ impl Batch {
     /// A hash join's output for the matched pairs `(build_rows[i],
     /// probe_rows[i])` of logical rows: `build`'s columns then `probe`'s,
     /// every source relation of either side gathered through the match list
-    /// — `u32` row ids only, no value is touched.
-    pub(crate) fn join(
+    /// — `u32` row ids only, no value is touched. `schema` is the join's one
+    /// output schema: `build`'s column references, then `probe`'s.
+    pub fn join(
+        schema: &Arc<[ColumnRef]>,
         build: &Batch,
         build_rows: &[u32],
         probe: &Batch,
@@ -328,8 +351,9 @@ impl Batch {
         let shift = build.columns.len();
         let probe_sources = probe.sources.iter().map(|s| s.joined(probe_rows, shift));
         let columns = build.columns.iter().chain(&probe.columns);
+        debug_assert!(schema.iter().eq(build.schema.iter().chain(&*probe.schema)));
         Batch {
-            schema: build.schema.iter().chain(&probe.schema).cloned().collect(),
+            schema: Arc::clone(schema),
             columns: columns.cloned().collect(),
             sources: build_sources.chain(probe_sources).collect(),
             num_rows: build_rows.len(),
@@ -383,7 +407,7 @@ impl Batch {
 
 impl PartialEq for Batch {
     fn eq(&self, other: &Self) -> bool {
-        if self.schema != other.schema || self.num_rows() != other.num_rows() {
+        if !same_schema(&self.schema, &other.schema) || self.num_rows() != other.num_rows() {
             return false;
         }
         if self.is_dense() && other.is_dense() {
@@ -397,6 +421,11 @@ impl PartialEq for Batch {
                     .all(|r| a.value(physical(rows_a, r)) == b.value(physical(rows_b, r)))
         })
     }
+}
+
+/// Schema equality: one operator's batches share an `Arc`, no name compared.
+fn same_schema(a: &Arc<[ColumnRef]>, b: &Arc<[ColumnRef]>) -> bool {
+    Arc::ptr_eq(a, b) || a == b
 }
 
 /// The physical row behind logical row `logical` of row ids `rows`.
@@ -594,6 +623,12 @@ mod tests {
         from_table(RelId(1), &t)
     }
 
+    /// `Batch::join` under the schema a join operator would stamp on it.
+    fn join(build: &Batch, build_rows: &[u32], probe: &Batch, probe_rows: &[u32]) -> Batch {
+        let schema = build.schema().iter().chain(probe.schema()).cloned();
+        Batch::join(&schema.collect(), build, build_rows, probe, probe_rows)
+    }
+
     /// The dense batch holding `sample()` rows `left` beside `other()` rows
     /// `right`.
     fn dense_pairs(left: &[i64], right: &[f64]) -> Batch {
@@ -617,7 +652,7 @@ mod tests {
         // Build side: a selection; probe side: dense. Duplicates and
         // reordering on both sides.
         let build = sample().filter_select(&[false, true, true, true]); // ids 2,3,4
-        let joined = Batch::join(&build, &[2, 0, 0], &other(), &[1, 1, 2]);
+        let joined = join(&build, &[2, 0, 0], &other(), &[1, 1, 2]);
         assert_eq!(joined.num_sources(), 2);
         assert_eq!(joined.num_rows(), 3);
         assert_eq!(joined.num_columns(), 3);
@@ -644,7 +679,7 @@ mod tests {
         assert_eq!(joined.filter(&[true, false, true]), filtered);
 
         // A join output is itself a valid join input (three relations).
-        let again = Batch::join(&other(), &[0, 0], &joined, &[2, 0]);
+        let again = join(&other(), &[0, 0], &joined, &[2, 0]);
         assert_eq!(again.num_sources(), 3);
         assert_eq!(
             again.key_values(&[ColumnRef::new(RelId(0), "id")]),
@@ -653,39 +688,88 @@ mod tests {
     }
 
     #[test]
-    fn root_output_is_dense_or_a_single_selection() {
+    fn concat_gathers_a_join_roots_row_id_batches() {
         // A scan root's batches: one selection, readable as is.
         let selected = sample().filter_select(&[true, false, true, false]);
         assert_eq!(selected.num_sources(), 1);
         assert_eq!(selected.selection(), Some(&[0u32, 2][..]));
         assert_eq!(selected.physical_row(1), 2);
 
-        // A join root's batches: gathered once into owned dense columns,
-        // which the single-relation accessors then describe.
-        let joined = Batch::join(&sample(), &[3, 1], &other(), &[0, 2]);
-        let root = joined.clone().into_dense();
+        // A join root's batches are row ids over the inputs' columns; concat
+        // gathers them — duplicates, reorderings, an empty batch — into owned
+        // dense columns of exactly the summed length, inputs untouched.
+        let (s, o) = (sample(), other());
+        let parts = vec![
+            join(&s, &[3, 1], &o, &[0, 2]),
+            join(&s, &[], &o, &[]),
+            join(&s, &[1, 1, 0], &o, &[2, 1, 1]),
+        ];
+        assert!(parts.iter().all(|p| !p.is_dense()));
+        assert!(Arc::ptr_eq(&parts[0].columns()[0], &s.columns()[0]));
+        let root = Batch::concat(parts.clone());
         assert!(root.is_dense());
         assert_eq!(root.num_sources(), 1);
-        assert_eq!(root.columns()[0].len(), 2);
-        assert_eq!(root.physical_row(1), 1);
-        assert_eq!(root.columns()[0].as_i64().unwrap(), &[4, 2]);
-        assert_eq!(root, joined);
+        assert!(root.columns().iter().all(|c| c.len() == 5));
+        assert_eq!(root.physical_row(4), 4);
+        assert_eq!(
+            root,
+            dense_pairs(&[4, 2, 2, 2, 1], &[0.5, 2.5, 2.5, 1.5, 1.5])
+        );
+        assert_eq!(root.columns()[0].as_i64().unwrap(), &[4, 2, 2, 2, 1]);
+        assert_eq!(Batch::concat(vec![parts[0].clone()]), parts[0]);
+        assert_eq!(s, sample());
         // A zero-row join output still materializes its schema.
-        let none = Batch::join(&sample(), &[], &other(), &[]).into_dense();
+        let none = Batch::concat(vec![join(&s, &[], &o, &[])]);
         assert!(none.is_dense());
         assert_eq!((none.num_rows(), none.num_columns()), (0, 3));
+        assert_eq!(none.into_dense().schema(), parts[0].schema());
+    }
+
+    #[test]
+    fn try_concat_stops_at_the_first_failed_check() {
+        let (s, o) = (sample(), other());
+        let parts: Vec<Batch> = (0..4u32).map(|i| join(&s, &[i, 0], &o, &[1, 2])).collect();
+        let whole = Batch::concat(parts.clone());
+        // A check failing at the k-th batch is returned for every k, after
+        // exactly k calls; a check that never fails changes nothing.
+        for k in 1..=parts.len() {
+            let mut calls = 0;
+            let check = || {
+                calls += 1;
+                if calls == k {
+                    return Err(StorageError::Cancelled);
+                }
+                Ok(())
+            };
+            let stopped = Batch::try_concat(parts.clone(), check);
+            assert_eq!(stopped.unwrap_err(), StorageError::Cancelled, "k = {k}");
+            assert_eq!(calls, k);
+        }
+        let mut calls = 0;
+        let counted = Batch::try_concat(parts.clone(), || {
+            calls += 1;
+            Ok::<(), StorageError>(())
+        });
+        assert_eq!(counted.unwrap(), whole);
+        assert_eq!(calls, parts.len());
+        // Nothing to gather: nothing to check.
+        let failing = || Err::<(), _>(StorageError::Cancelled);
+        assert_eq!(
+            Batch::try_concat(Vec::new(), failing).unwrap().num_rows(),
+            0
+        );
     }
 
     #[test]
     #[should_panic(expected = "multi-relation row-id batch")]
     fn single_relation_accessors_reject_multi_relation_batches() {
-        Batch::join(&sample(), &[0], &other(), &[0]).physical_row(0);
+        join(&sample(), &[0], &other(), &[0]).physical_row(0);
     }
 
     #[test]
     #[should_panic(expected = "match lists must pair up")]
     fn join_rejects_mismatched_match_lists() {
-        Batch::join(&sample(), &[0, 1], &other(), &[0]);
+        join(&sample(), &[0, 1], &other(), &[0]);
     }
 
     #[test]
@@ -705,7 +789,7 @@ mod tests {
 
         // Multi-relation batches stack relation by relation.
         let u = other();
-        let pairs = |build: &[u32], probe: &[u32]| Batch::join(&b, build, &u, probe);
+        let pairs = |build: &[u32], probe: &[u32]| join(&b, build, &u, probe);
         let stacked = Batch::stack(vec![pairs(&[0], &[2]), pairs(&[3, 1], &[0, 0])]).unwrap();
         assert_eq!(stacked.num_sources(), 2);
         assert_eq!(stacked, dense_pairs(&[1, 4, 2], &[2.5, 0.5, 0.5]));
@@ -855,21 +939,24 @@ mod tests {
     }
 
     #[test]
-    fn concat_moves_owned_columns_and_copies_shared_ones() {
-        // Owned inputs (what a materialized join root emits): the strings of
-        // the later batches are moved, so their heap buffers are reused.
+    fn concat_copies_each_value_once_into_exactly_sized_columns() {
+        // Batches over different, separately owned columns and a shared one:
+        // every value is copied (no input buffer is adopted), each output
+        // column is allocated once at the summed row count.
         let owned = |name: &str| {
             let schema = vec![ColumnRef::new(RelId(0), "name")];
             Batch::new(schema, vec![Column::Utf8(vec![name.repeat(40)])])
         };
         let (first, second) = (owned("a"), owned("b"));
-        let buffer = second.columns()[0].as_utf8().unwrap()[0].as_ptr();
-        let stacked = Batch::concat(vec![first, second]);
+        let stacked = Batch::concat(vec![first.clone(), second.clone(), first.clone()]);
         let names = stacked.columns()[0].as_utf8().unwrap();
-        assert_eq!(names, &["a".repeat(40), "b".repeat(40)]);
-        assert_eq!(names[1].as_ptr(), buffer);
+        assert_eq!(names, &["a".repeat(40), "b".repeat(40), "a".repeat(40)]);
+        let Column::Utf8(values) = &*stacked.columns()[0] else {
+            panic!("a Utf8 column");
+        };
+        assert_eq!(values.capacity(), 3);
+        assert_eq!(second.columns()[0].as_utf8().unwrap(), &["b".repeat(40)]);
 
-        // Shared inputs (a scan's batches over table columns) are copied.
         let b = sample();
         let stacked = Batch::concat(vec![b.clone(), b.clone()]);
         assert_eq!(stacked.num_rows(), 8);

@@ -388,8 +388,9 @@ impl<'a> Executor<'a> {
     /// Executes a bound statement — the executor's single entry point. The
     /// join graph supplies relation names (to find tables in the catalog) and
     /// local predicates. With `collect_rows` the concatenated output rows are
-    /// returned as well (`None` otherwise): the differential harnesses
-    /// compare that [`Batch`] bit for bit across configurations.
+    /// returned as well: the differential harnesses compare that [`Batch`]
+    /// bit for bit across configurations. Without it no value is copied
+    /// (`None`). `metrics.elapsed` is stamped last, after the rows exist.
     pub fn execute(
         &self,
         bound: BoundPlan<'_>,
@@ -407,7 +408,7 @@ impl<'a> Executor<'a> {
         // Drive the pipeline, capturing the first failure instead of
         // `?`-returning so `close` always runs and the context's partial
         // metrics survive a cancellation.
-        let failure = (|| -> Result<(), StorageError> {
+        let drained = (|| -> Result<(), StorageError> {
             root.open(&mut ctx)?;
             while let Some(batch) = root.next_batch(&mut ctx)? {
                 output_rows += batch.num_rows() as u64;
@@ -416,26 +417,32 @@ impl<'a> Executor<'a> {
                 }
             }
             Ok(())
-        })()
-        .err();
+        })();
         root.close(&mut ctx);
+        drop(root);
+        // The root's batches are row ids: values are gathered here, once, for
+        // a caller that asked for rows — re-checking the token per batch, so
+        // a deadline passing mid-gather still aborts.
+        let rows = drained.and_then(|()| {
+            if !collect_rows {
+                return Ok(None);
+            }
+            Batch::try_concat(collected, || ctx.check_cancelled()).map(Some)
+        });
         let mut metrics = ctx.into_metrics();
         metrics.elapsed = start.elapsed();
-        match failure {
-            Some(StorageError::Cancelled) => Err(ExecError::Cancelled {
+        match rows {
+            Ok(rows) => Ok((
+                QueryResult {
+                    output_rows,
+                    metrics,
+                },
+                rows,
+            )),
+            Err(StorageError::Cancelled) => Err(ExecError::Cancelled {
                 metrics: Box::new(metrics),
             }),
-            Some(other) => Err(ExecError::Storage(other)),
-            None => {
-                let rows = collect_rows.then(|| Batch::concat(collected));
-                Ok((
-                    QueryResult {
-                        output_rows,
-                        metrics,
-                    },
-                    rows,
-                ))
-            }
+            Err(other) => Err(ExecError::Storage(other)),
         }
     }
 }
@@ -446,8 +453,8 @@ mod tests {
     use crate::metrics::OperatorKind;
     use crate::pool::WorkerPool;
     use bqo_plan::{
-        push_down_bitvectors, ColumnPredicate, CompareOp, JoinEdge, PhysicalPlan, QuerySpec, RelId,
-        RelationInfo, RightDeepTree,
+        push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, PhysicalPlan,
+        QuerySpec, RelId, RelationInfo, RightDeepTree,
     };
     use bqo_storage::generator::DataGenerator;
     use bqo_storage::{Catalog, TableBuilder};
@@ -613,6 +620,46 @@ mod tests {
                     "{batch_size} {kind:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn counting_run_returns_no_rows_and_the_collecting_runs_counters() {
+        // The tiny star with a `Utf8` label on both dimensions: the values a
+        // collecting run clones are what a counting run never touches.
+        let mut catalog = tiny_catalog();
+        let labelled = |name: &str, attribute: &str, values: Vec<i64>| {
+            let rows = values.len() as i64;
+            TableBuilder::new(name)
+                .with_i64("sk", (0..rows).collect())
+                .with_i64(attribute, values)
+                .with_utf8("label", (0..rows).map(|i| format!("{name}-{i}")).collect())
+                .build()
+                .unwrap()
+        };
+        catalog.register_table(labelled("d1", "cat", vec![0, 0, 1, 1]));
+        catalog.register_table(labelled("d2", "flag", vec![1, 0, 1]));
+        let (g, fact, d1, d2) = tiny_graph();
+        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
+        for threads in [1usize, 4] {
+            let config = ExecConfig::default()
+                .with_batch_size(5)
+                .with_num_threads(threads)
+                .with_parallel_threshold(1);
+            let exec = pooled(&catalog, config);
+            let counted = run(&exec, &g, &plan);
+            let (collected, rows) = run_rows(&exec, &g, &plan);
+            assert_eq!(counted.output_rows, EXPECTED_ROWS);
+            assert_eq!(counted.output_rows, collected.output_rows);
+            let (c, r) = (&counted.metrics, &collected.metrics);
+            assert_eq!(c.operators, r.operators);
+            assert_eq!(c.filter_stats, r.filter_stats);
+            assert_eq!(c.filters_created, r.filters_created);
+            assert_eq!(c.logical_work(), r.logical_work());
+            assert!(rows.is_dense());
+            let labels = rows.column(&ColumnRef::new(d2, "label")).unwrap();
+            assert_eq!(labels.as_utf8().unwrap(), &["d2-0", "d2-0", "d2-2", "d2-2"]);
         }
     }
 

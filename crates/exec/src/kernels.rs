@@ -56,14 +56,22 @@ pub fn scan_morsel(
     filters: &[ScanFilter<'_>],
     stats: &mut [FilterStats],
 ) -> Vec<usize> {
-    let mut mask = vec![true; rows.len()];
-    for &(predicate, column) in predicates {
-        let predicate_mask = predicate.evaluate_range(&columns[column], rows.start, rows.end);
-        for (acc, p) in mask.iter_mut().zip(predicate_mask) {
-            *acc &= p;
+    // A scan without local predicates (every fact-table scan) starts from
+    // the row range itself: no mask is built, no row is tested.
+    let (start, end) = (rows.start, rows.end);
+    let mut masks = predicates
+        .iter()
+        .map(|&(predicate, column)| predicate.evaluate_range(&columns[column], start, end));
+    let mut survivors: Vec<usize> = match masks.next() {
+        None => rows.collect(),
+        Some(mut mask) => {
+            for passes in masks {
+                mask.iter_mut().zip(passes).for_each(|(acc, p)| *acc &= p);
+            }
+            let kept = rows.zip(mask).filter_map(|(r, keep)| keep.then_some(r));
+            kept.collect()
         }
-    }
-    let mut survivors: Vec<usize> = rows.clone().filter(|&r| mask[r - rows.start]).collect();
+    };
 
     let mut scratch = ProbeScratch::default();
     for (&(filter, key_columns), slot_stats) in filters.iter().zip(stats) {
@@ -91,18 +99,18 @@ pub fn scan_morsel(
 /// sharing the columns and marking `rows` in the batch's row-id vector.
 /// (Columns longer than `u32` row ids address are gathered dense instead.)
 pub fn scan_batch(
-    schema: &[ColumnRef],
+    schema: &Arc<[ColumnRef]>,
     columns: &[Arc<Column>],
     rows: impl Iterator<Item = usize>,
 ) -> Batch {
     let physical_rows = columns.first().map_or(0, |c| c.len());
     if u32::try_from(physical_rows).is_ok() {
         let selection = rows.map(|r| r as u32).collect(); // CAST-OK: r < physical_rows, which the guard proved fits u32
-        Batch::from_shared(schema.to_vec(), columns.to_vec()).with_selection(selection)
+        Batch::with_schema(Arc::clone(schema), columns.to_vec()).with_selection(selection)
     } else {
         let rows: Vec<usize> = rows.collect();
-        let columns = columns.iter().map(|c| c.take(&rows)).collect();
-        Batch::new(schema.to_vec(), columns)
+        let columns = columns.iter().map(|c| Arc::new(c.take(&rows))).collect();
+        Batch::with_schema(Arc::clone(schema), columns)
     }
 }
 
@@ -224,8 +232,20 @@ pub fn probe_retain<F: BitvectorFilter + ?Sized>(
     if before < VECTOR_MIN_ROWS {
         return retain_scalar(filter, columns, rows, stats);
     }
-    gather_keys(columns, rows, &mut scratch.keys);
-    filter.probe_words(&scratch.keys, &mut scratch.words);
+    // Contiguous candidates over one integer key column — the first filter
+    // of every predicate-free scan — are probed straight from the column.
+    let keys = match (columns, rows.as_slice()) {
+        ([Column::Int64(values)], [first, .., last])
+            if rows.windows(2).all(|pair| pair[0] + 1 == pair[1]) =>
+        {
+            &values[*first..=*last]
+        }
+        _ => {
+            gather_keys(columns, rows, &mut scratch.keys);
+            &scratch.keys[..]
+        }
+    };
+    filter.probe_words(keys, &mut scratch.words);
     let kept = compact_by_mask(rows, &scratch.words);
     stats.probed += before as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
     stats.eliminated += (before - kept) as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
@@ -249,10 +269,8 @@ pub fn probe_mask_range<F: BitvectorFilter + ?Sized>(
         return mask_scalar(filter, slice, stats);
     }
     filter.probe_words(slice, &mut scratch.words);
-    let mut mask = Vec::with_capacity(slice.len());
-    for (i, _) in slice.iter().enumerate() {
-        mask.push((scratch.words[i / 64] >> (i % 64)) & 1 == 1);
-    }
+    let mut mask = vec![false; slice.len()];
+    for_each_set_bit(&scratch.words, |i| mask[i] = true);
     let kept: usize = scratch.words.iter().map(|w| w.count_ones() as usize).sum(); // CAST-OK: popcount <= 64 fits usize
     stats.probed += slice.len() as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
     stats.eliminated += (slice.len() - kept) as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
@@ -263,14 +281,24 @@ pub fn probe_mask_range<F: BitvectorFilter + ?Sized>(
 /// `i / 64` is set; returns the surviving count. Order is preserved.
 fn compact_by_mask(rows: &mut Vec<usize>, words: &[u64]) -> usize {
     let mut kept = 0usize;
-    for i in 0..rows.len() {
-        if (words[i / 64] >> (i % 64)) & 1 == 1 {
-            rows[kept] = rows[i];
-            kept += 1;
-        }
-    }
+    for_each_set_bit(words, |i| {
+        rows[kept] = rows[i];
+        kept += 1;
+    });
     rows.truncate(kept);
     kept
+}
+
+/// Calls `visit` with the index of every set bit of `words`, ascending: one
+/// step per survivor, not one test per row (`probe_words` clears tail bits).
+fn for_each_set_bit(words: &[u64], mut visit: impl FnMut(usize)) {
+    for (word, &bits) in words.iter().enumerate() {
+        let mut bits = bits;
+        while bits != 0 {
+            visit(word * 64 + bits.trailing_zeros() as usize); // CAST-OK: a bit position < 64 fits usize
+            bits &= bits - 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -285,8 +313,22 @@ mod tests {
         let cols = [&col];
         let filter = AnyFilter::from_keys(FilterKind::Bitmap, &(0..50).collect::<Vec<i64>>());
         // Lengths straddling the word-size and gate boundaries.
-        for len in [0usize, 1, 15, 16, 63, 64, 65, 128, 500] {
-            let candidates: Vec<usize> = (0..len).collect();
+        // Contiguous candidates (probed straight from the column), the same
+        // range off the column's start, and lists a length test alone would
+        // mistake for a range (a duplicate, a gap; gathered).
+        let shapes = [0usize, 1, 15, 16, 63, 64, 65, 128, 500]
+            .into_iter()
+            .flat_map(|len| {
+                let gapped = (0..len).map(|i| if i == len / 2 { 0 } else { i });
+                let shifted = (0..len).map(move |i| i + (500 - len));
+                [
+                    (0..len).collect::<Vec<usize>>(),
+                    shifted.collect(),
+                    gapped.collect(),
+                ]
+            });
+        for candidates in shapes {
+            let len = candidates.len();
             let mut scalar_rows = candidates.clone();
             let mut scalar_stats = FilterStats::new();
             retain_scalar(&filter, &cols, &mut scalar_rows, &mut scalar_stats);
@@ -298,6 +340,40 @@ mod tests {
 
             assert_eq!(vec_rows, scalar_rows, "len {len}");
             assert_eq!(vec_stats, scalar_stats, "len {len}");
+        }
+    }
+
+    #[test]
+    fn scan_morsel_without_predicates_starts_from_the_row_range() {
+        let columns = [Arc::new(Column::Int64((0..300).map(|i| i % 9).collect()))];
+        let filter = AnyFilter::from_keys(FilterKind::Bitmap, &[1, 4]);
+        let filters: [ScanFilter<'_>; 2] = [(Some(&filter), &[0]), (None, &[0])];
+        let predicate = ColumnPredicate::new("v", bqo_plan::CompareOp::Ge, 0i64);
+        for rows in [0..0, 7..8, 40..300] {
+            let mut expected = None;
+            for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                let config = ExecConfig::default().with_kernel_mode(mode);
+                // An always-true predicate takes the mask path to the same answer.
+                for predicates in [&[][..], &[(&predicate, 0)][..]] {
+                    let mut stats = [FilterStats::new(); 2];
+                    let survivors = scan_morsel(
+                        &config,
+                        &columns,
+                        rows.clone(),
+                        predicates,
+                        &filters,
+                        &mut stats,
+                    );
+                    assert!(survivors.iter().all(|&r| matches!(r % 9, 1 | 4)));
+                    assert_eq!(stats[0].probed, rows.len() as u64);
+                    let got = (survivors, stats);
+                    assert_eq!(
+                        expected.get_or_insert(got.clone()),
+                        &got,
+                        "{mode:?} {rows:?}"
+                    );
+                }
+            }
         }
     }
 

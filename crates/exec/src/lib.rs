@@ -22,8 +22,9 @@
 //!   morsels, fanned out across [`ExecConfig::num_threads`] workers with a
 //!   deterministic in-morsel-order merge,
 //! * **late materialization** (see [`batch`]): [`Batch`]es carry one `u32`
-//!   row-id vector per source relation over shared columns; every output
-//!   column is gathered once, where the root hands batches to its caller,
+//!   row-id vector per source relation over shared columns, the root join's
+//!   included; values are gathered once, by [`Batch::concat`], when rows are
+//!   collected — a run that only counts copies nothing,
 //! * **vectorized probe kernels** (see [`kernels`]): bitvector membership
 //!   is probed 64 rows per survivor word and composite join keys are
 //!   hashed column-at-a-time — with the
@@ -39,8 +40,8 @@
 //! * **cooperative cancellation** (see [`cancel`]): a cloneable
 //!   [`CancelToken`] (atomic flag + optional deadline) attached via
 //!   [`Executor::with_cancel_token`] is re-checked at every morsel-claim
-//!   boundary of the four parallel sections and at every serial batch pull,
-//!   so an in-flight query aborts within roughly one morsel of
+//!   boundary of the four parallel sections, at every serial batch pull and
+//!   once per batch of the final gather, so an in-flight query aborts within roughly one morsel of
 //!   [`CancelToken::cancel`] or deadline expiry, surfacing as
 //!   [`ExecError::Cancelled`] with the metrics gathered so far,
 //! * per-operator metrics (tuples output by leaf / join / other operators,
@@ -55,7 +56,7 @@
 //!
 //! [`Executor`] is the low-level driver: its one entry point,
 //! [`Executor::execute`], compiles a plan, drains the root operator and, on
-//! request, returns the concatenated output rows for differential testing.
+//! request, gathers the root's row-id batches into the output rows.
 //! User-facing code goes through the `Engine` facade in `bqo-core`.
 
 #![deny(unsafe_op_in_unsafe_fn)]

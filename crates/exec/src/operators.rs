@@ -25,12 +25,10 @@
 //! What flows between operators is row ids, not values (see
 //! [`crate::batch`]): a scan emits zero-copy selection batches over its
 //! source's columns, a join pairs its build side's and its probe batch's
-//! row ids per source relation, and no operator below the root copies a
-//! column. Materialization happens in one place: the pipeline's root join
-//! (the one [`crate::PipelineBuilder`] lowers with `is_root`) gathers each
-//! output column once, through [`Batch::into_dense`], as it returns a batch
-//! — so callers of a pipeline only ever see dense or single-selection
-//! batches.
+//! row ids per source relation, and no operator copies a column — the root
+//! join included, which hands out the same row-id batches every other join
+//! does. Values are gathered once, by [`Batch::concat`], when rows are
+//! collected; a caller that only counts copies nothing.
 //!
 //! Contract: between `open` and the first `None`, an operator yields at least
 //! one batch (possibly empty) so downstream operators always observe its
@@ -123,7 +121,8 @@ pub struct ScanOp<'p> {
     node: NodeId,
     info: &'p RelationInfo,
     source: Arc<dyn ChunkSource>,
-    schema: Vec<ColumnRef>,
+    /// Stamped on every batch the scan emits.
+    schema: Arc<[ColumnRef]>,
     /// Bitvector placements targeting this scan, keyed by placement index.
     placements: Vec<(usize, &'p BitvectorPlacement)>,
     /// Global row ids surviving the local predicates and every pushed-down
@@ -176,12 +175,6 @@ impl<'p> ScanOp<'p> {
             emitted_any: false,
             output_rows: 0,
         }
-    }
-
-    /// One empty column per schema field.
-    fn empty_columns(&self) -> Vec<Column> {
-        let fields = self.source.schema().fields();
-        fields.iter().map(|f| Column::empty(f.data_type)).collect()
     }
 
     /// Resolves `column` to its schema index.
@@ -338,7 +331,8 @@ impl PhysicalOperator for ScanOp<'_> {
         // Deterministic merge: concatenate rows and sum counters in morsel
         // order, independent of worker scheduling.
         let mut survivors = Vec::new();
-        let mut compacted = self.empty_columns();
+        let fields = source.schema().fields().iter();
+        let mut compacted: Vec<Column> = fields.map(|f| Column::empty(f.data_type)).collect();
         let mut merged = vec![FilterStats::new(); self.placements.len()];
         for result in per_morsel {
             let morsel: MorselScan = result?;
@@ -410,7 +404,8 @@ impl PhysicalOperator for ScanOp<'_> {
             // No row survived: emit one empty batch so parents still learn
             // the schema.
             self.emitted_any = true;
-            return Ok(Some(Batch::new(self.schema.clone(), self.empty_columns())));
+            let no_rows = std::iter::empty();
+            return Ok(Some(scan_batch(&self.schema, &self.columns, no_rows)));
         }
         Ok(None)
     }
@@ -440,9 +435,10 @@ pub struct HashJoinOp<'p> {
     source_placements: Vec<usize>,
     /// Residual placements applied to this join's output batches.
     residual_placements: Vec<(usize, &'p BitvectorPlacement)>,
-    /// The pipeline's root join densifies the batches it hands out.
-    is_root: bool,
     build_batch: Batch,
+    /// The build side's schema then the probe side's, learned from the first
+    /// probe batch and stamped on every output batch.
+    schema: Option<Arc<[ColumnRef]>>,
     table: JoinTable,
     emitted_any: bool,
     build_rows: u64,
@@ -462,8 +458,7 @@ impl std::fmt::Debug for HashJoinOp<'_> {
 }
 
 impl<'p> HashJoinOp<'p> {
-    /// Creates a hash join over two child operators. `is_root` marks the
-    /// join whose output leaves the pipeline.
+    /// Creates a hash join over two child operators.
     pub fn new(
         node: NodeId,
         build: Box<dyn PhysicalOperator + 'p>,
@@ -471,7 +466,6 @@ impl<'p> HashJoinOp<'p> {
         keys: &'p [bqo_plan::JoinKeyPair],
         source_placements: Vec<usize>,
         residual_placements: Vec<(usize, &'p BitvectorPlacement)>,
-        is_root: bool,
     ) -> Self {
         let residual_rows = vec![(0, false); residual_placements.len()];
         HashJoinOp {
@@ -482,8 +476,8 @@ impl<'p> HashJoinOp<'p> {
             probe_key_cols: keys.iter().map(|k| k.probe.clone()).collect(),
             source_placements,
             residual_placements,
-            is_root,
             build_batch: Batch::empty(),
+            schema: None,
             table: JoinTable::default(),
             emitted_any: false,
             build_rows: 0,
@@ -552,7 +546,12 @@ impl PhysicalOperator for HashJoinOp<'_> {
                 probe_rows.extend(p);
             }
 
-            let mut output = Batch::join(&self.build_batch, &build_rows, &probe_batch, &probe_rows);
+            let build = &self.build_batch;
+            let schema = self.schema.get_or_insert_with(|| {
+                let columns = build.schema().iter().chain(probe_batch.schema());
+                columns.cloned().collect()
+            });
+            let mut output = Batch::join(schema, build, &build_rows, &probe_batch, &probe_rows);
             self.join_output_rows += output.num_rows() as u64;
 
             // Residual bitvector filters targeted at this join's output,
@@ -587,9 +586,6 @@ impl PhysicalOperator for HashJoinOp<'_> {
                 continue;
             }
             self.emitted_any = true;
-            if self.is_root {
-                output = output.into_dense();
-            }
             return Ok(Some(output));
         }
         Ok(None)

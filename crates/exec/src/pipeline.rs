@@ -192,8 +192,6 @@ impl<'p> PipelineBuilder<'p> {
             PhysicalNode::HashJoin { build, probe, keys } => {
                 let build_op = self.lower(*build)?;
                 let probe_op = self.lower(*probe)?;
-                // The root's batches leave the pipeline: it densifies them.
-                let is_root = node == self.plan.root();
                 let (source, residual) = if self.config.enable_bitvectors {
                     (
                         self.plan
@@ -206,7 +204,7 @@ impl<'p> PipelineBuilder<'p> {
                     (Vec::new(), Vec::new())
                 };
                 Ok(Box::new(HashJoinOp::new(
-                    node, build_op, probe_op, keys, source, residual, is_root,
+                    node, build_op, probe_op, keys, source, residual,
                 )))
             }
         }

@@ -123,26 +123,16 @@ impl Column {
         }
     }
 
-    /// The rows at `rows`, in the given order, duplicates allowed.
-    fn pick(&self, rows: impl Iterator<Item = usize>) -> Column {
-        match self {
-            Column::Int64(v) => Column::Int64(rows.map(|i| v[i]).collect()),
-            Column::Float64(v) => Column::Float64(rows.map(|i| v[i]).collect()),
-            Column::Utf8(v) => Column::Utf8(rows.map(|i| v[i].clone()).collect()),
-            Column::Bool(v) => Column::Bool(rows.map(|i| v[i]).collect()),
-        }
-    }
-
     /// Builds a new column containing only the rows selected by `indices`
     /// (in the given order, duplicates allowed).
     pub fn take(&self, indices: &[usize]) -> Column {
-        self.pick(indices.iter().copied())
-    }
-
-    /// [`Column::take`] over `u32` row ids — the form the executor's row-id
-    /// batches carry (`u32 -> usize` is lossless on every supported target).
-    pub fn gather(&self, rows: &[u32]) -> Column {
-        self.pick(rows.iter().map(|&i| i as usize))
+        let rows = indices.iter();
+        match self {
+            Column::Int64(v) => Column::Int64(rows.map(|&i| v[i]).collect()),
+            Column::Float64(v) => Column::Float64(rows.map(|&i| v[i]).collect()),
+            Column::Utf8(v) => Column::Utf8(rows.map(|&i| v[i].clone()).collect()),
+            Column::Bool(v) => Column::Bool(rows.map(|&i| v[i]).collect()),
+        }
     }
 
     /// Builds a new column keeping only rows where `mask[i]` is true.
@@ -163,14 +153,33 @@ impl Column {
         }
     }
 
-    /// Appends all values of `other` to this column. The batch-at-a-time
-    /// executor uses this to concatenate drained build-side batches.
+    /// Appends all values of `other` to this column.
     pub fn append(&mut self, other: &Column) -> Result<(), StorageError> {
+        self.extend_rows(other, None)
+    }
+
+    /// Appends the rows `rows` of `other` (in the given order, duplicates
+    /// allowed; `None`: every row) — how the executor gathers a row-id
+    /// batch's values (`u32 -> usize` is lossless on every supported target).
+    ///
+    /// # Panics
+    /// Panics if a row id is out of `other`'s bounds.
+    pub fn extend_rows(
+        &mut self,
+        other: &Column,
+        rows: Option<&[u32]>,
+    ) -> Result<(), StorageError> {
+        fn extend<T: Clone>(dst: &mut Vec<T>, src: &[T], rows: Option<&[u32]>) {
+            match rows {
+                None => dst.extend_from_slice(src),
+                Some(rows) => dst.extend(rows.iter().map(|&r| src[r as usize].clone())),
+            }
+        }
         match (self, other) {
-            (Column::Int64(a), Column::Int64(b)) => a.extend_from_slice(b),
-            (Column::Float64(a), Column::Float64(b)) => a.extend_from_slice(b),
-            (Column::Utf8(a), Column::Utf8(b)) => a.extend_from_slice(b),
-            (Column::Bool(a), Column::Bool(b)) => a.extend_from_slice(b),
+            (Column::Int64(a), Column::Int64(b)) => extend(a, b, rows),
+            (Column::Float64(a), Column::Float64(b)) => extend(a, b, rows),
+            (Column::Utf8(a), Column::Utf8(b)) => extend(a, b, rows),
+            (Column::Bool(a), Column::Bool(b)) => extend(a, b, rows),
             (a, b) => {
                 return Err(StorageError::TypeMismatch {
                     expected: a.data_type().to_string(),
@@ -280,6 +289,21 @@ mod tests {
     }
 
     #[test]
+    fn extend_rows_appends_the_named_rows_and_checks_types() {
+        let source = Column::from(vec!["a".to_string(), "b".to_string(), "c".to_string()]);
+        let mut c = Column::from(vec!["z".to_string()]);
+        c.extend_rows(&source, Some(&[2, 0, 0])).unwrap();
+        c.extend_rows(&source, Some(&[])).unwrap();
+        c.extend_rows(&source, None).unwrap();
+        assert_eq!(c.as_utf8().unwrap(), &["z", "c", "a", "a", "a", "b", "c"]);
+        let err = c
+            .extend_rows(&Column::from(vec![true]), Some(&[0]))
+            .unwrap_err();
+        assert!(matches!(err, StorageError::TypeMismatch { .. }));
+        assert_eq!(c.len(), 7);
+    }
+
+    #[test]
     fn append_owned_moves_values_and_checks_types() {
         let mut c = Column::from(vec!["a".to_string()]);
         c.append_owned(Column::from(vec!["b".to_string(), "c".to_string()]))
@@ -294,7 +318,6 @@ mod tests {
         let c = Column::from(vec![10i64, 20, 30]);
         let t = c.take(&[2, 0, 0]);
         assert_eq!(t.as_i64().unwrap(), &[30, 10, 10]);
-        assert_eq!(c.gather(&[2, 0, 0]), t);
     }
 
     #[test]

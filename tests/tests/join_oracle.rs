@@ -15,8 +15,9 @@
 //! Each scenario runs — with and without bitvector filters — through
 //! {1, 4} threads × {vectorized, scalar} kernels × {memory, `.bqo`} backing
 //! × two batch sizes, and every cell must give the reference rows **in
-//! order**, the oracle cell's batch boundaries and counters, and only
-//! dense/single-selection batches at the pipeline root.
+//! order**, the oracle cell's batch boundaries and counters, and root batches
+//! that copied nothing: row ids over the sources' own columns (for memory
+//! backing, the catalog's very `Arc`s), read through `Batch::concat`.
 //!
 //! The last test is the engine-level regression for the composite-key abort
 //! (`RangeBitmapFilter::from_keys` span overflow).
@@ -33,7 +34,7 @@ use bqo_plan::{
     push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, JoinGraph, JoinTree,
     PhysicalPlan, RelId, RelationInfo,
 };
-use bqo_storage::{Catalog, Table, TableBuilder, Value};
+use bqo_storage::{Catalog, Column, Table, TableBuilder, Value};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -195,13 +196,14 @@ fn run(catalog: &Catalog, s: &Scenario, plan: &PhysicalPlan, config: ExecConfig)
     }
 }
 
-/// The logical rows of a root batch, read the way callers read them.
+/// The logical rows of a root batch, read the way callers read them:
+/// gathered by `Batch::concat`.
 fn rows_of(batch: &Batch) -> Vec<Vec<Value>> {
-    let cells = |row: usize| {
-        let physical = batch.physical_row(row);
-        batch.columns().iter().map(move |c| c.value(physical))
-    };
-    (0..batch.num_rows())
+    let dense = Batch::concat(vec![batch.clone()]);
+    assert!(dense.is_dense());
+    assert!(dense.columns().iter().all(|c| c.len() == batch.num_rows()));
+    let cells = |row: usize| dense.columns().iter().map(move |c| c.value(row));
+    (0..dense.num_rows())
         .map(|row| cells(row).collect())
         .collect()
 }
@@ -214,6 +216,15 @@ fn assert_matches_reference(s: &Scenario) -> usize {
     let memory = s.memory_catalog();
     let file = s.file_catalog(&dir);
     let (schema, expected) = reference(s, &s.tree);
+    // The catalog's own handle of each output column.
+    let resident: Vec<Arc<Column>> = schema
+        .iter()
+        .map(|c| {
+            let table = memory.table(s.tables[c.relation.0].name()).expect("table");
+            let index = table.schema().index_of(&c.column).expect("column");
+            Arc::clone(&table.columns()[index])
+        })
+        .collect();
     let bare = PhysicalPlan::from_join_tree(&s.graph, &s.tree);
     let filtered = push_down_bitvectors(&s.graph, bare.clone());
     let mut threads = vec![1, 4];
@@ -246,14 +257,21 @@ fn assert_matches_reference(s: &Scenario) -> usize {
                             s.name
                         );
 
-                        // Rows, in order, through the root batches as emitted.
+                        // The root join copied nothing: its batches are row
+                        // ids, one vector per relation, over the sources'
+                        // columns — the catalog's own when they are resident.
                         for batch in &got.batches {
-                            assert!(
-                                batch.num_sources() <= 1,
-                                "{cell}: row-id batch left the root"
-                            );
+                            assert!(!batch.is_dense(), "{cell}: the root densified");
+                            assert_eq!(batch.num_sources(), s.tables.len(), "{cell}");
                             assert_eq!(batch.schema(), &schema[..], "{cell}: schema");
+                            let shared = batch.columns().iter().zip(&resident);
+                            assert!(
+                                backing == "file"
+                                    || shared.into_iter().all(|(c, r)| Arc::ptr_eq(c, r)),
+                                "{cell}: a resident column was copied"
+                            );
                         }
+                        // Rows, in order, through the root batches as emitted.
                         let rows: Vec<_> = got.batches.iter().flat_map(rows_of).collect();
                         assert_eq!(rows, expected, "{cell}: rows");
                         assert_eq!(

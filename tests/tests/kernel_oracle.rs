@@ -15,7 +15,9 @@
 //!   `Batch::key_values_vectorized`) against `combine_key` / `row_key` /
 //!   `Batch::key_values`,
 //! * selection-vector filtering (`Batch::filter_select` + `into_dense`)
-//!   against the dense `Batch::filter`, and
+//!   against the dense `Batch::filter`,
+//! * the one gather (`Batch::concat` over multi-source row-id batches)
+//!   against densifying each batch and appending cell by cell, and
 //! * the executor-facing retain/mask kernels (`probe_retain`,
 //!   `probe_mask_range`) against the scalar retain/map loops, including
 //!   their `FilterStats` accounting,
@@ -33,11 +35,12 @@ use bqo_core::exec::batch::{gather_keys, row_key};
 use bqo_core::exec::kernels::{probe_mask_range, probe_retain, ProbeScratch};
 use bqo_core::exec::{Batch, ExecConfig, ExecContext, JoinTable, KernelMode, WorkerPool};
 use bqo_core::storage::generator::DataGenerator;
-use bqo_core::storage::{Catalog, Column};
+use bqo_core::storage::{Catalog, Column, Value};
 use bqo_core::{ColumnPredicate, CompareOp, Engine, OptimizerChoice, QuerySpec, RunOptions};
 use bqo_integration_tests::env_threads;
 use bqo_plan::{ColumnRef, RelId};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// The filter shapes under test. Shapes 4 and 6 spread the keys so far
 /// apart that `RangeBitmapFilter` takes its sparse hashed-index arm — the
@@ -321,6 +324,90 @@ proptest! {
             selected_twice.key_values(&key_cols),
             dense_twice.key_values(&key_cols)
         );
+    }
+
+    /// `Batch::concat` is the pipeline's one gather: over random
+    /// two-relation row-id batches — empty ones, duplicated and reordered
+    /// row ids, a filtered one, a dense one mixed in, batches over
+    /// *different* column `Arc`s — it equals densifying each part and
+    /// appending cell by cell, and every output column holds exactly the
+    /// summed logical rows.
+    #[test]
+    fn concat_matches_densify_and_append(
+        parts in prop::collection::vec(
+            (0u8..4, prop::collection::vec((0u32..6, 0u32..4, 0u8..2), 0..24)),
+            0..7,
+        ),
+    ) {
+        // Two relations, in two separately allocated (and differently
+        // valued) copies.
+        let side = |salt: i64| {
+            let left = Batch::new(
+                vec![ColumnRef::new(RelId(0), "k"), ColumnRef::new(RelId(0), "name")],
+                vec![
+                    Column::Int64((0..6).map(|i| i * 10 + salt).collect()),
+                    Column::Utf8((0..6).map(|i| format!("n{i}-{salt}")).collect()),
+                ],
+            );
+            let right = Batch::new(
+                vec![ColumnRef::new(RelId(1), "x"), ColumnRef::new(RelId(1), "b")],
+                vec![
+                    Column::Float64((0..4).map(|i| i as f64 * 0.5 - salt as f64).collect()),
+                    Column::Bool((0..4).map(|i| (i + salt) % 2 == 0).collect()),
+                ],
+            );
+            (left, right)
+        };
+        let sides = [side(0), side(7)];
+        let schema: Arc<[ColumnRef]> = {
+            let (left, right) = &sides[0];
+            left.schema().iter().chain(right.schema()).cloned().collect()
+        };
+        let batches: Vec<Batch> = parts
+            .iter()
+            .map(|(kind, pairs)| {
+                let (left, right) = &sides[usize::from(kind % 2)];
+                let build: Vec<u32> = pairs.iter().map(|p| p.0).collect();
+                let probe: Vec<u32> = pairs.iter().map(|p| p.1).collect();
+                let joined = Batch::join(&schema, left, &build, right, &probe);
+                match kind {
+                    // A residual filter refined every relation's row ids.
+                    2 => {
+                        let mask: Vec<bool> = pairs.iter().map(|p| p.2 == 1).collect();
+                        joined.filter_select(&mask)
+                    }
+                    // A dense batch over columns nobody else holds.
+                    3 => joined.into_dense(),
+                    _ => joined,
+                }
+            })
+            .collect();
+
+        let total: usize = batches.iter().map(Batch::num_rows).sum();
+        let mut expected: Vec<Vec<Value>> = vec![Vec::new(); schema.len()];
+        for batch in &batches {
+            let dense = batch.clone().into_dense();
+            for (cells, column) in expected.iter_mut().zip(dense.columns()) {
+                cells.extend((0..dense.num_rows()).map(|row| column.value(row)));
+            }
+        }
+        let gathered = Batch::concat(batches.clone());
+        prop_assert!(gathered.is_dense());
+        prop_assert_eq!(gathered.num_rows(), total);
+        if batches.is_empty() {
+            prop_assert_eq!(gathered.num_columns(), 0);
+        } else {
+            prop_assert_eq!(gathered.schema(), &schema[..]);
+            for (cells, column) in expected.iter().zip(gathered.columns()) {
+                prop_assert_eq!(column.len(), total);
+                let got: Vec<Value> = (0..total).map(|row| column.value(row)).collect();
+                prop_assert_eq!(&got, cells);
+            }
+        }
+        // One batch is the degenerate case callers read root batches by.
+        if let Some(first) = batches.first() {
+            prop_assert_eq!(&Batch::concat(vec![first.clone()]), first);
+        }
     }
 
     /// The executor-facing kernels: `probe_retain` and `probe_mask_range`
