@@ -150,49 +150,63 @@ pub fn encode_column_range(column: &Column, start: usize, end: usize, out: &mut 
 
 /// Decodes a run of `rows` values of type `dt` from `bytes`, which must be
 /// consumed exactly.
+///
+/// `rows` comes from the file's footer, so it is checked against the length
+/// of the run before anything is allocated for it.
 pub fn decode_column(dt: DataType, rows: usize, bytes: &[u8]) -> Result<Column, String> {
-    let mut cur = Cursor::new(bytes);
-    let column = match dt {
-        DataType::Int64 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(cur.i64()?);
+    match dt {
+        DataType::Int64 => Ok(Column::Int64(
+            words(rows, bytes)?.map(i64::from_le_bytes).collect(),
+        )),
+        DataType::Float64 => Ok(Column::Float64(
+            words(rows, bytes)?
+                .map(|word| f64::from_bits(u64::from_le_bytes(word)))
+                .collect(),
+        )),
+        DataType::Bool => {
+            if rows != bytes.len() {
+                return Err(run_length_mismatch(rows, 1, bytes.len()));
             }
-            Column::Int64(v)
-        }
-        DataType::Float64 => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                v.push(cur.f64()?);
+            if let Some(b) = bytes.iter().find(|&&b| b > 1) {
+                return Err(format!("invalid bool byte {b}"));
             }
-            Column::Float64(v)
+            Ok(Column::Bool(bytes.iter().map(|&b| b == 1).collect()))
         }
         DataType::Utf8 => {
+            // Every value carries a 4-byte length.
+            if rows > bytes.len() / 4 {
+                return Err(format!(
+                    "{rows} strings need at least 4 bytes each, run has {}",
+                    bytes.len()
+                ));
+            }
+            let mut cur = Cursor::new(bytes);
             let mut v = Vec::with_capacity(rows);
             for _ in 0..rows {
                 v.push(cur.string(bytes.len())?);
             }
-            Column::Utf8(v)
-        }
-        DataType::Bool => {
-            let mut v = Vec::with_capacity(rows);
-            for _ in 0..rows {
-                let b = cur.u8()?;
-                if b > 1 {
-                    return Err(format!("invalid bool byte {b}"));
-                }
-                v.push(b == 1);
+            if cur.remaining() != 0 {
+                return Err(format!(
+                    "{} trailing bytes after column run",
+                    cur.remaining()
+                ));
             }
-            Column::Bool(v)
+            Ok(Column::Utf8(v))
         }
-    };
-    if cur.remaining() != 0 {
-        return Err(format!(
-            "{} trailing bytes after column run",
-            cur.remaining()
-        ));
     }
-    Ok(column)
+}
+
+/// The `rows` little-endian 8-byte words that make up all of `bytes`.
+fn words(rows: usize, bytes: &[u8]) -> Result<impl Iterator<Item = [u8; 8]> + '_, String> {
+    let (words, rest) = bytes.as_chunks::<8>();
+    if words.len() != rows || !rest.is_empty() {
+        return Err(run_length_mismatch(rows, 8, bytes.len()));
+    }
+    Ok(words.iter().copied())
+}
+
+fn run_length_mismatch(rows: usize, width: usize, len: usize) -> String {
+    format!("{rows} values of {width} bytes do not make a run of {len} bytes")
 }
 
 /// Appends a type-tagged [`Value`] (zone-map bound) to `out`.
@@ -286,6 +300,40 @@ mod tests {
         put_u32(&mut bytes, 2);
         bytes.extend_from_slice(&[0xff, 0xfe]);
         assert!(decode_column(DataType::Utf8, 1, &bytes).is_err());
+    }
+
+    /// A row count far beyond what the run can hold (the footer's counts are
+    /// only bounded by `usize::MAX / 2`) is an error, not an allocation.
+    #[test]
+    fn decode_rejects_row_counts_the_run_cannot_hold() {
+        let huge = [usize::MAX / 2, usize::MAX / 8 + 1, 1 << 40];
+        for dt in [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Utf8,
+            DataType::Bool,
+        ] {
+            for rows in huge {
+                assert!(decode_column(dt, rows, &[0u8; 8]).is_err(), "{dt:?} {rows}");
+                assert!(decode_column(dt, rows, &[]).is_err(), "{dt:?} {rows}");
+            }
+            // One row too many or too few for a run of zeros.
+            let run = [0u8; 16];
+            let exact = match dt {
+                DataType::Int64 | DataType::Float64 => 2,
+                DataType::Utf8 => 4,
+                DataType::Bool => 16,
+            };
+            assert_eq!(decode_column(dt, exact, &run).map(|c| c.len()), Ok(exact));
+            assert!(decode_column(dt, exact + 1, &run).is_err(), "{dt:?}");
+            assert!(decode_column(dt, exact - 1, &run).is_err(), "{dt:?}");
+        }
+        // 3 strings cannot fit in 8 bytes even when all are empty.
+        assert!(decode_column(DataType::Utf8, 3, &[0u8; 8]).is_err());
+        assert_eq!(
+            decode_column(DataType::Utf8, 2, &[0u8; 8]).unwrap(),
+            Column::Utf8(vec![String::new(), String::new()])
+        );
     }
 
     #[test]

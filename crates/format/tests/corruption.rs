@@ -157,6 +157,59 @@ fn wrapping_chunk_run_is_rejected_not_a_panic() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Regression test: the footer's `chunk_rows` and `row_count` are only
+/// bounded by `usize::MAX / 2`, so a re-sealed footer can claim chunks of
+/// 2^60 rows over the file's 256-byte runs. The row count must be checked
+/// against the run before the decoder allocates for it; this used to panic
+/// with `capacity overflow` (or abort on a failed allocation).
+#[test]
+fn oversized_row_counts_are_rejected_not_allocated() {
+    let dir = temp_dir("rows");
+    let (path, mut bytes) = valid_file(&dir);
+    let n = bytes.len();
+    let footer_len = u64::from_le_bytes(bytes[n - 24..n - 16].try_into().unwrap()) as usize;
+    let footer_start = n - 24 - footer_len;
+    let u64_at =
+        |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    // `chunk_rows` follows the version; `row_count` follows the schema and
+    // is itself followed by the chunk count; the statistics repeat it in
+    // front of their column count.
+    let chunk_rows_at = footer_start + 4;
+    assert_eq!(u64_at(&bytes, chunk_rows_at), 32);
+    let row_count_at = (chunk_rows_at + 8..n - 40)
+        .find(|&i| u64_at(&bytes, i) == 200 && u64_at(&bytes, i + 8) == 7)
+        .expect("row_count not found in footer");
+    let stats_rows_at = (row_count_at + 16..n - 36)
+        .find(|&i| u64_at(&bytes, i) == 200 && bytes[i + 8..i + 12] == 4u32.to_le_bytes())
+        .expect("stats row_count not found in footer");
+    // Seven chunks of 2^60 rows: the chunk count still matches.
+    let (chunk_rows, row_count) = (1u64 << 60, 7u64 << 60);
+    bytes[chunk_rows_at..chunk_rows_at + 8].copy_from_slice(&chunk_rows.to_le_bytes());
+    for at in [row_count_at, stats_rows_at] {
+        bytes[at..at + 8].copy_from_slice(&row_count.to_le_bytes());
+    }
+    let reseal = xxh64(&bytes[footer_start..footer_start + footer_len], 0);
+    bytes[n - 16..n - 8].copy_from_slice(&reseal.to_le_bytes());
+    std::fs::write(&path, &bytes).unwrap();
+
+    for mode in [AccessMode::Buffered, AccessMode::Mmap] {
+        // The footer is self-consistent, so the file opens.
+        let reader = FileReader::open_with(&path, mode).unwrap();
+        for chunk in [0, 6] {
+            match reader.read_chunk_columns(chunk) {
+                Err(FormatError::Corrupt {
+                    path: p, chunk: c, ..
+                }) => {
+                    assert_eq!(p, path);
+                    assert_eq!(c, Some(chunk));
+                }
+                other => panic!("expected Corrupt for chunk {chunk}, got {other:?}"),
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn chunk_out_of_bounds_is_typed() {
     let dir = temp_dir("oob");

@@ -19,15 +19,12 @@ pub fn prune_low_benefit_filters(
     if lambda_threshold <= 0.0 || plan.placements.is_empty() {
         return 0;
     }
-    let keep: Vec<bool> = (0..plan.placements.len())
-        .map(|idx| cost_model.estimated_elimination_fraction(plan, idx) >= lambda_threshold)
-        .collect();
+    let mut fractions = cost_model.estimated_elimination_fractions(plan).into_iter();
     let before = plan.placements.len();
-    let mut idx = 0;
     plan.placements.retain(|_| {
-        let k = keep[idx];
-        idx += 1;
-        k
+        fractions
+            .next()
+            .is_some_and(|lambda| lambda >= lambda_threshold)
     });
     before - plan.placements.len()
 }

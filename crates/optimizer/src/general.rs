@@ -18,16 +18,13 @@
 use crate::snowflake::optimize_snowflake;
 use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
 
-/// Produces a bitvector-aware join tree for an arbitrary join graph.
-pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
-    assert!(
-        graph.num_relations() > 0,
-        "cannot optimize an empty join graph"
-    );
-    if graph.num_relations() == 1 {
-        return JoinTree::Leaf(RelId(0));
-    }
-
+/// Stage 1 of Algorithm 3: assigns every relation to the snowflake of exactly
+/// one fact table. Returns `(fact, members)` in extraction order (smallest
+/// fact first).
+///
+/// # Panics
+/// Panics if the graph is empty.
+pub fn extract_snowflakes(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Vec<(RelId, RelSet)> {
     let est = cost_model.estimator();
     let mut facts = graph.fact_tables();
     if facts.is_empty() {
@@ -36,13 +33,12 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
         let largest = graph
             .relation_ids()
             .max_by(|a, b| est.base_card(*a).total_cmp(&est.base_card(*b)))
-            .expect("non-empty graph");
+            .expect("cannot optimize an empty join graph");
         facts.push(largest);
     }
     // Smallest fact first (ExtractSnowflake, line 9).
     facts.sort_by(|a, b| est.base_card(*a).total_cmp(&est.base_card(*b)));
 
-    // Assign every relation to the snowflake of exactly one fact.
     let mut claimed: RelSet = facts.iter().copied().collect();
     let mut snowflakes: Vec<(RelId, RelSet)> = Vec::new();
     for &fact in &facts {
@@ -65,6 +61,21 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
             members.insert(rel);
         }
     }
+    snowflakes
+}
+
+/// Produces a bitvector-aware join tree for an arbitrary join graph.
+pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
+    assert!(
+        graph.num_relations() > 0,
+        "cannot optimize an empty join graph"
+    );
+    if graph.num_relations() == 1 {
+        return JoinTree::Leaf(RelId(0));
+    }
+
+    let est = cost_model.estimator();
+    let snowflakes = extract_snowflakes(graph, cost_model);
 
     // Optimize each snowflake with Algorithm 2.
     let mut optimized: Vec<(RelSet, JoinTree)> = snowflakes

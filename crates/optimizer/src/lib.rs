@@ -32,11 +32,10 @@ use bqo_plan::{push_down_bitvectors, CostModel, JoinGraph, PhysicalPlan};
 
 pub use candidates::{branch_candidates, candidate_plans, snowflake_candidates, star_candidates};
 pub use costed_bv::prune_low_benefit_filters;
-use dp::conventional_tree;
-pub use dp::{DpOptimizer, GreedyOptimizer};
+pub use dp::{conventional_tree, DpOptimizer, GreedyOptimizer};
 pub use enumerate::{count_right_deep_plans, enumerate_right_deep, exhaustive_best_right_deep};
-pub use general::optimize_join_graph;
-pub use snowflake::{optimize_snowflake, BranchGroup, BranchInfo};
+pub use general::{extract_snowflakes, optimize_join_graph};
+pub use snowflake::{for_each_snowflake_candidate, optimize_snowflake, BranchGroup, BranchInfo};
 
 /// A join-order optimizer: join graph in, physical plan (with bitvector
 /// placements) out.
@@ -98,9 +97,9 @@ impl Optimizer for BqoOptimizer {
             // already good (e.g. bushy plans for queries with weakly
             // filtered dimensions).
             let conventional = conventional_tree(graph, &cost_model);
-            let bqo_cost = cost_model.cout_join_tree(&tree, true).total;
-            let conventional_cost = cost_model.cout_join_tree(&conventional, true).total;
-            if conventional_cost < bqo_cost {
+            if cost_model.cout_with_bitvectors(&conventional)
+                < cost_model.cout_with_bitvectors(&tree)
+            {
                 tree = conventional;
             }
         }

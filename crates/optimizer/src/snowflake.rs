@@ -197,19 +197,18 @@ fn join_branches_onto(
     plan
 }
 
-/// Algorithm 2: constructs a bitvector-aware join order for the relations in
-/// `subset` (which must contain `fact` and be connected through it).
-/// Returns the best candidate tree under bitvector-aware `Cout`.
-pub fn optimize_snowflake(
+/// Hands `visit` every candidate plan Algorithm 2 builds for the relations in
+/// `subset` (which must contain `fact` and be connected through it), one at a
+/// time in the order [`optimize_snowflake`] costs them: a linear number, one
+/// per choice of right-most leaf.
+pub fn for_each_snowflake_candidate(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
     subset: RelSet,
     fact: RelId,
-) -> JoinTree {
+    mut visit: impl FnMut(JoinTree),
+) {
     assert!(subset.contains(fact), "subset must contain the fact table");
-    if subset.len() == 1 {
-        return JoinTree::Leaf(fact);
-    }
     let mut branches = analyze_branches(graph, cost_model, subset, fact);
     // Sort by priority (descending), then by selectivity on the fact
     // (most reductive first).
@@ -223,8 +222,12 @@ pub fn optimize_snowflake(
 
     // Candidate 1: fact table as the right-most leaf; all branches join onto
     // it in priority order.
-    let mut best = join_branches_onto(cost_model, fact, &branch_refs, JoinTree::Leaf(fact));
-    let mut best_cost = cost_model.cout_join_tree(&best, true).total;
+    visit(join_branches_onto(
+        cost_model,
+        fact,
+        &branch_refs,
+        JoinTree::Leaf(fact),
+    ));
 
     // Candidates 2..: each branch in turn forms the bottom of the probe
     // pipeline (with its chain rotations), then the fact, then the remaining
@@ -257,15 +260,29 @@ pub fn optimize_snowflake(
                 .filter(|(j, _)| *j != i)
                 .map(|(_, b)| b)
                 .collect();
-            let plan = join_branches_onto(cost_model, fact, &rest, plan);
-            let cost = cost_model.cout_join_tree(&plan, true).total;
-            if cost < best_cost {
-                best_cost = cost;
-                best = plan;
-            }
+            visit(join_branches_onto(cost_model, fact, &rest, plan));
         }
     }
-    best
+}
+
+/// Algorithm 2: constructs a bitvector-aware join order for the relations in
+/// `subset` (which must contain `fact` and be connected through it).
+/// Returns the first candidate of [`for_each_snowflake_candidate`] with the
+/// least bitvector-aware `Cout`.
+pub fn optimize_snowflake(
+    graph: &JoinGraph,
+    cost_model: &CostModel<'_>,
+    subset: RelSet,
+    fact: RelId,
+) -> JoinTree {
+    let mut best: Option<(f64, JoinTree)> = None;
+    for_each_snowflake_candidate(graph, cost_model, subset, fact, |plan| {
+        let cost = cost_model.cout_with_bitvectors(&plan);
+        if best.as_ref().is_none_or(|(least, _)| cost < *least) {
+            best = Some((cost, plan));
+        }
+    });
+    best.expect("the fact-first candidate always exists").1
 }
 
 #[cfg(test)]

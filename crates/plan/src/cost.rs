@@ -46,7 +46,7 @@ impl CoutBreakdown {
 }
 
 /// Bitvector-aware `Cout` cost model bound to one join graph.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 pub struct CostModel<'a> {
     graph: &'a JoinGraph,
     estimator: CardinalityEstimator<'a>,
@@ -88,6 +88,30 @@ impl<'a> CostModel<'a> {
         self.cout_physical(&plan)
     }
 
+    /// Total bitvector-aware `Cout` of a join tree: bit for bit the `total` of
+    /// [`cout_join_tree(tree, true)`](CostModel::cout_join_tree), which stays
+    /// the reference this is tested against.
+    ///
+    /// The optimizers call this once per candidate plan, so it works on
+    /// relation sets alone — no physical plan is built and no join column is
+    /// named. Algorithm 1 routes a filter by the relations its probe columns
+    /// belong to, and a node's estimate depends only on its relations and its
+    /// effective set, so one walk over the tree (build side before probe side,
+    /// the order node ids are assigned in) routes the filters, unions the
+    /// effective sets and adds the cardinalities up in the reference's order.
+    ///
+    /// # Panics
+    /// Panics if some join in the tree is a cross product.
+    pub fn cout_with_bitvectors(&self, tree: &JoinTree) -> f64 {
+        let mut walk = TreeWalk {
+            model: self,
+            base_total: 0.0,
+            join_total: 0.0,
+        };
+        walk.visit(tree, tree.relation_set(), Vec::new());
+        walk.base_total + walk.join_total
+    }
+
     /// `Cout` of a physical plan, honouring whatever bitvector placements it
     /// carries.
     pub fn cout_physical(&self, plan: &PhysicalPlan) -> CoutBreakdown {
@@ -121,7 +145,25 @@ impl<'a> CostModel<'a> {
         plan: &PhysicalPlan,
         placement_index: usize,
     ) -> f64 {
+        self.elimination_fraction(plan, &effective_sets(plan), placement_index)
+    }
+
+    /// [`estimated_elimination_fraction`](CostModel::estimated_elimination_fraction)
+    /// of every placement of the plan, in placement order, from one
+    /// computation of the plan's effective sets.
+    pub fn estimated_elimination_fractions(&self, plan: &PhysicalPlan) -> Vec<f64> {
         let effective = effective_sets(plan);
+        (0..plan.placements.len())
+            .map(|index| self.elimination_fraction(plan, &effective, index))
+            .collect()
+    }
+
+    fn elimination_fraction(
+        &self,
+        plan: &PhysicalPlan,
+        effective: &[RelSet],
+        placement_index: usize,
+    ) -> f64 {
         let placement = &plan.placements[placement_index];
         // The effective relation set feeding a filter: that of its source
         // join's build side.
@@ -152,6 +194,81 @@ impl<'a> CostModel<'a> {
         } else {
             (1.0 - after / before).clamp(0.0, 1.0)
         }
+    }
+}
+
+/// A bitvector filter on its way down a join tree: the relations its probe
+/// columns belong to, and the effective set of the build side it is created
+/// from.
+#[derive(Clone, Copy)]
+struct TreeFilter {
+    referenced: RelSet,
+    source: RelSet,
+}
+
+/// The state of one [`CostModel::cout_with_bitvectors`] call.
+struct TreeWalk<'m, 'a> {
+    model: &'m CostModel<'a>,
+    base_total: f64,
+    join_total: f64,
+}
+
+impl TreeWalk<'_, '_> {
+    /// Adds up the estimates of the subtree `tree` over the relations `rels`,
+    /// given the filters Algorithm 1 routes into it, and returns the subtree's
+    /// effective set (see [`effective_sets`]).
+    fn visit(&mut self, tree: &JoinTree, rels: RelSet, mut incoming: Vec<TreeFilter>) -> RelSet {
+        let mut effective = rels;
+        match tree {
+            // Everything that reached a scan is applied there.
+            JoinTree::Leaf(_) => {
+                for filter in &incoming {
+                    effective = effective | filter.source;
+                }
+            }
+            JoinTree::Join { build, probe } => {
+                let build_rels = build.relation_set();
+                let probe_rels = rels - build_rels;
+                // Route the incoming filters as `push_down_bitvectors` does;
+                // what stays in `incoming` goes down the probe side.
+                let mut to_build = Vec::new();
+                incoming.retain(|filter| {
+                    match (
+                        filter.referenced.is_subset(build_rels),
+                        filter.referenced.is_subset(probe_rels),
+                    ) {
+                        (true, false) => to_build.push(*filter),
+                        (false, true) => return true,
+                        _ => effective = effective | filter.source,
+                    }
+                    false
+                });
+                let build_effective = self.visit(build, build_rels, to_build);
+                // The filter this join creates checks the probe-side ends of
+                // the edges that cross it.
+                let referenced = build_rels.iter().fold(RelSet::default(), |all, r| {
+                    all | self.model.graph.neighbors(r)
+                }) & probe_rels;
+                assert!(
+                    !referenced.is_empty(),
+                    "join between {build_rels:?} and {probe_rels:?} is a cross product"
+                );
+                incoming.push(TreeFilter {
+                    referenced,
+                    source: build_effective,
+                });
+                effective = effective | build_effective | self.visit(probe, probe_rels, incoming);
+            }
+        }
+        let card = self
+            .model
+            .estimator
+            .semi_reduced_card(rels, effective - rels);
+        match tree {
+            JoinTree::Leaf(_) => self.base_total += card,
+            JoinTree::Join { .. } => self.join_total += card,
+        }
+        effective
     }
 }
 
@@ -364,6 +481,80 @@ mod tests {
             if src_rels.contains(d[2]) {
                 assert!(lambda > 0.5, "d3 keeps 20%, so λ should be ~0.8: {lambda}");
             }
+        }
+    }
+
+    /// Every cross-product-free right-deep order and two bushy trees over the
+    /// paper's Figure 1 graph (a cycle: the filter from D checks columns of A
+    /// and C, so it is a residual at a join) and over a star.
+    #[test]
+    fn tree_costing_matches_lower_push_down_and_cost_bit_for_bit() {
+        let mut figure1 = JoinGraph::new();
+        let a = figure1.add_relation(RelationInfo::new("A", 1000.0, 400.0));
+        let b = figure1.add_relation(RelationInfo::new("B", 10_000.0, 10_000.0));
+        let c = figure1.add_relation(RelationInfo::new("C", 2000.0, 150.0));
+        let d = figure1.add_relation(RelationInfo::new("D", 500.0, 20.0));
+        for (left, right, distinct) in [(a, b, 10_000.0), (b, c, 2000.0), (d, a, 1000.0)] {
+            figure1.add_edge(JoinEdge::new(
+                left, right, "l", "r", distinct, distinct, false, true,
+            ));
+        }
+        figure1.add_edge(JoinEdge::new(d, c, "l2", "r2", 2000.0, 2000.0, false, true));
+        let (star, ..) = star();
+
+        for graph in [&figure1, &star] {
+            let ids: Vec<RelId> = graph.relation_ids().collect();
+            let mut trees = Vec::new();
+            // All 24 orders of the four relations.
+            for first in 0..4 {
+                for second in (0..4).filter(|i| *i != first) {
+                    for third in (0..4).filter(|i| *i != first && *i != second) {
+                        let fourth = 6 - first - second - third;
+                        let order = [first, second, third, fourth].map(|i| ids[i]);
+                        trees.push(RightDeepTree::new(order.to_vec()).to_join_tree());
+                    }
+                }
+            }
+            let leaf = |i: usize| JoinTree::Leaf(ids[i]);
+            trees.push(JoinTree::join(
+                JoinTree::join(leaf(1), leaf(0)),
+                JoinTree::join(leaf(3), leaf(2)),
+            ));
+            trees.push(JoinTree::join(
+                JoinTree::join(JoinTree::join(leaf(2), leaf(0)), leaf(1)),
+                leaf(3),
+            ));
+            trees.retain(|tree| tree.has_no_cross_products(graph));
+            assert!(trees.len() >= 8, "{} trees", trees.len());
+
+            let model = CostModel::new(graph);
+            for tree in &trees {
+                let reference = CostModel::new(graph).cout_join_tree(tree, true).total;
+                let fast = model.cout_with_bitvectors(tree);
+                assert_eq!(fast.to_bits(), reference.to_bits(), "{tree}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cross product")]
+    fn tree_costing_rejects_cross_products() {
+        let (g, _, d) = star();
+        let tree = JoinTree::join(JoinTree::Leaf(d[0]), JoinTree::Leaf(d[1]));
+        CostModel::new(&g).cout_with_bitvectors(&tree);
+    }
+
+    #[test]
+    fn elimination_fractions_match_the_one_at_a_time_estimates() {
+        let (g, fact, d) = star();
+        let model = CostModel::new(&g);
+        let tree = RightDeepTree::new(vec![d[1], fact, d[0], d[2]]).to_join_tree();
+        let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
+        let all = model.estimated_elimination_fractions(&plan);
+        assert_eq!(all.len(), plan.placements.len());
+        for (index, lambda) in all.iter().enumerate() {
+            let one = model.estimated_elimination_fraction(&plan, index);
+            assert_eq!(lambda.to_bits(), one.to_bits(), "placement {index}");
         }
     }
 

@@ -20,17 +20,29 @@
 
 use crate::graph::{JoinGraph, RelId};
 use crate::relset::RelSet;
+use std::cell::RefCell;
+use std::collections::HashMap;
 
 /// Statistics-based cardinality estimator bound to one join graph.
-#[derive(Debug, Clone, Copy)]
+///
+/// It remembers every [`join_card`](CardinalityEstimator::join_card) it has
+/// computed: the candidate plans of one optimizer call differ in one branch
+/// position, so they ask for the same relation sets over and over. The
+/// estimator borrows the graph, so the statistics cannot change under the
+/// memo; a new estimator starts empty.
+#[derive(Debug, Clone)]
 pub struct CardinalityEstimator<'a> {
     graph: &'a JoinGraph,
+    join_cards: RefCell<HashMap<RelSet, f64>>,
 }
 
 impl<'a> CardinalityEstimator<'a> {
     /// Creates an estimator for a join graph.
     pub fn new(graph: &'a JoinGraph) -> Self {
-        CardinalityEstimator { graph }
+        CardinalityEstimator {
+            graph,
+            join_cards: RefCell::default(),
+        }
     }
 
     /// The join graph this estimator reads statistics from.
@@ -53,13 +65,15 @@ impl<'a> CardinalityEstimator<'a> {
         if set.is_empty() {
             return 0.0;
         }
-        let mut card: f64 = set.iter().map(|r| self.base_card(r)).product();
-        for edge in self.graph.edges() {
-            if set.contains(edge.left) && set.contains(edge.right) {
-                card *= edge.selectivity();
+        *self.join_cards.borrow_mut().entry(set).or_insert_with(|| {
+            let mut card: f64 = set.iter().map(|r| self.base_card(r)).product();
+            for edge in self.graph.edges() {
+                if set.contains(edge.left) && set.contains(edge.right) {
+                    card *= edge.selectivity();
+                }
             }
-        }
-        card
+            card
+        })
     }
 
     /// Estimated cardinality of the join of `core` after semi-join reduction
