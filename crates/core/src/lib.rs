@@ -49,7 +49,10 @@
 //!   [`ServerConfig::max_concurrent_queries`] statements execute at once on
 //!   persistent dispatcher threads, panics are contained per request, and
 //!   [`ServerStats`] / [`Server::stats_for`] report global and per-tenant
-//!   counters plus queue-wait and run-time latency histograms. Parallel
+//!   counters plus queue-wait and run-time latency histograms. Scheduling
+//!   and accounting are one single-threaded state machine taking `now` as a
+//!   parameter, behind one mutex: every request is counted before its ticket
+//!   resolves, and per tenant as exactly as globally. Parallel
 //!   sections inside the executor draw their helper workers from the
 //!   engine-owned persistent [`WorkerPool`] instead of spawning threads per
 //!   query.

@@ -50,6 +50,15 @@
 //! [`bqo_exec::WorkerPool`] — dispatchers are the *query*-level concurrency
 //! limit, the pool is the *morsel*-level one.
 //!
+//! Scheduling and accounting — the queue, the accepting/paused flags,
+//! per-tenant usage, every counter and histogram — live in one
+//! single-threaded state machine (`server/queue.rs`) whose transitions take
+//! `now` as a parameter. This module wraps it in one mutex and a condvar,
+//! runs the dispatcher threads and hands out [`Ticket`]s. A queued request
+//! is resolved only under that mutex, by whichever transition removes it
+//! from the queue, and every request is booked before its ticket resolves:
+//! [`Server::stats`] read after [`Ticket::wait`] returns counts it.
+//!
 //! ```
 //! use bqo_core::workloads::{star, Scale};
 //! use bqo_core::{Engine, OptimizerChoice, Params, Request, Server, ServerConfig};
@@ -72,14 +81,15 @@
 //! server.shutdown();
 //! ```
 
+mod queue;
+
 use crate::engine::{Engine, RunOptions};
 use crate::{BqoError, CacheStatus, OptimizerChoice};
 use bqo_exec::{Batch, CancelToken, ExecConfig, ExecutionMetrics, QueryResult};
 use bqo_plan::{JoinGraph, Params, PhysicalPlan, QuerySpec};
-use std::collections::{HashMap, VecDeque};
+use queue::{Dispatch, Outcome, Running, Scheduler};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -473,48 +483,23 @@ enum Statement {
     },
 }
 
-// One instance per ticket, behind its own Mutex: the size skew between the
-// marker phases and the carried outcome is irrelevant here.
-#[allow(clippy::large_enum_variant)]
-enum TicketPhase {
-    Queued,
-    Running,
-    Finished(Result<QueryOutput, ServeError>),
-}
-
+/// A ticket's outcome slot: empty until the request resolves, then written
+/// once — by whichever scheduler transition took the request out of the
+/// queue or the running set (see the [module docs](self)).
+#[derive(Default)]
 struct TicketShared {
-    phase: Mutex<TicketPhase>,
+    outcome: Mutex<Option<Result<QueryOutput, ServeError>>>,
     done: Condvar,
 }
 
 impl TicketShared {
-    fn new() -> Self {
-        TicketShared {
-            phase: Mutex::new(TicketPhase::Queued),
-            done: Condvar::new(),
-        }
+    fn lock(&self) -> MutexGuard<'_, Option<Result<QueryOutput, ServeError>>> {
+        self.outcome.lock().expect("ticket poisoned")
     }
 
-    /// Marks the ticket running unless it already resolved (a cancel or
-    /// expiry that has not yet removed its queue entry).
-    fn start(&self) {
-        let mut phase = self.phase.lock().expect("ticket poisoned");
-        if matches!(*phase, TicketPhase::Queued) {
-            *phase = TicketPhase::Running;
-        }
-    }
-
-    /// Resolves the ticket unless it already is — the first outcome wins
-    /// (e.g. a cancel racing the dispatcher's deadline sweep). Returns
-    /// whether this call resolved it.
-    fn finish(&self, outcome: Result<QueryOutput, ServeError>) -> bool {
-        let mut phase = self.phase.lock().expect("ticket poisoned");
-        if matches!(*phase, TicketPhase::Finished(_)) {
-            return false;
-        }
-        *phase = TicketPhase::Finished(outcome);
+    fn resolve(&self, outcome: Result<QueryOutput, ServeError>) {
+        *self.lock() = Some(outcome);
         self.done.notify_all();
-        true
     }
 }
 
@@ -524,18 +509,18 @@ impl TicketShared {
 pub struct Ticket {
     shared: Arc<TicketShared>,
     default_timeout: Option<Duration>,
-    /// Back-reference for [`Ticket::cancel`] and deadline-expiry resolution:
-    /// a cancelled/expired queued request is removed from the server queue
-    /// immediately, freeing its admission slot. Weak so outstanding tickets
-    /// never keep a shut-down server alive.
+    /// Back-reference for [`Ticket::cancel`] and queued-deadline expiry,
+    /// which take the request out of the queue at once, freeing its
+    /// admission slot. Weak so outstanding tickets never keep a shut-down
+    /// server alive.
     server: Weak<ServerShared>,
+    /// The request's scheduler id.
+    id: u64,
     /// The request's cancel token — fired by [`Ticket::cancel`] on a running
     /// request; execution notices at its next morsel claim or batch pull.
     cancel: CancelToken,
     /// The request's absolute deadline, if it has one.
     deadline: Option<Instant>,
-    /// The request's tenant, for per-tenant accounting on cancel/expiry.
-    tenant: Option<String>,
 }
 
 impl std::fmt::Debug for Ticket {
@@ -564,50 +549,34 @@ impl Ticket {
         self.wait_deadline(Some(Instant::now() + timeout))
     }
 
-    fn wait_deadline(&self, deadline: Option<Instant>) -> Result<QueryOutput, ServeError> {
-        let mut phase = self.shared.phase.lock().expect("ticket poisoned");
+    fn wait_deadline(&self, bound: Option<Instant>) -> Result<QueryOutput, ServeError> {
+        // The request's own deadline needs a wake-up only once: past it, a
+        // still-queued request is expired here instead of at the next
+        // dispatch, and a running one is aborted by its cancel token.
+        let mut expiry = self.deadline;
+        let mut outcome = self.shared.lock();
         loop {
-            if let TicketPhase::Finished(outcome) = &*phase {
+            if let Some(outcome) = &*outcome {
                 return outcome.clone();
             }
-            let queued = matches!(*phase, TicketPhase::Queued);
-            // A queued request whose own deadline already passed can never
-            // produce output — resolve it now instead of blocking the caller
-            // (the dispatcher sweep would do the same at its next dispatch).
-            if queued && self.deadline.is_some_and(|d| Instant::now() >= d) {
-                let outcome = Err(ServeError::DeadlineExceeded { partial: None });
-                *phase = TicketPhase::Finished(outcome.clone());
-                self.shared.done.notify_all();
-                drop(phase);
-                self.discard_expired_entry();
-                return outcome;
+            let now = Instant::now();
+            if expiry.is_some_and(|d| now >= d) {
+                expiry = None;
+                // Lock order is scheduler → ticket: let go of the ticket.
+                drop(outcome);
+                self.expire_if_queued(now);
+                outcome = self.shared.lock();
+                continue;
             }
-            // Wake at the earlier of the caller's bound and (while queued)
-            // the request's own deadline. A running request needs no
-            // deadline wake-up: the executor aborts it via the cancel token
-            // and the dispatcher resolves the ticket.
-            let request_deadline = if queued { self.deadline } else { None };
-            let wake = match (deadline, request_deadline) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            };
-            phase = match wake {
-                None => self.shared.done.wait(phase).expect("ticket poisoned"),
+            if bound.is_some_and(|b| now >= b) {
+                return Err(ServeError::TimedOut);
+            }
+            outcome = match bound.into_iter().chain(expiry).min() {
+                None => self.shared.done.wait(outcome).expect("ticket poisoned"),
                 Some(wake) => {
-                    let now = Instant::now();
-                    if now >= wake {
-                        if deadline.is_some_and(|d| now >= d) {
-                            return Err(ServeError::TimedOut);
-                        }
-                        // Only the request's own deadline passed; the loop
-                        // re-checks it and resolves the ticket.
-                        continue;
-                    }
-                    self.shared
-                        .done
-                        .wait_timeout(phase, wake - now)
-                        .expect("ticket poisoned")
-                        .0
+                    let timeout = wake - now;
+                    let waited = self.shared.done.wait_timeout(outcome, timeout);
+                    waited.expect("ticket poisoned").0
                 }
             };
         }
@@ -615,19 +584,12 @@ impl Ticket {
 
     /// The request's outcome if it already finished, without blocking.
     pub fn try_wait(&self) -> Option<Result<QueryOutput, ServeError>> {
-        let phase = self.shared.phase.lock().expect("ticket poisoned");
-        match &*phase {
-            TicketPhase::Finished(outcome) => Some(outcome.clone()),
-            _ => None,
-        }
+        self.shared.lock().clone()
     }
 
     /// Whether the request has finished (successfully or not).
     pub fn is_finished(&self) -> bool {
-        matches!(
-            *self.shared.phase.lock().expect("ticket poisoned"),
-            TicketPhase::Finished(_)
-        )
+        self.shared.lock().is_some()
     }
 
     /// Cancels the request. A *queued* request resolves to
@@ -638,216 +600,44 @@ impl Ticket {
     /// if cancellation was initiated (or the abort is in flight), `false` if
     /// the request already finished.
     pub fn cancel(&self) -> bool {
-        enum Was {
-            Queued,
-            Running,
-        }
-        let was = {
-            let mut phase = self.shared.phase.lock().expect("ticket poisoned");
-            match &*phase {
-                TicketPhase::Finished(_) => return false,
-                TicketPhase::Queued => {
-                    *phase = TicketPhase::Finished(Err(ServeError::Cancelled { partial: None }));
-                    self.shared.done.notify_all();
-                    Was::Queued
-                }
-                TicketPhase::Running => Was::Running,
+        if let Some(server) = self.server.upgrade() {
+            let mut scheduler = server.lock();
+            if let Some(job) = scheduler.cancel_queued(self.id) {
+                job.ticket
+                    .resolve(Err(ServeError::Cancelled { partial: None }));
+                return true;
             }
-        };
-        match was {
-            Was::Queued => {
-                if let Some(server) = self.server.upgrade() {
-                    {
-                        let mut state = server.state.lock().expect("server queue poisoned");
-                        state.remove_queued(&self.shared);
-                    }
-                    server.counters.cancelled.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                    if let Some(tenant) = self.tenant.as_deref() {
-                        server
-                            .tenant_cell(tenant)
-                            .cancelled
-                            .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                    }
-                }
-            }
-            // The dispatcher owns the accounting for a mid-flight abort: it
-            // resolves the ticket (with partial metrics) when execution
-            // notices the token.
-            Was::Running => self.cancel.cancel(),
         }
+        // Not queued: finished, or running — then its dispatcher books and
+        // resolves the abort once execution notices the token.
+        if self.is_finished() {
+            return false;
+        }
+        self.cancel.cancel();
         true
     }
 
-    /// Removes this ticket's entry from the server queue after its deadline
-    /// was found expired by [`Ticket::wait_deadline`] (which already resolved
-    /// the ticket).
-    fn discard_expired_entry(&self) {
+    /// Resolves the request as expired if it is still queued.
+    fn expire_if_queued(&self, now: Instant) {
         if let Some(server) = self.server.upgrade() {
-            {
-                let mut state = server.state.lock().expect("server queue poisoned");
-                state.remove_queued(&self.shared);
-            }
-            server
-                .counters
-                .deadline_expired
-                .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-            if let Some(tenant) = self.tenant.as_deref() {
-                server
-                    .tenant_cell(tenant)
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
+            let mut scheduler = server.lock();
+            if let Some(job) = scheduler.expire_queued(self.id, now) {
+                job.ticket
+                    .resolve(Err(ServeError::DeadlineExceeded { partial: None }));
             }
         }
     }
 }
 
-struct QueuedRequest {
+/// What a dispatcher needs to run one request and resolve its ticket — the
+/// scheduler's payload.
+struct Job {
     statement: Statement,
     choice: OptimizerChoice,
-    options: QueryOptions,
-    /// Absolute deadline derived from [`QueryOptions::deadline`] at
-    /// submission.
-    deadline: Option<Instant>,
-    /// The request's cancel token (deadline baked in), cloned into the
-    /// executor by the dispatcher.
+    exec_config: Option<ExecConfig>,
+    collect_rows: bool,
     cancel: CancelToken,
-    /// Submission sequence number — the FIFO tiebreak.
-    seq: u64,
     ticket: Arc<TicketShared>,
-    submitted: Instant,
-}
-
-/// Live queued/running counts for one tenant (entries are dropped when both
-/// reach zero).
-#[derive(Default)]
-struct TenantUsage {
-    queued: usize,
-    running: usize,
-}
-
-struct QueueState {
-    queue: VecDeque<QueuedRequest>,
-    accepting: bool,
-    paused: bool,
-    running: usize,
-    usage: HashMap<String, TenantUsage>,
-    next_seq: u64,
-}
-
-impl QueueState {
-    /// Books a request out of the queue without dispatching it
-    /// (cancellation / deadline expiry).
-    fn note_dequeued(&mut self, request: &QueuedRequest) {
-        if let Some(tenant) = request.options.tenant.as_deref() {
-            if let Some(usage) = self.usage.get_mut(tenant) {
-                usage.queued = usage.queued.saturating_sub(1);
-                if usage.queued == 0 && usage.running == 0 {
-                    self.usage.remove(tenant);
-                }
-            }
-        }
-    }
-
-    /// Books a request out of the queue and into execution.
-    fn note_dispatched(&mut self, request: &QueuedRequest) {
-        self.running += 1;
-        if let Some(tenant) = request.options.tenant.as_deref() {
-            let usage = self.usage.entry(tenant.to_string()).or_default();
-            usage.queued = usage.queued.saturating_sub(1);
-            usage.running += 1;
-        }
-    }
-
-    /// Books a dispatched request's completion.
-    fn note_finished(&mut self, tenant: Option<&str>) {
-        self.running -= 1;
-        if let Some(tenant) = tenant {
-            if let Some(usage) = self.usage.get_mut(tenant) {
-                usage.running = usage.running.saturating_sub(1);
-                if usage.queued == 0 && usage.running == 0 {
-                    self.usage.remove(tenant);
-                }
-            }
-        }
-    }
-
-    /// Removes the queue entry owned by `ticket`, if still present, with
-    /// usage bookkeeping.
-    fn remove_queued(&mut self, ticket: &Arc<TicketShared>) {
-        if let Some(pos) = self
-            .queue
-            .iter()
-            .position(|r| Arc::ptr_eq(&r.ticket, ticket))
-        {
-            let request = self.queue.remove(pos).expect("position in bounds");
-            self.note_dequeued(&request);
-        }
-    }
-}
-
-/// Fixed power-of-two-microsecond latency buckets with atomic counters:
-/// `record` is lock-free, `snapshot` derives approximate p50/p95/p99 (each
-/// reported as its bucket's upper bound).
-struct LatencyHistogram {
-    /// `buckets[b]` counts samples with `2^(b-1) <= micros < 2^b`
-    /// (bucket 0: sub-microsecond; the last bucket is the overflow).
-    buckets: [AtomicU64; LatencyHistogram::BUCKETS],
-    total_nanos: AtomicU64,
-    max_nanos: AtomicU64,
-}
-
-impl LatencyHistogram {
-    /// 32 power-of-two buckets reach ~2^31 µs ≈ 36 minutes before clamping.
-    const BUCKETS: usize = 32;
-
-    fn new() -> Self {
-        LatencyHistogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            total_nanos: AtomicU64::new(0),
-            max_nanos: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, sample: Duration) {
-        let micros = u64::try_from(sample.as_micros()).unwrap_or(u64::MAX);
-        let bucket = (64 - micros.leading_zeros() as usize).min(Self::BUCKETS - 1);
-        self.buckets[bucket].fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-        let nanos = u64::try_from(sample.as_nanos()).unwrap_or(u64::MAX);
-        self.total_nanos.fetch_add(nanos, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-        self.max_nanos.fetch_max(nanos, Ordering::Relaxed); // ORDERING: running max over independent samples; relaxed suffices
-    }
-
-    fn snapshot(&self) -> LatencyStats {
-        let counts: Vec<u64> = self
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed)) // ORDERING: stats snapshot read; a recent value suffices
-            .collect();
-        let count: u64 = counts.iter().sum();
-        if count == 0 {
-            return LatencyStats::default();
-        }
-        let quantile = |q: f64| -> Duration {
-            let target = ((q * count as f64).ceil() as u64).clamp(1, count);
-            let mut seen = 0u64;
-            for (bucket, &n) in counts.iter().enumerate() {
-                seen += n;
-                if seen >= target {
-                    // Upper bound of bucket b is 2^b µs (bucket 0: 1 µs).
-                    return Duration::from_micros(1u64 << bucket.min(63));
-                }
-            }
-            Duration::from_micros(1u64 << (Self::BUCKETS - 1))
-        };
-        LatencyStats {
-            count,
-            mean: Duration::from_nanos(self.total_nanos.load(Ordering::Relaxed) / count), // ORDERING: stats snapshot read; a recent value suffices
-            max: Duration::from_nanos(self.max_nanos.load(Ordering::Relaxed)), // ORDERING: stats snapshot read; a recent value suffices
-            p50: quantile(0.50),
-            p95: quantile(0.95),
-            p99: quantile(0.99),
-        }
-    }
 }
 
 /// A point-in-time latency summary derived from a server histogram. The
@@ -869,89 +659,29 @@ pub struct LatencyStats {
     pub p99: Duration,
 }
 
-#[derive(Default)]
-struct ServerCounters {
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_expired: AtomicU64,
-    failed: AtomicU64,
-    panicked: AtomicU64,
-    total_wall_nanos: AtomicU64,
-}
-
-/// Monotonic per-tenant counters and histograms (live queued/running counts
-/// come from the queue state).
-struct TenantCell {
-    admitted: AtomicU64,
-    completed: AtomicU64,
-    rejected: AtomicU64,
-    cancelled: AtomicU64,
-    deadline_expired: AtomicU64,
-    failed: AtomicU64,
-    queue_wait: LatencyHistogram,
-    run_time: LatencyHistogram,
-}
-
-impl TenantCell {
-    fn new() -> Self {
-        TenantCell {
-            admitted: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            deadline_expired: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            queue_wait: LatencyHistogram::new(),
-            run_time: LatencyHistogram::new(),
-        }
-    }
-}
-
 struct ServerShared {
     engine: Engine,
+    /// The scheduler's clamped configuration, readable without the lock.
     config: ServerConfig,
-    state: Mutex<QueueState>,
+    scheduler: Mutex<Scheduler<Job>>,
     /// Dispatchers park here while no request is dispatchable (queue empty,
     /// server paused, or every queued tenant at its concurrency quota).
     work: Condvar,
-    counters: ServerCounters,
-    queue_wait: LatencyHistogram,
-    run_time: LatencyHistogram,
-    /// Per-tenant stats cells, created on first touch. Lock order: may be
-    /// taken while holding `state`, never the other way around.
-    tenants: Mutex<HashMap<String, Arc<TenantCell>>>,
 }
 
 impl ServerShared {
     fn new(engine: Engine, config: ServerConfig) -> Self {
+        let scheduler = Scheduler::new(config);
         ServerShared {
             engine,
-            config,
-            state: Mutex::new(QueueState {
-                queue: VecDeque::new(),
-                accepting: true,
-                paused: false,
-                running: 0,
-                usage: HashMap::new(),
-                next_seq: 0,
-            }),
+            config: scheduler.config(),
+            scheduler: Mutex::new(scheduler),
             work: Condvar::new(),
-            counters: ServerCounters::default(),
-            queue_wait: LatencyHistogram::new(),
-            run_time: LatencyHistogram::new(),
-            tenants: Mutex::new(HashMap::new()),
         }
     }
 
-    fn tenant_cell(&self, tenant: &str) -> Arc<TenantCell> {
-        let mut tenants = self.tenants.lock().expect("tenant stats poisoned");
-        Arc::clone(
-            tenants
-                .entry(tenant.to_string())
-                .or_insert_with(|| Arc::new(TenantCell::new())),
-        )
+    fn lock(&self) -> MutexGuard<'_, Scheduler<Job>> {
+        self.scheduler.lock().expect("server queue poisoned")
     }
 }
 
@@ -1001,6 +731,8 @@ pub struct TenantStats {
     pub deadline_expired: u64,
     /// Requests that failed planning or execution.
     pub failed: u64,
+    /// Requests whose execution panicked (contained per request).
+    pub panicked: u64,
     /// Requests currently waiting in the queue.
     pub queued: usize,
     /// Requests currently executing.
@@ -1020,10 +752,7 @@ struct ServerOwner {
 
 impl ServerOwner {
     fn shutdown(&self) {
-        {
-            let mut state = self.shared.state.lock().expect("server queue poisoned");
-            state.accepting = false;
-        }
+        self.shared.lock().close();
         self.shared.work.notify_all();
         let handles = std::mem::take(&mut *self.handles.lock().expect("server queue poisoned"));
         for handle in handles {
@@ -1064,11 +793,8 @@ impl Server {
     /// [`ServerConfig::max_concurrent_queries`] persistent dispatcher
     /// threads and begins accepting submissions immediately.
     pub fn new(engine: Engine, config: ServerConfig) -> Self {
-        let config = config
-            .with_max_concurrent_queries(config.max_concurrent_queries)
-            .with_queue_capacity(config.queue_capacity);
         let shared = Arc::new(ServerShared::new(engine, config));
-        let handles = (0..config.max_concurrent_queries)
+        let handles = (0..shared.config.max_concurrent_queries)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
@@ -1091,7 +817,8 @@ impl Server {
         &self.shared.engine
     }
 
-    /// The server's traffic-shaping configuration.
+    /// The server's traffic-shaping configuration, every bound clamped to at
+    /// least 1.
     pub fn config(&self) -> ServerConfig {
         self.shared.config
     }
@@ -1107,82 +834,37 @@ impl Server {
             choice,
             options,
         } = request;
-        let tenant = options.tenant.clone();
+        let QueryOptions {
+            tenant,
+            priority,
+            deadline,
+            collect_rows,
+            exec_config,
+        } = options;
         let submitted = Instant::now();
-        let deadline = options.deadline.map(|d| submitted + d);
-        let cancel = match deadline {
-            Some(d) => CancelToken::with_deadline(d),
-            None => CancelToken::new(),
+        let deadline = deadline.map(|d| submitted + d);
+        let cancel = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
+        let ticket = Arc::new(TicketShared::default());
+        let job = Job {
+            statement,
+            choice,
+            exec_config,
+            collect_rows,
+            cancel: cancel.clone(),
+            ticket: Arc::clone(&ticket),
         };
-        let ticket = Arc::new(TicketShared::new());
-        {
-            let mut state = self.shared.state.lock().expect("server queue poisoned");
-            if !state.accepting {
-                self.shared
-                    .counters
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                return Err(SubmitError::ShutDown);
-            }
-            if state.queue.len() >= self.shared.config.queue_capacity {
-                self.shared
-                    .counters
-                    .rejected
-                    .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                return Err(SubmitError::QueueFull {
-                    capacity: self.shared.config.queue_capacity,
-                });
-            }
-            if let (Some(quota), Some(tenant)) =
-                (&self.shared.config.tenant_quota, tenant.as_deref())
-            {
-                let queued = state.usage.get(tenant).map_or(0, |u| u.queued);
-                if queued >= quota.max_queued {
-                    self.shared
-                        .counters
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                    self.shared
-                        .tenant_cell(tenant)
-                        .rejected
-                        .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                    return Err(SubmitError::TenantQuotaExceeded);
-                }
-            }
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            if let Some(tenant) = tenant.as_deref() {
-                state.usage.entry(tenant.to_string()).or_default().queued += 1;
-            }
-            state.queue.push_back(QueuedRequest {
-                statement,
-                choice,
-                options,
-                deadline,
-                cancel: cancel.clone(),
-                seq,
-                ticket: Arc::clone(&ticket),
-                submitted,
-            });
-            self.shared
-                .counters
-                .admitted
-                .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-            if let Some(tenant) = tenant.as_deref() {
-                self.shared
-                    .tenant_cell(tenant)
-                    .admitted
-                    .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-            }
-        }
+        let id = self
+            .shared
+            .lock()
+            .submit(submitted, tenant, priority, deadline, job)?;
         self.shared.work.notify_one();
         Ok(Ticket {
             shared: ticket,
             default_timeout: self.shared.config.default_timeout,
             server: Arc::downgrade(&self.shared),
+            id,
             cancel,
             deadline,
-            tenant,
         })
     }
 
@@ -1191,77 +873,26 @@ impl Server {
     /// An operational drain/maintenance switch; [`Server::resume`] restarts
     /// dispatching. Shutdown while paused still drains the queue.
     pub fn pause(&self) {
-        let mut state = self.shared.state.lock().expect("server queue poisoned");
-        state.paused = true;
+        self.shared.lock().set_paused(true);
     }
 
     /// Resumes dispatching after [`Server::pause`].
     pub fn resume(&self) {
-        {
-            let mut state = self.shared.state.lock().expect("server queue poisoned");
-            state.paused = false;
-        }
+        self.shared.lock().set_paused(false);
         self.shared.work.notify_all();
     }
 
     /// A point-in-time snapshot of the server's counters, occupancy and
     /// latency histograms.
     pub fn stats(&self) -> ServerStats {
-        let (queue_depth, running) = {
-            let state = self.shared.state.lock().expect("server queue poisoned");
-            (state.queue.len(), state.running)
-        };
-        let c = &self.shared.counters;
-        ServerStats {
-            admitted: c.admitted.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-            completed: c.completed.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-            rejected: c.rejected.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-            cancelled: c.cancelled.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-            deadline_expired: c.deadline_expired.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-            failed: c.failed.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-            panicked: c.panicked.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-            queue_depth,
-            running,
-            total_wall: Duration::from_nanos(c.total_wall_nanos.load(Ordering::Relaxed)), // ORDERING: stats snapshot read; a recent value suffices
-            queue_wait: self.shared.queue_wait.snapshot(),
-            run_time: self.shared.run_time.snapshot(),
-        }
+        self.shared.lock().stats()
     }
 
     /// A point-in-time snapshot of one tenant's counters, occupancy and
     /// latency histograms. A tenant the server has never seen reports all
     /// zeros.
     pub fn stats_for(&self, tenant: &str) -> TenantStats {
-        let (queued, running) = {
-            let state = self.shared.state.lock().expect("server queue poisoned");
-            state
-                .usage
-                .get(tenant)
-                .map_or((0, 0), |u| (u.queued, u.running))
-        };
-        let cell = {
-            let tenants = self.shared.tenants.lock().expect("tenant stats poisoned");
-            tenants.get(tenant).cloned()
-        };
-        match cell {
-            Some(cell) => TenantStats {
-                admitted: cell.admitted.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-                completed: cell.completed.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-                rejected: cell.rejected.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-                cancelled: cell.cancelled.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-                deadline_expired: cell.deadline_expired.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-                failed: cell.failed.load(Ordering::Relaxed), // ORDERING: stats snapshot read; a recent value suffices
-                queued,
-                running,
-                queue_wait: cell.queue_wait.snapshot(),
-                run_time: cell.run_time.snapshot(),
-            },
-            None => TenantStats {
-                queued,
-                running,
-                ..TenantStats::default()
-            },
-        }
+        self.shared.lock().tenant_stats(tenant)
     }
 
     /// Stops accepting new submissions, drains everything already queued,
@@ -1273,204 +904,72 @@ impl Server {
     }
 }
 
-/// Resolves and removes every queued request whose deadline has passed.
-/// Called under the state lock at each dispatch.
-fn expire_queued(shared: &ServerShared, state: &mut QueueState) {
-    let now = Instant::now();
-    let mut i = 0;
-    while i < state.queue.len() {
-        if state.queue[i].deadline.is_some_and(|d| d <= now) {
-            let request = state.queue.remove(i).expect("index in bounds");
-            state.note_dequeued(&request);
-            // finish() may lose to a concurrent cancel or a waiter's own
-            // expiry check; whoever wins books the counter.
-            if request
-                .ticket
-                .finish(Err(ServeError::DeadlineExceeded { partial: None }))
-            {
-                shared
-                    .counters
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                if let Some(tenant) = request.options.tenant.as_deref() {
-                    shared
-                        .tenant_cell(tenant)
-                        .deadline_expired
-                        .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                }
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Index of the next dispatchable queued request — the eligible one that
-/// [`beats`] every other — or `None` when nothing is eligible (empty queue or
-/// every queued tenant at its concurrency quota).
-fn pick_next(config: &ServerConfig, state: &QueueState) -> Option<usize> {
-    let eligible = |request: &QueuedRequest| -> bool {
-        match (&config.tenant_quota, request.options.tenant.as_deref()) {
-            (Some(quota), Some(tenant)) => state
-                .usage
-                .get(tenant)
-                .is_none_or(|u| u.running < quota.max_concurrent),
-            _ => true,
-        }
-    };
-    let mut best: Option<(usize, &QueuedRequest)> = None;
-    for (i, request) in state.queue.iter().enumerate() {
-        if !eligible(request) {
-            continue;
-        }
-        let beats = match best {
-            None => true,
-            Some((_, cur)) => beats(request, cur),
-        };
-        if beats {
-            best = Some((i, request));
-        }
-    }
-    best.map(|(i, _)| i)
-}
-
-/// Whether `a` should dispatch before `b`: higher priority, then earlier
-/// deadline (no deadline sorts last), then submission order.
-fn beats(a: &QueuedRequest, b: &QueuedRequest) -> bool {
-    if a.options.priority != b.options.priority {
-        return a.options.priority > b.options.priority;
-    }
-    match (a.deadline, b.deadline) {
-        (Some(da), Some(db)) if da != db => da < db,
-        (Some(_), None) => true,
-        (None, Some(_)) => false,
-        _ => a.seq < b.seq,
-    }
-}
-
-/// Blocks until a queued request is dispatchable and books it into
-/// execution; `None` once the server is shut down and drained.
-fn next_request(shared: &ServerShared) -> Option<QueuedRequest> {
-    let mut state = shared.state.lock().expect("server queue poisoned");
-    loop {
-        // A paused server holds requests in the queue — unless it is
-        // shutting down, in which case draining wins.
-        if !state.paused || !state.accepting {
-            expire_queued(shared, &mut state);
-            if let Some(index) = pick_next(&shared.config, &state) {
-                let request = state.queue.remove(index).expect("picked index exists");
-                state.note_dispatched(&request);
-                // Flipped under the queue lock (lock order queue → ticket):
-                // once `stats().running` counts the request, a cancel finds
-                // it `Running` and aborts it mid-flight with its metrics
-                // instead of resolving it as never started.
-                request.ticket.start();
-                return Some(request);
-            }
-            if !state.accepting && state.queue.is_empty() {
-                return None;
-            }
-        }
-        state = shared.work.wait(state).expect("server queue poisoned");
-    }
-}
-
+/// One dispatcher: dispatches, runs and books requests until the server is
+/// shut down and drained.
 fn dispatcher_loop(shared: Arc<ServerShared>) {
-    while let Some(request) = next_request(&shared) {
-        let tenant = request.options.tenant.clone();
-        serve_one(&shared, request);
-        {
-            let mut state = shared.state.lock().expect("server queue poisoned");
-            state.note_finished(tenant.as_deref());
+    let mut scheduler = shared.lock();
+    loop {
+        let Dispatch { expired, next } = scheduler.dispatch(Instant::now());
+        for job in expired {
+            job.ticket
+                .resolve(Err(ServeError::DeadlineExceeded { partial: None }));
         }
-        // A completion may unblock a quota-gated tenant (and, at shutdown,
-        // lets draining dispatchers re-check for exit).
-        shared.work.notify_all();
+        if let Some((running, job)) = next {
+            drop(scheduler);
+            serve_one(&shared, running, job);
+            // A completion may unblock a quota-gated tenant and, at
+            // shutdown, lets parked dispatchers re-check for exit.
+            shared.work.notify_all();
+            scheduler = shared.lock();
+        } else if scheduler.drained() {
+            return;
+        } else {
+            scheduler = shared.work.wait(scheduler).expect("server queue poisoned");
+        }
     }
 }
 
-/// Executes one dequeued request and resolves its ticket.
-fn serve_one(shared: &ServerShared, request: QueuedRequest) {
-    if matches!(
-        *request.ticket.phase.lock().expect("ticket poisoned"),
-        TicketPhase::Finished(_)
-    ) {
-        // Cancelled/expired before the dispatcher popped its queue entry:
-        // the ticket is already resolved (and accounted by whoever resolved
-        // it).
-        return;
-    }
-    let queue_wait = request.submitted.elapsed();
-    shared.queue_wait.record(queue_wait);
-    let tenant_cell = request
-        .options
-        .tenant
-        .as_deref()
-        .map(|t| shared.tenant_cell(t));
-    if let Some(cell) = &tenant_cell {
-        cell.queue_wait.record(queue_wait);
-    }
-    let run_start = Instant::now();
+/// Runs one dispatched request without the lock, books its outcome under
+/// the lock, then resolves its ticket — in that order, so a waiter that sees
+/// the request finished also sees it counted. The ticket resolves after the
+/// lock is released: the woken client's next submit must not find the lock
+/// still held by its waker.
+fn serve_one(shared: &ServerShared, running: Running, job: Job) {
     // Contain panics to this request: the dispatcher thread (and the
     // engine's worker pool, which re-throws kernel panics on this thread)
     // must survive a malformed statement.
-    let outcome = match catch_unwind(AssertUnwindSafe(|| run_request(shared, &request))) {
+    let result = catch_unwind(AssertUnwindSafe(|| run_request(&shared.engine, &job)));
+    let now = Instant::now();
+    let (outcome, resolved) = match result {
         Ok(Ok(mut output)) => {
-            output.queue_wait = queue_wait;
-            output.total_wall = request.submitted.elapsed();
-            let run_time = run_start.elapsed();
-            shared.run_time.record(run_time);
-            shared.counters.completed.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-            shared.counters.total_wall_nanos.fetch_add(
-                u64::try_from(output.total_wall.as_nanos()).unwrap_or(u64::MAX),
-                Ordering::Relaxed, // ORDERING: monotonic stats counter; needs no synchronization
-            );
-            if let Some(cell) = &tenant_cell {
-                cell.completed.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                cell.run_time.record(run_time);
-            }
-            Ok(output)
+            output.queue_wait = running.queue_wait();
+            output.total_wall = now.saturating_duration_since(running.submitted);
+            (Outcome::Completed, Ok(output))
         }
         Ok(Err(mut e)) if e.is_cancelled() => {
             let partial = e.take_partial_metrics();
-            if request.cancel.cancel_requested() {
-                shared.counters.cancelled.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                if let Some(cell) = &tenant_cell {
-                    cell.cancelled.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                }
-                Err(ServeError::Cancelled { partial })
+            if job.cancel.cancel_requested() {
+                (Outcome::Cancelled, Err(ServeError::Cancelled { partial }))
             } else {
-                shared
-                    .counters
-                    .deadline_expired
-                    .fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                if let Some(cell) = &tenant_cell {
-                    cell.deadline_expired.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-                }
-                Err(ServeError::DeadlineExceeded { partial })
+                let expired = ServeError::DeadlineExceeded { partial };
+                (Outcome::DeadlineExpired, Err(expired))
             }
         }
-        Ok(Err(e)) => {
-            shared.counters.failed.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-            if let Some(cell) = &tenant_cell {
-                cell.failed.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-            }
-            Err(ServeError::Query(e))
-        }
+        Ok(Err(e)) => (Outcome::Failed, Err(ServeError::Query(e))),
         Err(payload) => {
-            shared.counters.panicked.fetch_add(1, Ordering::Relaxed); // ORDERING: monotonic stats counter; needs no synchronization
-            Err(ServeError::Panicked(panic_message(payload.as_ref())))
+            let message = panic_message(payload.as_ref());
+            (Outcome::Panicked, Err(ServeError::Panicked(message)))
         }
     };
-    request.ticket.finish(outcome);
+    shared.lock().finish(running, now, outcome);
+    job.ticket.resolve(resolved);
 }
 
 /// Plans and executes one request on the dispatcher thread, observing the
 /// request's cancel token throughout execution.
-fn run_request(shared: &ServerShared, request: &QueuedRequest) -> Result<QueryOutput, BqoError> {
-    let engine = &shared.engine;
-    let choice = request.choice;
-    let stmt = match &request.statement {
+fn run_request(engine: &Engine, job: &Job) -> Result<QueryOutput, BqoError> {
+    let choice = job.choice;
+    let stmt = match &job.statement {
         Statement::Spec {
             spec,
             params: Some(params),
@@ -1486,9 +985,9 @@ fn run_request(shared: &ServerShared, request: &QueuedRequest) -> Result<QueryOu
         }
     };
     let options = RunOptions {
-        exec_config: request.options.exec_config,
-        collect_rows: request.options.collect_rows,
-        cancel: Some(request.cancel.clone()),
+        exec_config: job.exec_config,
+        collect_rows: job.collect_rows,
+        cancel: Some(job.cancel.clone()),
     };
     let out = engine.session().execute(&stmt, options)?;
     Ok(QueryOutput {
@@ -1514,6 +1013,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The origin of the scheduler tests' hand-advanced clocks: `queue.rs`
+    /// reads no clock, not even in its tests.
+    pub(super) fn epoch() -> Instant {
+        Instant::now()
+    }
 
     #[allow(dead_code)]
     fn assert_send_sync<T: Send + Sync + 'static>() {}
@@ -1613,35 +1118,28 @@ mod tests {
 
     #[test]
     fn dispatch_order_prefers_priority_then_deadline_then_seq() {
-        fn queued(priority: i32, deadline: Option<Instant>, seq: u64) -> QueuedRequest {
-            QueuedRequest {
-                statement: Statement::Spec {
-                    spec: QuerySpec::new("q").table("t"),
-                    params: None,
-                },
-                choice: OptimizerChoice::Bqo,
-                options: QueryOptions {
-                    priority,
-                    ..QueryOptions::default()
-                },
-                deadline,
-                cancel: CancelToken::new(),
-                seq,
-                ticket: Arc::new(TicketShared::new()),
-                submitted: Instant::now(),
-            }
-        }
+        let config = ServerConfig::default().with_max_concurrent_queries(8);
+        let mut scheduler = Scheduler::new(config);
         let now = Instant::now();
-        let soon = now + Duration::from_millis(10);
-        let later = now + Duration::from_secs(10);
-        // Higher priority wins regardless of order or deadline.
-        assert!(beats(&queued(1, None, 5), &queued(0, Some(soon), 1)));
-        // Same priority: earlier deadline wins; a deadline beats none.
-        assert!(beats(&queued(0, Some(soon), 5), &queued(0, Some(later), 1)));
-        assert!(beats(&queued(0, Some(later), 5), &queued(0, None, 1)));
-        // Full tie: submission order.
-        assert!(beats(&queued(0, None, 1), &queued(0, None, 2)));
-        assert!(!beats(&queued(0, None, 2), &queued(0, None, 1)));
+        let soon = Some(now + Duration::from_millis(10));
+        let later = Some(now + Duration::from_secs(10));
+        for (name, priority, deadline) in [
+            ("none-1", 0, None),
+            ("later", 0, later),
+            ("none-2", 0, None),
+            ("soon", 0, soon),
+            ("high", 1, None),
+        ] {
+            scheduler
+                .submit(now, None, priority, deadline, name)
+                .unwrap();
+        }
+        // Higher priority wins regardless of order or deadline; at equal
+        // priority the earlier deadline, and a deadline beats none; full
+        // ties go in submission order.
+        let order: Vec<&str> =
+            std::iter::from_fn(|| scheduler.dispatch(now).next.map(|(_, name)| name)).collect();
+        assert_eq!(order, ["high", "soon", "later", "none-1", "none-2"]);
     }
 
     /// The window `server_oracle::midflight_cancel_aborts_and_frees_the_slot`
@@ -1667,7 +1165,8 @@ mod tests {
         let ticket = server
             .submit(Request::builder().query(&spec).build().unwrap())
             .unwrap();
-        let request = next_request(&server.shared).expect("one request is queued");
+        let dispatched = server.shared.lock().dispatch(Instant::now()).next;
+        let (running, job) = dispatched.expect("one request is queued");
         assert_eq!(server.stats().running, 1);
 
         assert!(ticket.cancel());
@@ -1677,7 +1176,7 @@ mod tests {
         );
         assert_eq!(server.stats().cancelled, 0);
 
-        serve_one(&server.shared, request);
+        serve_one(&server.shared, running, job);
         match ticket.try_wait() {
             Some(Err(ServeError::Cancelled { partial: Some(_) })) => {}
             other => panic!("expected a mid-flight cancel, got {other:?}"),
@@ -1687,7 +1186,7 @@ mod tests {
 
     #[test]
     fn latency_histogram_reports_sane_quantiles() {
-        let h = LatencyHistogram::new();
+        let mut h = queue::LatencyHistogram::default();
         assert_eq!(h.snapshot(), LatencyStats::default());
         for _ in 0..99 {
             h.record(Duration::from_micros(100));

@@ -9,7 +9,7 @@ use bqo_bitvector::FilterKind;
 use bqo_plan::{JoinGraph, PhysicalPlan};
 use bqo_storage::{Catalog, StorageError};
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Default number of rows per batch pulled through the pipeline.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
@@ -58,7 +58,9 @@ impl KernelMode {
     }
 }
 
-/// Execution configuration.
+/// Execution configuration. Every field is a production knob: a test that
+/// needs a slow or faulty scan registers a `ChunkSource` fake through
+/// `Catalog::register_source` instead of adding one here.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecConfig {
     /// Which bitvector filter implementation hash joins build.
@@ -89,14 +91,6 @@ pub struct ExecConfig {
     /// inputs, as the oracle suites do to reach the parallel path on tiny
     /// tables. Values below 1 are treated as 1.
     pub parallel_threshold: usize,
-    /// Latency-injection knob: sleep this long inside every scan morsel
-    /// kernel. `None` (the default) adds nothing. Results and counters are
-    /// unaffected — the sleep happens before the kernel touches any rows —
-    /// so a throttled run is bit-identical to an unthrottled one, just
-    /// slower with a known per-morsel granularity. Tests use it to build
-    /// deterministic long-running queries for cancellation and scheduling
-    /// scenarios.
-    pub scan_throttle: Option<Duration>,
     /// Which probe/filter kernel implementations the operators run
     /// ([`KernelMode::Vectorized`] by default, unless `BQO_FORCE_SCALAR` is
     /// set). Results and counters are bit-identical in both modes.
@@ -121,7 +115,6 @@ impl Default for ExecConfig {
             num_threads: 1,
             morsel_size: None,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            scan_throttle: None,
             kernel_mode: KernelMode::from_env(),
             zone_map_pruning: true,
         }
@@ -181,14 +174,6 @@ impl ExecConfig {
     /// `parallel_threshold` rows per helper worker.
     pub fn with_parallel_threshold(mut self, parallel_threshold: usize) -> Self {
         self.parallel_threshold = parallel_threshold.max(1);
-        self
-    }
-
-    /// The same configuration sleeping `throttle` inside every scan morsel
-    /// kernel — the deterministic slow-query fixture for cancellation and
-    /// scheduling tests (see [`ExecConfig::scan_throttle`]).
-    pub fn with_scan_throttle(mut self, throttle: Duration) -> Self {
-        self.scan_throttle = Some(throttle);
         self
     }
 
@@ -457,7 +442,10 @@ mod tests {
         QuerySpec, RelId, RelationInfo, RightDeepTree,
     };
     use bqo_storage::generator::DataGenerator;
-    use bqo_storage::{Catalog, TableBuilder};
+    use bqo_storage::{
+        Catalog, ChunkSource, Column, Schema, Table, TableBuilder, TableStats, Value,
+    };
+    use std::sync::{Arc, Mutex};
 
     /// Runs `plan` without collecting rows.
     fn run(exec: &Executor<'_>, graph: &JoinGraph, plan: &PhysicalPlan) -> QueryResult {
@@ -997,53 +985,109 @@ mod tests {
         }
     }
 
-    #[test]
-    fn deadline_expiry_mid_run_aborts_a_throttled_query() {
-        let catalog = tiny_catalog();
-        let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
-        let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        // One-row batches + a 5ms per-morsel throttle make the full fact scan
-        // take well over the 10ms deadline, so the run must abort mid-flight.
-        let config = ExecConfig::exact_filters()
-            .with_batch_size(1)
-            .with_scan_throttle(Duration::from_millis(5));
-        let token = CancelToken::with_deadline(Instant::now() + Duration::from_millis(10));
-        let err = Executor::with_config(&catalog, config)
-            .with_cancel_token(token.clone())
-            .execute(BoundPlan::new(&g, &plan), false)
-            .unwrap_err();
-        assert!(err.is_cancelled());
-        assert!(
-            !token.cancel_requested(),
-            "deadline expiry, not explicit cancel"
-        );
-        let metrics = err.partial_metrics().expect("partial metrics survive");
-        assert!(metrics.elapsed >= Duration::from_millis(10));
+    /// The tiny star's fact table served as a fetched source of 2-row
+    /// chunks whose `read_chunk(k)` fires the armed token: a cancel landing
+    /// inside a known morsel.
+    #[derive(Debug)]
+    struct CancelAtChunk {
+        table: Arc<Table>,
+        armed: Mutex<Option<(usize, CancelToken)>>,
     }
 
+    impl ChunkSource for CancelAtChunk {
+        fn name(&self) -> &str {
+            self.table.name()
+        }
+        fn schema(&self) -> &Schema {
+            self.table.schema()
+        }
+        fn num_rows(&self) -> usize {
+            self.table.num_rows()
+        }
+        fn chunk_rows(&self) -> usize {
+            2
+        }
+        fn zone_map(&self, _chunk: usize, _column: usize) -> Option<(Value, Value)> {
+            None
+        }
+        fn read_chunk(&self, chunk: usize) -> Result<Vec<Arc<Column>>, StorageError> {
+            if let Some((k, token)) = &*self.armed.lock().unwrap() {
+                if *k == chunk {
+                    token.cancel();
+                }
+            }
+            let (start, end) = self.chunk_range(chunk);
+            let rows: Vec<usize> = (start..end).collect();
+            let columns = self.table.columns().iter();
+            Ok(columns.map(|c| Arc::new(c.take(&rows))).collect())
+        }
+        fn chunk_byte_size(&self, chunk: usize) -> u64 {
+            let (start, end) = self.chunk_range(chunk);
+            (end - start) as u64
+        }
+        fn fingerprint(&self) -> u64 {
+            0
+        }
+        fn table_stats(&self) -> TableStats {
+            self.table.compute_stats()
+        }
+    }
+
+    /// The cancel-at-every-morsel sweep: a token fired from inside
+    /// `read_chunk(k)`, for every chunk `k` of the fetched fact table, at 1
+    /// and 4 threads in both kernel modes, aborts the run with
+    /// `ExecError::Cancelled` and its partial metrics — and the next run on
+    /// the same executor (same catalog, configuration and worker pool) is
+    /// bit-identical to an uncancelled one.
     #[test]
-    fn scan_throttle_does_not_change_results() {
-        let catalog = tiny_catalog();
+    fn cancel_at_every_chunk_aborts_and_the_next_run_is_bit_identical() {
+        let mut catalog = tiny_catalog();
+        let source = Arc::new(CancelAtChunk {
+            table: catalog.table("fact").unwrap(),
+            armed: Mutex::new(None),
+        });
+        catalog.register_source(Arc::clone(&source) as Arc<dyn ChunkSource>);
         let (g, fact, d1, d2) = tiny_graph();
         let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let plain = run_rows(
-            &Executor::with_config(&catalog, ExecConfig::exact_filters()),
-            &g,
-            &plan,
-        );
-        let throttled = run_rows(
-            &Executor::with_config(
-                &catalog,
-                ExecConfig::exact_filters().with_scan_throttle(Duration::from_micros(100)),
-            ),
-            &g,
-            &plan,
-        );
-        assert_eq!(throttled.0.output_rows, plain.0.output_rows);
-        assert_eq!(throttled.0.metrics.operators, plain.0.metrics.operators);
-        assert_eq!(throttled.1, plain.1);
+        let pool = WorkerPool::new(3);
+        for mode in [KernelMode::Vectorized, KernelMode::Scalar] {
+            for threads in [1usize, 4] {
+                let config = ExecConfig::exact_filters()
+                    .with_kernel_mode(mode)
+                    .with_num_threads(threads)
+                    .with_parallel_threshold(1);
+                let exec = Executor::with_config(&catalog, config).with_worker_pool(pool.clone());
+                let (reference, reference_rows) = run_rows(&exec, &g, &plan);
+                assert_eq!(reference.output_rows, EXPECTED_ROWS);
+                for k in 0..source.num_chunks() {
+                    let label = format!("{mode:?} threads={threads} chunk={k}");
+                    let token = CancelToken::new();
+                    *source.armed.lock().unwrap() = Some((k, token.clone()));
+                    let cancelled = Executor::with_config(&catalog, config)
+                        .with_worker_pool(pool.clone())
+                        .with_cancel_token(token)
+                        .execute(BoundPlan::new(&g, &plan), true);
+                    *source.armed.lock().unwrap() = None;
+                    let err = cancelled.expect_err(&label);
+                    assert!(err.is_cancelled(), "{label}");
+                    let partial = err.partial_metrics().expect("partial metrics survive");
+                    // The fact scan opens last, under both joins: no join
+                    // produced a row before the abort.
+                    assert_eq!(partial.tuples_by_kind(OperatorKind::Join), 0, "{label}");
+
+                    let (result, rows) = run_rows(&exec, &g, &plan);
+                    assert_eq!(rows, reference_rows, "{label}");
+                    assert_eq!(result.output_rows, reference.output_rows, "{label}");
+                    let (m, r) = (&result.metrics, &reference.metrics);
+                    assert_eq!(m.operators, r.operators, "{label}");
+                    assert_eq!(m.filter_stats, r.filter_stats, "{label}");
+                    assert_eq!(m.filters_created, r.filters_created, "{label}");
+                    assert_eq!(m.chunks_read, r.chunks_read, "{label}");
+                    assert_eq!(m.bytes_read, r.bytes_read, "{label}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -270,12 +270,6 @@ impl PhysicalOperator for ScanOp<'_> {
                 .map(|(&(idx, _), cols)| (ctx.filter(idx), cols.as_slice()))
                 .collect();
             ctx.run_morsels(num_threads, &morsel_list, |m| {
-                // Latency-injection knob: stretch each scan morsel so
-                // scheduling and cancellation tests/benches get long-running
-                // queries with a known per-morsel granularity.
-                if let Some(throttle) = config.scan_throttle {
-                    std::thread::sleep(throttle);
-                }
                 let mut out = MorselScan {
                     rows: Vec::new(),
                     columns: Vec::new(),

@@ -2,7 +2,8 @@
 //!
 //! The actual tests live in `tests/tests/*.rs`; this small library provides
 //! random join-graph construction used by the property-based tests of the
-//! paper's theorems.
+//! paper's theorems, and [`Rechunked`], the fetched-source fake of the
+//! storage properties and the serving tests' slow query.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
@@ -11,6 +12,9 @@ pub mod mini;
 pub mod slt;
 
 use bqo_plan::{JoinEdge, JoinGraph, RelationInfo};
+use bqo_storage::{ChunkSource, Column, Schema, StorageError, Table, TableStats, Value};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Worker-thread count requested for this test run via the
 /// `BQO_TEST_THREADS` environment variable (CI runs the suite once with `1`
@@ -22,6 +26,86 @@ pub fn env_threads() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .unwrap_or(1)
         .max(1)
+}
+
+/// An in-memory table served as a fetched source of `chunk_rows`-row chunks:
+/// every `read_chunk` sleeps [`Rechunked::with_delay`]'s delay (none by
+/// default), then copies the chunk out; zone maps are the chunk's exact
+/// min/max. Registered through `Catalog::register_source`, it stands in for
+/// a file in the storage properties and, with a delay, makes the serving
+/// tests' slow query: a scan then takes a known time per chunk, and a
+/// cancel lands between chunks.
+#[derive(Debug)]
+pub struct Rechunked {
+    table: Arc<Table>,
+    chunk_rows: usize,
+    delay: Duration,
+}
+
+impl Rechunked {
+    /// `table` in chunks of `chunk_rows` rows, read without delay.
+    pub fn new(table: Arc<Table>, chunk_rows: usize) -> Self {
+        Rechunked {
+            table,
+            chunk_rows,
+            delay: Duration::ZERO,
+        }
+    }
+
+    /// The same source sleeping `delay` in every `read_chunk`.
+    pub fn with_delay(mut self, delay: Duration) -> Self {
+        self.delay = delay;
+        self
+    }
+}
+
+impl ChunkSource for Rechunked {
+    fn name(&self) -> &str {
+        self.table.name()
+    }
+    fn schema(&self) -> &Schema {
+        self.table.schema()
+    }
+    fn num_rows(&self) -> usize {
+        self.table.num_rows()
+    }
+    fn chunk_rows(&self) -> usize {
+        self.chunk_rows
+    }
+    fn zone_map(&self, chunk: usize, column: usize) -> Option<(Value, Value)> {
+        let (start, end) = self.chunk_range(chunk);
+        let column = self.table.column_at(column);
+        let mut values = (start..end).map(|row| column.value(row));
+        let first = values.next()?;
+        Some(values.fold((first.clone(), first), |(min, max), v| {
+            if v.total_cmp(&min).is_lt() {
+                (v, max)
+            } else if v.total_cmp(&max).is_gt() {
+                (min, v)
+            } else {
+                (min, max)
+            }
+        }))
+    }
+    fn read_chunk(&self, chunk: usize) -> Result<Vec<Arc<Column>>, StorageError> {
+        if !self.delay.is_zero() {
+            std::thread::sleep(self.delay);
+        }
+        let (start, end) = self.chunk_range(chunk);
+        let rows: Vec<usize> = (start..end).collect();
+        let columns = self.table.columns().iter();
+        Ok(columns.map(|c| Arc::new(c.take(&rows))).collect())
+    }
+    fn chunk_byte_size(&self, chunk: usize) -> u64 {
+        let (start, end) = self.chunk_range(chunk);
+        (end - start) as u64
+    }
+    fn fingerprint(&self) -> u64 {
+        self.chunk_rows as u64
+    }
+    fn table_stats(&self) -> TableStats {
+        self.table.compute_stats()
+    }
 }
 
 /// Builds a star join graph with the given fact cardinality and per-dimension

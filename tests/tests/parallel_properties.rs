@@ -8,7 +8,7 @@
 //! bitvector probe counts must match exactly.
 //!
 //! The same harness states the scan's chunk-aligned-morsel invariant: the
-//! star re-registered through a re-chunked, fetched [`ChunkSource`] (one
+//! star re-registered through a re-chunked, fetched [`Rechunked`] source (one
 //! morsel per chunk, zone-map pruning, per-chunk compaction) answers exactly
 //! like the plain in-memory tables.
 //!
@@ -18,68 +18,11 @@
 
 use bqo_core::exec::{ExecConfig, ExecContext, JoinTable, KernelMode, WorkerPool};
 use bqo_core::storage::generator::DataGenerator;
-use bqo_core::storage::{
-    Catalog, ChunkSource, Column, Schema, StorageError, Table, TableStats, Value,
-};
+use bqo_core::storage::{Catalog, Table};
 use bqo_core::{ColumnPredicate, CompareOp, Engine, OptimizerChoice, QuerySpec, RunOptions};
-use bqo_integration_tests::env_threads;
+use bqo_integration_tests::{env_threads, Rechunked};
 use proptest::prelude::*;
 use std::sync::Arc;
-
-/// An in-memory table served as a fetched source of `chunk_rows`-row chunks:
-/// every `read_chunk` copies the chunk out, and zone maps are the chunk's
-/// exact min/max.
-#[derive(Debug)]
-struct Rechunked {
-    table: Table,
-    chunk_rows: usize,
-}
-
-impl ChunkSource for Rechunked {
-    fn name(&self) -> &str {
-        self.table.name()
-    }
-    fn schema(&self) -> &Schema {
-        self.table.schema()
-    }
-    fn num_rows(&self) -> usize {
-        self.table.num_rows()
-    }
-    fn chunk_rows(&self) -> usize {
-        self.chunk_rows
-    }
-    fn zone_map(&self, chunk: usize, column: usize) -> Option<(Value, Value)> {
-        let (start, end) = self.chunk_range(chunk);
-        let column = self.table.column_at(column);
-        let mut values = (start..end).map(|row| column.value(row));
-        let first = values.next()?;
-        Some(values.fold((first.clone(), first), |(min, max), v| {
-            if v.total_cmp(&min).is_lt() {
-                (v, max)
-            } else if v.total_cmp(&max).is_gt() {
-                (min, v)
-            } else {
-                (min, max)
-            }
-        }))
-    }
-    fn read_chunk(&self, chunk: usize) -> Result<Vec<Arc<Column>>, StorageError> {
-        let (start, end) = self.chunk_range(chunk);
-        let rows: Vec<usize> = (start..end).collect();
-        let columns = self.table.columns().iter();
-        Ok(columns.map(|c| Arc::new(c.take(&rows))).collect())
-    }
-    fn chunk_byte_size(&self, chunk: usize) -> u64 {
-        let (start, end) = self.chunk_range(chunk);
-        (end - start) as u64
-    }
-    fn fingerprint(&self) -> u64 {
-        self.chunk_rows as u64
-    }
-    fn table_stats(&self) -> TableStats {
-        self.table.compute_stats()
-    }
-}
 
 /// One generated dimension: `(rows, categories, predicate bound)`.
 type DimSpec = (usize, usize, i64);
@@ -102,7 +45,9 @@ fn build_star(
     let mut catalog = Catalog::new();
     let register = |catalog: &mut Catalog, table: Table| match chunk_rows {
         None => catalog.register_table(table),
-        Some(chunk_rows) => catalog.register_source(Arc::new(Rechunked { table, chunk_rows })),
+        Some(chunk_rows) => {
+            catalog.register_source(Arc::new(Rechunked::new(Arc::new(table), chunk_rows)))
+        }
     };
     let mut fact_dims = Vec::new();
     let mut spec = QuerySpec::new(format!("prop_star_{seed}")).table("fact");

@@ -8,14 +8,21 @@
 //! Comparison levels mirror `serving_oracle.rs`: bit-identical rows for
 //! requests whose plan is deterministic across serving and oracle, canonical
 //! row multisets (and exact row counts) for every request.
+//!
+//! What needs no execution — dispatch order, the queue bound, quotas at
+//! admission and at dispatch, the queued-deadline sweep — is tested on the
+//! scheduler state machine itself, with a hand-advanced clock
+//! (`crates/core/src/server/queue.rs`); this suite keeps what needs real
+//! execution or the `Ticket` API.
 
 use bqo_core::exec::{Batch, ExecConfig};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
     CacheStatus, Engine, OptimizerChoice, Params, PhysicalPlan, QuerySpec, Request, RunOptions,
-    ServeError, Server, ServerConfig, SubmitError, TenantQuota,
+    ServeError, Server, ServerConfig, SubmitError, TenantQuota, TenantStats,
 };
-use bqo_integration_tests::env_threads;
+use bqo_integration_tests::{env_threads, Rechunked};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 const DIMS: usize = 3;
@@ -71,15 +78,38 @@ fn plain_request(spec: &QuerySpec) -> Request {
         .unwrap()
 }
 
-/// A single-threaded execution configuration whose scans sleep per morsel:
-/// the deterministic slow-query fixture used by the cancellation, deadline
-/// and scheduling tests (a star query at this scale takes hundreds of
-/// milliseconds instead of microseconds, giving a wide cancel window).
+/// The slow-query fixture of the cancellation and deadline tests: the star
+/// catalog with its fact table re-registered as a [`Rechunked`] source of
+/// 16-row chunks that sleeps 4 ms per chunk. Under [`slow_config`] a star
+/// query reads ~250 chunks one after another — about a second instead of
+/// microseconds, a wide cancel window — and stops within a chunk of an
+/// abort.
+fn slow_engine(seed: u64) -> Engine {
+    let mut catalog = star::build_catalog(Scale(0.02), 2, seed);
+    let fact = catalog.table("fact").unwrap();
+    let slow = Rechunked::new(fact, 16).with_delay(Duration::from_millis(4));
+    catalog.register_source(Arc::new(slow));
+    Engine::from_catalog(catalog)
+}
+
+/// One thread, every chunk read (no zone-map pruning).
 fn slow_config() -> ExecConfig {
     ExecConfig::default()
         .with_num_threads(1)
-        .with_morsel_size(16)
-        .with_scan_throttle(Duration::from_millis(4))
+        .with_zone_map_pruning(false)
+}
+
+/// A query that never touches the slow fact table.
+fn quick_request() -> Request {
+    let spec = QuerySpec::new("quick").table("dim0");
+    Request::builder().query(&spec).build().unwrap()
+}
+
+/// `admitted = completed + cancelled + deadline_expired + failed + panicked +
+/// queued + running`: every admitted request is in exactly one place.
+fn reconciles(t: &TenantStats) -> bool {
+    let ended = t.completed + t.cancelled + t.deadline_expired + t.failed + t.panicked;
+    t.admitted == ended + (t.queued + t.running) as u64
 }
 
 /// Rows as a plan-order-independent canonical form: each row becomes its
@@ -334,213 +364,6 @@ fn mixed_scheduling_traffic_matches_oracle() {
     assert_eq!(server.stats_for("nobody").admitted, 0);
 }
 
-/// Deterministic queue saturation: with dispatching paused, admissions
-/// beyond `queue_capacity` must be rejected with `QueueFull`; resuming
-/// drains the backlog and every admitted request completes correctly.
-#[test]
-fn saturated_queue_rejects_with_queue_full() {
-    let catalog = star::build_catalog(Scale(0.02), 2, 5);
-    let engine = Engine::from_catalog(catalog.clone());
-    let server = Server::new(
-        engine,
-        ServerConfig::default()
-            .with_max_concurrent_queries(1)
-            .with_queue_capacity(3),
-    );
-    let spec = star::build_query("saturate", 2, &[(0, 4)]);
-    let expected = {
-        let engine = Engine::from_catalog(catalog);
-        let stmt = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
-        engine
-            .session()
-            .execute(&stmt, RunOptions::new())
-            .unwrap()
-            .result
-            .output_rows
-    };
-
-    server.pause();
-    let tickets: Vec<_> = (0..3)
-        .map(|_| {
-            server
-                .submit(plain_request(&spec))
-                .expect("within queue capacity")
-        })
-        .collect();
-    // The queue is at capacity: further submissions bounce, repeatedly.
-    for _ in 0..5 {
-        assert_eq!(
-            server.submit(plain_request(&spec)).unwrap_err(),
-            SubmitError::QueueFull { capacity: 3 }
-        );
-    }
-    let stats = server.stats();
-    assert_eq!(stats.queue_depth, 3);
-    assert_eq!(stats.admitted, 3);
-    assert_eq!(stats.rejected, 5);
-
-    server.resume();
-    for ticket in tickets {
-        assert_eq!(ticket.wait().unwrap().result.output_rows, expected);
-    }
-    let stats = server.stats();
-    assert_eq!(stats.completed, 3);
-    assert_eq!(stats.queue_depth, 0);
-    assert!(stats.total_wall > Duration::ZERO);
-}
-
-/// Per-tenant admission quota: a tenant at its queued bound is rejected with
-/// `TenantQuotaExceeded` while other tenants (and anonymous requests) are
-/// still admitted; cancelling one of its queued requests frees the slot.
-#[test]
-fn tenant_quota_bounds_queued_requests() {
-    let catalog = star::build_catalog(Scale(0.02), 2, 23);
-    let engine = Engine::from_catalog(catalog);
-    let server = Server::new(
-        engine,
-        ServerConfig::default()
-            .with_max_concurrent_queries(1)
-            .with_queue_capacity(32)
-            .with_tenant_quota(TenantQuota::new(2, 1)),
-    );
-    let spec = star::build_query("quota", 2, &[(0, 4)]);
-    let for_tenant = |tenant: &str| {
-        Request::builder()
-            .query(&spec)
-            .tenant(tenant)
-            .build()
-            .unwrap()
-    };
-
-    server.pause();
-    let a1 = server.submit(for_tenant("a")).unwrap();
-    let _a2 = server.submit(for_tenant("a")).unwrap();
-    // Tenant "a" is at max_queued = 2.
-    assert_eq!(
-        server.submit(for_tenant("a")).unwrap_err(),
-        SubmitError::TenantQuotaExceeded
-    );
-    // The quota is per tenant: tenant "b" and anonymous requests still fit.
-    let _b1 = server.submit(for_tenant("b")).unwrap();
-    let _anon = server.submit(plain_request(&spec)).unwrap();
-    let stats_a = server.stats_for("a");
-    assert_eq!(
-        (stats_a.admitted, stats_a.rejected, stats_a.queued),
-        (2, 1, 2)
-    );
-    assert_eq!(server.stats_for("b").queued, 1);
-
-    // Cancelling one of "a"'s queued requests frees its quota slot at once.
-    assert!(a1.cancel());
-    let a3 = server.submit(for_tenant("a")).unwrap();
-    assert_eq!(server.stats_for("a").queued, 2);
-
-    server.resume();
-    server.shutdown();
-    assert!(a3.wait().is_ok());
-    let stats = server.stats();
-    assert_eq!(stats.completed, 4);
-    assert_eq!(stats.cancelled, 1);
-    assert_eq!(stats.rejected, 1);
-    assert_eq!(server.stats_for("a").cancelled, 1);
-}
-
-/// Priority scheduling under saturation: with the backlog full of slow
-/// low-priority requests, a later high-priority submission is dispatched
-/// next (not behind the whole backlog). Equal-priority, deadline-free
-/// traffic, in contrast, is served strictly in submission order.
-#[test]
-fn high_priority_is_not_starved_by_a_low_priority_backlog() {
-    let catalog = star::build_catalog(Scale(0.02), 2, 31);
-    let spec = star::build_query("starve", 2, &[(0, 4)]);
-    let low_backlog = 4;
-    // ~250ms per backlog query: slow enough to observe scheduling, fast
-    // enough that draining both phases stays cheap.
-    let backlog_config = ExecConfig::default()
-        .with_num_threads(1)
-        .with_morsel_size(64)
-        .with_scan_throttle(Duration::from_millis(4));
-
-    // The high-priority probe overtakes the backlog — it completes while
-    // low-priority requests are still queued.
-    let engine = Engine::from_catalog(catalog.clone());
-    let server = Server::new(
-        engine,
-        ServerConfig::default()
-            .with_max_concurrent_queries(1)
-            .with_queue_capacity(64),
-    );
-    server.pause();
-    let lows: Vec<_> = (0..low_backlog)
-        .map(|_| {
-            let request = Request::builder()
-                .query(&spec)
-                .priority(0)
-                .exec_config(backlog_config)
-                .build()
-                .unwrap();
-            server.submit(request).unwrap()
-        })
-        .collect();
-    let probe = Request::builder().query(&spec).priority(5).build().unwrap();
-    let high = server.submit(probe).unwrap();
-    server.resume();
-    let output = high.wait().expect("high-priority probe serves");
-    assert!(output.result.output_rows > 0);
-    // The probe finished while most of the slow backlog was still pending:
-    // it waited for at most the one query already in flight, not all of them.
-    let pending = server.stats().queue_depth + server.stats().running;
-    assert!(
-        pending >= low_backlog - 1,
-        "probe overtook the backlog (still pending: {pending})"
-    );
-    server.shutdown();
-    for low in lows {
-        assert!(low.wait().is_ok(), "backlog still drains");
-    }
-
-    // Equal priorities, no deadlines: the same traffic serves strictly in
-    // submission order (the `seq` tie-break), so the probe finishes last.
-    let engine = Engine::from_catalog(catalog);
-    let server = Server::new(
-        engine,
-        ServerConfig::default()
-            .with_max_concurrent_queries(1)
-            .with_queue_capacity(64),
-    );
-    server.pause();
-    let lows: Vec<_> = (0..low_backlog)
-        .map(|_| {
-            let request = Request::builder()
-                .query(&spec)
-                .priority(0)
-                .exec_config(backlog_config)
-                .build()
-                .unwrap();
-            server.submit(request).unwrap()
-        })
-        .collect();
-    let probe = Request::builder().query(&spec).priority(0).build().unwrap();
-    let last = server.submit(probe).unwrap();
-    server.resume();
-    let mut previous_wait = last.wait().expect("probe serves eventually").queue_wait;
-    // The probe ran last: the whole backlog already finished, each request
-    // dispatched only after the one submitted before it had run.
-    for low in lows.iter().rev() {
-        assert!(
-            low.is_finished(),
-            "submission order served the backlog first"
-        );
-        let wait = low.wait().expect("backlog request served").queue_wait;
-        assert!(
-            wait < previous_wait,
-            "requests dispatch in submission order ({wait:?} vs {previous_wait:?})"
-        );
-        previous_wait = wait;
-    }
-    server.shutdown();
-}
-
 /// A hand-built plan is the same executable unit as an optimized statement:
 /// the same join order submitted as `.plan(..)` and obtained via `.query(..)`
 /// returns `==` rows (when asked to collect them), operator counters and
@@ -584,19 +407,18 @@ fn plan_requests_collect_rows_like_spec_requests() {
 }
 
 /// Mid-flight cancellation: a cancel issued after execution starts aborts
-/// the query cooperatively (within roughly one morsel — far sooner than the
-/// throttled query would take to finish), returns the partial metrics, and
+/// the query cooperatively (within roughly one chunk — far sooner than the
+/// slow query would take to finish), returns the partial metrics, and
 /// frees the execution slot for the next request.
 #[test]
 fn midflight_cancel_aborts_and_frees_the_slot() {
-    let catalog = star::build_catalog(Scale(0.02), 2, 37);
-    let engine = Engine::from_catalog(catalog);
+    let engine = slow_engine(37);
     let server = Server::new(
         engine,
         ServerConfig::default().with_max_concurrent_queries(1),
     );
     let spec = star::build_query("long_running", 2, &[(0, 4)]);
-    // ~250 fact morsels x 4ms >= 1s of throttled scan time.
+    // ~250 fact chunks x 4ms >= 1s of scan time.
     let slow = Request::builder()
         .query(&spec)
         .exec_config(slow_config())
@@ -625,8 +447,8 @@ fn midflight_cancel_aborts_and_frees_the_slot() {
         }
         other => panic!("expected mid-flight cancellation, got {other:?}"),
     }
-    // The abort was cooperative, not a run-to-completion: the full throttled
-    // scan takes >= 1s, the abort is bounded by a few morsels.
+    // The abort was cooperative, not a run-to-completion: the full slow scan
+    // takes >= 1s, the abort is bounded by a few chunks.
     assert!(
         cancelled_at.elapsed() < Duration::from_millis(500),
         "cancel aborted mid-flight in {:?}",
@@ -634,7 +456,7 @@ fn midflight_cancel_aborts_and_frees_the_slot() {
     );
 
     // The dispatcher slot is free: the very next request serves normally.
-    let next = server.submit(plain_request(&spec)).unwrap();
+    let next = server.submit(quick_request()).unwrap();
     assert!(next.wait().expect("slot was freed").result.output_rows > 0);
     let stats = server.stats();
     assert_eq!((stats.cancelled, stats.completed), (1, 1));
@@ -644,14 +466,13 @@ fn midflight_cancel_aborts_and_frees_the_slot() {
 /// surfaces as `DeadlineExceeded` with the partial metrics.
 #[test]
 fn deadline_aborts_a_running_request_with_partial_metrics() {
-    let catalog = star::build_catalog(Scale(0.02), 2, 41);
-    let engine = Engine::from_catalog(catalog);
+    let engine = slow_engine(41);
     let server = Server::new(
         engine,
         ServerConfig::default().with_max_concurrent_queries(1),
     );
     let spec = star::build_query("deadlined", 2, &[(0, 4)]);
-    // The throttled query needs >= 1s; the deadline is far shorter but still
+    // The slow query needs >= 1s; the deadline is far shorter but still
     // leaves plenty of time to be dispatched.
     let request = Request::builder()
         .query(&spec)
@@ -675,7 +496,7 @@ fn deadline_aborts_a_running_request_with_partial_metrics() {
     assert_eq!(server.stats().deadline_expired, 1);
 
     // The dispatcher survived; the next request serves normally.
-    let next = server.submit(plain_request(&spec)).unwrap();
+    let next = server.submit(quick_request()).unwrap();
     assert!(next.wait().expect("server still serves").result.output_rows > 0);
 }
 
@@ -725,7 +546,9 @@ fn expired_queued_deadline_resolves_wait_immediately() {
 
 /// A panicking statement (malformed hand-built plan) must surface through
 /// `Ticket::wait` as `ServeError::Panicked` — and the dispatcher must
-/// survive to serve the next request.
+/// survive to serve the next request. The panic is booked to the request's
+/// tenant too (it used to be counted only globally, so a tenant's ledger
+/// stopped adding up).
 #[test]
 fn worker_panic_propagates_through_ticket_wait() {
     let catalog = star::build_catalog(Scale(0.02), 2, 7);
@@ -740,6 +563,7 @@ fn worker_panic_propagates_through_ticket_wait() {
     let graph = spec.to_join_graph(engine.catalog()).unwrap();
     let malformed = Request::builder()
         .plan("malformed", graph, PhysicalPlan::new())
+        .tenant("a")
         .build()
         .unwrap();
     let ticket = server.submit(malformed).unwrap();
@@ -750,13 +574,62 @@ fn worker_panic_propagates_through_ticket_wait() {
         other => panic!("expected a contained panic, got {other:?}"),
     }
     assert_eq!(server.stats().panicked, 1);
+    let tenant = server.stats_for("a");
+    assert!(reconciles(&tenant), "{tenant:?}");
+    assert_eq!((tenant.admitted, tenant.panicked), (1, 1));
 
     // The dispatcher survived: the very next request is served normally.
-    let ticket = server.submit(plain_request(&spec)).unwrap();
-    let output = ticket.wait().expect("server still serves after a panic");
+    let next = Request::builder().query(&spec).tenant("a").build().unwrap();
+    let output = server.submit(next).unwrap().wait();
+    let output = output.expect("server still serves after a panic");
     assert!(output.result.output_rows > 0);
     assert_eq!(output.cache_status, CacheStatus::Miss);
     assert_eq!(server.stats().completed, 1);
+    let tenant = server.stats_for("a");
+    assert!(reconciles(&tenant), "{tenant:?}");
+    assert_eq!((tenant.admitted, tenant.completed), (2, 1));
+}
+
+/// Regression: a quota built as a struct literal with a 0 bound is clamped
+/// to 1, as its docs promise. `max_concurrent: 0` used to strand a tenant's
+/// request in the queue forever — and with it `shutdown` (and the drop of
+/// the last handle), which drains the queue; `max_queued: 0` rejected every
+/// tenant submission. Waits are bounded and shutdown runs on a helper
+/// thread, so a regression fails here instead of hanging the suite.
+#[test]
+fn zero_tenant_quota_bounds_are_clamped_not_a_hang() {
+    let engine = Engine::from_catalog(star::build_catalog(Scale(0.02), 2, 29));
+    let spec = QuerySpec::new("tenant_scan").table("dim0");
+    let stranding = TenantQuota {
+        max_queued: 1,
+        max_concurrent: 0,
+    };
+    let rejecting = TenantQuota {
+        max_queued: 0,
+        max_concurrent: 1,
+    };
+    for quota in [stranding, rejecting] {
+        let server = Server::new(
+            engine.clone(),
+            ServerConfig::default().with_tenant_quota(quota),
+        );
+        assert_eq!(server.config().tenant_quota, Some(TenantQuota::new(1, 1)));
+        let request = Request::builder().query(&spec).tenant("a").build().unwrap();
+        let served = server
+            .submit(request)
+            .map(|ticket| ticket.wait_timeout(Duration::from_secs(5)));
+        let queued = server.stats_for("a").queued;
+        let (done, shut_down) = mpsc::channel();
+        std::thread::spawn(move || {
+            server.shutdown();
+            let _ = done.send(());
+        });
+        let shut_down = shut_down.recv_timeout(Duration::from_secs(5)).is_ok();
+        let served = served.unwrap_or_else(|e| panic!("{quota:?}: rejected: {e}"));
+        let output = served.unwrap_or_else(|e| panic!("{quota:?}: {queued} queued: {e}"));
+        assert!(output.result.output_rows > 0);
+        assert!(shut_down, "{quota:?}: shutdown did not return");
+    }
 }
 
 /// Cancelling a queued request resolves its ticket with `Cancelled` without
