@@ -14,6 +14,23 @@
 //! its final place in an exactly-sized column — and never when the caller
 //! only counts. Two batches compare equal iff their *logical* content
 //! matches, whatever their layouts.
+//!
+//! A join whose probe side matches each row at most once and every row
+//! exactly once (a unique-key table, nothing missed) is an *identity* probe:
+//! the output adopts the probe batch's row-id vectors as they are instead of
+//! gathering them through `0..n`.
+//!
+//! A batch also records **equality pairs**: two columns holding the same
+//! value in every logical row ([`Batch::with_equal_columns`]). A hash join
+//! records its key columns as one — but only for a single `Int64` key on
+//! both sides, the one key shape the join table matches on the raw value.
+//! Composite, `Utf8`, `Float64` and `Bool` keys match on a 64-bit digest
+//! (`row_key`), so two matched rows may carry different key values, and a
+//! `Float64` key compares by bit pattern; none of them is recorded. Pairs
+//! survive [`Batch::join`], [`Batch::filter_select`], `Batch::stack` and
+//! [`Batch::into_dense`], and the gathers ([`Batch::concat`],
+//! `into_dense`) copy one column per equality class and share its `Arc`
+//! with the rest of the class — a PK–FK answer holds its key values once.
 
 use crate::join_table::row_id;
 use bqo_bitvector::hash::{combine_key, fold_parts};
@@ -63,6 +80,8 @@ pub struct Batch {
     /// In column order, never empty; together they cover every column.
     sources: Vec<Source>,
     num_rows: usize,
+    /// Pairs of column indices holding equal values in every logical row.
+    equal: Vec<(usize, usize)>,
 }
 
 impl Batch {
@@ -108,7 +127,31 @@ impl Batch {
             columns,
             sources: vec![dense],
             num_rows: physical_rows,
+            equal: Vec::new(),
         }
+    }
+
+    /// Records that columns `a` and `b` hold the same value in every logical
+    /// row, so a gather copies one of them and shares it (see the module
+    /// docs). The caller vouches for the equality; debug builds check it.
+    ///
+    /// # Panics
+    /// Panics if either index is out of range or the columns' types differ.
+    pub fn with_equal_columns(mut self, a: usize, b: usize) -> Batch {
+        let (col_a, col_b) = (&self.columns[a], &self.columns[b]);
+        assert!(
+            col_a.data_type() == col_b.data_type(),
+            "equal columns must share a type"
+        );
+        debug_assert!(
+            (0..self.num_rows).all(|row| {
+                let value = |col: &Column, index| col.value(physical(self.rows_of(index), row));
+                value(col_a, a) == value(col_b, b)
+            }),
+            "columns {a} and {b} differ"
+        );
+        self.equal.push((a, b));
+        self
     }
 
     /// Creates an empty batch (no columns, no rows).
@@ -226,29 +269,38 @@ impl Batch {
     }
 
     /// Compacts this batch to a dense layout, gathering every column through
-    /// its source's row ids. A no-op for batches that are already dense.
-    /// Pipelines never call this ([`Batch::concat`] is their one gather); it
-    /// is the per-batch reference the differential suites compare against.
+    /// its source's row ids — once per equality class. A no-op for batches
+    /// that are already dense. Pipelines never call this ([`Batch::concat`]
+    /// is their one gather); it is the per-batch reference the differential
+    /// suites compare against.
     pub fn into_dense(self) -> Batch {
         if self.is_dense() {
             return self;
         }
-        let columns = (0..self.columns.len())
-            .map(|i| match self.rows_of(i) {
+        let class = classes(self.columns.len(), &self.equal);
+        let mut columns: Vec<Arc<Column>> = Vec::with_capacity(self.columns.len());
+        for (i, &head) in class.iter().enumerate() {
+            let column = match self.rows_of(i) {
+                _ if head < i => Arc::clone(&columns[head]),
                 None => Arc::clone(&self.columns[i]),
                 Some(rows) => {
-                    let rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect();
+                    let rows: Vec<usize> = rows.iter().map(|&r| r as usize).collect(); // CAST-OK: u32 widens losslessly into usize on supported targets
                     Arc::new(self.columns[i].take(&rows))
                 }
-            })
-            .collect();
-        Batch::with_schema(self.schema, columns)
+            };
+            columns.push(column);
+        }
+        let mut dense = Batch::with_schema(self.schema, columns);
+        dense.equal = self.equal;
+        dense
     }
 
     /// Concatenates schema-identical batches row-wise into a dense batch —
     /// the one place a pipeline's values are copied: every output column is
     /// allocated once at the summed logical row count and filled through
-    /// each batch's own row ids, source column straight to final place.
+    /// each batch's own row ids, source column straight to final place. A
+    /// pair of columns every batch records as equal is gathered once and
+    /// shared; the output keeps those pairs.
     ///
     /// # Panics
     /// Panics if the batches disagree on schema or column types.
@@ -268,8 +320,14 @@ impl Batch {
             return Ok(Batch::empty());
         };
         let num_rows = batches.iter().map(Batch::num_rows).sum();
-        let sized = |c: &Arc<Column>| Column::with_capacity(c.data_type(), num_rows);
-        let mut columns: Vec<Column> = first.columns.iter().map(sized).collect();
+        let equal = common_pairs(&batches);
+        let class = classes(first.columns.len(), &equal);
+        // Only the first column of each equality class is gathered.
+        let mut columns: Vec<Option<Column>> = (first.columns.iter().zip(&class).enumerate())
+            .map(|(i, (c, &head))| {
+                (head == i).then(|| Column::with_capacity(c.data_type(), num_rows))
+            })
+            .collect();
         for batch in &batches {
             check()?;
             assert!(
@@ -277,12 +335,20 @@ impl Batch {
                 "schema mismatch in concat"
             );
             for (i, (dst, src)) in columns.iter_mut().zip(&batch.columns).enumerate() {
-                dst.extend_rows(src, batch.rows_of(i))
-                    .expect("column type mismatch in concat");
+                if let Some(dst) = dst {
+                    dst.extend_rows(src, batch.rows_of(i))
+                        .expect("column type mismatch in concat");
+                }
             }
         }
-        let columns = columns.into_iter().map(Arc::new).collect();
-        Ok(Batch::with_schema(Arc::clone(&first.schema), columns))
+        let mut shared: Vec<Arc<Column>> = Vec::with_capacity(columns.len());
+        for (column, &head) in columns.into_iter().zip(&class) {
+            let column = column.map_or_else(|| Arc::clone(&shared[head]), Arc::new);
+            shared.push(column);
+        }
+        let mut out = Batch::with_schema(Arc::clone(&first.schema), shared);
+        out.equal = equal;
+        Ok(out)
     }
 
     /// Stacks a hash join's drained build side row-wise *as row ids*: when
@@ -322,41 +388,61 @@ impl Batch {
                 }
             }
         }
+        let equal = common_pairs(&batches);
         let mut out = batches.swap_remove(0);
         for (source, rows) in out.sources.iter_mut().zip(stacked) {
             source.rows = Some(rows);
         }
         out.num_rows = num_rows;
+        out.equal = equal;
         Ok(out)
     }
 
     /// A hash join's output for the matched pairs `(build_rows[i],
     /// probe_rows[i])` of logical rows: `build`'s columns then `probe`'s,
     /// every source relation of either side gathered through the match list
-    /// — `u32` row ids only, no value is touched. `schema` is the join's one
-    /// output schema: `build`'s column references, then `probe`'s.
+    /// — `u32` row ids only, no value is touched. `probe_rows` of `None` is
+    /// the identity probe — logical row `i` pairs with probe row `i`, every
+    /// probe row once — and the output adopts `probe`'s row-id vectors as
+    /// they are. `schema` is the join's one output schema: `build`'s column
+    /// references, then `probe`'s. Both sides' equality pairs carry over.
+    ///
+    /// # Panics
+    /// Panics if the match lists differ in length, or an identity probe's
+    /// `build_rows` does not pair every probe row.
     pub fn join(
         schema: &Arc<[ColumnRef]>,
         build: &Batch,
         build_rows: &[u32],
-        probe: &Batch,
-        probe_rows: &[u32],
+        probe: Batch,
+        probe_rows: Option<&[u32]>,
     ) -> Batch {
-        assert_eq!(
-            build_rows.len(),
-            probe_rows.len(),
-            "match lists must pair up"
-        );
-        let build_sources = build.sources.iter().map(|s| s.joined(build_rows, 0));
-        let shift = build.columns.len();
-        let probe_sources = probe.sources.iter().map(|s| s.joined(probe_rows, shift));
-        let columns = build.columns.iter().chain(&probe.columns);
+        let paired = probe_rows.map_or(probe.num_rows, <[u32]>::len);
+        assert_eq!(build_rows.len(), paired, "match lists must pair up");
         debug_assert!(schema.iter().eq(build.schema.iter().chain(&*probe.schema)));
+        let shift = build.columns.len();
+        let build_sources = build.sources.iter().map(|s| s.joined(build_rows, 0));
+        let probe_sources: Vec<Source> = match probe_rows {
+            Some(rows) => probe
+                .sources
+                .iter()
+                .map(|s| s.joined(rows, shift))
+                .collect(),
+            None => (probe.sources.into_iter())
+                .map(|s| Source {
+                    end: s.end + shift,
+                    ..s
+                })
+                .collect(),
+        };
+        let probe_equal = probe.equal.iter().map(|&(a, b)| (a + shift, b + shift));
+        let columns = build.columns.iter().cloned().chain(probe.columns);
         Batch {
             schema: Arc::clone(schema),
-            columns: columns.cloned().collect(),
+            columns: columns.collect(),
             sources: build_sources.chain(probe_sources).collect(),
             num_rows: build_rows.len(),
+            equal: build.equal.iter().copied().chain(probe_equal).collect(),
         }
     }
 
@@ -426,6 +512,32 @@ impl PartialEq for Batch {
 /// Schema equality: one operator's batches share an `Arc`, no name compared.
 fn same_schema(a: &Arc<[ColumnRef]>, b: &Arc<[ColumnRef]>) -> bool {
     Arc::ptr_eq(a, b) || a == b
+}
+
+/// The equality pairs every one of `batches` records: what still holds for
+/// their rows stacked together.
+fn common_pairs(batches: &[Batch]) -> Vec<(usize, usize)> {
+    let mut equal = batches.first().map_or_else(Vec::new, |b| b.equal.clone());
+    equal.retain(|pair| batches.iter().all(|b| b.equal.contains(pair)));
+    equal
+}
+
+/// For each of `num_columns` columns, the lowest column index of its
+/// equality class under `pairs` (itself when it is paired with nothing
+/// lower): a union–find whose roots are always the class minimum.
+fn classes(num_columns: usize, pairs: &[(usize, usize)]) -> Vec<usize> {
+    let mut parent: Vec<usize> = (0..num_columns).collect();
+    let root = |parent: &[usize], mut i: usize| {
+        while parent[i] != i {
+            i = parent[i];
+        }
+        i
+    };
+    for &(a, b) in pairs {
+        let (a, b) = (root(&parent, a), root(&parent, b));
+        parent[a.max(b)] = a.min(b);
+    }
+    (0..num_columns).map(|i| root(&parent, i)).collect()
 }
 
 /// The physical row behind logical row `logical` of row ids `rows`.
@@ -626,7 +738,14 @@ mod tests {
     /// `Batch::join` under the schema a join operator would stamp on it.
     fn join(build: &Batch, build_rows: &[u32], probe: &Batch, probe_rows: &[u32]) -> Batch {
         let schema = build.schema().iter().chain(probe.schema()).cloned();
-        Batch::join(&schema.collect(), build, build_rows, probe, probe_rows)
+        let probe = probe.clone();
+        Batch::join(
+            &schema.collect(),
+            build,
+            build_rows,
+            probe,
+            Some(probe_rows),
+        )
     }
 
     /// The dense batch holding `sample()` rows `left` beside `other()` rows
@@ -758,6 +877,131 @@ mod tests {
             Batch::try_concat(Vec::new(), failing).unwrap().num_rows(),
             0
         );
+    }
+
+    #[test]
+    fn identity_probe_adopts_the_probe_row_ids_and_equals_the_gathered_join() {
+        let (s, o) = (sample(), other());
+        // Probe sides: dense, a selection, and a two-relation join output.
+        let probes = [
+            o.clone(),
+            o.clone().with_selection(vec![2, 0, 0, 1]),
+            join(&s, &[3, 1, 1], &o, &[0, 2, 2]),
+        ];
+        for probe in probes {
+            let n = probe.num_rows() as u32;
+            let build_rows: Vec<u32> = (0..n).map(|i| (i * 3) % 4).collect();
+            let identity: Vec<u32> = (0..n).collect();
+            let gathered = join(&s, &build_rows, &probe, &identity);
+            let schema: Arc<[ColumnRef]> = gathered.schema().into();
+            let ids = |batch: &Batch, column| batch.rows_of(column).map(<[u32]>::as_ptr);
+            let own: Vec<_> = (0..probe.num_columns()).map(|c| ids(&probe, c)).collect();
+            let adopted = Batch::join(&schema, &s, &build_rows, probe, None);
+            assert_eq!(adopted, gathered);
+            assert_eq!(adopted.num_sources(), gathered.num_sources());
+            for column in 0..adopted.num_columns() {
+                let rows = |batch: &Batch| {
+                    let ids = batch.rows_of(column);
+                    (0..n as usize)
+                        .map(|row| physical(ids, row))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(rows(&adopted), rows(&gathered));
+            }
+            // The probe side's row ids were moved, not copied through 0..n.
+            let shift = s.num_columns();
+            for (column, own) in own.into_iter().enumerate() {
+                assert_eq!(ids(&adopted, shift + column), own);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "match lists must pair up")]
+    fn identity_probe_must_pair_every_probe_row() {
+        let (s, o) = (sample(), other());
+        let schema = s.schema().iter().chain(o.schema()).cloned().collect();
+        Batch::join(&schema, &s, &[0, 1], o, None);
+    }
+
+    /// `(k, label)` and `(fk, x)`, joined on `k = fk` with the key pair
+    /// recorded; every logical row has `k == fk`.
+    fn keyed_join() -> Batch {
+        let dim = TableBuilder::new("dim")
+            .with_i64("k", vec![10, 11, 12])
+            .with_utf8("label", vec!["a".into(), "b".into(), "c".into()])
+            .build()
+            .unwrap();
+        let fact = TableBuilder::new("fact")
+            .with_i64("fk", vec![12, 10, 12, 11, 10])
+            .with_f64("x", vec![0.5, 1.5, 2.5, 3.5, 4.5])
+            .build()
+            .unwrap();
+        let (dim, fact) = (from_table(RelId(0), &dim), from_table(RelId(1), &fact));
+        join(&dim, &[2, 0, 2, 1, 0], &fact, &[0, 1, 2, 3, 4]).with_equal_columns(0, 2)
+    }
+
+    #[test]
+    fn equal_key_columns_are_gathered_once_and_shared() {
+        let joined = keyed_join();
+        let plain = join(&sample(), &[], &other(), &[]);
+        assert_eq!(joined.equal, vec![(0, 2)]);
+        assert!(plain.equal.is_empty());
+
+        // The gathers copy the class once and share it; values are unchanged.
+        let whole = Batch::concat(vec![joined.clone(), joined.clone()]);
+        assert!(Arc::ptr_eq(&whole.columns()[0], &whole.columns()[2]));
+        assert!(!Arc::ptr_eq(&whole.columns()[0], &whole.columns()[1]));
+        assert_eq!(
+            whole.columns()[2].as_i64().unwrap(),
+            &[12, 10, 12, 11, 10, 12, 10, 12, 11, 10]
+        );
+        assert_eq!(whole.equal, vec![(0, 2)]);
+        let dense = joined.clone().into_dense();
+        assert!(Arc::ptr_eq(&dense.columns()[0], &dense.columns()[2]));
+        assert_eq!(dense, joined);
+        assert_eq!(dense.equal, vec![(0, 2)]);
+
+        // Row refinement and stacking keep the pair; a later join shifts it.
+        let filtered = joined
+            .clone()
+            .filter_select(&[true, false, true, true, false]);
+        assert_eq!(filtered.equal, vec![(0, 2)]);
+        let stacked = Batch::stack(vec![joined.clone(), filtered.clone()]).unwrap();
+        assert_eq!(stacked.equal, vec![(0, 2)]);
+        let again = join(&sample(), &[0, 0], &filtered, &[2, 0]);
+        assert_eq!(again.equal, vec![(2, 4)]);
+        let root = Batch::concat(vec![again.clone()]);
+        assert!(Arc::ptr_eq(&root.columns()[2], &root.columns()[4]));
+        assert_eq!(root, again);
+
+        // A pair only some batches record does not hold for all of them.
+        let unpaired = Batch {
+            equal: Vec::new(),
+            ..joined.clone()
+        };
+        let mixed = Batch::concat(vec![joined.clone(), unpaired.clone()]);
+        assert!(!Arc::ptr_eq(&mixed.columns()[0], &mixed.columns()[2]));
+        assert!(mixed.equal.is_empty());
+        assert_eq!(
+            mixed,
+            Batch::concat(vec![unpaired.clone(), unpaired.clone()])
+        );
+        let stacked = Batch::stack(vec![joined, unpaired]).unwrap();
+        assert!(stacked.equal.is_empty());
+    }
+
+    #[test]
+    fn equality_classes_are_transitive_and_rooted_at_their_lowest_column() {
+        assert_eq!(classes(5, &[]), vec![0, 1, 2, 3, 4]);
+        assert_eq!(classes(5, &[(3, 1), (4, 3)]), vec![0, 1, 2, 1, 1]);
+        assert_eq!(classes(5, &[(4, 2), (1, 3), (3, 4)]), vec![0, 1, 1, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal columns must share a type")]
+    fn equal_columns_must_share_a_type() {
+        keyed_join().with_equal_columns(0, 3);
     }
 
     #[test]

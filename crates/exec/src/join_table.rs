@@ -1,33 +1,38 @@
-//! The hash join's build-side table: one flat CSR layout.
+//! The hash join's build-side table: three flat layouts, chosen from the
+//! build keys alone.
 //!
-//! A [`JoinTable`] maps a collapsed join key to the build rows carrying it
-//! through exactly two arrays: `rows` holds every build row id grouped by
-//! key, and `offsets[slot]..offsets[slot + 1]` delimits the group of the
-//! key that owns `slot`. There is no per-key allocation, nothing to free
-//! row by row, and match lists come back as `&[u32]` slices.
+//! A [`JoinTable`] maps a collapsed join key to the build rows carrying it.
+//! There is no per-key allocation, nothing to free row by row, and match
+//! lists come back as `&[u32]` slices. The layout is picked by the rule the
+//! range bitmap filter uses ([`bqo_bitvector::dense_span`]) plus one
+//! uniqueness pass:
 //!
-//! A key finds its slot in one of two ways, chosen from the build keys alone
-//! by the rule the range bitmap filter uses ([`bqo_bitvector::dense_span`]):
-//!
-//! * **direct** — when the keys' span is dense (surrogate-key dimensions,
-//!   the paper's star/snowflake case) the slot *is* `key - min`: one
-//!   subtraction and one bounds check, no hashing;
-//! * **hashed** — otherwise one open-addressing [`KeyIndex`] (it lives in
-//!   `bqo-bitvector`), slots numbered in first-seen order.
+//! * **unique** — the keys' span is dense *and* every key is distinct (the
+//!   primary-key side of a PK–FK join, the paper's star/snowflake case): one
+//!   `row_of` array of `span` entries holds, at `key - min`, the one build
+//!   row carrying the key (`u32::MAX` when none does). A lookup is one
+//!   subtraction, one bounds check and one load. It is filled in a single
+//!   pass that gives up at the first duplicate;
+//! * **direct** — a dense span with duplicates: a CSR (`rows` holds every
+//!   build row id grouped by key, `offsets[slot]..offsets[slot + 1]`
+//!   delimits a key's group) whose slot *is* `key - min`;
+//! * **hashed** — otherwise the same CSR, its slots assigned in first-seen
+//!   order by one open-addressing [`KeyIndex`] (it lives in `bqo-bitvector`).
 //!
 //! The bitvector filter the join publishes is a view of this table
 //! ([`JoinTable::filter`]): built from the same gathered keys with the
-//! table's own `min` and slot count when direct, the very same
+//! table's own `min` and span when direct-addressed, the very same
 //! `Arc<KeyIndex>` probed for membership only when hashed — one key gather
 //! and one key index per join.
 //!
-//! The arrays are built by count-then-scatter. Each worker owns a contiguous
-//! *slot range* — hence a contiguous range of `rows` — counts the build rows
-//! falling into it, prefix-sums, and scatters them in ascending row order;
-//! the per-range pieces are then concatenated, so every key's row list is
-//! ascending and identical for every worker count (the determinism contract
-//! `parallel_properties` pins) with no re-hash merge. Slot assignment of the
-//! hashed shape is the index's one sequential find-or-insert pass.
+//! The CSR arrays are built by count-then-scatter. Each worker owns a
+//! contiguous *slot range* — hence a contiguous range of `rows` — counts the
+//! build rows falling into it, prefix-sums, and scatters them in ascending
+//! row order; the per-range pieces are then concatenated, so every key's row
+//! list is ascending and identical for every worker count (the determinism
+//! contract `parallel_properties` pins) with no re-hash merge. The unique
+//! pass and the hashed shape's slot assignment (the index's find-or-insert
+//! pass) are sequential, so the layout never depends on the worker count.
 
 use crate::morsel::chunk_morsels;
 use crate::pipeline::ExecContext;
@@ -42,14 +47,9 @@ pub(crate) fn row_id(row: usize) -> Result<u32, StorageError> {
     u32::try_from(row).map_err(|_| StorageError::RowIdOverflow { rows: row })
 }
 
-/// How a key finds its slot.
-#[derive(Debug, Clone)]
-enum SlotIndex {
-    /// Slot `key - min`, valid below `offsets.len() - 1`.
-    Direct { min: i64 },
-    /// The slot the shared key index assigned.
-    Hashed(Arc<KeyIndex>),
-}
+/// Marks an empty slot of the unique layout. Never a build row: `row_id`
+/// admits at most `u32::MAX` rows, numbered below it.
+const NO_ROW: u32 = u32::MAX;
 
 /// The direct-addressed slot of `key`: `key - min` when below `limit`. A key
 /// below `min` wraps to a huge unsigned value, so one unsigned compare is
@@ -61,115 +61,24 @@ fn direct_slot(min: i64, limit: usize, key: i64) -> Option<usize> {
     in_range.then_some(offset as usize) // CAST-OK: offset < limit, which is a usize
 }
 
-/// A flat key → build-rows table (see the module docs).
+/// Build rows grouped by slot: slot `s` owns `rows[offsets[s]..offsets[s + 1]]`.
 #[derive(Debug, Clone)]
-pub struct JoinTable {
-    index: SlotIndex,
+struct Csr {
     offsets: Vec<u32>,
     rows: Vec<u32>,
 }
 
-impl Default for JoinTable {
-    /// The table of an empty build side: every lookup misses.
-    fn default() -> Self {
-        JoinTable {
-            index: SlotIndex::Direct { min: 0 },
-            offsets: vec![0],
-            rows: Vec::new(),
-        }
-    }
-}
-
-impl JoinTable {
-    /// Builds the table over `keys`, where `keys[row]` is the collapsed join
-    /// key of build row `row`. Fans the count-then-scatter out over the
-    /// context's workers; fails with [`StorageError::RowIdOverflow`] for more
-    /// rows than `u32` row ids address, or `Cancelled`.
-    pub fn build(ctx: &ExecContext, keys: &[i64]) -> Result<JoinTable, StorageError> {
-        row_id(keys.len())?;
-        if keys.is_empty() {
-            return Ok(JoinTable::default());
-        }
-        if let Some((min, span)) = dense_span(keys) {
-            let slot_of = |row: usize| (keys[row] - min) as usize; // CAST-OK: keys[row] - min in [0, span), and span fits usize
-            let (offsets, rows) = scatter(ctx, keys.len(), span, slot_of)?;
-            return Ok(JoinTable {
-                index: SlotIndex::Direct { min },
-                offsets,
-                rows,
-            });
-        }
-
-        let (index, slots) = KeyIndex::build(keys);
-        let slot_of = |row: usize| slots[row] as usize; // CAST-OK: u32 widens losslessly into usize on supported targets
-        let (offsets, rows) = scatter(ctx, keys.len(), index.num_keys(), slot_of)?;
-        Ok(JoinTable {
-            index: SlotIndex::Hashed(Arc::new(index)),
-            offsets,
-            rows,
-        })
-    }
-
-    /// The default ([`bqo_bitvector::FilterKind::Bitmap`]) bitvector filter
-    /// over `keys`, the keys this table was built from, as a view of the
-    /// table: a direct table already knows the bitmap's `min` and span, a
-    /// hashed table shares its key index.
-    pub fn filter(&self, keys: &[i64]) -> RangeBitmapFilter {
-        match &self.index {
-            SlotIndex::Direct { min } => {
-                RangeBitmapFilter::dense(*min, self.offsets.len() - 1, keys)
-            }
-            SlotIndex::Hashed(index) => RangeBitmapFilter::Sparse(Arc::clone(index)),
-        }
-    }
-
-    /// The slot owning `key`, if any build row carries it.
-    #[inline]
-    fn slot(&self, key: i64) -> Option<usize> {
-        match &self.index {
-            SlotIndex::Direct { min } => direct_slot(*min, self.offsets.len() - 1, key),
-            SlotIndex::Hashed(index) => index.slot(key),
-        }
+impl Csr {
+    /// Number of slots.
+    fn num_slots(&self) -> usize {
+        self.offsets.len() - 1
     }
 
     /// The build rows owned by `slot`, ascending.
     #[inline]
-    fn slot_rows(&self, slot: usize) -> &[u32] {
+    fn group(&self, slot: usize) -> &[u32] {
         let (start, end) = (self.offsets[slot], self.offsets[slot + 1]);
         &self.rows[start as usize..end as usize] // CAST-OK: u32 widens losslessly into usize on supported targets
-    }
-
-    /// The build rows carrying `key`, ascending; empty on a miss.
-    #[inline]
-    pub fn get(&self, key: i64) -> &[u32] {
-        self.slot(key).map_or(&[], |slot| self.slot_rows(slot))
-    }
-
-    /// Appends the matches of `keys` to the two match lists: for every key,
-    /// in order, each build row carrying it (ascending) paired with the
-    /// key's probe row id `first_row + position` — what calling
-    /// [`JoinTable::get`] per key produces, with the index dispatch hoisted
-    /// out of the loop. The caller guarantees `first_row + keys.len()` fits
-    /// `u32` (see `row_id`).
-    pub(crate) fn probe(
-        &self,
-        keys: &[i64],
-        first_row: u32,
-        build_rows: &mut Vec<u32>,
-        probe_rows: &mut Vec<u32>,
-    ) {
-        let probe_rows_of = keys.iter().zip(first_row..);
-        match &self.index {
-            SlotIndex::Direct { min } => {
-                let limit = self.offsets.len() - 1;
-                let slots = probe_rows_of.map(|(&key, row)| (direct_slot(*min, limit, key), row));
-                self.emit(slots, build_rows, probe_rows)
-            }
-            SlotIndex::Hashed(index) => {
-                let slots = probe_rows_of.map(|(&key, row)| (index.slot(key), row));
-                self.emit(slots, build_rows, probe_rows)
-            }
-        }
     }
 
     /// Expands `(slot, probe row)` pairs into the two match lists.
@@ -181,35 +90,190 @@ impl JoinTable {
         probe_rows: &mut Vec<u32>,
     ) {
         for (slot, probe_row) in slots {
-            for &build_row in slot.map_or(&[][..], |slot| self.slot_rows(slot)) {
+            for &build_row in slot.map_or(&[][..], |slot| self.group(slot)) {
                 build_rows.push(build_row);
                 probe_rows.push(probe_row);
+            }
+        }
+    }
+}
+
+/// The three layouts (see the module docs).
+#[derive(Debug, Clone)]
+enum Layout {
+    /// Dense, distinct keys: `row_of[key - min]`, [`NO_ROW`] when empty.
+    Unique { min: i64, row_of: Vec<u32> },
+    /// Dense keys with duplicates: slot `key - min`.
+    Direct { min: i64, csr: Csr },
+    /// Sparse keys: the slot the shared key index assigned.
+    Hashed { index: Arc<KeyIndex>, csr: Csr },
+}
+
+/// A flat key → build-rows table (see the module docs).
+#[derive(Debug, Clone)]
+pub struct JoinTable {
+    layout: Layout,
+}
+
+impl Default for JoinTable {
+    /// The table of an empty build side: every lookup misses.
+    fn default() -> Self {
+        JoinTable {
+            layout: Layout::Unique {
+                min: 0,
+                row_of: Vec::new(),
+            },
+        }
+    }
+}
+
+impl JoinTable {
+    /// Builds the table over `keys`, where `keys[row]` is the collapsed join
+    /// key of build row `row`. Fans a CSR's count-then-scatter out over the
+    /// context's workers; fails with [`StorageError::RowIdOverflow`] for more
+    /// rows than `u32` row ids address, or `Cancelled`.
+    pub fn build(ctx: &ExecContext, keys: &[i64]) -> Result<JoinTable, StorageError> {
+        row_id(keys.len())?;
+        if keys.is_empty() {
+            return Ok(JoinTable::default());
+        }
+        let layout = match dense_span(keys) {
+            Some((min, span)) => {
+                ctx.check_cancelled()?;
+                match unique_rows(min, span, keys) {
+                    Some(row_of) => Layout::Unique { min, row_of },
+                    None => {
+                        let slot_of = |row: usize| (keys[row] - min) as usize; // CAST-OK: keys[row] - min in [0, span), and span fits usize
+                        let csr = scatter(ctx, keys.len(), span, slot_of)?;
+                        Layout::Direct { min, csr }
+                    }
+                }
+            }
+            None => {
+                let (index, slots) = KeyIndex::build(keys);
+                let slot_of = |row: usize| slots[row] as usize; // CAST-OK: u32 widens losslessly into usize on supported targets
+                let csr = scatter(ctx, keys.len(), index.num_keys(), slot_of)?;
+                let index = Arc::new(index);
+                Layout::Hashed { index, csr }
+            }
+        };
+        Ok(JoinTable { layout })
+    }
+
+    /// The default ([`bqo_bitvector::FilterKind::Bitmap`]) bitvector filter
+    /// over `keys`, the keys this table was built from, as a view of the
+    /// table: a direct-addressed table already knows the bitmap's `min` and
+    /// span, a hashed table shares its key index.
+    pub fn filter(&self, keys: &[i64]) -> RangeBitmapFilter {
+        match &self.layout {
+            Layout::Unique { min, row_of } => RangeBitmapFilter::dense(*min, row_of.len(), keys),
+            Layout::Direct { min, csr } => RangeBitmapFilter::dense(*min, csr.num_slots(), keys),
+            Layout::Hashed { index, .. } => RangeBitmapFilter::Sparse(Arc::clone(index)),
+        }
+    }
+
+    /// The build rows carrying `key`, ascending; empty on a miss.
+    #[inline]
+    pub fn get(&self, key: i64) -> &[u32] {
+        match &self.layout {
+            Layout::Unique { min, row_of } => match direct_slot(*min, row_of.len(), key) {
+                Some(slot) if row_of[slot] != NO_ROW => std::slice::from_ref(&row_of[slot]),
+                _ => &[],
+            },
+            Layout::Direct { min, csr } => {
+                let slot = direct_slot(*min, csr.num_slots(), key);
+                slot.map_or(&[], |slot| csr.group(slot))
+            }
+            Layout::Hashed { index, csr } => index.slot(key).map_or(&[], |slot| csr.group(slot)),
+        }
+    }
+
+    /// Appends the matches of `keys` to the two match lists: for every key,
+    /// in order, each build row carrying it (ascending) paired with the
+    /// key's probe row id `first_row + position` — what calling
+    /// [`JoinTable::get`] per key produces, with the layout dispatch hoisted
+    /// out of the loop. The caller guarantees `first_row + keys.len()` fits
+    /// `u32` (see `row_id`).
+    pub(crate) fn probe(
+        &self,
+        keys: &[i64],
+        first_row: u32,
+        build_rows: &mut Vec<u32>,
+        probe_rows: &mut Vec<u32>,
+    ) {
+        let probe_rows_of = keys.iter().zip(first_row..);
+        match &self.layout {
+            Layout::Unique { min, row_of } => {
+                // At most one match per key: one load each, no reallocation.
+                build_rows.reserve(keys.len());
+                probe_rows.reserve(keys.len());
+                for (&key, probe_row) in probe_rows_of {
+                    let slot = direct_slot(*min, row_of.len(), key);
+                    let build_row = slot.map_or(NO_ROW, |slot| row_of[slot]);
+                    if build_row != NO_ROW {
+                        build_rows.push(build_row);
+                        probe_rows.push(probe_row);
+                    }
+                }
+            }
+            Layout::Direct { min, csr } => {
+                let limit = csr.num_slots();
+                let slots = probe_rows_of.map(|(&key, row)| (direct_slot(*min, limit, key), row));
+                csr.emit(slots, build_rows, probe_rows)
+            }
+            Layout::Hashed { index, csr } => {
+                let slots = probe_rows_of.map(|(&key, row)| (index.slot(key), row));
+                csr.emit(slots, build_rows, probe_rows)
             }
         }
     }
 
     /// Number of build rows in the table.
     pub fn num_rows(&self) -> usize {
-        self.rows.len()
+        match &self.layout {
+            Layout::Unique { row_of, .. } => row_of.iter().filter(|&&row| row != NO_ROW).count(),
+            Layout::Direct { csr, .. } | Layout::Hashed { csr, .. } => csr.rows.len(),
+        }
     }
 
     /// Whether slots are addressed directly by `key - min` (dense key span)
     /// rather than through the hashed index.
     pub fn is_direct(&self) -> bool {
-        matches!(self.index, SlotIndex::Direct { .. })
+        !matches!(self.layout, Layout::Hashed { .. })
+    }
+
+    /// Whether the table has the unique layout: every build key distinct, so
+    /// a probe key matches at most one build row.
+    pub fn is_unique(&self) -> bool {
+        matches!(self.layout, Layout::Unique { .. })
     }
 }
 
+/// The unique layout's `row_of` over `span` slots from `min`, filled in one
+/// pass, or `None` at the first duplicate key.
+fn unique_rows(min: i64, span: usize, keys: &[i64]) -> Option<Vec<u32>> {
+    let mut row_of = vec![NO_ROW; span];
+    // `row_id` proved keys.len() fits u32, so the counter never wraps.
+    for (&key, row) in keys.iter().zip(0u32..) {
+        let slot = &mut row_of[(key - min) as usize]; // CAST-OK: key - min in [0, span), and span fits usize
+        if *slot != NO_ROW {
+            return None;
+        }
+        *slot = row;
+    }
+    Some(row_of)
+}
+
 /// Count-then-scatter of `num_rows` rows into `num_slots` slots, where row
-/// `row` belongs to slot `slot_of(row)`: returns the CSR `(offsets, rows)`
-/// with each slot's rows ascending. One morsel per worker, each covering a
-/// contiguous slot range (see the module docs).
+/// `row` belongs to slot `slot_of(row)`: returns the CSR with each slot's
+/// rows ascending. One morsel per worker, each covering a contiguous slot
+/// range (see the module docs).
 fn scatter<F>(
     ctx: &ExecContext,
     num_rows: usize,
     num_slots: usize,
     slot_of: F,
-) -> Result<(Vec<u32>, Vec<u32>), StorageError>
+) -> Result<Csr, StorageError>
 where
     F: Fn(usize) -> usize + Sync,
 {
@@ -245,31 +309,46 @@ where
         }
         offsets.rotate_right(1);
         offsets[0] = 0;
-        (offsets, rows)
+        Csr { offsets, rows }
     })?;
 
     // Concatenate the per-range pieces, rebasing each piece's offsets on
     // the rows before it; a piece's leading 0 replaces its predecessor's
     // trailing total (the same number once rebased).
     let mut parts = parts.into_iter();
-    let (mut offsets, mut rows) = parts.next().unwrap_or_else(|| (vec![0], Vec::new()));
-    for (piece_offsets, piece_rows) in parts {
-        let base = rows.len() as u32; // CAST-OK: rows.len() <= num_rows, which `row_id` proved fits u32
-        offsets.pop();
-        offsets.extend(piece_offsets.iter().map(|offset| offset + base));
-        rows.extend(piece_rows);
+    let mut csr = parts.next().unwrap_or_else(|| Csr {
+        offsets: vec![0],
+        rows: Vec::new(),
+    });
+    for piece in parts {
+        let base = csr.rows.len() as u32; // CAST-OK: rows.len() <= num_rows, which `row_id` proved fits u32
+        csr.offsets.pop();
+        csr.offsets
+            .extend(piece.offsets.iter().map(|offset| offset + base));
+        csr.rows.extend(piece.rows);
     }
-    Ok((offsets, rows))
+    Ok(csr)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::ExecConfig;
+    use crate::executor::{ExecConfig, KernelMode};
+    use crate::kernels::join_probe;
     use crate::pool::WorkerPool;
+    use bqo_bitvector::BitvectorFilter;
+    use std::collections::HashMap;
 
     fn serial() -> ExecContext {
         ExecContext::new(ExecConfig::default())
+    }
+
+    /// A context building with `workers` workers and no inline gate.
+    fn with_workers(workers: usize) -> ExecContext {
+        let config = ExecConfig::default()
+            .with_num_threads(workers)
+            .with_parallel_threshold(1);
+        ExecContext::with_pool(config, Some(WorkerPool::new(workers - 1)))
     }
 
     /// `key -> ascending rows`, the slow way.
@@ -282,6 +361,16 @@ mod tests {
         assert_eq!(table.num_rows(), keys.len());
         for &key in keys.iter().chain(probes) {
             assert_eq!(table.get(key), reference(keys, key), "key {key}");
+        }
+    }
+
+    /// Every array of the table's layout, for layout-equality checks.
+    fn arrays(table: &JoinTable) -> Vec<&[u32]> {
+        match &table.layout {
+            Layout::Unique { row_of, .. } => vec![row_of],
+            Layout::Direct { csr, .. } | Layout::Hashed { csr, .. } => {
+                vec![&csr.offsets, &csr.rows]
+            }
         }
     }
 
@@ -310,7 +399,7 @@ mod tests {
     fn dense_keys_are_addressed_directly() {
         let keys = [7, 3, 7, 5, 3, 7, -2];
         let table = JoinTable::build(&serial(), &keys).unwrap();
-        assert!(table.is_direct());
+        assert!(table.is_direct() && !table.is_unique());
         assert_matches_reference(&table, &keys, &[-3, 4, 8, i64::MIN, i64::MAX]);
         assert_eq!(table.get(7), &[0, 2, 5]);
     }
@@ -341,22 +430,116 @@ mod tests {
         table.probe(&[6, 9, 5, 5], 10, &mut build, &mut probe);
         assert_eq!(build, vec![1, 0, 2, 0, 2]);
         assert_eq!(probe, vec![10, 12, 12, 13, 13]);
+
+        let unique = JoinTable::build(&serial(), &[5, 6, 4]).unwrap();
+        let (mut build, mut probe) = (Vec::new(), Vec::new());
+        unique.probe(&[6, 9, 5, 3, 4], 10, &mut build, &mut probe);
+        assert_eq!(build, vec![1, 0, 2]);
+        assert_eq!(probe, vec![10, 12, 14]);
     }
 
     #[test]
     fn worker_count_does_not_change_the_table() {
         let dense: Vec<i64> = (0..5000).map(|i| (i * 7919) % 613).collect();
         let sparse: Vec<i64> = dense.iter().map(|k| k * 1_000_003_i64.pow(2)).collect();
-        for keys in [dense, sparse] {
+        let unique: Vec<i64> = (0..5000).map(|i| (i * 7919) % 5003).collect();
+        for keys in [dense, sparse, unique] {
             let expected = JoinTable::build(&serial(), &keys).unwrap();
             for workers in [2usize, 4, 8] {
-                let config = ExecConfig::default()
-                    .with_num_threads(workers)
-                    .with_parallel_threshold(1);
-                let ctx = ExecContext::with_pool(config, Some(WorkerPool::new(3)));
-                let table = JoinTable::build(&ctx, &keys).unwrap();
-                assert_eq!(table.offsets, expected.offsets, "{workers} workers");
-                assert_eq!(table.rows, expected.rows, "{workers} workers");
+                let table = JoinTable::build(&with_workers(workers), &keys).unwrap();
+                assert_eq!(table.is_unique(), expected.is_unique());
+                assert_eq!(arrays(&table), arrays(&expected), "{workers} workers");
+            }
+        }
+    }
+
+    /// The name of the table's layout.
+    fn layout_of(table: &JoinTable) -> &'static str {
+        match table.layout {
+            Layout::Unique { .. } => "unique",
+            Layout::Direct { .. } => "direct",
+            Layout::Hashed { .. } => "hashed",
+        }
+    }
+
+    /// The key multisets of the layout property: unique dense, a duplicate
+    /// first / in the middle / last, just-sparse (span = 64 × keys + 1),
+    /// the extremes of `i64`, and empty — each with the layout it must take.
+    fn layout_cases() -> Vec<(&'static str, Vec<i64>, &'static str)> {
+        let distinct: Vec<i64> = (0..200).map(|i| (i * 37) % 211 - 50).collect();
+        let with_duplicate_at = |at: usize| {
+            let mut keys = distinct.clone();
+            keys[at] = keys[(at + 100) % keys.len()];
+            keys
+        };
+        let just_sparse: Vec<i64> = (0..50).chain([51 * 64]).collect();
+        vec![
+            ("unique dense", distinct.clone(), "unique"),
+            ("duplicate first", with_duplicate_at(0), "direct"),
+            ("duplicate middle", with_duplicate_at(100), "direct"),
+            ("duplicate last", with_duplicate_at(199), "direct"),
+            ("just sparse", just_sparse, "hashed"),
+            (
+                "i64 extremes",
+                vec![i64::MIN, i64::MAX, 0, -1, i64::MIN],
+                "hashed",
+            ),
+            (
+                "dense at i64::MAX",
+                vec![i64::MAX, i64::MAX - 2, i64::MAX - 1],
+                "unique",
+            ),
+            ("dense at i64::MIN", vec![i64::MIN + 1, i64::MIN], "unique"),
+            ("empty", Vec::new(), "unique"),
+        ]
+    }
+
+    /// `get`, the vectorized `probe`, the scalar `join_probe` loop and
+    /// `filter()` against a `HashMap<i64, Vec<u32>>` reference, for every
+    /// layout case at 1, 2, 4 and 8 build workers; unique dense keys take
+    /// the unique layout and any duplicate takes a CSR.
+    #[test]
+    fn every_layout_matches_a_hash_map_reference() {
+        for (name, keys, layout) in layout_cases() {
+            let mut expected: HashMap<i64, Vec<u32>> = HashMap::new();
+            for (row, &key) in keys.iter().enumerate() {
+                expected.entry(key).or_default().push(row as u32);
+            }
+            let mut probes: Vec<i64> = (-80..180).collect();
+            probes.extend([i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX]);
+            probes.extend(
+                keys.iter()
+                    .flat_map(|&k| [k.wrapping_sub(1), k, k.wrapping_add(1)]),
+            );
+            let matches = |key: &i64| expected.get(key).map_or(&[][..], |rows| &rows[..]);
+            let (mut want_build, mut want_probe) = (Vec::new(), Vec::new());
+            for (&key, probe_row) in probes.iter().zip(0u32..) {
+                want_build.extend_from_slice(matches(&key));
+                want_probe.extend(matches(&key).iter().map(|_| probe_row));
+            }
+            let want = (want_build, want_probe);
+            for workers in [1usize, 2, 4, 8] {
+                let cell = format!("{name}, {workers} worker(s)");
+                let table = JoinTable::build(&with_workers(workers), &keys).unwrap();
+                assert_eq!(layout_of(&table), layout, "{cell}");
+                assert_eq!(table.num_rows(), keys.len(), "{cell}");
+                for key in &probes {
+                    assert_eq!(table.get(*key), matches(key), "{cell}: key {key}");
+                }
+                let (mut build, mut probe) = (Vec::new(), Vec::new());
+                table.probe(&probes, 0, &mut build, &mut probe);
+                assert_eq!((build, probe), want, "{cell}: probe");
+                let all = 0..probes.len();
+                for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                    let config = ExecConfig::default().with_kernel_mode(mode);
+                    let got = join_probe(&config, &table, &probes, all.clone());
+                    assert_eq!(got, want, "{cell}: {mode:?} join_probe");
+                }
+                let filter = table.filter(&keys);
+                for key in &probes {
+                    let member = expected.contains_key(key);
+                    assert_eq!(filter.maybe_contains(*key), member, "{cell}: filter {key}");
+                }
             }
         }
     }

@@ -13,7 +13,10 @@
 //!   column-at-a-time ([`crate::batch::gather_keys`]), probes them 64 keys
 //!   per survivor word ([`BitvectorFilter::probe_words`]), compacts the
 //!   survivors in place from the word masks, and probes the join table a
-//!   morsel at a time (`JoinTable::probe`).
+//!   morsel at a time (`JoinTable::probe`). A predicate-free scan's first
+//!   filter over one `Int64` key column skips the candidate list: it probes
+//!   the morsel's contiguous key slice and reads the survivors off the word
+//!   mask.
 //!
 //! Both shapes run over the same row-id [`Batch`]es and the same
 //! [`JoinTable`] and produce identical surviving rows **in the same order**
@@ -56,14 +59,21 @@ pub fn scan_morsel(
     filters: &[ScanFilter<'_>],
     stats: &mut [FilterStats],
 ) -> Vec<usize> {
-    // A scan without local predicates (every fact-table scan) starts from
-    // the row range itself: no mask is built, no row is tested.
     let (start, end) = (rows.start, rows.end);
     let mut masks = predicates
         .iter()
         .map(|&(predicate, column)| predicate.evaluate_range(&columns[column], start, end));
+    // Slots whose source join published nothing are skipped.
+    let mut filters = filters
+        .iter()
+        .zip(stats)
+        .filter_map(|(&(filter, key_columns), stats)| {
+            let filter = filter?;
+            let key_columns: Vec<&Column> = key_columns.iter().map(|&i| &*columns[i]).collect();
+            Some((filter, key_columns, stats))
+        });
+    let mut scratch = ProbeScratch::default();
     let mut survivors: Vec<usize> = match masks.next() {
-        None => rows.collect(),
         Some(mut mask) => {
             for passes in masks {
                 mask.iter_mut().zip(passes).for_each(|(acc, p)| *acc &= p);
@@ -71,28 +81,75 @@ pub fn scan_morsel(
             let kept = rows.zip(mask).filter_map(|(r, keep)| keep.then_some(r));
             kept.collect()
         }
+        // A scan without local predicates (every fact-table scan) starts from
+        // the row range itself: no mask is built, and its first filter probes
+        // the range without listing it.
+        None => match filters.next() {
+            Some((filter, key_columns, stats)) => {
+                probe_range(config, filter, &key_columns, rows, stats, &mut scratch)
+            }
+            None => rows.collect(),
+        },
     };
-
-    let mut scratch = ProbeScratch::default();
-    for (&(filter, key_columns), slot_stats) in filters.iter().zip(stats) {
-        let Some(filter) = filter else {
-            continue;
-        };
-        let key_columns: Vec<&Column> = key_columns.iter().map(|&i| &*columns[i]).collect();
-        match config.kernel_mode {
-            KernelMode::Scalar => retain_scalar(filter, &key_columns, &mut survivors, slot_stats),
-            // Gather keys column-at-a-time, probe 64 rows per survivor
-            // word, compact in place.
-            KernelMode::Vectorized => probe_retain(
-                filter,
-                &key_columns,
-                &mut survivors,
-                slot_stats,
-                &mut scratch,
-            ),
-        }
+    for (filter, key_columns, stats) in filters {
+        retain(
+            config,
+            filter,
+            &key_columns,
+            &mut survivors,
+            stats,
+            &mut scratch,
+        );
     }
     survivors
+}
+
+/// Keeps the `rows` (physical indices into `columns`) whose key passes
+/// `filter`, in order, counting every candidate as probed — one
+/// `maybe_contains` per row, or gathered keys probed 64 rows per survivor
+/// word and compacted in place.
+fn retain(
+    config: &ExecConfig,
+    filter: &AnyFilter,
+    columns: &[&Column],
+    rows: &mut Vec<usize>,
+    stats: &mut FilterStats,
+    scratch: &mut ProbeScratch,
+) {
+    match config.kernel_mode {
+        KernelMode::Scalar => retain_scalar(filter, columns, rows, stats),
+        KernelMode::Vectorized => probe_retain(filter, columns, rows, stats, scratch),
+    }
+}
+
+/// [`retain`] over every row of `rows`, without listing them first when it
+/// can: one `Int64` key column is probed straight from its contiguous
+/// values, and the survivors are read off the word mask.
+fn probe_range(
+    config: &ExecConfig,
+    filter: &AnyFilter,
+    columns: &[&Column],
+    rows: Range<usize>,
+    stats: &mut FilterStats,
+    scratch: &mut ProbeScratch,
+) -> Vec<usize> {
+    match (config.kernel_mode, columns) {
+        (KernelMode::Vectorized, [Column::Int64(values)]) if rows.len() >= VECTOR_MIN_ROWS => {
+            let (start, probed) = (rows.start, rows.len());
+            filter.probe_words(&values[rows], &mut scratch.words);
+            let kept: usize = scratch.words.iter().map(|w| w.count_ones() as usize).sum(); // CAST-OK: popcount <= 64 fits usize
+            let mut survivors = Vec::with_capacity(kept);
+            for_each_set_bit(&scratch.words, |i| survivors.push(start + i));
+            stats.probed += probed as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
+            stats.eliminated += (probed - survivors.len()) as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
+            survivors
+        }
+        _ => {
+            let mut survivors = rows.collect();
+            retain(config, filter, columns, &mut survivors, stats, scratch);
+            survivors
+        }
+    }
 }
 
 /// The batch a scan emits for the physical `rows` of `columns`: zero-copy,
@@ -232,20 +289,8 @@ pub fn probe_retain<F: BitvectorFilter + ?Sized>(
     if before < VECTOR_MIN_ROWS {
         return retain_scalar(filter, columns, rows, stats);
     }
-    // Contiguous candidates over one integer key column — the first filter
-    // of every predicate-free scan — are probed straight from the column.
-    let keys = match (columns, rows.as_slice()) {
-        ([Column::Int64(values)], [first, .., last])
-            if rows.windows(2).all(|pair| pair[0] + 1 == pair[1]) =>
-        {
-            &values[*first..=*last]
-        }
-        _ => {
-            gather_keys(columns, rows, &mut scratch.keys);
-            &scratch.keys[..]
-        }
-    };
-    filter.probe_words(keys, &mut scratch.words);
+    gather_keys(columns, rows, &mut scratch.keys);
+    filter.probe_words(&scratch.keys, &mut scratch.words);
     let kept = compact_by_mask(rows, &scratch.words);
     stats.probed += before as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
     stats.eliminated += (before - kept) as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
@@ -312,10 +357,9 @@ mod tests {
         let col = Column::Int64(values);
         let cols = [&col];
         let filter = AnyFilter::from_keys(FilterKind::Bitmap, &(0..50).collect::<Vec<i64>>());
-        // Lengths straddling the word-size and gate boundaries.
-        // Contiguous candidates (probed straight from the column), the same
-        // range off the column's start, and lists a length test alone would
-        // mistake for a range (a duplicate, a gap; gathered).
+        // Lengths straddling the word-size and gate boundaries: contiguous
+        // candidates, the same range off the column's start, and lists with
+        // a duplicate and a gap.
         let shapes = [0usize, 1, 15, 16, 63, 64, 65, 128, 500]
             .into_iter()
             .flat_map(|len| {
@@ -349,7 +393,9 @@ mod tests {
         let filter = AnyFilter::from_keys(FilterKind::Bitmap, &[1, 4]);
         let filters: [ScanFilter<'_>; 2] = [(Some(&filter), &[0]), (None, &[0])];
         let predicate = ColumnPredicate::new("v", bqo_plan::CompareOp::Ge, 0i64);
-        for rows in [0..0, 7..8, 40..300] {
+        // Ranges on both sides of VECTOR_MIN_ROWS, word-aligned and ragged,
+        // starting on and off a word boundary.
+        for rows in [0..0, 7..8, 5..20, 3..67, 64..128, 1..300, 40..300] {
             let mut expected = None;
             for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
                 let config = ExecConfig::default().with_kernel_mode(mode);

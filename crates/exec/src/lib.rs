@@ -24,7 +24,12 @@
 //! * **late materialization** (see [`batch`]): [`Batch`]es carry one `u32`
 //!   row-id vector per source relation over shared columns, the root join's
 //!   included; values are gathered once, by [`Batch::concat`], when rows are
-//!   collected — a run that only counts copies nothing,
+//!   collected — a run that only counts copies nothing, and an exact
+//!   single-`Int64` join key is gathered once for both of its columns,
+//! * **PK–FK joins at lookup cost**: a dense distinct build key gets the
+//!   unique [`JoinTable`] layout (one load per probe key), and a probe batch
+//!   it matches row for row passes its row ids into the join output as they
+//!   are,
 //! * **vectorized probe kernels** (see [`kernels`]): bitvector membership
 //!   is probed 64 rows per survivor word and composite join keys are
 //!   hashed column-at-a-time — with the

@@ -47,7 +47,7 @@ use crate::morsel::{chunk_morsels, morsels, Morsel};
 use crate::pipeline::ExecContext;
 use bqo_bitvector::{AnyFilter, BitvectorFilter, FilterKind, FilterStats};
 use bqo_plan::{BitvectorPlacement, ColumnPredicate, ColumnRef, NodeId, RelId, RelationInfo};
-use bqo_storage::{ChunkSource, Column, StorageError, Value};
+use bqo_storage::{ChunkSource, Column, DataType, StorageError, Value};
 use std::sync::Arc;
 
 /// A pull-based physical operator producing batches of rows.
@@ -416,8 +416,11 @@ impl PhysicalOperator for ScanOp<'_> {
 /// a view of that table ([`JoinTable::filter`]) — after the table is built,
 /// so a failed or cancelled build publishes nothing, and before the probe
 /// side opens. The probe side is streamed batch by batch, each output batch
-/// pairing build and probe row ids (`Batch::join`). Residual bitvector
-/// filters targeted at this join's output refine each output batch's row ids.
+/// pairing build and probe row ids (`Batch::join`): a unique-key table that
+/// matched every probe row is an identity probe, and the output adopts the
+/// probe batch's row ids; an exact single-`Int64` key is recorded as an
+/// equality pair, so the answer gathers it once. Residual bitvector filters
+/// targeted at this join's output refine each output batch's row ids.
 pub struct HashJoinOp<'p> {
     node: NodeId,
     build: Box<dyn PhysicalOperator + 'p>,
@@ -433,6 +436,9 @@ pub struct HashJoinOp<'p> {
     /// The build side's schema then the probe side's, learned from the first
     /// probe batch and stamped on every output batch.
     schema: Option<Arc<[ColumnRef]>>,
+    /// The output's two key columns, when matching on the key is exact (see
+    /// `exact_key`); learned with `schema`.
+    equal_key: Option<(usize, usize)>,
     table: JoinTable,
     emitted_any: bool,
     build_rows: u64,
@@ -472,6 +478,7 @@ impl<'p> HashJoinOp<'p> {
             residual_placements,
             build_batch: Batch::empty(),
             schema: None,
+            equal_key: None,
             table: JoinTable::default(),
             emitted_any: false,
             build_rows: 0,
@@ -480,6 +487,24 @@ impl<'p> HashJoinOp<'p> {
             residual_rows,
         }
     }
+}
+
+/// The join output's two key columns when the join matches on their values
+/// exactly — one key column per side, both `Int64`, so the collapsed key is
+/// the raw value on both sides — and `None` for every key shape that matches
+/// on a digest (see [`crate::batch`]).
+fn exact_key(
+    build: &Batch,
+    probe: &Batch,
+    build_cols: &[ColumnRef],
+    probe_cols: &[ColumnRef],
+) -> Option<(usize, usize)> {
+    let ([build_col], [probe_col]) = (build_cols, probe_cols) else {
+        return None;
+    };
+    let (b, p) = (build.index_of(build_col)?, probe.index_of(probe_col)?);
+    let int64 = |batch: &Batch, i: usize| batch.columns()[i].data_type() == DataType::Int64;
+    (int64(build, b) && int64(probe, p)).then_some((b, build.num_columns() + p))
 }
 
 impl PhysicalOperator for HashJoinOp<'_> {
@@ -540,12 +565,21 @@ impl PhysicalOperator for HashJoinOp<'_> {
                 probe_rows.extend(p);
             }
 
-            let build = &self.build_batch;
+            let (build, equal_key) = (&self.build_batch, &mut self.equal_key);
+            let keys = (&self.build_key_cols, &self.probe_key_cols);
             let schema = self.schema.get_or_insert_with(|| {
+                *equal_key = exact_key(build, &probe_batch, keys.0, keys.1);
                 let columns = build.schema().iter().chain(probe_batch.schema());
                 columns.cloned().collect()
             });
-            let mut output = Batch::join(schema, build, &build_rows, &probe_batch, &probe_rows);
+            // A unique table pairs each probe row with at most one build
+            // row, so as many matches as probe rows is every row, in order.
+            let identity = self.table.is_unique() && build_rows.len() == probe_keys.len();
+            let probe_rows = (!identity).then_some(&probe_rows[..]);
+            let mut output = Batch::join(schema, build, &build_rows, probe_batch, probe_rows);
+            if let Some((build_key, probe_key)) = self.equal_key {
+                output = output.with_equal_columns(build_key, probe_key);
+            }
             self.join_output_rows += output.num_rows() as u64;
 
             // Residual bitvector filters targeted at this join's output,

@@ -11,9 +11,10 @@
 pub mod mini;
 pub mod slt;
 
+use bqo_format::FormatError;
 use bqo_plan::{JoinEdge, JoinGraph, RelationInfo};
 use bqo_storage::{ChunkSource, Column, Schema, StorageError, Table, TableStats, Value};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Worker-thread count requested for this test run via the
@@ -34,12 +35,15 @@ pub fn env_threads() -> usize {
 /// min/max. Registered through `Catalog::register_source`, it stands in for
 /// a file in the storage properties and, with a delay, makes the serving
 /// tests' slow query: a scan then takes a known time per chunk, and a
-/// cancel lands between chunks.
+/// cancel lands between chunks. [`Rechunked::fail_next_read`] injects a
+/// transient I/O fault into one chunk.
 #[derive(Debug)]
 pub struct Rechunked {
     table: Arc<Table>,
     chunk_rows: usize,
     delay: Duration,
+    /// The chunk whose next read fails, if a fault is armed.
+    fault: Mutex<Option<usize>>,
 }
 
 impl Rechunked {
@@ -49,6 +53,7 @@ impl Rechunked {
             table,
             chunk_rows,
             delay: Duration::ZERO,
+            fault: Mutex::new(None),
         }
     }
 
@@ -56,6 +61,13 @@ impl Rechunked {
     pub fn with_delay(mut self, delay: Duration) -> Self {
         self.delay = delay;
         self
+    }
+
+    /// Arms a one-shot fault: the next `read_chunk(chunk)` fails with the
+    /// error a file's failed read maps to (`StorageError::Format` carrying
+    /// an I/O error), and every later read succeeds again.
+    pub fn fail_next_read(&self, chunk: usize) {
+        *self.fault.lock().expect("fault slot poisoned") = Some(chunk);
     }
 }
 
@@ -90,6 +102,15 @@ impl ChunkSource for Rechunked {
     fn read_chunk(&self, chunk: usize) -> Result<Vec<Arc<Column>>, StorageError> {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
+        }
+        {
+            let mut fault = self.fault.lock().expect("fault slot poisoned");
+            if *fault == Some(chunk) {
+                *fault = None;
+                let source = std::io::Error::other(format!("injected fault in chunk {chunk}"));
+                let path = self.name().into();
+                return Err(FormatError::Io { path, source }.into());
+            }
         }
         let (start, end) = self.chunk_range(chunk);
         let rows: Vec<usize> = (start..end).collect();

@@ -17,7 +17,11 @@
 //! × two batch sizes, and every cell must give the reference rows **in
 //! order**, the oracle cell's batch boundaries and counters, and root batches
 //! that copied nothing: row ids over the sources' own columns (for memory
-//! backing, the catalog's very `Arc`s), read through `Batch::concat`.
+//! backing, the catalog's very `Arc`s), read through `Batch::concat`. The
+//! collected answer gathers each join's key once where the match is exact —
+//! one `Int64` key column per side, so FK and PK columns share one `Arc` —
+//! and shares nothing for composite, `Utf8` or mixed `Int64`↔`Float64`
+//! keys, which match on digests.
 //!
 //! The last test is the engine-level regression for the composite-key abort
 //! (`RangeBitmapFilter::from_keys` span overflow).
@@ -172,6 +176,65 @@ fn reference(s: &Scenario, tree: &JoinTree) -> (Vec<ColumnRef>, Vec<Vec<Value>>)
     }
 }
 
+/// For every column of `tree`'s output, the lowest column it must share its
+/// `Arc` with in a collected answer (itself when none): a join on one
+/// `Int64` column per side records its key columns as equal, so the gather
+/// copies them once; every other key shape (composite, `Utf8`, mixed types)
+/// matches on a digest and shares nothing.
+fn shared_columns(s: &Scenario, tree: &JoinTree, schema: &[ColumnRef]) -> Vec<usize> {
+    let mut class: Vec<usize> = (0..schema.len()).collect();
+    let mut joins = vec![tree];
+    while let Some(node) = joins.pop() {
+        let JoinTree::Join { build, probe } = node else {
+            continue;
+        };
+        joins.extend([&**build, &**probe]);
+        let (build_set, probe_set) = (build.relation_set(), probe.relation_set());
+        let [edge] = &s.graph.edges_across(build_set, probe_set)[..] else {
+            continue;
+        };
+        let column = |relation: RelId| {
+            let name = edge.column_of(relation);
+            let table = &s.tables[relation.0];
+            let is_int = table.column(name).expect("key column").as_i64().is_some();
+            let at = schema
+                .iter()
+                .position(|c| *c == ColumnRef::new(relation, name));
+            (is_int, at.expect("key column in the output"))
+        };
+        let ((left_int, a), (right_int, b)) = (column(edge.left), column(edge.right));
+        if left_int && right_int {
+            let (keep, merge) = (class[a].min(class[b]), class[a].max(class[b]));
+            class
+                .iter_mut()
+                .filter(|c| **c == merge)
+                .for_each(|c| *c = keep);
+        }
+    }
+    class
+}
+
+/// How many of `s`'s output columns share their `Arc` with an earlier one.
+fn shared_count(s: &Scenario) -> usize {
+    let (schema, _) = reference(s, &s.tree);
+    let shared = shared_columns(s, &s.tree, &schema);
+    shared.iter().enumerate().filter(|&(i, &c)| c < i).count()
+}
+
+/// `answer`'s columns share an `Arc` exactly where `shared` says.
+fn assert_shares(answer: &Batch, shared: &[usize], cell: &str) {
+    let columns = answer.columns();
+    for i in 0..columns.len() {
+        for j in i + 1..columns.len() {
+            assert_eq!(
+                Arc::ptr_eq(&columns[i], &columns[j]),
+                shared[i] == shared[j],
+                "{cell}: columns {i} and {j} of the collected answer"
+            );
+        }
+    }
+}
+
 /// What one execution exposes: the root's batches as emitted, and counters.
 struct Run {
     batches: Vec<Batch>,
@@ -225,6 +288,7 @@ fn assert_matches_reference(s: &Scenario) -> usize {
             Arc::clone(&table.columns()[index])
         })
         .collect();
+    let shared = shared_columns(s, &s.tree, &schema);
     let bare = PhysicalPlan::from_join_tree(&s.graph, &s.tree);
     let filtered = push_down_bitvectors(&s.graph, bare.clone());
     let mut threads = vec![1, 4];
@@ -274,11 +338,11 @@ fn assert_matches_reference(s: &Scenario) -> usize {
                         // Rows, in order, through the root batches as emitted.
                         let rows: Vec<_> = got.batches.iter().flat_map(rows_of).collect();
                         assert_eq!(rows, expected, "{cell}: rows");
-                        assert_eq!(
-                            rows_of(&Batch::concat(got.batches.clone())),
-                            expected,
-                            "{cell}: concatenated rows"
-                        );
+                        // The collected answer: rows in order, and each
+                        // exact key's two columns gathered once, shared.
+                        let answer = Batch::concat(got.batches.clone());
+                        assert_eq!(rows_of(&answer), expected, "{cell}: concatenated rows");
+                        assert_shares(&answer, &shared, &cell);
 
                         // Batch boundaries and every counter, against the
                         // serial scalar in-memory cell.
@@ -483,12 +547,14 @@ fn composite_key() {
             ("amount", (0..50).collect()),
         ],
     );
-    let rows = assert_matches_reference(&Scenario::new(
+    let s = Scenario::new(
         "composite",
         vec![(dims, none()), (facts, none())],
         &[(1, "a", 0, "a"), (1, "b", 0, "b")],
         JoinTree::join(leaf(0), leaf(1)),
-    ));
+    );
+    assert_eq!(shared_count(&s), 0, "a composite key matches on a digest");
+    let rows = assert_matches_reference(&s);
     assert!(rows > 0, "{rows} reference rows");
 }
 
@@ -505,13 +571,40 @@ fn utf8_key() {
         .with_i64("day", (0..35).collect())
         .build()
         .expect("visits");
-    let rows = assert_matches_reference(&Scenario::new(
+    let s = Scenario::new(
         "utf8",
         vec![(cities, none()), (visits, none())],
         &[(1, "city", 0, "name")],
         JoinTree::join(leaf(0), leaf(1)),
-    ));
+    );
+    assert_eq!(shared_count(&s), 0, "a Utf8 key matches on a digest");
+    let rows = assert_matches_reference(&s);
     assert!(rows > 0, "{rows} reference rows");
+}
+
+/// An `Int64` build key against a `Float64` probe key matches on a digest
+/// (the float's bit pattern), never on the value: the join records no
+/// equality, so the collected answer shares no column. No float here has
+/// the bit pattern of a build key, so nothing matches.
+#[test]
+fn int_key_against_float_key() {
+    let build = int_table(
+        "ints",
+        &[("k", (0..20).collect()), ("w", (0..20).collect())],
+    );
+    let probe = TableBuilder::new("floats")
+        .with_f64("k", (0..30).map(|i| f64::from(i) + 0.5).collect())
+        .with_i64("tag", (0..30).collect())
+        .build()
+        .expect("floats");
+    let s = Scenario::new(
+        "int-float",
+        vec![(build, none()), (probe, none())],
+        &[(1, "k", 0, "k")],
+        JoinTree::join(leaf(0), leaf(1)),
+    );
+    assert_eq!(shared_count(&s), 0, "mixed key types match on a digest");
+    assert_eq!(assert_matches_reference(&s), 0);
 }
 
 #[test]
@@ -593,7 +686,7 @@ fn four_join_levels() {
         (0, "d3_sk", 4, "sk"),
     ];
     let tree = (1..=4).fold(leaf(0), |probe, d| JoinTree::join(leaf(d), probe));
-    let rows = assert_matches_reference(&Scenario::new(
+    let s = Scenario::new(
         "four-levels",
         vec![
             (fact, none()),
@@ -610,7 +703,10 @@ fn four_join_levels() {
         ],
         &edges,
         tree,
-    ));
+    );
+    // A single-`Int64`-key star: each FK column shares its PK's `Arc`.
+    assert_eq!(shared_count(&s), 4);
+    let rows = assert_matches_reference(&s);
     assert!(rows > 0, "{rows} reference rows");
 }
 

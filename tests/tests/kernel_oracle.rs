@@ -16,8 +16,12 @@
 //!   `Batch::key_values`,
 //! * selection-vector filtering (`Batch::filter_select` + `into_dense`)
 //!   against the dense `Batch::filter`,
-//! * the one gather (`Batch::concat` over multi-source row-id batches)
-//!   against densifying each batch and appending cell by cell, and
+//! * the one gather (`Batch::concat` over multi-source row-id batches, with
+//!   and without equality pairs) against densifying each batch and
+//!   appending cell by cell,
+//! * the join table's three layouts (unique, direct and hashed): `get`,
+//!   the vectorized and scalar probes and the filter view against a
+//!   `HashMap` reference at 1, 2, 4 and 8 build workers, and
 //! * the executor-facing retain/mask kernels (`probe_retain`,
 //!   `probe_mask_range`) against the scalar retain/map loops, including
 //!   their `FilterStats` accounting,
@@ -32,7 +36,7 @@
 use bqo_core::bitvector::hash::{combine_key, fold_parts};
 use bqo_core::bitvector::{AnyFilter, BitvectorFilter, FilterKind, FilterStats};
 use bqo_core::exec::batch::{gather_keys, row_key};
-use bqo_core::exec::kernels::{probe_mask_range, probe_retain, ProbeScratch};
+use bqo_core::exec::kernels::{join_probe, probe_mask_range, probe_retain, ProbeScratch};
 use bqo_core::exec::{Batch, ExecConfig, ExecContext, JoinTable, KernelMode, WorkerPool};
 use bqo_core::storage::generator::DataGenerator;
 use bqo_core::storage::{Catalog, Column, Value};
@@ -329,31 +333,46 @@ proptest! {
     /// `Batch::concat` is the pipeline's one gather: over random
     /// two-relation row-id batches — empty ones, duplicated and reordered
     /// row ids, a filtered one, a dense one mixed in, batches over
-    /// *different* column `Arc`s — it equals densifying each part and
-    /// appending cell by cell, and every output column holds exactly the
-    /// summed logical rows.
+    /// *different* column `Arc`s, some recording equality pairs — it equals
+    /// densifying each part and appending cell by cell, every output column
+    /// holds exactly the summed logical rows, and two output columns share
+    /// one `Arc` exactly when every part records them as equal.
     #[test]
     fn concat_matches_densify_and_append(
         parts in prop::collection::vec(
-            (0u8..4, prop::collection::vec((0u32..6, 0u32..4, 0u8..2), 0..24)),
+            (0u8..8, prop::collection::vec((0u32..6, 0u32..4, 0u8..2), 0..24)),
             0..7,
         ),
     ) {
         // Two relations, in two separately allocated (and differently
-        // valued) copies.
+        // valued) copies. Each relation's third column is a separately
+        // allocated copy of its first; parts of kind 4 and up record the
+        // pair.
         let side = |salt: i64| {
+            let keys: Vec<i64> = (0..6).map(|i| i * 10 + salt).collect();
             let left = Batch::new(
-                vec![ColumnRef::new(RelId(0), "k"), ColumnRef::new(RelId(0), "name")],
                 vec![
-                    Column::Int64((0..6).map(|i| i * 10 + salt).collect()),
+                    ColumnRef::new(RelId(0), "k"),
+                    ColumnRef::new(RelId(0), "name"),
+                    ColumnRef::new(RelId(0), "k2"),
+                ],
+                vec![
+                    Column::Int64(keys.clone()),
                     Column::Utf8((0..6).map(|i| format!("n{i}-{salt}")).collect()),
+                    Column::Int64(keys),
                 ],
             );
+            let xs: Vec<f64> = (0..4).map(|i| i as f64 * 0.5 - salt as f64).collect();
             let right = Batch::new(
-                vec![ColumnRef::new(RelId(1), "x"), ColumnRef::new(RelId(1), "b")],
                 vec![
-                    Column::Float64((0..4).map(|i| i as f64 * 0.5 - salt as f64).collect()),
+                    ColumnRef::new(RelId(1), "x"),
+                    ColumnRef::new(RelId(1), "b"),
+                    ColumnRef::new(RelId(1), "x2"),
+                ],
+                vec![
+                    Column::Float64(xs.clone()),
                     Column::Bool((0..4).map(|i| (i + salt) % 2 == 0).collect()),
+                    Column::Float64(xs),
                 ],
             );
             (left, right)
@@ -366,11 +385,15 @@ proptest! {
         let batches: Vec<Batch> = parts
             .iter()
             .map(|(kind, pairs)| {
-                let (left, right) = &sides[usize::from(kind % 2)];
+                let (mut left, mut right) = sides[usize::from(kind % 2)].clone();
+                if *kind >= 4 {
+                    left = left.with_equal_columns(0, 2);
+                    right = right.with_equal_columns(0, 2);
+                }
                 let build: Vec<u32> = pairs.iter().map(|p| p.0).collect();
                 let probe: Vec<u32> = pairs.iter().map(|p| p.1).collect();
-                let joined = Batch::join(&schema, left, &build, right, &probe);
-                match kind {
+                let joined = Batch::join(&schema, &left, &build, right, Some(&probe));
+                match kind % 4 {
                     // A residual filter refined every relation's row ids.
                     2 => {
                         let mask: Vec<bool> = pairs.iter().map(|p| p.2 == 1).collect();
@@ -385,8 +408,11 @@ proptest! {
 
         let total: usize = batches.iter().map(Batch::num_rows).sum();
         let mut expected: Vec<Vec<Value>> = vec![Vec::new(); schema.len()];
-        for batch in &batches {
+        for (batch, (kind, _)) in batches.iter().zip(&parts) {
             let dense = batch.clone().into_dense();
+            let columns = dense.columns();
+            prop_assert_eq!(Arc::ptr_eq(&columns[0], &columns[2]), *kind >= 4);
+            prop_assert_eq!(Arc::ptr_eq(&columns[3], &columns[5]), *kind >= 4);
             for (cells, column) in expected.iter_mut().zip(dense.columns()) {
                 cells.extend((0..dense.num_rows()).map(|row| column.value(row)));
             }
@@ -403,10 +429,84 @@ proptest! {
                 let got: Vec<Value> = (0..total).map(|row| column.value(row)).collect();
                 prop_assert_eq!(&got, cells);
             }
+            // `k`/`k2` and `x`/`x2` (columns 0/2 and 3/5) are gathered once
+            // when every part records them; nothing else is ever shared.
+            let paired = parts.iter().all(|(kind, _)| *kind >= 4);
+            let columns = gathered.columns();
+            for i in 0..columns.len() {
+                for j in i + 1..columns.len() {
+                    let share = paired && matches!((i, j), (0, 2) | (3, 5));
+                    prop_assert_eq!(Arc::ptr_eq(&columns[i], &columns[j]), share);
+                }
+            }
         }
         // One batch is the degenerate case callers read root batches by.
         if let Some(first) = batches.first() {
             prop_assert_eq!(&Batch::concat(vec![first.clone()]), first);
+        }
+    }
+
+    /// Every join-table layout against a `HashMap<i64, Vec<u32>>`: random
+    /// distinct dense keys (the unique layout), the same with one duplicate
+    /// planted anywhere (a direct CSR), and spread keys (hashed), built at
+    /// 1, 2, 4 or 8 workers — `get`, the vectorized and scalar `join_probe`
+    /// and the filter view all agree with the reference.
+    #[test]
+    fn join_table_layouts_match_a_hash_map(
+        order in prop::collection::vec(0u32..1000, 0..120),
+        gaps in 0i64..3,
+        duplicate in 0usize..2,
+        from in 0usize..120,
+        to in 0usize..120,
+        spread in 0usize..2,
+        workers in 0usize..4,
+        probes in prop::collection::vec(-20i64..400, 0..200),
+    ) {
+        // Distinct keys in a random order: the ranks of `order`, stepped by
+        // 1..=3 (a dense span either way).
+        let mut ranked: Vec<(u32, usize)> = order.iter().copied().zip(0..).collect();
+        ranked.sort_unstable();
+        let mut keys = vec![0i64; ranked.len()];
+        for (rank, &(_, at)) in ranked.iter().enumerate() {
+            keys[at] = rank as i64 * (gaps + 1) - 7;
+        }
+        if duplicate == 1 && !keys.is_empty() {
+            let len = keys.len();
+            keys[to % len] = keys[from % len];
+        }
+        let scale = |k: i64| if spread == 1 { k.wrapping_mul(1_000_000_007) } else { k };
+        let keys: Vec<i64> = keys.into_iter().map(scale).collect();
+        let probes: Vec<i64> = probes.into_iter().map(scale).collect();
+
+        let mut expected: std::collections::HashMap<i64, Vec<u32>> = Default::default();
+        for (row, &key) in keys.iter().enumerate() {
+            expected.entry(key).or_default().push(row as u32);
+        }
+        let workers = [1usize, 2, 4, 8][workers];
+        let config = ExecConfig::default().with_num_threads(workers).with_parallel_threshold(1);
+        let ctx = ExecContext::with_pool(config, Some(WorkerPool::new(workers - 1)));
+        let table = JoinTable::build(&ctx, &keys).expect("join table");
+        let distinct = expected.len() == keys.len();
+        prop_assert_eq!(table.is_unique(), distinct && (spread == 0 || keys.len() <= 1));
+        prop_assert_eq!(table.num_rows(), keys.len());
+
+        let matches = |key: &i64| expected.get(key).map_or(&[][..], |rows| &rows[..]);
+        let (mut want_build, mut want_probe) = (Vec::new(), Vec::new());
+        for (probe_row, key) in (0u32..).zip(probes.iter().chain(&keys)) {
+            prop_assert_eq!(table.get(*key), matches(key));
+            want_build.extend_from_slice(matches(key));
+            want_probe.extend(matches(key).iter().map(|_| probe_row));
+        }
+        let all: Vec<i64> = probes.iter().chain(&keys).copied().collect();
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let config = ExecConfig::default().with_kernel_mode(mode);
+            let got = join_probe(&config, &table, &all, 0..all.len());
+            prop_assert_eq!(&got.0, &want_build);
+            prop_assert_eq!(&got.1, &want_probe);
+        }
+        let filter = table.filter(&keys);
+        for key in &all {
+            prop_assert_eq!(filter.maybe_contains(*key), expected.contains_key(key));
         }
     }
 

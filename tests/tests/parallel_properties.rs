@@ -13,8 +13,8 @@
 //! like the plain in-memory tables.
 //!
 //! And the join table's determinism contract: whatever the number of build
-//! workers, every key's CSR row list is the ascending list of build rows
-//! carrying that key.
+//! workers, every key's row list — whichever layout holds it — is the
+//! ascending list of build rows carrying that key.
 
 use bqo_core::exec::{ExecConfig, ExecContext, JoinTable, KernelMode, WorkerPool};
 use bqo_core::storage::generator::DataGenerator;

@@ -13,16 +13,24 @@
 //! * on a selective scan of a fact table clustered by its join key,
 //!   zone-map pruning skips ≥ 50% of the chunks (observed through the
 //!   `chunks_pruned` counter) while rows and `FilterStats` stay identical
-//!   with pruning force-disabled.
+//!   with pruning force-disabled;
+//! * a fault in any one chunk of a fetched fact table — an I/O error from a
+//!   `Rechunked` source, or one flipped byte in a `.bqo` file — fails the
+//!   query with a typed error, never a panic, at 1 and 4 workers in both
+//!   kernel modes; once the fault is gone the same engine answers
+//!   bit-identically to a fresh one.
 
 use bqo_core::format::{write_table, AccessMode, CatalogExt, FileReader};
 use bqo_core::workloads::{tpcds_like, Scale};
 use bqo_core::{
-    ColumnPredicate, CompareOp, Engine, ExecConfig, KernelMode, OptimizerChoice, QuerySpec,
-    RunOptions, StatementOutput, TableBuilder,
+    BqoError, ColumnPredicate, CompareOp, Engine, ExecConfig, KernelMode, OptimizerChoice,
+    QuerySpec, RunOptions, StatementOutput, StorageError, Table, TableBuilder,
 };
-use bqo_storage::Catalog;
+use bqo_integration_tests::Rechunked;
+use bqo_storage::{Catalog, ChunkSource};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 const THREAD_COUNTS: [usize; 2] = [1, 4];
 const KERNELS: [KernelMode; 2] = [KernelMode::Vectorized, KernelMode::Scalar];
@@ -294,5 +302,207 @@ fn predicate_zone_pruning_matches_unpruned_answers() {
         file_out.result.metrics.chunks_read,
         file_out.result.metrics.chunks_pruned
     );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Rows per chunk of the fault sweep's fact table: 2 000 rows make 8 chunks,
+/// the last one ragged.
+const FAULT_CHUNK_ROWS: usize = 256;
+
+/// The fault sweep's star: `fact` cycles through every key of both
+/// dimensions, so every chunk spans the whole key range and no zone map can
+/// prune one — every chunk is read by every run.
+fn fault_tables() -> (Table, Table, Table) {
+    let dim = |name: &str, rows: i64, categories: i64| {
+        TableBuilder::new(name)
+            .with_i64("sk", (0..rows).collect())
+            .with_i64("category", (0..rows).map(|i| i % categories).collect())
+            .build()
+            .unwrap()
+    };
+    let fact = TableBuilder::new("fact")
+        .with_i64("d1_sk", (0..2000).map(|i| i % 40).collect())
+        .with_i64("d2_sk", (0..2000).map(|i| (i * 7) % 25).collect())
+        .with_i64("amount", (0..2000).collect())
+        .build()
+        .unwrap();
+    (fact, dim("d1", 40, 5), dim("d2", 25, 3))
+}
+
+/// The dimensions in memory and `fact` from `source`.
+fn fault_catalog(fact: Arc<dyn ChunkSource>) -> Catalog {
+    let (_, d1, d2) = fault_tables();
+    let mut catalog = Catalog::new();
+    catalog.register_source(fact);
+    catalog.register_table(d1);
+    catalog.register_table(d2);
+    for (dim, fk) in [("d1", "d1_sk"), ("d2", "d2_sk")] {
+        catalog.declare_primary_key(dim, "sk").unwrap();
+        let fk = bqo_core::ForeignKey::new("fact", fk, dim, "sk");
+        catalog.declare_foreign_key(fk).unwrap();
+    }
+    catalog
+}
+
+/// Both dimensions filtered, so BQO pushes two filters into the predicate-
+/// free fact scan.
+fn fault_query() -> QuerySpec {
+    QuerySpec::new("faulty-star")
+        .table("fact")
+        .table("d1")
+        .table("d2")
+        .join("fact", "d1_sk", "d1", "sk")
+        .join("fact", "d2_sk", "d2", "sk")
+        .predicate("d1", ColumnPredicate::new("category", CompareOp::Lt, 2i64))
+        .predicate("d2", ColumnPredicate::new("category", CompareOp::Eq, 1i64))
+}
+
+/// The fault sweep's execution matrix: {1, 4} workers × both kernel modes,
+/// with real fan-out at 4.
+fn fault_configs() -> Vec<ExecConfig> {
+    let cells = THREAD_COUNTS.into_iter().flat_map(|threads| {
+        KERNELS.into_iter().map(move |kernel| {
+            ExecConfig::default()
+                .with_num_threads(threads)
+                .with_kernel_mode(kernel)
+                .with_morsel_size(64)
+                .with_parallel_threshold(1)
+        })
+    });
+    cells.collect()
+}
+
+/// Runs `stmt` on `engine`, keeping the error.
+fn try_run(
+    engine: &Engine,
+    stmt: &bqo_core::PreparedStatement,
+    config: ExecConfig,
+) -> Result<StatementOutput, BqoError> {
+    let options = RunOptions::new().with_exec_config(config).collecting_rows();
+    engine.session().execute(stmt, options)
+}
+
+/// `got` answers like `want`: rows, row count, and every counter.
+fn assert_same_answer(got: &StatementOutput, want: &StatementOutput, cell: &str) {
+    assert_eq!(got.rows, want.rows, "{cell}: rows");
+    assert_eq!(got.result.output_rows, want.result.output_rows, "{cell}");
+    let (m, w) = (&got.result.metrics, &want.result.metrics);
+    assert_eq!(m.operators, w.operators, "{cell}: operator counters");
+    assert_eq!(m.filter_stats, w.filter_stats, "{cell}: FilterStats");
+    assert_eq!(m.filters_created, w.filters_created, "{cell}: filters");
+    assert_eq!(m.chunks_read, w.chunks_read, "{cell}: chunks read");
+    assert_eq!(m.bytes_read, w.bytes_read, "{cell}: bytes read");
+}
+
+/// An I/O error from `read_chunk(k)` of a fetched fact table, for every
+/// chunk `k`: the run fails with that typed error, and the next run on the
+/// same engine answers bit-identically to a fresh engine's.
+#[test]
+fn an_io_error_in_any_chunk_fails_typed_and_the_engine_recovers() {
+    let (fact, ..) = fault_tables();
+    let source = Arc::new(Rechunked::new(Arc::new(fact), FAULT_CHUNK_ROWS));
+    let chunks = source.num_chunks();
+    assert_eq!(chunks, 8);
+    let engine = Engine::from_catalog(fault_catalog(Arc::clone(&source) as _));
+    let stmt = engine
+        .prepare(&fault_query(), OptimizerChoice::Bqo)
+        .unwrap();
+    for config in fault_configs() {
+        // A fresh engine over an identical, fault-free source.
+        let (fresh_fact, ..) = fault_tables();
+        let clean = Rechunked::new(Arc::new(fresh_fact), FAULT_CHUNK_ROWS);
+        let fresh = Engine::from_catalog(fault_catalog(Arc::new(clean)));
+        let fresh_stmt = fresh.prepare(&fault_query(), OptimizerChoice::Bqo).unwrap();
+        let want = try_run(&fresh, &fresh_stmt, config).unwrap();
+        assert!(want.result.output_rows > 0);
+        assert_eq!(want.result.metrics.chunks_read, chunks as u64);
+        for k in 0..chunks {
+            let cell = format!("{config:?}, chunk {k}");
+            source.fail_next_read(k);
+            let err = try_run(&engine, &stmt, config).expect_err(&cell);
+            match err.storage_error() {
+                StorageError::Format { path, detail } => {
+                    assert_eq!(path, "fact", "{cell}");
+                    assert!(
+                        detail.contains(&format!("injected fault in chunk {k}")),
+                        "{cell}: {detail}"
+                    );
+                }
+                other => panic!("{cell}: expected a typed I/O error, got {other:?}"),
+            }
+            let got = try_run(&engine, &stmt, config).expect(&cell);
+            assert_same_answer(&got, &want, &cell);
+        }
+    }
+}
+
+/// Writes `byte` at `offset` of the file at `path` in place (same inode, so
+/// an open reader sees it), returning the byte it replaced.
+fn poke(path: &Path, offset: u64, byte: u8) -> u8 {
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(path)
+        .unwrap();
+    let mut old = [0u8];
+    file.seek(SeekFrom::Start(offset)).unwrap();
+    file.read_exact(&mut old).unwrap();
+    file.seek(SeekFrom::Start(offset)).unwrap();
+    file.write_all(&[byte]).unwrap();
+    file.sync_all().unwrap();
+    old[0]
+}
+
+/// One flipped byte inside chunk `k`'s run of a real `.bqo` fact file, for
+/// every chunk `k`: the run fails with the chunk's checksum mismatch, and
+/// once the byte is restored the same engine answers bit-identically to a
+/// fresh engine over an intact file.
+#[test]
+fn a_flipped_byte_in_any_chunk_fails_typed_and_the_engine_recovers() {
+    let dir = temp_dir("faults");
+    let (fact, ..) = fault_tables();
+    let path = dir.join("fact.bqo");
+    write_table(&path, &fact, FAULT_CHUNK_ROWS).unwrap();
+    let reader = Arc::new(FileReader::open_with(&path, AccessMode::Buffered).unwrap());
+    let chunks = reader.num_chunks();
+    assert_eq!(chunks, 8);
+    let engine = Engine::from_catalog(fault_catalog(reader));
+    let stmt = engine
+        .prepare(&fault_query(), OptimizerChoice::Bqo)
+        .unwrap();
+    let pristine = dir.join("pristine.bqo");
+    std::fs::copy(&path, &pristine).unwrap();
+    let fresh_reader = FileReader::open_with(&pristine, AccessMode::Buffered).unwrap();
+    let fresh = Engine::from_catalog(fault_catalog(Arc::new(fresh_reader)));
+    let fresh_stmt = fresh.prepare(&fault_query(), OptimizerChoice::Bqo).unwrap();
+
+    // Runs are chunk-major after the 8-byte magic, one 8-byte value per row
+    // and column: chunk `k` (full chunks before it) starts at
+    // 8 + k × 3 columns × FAULT_CHUNK_ROWS × 8 bytes. Each chunk is damaged
+    // in a different column.
+    let run_bytes = (FAULT_CHUNK_ROWS * 8) as u64;
+    for config in fault_configs() {
+        let want = try_run(&fresh, &fresh_stmt, config).unwrap();
+        assert!(want.result.output_rows > 0);
+        for k in 0..chunks {
+            let cell = format!("{config:?}, chunk {k}");
+            let column = k % 3;
+            let offset = 8 + (k * 3 + column) as u64 * run_bytes + 5;
+            let old = poke(&path, offset, 0);
+            poke(&path, offset, !old);
+            let err = try_run(&engine, &stmt, config).expect_err(&cell);
+            poke(&path, offset, old);
+            match err.storage_error() {
+                StorageError::Format { detail, .. } => assert_eq!(
+                    detail,
+                    &format!("checksum mismatch in chunk {k} column {column}"),
+                    "{cell}"
+                ),
+                other => panic!("{cell}: expected a typed checksum error, got {other:?}"),
+            }
+            let got = try_run(&engine, &stmt, config).expect(&cell);
+            assert_same_answer(&got, &want, &cell);
+        }
+    }
     let _ = std::fs::remove_dir_all(dir);
 }
