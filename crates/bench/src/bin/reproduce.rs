@@ -18,6 +18,8 @@
 //! `BQO_EXPERIMENTS_PATH` names an explicit destination; set it to `-` to
 //! skip writing entirely.
 
+#![forbid(unsafe_code)]
+
 use bqo_bench::{default_query_count, default_scale, experiments, report};
 use std::fmt::Write as _;
 

@@ -8,6 +8,7 @@
 //! numbers. Timing claims (throughput, latency, per-layer rates, with
 //! spreads) are not made here: they belong to `benchmark/` (`BENCHMARK.json`).
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 

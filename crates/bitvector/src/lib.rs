@@ -25,6 +25,7 @@
 //! All filters operate on 64-bit keys. Multi-column join keys are combined
 //! into one 64-bit hash by the executor before reaching the filter.
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 #![warn(missing_docs)]

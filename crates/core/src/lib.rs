@@ -62,7 +62,7 @@
 //!   Table 4).
 //! * [`mod@format`] — the on-disk columnar file format (`.bqo`): chunked
 //!   columns with per-chunk zone maps and checksums, written with
-//!   [`format::FileWriter`] and registered into a catalog via
+//!   [`format::write_table`] and registered into a catalog via
 //!   [`format::CatalogExt`] (`register_file` / `attach_dir`). File-backed
 //!   tables execute out of core through chunk-streaming scans with
 //!   zone-map pruning ([`ExecConfig::zone_map_pruning`]), bit-identically
@@ -121,6 +121,7 @@
 //! counters are bit-identical for every
 //! `(batch_size, morsel_size, num_threads, parallel_threshold)` combination.
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 

@@ -61,12 +61,6 @@ impl ExecContext {
         self
     }
 
-    /// The cancel token execution observes (a never-fired default token when
-    /// the caller did not attach one).
-    pub fn cancel_token(&self) -> &CancelToken {
-        &self.cancel
-    }
-
     /// Returns `Err(StorageError::Cancelled)` once the context's cancel token
     /// has fired (or its deadline passed). Operators call this at the top of
     /// their serial batch loops — the non-parallel counterpart of the

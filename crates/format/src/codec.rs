@@ -7,6 +7,7 @@
 //! embedded in the footer (zone-map bounds) carry a one-byte type tag so a
 //! decoder can validate them independently.
 
+use crate::layout::MAX_ZONE_STRING_LEN;
 use bqo_storage::{Column, DataType, Value};
 
 /// A little-endian byte cursor with bounds-checked reads; every decode
@@ -236,7 +237,7 @@ pub fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, String> {
     match type_from_code(cur.u8()?)? {
         DataType::Int64 => Ok(Value::Int64(cur.i64()?)),
         DataType::Float64 => Ok(Value::Float64(cur.f64()?)),
-        DataType::Utf8 => Ok(Value::Utf8(cur.string(1 << 20)?)),
+        DataType::Utf8 => Ok(Value::Utf8(cur.string(MAX_ZONE_STRING_LEN)?)),
         DataType::Bool => {
             let b = cur.u8()?;
             if b > 1 {

@@ -15,6 +15,9 @@
 //! statistics computed at write time. Readers locate it from the fixed-size
 //! trailer at the end of the file and verify its checksum before parsing,
 //! so truncation and footer corruption are detected up front.
+//!
+//! The size limits below are the one definition the writer and the reader
+//! share, so the writer never seals a file its reader would reject.
 
 use bqo_storage::Value;
 
@@ -24,9 +27,17 @@ pub const MAGIC: &[u8; 8] = b"BQOCOL01";
 /// Current format version, written to and checked against the footer.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Default rows per chunk: 64Ki, sized so a chunk of 8-byte values is a
-/// 512KiB sequential read and morsels stay chunk-aligned.
-pub const DEFAULT_CHUNK_ROWS: usize = 64 * 1024;
+/// Longest table or column name in bytes. The reader rejects a longer one,
+/// so the writer refuses to seal it.
+pub const MAX_NAME_LEN: usize = 1 << 16;
+
+/// Most columns a table may have; checked on both sides like
+/// [`MAX_NAME_LEN`].
+pub const MAX_COLUMNS: usize = 1 << 16;
+
+/// Longest `Utf8` zone-map bound in bytes. The reader rejects a longer one;
+/// the writer stores no zone for such a chunk instead.
+pub const MAX_ZONE_STRING_LEN: usize = 1 << 20;
 
 /// File extension `Catalog::attach_dir` looks for.
 pub const FILE_EXTENSION: &str = "bqo";

@@ -1,13 +1,13 @@
 //! `bqo-format`: a single-file on-disk columnar format with zone maps.
 //!
 //! The format backs out-of-core execution: a table is laid out as
-//! fixed-size row *chunks* (64Ki rows by default), column-major within each
-//! chunk, with a footer holding the schema, a per-(chunk, column) directory
-//! of offsets, xxh64 checksums and min/max *zone maps*, and the table
-//! statistics the optimizer needs. [`FileWriter`] streams rows to disk with
-//! bounded memory; [`FileReader`] parses and validates the footer up front
-//! and materializes chunks on demand — via buffered positional reads or a
-//! memory map ([`AccessMode`]).
+//! fixed-size row *chunks*, column-major within each chunk, with a footer
+//! holding the schema, a per-(chunk, column) directory of offsets, xxh64
+//! checksums and min/max *zone maps*, and the table statistics the
+//! optimizer needs. [`write_table`] writes an in-memory table in one pass
+//! and seals it with `Table::compute_stats`; [`FileReader`] parses and
+//! validates the footer up front and materializes chunks on demand with
+//! positional reads.
 //!
 //! A [`FileReader`] implements [`bqo_storage::ChunkSource`], so registering
 //! a file in a catalog ([`CatalogExt::register_file`] /
@@ -21,6 +21,7 @@
 //! — never a panic; the corruption test suite flips arbitrary bytes to pin
 //! this down.
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 
@@ -32,9 +33,9 @@ pub mod writer;
 pub mod xxhash;
 
 pub use error::FormatError;
-pub use layout::{ChunkEntry, DEFAULT_CHUNK_ROWS, FILE_EXTENSION, FORMAT_VERSION, MAGIC};
-pub use reader::{is_format_file, AccessMode, FileReader};
-pub use writer::{write_table, FileSummary, FileWriter};
+pub use layout::{ChunkEntry, FILE_EXTENSION, FORMAT_VERSION, MAGIC};
+pub use reader::{is_format_file, FileReader};
+pub use writer::{write_table, FileSummary};
 pub use xxhash::xxh64;
 
 use bqo_storage::Catalog;
@@ -44,16 +45,9 @@ use std::sync::Arc;
 /// Catalog extensions for registering on-disk tables next to in-memory
 /// ones.
 pub trait CatalogExt {
-    /// Opens `path` (buffered access) and registers it under the table
-    /// name stored in its footer. Returns that name.
+    /// Opens `path` and registers it under the table name stored in its
+    /// footer. Returns that name.
     fn register_file(&mut self, path: impl AsRef<Path>) -> Result<String, FormatError>;
-
-    /// Like [`CatalogExt::register_file`] with an explicit access mode.
-    fn register_file_with(
-        &mut self,
-        path: impl AsRef<Path>,
-        mode: AccessMode,
-    ) -> Result<String, FormatError>;
 
     /// Registers every `.bqo` file directly inside `dir`, in file-name
     /// order (deterministic catalog versions). Returns the registered
@@ -63,15 +57,7 @@ pub trait CatalogExt {
 
 impl CatalogExt for Catalog {
     fn register_file(&mut self, path: impl AsRef<Path>) -> Result<String, FormatError> {
-        self.register_file_with(path, AccessMode::Buffered)
-    }
-
-    fn register_file_with(
-        &mut self,
-        path: impl AsRef<Path>,
-        mode: AccessMode,
-    ) -> Result<String, FormatError> {
-        let reader = FileReader::open_with(path, mode)?;
+        let reader = FileReader::open(path)?;
         let name = reader.table_name().to_string();
         self.register_source(Arc::new(reader));
         Ok(name)
@@ -102,7 +88,7 @@ impl CatalogExt for Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqo_storage::{Column, DataType, Schema, Table, TableBuilder, Value};
+    use bqo_storage::{Table, TableBuilder, Value};
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("bqo-format-{tag}-{}", std::process::id()));
@@ -136,21 +122,127 @@ mod tests {
         }
     }
 
+    /// A fixed table holding the values whose encodings are easiest to get
+    /// wrong: integer extremes, signed zero, NaN, infinities, empty and
+    /// multi-byte strings.
+    fn golden_table() -> Table {
+        let rows = 1000;
+        let floats = [-0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0];
+        let strings = ["", "plain", "héllo", "日本語", "🦀 crab"];
+        TableBuilder::new("golden")
+            .with_i64(
+                "i",
+                (0..rows)
+                    .map(|i| match i % 211 {
+                        0 => i64::MIN,
+                        105 => i64::MAX,
+                        _ => (i as i64 * 7919) % 1013 - 500,
+                    })
+                    .collect(),
+            )
+            .with_f64(
+                "f",
+                (0..rows)
+                    .map(|i| match i % 13 {
+                        k @ 0..5 => floats[k],
+                        k => i as f64 / k as f64 - 40.0,
+                    })
+                    .collect(),
+            )
+            .with_utf8(
+                "s",
+                (0..rows)
+                    .map(|i| format!("{}{}", strings[i % 5], "x".repeat(i % 3)))
+                    .collect(),
+            )
+            .with_bool("b", (0..rows).map(|i| i % 7 < 3).collect())
+            .build()
+            .unwrap()
+    }
+
+    /// `(chunk_rows, file length, xxh64 of the file)` for `golden_table`.
+    /// A writer refactor keeps these constants; only a deliberate format
+    /// change (with a `FORMAT_VERSION` bump) may re-bless them.
+    const GOLDEN: [(usize, usize, u64); 5] = [
+        (1, 192_671, 5_726_278_345_929_090_275),
+        (7, 52_492, 16_968_000_275_720_914_449),
+        (192, 30_039, 12_983_460_670_190_729_431),
+        (1000, 29_234, 3_027_036_878_597_677_687),
+        (1001, 29_234, 14_264_478_644_876_781_677),
+    ];
+
     #[test]
-    fn write_read_round_trip_both_modes() {
+    fn file_bytes_are_pinned() {
+        let dir = temp_dir("golden");
+        let table = golden_table();
+        let got: Vec<(usize, usize, u64)> = GOLDEN
+            .iter()
+            .map(|&(chunk_rows, _, _)| {
+                let path = dir.join(format!("golden-{chunk_rows}.bqo"));
+                write_table(&path, &table, chunk_rows).unwrap();
+                let bytes = std::fs::read(&path).unwrap();
+                (chunk_rows, bytes.len(), xxh64(&bytes, 0))
+            })
+            .collect();
+        assert_eq!(got, GOLDEN);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A string longer than the zone-map bound cap is written with no zone
+    /// for its chunk, so the file still opens and reads back unchanged.
+    #[test]
+    fn over_cap_string_bound_writes_no_zone() {
+        let dir = temp_dir("long-string");
+        let table = TableBuilder::new("long")
+            .with_utf8("s", vec!["y".repeat((1 << 20) + 1)])
+            .build()
+            .unwrap();
+        write_table(dir.join("long.bqo"), &table, 16).unwrap();
+        let reader = FileReader::open(dir.join("long.bqo")).unwrap();
+        assert_eq!(reader.zone_map(0, 0), None);
+        assert_tables_equal(&table, &reader.read_table().unwrap());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A name or column count the reader would reject is a usage error at
+    /// write time, not a sealed file that cannot be opened.
+    #[test]
+    fn over_cap_name_fails_at_write() {
+        let dir = temp_dir("long-name");
+        let long_name = TableBuilder::new("n".repeat(70_000))
+            .with_i64("x", vec![1])
+            .build()
+            .unwrap();
+        let wide = (0..=layout::MAX_COLUMNS)
+            .fold(TableBuilder::new("wide"), |b, i| {
+                b.with_i64(format!("c{i}"), vec![])
+            })
+            .build()
+            .unwrap();
+        for table in [long_name, wide] {
+            let path = dir.join("t.bqo");
+            let err = write_table(&path, &table, 16).unwrap_err();
+            assert!(
+                matches!(err, FormatError::Corrupt { chunk: None, .. }),
+                "{err}"
+            );
+            assert!(!path.exists(), "nothing is created for a refused table");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn write_read_round_trip() {
         let dir = temp_dir("round-trip");
         let table = sample_table(1000);
         // 192 rows/chunk: several full chunks plus a ragged tail.
         let summary = write_table(dir.join("sample.bqo"), &table, 192).unwrap();
         assert_eq!(summary.rows, 1000);
         assert_eq!(summary.chunks, 1000usize.div_ceil(192));
-        for mode in [AccessMode::Buffered, AccessMode::Mmap] {
-            let reader = FileReader::open_with(dir.join("sample.bqo"), mode).unwrap();
-            assert_eq!(reader.mode(), mode);
-            assert_eq!(reader.table_name(), "sample");
-            assert_eq!(reader.num_rows(), 1000);
-            assert_tables_equal(&table, &reader.read_table().unwrap());
-        }
+        let reader = FileReader::open(dir.join("sample.bqo")).unwrap();
+        assert_eq!(reader.table_name(), "sample");
+        assert_eq!(reader.num_rows(), 1000);
+        assert_tables_equal(&table, &reader.read_table().unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -203,32 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_appends_match_single_shot_write() {
-        let dir = temp_dir("streaming");
-        let table = sample_table(300);
-        write_table(dir.join("one.bqo"), &table, 77).unwrap();
-        // Same rows pushed in ragged runs through the streaming API.
-        let mut writer =
-            FileWriter::with_chunk_rows(dir.join("two.bqo"), "sample", table.schema().clone(), 77)
-                .unwrap();
-        let mut at = 0;
-        for run in [1usize, 50, 76, 77, 96] {
-            let idx: Vec<usize> = (at..at + run).collect();
-            let columns: Vec<Column> = table.columns().iter().map(|c| c.take(&idx)).collect();
-            writer.append_columns(&columns).unwrap();
-            at += run;
-        }
-        writer.finish().unwrap();
-        assert_eq!(at, 300);
-        let one = std::fs::read(dir.join("one.bqo")).unwrap();
-        let two = std::fs::read(dir.join("two.bqo")).unwrap();
-        // Identical rows and chunking must produce byte-identical files
-        // (same data layout, directory, stats — hence same fingerprint).
-        assert_eq!(one, two);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn empty_table_round_trips() {
         let dir = temp_dir("empty");
         let table = TableBuilder::new("void")
@@ -242,21 +308,6 @@ mod tests {
         assert_eq!(reader.num_rows(), 0);
         assert_eq!(reader.num_chunks(), 0);
         assert_tables_equal(&table, &reader.read_table().unwrap());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn writer_rejects_schema_misuse() {
-        let dir = temp_dir("misuse");
-        let schema = Schema::new(vec![bqo_storage::Field::new("x", DataType::Int64)]);
-        let mut writer = FileWriter::with_chunk_rows(dir.join("t.bqo"), "t", schema, 8).unwrap();
-        assert!(writer.append_columns(&[]).is_err());
-        assert!(writer
-            .append_columns(&[Column::Float64(vec![1.0])])
-            .is_err());
-        assert!(writer
-            .append_columns(&[Column::Int64(vec![1]), Column::Int64(vec![2])])
-            .is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

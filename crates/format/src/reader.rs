@@ -2,16 +2,15 @@
 //!
 //! Opening a file parses and validates only the footer (magic, trailer,
 //! footer checksum, version, structural bounds); chunk data is materialized
-//! on demand through [`FileReader::read_chunk`], which verifies each
-//! column run's checksum before decoding. Two access modes are supported:
-//! buffered positional reads (the default; a shared `File` handle, safe to
-//! use from many threads at once) and a memory map, which serves chunk
-//! reads from page-cache-backed slices without copying into a read buffer
-//! first.
+//! on demand through [`FileReader::read_chunk_columns`], which reads each
+//! column run with one positional read on the reader's shared `File` (safe
+//! from many threads at once) and verifies its checksum before decoding.
 
 use crate::codec::{decode_column, decode_value, Cursor};
 use crate::error::FormatError;
-use crate::layout::{ChunkEntry, FILE_EXTENSION, FORMAT_VERSION, MAGIC, TRAILER_LEN};
+use crate::layout::{
+    ChunkEntry, FILE_EXTENSION, FORMAT_VERSION, MAGIC, MAX_COLUMNS, MAX_NAME_LEN, TRAILER_LEN,
+};
 use crate::xxhash::xxh64;
 use bqo_storage::{ChunkSource, Column, ColumnStats, Schema, Table, TableStats, Value};
 use std::collections::HashMap;
@@ -22,19 +21,13 @@ use std::sync::Arc;
 /// Seed distinguishing the fingerprint hash from the footer checksum.
 const FINGERPRINT_SEED: u64 = 0xB90F;
 
-/// Upper bounds on footer-declared counts, so a corrupt footer cannot
-/// drive pathological allocations before a parse error surfaces.
-const MAX_NAME_LEN: usize = 1 << 16;
-const MAX_COLUMNS: usize = 1 << 16;
+/// Upper bound on a footer-declared histogram length, so a corrupt footer
+/// cannot drive a pathological allocation before a parse error surfaces
+/// (names and column counts are bounded by the `layout` limits).
 const MAX_HISTOGRAM_LEN: usize = 1 << 16;
 
 /// Reads `buf.len()` bytes at `offset` without moving any shared cursor.
-pub(crate) fn read_exact_at(
-    file: &File,
-    path: &Path,
-    offset: u64,
-    buf: &mut [u8],
-) -> std::io::Result<()> {
+fn read_exact_at(file: &File, path: &Path, offset: u64, buf: &mut [u8]) -> std::io::Result<()> {
     #[cfg(unix)]
     {
         let _ = path;
@@ -53,122 +46,6 @@ pub(crate) fn read_exact_at(
     }
 }
 
-/// How a [`FileReader`] materializes chunk bytes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AccessMode {
-    /// Positional reads into a per-call buffer.
-    #[default]
-    Buffered,
-    /// Map the whole file and serve chunks as slices of the mapping
-    /// (falls back to reading the file into memory on non-unix targets).
-    Mmap,
-}
-
-#[cfg(unix)]
-mod mapping {
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(addr: *mut u8, len: usize, prot: i32, flags: i32, fd: i32, offset: i64) -> *mut u8;
-        fn munmap(addr: *mut u8, len: usize) -> i32;
-    }
-
-    /// A read-only memory map of an entire file.
-    #[derive(Debug)]
-    pub struct Mapping {
-        ptr: *mut u8,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is `PROT_READ`-only for its whole lifetime — no
-    // alias can observe a write through it — and `munmap` runs exactly once
-    // in `Drop`, so moving the owner across threads is sound.
-    unsafe impl Send for Mapping {}
-    // SAFETY: all access goes through `&self -> &[u8]` over immutable,
-    // kernel-backed read-only pages; concurrent reads involve no data race.
-    unsafe impl Sync for Mapping {}
-
-    impl Mapping {
-        pub fn map(file: &File, len: u64) -> std::io::Result<Mapping> {
-            // Reject (rather than truncate) lengths a 32-bit usize can't
-            // hold: a silent wrap here would under-map the file and move the
-            // out-of-bounds fault from `Err` to a SIGSEGV on first access.
-            let len = usize::try_from(len).map_err(|_| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    "file too large to map on this target",
-                )
-            })?;
-            if len == 0 {
-                // mmap rejects zero-length maps; an empty slice serves.
-                return Ok(Mapping {
-                    ptr: std::ptr::null_mut(),
-                    len: 0,
-                });
-            }
-            // SAFETY: plain FFI call; `addr = null` lets the kernel pick the
-            // placement, `len > 0` was checked above, and `fd` is a live
-            // borrowed descriptor. The kernel validates everything else and
-            // reports failure via MAP_FAILED, handled below.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            // CAST-OK: MAP_FAILED (-1) sentinel comparison
-            if ptr as isize == -1 {
-                return Err(std::io::Error::last_os_error());
-            }
-            Ok(Mapping { ptr, len })
-        }
-
-        pub fn as_slice(&self) -> &[u8] {
-            if self.len == 0 {
-                &[]
-            } else {
-                // SAFETY: `ptr` came from a successful mmap of exactly `len`
-                // readable bytes and stays mapped until `Drop`; the returned
-                // slice's lifetime is tied to `&self`, so it cannot outlive
-                // the unmap. Pages are read-only, so `&[u8]` immutability
-                // holds.
-                unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
-            }
-        }
-    }
-
-    impl Drop for Mapping {
-        fn drop(&mut self) {
-            if self.len != 0 {
-                // SAFETY: `(ptr, len)` is exactly the region the successful
-                // mmap returned, unmapped once here; no slice into it can
-                // outlive `self` (see `as_slice`), so nothing dangles.
-                unsafe {
-                    munmap(self.ptr, self.len);
-                }
-            }
-        }
-    }
-}
-
-#[derive(Debug)]
-enum Backing {
-    Buffered(File),
-    #[cfg(unix)]
-    Mapped(mapping::Mapping),
-    /// Non-unix "mmap": the whole file, read once into memory.
-    #[cfg_attr(unix, allow(dead_code))]
-    Owned(Vec<u8>),
-}
-
 /// An open format file: parsed footer plus on-demand chunk access.
 ///
 /// Implements [`ChunkSource`], so a reader registers directly into a
@@ -177,8 +54,7 @@ enum Backing {
 #[derive(Debug)]
 pub struct FileReader {
     path: PathBuf,
-    backing: Backing,
-    mode: AccessMode,
+    file: File,
     name: String,
     schema: Schema,
     chunk_rows: usize,
@@ -189,14 +65,8 @@ pub struct FileReader {
 }
 
 impl FileReader {
-    /// Opens `path` with buffered access.
+    /// Opens `path`, parsing and validating the footer.
     pub fn open(path: impl AsRef<Path>) -> Result<FileReader, FormatError> {
-        Self::open_with(path, AccessMode::Buffered)
-    }
-
-    /// Opens `path` with the given access mode, parsing and validating the
-    /// footer.
-    pub fn open_with(path: impl AsRef<Path>, mode: AccessMode) -> Result<FileReader, FormatError> {
         let path = path.as_ref().to_path_buf();
         let io = |source: std::io::Error| FormatError::Io {
             path: path.clone(),
@@ -247,31 +117,9 @@ impl FileReader {
         }
         let fingerprint = xxh64(&footer, FINGERPRINT_SEED);
         let parsed = parse_footer(&footer, &path, footer_start)?;
-        let backing = match mode {
-            AccessMode::Buffered => Backing::Buffered(file),
-            AccessMode::Mmap => {
-                #[cfg(unix)]
-                {
-                    Backing::Mapped(mapping::Mapping::map(&file, file_len).map_err(io)?)
-                }
-                #[cfg(not(unix))]
-                {
-                    let file_len_usize =
-                        usize::try_from(file_len).map_err(|_| FormatError::Corrupt {
-                            path: path.to_path_buf(),
-                            chunk: None,
-                            detail: "file too large to buffer on this target".to_string(),
-                        })?;
-                    let mut bytes = vec![0u8; file_len_usize];
-                    read_exact_at(&file, &path, 0, &mut bytes).map_err(io)?;
-                    Backing::Owned(bytes)
-                }
-            }
-        };
         Ok(FileReader {
             path,
-            backing,
-            mode,
+            file,
             name: parsed.name,
             schema: parsed.schema,
             chunk_rows: parsed.chunk_rows,
@@ -282,30 +130,15 @@ impl FileReader {
         })
     }
 
-    /// The access mode this reader was opened with.
-    pub fn mode(&self) -> AccessMode {
-        self.mode
-    }
-
     /// The table name stored in the footer.
     pub fn table_name(&self) -> &str {
         &self.name
-    }
-
-    /// The backing file.
-    pub fn file_path(&self) -> &Path {
-        &self.path
     }
 
     /// Statistics persisted at write time — identical to what
     /// `Table::compute_stats` produces on the same rows.
     pub fn stats(&self) -> &TableStats {
         &self.stats
-    }
-
-    /// Content fingerprint (hash of the footer bytes).
-    pub fn file_fingerprint(&self) -> u64 {
-        self.fingerprint
     }
 
     /// Materializes one chunk, verifying every column run's checksum.
@@ -323,35 +156,21 @@ impl FileReader {
         let mut columns = Vec::with_capacity(entries.len());
         let mut buf = Vec::new();
         for (column, entry) in entries.iter().enumerate() {
-            let bytes: &[u8] = match &self.backing {
-                Backing::Buffered(file) => {
-                    buf.resize(entry.len as usize, 0); // CAST-OK: entry validated against the data region in parse_footer
-                    read_exact_at(file, &self.path, entry.offset, &mut buf).map_err(|source| {
-                        FormatError::Io {
-                            path: self.path.clone(),
-                            source,
-                        }
-                    })?;
-                    &buf
+            buf.resize(entry.len as usize, 0); // CAST-OK: entry validated against the data region in parse_footer
+            read_exact_at(&self.file, &self.path, entry.offset, &mut buf).map_err(|source| {
+                FormatError::Io {
+                    path: self.path.clone(),
+                    source,
                 }
-                #[cfg(unix)]
-                Backing::Mapped(mapping) => {
-                    // CAST-OK: entry validated against the data region in parse_footer
-                    &mapping.as_slice()[entry.offset as usize..(entry.offset + entry.len) as usize]
-                }
-                Backing::Owned(bytes) => {
-                    // CAST-OK: entry validated against the data region in parse_footer
-                    &bytes[entry.offset as usize..(entry.offset + entry.len) as usize]
-                }
-            };
-            if xxh64(bytes, 0) != entry.checksum {
+            })?;
+            if xxh64(&buf, 0) != entry.checksum {
                 return Err(FormatError::ChecksumMismatch {
                     path: self.path.clone(),
                     chunk,
                     column,
                 });
             }
-            let decoded = decode_column(self.schema.field_at(column).data_type, rows, bytes)
+            let decoded = decode_column(self.schema.field_at(column).data_type, rows, &buf)
                 .map_err(|detail| FormatError::Corrupt {
                     path: self.path.clone(),
                     chunk: Some(chunk),

@@ -1,27 +1,23 @@
-//! Streaming writer for the on-disk columnar format.
+//! Writer for the on-disk columnar format.
 //!
-//! The writer consumes row runs (`Table`s or raw column slabs from a
-//! generator), buffers at most one partial chunk in memory, and streams
-//! completed chunks to disk as it goes — so writing a table larger than RAM
-//! only ever holds `chunk_rows` rows. `finish` seals the file: it flushes
-//! the tail chunk, computes the table statistics the optimizer needs (the
-//! exact statistics `Table::compute_stats` would produce, so file-backed
-//! and memory-backed registrations plan identically), and appends the
-//! footer with the chunk directory, zone maps and checksums.
+//! [`write_table`] lays an in-memory [`Table`] out in one pass over its own
+//! columns: each (chunk, column) run is encoded straight from the table,
+//! checksummed, zone-mapped and written. The footer's statistics are
+//! `Table::compute_stats` itself, so file-backed and memory-backed
+//! registrations plan identically.
 
 use crate::codec::{encode_column_range, encode_value, put_string, put_u32, put_u64, type_code};
 use crate::error::FormatError;
-use crate::layout::{ChunkEntry, DEFAULT_CHUNK_ROWS, FORMAT_VERSION, MAGIC};
-use crate::reader::read_exact_at;
+use crate::layout::{
+    ChunkEntry, FORMAT_VERSION, MAGIC, MAX_COLUMNS, MAX_NAME_LEN, MAX_ZONE_STRING_LEN,
+};
 use crate::xxhash::xxh64;
-use bqo_storage::stats::HISTOGRAM_BUCKETS;
-use bqo_storage::{Column, ColumnStats, DataType, Schema, Table, TableStats, Value};
-use std::collections::{HashMap, HashSet};
+use bqo_storage::{Column, Schema, Table, TableStats, Value};
 use std::fs::File;
 use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// What `FileWriter::finish` reports about the sealed file.
+/// What [`write_table`] reports about the sealed file.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileSummary {
     /// Total rows written.
@@ -32,103 +28,11 @@ pub struct FileSummary {
     pub bytes: u64,
 }
 
-/// Streaming per-column accumulators for distinct counts and min/max; the
-/// histogram needs min/max first, so it is filled by a chunk re-read pass in
-/// `finish` (bounded memory either way).
-enum DistinctAcc {
-    I64(HashSet<i64>),
-    F64(HashSet<u64>),
-    Utf8(HashSet<String>),
-    Bool([bool; 2]),
-}
-
-struct ColAcc {
-    distinct: DistinctAcc,
-    min: f64,
-    max: f64,
-    any_numeric: bool,
-}
-
-impl ColAcc {
-    fn new(dt: DataType) -> Self {
-        ColAcc {
-            distinct: match dt {
-                DataType::Int64 => DistinctAcc::I64(HashSet::new()),
-                DataType::Float64 => DistinctAcc::F64(HashSet::new()),
-                DataType::Utf8 => DistinctAcc::Utf8(HashSet::new()),
-                DataType::Bool => DistinctAcc::Bool([false, false]),
-            },
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-            any_numeric: false,
-        }
-    }
-
-    fn observe(&mut self, column: &Column, start: usize, end: usize) {
-        match (&mut self.distinct, column) {
-            (DistinctAcc::I64(set), Column::Int64(v)) => {
-                for &x in &v[start..end] {
-                    set.insert(x);
-                    self.any_numeric = true;
-                    let f = x as f64; // CAST-OK: estimate math; f64 rounding is acceptable here
-                    if f < self.min {
-                        self.min = f;
-                    }
-                    if f > self.max {
-                        self.max = f;
-                    }
-                }
-            }
-            (DistinctAcc::F64(set), Column::Float64(v)) => {
-                for &x in &v[start..end] {
-                    set.insert(x.to_bits());
-                    self.any_numeric = true;
-                    if x < self.min {
-                        self.min = x;
-                    }
-                    if x > self.max {
-                        self.max = x;
-                    }
-                }
-            }
-            (DistinctAcc::Utf8(set), Column::Utf8(v)) => {
-                for s in &v[start..end] {
-                    if !set.contains(s) {
-                        set.insert(s.clone());
-                    }
-                }
-            }
-            (DistinctAcc::Bool(seen), Column::Bool(v)) => {
-                for &b in &v[start..end] {
-                    seen[usize::from(b)] = true;
-                }
-            }
-            _ => unreachable!("append validated the column type against the schema"),
-        }
-    }
-
-    fn distinct_count(&self) -> usize {
-        match &self.distinct {
-            DistinctAcc::I64(set) => set.len(),
-            DistinctAcc::F64(set) => set.len(),
-            DistinctAcc::Utf8(set) => set.len(),
-            DistinctAcc::Bool(seen) => seen.iter().filter(|&&s| s).count(),
-        }
-    }
-
-    fn bounds(&self) -> (Option<f64>, Option<f64>) {
-        if self.any_numeric {
-            (Some(self.min), Some(self.max))
-        } else {
-            (None, None)
-        }
-    }
-}
-
 /// The inclusive min/max of `column[start..end]` under [`Value::total_cmp`]
 /// — the zone-map bound the scan pruner compares predicate and filter
-/// ranges against.
-fn zone_of(column: &Column, start: usize, end: usize) -> (Value, Value) {
+/// ranges against. `None` (no zone: the chunk is never pruned) when a string
+/// bound is longer than a reader accepts.
+fn zone_of(column: &Column, start: usize, end: usize) -> Option<(Value, Value)> {
     debug_assert!(start < end, "zone of an empty range");
     let mut min = column.value(start);
     let mut max = column.value(start);
@@ -141,397 +45,135 @@ fn zone_of(column: &Column, start: usize, end: usize) -> (Value, Value) {
             max = v;
         }
     }
-    (min, max)
+    let too_long = |v: &Value| matches!(v, Value::Utf8(s) if s.len() > MAX_ZONE_STRING_LEN);
+    (!too_long(&min) && !too_long(&max)).then_some((min, max))
 }
 
-/// Streams a table to a single columnar file.
-pub struct FileWriter {
-    path: PathBuf,
-    file: BufWriter<File>,
-    name: String,
-    schema: Schema,
+/// Writes all of `table` to `path` as chunks of `chunk_rows` rows (clamped
+/// to at least 1) and seals the file with its footer and trailer.
+///
+/// A table the reader would reject — more than `MAX_COLUMNS` columns, or a
+/// table or column name longer than `MAX_NAME_LEN` bytes — is refused with
+/// [`FormatError::Corrupt`] (`chunk: None`) before anything is created.
+pub fn write_table(
+    path: impl AsRef<Path>,
+    table: &Table,
     chunk_rows: usize,
-    offset: u64,
-    rows_written: usize,
-    /// Buffered tail: one partially filled chunk per column.
-    pending: Vec<Column>,
-    pending_rows: usize,
-    directory: Vec<Vec<ChunkEntry>>,
-    accs: Vec<ColAcc>,
-}
-
-impl std::fmt::Debug for FileWriter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FileWriter")
-            .field("path", &self.path)
-            .field("name", &self.name)
-            .finish_non_exhaustive()
+) -> Result<FileSummary, FormatError> {
+    let path = path.as_ref();
+    let schema = table.schema();
+    let usage = |detail: String| FormatError::Corrupt {
+        path: path.to_path_buf(),
+        chunk: None,
+        detail,
+    };
+    if schema.len() > MAX_COLUMNS {
+        return Err(usage(format!(
+            "{} columns exceed the {MAX_COLUMNS}-column limit",
+            schema.len()
+        )));
     }
-}
-
-impl FileWriter {
-    /// Creates a file for table `name` with the given schema, using the
-    /// default chunk size of 64Ki rows.
-    pub fn create(
-        path: impl AsRef<Path>,
-        name: impl Into<String>,
-        schema: Schema,
-    ) -> Result<Self, FormatError> {
-        Self::with_chunk_rows(path, name, schema, DEFAULT_CHUNK_ROWS)
+    let mut names = std::iter::once(table.name()).chain(schema.names());
+    if let Some(name) = names.find(|name| name.len() > MAX_NAME_LEN) {
+        return Err(usage(format!(
+            "a {}-byte name exceeds the {MAX_NAME_LEN}-byte limit",
+            name.len()
+        )));
     }
-
-    /// Creates a file with an explicit chunk size (clamped to at least 1).
-    pub fn with_chunk_rows(
-        path: impl AsRef<Path>,
-        name: impl Into<String>,
-        schema: Schema,
-        chunk_rows: usize,
-    ) -> Result<Self, FormatError> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::create(&path).map_err(|source| FormatError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        let mut file = BufWriter::new(file);
-        file.write_all(MAGIC).map_err(|source| FormatError::Io {
-            path: path.clone(),
-            source,
-        })?;
-        let pending = schema
-            .fields()
-            .iter()
-            .map(|f| Column::empty(f.data_type))
-            .collect();
-        let accs = schema
-            .fields()
-            .iter()
-            .map(|f| ColAcc::new(f.data_type))
-            .collect();
-        Ok(FileWriter {
-            path,
-            file,
-            name: name.into(),
-            schema,
-            chunk_rows: chunk_rows.max(1),
-            offset: MAGIC.len() as u64, // CAST-OK: constant 8-byte magic
-            rows_written: 0,
-            pending,
-            pending_rows: 0,
-            directory: Vec::new(),
-            accs,
-        })
-    }
-
-    fn usage_err(&self, detail: String) -> FormatError {
-        FormatError::Corrupt {
-            path: self.path.clone(),
-            chunk: None,
-            detail,
-        }
-    }
-
-    /// Appends every row of `table`; its schema must match the writer's.
-    pub fn append_table(&mut self, table: &Table) -> Result<(), FormatError> {
-        if table.schema() != &self.schema {
-            return Err(self.usage_err(format!(
-                "schema mismatch: writer has {}, table `{}` has {}",
-                self.schema,
-                table.name(),
-                table.schema()
-            )));
-        }
-        let columns: Vec<&Column> = table.columns().iter().map(|c| c.as_ref()).collect();
-        self.append_column_refs(&columns)
-    }
-
-    /// Appends a run of rows given as one equal-length column per schema
-    /// field — the entry point for generators that produce column slabs
-    /// without materializing a `Table`.
-    pub fn append_columns(&mut self, columns: &[Column]) -> Result<(), FormatError> {
-        let refs: Vec<&Column> = columns.iter().collect();
-        self.append_column_refs(&refs)
-    }
-
-    fn append_column_refs(&mut self, columns: &[&Column]) -> Result<(), FormatError> {
-        if columns.len() != self.schema.len() {
-            return Err(self.usage_err(format!(
-                "expected {} columns, got {}",
-                self.schema.len(),
-                columns.len()
-            )));
-        }
-        let rows = columns.first().map(|c| c.len()).unwrap_or(0);
-        for (field, column) in self.schema.fields().iter().zip(columns) {
-            if column.data_type() != field.data_type {
-                return Err(self.usage_err(format!(
-                    "column `{}` expects {}, got {}",
-                    field.name,
-                    field.data_type,
-                    column.data_type()
-                )));
-            }
-            if column.len() != rows {
-                return Err(self.usage_err(format!(
-                    "ragged append: column `{}` has {} rows, expected {rows}",
-                    field.name,
-                    column.len()
-                )));
-            }
-        }
-        for (i, column) in columns.iter().enumerate() {
-            self.accs[i].observe(column, 0, column.len());
-            self.pending[i]
-                .append(column)
-                .map_err(|e| self.usage_err(e.to_string()))?;
-        }
-        self.pending_rows += rows;
-        self.rows_written += rows;
-        while self.pending_rows >= self.chunk_rows {
-            self.flush_chunk(self.chunk_rows)?;
-        }
-        Ok(())
-    }
-
-    /// Writes the first `rows` pending rows as one chunk.
-    fn flush_chunk(&mut self, rows: usize) -> Result<(), FormatError> {
-        debug_assert!(rows > 0 && rows <= self.pending_rows);
-        let mut entries = Vec::with_capacity(self.pending.len());
-        let mut encoded = Vec::new();
-        for column in &self.pending {
+    let io = |source: std::io::Error| FormatError::Io {
+        path: path.to_path_buf(),
+        source,
+    };
+    let chunk_rows = chunk_rows.max(1);
+    let rows = table.num_rows();
+    let mut file = BufWriter::new(File::create(path).map_err(io)?);
+    file.write_all(MAGIC).map_err(io)?;
+    let mut offset = MAGIC.len() as u64; // CAST-OK: constant 8-byte magic
+    let mut directory = Vec::with_capacity(rows.div_ceil(chunk_rows));
+    let mut encoded = Vec::new();
+    for start in (0..rows).step_by(chunk_rows) {
+        let end = (start + chunk_rows).min(rows);
+        let mut entries = Vec::with_capacity(schema.len());
+        for column in table.columns() {
             encoded.clear();
-            encode_column_range(column, 0, rows, &mut encoded);
-            let entry = ChunkEntry {
-                offset: self.offset,
-                len: encoded.len() as u64, // CAST-OK: usize widens losslessly into u64 on supported targets
+            encode_column_range(column, start, end, &mut encoded);
+            file.write_all(&encoded).map_err(io)?;
+            let len = encoded.len() as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
+            entries.push(ChunkEntry {
+                offset,
+                len,
                 checksum: xxh64(&encoded, 0),
-                zone: Some(zone_of(column, 0, rows)),
-            };
-            self.file
-                .write_all(&encoded)
-                .map_err(|source| FormatError::Io {
-                    path: self.path.clone(),
-                    source,
-                })?;
-            self.offset += entry.len;
-            entries.push(entry);
+                zone: zone_of(column, start, end),
+            });
+            offset += len;
         }
-        self.directory.push(entries);
-        // Carry the remainder over into the next pending chunk.
-        let rest: Vec<usize> = (rows..self.pending_rows).collect();
-        for column in &mut self.pending {
-            *column = column.take(&rest);
-        }
-        self.pending_rows -= rows;
-        Ok(())
+        directory.push(entries);
     }
 
-    /// Seals the file: flushes the tail chunk, computes statistics and
-    /// writes the footer. Returns a summary of what landed on disk.
-    pub fn finish(mut self) -> Result<FileSummary, FormatError> {
-        if self.pending_rows > 0 {
-            self.flush_chunk(self.pending_rows)?;
-        }
-        self.file.flush().map_err(|source| FormatError::Io {
-            path: self.path.clone(),
-            source,
-        })?;
-        let mut file = self.file.into_inner().map_err(|e| FormatError::Io {
-            path: self.path.clone(),
-            source: e.into_error(),
-        })?;
-        let stats = build_stats(
-            &self.path,
-            &self.schema,
-            &self.directory,
-            self.rows_written,
-            self.chunk_rows,
-            &self.accs,
-        )?;
-        let mut footer = Vec::new();
-        put_u32(&mut footer, FORMAT_VERSION);
-        put_u64(&mut footer, self.chunk_rows as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
-        put_string(&mut footer, &self.name);
-        put_u32(&mut footer, self.schema.len() as u32); // CAST-OK: column count capped at MAX_COLUMNS (2^16)
-        for field in self.schema.fields() {
-            put_string(&mut footer, &field.name);
-            footer.push(type_code(field.data_type));
-        }
-        put_u64(&mut footer, self.rows_written as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
-        put_u64(&mut footer, self.directory.len() as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
-        for entries in &self.directory {
-            for entry in entries {
-                put_u64(&mut footer, entry.offset);
-                put_u64(&mut footer, entry.len);
-                put_u64(&mut footer, entry.checksum);
-                match &entry.zone {
-                    Some((min, max)) => {
-                        footer.push(1);
-                        encode_value(min, &mut footer);
-                        encode_value(max, &mut footer);
-                    }
-                    None => footer.push(0),
-                }
-            }
-        }
-        encode_stats(&stats, &self.schema, &mut footer);
-        let footer_checksum = xxh64(&footer, 0);
-        let mut trailer = Vec::new();
-        put_u64(&mut trailer, footer.len() as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
-        put_u64(&mut trailer, footer_checksum);
-        trailer.extend_from_slice(MAGIC);
-        file.write_all(&footer).map_err(|source| FormatError::Io {
-            path: self.path.clone(),
-            source,
-        })?;
-        file.write_all(&trailer).map_err(|source| FormatError::Io {
-            path: self.path.clone(),
-            source,
-        })?;
-        file.flush().map_err(|source| FormatError::Io {
-            path: self.path.clone(),
-            source,
-        })?;
-        let bytes = self.offset + footer.len() as u64 + trailer.len() as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
-        Ok(FileSummary {
-            rows: self.rows_written,
-            chunks: self.directory.len(),
-            bytes,
-        })
+    let mut footer = Vec::new();
+    put_u32(&mut footer, FORMAT_VERSION);
+    put_u64(&mut footer, chunk_rows as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
+    put_string(&mut footer, table.name());
+    put_u32(&mut footer, schema.len() as u32); // CAST-OK: column count checked against MAX_COLUMNS above
+    for field in schema.fields() {
+        put_string(&mut footer, &field.name);
+        footer.push(type_code(field.data_type));
     }
+    put_u64(&mut footer, rows as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
+    put_u64(&mut footer, directory.len() as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
+    for entry in directory.iter().flatten() {
+        put_u64(&mut footer, entry.offset);
+        put_u64(&mut footer, entry.len);
+        put_u64(&mut footer, entry.checksum);
+        match &entry.zone {
+            Some((min, max)) => {
+                footer.push(1);
+                encode_value(min, &mut footer);
+                encode_value(max, &mut footer);
+            }
+            None => footer.push(0),
+        }
+    }
+    encode_stats(&table.compute_stats(), schema, &mut footer).map_err(usage)?;
+    let mut trailer = Vec::new();
+    put_u64(&mut trailer, footer.len() as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
+    put_u64(&mut trailer, xxh64(&footer, 0));
+    trailer.extend_from_slice(MAGIC);
+    file.write_all(&footer).map_err(io)?;
+    file.write_all(&trailer).map_err(io)?;
+    file.flush().map_err(io)?;
+    Ok(FileSummary {
+        rows,
+        chunks: directory.len(),
+        bytes: offset + (footer.len() + trailer.len()) as u64, // CAST-OK: usize widens losslessly into u64 on supported targets
+    })
 }
 
 /// Serializes `TableStats` into the footer, in schema order (deterministic
 /// bytes for a deterministic file fingerprint).
-fn encode_stats(stats: &TableStats, schema: &Schema, out: &mut Vec<u8>) {
+fn encode_stats(stats: &TableStats, schema: &Schema, out: &mut Vec<u8>) -> Result<(), String> {
     put_u64(out, stats.row_count as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
-    put_u32(out, schema.len() as u32); // CAST-OK: column count capped at MAX_COLUMNS (2^16)
+    put_u32(out, schema.len() as u32); // CAST-OK: column count checked against MAX_COLUMNS by the caller
     for field in schema.fields() {
         let col = stats
             .column(&field.name)
-            .expect("stats cover every schema column");
+            .ok_or_else(|| format!("no statistics for column `{}`", field.name))?;
         put_string(out, &field.name);
         put_u64(out, col.row_count as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
         put_u64(out, col.distinct_count as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
-        match col.min {
-            Some(v) => {
-                out.push(1);
-                put_u64(out, v.to_bits());
+        for bound in [col.min, col.max] {
+            match bound {
+                Some(v) => {
+                    out.push(1);
+                    put_u64(out, v.to_bits());
+                }
+                None => out.push(0),
             }
-            None => out.push(0),
-        }
-        match col.max {
-            Some(v) => {
-                out.push(1);
-                put_u64(out, v.to_bits());
-            }
-            None => out.push(0),
         }
         put_u32(out, col.histogram.len() as u32); // CAST-OK: histogram length is the small HISTOGRAM_BUCKETS constant
         for &bucket in &col.histogram {
             put_u64(out, bucket as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
         }
     }
-}
-
-/// Assembles the exact `TableStats` that `Table::compute_stats` would
-/// produce, using the streaming accumulators for distinct/min/max and one
-/// chunk re-read pass for the histograms (which need min/max up front).
-fn build_stats(
-    path: &Path,
-    schema: &Schema,
-    directory: &[Vec<ChunkEntry>],
-    row_count: usize,
-    chunk_rows: usize,
-    accs: &[ColAcc],
-) -> Result<TableStats, FormatError> {
-    let mut histograms: Vec<Vec<usize>> = schema
-        .fields()
-        .iter()
-        .zip(accs)
-        .map(|(f, acc)| {
-            let numeric = matches!(f.data_type, DataType::Int64 | DataType::Float64);
-            if numeric && acc.any_numeric {
-                vec![0usize; HISTOGRAM_BUCKETS]
-            } else {
-                Vec::new()
-            }
-        })
-        .collect();
-    let needs_pass = histograms.iter().any(|h| !h.is_empty());
-    if needs_pass {
-        // The writer's own handle is write-only; histograms re-read the
-        // flushed chunks through a fresh read handle.
-        let file = File::open(path).map_err(|source| FormatError::Io {
-            path: path.to_path_buf(),
-            source,
-        })?;
-        let mut buf = Vec::new();
-        for (chunk_idx, entries) in directory.iter().enumerate() {
-            let rows = (row_count - chunk_idx * chunk_rows).min(chunk_rows);
-            for (col_idx, entry) in entries.iter().enumerate() {
-                if histograms[col_idx].is_empty() {
-                    continue;
-                }
-                let acc = &accs[col_idx];
-                let width = (acc.max - acc.min) / HISTOGRAM_BUCKETS as f64; // CAST-OK: small constant bucket count
-                buf.resize(entry.len as usize, 0); // CAST-OK: entry lengths are writer-produced and bounded by chunk size
-                read_exact_at(&file, path, entry.offset, &mut buf).map_err(|source| {
-                    FormatError::Io {
-                        path: path.to_path_buf(),
-                        source,
-                    }
-                })?;
-                let column =
-                    crate::codec::decode_column(schema.field_at(col_idx).data_type, rows, &buf)
-                        .map_err(|detail| FormatError::Corrupt {
-                            path: path.to_path_buf(),
-                            chunk: Some(chunk_idx),
-                            detail,
-                        })?;
-                let histogram = &mut histograms[col_idx];
-                let mut bucket = |v: f64| {
-                    let idx = if width <= 0.0 {
-                        0
-                    } else {
-                        // CAST-OK: quotient >= 0 (v >= min, width > 0), capped right after
-                        (((v - acc.min) / width) as usize).min(HISTOGRAM_BUCKETS - 1)
-                    };
-                    histogram[idx] += 1;
-                };
-                match &column {
-                    Column::Int64(v) => v.iter().for_each(|&x| bucket(x as f64)), // CAST-OK: estimate math; f64 rounding is acceptable here
-                    Column::Float64(v) => v.iter().for_each(|&x| bucket(x)),
-                    _ => unreachable!("histograms only for numeric columns"),
-                }
-            }
-        }
-    }
-    let mut columns = HashMap::new();
-    for ((field, acc), histogram) in schema.fields().iter().zip(accs).zip(histograms) {
-        let (min, max) = acc.bounds();
-        columns.insert(
-            field.name.clone(),
-            ColumnStats {
-                row_count,
-                distinct_count: acc.distinct_count(),
-                min,
-                max,
-                histogram,
-            },
-        );
-    }
-    Ok(TableStats { row_count, columns })
-}
-
-/// One-call convenience: writes all of `table` to `path` with the given
-/// chunk size and seals the file.
-pub fn write_table(
-    path: impl AsRef<Path>,
-    table: &Table,
-    chunk_rows: usize,
-) -> Result<FileSummary, FormatError> {
-    let mut writer =
-        FileWriter::with_chunk_rows(path, table.name(), table.schema().clone(), chunk_rows)?;
-    writer.append_table(table)?;
-    writer.finish()
+    Ok(())
 }

@@ -4,7 +4,7 @@
 //! flips arbitrary bytes anywhere in a valid file and holds the reader to
 //! that contract.
 
-use bqo_format::{write_table, xxh64, AccessMode, FileReader, FormatError, FORMAT_VERSION, MAGIC};
+use bqo_format::{write_table, xxh64, FileReader, FormatError, FORMAT_VERSION, MAGIC};
 use bqo_storage::TableBuilder;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
@@ -74,24 +74,22 @@ fn data_corruption_is_a_checksum_mismatch_with_chunk_index() {
     // right after the 8-byte header.
     bytes[9] ^= 0x40;
     std::fs::write(&path, &bytes).unwrap();
-    for mode in [AccessMode::Buffered, AccessMode::Mmap] {
-        // The footer is intact, so the file still opens…
-        let reader = FileReader::open_with(&path, mode).unwrap();
-        // …but materializing the damaged chunk fails with its index.
-        match reader.read_chunk_columns(0) {
-            Err(FormatError::ChecksumMismatch {
-                chunk,
-                column,
-                path: p,
-            }) => {
-                assert_eq!((chunk, column), (0, 0));
-                assert_eq!(p, path);
-            }
-            other => panic!("expected ChecksumMismatch, got {other:?}"),
+    // The footer is intact, so the file still opens…
+    let reader = FileReader::open(&path).unwrap();
+    // …but materializing the damaged chunk fails with its index.
+    match reader.read_chunk_columns(0) {
+        Err(FormatError::ChecksumMismatch {
+            chunk,
+            column,
+            path: p,
+        }) => {
+            assert_eq!((chunk, column), (0, 0));
+            assert_eq!(p, path);
         }
-        // Undamaged chunks still read fine.
-        assert!(reader.read_chunk_columns(1).is_ok());
+        other => panic!("expected ChecksumMismatch, got {other:?}"),
     }
+    // Undamaged chunks still read fine.
+    assert!(reader.read_chunk_columns(1).is_ok());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -192,19 +190,17 @@ fn oversized_row_counts_are_rejected_not_allocated() {
     bytes[n - 16..n - 8].copy_from_slice(&reseal.to_le_bytes());
     std::fs::write(&path, &bytes).unwrap();
 
-    for mode in [AccessMode::Buffered, AccessMode::Mmap] {
-        // The footer is self-consistent, so the file opens.
-        let reader = FileReader::open_with(&path, mode).unwrap();
-        for chunk in [0, 6] {
-            match reader.read_chunk_columns(chunk) {
-                Err(FormatError::Corrupt {
-                    path: p, chunk: c, ..
-                }) => {
-                    assert_eq!(p, path);
-                    assert_eq!(c, Some(chunk));
-                }
-                other => panic!("expected Corrupt for chunk {chunk}, got {other:?}"),
+    // The footer is self-consistent, so the file opens.
+    let reader = FileReader::open(&path).unwrap();
+    for chunk in [0, 6] {
+        match reader.read_chunk_columns(chunk) {
+            Err(FormatError::Corrupt {
+                path: p, chunk: c, ..
+            }) => {
+                assert_eq!(p, path);
+                assert_eq!(c, Some(chunk));
             }
+            other => panic!("expected Corrupt for chunk {chunk}, got {other:?}"),
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
@@ -246,12 +242,7 @@ fn random_byte_flips_never_panic() {
         }
         let mutated_path = dir.join("mutant.bqo");
         std::fs::write(&mutated_path, &mutated).unwrap();
-        let mode = if trial % 2 == 0 {
-            AccessMode::Buffered
-        } else {
-            AccessMode::Mmap
-        };
-        match FileReader::open_with(&mutated_path, mode) {
+        match FileReader::open(&mutated_path) {
             Err(_) => {} // typed error: exactly what corruption should produce
             Ok(reader) => match reader.read_table() {
                 Err(_) => {}

@@ -35,6 +35,7 @@
 //! trailing on the same line, mid-statement on the line directly above, or
 //! in the contiguous comment block ending on the previous line.
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 #![warn(missing_docs)]

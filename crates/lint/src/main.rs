@@ -2,6 +2,8 @@
 //!
 //! Usage: `cargo run -p bqo-lint [-- <workspace-root>]`.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 

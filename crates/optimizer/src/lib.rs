@@ -18,6 +18,7 @@
 //! used by the tests and the Table 2 experiment to verify that the candidate
 //! sets really contain a minimum-cost plan.
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 

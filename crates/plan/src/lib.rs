@@ -26,6 +26,7 @@
 //! * [`unparse`] — [`QuerySpec::to_sql`] / `Display`: renders a spec back to
 //!   SQL text for the `bqo-sql` frontend's round-trip fuzzing.
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 #![warn(missing_docs)]

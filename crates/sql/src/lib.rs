@@ -33,6 +33,7 @@
 //! for most callers — `Engine::prepare_sql` / `Engine::bind_sql` in
 //! `bqo-core`, which add plan caching and execution.
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 

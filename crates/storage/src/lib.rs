@@ -18,6 +18,7 @@
 //! * There are no nulls. Synthetic generators always produce values, and the
 //!   paper's analysis does not depend on null semantics.
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 

@@ -93,18 +93,6 @@ impl Table {
         Ok(&self.columns[idx])
     }
 
-    /// Shared handle to a column by name.
-    pub fn shared_column(&self, name: &str) -> Result<Arc<Column>> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .ok_or_else(|| StorageError::ColumnNotFound {
-                table: self.name.clone(),
-                column: name.to_string(),
-            })?;
-        Ok(Arc::clone(&self.columns[idx]))
-    }
-
     /// Column by positional index.
     ///
     /// # Panics

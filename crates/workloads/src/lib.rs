@@ -20,6 +20,7 @@
 //! * [`microbench`] — the two-table workload of Figure 7 with a dial for the
 //!   bitvector filter's selectivity.
 
+#![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
 

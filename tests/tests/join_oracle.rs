@@ -32,7 +32,7 @@ use bqo_exec::{
     Batch, ExecConfig, ExecContext, ExecutionMetrics, JoinTable, KernelMode, PipelineBuilder,
     WorkerPool,
 };
-use bqo_format::{write_table, AccessMode, CatalogExt};
+use bqo_format::{write_table, CatalogExt};
 use bqo_integration_tests::env_threads;
 use bqo_plan::{
     push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, JoinGraph, JoinTree,
@@ -102,9 +102,7 @@ impl Scenario {
         for table in &self.tables {
             let path = dir.join(format!("{}-{}.bqo", self.name, table.name()));
             write_table(&path, table, 7).expect("write table file");
-            catalog
-                .register_file_with(&path, AccessMode::Buffered)
-                .expect("register file");
+            catalog.register_file(&path).expect("register file");
         }
         catalog
     }

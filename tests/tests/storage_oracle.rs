@@ -7,7 +7,7 @@
 //! * a TPC-DS-like workload executed against a file-backed twin of its
 //!   catalog returns **bit-identical** row batches and `FilterStats` to the
 //!   in-memory original, across {1, 4} worker threads × {vectorized,
-//!   scalar} kernels × {buffered, mmap} access modes;
+//!   scalar} kernels;
 //! * writing a table, reading it back and writing it again reproduces the
 //!   original file byte for byte (the format has one canonical encoding);
 //! * on a selective scan of a fact table clustered by its join key,
@@ -20,7 +20,7 @@
 //!   kernel modes; once the fault is gone the same engine answers
 //!   bit-identically to a fresh one.
 
-use bqo_core::format::{write_table, AccessMode, CatalogExt, FileReader};
+use bqo_core::format::{write_table, CatalogExt, FileReader};
 use bqo_core::workloads::{tpcds_like, Scale};
 use bqo_core::{
     BqoError, ColumnPredicate, CompareOp, Engine, ExecConfig, KernelMode, OptimizerChoice,
@@ -43,9 +43,9 @@ fn temp_dir(tag: &str) -> PathBuf {
 }
 
 /// Writes every table of `catalog` to a `.bqo` file in `dir` and builds a
-/// catalog registering those files (with `mode` access), carrying over the
-/// key declarations — the disk twin of an in-memory catalog.
-fn file_twin(catalog: &Catalog, dir: &Path, chunk_rows: usize, mode: AccessMode) -> Catalog {
+/// catalog registering those files, carrying over the key declarations —
+/// the disk twin of an in-memory catalog.
+fn file_twin(catalog: &Catalog, dir: &Path, chunk_rows: usize) -> Catalog {
     let mut names: Vec<String> = catalog
         .table_names()
         .into_iter()
@@ -57,7 +57,7 @@ fn file_twin(catalog: &Catalog, dir: &Path, chunk_rows: usize, mode: AccessMode)
         let table = catalog.table(name).expect("memory-backed original");
         let path = dir.join(format!("{name}.bqo"));
         write_table(&path, &table, chunk_rows).expect("write table file");
-        let registered = twin.register_file_with(&path, mode).expect("register file");
+        let registered = twin.register_file(&path).expect("register file");
         assert_eq!(&registered, name);
         if let Some(pk) = catalog.primary_key(name) {
             twin.declare_primary_key(name, pk).expect("copy pk");
@@ -80,63 +80,58 @@ fn run(engine: &Engine, stmt: &bqo_core::PreparedStatement, config: ExecConfig) 
 }
 
 /// Disk-backed TPC-DS-like runs are bit-identical (rows and FilterStats) to
-/// the in-memory runs across the threads × kernel-mode × access-mode matrix.
+/// the in-memory runs across the threads × kernel-mode matrix.
 #[test]
 fn disk_backed_runs_are_bit_identical_to_memory() {
     let dir = temp_dir("tpcds");
     let w = tpcds_like::generate(Scale(0.02), 6, 11);
     let memory_engine = Engine::from_catalog(w.catalog.clone());
     // 512-row chunks give the fact tables dozens of chunks each.
-    let buffered = Engine::from_catalog(file_twin(&w.catalog, &dir, 512, AccessMode::Buffered));
-    let mapped_dir = temp_dir("tpcds-mmap");
-    let mapped = Engine::from_catalog(file_twin(&w.catalog, &mapped_dir, 512, AccessMode::Mmap));
+    let engine = Engine::from_catalog(file_twin(&w.catalog, &dir, 512));
 
     for q in &w.queries {
         let mem_stmt = memory_engine.prepare(q, OptimizerChoice::Bqo).unwrap();
         assert!(mem_stmt.explain().contains("[scan=memory]"));
-        for (label, engine) in [("buffered", &buffered), ("mmap", &mapped)] {
-            let file_stmt = engine.prepare(q, OptimizerChoice::Bqo).unwrap();
-            assert!(
-                file_stmt.explain().contains("[scan=file]"),
-                "{}: explain should label file-backed scans:\n{}",
-                q.name,
-                file_stmt.explain()
-            );
-            for threads in THREAD_COUNTS {
-                for kernel in KERNELS {
-                    let config = ExecConfig::default()
-                        .with_num_threads(threads)
-                        .with_kernel_mode(kernel);
-                    let mem = run(&memory_engine, &mem_stmt, config);
-                    let file = run(engine, &file_stmt, config);
-                    let cell = format!("{} [{label}, {threads} thread(s), {kernel:?}]", q.name);
-                    assert_eq!(
-                        mem.result.output_rows, file.result.output_rows,
-                        "{cell}: row counts differ"
-                    );
-                    assert_eq!(mem.rows, file.rows, "{cell}: row batches differ");
-                    assert_eq!(
-                        mem.result.metrics.filter_stats, file.result.metrics.filter_stats,
-                        "{cell}: FilterStats differ"
-                    );
-                    assert_eq!(
-                        mem.result.metrics.chunks_read, 0,
-                        "{cell}: memory run claims file chunks"
-                    );
-                    assert!(
-                        file.result.metrics.chunks_read > 0,
-                        "{cell}: file run read no chunks"
-                    );
-                    assert!(
-                        file.result.metrics.bytes_read > 0,
-                        "{cell}: file run read no bytes"
-                    );
-                }
+        let file_stmt = engine.prepare(q, OptimizerChoice::Bqo).unwrap();
+        assert!(
+            file_stmt.explain().contains("[scan=file]"),
+            "{}: explain should label file-backed scans:\n{}",
+            q.name,
+            file_stmt.explain()
+        );
+        for threads in THREAD_COUNTS {
+            for kernel in KERNELS {
+                let config = ExecConfig::default()
+                    .with_num_threads(threads)
+                    .with_kernel_mode(kernel);
+                let mem = run(&memory_engine, &mem_stmt, config);
+                let file = run(&engine, &file_stmt, config);
+                let cell = format!("{} [{threads} thread(s), {kernel:?}]", q.name);
+                assert_eq!(
+                    mem.result.output_rows, file.result.output_rows,
+                    "{cell}: row counts differ"
+                );
+                assert_eq!(mem.rows, file.rows, "{cell}: row batches differ");
+                assert_eq!(
+                    mem.result.metrics.filter_stats, file.result.metrics.filter_stats,
+                    "{cell}: FilterStats differ"
+                );
+                assert_eq!(
+                    mem.result.metrics.chunks_read, 0,
+                    "{cell}: memory run claims file chunks"
+                );
+                assert!(
+                    file.result.metrics.chunks_read > 0,
+                    "{cell}: file run read no chunks"
+                );
+                assert!(
+                    file.result.metrics.bytes_read > 0,
+                    "{cell}: file run read no bytes"
+                );
             }
         }
     }
     let _ = std::fs::remove_dir_all(dir);
-    let _ = std::fs::remove_dir_all(mapped_dir);
 }
 
 /// write → read → write reproduces the file byte for byte: the format has
@@ -196,7 +191,7 @@ fn zone_map_pruning_skips_most_chunks_and_changes_nothing() {
     let dir = temp_dir("pruning");
     let memory = clustered_catalog();
     // 1024-row chunks: fact = 63 chunks (ragged tail), dim = 1 chunk.
-    let engine = Engine::from_catalog(file_twin(&memory, &dir, 1024, AccessMode::Buffered));
+    let engine = Engine::from_catalog(file_twin(&memory, &dir, 1024));
 
     // dim.sk < 100 keeps keys 0..100 → fact rows 0..6400 → chunks 0..=6.
     let query = QuerySpec::new("selective")
@@ -273,7 +268,7 @@ fn zone_map_pruning_skips_most_chunks_and_changes_nothing() {
 fn predicate_zone_pruning_matches_unpruned_answers() {
     let dir = temp_dir("pred-pruning");
     let memory = clustered_catalog();
-    let engine = Engine::from_catalog(file_twin(&memory, &dir, 1024, AccessMode::Mmap));
+    let engine = Engine::from_catalog(file_twin(&memory, &dir, 1024));
     let memory_engine = Engine::from_catalog(memory);
 
     // A local predicate on the fact's clustered column: fk < 50 keeps the
@@ -463,7 +458,7 @@ fn a_flipped_byte_in_any_chunk_fails_typed_and_the_engine_recovers() {
     let (fact, ..) = fault_tables();
     let path = dir.join("fact.bqo");
     write_table(&path, &fact, FAULT_CHUNK_ROWS).unwrap();
-    let reader = Arc::new(FileReader::open_with(&path, AccessMode::Buffered).unwrap());
+    let reader = Arc::new(FileReader::open(&path).unwrap());
     let chunks = reader.num_chunks();
     assert_eq!(chunks, 8);
     let engine = Engine::from_catalog(fault_catalog(reader));
@@ -472,7 +467,7 @@ fn a_flipped_byte_in_any_chunk_fails_typed_and_the_engine_recovers() {
         .unwrap();
     let pristine = dir.join("pristine.bqo");
     std::fs::copy(&path, &pristine).unwrap();
-    let fresh_reader = FileReader::open_with(&pristine, AccessMode::Buffered).unwrap();
+    let fresh_reader = FileReader::open(&pristine).unwrap();
     let fresh = Engine::from_catalog(fault_catalog(Arc::new(fresh_reader)));
     let fresh_stmt = fresh.prepare(&fault_query(), OptimizerChoice::Bqo).unwrap();
 
