@@ -7,10 +7,13 @@
 //! BQO_SCALE=0.1 BQO_QUERIES=20 cargo run -p bqo-bench --bin reproduce --release -- fig8
 //! ```
 //!
-//! Available experiments: the names in [`SECTIONS`], or `all`; any other
-//! argument is rejected. Every section reports deterministic logical-work
-//! counters; the wall times printed next to them are single-shot
-//! `ExecutionMetrics::elapsed` readings. Throughput, latency and per-layer
+//! `BQO_SCALE` is the workload scale factor (default 0.25; `1.0` builds the
+//! full-size synthetic databases) and `BQO_QUERIES` the number of queries per
+//! workload (default 30). Available experiments: the names in [`SECTIONS`],
+//! or `all`. An unknown section, or a setting that is not a positive
+//! number, exits with status 2 before anything runs. Every section reports
+//! deterministic logical-work counters; the wall times printed next to them
+//! are single-shot `ExecutionMetrics::elapsed` readings. Throughput, latency and per-layer
 //! timings with spreads come from `benchmark/` (see `BENCHMARK.json`).
 //!
 //! Full (`all`) runs write the Markdown record to `EXPERIMENTS.md` in the
@@ -20,7 +23,8 @@
 
 #![forbid(unsafe_code)]
 
-use bqo_bench::{default_query_count, default_scale, experiments, report};
+use bqo_bench::{experiments, report};
+use bqo_core::workloads::Scale;
 use std::fmt::Write as _;
 
 /// Every section `reproduce` can run, in output order.
@@ -42,6 +46,22 @@ fn first_unknown_section(args: &[String]) -> Option<&str> {
     args.iter().map(String::as_str).find(|arg| {
         !arg.eq_ignore_ascii_case("all") && !SECTIONS.iter().any(|s| arg.eq_ignore_ascii_case(s))
     })
+}
+
+/// `BQO_SCALE` and `BQO_QUERIES` (`None` when unset), validated: the scale
+/// must be a positive finite number and the query count a positive integer.
+fn settings(scale: Option<&str>, queries: Option<&str>) -> Result<(Scale, usize), String> {
+    let scale = match scale.map(|text| (text, text.parse::<f64>())) {
+        None => 0.25,
+        Some((_, Ok(s))) if s.is_finite() && s > 0.0 => s,
+        Some((text, _)) => return Err(format!("BQO_SCALE={text:?} is not a positive number")),
+    };
+    let queries = match queries.map(|text| (text, text.parse::<usize>())) {
+        None => 30,
+        Some((_, Ok(n))) if n > 0 => n,
+        Some((text, _)) => return Err(format!("BQO_QUERIES={text:?} is not a positive integer")),
+    };
+    Ok((Scale(scale), queries))
 }
 
 /// What the paper reports for each experiment, quoted next to our output so
@@ -130,8 +150,15 @@ fn main() {
     } else {
         args
     };
-    let scale = default_scale();
-    let queries = default_query_count();
+    let var = |name| std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+    let (scale, queries) =
+        match settings(var("BQO_SCALE").as_deref(), var("BQO_QUERIES").as_deref()) {
+            Ok(settings) => settings,
+            Err(message) => {
+                eprintln!("{message}");
+                std::process::exit(2);
+            }
+        };
     let wants = |name: &str| {
         selected
             .iter()
@@ -202,7 +229,7 @@ fn main() {
     if wants("fig7") {
         record(
             "fig7",
-            report::render_figure7(&experiments::run_figure7(scale, 3)),
+            report::render_figure7(&experiments::run_figure7(scale)),
         );
     }
     if wants("fig8") || wants("fig9") || wants("fig10") {
@@ -285,6 +312,20 @@ mod tests {
             "probe_throughput",
         ] {
             assert_eq!(first_unknown_section(&args(&[deleted])), Some(deleted));
+        }
+    }
+
+    #[test]
+    fn settings_default_when_unset_and_reject_bad_values() {
+        assert_eq!(settings(None, None), Ok((Scale(0.25), 30)));
+        assert_eq!(settings(Some("0.1"), Some("3")), Ok((Scale(0.1), 3)));
+        for scale in ["0,1", "", "abc", "0", "-0.5", "NaN", "inf"] {
+            let err = settings(Some(scale), None).unwrap_err();
+            assert!(err.starts_with("BQO_SCALE="), "{scale}: {err}");
+        }
+        for queries in ["0", "-3", "2.5", "many", ""] {
+            let err = settings(None, Some(queries)).unwrap_err();
+            assert!(err.starts_with("BQO_QUERIES="), "{queries}: {err}");
         }
     }
 }

@@ -1,38 +1,143 @@
 //! One driver function per table / figure of the paper's evaluation.
+//!
+//! Every driver measures through `measure`: one execution of one prepared
+//! statement, read into a [`RunRecord`]. Figures 2 and 7–10, Table 4 and the
+//! filter-kind ablation run each query more than one way (baseline vs
+//! bitvector-aware optimizer, with vs without filters, exact vs Bloom
+//! filters); every such run must return the same number of rows, or the
+//! driver panics naming the section and the query. The `logical_work`
+//! counter (tuples built, probed and produced) is deterministic;
+//! `elapsed_secs` is a single-shot reading.
 
-use bqo_core::bitvector::FilterKind;
+use bqo_core::bitvector::{FilterKind, FilterStats};
 use bqo_core::exec::ExecConfig;
-use bqo_core::experiment::{
-    bitvector_effect, run_workload, BitvectorEffectReport, ExperimentOptions, WorkloadReport,
-};
 use bqo_core::optimizer::{candidate_plans, count_right_deep_plans, exhaustive_best_right_deep};
 use bqo_core::plan::{push_down_bitvectors, CostModel, PhysicalPlan, RightDeepTree};
 use bqo_core::workloads::{
     customer_like, job_like, microbench, snowflake, star, tpcds_like, Scale, Workload,
     WorkloadStats,
 };
-use bqo_core::{Engine, OptimizerChoice, RunOptions};
+use bqo_core::{
+    BqoError, Engine, OperatorKind, OptimizerChoice, PreparedStatement, QuerySpec, RunOptions,
+    Session,
+};
 
-/// Measurements for one plan of the Figure 2 motivating example.
+/// Measurements of one execution of one statement.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RunRecord {
+    /// Estimated bitvector-aware `Cout` of the executed plan.
+    pub estimated_cost: f64,
+    /// Wall-clock execution time in seconds (single shot).
+    pub elapsed_secs: f64,
+    /// Deterministic work proxy: tuples built + probed + produced (+ filter
+    /// probes at reduced weight).
+    pub logical_work: u64,
+    /// Tuples output by scans.
+    pub leaf_tuples: u64,
+    /// Tuples output by hash joins.
+    pub join_tuples: u64,
+    /// Tuples output by residual filter operators.
+    pub other_tuples: u64,
+    /// Rows in the final result.
+    pub output_rows: u64,
+    /// Number of bitvector filters created during execution.
+    pub filters_created: usize,
+    /// Tuples probed against and eliminated by bitvector filters.
+    pub filters: FilterStats,
+}
+
+impl RunRecord {
+    /// Total tuples output by all operators.
+    pub fn total_tuples(&self) -> u64 {
+        self.leaf_tuples + self.join_tuples + self.other_tuples
+    }
+}
+
+impl std::iter::Sum for RunRecord {
+    fn sum<I: Iterator<Item = RunRecord>>(records: I) -> RunRecord {
+        records.fold(RunRecord::default(), |mut total, r| {
+            total.estimated_cost += r.estimated_cost;
+            total.elapsed_secs += r.elapsed_secs;
+            total.logical_work += r.logical_work;
+            total.leaf_tuples += r.leaf_tuples;
+            total.join_tuples += r.join_tuples;
+            total.other_tuples += r.other_tuples;
+            total.output_rows += r.output_rows;
+            total.filters_created += r.filters_created;
+            total.filters.merge(&r.filters);
+            total
+        })
+    }
+}
+
+/// Executes `stmt` once under `config`. The one place a driver reads
+/// `ExecutionMetrics`.
+fn measure(
+    session: &Session,
+    stmt: &PreparedStatement,
+    config: ExecConfig,
+) -> Result<RunRecord, BqoError> {
+    let result = session
+        .execute(stmt, RunOptions::new().with_exec_config(config))?
+        .result;
+    let metrics = &result.metrics;
+    Ok(RunRecord {
+        estimated_cost: stmt.estimated_cost().total,
+        elapsed_secs: metrics.elapsed_secs(),
+        logical_work: metrics.logical_work(),
+        leaf_tuples: metrics.tuples_by_kind(OperatorKind::Leaf),
+        join_tuples: metrics.tuples_by_kind(OperatorKind::Join),
+        other_tuples: metrics.tuples_by_kind(OperatorKind::Other),
+        output_rows: result.output_rows,
+        filters_created: metrics.filters_created,
+        filters: metrics.filter_stats,
+    })
+}
+
+/// Prepares every query with `choice` and measures it once under `config`.
+fn measure_all(
+    engine: &Engine,
+    queries: &[QuerySpec],
+    choice: OptimizerChoice,
+    config: ExecConfig,
+) -> Result<Vec<RunRecord>, BqoError> {
+    let session = engine.session();
+    queries
+        .iter()
+        .map(|query| measure(&session, &engine.prepare(query, choice)?, config))
+        .collect()
+}
+
+/// Panics unless two runs of one query returned the same number of rows:
+/// neither the optimizer nor bitvector filtering may change an answer.
+fn check_same_answer(section: &str, query: &str, a: &RunRecord, b: &RunRecord) {
+    assert_eq!(
+        a.output_rows, b.output_rows,
+        "{section}: two runs of query {query} returned different row counts"
+    );
+}
+
+/// `num / den`, or 1.0 (no change) when there is nothing to compare against.
+fn ratio(num: f64, den: f64) -> f64 {
+    if den <= 0.0 {
+        1.0
+    } else {
+        num / den
+    }
+}
+
+/// One plan of the Figure 2 motivating example.
 #[derive(Debug, Clone)]
 pub struct Figure2Plan {
     pub label: String,
     pub order: String,
-    pub estimated_cout: f64,
-    pub executed_work: u64,
-    pub elapsed_secs: f64,
-    pub output_rows: u64,
+    pub run: RunRecord,
 }
 
-/// The Figure 2 experiment: the best conventional plan with and without
-/// post-processed bitvector filters versus the bitvector-aware best plan.
-#[derive(Debug, Clone)]
-pub struct Figure2Result {
-    pub plans: Vec<Figure2Plan>,
-}
-
-/// Runs the Figure 2 motivating example.
-pub fn run_figure2(scale: Scale) -> Figure2Result {
+/// Runs the Figure 2 motivating example: the best conventional plan with and
+/// without post-processed bitvector filters versus the bitvector-aware best
+/// plan.
+pub fn run_figure2(scale: Scale) -> Vec<Figure2Plan> {
     let workload = job_like::figure2_workload(scale, 7);
     let engine = Engine::from_catalog(workload.catalog.clone());
     let query = &workload.queries[0];
@@ -44,50 +149,37 @@ pub fn run_figure2(scale: Scale) -> Figure2Result {
     let (p1, _) = exhaustive_best_right_deep(&graph, &model, false).expect("plan space non-empty");
     let (p2, _) = exhaustive_best_right_deep(&graph, &model, true).expect("plan space non-empty");
 
-    let describe = |tree: &RightDeepTree| -> String {
+    let session = engine.session();
+    let run = |label: &str, tree: &RightDeepTree, with_bitvectors: bool| {
+        let plan = PhysicalPlan::from_join_tree(&graph, &tree.to_join_tree());
+        let (plan, config) = if with_bitvectors {
+            (push_down_bitvectors(&graph, plan), ExecConfig::default())
+        } else {
+            (plan, ExecConfig::without_bitvectors())
+        };
+        let stmt = engine.prepare_plan(&query.name, graph.clone(), plan);
         let names: Vec<&str> = tree
             .order()
             .iter()
             .map(|&r| graph.relation(r).name.as_str())
             .collect();
-        format!("T({})", names.join(", "))
-    };
-
-    let session = engine.session();
-    let mut plans = Vec::new();
-    let mut measure = |label: &str, tree: &RightDeepTree, with_bitvectors: bool| {
-        let plan = PhysicalPlan::from_join_tree(&graph, &tree.to_join_tree());
-        let plan = if with_bitvectors {
-            push_down_bitvectors(&graph, plan)
-        } else {
-            plan
-        };
-        let config = if with_bitvectors {
-            ExecConfig::default()
-        } else {
-            ExecConfig::without_bitvectors()
-        };
-        let stmt = engine.prepare_plan(&query.name, graph.clone(), plan);
-        let result = session
-            .execute(&stmt, RunOptions::new().with_exec_config(config))
-            .expect("figure 2 plan executes")
-            .result;
-        plans.push(Figure2Plan {
+        Figure2Plan {
             label: label.to_string(),
-            order: describe(tree),
-            estimated_cout: stmt.estimated_cost().total,
-            executed_work: result.metrics.logical_work(),
-            elapsed_secs: result.metrics.elapsed_secs(),
-            output_rows: result.output_rows,
-        });
+            order: format!("T({})", names.join(", ")),
+            run: measure(&session, &stmt, config).expect("figure 2 plan executes"),
+        }
     };
 
-    measure("P1 (best w/o bitvectors), no filters", &p1, false);
-    measure("P1 + post-processed bitvector filters", &p1, true);
-    measure("P2 (bitvector-aware best), with filters", &p2, true);
-    measure("P2 without bitvector filters", &p2, false);
-
-    Figure2Result { plans }
+    let plans = vec![
+        run("P1 (best w/o bitvectors), no filters", &p1, false),
+        run("P1 + post-processed bitvector filters", &p1, true),
+        run("P2 (bitvector-aware best), with filters", &p2, true),
+        run("P2 without bitvector filters", &p2, false),
+    ];
+    for plan in &plans {
+        check_same_answer("fig2", &query.name, &plans[0].run, &plan.run);
+    }
+    plans
 }
 
 /// One row of the Table 2 plan-space complexity summary.
@@ -168,79 +260,270 @@ pub fn run_table3(scale: Scale, queries: usize) -> Vec<WorkloadStats> {
 pub struct Figure7Point {
     /// Fraction of build-side keys kept (the paper's "selectivity of bitmap").
     pub keep_fraction: f64,
-    /// Observed fraction of probe tuples eliminated by the filter.
-    pub eliminated_fraction: f64,
-    /// Wall-clock seconds with bitvector filtering.
-    pub secs_with_filter: f64,
-    /// Wall-clock seconds without bitvector filtering (same plan).
-    pub secs_without_filter: f64,
-    /// Logical work with bitvector filtering.
-    pub work_with_filter: u64,
-    /// Logical work without bitvector filtering.
-    pub work_without_filter: u64,
+    /// The plan executed with its bitvector filter.
+    pub with_filter: RunRecord,
+    /// The same plan with bitvector filtering disabled.
+    pub without_filter: RunRecord,
 }
 
 /// Runs the Figure 7 micro-benchmark: one PKFK hash join whose build-side
 /// predicate selectivity is swept, executed with and without the bitvector
 /// filter.
-pub fn run_figure7(scale: Scale, repetitions: usize) -> Vec<Figure7Point> {
-    let catalog = microbench::build_catalog(scale, 5);
-    let engine = Engine::from_catalog(catalog);
-    let mut points = Vec::new();
+pub fn run_figure7(scale: Scale) -> Vec<Figure7Point> {
+    let engine = Engine::from_catalog(microbench::build_catalog(scale, 5));
     let session = engine.session();
+    let mut points = Vec::new();
     for &keep in &microbench::FIGURE7_SELECTIVITIES {
         let query = microbench::query_with_selectivity(keep);
-        let prepared = engine
+        let stmt = engine
             .prepare(&query, OptimizerChoice::BqoWithThreshold(0.0))
             .expect("micro query optimizes");
-        let mut best_with = f64::INFINITY;
-        let mut best_without = f64::INFINITY;
-        let mut work_with = 0;
-        let mut work_without = 0;
-        let mut eliminated = 0.0;
-        for _ in 0..repetitions.max(1) {
-            let with = session
-                .execute(
-                    &prepared,
-                    RunOptions::new().with_exec_config(ExecConfig::default()),
-                )
-                .expect("micro query executes")
-                .result;
-            let without = session
-                .execute(
-                    &prepared,
-                    RunOptions::new().with_exec_config(ExecConfig::without_bitvectors()),
-                )
-                .expect("micro query executes")
-                .result;
-            if with.metrics.elapsed_secs() < best_with {
-                best_with = with.metrics.elapsed_secs();
-                work_with = with.metrics.logical_work();
-                eliminated = with.metrics.filter_stats.elimination_rate();
-            }
-            if without.metrics.elapsed_secs() < best_without {
-                best_without = without.metrics.elapsed_secs();
-                work_without = without.metrics.logical_work();
-            }
-        }
-        points.push(Figure7Point {
+        let run = |config| measure(&session, &stmt, config).expect("micro query executes");
+        let point = Figure7Point {
             keep_fraction: keep,
-            eliminated_fraction: eliminated,
-            secs_with_filter: best_with,
-            secs_without_filter: best_without,
-            work_with_filter: work_with,
-            work_without_filter: work_without,
-        });
+            with_filter: run(ExecConfig::default()),
+            without_filter: run(ExecConfig::without_bitvectors()),
+        };
+        check_same_answer(
+            "fig7",
+            &query.name,
+            &point.with_filter,
+            &point.without_filter,
+        );
+        points.push(point);
     }
     points
+}
+
+/// Comparison of one query under the baseline and the BQO optimizer.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryComparison {
+    pub name: String,
+    pub baseline: RunRecord,
+    pub bqo: RunRecord,
+}
+
+impl QueryComparison {
+    /// BQO work as a fraction of baseline work (< 1 means BQO wins).
+    pub fn work_ratio(&self) -> f64 {
+        ratio(
+            self.bqo.logical_work as f64,
+            self.baseline.logical_work as f64,
+        )
+    }
+}
+
+/// The selectivity groups of Figure 8: the cheapest third of the queries
+/// (by baseline cost) is `S` (highly selective), the most expensive third is
+/// `L` (low selectivity), the rest is `M`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum SelectivityGroup {
+    S,
+    M,
+    L,
+}
+
+impl SelectivityGroup {
+    /// Short label for reports.
+    pub fn label(&self) -> &'static str {
+        match self {
+            SelectivityGroup::S => "S",
+            SelectivityGroup::M => "M",
+            SelectivityGroup::L => "L",
+        }
+    }
+}
+
+/// Aggregate of one selectivity group.
+#[derive(Debug, Clone)]
+pub struct GroupSummary {
+    pub group: SelectivityGroup,
+    pub queries: usize,
+    pub baseline_work: u64,
+    pub bqo_work: u64,
+}
+
+impl GroupSummary {
+    /// BQO / baseline work ratio for the group.
+    pub fn work_ratio(&self) -> f64 {
+        ratio(self.bqo_work as f64, self.baseline_work as f64)
+    }
+}
+
+/// Result of running one workload under both optimizers.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkloadReport {
+    pub workload: String,
+    pub queries: Vec<QueryComparison>,
+}
+
+impl WorkloadReport {
+    /// Total BQO work divided by total baseline work (Figure 8's headline
+    /// number; < 1 means the bitvector-aware optimizer reduced total cost).
+    pub fn total_work_ratio(&self) -> f64 {
+        let totals = self.tuple_breakdown();
+        ratio(
+            totals.bqo.logical_work as f64,
+            totals.baseline.logical_work as f64,
+        )
+    }
+
+    /// Total BQO wall time divided by total baseline wall time.
+    pub fn total_time_ratio(&self) -> f64 {
+        let totals = self.tuple_breakdown();
+        ratio(totals.bqo.elapsed_secs, totals.baseline.elapsed_secs)
+    }
+
+    /// Assigns each query to a selectivity group by its baseline cost
+    /// (cheapest third S, most expensive third L) and aggregates.
+    pub fn selectivity_groups(&self) -> Vec<GroupSummary> {
+        let mut order: Vec<&QueryComparison> = self.queries.iter().collect();
+        order.sort_by_key(|q| q.baseline.logical_work);
+        let third = order.len() / 3;
+        let (s, rest) = order.split_at(third);
+        let (m, l) = rest.split_at(rest.len() - third);
+        [
+            (SelectivityGroup::S, s),
+            (SelectivityGroup::M, m),
+            (SelectivityGroup::L, l),
+        ]
+        .into_iter()
+        .map(|(group, queries)| GroupSummary {
+            group,
+            queries: queries.len(),
+            baseline_work: queries.iter().map(|q| q.baseline.logical_work).sum(),
+            bqo_work: queries.iter().map(|q| q.bqo.logical_work).sum(),
+        })
+        .collect()
+    }
+
+    /// The baseline and the BQO records of every query, summed (Figure 9).
+    pub fn tuple_breakdown(&self) -> TupleBreakdown {
+        TupleBreakdown {
+            baseline: self.queries.iter().map(|q| q.baseline).sum(),
+            bqo: self.queries.iter().map(|q| q.bqo).sum(),
+        }
+    }
+
+    /// Queries sorted by descending baseline work (the Figure 10 x-axis).
+    pub fn sorted_by_baseline_cost(&self) -> Vec<&QueryComparison> {
+        let mut refs: Vec<&QueryComparison> = self.queries.iter().collect();
+        refs.sort_by_key(|q| std::cmp::Reverse(q.baseline.logical_work));
+        refs
+    }
+}
+
+/// Figure 9 aggregate: the summed records of both systems, whose tuple
+/// counts are reported per operator class.
+#[derive(Debug, Clone, Copy)]
+pub struct TupleBreakdown {
+    pub baseline: RunRecord,
+    pub bqo: RunRecord,
+}
+
+impl TupleBreakdown {
+    /// Total tuples output by the baseline plans.
+    pub fn baseline_total(&self) -> u64 {
+        self.baseline.total_tuples()
+    }
+
+    /// Total tuples output by the BQO plans.
+    pub fn bqo_total(&self) -> u64 {
+        self.bqo.total_tuples()
+    }
+}
+
+/// Runs every query of the workload under the baseline and the BQO optimizer
+/// and returns the comparison report (Figures 8–10).
+pub fn run_workload(workload: &Workload) -> Result<WorkloadReport, BqoError> {
+    let engine = Engine::from_catalog(workload.catalog.clone());
+    let run = |choice| measure_all(&engine, &workload.queries, choice, ExecConfig::default());
+    let (baseline, bqo) = (run(OptimizerChoice::Baseline)?, run(OptimizerChoice::Bqo)?);
+    let queries = workload
+        .queries
+        .iter()
+        .zip(baseline.into_iter().zip(bqo))
+        .map(|(query, (baseline, bqo))| {
+            check_same_answer("fig8-10", &query.name, &baseline, &bqo);
+            QueryComparison {
+                name: query.name.clone(),
+                baseline,
+                bqo,
+            }
+        })
+        .collect();
+    Ok(WorkloadReport {
+        workload: workload.name.clone(),
+        queries,
+    })
 }
 
 /// Runs the Figure 8/9/10 workload comparison for every benchmark workload.
 pub fn run_workload_comparisons(scale: Scale, queries: usize) -> Vec<WorkloadReport> {
     build_workloads(scale, queries)
         .iter()
-        .map(|w| run_workload(w, ExperimentOptions::default()).expect("workload runs"))
+        .map(|w| run_workload(w).expect("workload runs"))
         .collect()
+}
+
+/// Table 4 aggregate: the same (baseline) plans executed with and without
+/// bitvector filtering.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BitvectorEffectReport {
+    pub workload: String,
+    /// Work with bitvectors / work without (the paper's "CPU ratio").
+    pub work_ratio: f64,
+    /// Wall-time ratio (with / without).
+    pub time_ratio: f64,
+    /// Fraction of queries whose plans contain at least one bitvector filter.
+    pub queries_with_bitvectors: f64,
+    /// Fraction of queries improved by more than 20%.
+    pub improved: f64,
+    /// Fraction of queries regressed by more than 20%.
+    pub regressed: f64,
+}
+
+/// Runs the baseline plans with and without bitvector filtering (Table 4 /
+/// Appendix A).
+pub fn bitvector_effect(workload: &Workload) -> Result<BitvectorEffectReport, BqoError> {
+    let engine = Engine::from_catalog(workload.catalog.clone());
+    let run = |config| {
+        measure_all(
+            &engine,
+            &workload.queries,
+            OptimizerChoice::Baseline,
+            config,
+        )
+    };
+    let (with, without) = (
+        run(ExecConfig::default())?,
+        run(ExecConfig::without_bitvectors())?,
+    );
+    let mut with_bitvectors = 0;
+    for ((query, w), wo) in workload.queries.iter().zip(&with).zip(&without) {
+        check_same_answer("table4", &query.name, w, wo);
+        let stmt = engine.prepare(query, OptimizerChoice::Baseline)?;
+        with_bitvectors += usize::from(!stmt.plan().placements.is_empty());
+    }
+    let share = |count: usize| count as f64 / workload.queries.len().max(1) as f64;
+    let count = |changed: fn(f64, f64) -> bool| {
+        (with.iter().zip(&without))
+            .filter(|(w, wo)| changed(w.logical_work as f64, wo.logical_work as f64))
+            .count()
+    };
+    let total_with: RunRecord = with.iter().copied().sum();
+    let total_without: RunRecord = without.iter().copied().sum();
+    Ok(BitvectorEffectReport {
+        workload: workload.name.clone(),
+        work_ratio: ratio(
+            total_with.logical_work as f64,
+            total_without.logical_work as f64,
+        ),
+        time_ratio: ratio(total_with.elapsed_secs, total_without.elapsed_secs),
+        queries_with_bitvectors: share(with_bitvectors),
+        improved: share(count(|w, wo| w < 0.8 * wo)),
+        regressed: share(count(|w, wo| w > 1.2 * wo)),
+    })
 }
 
 /// Runs the Table 4 experiment (same plans with and without bitvector
@@ -248,57 +531,43 @@ pub fn run_workload_comparisons(scale: Scale, queries: usize) -> Vec<WorkloadRep
 pub fn run_table4(scale: Scale, queries: usize) -> Vec<BitvectorEffectReport> {
     build_workloads(scale, queries)
         .iter()
-        .map(|w| bitvector_effect(w, ExperimentOptions::default()).expect("workload runs"))
+        .map(|w| bitvector_effect(w).expect("workload runs"))
         .collect()
 }
 
-/// One row of the λ-threshold ablation (Section 6.3 / 7.3).
+/// One row of the λ-threshold ablation (Section 6.3 / 7.3): the workload's
+/// records summed.
 #[derive(Debug, Clone)]
 pub struct ThresholdAblationRow {
     pub lambda_threshold: f64,
-    pub total_work: u64,
-    pub total_secs: f64,
-    pub filters_created: usize,
+    pub total: RunRecord,
 }
 
 /// Sweeps the cost-based filter threshold λ on the TPC-DS-like workload.
 pub fn run_ablation_threshold(scale: Scale, queries: usize) -> Vec<ThresholdAblationRow> {
     let workload = tpcds_like::generate(scale, queries, 1);
     let engine = Engine::from_catalog(workload.catalog.clone());
-    let session = engine.session();
-    let mut rows = Vec::new();
-    for &threshold in &[0.0, 0.05, 0.1, 0.2, 0.5, 0.9] {
-        let mut total_work = 0u64;
-        let mut total_secs = 0.0;
-        let mut filters = 0usize;
-        for query in &workload.queries {
-            let prepared = engine
-                .prepare(query, OptimizerChoice::BqoWithThreshold(threshold))
-                .expect("query optimizes");
-            let result = session
-                .execute(&prepared, RunOptions::new())
-                .expect("query executes")
-                .result;
-            total_work += result.metrics.logical_work();
-            total_secs += result.metrics.elapsed_secs();
-            filters += result.metrics.filters_created;
-        }
-        rows.push(ThresholdAblationRow {
-            lambda_threshold: threshold,
-            total_work,
-            total_secs,
-            filters_created: filters,
-        });
-    }
-    rows
+    [0.0, 0.05, 0.1, 0.2, 0.5, 0.9]
+        .into_iter()
+        .map(|threshold| {
+            let choice = OptimizerChoice::BqoWithThreshold(threshold);
+            let records = measure_all(&engine, &workload.queries, choice, ExecConfig::default())
+                .expect("workload runs");
+            ThresholdAblationRow {
+                lambda_threshold: threshold,
+                total: records.into_iter().sum(),
+            }
+        })
+        .collect()
 }
 
-/// One row of the filter-implementation ablation.
+/// One row of the filter-implementation ablation: the workload's records
+/// summed.
 #[derive(Debug, Clone)]
 pub struct FilterKindAblationRow {
     pub label: String,
-    pub total_work: u64,
-    pub total_secs: f64,
+    pub total: RunRecord,
+    /// Tuples this filter passed that the exact filter eliminated.
     pub filter_false_pass: u64,
 }
 
@@ -308,64 +577,40 @@ pub struct FilterKindAblationRow {
 pub fn run_ablation_filter_kind(scale: Scale, queries: usize) -> Vec<FilterKindAblationRow> {
     let workload = tpcds_like::generate(scale, queries, 1);
     let engine = Engine::from_catalog(workload.catalog.clone());
-    let session = engine.session();
+    let run = |config| {
+        measure_all(&engine, &workload.queries, OptimizerChoice::Bqo, config)
+            .expect("workload runs")
+    };
+    let exact = run(ExecConfig::exact_filters());
+    let exact_passed = exact.iter().copied().sum::<RunRecord>().filters.passed();
     let kinds = [
-        ("exact".to_string(), FilterKind::Exact),
+        ("exact", FilterKind::Exact),
+        ("bloom 4 bits/key", FilterKind::Bloom { bits_per_key: 4 }),
+        ("bloom 8 bits/key", FilterKind::Bloom { bits_per_key: 8 }),
+        ("bloom 16 bits/key", FilterKind::Bloom { bits_per_key: 16 }),
         (
-            "bloom 4 bits/key".to_string(),
-            FilterKind::Bloom { bits_per_key: 4 },
-        ),
-        (
-            "bloom 8 bits/key".to_string(),
-            FilterKind::Bloom { bits_per_key: 8 },
-        ),
-        (
-            "bloom 16 bits/key".to_string(),
-            FilterKind::Bloom { bits_per_key: 16 },
-        ),
-        (
-            "blocked bloom 8 bits/key".to_string(),
+            "blocked bloom 8 bits/key",
             FilterKind::BlockedBloom { bits_per_key: 8 },
         ),
     ];
-    let mut rows = Vec::new();
-    for (label, kind) in kinds {
-        let config = ExecConfig {
-            filter_kind: kind,
-            ..ExecConfig::default()
-        };
-        let mut total_work = 0u64;
-        let mut total_secs = 0.0;
-        let mut exact_passed = 0u64;
-        let mut this_passed = 0u64;
-        for query in &workload.queries {
-            let prepared = engine
-                .prepare(query, OptimizerChoice::Bqo)
-                .expect("optimizes");
-            let result = session
-                .execute(&prepared, RunOptions::new().with_exec_config(config))
-                .expect("executes")
-                .result;
-            let exact = session
-                .execute(
-                    &prepared,
-                    RunOptions::new().with_exec_config(ExecConfig::exact_filters()),
-                )
-                .expect("executes")
-                .result;
-            total_work += result.metrics.logical_work();
-            total_secs += result.metrics.elapsed_secs();
-            this_passed += result.metrics.filter_stats.passed();
-            exact_passed += exact.metrics.filter_stats.passed();
-        }
-        rows.push(FilterKindAblationRow {
-            label,
-            total_work,
-            total_secs,
-            filter_false_pass: this_passed.saturating_sub(exact_passed),
-        });
-    }
-    rows
+    kinds
+        .into_iter()
+        .map(|(label, filter_kind)| {
+            let records = run(ExecConfig {
+                filter_kind,
+                ..ExecConfig::default()
+            });
+            for ((query, r), e) in workload.queries.iter().zip(&records).zip(&exact) {
+                check_same_answer("ablation_fpr", &query.name, r, e);
+            }
+            let total: RunRecord = records.into_iter().sum();
+            FilterKindAblationRow {
+                label: label.to_string(),
+                filter_false_pass: total.filters.passed().saturating_sub(exact_passed),
+                total,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -376,28 +621,22 @@ mod tests {
 
     #[test]
     fn figure2_shape_holds() {
-        let result = run_figure2(Scale(0.02));
-        assert_eq!(result.plans.len(), 4);
-        let by_label = |needle: &str| {
-            result
-                .plans
-                .iter()
-                .find(|p| p.label.contains(needle))
-                .unwrap()
-        };
+        let plans = run_figure2(Scale(0.02));
+        assert_eq!(plans.len(), 4);
+        let by_label = |needle: &str| &plans.iter().find(|p| p.label.contains(needle)).unwrap().run;
         let p1_plain = by_label("no filters");
         let p1_post = by_label("post-processed");
         let p2_bv = by_label("bitvector-aware");
         // All plans compute the same answer.
-        for p in &result.plans {
-            assert_eq!(p.output_rows, result.plans[0].output_rows);
+        for p in &plans {
+            assert_eq!(p.run.output_rows, plans[0].run.output_rows);
         }
         // Post-processing helps P1, and the bitvector-aware plan is at least
         // as good as the post-processed conventional plan (measured work).
-        assert!(p1_post.executed_work < p1_plain.executed_work);
-        assert!(p2_bv.executed_work <= p1_post.executed_work);
+        assert!(p1_post.logical_work < p1_plain.logical_work);
+        assert!(p2_bv.logical_work <= p1_post.logical_work);
         // The bitvector-aware estimate also orders them this way.
-        assert!(p2_bv.estimated_cout <= p1_post.estimated_cout);
+        assert!(p2_bv.estimated_cost <= p1_post.estimated_cost);
     }
 
     #[test]
@@ -422,15 +661,98 @@ mod tests {
 
     #[test]
     fn figure7_benefit_grows_with_elimination() {
-        let points = run_figure7(Scale(0.05), 1);
+        let points = run_figure7(Scale(0.05));
         assert_eq!(points.len(), microbench::FIGURE7_SELECTIVITIES.len());
         // At keep = 1.0 nothing is eliminated; at keep = 0.001 nearly all
         // probe tuples are eliminated and the filtered run does less work.
         let full = &points[0];
         let tiny = points.last().unwrap();
-        assert!(full.eliminated_fraction < 0.05);
-        assert!(tiny.eliminated_fraction > 0.9);
-        assert!(tiny.work_with_filter < tiny.work_without_filter);
+        assert!(full.with_filter.filters.elimination_rate() < 0.05);
+        assert!(tiny.with_filter.filters.elimination_rate() > 0.9);
+        assert!(tiny.with_filter.logical_work < tiny.without_filter.logical_work);
+    }
+
+    fn small_report() -> WorkloadReport {
+        let w = tpcds_like::generate(Scale(0.01), 6, 12);
+        run_workload(&w).unwrap()
+    }
+
+    #[test]
+    fn report_covers_all_queries_and_bqo_does_not_lose() {
+        let report = small_report();
+        assert_eq!(report.queries.len(), 6);
+        // On decision-support shapes BQO should not do more total work than
+        // the baseline (individual queries may tie).
+        assert!(
+            report.total_work_ratio() <= 1.05,
+            "ratio {}",
+            report.total_work_ratio()
+        );
+    }
+
+    #[test]
+    fn selectivity_groups_partition_the_queries() {
+        let report = small_report();
+        let groups = report.selectivity_groups();
+        assert_eq!(groups.len(), 3);
+        let total: usize = groups.iter().map(|g| g.queries).sum();
+        assert_eq!(total, report.queries.len());
+        // With six queries each group holds exactly two.
+        assert!(groups.iter().all(|g| g.queries == 2));
+    }
+
+    #[test]
+    fn tuple_breakdown_sums_to_per_query_totals() {
+        let report = small_report();
+        let breakdown = report.tuple_breakdown();
+        let expected: u64 = report
+            .queries
+            .iter()
+            .map(|q| q.baseline.total_tuples())
+            .sum();
+        assert_eq!(breakdown.baseline_total(), expected);
+        assert!(breakdown.bqo_total() > 0);
+    }
+
+    #[test]
+    fn sorted_by_baseline_cost_is_descending() {
+        let report = small_report();
+        let sorted = report.sorted_by_baseline_cost();
+        for pair in sorted.windows(2) {
+            assert!(pair[0].baseline.logical_work >= pair[1].baseline.logical_work);
+        }
+    }
+
+    #[test]
+    fn bitvector_effect_reduces_work() {
+        let w = star::generate(Scale(0.05), 4, 5, 21);
+        let report = bitvector_effect(&w).unwrap();
+        assert!(report.queries_with_bitvectors > 0.9);
+        assert!(
+            report.work_ratio < 1.0,
+            "bitvector filtering should reduce work: {}",
+            report.work_ratio
+        );
+        assert!(report.regressed <= 0.2);
+    }
+
+    #[test]
+    fn harness_counters_are_stable_from_run_to_run() {
+        // Everything but wall time must repeat exactly: the property a
+        // checked-in EXPERIMENTS.md golden would rest on.
+        let counters = || {
+            let mut reports = run_workload_comparisons(TINY, 4);
+            for q in reports.iter_mut().flat_map(|r| &mut r.queries) {
+                q.baseline.elapsed_secs = 0.0;
+                q.bqo.elapsed_secs = 0.0;
+            }
+            let mut effects = run_table4(TINY, 4);
+            for e in &mut effects {
+                e.time_ratio = 0.0;
+            }
+            (reports, effects)
+        };
+        assert_eq!(counters(), counters());
     }
 
     #[test]
@@ -439,7 +761,7 @@ mod tests {
         assert_eq!(rows.len(), 6);
         for pair in rows.windows(2) {
             assert!(
-                pair[0].filters_created >= pair[1].filters_created,
+                pair[0].total.filters_created >= pair[1].total.filters_created,
                 "higher thresholds must not create more filters"
             );
         }

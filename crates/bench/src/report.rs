@@ -6,14 +6,14 @@
 //! record.
 
 use crate::experiments::{
-    Figure2Result, Figure7Point, FilterKindAblationRow, Table2Row, ThresholdAblationRow,
+    BitvectorEffectReport, Figure2Plan, Figure7Point, FilterKindAblationRow, Table2Row,
+    ThresholdAblationRow, WorkloadReport,
 };
-use bqo_core::experiment::{BitvectorEffectReport, WorkloadReport};
 use bqo_core::workloads::WorkloadStats;
 use std::fmt::Write;
 
 /// Renders the Figure 2 motivating example.
-pub fn render_figure2(result: &Figure2Result) -> String {
+pub fn render_figure2(plans: &[Figure2Plan]) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -24,32 +24,29 @@ pub fn render_figure2(result: &Figure2Result) -> String {
         "{:<42} {:<34} {:>14} {:>14} {:>10}",
         "plan", "join order", "estimated Cout", "executed work", "wall ms"
     );
-    for p in &result.plans {
+    for p in plans {
         let _ = writeln!(
             out,
             "{:<42} {:<34} {:>14.0} {:>14} {:>10.2}",
             p.label,
             p.order,
-            p.estimated_cout,
-            p.executed_work,
-            p.elapsed_secs * 1e3
+            p.run.estimated_cost,
+            p.run.logical_work,
+            p.run.elapsed_secs * 1e3
         );
     }
-    if let (Some(post), Some(aware)) = (
-        result
-            .plans
+    let find = |needle: &str| {
+        plans
             .iter()
-            .find(|p| p.label.contains("post-processed")),
-        result
-            .plans
-            .iter()
-            .find(|p| p.label.contains("bitvector-aware")),
-    ) {
+            .find(|p| p.label.contains(needle))
+            .map(|p| p.run)
+    };
+    if let (Some(post), Some(aware)) = (find("post-processed"), find("bitvector-aware")) {
         let _ = writeln!(
         out,
 
             "-> post-processed conventional plan costs {:.1}x the bitvector-aware plan in logical work, {:.1}x in wall time (paper: ~3x)",
-            post.executed_work as f64 / aware.executed_work.max(1) as f64,
+            post.logical_work as f64 / aware.logical_work.max(1) as f64,
             post.elapsed_secs / aware.elapsed_secs.max(1e-12)
         );
     }
@@ -122,7 +119,7 @@ pub fn render_figure7(points: &[Figure7Point]) -> String {
     );
     let baseline = points
         .iter()
-        .map(|p| p.secs_without_filter)
+        .map(|p| p.without_filter.elapsed_secs)
         .fold(0.0f64, f64::max)
         .max(1e-12);
     let _ = writeln!(
@@ -131,13 +128,13 @@ pub fn render_figure7(points: &[Figure7Point]) -> String {
         "keep frac", "eliminated", "CPU w/ filter", "CPU w/o filter", "winner"
     );
     for p in points {
-        let with = p.secs_with_filter / baseline;
-        let without = p.secs_without_filter / baseline;
+        let with = p.with_filter.elapsed_secs / baseline;
+        let without = p.without_filter.elapsed_secs / baseline;
         let _ = writeln!(
             out,
             "{:>12.3} {:>12.3} {:>18.3} {:>18.3} {:>12}",
             p.keep_fraction,
-            p.eliminated_fraction,
+            p.with_filter.filters.elimination_rate(),
             with,
             without,
             if with < without {
@@ -210,12 +207,12 @@ pub fn render_figure9(reports: &[WorkloadReport]) -> String {
             out,
             "{:<12} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>14.3} {:>14.3}",
             report.workload,
-            b.baseline_join as f64 / total,
-            b.baseline_leaf as f64 / total,
-            b.baseline_other as f64 / total,
-            b.bqo_join as f64 / total,
-            b.bqo_leaf as f64 / total,
-            b.bqo_other as f64 / total
+            b.baseline.join_tuples as f64 / total,
+            b.baseline.leaf_tuples as f64 / total,
+            b.baseline.other_tuples as f64 / total,
+            b.bqo.join_tuples as f64 / total,
+            b.bqo.leaf_tuples as f64 / total,
+            b.bqo.other_tuples as f64 / total
         );
     }
     let _ = writeln!(out);
@@ -304,9 +301,9 @@ pub fn render_ablation_threshold(rows: &[ThresholdAblationRow]) -> String {
             out,
             "{:>12.2} {:>16} {:>14} {:>16.1}",
             r.lambda_threshold,
-            r.filters_created,
-            r.total_work,
-            r.total_secs * 1e3
+            r.total.filters_created,
+            r.total.logical_work,
+            r.total.elapsed_secs * 1e3
         );
     }
     let _ = writeln!(out);
@@ -330,8 +327,8 @@ pub fn render_ablation_filter_kind(rows: &[FilterKindAblationRow]) -> String {
             out,
             "{:<28} {:>14} {:>16.1} {:>22}",
             r.label,
-            r.total_work,
-            r.total_secs * 1e3,
+            r.total.logical_work,
+            r.total.elapsed_secs * 1e3,
             r.filter_false_pass
         );
     }
@@ -352,7 +349,7 @@ mod tests {
         let sections = [
             render_table2(&experiments::run_table2()[..2]),
             render_table3(&experiments::run_table3(Scale(0.01), 2)),
-            render_figure7(&experiments::run_figure7(Scale(0.02), 1)),
+            render_figure7(&experiments::run_figure7(Scale(0.02))),
             render_figure8(&reports),
             render_figure9(&reports),
             render_figure10(&reports, 3),

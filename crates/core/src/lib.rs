@@ -56,10 +56,6 @@
 //!   sections inside the executor draw their helper workers from the
 //!   engine-owned persistent [`WorkerPool`] instead of spawning threads per
 //!   query.
-//! * [`experiment`] — the harness used by the examples and the benchmark
-//!   binary: run a whole workload under both optimizers and collect the
-//!   per-query and aggregate comparisons the paper reports (Figures 8–10,
-//!   Table 4).
 //! * [`mod@format`] — the on-disk columnar file format (`.bqo`): chunked
 //!   columns with per-chunk zone maps and checksums, written with
 //!   [`format::write_table`] and registered into a catalog via
@@ -128,7 +124,6 @@
 pub mod cache;
 pub mod engine;
 pub mod error;
-pub mod experiment;
 pub mod server;
 
 // Re-export the building blocks so downstream users (examples, benches) only

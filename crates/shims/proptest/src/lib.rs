@@ -10,8 +10,7 @@
 //! Semantics versus real proptest: cases are generated from a fixed
 //! deterministic seed (reproducible runs, no persisted failure files) and
 //! there is **no shrinking** — a failing case panics with the generating
-//! case index so it can be replayed. Swap the workspace `proptest` dependency
-//! to a registry version for full shrinking behavior; tests need no changes.
+//! case index so it can be replayed.
 
 use std::ops::Range;
 

@@ -7,9 +7,6 @@
 //! generator is xoshiro256** seeded via SplitMix64 — deterministic for a given
 //! seed, statistically solid for synthetic data generation, and *not*
 //! cryptographically secure (neither use nor claim of that here).
-//!
-//! To switch to the real crate, point the workspace `rand` dependency at a
-//! registry version; call sites need no changes.
 
 use std::ops::{Range, RangeInclusive};
 

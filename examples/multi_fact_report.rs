@@ -4,7 +4,7 @@
 //! and the executed tuple counts for both optimizers.
 //!
 //! ```text
-//! cargo run -p bqo-examples --bin multi_fact_report --release
+//! cargo run --release --example multi_fact_report
 //! ```
 
 use bqo_core::workloads::{job_like, Scale};

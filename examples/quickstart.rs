@@ -6,7 +6,7 @@
 //! through the admission-controlled [`Server`] front end.
 //!
 //! ```text
-//! cargo run -p bqo-examples --bin quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use bqo_core::{

@@ -1,67 +1,21 @@
-//! A "dashboard refresh" over a snowflake warehouse: run a batch of
-//! snowflake aggregate queries and compare the baseline optimizer against
-//! the bitvector-aware optimizer, the way the paper's Figure 8 compares
-//! workload-level CPU.
+//! A "dashboard refresh" over a snowflake warehouse: a dozen snowflake
+//! aggregate queries run under the baseline and the bitvector-aware
+//! optimizer, reported the way the paper's Figures 8–10 report a workload.
 //!
 //! ```text
-//! cargo run -p bqo-examples --bin snowflake_dashboard --release
+//! cargo run --release -p bqo-bench --example snowflake_dashboard
 //! ```
 
-use bqo_core::experiment::{run_workload, ExperimentOptions};
+use bqo_bench::experiments::run_workload;
+use bqo_bench::report::{render_figure10, render_figure8, render_figure9};
 use bqo_core::workloads::{snowflake, Scale};
 
 fn main() {
     // fact -> 4 branches of depth 1..3, a dozen dashboard tiles (queries).
     let workload = snowflake::generate(Scale(0.2), &[1, 2, 2, 3], 12, 99);
-    println!("workload: {}", workload.stats());
-
-    let report = run_workload(&workload, ExperimentOptions::default()).expect("workload runs");
-
-    println!("\nper-query comparison (Original vs BQO):");
-    println!(
-        "{:<18} {:>10} {:>14} {:>14} {:>8}",
-        "query", "joins", "orig work", "bqo work", "ratio"
-    );
-    for q in &report.queries {
-        println!(
-            "{:<18} {:>10} {:>14} {:>14} {:>8.2}",
-            q.name,
-            q.num_joins,
-            q.baseline.logical_work,
-            q.bqo.logical_work,
-            q.work_ratio()
-        );
-    }
-
-    println!("\nby selectivity group (Figure 8 style):");
-    for group in report.selectivity_groups() {
-        println!(
-            "  group {}: {} queries, BQO/Original work = {:.2}",
-            group.group.label(),
-            group.queries,
-            group.work_ratio()
-        );
-    }
-
-    let tuples = report.tuple_breakdown();
-    println!("\ntuples output by operator class (Figure 9 style, normalized by Original total):");
-    let base_total = tuples.baseline_total().max(1) as f64;
-    println!(
-        "  Original: join {:.2}  leaf {:.2}  other {:.2}",
-        tuples.baseline_join as f64 / base_total,
-        tuples.baseline_leaf as f64 / base_total,
-        tuples.baseline_other as f64 / base_total
-    );
-    println!(
-        "  BQO     : join {:.2}  leaf {:.2}  other {:.2}",
-        tuples.bqo_join as f64 / base_total,
-        tuples.bqo_leaf as f64 / base_total,
-        tuples.bqo_other as f64 / base_total
-    );
-
-    println!(
-        "\ntotal: BQO does {:.0}% of the baseline's work ({:.0}% of its wall time)",
-        report.total_work_ratio() * 100.0,
-        report.total_time_ratio() * 100.0
-    );
+    println!("workload: {}\n", workload.stats());
+    let reports = [run_workload(&workload).expect("workload runs")];
+    print!("{}", render_figure8(&reports));
+    print!("{}", render_figure9(&reports));
+    print!("{}", render_figure10(&reports, workload.queries.len()));
 }

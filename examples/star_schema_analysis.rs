@@ -8,7 +8,7 @@
 //! considered.
 //!
 //! ```text
-//! cargo run -p bqo-examples --bin star_schema_analysis
+//! cargo run --release --example star_schema_analysis
 //! ```
 
 use bqo_core::optimizer::{candidate_plans, enumerate_right_deep};
