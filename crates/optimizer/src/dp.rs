@@ -14,27 +14,46 @@
 //! bits of a [`RelSet`]). A slot holds the `Cout` of the best subplan for that
 //! subset and the mask of that subplan's *build side*; `(INFINITY, 0)` marks a
 //! subset with no cross-product-free plan (exactly the disconnected ones), and
-//! a single relation is its own build side. No tree is built while the table
-//! fills: the one winning [`JoinTree`] is rebuilt from the splits at the end.
-//! Subsets are visited in ascending mask order and build sides in descending
-//! mask order with a strict `<`, so among equal-cost splits the first one in
-//! that order wins — `plan_golden` pins the resulting plans. Plain `Cout` is
-//! symmetric in build and probe, so the walk over build sides stops half way,
-//! where the mirror images of the splits already seen begin.
+//! a single relation is its own build side. A split of a set into build and
+//! probe costs `table[build] + table[probe] + join_card(set)`, added in that
+//! order. No tree is built while the table fills: the one winning
+//! [`JoinTree`] is rebuilt from the splits at the end.
+//!
+//! # DPccp
+//!
+//! The table is filled by DPccp (Moerkotte & Neumann, VLDB 2006), which
+//! enumerates only *csg-cmp pairs*: two disjoint connected sets joined by an
+//! edge, each unordered pair once, every pair after the pairs of its two
+//! halves. A set is never visited for a split that would be a cross product,
+//! so there is no connectivity test and no walk over submasks: on a
+//! snowflake, the pairs are a small fraction of the `3^n` (set, submask)
+//! steps of DPsub, the loop it replaced. Join cardinalities go into a second
+//! dense table the first time a pair forms their set, so the estimator's memo
+//! never sees the DP's sets.
+//!
+//! **Tie-break.** Plain `Cout` does not tell build from probe, so of a pair
+//! the numerically larger mask builds, and among equal-cost splits of a set
+//! the numerically larger build mask wins. That is the rule DPsub's visiting
+//! order implied (build sides in descending mask order, first of equal costs
+//! kept, the walk stopped at the mirror images), so DPccp returns DPsub's
+//! tree, not just one of the same cost; the unit test
+//! `dp_tree_is_the_dpsub_tree` holds the two to that on random connected
+//! graphs of up to 12 relations with tied cardinalities, and `plan_golden`
+//! pins the resulting plans. (The rule reads costs as finite, which they are
+//! for up to 12 relations of at most `u64::MAX` rows each.)
 //!
 //! What it costs (`cargo run --release --example optimizer_phases`, 2-thread
 //! host, mean over ten 12-relation `[3, 3, 3, 2]` snowflake queries): about
-//! 0.1 ms per call for the 4 096-slot, 64 KiB table. The `HashMap<RelSet,
-//! (f64, JoinTree)>` with two tree clones per improving split that it replaced
-//! took 1.8–2.0 ms on the same queries.
+//! 20 µs per call, where DPsub over the same 4 096-slot, 64 KiB table took
+//! about 105 µs, and the `HashMap<RelSet, (f64, JoinTree)>` with two tree
+//! clones per improving split before that 1.8–2.0 ms.
 
-use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
+use bqo_plan::{CardinalityEstimator, CostModel, JoinGraph, JoinTree, RelId, RelSet};
 
 /// Queries with more relations than this get the greedy tree instead of the
-/// exact one: DPsub visits every subset of the relations and, for each
-/// connected one, every split of it.
+/// exact one: the DP table has a slot for every subset of the relations.
 ///
-/// At 12 relations that is a 4 096-slot table and about 0.1 ms on the
+/// At 12 relations that is a 4 096-slot table and about 20 µs on the
 /// benchmark's snowflakes (see the module docs), so time no longer argues for
 /// this value. But the limit decides *which* tree the conventional optimizer
 /// — and with it the Section 6.4 alternative plan — picks for larger
@@ -52,7 +71,7 @@ pub fn conventional_tree(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinT
     }
 }
 
-/// Exact dynamic-programming optimizer (DPsub over connected subsets).
+/// Exact dynamic-programming optimizer (DPccp over connected pairs).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DpOptimizer;
 
@@ -81,52 +100,122 @@ impl DpOptimizer {
         );
 
         let est = cost_model.estimator();
-        // table[mask] = (cost, build side of the best split); see the module
-        // docs. Cost is the full Cout of the subplan (base cardinalities +
-        // intermediate join results).
-        let full: u32 = (1 << n) - 1;
-        let mut table = vec![(f64::INFINITY, 0u32); 1 << n];
+        let mut dp = ConnectedPairs {
+            est,
+            neighbors: graph
+                .relation_ids()
+                .map(|r| mask_of(graph.neighbors(r)))
+                .collect(),
+            table: vec![(f64::INFINITY, 0); 1 << n],
+            outputs: vec![0.0; 1 << n],
+        };
         for r in graph.relation_ids() {
-            table[1 << r.0] = (est.base_card(r), 1 << r.0);
+            dp.table[1 << r.0] = (est.base_card(r), 1 << r.0);
         }
-
-        // Subsets in ascending mask order, so both halves of every split of
-        // a set are final before the set itself is visited.
-        for mask in 1..=full {
-            let set = RelSet(u128::from(mask));
-            if mask.count_ones() < 2 || !graph.is_connected_subset(set) {
-                continue;
-            }
-            let output = est.join_card(set);
-            let mut best_here = (f64::INFINITY, 0u32);
-            // Every proper subset of `set` as the build side, in descending
-            // mask order. Plain `Cout` does not tell build from probe, so the
-            // mirror image of a split costs the same to the bit and can never
-            // pass the strict `<` its first orientation set: the walk stops
-            // where the mirror images start, at the first build side smaller
-            // than its probe side (it has lost the set's highest bit, and so
-            // have all masks after it).
-            let mut sub = (mask - 1) & mask;
-            while sub > mask ^ sub {
-                let rest = mask ^ sub;
-                if table[sub as usize].1 != 0
-                    && table[rest as usize].1 != 0
-                    && graph.are_joined(RelSet(u128::from(sub)), RelSet(u128::from(rest)))
-                {
-                    let cost = table[sub as usize].0 + table[rest as usize].0 + output;
-                    if best_here.1 == 0 || cost < best_here.0 {
-                        best_here = (cost, sub);
-                    }
-                }
-                sub = (sub - 1) & mask;
-            }
-            table[mask as usize] = best_here;
+        // DPccp: every connected set, grown from its lowest relation, with
+        // the relations below that one excluded so each is reached once;
+        // starting from the highest relation makes every complement (whose
+        // relations all lie above the set's lowest one) final beforehand.
+        for v in (0..n).rev() {
+            let start = 1 << v;
+            dp.pairs_with(start);
+            dp.grow(start, (start << 1) - 1, None);
         }
+        let full: u32 = (1 << n) - 1;
         assert!(
-            table[full as usize].1 != 0,
+            dp.table[full as usize].1 != 0,
             "connected graph always has a cross-product-free plan"
         );
-        rebuild_tree(&table, full)
+        rebuild_tree(&dp.table, full)
+    }
+}
+
+/// The membership mask of a set of at most 20 relations.
+fn mask_of(set: RelSet) -> u32 {
+    u32::try_from(set.0).expect("the DP covers at most 20 relations")
+}
+
+/// The state of one [`DpOptimizer::best_tree`] call: the DPccp enumeration
+/// of Moerkotte & Neumann (VLDB 2006) over the dense table.
+struct ConnectedPairs<'e, 'a> {
+    est: &'e CardinalityEstimator<'a>,
+    /// Per relation, the mask of its neighbours.
+    neighbors: Vec<u32>,
+    /// `table[mask]` = (cost, build side of the best split); see the module
+    /// docs.
+    table: Vec<(f64, u32)>,
+    /// `outputs[mask]` = the join cardinality of the set, computed the first
+    /// time a pair forms the set; the estimator's memo never sees the DP's
+    /// sets.
+    outputs: Vec<f64>,
+}
+
+impl ConnectedPairs<'_, '_> {
+    /// The relations outside `set` that share an edge with it.
+    fn neighborhood(&self, set: u32) -> u32 {
+        let (mut all, mut rest) = (0, set);
+        while rest != 0 {
+            all |= self.neighbors[rest.trailing_zeros() as usize];
+            rest &= rest - 1;
+        }
+        all & !set
+    }
+
+    /// EnumerateCsgRec: every connected set that grows `set` by relations
+    /// outside `excluded`, each once. Without a `partner` each is a new
+    /// connected set, and its pairs are enumerated; with one, each is a
+    /// complement of the partner, and the pair is joined. Both loops take the
+    /// frontier's subsets in ascending mask order, so a set is reached after
+    /// every connected subset of it that contains `set`.
+    fn grow(&mut self, set: u32, excluded: u32, partner: Option<u32>) {
+        let frontier = self.neighborhood(set) & !excluded;
+        let mut sub = 0u32;
+        loop {
+            sub = sub.wrapping_sub(frontier) & frontier;
+            if sub == 0 {
+                break;
+            }
+            match partner {
+                None => self.pairs_with(set | sub),
+                Some(partner) => self.join(partner, set | sub),
+            }
+        }
+        loop {
+            sub = sub.wrapping_sub(frontier) & frontier;
+            if sub == 0 {
+                break;
+            }
+            self.grow(set | sub, excluded | frontier, partner);
+        }
+    }
+
+    /// EnumerateCmp: joins the connected set `set` with every connected,
+    /// adjacent complement whose relations all lie above its lowest one.
+    fn pairs_with(&mut self, set: u32) {
+        let excluded = set | ((2 << set.trailing_zeros()) - 1);
+        let frontier = self.neighborhood(set) & !excluded;
+        let mut rest = frontier;
+        while rest != 0 {
+            let start = 1 << (31 - rest.leading_zeros());
+            rest &= !start;
+            self.join(set, start);
+            self.grow(start, excluded | (frontier & ((start << 1) - 1)), Some(set));
+        }
+    }
+
+    /// Offers the split of `a | b` into `a` and `b`: the larger mask builds,
+    /// and among equal costs the larger build mask wins.
+    fn join(&mut self, a: u32, b: u32) {
+        let (build, probe) = (a.max(b), a.min(b));
+        let set = (a | b) as usize;
+        if self.table[set].1 == 0 {
+            self.outputs[set] = self.est.join_card_uncached(RelSet(u128::from(a | b)));
+        }
+        let cost = self.table[build as usize].0 + self.table[probe as usize].0 + self.outputs[set];
+        let best = &mut self.table[set];
+        if best.1 == 0 || cost < best.0 || (cost == best.0 && build > best.1) {
+            *best = (cost, build);
+        }
     }
 }
 
@@ -316,6 +405,61 @@ mod tests {
             }
         }
         g
+    }
+
+    /// DPsub, the conventional DP before DPccp, kept as the reference for its
+    /// trees: every subset in ascending mask order, every build side of it in
+    /// descending mask order down to the mirror images, the first of equal
+    /// costs kept.
+    fn dpsub_tree(graph: &JoinGraph, model: &CostModel<'_>) -> JoinTree {
+        let (n, est) = (graph.num_relations(), model.estimator());
+        let full: u32 = (1 << n) - 1;
+        let mut table = vec![(f64::INFINITY, 0u32); 1 << n];
+        for r in graph.relation_ids() {
+            table[1 << r.0] = (est.base_card(r), 1 << r.0);
+        }
+        for mask in 1..=full {
+            let set = RelSet(u128::from(mask));
+            if mask.count_ones() < 2 || !graph.is_connected_subset(set) {
+                continue;
+            }
+            let output = est.join_card(set);
+            let mut best_here = (f64::INFINITY, 0u32);
+            let mut sub = (mask - 1) & mask;
+            while sub > mask ^ sub {
+                let rest = mask ^ sub;
+                if table[sub as usize].1 != 0
+                    && table[rest as usize].1 != 0
+                    && graph.are_joined(RelSet(u128::from(sub)), RelSet(u128::from(rest)))
+                {
+                    let cost = table[sub as usize].0 + table[rest as usize].0 + output;
+                    if best_here.1 == 0 || cost < best_here.0 {
+                        best_here = (cost, sub);
+                    }
+                }
+                sub = (sub - 1) & mask;
+            }
+            table[mask as usize] = best_here;
+        }
+        rebuild_tree(&table, full)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// DPccp keeps DPsub's tie-break, so it returns DPsub's tree, not
+        /// just a tree of the same cost — on the tie-heavy palette, where
+        /// equal-cost splits are the common case.
+        #[test]
+        fn dp_tree_is_the_dpsub_tree(
+            shape in 0usize..4,
+            cards in prop::collection::vec((0usize..3, 0usize..3), 1..13),
+            picks in prop::collection::vec(0usize..1000, 12..13),
+        ) {
+            let g = random_graph(shape, &cards, &picks);
+            let tree = DpOptimizer::new().best_tree(&g, &CostModel::new(&g));
+            prop_assert_eq!(tree, dpsub_tree(&g, &CostModel::new(&g)));
+        }
     }
 
     proptest! {

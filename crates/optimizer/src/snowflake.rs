@@ -23,7 +23,7 @@
 //! Within a group, branches are ordered by how strongly they reduce the fact
 //! table (most selective first).
 
-use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
+use bqo_plan::{ArenaNode, CostModel, JoinGraph, JoinTree, RelId, RelSet, TreeArena};
 
 /// The priority group a branch falls into (Section 6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -154,59 +154,60 @@ fn is_chain_branch(
     })
 }
 
-/// Chain rotations of Theorem 5.3: for a chain branch ordered root-to-leaf
-/// `[R_{i,1}, ..., R_{i,n_i}]`, the prefixes worth trying when the branch is
-/// joined *before* the fact are, for each k, `R_{i,k}, R_{i,k+1}, ...,
-/// R_{i,n_i}, R_{i,k-1}, ..., R_{i,1}`.
-fn chain_rotations(members: &[RelId]) -> Vec<Vec<RelId>> {
-    let n = members.len();
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        let mut order: Vec<RelId> = Vec::with_capacity(n);
-        order.extend_from_slice(&members[k..]);
-        order.extend(members[..k].iter().rev());
-        out.push(order);
-    }
-    out
+/// Chain rotation `k` of Theorem 5.3: for a chain branch ordered
+/// root-to-leaf `[R_{i,1}, ..., R_{i,n_i}]`, the prefixes worth trying when
+/// the branch is joined *before* the fact are, for each k, `R_{i,k},
+/// R_{i,k+1}, ..., R_{i,n_i}, R_{i,k-1}, ..., R_{i,1}`. Rotation 0 is the
+/// branch itself.
+fn chain_rotation(members: &[RelId], k: usize) -> impl Iterator<Item = RelId> + '_ {
+    members[k..]
+        .iter()
+        .chain(members[..k].iter().rev())
+        .copied()
 }
 
-/// Builds the plan that joins the branches (in the given order) on top of an
-/// existing probe-side plan. Relations larger than the fact table are placed
-/// on the probe side instead of the build side (the P3 swap of Algorithm 2,
-/// line 12–13).
-fn join_branches_onto(
+/// Joins the branches (in the given order) on top of an existing probe-side
+/// plan in `arena`. Relations larger than the fact table are placed on the
+/// probe side instead of the build side (the P3 swap of Algorithm 2, line
+/// 12–13).
+fn join_branches_onto<'b>(
+    arena: &mut TreeArena,
     cost_model: &CostModel<'_>,
     fact: RelId,
-    branches: &[&BranchInfo],
-    mut plan: JoinTree,
-) -> JoinTree {
+    branches: impl Iterator<Item = &'b BranchInfo>,
+    mut plan: ArenaNode,
+) -> ArenaNode {
     let est = cost_model.estimator();
     let fact_rows = est.base_card(fact);
     for branch in branches {
         for &table in &branch.members {
-            if est.base_card(table) > fact_rows {
+            let leaf = arena.leaf(table);
+            plan = if est.base_card(table) > fact_rows {
                 // Larger than the fact: make it the probe side so the
                 // accumulated plan (which contains the fact and its filters)
                 // builds the hash table and creates the bitvector filter.
-                plan = JoinTree::join(plan, JoinTree::Leaf(table));
+                arena.join(plan, leaf)
             } else {
-                plan = JoinTree::join(JoinTree::Leaf(table), plan);
-            }
+                arena.join(leaf, plan)
+            };
         }
     }
     plan
 }
 
-/// Hands `visit` every candidate plan Algorithm 2 builds for the relations in
-/// `subset` (which must contain `fact` and be connected through it), one at a
-/// time in the order [`optimize_snowflake`] costs them: a linear number, one
-/// per choice of right-most leaf.
+/// Builds every candidate plan Algorithm 2 considers for the relations in
+/// `subset` (which must contain `fact` and be connected through it) into
+/// `arena`, one at a time — the arena is cleared before each — and hands
+/// `visit` the arena and the candidate's root, in the order
+/// [`optimize_snowflake`] costs them: a linear number, one per choice of
+/// right-most leaf.
 pub fn for_each_snowflake_candidate(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
     subset: RelSet,
     fact: RelId,
-    mut visit: impl FnMut(JoinTree),
+    arena: &mut TreeArena,
+    mut visit: impl FnMut(&mut TreeArena, ArenaNode),
 ) {
     assert!(subset.contains(fact), "subset must contain the fact table");
     let mut branches = analyze_branches(graph, cost_model, subset, fact);
@@ -218,16 +219,13 @@ pub fn for_each_snowflake_candidate(
             .cmp(&a.priority(n))
             .then(a.fact_keep_fraction.total_cmp(&b.fact_keep_fraction))
     });
-    let branch_refs: Vec<&BranchInfo> = branches.iter().collect();
 
     // Candidate 1: fact table as the right-most leaf; all branches join onto
     // it in priority order.
-    visit(join_branches_onto(
-        cost_model,
-        fact,
-        &branch_refs,
-        JoinTree::Leaf(fact),
-    ));
+    arena.clear();
+    let plan = arena.leaf(fact);
+    let root = join_branches_onto(arena, cost_model, fact, branches.iter(), plan);
+    visit(arena, root);
 
     // Candidates 2..: each branch in turn forms the bottom of the probe
     // pipeline (with its chain rotations), then the fact, then the remaining
@@ -240,27 +238,32 @@ pub fn for_each_snowflake_candidate(
         if branch.members.iter().any(|&r| est.base_card(r) > fact_rows) {
             continue;
         }
-        let prefixes = if branch.is_chain {
-            chain_rotations(&branch.members)
+        let rotations = if branch.is_chain {
+            branch.members.len()
         } else {
-            vec![branch.members.clone()]
+            1
         };
-        for prefix in prefixes {
+        for k in 0..rotations {
+            arena.clear();
             // Probe pipeline bottom: the branch prefix, joined right-deep.
-            let mut plan = JoinTree::Leaf(prefix[0]);
-            for &r in &prefix[1..] {
-                plan = JoinTree::join(JoinTree::Leaf(r), plan);
+            let mut prefix = chain_rotation(&branch.members, k);
+            let bottom = prefix.next().expect("a branch has a member");
+            let mut plan = arena.leaf(bottom);
+            for r in prefix {
+                let leaf = arena.leaf(r);
+                plan = arena.join(leaf, plan);
             }
             // Then the fact table.
-            plan = JoinTree::join(JoinTree::Leaf(fact), plan);
+            let leaf = arena.leaf(fact);
+            plan = arena.join(leaf, plan);
             // Then the remaining branches in priority order.
-            let rest: Vec<&BranchInfo> = branches
+            let rest = branches
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
-                .map(|(_, b)| b)
-                .collect();
-            visit(join_branches_onto(cost_model, fact, &rest, plan));
+                .map(|(_, b)| b);
+            let root = join_branches_onto(arena, cost_model, fact, rest, plan);
+            visit(arena, root);
         }
     }
 }
@@ -269,20 +272,37 @@ pub fn for_each_snowflake_candidate(
 /// `subset` (which must contain `fact` and be connected through it).
 /// Returns the first candidate of [`for_each_snowflake_candidate`] with the
 /// least bitvector-aware `Cout`.
+///
+/// Each candidate is costed in the arena it was built in, only until its
+/// running sum reaches the least cost so far
+/// ([`CostModel::cout_with_bitvectors_below`]). A cheaper candidate trades
+/// arenas with the best one so far — the next candidate is built in a
+/// cleared arena either way — and only the winner becomes a [`JoinTree`].
 pub fn optimize_snowflake(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
     subset: RelSet,
     fact: RelId,
 ) -> JoinTree {
-    let mut best: Option<(f64, JoinTree)> = None;
-    for_each_snowflake_candidate(graph, cost_model, subset, fact, |plan| {
-        let cost = cost_model.cout_with_bitvectors(&plan);
-        if best.as_ref().is_none_or(|(least, _)| cost < *least) {
-            best = Some((cost, plan));
-        }
-    });
-    best.expect("the fact-first candidate always exists").1
+    let (mut candidate, mut best) = (TreeArena::new(), TreeArena::new());
+    let mut least: Option<(f64, ArenaNode)> = None;
+    for_each_snowflake_candidate(
+        graph,
+        cost_model,
+        subset,
+        fact,
+        &mut candidate,
+        |arena, root| {
+            let bound = least.map_or(f64::INFINITY, |(cost, _)| cost);
+            let cost = cost_model.cout_with_bitvectors_below(arena, root, bound);
+            if least.is_none() || cost < bound {
+                least = Some((cost, root));
+                std::mem::swap(&mut best, arena);
+            }
+        },
+    );
+    let (_, root) = least.expect("the fact-first candidate always exists");
+    best.to_join_tree(root)
 }
 
 #[cfg(test)]
@@ -437,8 +457,9 @@ mod tests {
     #[test]
     fn chain_rotations_cover_every_rightmost_choice() {
         let members = vec![RelId(1), RelId(2), RelId(3)];
-        let rotations = chain_rotations(&members);
-        assert_eq!(rotations.len(), 3);
+        let rotations: Vec<Vec<RelId>> = (0..members.len())
+            .map(|k| chain_rotation(&members, k).collect())
+            .collect();
         assert_eq!(rotations[0], vec![RelId(1), RelId(2), RelId(3)]);
         assert_eq!(rotations[1], vec![RelId(2), RelId(3), RelId(1)]);
         assert_eq!(rotations[2], vec![RelId(3), RelId(2), RelId(1)]);

@@ -15,12 +15,12 @@
 //! of a scan or join output by pushed-down filters uses the no-false-positive
 //! semi-join semantics of Section 3.2.
 
-use crate::estimator::CardinalityEstimator;
+use crate::estimator::{semi_reduce, CardinalityEstimator};
 use crate::graph::JoinGraph;
 use crate::physical::{NodeId, PhysicalNode, PhysicalPlan};
 use crate::pushdown::push_down_bitvectors;
 use crate::relset::RelSet;
-use crate::tree::{JoinTree, RightDeepTree};
+use crate::tree::{ArenaEntry, ArenaNode, JoinTree, RightDeepTree, TreeArena};
 
 /// Per-plan cost report.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,25 +90,56 @@ impl<'a> CostModel<'a> {
 
     /// Total bitvector-aware `Cout` of a join tree: bit for bit the `total` of
     /// [`cout_join_tree(tree, true)`](CostModel::cout_join_tree), which stays
-    /// the reference this is tested against.
+    /// the reference this is tested against. It is
+    /// [`cout_with_bitvectors_below`](CostModel::cout_with_bitvectors_below)
+    /// with no bound.
+    ///
+    /// # Panics
+    /// Panics if some join in the tree is a cross product.
+    pub fn cout_with_bitvectors(&self, tree: &JoinTree) -> f64 {
+        let mut arena = TreeArena::new();
+        let root = arena.push_tree(tree);
+        self.cout_with_bitvectors_below(&mut arena, root, f64::INFINITY)
+    }
+
+    /// Bitvector-aware `Cout` of the tree under `root`, added up only while
+    /// the running sum stays below `bound`: the total when it is below
+    /// `bound`, bit for bit what
+    /// [`cout_with_bitvectors`](CostModel::cout_with_bitvectors) returns for
+    /// the same tree, and otherwise some partial sum ≥ `bound`. Every estimate
+    /// is ≥ 0 and float addition is monotone, so the total cannot end below a
+    /// partial sum: an optimizer that keeps the first of equally cheap
+    /// candidates passes the least cost so far as `bound` and compares the
+    /// result with `<`, exactly as if it had costed every candidate in full.
     ///
     /// The optimizers call this once per candidate plan, so it works on
     /// relation sets alone — no physical plan is built and no join column is
-    /// named. Algorithm 1 routes a filter by the relations its probe columns
-    /// belong to, and a node's estimate depends only on its relations and its
+    /// named — and allocates nothing once the arena's buffers have grown.
+    /// Algorithm 1 routes a filter by the relations its probe columns belong
+    /// to, and a node's estimate depends only on its relations and its
     /// effective set, so one walk over the tree (build side before probe side,
     /// the order node ids are assigned in) routes the filters, unions the
     /// effective sets and adds the cardinalities up in the reference's order.
     ///
     /// # Panics
-    /// Panics if some join in the tree is a cross product.
-    pub fn cout_with_bitvectors(&self, tree: &JoinTree) -> f64 {
+    /// Panics if some join the walk reaches is a cross product.
+    pub fn cout_with_bitvectors_below(
+        &self,
+        arena: &mut TreeArena,
+        root: ArenaNode,
+        bound: f64,
+    ) -> f64 {
+        let TreeArena { nodes, filters } = arena;
+        filters.clear();
         let mut walk = TreeWalk {
             model: self,
+            nodes,
+            filters,
             base_total: 0.0,
             join_total: 0.0,
+            bound,
         };
-        walk.visit(tree, tree.relation_set(), Vec::new());
+        walk.visit(root, 0);
         walk.base_total + walk.join_total
     }
 
@@ -200,75 +231,120 @@ impl<'a> CostModel<'a> {
 /// A bitvector filter on its way down a join tree: the relations its probe
 /// columns belong to, and the effective set of the build side it is created
 /// from.
-#[derive(Clone, Copy)]
-struct TreeFilter {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TreeFilter {
     referenced: RelSet,
     source: RelSet,
 }
 
-/// The state of one [`CostModel::cout_with_bitvectors`] call.
-struct TreeWalk<'m, 'a> {
+/// The state of one [`CostModel::cout_with_bitvectors_below`] call.
+struct TreeWalk<'m, 'a, 't> {
     model: &'m CostModel<'a>,
+    nodes: &'t [ArenaEntry],
+    /// A stack: the filters routed into the node being visited are the ones
+    /// from the index `visit` was given to the top.
+    filters: &'t mut Vec<TreeFilter>,
     base_total: f64,
     join_total: f64,
+    bound: f64,
 }
 
-impl TreeWalk<'_, '_> {
-    /// Adds up the estimates of the subtree `tree` over the relations `rels`,
-    /// given the filters Algorithm 1 routes into it, and returns the subtree's
-    /// effective set (see [`effective_sets`]).
-    fn visit(&mut self, tree: &JoinTree, rels: RelSet, mut incoming: Vec<TreeFilter>) -> RelSet {
+/// What visiting a subtree tells its parent.
+#[derive(Clone, Copy)]
+struct Visited {
+    /// The subtree's effective set (see [`effective_sets`]).
+    effective: RelSet,
+    /// `join_card(effective)`, when the visit looked it up.
+    effective_card: Option<f64>,
+    /// The neighbours of the subtree's relations.
+    neighbors: RelSet,
+}
+
+impl TreeWalk<'_, '_, '_> {
+    /// Adds up the estimates of the subtree under `node`, given the filters
+    /// Algorithm 1 routes into it (`filters[incoming..]`). Leaves the stack
+    /// above `incoming` in no particular state. `None` once the running sum
+    /// has reached the bound.
+    fn visit(&mut self, node: ArenaNode, incoming: usize) -> Option<Visited> {
+        let ArenaEntry { rels, join } = self.nodes[node.index()];
         let mut effective = rels;
-        match tree {
+        let (neighbors, probe) = match join {
             // Everything that reached a scan is applied there.
-            JoinTree::Leaf(_) => {
-                for filter in &incoming {
+            None => {
+                for filter in &self.filters[incoming..] {
                     effective = effective | filter.source;
                 }
+                let neighbors = rels.iter().fold(RelSet::default(), |all, r| {
+                    all | self.model.graph.neighbors(r)
+                });
+                (neighbors, None)
             }
-            JoinTree::Join { build, probe } => {
-                let build_rels = build.relation_set();
+            Some((build, probe)) => {
+                let build_rels = self.nodes[build.index()].rels;
                 let probe_rels = rels - build_rels;
-                // Route the incoming filters as `push_down_bitvectors` does;
-                // what stays in `incoming` goes down the probe side.
-                let mut to_build = Vec::new();
-                incoming.retain(|filter| {
+                // Route the incoming filters as `push_down_bitvectors` does:
+                // copies of those bound for the build side go on top of the
+                // stack, those bound for the probe side move down in place.
+                let top = self.filters.len();
+                let mut kept = incoming;
+                for i in incoming..top {
+                    let filter = self.filters[i];
                     match (
                         filter.referenced.is_subset(build_rels),
                         filter.referenced.is_subset(probe_rels),
                     ) {
-                        (true, false) => to_build.push(*filter),
-                        (false, true) => return true,
+                        (true, false) => self.filters.push(filter),
+                        (false, true) => {
+                            self.filters[kept] = filter;
+                            kept += 1;
+                        }
                         _ => effective = effective | filter.source,
                     }
-                    false
-                });
-                let build_effective = self.visit(build, build_rels, to_build);
+                }
+                let build = self.visit(build, top)?;
+                self.filters.truncate(kept);
                 // The filter this join creates checks the probe-side ends of
                 // the edges that cross it.
-                let referenced = build_rels.iter().fold(RelSet::default(), |all, r| {
-                    all | self.model.graph.neighbors(r)
-                }) & probe_rels;
+                let referenced = build.neighbors & probe_rels;
                 assert!(
                     !referenced.is_empty(),
                     "join between {build_rels:?} and {probe_rels:?} is a cross product"
                 );
-                incoming.push(TreeFilter {
+                self.filters.push(TreeFilter {
                     referenced,
-                    source: build_effective,
+                    source: build.effective,
                 });
-                effective = effective | build_effective | self.visit(probe, probe_rels, incoming);
+                let probe = self.visit(probe, incoming)?;
+                effective = effective | build.effective | probe.effective;
+                (build.neighbors | probe.neighbors, Some(probe))
             }
+        };
+        // `semi_reduced_card(rels, effective - rels)`, step by step: where a
+        // join's effective set is its probe side's (filters pushed to the
+        // bottom of a pipeline make it so all the way up), the probe side has
+        // already looked up its cardinality.
+        let est = &self.model.estimator;
+        let core_card = est.join_card(rels);
+        let (card, effective_card) = if effective == rels {
+            (core_card, Some(core_card))
+        } else if core_card <= 0.0 {
+            (core_card, None)
+        } else {
+            let full_card = probe
+                .filter(|probe| probe.effective == effective)
+                .and_then(|probe| probe.effective_card)
+                .unwrap_or_else(|| est.join_card(effective));
+            (semi_reduce(core_card, full_card), Some(full_card))
+        };
+        match join {
+            None => self.base_total += card,
+            Some(_) => self.join_total += card,
         }
-        let card = self
-            .model
-            .estimator
-            .semi_reduced_card(rels, effective - rels);
-        match tree {
-            JoinTree::Leaf(_) => self.base_total += card,
-            JoinTree::Join { .. } => self.join_total += card,
-        }
-        effective
+        (self.base_total + self.join_total < self.bound).then_some(Visited {
+            effective,
+            effective_card,
+            neighbors,
+        })
     }
 }
 
@@ -528,10 +604,24 @@ mod tests {
             assert!(trees.len() >= 8, "{} trees", trees.len());
 
             let model = CostModel::new(graph);
+            let mut arena = TreeArena::new();
             for tree in &trees {
                 let reference = CostModel::new(graph).cout_join_tree(tree, true).total;
                 let fast = model.cout_with_bitvectors(tree);
                 assert_eq!(fast.to_bits(), reference.to_bits(), "{tree}");
+                // Bounded: the total when below the bound, else a sum that
+                // has reached it.
+                arena.clear();
+                let root = arena.push_tree(tree);
+                assert_eq!(arena.to_join_tree(root), *tree);
+                for bound in [reference * 2.0, reference, reference / 2.0, 0.0] {
+                    let bounded = model.cout_with_bitvectors_below(&mut arena, root, bound);
+                    if reference < bound {
+                        assert_eq!(bounded.to_bits(), reference.to_bits(), "{tree}");
+                    } else {
+                        assert!(bound <= bounded && bounded <= reference, "{tree}");
+                    }
+                }
             }
         }
     }

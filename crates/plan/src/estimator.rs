@@ -25,11 +25,12 @@ use std::collections::HashMap;
 
 /// Statistics-based cardinality estimator bound to one join graph.
 ///
-/// It remembers every [`join_card`](CardinalityEstimator::join_card) it has
-/// computed: the candidate plans of one optimizer call differ in one branch
-/// position, so they ask for the same relation sets over and over. The
-/// estimator borrows the graph, so the statistics cannot change under the
-/// memo; a new estimator starts empty.
+/// It remembers every [`join_card`](CardinalityEstimator::join_card) of two
+/// or more relations it has computed: the candidate plans of one optimizer
+/// call differ in one branch position, so they ask for the same relation sets
+/// over and over. The memo hashes with the standard library's SipHash, since
+/// its keys derive from user queries. The estimator borrows the graph, so the
+/// statistics cannot change under the memo; a new estimator starts empty.
 #[derive(Debug, Clone)]
 pub struct CardinalityEstimator<'a> {
     graph: &'a JoinGraph,
@@ -62,18 +63,31 @@ impl<'a> CardinalityEstimator<'a> {
     /// (callers that enumerate plans without cross products never ask for
     /// one).
     pub fn join_card(&self, set: RelSet) -> f64 {
+        if set.len() <= 1 {
+            // One cardinality times no edge: nothing worth remembering.
+            return set.first().map_or(0.0, |r| self.base_card(r));
+        }
+        *self
+            .join_cards
+            .borrow_mut()
+            .entry(set)
+            .or_insert_with(|| self.join_card_uncached(set))
+    }
+
+    /// [`join_card`](CardinalityEstimator::join_card), bit for bit, computed
+    /// without the memo: for a caller that keeps its own table of the sets it
+    /// asks for, as the DP optimizer does.
+    pub fn join_card_uncached(&self, set: RelSet) -> f64 {
         if set.is_empty() {
             return 0.0;
         }
-        *self.join_cards.borrow_mut().entry(set).or_insert_with(|| {
-            let mut card: f64 = set.iter().map(|r| self.base_card(r)).product();
-            for edge in self.graph.edges() {
-                if set.contains(edge.left) && set.contains(edge.right) {
-                    card *= edge.selectivity();
-                }
+        let mut card: f64 = set.iter().map(|r| self.base_card(r)).product();
+        for edge in self.graph.edges() {
+            if set.contains(edge.left) && set.contains(edge.right) {
+                card *= edge.selectivity();
             }
-            card
-        })
+        }
+        card
     }
 
     /// Estimated cardinality of the join of `core` after semi-join reduction
@@ -98,8 +112,7 @@ impl<'a> CardinalityEstimator<'a> {
         if external.is_subset(core) || core_card <= 0.0 {
             return core_card;
         }
-        let full_card = self.join_card(core | external);
-        core_card * (full_card / core_card).min(1.0)
+        semi_reduce(core_card, self.join_card(core | external))
     }
 
     /// Estimated fraction of `target`'s rows kept by a bitvector filter whose
@@ -112,6 +125,12 @@ impl<'a> CardinalityEstimator<'a> {
         }
         (self.semi_reduced_card(RelSet::single(target), source) / base).clamp(0.0, 1.0)
     }
+}
+
+/// The last step of [`CardinalityEstimator::semi_reduced_card`], once both
+/// join cardinalities are known and the core's is positive.
+pub(crate) fn semi_reduce(core_card: f64, full_card: f64) -> f64 {
+    core_card * (full_card / core_card).min(1.0)
 }
 
 /// The local-predicate selectivity band of one relation inside a

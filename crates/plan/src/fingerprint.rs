@@ -1,4 +1,4 @@
-//! Canonical query forms and fingerprints for plan caching.
+//! Query fingerprints for plan caching.
 //!
 //! A fingerprint is a normalized textual rendering of a [`QuerySpec`]'s
 //! *structure*: which tables are joined how, and which predicate shapes
@@ -10,160 +10,164 @@
 //! per bind whether the cached plan's selectivity envelope still covers the
 //! bound values.
 //!
+//! The rendering is injective: every free-form string (table name, column
+//! name, string literal, parameter name) has each character the rendering
+//! uses as a delimiter escaped, so two different queries never share a
+//! fingerprint — and with it a cached plan — whatever their names contain.
+//!
 //! Because physical plans reference relations by positional
 //! [`crate::RelId`] — assigned by [`QuerySpec::to_join_graph`] in `.table()`
 //! insertion order — a plan cached under an order-invariant fingerprint is
 //! only directly valid for graphs that number the relations identically.
 //! Anything that serves cached plans across reordered specs must renumber
 //! them first ([`crate::PhysicalPlan::remap_relations`], driven by relation
-//! names); [`QuerySpec::canonical`] provides the normalized spec the
-//! fingerprint is rendered from.
+//! names).
 
 use crate::builder::{JoinCondition, QuerySpec};
-use crate::predicate::PredicateValue;
+use crate::predicate::{ColumnPredicate, PredicateValue};
 use bqo_storage::Value;
+use std::fmt::Write;
+use std::ops::Range;
 
-/// Escapes a free-form string (table name, column name, string literal,
-/// parameter name) so it cannot forge the fingerprint's structural
-/// delimiters: the escape character itself, the element separator `,` and
-/// the section brackets. Without this, a crafted `Utf8` literal such as
-/// `"x,t.d=s:y"` would render identically to two separate predicates and
-/// collide two different queries onto one cache key.
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        if matches!(c, '\\' | ',' | '[' | ']') {
-            out.push('\\');
-        }
-        out.push(c);
-    }
-    out
+/// The characters the rendering gives structure with: the escape character
+/// itself, the list separator `,`, the section brackets, the `.` between a
+/// table and its column, and the comparison characters (`=` also joins the
+/// two sides of a join).
+fn is_delimiter(c: char) -> bool {
+    matches!(c, '\\' | ',' | '[' | ']' | '.' | '=' | '<' | '>')
 }
 
-/// Renders a value with a type tag so that e.g. `Int64(3)` and
+/// Appends `s` with every delimiter escaped. Without this, a crafted `Utf8`
+/// literal such as `"x,t.d=s:y"` would render like two predicates, and the
+/// join `t."a=u.b" = u."c"` like `t."a" = u."b=u.c"`.
+fn escape_into(out: &mut String, s: &str) {
+    let mut rest = s;
+    // Delimiters are ASCII, so `at` is the byte index of a one-byte char.
+    while let Some(at) = rest.find(is_delimiter) {
+        out.push_str(&rest[..at]);
+        out.push('\\');
+        out.push_str(&rest[at..=at]);
+        rest = &rest[at + 1..];
+    }
+    out.push_str(rest);
+}
+
+/// Appends a value with a type tag, so that e.g. `Int64(3)` and
 /// `Float64(3.0)` (which both display as `3`) cannot collide.
-fn render_value(value: &Value) -> String {
-    match value {
-        Value::Int64(v) => format!("i:{v}"),
-        Value::Float64(v) => format!("f:{v}"),
-        Value::Utf8(v) => format!("s:{}", escape(v)),
-        Value::Bool(v) => format!("b:{v}"),
+fn render_value(out: &mut String, value: &PredicateValue) {
+    // Writing to a `String` cannot fail.
+    let _ = match value {
+        PredicateValue::Literal(Value::Int64(v)) => write!(out, "i:{v}"),
+        PredicateValue::Literal(Value::Float64(v)) => write!(out, "f:{v}"),
+        PredicateValue::Literal(Value::Bool(v)) => write!(out, "b:{v}"),
+        PredicateValue::Literal(Value::Utf8(v)) => {
+            out.push_str("s:");
+            escape_into(out, v);
+            Ok(())
+        }
+        PredicateValue::Param(name) => {
+            out.push('$');
+            escape_into(out, name);
+            Ok(())
+        }
+    };
+}
+
+/// Appends `table.column=table.column`, the lexicographically smaller
+/// `(table, column)` side first: a join is symmetric.
+fn render_join(out: &mut String, j: &JoinCondition) {
+    let mut sides = [
+        (j.left_table.as_str(), j.left_column.as_str()),
+        (j.right_table.as_str(), j.right_column.as_str()),
+    ];
+    sides.sort_unstable();
+    for (i, (table, column)) in sides.into_iter().enumerate() {
+        if i > 0 {
+            out.push('=');
+        }
+        escape_into(out, table);
+        out.push('.');
+        escape_into(out, column);
     }
 }
 
-fn render_predicate_value(value: &PredicateValue) -> String {
-    match value {
-        PredicateValue::Literal(v) => render_value(v),
-        PredicateValue::Param(name) => format!("${}", escape(name)),
-    }
+/// Appends `table.column<op><value>`.
+fn render_predicate(out: &mut String, table: &str, p: &ColumnPredicate) {
+    escape_into(out, table);
+    out.push('.');
+    escape_into(out, &p.column);
+    out.push_str(p.op.symbol());
+    render_value(out, &p.value);
 }
 
-fn render_join(j: &JoinCondition) -> String {
-    format!(
-        "{}.{}={}.{}",
-        escape(&j.left_table),
-        escape(&j.left_column),
-        escape(&j.right_table),
-        escape(&j.right_column)
-    )
+/// Renders one element at the end of `buffer` and returns where it lies.
+fn render_into(buffer: &mut String, render: impl FnOnce(&mut String)) -> Range<usize> {
+    let start = buffer.len();
+    render(buffer);
+    start..buffer.len()
+}
+
+/// Appends the elements of `buffer` at `ranges`, comma-separated.
+fn push_list(out: &mut String, buffer: &str, ranges: &[Range<usize>]) {
+    for (i, range) in ranges.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&buffer[range.clone()]);
+    }
 }
 
 impl QuerySpec {
-    /// The canonical form of this spec: tables sorted (and deduplicated),
-    /// each join's sides ordered so the lexicographically smaller
-    /// `(table, column)` pair comes first, joins sorted, and each table's
-    /// predicates sorted by `(column, op, value)`.
-    ///
-    /// Two specs describing the same query in different order canonicalize
-    /// to *identical* specs — and therefore to identical join graphs with
-    /// identical [`crate::RelId`] numbering. The name is preserved (it is a
-    /// label, not part of the structure).
-    pub fn canonical(&self) -> QuerySpec {
-        let mut tables = self.tables.clone();
-        tables.sort_unstable();
-        tables.dedup();
-
-        let mut joins: Vec<JoinCondition> = self
-            .joins
-            .iter()
-            .map(|j| {
-                // A join is symmetric; `to_join_graph` reads both sides'
-                // statistics by name, so side order is free to normalize.
-                let left = (j.left_table.as_str(), j.left_column.as_str());
-                let right = (j.right_table.as_str(), j.right_column.as_str());
-                if left <= right {
-                    j.clone()
-                } else {
-                    JoinCondition::new(
-                        j.right_table.clone(),
-                        j.right_column.clone(),
-                        j.left_table.clone(),
-                        j.left_column.clone(),
-                    )
-                }
-            })
-            .collect();
-        joins.sort_by_key(render_join);
-
-        let predicates = self
-            .predicates
-            .iter()
-            .map(|(table, preds)| {
-                let mut preds = preds.clone();
-                preds.sort_by_key(|p| {
-                    (
-                        p.column.clone(),
-                        p.op.symbol(),
-                        render_predicate_value(&p.value),
-                    )
-                });
-                (table.clone(), preds)
-            })
-            .collect();
-
-        QuerySpec {
-            name: self.name.clone(),
-            tables,
-            joins,
-            predicates,
-        }
-    }
-
     /// The canonical fingerprint of this query's structure.
     ///
     /// Invariant under table order, join order, join side order and predicate
-    /// order (it is rendered from [`QuerySpec::canonical`]); parameter
-    /// placeholders are rendered by name while literal bounds are rendered by
-    /// (type-tagged) value. Suitable as a plan-cache key together with the
-    /// optimizer choice and the catalog version.
+    /// order: tables are sorted (and deduplicated) by name, joins and
+    /// predicates by their rendering. Parameter placeholders are rendered by
+    /// name while literal bounds are rendered by (type-tagged) value. Every
+    /// join and predicate is rendered once, into one buffer, and sorted there.
+    /// Suitable as a plan-cache key together with the optimizer choice and the
+    /// catalog version.
     pub fn fingerprint(&self) -> String {
-        let canonical = self.canonical();
-        let joins: Vec<String> = canonical.joins.iter().map(render_join).collect();
-        let mut predicates: Vec<String> = canonical
-            .predicates
-            .iter()
-            .flat_map(|(table, preds)| {
-                preds.iter().map(move |p| {
-                    format!(
-                        "{}.{}{}{}",
-                        escape(table),
-                        escape(&p.column),
-                        p.op.symbol(),
-                        render_predicate_value(&p.value)
-                    )
-                })
-            })
-            .collect();
-        // Predicates live in a per-table map; flatten deterministically.
-        predicates.sort_unstable();
+        let mut tables: Vec<&str> = self.tables.iter().map(String::as_str).collect();
+        tables.sort_unstable();
+        tables.dedup();
 
-        let tables: Vec<String> = canonical.tables.iter().map(|t| escape(t)).collect();
-        format!(
-            "T[{}] J[{}] P[{}]",
-            tables.join(","),
-            joins.join(","),
-            predicates.join(",")
-        )
+        let mut rendered = String::new();
+        let mut joins: Vec<Range<usize>> = self
+            .joins
+            .iter()
+            .map(|j| render_into(&mut rendered, |out| render_join(out, j)))
+            .collect();
+        let mut predicates = Vec::new();
+        for (table, preds) in &self.predicates {
+            for p in preds {
+                predicates.push(render_into(&mut rendered, |out| {
+                    render_predicate(out, table, p)
+                }));
+            }
+        }
+        let by_text =
+            |a: &Range<usize>, b: &Range<usize>| rendered[a.clone()].cmp(&rendered[b.clone()]);
+        joins.sort_unstable_by(by_text);
+        predicates.sort_unstable_by(by_text);
+
+        // Room for the names, the rendered elements and the separators.
+        let names: usize = tables.iter().map(|t| t.len() + 1).sum();
+        let mut out =
+            String::with_capacity(names + rendered.len() + joins.len() + predicates.len() + 12);
+        out.push_str("T[");
+        for (i, table) in tables.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            escape_into(&mut out, table);
+        }
+        out.push_str("] J[");
+        push_list(&mut out, &rendered, &joins);
+        out.push_str("] P[");
+        push_list(&mut out, &rendered, &predicates);
+        out.push(']');
+        out
     }
 }
 
@@ -253,6 +257,25 @@ mod tests {
             .table("t")
             .predicate("t", ColumnPredicate::new("c", CompareOp::Eq, "a,b"));
         assert_ne!(backslash.fingerprint(), comma.fingerprint());
+        // Column names that embed the join rendering's `.` and `=`: without
+        // escaping both render as `t.a=u.b=u.c`.
+        let first = QuerySpec::new("q")
+            .table("t")
+            .table("u")
+            .join("t", "a=u.b", "u", "c");
+        let second = QuerySpec::new("q")
+            .table("t")
+            .table("u")
+            .join("t", "a", "u", "b=u.c");
+        assert_ne!(first.fingerprint(), second.fingerprint());
+        // And a column name that embeds a comparison.
+        let lt = QuerySpec::new("q")
+            .table("t")
+            .predicate("t", ColumnPredicate::new("c<", CompareOp::Eq, 1i64));
+        let le = QuerySpec::new("q")
+            .table("t")
+            .predicate("t", ColumnPredicate::new("c", CompareOp::Le, 1i64));
+        assert_ne!(lt.fingerprint(), le.fingerprint());
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`relset`] — [`RelSet`], the `Copy` bitset every "set of relations" in
 //!   the planner and the optimizers is written as.
 //! * [`tree`] — join-tree representations, in particular the right-deep
-//!   trees the paper's analysis is about.
+//!   trees the paper's analysis is about, and the [`TreeArena`] candidate
+//!   plans are built and costed in.
 //! * [`estimator`] — the cardinality estimator: join cardinalities over
 //!   relation sets and semi-join (bitvector) reduction factors.
 //! * [`cost`] — the `Cout` cost function (Eq. 1), with and without the
@@ -55,4 +56,4 @@ pub use physical::{
 pub use predicate::{ColumnPredicate, CompareOp, Params, PredicateValue};
 pub use pushdown::push_down_bitvectors;
 pub use relset::RelSet;
-pub use tree::{JoinTree, RightDeepTree};
+pub use tree::{ArenaNode, JoinTree, RightDeepTree, TreeArena};

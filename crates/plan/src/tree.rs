@@ -9,7 +9,12 @@
 //!
 //! [`JoinTree`] is the general binary-tree shape produced by the baseline
 //! dynamic-programming optimizer (it can be left-deep, right-deep or bushy).
+//!
+//! [`TreeArena`] holds join trees flat in one reusable buffer: the optimizers
+//! build every candidate plan there, cost it without allocating, and turn only
+//! the winner into a [`JoinTree`].
 
+use crate::cost::TreeFilter;
 use crate::graph::{JoinGraph, RelId};
 use crate::relset::RelSet;
 use std::fmt;
@@ -190,6 +195,87 @@ impl fmt::Display for JoinTree {
             JoinTree::Leaf(r) => write!(f, "{r}"),
             JoinTree::Join { build, probe } => write!(f, "({build} ⋈ {probe})"),
         }
+    }
+}
+
+/// A node of a [`TreeArena`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ArenaNode(usize);
+
+impl ArenaNode {
+    pub(crate) fn index(self) -> usize {
+        self.0
+    }
+}
+
+/// One node of a tree in a [`TreeArena`]: its shape and its relations.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ArenaEntry {
+    pub(crate) rels: RelSet,
+    pub(crate) join: Option<(ArenaNode, ArenaNode)>,
+}
+
+/// Join trees stored flat: nodes are pushed children first and name their
+/// children by index, so building a tree allocates nothing once the buffer
+/// has grown, and [`TreeArena::clear`] makes it ready for the next tree.
+///
+/// It also holds the scratch space
+/// [`CostModel::cout_with_bitvectors_below`](crate::CostModel::cout_with_bitvectors_below)
+/// routes filters through, so costing a tree here allocates nothing either.
+#[derive(Debug, Clone, Default)]
+pub struct TreeArena {
+    pub(crate) nodes: Vec<ArenaEntry>,
+    pub(crate) filters: Vec<TreeFilter>,
+}
+
+impl TreeArena {
+    /// Creates an empty arena.
+    pub fn new() -> Self {
+        TreeArena::default()
+    }
+
+    /// Forgets every node; the buffers keep their capacity.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+    }
+
+    /// Adds a leaf.
+    pub fn leaf(&mut self, rel: RelId) -> ArenaNode {
+        self.push(RelSet::single(rel), None)
+    }
+
+    /// Adds a join of two nodes already in the arena.
+    pub fn join(&mut self, build: ArenaNode, probe: ArenaNode) -> ArenaNode {
+        let rels = self.nodes[build.0].rels | self.nodes[probe.0].rels;
+        self.push(rels, Some((build, probe)))
+    }
+
+    /// Adds every node of `tree`; returns its root.
+    pub(crate) fn push_tree(&mut self, tree: &JoinTree) -> ArenaNode {
+        match tree {
+            JoinTree::Leaf(r) => self.leaf(*r),
+            JoinTree::Join { build, probe } => {
+                let build = self.push_tree(build);
+                let probe = self.push_tree(probe);
+                self.join(build, probe)
+            }
+        }
+    }
+
+    /// The subtree under `node` as a [`JoinTree`].
+    pub fn to_join_tree(&self, node: ArenaNode) -> JoinTree {
+        let entry = self.nodes[node.0];
+        match entry.join {
+            None => JoinTree::Leaf(entry.rels.first().expect("a leaf holds one relation")),
+            Some((build, probe)) => {
+                JoinTree::join(self.to_join_tree(build), self.to_join_tree(probe))
+            }
+        }
+    }
+
+    fn push(&mut self, rels: RelSet, join: Option<(ArenaNode, ArenaNode)>) -> ArenaNode {
+        self.nodes.push(ArenaEntry { rels, join });
+        ArenaNode(self.nodes.len() - 1)
     }
 }
 

@@ -1,18 +1,23 @@
 //! The cheap costing paths against the reference paths, bit for bit, on every
 //! query of the eight `plan_golden` workloads.
 //!
-//! `CostModel::cout_with_bitvectors` costs a candidate on relation sets alone
-//! and shares one `join_card` memo with every other estimate of the same
-//! optimizer call; the reference lowers the tree, runs Algorithm 1 and costs
-//! the physical plan on a cost model of its own (so nothing it reads was
-//! remembered by the path under test). `prune_low_benefit_filters` computes
-//! the effective sets once; the reference asks for one λ at a time.
+//! `CostModel::cout_with_bitvectors_below` costs a candidate in the arena it
+//! was built in, on relation sets alone, and shares one `join_card` memo with
+//! every other estimate of the same optimizer call; the reference lowers the
+//! tree, runs Algorithm 1 and costs the physical plan on a cost model of its
+//! own (so nothing it reads was remembered by the path under test). Algorithm
+//! 2 stops costing a candidate once its running sum reaches the least cost so
+//! far; the reference costs every candidate in full and keeps the first
+//! cheapest. `prune_low_benefit_filters` computes the effective sets once; the
+//! reference asks for one λ at a time.
 
 use bqo_core::optimizer::{
     conventional_tree, extract_snowflakes, for_each_snowflake_candidate, optimize_join_graph,
-    prune_low_benefit_filters, DEFAULT_LAMBDA_THRESHOLD,
+    optimize_snowflake, prune_low_benefit_filters, DEFAULT_LAMBDA_THRESHOLD,
 };
-use bqo_core::plan::{push_down_bitvectors, CostModel, JoinGraph, JoinTree, PhysicalPlan};
+use bqo_core::plan::{
+    push_down_bitvectors, CostModel, JoinGraph, JoinTree, PhysicalPlan, TreeArena,
+};
 use bqo_core::workloads::{customer_like, job_like, snowflake, star, tpcds_like, Scale, Workload};
 
 const SCALE: Scale = Scale(0.01);
@@ -50,11 +55,10 @@ fn lowered(graph: &JoinGraph, tree: &JoinTree) -> PhysicalPlan {
 
 #[test]
 fn every_costed_tree_gets_the_reference_total() {
-    let (mut candidates, mut bushy) = (0usize, 0usize);
+    let (mut candidates, mut stopped, mut bushy) = (0usize, 0usize, 0usize);
     for_each_graph(|query, graph| {
         let model = CostModel::new(graph);
-        let check = |tree: &JoinTree| {
-            let fast = model.cout_with_bitvectors(tree);
+        let check = |tree: &JoinTree, fast: f64| {
             let reference = CostModel::new(graph).cout_physical(&lowered(graph, tree));
             assert_eq!(
                 fast.to_bits(),
@@ -64,21 +68,50 @@ fn every_costed_tree_gets_the_reference_total() {
             );
         };
         // Every candidate Algorithm 2 costs, for every snowflake Algorithm 3
-        // extracts.
+        // extracts: in full, and bounded by the least full cost before it.
+        let mut arena = TreeArena::new();
         for (fact, members) in extract_snowflakes(graph, &model) {
-            for_each_snowflake_candidate(graph, &model, members, fact, |tree| {
-                check(&tree);
-                candidates += 1;
-            });
+            let mut least: Option<(f64, JoinTree)> = None;
+            for_each_snowflake_candidate(
+                graph,
+                &model,
+                members,
+                fact,
+                &mut arena,
+                |arena, root| {
+                    let tree = arena.to_join_tree(root);
+                    let full = model.cout_with_bitvectors_below(arena, root, f64::INFINITY);
+                    check(&tree, full);
+                    let bound = least.as_ref().map_or(f64::INFINITY, |(cost, _)| *cost);
+                    let bounded = model.cout_with_bitvectors_below(arena, root, bound);
+                    if full < bound {
+                        assert_eq!(bounded.to_bits(), full.to_bits(), "{query}: {tree}");
+                        least = Some((full, tree));
+                    } else {
+                        assert!(bounded >= bound, "{query}: {bounded} < {bound} for {tree}");
+                        stopped += usize::from(bounded != full);
+                    }
+                    candidates += 1;
+                },
+            );
+            // The early-stopping search keeps the first cheapest candidate.
+            let (_, winner) = least.expect("the fact-first candidate always exists");
+            assert_eq!(
+                optimize_snowflake(graph, &model, members, fact),
+                winner,
+                "{query}: snowflake of {fact}"
+            );
         }
         // The two trees the Section 6.4 comparison costs; the conventional
         // one is bushy wherever that is cheaper.
-        check(&optimize_join_graph(graph, &model));
+        let bqo = optimize_join_graph(graph, &model);
+        check(&bqo, model.cout_with_bitvectors(&bqo));
         let conventional = conventional_tree(graph, &model);
-        check(&conventional);
+        check(&conventional, model.cout_with_bitvectors(&conventional));
         bushy += usize::from(!conventional.is_right_deep() && !conventional.is_left_deep());
     });
     assert!(candidates > 1500, "only {candidates} candidates costed");
+    assert!(stopped > 0, "no candidate was ever cut short");
     assert!(bushy > 0, "no bushy conventional tree among the workloads");
 }
 

@@ -6,7 +6,7 @@
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
     CacheStatus, ColumnPredicate, CompareOp, Engine, OptimizerChoice, Params, PlanCache, QuerySpec,
-    RunOptions,
+    RunOptions, TableBuilder,
 };
 use std::sync::Arc;
 
@@ -133,6 +133,49 @@ fn fingerprint_is_stable_under_spec_reordering() {
             .cache_status(),
         CacheStatus::Miss
     );
+}
+
+/// Column names may contain the characters the fingerprint renders joins
+/// with. `t."a=u.b" = u."c"` and `t."a" = u."b=u.c"` are different queries,
+/// so they are two cache entries, and each gets its own answer.
+#[test]
+fn delimiters_in_column_names_do_not_share_a_cache_entry() {
+    let table = |name: &str, columns: [(&str, Vec<i64>); 2]| {
+        let [(first, first_values), (second, second_values)] = columns;
+        TableBuilder::new(name)
+            .with_i64(first, first_values)
+            .with_i64(second, second_values)
+            .build()
+            .unwrap()
+    };
+    let engine = Engine::builder()
+        .table(table(
+            "t",
+            [("a", vec![1, 2, 3]), ("a=u.b", vec![10, 20, 30])],
+        ))
+        .table(table(
+            "u",
+            [("c", vec![10, 20, 99]), ("b=u.c", vec![1, 2, 3])],
+        ))
+        .build()
+        .unwrap();
+    let prepare_and_count = |spec: &QuerySpec| {
+        let stmt = engine.prepare(spec, OptimizerChoice::Bqo).unwrap();
+        let output = engine.session().execute(&stmt, RunOptions::new()).unwrap();
+        (stmt.cache_status(), output.result.output_rows)
+    };
+    let first = QuerySpec::new("first")
+        .table("t")
+        .table("u")
+        .join("t", "a=u.b", "u", "c");
+    let second = QuerySpec::new("second")
+        .table("t")
+        .table("u")
+        .join("t", "a", "u", "b=u.c");
+    assert_eq!(prepare_and_count(&first), (CacheStatus::Miss, 2));
+    assert_eq!(prepare_and_count(&second), (CacheStatus::Miss, 3));
+    assert_eq!(prepare_and_count(&first), (CacheStatus::Hit, 2));
+    assert_eq!(engine.plan_cache().len(), 2);
 }
 
 /// Engines over different generations of one catalog can share a plan cache:
