@@ -11,8 +11,8 @@
 
 use bqo_core::bitvector::{FilterKind, FilterStats};
 use bqo_core::exec::ExecConfig;
-use bqo_core::optimizer::{candidate_plans, count_right_deep_plans, exhaustive_best_right_deep};
-use bqo_core::plan::{push_down_bitvectors, CostModel, PhysicalPlan, RightDeepTree};
+use bqo_core::optimizer::{candidate_plans, enumerate_right_deep, exhaustive_best_right_deep};
+use bqo_core::plan::{push_down_bitvectors, CostModel, JoinTree, PhysicalPlan};
 use bqo_core::workloads::{
     customer_like, job_like, microbench, snowflake, star, tpcds_like, Scale, Workload,
     WorkloadStats,
@@ -150,8 +150,8 @@ pub fn run_figure2(scale: Scale) -> Vec<Figure2Plan> {
     let (p2, _) = exhaustive_best_right_deep(&graph, &model, true).expect("plan space non-empty");
 
     let session = engine.session();
-    let run = |label: &str, tree: &RightDeepTree, with_bitvectors: bool| {
-        let plan = PhysicalPlan::from_join_tree(&graph, &tree.to_join_tree());
+    let run = |label: &str, tree: &JoinTree, with_bitvectors: bool| {
+        let plan = PhysicalPlan::from_join_tree(&graph, tree);
         let (plan, config) = if with_bitvectors {
             (push_down_bitvectors(&graph, plan), ExecConfig::default())
         } else {
@@ -159,9 +159,10 @@ pub fn run_figure2(scale: Scale) -> Vec<Figure2Plan> {
         };
         let stmt = engine.prepare_plan(&query.name, graph.clone(), plan);
         let names: Vec<&str> = tree
-            .order()
-            .iter()
-            .map(|&r| graph.relation(r).name.as_str())
+            .right_deep_order()
+            .expect("the plan space is right-deep")
+            .into_iter()
+            .map(|r| graph.relation(r).name.as_str())
             .collect();
         Figure2Plan {
             label: label.to_string(),
@@ -222,11 +223,11 @@ pub fn run_table2() -> Vec<Table2Row> {
 
 fn table2_row(shape: String, graph: &bqo_core::JoinGraph) -> Table2Row {
     let model = CostModel::new(graph);
-    let total = count_right_deep_plans(graph);
+    let total = enumerate_right_deep(graph).len() as u64;
     let candidates = candidate_plans(graph).expect("clean shapes classify");
     let best_candidate = candidates
         .iter()
-        .map(|p| model.cout_right_deep_total(p, true))
+        .map(|p| model.cout(p, f64::INFINITY))
         .fold(f64::INFINITY, f64::min);
     let (_, best) = exhaustive_best_right_deep(graph, &model, true).expect("non-empty");
     Table2Row {
@@ -639,13 +640,33 @@ mod tests {
         assert!(p2_bv.estimated_cost <= p1_post.estimated_cost);
     }
 
+    /// Table 2 as `EXPERIMENTS.md` records it: plans in space from 4 to
+    /// 10 080, the candidate counts and "optimum in candidates".
+    const TABLE2: &str = "\
+Table 2 — plan space complexity (right-deep trees without cross products)
+query shape               relations   plans in space   candidates  optimum in candidates
+star (2 dims)                     3                4            3                    yes
+star (3 dims)                     4               12            4                    yes
+star (4 dims)                     5               48            5                    yes
+star (5 dims)                     6              240            6                    yes
+star (6 dims)                     7             1440            7                    yes
+star (7 dims)                     8            10080            8                    yes
+snowflake [1, 2]                  4                8            4                    yes
+snowflake [2, 2]                  5               16            5                    yes
+snowflake [1, 2, 3]               7              164            7                    yes
+snowflake [2, 3, 2]               8              544            8                    yes
+
+";
+
     #[test]
     fn table2_candidates_always_contain_optimum() {
-        for row in run_table2() {
+        let rows = run_table2();
+        for row in &rows {
             assert!(row.candidates_contain_optimum, "{}", row.shape);
             assert!(row.candidate_plans as u64 <= row.total_plans);
             assert_eq!(row.candidate_plans, row.relations);
         }
+        assert_eq!(crate::report::render_table2(&rows), TABLE2);
     }
 
     #[test]

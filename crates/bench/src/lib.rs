@@ -21,7 +21,7 @@ pub mod report;
 pub mod prelude {
     pub use bqo_core::exec::ExecConfig;
     pub use bqo_core::optimizer::exhaustive_best_right_deep;
-    pub use bqo_core::plan::{push_down_bitvectors, CostModel, PhysicalPlan, RightDeepTree};
+    pub use bqo_core::plan::{push_down_bitvectors, CostModel, JoinTree, PhysicalPlan};
     pub use bqo_core::workloads::{job_like, Scale};
     pub use bqo_core::{Engine, OptimizerChoice, RunOptions};
 }

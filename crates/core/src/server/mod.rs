@@ -1107,7 +1107,7 @@ mod tests {
         // Params on a plan request are rejected.
         let graph = JoinGraph::new();
         let plan =
-            PhysicalPlan::from_join_tree(&graph, &bqo_plan::JoinTree::Leaf(bqo_plan::RelId(0)));
+            PhysicalPlan::from_join_tree(&graph, &bqo_plan::JoinTree::leaf(bqo_plan::RelId(0)));
         let err = Request::builder()
             .plan("p", graph, plan)
             .params(&Params::new())

@@ -438,8 +438,8 @@ mod tests {
     use crate::metrics::OperatorKind;
     use crate::pool::WorkerPool;
     use bqo_plan::{
-        push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, PhysicalPlan,
-        QuerySpec, RelId, RelationInfo, RightDeepTree,
+        push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, JoinTree,
+        PhysicalPlan, QuerySpec, RelId, RelationInfo,
     };
     use bqo_storage::generator::DataGenerator;
     use bqo_storage::{
@@ -532,7 +532,7 @@ mod tests {
     fn executes_star_join_correctly_with_bitvectors() {
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let exec = Executor::with_config(&catalog, ExecConfig::exact_filters());
         let result = run(&exec, &g, &plan);
@@ -555,7 +555,7 @@ mod tests {
             vec![d1, fact, d2],
             vec![d2, fact, d1],
         ] {
-            let tree = RightDeepTree::new(order).to_join_tree();
+            let tree = JoinTree::right_deep(&order);
             let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
             for config in [
                 ExecConfig::default(),
@@ -573,7 +573,7 @@ mod tests {
     fn batch_size_does_not_change_results_or_counters() {
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let oracle = run(
             &Executor::with_config(
@@ -628,7 +628,7 @@ mod tests {
         catalog.register_table(labelled("d1", "cat", vec![0, 0, 1, 1]));
         catalog.register_table(labelled("d2", "flag", vec![1, 0, 1]));
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         for threads in [1usize, 4] {
             let config = ExecConfig::default()
@@ -655,7 +655,7 @@ mod tests {
     fn disabling_bitvectors_increases_probe_work() {
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
 
         let with = run(
@@ -712,7 +712,7 @@ mod tests {
         let store = graph.relation_by_name("store").unwrap();
         let item = graph.relation_by_name("item").unwrap();
 
-        let tree = RightDeepTree::new(vec![sales, store, item]).to_join_tree();
+        let tree = JoinTree::right_deep(&[sales, store, item]);
         let plan = push_down_bitvectors(&graph, PhysicalPlan::from_join_tree(&graph, &tree));
 
         let with = run(&Executor::new(&catalog), &graph, &plan);
@@ -736,7 +736,7 @@ mod tests {
         // And the clamped configuration actually executes.
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let result = run(&Executor::with_config(&catalog, config), &g, &plan);
         assert_eq!(result.output_rows, EXPECTED_ROWS);
@@ -766,7 +766,7 @@ mod tests {
     fn pool_backed_executor_matches_the_inline_path() {
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let config = ExecConfig::exact_filters()
             .with_num_threads(4)
@@ -799,7 +799,7 @@ mod tests {
     fn num_threads_does_not_change_results_or_counters() {
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let serial = run_rows(
             &Executor::with_config(&catalog, ExecConfig::exact_filters()),
@@ -828,7 +828,7 @@ mod tests {
         // be the *same* false positives in both modes.
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         for base in [
             ExecConfig::default(),
@@ -896,7 +896,7 @@ mod tests {
         let catalog = tiny_catalog();
         let mut g = JoinGraph::new();
         let ghost = g.add_relation(RelationInfo::new("ghost", 10.0, 10.0));
-        let tree = RightDeepTree::new(vec![ghost]).to_join_tree();
+        let tree = JoinTree::right_deep(&[ghost]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
         let exec = Executor::new(&catalog);
         assert!(exec.execute(BoundPlan::new(&g, &plan), false).is_err());
@@ -913,7 +913,7 @@ mod tests {
                 1i64,
             )]),
         );
-        let tree = RightDeepTree::new(vec![d1]).to_join_tree();
+        let tree = JoinTree::right_deep(&[d1]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
         let result = run(&Executor::new(&catalog), &g, &plan);
         assert_eq!(result.output_rows, 2);
@@ -934,7 +934,7 @@ mod tests {
         );
         let fact = g.add_relation(RelationInfo::new("fact", 12.0, 12.0));
         g.add_edge(JoinEdge::pkfk(fact, "d1_sk", d1, "sk", 4.0));
-        let tree = RightDeepTree::new(vec![fact, d1]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
         let result = run(&Executor::new(&catalog), &g, &plan);
         assert_eq!(result.output_rows, 0);
@@ -945,7 +945,7 @@ mod tests {
     fn unfired_cancel_token_changes_nothing() {
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let plain = run_rows(
             &Executor::with_config(&catalog, ExecConfig::exact_filters()),
@@ -966,7 +966,7 @@ mod tests {
     fn pre_fired_token_cancels_with_partial_metrics() {
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let token = CancelToken::new();
         token.cancel();
@@ -1048,7 +1048,7 @@ mod tests {
         });
         catalog.register_source(Arc::clone(&source) as Arc<dyn ChunkSource>);
         let (g, fact, d1, d2) = tiny_graph();
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let pool = WorkerPool::new(3);
         for mode in [KernelMode::Vectorized, KernelMode::Scalar] {

@@ -210,7 +210,7 @@ mod tests {
     use super::*;
     use crate::batch::Batch;
     use crate::executor::KernelMode;
-    use bqo_plan::{ColumnPredicate, CompareOp, RelationInfo, RightDeepTree};
+    use bqo_plan::{ColumnPredicate, CompareOp, JoinTree, RelationInfo};
     use bqo_storage::{ChunkSource, Column, Schema, Table, TableBuilder, TableStats, Value};
     use std::sync::{Arc, Mutex, Weak};
 
@@ -273,7 +273,7 @@ mod tests {
         let mut graph = JoinGraph::new();
         let t =
             graph.add_relation(RelationInfo::new("t", 10.0, 7.0).with_predicates(vec![predicate]));
-        let tree = RightDeepTree::new(vec![t]).to_join_tree();
+        let tree = JoinTree::right_deep(&[t]);
         let plan = PhysicalPlan::from_join_tree(&graph, &tree);
         let config = ExecConfig::default()
             .with_batch_size(3)

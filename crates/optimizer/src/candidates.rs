@@ -16,15 +16,15 @@
 //!   branch, the plan that joins the (rotated) branch first, then the fact,
 //!   then the remaining branches.
 
-use bqo_plan::{GraphShape, JoinGraph, RelId, RightDeepTree};
+use bqo_plan::{GraphShape, JoinGraph, JoinTree, RelId};
 
 /// Candidate plans for a star query (Theorem 4.1). `fact` is `R0`,
 /// `dimensions` are `R1..Rn` in any fixed order.
-pub fn star_candidates(fact: RelId, dimensions: &[RelId]) -> Vec<RightDeepTree> {
+pub fn star_candidates(fact: RelId, dimensions: &[RelId]) -> Vec<JoinTree> {
     let mut plans = Vec::with_capacity(dimensions.len() + 1);
     let mut fact_first = vec![fact];
     fact_first.extend_from_slice(dimensions);
-    plans.push(RightDeepTree::new(fact_first));
+    plans.push(JoinTree::right_deep(&fact_first));
     for (k, &dim) in dimensions.iter().enumerate() {
         let mut order = vec![dim, fact];
         order.extend(
@@ -34,14 +34,14 @@ pub fn star_candidates(fact: RelId, dimensions: &[RelId]) -> Vec<RightDeepTree> 
                 .filter(|(i, _)| *i != k)
                 .map(|(_, &d)| d),
         );
-        plans.push(RightDeepTree::new(order));
+        plans.push(JoinTree::right_deep(&order));
     }
     plans
 }
 
 /// Candidate plans for a branch/chain query (Theorem 5.3). `order_from_r0`
 /// lists the chain from `R0` (the fact-most end) to `Rn` (the outer end).
-pub fn branch_candidates(order_from_r0: &[RelId]) -> Vec<RightDeepTree> {
+pub fn branch_candidates(order_from_r0: &[RelId]) -> Vec<JoinTree> {
     let n = order_from_r0.len();
     let mut plans = Vec::with_capacity(n);
     if n == 0 {
@@ -50,13 +50,13 @@ pub fn branch_candidates(order_from_r0: &[RelId]) -> Vec<RightDeepTree> {
     // T(Rn, R_{n-1}, ..., R0)
     let mut reversed: Vec<RelId> = order_from_r0.to_vec();
     reversed.reverse();
-    plans.push(RightDeepTree::new(reversed));
+    plans.push(JoinTree::right_deep(&reversed));
     // T(Rk, R_{k+1}, ..., Rn, R_{k-1}, ..., R0) for k = 0..n-1
     for k in 0..n - 1 {
         let mut order: Vec<RelId> = Vec::with_capacity(n);
         order.extend_from_slice(&order_from_r0[k..]); // Rk, R_{k+1}, ..., Rn
         order.extend(order_from_r0[..k].iter().rev()); // R_{k-1}, ..., R0
-        plans.push(RightDeepTree::new(order));
+        plans.push(JoinTree::right_deep(&order));
     }
     plans
 }
@@ -64,7 +64,7 @@ pub fn branch_candidates(order_from_r0: &[RelId]) -> Vec<RightDeepTree> {
 /// Candidate plans for a snowflake query (Theorem 5.1). `fact` is `R0`;
 /// each branch is ordered from the relation adjacent to the fact (`R_{i,1}`)
 /// outwards (`R_{i,n_i}`).
-pub fn snowflake_candidates(fact: RelId, branches: &[Vec<RelId>]) -> Vec<RightDeepTree> {
+pub fn snowflake_candidates(fact: RelId, branches: &[Vec<RelId>]) -> Vec<JoinTree> {
     let mut plans = Vec::new();
 
     // Fact-first plan: T(R0, branch_1 ..., branch_2 ..., ...). Within a
@@ -74,7 +74,7 @@ pub fn snowflake_candidates(fact: RelId, branches: &[Vec<RelId>]) -> Vec<RightDe
     for branch in branches {
         fact_first.extend_from_slice(branch);
     }
-    plans.push(RightDeepTree::new(fact_first));
+    plans.push(JoinTree::right_deep(&fact_first));
 
     // Branch-first plans: for branch i and right-most leaf R_{i,k}, the
     // branch is joined as (R_{i,k}, R_{i,k+1}, ..., R_{i,n_i}, R_{i,k-1}, ...,
@@ -90,7 +90,7 @@ pub fn snowflake_candidates(fact: RelId, branches: &[Vec<RelId>]) -> Vec<RightDe
                     order.extend_from_slice(other);
                 }
             }
-            plans.push(RightDeepTree::new(order));
+            plans.push(JoinTree::right_deep(&order));
         }
     }
     plans
@@ -98,7 +98,7 @@ pub fn snowflake_candidates(fact: RelId, branches: &[Vec<RelId>]) -> Vec<RightDe
 
 /// Candidate plans chosen by the classified shape of the graph. Returns
 /// `None` for general graphs (Algorithm 2/3 handle those instead).
-pub fn candidate_plans(graph: &JoinGraph) -> Option<Vec<RightDeepTree>> {
+pub fn candidate_plans(graph: &JoinGraph) -> Option<Vec<JoinTree>> {
     match graph.classify() {
         GraphShape::Star { fact, dimensions } => Some(star_candidates(fact, &dimensions)),
         GraphShape::Snowflake { fact, branches } => Some(snowflake_candidates(fact, &branches)),
@@ -182,7 +182,7 @@ mod tests {
             let candidate_best = candidate_plans(&g)
                 .unwrap()
                 .iter()
-                .map(|p| model.cout_right_deep_total(p, true))
+                .map(|p| model.cout(p, f64::INFINITY))
                 .fold(f64::INFINITY, f64::min);
             assert!(
                 candidate_best <= best + best.abs() * 1e-9 + 1e-6,
@@ -210,7 +210,7 @@ mod tests {
             let candidate_best = candidate_plans(&g)
                 .unwrap()
                 .iter()
-                .map(|p| model.cout_right_deep_total(p, true))
+                .map(|p| model.cout(p, f64::INFINITY))
                 .fold(f64::INFINITY, f64::min);
             assert!(
                 candidate_best <= best + best.abs() * 1e-9 + 1e-6,
@@ -227,7 +227,7 @@ mod tests {
         assert_eq!(candidates.len(), 7);
         for c in &candidates {
             assert!(c.has_no_cross_products(&g), "{c}");
-            assert_eq!(c.len(), 7);
+            assert_eq!(c.relation_set().len(), 7);
         }
     }
 
@@ -239,7 +239,7 @@ mod tests {
         let candidate_best = candidate_plans(&g)
             .unwrap()
             .iter()
-            .map(|p| model.cout_right_deep_total(p, true))
+            .map(|p| model.cout(p, f64::INFINITY))
             .fold(f64::INFINITY, f64::min);
         assert!(
             candidate_best <= best + best.abs() * 1e-9 + 1e-6,
@@ -250,12 +250,9 @@ mod tests {
     #[test]
     fn candidate_sets_are_subsets_of_the_valid_plan_space() {
         let g = snowflake_graph();
-        let all: Vec<Vec<RelId>> = enumerate_right_deep(&g)
-            .iter()
-            .map(|p| p.order().to_vec())
-            .collect();
+        let all = enumerate_right_deep(&g);
         for c in candidate_plans(&g).unwrap() {
-            assert!(all.contains(&c.order().to_vec()), "{c} not in plan space");
+            assert!(all.contains(&c), "{c} not in plan space");
         }
     }
 
@@ -276,7 +273,7 @@ mod tests {
         assert!(branch_candidates(&[]).is_empty());
         let single = branch_candidates(&[RelId(0)]);
         assert_eq!(single.len(), 1);
-        assert_eq!(single[0].order(), &[RelId(0)]);
+        assert_eq!(single[0], JoinTree::leaf(RelId(0)));
         let pair = branch_candidates(&[RelId(0), RelId(1)]);
         assert_eq!(pair.len(), 2);
     }

@@ -33,7 +33,7 @@ pub fn prune_low_benefit_filters(
 mod tests {
     use super::*;
     use bqo_plan::{
-        push_down_bitvectors, JoinEdge, JoinGraph, PhysicalPlan, RelationInfo, RightDeepTree,
+        push_down_bitvectors, JoinEdge, JoinGraph, JoinTree, PhysicalPlan, RelationInfo,
     };
 
     /// Star where d0 is very selective, d1 is unfiltered and d2 is mildly
@@ -52,7 +52,7 @@ mod tests {
 
     fn plan_for(g: &JoinGraph) -> PhysicalPlan {
         let order: Vec<_> = g.relation_ids().collect();
-        let tree = RightDeepTree::new(order).to_join_tree();
+        let tree = JoinTree::right_deep(&order);
         push_down_bitvectors(g, PhysicalPlan::from_join_tree(g, &tree))
     }
 
@@ -91,10 +91,8 @@ mod tests {
     #[test]
     fn empty_plan_is_a_no_op() {
         let g = star();
-        let mut plan = PhysicalPlan::from_join_tree(
-            &g,
-            &RightDeepTree::new(vec![g.relation_by_name("fact").unwrap()]).to_join_tree(),
-        );
+        let mut plan =
+            PhysicalPlan::from_join_tree(&g, &JoinTree::leaf(g.relation_by_name("fact").unwrap()));
         let model = CostModel::new(&g);
         assert_eq!(prune_low_benefit_filters(&model, &mut plan, 0.05), 0);
     }

@@ -9,15 +9,15 @@
 //!
 //! # The DP table
 //!
-//! [`DpOptimizer::best_tree`] keeps one dense `Vec<(f64, u32)>` with `2^n`
-//! slots, indexed by the subset's membership mask (bit `i` = `RelId(i)`, the
-//! bits of a [`RelSet`]). A slot holds the `Cout` of the best subplan for that
+//! The DP keeps one dense `Vec<(f64, u32)>` with `2^n` slots, indexed by the
+//! subset's membership mask (bit `i` = `RelId(i)`, the bits of a
+//! [`RelSet`]). A slot holds the `Cout` of the best subplan for that
 //! subset and the mask of that subplan's *build side*; `(INFINITY, 0)` marks a
 //! subset with no cross-product-free plan (exactly the disconnected ones), and
 //! a single relation is its own build side. A split of a set into build and
 //! probe costs `table[build] + table[probe] + join_card(set)`, added in that
-//! order. No tree is built while the table fills: the one winning
-//! [`JoinTree`] is rebuilt from the splits at the end.
+//! order. No tree is built while the table fills: the winning splits are
+//! pushed into one [`JoinTree`] at the end.
 //!
 //! # DPccp
 //!
@@ -61,73 +61,60 @@ use bqo_plan::{CardinalityEstimator, CostModel, JoinGraph, JoinTree, RelId, RelS
 /// blessed until an issue sets out to move them.
 const DP_RELATION_LIMIT: usize = 12;
 
-/// The join tree a conventional optimizer picks: minimum plain `Cout`, exact
-/// up to `DP_RELATION_LIMIT` (12) relations and greedy beyond.
+/// The join tree a conventional optimizer picks: minimum plain `Cout` over
+/// bushy trees without cross products, exact up to `DP_RELATION_LIMIT` (12)
+/// relations and greedy beyond.
+///
+/// # Panics
+/// Panics if the graph is empty or disconnected (a disconnected query would
+/// need cross products).
 pub fn conventional_tree(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
     if graph.num_relations() <= DP_RELATION_LIMIT {
-        DpOptimizer::new().best_tree(graph, cost_model)
+        dp_tree(graph, cost_model)
     } else {
-        GreedyOptimizer::new().best_tree(graph, cost_model)
+        greedy_tree(graph, cost_model)
     }
 }
 
-/// Exact dynamic-programming optimizer (DPccp over connected pairs).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DpOptimizer;
+/// The exact minimum: DPccp over connected pairs (see the module docs).
+fn dp_tree(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
+    let n = graph.num_relations();
+    assert!(n > 0, "cannot optimize an empty join graph");
+    assert!(
+        graph.is_connected(),
+        "disconnected join graphs require cross products, which are not supported"
+    );
 
-impl DpOptimizer {
-    /// Creates the optimizer.
-    pub fn new() -> Self {
-        DpOptimizer
+    let est = cost_model.estimator();
+    let mut dp = ConnectedPairs {
+        est,
+        neighbors: graph
+            .relation_ids()
+            .map(|r| mask_of(graph.neighbors(r)))
+            .collect(),
+        table: vec![(f64::INFINITY, 0); 1 << n],
+        outputs: vec![0.0; 1 << n],
+    };
+    for r in graph.relation_ids() {
+        dp.table[1 << r.0] = (est.base_card(r), 1 << r.0);
     }
-
-    /// Finds a minimum-`Cout` bushy join tree without cross products. Cost is
-    /// the plain (bitvector-unaware) `Cout`.
-    ///
-    /// # Panics
-    /// Panics if the graph is empty or disconnected (a disconnected query
-    /// would need cross products).
-    pub fn best_tree(&self, graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
-        let n = graph.num_relations();
-        assert!(n > 0, "cannot optimize an empty join graph");
-        assert!(
-            graph.is_connected(),
-            "disconnected join graphs require cross products, which are not supported"
-        );
-        assert!(
-            n <= 20,
-            "DP over {n} relations is infeasible; use GreedyOptimizer"
-        );
-
-        let est = cost_model.estimator();
-        let mut dp = ConnectedPairs {
-            est,
-            neighbors: graph
-                .relation_ids()
-                .map(|r| mask_of(graph.neighbors(r)))
-                .collect(),
-            table: vec![(f64::INFINITY, 0); 1 << n],
-            outputs: vec![0.0; 1 << n],
-        };
-        for r in graph.relation_ids() {
-            dp.table[1 << r.0] = (est.base_card(r), 1 << r.0);
-        }
-        // DPccp: every connected set, grown from its lowest relation, with
-        // the relations below that one excluded so each is reached once;
-        // starting from the highest relation makes every complement (whose
-        // relations all lie above the set's lowest one) final beforehand.
-        for v in (0..n).rev() {
-            let start = 1 << v;
-            dp.pairs_with(start);
-            dp.grow(start, (start << 1) - 1, None);
-        }
-        let full: u32 = (1 << n) - 1;
-        assert!(
-            dp.table[full as usize].1 != 0,
-            "connected graph always has a cross-product-free plan"
-        );
-        rebuild_tree(&dp.table, full)
+    // DPccp: every connected set, grown from its lowest relation, with the
+    // relations below that one excluded so each is reached once; starting
+    // from the highest relation makes every complement (whose relations all
+    // lie above the set's lowest one) final beforehand.
+    for v in (0..n).rev() {
+        let start = 1 << v;
+        dp.pairs_with(start);
+        dp.grow(start, (start << 1) - 1, None);
     }
+    let full: u32 = (1 << n) - 1;
+    assert!(
+        dp.table[full as usize].1 != 0,
+        "connected graph always has a cross-product-free plan"
+    );
+    let mut tree = JoinTree::default();
+    push_subtree(&dp.table, full, &mut tree);
+    tree
 }
 
 /// The membership mask of a set of at most 20 relations.
@@ -135,8 +122,8 @@ fn mask_of(set: RelSet) -> u32 {
     u32::try_from(set.0).expect("the DP covers at most 20 relations")
 }
 
-/// The state of one [`DpOptimizer::best_tree`] call: the DPccp enumeration
-/// of Moerkotte & Neumann (VLDB 2006) over the dense table.
+/// The state of one [`dp_tree`] call: the DPccp enumeration of Moerkotte &
+/// Neumann (VLDB 2006) over the dense table.
 struct ConnectedPairs<'e, 'a> {
     est: &'e CardinalityEstimator<'a>,
     /// Per relation, the mask of its neighbours.
@@ -219,77 +206,63 @@ impl ConnectedPairs<'_, '_> {
     }
 }
 
-/// The tree the finished table describes for `mask`: a leaf where the subset
-/// is its own build side, otherwise the join of its two halves.
-fn rebuild_tree(table: &[(f64, u32)], mask: u32) -> JoinTree {
+/// Adds the tree the finished table describes for `mask` to `tree`: a leaf
+/// where the subset is its own build side, otherwise the join of its two
+/// halves. Returns its node.
+fn push_subtree(table: &[(f64, u32)], mask: u32, tree: &mut JoinTree) -> usize {
     let build = table[mask as usize].1;
     if build == mask {
-        JoinTree::Leaf(RelId(mask.trailing_zeros() as usize))
+        tree.add_leaf(RelId(mask.trailing_zeros() as usize))
     } else {
-        JoinTree::join(
-            rebuild_tree(table, build),
-            rebuild_tree(table, mask ^ build),
-        )
+        let build_node = push_subtree(table, build, tree);
+        let probe_node = push_subtree(table, mask ^ build, tree);
+        tree.add_join(build_node, probe_node)
     }
 }
 
-/// Greedy optimizer (GOO-style): repeatedly joins the pair of plan fragments
-/// with the smallest estimated result, used for queries too large for DP
-/// (the CUSTOMER-like workload reaches 80 joins).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyOptimizer;
-
-impl GreedyOptimizer {
-    /// Creates the optimizer.
-    pub fn new() -> Self {
-        GreedyOptimizer
-    }
-
-    /// Builds a bushy tree by greedily merging the cheapest connected pair.
-    pub fn best_tree(&self, graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
-        let est = cost_model.estimator();
-        assert!(
-            graph.num_relations() > 0,
-            "cannot optimize an empty join graph"
-        );
-        let mut fragments: Vec<(RelSet, JoinTree)> = graph
-            .relation_ids()
-            .map(|r| (RelSet::single(r), JoinTree::Leaf(r)))
-            .collect();
-        while fragments.len() > 1 {
-            let mut best_pair: Option<(usize, usize, f64)> = None;
-            for i in 0..fragments.len() {
-                for j in i + 1..fragments.len() {
-                    if !graph.are_joined(fragments[i].0, fragments[j].0) {
-                        continue;
-                    }
-                    let card = est.join_card(fragments[i].0 | fragments[j].0);
-                    if best_pair.map(|(_, _, c)| card < c).unwrap_or(true) {
-                        best_pair = Some((i, j, card));
-                    }
+/// The greedy tree (GOO-style): repeatedly joins the pair of plan fragments
+/// with the smallest estimated result, for queries too large for the DP (the
+/// CUSTOMER-like workload reaches 80 joins).
+fn greedy_tree(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
+    let est = cost_model.estimator();
+    let mut tree = JoinTree::default();
+    let mut fragments: Vec<(RelSet, usize)> = graph
+        .relation_ids()
+        .map(|r| (RelSet::single(r), tree.add_leaf(r)))
+        .collect();
+    while fragments.len() > 1 {
+        let mut best_pair: Option<(usize, usize, f64)> = None;
+        for i in 0..fragments.len() {
+            for j in i + 1..fragments.len() {
+                if !graph.are_joined(fragments[i].0, fragments[j].0) {
+                    continue;
+                }
+                let card = est.join_card(fragments[i].0 | fragments[j].0);
+                if best_pair.map(|(_, _, c)| card < c).unwrap_or(true) {
+                    best_pair = Some((i, j, card));
                 }
             }
-            let (i, j, _) = best_pair
-                .expect("disconnected join graphs require cross products, which are not supported");
-            // Keep the smaller side as the hash-join build input.
-            let (set_j, tree_j) = fragments.swap_remove(j);
-            let (set_i, tree_i) = fragments.swap_remove(i.min(fragments.len()));
-            let (build, probe) = if est.join_card(set_i) <= est.join_card(set_j) {
-                (tree_i, tree_j)
-            } else {
-                (tree_j, tree_i)
-            };
-            fragments.push((set_i | set_j, JoinTree::join(build, probe)));
         }
-        fragments.pop().unwrap().1
+        let (i, j, _) = best_pair
+            .expect("disconnected join graphs require cross products, which are not supported");
+        // Keep the smaller side as the hash-join build input.
+        let (set_j, node_j) = fragments.swap_remove(j);
+        let (set_i, node_i) = fragments.swap_remove(i.min(fragments.len()));
+        let (build, probe) = if est.join_card(set_i) <= est.join_card(set_j) {
+            (node_i, node_j)
+        } else {
+            (node_j, node_i)
+        };
+        fragments.push((set_i | set_j, tree.add_join(build, probe)));
     }
+    tree
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerate::exhaustive_best_right_deep;
-    use bqo_plan::{JoinEdge, RelId, RelationInfo};
+    use bqo_plan::{JoinEdge, JoinNode, PhysicalPlan, RelationInfo};
     use proptest::prelude::*;
 
     fn star(filters: &[f64]) -> JoinGraph {
@@ -319,7 +292,7 @@ mod tests {
     fn dp_plan_covers_all_relations_without_cross_products() {
         let g = star(&[0.1, 0.5, 1.0, 0.01]);
         let model = CostModel::new(&g);
-        let tree = DpOptimizer::new().best_tree(&g, &model);
+        let tree = dp_tree(&g, &model);
         assert_eq!(tree.relation_set().len(), 5);
         assert!(tree.has_no_cross_products(&g));
     }
@@ -330,8 +303,8 @@ mod tests {
         // plain-Cout optimum can only be better or equal.
         for g in [star(&[0.2, 0.7, 0.05]), chain(5)] {
             let model = CostModel::new(&g);
-            let dp_tree = DpOptimizer::new().best_tree(&g, &model);
-            let dp_cost = model.cout_join_tree(&dp_tree, false).total;
+            let tree = dp_tree(&g, &model);
+            let dp_cost = plain_cout(&g, &tree);
             let (_, rd_cost) = exhaustive_best_right_deep(&g, &model, false).unwrap();
             assert!(dp_cost <= rd_cost + 1e-6, "dp {dp_cost} vs rd {rd_cost}");
         }
@@ -361,14 +334,27 @@ mod tests {
         least
     }
 
-    /// `Cout` of `tree`, summed the way the DP sums it.
-    fn dp_order_cout(model: &CostModel<'_>, tree: &JoinTree) -> f64 {
-        match tree {
-            JoinTree::Leaf(r) => model.estimator().base_card(*r),
-            JoinTree::Join { build, probe } => {
-                dp_order_cout(model, build)
-                    + dp_order_cout(model, probe)
-                    + model.estimator().join_card(tree.relation_set())
+    /// Plain `Cout` of `tree`: lowered, costed without filters.
+    fn plain_cout(graph: &JoinGraph, tree: &JoinTree) -> f64 {
+        let model = CostModel::new(graph);
+        model
+            .cout_physical(&PhysicalPlan::from_join_tree(graph, tree))
+            .total
+    }
+
+    /// `Cout` of the subtree under `node`, summed the way the DP sums it, and
+    /// its relations.
+    fn dp_order_cout(model: &CostModel<'_>, tree: &JoinTree, node: usize) -> (f64, RelSet) {
+        match tree.node(node) {
+            JoinNode::Leaf(r) => (model.estimator().base_card(r), RelSet::single(r)),
+            JoinNode::Join { build, probe } => {
+                let (build_cost, build_rels) = dp_order_cout(model, tree, build);
+                let (probe_cost, probe_rels) = dp_order_cout(model, tree, probe);
+                let rels = build_rels | probe_rels;
+                (
+                    build_cost + probe_cost + model.estimator().join_card(rels),
+                    rels,
+                )
             }
         }
     }
@@ -441,7 +427,9 @@ mod tests {
             }
             table[mask as usize] = best_here;
         }
-        rebuild_tree(&table, full)
+        let mut tree = JoinTree::default();
+        push_subtree(&table, full, &mut tree);
+        tree
     }
 
     proptest! {
@@ -457,7 +445,7 @@ mod tests {
             picks in prop::collection::vec(0usize..1000, 12..13),
         ) {
             let g = random_graph(shape, &cards, &picks);
-            let tree = DpOptimizer::new().best_tree(&g, &CostModel::new(&g));
+            let tree = dp_tree(&g, &CostModel::new(&g));
             prop_assert_eq!(tree, dpsub_tree(&g, &CostModel::new(&g)));
         }
     }
@@ -473,15 +461,15 @@ mod tests {
         ) {
             let g = random_graph(shape, &cards, &picks);
             let model = CostModel::new(&g);
-            let tree = DpOptimizer::new().best_tree(&g, &model);
+            let tree = dp_tree(&g, &model);
             let all = RelSet::first_n(g.num_relations());
             prop_assert_eq!(tree.relation_set(), all);
-            prop_assert_eq!(tree.num_relations(), g.num_relations());
+            prop_assert_eq!(tree.num_joins() + 1, g.num_relations());
             prop_assert!(tree.has_no_cross_products(&g));
             let least = brute_force_min(&g, &CostModel::new(&g), all);
-            prop_assert_eq!(Some(dp_order_cout(&model, &tree)), least);
+            prop_assert_eq!(Some(dp_order_cout(&model, &tree, tree.root()).0), least);
             // The cost model adds the same cardinalities up in another order.
-            let reported = model.cout_join_tree(&tree, false).total;
+            let reported = plain_cout(&g, &tree);
             let least = least.unwrap_or(f64::NAN);
             prop_assert!((reported - least).abs() <= least * 1e-12, "{reported} vs {least}");
         }
@@ -491,12 +479,12 @@ mod tests {
     fn greedy_plan_is_valid_and_close_to_dp_on_small_graphs() {
         let g = star(&[0.1, 0.5, 1.0, 0.01, 0.3]);
         let model = CostModel::new(&g);
-        let greedy = GreedyOptimizer::new().best_tree(&g, &model);
+        let greedy = greedy_tree(&g, &model);
         assert_eq!(greedy.relation_set().len(), 6);
         assert!(greedy.has_no_cross_products(&g));
-        let dp = DpOptimizer::new().best_tree(&g, &model);
-        let greedy_cost = model.cout_join_tree(&greedy, false).total;
-        let dp_cost = model.cout_join_tree(&dp, false).total;
+        let dp = dp_tree(&g, &model);
+        let greedy_cost = plain_cout(&g, &greedy);
+        let dp_cost = plain_cout(&g, &dp);
         assert!(greedy_cost >= dp_cost - 1e-6);
         assert!(
             greedy_cost <= dp_cost * 3.0,
@@ -508,7 +496,7 @@ mod tests {
     fn greedy_handles_large_chain() {
         let g = chain(30);
         let model = CostModel::new(&g);
-        let tree = GreedyOptimizer::new().best_tree(&g, &model);
+        let tree = greedy_tree(&g, &model);
         assert_eq!(tree.relation_set().len(), 30);
         assert!(tree.has_no_cross_products(&g));
     }
@@ -518,14 +506,8 @@ mod tests {
         let mut g = JoinGraph::new();
         g.add_relation(RelationInfo::new("only", 42.0, 42.0));
         let model = CostModel::new(&g);
-        assert_eq!(
-            DpOptimizer::new().best_tree(&g, &model),
-            JoinTree::Leaf(RelId(0))
-        );
-        assert_eq!(
-            GreedyOptimizer::new().best_tree(&g, &model),
-            JoinTree::Leaf(RelId(0))
-        );
+        assert_eq!(dp_tree(&g, &model), JoinTree::leaf(RelId(0)));
+        assert_eq!(greedy_tree(&g, &model), JoinTree::leaf(RelId(0)));
     }
 
     #[test]
@@ -535,7 +517,7 @@ mod tests {
         g.add_relation(RelationInfo::new("a", 10.0, 10.0));
         g.add_relation(RelationInfo::new("b", 10.0, 10.0));
         let model = CostModel::new(&g);
-        DpOptimizer::new().best_tree(&g, &model);
+        dp_tree(&g, &model);
     }
 
     #[test]
@@ -545,10 +527,10 @@ mod tests {
         let small = g.add_relation(RelationInfo::new("small", 100.0, 10.0));
         g.add_edge(JoinEdge::pkfk(big, "s_sk", small, "sk", 100.0));
         let model = CostModel::new(&g);
-        let tree = GreedyOptimizer::new().best_tree(&g, &model);
-        match tree {
-            JoinTree::Join { build, .. } => assert_eq!(*build, JoinTree::Leaf(small)),
-            _ => panic!("expected a join"),
-        }
+        let tree = greedy_tree(&g, &model);
+        assert_eq!(
+            tree,
+            JoinTree::join(JoinTree::leaf(small), JoinTree::leaf(big))
+        );
     }
 }

@@ -5,14 +5,14 @@
 //! sets of Theorems 4.1, 5.1 and 5.3 contain a minimum-cost plan, and (b) by
 //! the Table 2 reproduction to count the plan-space sizes.
 
-use bqo_plan::{CostModel, JoinGraph, RelId, RelSet, RightDeepTree};
+use bqo_plan::{CostModel, JoinGraph, JoinTree, PhysicalPlan, RelId, RelSet};
 
 /// Enumerates every right-deep tree without cross products for the graph.
 ///
 /// The number of such plans is exponential in the number of relations, so
 /// callers should only use this for small queries (the tests use up to ~9
 /// relations).
-pub fn enumerate_right_deep(graph: &JoinGraph) -> Vec<RightDeepTree> {
+pub fn enumerate_right_deep(graph: &JoinGraph) -> Vec<JoinTree> {
     let all = RelSet::first_n(graph.num_relations());
     let mut plans = Vec::new();
     for first in all.iter() {
@@ -24,14 +24,9 @@ pub fn enumerate_right_deep(graph: &JoinGraph) -> Vec<RightDeepTree> {
 
 /// Appends to `plans` every completion of `order` by the relations of
 /// `remaining`.
-fn extend(
-    graph: &JoinGraph,
-    order: &mut Vec<RelId>,
-    remaining: RelSet,
-    plans: &mut Vec<RightDeepTree>,
-) {
+fn extend(graph: &JoinGraph, order: &mut Vec<RelId>, remaining: RelSet, plans: &mut Vec<JoinTree>) {
     if remaining.is_empty() {
-        plans.push(RightDeepTree::new(order.clone()));
+        plans.push(JoinTree::right_deep(order));
         return;
     }
     let prefix: RelSet = order.iter().copied().collect();
@@ -44,23 +39,22 @@ fn extend(
     }
 }
 
-/// Counts the right-deep trees without cross products by enumerating them
-/// (exponential time and memory, like [`enumerate_right_deep`]).
-pub fn count_right_deep_plans(graph: &JoinGraph) -> u64 {
-    enumerate_right_deep(graph).len() as u64
-}
-
 /// Finds a minimum-cost right-deep tree by exhaustive enumeration, under the
-/// bitvector-aware `Cout` (or the plain one when `with_bitvectors` is false).
-/// Returns the best tree and its cost.
+/// bitvector-aware `Cout` (or the plain one, of the lowered tree, when
+/// `with_bitvectors` is false). Returns the first cheapest tree and its cost.
 pub fn exhaustive_best_right_deep(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
     with_bitvectors: bool,
-) -> Option<(RightDeepTree, f64)> {
-    let mut best: Option<(RightDeepTree, f64)> = None;
+) -> Option<(JoinTree, f64)> {
+    let mut best: Option<(JoinTree, f64)> = None;
     for plan in enumerate_right_deep(graph) {
-        let cost = cost_model.cout_right_deep_total(&plan, with_bitvectors);
+        let cost = if with_bitvectors {
+            cost_model.cout(&plan, f64::INFINITY)
+        } else {
+            let lowered = PhysicalPlan::from_join_tree(graph, &plan);
+            cost_model.cout_physical(&lowered).total
+        };
         match &best {
             Some((_, c)) if *c <= cost => {}
             _ => best = Some((plan, cost)),
@@ -109,8 +103,8 @@ mod tests {
     fn star_plan_count_is_exponential() {
         for n in 2..=5usize {
             let g = star(n);
-            let expected = 2 * (1..=n as u64).product::<u64>();
-            assert_eq!(count_right_deep_plans(&g), expected, "n = {n}");
+            let expected = 2 * (1..=n).product::<usize>();
+            assert_eq!(enumerate_right_deep(&g).len(), expected, "n = {n}");
         }
     }
 
@@ -126,10 +120,10 @@ mod tests {
         // first vertex, and each subsequent relation extends it left or right.
         // Summed over all possible first vertices this gives ... simply check
         // against brute force for small n computed independently.
-        let expected: [u64; 4] = [2, 4, 8, 16]; // n = 2, 3, 4, 5
+        let expected: [usize; 4] = [2, 4, 8, 16]; // n = 2, 3, 4, 5
         for (i, n) in (2..=5usize).enumerate() {
             let g = chain(n);
-            assert_eq!(count_right_deep_plans(&g), expected[i], "n = {n}");
+            assert_eq!(enumerate_right_deep(&g).len(), expected[i], "n = {n}");
         }
     }
 
@@ -139,10 +133,16 @@ mod tests {
         let plans = enumerate_right_deep(&g);
         for p in &plans {
             assert!(p.has_no_cross_products(&g), "{p}");
-            assert_eq!(p.len(), 5);
+            assert_eq!(p.relation_set().len(), 5);
         }
         // No duplicates.
-        let mut orders: Vec<Vec<RelId>> = plans.iter().map(|p| p.order().to_vec()).collect();
+        let mut orders: Vec<Vec<RelId>> = plans
+            .iter()
+            .map(|p| {
+                p.right_deep_order()
+                    .expect("enumerated plans are right-deep")
+            })
+            .collect();
         orders.sort();
         orders.dedup();
         assert_eq!(orders.len(), plans.len());
@@ -161,17 +161,17 @@ mod tests {
     fn single_relation_graph() {
         let mut g = JoinGraph::new();
         g.add_relation(RelationInfo::new("only", 10.0, 10.0));
-        assert_eq!(count_right_deep_plans(&g), 1);
+        assert_eq!(enumerate_right_deep(&g).len(), 1);
         let model = CostModel::new(&g);
         let (plan, cost) = exhaustive_best_right_deep(&g, &model, true).unwrap();
-        assert_eq!(plan.len(), 1);
+        assert_eq!(plan, JoinTree::leaf(RelId(0)));
         assert!((cost - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_graph_has_no_plans() {
         let g = JoinGraph::new();
-        assert_eq!(count_right_deep_plans(&g), 0);
+        assert!(enumerate_right_deep(&g).is_empty());
         let model = CostModel::new(&g);
         assert!(exhaustive_best_right_deep(&g, &model, true).is_none());
     }

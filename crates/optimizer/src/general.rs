@@ -23,7 +23,7 @@ use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
 /// fact first).
 ///
 /// # Panics
-/// Panics if the graph is empty.
+/// Panics if the graph is empty or disconnected.
 pub fn extract_snowflakes(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Vec<(RelId, RelSet)> {
     let est = cost_model.estimator();
     let mut facts = graph.fact_tables();
@@ -47,45 +47,48 @@ pub fn extract_snowflakes(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Vec<
         snowflakes.push((fact, members));
     }
     // Relations still unclaimed (not reachable through PKFK edges from any
-    // fact, e.g. a detached dimension joined on a non-key column): attach
-    // each to the first snowflake it is adjacent to.
-    let unclaimed = RelSet::first_n(graph.num_relations()) - claimed;
-    for rel in unclaimed.iter() {
-        let target = snowflakes
-            .iter_mut()
-            .find(|(_, members)| graph.neighbors(rel).intersects(*members))
-            .map(|(_, members)| members);
-        if let Some(members) = target {
-            members.insert(rel);
-        } else if let Some((_, members)) = snowflakes.first_mut() {
-            members.insert(rel);
+    // fact, e.g. a detached dimension joined on a non-key column) join the
+    // first snowflake they are adjacent to, in id order, in as many rounds as
+    // it takes: every snowflake stays connected through its fact.
+    let mut unclaimed = RelSet::first_n(graph.num_relations()) - claimed;
+    while !unclaimed.is_empty() {
+        let before = unclaimed;
+        for rel in before.iter() {
+            let mut sets = snowflakes.iter_mut().map(|(_, members)| members);
+            if let Some(members) = sets.find(|set| graph.neighbors(rel).intersects(**set)) {
+                members.insert(rel);
+                unclaimed.remove(rel);
+            }
         }
+        assert!(
+            unclaimed != before,
+            "disconnected join graphs require cross products, which are not supported"
+        );
     }
     snowflakes
 }
 
 /// Produces a bitvector-aware join tree for an arbitrary join graph.
+///
+/// # Panics
+/// Panics if the graph is empty or disconnected, or (failing closed) if the
+/// tree would leave out a relation.
 pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> JoinTree {
     assert!(
         graph.num_relations() > 0,
         "cannot optimize an empty join graph"
     );
     if graph.num_relations() == 1 {
-        return JoinTree::Leaf(RelId(0));
+        return JoinTree::leaf(RelId(0));
     }
 
     let est = cost_model.estimator();
     let snowflakes = extract_snowflakes(graph, cost_model);
 
     // Optimize each snowflake with Algorithm 2.
-    let mut optimized: Vec<(RelSet, JoinTree)> = snowflakes
+    let mut optimized: Vec<JoinTree> = snowflakes
         .iter()
-        .map(|&(fact, members)| {
-            (
-                members,
-                optimize_snowflake(graph, cost_model, members, fact),
-            )
-        })
+        .map(|&(fact, members)| optimize_snowflake(graph, cost_model, members, fact))
         .collect();
 
     // Stitch the snowflake subplans together. Start from the first snowflake
@@ -93,23 +96,26 @@ pub fn optimize_join_graph(graph: &JoinGraph, cost_model: &CostModel<'_>) -> Joi
     // been assembled so far (there is always one while the graph is
     // connected). The already-assembled part stays on the probe side so its
     // filters keep flowing downwards.
-    let (mut assembled_set, mut assembled) = optimized.remove(0);
+    let mut assembled = optimized.remove(0);
     while !optimized.is_empty() {
         let next_idx = optimized
             .iter()
-            .position(|&(set, _)| graph.are_joined(assembled_set, set))
+            .position(|tree| graph.are_joined(assembled.relation_set(), tree.relation_set()))
             .unwrap_or(0);
-        let (set, tree) = optimized.remove(next_idx);
+        let tree = optimized.remove(next_idx);
         // Keep the smaller side as the build input.
-        let assembled_card = est.join_card(assembled_set);
-        let next_card = est.join_card(set);
-        assembled = if next_card <= assembled_card {
+        let assembled_card = est.join_card(assembled.relation_set());
+        assembled = if est.join_card(tree.relation_set()) <= assembled_card {
             JoinTree::join(tree, assembled)
         } else {
             JoinTree::join(assembled, tree)
         };
-        assembled_set = assembled_set | set;
     }
+    assert_eq!(
+        assembled.relation_set(),
+        RelSet::first_n(graph.num_relations()),
+        "Algorithm 3 must join every relation of the query"
+    );
     assembled
 }
 
@@ -141,7 +147,9 @@ fn expand_snowflake(graph: &JoinGraph, fact: RelId, claimed: RelSet) -> RelSet {
 mod tests {
     use super::*;
     use crate::enumerate::exhaustive_best_right_deep;
+    use crate::{BqoOptimizer, Optimizer};
     use bqo_plan::{GraphShape, JoinEdge, RelationInfo};
+    use proptest::prelude::*;
 
     /// Single-fact snowflake — Algorithm 3 must behave exactly like
     /// Algorithm 2.
@@ -183,7 +191,7 @@ mod tests {
         let model = CostModel::new(&g);
         let tree = optimize_join_graph(&g, &model);
         assert!(tree.has_no_cross_products(&g));
-        let cost = model.cout_join_tree(&tree, true).total;
+        let cost = model.cout(&tree, f64::INFINITY);
         let (_, best) = exhaustive_best_right_deep(&g, &model, true).unwrap();
         assert!(cost <= best * (1.0 + 1e-9) + 1e-6, "{cost} vs {best}");
     }
@@ -203,7 +211,7 @@ mod tests {
         let g = multi_fact();
         let model = CostModel::new(&g);
         let tree = optimize_join_graph(&g, &model);
-        let cost = model.cout_join_tree(&tree, true).total;
+        let cost = model.cout(&tree, f64::INFINITY);
         let (_, best) = exhaustive_best_right_deep(&g, &model, true).unwrap();
         // Algorithm 3 is a heuristic; it should stay within a small factor of
         // the exhaustive right-deep optimum on this 5-relation query.
@@ -248,6 +256,81 @@ mod tests {
         let mut g = JoinGraph::new();
         g.add_relation(RelationInfo::new("only", 5.0, 5.0));
         let model = CostModel::new(&g);
-        assert_eq!(optimize_join_graph(&g, &model), JoinTree::Leaf(RelId(0)));
+        assert_eq!(optimize_join_graph(&g, &model), JoinTree::leaf(RelId(0)));
+    }
+
+    /// A connected graph: relation `i > 0` joins relation `parents[i] % i`,
+    /// and each `extra` pair adds a cycle. Every edge is a key on either side
+    /// at random (`flags` bit 0 left, bit 1 right), so graphs with several
+    /// facts, with none, and with relations no fact reaches through keys are
+    /// all common.
+    fn random_graph(
+        rels: &[(usize, usize)],
+        parents: &[(usize, u8)],
+        extra: &[(usize, usize, u8)],
+    ) -> JoinGraph {
+        const ROWS: [f64; 4] = [10.0, 1000.0, 100_000.0, 1_000_000.0];
+        const KEEP: [f64; 3] = [1.0, 0.5, 0.01];
+        let mut g = JoinGraph::new();
+        for (i, &(rows, keep)) in rels.iter().enumerate() {
+            let rows = ROWS[rows % 4];
+            g.add_relation(RelationInfo::new(
+                format!("r{i}"),
+                rows,
+                rows * KEEP[keep % 3],
+            ));
+        }
+        let n = rels.len();
+        let edges = (1..n)
+            .map(|i| (parents[i].0 % i, i, parents[i].1))
+            .chain(extra.iter().map(|&(a, b, flags)| (a % n, b % n, flags)))
+            .filter(|&(a, b, _)| a != b);
+        for (k, (a, b, flags)) in edges.enumerate() {
+            let (left, right) = (RelId(a), RelId(b));
+            let (left_unique, right_unique) = (flags & 1 != 0, flags & 2 != 0);
+            let distinct = |rel: RelId, unique: bool| {
+                let rows = g.relation(rel).base_rows;
+                if unique {
+                    rows
+                } else {
+                    (rows / 10.0).max(1.0)
+                }
+            };
+            let edge = JoinEdge::new(
+                left,
+                right,
+                format!("c{k}"),
+                format!("c{k}"),
+                distinct(left, left_unique),
+                distinct(right, right_unique),
+                left_unique,
+                right_unique,
+            );
+            g.add_edge(edge);
+        }
+        g
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Algorithm 3 and the whole BQO optimizer join every relation of a
+        /// connected query, without a cross product.
+        #[test]
+        fn plans_cover_every_relation_without_cross_products(
+            rels in prop::collection::vec((0usize..4, 0usize..3), 2..11),
+            parents in prop::collection::vec((0usize..1000, 0u8..4), 10..11),
+            extra in prop::collection::vec((0usize..10, 0usize..10, 0u8..4), 0..3),
+        ) {
+            let g = random_graph(&rels, &parents, &extra);
+            let all = RelSet::first_n(g.num_relations());
+            let model = CostModel::new(&g);
+            let tree = optimize_join_graph(&g, &model);
+            prop_assert_eq!(tree.relation_set(), all);
+            prop_assert!(tree.has_no_cross_products(&g), "{}", tree);
+            let plan = BqoOptimizer::new().optimize(&g);
+            prop_assert_eq!(plan.relation_set(plan.root()), all);
+            prop_assert_eq!(plan.num_joins() + 1, g.num_relations());
+        }
     }
 }

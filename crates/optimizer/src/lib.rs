@@ -33,8 +33,8 @@ use bqo_plan::{push_down_bitvectors, CostModel, JoinGraph, PhysicalPlan};
 
 pub use candidates::{branch_candidates, candidate_plans, snowflake_candidates, star_candidates};
 pub use costed_bv::prune_low_benefit_filters;
-pub use dp::{conventional_tree, DpOptimizer, GreedyOptimizer};
-pub use enumerate::{count_right_deep_plans, enumerate_right_deep, exhaustive_best_right_deep};
+pub use dp::conventional_tree;
+pub use enumerate::{enumerate_right_deep, exhaustive_best_right_deep};
 pub use general::{extract_snowflakes, optimize_join_graph};
 pub use snowflake::{for_each_snowflake_candidate, optimize_snowflake, BranchGroup, BranchInfo};
 
@@ -98,9 +98,8 @@ impl Optimizer for BqoOptimizer {
             // already good (e.g. bushy plans for queries with weakly
             // filtered dimensions).
             let conventional = conventional_tree(graph, &cost_model);
-            if cost_model.cout_with_bitvectors(&conventional)
-                < cost_model.cout_with_bitvectors(&tree)
-            {
+            let bqo_cost = cost_model.cout(&tree, f64::INFINITY);
+            if cost_model.cout(&conventional, bqo_cost) < bqo_cost {
                 tree = conventional;
             }
         }

@@ -22,8 +22,12 @@
 //!
 //! Within a group, branches are ordered by how strongly they reduce the fact
 //! table (most selective first).
+//!
+//! Every candidate is built in one reused [`JoinTree`] and costed with
+//! [`CostModel::cout`] bounded by the least cost so far: a candidate stops
+//! being costed once it cannot win, and only a cheaper one is copied out.
 
-use bqo_plan::{ArenaNode, CostModel, JoinGraph, JoinTree, RelId, RelSet, TreeArena};
+use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
 
 /// The priority group a branch falls into (Section 6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -84,8 +88,8 @@ pub fn analyze_branches(
         let members = component & subset;
         let fact_neighbors: Vec<RelId> = (members & graph.neighbors(fact)).iter().collect();
         if fact_neighbors.is_empty() {
-            // Not reachable from the fact inside this subset; skip (Algorithm
-            // 3 will pick it up in a later snowflake).
+            // Outside the subset: the subsets Algorithm 3 passes are connected
+            // through their facts, so the fact reaches all of their members.
             continue;
         }
         let ordered = connected_order(graph, members, &fact_neighbors);
@@ -166,29 +170,28 @@ fn chain_rotation(members: &[RelId], k: usize) -> impl Iterator<Item = RelId> + 
         .copied()
 }
 
-/// Joins the branches (in the given order) on top of an existing probe-side
-/// plan in `arena`. Relations larger than the fact table are placed on the
-/// probe side instead of the build side (the P3 swap of Algorithm 2, line
-/// 12–13).
+/// Joins the branches (in the given order) on top of `plan`, a node of
+/// `tree`. Relations larger than the fact table are placed on the probe side
+/// instead of the build side (the P3 swap of Algorithm 2, line 12–13).
 fn join_branches_onto<'b>(
-    arena: &mut TreeArena,
+    tree: &mut JoinTree,
     cost_model: &CostModel<'_>,
     fact: RelId,
     branches: impl Iterator<Item = &'b BranchInfo>,
-    mut plan: ArenaNode,
-) -> ArenaNode {
+    mut plan: usize,
+) -> usize {
     let est = cost_model.estimator();
     let fact_rows = est.base_card(fact);
     for branch in branches {
         for &table in &branch.members {
-            let leaf = arena.leaf(table);
+            let leaf = tree.add_leaf(table);
             plan = if est.base_card(table) > fact_rows {
                 // Larger than the fact: make it the probe side so the
                 // accumulated plan (which contains the fact and its filters)
                 // builds the hash table and creates the bitvector filter.
-                arena.join(plan, leaf)
+                tree.add_join(plan, leaf)
             } else {
-                arena.join(leaf, plan)
+                tree.add_join(leaf, plan)
             };
         }
     }
@@ -196,18 +199,16 @@ fn join_branches_onto<'b>(
 }
 
 /// Builds every candidate plan Algorithm 2 considers for the relations in
-/// `subset` (which must contain `fact` and be connected through it) into
-/// `arena`, one at a time — the arena is cleared before each — and hands
-/// `visit` the arena and the candidate's root, in the order
-/// [`optimize_snowflake`] costs them: a linear number, one per choice of
-/// right-most leaf.
+/// `subset` (which must contain `fact` and be connected through it) and hands
+/// each to `visit`, in the order [`optimize_snowflake`] costs them: a linear
+/// number, one per choice of right-most leaf. Every candidate is built in
+/// the same tree, cleared before each.
 pub fn for_each_snowflake_candidate(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
     subset: RelSet,
     fact: RelId,
-    arena: &mut TreeArena,
-    mut visit: impl FnMut(&mut TreeArena, ArenaNode),
+    mut visit: impl FnMut(&JoinTree),
 ) {
     assert!(subset.contains(fact), "subset must contain the fact table");
     let mut branches = analyze_branches(graph, cost_model, subset, fact);
@@ -222,10 +223,10 @@ pub fn for_each_snowflake_candidate(
 
     // Candidate 1: fact table as the right-most leaf; all branches join onto
     // it in priority order.
-    arena.clear();
-    let plan = arena.leaf(fact);
-    let root = join_branches_onto(arena, cost_model, fact, branches.iter(), plan);
-    visit(arena, root);
+    let mut tree = JoinTree::default();
+    let plan = tree.add_leaf(fact);
+    join_branches_onto(&mut tree, cost_model, fact, branches.iter(), plan);
+    visit(&tree);
 
     // Candidates 2..: each branch in turn forms the bottom of the probe
     // pipeline (with its chain rotations), then the fact, then the remaining
@@ -244,26 +245,23 @@ pub fn for_each_snowflake_candidate(
             1
         };
         for k in 0..rotations {
-            arena.clear();
-            // Probe pipeline bottom: the branch prefix, joined right-deep.
-            let mut prefix = chain_rotation(&branch.members, k);
-            let bottom = prefix.next().expect("a branch has a member");
-            let mut plan = arena.leaf(bottom);
-            for r in prefix {
-                let leaf = arena.leaf(r);
-                plan = arena.join(leaf, plan);
+            tree.clear();
+            // Probe pipeline bottom: the branch prefix, then the fact table,
+            // joined right-deep.
+            let mut bottom = chain_rotation(&branch.members, k).chain([fact]);
+            let mut plan = tree.add_leaf(bottom.next().expect("a branch has a member"));
+            for r in bottom {
+                let leaf = tree.add_leaf(r);
+                plan = tree.add_join(leaf, plan);
             }
-            // Then the fact table.
-            let leaf = arena.leaf(fact);
-            plan = arena.join(leaf, plan);
             // Then the remaining branches in priority order.
             let rest = branches
                 .iter()
                 .enumerate()
                 .filter(|(j, _)| *j != i)
                 .map(|(_, b)| b);
-            let root = join_branches_onto(arena, cost_model, fact, rest, plan);
-            visit(arena, root);
+            join_branches_onto(&mut tree, cost_model, fact, rest, plan);
+            visit(&tree);
         }
     }
 }
@@ -273,43 +271,33 @@ pub fn for_each_snowflake_candidate(
 /// Returns the first candidate of [`for_each_snowflake_candidate`] with the
 /// least bitvector-aware `Cout`.
 ///
-/// Each candidate is costed in the arena it was built in, only until its
-/// running sum reaches the least cost so far
-/// ([`CostModel::cout_with_bitvectors_below`]). A cheaper candidate trades
-/// arenas with the best one so far — the next candidate is built in a
-/// cleared arena either way — and only the winner becomes a [`JoinTree`].
+/// Each candidate is costed only until its running sum reaches the least
+/// cost so far (the bound of [`CostModel::cout`]); a cheaper candidate is
+/// copied into the one tree kept.
 pub fn optimize_snowflake(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
     subset: RelSet,
     fact: RelId,
 ) -> JoinTree {
-    let (mut candidate, mut best) = (TreeArena::new(), TreeArena::new());
-    let mut least: Option<(f64, ArenaNode)> = None;
-    for_each_snowflake_candidate(
-        graph,
-        cost_model,
-        subset,
-        fact,
-        &mut candidate,
-        |arena, root| {
-            let bound = least.map_or(f64::INFINITY, |(cost, _)| cost);
-            let cost = cost_model.cout_with_bitvectors_below(arena, root, bound);
-            if least.is_none() || cost < bound {
-                least = Some((cost, root));
-                std::mem::swap(&mut best, arena);
-            }
-        },
-    );
-    let (_, root) = least.expect("the fact-first candidate always exists");
-    best.to_join_tree(root)
+    let mut best = JoinTree::default();
+    let mut least: Option<f64> = None;
+    for_each_snowflake_candidate(graph, cost_model, subset, fact, |tree| {
+        let bound = least.unwrap_or(f64::INFINITY);
+        let cost = cost_model.cout(tree, bound);
+        if least.is_none() || cost < bound {
+            least = Some(cost);
+            best.clone_from(tree);
+        }
+    });
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::enumerate::exhaustive_best_right_deep;
-    use bqo_plan::{JoinEdge, RelationInfo};
+    use bqo_plan::{JoinEdge, JoinNode, RelationInfo};
 
     fn full_set(graph: &JoinGraph) -> RelSet {
         RelSet::first_n(graph.num_relations())
@@ -399,7 +387,7 @@ mod tests {
         let model = CostModel::new(&g);
         let tree = optimize_snowflake(&g, &model, full_set(&g), fact);
         assert!(tree.has_no_cross_products(&g));
-        let cost = model.cout_join_tree(&tree, true).total;
+        let cost = model.cout(&tree, f64::INFINITY);
         let (_, best) = exhaustive_best_right_deep(&g, &model, true).unwrap();
         assert!(
             cost <= best * (1.0 + 1e-9) + 1e-6,
@@ -413,7 +401,7 @@ mod tests {
         let model = CostModel::new(&g);
         let tree = optimize_snowflake(&g, &model, full_set(&g), fact);
         assert!(tree.has_no_cross_products(&g));
-        let cost = model.cout_join_tree(&tree, true).total;
+        let cost = model.cout(&tree, f64::INFINITY);
         let (_, best) = exhaustive_best_right_deep(&g, &model, true).unwrap();
         assert!(cost <= best * (1.0 + 1e-9) + 1e-6);
     }
@@ -434,16 +422,16 @@ mod tests {
         let tree = optimize_snowflake(&g, &model, full_set(&g), fact);
         // Wherever the oversized dimension appears, it must be on the probe
         // side of its join.
-        fn check(tree: &JoinTree, g: &JoinGraph) {
-            if let JoinTree::Join { build, probe } = tree {
-                if let JoinTree::Leaf(r) = **build {
+        fn check(tree: &JoinTree, node: usize, g: &JoinGraph) {
+            if let JoinNode::Join { build, probe } = tree.node(node) {
+                if let JoinNode::Leaf(r) = tree.node(build) {
                     assert_ne!(g.relation(r).name, "big_dim", "big_dim used as build side");
                 }
-                check(build, g);
-                check(probe, g);
+                check(tree, build, g);
+                check(tree, probe, g);
             }
         }
-        check(&tree, &g);
+        check(&tree, tree.root(), &g);
     }
 
     #[test]
@@ -451,7 +439,7 @@ mod tests {
         let (g, fact) = star();
         let model = CostModel::new(&g);
         let tree = optimize_snowflake(&g, &model, RelSet::single(fact), fact);
-        assert_eq!(tree, JoinTree::Leaf(fact));
+        assert_eq!(tree, JoinTree::leaf(fact));
     }
 
     #[test]

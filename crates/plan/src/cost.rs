@@ -2,14 +2,19 @@
 //!
 //! `Cout` sums the cardinalities of every base table (after local predicates
 //! and any bitvector filters pushed down to its scan) and every intermediate
-//! join result. The same routine covers three situations:
+//! join result. Two entry points cover the paper's three situations:
 //!
-//! * **No bitvectors** — plain `Cout`, what a conventional optimizer
-//!   minimizes (the paper's baseline costing).
-//! * **Bitvectors added by post-processing** — Algorithm 1 run on a plan that
-//!   was chosen without considering filters (Figure 2c).
-//! * **Bitvector-aware optimization** — the BQO algorithm evaluates candidate
-//!   right-deep trees under this same bitvector-aware `Cout` (Figure 2d).
+//! * [`CostModel::cout`] — the bitvector-aware `Cout` of a [`JoinTree`],
+//!   with Algorithm 1's filters routed down it on relation sets alone: what
+//!   the BQO algorithm minimizes over its candidate right-deep trees
+//!   (Figure 2d) and what the Section 6.4 comparison reads. A bound lets a
+//!   search stop costing a candidate once it cannot win.
+//! * [`CostModel::cout_physical`] — the `Cout` of a physical plan under
+//!   whatever filter placements it carries: none gives plain `Cout`, what a
+//!   conventional optimizer minimizes (the paper's baseline costing);
+//!   Algorithm 1 run on a plan chosen without considering filters gives the
+//!   post-processing treatment (Figure 2c). For a tree this is the
+//!   reference `cout` is tested against, bit for bit.
 //!
 //! Estimated cardinalities come from [`CardinalityEstimator`]; the reduction
 //! of a scan or join output by pushed-down filters uses the no-false-positive
@@ -18,9 +23,9 @@
 use crate::estimator::{semi_reduce, CardinalityEstimator};
 use crate::graph::JoinGraph;
 use crate::physical::{NodeId, PhysicalNode, PhysicalPlan};
-use crate::pushdown::push_down_bitvectors;
 use crate::relset::RelSet;
-use crate::tree::{ArenaEntry, ArenaNode, JoinTree, RightDeepTree, TreeArena};
+use crate::tree::{Entry, JoinTree};
+use std::cell::RefCell;
 
 /// Per-plan cost report.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +55,8 @@ impl CoutBreakdown {
 pub struct CostModel<'a> {
     graph: &'a JoinGraph,
     estimator: CardinalityEstimator<'a>,
+    /// The stack [`cout`](CostModel::cout) routes filters on, kept between calls.
+    filters: RefCell<Vec<TreeFilter>>,
 }
 
 impl<'a> CostModel<'a> {
@@ -58,6 +65,7 @@ impl<'a> CostModel<'a> {
         CostModel {
             graph,
             estimator: CardinalityEstimator::new(graph),
+            filters: RefCell::default(),
         }
     }
 
@@ -66,80 +74,39 @@ impl<'a> CostModel<'a> {
         &self.estimator
     }
 
-    /// `Cout` of a right-deep tree, with or without bitvector filters.
-    pub fn cout_right_deep(&self, tree: &RightDeepTree, with_bitvectors: bool) -> CoutBreakdown {
-        self.cout_join_tree(&tree.to_join_tree(), with_bitvectors)
-    }
-
-    /// Total `Cout` of a right-deep tree (convenience wrapper).
-    pub fn cout_right_deep_total(&self, tree: &RightDeepTree, with_bitvectors: bool) -> f64 {
-        self.cout_right_deep(tree, with_bitvectors).total
-    }
-
-    /// `Cout` of an arbitrary join tree, with or without bitvector filters.
-    /// When `with_bitvectors` is set, Algorithm 1 is run on the physical form
-    /// of the tree first (this is exactly the "post-processing" treatment a
-    /// conventional optimizer applies to its chosen plan).
-    pub fn cout_join_tree(&self, tree: &JoinTree, with_bitvectors: bool) -> CoutBreakdown {
-        let mut plan = PhysicalPlan::from_join_tree(self.graph, tree);
-        if with_bitvectors {
-            plan = push_down_bitvectors(self.graph, plan);
-        }
-        self.cout_physical(&plan)
-    }
-
-    /// Total bitvector-aware `Cout` of a join tree: bit for bit the `total` of
-    /// [`cout_join_tree(tree, true)`](CostModel::cout_join_tree), which stays
-    /// the reference this is tested against. It is
-    /// [`cout_with_bitvectors_below`](CostModel::cout_with_bitvectors_below)
-    /// with no bound.
+    /// Bitvector-aware `Cout` of a join tree, added up only while the running
+    /// sum stays below `bound`: the total when it is below `bound` (pass
+    /// `f64::INFINITY` for the total), otherwise some partial sum ≥ `bound`.
+    /// Every estimate is ≥ 0 and float addition is monotone, so an optimizer
+    /// that passes the least cost so far as `bound` and compares with `<`
+    /// keeps exactly the candidate a full costing would keep.
     ///
-    /// # Panics
-    /// Panics if some join in the tree is a cross product.
-    pub fn cout_with_bitvectors(&self, tree: &JoinTree) -> f64 {
-        let mut arena = TreeArena::new();
-        let root = arena.push_tree(tree);
-        self.cout_with_bitvectors_below(&mut arena, root, f64::INFINITY)
-    }
-
-    /// Bitvector-aware `Cout` of the tree under `root`, added up only while
-    /// the running sum stays below `bound`: the total when it is below
-    /// `bound`, bit for bit what
-    /// [`cout_with_bitvectors`](CostModel::cout_with_bitvectors) returns for
-    /// the same tree, and otherwise some partial sum ≥ `bound`. Every estimate
-    /// is ≥ 0 and float addition is monotone, so the total cannot end below a
-    /// partial sum: an optimizer that keeps the first of equally cheap
-    /// candidates passes the least cost so far as `bound` and compares the
-    /// result with `<`, exactly as if it had costed every candidate in full.
-    ///
-    /// The optimizers call this once per candidate plan, so it works on
-    /// relation sets alone — no physical plan is built and no join column is
-    /// named — and allocates nothing once the arena's buffers have grown.
+    /// The total is bit for bit that of the reference: lower the tree
+    /// ([`PhysicalPlan::from_join_tree`]), run Algorithm 1
+    /// ([`push_down_bitvectors`](crate::push_down_bitvectors)), cost it with
+    /// [`cout_physical`](CostModel::cout_physical) — which, without the
+    /// second step, is also how to get a tree's plain `Cout`. Here no plan is
+    /// built and nothing is allocated once the filter stack has grown:
     /// Algorithm 1 routes a filter by the relations its probe columns belong
-    /// to, and a node's estimate depends only on its relations and its
-    /// effective set, so one walk over the tree (build side before probe side,
-    /// the order node ids are assigned in) routes the filters, unions the
+    /// to, and an estimate depends only on a node's relations and effective
+    /// set, so one walk over relation sets (build side before probe side, the
+    /// order node ids are assigned in) routes the filters, unions the
     /// effective sets and adds the cardinalities up in the reference's order.
     ///
     /// # Panics
     /// Panics if some join the walk reaches is a cross product.
-    pub fn cout_with_bitvectors_below(
-        &self,
-        arena: &mut TreeArena,
-        root: ArenaNode,
-        bound: f64,
-    ) -> f64 {
-        let TreeArena { nodes, filters } = arena;
+    pub fn cout(&self, tree: &JoinTree, bound: f64) -> f64 {
+        let mut filters = self.filters.borrow_mut();
         filters.clear();
         let mut walk = TreeWalk {
             model: self,
-            nodes,
-            filters,
+            nodes: &tree.nodes,
+            filters: &mut filters,
             base_total: 0.0,
             join_total: 0.0,
             bound,
         };
-        walk.visit(root, 0);
+        walk.visit(tree.root(), 0);
         walk.base_total + walk.join_total
     }
 
@@ -232,15 +199,15 @@ impl<'a> CostModel<'a> {
 /// columns belong to, and the effective set of the build side it is created
 /// from.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TreeFilter {
+struct TreeFilter {
     referenced: RelSet,
     source: RelSet,
 }
 
-/// The state of one [`CostModel::cout_with_bitvectors_below`] call.
+/// The state of one [`CostModel::cout`] call.
 struct TreeWalk<'m, 'a, 't> {
     model: &'m CostModel<'a>,
-    nodes: &'t [ArenaEntry],
+    nodes: &'t [Entry],
     /// A stack: the filters routed into the node being visited are the ones
     /// from the index `visit` was given to the top.
     filters: &'t mut Vec<TreeFilter>,
@@ -265,8 +232,8 @@ impl TreeWalk<'_, '_, '_> {
     /// Algorithm 1 routes into it (`filters[incoming..]`). Leaves the stack
     /// above `incoming` in no particular state. `None` once the running sum
     /// has reached the bound.
-    fn visit(&mut self, node: ArenaNode, incoming: usize) -> Option<Visited> {
-        let ArenaEntry { rels, join } = self.nodes[node.index()];
+    fn visit(&mut self, node: usize, incoming: usize) -> Option<Visited> {
+        let Entry { rels, join } = self.nodes[node];
         let mut effective = rels;
         let (neighbors, probe) = match join {
             // Everything that reached a scan is applied there.
@@ -280,7 +247,7 @@ impl TreeWalk<'_, '_, '_> {
                 (neighbors, None)
             }
             Some((build, probe)) => {
-                let build_rels = self.nodes[build.index()].rels;
+                let build_rels = self.nodes[build].rels;
                 let probe_rels = rels - build_rels;
                 // Route the incoming filters as `push_down_bitvectors` does:
                 // copies of those bound for the build side go on top of the
@@ -388,6 +355,17 @@ fn effective_sets(plan: &PhysicalPlan) -> Vec<RelSet> {
 mod tests {
     use super::*;
     use crate::graph::{JoinEdge, JoinGraph, RelId, RelationInfo};
+    use crate::pushdown::push_down_bitvectors;
+
+    /// The reference: lower the tree, run Algorithm 1 when asked, cost the
+    /// physical plan.
+    fn lowered_cout(g: &JoinGraph, tree: &JoinTree, with_bitvectors: bool) -> CoutBreakdown {
+        let mut plan = PhysicalPlan::from_join_tree(g, tree);
+        if with_bitvectors {
+            plan = push_down_bitvectors(g, plan);
+        }
+        CostModel::new(g).cout_physical(&plan)
+    }
 
     /// Star: fact 1M rows; d1 100 rows filtered to 10; d2 1000 rows
     /// unfiltered; d3 10 rows filtered to 2.
@@ -406,12 +384,11 @@ mod tests {
     #[test]
     fn plain_cout_of_star_plan() {
         let (g, fact, d) = star();
-        let model = CostModel::new(&g);
         // T(fact, d1, d2, d3) without bitvectors:
         // base: 1M + 10 + 1000 + 2
         // joins: fact⋈d1 = 100k; ⋈d2 = 100k; ⋈d3 = 20k
-        let tree = RightDeepTree::new(vec![fact, d[0], d[1], d[2]]);
-        let cost = model.cout_right_deep(&tree, false);
+        let tree = JoinTree::right_deep(&[fact, d[0], d[1], d[2]]);
+        let cost = lowered_cout(&g, &tree, false);
         let expected_base = 1_000_000.0 + 10.0 + 1000.0 + 2.0;
         let expected_joins = 100_000.0 + 100_000.0 + 20_000.0;
         assert!((cost.base_total - expected_base).abs() < 1e-6);
@@ -422,9 +399,8 @@ mod tests {
     #[test]
     fn bitvector_cout_reduces_fact_scan_and_intermediates() {
         let (g, fact, d) = star();
-        let model = CostModel::new(&g);
-        let tree = RightDeepTree::new(vec![fact, d[0], d[1], d[2]]);
-        let cost = model.cout_right_deep(&tree, true);
+        let tree = JoinTree::right_deep(&[fact, d[0], d[1], d[2]]);
+        let cost = lowered_cout(&g, &tree, true);
         // With all three dimension filters pushed to the fact scan, the fact
         // contributes |fact ⋈ d1 ⋈ d2 ⋈ d3| = 20k, and every join output is
         // also 20k (Lemma 4).
@@ -433,7 +409,7 @@ mod tests {
         assert!((cost.base_total - expected_base).abs() < 1e-3);
         assert!((cost.join_total - expected_joins).abs() < 1e-3);
         // And it is much cheaper than the same plan without bitvectors.
-        let plain = model.cout_right_deep(&tree, false);
+        let plain = lowered_cout(&g, &tree, false);
         assert!(cost.total < plain.total / 5.0);
     }
 
@@ -451,7 +427,7 @@ mod tests {
         ];
         let costs: Vec<f64> = orders
             .iter()
-            .map(|o| model.cout_right_deep_total(&RightDeepTree::new(o.clone()), true))
+            .map(|o| model.cout(&JoinTree::right_deep(o), f64::INFINITY))
             .collect();
         for w in costs.windows(2) {
             assert!((w[0] - w[1]).abs() < 1e-6, "costs differ: {costs:?}");
@@ -464,10 +440,10 @@ mod tests {
         // of the remaining dimensions does not matter.
         let (g, fact, d) = star();
         let model = CostModel::new(&g);
-        let a = RightDeepTree::new(vec![d[0], fact, d[1], d[2]]);
-        let b = RightDeepTree::new(vec![d[0], fact, d[2], d[1]]);
-        let ca = model.cout_right_deep_total(&a, true);
-        let cb = model.cout_right_deep_total(&b, true);
+        let a = JoinTree::right_deep(&[d[0], fact, d[1], d[2]]);
+        let b = JoinTree::right_deep(&[d[0], fact, d[2], d[1]]);
+        let ca = model.cout(&a, f64::INFINITY);
+        let cb = model.cout(&b, f64::INFINITY);
         assert!((ca - cb).abs() < 1e-6);
     }
 
@@ -489,45 +465,34 @@ mod tests {
         let model = CostModel::new(&g);
 
         let candidates = [
-            RightDeepTree::new(vec![fact, t, k]),
-            RightDeepTree::new(vec![fact, k, t]),
-            RightDeepTree::new(vec![t, fact, k]),
-            RightDeepTree::new(vec![k, fact, t]),
+            JoinTree::right_deep(&[fact, t, k]),
+            JoinTree::right_deep(&[fact, k, t]),
+            JoinTree::right_deep(&[t, fact, k]),
+            JoinTree::right_deep(&[k, fact, t]),
         ];
+        let plain = |tree: &JoinTree| lowered_cout(&g, tree, false).total;
+        let aware = |tree: &JoinTree| model.cout(tree, f64::INFINITY);
         let best_plain = candidates
             .iter()
-            .min_by(|a, b| {
-                model
-                    .cout_right_deep_total(a, false)
-                    .total_cmp(&model.cout_right_deep_total(b, false))
-            })
+            .min_by(|a, b| plain(a).total_cmp(&plain(b)))
             .unwrap();
         let best_bv = candidates
             .iter()
-            .min_by(|a, b| {
-                model
-                    .cout_right_deep_total(a, true)
-                    .total_cmp(&model.cout_right_deep_total(b, true))
-            })
+            .min_by(|a, b| aware(a).total_cmp(&aware(b)))
             .unwrap();
         // Post-processing the plain-best plan with bitvectors must not beat
         // the bitvector-aware best plan.
-        let post = model.cout_right_deep_total(best_plain, true);
-        let aware = model.cout_right_deep_total(best_bv, true);
-        assert!(aware <= post + 1e-9);
+        assert!(aware(best_bv) <= aware(best_plain) + 1e-9);
         // And the bitvector-aware best plan would look suboptimal to a
         // conventional optimizer.
-        assert!(
-            model.cout_right_deep_total(best_bv, false)
-                >= model.cout_right_deep_total(best_plain, false)
-        );
+        assert!(plain(best_bv) >= plain(best_plain));
     }
 
     #[test]
     fn estimated_output_matches_full_join_card() {
         let (g, fact, d) = star();
         let model = CostModel::new(&g);
-        let tree = RightDeepTree::new(vec![fact, d[0], d[1], d[2]]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d[0], d[1], d[2]]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let out = model.cout_physical(&plan).card_of(plan.root()).unwrap();
         assert!((out - 20_000.0).abs() < 1e-3);
@@ -537,7 +502,7 @@ mod tests {
     fn elimination_fraction_reflects_dimension_selectivity() {
         let (g, fact, d) = star();
         let model = CostModel::new(&g);
-        let tree = RightDeepTree::new(vec![fact, d[0], d[1], d[2]]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d[0], d[1], d[2]]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         // Find the placement sourced from the join whose build is d2 (the
         // unfiltered dimension): it eliminates (almost) nothing.
@@ -587,11 +552,11 @@ mod tests {
                     for third in (0..4).filter(|i| *i != first && *i != second) {
                         let fourth = 6 - first - second - third;
                         let order = [first, second, third, fourth].map(|i| ids[i]);
-                        trees.push(RightDeepTree::new(order.to_vec()).to_join_tree());
+                        trees.push(JoinTree::right_deep(&order));
                     }
                 }
             }
-            let leaf = |i: usize| JoinTree::Leaf(ids[i]);
+            let leaf = |i: usize| JoinTree::leaf(ids[i]);
             trees.push(JoinTree::join(
                 JoinTree::join(leaf(1), leaf(0)),
                 JoinTree::join(leaf(3), leaf(2)),
@@ -604,18 +569,14 @@ mod tests {
             assert!(trees.len() >= 8, "{} trees", trees.len());
 
             let model = CostModel::new(graph);
-            let mut arena = TreeArena::new();
             for tree in &trees {
-                let reference = CostModel::new(graph).cout_join_tree(tree, true).total;
-                let fast = model.cout_with_bitvectors(tree);
+                let reference = lowered_cout(graph, tree, true).total;
+                let fast = model.cout(tree, f64::INFINITY);
                 assert_eq!(fast.to_bits(), reference.to_bits(), "{tree}");
                 // Bounded: the total when below the bound, else a sum that
                 // has reached it.
-                arena.clear();
-                let root = arena.push_tree(tree);
-                assert_eq!(arena.to_join_tree(root), *tree);
                 for bound in [reference * 2.0, reference, reference / 2.0, 0.0] {
-                    let bounded = model.cout_with_bitvectors_below(&mut arena, root, bound);
+                    let bounded = model.cout(tree, bound);
                     if reference < bound {
                         assert_eq!(bounded.to_bits(), reference.to_bits(), "{tree}");
                     } else {
@@ -630,15 +591,15 @@ mod tests {
     #[should_panic(expected = "cross product")]
     fn tree_costing_rejects_cross_products() {
         let (g, _, d) = star();
-        let tree = JoinTree::join(JoinTree::Leaf(d[0]), JoinTree::Leaf(d[1]));
-        CostModel::new(&g).cout_with_bitvectors(&tree);
+        let tree = JoinTree::join(JoinTree::leaf(d[0]), JoinTree::leaf(d[1]));
+        CostModel::new(&g).cout(&tree, f64::INFINITY);
     }
 
     #[test]
     fn elimination_fractions_match_the_one_at_a_time_estimates() {
         let (g, fact, d) = star();
         let model = CostModel::new(&g);
-        let tree = RightDeepTree::new(vec![d[1], fact, d[0], d[2]]).to_join_tree();
+        let tree = JoinTree::right_deep(&[d[1], fact, d[0], d[2]]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let all = model.estimated_elimination_fractions(&plan);
         assert_eq!(all.len(), plan.placements.len());
@@ -651,9 +612,8 @@ mod tests {
     #[test]
     fn breakdown_card_lookup() {
         let (g, fact, d) = star();
-        let model = CostModel::new(&g);
-        let tree = RightDeepTree::new(vec![fact, d[0]]);
-        let cost = model.cout_right_deep(&tree, false);
+        let tree = JoinTree::right_deep(&[fact, d[0]]);
+        let cost = lowered_cout(&g, &tree, false);
         assert_eq!(cost.per_node.len(), 3);
         assert!(cost.card_of(NodeId(0)).is_some());
         assert!(cost.card_of(NodeId(99)).is_none());

@@ -8,13 +8,13 @@
 //!   (star / snowflake / branch / general, fact-table detection).
 //! * [`relset`] — [`RelSet`], the `Copy` bitset every "set of relations" in
 //!   the planner and the optimizers is written as.
-//! * [`tree`] — join-tree representations, in particular the right-deep
-//!   trees the paper's analysis is about, and the [`TreeArena`] candidate
-//!   plans are built and costed in.
+//! * [`tree`] — [`JoinTree`], the one join-tree type: a flat arena the
+//!   optimizers build every plan in, including the right-deep trees the
+//!   paper's analysis is about.
 //! * [`estimator`] — the cardinality estimator: join cardinalities over
 //!   relation sets and semi-join (bitvector) reduction factors.
-//! * [`cost`] — the `Cout` cost function (Eq. 1), with and without the
-//!   effect of bitvector filters.
+//! * [`cost`] — the `Cout` cost function (Eq. 1): bitvector-aware over a
+//!   join tree, and over a physical plan with whatever filters it carries.
 //! * [`physical`] — the physical plan (scans + hash joins) plus bitvector
 //!   filter placements.
 //! * [`pushdown`] — Algorithm 1: create a bitvector filter at each hash join
@@ -56,4 +56,4 @@ pub use physical::{
 pub use predicate::{ColumnPredicate, CompareOp, Params, PredicateValue};
 pub use pushdown::push_down_bitvectors;
 pub use relset::RelSet;
-pub use tree::{ArenaNode, JoinTree, RightDeepTree, TreeArena};
+pub use tree::{JoinNode, JoinTree};

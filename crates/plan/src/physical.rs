@@ -7,7 +7,7 @@
 
 use crate::graph::{JoinGraph, RelId};
 use crate::relset::RelSet;
-use crate::tree::JoinTree;
+use crate::tree::{JoinNode, JoinTree};
 use std::fmt;
 
 /// Identifier of a node inside one [`PhysicalPlan`] arena.
@@ -256,17 +256,17 @@ impl PhysicalPlan {
     /// its inputs); plans enumerated without cross products never hit this.
     pub fn from_join_tree(graph: &JoinGraph, tree: &JoinTree) -> Self {
         let mut plan = PhysicalPlan::new();
-        let root = plan.build_node(graph, tree);
+        let root = plan.build_node(graph, tree, tree.root());
         plan.set_root(root);
         plan
     }
 
-    fn build_node(&mut self, graph: &JoinGraph, tree: &JoinTree) -> NodeId {
-        match tree {
-            JoinTree::Leaf(rel) => self.add_node(PhysicalNode::Scan { relation: *rel }),
-            JoinTree::Join { build, probe } => {
-                let build_id = self.build_node(graph, build);
-                let probe_id = self.build_node(graph, probe);
+    fn build_node(&mut self, graph: &JoinGraph, tree: &JoinTree, node: usize) -> NodeId {
+        match tree.node(node) {
+            JoinNode::Leaf(relation) => self.add_node(PhysicalNode::Scan { relation }),
+            JoinNode::Join { build, probe } => {
+                let build_id = self.build_node(graph, tree, build);
+                let probe_id = self.build_node(graph, tree, probe);
                 let build_set = self.relation_set(build_id);
                 let probe_set = self.relation_set(probe_id);
                 let keys: Vec<JoinKeyPair> = graph
@@ -359,7 +359,6 @@ impl PhysicalPlan {
 mod tests {
     use super::*;
     use crate::graph::{JoinEdge, RelationInfo};
-    use crate::tree::RightDeepTree;
 
     fn star_graph() -> (JoinGraph, RelId, Vec<RelId>) {
         let mut g = JoinGraph::new();
@@ -374,7 +373,7 @@ mod tests {
     #[test]
     fn from_right_deep_tree() {
         let (g, fact, dims) = star_graph();
-        let tree = RightDeepTree::new(vec![fact, dims[0], dims[1]]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, dims[0], dims[1]]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
         assert_eq!(plan.num_nodes(), 5);
         assert_eq!(plan.num_joins(), 2);
@@ -397,7 +396,7 @@ mod tests {
     fn remap_relations_renumbers_every_reference() {
         use crate::pushdown::push_down_bitvectors;
         let (g, fact, dims) = star_graph();
-        let tree = RightDeepTree::new(vec![fact, dims[0], dims[1]]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, dims[0], dims[1]]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         assert!(!plan.placements.is_empty());
 
@@ -449,14 +448,14 @@ mod tests {
     fn cross_product_tree_panics() {
         let (g, _, dims) = star_graph();
         // d1 ⋈ d2 has no edge.
-        let tree = JoinTree::join(JoinTree::Leaf(dims[0]), JoinTree::Leaf(dims[1]));
+        let tree = JoinTree::join(JoinTree::leaf(dims[0]), JoinTree::leaf(dims[1]));
         PhysicalPlan::from_join_tree(&g, &tree);
     }
 
     #[test]
     fn relation_set_of_scan_and_join() {
         let (g, fact, dims) = star_graph();
-        let tree = RightDeepTree::new(vec![fact, dims[0]]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, dims[0]]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
         let scans: Vec<NodeId> = plan
             .nodes()
@@ -472,7 +471,7 @@ mod tests {
     #[test]
     fn placements_lookup() {
         let (g, fact, dims) = star_graph();
-        let tree = RightDeepTree::new(vec![fact, dims[0]]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, dims[0]]);
         let mut plan = PhysicalPlan::from_join_tree(&g, &tree);
         let root = plan.root();
         let scan_fact = plan
@@ -502,7 +501,7 @@ mod tests {
     #[test]
     fn explain_mentions_tables_and_filters() {
         let (g, fact, dims) = star_graph();
-        let tree = RightDeepTree::new(vec![fact, dims[0], dims[1]]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, dims[0], dims[1]]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
         let text = plan.explain(&g);
         assert!(text.contains("Scan fact"));

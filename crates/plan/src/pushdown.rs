@@ -101,7 +101,7 @@ fn push_down_node(
 mod tests {
     use super::*;
     use crate::graph::{JoinEdge, JoinGraph, RelId, RelationInfo};
-    use crate::tree::{JoinTree, RightDeepTree};
+    use crate::tree::JoinTree;
     use std::collections::BTreeSet;
 
     fn scan_of(plan: &PhysicalPlan, rel: RelId) -> NodeId {
@@ -123,7 +123,7 @@ mod tests {
         g.add_edge(JoinEdge::pkfk(fact, "d1_sk", d1, "sk", 100.0));
         g.add_edge(JoinEdge::pkfk(fact, "d2_sk", d2, "sk", 1000.0));
 
-        let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
 
         let fact_scan = scan_of(&plan, fact);
@@ -154,7 +154,7 @@ mod tests {
         g.add_edge(JoinEdge::pkfk(fact, "r1_sk", r1, "sk", 10_000.0));
         g.add_edge(JoinEdge::pkfk(r1, "r2_sk", r2, "sk", 100.0));
 
-        let tree = RightDeepTree::new(vec![fact, r1, r2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[fact, r1, r2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
 
         let fact_scan = scan_of(&plan, fact);
@@ -193,7 +193,7 @@ mod tests {
         ));
 
         // T(B, A, C, D): bottom probe B, then builds A, C, D.
-        let tree = RightDeepTree::new(vec![b, a, c, d]).to_join_tree();
+        let tree = JoinTree::right_deep(&[b, a, c, d]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
 
         let b_scan = scan_of(&plan, b);
@@ -226,7 +226,7 @@ mod tests {
         g.add_edge(JoinEdge::pkfk(fact, "d1_sk", d1, "sk", 100.0));
         g.add_edge(JoinEdge::pkfk(fact, "d2_sk", d2, "sk", 1000.0));
 
-        let tree = RightDeepTree::new(vec![d1, fact, d2]).to_join_tree();
+        let tree = JoinTree::right_deep(&[d1, fact, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
 
         let fact_scan = scan_of(&plan, fact);
@@ -258,8 +258,8 @@ mod tests {
         ));
 
         let bushy = JoinTree::join(
-            JoinTree::join(JoinTree::Leaf(d1), JoinTree::Leaf(f1)),
-            JoinTree::join(JoinTree::Leaf(d2), JoinTree::Leaf(f2)),
+            JoinTree::join(JoinTree::leaf(d1), JoinTree::leaf(f1)),
+            JoinTree::join(JoinTree::leaf(d2), JoinTree::leaf(f2)),
         );
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &bushy));
         // Three joins -> three filters, each pushed to a scan (all single
@@ -274,7 +274,7 @@ mod tests {
     fn single_scan_plan_has_no_placements() {
         let mut g = JoinGraph::new();
         let r = g.add_relation(RelationInfo::new("r", 10.0, 10.0));
-        let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &JoinTree::Leaf(r)));
+        let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &JoinTree::leaf(r)));
         assert!(plan.placements.is_empty());
     }
 }

@@ -49,7 +49,8 @@ fn time_phases(graph: &JoinGraph, spent: &mut [f64; 7]) {
     lap(0);
     let conventional = conventional_tree(graph, &cost_model);
     lap(1);
-    if cost_model.cout_with_bitvectors(&conventional) < cost_model.cout_with_bitvectors(&tree) {
+    let bqo_cost = cost_model.cout(&tree, f64::INFINITY);
+    if cost_model.cout(&conventional, bqo_cost) < bqo_cost {
         tree = conventional;
     }
     lap(2);

@@ -12,7 +12,7 @@
 //! ```
 
 use bqo_core::optimizer::{candidate_plans, enumerate_right_deep};
-use bqo_core::plan::CostModel;
+use bqo_core::plan::{CostModel, PhysicalPlan};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{Engine, OptimizerChoice, RunOptions};
 
@@ -38,8 +38,10 @@ fn main() {
     let mut best_plain = (f64::INFINITY, None);
     let mut best_bv = (f64::INFINITY, None);
     for plan in &plans {
-        let plain = model.cout_right_deep_total(plan, false);
-        let bv = model.cout_right_deep_total(plan, true);
+        let plain = model
+            .cout_physical(&PhysicalPlan::from_join_tree(&graph, plan))
+            .total;
+        let bv = model.cout(plan, f64::INFINITY);
         if plain < best_plain.0 {
             best_plain = (plain, Some(plan.clone()));
         }
@@ -54,7 +56,7 @@ fn main() {
     println!("  Cout without filters = {:.0}", best_plain.0);
     println!(
         "  Cout after post-processing filters  = {:.0}",
-        model.cout_right_deep_total(&best_plain_plan, true)
+        model.cout(&best_plain_plan, f64::INFINITY)
     );
     println!("\nbest plan accounting for bitvector filters: {best_bv_plan}");
     println!("  bitvector-aware Cout = {:.0}", best_bv.0);
@@ -62,7 +64,7 @@ fn main() {
     let candidates = candidate_plans(&graph).expect("star query has a candidate set");
     let candidate_best = candidates
         .iter()
-        .map(|p| model.cout_right_deep_total(p, true))
+        .map(|p| model.cout(p, f64::INFINITY))
         .fold(f64::INFINITY, f64::min);
     println!(
         "\nTheorem 4.1 candidate set: {} plans (vs {} in the full space); best candidate Cout = {:.0}",

@@ -1,11 +1,11 @@
 //! The cheap costing paths against the reference paths, bit for bit, on every
 //! query of the eight `plan_golden` workloads.
 //!
-//! `CostModel::cout_with_bitvectors_below` costs a candidate in the arena it
-//! was built in, on relation sets alone, and shares one `join_card` memo with
-//! every other estimate of the same optimizer call; the reference lowers the
-//! tree, runs Algorithm 1 and costs the physical plan on a cost model of its
-//! own (so nothing it reads was remembered by the path under test). Algorithm
+//! `CostModel::cout` costs a candidate in the tree it was built in, on
+//! relation sets alone, and shares one `join_card` memo with every other
+//! estimate of the same optimizer call; the reference lowers the tree, runs
+//! Algorithm 1 and costs the physical plan on a cost model of its own (so
+//! nothing it reads was remembered by the path under test). Algorithm
 //! 2 stops costing a candidate once its running sum reaches the least cost so
 //! far; the reference costs every candidate in full and keeps the first
 //! cheapest. `prune_low_benefit_filters` computes the effective sets once; the
@@ -16,7 +16,7 @@ use bqo_core::optimizer::{
     optimize_snowflake, prune_low_benefit_filters, DEFAULT_LAMBDA_THRESHOLD,
 };
 use bqo_core::plan::{
-    push_down_bitvectors, CostModel, JoinGraph, JoinTree, PhysicalPlan, TreeArena,
+    push_down_bitvectors, CostModel, JoinGraph, JoinNode, JoinTree, PhysicalPlan,
 };
 use bqo_core::workloads::{customer_like, job_like, snowflake, star, tpcds_like, Scale, Workload};
 
@@ -53,6 +53,19 @@ fn lowered(graph: &JoinGraph, tree: &JoinTree) -> PhysicalPlan {
     push_down_bitvectors(graph, PhysicalPlan::from_join_tree(graph, tree))
 }
 
+/// True when `tree` is neither right-deep nor left-deep (every probe side a
+/// leaf).
+fn is_bushy(tree: &JoinTree) -> bool {
+    let mut node = tree.root();
+    while let JoinNode::Join { build, probe } = tree.node(node) {
+        if matches!(tree.node(probe), JoinNode::Join { .. }) {
+            return tree.right_deep_order().is_none();
+        }
+        node = build;
+    }
+    false
+}
+
 #[test]
 fn every_costed_tree_gets_the_reference_total() {
     let (mut candidates, mut stopped, mut bushy) = (0usize, 0usize, 0usize);
@@ -69,31 +82,22 @@ fn every_costed_tree_gets_the_reference_total() {
         };
         // Every candidate Algorithm 2 costs, for every snowflake Algorithm 3
         // extracts: in full, and bounded by the least full cost before it.
-        let mut arena = TreeArena::new();
         for (fact, members) in extract_snowflakes(graph, &model) {
             let mut least: Option<(f64, JoinTree)> = None;
-            for_each_snowflake_candidate(
-                graph,
-                &model,
-                members,
-                fact,
-                &mut arena,
-                |arena, root| {
-                    let tree = arena.to_join_tree(root);
-                    let full = model.cout_with_bitvectors_below(arena, root, f64::INFINITY);
-                    check(&tree, full);
-                    let bound = least.as_ref().map_or(f64::INFINITY, |(cost, _)| *cost);
-                    let bounded = model.cout_with_bitvectors_below(arena, root, bound);
-                    if full < bound {
-                        assert_eq!(bounded.to_bits(), full.to_bits(), "{query}: {tree}");
-                        least = Some((full, tree));
-                    } else {
-                        assert!(bounded >= bound, "{query}: {bounded} < {bound} for {tree}");
-                        stopped += usize::from(bounded != full);
-                    }
-                    candidates += 1;
-                },
-            );
+            for_each_snowflake_candidate(graph, &model, members, fact, |tree| {
+                let full = model.cout(tree, f64::INFINITY);
+                check(tree, full);
+                let bound = least.as_ref().map_or(f64::INFINITY, |(cost, _)| *cost);
+                let bounded = model.cout(tree, bound);
+                if full < bound {
+                    assert_eq!(bounded.to_bits(), full.to_bits(), "{query}: {tree}");
+                    least = Some((full, tree.clone()));
+                } else {
+                    assert!(bounded >= bound, "{query}: {bounded} < {bound} for {tree}");
+                    stopped += usize::from(bounded != full);
+                }
+                candidates += 1;
+            });
             // The early-stopping search keeps the first cheapest candidate.
             let (_, winner) = least.expect("the fact-first candidate always exists");
             assert_eq!(
@@ -105,10 +109,10 @@ fn every_costed_tree_gets_the_reference_total() {
         // The two trees the Section 6.4 comparison costs; the conventional
         // one is bushy wherever that is cheaper.
         let bqo = optimize_join_graph(graph, &model);
-        check(&bqo, model.cout_with_bitvectors(&bqo));
+        check(&bqo, model.cout(&bqo, f64::INFINITY));
         let conventional = conventional_tree(graph, &model);
-        check(&conventional, model.cout_with_bitvectors(&conventional));
-        bushy += usize::from(!conventional.is_right_deep() && !conventional.is_left_deep());
+        check(&conventional, model.cout(&conventional, f64::INFINITY));
+        bushy += usize::from(is_bushy(&conventional));
     });
     assert!(candidates > 1500, "only {candidates} candidates costed");
     assert!(stopped > 0, "no candidate was ever cut short");

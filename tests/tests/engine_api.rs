@@ -4,7 +4,7 @@
 //! descriptive error paths instead of panics.
 
 use bqo_core::exec::{ExecConfig, DEFAULT_BATCH_SIZE};
-use bqo_core::plan::{push_down_bitvectors, PhysicalPlan, RightDeepTree};
+use bqo_core::plan::{push_down_bitvectors, JoinTree, PhysicalPlan};
 use bqo_core::workloads::{tpcds_like, Scale};
 use bqo_core::{
     ColumnPredicate, CompareOp, Engine, OperatorKind, OptimizerChoice, QueryPhase, QuerySpec,
@@ -66,7 +66,7 @@ fn batch_size_sweep_matches_the_pre_redesign_oracle() {
     let fact = graph.relation_by_name("fact").unwrap();
     let d1 = graph.relation_by_name("d1").unwrap();
     let d2 = graph.relation_by_name("d2").unwrap();
-    let tree = RightDeepTree::new(vec![fact, d1, d2]).to_join_tree();
+    let tree = JoinTree::right_deep(&[fact, d1, d2]);
     let plan = push_down_bitvectors(&graph, PhysicalPlan::from_join_tree(&graph, &tree));
 
     let mut probed = Vec::new();
@@ -357,7 +357,7 @@ fn execution_phase_errors_carry_query_context() {
     let graph = spec.to_join_graph(engine.catalog()).unwrap();
     let fact = graph.relation_by_name("fact").unwrap();
     let d1 = graph.relation_by_name("d1").unwrap();
-    let tree = RightDeepTree::new(vec![fact, d1]).to_join_tree();
+    let tree = JoinTree::right_deep(&[fact, d1]);
     let plan = PhysicalPlan::from_join_tree(&graph, &tree);
 
     let empty = Engine::builder().build().unwrap();
@@ -370,4 +370,64 @@ fn execution_phase_errors_carry_query_context() {
     assert_eq!(err.phase(), QueryPhase::Execution);
     assert_eq!(err.query(), Some("runtime_ghost"));
     assert!(err.to_string().contains("runtime_ghost"), "{err}");
+}
+
+/// `f1` and `f2` are facts; `y` is adjacent to no snowflake until `x` joins
+/// `f2`'s, so Algorithm 3 must not hand `y` to `f1`'s snowflake, which cannot
+/// reach it through its fact (a plan scanning only `f1` and `f2` returns
+/// 50 000 rows). Every optimizer must join all four tables.
+#[test]
+fn every_optimizer_joins_every_table_of_a_two_fact_query() {
+    let ints = |n: i64, f: fn(i64) -> i64| (0..n).map(f).collect::<Vec<_>>();
+    let engine = Engine::builder()
+        .table(
+            TableBuilder::new("f1")
+                .with_i64("k", ints(1000, |i| i % 100))
+                .build()
+                .unwrap(),
+        )
+        .table(
+            TableBuilder::new("f2")
+                .with_i64("k", ints(5000, |i| i % 100))
+                .with_i64("a", ints(5000, |i| i % 50))
+                .build()
+                .unwrap(),
+        )
+        .table(
+            TableBuilder::new("y")
+                .with_i64("pk", ints(20_000, |i| i))
+                .build()
+                .unwrap(),
+        )
+        .table(
+            TableBuilder::new("x")
+                .with_i64("pk", ints(20_000, |i| 2 * i))
+                .with_i64("a", ints(20_000, |i| i % 50))
+                .build()
+                .unwrap(),
+        )
+        .build()
+        .unwrap();
+    let spec = QuerySpec::new("two_facts")
+        .table("f1")
+        .table("f2")
+        .table("y")
+        .table("x")
+        .join("f1", "k", "f2", "k")
+        .join("f2", "a", "x", "a")
+        .join("x", "pk", "y", "pk");
+    for choice in [
+        OptimizerChoice::BaselineNoBitvectors,
+        OptimizerChoice::Baseline,
+        OptimizerChoice::Bqo,
+    ] {
+        let stmt = engine.prepare(&spec, choice).unwrap();
+        assert_eq!(stmt.plan().num_joins(), 3, "{choice:?}: {}", stmt.explain());
+        let out = engine
+            .session()
+            .execute(&stmt, RunOptions::new())
+            .unwrap()
+            .result;
+        assert_eq!(out.output_rows, 10_000_000, "{choice:?}");
+    }
 }

@@ -35,8 +35,8 @@ use bqo_exec::{
 use bqo_format::{write_table, CatalogExt};
 use bqo_integration_tests::env_threads;
 use bqo_plan::{
-    push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, JoinGraph, JoinTree,
-    PhysicalPlan, RelId, RelationInfo,
+    push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, JoinGraph, JoinNode,
+    JoinTree, PhysicalPlan, RelId, RelSet, RelationInfo,
 };
 use bqo_storage::{Catalog, Column, Table, TableBuilder, Value};
 use std::collections::BTreeSet;
@@ -109,16 +109,25 @@ impl Scenario {
 }
 
 fn leaf(relation: usize) -> JoinTree {
-    JoinTree::Leaf(RelId(relation))
+    JoinTree::leaf(RelId(relation))
 }
 
-/// Schema and rows of `tree` by nested loops, in hash-join emission order.
-fn reference(s: &Scenario, tree: &JoinTree) -> (Vec<ColumnRef>, Vec<Vec<Value>>) {
-    match tree {
-        JoinTree::Leaf(relation) => {
+/// The relations under `node`.
+fn relations(tree: &JoinTree, node: usize) -> RelSet {
+    match tree.node(node) {
+        JoinNode::Leaf(relation) => RelSet::single(relation),
+        JoinNode::Join { build, probe } => relations(tree, build) | relations(tree, probe),
+    }
+}
+
+/// Schema and rows of the subtree under `node` by nested loops, in hash-join
+/// emission order.
+fn reference(s: &Scenario, node: usize) -> (Vec<ColumnRef>, Vec<Vec<Value>>) {
+    match s.tree.node(node) {
+        JoinNode::Leaf(relation) => {
             let table = &s.tables[relation.0];
             let mut keep = vec![true; table.num_rows()];
-            for predicate in &s.graph.relation(*relation).predicates {
+            for predicate in &s.graph.relation(relation).predicates {
                 let column = table.column(&predicate.column).expect("predicate column");
                 for (keep, pass) in keep.iter_mut().zip(predicate.evaluate(column)) {
                     *keep &= pass;
@@ -127,13 +136,13 @@ fn reference(s: &Scenario, tree: &JoinTree) -> (Vec<ColumnRef>, Vec<Vec<Value>>)
             let fields = table.schema().fields();
             let schema = fields
                 .iter()
-                .map(|f| ColumnRef::new(*relation, f.name.clone()));
+                .map(|f| ColumnRef::new(relation, f.name.clone()));
             let rows = (0..table.num_rows())
                 .filter(|&row| keep[row])
                 .map(|row| table.columns().iter().map(|c| c.value(row)).collect());
             (schema.collect(), rows.collect())
         }
-        JoinTree::Join { build, probe } => {
+        JoinNode::Join { build, probe } => {
             let (build_schema, build_rows) = reference(s, build);
             let (probe_schema, probe_rows) = reference(s, probe);
             let index_in = |schema: &[ColumnRef], relation: RelId, column: &str| {
@@ -143,7 +152,7 @@ fn reference(s: &Scenario, tree: &JoinTree) -> (Vec<ColumnRef>, Vec<Vec<Value>>)
                     .position(|c| *c == wanted)
                     .expect("key column")
             };
-            let (build_set, probe_set) = (build.relation_set(), probe.relation_set());
+            let (build_set, probe_set) = (relations(&s.tree, build), relations(&s.tree, probe));
             let key_pairs: Vec<(usize, usize)> = s
                 .graph
                 .edges_across(build_set, probe_set)
@@ -174,20 +183,20 @@ fn reference(s: &Scenario, tree: &JoinTree) -> (Vec<ColumnRef>, Vec<Vec<Value>>)
     }
 }
 
-/// For every column of `tree`'s output, the lowest column it must share its
+/// For every column of `s.tree`'s output, the lowest column it must share its
 /// `Arc` with in a collected answer (itself when none): a join on one
 /// `Int64` column per side records its key columns as equal, so the gather
 /// copies them once; every other key shape (composite, `Utf8`, mixed types)
 /// matches on a digest and shares nothing.
-fn shared_columns(s: &Scenario, tree: &JoinTree, schema: &[ColumnRef]) -> Vec<usize> {
+fn shared_columns(s: &Scenario, schema: &[ColumnRef]) -> Vec<usize> {
     let mut class: Vec<usize> = (0..schema.len()).collect();
-    let mut joins = vec![tree];
+    let mut joins = vec![s.tree.root()];
     while let Some(node) = joins.pop() {
-        let JoinTree::Join { build, probe } = node else {
+        let JoinNode::Join { build, probe } = s.tree.node(node) else {
             continue;
         };
-        joins.extend([&**build, &**probe]);
-        let (build_set, probe_set) = (build.relation_set(), probe.relation_set());
+        joins.extend([build, probe]);
+        let (build_set, probe_set) = (relations(&s.tree, build), relations(&s.tree, probe));
         let [edge] = &s.graph.edges_across(build_set, probe_set)[..] else {
             continue;
         };
@@ -214,8 +223,8 @@ fn shared_columns(s: &Scenario, tree: &JoinTree, schema: &[ColumnRef]) -> Vec<us
 
 /// How many of `s`'s output columns share their `Arc` with an earlier one.
 fn shared_count(s: &Scenario) -> usize {
-    let (schema, _) = reference(s, &s.tree);
-    let shared = shared_columns(s, &s.tree, &schema);
+    let (schema, _) = reference(s, s.tree.root());
+    let shared = shared_columns(s, &schema);
     shared.iter().enumerate().filter(|&(i, &c)| c < i).count()
 }
 
@@ -276,7 +285,7 @@ fn assert_matches_reference(s: &Scenario) -> usize {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let memory = s.memory_catalog();
     let file = s.file_catalog(&dir);
-    let (schema, expected) = reference(s, &s.tree);
+    let (schema, expected) = reference(s, s.tree.root());
     // The catalog's own handle of each output column.
     let resident: Vec<Arc<Column>> = schema
         .iter()
@@ -286,7 +295,7 @@ fn assert_matches_reference(s: &Scenario) -> usize {
             Arc::clone(&table.columns()[index])
         })
         .collect();
-    let shared = shared_columns(s, &s.tree, &schema);
+    let shared = shared_columns(s, &schema);
     let bare = PhysicalPlan::from_join_tree(&s.graph, &s.tree);
     let filtered = push_down_bitvectors(&s.graph, bare.clone());
     let mut threads = vec![1, 4];

@@ -4,7 +4,7 @@
 
 use bqo_bench::prelude::{
     exhaustive_best_right_deep, job_like, push_down_bitvectors, CostModel, Engine, ExecConfig,
-    OptimizerChoice, PhysicalPlan, RunOptions, Scale,
+    JoinTree, OptimizerChoice, PhysicalPlan, RunOptions, Scale,
 };
 
 #[test]
@@ -18,18 +18,19 @@ fn best_plain_plan_is_not_best_with_bitvectors() {
     let (p2, p2_bv_cost) = exhaustive_best_right_deep(&graph, &model, true).unwrap();
 
     // The two optima are different join orders (the paper's observation).
-    assert_ne!(
-        p1.order(),
-        p2.order(),
-        "the motivating example needs distinct optima"
-    );
+    assert_ne!(p1, p2, "the motivating example needs distinct optima");
 
     // P2 looks worse than P1 to a conventional optimizer...
-    let p2_plain_cost = model.cout_right_deep_total(&p2, false);
+    let plain_cost = |tree| {
+        model
+            .cout_physical(&PhysicalPlan::from_join_tree(&graph, tree))
+            .total
+    };
+    let p2_plain_cost = plain_cost(&p2);
     assert!(p2_plain_cost >= p1_plain_cost);
     // ... but post-processing P1 with bitvector filters still leaves it more
     // expensive than the bitvector-aware choice.
-    let p1_post_cost = model.cout_right_deep_total(&p1, true);
+    let p1_post_cost = model.cout(&p1, f64::INFINITY);
     assert!(
         p2_bv_cost < p1_post_cost,
         "bitvector-aware best {p2_bv_cost} should beat post-processed {p1_post_cost}"
@@ -46,8 +47,8 @@ fn executed_costs_follow_the_estimates() {
     let (p1, _) = exhaustive_best_right_deep(&graph, &model, false).unwrap();
     let (p2, _) = exhaustive_best_right_deep(&graph, &model, true).unwrap();
 
-    let run = |tree: &bqo_core::plan::RightDeepTree, with_bv: bool| {
-        let plan = PhysicalPlan::from_join_tree(&graph, &tree.to_join_tree());
+    let run = |tree: &JoinTree, with_bv: bool| {
+        let plan = PhysicalPlan::from_join_tree(&graph, tree);
         let plan = if with_bv {
             push_down_bitvectors(&graph, plan)
         } else {

@@ -3,7 +3,7 @@
 //! with the analytical model.
 
 use bqo_core::exec::ExecConfig;
-use bqo_core::plan::{push_down_bitvectors, CostModel, PhysicalNode, PhysicalPlan, RightDeepTree};
+use bqo_core::plan::{push_down_bitvectors, CostModel, JoinTree, PhysicalNode, PhysicalPlan};
 use bqo_core::workloads::{star, tpcds_like, Scale};
 use bqo_core::{Engine, OptimizerChoice, RunOptions};
 
@@ -21,7 +21,7 @@ fn star_fact_scan_output_equals_final_join_cardinality() {
     let dims: Vec<_> = graph.relation_ids().filter(|&r| r != fact).collect();
     let mut order = vec![fact];
     order.extend(dims);
-    let tree = RightDeepTree::new(order).to_join_tree();
+    let tree = JoinTree::right_deep(&order);
     let plan = push_down_bitvectors(&graph, PhysicalPlan::from_join_tree(&graph, &tree));
 
     let stmt = engine.prepare_plan(&query.name, graph.clone(), plan.clone());

@@ -8,7 +8,7 @@
 
 use bqo_integration_tests::{chain_graph, snowflake_graph, star_graph};
 use bqo_optimizer::{candidate_plans, enumerate_right_deep, exhaustive_best_right_deep};
-use bqo_plan::{CostModel, RightDeepTree};
+use bqo_plan::{CostModel, JoinTree, PhysicalPlan};
 use proptest::prelude::*;
 
 /// Strategy for a dimension: base rows in [10, 5000], filtered an arbitrary
@@ -36,7 +36,7 @@ proptest! {
         prop_assert_eq!(candidates.len(), graph.num_relations());
         let candidate_best = candidates
             .iter()
-            .map(|p| model.cout_right_deep_total(p, true))
+            .map(|p| model.cout(p, f64::INFINITY))
             .fold(f64::INFINITY, f64::min);
         prop_assert!(
             candidate_best <= best * (1.0 + 1e-9) + 1e-6,
@@ -59,7 +59,7 @@ proptest! {
         let reference = {
             let mut order = vec![fact];
             order.extend(dim_ids.iter().copied());
-            model.cout_right_deep_total(&RightDeepTree::new(order), true)
+            model.cout(&JoinTree::right_deep(&order), f64::INFINITY)
         };
         // A deterministic pseudo-random permutation derived from the seed.
         let n = dim_ids.len();
@@ -69,7 +69,7 @@ proptest! {
         }
         let mut order = vec![fact];
         order.extend(dim_ids);
-        let permuted = model.cout_right_deep_total(&RightDeepTree::new(order), true);
+        let permuted = model.cout(&JoinTree::right_deep(&order), f64::INFINITY);
         prop_assert!((reference - permuted).abs() <= reference.abs() * 1e-9 + 1e-9);
     }
 
@@ -89,7 +89,7 @@ proptest! {
         prop_assert_eq!(candidates.len(), graph.num_relations());
         let candidate_best = candidates
             .iter()
-            .map(|p| model.cout_right_deep_total(p, true))
+            .map(|p| model.cout(p, f64::INFINITY))
             .fold(f64::INFINITY, f64::min);
         prop_assert!(candidate_best <= best * (1.0 + 1e-9) + 1e-6);
     }
@@ -115,7 +115,7 @@ proptest! {
         prop_assert_eq!(candidates.len(), graph.num_relations());
         let candidate_best = candidates
             .iter()
-            .map(|p| model.cout_right_deep_total(p, true))
+            .map(|p| model.cout(p, f64::INFINITY))
             .fold(f64::INFINITY, f64::min);
         prop_assert!(candidate_best <= best * (1.0 + 1e-9) + 1e-6);
     }
@@ -135,8 +135,8 @@ proptest! {
         // partially ordered (Lemma 6), so they must share one cost.
         let costs: Vec<f64> = enumerate_right_deep(&graph)
             .into_iter()
-            .filter(|p| p.order()[0] == fact)
-            .map(|p| model.cout_right_deep_total(&p, true))
+            .filter(|p| p.right_deep_order().is_some_and(|order| order[0] == fact))
+            .map(|p| model.cout(&p, f64::INFINITY))
             .collect();
         prop_assert!(!costs.is_empty());
         for w in costs.windows(2) {
@@ -154,8 +154,8 @@ proptest! {
         let graph = star_graph(fact_rows as f64, &dims);
         let model = CostModel::new(&graph);
         for plan in enumerate_right_deep(&graph) {
-            let with = model.cout_right_deep_total(&plan, true);
-            let without = model.cout_right_deep_total(&plan, false);
+            let with = model.cout(&plan, f64::INFINITY);
+            let without = model.cout_physical(&PhysicalPlan::from_join_tree(&graph, &plan)).total;
             prop_assert!(with <= without * (1.0 + 1e-9) + 1e-9);
         }
     }
