@@ -206,16 +206,6 @@ impl SelectivityEnvelope {
     }
 }
 
-/// Estimator hook for bind-time validity checks: the local-predicate
-/// selectivity of every relation, in graph order, as `(name, selectivity)`.
-pub fn local_selectivities(graph: &JoinGraph) -> Vec<(String, f64)> {
-    graph
-        .relations()
-        .iter()
-        .map(|r| (r.name.clone(), r.local_selectivity()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,17 +397,6 @@ mod tests {
             .unwrap();
         assert!((fact_band.lo - 0.25).abs() < 1e-12);
         assert_eq!(fact_band.hi, 1.0);
-    }
-
-    #[test]
-    fn local_selectivities_hook_reports_graph_order() {
-        let (g, _, _) = star();
-        let sels = local_selectivities(&g);
-        assert_eq!(sels.len(), 4);
-        assert_eq!(sels[0].0, "fact");
-        assert_eq!(sels[0].1, 1.0);
-        let d1 = sels.iter().find(|(n, _)| n == "d1").unwrap();
-        assert!((d1.1 - 0.1).abs() < 1e-12);
     }
 
     #[test]

@@ -46,9 +46,7 @@ pub mod unparse;
 
 pub use builder::QuerySpec;
 pub use cost::{CostModel, CoutBreakdown};
-pub use estimator::{
-    local_selectivities, CardinalityEstimator, SelectivityBand, SelectivityEnvelope,
-};
+pub use estimator::{CardinalityEstimator, SelectivityBand, SelectivityEnvelope};
 pub use graph::{GraphShape, JoinEdge, JoinGraph, RelId, RelationInfo, ScanBacking};
 pub use physical::{
     BitvectorPlacement, ColumnRef, JoinKeyPair, NodeId, PhysicalNode, PhysicalPlan,

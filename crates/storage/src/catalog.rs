@@ -227,7 +227,9 @@ impl Catalog {
         hash
     }
 
-    /// Declares the primary key of a registered table.
+    /// Declares the primary key of a registered table. A column whose
+    /// statistics count fewer distinct values than rows is rejected with
+    /// [`StorageError::InvalidArgument`].
     pub fn declare_primary_key(&mut self, table: &str, column: &str) -> Result<()> {
         let meta = self
             .tables
@@ -240,6 +242,14 @@ impl Catalog {
                 table: table.to_string(),
                 column: column.to_string(),
             });
+        }
+        if let Some(stats) = meta.stats.column(column) {
+            if stats.distinct_count != stats.row_count {
+                return Err(StorageError::InvalidArgument(format!(
+                    "primary key `{table}.{column}` is not unique: {} distinct values in {} rows",
+                    stats.distinct_count, stats.row_count
+                )));
+            }
         }
         meta.primary_key = Some(column.to_string());
         self.version += 1;

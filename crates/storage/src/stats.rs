@@ -6,6 +6,13 @@
 //! the `bqo-plan` estimator consumes to estimate local-predicate
 //! selectivities, join selectivities and semi-join (bitvector) reduction
 //! factors.
+//!
+//! Distinct counts are exact and hash nothing. An `Int64` column sets one
+//! bit per value in a bitmap over its span `[min, max]` when that span needs
+//! at most 64 bits per row, and otherwise sorts a copy and counts runs; a
+//! `Float64` column sorts a copy of its bit patterns, so `-0.0` and `0.0`,
+//! and NaNs with different payloads, count as distinct values. Either way
+//! the transient memory is at most 8 bytes per row.
 
 use crate::column::Column;
 use crate::table::Table;
@@ -19,7 +26,9 @@ pub const HISTOGRAM_BUCKETS: usize = 64;
 pub struct ColumnStats {
     /// Number of rows in the column.
     pub row_count: usize,
-    /// Number of distinct values.
+    /// Exact number of distinct values (`Float64` values compare by bit
+    /// pattern). Counted from a span bitmap or a sorted copy, never a hash
+    /// set: see the module docs.
     pub distinct_count: usize,
     /// Minimum numeric value (integer columns use their value, float columns
     /// their value, strings/bools are not tracked numerically).
@@ -36,19 +45,27 @@ impl ColumnStats {
     pub fn compute(column: &Column) -> Self {
         match column {
             Column::Int64(values) => {
-                let distinct = distinct_i64(values);
-                let (min, max) = min_max(values.iter().map(|&v| v as f64));
+                let (lo, hi) = values
+                    .iter()
+                    .fold((i64::MAX, i64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+                // `i64 -> f64` is monotone, so these are the bounds of the
+                // converted values.
+                let (min, max) = if values.is_empty() {
+                    (None, None)
+                } else {
+                    (Some(lo as f64), Some(hi as f64))
+                };
                 let histogram = histogram(values.iter().map(|&v| v as f64), min, max);
                 ColumnStats {
                     row_count: values.len(),
-                    distinct_count: distinct,
+                    distinct_count: distinct_i64(values, lo, hi),
                     min,
                     max,
                     histogram,
                 }
             }
             Column::Float64(values) => {
-                let distinct = distinct_f64(values);
+                let distinct = distinct_sorted(values.iter().map(|v| v.to_bits()).collect());
                 let (min, max) = min_max(values.iter().copied());
                 let histogram = histogram(values.iter().copied(), min, max);
                 ColumnStats {
@@ -166,19 +183,27 @@ impl TableStats {
     }
 }
 
-fn distinct_i64(values: &[i64]) -> usize {
-    values
-        .iter()
-        .collect::<std::collections::HashSet<_>>()
-        .len()
+/// Distinct values of an `Int64` column whose values all lie in `[lo, hi]`:
+/// a bitmap of `hi - lo + 1` bits when that is at most 64 per row (so at
+/// most one word per row), else the runs of a sorted copy.
+fn distinct_i64(values: &[i64], lo: i64, hi: i64) -> usize {
+    let span = hi.abs_diff(lo);
+    if span / 64 >= values.len() as u64 {
+        return distinct_sorted(values.to_vec());
+    }
+    let mut words = vec![0u64; (span / 64) as usize + 1];
+    for &v in values {
+        let offset = v.abs_diff(lo);
+        words[(offset / 64) as usize] |= 1 << (offset % 64);
+    }
+    words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
-fn distinct_f64(values: &[f64]) -> usize {
-    values
-        .iter()
-        .map(|v| v.to_bits())
-        .collect::<std::collections::HashSet<_>>()
-        .len()
+/// Distinct values of `values`, counted as the runs of their sorted order.
+fn distinct_sorted<T: Ord>(mut values: Vec<T>) -> usize {
+    values.sort_unstable();
+    values.dedup();
+    values.len()
 }
 
 fn min_max(values: impl Iterator<Item = f64>) -> (Option<f64>, Option<f64>) {
@@ -222,6 +247,144 @@ fn histogram(values: impl Iterator<Item = f64>, min: Option<f64>, max: Option<f6
 mod tests {
     use super::*;
     use crate::table::TableBuilder;
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The hash-set statistics the span bitmap and the sorted copy replaced:
+    /// the reference every column's stats must equal bit for bit.
+    fn reference_stats(column: &Column) -> ColumnStats {
+        let (distinct_count, (min, max), histogram) = match column {
+            Column::Int64(values) => {
+                let (min, max) = min_max(values.iter().map(|&v| v as f64));
+                (
+                    values.iter().collect::<HashSet<_>>().len(),
+                    (min, max),
+                    histogram(values.iter().map(|&v| v as f64), min, max),
+                )
+            }
+            Column::Float64(values) => {
+                let (min, max) = min_max(values.iter().copied());
+                (
+                    values
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<HashSet<_>>()
+                        .len(),
+                    (min, max),
+                    histogram(values.iter().copied(), min, max),
+                )
+            }
+            _ => unreachable!("only numeric columns changed"),
+        };
+        ColumnStats {
+            row_count: column.len(),
+            distinct_count,
+            min,
+            max,
+            histogram,
+        }
+    }
+
+    /// `PartialEq` on `ColumnStats` compares floats by value; the stored
+    /// bounds must be equal bit for bit.
+    fn assert_same_stats(column: &Column) {
+        let (got, want) = (ColumnStats::compute(column), reference_stats(column));
+        assert_eq!(got, want, "{column:?}");
+        assert_eq!(got.min.map(f64::to_bits), want.min.map(f64::to_bits));
+        assert_eq!(got.max.map(f64::to_bits), want.max.map(f64::to_bits));
+    }
+
+    #[test]
+    fn numeric_corner_columns_match_the_hash_set_reference() {
+        let ints: [Vec<i64>; 8] = [
+            vec![],
+            vec![i64::MIN],
+            vec![7; 100],
+            vec![i64::MIN, i64::MAX],
+            vec![i64::MIN, i64::MIN + 1, i64::MIN, 5],
+            vec![i64::MAX, i64::MAX - 64, i64::MAX - 127, i64::MAX],
+            // 128 and 129 bits over two rows: both sides of the
+            // 64-bits-per-row rule.
+            vec![0, 127],
+            vec![0, 128],
+        ];
+        for values in ints {
+            assert_same_stats(&Column::from(values));
+        }
+        let nan = |payload: u64| f64::from_bits(0x7ff8_0000_0000_0000 | payload);
+        let floats: [Vec<f64>; 5] = [
+            vec![],
+            vec![0.0, -0.0, 0.0, -0.0],
+            vec![nan(0), nan(1), nan(1), -nan(2), f64::NAN],
+            vec![f64::INFINITY, f64::NEG_INFINITY, 1.5, -0.0, nan(3)],
+            vec![nan(4), nan(5)],
+        ];
+        for values in floats {
+            assert_same_stats(&Column::from(values));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random `Int64` columns anchored at `i64::MIN`, near zero or at
+        /// `i64::MAX`: all-equal, dense with repeats, spans at and just past
+        /// 64 bits per row, and up to the whole `i64` range.
+        #[test]
+        fn int_stats_match_the_hash_set_reference(
+            anchor in 0usize..3,
+            span_kind in 0usize..6,
+            draws in prop::collection::vec(0u64..u64::MAX, 0..300),
+        ) {
+            let n = draws.len() as u64;
+            let span = match span_kind {
+                0 => 0,
+                1 => n / 2,
+                2 => (64 * n).saturating_sub(1),
+                3 => 64 * n,
+                4 => 64 * n + 1000,
+                _ => u64::MAX,
+            };
+            let lo = match anchor {
+                0 => i64::MIN,
+                1 => 0i64.wrapping_sub_unsigned(span / 2),
+                _ => i64::MAX.wrapping_sub_unsigned(span),
+            };
+            // Values lo + d mod (span + 1), wrapping at the `i64` ends; the
+            // first two rows are the span's ends.
+            let mut values: Vec<i64> = draws
+                .iter()
+                .map(|&d| lo.wrapping_add_unsigned(d % span.saturating_add(1)))
+                .collect();
+            if values.len() >= 2 {
+                values[0] = lo;
+                values[1] = lo.wrapping_add_unsigned(span);
+            }
+            assert_same_stats(&Column::from(values));
+        }
+
+        /// Random `Float64` columns mixing `±0.0`, NaN payloads, `±inf` and
+        /// finite values.
+        #[test]
+        fn float_stats_match_the_hash_set_reference(
+            picks in prop::collection::vec((0usize..8, -1e6f64..1e6), 0..300),
+        ) {
+            let values: Vec<f64> = picks
+                .iter()
+                .map(|&(kind, x)| match kind {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f64::INFINITY,
+                    3 => f64::NEG_INFINITY,
+                    4 => f64::from_bits(0x7ff8_0000_0000_0000 | (x.to_bits() & 7)),
+                    5 => -f64::NAN,
+                    6 => x.round(),
+                    _ => x,
+                })
+                .collect();
+            assert_same_stats(&Column::from(values));
+        }
+    }
 
     #[test]
     fn int_column_stats() {

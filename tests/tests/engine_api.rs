@@ -7,9 +7,11 @@ use bqo_core::exec::{ExecConfig, DEFAULT_BATCH_SIZE};
 use bqo_core::plan::{push_down_bitvectors, JoinTree, PhysicalPlan};
 use bqo_core::workloads::{tpcds_like, Scale};
 use bqo_core::{
-    ColumnPredicate, CompareOp, Engine, OperatorKind, OptimizerChoice, QueryPhase, QuerySpec,
-    RunOptions, TableBuilder,
+    Catalog, ColumnPredicate, CompareOp, Engine, OperatorKind, OptimizerChoice, QueryPhase,
+    QuerySpec, RunOptions, StorageError, TableBuilder,
 };
+use bqo_integration_tests::Rechunked;
+use std::sync::Arc;
 
 /// Batch sizes swept by the invariance tests; `usize::MAX` is effectively
 /// unbatched (one batch per scan), i.e. the pre-redesign execution granularity.
@@ -430,4 +432,59 @@ fn every_optimizer_joins_every_table_of_a_two_fact_query() {
             .result;
         assert_eq!(out.output_rows, 10_000_000, "{choice:?}");
     }
+}
+
+/// A primary key on a column with repeated values is a setup error naming
+/// the table, the column and both counts, whether the table lives in memory
+/// or behind a chunk source; a declared key would otherwise mark the join
+/// edge unique and hand the optimizer a wrong fact/dimension role.
+#[test]
+fn a_primary_key_on_a_repeated_column_is_rejected() {
+    // `d.k`: 1 000 rows, 10 distinct values.
+    let d = TableBuilder::new("d")
+        .with_i64("k", (0..1000).map(|i| i % 10).collect())
+        .build()
+        .unwrap();
+    let mut file_backed = Catalog::new();
+    file_backed.register_source(Arc::new(Rechunked::new(Arc::new(d.clone()), 64)));
+    for builder in [
+        Engine::builder().table(d),
+        Engine::builder().catalog(file_backed),
+    ] {
+        let err = builder
+            .primary_key("d", "k")
+            .build()
+            .expect_err("a repeated column is not a key");
+        assert_eq!(err.phase(), QueryPhase::Setup);
+        assert!(
+            matches!(err.storage_error(), StorageError::InvalidArgument(_)),
+            "{err:?}"
+        );
+        let msg = err.to_string();
+        assert!(msg.contains("`d.k`"), "{msg}");
+        assert!(msg.contains("10 distinct values in 1000 rows"), "{msg}");
+    }
+}
+
+/// Unique columns are still accepted as keys, in memory and behind a chunk
+/// source.
+#[test]
+fn a_primary_key_on_a_unique_column_is_accepted() {
+    let unique = |name: &str| {
+        TableBuilder::new(name)
+            .with_i64("k", (0..1000).map(|i| 999 - i).collect())
+            .build()
+            .unwrap()
+    };
+    let mut file_backed = Catalog::new();
+    file_backed.register_source(Arc::new(Rechunked::new(Arc::new(unique("e")), 64)));
+    let engine = Engine::builder()
+        .catalog(file_backed)
+        .table(unique("d"))
+        .primary_key("d", "k")
+        .primary_key("e", "k")
+        .build()
+        .unwrap();
+    assert_eq!(engine.catalog().primary_key("d"), Some("k"));
+    assert_eq!(engine.catalog().primary_key("e"), Some("k"));
 }
