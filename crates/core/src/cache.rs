@@ -21,9 +21,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Default multiplicative tolerance of the stored selectivity envelope: a
-/// cached plan keeps serving binds whose per-relation local selectivities
-/// stay within `[s/4, 4s]` of the selectivities it was optimized for.
+/// Multiplicative tolerance of the stored selectivity envelope: a cached plan
+/// keeps serving binds whose per-relation local selectivities stay within
+/// `[s/4, 4s]` of the selectivities it was optimized for.
 pub const DEFAULT_ENVELOPE_RATIO: f64 = 4.0;
 
 /// Default [`PlanCache::capacity`]: the maximum number of cached plans before
@@ -92,7 +92,6 @@ struct PlanCacheInner {
     evictions: AtomicU64,
     /// Logical clock stamping entry usage (monotonic per lookup).
     clock: AtomicU64,
-    envelope_ratio: f64,
     capacity: usize,
 }
 
@@ -136,43 +135,20 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache with the default envelope tolerance
-    /// ([`DEFAULT_ENVELOPE_RATIO`]) and capacity
+    /// An empty cache with the default capacity
     /// ([`DEFAULT_PLAN_CACHE_CAPACITY`]).
     pub fn new() -> Self {
-        PlanCache::with_envelope_ratio_and_capacity(
-            DEFAULT_ENVELOPE_RATIO,
-            DEFAULT_PLAN_CACHE_CAPACITY,
-        )
+        PlanCache::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY)
     }
 
-    /// An empty cache with an explicit envelope tolerance (values below 1
-    /// are clamped to 1, i.e. only exact selectivity matches hit) and the
-    /// default capacity.
-    pub fn with_envelope_ratio(ratio: f64) -> Self {
-        PlanCache::with_envelope_ratio_and_capacity(ratio, DEFAULT_PLAN_CACHE_CAPACITY)
-    }
-
-    /// An empty cache with an explicit capacity bound (clamped to at least 1)
-    /// and the default envelope tolerance.
+    /// An empty cache with an explicit capacity bound (clamped to at least 1).
     pub fn with_capacity(capacity: usize) -> Self {
-        PlanCache::with_envelope_ratio_and_capacity(DEFAULT_ENVELOPE_RATIO, capacity)
-    }
-
-    /// An empty cache with explicit envelope tolerance and capacity bound.
-    pub fn with_envelope_ratio_and_capacity(ratio: f64, capacity: usize) -> Self {
         PlanCache {
             inner: Arc::new(PlanCacheInner {
-                envelope_ratio: ratio.max(1.0),
                 capacity: capacity.max(1),
                 ..Default::default()
             }),
         }
-    }
-
-    /// The multiplicative selectivity tolerance of stored envelopes.
-    pub fn envelope_ratio(&self) -> f64 {
-        self.inner.envelope_ratio
     }
 
     /// Maximum number of cached plans before LRU eviction kicks in.
@@ -294,7 +270,7 @@ impl PlanCache {
             None => CacheStatus::Miss,
         };
         let plan = Arc::new(optimize());
-        let envelope = SelectivityEnvelope::around(graph, self.inner.envelope_ratio);
+        let envelope = SelectivityEnvelope::around(graph, DEFAULT_ENVELOPE_RATIO);
         let relation_names = graph.relations().iter().map(|r| r.name.clone()).collect();
         {
             let mut entries = self.inner.entries.lock().expect("plan cache poisoned");
@@ -449,17 +425,10 @@ mod tests {
     }
 
     #[test]
-    fn ratio_below_one_is_clamped() {
-        let cache = PlanCache::with_envelope_ratio(0.5);
-        assert_eq!(cache.envelope_ratio(), 1.0);
-    }
-
-    #[test]
     fn capacity_is_clamped_and_defaults_apply() {
         assert_eq!(PlanCache::new().capacity(), DEFAULT_PLAN_CACHE_CAPACITY);
         assert_eq!(PlanCache::with_capacity(0).capacity(), 1);
-        let cache = PlanCache::with_envelope_ratio_and_capacity(2.0, 8);
-        assert_eq!((cache.envelope_ratio(), cache.capacity()), (2.0, 8));
+        assert_eq!(PlanCache::with_capacity(8).capacity(), 8);
     }
 
     #[test]

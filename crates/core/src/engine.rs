@@ -13,7 +13,8 @@
 use crate::cache::{CacheStats, CacheStatus, PlanCache};
 use crate::{BqoError, OptimizerChoice};
 use bqo_exec::{
-    Batch, BoundPlan, CancelToken, ExecConfig, ExecutionMetrics, Executor, QueryResult, WorkerPool,
+    Batch, BoundPlan, CancelToken, ExecConfig, ExecContext, ExecutionMetrics, QueryResult,
+    WorkerPool,
 };
 use bqo_optimizer::{BaselineOptimizer, BqoOptimizer, Optimizer};
 use bqo_plan::{CostModel, CoutBreakdown, JoinGraph, Params, PhysicalPlan, QuerySpec};
@@ -171,18 +172,6 @@ impl Engine {
         self.inner
             .pool
             .get_or_init(|| WorkerPool::new(self.inner.pool_workers))
-    }
-
-    /// Builds the executor for one run: parallel configurations draw their
-    /// helper workers from the engine pool, serial ones never touch (or
-    /// spawn) it.
-    fn executor_for(&self, config: ExecConfig) -> Executor<'_> {
-        let executor = Executor::with_config(&self.inner.catalog, config);
-        if config.num_threads > 1 {
-            executor.with_worker_pool(self.worker_pool().clone())
-        } else {
-            executor
-        }
     }
 
     /// Opens a session with the engine's default execution configuration.
@@ -557,8 +546,8 @@ impl PreparedStatement {
 
     /// EXPLAIN-style rendering of the plan, followed by the engine's default
     /// execution configuration (batch size, worker-thread count and morsel
-    /// size). Use [`Session::explain`] (or [`PreparedStatement::explain_with`])
-    /// to render a session's overridden configuration instead.
+    /// size). Use [`Session::explain`] to render a session's overridden
+    /// configuration instead.
     pub fn explain(&self) -> String {
         self.explain_with(self.default_exec)
     }
@@ -566,7 +555,7 @@ impl PreparedStatement {
     /// EXPLAIN-style rendering of the plan followed by an explicit execution
     /// configuration. Statements prepared from SQL lead with the original
     /// query text.
-    pub fn explain_with(&self, config: ExecConfig) -> String {
+    fn explain_with(&self, config: ExecConfig) -> String {
         let mut out = String::new();
         if let Some(sql) = &self.sql {
             out.push_str(&format!("sql: {sql}\n"));
@@ -672,9 +661,13 @@ impl Session {
     }
 
     /// Runs a prepared statement through the pull-based operator pipeline —
-    /// the single execution entry point. [`RunOptions`] selects the
-    /// configuration (session default unless overridden), whether to collect
-    /// output rows, and an optional cancel token:
+    /// the single execution entry point, and the one caller of
+    /// [`bqo_exec::execute`]. [`RunOptions`] selects the configuration
+    /// (session default unless overridden), whether to collect output rows,
+    /// and an optional cancel token. Parallel configurations draw their
+    /// helper workers from the engine's [`WorkerPool`]; serial ones never
+    /// touch (or spawn) it. A cancelled run's error carries the metrics
+    /// gathered before the abort ([`BqoError::partial_metrics`]):
     ///
     /// ```ignore
     /// let out = session.execute(&stmt, RunOptions::new())?;                  // plain run
@@ -686,18 +679,21 @@ impl Session {
         options: RunOptions,
     ) -> Result<StatementOutput, BqoError> {
         let config = options.exec_config.unwrap_or(self.exec_config);
-        let mut executor = self.engine.executor_for(config);
+        let engine = &self.engine;
+        let pool = (config.num_threads > 1).then(|| engine.worker_pool().clone());
+        let mut ctx = ExecContext::with_pool(config, pool);
         if let Some(token) = options.cancel {
-            executor = executor.with_cancel_token(token);
+            ctx = ctx.with_cancel_token(token);
         }
-        let (result, rows) = executor
-            .execute(stmt.bound(), options.collect_rows)
-            .map_err(|e| BqoError::from_exec(&stmt.name, e))?;
-        Ok(StatementOutput {
-            result,
-            rows,
-            cache_status: stmt.cache_status,
-        })
+        let catalog = &engine.inner.catalog;
+        match bqo_exec::execute(catalog, stmt.bound(), ctx, options.collect_rows) {
+            (result, Ok(rows)) => Ok(StatementOutput {
+                result,
+                rows,
+                cache_status: stmt.cache_status,
+            }),
+            (result, Err(e)) => Err(BqoError::from_exec(&stmt.name, e, result.metrics)),
+        }
     }
 
     /// EXPLAIN-style rendering of a statement's plan under the session's

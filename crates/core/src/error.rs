@@ -1,6 +1,6 @@
 //! The unified error type of the `Engine` facade.
 
-use bqo_exec::{ExecError, ExecutionMetrics};
+use bqo_exec::ExecutionMetrics;
 use bqo_storage::StorageError;
 use std::fmt;
 
@@ -67,18 +67,19 @@ impl BqoError {
         }
     }
 
-    /// An execution error lifted from the executor's [`ExecError`]: a
-    /// cancelled run becomes `StorageError::Cancelled` with the partial
-    /// metrics preserved; other failures pass through unchanged.
-    pub fn from_exec(query: impl Into<String>, source: ExecError) -> Self {
-        match source {
-            ExecError::Storage(e) => BqoError::execution(query, e),
-            ExecError::Cancelled { metrics } => BqoError {
-                phase: QueryPhase::Execution,
-                query: Some(query.into()),
-                source: StorageError::Cancelled,
-                partial_metrics: Some(metrics),
-            },
+    /// An execution error from a failed [`bqo_exec::execute`] run, given
+    /// the metrics the run gathered: they are kept only when the run was
+    /// cancelled (`StorageError::Cancelled`), so a serving layer can report
+    /// how much work a killed query did.
+    pub fn from_exec(
+        query: impl Into<String>,
+        source: StorageError,
+        metrics: ExecutionMetrics,
+    ) -> Self {
+        let cancelled = source == StorageError::Cancelled;
+        BqoError {
+            partial_metrics: cancelled.then(|| Box::new(metrics)),
+            ..BqoError::execution(query, source)
         }
     }
 
@@ -185,22 +186,15 @@ mod tests {
     fn from_exec_preserves_partial_metrics_on_cancellation() {
         let mut metrics = ExecutionMetrics::new();
         metrics.filters_created = 3;
-        let mut e = BqoError::from_exec(
-            "q",
-            ExecError::Cancelled {
-                metrics: Box::new(metrics.clone()),
-            },
-        );
+        let mut e = BqoError::from_exec("q", StorageError::Cancelled, metrics.clone());
         assert!(e.is_cancelled());
         assert_eq!(e.storage_error(), &StorageError::Cancelled);
         assert_eq!(e.partial_metrics(), Some(&metrics));
-        assert_eq!(e.take_partial_metrics(), Some(metrics));
+        assert_eq!(e.take_partial_metrics(), Some(metrics.clone()));
         assert_eq!(e.partial_metrics(), None);
 
-        let plain = BqoError::from_exec(
-            "q",
-            ExecError::Storage(StorageError::TableNotFound { table: "t".into() }),
-        );
+        let missing = StorageError::TableNotFound { table: "t".into() };
+        let plain = BqoError::from_exec("q", missing, metrics);
         assert!(!plain.is_cancelled());
         assert!(plain.partial_metrics().is_none());
     }

@@ -127,8 +127,9 @@ pub struct ServerConfig {
     /// beyond this bound fail fast with [`SubmitError::QueueFull`]. Values
     /// below 1 are treated as 1.
     pub queue_capacity: usize,
-    /// Default bound applied by [`Ticket::wait`]; `None` (the default) waits
-    /// indefinitely. A timed-out wait leaves the request running — a later
+    /// Default bound applied by [`Ticket::wait`]; `None` (the default), or a
+    /// bound too far to represent as an instant, waits indefinitely. A
+    /// timed-out wait leaves the request running — a later
     /// [`Ticket::wait_timeout`] can still collect the result.
     pub default_timeout: Option<Duration>,
     /// Per-tenant admission/concurrency bounds; `None` (the default) leaves
@@ -186,7 +187,9 @@ pub struct QueryOptions {
     pub priority: i32,
     /// Relative deadline, measured from submission. A request still queued
     /// when it expires resolves to [`ServeError::DeadlineExceeded`] without
-    /// executing; one caught mid-execution is aborted cooperatively.
+    /// executing; one caught mid-execution is aborted cooperatively. A
+    /// deadline too far to represent as an instant (such as `Duration::MAX`)
+    /// is no deadline.
     pub deadline: Option<Duration>,
     /// Collect the concatenated output rows into [`QueryOutput::rows`]
     /// (the differential-testing mode of the server oracle).
@@ -538,15 +541,19 @@ impl Ticket {
     /// retained, and a wait that returns [`ServeError::TimedOut`] leaves the
     /// request running.
     pub fn wait(&self) -> Result<QueryOutput, ServeError> {
-        self.wait_deadline(self.default_timeout.map(|t| Instant::now() + t))
+        self.wait_deadline(
+            self.default_timeout
+                .and_then(|t| Instant::now().checked_add(t)),
+        )
     }
 
     /// Blocks until the request finishes or `timeout` elapses. A request
     /// whose own deadline has already passed while still queued resolves to
     /// [`ServeError::DeadlineExceeded`] immediately instead of blocking for
-    /// the full bound.
+    /// the full bound. A `timeout` too far to represent as an instant (such
+    /// as `Duration::MAX`) is no bound.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<QueryOutput, ServeError> {
-        self.wait_deadline(Some(Instant::now() + timeout))
+        self.wait_deadline(Instant::now().checked_add(timeout))
     }
 
     fn wait_deadline(&self, bound: Option<Instant>) -> Result<QueryOutput, ServeError> {
@@ -842,7 +849,8 @@ impl Server {
             exec_config,
         } = options;
         let submitted = Instant::now();
-        let deadline = deadline.map(|d| submitted + d);
+        // A deadline too far to represent as an instant is no deadline.
+        let deadline = deadline.and_then(|d| submitted.checked_add(d));
         let cancel = deadline.map_or_else(CancelToken::new, CancelToken::with_deadline);
         let ticket = Arc::new(TicketShared::default());
         let job = Job {

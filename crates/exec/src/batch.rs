@@ -90,20 +90,15 @@ impl Batch {
     /// # Panics
     /// Panics if lengths are inconsistent.
     pub fn new(schema: Vec<ColumnRef>, columns: Vec<Column>) -> Self {
-        Batch::from_shared(schema, columns.into_iter().map(Arc::new).collect())
+        Batch::with_schema(schema.into(), columns.into_iter().map(Arc::new).collect())
     }
 
-    /// Creates a dense batch from matching schema and shared column handles
-    /// — refcount bumps, nothing is copied.
+    /// Creates a dense batch over shared column handles — refcount bumps,
+    /// nothing is copied — under a schema the caller already shares: how an
+    /// operator stamps its one schema on every batch it emits.
     ///
     /// # Panics
     /// Panics if lengths are inconsistent.
-    pub fn from_shared(schema: Vec<ColumnRef>, columns: Vec<Arc<Column>>) -> Self {
-        Batch::with_schema(schema.into(), columns)
-    }
-
-    /// [`Batch::from_shared`] under a schema the caller already shares: how
-    /// an operator stamps its one schema on every batch it emits.
     pub fn with_schema(schema: Arc<[ColumnRef]>, columns: Vec<Arc<Column>>) -> Self {
         assert_eq!(
             schema.len(),
@@ -156,7 +151,7 @@ impl Batch {
 
     /// Creates an empty batch (no columns, no rows).
     pub fn empty() -> Self {
-        Batch::from_shared(Vec::new(), Vec::new())
+        Batch::with_schema(Arc::new([]), Vec::new())
     }
 
     /// The one row-id vector of a single-relation batch (`None`: dense).
@@ -636,7 +631,7 @@ mod tests {
     fn from_table(relation: RelId, table: &Table) -> Batch {
         let fields = table.schema().fields().iter();
         let schema = fields.map(|f| ColumnRef::new(relation, f.name.clone()));
-        Batch::from_shared(schema.collect(), table.columns().to_vec())
+        Batch::with_schema(schema.collect(), table.columns().to_vec())
     }
 
     fn sample() -> Batch {

@@ -2,25 +2,19 @@
 //!
 //! A [`CancelToken`] is a cheaply cloneable handle around an atomic flag and
 //! an optional deadline. The serving layer creates one per request, hands a
-//! clone to the executor (`Executor::with_cancel_token` →
-//! [`crate::ExecContext`]), and keeps the original on the request's ticket.
-//! Execution checks the token *cooperatively* at its natural preemption
-//! points — every morsel-claim in the parallel sections and every batch pull
-//! in the serial loops — so [`CancelToken::cancel`] (or a passed deadline)
-//! aborts a running query within roughly one morsel of work, without killing
-//! threads or poisoning shared state. An aborted run surfaces as
-//! `StorageError::Cancelled` inside the pipeline and as
-//! `ExecError::Cancelled` (carrying the metrics gathered so far) from the
-//! executor.
+//! clone to the run's [`crate::ExecContext`]
+//! ([`crate::ExecContext::with_cancel_token`]), and keeps the original on the
+//! request's ticket. Execution checks the token *cooperatively* at its
+//! natural preemption points — every morsel-claim in the parallel sections
+//! and every batch pull in the serial loops — so [`CancelToken::cancel`] (or
+//! a passed deadline) aborts a running query within roughly one morsel of
+//! work, without killing threads or poisoning shared state. An aborted run
+//! fails with `StorageError::Cancelled`, and [`crate::execute`] still returns
+//! the metrics gathered so far beside it.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Marker returned by the morsel scheduler when a parallel section stopped
-/// claiming morsels because its [`CancelToken`] fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Interrupted;
 
 #[derive(Debug, Default)]
 struct CancelInner {
@@ -88,7 +82,7 @@ impl CancelToken {
     }
 
     /// Whether the token has a deadline and it has passed.
-    pub fn deadline_passed(&self) -> bool {
+    fn deadline_passed(&self) -> bool {
         self.inner
             .deadline
             .is_some_and(|deadline| Instant::now() >= deadline)

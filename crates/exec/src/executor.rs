@@ -1,14 +1,12 @@
-//! The plan executor: a thin driver over the pull-based operator pipeline.
+//! Plan execution: [`execute`], a thin driver over the pull-based operator
+//! pipeline, and the configuration it runs under.
 
 use crate::batch::Batch;
-use crate::cancel::CancelToken;
 use crate::metrics::ExecutionMetrics;
 use crate::pipeline::{ExecContext, PipelineBuilder};
-use crate::pool::WorkerPool;
 use bqo_bitvector::FilterKind;
 use bqo_plan::{JoinGraph, PhysicalPlan};
 use bqo_storage::{Catalog, StorageError};
-use std::fmt;
 use std::time::Instant;
 
 /// Default number of rows per batch pulled through the pipeline.
@@ -43,7 +41,7 @@ impl KernelMode {
     /// variable: any non-empty value other than `0` pins the scalar kernels
     /// process-wide (read once and cached). Used by `ExecConfig::default()`
     /// so the whole test suite can be swept under both modes from CI.
-    pub fn from_env() -> Self {
+    fn from_env() -> Self {
         static FORCE_SCALAR: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
         let forced = *FORCE_SCALAR.get_or_init(|| {
             std::env::var("BQO_FORCE_SCALAR")
@@ -212,8 +210,8 @@ impl ExecConfig {
 /// graph together with the physical plan chosen for it.
 ///
 /// This is the execution layer's view of `bqo-core`'s `PreparedStatement`:
-/// [`Executor::execute`] takes this pair as one unit so callers cannot
-/// accidentally execute a plan against the wrong graph.
+/// [`execute`] takes this pair as one unit so callers cannot accidentally
+/// execute a plan against the wrong graph.
 #[derive(Debug, Clone, Copy)]
 pub struct BoundPlan<'a> {
     /// The join graph supplying relation names and local predicates.
@@ -229,76 +227,6 @@ impl<'a> BoundPlan<'a> {
     }
 }
 
-/// Errors surfaced by [`Executor::execute`].
-///
-/// Ordinary runtime failures (missing table, bad column, …) pass through as
-/// [`ExecError::Storage`]. A run aborted by its [`CancelToken`] — explicit
-/// cancel or deadline expiry — surfaces as [`ExecError::Cancelled`] carrying
-/// the metrics gathered up to the abort point, so the serving layer can
-/// report how much work a killed query performed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecError {
-    /// A runtime failure from storage or pipeline lowering.
-    Storage(StorageError),
-    /// The run's cancel token fired; `metrics` holds the partial counters
-    /// accumulated before execution stopped (elapsed is set to the wall time
-    /// until the abort).
-    Cancelled {
-        /// Metrics gathered before the abort.
-        metrics: Box<ExecutionMetrics>,
-    },
-}
-
-impl ExecError {
-    /// Whether this error is the cancellation variant.
-    pub fn is_cancelled(&self) -> bool {
-        matches!(self, ExecError::Cancelled { .. })
-    }
-
-    /// The partial metrics of a cancelled run, if this is the cancellation
-    /// variant.
-    pub fn partial_metrics(&self) -> Option<&ExecutionMetrics> {
-        match self {
-            ExecError::Cancelled { metrics } => Some(metrics),
-            ExecError::Storage(_) => None,
-        }
-    }
-
-    /// Collapses the error back into the underlying [`StorageError`]
-    /// (cancellation becomes `StorageError::Cancelled`), dropping any partial
-    /// metrics — for callers that only care about the failure kind.
-    pub fn into_storage_error(self) -> StorageError {
-        match self {
-            ExecError::Storage(e) => e,
-            ExecError::Cancelled { .. } => StorageError::Cancelled,
-        }
-    }
-}
-
-impl fmt::Display for ExecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ExecError::Storage(e) => e.fmt(f),
-            ExecError::Cancelled { .. } => write!(f, "execution was cancelled"),
-        }
-    }
-}
-
-impl std::error::Error for ExecError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ExecError::Storage(e) => Some(e),
-            ExecError::Cancelled { .. } => None,
-        }
-    }
-}
-
-impl From<StorageError> for ExecError {
-    fn from(e: StorageError) -> Self {
-        ExecError::Storage(e)
-    }
-}
-
 /// The result of executing one query plan.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
@@ -310,85 +238,29 @@ pub struct QueryResult {
     pub metrics: ExecutionMetrics,
 }
 
-/// Executes physical plans against the tables of a catalog by compiling them
-/// into a pull-based operator pipeline (see [`crate::operators`]) and
-/// draining the root operator batch by batch.
+/// Runs a bound statement against `catalog` — the one way a plan executes.
+/// It lowers the plan into the operator pipeline, drains the root under
+/// `ctx` (its configuration, worker pool and cancel token), always closes
+/// the pipeline, and with `collect_rows` gathers the root's row-id batches
+/// into the output rows: the differential harnesses compare that [`Batch`]
+/// bit for bit across configurations. Without it no value is copied
+/// (`Ok(None)`).
 ///
-/// This is the low-level entry point used inside the execution layer; user
-/// code goes through the `Engine` facade in `bqo-core`.
-#[derive(Debug)]
-pub struct Executor<'a> {
-    catalog: &'a Catalog,
-    config: ExecConfig,
-    pool: Option<WorkerPool>,
-    cancel: Option<CancelToken>,
-}
-
-impl<'a> Executor<'a> {
-    /// Creates an executor with the default configuration.
-    pub fn new(catalog: &'a Catalog) -> Self {
-        Executor {
-            catalog,
-            config: ExecConfig::default(),
-            pool: None,
-            cancel: None,
-        }
-    }
-
-    /// Creates an executor with an explicit configuration.
-    pub fn with_config(catalog: &'a Catalog, config: ExecConfig) -> Self {
-        Executor {
-            catalog,
-            config,
-            pool: None,
-            cancel: None,
-        }
-    }
-
-    /// Attaches a persistent [`WorkerPool`]: parallel sections dispatch their
-    /// helper claim loops to the pool's parked workers. Without a pool (or
-    /// with a 0-worker / shut-down one) every section runs inline on the
-    /// calling thread, whatever `num_threads` says. The `Engine` facade in
-    /// `bqo-core` attaches its engine-owned pool here for every parallel run;
-    /// results and counters are identical with and without a pool.
-    pub fn with_worker_pool(mut self, pool: WorkerPool) -> Self {
-        self.pool = Some(pool);
-        self
-    }
-
-    /// Attaches a [`CancelToken`]: the run aborts with
-    /// [`ExecError::Cancelled`] within roughly one morsel (or one serial
-    /// batch) of the token firing or its deadline passing. Without a token,
-    /// runs are uninterruptible, as before.
-    pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> ExecConfig {
-        self.config
-    }
-
-    /// Executes a bound statement — the executor's single entry point. The
-    /// join graph supplies relation names (to find tables in the catalog) and
-    /// local predicates. With `collect_rows` the concatenated output rows are
-    /// returned as well: the differential harnesses compare that [`Batch`]
-    /// bit for bit across configurations. Without it no value is copied
-    /// (`None`). `metrics.elapsed` is stamped last, after the rows exist.
-    pub fn execute(
-        &self,
-        bound: BoundPlan<'_>,
-        collect_rows: bool,
-    ) -> Result<(QueryResult, Option<Batch>), ExecError> {
-        let BoundPlan { graph, plan } = bound;
-        let start = Instant::now();
-        let mut ctx = ExecContext::with_pool(self.config, self.pool.clone());
-        if let Some(token) = &self.cancel {
-            ctx = ctx.with_cancel_token(token.clone());
-        }
-        let mut root = PipelineBuilder::new(self.catalog, graph, plan, self.config).build()?;
-        let mut output_rows = 0u64;
+/// The [`QueryResult`] holds the metrics gathered so far whatever the
+/// outcome, so a run aborted by its cancel token
+/// (`StorageError::Cancelled`) still reports how much work it did.
+/// `metrics.elapsed` is stamped last, after the rows exist.
+pub fn execute(
+    catalog: &Catalog,
+    bound: BoundPlan<'_>,
+    mut ctx: ExecContext,
+    collect_rows: bool,
+) -> (QueryResult, Result<Option<Batch>, StorageError>) {
+    let BoundPlan { graph, plan } = bound;
+    let start = Instant::now();
+    let mut output_rows = 0u64;
+    let pipeline = PipelineBuilder::new(catalog, graph, plan, ctx.config).build();
+    let rows = pipeline.and_then(|mut root| {
         let mut collected = Vec::new();
         // Drive the pipeline, capturing the first failure instead of
         // `?`-returning so `close` always runs and the context's partial
@@ -405,36 +277,28 @@ impl<'a> Executor<'a> {
         })();
         root.close(&mut ctx);
         drop(root);
+        drained?;
         // The root's batches are row ids: values are gathered here, once, for
         // a caller that asked for rows — re-checking the token per batch, so
         // a deadline passing mid-gather still aborts.
-        let rows = drained.and_then(|()| {
-            if !collect_rows {
-                return Ok(None);
-            }
-            Batch::try_concat(collected, || ctx.check_cancelled()).map(Some)
-        });
-        let mut metrics = ctx.into_metrics();
-        metrics.elapsed = start.elapsed();
-        match rows {
-            Ok(rows) => Ok((
-                QueryResult {
-                    output_rows,
-                    metrics,
-                },
-                rows,
-            )),
-            Err(StorageError::Cancelled) => Err(ExecError::Cancelled {
-                metrics: Box::new(metrics),
-            }),
-            Err(other) => Err(ExecError::Storage(other)),
+        if !collect_rows {
+            return Ok(None);
         }
-    }
+        Batch::try_concat(collected, || ctx.check_cancelled()).map(Some)
+    });
+    let mut metrics = ctx.into_metrics();
+    metrics.elapsed = start.elapsed();
+    let result = QueryResult {
+        output_rows,
+        metrics,
+    };
+    (result, rows)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use crate::metrics::OperatorKind;
     use crate::pool::WorkerPool;
     use bqo_plan::{
@@ -447,27 +311,36 @@ mod tests {
     };
     use std::sync::{Arc, Mutex};
 
-    /// Runs `plan` without collecting rows.
-    fn run(exec: &Executor<'_>, graph: &JoinGraph, plan: &PhysicalPlan) -> QueryResult {
-        let (result, rows) = exec.execute(BoundPlan::new(graph, plan), false).unwrap();
-        assert!(rows.is_none(), "rows are returned only when asked for");
+    /// Runs `plan` under `ctx` without collecting rows.
+    fn run(
+        catalog: &Catalog,
+        ctx: ExecContext,
+        graph: &JoinGraph,
+        plan: &PhysicalPlan,
+    ) -> QueryResult {
+        let (result, rows) = execute(catalog, BoundPlan::new(graph, plan), ctx, false);
+        assert!(
+            rows.unwrap().is_none(),
+            "rows are returned only when asked for"
+        );
         result
     }
 
-    /// Runs `plan`, also returning the concatenated output rows.
+    /// Runs `plan` under `ctx`, also returning the concatenated output rows.
     fn run_rows(
-        exec: &Executor<'_>,
+        catalog: &Catalog,
+        ctx: ExecContext,
         graph: &JoinGraph,
         plan: &PhysicalPlan,
     ) -> (QueryResult, Batch) {
-        let (result, rows) = exec.execute(BoundPlan::new(graph, plan), true).unwrap();
-        (result, rows.expect("collect_rows was set"))
+        let (result, rows) = execute(catalog, BoundPlan::new(graph, plan), ctx, true);
+        (result, rows.unwrap().expect("collect_rows was set"))
     }
 
-    /// An executor with a 3-worker pool attached, so `num_threads > 1`
-    /// configurations really fan out (a bare executor runs inline).
-    fn pooled<'a>(catalog: &'a Catalog, config: ExecConfig) -> Executor<'a> {
-        Executor::with_config(catalog, config).with_worker_pool(WorkerPool::new(3))
+    /// A context with a 3-worker pool attached, so `num_threads > 1`
+    /// configurations really fan out (a context without a pool runs inline).
+    fn pooled(config: ExecConfig) -> ExecContext {
+        ExecContext::with_pool(config, Some(WorkerPool::new(3)))
     }
 
     /// Small hand-built star: fact(12 rows) -> d1(4 rows), d2(3 rows).
@@ -534,8 +407,12 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let exec = Executor::with_config(&catalog, ExecConfig::exact_filters());
-        let result = run(&exec, &g, &plan);
+        let result = run(
+            &catalog,
+            ExecContext::new(ExecConfig::exact_filters()),
+            &g,
+            &plan,
+        );
         assert_eq!(result.output_rows, EXPECTED_ROWS);
         // Both filters were created and they eliminated fact rows before the
         // joins: the fact scan outputs exactly the surviving 4 rows.
@@ -562,8 +439,7 @@ mod tests {
                 ExecConfig::exact_filters(),
                 ExecConfig::without_bitvectors(),
             ] {
-                let exec = Executor::with_config(&catalog, config);
-                let result = run(&exec, &g, &plan);
+                let result = run(&catalog, ExecContext::new(config), &g, &plan);
                 assert_eq!(result.output_rows, EXPECTED_ROWS);
             }
         }
@@ -575,23 +451,11 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let oracle = run(
-            &Executor::with_config(
-                &catalog,
-                ExecConfig::exact_filters().with_batch_size(usize::MAX),
-            ),
-            &g,
-            &plan,
-        );
+        let unbatched = ExecConfig::exact_filters().with_batch_size(usize::MAX);
+        let oracle = run(&catalog, ExecContext::new(unbatched), &g, &plan);
         for batch_size in [1usize, 2, 3, 7, 1024] {
-            let result = run(
-                &Executor::with_config(
-                    &catalog,
-                    ExecConfig::exact_filters().with_batch_size(batch_size),
-                ),
-                &g,
-                &plan,
-            );
+            let config = ExecConfig::exact_filters().with_batch_size(batch_size);
+            let result = run(&catalog, ExecContext::new(config), &g, &plan);
             assert_eq!(result.output_rows, oracle.output_rows, "{batch_size}");
             assert_eq!(
                 result.metrics.filter_stats.probed, oracle.metrics.filter_stats.probed,
@@ -635,9 +499,8 @@ mod tests {
                 .with_batch_size(5)
                 .with_num_threads(threads)
                 .with_parallel_threshold(1);
-            let exec = pooled(&catalog, config);
-            let counted = run(&exec, &g, &plan);
-            let (collected, rows) = run_rows(&exec, &g, &plan);
+            let counted = run(&catalog, pooled(config), &g, &plan);
+            let (collected, rows) = run_rows(&catalog, pooled(config), &g, &plan);
             assert_eq!(counted.output_rows, EXPECTED_ROWS);
             assert_eq!(counted.output_rows, collected.output_rows);
             let (c, r) = (&counted.metrics, &collected.metrics);
@@ -659,15 +522,13 @@ mod tests {
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
 
         let with = run(
-            &Executor::with_config(&catalog, ExecConfig::exact_filters()),
+            &catalog,
+            ExecContext::new(ExecConfig::exact_filters()),
             &g,
             &plan,
         );
-        let without = run(
-            &Executor::with_config(&catalog, ExecConfig::without_bitvectors()),
-            &g,
-            &plan,
-        );
+        let without = ExecContext::new(ExecConfig::without_bitvectors());
+        let without = run(&catalog, without, &g, &plan);
         assert!(without.metrics.total_probe_rows() > with.metrics.total_probe_rows());
         assert_eq!(without.metrics.filters_created, 0);
         assert_eq!(without.metrics.filter_stats.probed, 0);
@@ -715,12 +576,14 @@ mod tests {
         let tree = JoinTree::right_deep(&[sales, store, item]);
         let plan = push_down_bitvectors(&graph, PhysicalPlan::from_join_tree(&graph, &tree));
 
-        let with = run(&Executor::new(&catalog), &graph, &plan);
-        let without = run(
-            &Executor::with_config(&catalog, ExecConfig::without_bitvectors()),
+        let with = run(
+            &catalog,
+            ExecContext::new(ExecConfig::default()),
             &graph,
             &plan,
         );
+        let without = ExecContext::new(ExecConfig::without_bitvectors());
+        let without = run(&catalog, without, &graph, &plan);
         assert_eq!(with.output_rows, without.output_rows);
         assert!(with.output_rows > 0);
         // The bloom filters (default config) may pass a few extra tuples but
@@ -738,7 +601,7 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let result = run(&Executor::with_config(&catalog, config), &g, &plan);
+        let result = run(&catalog, ExecContext::new(config), &g, &plan);
         assert_eq!(result.output_rows, EXPECTED_ROWS);
     }
 
@@ -774,13 +637,10 @@ mod tests {
         // The gate is purely an overhead guard: forcing fan-out on a tiny
         // input changes neither results nor counters. With no pool attached
         // the same configuration runs inline.
-        let inline = run_rows(&Executor::with_config(&catalog, config), &g, &plan);
+        let inline = run_rows(&catalog, ExecContext::new(config), &g, &plan);
         let pool = WorkerPool::new(3);
-        let pooled = run_rows(
-            &Executor::with_config(&catalog, config).with_worker_pool(pool.clone()),
-            &g,
-            &plan,
-        );
+        let ctx = ExecContext::with_pool(config, Some(pool.clone()));
+        let pooled = run_rows(&catalog, ctx, &g, &plan);
         assert_eq!(pooled.0.output_rows, inline.0.output_rows);
         assert_eq!(pooled.0.metrics.operators, inline.0.metrics.operators);
         assert_eq!(pooled.0.metrics.filter_stats, inline.0.metrics.filter_stats);
@@ -788,7 +648,8 @@ mod tests {
         // A shut-down pool degrades gracefully (inline), results unchanged.
         pool.shutdown();
         let degraded = run_rows(
-            &Executor::with_config(&catalog, config).with_worker_pool(pool),
+            &catalog,
+            ExecContext::with_pool(config, Some(pool)),
             &g,
             &plan,
         );
@@ -801,17 +662,14 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let serial = run_rows(
-            &Executor::with_config(&catalog, ExecConfig::exact_filters()),
-            &g,
-            &plan,
-        );
+        let serial = ExecContext::new(ExecConfig::exact_filters());
+        let serial = run_rows(&catalog, serial, &g, &plan);
         for threads in [2usize, 4, 8] {
             for batch_size in [1usize, 3, 1024, usize::MAX] {
                 let config = ExecConfig::exact_filters()
                     .with_batch_size(batch_size)
                     .with_num_threads(threads);
-                let (result, rows) = run_rows(&pooled(&catalog, config), &g, &plan);
+                let (result, rows) = run_rows(&catalog, pooled(config), &g, &plan);
                 assert_eq!(result.output_rows, serial.0.output_rows);
                 assert_eq!(result.metrics.operators, serial.0.metrics.operators);
                 assert_eq!(result.metrics.filter_stats, serial.0.metrics.filter_stats);
@@ -842,15 +700,10 @@ mod tests {
                 ..ExecConfig::default()
             },
         ] {
-            let oracle = run_rows(
-                &Executor::with_config(
-                    &catalog,
-                    base.with_kernel_mode(KernelMode::Scalar)
-                        .with_batch_size(usize::MAX),
-                ),
-                &g,
-                &plan,
-            );
+            let scalar = base
+                .with_kernel_mode(KernelMode::Scalar)
+                .with_batch_size(usize::MAX);
+            let oracle = run_rows(&catalog, ExecContext::new(scalar), &g, &plan);
             for mode in [KernelMode::Vectorized, KernelMode::Scalar] {
                 for threads in [1usize, 4] {
                     for batch_size in [1usize, 7, 1024, usize::MAX] {
@@ -859,7 +712,7 @@ mod tests {
                             .with_num_threads(threads)
                             .with_batch_size(batch_size)
                             .with_parallel_threshold(1);
-                        let (result, rows) = run_rows(&pooled(&catalog, config), &g, &plan);
+                        let (result, rows) = run_rows(&catalog, pooled(config), &g, &plan);
                         let label = format!("{mode:?} threads={threads} batch={batch_size}");
                         assert_eq!(result.output_rows, oracle.0.output_rows, "{label}");
                         assert_eq!(
@@ -898,8 +751,9 @@ mod tests {
         let ghost = g.add_relation(RelationInfo::new("ghost", 10.0, 10.0));
         let tree = JoinTree::right_deep(&[ghost]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
-        let exec = Executor::new(&catalog);
-        assert!(exec.execute(BoundPlan::new(&g, &plan), false).is_err());
+        let ctx = ExecContext::new(ExecConfig::default());
+        let (_, rows) = execute(&catalog, BoundPlan::new(&g, &plan), ctx, false);
+        assert!(rows.is_err());
     }
 
     #[test]
@@ -915,7 +769,7 @@ mod tests {
         );
         let tree = JoinTree::right_deep(&[d1]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
-        let result = run(&Executor::new(&catalog), &g, &plan);
+        let result = run(&catalog, ExecContext::new(ExecConfig::default()), &g, &plan);
         assert_eq!(result.output_rows, 2);
         assert_eq!(result.metrics.tuples_by_kind(OperatorKind::Leaf), 2);
         assert_eq!(result.metrics.tuples_by_kind(OperatorKind::Join), 0);
@@ -936,7 +790,7 @@ mod tests {
         g.add_edge(JoinEdge::pkfk(fact, "d1_sk", d1, "sk", 4.0));
         let tree = JoinTree::right_deep(&[fact, d1]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
-        let result = run(&Executor::new(&catalog), &g, &plan);
+        let result = run(&catalog, ExecContext::new(ExecConfig::default()), &g, &plan);
         assert_eq!(result.output_rows, 0);
         assert_eq!(result.metrics.tuples_by_kind(OperatorKind::Join), 0);
     }
@@ -947,17 +801,10 @@ mod tests {
         let (g, fact, d1, d2) = tiny_graph();
         let tree = JoinTree::right_deep(&[fact, d1, d2]);
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-        let plain = run_rows(
-            &Executor::with_config(&catalog, ExecConfig::exact_filters()),
-            &g,
-            &plan,
-        );
-        let token = CancelToken::new();
-        let observed = run_rows(
-            &Executor::with_config(&catalog, ExecConfig::exact_filters()).with_cancel_token(token),
-            &g,
-            &plan,
-        );
+        let config = ExecConfig::exact_filters();
+        let plain = run_rows(&catalog, ExecContext::new(config), &g, &plan);
+        let ctx = ExecContext::new(config).with_cancel_token(CancelToken::new());
+        let observed = run_rows(&catalog, ctx, &g, &plan);
         assert_eq!(observed.0.output_rows, plain.0.output_rows);
         assert_eq!(observed.1, plain.1);
     }
@@ -974,14 +821,11 @@ mod tests {
             let config = ExecConfig::exact_filters()
                 .with_num_threads(threads)
                 .with_parallel_threshold(1);
-            let err = pooled(&catalog, config)
-                .with_cancel_token(token.clone())
-                .execute(BoundPlan::new(&g, &plan), false)
-                .unwrap_err();
-            assert!(err.is_cancelled(), "threads {threads}");
-            let metrics = err.partial_metrics().expect("cancelled carries metrics");
-            // Nothing ran, but wall time was still measured.
-            assert_eq!(metrics.tuples_by_kind(OperatorKind::Join), 0);
+            let ctx = pooled(config).with_cancel_token(token.clone());
+            let (partial, rows) = execute(&catalog, BoundPlan::new(&g, &plan), ctx, false);
+            assert_eq!(rows, Err(StorageError::Cancelled), "threads {threads}");
+            // Nothing ran, but the metrics gathered so far are returned.
+            assert_eq!(partial.metrics.tuples_by_kind(OperatorKind::Join), 0);
         }
     }
 
@@ -1036,9 +880,9 @@ mod tests {
     /// The cancel-at-every-morsel sweep: a token fired from inside
     /// `read_chunk(k)`, for every chunk `k` of the fetched fact table, at 1
     /// and 4 threads in both kernel modes, aborts the run with
-    /// `ExecError::Cancelled` and its partial metrics — and the next run on
-    /// the same executor (same catalog, configuration and worker pool) is
-    /// bit-identical to an uncancelled one.
+    /// `StorageError::Cancelled` and its partial metrics — and the next run
+    /// with the same catalog, configuration and worker pool is bit-identical
+    /// to an uncancelled one.
     #[test]
     fn cancel_at_every_chunk_aborts_and_the_next_run_is_bit_identical() {
         let mut catalog = tiny_catalog();
@@ -1057,26 +901,24 @@ mod tests {
                     .with_kernel_mode(mode)
                     .with_num_threads(threads)
                     .with_parallel_threshold(1);
-                let exec = Executor::with_config(&catalog, config).with_worker_pool(pool.clone());
-                let (reference, reference_rows) = run_rows(&exec, &g, &plan);
+                let ctx = || ExecContext::with_pool(config, Some(pool.clone()));
+                let (reference, reference_rows) = run_rows(&catalog, ctx(), &g, &plan);
                 assert_eq!(reference.output_rows, EXPECTED_ROWS);
                 for k in 0..source.num_chunks() {
                     let label = format!("{mode:?} threads={threads} chunk={k}");
                     let token = CancelToken::new();
                     *source.armed.lock().unwrap() = Some((k, token.clone()));
-                    let cancelled = Executor::with_config(&catalog, config)
-                        .with_worker_pool(pool.clone())
-                        .with_cancel_token(token)
-                        .execute(BoundPlan::new(&g, &plan), true);
+                    let bound = BoundPlan::new(&g, &plan);
+                    let (partial, rows) =
+                        execute(&catalog, bound, ctx().with_cancel_token(token), true);
                     *source.armed.lock().unwrap() = None;
-                    let err = cancelled.expect_err(&label);
-                    assert!(err.is_cancelled(), "{label}");
-                    let partial = err.partial_metrics().expect("partial metrics survive");
+                    assert_eq!(rows.err(), Some(StorageError::Cancelled), "{label}");
                     // The fact scan opens last, under both joins: no join
                     // produced a row before the abort.
-                    assert_eq!(partial.tuples_by_kind(OperatorKind::Join), 0, "{label}");
+                    let joined = partial.metrics.tuples_by_kind(OperatorKind::Join);
+                    assert_eq!(joined, 0, "{label}");
 
-                    let (result, rows) = run_rows(&exec, &g, &plan);
+                    let (result, rows) = run_rows(&catalog, ctx(), &g, &plan);
                     assert_eq!(rows, reference_rows, "{label}");
                     assert_eq!(result.output_rows, reference.output_rows, "{label}");
                     let (m, r) = (&result.metrics, &reference.metrics);
@@ -1088,22 +930,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn exec_error_display_and_conversions() {
-        let storage: ExecError = StorageError::TableNotFound { table: "x".into() }.into();
-        assert!(!storage.is_cancelled());
-        assert!(storage.partial_metrics().is_none());
-        assert!(storage.to_string().contains("`x`"));
-        let cancelled = ExecError::Cancelled {
-            metrics: Box::new(ExecutionMetrics::new()),
-        };
-        assert!(cancelled.to_string().contains("cancelled"));
-        assert_eq!(cancelled.into_storage_error(), StorageError::Cancelled);
-        assert_eq!(
-            ExecError::Storage(StorageError::Cancelled).into_storage_error(),
-            StorageError::Cancelled
-        );
     }
 }

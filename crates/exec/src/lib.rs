@@ -39,16 +39,16 @@
 //! * a persistent [`WorkerPool`] (see [`pool`]): helper workers for the
 //!   parallel sections are parked pool threads woken per section instead of
 //!   freshly spawned ones, so a serving workload of many small queries stops
-//!   paying per-query thread start-up ([`Executor::with_worker_pool`];
-//!   an executor without a pool runs every section inline), gated by
+//!   paying per-query thread start-up ([`ExecContext::with_pool`]; a
+//!   context without a pool runs every section inline), gated by
 //!   [`ExecConfig::parallel_threshold`] so tiny inputs stay inline,
 //! * **cooperative cancellation** (see [`cancel`]): a cloneable
 //!   [`CancelToken`] (atomic flag + optional deadline) attached via
-//!   [`Executor::with_cancel_token`] is re-checked at every morsel-claim
+//!   [`ExecContext::with_cancel_token`] is re-checked at every morsel-claim
 //!   boundary of the four parallel sections, at every serial batch pull and
 //!   once per batch of the final gather, so an in-flight query aborts within roughly one morsel of
-//!   [`CancelToken::cancel`] or deadline expiry, surfacing as
-//!   [`ExecError::Cancelled`] with the metrics gathered so far,
+//!   [`CancelToken::cancel`] or deadline expiry, failing with
+//!   `StorageError::Cancelled` beside the metrics gathered so far,
 //! * per-operator metrics (tuples output by leaf / join / other operators,
 //!   bitvector probe and elimination counts, wall-clock time) matching the
 //!   quantities reported in Figures 7–10 and Table 4, collected inside the
@@ -59,10 +59,10 @@
 //! * a switch to ignore bitvector filters entirely, mirroring the
 //!   SQL Server option used for the Table 4 comparison.
 //!
-//! [`Executor`] is the low-level driver: its one entry point,
-//! [`Executor::execute`], compiles a plan, drains the root operator and, on
-//! request, gathers the root's row-id batches into the output rows.
-//! User-facing code goes through the `Engine` facade in `bqo-core`.
+//! [`execute`] is the one way a plan runs: it compiles the plan, drains the
+//! root operator under an [`ExecContext`] and, on request, gathers the
+//! root's row-id batches into the output rows. User-facing code goes through
+//! the `Engine` facade in `bqo-core`, whose `Session::execute` is its caller.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
@@ -79,9 +79,9 @@ pub mod pipeline;
 pub mod pool;
 
 pub use batch::Batch;
-pub use cancel::{CancelToken, Interrupted};
+pub use cancel::CancelToken;
 pub use executor::{
-    BoundPlan, ExecConfig, ExecError, Executor, KernelMode, QueryResult, DEFAULT_BATCH_SIZE,
+    execute, BoundPlan, ExecConfig, KernelMode, QueryResult, DEFAULT_BATCH_SIZE,
     DEFAULT_PARALLEL_THRESHOLD,
 };
 pub use join_table::JoinTable;

@@ -51,10 +51,10 @@ pub struct ExecutionMetrics {
     /// File-backed scans: bytes of chunk data fetched (pruned chunks
     /// contribute nothing).
     pub bytes_read: u64,
-    /// Wall-clock time of one `Executor::execute` call, entry to return
+    /// Wall-clock time of one [`crate::execute`] call, entry to return
     /// value: lowering, `open`, draining the root, `close`, and — for a
-    /// collecting run — gathering the answer's rows (`Batch::concat`). An
-    /// aborted run's spans up to the abort.
+    /// collecting run — gathering the answer's rows (`Batch::concat`). A
+    /// failed or aborted run's spans up to the failure.
     pub elapsed: Duration,
 }
 

@@ -26,8 +26,9 @@
 //! calling thread — no pool, no atomics: exactly the pre-parallel serial
 //! path.
 
-use crate::cancel::{CancelToken, Interrupted};
+use crate::cancel::CancelToken;
 use crate::pool::WorkerPool;
+use bqo_storage::StorageError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -99,9 +100,9 @@ pub fn chunk_morsels(num_rows: usize, num_threads: usize) -> Vec<Morsel> {
 ///
 /// With `Some(token)`, every worker re-checks the token before claiming its
 /// next morsel; a fired token stops all claim loops and the section returns
-/// `Err(Interrupted)` once any morsel was left unprocessed — the cooperative
-/// mid-flight cancellation seam, bounding abort latency to roughly one morsel
-/// of kernel work. A token that fires after the last morsel was claimed does
+/// `Err(StorageError::Cancelled)` once any morsel was left unprocessed — the
+/// cooperative mid-flight cancellation seam, bounding abort latency to
+/// roughly one morsel of kernel work. A token that fires after the last morsel was claimed does
 /// not fail the section: the complete result set is returned and the *next*
 /// check point observes the cancellation.
 ///
@@ -113,7 +114,7 @@ pub fn run_morsels_with<T, K>(
     num_threads: usize,
     morsels: &[Morsel],
     kernel: K,
-) -> Result<Vec<T>, Interrupted>
+) -> Result<Vec<T>, StorageError>
 where
     T: Send,
     K: Fn(&Morsel) -> T + Sync,
@@ -125,7 +126,7 @@ where
     let mut out = Vec::with_capacity(morsels.len());
     for morsel in morsels {
         if cancel.is_some_and(CancelToken::is_cancelled) {
-            return Err(Interrupted);
+            return Err(StorageError::Cancelled);
         }
         out.push(kernel(morsel));
     }
@@ -140,7 +141,7 @@ fn run_morsels_pooled<T, K>(
     workers: usize,
     morsels: &[Morsel],
     kernel: K,
-) -> Result<Vec<T>, Interrupted>
+) -> Result<Vec<T>, StorageError>
 where
     T: Send,
     K: Fn(&Morsel) -> T + Sync,
@@ -181,7 +182,7 @@ where
     }
     slots
         .into_iter()
-        .map(|slot| slot.ok_or(Interrupted))
+        .map(|slot| slot.ok_or(StorageError::Cancelled))
         .collect()
 }
 
@@ -298,7 +299,7 @@ mod tests {
         let ms = morsels(100, 3);
         for (pool, threads) in [(None, 1usize), (Some(&pool), 4)] {
             let result = run_morsels_with(pool, Some(&token), threads, &ms, |m| m.len());
-            assert_eq!(result, Err(Interrupted), "threads {threads}");
+            assert_eq!(result, Err(StorageError::Cancelled), "threads {threads}");
         }
     }
 
@@ -319,7 +320,7 @@ mod tests {
                 }
                 m.len()
             });
-            assert_eq!(result, Err(Interrupted), "{label}");
+            assert_eq!(result, Err(StorageError::Cancelled), "{label}");
             assert!(
                 ran.load(Ordering::Relaxed) < ms.len(),
                 "{label}: cancellation should leave morsels unclaimed"

@@ -78,8 +78,8 @@ impl ExecContext {
     /// inline otherwise (see [`run_morsels_with`]). Operators call
     /// this for every parallel section so one executor configuration decides
     /// the scheduling mode for the whole pipeline. The context's cancel token
-    /// is re-checked at every morsel claim; an interrupted section surfaces
-    /// as `StorageError::Cancelled`.
+    /// is re-checked at every morsel claim; an interrupted section returns
+    /// `StorageError::Cancelled`.
     pub fn run_morsels<T, K>(
         &self,
         num_threads: usize,
@@ -97,7 +97,6 @@ impl ExecContext {
             morsels,
             kernel,
         )
-        .map_err(|_| StorageError::Cancelled)
     }
 
     /// Publishes a bitvector filter for the placement with index `placement`,

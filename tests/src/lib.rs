@@ -36,14 +36,22 @@ pub fn env_threads() -> usize {
 /// a file in the storage properties and, with a delay, makes the serving
 /// tests' slow query: a scan then takes a known time per chunk, and a
 /// cancel lands between chunks. [`Rechunked::fail_next_read`] injects a
-/// transient I/O fault into one chunk.
+/// transient I/O fault into one chunk, [`Rechunked::panic_next_read`] a
+/// kernel panic.
 #[derive(Debug)]
 pub struct Rechunked {
     table: Arc<Table>,
     chunk_rows: usize,
     delay: Duration,
-    /// The chunk whose next read fails, if a fault is armed.
-    fault: Mutex<Option<usize>>,
+    /// The chunk whose next read faults, and how, if a fault is armed.
+    fault: Mutex<Option<(usize, Fault)>>,
+}
+
+/// What an armed one-shot fault does to its chunk's next read.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    Fail,
+    Panic,
 }
 
 impl Rechunked {
@@ -67,7 +75,14 @@ impl Rechunked {
     /// error a file's failed read maps to (`StorageError::Format` carrying
     /// an I/O error), and every later read succeeds again.
     pub fn fail_next_read(&self, chunk: usize) {
-        *self.fault.lock().expect("fault slot poisoned") = Some(chunk);
+        *self.fault.lock().expect("fault slot poisoned") = Some((chunk, Fault::Fail));
+    }
+
+    /// Arms a one-shot panic: the next `read_chunk(chunk)` panics with a
+    /// message naming the chunk and the thread it ran on (a pool worker's
+    /// name starts with `bqo-worker`), and every later read succeeds again.
+    pub fn panic_next_read(&self, chunk: usize) {
+        *self.fault.lock().expect("fault slot poisoned") = Some((chunk, Fault::Panic));
     }
 }
 
@@ -103,14 +118,23 @@ impl ChunkSource for Rechunked {
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
-        {
-            let mut fault = self.fault.lock().expect("fault slot poisoned");
-            if *fault == Some(chunk) {
-                *fault = None;
+        // Disarm under the lock, fault after releasing it: a panic must not
+        // poison the slot for later reads.
+        let mut slot = self.fault.lock().expect("fault slot poisoned");
+        let armed = slot.take_if(|(armed, _)| *armed == chunk);
+        drop(slot);
+        match armed.map(|(_, fault)| fault) {
+            Some(Fault::Fail) => {
                 let source = std::io::Error::other(format!("injected fault in chunk {chunk}"));
                 let path = self.name().into();
                 return Err(FormatError::Io { path, source }.into());
             }
+            Some(Fault::Panic) => {
+                let thread = std::thread::current();
+                let name = thread.name().unwrap_or("unnamed");
+                panic!("injected panic in chunk {chunk} on thread {name}");
+            }
+            None => {}
         }
         let (start, end) = self.chunk_range(chunk);
         let rows: Vec<usize> = (start..end).collect();

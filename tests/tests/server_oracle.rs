@@ -19,7 +19,7 @@ use bqo_core::exec::{Batch, ExecConfig};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
     CacheStatus, Engine, OptimizerChoice, Params, PhysicalPlan, QuerySpec, Request, RunOptions,
-    ServeError, Server, ServerConfig, SubmitError, TenantQuota, TenantStats,
+    ServeError, Server, ServerConfig, SubmitError, Table, TenantQuota, TenantStats,
 };
 use bqo_integration_tests::{env_threads, Rechunked};
 use std::sync::{mpsc, Arc};
@@ -588,6 +588,174 @@ fn worker_panic_propagates_through_ticket_wait() {
     let tenant = server.stats_for("a");
     assert!(reconciles(&tenant), "{tenant:?}");
     assert_eq!((tenant.admitted, tenant.completed), (2, 1));
+}
+
+/// A kernel panic on one of the engine's pool workers, amid concurrent
+/// traffic, is contained to its own request. The fact table is registered a
+/// second time, as `boom`: a [`Rechunked`] source of 16 chunks whose armed
+/// chunk panics when read. `boom` scans run at four threads with the
+/// parallel gate forced open, so pool workers read its chunks while the
+/// dispatcher thread reads its first. Panicking requests resolve
+/// `Panicked` (until one panic has been seen on a pool worker); every good
+/// request, interleaved on other dispatchers, returns the fresh
+/// single-threaded oracle's rows; every tenant ledger reconciles; and
+/// parallel queries after the burst still serve.
+#[test]
+fn pool_worker_panic_under_concurrent_traffic_is_contained() {
+    const CHUNKS: usize = 16;
+    const MIN_PANICS: usize = 4;
+    const MAX_PANICS: usize = 64;
+    let mut catalog = star::build_catalog(Scale(0.02), DIMS, 53);
+    let cases = traffic();
+    let oracle = oracle_outputs(&catalog, &cases);
+    let fact = catalog.table("fact").unwrap();
+    let columns = fact.columns().iter().map(|c| c.as_ref().clone()).collect();
+    let copy = Table::new("boom", fact.schema().clone(), columns).unwrap();
+    let chunk_rows = fact.num_rows().div_ceil(CHUNKS);
+    let boom = Rechunked::new(Arc::new(copy), chunk_rows).with_delay(Duration::from_millis(1));
+    let boom = Arc::new(boom);
+    catalog.register_source(boom.clone());
+    let server = Server::new(
+        Engine::from_catalog(catalog),
+        ServerConfig::default()
+            .with_max_concurrent_queries(3)
+            .with_queue_capacity(256),
+    );
+    let parallel = ExecConfig::default()
+        .with_num_threads(4)
+        .with_parallel_threshold(1);
+    let tenants = ["steady", "risky"];
+    let good_request = |case: &TrafficCase, tenant: &str| {
+        let mut builder = Request::builder()
+            .query(&case.spec)
+            .optimizer(OptimizerChoice::Bqo)
+            .exec_config(parallel)
+            .collect_rows()
+            .tenant(tenant);
+        if let Some(params) = &case.params {
+            builder = builder.params(params);
+        }
+        builder.build().unwrap()
+    };
+    let boom_spec = QuerySpec::new("boom").table("boom");
+    let boom_request = || {
+        let builder = Request::builder().query(&boom_spec).exec_config(parallel);
+        builder.tenant("risky").build().unwrap()
+    };
+
+    let num_clients = env_threads().max(2);
+    let panics = std::thread::scope(|scope| {
+        for worker in 0..num_clients {
+            let (server, cases, oracle) = (&server, &cases, &oracle);
+            let good_request = &good_request;
+            scope.spawn(move || {
+                for round in 0..ROUNDS {
+                    for (idx, case) in cases.iter().enumerate() {
+                        let tenant = tenants[(worker + idx) % tenants.len()];
+                        let ticket = server.submit(good_request(case, tenant)).unwrap();
+                        let output = ticket.wait().expect("a good request serves");
+                        let label = format!("worker {worker} round {round} request {idx}");
+                        let (oracle_rows, oracle_batch) = &oracle[idx];
+                        assert_eq!(output.result.output_rows, *oracle_rows, "{label}");
+                        let batch = output.rows.expect("rows were collected");
+                        assert_eq!(
+                            canonical_rows(&batch),
+                            canonical_rows(oracle_batch),
+                            "{label}"
+                        );
+                    }
+                }
+            });
+        }
+        // The panicking client keeps one `boom` request in flight at a time,
+        // so each armed chunk panics its own request and nothing else.
+        let mut messages = Vec::new();
+        while messages.len() < MIN_PANICS
+            || !messages.iter().any(|m: &String| m.contains("bqo-worker"))
+        {
+            assert!(
+                messages.len() < MAX_PANICS,
+                "no panic reached a pool worker: {messages:?}"
+            );
+            let chunk = 1 + messages.len() % (CHUNKS - 1);
+            boom.panic_next_read(chunk);
+            match server.submit(boom_request()).unwrap().wait() {
+                Err(ServeError::Panicked(message)) => {
+                    let armed = format!("injected panic in chunk {chunk} ");
+                    assert!(message.contains(&armed), "{message}");
+                    messages.push(message);
+                }
+                other => panic!("chunk {chunk}: expected a contained panic, got {other:?}"),
+            }
+        }
+        messages.len() as u64
+    });
+
+    let good = (num_clients * ROUNDS * cases.len()) as u64;
+    let stats = server.stats();
+    assert_eq!((stats.panicked, stats.completed), (panics, good));
+    assert_eq!(stats.failed + stats.cancelled + stats.deadline_expired, 0);
+    for tenant in tenants {
+        let ledger = server.stats_for(tenant);
+        assert!(reconciles(&ledger), "{tenant}: {ledger:?}");
+    }
+    assert_eq!(server.stats_for("risky").panicked, panics);
+
+    // After the burst the pool still serves parallel queries: a good one
+    // returns the oracle's rows, and a disarmed `boom` scan reads every row.
+    let output = server.submit(good_request(&cases[0], "steady")).unwrap();
+    let output = output.wait().expect("parallel query after the burst");
+    assert_eq!(output.result.output_rows, oracle[0].0);
+    let rows = output.rows.expect("rows were collected");
+    assert_eq!(canonical_rows(&rows), canonical_rows(&oracle[0].1));
+    let scan = server.submit(boom_request()).unwrap().wait();
+    let scan = scan.expect("a disarmed boom scan serves");
+    assert_eq!(scan.result.output_rows, fact.num_rows() as u64);
+}
+
+/// A bound too far to represent as an instant is no bound: with an optional
+/// request `deadline`, server `config` and `wait_timeout` bound, the request
+/// serves the fresh oracle's rows. Each `Duration::MAX` case below used to
+/// overflow `Instant + Duration` and panic on the client thread.
+fn serves_under_far_bounds(
+    deadline: Option<Duration>,
+    config: ServerConfig,
+    wait: Option<Duration>,
+) {
+    let catalog = star::build_catalog(Scale(0.02), DIMS, 67);
+    let cases = traffic();
+    let case = &cases[cases.len() - 1];
+    let (oracle_rows, oracle_batch) = &oracle_outputs(&catalog, std::slice::from_ref(case))[0];
+    let server = Server::new(Engine::from_catalog(catalog), config);
+    let mut builder = Request::builder().query(&case.spec).collect_rows();
+    if let Some(deadline) = deadline {
+        builder = builder.deadline(deadline);
+    }
+    let ticket = server.submit(builder.build().unwrap()).unwrap();
+    let output = match wait {
+        Some(timeout) => ticket.wait_timeout(timeout),
+        None => ticket.wait(),
+    };
+    let output = output.expect("a far bound is no bound");
+    assert_eq!(output.result.output_rows, *oracle_rows);
+    assert_eq!(output.rows.as_ref(), Some(oracle_batch));
+    assert_eq!(server.stats().completed, 1);
+}
+
+#[test]
+fn a_duration_max_deadline_is_no_deadline() {
+    serves_under_far_bounds(Some(Duration::MAX), ServerConfig::default(), None);
+}
+
+#[test]
+fn wait_timeout_of_duration_max_waits_for_the_output() {
+    serves_under_far_bounds(None, ServerConfig::default(), Some(Duration::MAX));
+}
+
+#[test]
+fn a_duration_max_default_timeout_server_serves() {
+    let config = ServerConfig::default().with_default_timeout(Duration::MAX);
+    serves_under_far_bounds(None, config, None);
 }
 
 /// Regression: a quota built as a struct literal with a 0 bound is clamped
