@@ -151,12 +151,10 @@ pub fn run_figure2(scale: Scale) -> Vec<Figure2Plan> {
 
     let session = engine.session();
     let run = |label: &str, tree: &JoinTree, with_bitvectors: bool| {
-        let plan = PhysicalPlan::from_join_tree(&graph, tree);
-        let (plan, config) = if with_bitvectors {
-            (push_down_bitvectors(&graph, plan), ExecConfig::default())
-        } else {
-            (plan, ExecConfig::without_bitvectors())
-        };
+        let mut plan = PhysicalPlan::from_join_tree(&graph, tree);
+        if with_bitvectors {
+            plan = push_down_bitvectors(&graph, plan);
+        }
         let stmt = engine.prepare_plan(&query.name, graph.clone(), plan);
         let names: Vec<&str> = tree
             .right_deep_order()
@@ -167,7 +165,7 @@ pub fn run_figure2(scale: Scale) -> Vec<Figure2Plan> {
         Figure2Plan {
             label: label.to_string(),
             order: format!("T({})", names.join(", ")),
-            run: measure(&session, &stmt, config).expect("figure 2 plan executes"),
+            run: measure(&session, &stmt, ExecConfig::default()).expect("figure 2 plan executes"),
         }
     };
 
@@ -279,11 +277,16 @@ pub fn run_figure7(scale: Scale) -> Vec<Figure7Point> {
         let stmt = engine
             .prepare(&query, OptimizerChoice::BqoWithThreshold(0.0))
             .expect("micro query optimizes");
-        let run = |config| measure(&session, &stmt, config).expect("micro query executes");
+        // The same plan with its placements cleared runs without the filter.
+        let mut bare = stmt.plan().clone();
+        bare.placements.clear();
+        let bare = engine.prepare_plan(&query.name, stmt.graph().clone(), bare);
+        let run =
+            |stmt| measure(&session, stmt, ExecConfig::default()).expect("micro query executes");
         let point = Figure7Point {
             keep_fraction: keep,
-            with_filter: run(ExecConfig::default()),
-            without_filter: run(ExecConfig::without_bitvectors()),
+            with_filter: run(&stmt),
+            without_filter: run(&bare),
         };
         check_same_answer(
             "fig7",
@@ -488,17 +491,10 @@ pub struct BitvectorEffectReport {
 /// Appendix A).
 pub fn bitvector_effect(workload: &Workload) -> Result<BitvectorEffectReport, BqoError> {
     let engine = Engine::from_catalog(workload.catalog.clone());
-    let run = |config| {
-        measure_all(
-            &engine,
-            &workload.queries,
-            OptimizerChoice::Baseline,
-            config,
-        )
-    };
+    let run = |choice| measure_all(&engine, &workload.queries, choice, ExecConfig::default());
     let (with, without) = (
-        run(ExecConfig::default())?,
-        run(ExecConfig::without_bitvectors())?,
+        run(OptimizerChoice::Baseline)?,
+        run(OptimizerChoice::BaselineNoBitvectors)?,
     );
     let mut with_bitvectors = 0;
     for ((query, w), wo) in workload.queries.iter().zip(&with).zip(&without) {

@@ -3,23 +3,24 @@
 //! Entries are keyed by a canonical query fingerprint (normalized spec +
 //! optimizer choice + catalog version, assembled by the engine) and store the
 //! optimized plan **together with the selectivity envelope it was optimized
-//! for** ([`bqo_plan::SelectivityEnvelope`]). A bind whose re-estimated
+//! for**: one `(name, lo, hi)` band per relation. A bind whose re-estimated
 //! per-relation selectivities stay inside the envelope is served the cached
 //! plan without touching the optimizer; a bind that leaves the envelope — the
 //! regime where the paper shows join order and bitvector placements flip
-//! (Ding et al., SIGMOD 2020, §5–6) — transparently re-optimizes and replaces
-//! the entry.
+//! (Ding et al., SIGMOD 2020, §5–6; the extended version's robustness
+//! analysis, arXiv:2005.03328) — transparently re-optimizes and replaces the
+//! entry.
 //!
 //! The cache is internally `Arc`-shared: clones observe the same entries and
-//! counters, so one cache can serve many engines/sessions concurrently (the
-//! per-lookup critical section only covers the map access, never the
+//! counters, so one cache can serve many engines/sessions concurrently. The
+//! entries, the counters and the LRU clock sit behind one mutex, whose
+//! critical section covers the map access and the envelope check, never the
 //! optimizer run — racing misses on the same key both optimize and the last
-//! insert wins, which is harmless because optimization is deterministic).
+//! insert wins, which is harmless because optimization is deterministic.
 
-use bqo_plan::{JoinGraph, PhysicalPlan, SelectivityEnvelope};
+use bqo_plan::{JoinGraph, PhysicalPlan, RelId};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Multiplicative tolerance of the stored selectivity envelope: a cached plan
 /// keeps serving binds whose per-relation local selectivities stay within
@@ -49,53 +50,65 @@ pub enum CacheStatus {
     Bypassed,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CachedPlan {
     plan: Arc<PhysicalPlan>,
-    envelope: SelectivityEnvelope,
-    /// Relation names in the `RelId` order of the graph the plan was
-    /// optimized against. Physical plans reference relations positionally,
-    /// and fingerprints are order-invariant — so a hit under a spec that
-    /// lists the same tables in a different order must renumber the plan to
-    /// the new graph's ids before it can be executed.
-    relation_names: Vec<String>,
+    /// One `(name, lo, hi)` per relation, in the `RelId` order of the graph
+    /// the plan was optimized against, with `[lo, hi]` the band
+    /// `[s/ratio, min(s·ratio, 1)]` around the relation's local selectivity
+    /// `s` then. The list is both the envelope and the renumbering map:
+    /// physical plans reference relations positionally while fingerprints
+    /// are order-invariant, so a bind that lists the same tables in another
+    /// order is served the plan renumbered to its ids.
+    relations: Vec<(String, f64, f64)>,
     /// Logical timestamp of the entry's last lookup (hit or replacement);
     /// the LRU eviction key.
     last_used: u64,
 }
 
 impl CachedPlan {
-    /// The cached plan renumbered to `graph`'s relation ids, or `None` if a
-    /// stored relation name is missing from the graph (a structural mismatch
-    /// the caller must treat as a cache exit). Returns the shared allocation
-    /// untouched when the numbering already agrees.
-    fn plan_for(&self, graph: &JoinGraph) -> Option<Arc<PhysicalPlan>> {
-        let map: Vec<bqo_plan::RelId> = self
-            .relation_names
-            .iter()
-            .map(|name| graph.relation_by_name(name))
-            .collect::<Option<_>>()?;
-        if map.iter().enumerate().all(|(i, r)| r.index() == i) {
-            Some(self.plan.clone())
-        } else {
-            Some(Arc::new(self.plan.remap_relations(&map)))
+    /// `graph`'s id for each of the plan's relations, or `None` — an exit —
+    /// if `graph` has other relations or one of their local selectivities
+    /// left its band.
+    fn renumbering(&self, graph: &JoinGraph) -> Option<Vec<RelId>> {
+        if self.relations.len() != graph.num_relations() {
+            return None;
         }
+        let ids = self.relations.iter().map(|(name, lo, hi)| {
+            let id = graph.relation_by_name(name)?;
+            let s = graph.relation(id).local_selectivity();
+            (*lo <= s && s <= *hi).then_some(id)
+        });
+        ids.collect()
     }
 }
 
+/// Everything the cache's one lock guards.
 #[derive(Debug, Default)]
+struct State {
+    entries: HashMap<String, CachedPlan>,
+    hits: u64,
+    misses: u64,
+    reoptimizations: u64,
+    evictions: u64,
+    /// Logical clock stamping entry usage (one tick per lookup or insert).
+    clock: u64,
+}
+
+impl State {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
+
+#[derive(Debug)]
 struct PlanCacheInner {
-    entries: Mutex<HashMap<String, CachedPlan>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    reoptimizations: AtomicU64,
-    evictions: AtomicU64,
-    /// Logical clock stamping entry usage (monotonic per lookup).
-    clock: AtomicU64,
+    state: Mutex<State>,
     capacity: usize,
 }
 
-/// A point-in-time snapshot of a [`PlanCache`]'s counters and occupancy, as
+/// A consistent snapshot of a [`PlanCache`]'s counters and occupancy, as
 /// returned by [`PlanCache::cache_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
@@ -118,11 +131,11 @@ pub struct CacheStats {
 ///
 /// The cache is bounded: at most [`PlanCache::capacity`] plans are retained
 /// (default [`DEFAULT_PLAN_CACHE_CAPACITY`]), and inserting beyond that
-/// evicts the least-recently-used entry (the [`PlanCache::evictions`] counter
-/// records how often). High-cardinality literal values should still be
-/// expressed as parameterized templates (all binds of one template share a
-/// single entry) rather than as per-value literal specs — eviction bounds
-/// memory, but an evicted plan costs a fresh optimizer run on its next use.
+/// evicts the least-recently-used entry ([`CacheStats::evictions`] records
+/// how often). High-cardinality literal values should still be expressed as
+/// parameterized templates (all binds of one template share a single entry)
+/// rather than as per-value literal specs — eviction bounds memory, but an
+/// evicted plan costs a fresh optimizer run on its next use.
 #[derive(Debug, Clone)]
 pub struct PlanCache {
     inner: Arc<PlanCacheInner>,
@@ -145,10 +158,14 @@ impl PlanCache {
     pub fn with_capacity(capacity: usize) -> Self {
         PlanCache {
             inner: Arc::new(PlanCacheInner {
+                state: Mutex::default(),
                 capacity: capacity.max(1),
-                ..Default::default()
             }),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.inner.state.lock().expect("plan cache poisoned")
     }
 
     /// Maximum number of cached plans before LRU eviction kicks in.
@@ -156,57 +173,23 @@ impl PlanCache {
         self.inner.capacity
     }
 
-    /// Number of lookups served from the cache without running the optimizer.
-    pub fn hits(&self) -> u64 {
-        // ORDERING: Relaxed — monotonic statistics counter; readers want
-        // a recent value, not a synchronized snapshot.
-        self.inner.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that found no entry and ran the optimizer.
-    pub fn misses(&self) -> u64 {
-        // ORDERING: Relaxed — monotonic statistics counter; readers want
-        // a recent value, not a synchronized snapshot.
-        self.inner.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that found an entry but re-optimized because the
-    /// bind's selectivities left the stored envelope.
-    pub fn reoptimizations(&self) -> u64 {
-        // ORDERING: Relaxed — monotonic statistics counter; readers want
-        // a recent value, not a synchronized snapshot.
-        self.inner.reoptimizations.load(Ordering::Relaxed)
-    }
-
-    /// Number of entries evicted to keep the cache within its capacity.
-    pub fn evictions(&self) -> u64 {
-        // ORDERING: Relaxed — monotonic statistics counter; readers want
-        // a recent value, not a synchronized snapshot.
-        self.inner.evictions.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time snapshot of counters and occupancy. Each field is
-    /// read independently (the counters are relaxed atomics), so under
-    /// concurrent traffic the fields may be mutually off by the handful of
-    /// lookups in flight — fine for monitoring, not a transactional view.
+    /// A snapshot of counters and occupancy, taken under the cache's lock:
+    /// every field describes the same moment.
     pub fn cache_stats(&self) -> CacheStats {
+        let state = self.lock();
         CacheStats {
-            hits: self.hits(),
-            misses: self.misses(),
-            reoptimizations: self.reoptimizations(),
-            evictions: self.evictions(),
-            len: self.len(),
-            capacity: self.capacity(),
+            hits: state.hits,
+            misses: state.misses,
+            reoptimizations: state.reoptimizations,
+            evictions: state.evictions,
+            len: state.entries.len(),
+            capacity: self.inner.capacity,
         }
     }
 
     /// Number of cached plans.
     pub fn len(&self) -> usize {
-        self.inner
-            .entries
-            .lock()
-            .expect("plan cache poisoned")
-            .len()
+        self.lock().entries.len()
     }
 
     /// True if the cache holds no plans.
@@ -217,11 +200,7 @@ impl PlanCache {
     /// Drops every cached plan. Counters are preserved (they describe
     /// lifetime traffic, not current contents).
     pub fn clear(&self) {
-        self.inner
-            .entries
-            .lock()
-            .expect("plan cache poisoned")
-            .clear();
+        self.lock().entries.clear();
     }
 
     /// Resolves `key` for a bind whose re-estimated statistics are `graph`:
@@ -230,7 +209,7 @@ impl PlanCache {
     /// order), otherwise runs `optimize` and (re-)inserts the plan with a
     /// fresh envelope around the bind's selectivities.
     ///
-    /// The map lock is *not* held while `optimize` runs; concurrent misses on
+    /// The lock is *not* held while `optimize` runs; concurrent misses on
     /// one key may optimize redundantly, but optimization is deterministic so
     /// whichever insert lands last leaves the same plan.
     pub(crate) fn resolve(
@@ -239,83 +218,74 @@ impl PlanCache {
         graph: &JoinGraph,
         optimize: impl FnOnce() -> PhysicalPlan,
     ) -> (Arc<PhysicalPlan>, CacheStatus) {
-        let existing = {
-            let mut entries = self.inner.entries.lock().expect("plan cache poisoned");
-            entries.get_mut(key).map(|entry| {
-                // Touch on every lookup (hit or replacement): an entry the
-                // traffic keeps asking about is not the one to evict. The
-                // stamp is drawn *inside* the lock — a stamp taken earlier
-                // could move `last_used` backwards past concurrent touches
-                // and turn a hot entry into the LRU victim.
-                // ORDERING: Relaxed — the clock only needs unique, roughly
-                // increasing stamps; `last_used` itself is written under the
-                // entries lock, which orders it.
-                entry.last_used = self.inner.clock.fetch_add(1, Ordering::Relaxed);
-                entry.clone()
-            })
-        };
-        let status = match &existing {
-            Some(entry) if entry.envelope.contains(graph) => {
-                // `plan_for` only fails on a structural mismatch (a stored
-                // relation name the graph lacks) — fall through and
-                // re-optimize rather than serving an inapplicable plan.
-                if let Some(plan) = entry.plan_for(graph) {
-                    // ORDERING: Relaxed — statistics counter.
-                    self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                    return (plan, CacheStatus::Hit);
+        let status = {
+            let mut guard = self.lock();
+            let state = &mut *guard;
+            // Touch on every lookup (hit or replacement): an entry the
+            // traffic keeps asking about is not the one to evict.
+            let now = state.tick();
+            match state.entries.get_mut(key) {
+                None => CacheStatus::Miss,
+                Some(entry) => {
+                    entry.last_used = now;
+                    if let Some(map) = entry.renumbering(graph) {
+                        state.hits += 1;
+                        let plan = entry.plan.clone();
+                        drop(guard);
+                        return (renumbered(plan, &map), CacheStatus::Hit);
+                    }
+                    CacheStatus::Reoptimized
                 }
-                CacheStatus::Reoptimized
             }
-            Some(_) => CacheStatus::Reoptimized,
-            None => CacheStatus::Miss,
         };
         let plan = Arc::new(optimize());
-        let envelope = SelectivityEnvelope::around(graph, DEFAULT_ENVELOPE_RATIO);
-        let relation_names = graph.relations().iter().map(|r| r.name.clone()).collect();
-        {
-            let mut entries = self.inner.entries.lock().expect("plan cache poisoned");
-            // Stamp the insertion with a *fresh* clock value: the lookup
-            // stamp `now` predates the (potentially slow) optimizer run, and
-            // concurrent traffic may have touched every other entry since —
-            // reusing it would make the just-optimized entry the LRU victim
-            // of its own insertion.
-            entries.insert(
-                key.to_string(),
-                CachedPlan {
-                    plan: plan.clone(),
-                    envelope,
-                    relation_names,
-                    // ORDERING: Relaxed — unique stamp; entry publication
-                    // happens under the entries lock.
-                    last_used: self.inner.clock.fetch_add(1, Ordering::Relaxed),
-                },
-            );
-            // LRU eviction: drop least-recently-used entries until the
-            // capacity bound holds again. The just-inserted entry carries the
-            // newest stamp, so it always survives its own insertion.
-            while entries.len() > self.inner.capacity {
-                let victim = entries
-                    .iter()
-                    .min_by_key(|(_, entry)| entry.last_used)
-                    .map(|(key, _)| key.clone())
-                    .expect("cache over capacity implies a victim");
-                entries.remove(&victim);
-                // ORDERING: Relaxed — statistics counter.
-                self.inner.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-            // Account the lookup before releasing the lock so a snapshot
-            // never observes this insertion's eviction without its
-            // miss/re-optimization.
-            // ORDERING: Relaxed — statistics counters (the comment above
-            // explains why they are bumped while still holding the lock).
-            match status {
-                CacheStatus::Reoptimized => {
-                    self.inner.reoptimizations.fetch_add(1, Ordering::Relaxed) // ORDERING: see above
-                }
-                _ => self.inner.misses.fetch_add(1, Ordering::Relaxed), // ORDERING: see above
-            };
+        let relations = graph.relations().iter().map(|r| {
+            let s = r.local_selectivity();
+            let hi = (s * DEFAULT_ENVELOPE_RATIO).min(1.0);
+            (r.name.clone(), s / DEFAULT_ENVELOPE_RATIO, hi)
+        });
+        let relations = relations.collect();
+        let mut guard = self.lock();
+        let state = &mut *guard;
+        // Stamp the insertion with a *fresh* tick: the lookup's stamp
+        // predates the (potentially slow) optimizer run, and concurrent
+        // traffic may have touched every other entry since — reusing it
+        // would make the just-optimized entry the LRU victim of its own
+        // insertion.
+        let entry = CachedPlan {
+            plan: plan.clone(),
+            relations,
+            last_used: state.tick(),
+        };
+        state.entries.insert(key.to_string(), entry);
+        // LRU eviction: drop least-recently-used entries until the capacity
+        // bound holds again. The just-inserted entry carries the newest
+        // stamp, so it always survives its own insertion.
+        while state.entries.len() > self.inner.capacity {
+            let victim = state
+                .entries
+                .iter()
+                .min_by_key(|(_, entry)| entry.last_used)
+                .map(|(key, _)| key.clone())
+                .expect("cache over capacity implies a victim");
+            state.entries.remove(&victim);
+            state.evictions += 1;
+        }
+        match status {
+            CacheStatus::Reoptimized => state.reoptimizations += 1,
+            _ => state.misses += 1,
         }
         (plan, status)
+    }
+}
+
+/// `plan` with relation `i` renumbered to `map[i]`: the shared allocation
+/// itself when the numbering already agrees.
+fn renumbered(plan: Arc<PhysicalPlan>, map: &[RelId]) -> Arc<PhysicalPlan> {
+    if map.iter().enumerate().all(|(i, r)| r.index() == i) {
+        plan
+    } else {
+        Arc::new(plan.remap_relations(map))
     }
 }
 
@@ -359,10 +329,9 @@ mod tests {
         let (_, status) = cache.resolve("k", &star(5.0), dummy_plan);
         assert_eq!(status, CacheStatus::Reoptimized);
 
-        assert_eq!(cache.hits(), 3);
-        assert_eq!(cache.misses(), 1);
-        assert_eq!(cache.reoptimizations(), 2);
-        assert_eq!(cache.len(), 1);
+        let stats = cache.cache_stats();
+        assert_eq!((stats.hits, stats.misses, stats.reoptimizations), (3, 1, 2));
+        assert_eq!(stats.len, 1);
     }
 
     #[test]
@@ -405,10 +374,11 @@ mod tests {
         let g = star(5.0);
         cache.resolve("k", &g, dummy_plan);
         cache.resolve("k", &g, dummy_plan);
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let counters = |c: &PlanCache| (c.cache_stats().hits, c.cache_stats().misses);
+        assert_eq!(counters(&cache), (1, 1));
         cache.clear();
         assert!(cache.is_empty());
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        assert_eq!(counters(&cache), (1, 1));
         // Re-resolving after clear is a miss again.
         assert_eq!(cache.resolve("k", &g, dummy_plan).1, CacheStatus::Miss);
     }
@@ -420,8 +390,8 @@ mod tests {
         let g = star(5.0);
         cache.resolve("k", &g, dummy_plan);
         assert_eq!(clone.resolve("k", &g, dummy_plan).1, CacheStatus::Hit);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(clone.hits(), 1);
+        assert_eq!(cache.cache_stats().hits, 1);
+        assert_eq!(clone.cache_stats().hits, 1);
     }
 
     #[test]
@@ -437,7 +407,7 @@ mod tests {
         let g = star(5.0);
         cache.resolve("a", &g, dummy_plan);
         cache.resolve("b", &g, dummy_plan);
-        assert_eq!((cache.len(), cache.evictions()), (2, 0));
+        assert_eq!((cache.len(), cache.cache_stats().evictions), (2, 0));
         // Touch "a" so "b" becomes the least recently used entry...
         assert_eq!(
             cache.resolve("a", &g, || unreachable!()).1,
@@ -445,22 +415,21 @@ mod tests {
         );
         // ...then overflow: "b" is evicted, "a" survives.
         cache.resolve("c", &g, dummy_plan);
-        assert_eq!((cache.len(), cache.evictions()), (2, 1));
+        assert_eq!((cache.len(), cache.cache_stats().evictions), (2, 1));
         assert_eq!(
             cache.resolve("a", &g, || unreachable!()).1,
             CacheStatus::Hit
         );
         assert_eq!(cache.resolve("b", &g, dummy_plan).1, CacheStatus::Miss);
         // Re-resolving "b" overflowed again: "c" (least recent) was evicted.
-        assert_eq!((cache.len(), cache.evictions()), (2, 2));
+        assert_eq!((cache.len(), cache.cache_stats().evictions), (2, 2));
         assert_eq!(cache.resolve("c", &g, dummy_plan).1, CacheStatus::Miss);
 
         let stats = cache.cache_stats();
         assert_eq!(stats.evictions, 3);
         assert_eq!(stats.len, 2);
         assert_eq!(stats.capacity, 2);
-        assert_eq!(stats.hits, cache.hits());
-        assert_eq!(stats.misses, cache.misses());
+        assert_eq!((stats.hits, stats.misses), (2, 5));
     }
 
     #[test]
@@ -490,7 +459,7 @@ mod tests {
             cache.resolve("c", &g, || unreachable!()).1,
             CacheStatus::Hit
         );
-        assert_eq!((cache.len(), cache.evictions()), (2, 1));
+        assert_eq!((cache.len(), cache.cache_stats().evictions), (2, 1));
     }
 
     #[test]
@@ -499,10 +468,114 @@ mod tests {
         let g = star(5.0);
         cache.resolve("a", &g, dummy_plan);
         cache.resolve("b", &g, dummy_plan);
-        assert_eq!((cache.len(), cache.evictions()), (1, 1));
+        assert_eq!((cache.len(), cache.cache_stats().evictions), (1, 1));
         assert_eq!(
             cache.resolve("b", &g, || unreachable!()).1,
             CacheStatus::Hit
         );
+    }
+
+    /// fact(1M rows) with dims d1 (100 rows, 10 after filter),
+    /// d2 (1000 rows, unfiltered), d3 (10 rows, 2 after filter).
+    fn star3() -> JoinGraph {
+        let mut g = JoinGraph::new();
+        let fact = g.add_relation(RelationInfo::new("fact", 1_000_000.0, 1_000_000.0));
+        for (name, rows, filtered) in [
+            ("d1", 100.0, 10.0),
+            ("d2", 1000.0, 1000.0),
+            ("d3", 10.0, 2.0),
+        ] {
+            let d = g.add_relation(RelationInfo::new(name, rows, filtered));
+            g.add_edge(JoinEdge::pkfk(fact, format!("{name}_sk"), d, "sk", rows));
+        }
+        g
+    }
+
+    /// `star3` with `name`'s filtered rows set to `filtered`.
+    fn star3_with(name: &str, filtered: f64) -> JoinGraph {
+        let mut g = star3();
+        let id = g.relation_by_name(name).unwrap();
+        g.relation_mut(id).filtered_rows = filtered;
+        g
+    }
+
+    #[test]
+    fn envelope_covers_nearby_selectivities_only() {
+        let cache = PlanCache::new();
+        assert_eq!(
+            cache.resolve("k", &star3(), dummy_plan).1,
+            CacheStatus::Miss
+        );
+        let hit = |g: &JoinGraph| cache.resolve("k", g, dummy_plan).1 == CacheStatus::Hit;
+        assert!(hit(&star3()));
+        // Nudge d1 within the band (0.1 -> 0.2): still covered.
+        assert!(hit(&star3_with("d1", 20.0)));
+        // Push d1 far outside (0.1 -> 0.9): envelope exit.
+        assert!(!hit(&star3_with("d1", 90.0)));
+    }
+
+    #[test]
+    fn envelope_rejects_structural_mismatch() {
+        let cache = PlanCache::new();
+        let status = |g: &JoinGraph| cache.resolve("k", g, dummy_plan).1;
+        assert_eq!(status(&star3()), CacheStatus::Miss);
+        let mut other = JoinGraph::new();
+        other.add_relation(RelationInfo::new("fact", 10.0, 10.0));
+        assert_eq!(status(&other), CacheStatus::Reoptimized);
+        assert_eq!(status(&star3()), CacheStatus::Reoptimized);
+        // Same relation count, different names.
+        let mut renamed = star3();
+        let d1 = renamed.relation_by_name("d1").unwrap();
+        renamed.relation_mut(d1).name = "other".into();
+        assert_eq!(status(&renamed), CacheStatus::Reoptimized);
+    }
+
+    #[test]
+    fn envelope_bands_are_clamped_to_one() {
+        let cache = PlanCache::new();
+        let status = |g: &JoinGraph| cache.resolve("k", g, dummy_plan).1;
+        assert_eq!(status(&star3()), CacheStatus::Miss);
+        // Both ends of a band are inclusive: d3 (s = 0.2) covers 0.05..=0.8.
+        assert_eq!(status(&star3_with("d3", 8.0)), CacheStatus::Hit);
+        assert_eq!(status(&star3_with("d3", 0.5)), CacheStatus::Hit);
+        // An unfiltered relation (s = 1.0, band clamped to 1) still
+        // tolerates shrinking to exactly 1/4, and no further.
+        assert_eq!(status(&star3_with("fact", 250_000.0)), CacheStatus::Hit);
+        assert_eq!(
+            status(&star3_with("fact", 249_000.0)),
+            CacheStatus::Reoptimized
+        );
+    }
+
+    #[test]
+    fn concurrent_snapshots_are_consistent() {
+        // Every insert counts a miss or a re-optimization under the same
+        // lock that grows the map or evicts, so no snapshot may show more
+        // entries (present or evicted) than inserts.
+        const THREADS: u64 = 4;
+        const LOOKUPS: u64 = 400;
+        let cache = PlanCache::with_capacity(2);
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (cache, start) = (&cache, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..LOOKUPS {
+                        let key = ["a", "b", "c"][((i + t) % 3) as usize];
+                        let g = star(if (i / 3 + t) % 4 == 0 { 90.0 } else { 5.0 });
+                        cache.resolve(key, &g, dummy_plan);
+                        let s = cache.cache_stats();
+                        assert!(
+                            s.len as u64 + s.evictions <= s.misses + s.reoptimizations,
+                            "{s:?}"
+                        );
+                    }
+                });
+            }
+        });
+        let s = cache.cache_stats();
+        assert_eq!(s.hits + s.misses + s.reoptimizations, THREADS * LOOKUPS);
+        assert!(s.len as u64 + s.evictions <= s.misses + s.reoptimizations);
     }
 }

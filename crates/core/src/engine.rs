@@ -653,8 +653,7 @@ impl Session {
     }
 
     /// The same session with a different execution configuration (e.g.
-    /// bitvectors disabled, exact filters, another batch size or
-    /// worker-thread count).
+    /// exact filters, another batch size or worker-thread count).
     pub fn with_exec_config(mut self, config: ExecConfig) -> Self {
         self.exec_config = config;
         self

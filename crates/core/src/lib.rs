@@ -155,8 +155,8 @@ pub use bqo_exec::{
 };
 pub use bqo_optimizer::{BaselineOptimizer, BqoOptimizer, Optimizer};
 pub use bqo_plan::{
-    ColumnPredicate, CompareOp, CostModel, CoutBreakdown, GraphShape, JoinGraph, Params,
-    PhysicalPlan, QuerySpec, SelectivityEnvelope,
+    ColumnPredicate, CompareOp, CostModel, CoutBreakdown, JoinGraph, Params, PhysicalPlan,
+    QuerySpec,
 };
 pub use bqo_sql::{SqlError, SqlErrorKind};
 pub use bqo_storage::{Catalog, ForeignKey, StorageError, Table, TableBuilder};
@@ -167,8 +167,9 @@ pub enum OptimizerChoice {
     /// Conventional cost-based optimizer; bitvector filters added as a
     /// post-processing step (the paper's baseline, "Original").
     Baseline,
-    /// Conventional optimizer with bitvector filtering disabled entirely
-    /// (used for the Table 4 comparison).
+    /// The conventional tree of [`OptimizerChoice::Baseline`] with no
+    /// bitvector placements, so it runs without filters (the Table 4
+    /// comparison).
     BaselineNoBitvectors,
     /// The paper's bitvector-aware optimizer with the default 5% λ threshold.
     Bqo,
@@ -290,8 +291,8 @@ mod tests {
         // A different optimizer choice is a different cache key.
         let base = engine.prepare(q, OptimizerChoice::Baseline).unwrap();
         assert_eq!(base.cache_status(), CacheStatus::Miss);
-        assert_eq!(engine.plan_cache().hits(), 1);
-        assert_eq!(engine.plan_cache().misses(), 2);
+        assert_eq!(engine.plan_cache().cache_stats().hits, 1);
+        assert_eq!(engine.plan_cache().cache_stats().misses, 2);
     }
 
     #[test]

@@ -63,9 +63,6 @@ impl KernelMode {
 pub struct ExecConfig {
     /// Which bitvector filter implementation hash joins build.
     pub filter_kind: FilterKind,
-    /// When false, bitvector placements are ignored entirely — the setting
-    /// used for the "without bitvector filters" columns of Table 4.
-    pub enable_bitvectors: bool,
     /// Rows per batch pulled through the operator pipeline. Any value
     /// produces identical results and counters; `usize::MAX` is effectively
     /// unbatched (one batch per scan). Values below 1 are treated as 1.
@@ -108,7 +105,6 @@ impl Default for ExecConfig {
     fn default() -> Self {
         ExecConfig {
             filter_kind: FilterKind::default(),
-            enable_bitvectors: true,
             batch_size: DEFAULT_BATCH_SIZE,
             num_threads: 1,
             morsel_size: None,
@@ -120,14 +116,6 @@ impl Default for ExecConfig {
 }
 
 impl ExecConfig {
-    /// Configuration with bitvector filtering disabled.
-    pub fn without_bitvectors() -> Self {
-        ExecConfig {
-            enable_bitvectors: false,
-            ..Default::default()
-        }
-    }
-
     /// Configuration with exact (no-false-positive) filters.
     pub fn exact_filters() -> Self {
         ExecConfig {
@@ -326,6 +314,14 @@ mod tests {
         result
     }
 
+    /// `plan` with its bitvector placements cleared: the same joins, run
+    /// without filters.
+    fn without_placements(plan: &PhysicalPlan) -> PhysicalPlan {
+        let mut bare = plan.clone();
+        bare.placements.clear();
+        bare
+    }
+
     /// Runs `plan` under `ctx`, also returning the concatenated output rows.
     fn run_rows(
         catalog: &Catalog,
@@ -434,12 +430,13 @@ mod tests {
         ] {
             let tree = JoinTree::right_deep(&order);
             let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
-            for config in [
-                ExecConfig::default(),
-                ExecConfig::exact_filters(),
-                ExecConfig::without_bitvectors(),
+            let bare = without_placements(&plan);
+            for (plan, config) in [
+                (&plan, ExecConfig::default()),
+                (&plan, ExecConfig::exact_filters()),
+                (&bare, ExecConfig::default()),
             ] {
-                let result = run(&catalog, ExecContext::new(config), &g, &plan);
+                let result = run(&catalog, ExecContext::new(config), &g, plan);
                 assert_eq!(result.output_rows, EXPECTED_ROWS);
             }
         }
@@ -527,8 +524,8 @@ mod tests {
             &g,
             &plan,
         );
-        let without = ExecContext::new(ExecConfig::without_bitvectors());
-        let without = run(&catalog, without, &g, &plan);
+        let without = ExecContext::new(ExecConfig::default());
+        let without = run(&catalog, without, &g, &without_placements(&plan));
         assert!(without.metrics.total_probe_rows() > with.metrics.total_probe_rows());
         assert_eq!(without.metrics.filters_created, 0);
         assert_eq!(without.metrics.filter_stats.probed, 0);
@@ -582,8 +579,8 @@ mod tests {
             &graph,
             &plan,
         );
-        let without = ExecContext::new(ExecConfig::without_bitvectors());
-        let without = run(&catalog, without, &graph, &plan);
+        let without = ExecContext::new(ExecConfig::default());
+        let without = run(&catalog, without, &graph, &without_placements(&plan));
         assert_eq!(with.output_rows, without.output_rows);
         assert!(with.output_rows > 0);
         // The bloom filters (default config) may pass a few extra tuples but

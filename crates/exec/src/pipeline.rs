@@ -130,35 +130,34 @@ impl ExecContext {
 /// Lowering borrows the plan's node payloads (join keys, placement columns)
 /// instead of cloning them; only the `Arc<dyn ChunkSource>` handles are
 /// refcounted. Every scan lowers to the same [`ScanOp`], whatever backs the
-/// table.
+/// table. Every placement of the plan is wired: a plan without placements is
+/// how a query runs without bitvector filters.
 pub struct PipelineBuilder<'p> {
     catalog: &'p Catalog,
     graph: &'p JoinGraph,
     plan: &'p PhysicalPlan,
-    config: ExecConfig,
 }
 
 impl std::fmt::Debug for PipelineBuilder<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PipelineBuilder")
-            .field("config", &self.config)
-            .finish_non_exhaustive()
+        f.debug_struct("PipelineBuilder").finish_non_exhaustive()
     }
 }
 
 impl<'p> PipelineBuilder<'p> {
-    /// Creates a builder for one plan.
+    /// Creates a builder for one plan. Lowering reads no configuration:
+    /// operators take theirs from the [`ExecContext`] they are opened with,
+    /// so `_config` only keeps the signature callers build pipelines with.
     pub fn new(
         catalog: &'p Catalog,
         graph: &'p JoinGraph,
         plan: &'p PhysicalPlan,
-        config: ExecConfig,
+        _config: ExecConfig,
     ) -> Self {
         PipelineBuilder {
             catalog,
             graph,
             plan,
-            config,
         }
     }
 
@@ -172,11 +171,7 @@ impl<'p> PipelineBuilder<'p> {
         match self.plan.node(node) {
             PhysicalNode::Scan { relation } => {
                 let info = self.graph.relation(*relation);
-                let placements = if self.config.enable_bitvectors {
-                    self.plan.indexed_placements_at(node).collect()
-                } else {
-                    Vec::new()
-                };
+                let placements = self.plan.indexed_placements_at(node).collect();
                 let source = self.catalog.table_meta(&info.name)?.scan_source();
                 Ok(Box::new(ScanOp::new(
                     node, *relation, info, source, placements,
@@ -185,17 +180,9 @@ impl<'p> PipelineBuilder<'p> {
             PhysicalNode::HashJoin { build, probe, keys } => {
                 let build_op = self.lower(*build)?;
                 let probe_op = self.lower(*probe)?;
-                let (source, residual) = if self.config.enable_bitvectors {
-                    (
-                        self.plan
-                            .indexed_placements_from(node)
-                            .map(|(idx, _)| idx)
-                            .collect(),
-                        self.plan.indexed_placements_at(node).collect(),
-                    )
-                } else {
-                    (Vec::new(), Vec::new())
-                };
+                let source = self.plan.indexed_placements_from(node);
+                let source = source.map(|(idx, _)| idx).collect();
+                let residual = self.plan.indexed_placements_at(node).collect();
                 Ok(Box::new(HashJoinOp::new(
                     node, build_op, probe_op, keys, source, residual,
                 )))

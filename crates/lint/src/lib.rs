@@ -19,8 +19,9 @@
 //!   reasons (unused entries are themselves findings).
 //! * **L003** — every atomic-ordering use (`Ordering::Relaxed` and friends)
 //!   in library code carries a `// ORDERING:` justification — a reviewable
-//!   poor-man's race audit over the pool/cancel/cache concurrency surface
-//!   (the server keeps its counters under its queue lock and has none).
+//!   poor-man's race audit over the pool/cancel concurrency surface (the
+//!   server and the plan cache keep their counters under their locks and
+//!   have none).
 //! * **L004** — no bare `as` numeric casts in the probe-kernel and format
 //!   hot paths without a `// CAST-OK:` marker (lossless conversions should
 //!   use `From`/`try_from` instead).

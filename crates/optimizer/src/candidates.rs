@@ -1,65 +1,26 @@
-//! Linear candidate plan sets for star, snowflake and branch queries
-//! (Theorems 4.1/4.2, 5.1/5.2 and 5.3/5.4).
+//! The linear candidate plan set of Theorem 5.1/5.2 for clean snowflake
+//! queries.
 //!
 //! For a query with `n + 1` relations, the paper proves that a minimum-cost
 //! right-deep tree (under bitvector-aware `Cout` with no false positives) can
-//! be found among `n + 1` candidates:
+//! be found among `n + 1` candidates. For a snowflake with fact `R0` and
+//! branches `B_1..B_m` they are the fact-first plan plus, for every branch
+//! `i` and every choice of right-most leaf inside that branch, the plan that
+//! joins the (rotated) branch first, then the fact, then the remaining
+//! branches.
 //!
-//! * **Star** (fact `R0`, dimensions `R1..Rn`):
-//!   `T(R0, R1, ..., Rn)` plus, for every `k`,
-//!   `T(Rk, R0, R1, ..., R_{k-1}, R_{k+1}, ..., Rn)`.
-//! * **Branch / chain** (`R0 -> R1 -> ... -> Rn`):
-//!   `T(Rn, R_{n-1}, ..., R0)` plus, for every `k < n`,
-//!   `T(Rk, R_{k+1}, ..., Rn, R_{k-1}, ..., R0)`.
-//! * **Snowflake** (fact `R0`, branches `B_1..B_m`): the fact-first plan plus,
-//!   for every branch `i` and every choice of right-most leaf inside that
-//!   branch, the plan that joins the (rotated) branch first, then the fact,
-//!   then the remaining branches.
+//! The star set of Theorem 4.1 and the branch set of Theorem 5.3 are this
+//! set for one-relation branches and for a single branch
+//! ([`JoinGraph::clean_snowflake`] returns both shapes as snowflakes):
+//!
+//! * **Star** (fact `R0`, dimensions `R1..Rn`): `T(R0, R1, ..., Rn)` plus,
+//!   for every `k`, `T(Rk, R0, R1, ..., R_{k-1}, R_{k+1}, ..., Rn)`, in
+//!   that order.
+//! * **Chain** (`R0 -> R1 -> ... -> Rn`): `T(Rn, R_{n-1}, ..., R0)` plus,
+//!   for every `k < n`, `T(Rk, R_{k+1}, ..., Rn, R_{k-1}, ..., R0)` — the
+//!   same set, listed fact-first.
 
-use bqo_plan::{GraphShape, JoinGraph, JoinTree, RelId};
-
-/// Candidate plans for a star query (Theorem 4.1). `fact` is `R0`,
-/// `dimensions` are `R1..Rn` in any fixed order.
-pub fn star_candidates(fact: RelId, dimensions: &[RelId]) -> Vec<JoinTree> {
-    let mut plans = Vec::with_capacity(dimensions.len() + 1);
-    let mut fact_first = vec![fact];
-    fact_first.extend_from_slice(dimensions);
-    plans.push(JoinTree::right_deep(&fact_first));
-    for (k, &dim) in dimensions.iter().enumerate() {
-        let mut order = vec![dim, fact];
-        order.extend(
-            dimensions
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != k)
-                .map(|(_, &d)| d),
-        );
-        plans.push(JoinTree::right_deep(&order));
-    }
-    plans
-}
-
-/// Candidate plans for a branch/chain query (Theorem 5.3). `order_from_r0`
-/// lists the chain from `R0` (the fact-most end) to `Rn` (the outer end).
-pub fn branch_candidates(order_from_r0: &[RelId]) -> Vec<JoinTree> {
-    let n = order_from_r0.len();
-    let mut plans = Vec::with_capacity(n);
-    if n == 0 {
-        return plans;
-    }
-    // T(Rn, R_{n-1}, ..., R0)
-    let mut reversed: Vec<RelId> = order_from_r0.to_vec();
-    reversed.reverse();
-    plans.push(JoinTree::right_deep(&reversed));
-    // T(Rk, R_{k+1}, ..., Rn, R_{k-1}, ..., R0) for k = 0..n-1
-    for k in 0..n - 1 {
-        let mut order: Vec<RelId> = Vec::with_capacity(n);
-        order.extend_from_slice(&order_from_r0[k..]); // Rk, R_{k+1}, ..., Rn
-        order.extend(order_from_r0[..k].iter().rev()); // R_{k-1}, ..., R0
-        plans.push(JoinTree::right_deep(&order));
-    }
-    plans
-}
+use bqo_plan::{JoinGraph, JoinTree, RelId};
 
 /// Candidate plans for a snowflake query (Theorem 5.1). `fact` is `R0`;
 /// each branch is ordered from the relation adjacent to the fact (`R_{i,1}`)
@@ -96,15 +57,12 @@ pub fn snowflake_candidates(fact: RelId, branches: &[Vec<RelId>]) -> Vec<JoinTre
     plans
 }
 
-/// Candidate plans chosen by the classified shape of the graph. Returns
-/// `None` for general graphs (Algorithm 2/3 handle those instead).
+/// The Theorem 5.1 candidate plans of a clean snowflake (stars and chains
+/// included). Returns `None` for any other graph (Algorithm 2/3 handle
+/// those instead).
 pub fn candidate_plans(graph: &JoinGraph) -> Option<Vec<JoinTree>> {
-    match graph.classify() {
-        GraphShape::Star { fact, dimensions } => Some(star_candidates(fact, &dimensions)),
-        GraphShape::Snowflake { fact, branches } => Some(snowflake_candidates(fact, &branches)),
-        GraphShape::Branch { order } => Some(branch_candidates(&order)),
-        GraphShape::General => None,
-    }
+    let (fact, branches) = graph.clean_snowflake()?;
+    Some(snowflake_candidates(fact, &branches))
 }
 
 #[cfg(test)]
@@ -112,6 +70,8 @@ mod tests {
     use super::*;
     use crate::enumerate::{enumerate_right_deep, exhaustive_best_right_deep};
     use bqo_plan::{CostModel, JoinEdge, RelationInfo};
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn star_graph(filters: &[f64]) -> JoinGraph {
         let mut g = JoinGraph::new();
@@ -268,13 +228,55 @@ mod tests {
         assert!(candidate_plans(&g).is_none());
     }
 
-    #[test]
-    fn branch_candidates_for_tiny_inputs() {
-        assert!(branch_candidates(&[]).is_empty());
-        let single = branch_candidates(&[RelId(0)]);
-        assert_eq!(single.len(), 1);
-        assert_eq!(single[0], JoinTree::leaf(RelId(0)));
-        let pair = branch_candidates(&[RelId(0), RelId(1)]);
-        assert_eq!(pair.len(), 2);
+    /// `T(R0, R1, ..., Rn)`, then `T(Rk, R0, R1, ..., Rn)` without `Rk`
+    /// for every `k` (Theorem 4.1), in the graph's relation ids.
+    fn theorem_4_1_orders(n: usize) -> Vec<Vec<RelId>> {
+        let mut orders = vec![(0..=n).map(RelId).collect::<Vec<_>>()];
+        for k in 1..=n {
+            let rest = (0..=n).filter(|&r| r != k).map(RelId);
+            orders.push(std::iter::once(RelId(k)).chain(rest).collect());
+        }
+        orders
+    }
+
+    /// `T(Rn, ..., R0)`, then `T(Rk, ..., Rn, R_{k-1}, ..., R0)` for every
+    /// `k < n` (Theorem 5.3), in the graph's relation ids.
+    fn theorem_5_3_orders(n: usize) -> BTreeSet<Vec<RelId>> {
+        let mut orders = BTreeSet::from([(0..=n).rev().map(RelId).collect::<Vec<_>>()]);
+        for k in 0..n {
+            orders.insert((k..=n).chain((0..k).rev()).map(RelId).collect());
+        }
+        orders
+    }
+
+    fn orders(candidates: &[JoinTree]) -> Vec<Vec<RelId>> {
+        let orders = candidates.iter().map(|c| c.right_deep_order());
+        orders
+            .collect::<Option<_>>()
+            .expect("candidates are right-deep")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Stars get exactly Theorem 4.1's list, in its order.
+        #[test]
+        fn stars_get_the_theorem_4_1_candidates(
+            filters in prop::collection::vec(0.001f64..1.0, 1..8),
+        ) {
+            let g = star_graph(&filters);
+            let candidates = candidate_plans(&g).unwrap();
+            prop_assert_eq!(orders(&candidates), theorem_4_1_orders(filters.len()));
+        }
+
+        /// Chains get exactly Theorem 5.3's set.
+        #[test]
+        fn chains_get_the_theorem_5_3_candidates(n in 2usize..9) {
+            let g = chain_graph(n);
+            let candidates = orders(&candidate_plans(&g).unwrap());
+            prop_assert_eq!(candidates.len(), n);
+            let set: BTreeSet<Vec<RelId>> = candidates.into_iter().collect();
+            prop_assert_eq!(set, theorem_5_3_orders(n - 1));
+        }
     }
 }

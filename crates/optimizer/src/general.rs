@@ -148,7 +148,7 @@ mod tests {
     use super::*;
     use crate::enumerate::exhaustive_best_right_deep;
     use crate::{BqoOptimizer, Optimizer};
-    use bqo_plan::{GraphShape, JoinEdge, RelationInfo};
+    use bqo_plan::{JoinEdge, RelationInfo};
     use proptest::prelude::*;
 
     /// Single-fact snowflake — Algorithm 3 must behave exactly like
@@ -187,7 +187,7 @@ mod tests {
     #[test]
     fn single_fact_snowflake_matches_exhaustive_optimum() {
         let g = single_fact();
-        assert!(matches!(g.classify(), GraphShape::Snowflake { .. }));
+        assert!(g.clean_snowflake().is_some());
         let model = CostModel::new(&g);
         let tree = optimize_join_graph(&g, &model);
         assert!(tree.has_no_cross_products(&g));

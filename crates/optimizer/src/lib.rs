@@ -31,7 +31,7 @@ pub mod snowflake;
 
 use bqo_plan::{push_down_bitvectors, CostModel, JoinGraph, PhysicalPlan};
 
-pub use candidates::{branch_candidates, candidate_plans, snowflake_candidates, star_candidates};
+pub use candidates::{candidate_plans, snowflake_candidates};
 pub use costed_bv::prune_low_benefit_filters;
 pub use dp::conventional_tree;
 pub use enumerate::{enumerate_right_deep, exhaustive_best_right_deep};

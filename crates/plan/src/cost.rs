@@ -136,19 +136,10 @@ impl<'a> CostModel<'a> {
         }
     }
 
-    /// Estimated fraction of rows a bitvector filter eliminates at its target
-    /// (the paper's λ used by the cost-based filter selection, Section 6.3).
-    pub fn estimated_elimination_fraction(
-        &self,
-        plan: &PhysicalPlan,
-        placement_index: usize,
-    ) -> f64 {
-        self.elimination_fraction(plan, &effective_sets(plan), placement_index)
-    }
-
-    /// [`estimated_elimination_fraction`](CostModel::estimated_elimination_fraction)
-    /// of every placement of the plan, in placement order, from one
-    /// computation of the plan's effective sets.
+    /// Estimated fraction of rows each bitvector filter of the plan
+    /// eliminates at its target (the paper's λ used by the cost-based filter
+    /// selection, Section 6.3), in placement order, from one computation of
+    /// the plan's effective sets.
     pub fn estimated_elimination_fractions(&self, plan: &PhysicalPlan) -> Vec<f64> {
         let effective = effective_sets(plan);
         (0..plan.placements.len())
@@ -506,8 +497,8 @@ mod tests {
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         // Find the placement sourced from the join whose build is d2 (the
         // unfiltered dimension): it eliminates (almost) nothing.
-        for (idx, p) in plan.placements.iter().enumerate() {
-            let lambda = model.estimated_elimination_fraction(&plan, idx);
+        let lambdas = model.estimated_elimination_fractions(&plan);
+        for (p, &lambda) in plan.placements.iter().zip(&lambdas) {
             let src_build = match plan.node(p.source_join) {
                 PhysicalNode::HashJoin { build, .. } => *build,
                 _ => unreachable!(),
@@ -604,7 +595,9 @@ mod tests {
         let all = model.estimated_elimination_fractions(&plan);
         assert_eq!(all.len(), plan.placements.len());
         for (index, lambda) in all.iter().enumerate() {
-            let one = model.estimated_elimination_fraction(&plan, index);
+            // A fresh model and fresh effective sets per placement.
+            let fresh = CostModel::new(&g);
+            let one = fresh.elimination_fraction(&plan, &effective_sets(&plan), index);
             assert_eq!(lambda.to_bits(), one.to_bits(), "placement {index}");
         }
     }

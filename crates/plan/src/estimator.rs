@@ -133,79 +133,6 @@ pub(crate) fn semi_reduce(core_card: f64, full_card: f64) -> f64 {
     core_card * (full_card / core_card).min(1.0)
 }
 
-/// The local-predicate selectivity band of one relation inside a
-/// [`SelectivityEnvelope`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectivityBand {
-    /// Relation (table) name.
-    pub relation: String,
-    /// Lower bound (inclusive) of the covered local selectivity.
-    pub lo: f64,
-    /// Upper bound (inclusive) of the covered local selectivity.
-    pub hi: f64,
-}
-
-/// The per-relation selectivity region a cached plan was optimized for.
-///
-/// The paper (§5–6, and the extended version's robustness analysis,
-/// arXiv:2005.03328) shows that the best join order and bitvector placements
-/// shift with predicate selectivity: the λ-threshold regime that decides
-/// which filters are worth keeping flips as a dimension's local selectivity
-/// moves. A plan cache therefore cannot serve one plan for *every* bind of a
-/// parameterized query. The envelope records a multiplicative band
-/// `[s/ratio, s·ratio]` around each relation's local selectivity at
-/// optimization time; a bind whose re-estimated selectivities leave the band
-/// triggers re-optimization instead of serving a stale placement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectivityEnvelope {
-    bands: Vec<SelectivityBand>,
-}
-
-impl SelectivityEnvelope {
-    /// Builds the envelope around the local selectivities of `graph`, with a
-    /// multiplicative tolerance `ratio` (> 1; e.g. 4.0 covers a 16× swing
-    /// end to end). Upper bounds are clamped to 1.
-    pub fn around(graph: &JoinGraph, ratio: f64) -> Self {
-        let ratio = ratio.max(1.0);
-        let bands = graph
-            .relations()
-            .iter()
-            .map(|r| {
-                let s = r.local_selectivity();
-                SelectivityBand {
-                    relation: r.name.clone(),
-                    lo: s / ratio,
-                    hi: (s * ratio).min(1.0),
-                }
-            })
-            .collect();
-        SelectivityEnvelope { bands }
-    }
-
-    /// True if every relation of `graph` falls inside its band. Relations
-    /// unknown to the envelope (or an envelope/graph size mismatch) count as
-    /// an exit — structure changes must never serve a cached plan.
-    pub fn contains(&self, graph: &JoinGraph) -> bool {
-        if self.bands.len() != graph.num_relations() {
-            return false;
-        }
-        graph.relations().iter().all(|r| {
-            self.bands
-                .iter()
-                .find(|b| b.relation == r.name)
-                .is_some_and(|b| {
-                    let s = r.local_selectivity();
-                    b.lo <= s && s <= b.hi
-                })
-        })
-    }
-
-    /// The per-relation bands.
-    pub fn bands(&self) -> &[SelectivityBand] {
-        &self.bands
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -346,57 +273,6 @@ mod tests {
         // An unfiltered dimension eliminates nothing.
         let keep_all = est.semijoin_keep_fraction(fact, set(&[dims[1]]));
         assert!((keep_all - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn envelope_covers_nearby_selectivities_only() {
-        let (g, _, _) = star();
-        let envelope = SelectivityEnvelope::around(&g, 4.0);
-        assert!(envelope.contains(&g));
-
-        // Nudge d1 within the band (0.1 -> 0.2): still covered.
-        let mut near = g.clone();
-        let d1 = near.relation_by_name("d1").unwrap();
-        near.relation_mut(d1).filtered_rows = 20.0;
-        assert!(envelope.contains(&near));
-
-        // Push d1 far outside (0.1 -> 0.9): envelope exit.
-        let mut far = g.clone();
-        let d1 = far.relation_by_name("d1").unwrap();
-        far.relation_mut(d1).filtered_rows = 90.0;
-        assert!(!envelope.contains(&far));
-    }
-
-    #[test]
-    fn envelope_rejects_structural_mismatch() {
-        let (g, _, _) = star();
-        let envelope = SelectivityEnvelope::around(&g, 4.0);
-        let mut other = JoinGraph::new();
-        other.add_relation(RelationInfo::new("fact", 10.0, 10.0));
-        assert!(!envelope.contains(&other));
-        // Same relation count, different names.
-        let (mut renamed, _, _) = star();
-        let d1 = renamed.relation_by_name("d1").unwrap();
-        renamed.relation_mut(d1).name = "other".into();
-        assert!(!envelope.contains(&renamed));
-    }
-
-    #[test]
-    fn envelope_bands_are_clamped_to_one() {
-        let (g, _, _) = star();
-        let envelope = SelectivityEnvelope::around(&g, 4.0);
-        for band in envelope.bands() {
-            assert!(band.hi <= 1.0, "{band:?}");
-            assert!(band.lo <= band.hi, "{band:?}");
-        }
-        // An unfiltered relation (s = 1.0) still tolerates shrinking to 1/4.
-        let fact_band = envelope
-            .bands()
-            .iter()
-            .find(|b| b.relation == "fact")
-            .unwrap();
-        assert!((fact_band.lo - 0.25).abs() < 1e-12);
-        assert_eq!(fact_band.hi, 1.0);
     }
 
     #[test]

@@ -1,4 +1,10 @@
 //! The join graph: relations, equi-join edges and PKFK metadata.
+//!
+//! [`JoinGraph::clean_snowflake`] recognises the one shape the paper's
+//! candidate-set theorems need: a snowflake (Definition 2, Theorem 5.1).
+//! Stars (Definition 1, Theorem 4.1) and chains (Definition 4, Theorem 5.3)
+//! are snowflakes with one-relation branches and with a single branch, so
+//! no separate test covers them.
 
 use crate::predicate::ColumnPredicate;
 use crate::relset::RelSet;
@@ -203,37 +209,6 @@ impl JoinEdge {
     }
 }
 
-/// Shape classification of a join graph, used to pick candidate plan sets.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GraphShape {
-    /// Star query with PKFK joins (Definition 1): one fact table, every
-    /// dimension joins only the fact on the dimension's key.
-    Star {
-        /// The fact table every dimension joins.
-        fact: RelId,
-        /// The dimension tables.
-        dimensions: Vec<RelId>,
-    },
-    /// Snowflake query with PKFK joins (Definition 2): one fact table and
-    /// chains ("branches") of dimensions.
-    Snowflake {
-        /// The fact table the branches hang off.
-        fact: RelId,
-        /// Each branch ordered from the relation adjacent to the fact
-        /// (`R_{i,1}`) outwards (`R_{i,n_i}`).
-        branches: Vec<Vec<RelId>>,
-    },
-    /// A single chain `R_0 -> R_1 -> ... -> R_n` (Definition 4), ordered
-    /// from `R_0`.
-    Branch {
-        /// The chain ordered from `R_0`.
-        order: Vec<RelId>,
-    },
-    /// Anything else: multiple fact tables, dimension-dimension cycles,
-    /// non-PKFK joins, disconnected graphs, ...
-    General,
-}
-
 /// A query's join graph together with the statistics the optimizer needs.
 #[derive(Debug, Clone, Default)]
 pub struct JoinGraph {
@@ -435,62 +410,22 @@ impl JoinGraph {
             .collect()
     }
 
-    /// Classifies the graph shape (Definitions 1, 2 and 4 of the paper).
-    pub fn classify(&self) -> GraphShape {
-        if self.relations.is_empty() || !self.is_connected() {
-            return GraphShape::General;
-        }
-        if let Some(order) = self.try_branch() {
-            // A 2-relation chain is also a trivial star; prefer the chain
-            // classification only for length >= 3 so star logic handles the
-            // common case.
-            if order.len() >= 3 {
-                return GraphShape::Branch { order };
-            }
-        }
-        let facts = self.fact_tables();
-        if facts.len() != 1 {
-            return GraphShape::General;
-        }
-        let fact = facts[0];
-        if let Some(dims) = self.try_star(fact) {
-            return GraphShape::Star {
-                fact,
-                dimensions: dims,
-            };
-        }
-        if let Some(branches) = self.try_snowflake(fact) {
-            return GraphShape::Snowflake { fact, branches };
-        }
-        GraphShape::General
-    }
-
-    /// Star check: every non-fact relation has exactly one neighbour (the
-    /// fact) and the fact points to it (`R0 -> Rk`).
-    fn try_star(&self, fact: RelId) -> Option<Vec<RelId>> {
-        let mut dims = Vec::new();
-        for r in self.relation_ids() {
-            if r == fact {
-                continue;
-            }
-            if self.neighbors(r) != RelSet::single(fact) || !self.points_to(fact, r) {
-                return None;
-            }
-            dims.push(r);
-        }
-        Some(dims)
-    }
-
-    /// Snowflake check: removing the fact leaves chains, each chain hangs off
-    /// the fact at one end and consecutive chain relations are PKFK joined
-    /// pointing outwards (`R_{i,j-1} -> R_{i,j}`).
-    fn try_snowflake(&self, fact: RelId) -> Option<Vec<Vec<RelId>>> {
-        let mut branches = Vec::new();
-        for component in self.components_excluding(fact) {
-            let branch = self.order_branch(fact, component)?;
-            branches.push(branch);
-        }
-        Some(branches)
+    /// The graph as a clean snowflake (Definition 2): its one Section 6.2
+    /// fact table and, for every component left when the fact is removed,
+    /// the branch ordered from the relation adjacent to the fact
+    /// (`R_{i,1}`) outwards (`R_{i,n_i}`), components by smallest relation
+    /// id. A star (Definition 1) is the snowflake whose branches are single
+    /// relations, a chain `R_0 -> ... -> R_n` (Definition 4) the one with
+    /// the single branch `R_1..R_n`. `None` for anything else: no or several
+    /// fact tables, a disconnected graph, a branch that forks, or an edge
+    /// that does not point away from the fact.
+    pub fn clean_snowflake(&self) -> Option<(RelId, Vec<Vec<RelId>>)> {
+        let [fact] = self.fact_tables()[..] else {
+            return None;
+        };
+        let branches = self.components_excluding(fact).into_iter();
+        let branches = branches.map(|c| self.order_branch(fact, c));
+        Some((fact, branches.collect::<Option<_>>()?))
     }
 
     /// Orders the relations of one fact-less component into a chain
@@ -529,52 +464,6 @@ impl JoinGraph {
             return None;
         }
         Some(order)
-    }
-
-    /// Chain check (Definition 4): the graph is a path `R_0 - R_1 - ... - R_n`
-    /// with `R_{k-1} -> R_k` for every consecutive pair. Returns the order
-    /// from `R_0`.
-    fn try_branch(&self) -> Option<Vec<RelId>> {
-        let n = self.num_relations();
-        if n < 2 {
-            return None;
-        }
-        // A path has exactly two endpoints of degree one and everything else
-        // of degree two.
-        let mut endpoints = Vec::new();
-        for r in self.relation_ids() {
-            match self.neighbors(r).len() {
-                1 => endpoints.push(r),
-                2 => {}
-                _ => return None,
-            }
-        }
-        if endpoints.len() != 2 {
-            return None;
-        }
-        // Walk the path from each endpoint and accept the orientation where
-        // every step points outwards (R_{k-1} -> R_k).
-        'outer: for &start in &endpoints {
-            let mut order = vec![start];
-            let mut prev: Option<RelId> = None;
-            let mut current = start;
-            while order.len() < n {
-                let mut next = self.neighbors(current);
-                if let Some(p) = prev {
-                    next.remove(p);
-                }
-                match next.first() {
-                    Some(n) if next.len() == 1 && self.points_to(current, n) => {
-                        prev = Some(current);
-                        current = n;
-                        order.push(current);
-                    }
-                    _ => continue 'outer,
-                }
-            }
-            return Some(order);
-        }
-        None
     }
 }
 
@@ -680,49 +569,50 @@ mod tests {
     #[test]
     fn classify_star() {
         let (g, fact, dims) = star();
-        match g.classify() {
-            GraphShape::Star {
-                fact: f,
-                dimensions,
-            } => {
-                assert_eq!(f, fact);
-                assert_eq!(dimensions.len(), dims.len());
-            }
-            other => panic!("expected star, got {other:?}"),
-        }
+        let branches: Vec<Vec<RelId>> = dims.iter().map(|&d| vec![d]).collect();
+        assert_eq!(g.clean_snowflake(), Some((fact, branches)));
     }
 
     #[test]
     fn classify_snowflake() {
         let (g, fact) = snowflake();
-        match g.classify() {
-            GraphShape::Snowflake { fact: f, branches } => {
-                assert_eq!(f, fact);
-                assert_eq!(branches.len(), 2);
-                let lens: BTreeSet<usize> = branches.iter().map(|b| b.len()).collect();
-                assert_eq!(lens, [1usize, 2].into_iter().collect());
-                // Branch of length 2 must start at the relation adjacent to
-                // the fact.
-                let long = branches.iter().find(|b| b.len() == 2).unwrap();
-                assert!(g.are_adjacent(long[0], f));
-                assert!(!g.are_adjacent(long[1], f));
-            }
-            other => panic!("expected snowflake, got {other:?}"),
-        }
+        let (f, branches) = g.clean_snowflake().expect("a clean snowflake");
+        assert_eq!(f, fact);
+        let lens: BTreeSet<usize> = branches.iter().map(|b| b.len()).collect();
+        assert_eq!(lens, [1usize, 2].into_iter().collect());
+        // The branch of length 2 starts at the relation adjacent to the fact.
+        let long = branches.iter().find(|b| b.len() == 2).unwrap();
+        assert!(g.are_adjacent(long[0], f));
+        assert!(!g.are_adjacent(long[1], f));
     }
 
-    #[test]
-    fn classify_branch_chain() {
+    /// r0 -> r1 -> r2; with `one_to_one`, r0's join column is a key too.
+    fn chain(one_to_one: bool) -> (JoinGraph, [RelId; 3]) {
         let mut g = JoinGraph::new();
         let r0 = g.add_relation(RelationInfo::new("r0", 10_000.0, 10_000.0));
         let r1 = g.add_relation(RelationInfo::new("r1", 1000.0, 1000.0));
         let r2 = g.add_relation(RelationInfo::new("r2", 100.0, 10.0));
-        g.add_edge(JoinEdge::pkfk(r0, "r1_sk", r1, "sk", 1000.0));
+        g.add_edge(JoinEdge::new(
+            r0, r1, "r1_sk", "sk", 1000.0, 1000.0, one_to_one, true,
+        ));
         g.add_edge(JoinEdge::pkfk(r1, "r2_sk", r2, "sk", 100.0));
-        match g.classify() {
-            GraphShape::Branch { order } => assert_eq!(order, vec![r0, r1, r2]),
-            other => panic!("expected branch, got {other:?}"),
-        }
+        (g, [r0, r1, r2])
+    }
+
+    #[test]
+    fn classify_branch_chain() {
+        let (g, [r0, r1, r2]) = chain(false);
+        assert_eq!(g.clean_snowflake(), Some((r0, vec![vec![r1, r2]])));
+    }
+
+    #[test]
+    fn a_chain_rooted_at_a_key_has_no_fact_table() {
+        // A path whose R0 is the key side of a 1:1 edge still points
+        // outwards all the way, but no relation qualifies as a Section 6.2
+        // fact table, so it is not a clean snowflake.
+        let (g, _) = chain(true);
+        assert!(g.fact_tables().is_empty());
+        assert_eq!(g.clean_snowflake(), None);
     }
 
     #[test]
@@ -734,7 +624,7 @@ mod tests {
         let d = g.add_relation(RelationInfo::new("d", 100.0, 100.0));
         g.add_edge(JoinEdge::pkfk(f1, "d_sk", d, "sk", 100.0));
         g.add_edge(JoinEdge::pkfk(f2, "d_sk", d, "sk", 100.0));
-        assert_eq!(g.classify(), GraphShape::General);
+        assert_eq!(g.clean_snowflake(), None);
         assert_eq!(g.fact_tables().len(), 2);
     }
 
@@ -743,8 +633,12 @@ mod tests {
         let mut g = JoinGraph::new();
         let _a = g.add_relation(RelationInfo::new("a", 10.0, 10.0));
         let _b = g.add_relation(RelationInfo::new("b", 10.0, 10.0));
-        assert_eq!(g.classify(), GraphShape::General);
+        assert_eq!(g.clean_snowflake(), None);
         assert!(!g.is_connected());
+        // A star plus a relation joined to nothing is not a snowflake either.
+        let (mut g, _, _) = star();
+        g.add_relation(RelationInfo::new("loose", 10.0, 10.0));
+        assert_eq!(g.clean_snowflake(), None);
     }
 
     #[test]
@@ -754,7 +648,7 @@ mod tests {
         let f = g.add_relation(RelationInfo::new("f", 1000.0, 1000.0));
         let d = g.add_relation(RelationInfo::new("d", 100.0, 100.0));
         g.add_edge(JoinEdge::new(f, d, "x", "y", 50.0, 60.0, false, false));
-        assert_eq!(g.classify(), GraphShape::General);
+        assert_eq!(g.clean_snowflake(), None);
     }
 
     #[test]
@@ -763,7 +657,7 @@ mod tests {
         let f = g.add_relation(RelationInfo::new("f", 1000.0, 1000.0));
         let d = g.add_relation(RelationInfo::new("d", 100.0, 100.0));
         g.add_edge(JoinEdge::pkfk(f, "d_sk", d, "sk", 100.0));
-        assert!(matches!(g.classify(), GraphShape::Star { .. }));
+        assert_eq!(g.clean_snowflake(), Some((f, vec![vec![d]])));
     }
 
     #[test]

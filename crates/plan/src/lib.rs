@@ -4,8 +4,8 @@
 //! This crate is the analytical heart of the reproduction. It contains:
 //!
 //! * [`graph`] — the join-graph model ([`JoinGraph`], [`RelationInfo`],
-//!   [`JoinEdge`]) with PKFK metadata and shape classification
-//!   (star / snowflake / branch / general, fact-table detection).
+//!   [`JoinEdge`]) with PKFK metadata, fact-table detection and the clean
+//!   snowflake test (stars and chains are snowflakes).
 //! * [`relset`] — [`RelSet`], the `Copy` bitset every "set of relations" in
 //!   the planner and the optimizers is written as.
 //! * [`tree`] — [`JoinTree`], the one join-tree type: a flat arena the
@@ -46,8 +46,8 @@ pub mod unparse;
 
 pub use builder::QuerySpec;
 pub use cost::{CostModel, CoutBreakdown};
-pub use estimator::{CardinalityEstimator, SelectivityBand, SelectivityEnvelope};
-pub use graph::{GraphShape, JoinEdge, JoinGraph, RelId, RelationInfo, ScanBacking};
+pub use estimator::CardinalityEstimator;
+pub use graph::{JoinEdge, JoinGraph, RelId, RelationInfo, ScanBacking};
 pub use physical::{
     BitvectorPlacement, ColumnRef, JoinKeyPair, NodeId, PhysicalNode, PhysicalPlan,
 };

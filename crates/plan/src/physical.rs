@@ -160,14 +160,6 @@ impl PhysicalPlan {
         self.rel_sets[id.0]
     }
 
-    /// Placements targeted at a given node.
-    pub fn placements_at(&self, target: NodeId) -> Vec<&BitvectorPlacement> {
-        self.placements
-            .iter()
-            .filter(|p| p.target == target)
-            .collect()
-    }
-
     /// Placements targeted at `target`, paired with their index in
     /// [`PhysicalPlan::placements`]. The executor keys its published filters
     /// by this index, so plan→pipeline lowering uses this helper to wire a
@@ -486,9 +478,7 @@ mod tests {
             target: scan_fact,
             probe_columns: vec![ColumnRef::new(fact, "d1_sk")],
         });
-        assert_eq!(plan.placements_at(scan_fact).len(), 1);
-        assert!(plan.placements_at(root).is_empty());
-        // The indexed variants see the same placements with their arena index.
+        // The lookups see the placements with their arena index.
         let indexed: Vec<usize> = plan
             .indexed_placements_at(scan_fact)
             .map(|(i, _)| i)

@@ -113,6 +113,12 @@ mod tests {
             .unwrap()
     }
 
+    /// The placements targeted at `node`.
+    fn at(plan: &PhysicalPlan, node: NodeId) -> Vec<&BitvectorPlacement> {
+        let placements = plan.indexed_placements_at(node);
+        placements.map(|(_, p)| p).collect()
+    }
+
     /// Star: fact joins d1, d2; plan T(fact, d1, d2).
     #[test]
     fn star_filters_all_reach_the_fact_scan() {
@@ -127,7 +133,7 @@ mod tests {
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
 
         let fact_scan = scan_of(&plan, fact);
-        let at_fact = plan.placements_at(fact_scan);
+        let at_fact = at(&plan, fact_scan);
         assert_eq!(
             at_fact.len(),
             2,
@@ -159,12 +165,9 @@ mod tests {
 
         let fact_scan = scan_of(&plan, fact);
         let r1_scan = scan_of(&plan, r1);
-        assert_eq!(plan.placements_at(fact_scan).len(), 1);
-        assert_eq!(plan.placements_at(r1_scan).len(), 1);
-        assert_eq!(
-            plan.placements_at(r1_scan)[0].probe_columns[0].column,
-            "r2_sk"
-        );
+        assert_eq!(at(&plan, fact_scan).len(), 1);
+        assert_eq!(at(&plan, r1_scan).len(), 1);
+        assert_eq!(at(&plan, r1_scan)[0].probe_columns[0].column, "r2_sk");
     }
 
     /// The Figure 1 example: join graph A-B, B-C, A-D, C-D and the plan
@@ -198,7 +201,7 @@ mod tests {
 
         let b_scan = scan_of(&plan, b);
         // Filters from A (on B.?) and from C (on B.?) reach B's scan.
-        assert_eq!(plan.placements_at(b_scan).len(), 2);
+        assert_eq!(at(&plan, b_scan).len(), 2);
 
         // The filter from D is residual at the join whose output is {A, B, C}.
         let residual: Vec<_> = plan
@@ -233,13 +236,10 @@ mod tests {
         let d1_scan = scan_of(&plan, d1);
         // d2's filter reaches the fact scan (through the lower join's build
         // side); the lower join's own filter (from fact) reaches d1's scan.
-        assert_eq!(plan.placements_at(fact_scan).len(), 1);
-        assert_eq!(
-            plan.placements_at(fact_scan)[0].probe_columns[0].column,
-            "d2_sk"
-        );
-        assert_eq!(plan.placements_at(d1_scan).len(), 1);
-        assert_eq!(plan.placements_at(d1_scan)[0].probe_columns[0].column, "sk");
+        assert_eq!(at(&plan, fact_scan).len(), 1);
+        assert_eq!(at(&plan, fact_scan)[0].probe_columns[0].column, "d2_sk");
+        assert_eq!(at(&plan, d1_scan).len(), 1);
+        assert_eq!(at(&plan, d1_scan)[0].probe_columns[0].column, "sk");
     }
 
     /// Push-down also works for bushy trees produced by the baseline

@@ -287,7 +287,6 @@ pub fn figure2_workload(scale: Scale, seed: u64) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqo_plan::GraphShape;
 
     #[test]
     fn catalog_has_all_tables() {
@@ -319,7 +318,7 @@ mod tests {
             .expect("query 2 is multi-fact by construction");
         let graph = multi.to_join_graph(&catalog).unwrap();
         assert!(graph.fact_tables().len() >= 2);
-        assert_eq!(graph.classify(), GraphShape::General);
+        assert_eq!(graph.clean_snowflake(), None);
     }
 
     #[test]
@@ -332,10 +331,9 @@ mod tests {
             .expect("query 0 is single-fact by construction");
         let graph = single.to_join_graph(&w.catalog).unwrap();
         assert!(graph.is_connected());
-        assert!(matches!(
-            graph.classify(),
-            GraphShape::Star { .. } | GraphShape::Snowflake { .. } | GraphShape::General
-        ));
+        // At seed 23, q00 is a 3-dimension star.
+        let (_, branches) = graph.clean_snowflake().expect("a clean snowflake");
+        assert_eq!(branches.iter().map(Vec::len).collect::<Vec<_>>(), [1, 1, 1]);
         assert_eq!(graph.fact_tables().len(), 1);
     }
 

@@ -319,7 +319,6 @@ pub fn generate(scale: Scale, num_queries: usize, seed: u64) -> Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqo_plan::GraphShape;
 
     #[test]
     fn catalog_shape() {
@@ -351,12 +350,7 @@ mod tests {
             let graph = q.to_join_graph(&w.catalog).unwrap();
             assert!(graph.is_connected(), "{}", q.name);
             assert_eq!(graph.fact_tables().len(), 1, "{}", q.name);
-            if matches!(
-                graph.classify(),
-                GraphShape::Star { .. } | GraphShape::Snowflake { .. }
-            ) {
-                star_or_snowflake += 1;
-            }
+            star_or_snowflake += usize::from(graph.clean_snowflake().is_some());
         }
         // Most TPC-DS-like queries are clean stars/snowflakes.
         assert!(star_or_snowflake >= w.queries.len() / 2);

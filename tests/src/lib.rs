@@ -212,16 +212,22 @@ pub fn snowflake_graph(fact_rows: f64, branches: &[Vec<(f64, f64)>]) -> JoinGrap
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqo_plan::GraphShape;
+    use bqo_plan::RelId;
 
     #[test]
     fn helpers_build_expected_shapes() {
         let s = star_graph(1e6, &[(100.0, 10.0), (50.0, 50.0)]);
-        assert!(matches!(s.classify(), GraphShape::Star { .. }));
+        // Every helper numbers its fact (or chain root) R0.
+        let r = RelId;
+        assert_eq!(
+            s.clean_snowflake(),
+            Some((r(0), vec![vec![r(1)], vec![r(2)]]))
+        );
         let c = chain_graph(&[(1e5, 1e5), (1e3, 500.0), (10.0, 2.0)]);
-        assert!(matches!(c.classify(), GraphShape::Branch { .. }));
+        assert_eq!(c.clean_snowflake(), Some((r(0), vec![vec![r(1), r(2)]])));
         let f = snowflake_graph(1e6, &[vec![(1e3, 1e3), (10.0, 5.0)], vec![(100.0, 10.0)]]);
-        assert!(matches!(f.classify(), GraphShape::Snowflake { .. }));
+        let branches = vec![vec![r(1), r(2)], vec![r(3)]];
+        assert_eq!(f.clean_snowflake(), Some((r(0), branches)));
     }
 
     #[test]

@@ -25,21 +25,29 @@ fn assert_consistent(workload: &bqo_core::workloads::Workload) {
             let prepared = engine
                 .prepare(query, choice)
                 .unwrap_or_else(|e| panic!("{}: optimize failed: {e}", query.name));
-            for config in [
-                ExecConfig::default(),
-                ExecConfig::exact_filters(),
-                ExecConfig::without_bitvectors(),
+            // The same plan with its placements cleared runs without filters.
+            let mut bare = prepared.plan().clone();
+            bare.placements.clear();
+            let bare = engine.prepare_plan(&query.name, prepared.graph().clone(), bare);
+            for (stmt, config) in [
+                (&prepared, ExecConfig::default()),
+                (&prepared, ExecConfig::exact_filters()),
+                (&bare, ExecConfig::default()),
             ] {
                 let result = session
-                    .execute(&prepared, RunOptions::new().with_exec_config(config))
+                    .execute(stmt, RunOptions::new().with_exec_config(config))
                     .unwrap_or_else(|e| panic!("{}: execute failed: {e}", query.name))
                     .result;
                 match expected {
                     None => expected = Some(result.output_rows),
                     Some(rows) => assert_eq!(
-                        rows, result.output_rows,
-                        "{} under {:?}/{:?} returned a different answer",
-                        query.name, choice, config
+                        rows,
+                        result.output_rows,
+                        "{} under {:?}/{:?} ({} placements) returned a different answer",
+                        query.name,
+                        choice,
+                        config,
+                        stmt.plan().placements.len()
                     ),
                 }
             }

@@ -306,11 +306,10 @@ fn assert_matches_reference(s: &Scenario) -> usize {
     for (plan, bitvectors) in [(&filtered, true), (&bare, false)] {
         for batch_size in [3, 4096] {
             // Tiny morsels and no inline gate, so 4 threads really fan out.
-            let mut base = ExecConfig::default()
+            let base = ExecConfig::default()
                 .with_batch_size(batch_size)
                 .with_morsel_size(2)
                 .with_parallel_threshold(1);
-            base.enable_bitvectors = bitvectors;
             let oracle_config = base
                 .with_num_threads(1)
                 .with_kernel_mode(KernelMode::Scalar);

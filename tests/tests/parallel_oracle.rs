@@ -132,7 +132,7 @@ fn star_matrix_matches_serial_oracle_with_exact_filters() {
     );
 }
 
-/// Bitvectors disabled: the parallel path must also be a no-op-filter
+/// Plans without bitvector placements: the parallel path must also be a
 /// bit-identical reproduction (probe loops still fan out across morsels).
 #[test]
 fn star_matrix_matches_serial_oracle_without_bitvectors() {
@@ -142,7 +142,7 @@ fn star_matrix_matches_serial_oracle_without_bitvectors() {
         &engine,
         &workload.queries,
         &[OptimizerChoice::BaselineNoBitvectors],
-        ExecConfig::without_bitvectors(),
+        ExecConfig::default(),
     );
 }
 

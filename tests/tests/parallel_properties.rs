@@ -160,9 +160,7 @@ proptest! {
         let baseline = session
             .execute(
                 &baseline_stmt,
-                RunOptions::new().with_exec_config(
-                    ExecConfig::without_bitvectors().with_num_threads(num_threads),
-                ),
+                RunOptions::new().with_exec_config(config),
             )
             .unwrap()
             .result;

@@ -55,8 +55,8 @@ fn fingerprint_is_stable_under_spec_reordering() {
     assert_eq!(first.cache_status(), CacheStatus::Miss);
     let second = engine.prepare(&b, OptimizerChoice::Bqo).unwrap();
     assert_eq!(second.cache_status(), CacheStatus::Hit);
-    assert_eq!(engine.plan_cache().hits(), 1);
-    assert_eq!(engine.plan_cache().misses(), 1);
+    assert_eq!(engine.plan_cache().cache_stats().hits, 1);
+    assert_eq!(engine.plan_cache().cache_stats().misses, 1);
     assert_eq!(engine.plan_cache().len(), 1);
 
     // The hit is only legitimate if the served plan actually *executes*
@@ -279,7 +279,11 @@ fn envelope_exit_reoptimizes_and_changes_the_bitvector_placement() {
     assert_eq!(nearby.cache_status(), CacheStatus::Hit);
     assert!(Arc::ptr_eq(&selective.shared_plan(), &nearby.shared_plan()));
     assert_eq!(
-        (cache.hits(), cache.misses(), cache.reoptimizations()),
+        (
+            cache.cache_stats().hits,
+            cache.cache_stats().misses,
+            cache.cache_stats().reoptimizations
+        ),
         (1, 1, 0)
     );
 
@@ -299,7 +303,11 @@ fn envelope_exit_reoptimizes_and_changes_the_bitvector_placement() {
         "envelope exit must change the bitvector placement"
     );
     assert_eq!(
-        (cache.hits(), cache.misses(), cache.reoptimizations()),
+        (
+            cache.cache_stats().hits,
+            cache.cache_stats().misses,
+            cache.cache_stats().reoptimizations
+        ),
         (1, 1, 1)
     );
 
@@ -404,7 +412,7 @@ fn lru_eviction_bounds_a_shared_engine_cache() {
             .cache_status(),
         CacheStatus::Miss
     );
-    assert_eq!(cache.evictions(), 2);
+    assert_eq!(cache.cache_stats().evictions, 2);
 
     // Evicted-and-reloaded plans still execute correctly.
     let stmt = engine.prepare(&queries[1], OptimizerChoice::Bqo).unwrap();

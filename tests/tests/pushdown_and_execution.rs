@@ -80,9 +80,7 @@ fn estimated_lambda_tracks_observed_elimination() {
         .result;
     let observed = result.metrics.filter_stats.elimination_rate();
 
-    let estimates: Vec<f64> = (0..prepared.plan().placements.len())
-        .map(|i| model.estimated_elimination_fraction(prepared.plan(), i))
-        .collect();
+    let estimates = model.estimated_elimination_fractions(prepared.plan());
     let max_estimate = estimates.iter().cloned().fold(0.0f64, f64::max);
     // The strongest filter's estimate should be in the same ballpark as the
     // overall observed elimination (both are dominated by the selective

@@ -247,10 +247,10 @@ fn server_matches_fresh_single_threaded_sessions() {
     // one entry per template/ad-hoc fingerprint, mostly optimizer-free.
     let cache = engine.plan_cache();
     assert_eq!(
-        cache.hits() + cache.misses() + cache.reoptimizations(),
+        cache.cache_stats().hits + cache.cache_stats().misses + cache.cache_stats().reoptimizations,
         total
     );
-    assert!(cache.hits() > 0, "cached serving must hit");
+    assert!(cache.cache_stats().hits > 0, "cached serving must hit");
     assert_eq!(cache.len(), 4);
 
     server.shutdown();

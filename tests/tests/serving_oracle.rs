@@ -166,14 +166,14 @@ fn concurrent_serving_matches_fresh_single_threaded_prepares() {
     let cache = engine.plan_cache();
     let total = (num_threads * ROUNDS * requests.len()) as u64;
     assert_eq!(
-        cache.hits() + cache.misses() + cache.reoptimizations(),
+        cache.cache_stats().hits + cache.cache_stats().misses + cache.cache_stats().reoptimizations,
         total
     );
-    assert!(cache.hits() > 0, "cached serving must hit");
+    assert!(cache.cache_stats().hits > 0, "cached serving must hit");
     assert!(
-        cache.misses() >= 4,
+        cache.cache_stats().misses >= 4,
         "each distinct fingerprint misses at least once: {}",
-        cache.misses()
+        cache.cache_stats().misses
     );
     assert_eq!(cache.len(), 4);
 }
