@@ -5,7 +5,7 @@
 /// Hashes a single 64-bit key to a well-mixed 64-bit digest
 /// (SplitMix64 finalizer).
 #[inline]
-pub fn hash_key(key: i64) -> u64 {
+pub(crate) fn hash_key(key: i64) -> u64 {
     let mut z = (key as u64).wrapping_add(0x9e3779b97f4a7c15); // CAST-OK: two's-complement bit reinterpret; hashing is bit-uniform
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);

@@ -28,19 +28,20 @@
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod bitmap;
-pub mod blocked;
-pub mod bloom;
-pub mod hash;
-pub mod key_index;
-pub mod stats;
+mod bitmap;
+mod blocked;
+mod bloom;
+mod hash;
+mod key_index;
+mod stats;
 
 pub use bitmap::{dense_span, RangeBitmapFilter};
 pub use blocked::BlockedBloomFilter;
 pub use bloom::BloomFilter;
-pub use hash::hash_key;
+pub use hash::{combine_key, fold_parts};
 pub use key_index::KeyIndex;
 pub use stats::FilterStats;
 

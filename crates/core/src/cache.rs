@@ -25,14 +25,14 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Multiplicative tolerance of the stored selectivity envelope: a cached plan
 /// keeps serving binds whose per-relation local selectivities stay within
 /// `[s/4, 4s]` of the selectivities it was optimized for.
-pub const DEFAULT_ENVELOPE_RATIO: f64 = 4.0;
+pub(crate) const DEFAULT_ENVELOPE_RATIO: f64 = 4.0;
 
 /// Default [`PlanCache::capacity`]: the maximum number of cached plans before
 /// least-recently-used entries are evicted. Parameterized templates share one
 /// entry per template, so this comfortably covers a serving workload's
 /// distinct statement shapes while bounding memory for ad-hoc literal
 /// traffic.
-pub const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
+pub(crate) const DEFAULT_PLAN_CACHE_CAPACITY: usize = 256;
 
 /// How a `PreparedStatement` was obtained from the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -130,7 +130,7 @@ pub struct CacheStats {
 /// envelopes. Cloning is cheap and shares entries and counters.
 ///
 /// The cache is bounded: at most [`PlanCache::capacity`] plans are retained
-/// (default [`DEFAULT_PLAN_CACHE_CAPACITY`]), and inserting beyond that
+/// (default 256), and inserting beyond that
 /// evicts the least-recently-used entry ([`CacheStats::evictions`] records
 /// how often). High-cardinality literal values should still be expressed as
 /// parameterized templates (all binds of one template share a single entry)
@@ -148,8 +148,7 @@ impl Default for PlanCache {
 }
 
 impl PlanCache {
-    /// An empty cache with the default capacity
-    /// ([`DEFAULT_PLAN_CACHE_CAPACITY`]).
+    /// An empty cache with the default capacity of 256 plans.
     pub fn new() -> Self {
         PlanCache::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY)
     }

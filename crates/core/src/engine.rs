@@ -368,10 +368,9 @@ fn render_exec_config(config: ExecConfig) -> String {
         bqo_exec::KernelMode::Scalar => "scalar",
     };
     format!(
-        "execution: batch_size={}, num_threads={}, morsel_size={}, kernels={}, zone_map_pruning={}\n",
+        "execution: batch_size={}, num_threads={}, kernels={}, zone_map_pruning={}\n",
         render_rows(config.batch_size),
         config.num_threads,
-        render_rows(config.effective_morsel_size()),
         kernels,
         if config.zone_map_pruning { "on" } else { "off" }
     )
@@ -429,8 +428,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the execution configuration (filter kind, bitvectors on/off,
-    /// batch size, morsel size, worker-thread count, parallel threshold).
+    /// Sets the execution configuration (filter kind, batch size,
+    /// worker-thread count, parallel threshold, kernel mode, zone-map
+    /// pruning).
     pub fn exec_config(mut self, config: ExecConfig) -> Self {
         self.exec_config = config;
         self
@@ -642,16 +642,6 @@ pub struct Session {
 }
 
 impl Session {
-    /// The engine this session executes against.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The session's execution configuration.
-    pub fn exec_config(&self) -> ExecConfig {
-        self.exec_config
-    }
-
     /// The same session with a different execution configuration (e.g.
     /// exact filters, another batch size or worker-thread count).
     pub fn with_exec_config(mut self, config: ExecConfig) -> Self {
@@ -736,16 +726,13 @@ mod tests {
         let line = render_exec_config(ExecConfig::default());
         assert!(line.contains("batch_size=4096"), "{line}");
         assert!(line.contains("num_threads=1"), "{line}");
-        assert!(line.contains("morsel_size=4096"), "{line}");
         let line = render_exec_config(
             ExecConfig::default()
                 .with_batch_size(usize::MAX)
-                .with_num_threads(4)
-                .with_morsel_size(64),
+                .with_num_threads(4),
         );
         assert!(line.contains("batch_size=unbatched"), "{line}");
         assert!(line.contains("num_threads=4"), "{line}");
-        assert!(line.contains("morsel_size=64"), "{line}");
         let line = render_exec_config(
             ExecConfig::default().with_kernel_mode(bqo_exec::KernelMode::Scalar),
         );

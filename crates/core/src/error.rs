@@ -71,7 +71,7 @@ impl BqoError {
     /// the metrics the run gathered: they are kept only when the run was
     /// cancelled (`StorageError::Cancelled`), so a serving layer can report
     /// how much work a killed query did.
-    pub fn from_exec(
+    pub(crate) fn from_exec(
         query: impl Into<String>,
         source: StorageError,
         metrics: ExecutionMetrics,
@@ -105,14 +105,14 @@ impl BqoError {
     }
 
     /// The metrics a cancelled run gathered before it was aborted, if this
-    /// error carries them.
+    /// error carries them: how a `Session::execute` caller reads them.
     pub fn partial_metrics(&self) -> Option<&ExecutionMetrics> {
         self.partial_metrics.as_deref()
     }
 
-    /// Consumes the error, returning the partial metrics of a cancelled run,
-    /// if any.
-    pub fn take_partial_metrics(&mut self) -> Option<ExecutionMetrics> {
+    /// Moves the partial metrics of a cancelled run, if any, out of the
+    /// error.
+    pub(crate) fn take_partial_metrics(&mut self) -> Option<ExecutionMetrics> {
         self.partial_metrics.take().map(|m| *m)
     }
 }

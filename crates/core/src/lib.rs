@@ -108,23 +108,25 @@
 //! pushed-down bitvector probes, hash joins drain their build side at `open`
 //! (publishing their bitvector filter before the probe side starts) and
 //! stream the probe side. The probe-heavy loops run as shared-state-free
-//! kernels over fixed-size row **morsels** dispatched to
+//! kernels over row **morsels** (a batch of an in-memory table, one chunk of
+//! a file-backed one) dispatched to
 //! [`ExecConfig::num_threads`] workers ([`ExecConfig::with_num_threads`]) —
 //! parked threads of the engine-owned persistent [`WorkerPool`], woken per
 //! parallel section, with tiny inputs gated inline by
 //! [`ExecConfig::parallel_threshold`] — and per-morsel outputs and counters
 //! merged deterministically in morsel order, so results and all reported
 //! counters are bit-identical for every
-//! `(batch_size, morsel_size, num_threads, parallel_threshold)` combination.
+//! `(batch_size, num_threads, parallel_threshold)` combination.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod engine;
-pub mod error;
-pub mod server;
+mod cache;
+mod engine;
+mod error;
+mod server;
 
 // Re-export the building blocks so downstream users (examples, benches) only
 // need to depend on `bqo-core`.
@@ -137,9 +139,7 @@ pub use bqo_sql as sql;
 pub use bqo_storage as storage;
 pub use bqo_workloads as workloads;
 
-pub use cache::{
-    CacheStats, CacheStatus, PlanCache, DEFAULT_ENVELOPE_RATIO, DEFAULT_PLAN_CACHE_CAPACITY,
-};
+pub use cache::{CacheStats, CacheStatus, PlanCache};
 pub use engine::{
     Engine, EngineBuilder, EngineStats, PreparedStatement, RunOptions, Session, StatementOutput,
 };

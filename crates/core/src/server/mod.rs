@@ -214,11 +214,6 @@ impl Request {
     pub fn builder() -> RequestBuilder {
         RequestBuilder::default()
     }
-
-    /// The request's scheduling/execution options.
-    pub fn options(&self) -> &QueryOptions {
-        &self.options
-    }
 }
 
 /// Builder for [`Request`] — the single submit surface of the server.
@@ -776,7 +771,9 @@ impl Drop for ServerOwner {
     }
 }
 
-/// The multi-tenant serving front end (see the [module docs](self)).
+/// The multi-tenant serving front end: priority- and deadline-aware
+/// dispatch, per-tenant quotas, bounded-queue backpressure and cancellable
+/// [`Ticket`]s.
 /// Cloning a `Server` is a cheap handle copy; all clones share the queue,
 /// dispatchers and counters. The dispatchers are joined at the first
 /// [`Server::shutdown`] (or when the last handle drops).
@@ -817,11 +814,6 @@ impl Server {
             }),
             shared,
         }
-    }
-
-    /// The engine this server executes against.
-    pub fn engine(&self) -> &Engine {
-        &self.shared.engine
     }
 
     /// The server's traffic-shaping configuration, every bound clamped to at
@@ -1109,9 +1101,9 @@ mod tests {
             .deadline(Duration::from_secs(1))
             .build()
             .unwrap();
-        assert_eq!(request.options().tenant.as_deref(), Some("a"));
-        assert_eq!(request.options().priority, 3);
-        assert_eq!(request.options().deadline, Some(Duration::from_secs(1)));
+        assert_eq!(request.options.tenant.as_deref(), Some("a"));
+        assert_eq!(request.options.priority, 3);
+        assert_eq!(request.options.deadline, Some(Duration::from_secs(1)));
         // Params on a plan request are rejected.
         let graph = JoinGraph::new();
         let plan =

@@ -33,7 +33,7 @@
 //! with the rest of the class — a PK–FK answer holds its key values once.
 
 use crate::join_table::row_id;
-use bqo_bitvector::hash::{combine_key, fold_parts};
+use bqo_bitvector::{combine_key, fold_parts};
 use bqo_plan::ColumnRef;
 use bqo_storage::{Column, StorageError};
 use std::convert::Infallible;
@@ -99,7 +99,7 @@ impl Batch {
     ///
     /// # Panics
     /// Panics if lengths are inconsistent.
-    pub fn with_schema(schema: Arc<[ColumnRef]>, columns: Vec<Arc<Column>>) -> Self {
+    pub(crate) fn with_schema(schema: Arc<[ColumnRef]>, columns: Vec<Arc<Column>>) -> Self {
         assert_eq!(
             schema.len(),
             columns.len(),
@@ -230,11 +230,6 @@ impl Batch {
         self.schema.iter().position(|c| c == column)
     }
 
-    /// A column by qualified reference (physical rows).
-    pub fn column(&self, column: &ColumnRef) -> Option<&Column> {
-        self.index_of(column).map(|i| &*self.columns[i])
-    }
-
     /// The row ids column `index` is read through (`None`: identity).
     fn rows_of(&self, index: usize) -> Option<&[u32]> {
         let source = self.sources.iter().find(|s| index < s.end);
@@ -307,7 +302,7 @@ impl Batch {
     /// [`Batch::concat`] calling `check` before each batch is gathered: the
     /// first error drops the partial columns and is returned — how an
     /// executor keeps the gather cancellable.
-    pub fn try_concat<E>(
+    pub(crate) fn try_concat<E>(
         batches: Vec<Batch>,
         mut check: impl FnMut() -> Result<(), E>,
     ) -> Result<Batch, E> {
@@ -625,6 +620,13 @@ mod tests {
     use super::*;
     use bqo_plan::RelId;
     use bqo_storage::{Table, TableBuilder};
+
+    impl Batch {
+        /// A column by qualified reference (physical rows).
+        pub(crate) fn column(&self, column: &ColumnRef) -> Option<&Column> {
+            self.index_of(column).map(|i| &*self.columns[i])
+        }
+    }
 
     /// A base table as a batch sharing its columns, every column qualified
     /// with `relation`.

@@ -76,11 +76,6 @@ impl CancelToken {
         self.inner.cancelled.load(Ordering::Acquire)
     }
 
-    /// The token's absolute deadline, if it has one.
-    pub fn deadline(&self) -> Option<Instant> {
-        self.inner.deadline
-    }
-
     /// Whether the token has a deadline and it has passed.
     fn deadline_passed(&self) -> bool {
         self.inner
@@ -99,7 +94,7 @@ mod tests {
         let token = CancelToken::new();
         assert!(!token.is_cancelled());
         assert!(!token.cancel_requested());
-        assert!(token.deadline().is_none());
+        assert!(token.inner.deadline.is_none());
     }
 
     #[test]

@@ -15,12 +15,12 @@ pub const DEFAULT_BATCH_SIZE: usize = 4096;
 /// Default [`ExecConfig::parallel_threshold`]: minimum rows per worker before
 /// a kernel fans out to helper workers. Tiny inputs run inline — fanning out
 /// (even to a parked pool worker) costs more than a few hundred probes.
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
+pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 
 /// Which probe/filter kernel implementations the operators run.
 ///
 /// Both modes produce bit-identical rows, batch boundaries and counters for
-/// every `(batch_size, morsel_size, num_threads)` combination — the scalar
+/// every `(batch_size, num_threads)` combination — the scalar
 /// kernels are retained as the differential-testing oracle for the
 /// vectorized ones (see the `kernel_oracle` suite).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,9 +63,11 @@ impl KernelMode {
 pub struct ExecConfig {
     /// Which bitvector filter implementation hash joins build.
     pub filter_kind: FilterKind,
-    /// Rows per batch pulled through the operator pipeline. Any value
-    /// produces identical results and counters; `usize::MAX` is effectively
-    /// unbatched (one batch per scan). Values below 1 are treated as 1.
+    /// Rows per batch pulled through the operator pipeline, and per morsel of
+    /// an in-memory scan (a file-backed scan's morsel is one chunk). Any
+    /// value produces identical results and counters; `usize::MAX` is
+    /// effectively unbatched (one batch per scan). Values below 1 are treated
+    /// as 1.
     pub batch_size: usize,
     /// Worker threads for the morsel-parallel sections (scan predicate and
     /// bitvector-probe evaluation, the join table's count-then-scatter
@@ -73,11 +75,6 @@ pub struct ExecConfig {
     /// on the calling thread — the serial path. Results and all counters are
     /// bit-identical for every value; values below 1 are treated as 1.
     pub num_threads: usize,
-    /// Rows per scan morsel handed to the worker pool. `None` (the default)
-    /// uses [`ExecConfig::batch_size`]. Smaller morsels spread work across
-    /// more workers without changing the batch boundaries seen by parent
-    /// operators, so results and counters are independent of this knob.
-    pub morsel_size: Option<usize>,
     /// Minimum rows per worker before a parallel section fans out to helper
     /// workers; inputs smaller than one worker's share run inline on the
     /// calling thread. Purely an overhead guard — results and counters are
@@ -107,7 +104,6 @@ impl Default for ExecConfig {
             filter_kind: FilterKind::default(),
             batch_size: DEFAULT_BATCH_SIZE,
             num_threads: 1,
-            morsel_size: None,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             kernel_mode: KernelMode::from_env(),
             zone_map_pruning: true,
@@ -140,19 +136,6 @@ impl ExecConfig {
     pub fn with_num_threads(mut self, num_threads: usize) -> Self {
         self.num_threads = num_threads.max(1);
         self
-    }
-
-    /// The same configuration with an explicit scan morsel size (clamped to
-    /// at least 1). Without this, scans use one morsel per batch.
-    pub fn with_morsel_size(mut self, morsel_size: usize) -> Self {
-        self.morsel_size = Some(morsel_size.max(1));
-        self
-    }
-
-    /// The scan morsel size in effect: the explicit [`ExecConfig::morsel_size`]
-    /// if set, the batch size otherwise.
-    pub fn effective_morsel_size(&self) -> usize {
-        self.morsel_size.unwrap_or(self.batch_size).max(1)
     }
 
     /// The same configuration with a different inline-gate threshold (clamped
@@ -188,7 +171,7 @@ impl ExecConfig {
     /// Number of workers worth fanning out for `rows` rows under this
     /// configuration: at most one per [`ExecConfig::parallel_threshold`]
     /// rows, capped by [`ExecConfig::num_threads`].
-    pub fn workers_for(&self, rows: usize) -> usize {
+    pub(crate) fn workers_for(&self, rows: usize) -> usize {
         self.num_threads
             .min(rows.div_ceil(self.parallel_threshold.max(1)).max(1))
     }
@@ -293,7 +276,7 @@ mod tests {
         push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, JoinTree,
         PhysicalPlan, QuerySpec, RelId, RelationInfo,
     };
-    use bqo_storage::generator::DataGenerator;
+    use bqo_storage::DataGenerator;
     use bqo_storage::{
         Catalog, ChunkSource, Column, Schema, Table, TableBuilder, TableStats, Value,
     };
@@ -600,14 +583,6 @@ mod tests {
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let result = run(&catalog, ExecContext::new(config), &g, &plan);
         assert_eq!(result.output_rows, EXPECTED_ROWS);
-    }
-
-    #[test]
-    fn morsel_size_defaults_to_batch_size_and_is_clamped() {
-        let config = ExecConfig::default().with_batch_size(128);
-        assert_eq!(config.effective_morsel_size(), 128);
-        assert_eq!(config.with_morsel_size(0).effective_morsel_size(), 1);
-        assert_eq!(config.with_morsel_size(17).effective_morsel_size(), 17);
     }
 
     #[test]

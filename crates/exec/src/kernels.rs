@@ -42,7 +42,7 @@ use std::sync::Arc;
 /// filter and the indices of the columns its probe key is read from. The
 /// filter is `None` when its source join published nothing — possible only
 /// for malformed plans — which skips the slot.
-pub type ScanFilter<'a> = (Option<&'a AnyFilter>, &'a [usize]);
+pub(crate) type ScanFilter<'a> = (Option<&'a AnyFilter>, &'a [usize]);
 
 /// The scan's per-morsel kernel: the physical `rows` of `columns` that pass
 /// every local predicate (paired with the index of the column it reads) and
@@ -51,7 +51,7 @@ pub type ScanFilter<'a> = (Option<&'a AnyFilter>, &'a [usize]);
 /// `stats` (one slot per filter) stays morsel-local, so the kernel shares no
 /// mutable state. Both kernel modes produce identical survivors, order and
 /// counters.
-pub fn scan_morsel(
+pub(crate) fn scan_morsel(
     config: &ExecConfig,
     columns: &[Arc<Column>],
     rows: Range<usize>,
@@ -155,7 +155,7 @@ fn probe_range(
 /// The batch a scan emits for the physical `rows` of `columns`: zero-copy,
 /// sharing the columns and marking `rows` in the batch's row-id vector.
 /// (Columns longer than `u32` row ids address are gathered dense instead.)
-pub fn scan_batch(
+pub(crate) fn scan_batch(
     schema: &Arc<[ColumnRef]>,
     columns: &[Arc<Column>],
     rows: impl Iterator<Item = usize>,
@@ -173,7 +173,7 @@ pub fn scan_batch(
 
 /// Collapsed join keys of every logical row of `batch`; both shapes produce
 /// identical keys (the kernel differential suite pins this).
-pub fn batch_keys(config: &ExecConfig, batch: &Batch, columns: &[ColumnRef]) -> Vec<i64> {
+pub(crate) fn batch_keys(config: &ExecConfig, batch: &Batch, columns: &[ColumnRef]) -> Vec<i64> {
     match config.kernel_mode {
         KernelMode::Scalar => batch.key_values(columns),
         KernelMode::Vectorized => batch.key_values_vectorized(columns),
@@ -182,7 +182,7 @@ pub fn batch_keys(config: &ExecConfig, batch: &Batch, columns: &[ColumnRef]) -> 
 
 /// The keep-mask of `filter` over `keys`, recording one probe per key in
 /// `stats` — the hash join's residual-filter kernel.
-pub fn probe_mask(
+pub(crate) fn probe_mask(
     config: &ExecConfig,
     filter: &AnyFilter,
     keys: &[i64],
@@ -262,7 +262,7 @@ fn mask_scalar<F: BitvectorFilter + ?Sized>(
 /// scalar loop runs (identical results, no gather/mask setup cost). Plays
 /// the same overhead-gate role as [`crate::ExecConfig::parallel_threshold`]
 /// does for fan-out.
-pub const VECTOR_MIN_ROWS: usize = 16;
+pub(crate) const VECTOR_MIN_ROWS: usize = 16;
 
 /// Reusable scratch buffers for the gather → probe → compact pipeline, so a
 /// morsel kernel probing several filters allocates at most once.
@@ -277,7 +277,7 @@ pub struct ProbeScratch {
 /// counts every candidate as probed and every rejected one as eliminated —
 /// exactly like the scalar loop
 /// `rows.retain(|&r| { let keep = filter.maybe_contains(row_key(columns, r)); stats.record(!keep); keep })`,
-/// which it falls back to below [`VECTOR_MIN_ROWS`].
+/// which it falls back to below `VECTOR_MIN_ROWS` (16) rows.
 pub fn probe_retain<F: BitvectorFilter + ?Sized>(
     filter: &F,
     columns: &[&Column],

@@ -6,58 +6,62 @@
 //! plans produced by `bqo-plan` / `bqo-optimizer`, with
 //!
 //! * a [`PhysicalOperator`] trait (`open` / `next_batch` / `close`) with
-//!   exactly two implementations: [`ScanOp`] (local predicates + pushed-down
+//!   exactly two implementations: the scan (local predicates + pushed-down
 //!   bitvector probes applied per morsel over any `ChunkSource` — resident
-//!   in-memory tables and chunk-fetched `.bqo` files alike) and
-//!   [`HashJoinOp`] (build side drained at `open` as row ids and indexed in
-//!   one flat [`JoinTable`], its bitvector filter published to the shared
+//!   in-memory tables and chunk-fetched `.bqo` files alike) and the hash
+//!   join (build side drained at `open` as row ids and indexed in one flat
+//!   [`JoinTable`], its bitvector filter published to the shared
 //!   [`ExecContext`], probe side streamed),
 //! * a [`PipelineBuilder`] lowering a `PhysicalPlan + JoinGraph` into the
 //!   operator tree without cloning plan payloads,
 //! * bitvector filters applied wherever Algorithm 1 placed them (scans or
 //!   residual positions above joins),
-//! * **morsel-driven parallelism** (see [`morsel`]): scan predicate and
-//!   filter-probe evaluation, the join table's count-then-scatter build and
-//!   the hash-probe loops run as shared-state-free kernels over fixed-size row
-//!   morsels, fanned out across [`ExecConfig::num_threads`] workers with a
+//! * **morsel-driven parallelism** ([`run_morsels_with`]): scan predicate
+//!   and filter-probe evaluation, the join table's count-then-scatter build
+//!   and the hash-probe loops run as shared-state-free kernels over row
+//!   morsels — a batch of an in-memory table, one chunk of a fetched one —
+//!   fanned out across [`ExecConfig::num_threads`] workers with a
 //!   deterministic in-morsel-order merge,
-//! * **late materialization** (see [`batch`]): [`Batch`]es carry one `u32`
-//!   row-id vector per source relation over shared columns, the root join's
-//!   included; values are gathered once, by [`Batch::concat`], when rows are
+//! * **late materialization**: [`Batch`]es carry one `u32` row-id vector
+//!   per source relation over shared columns, the root join's included;
+//!   values are gathered once, by [`Batch::concat`], when rows are
 //!   collected — a run that only counts copies nothing, and an exact
 //!   single-`Int64` join key is gathered once for both of its columns,
 //! * **PK–FK joins at lookup cost**: a dense distinct build key gets the
 //!   unique [`JoinTable`] layout (one load per probe key), and a probe batch
 //!   it matches row for row passes its row ids into the join output as they
 //!   are,
-//! * **vectorized probe kernels** (see [`kernels`]): bitvector membership
-//!   is probed 64 rows per survivor word and composite join keys are
-//!   hashed column-at-a-time — with the
-//!   row-at-a-time scalar kernels retained as a differential oracle behind
-//!   [`ExecConfig::kernel_mode`] / `BQO_FORCE_SCALAR`; the mode is dispatched
-//!   inside [`kernels`] only, operators never branch on it,
-//! * a persistent [`WorkerPool`] (see [`pool`]): helper workers for the
-//!   parallel sections are parked pool threads woken per section instead of
-//!   freshly spawned ones, so a serving workload of many small queries stops
-//!   paying per-query thread start-up ([`ExecContext::with_pool`]; a
-//!   context without a pool runs every section inline), gated by
+//! * **vectorized probe kernels**: bitvector membership is probed 64 rows
+//!   per survivor word and composite join keys are hashed column-at-a-time
+//!   — with the row-at-a-time scalar kernels retained as a differential
+//!   oracle behind [`ExecConfig::kernel_mode`] / `BQO_FORCE_SCALAR`; the
+//!   mode is dispatched inside the kernels only, operators never branch on
+//!   it,
+//! * a persistent [`WorkerPool`]: helper workers for the parallel sections
+//!   are parked pool threads woken per section instead of freshly spawned
+//!   ones, so a serving workload of many small queries stops paying
+//!   per-query thread start-up ([`ExecContext::with_pool`]; a context
+//!   without a pool runs every section inline), gated by
 //!   [`ExecConfig::parallel_threshold`] so tiny inputs stay inline,
-//! * **cooperative cancellation** (see [`cancel`]): a cloneable
-//!   [`CancelToken`] (atomic flag + optional deadline) attached via
+//! * **cooperative cancellation**: a cloneable [`CancelToken`] (an atomic
+//!   flag and an optional deadline) attached via
 //!   [`ExecContext::with_cancel_token`] is re-checked at every morsel-claim
 //!   boundary of the four parallel sections, at every serial batch pull and
-//!   once per batch of the final gather, so an in-flight query aborts within roughly one morsel of
-//!   [`CancelToken::cancel`] or deadline expiry, failing with
-//!   `StorageError::Cancelled` beside the metrics gathered so far,
+//!   once per batch of the final gather, so an in-flight query aborts within
+//!   roughly one morsel of [`CancelToken::cancel`] or deadline expiry,
+//!   failing with `StorageError::Cancelled` beside the metrics gathered so
+//!   far,
 //! * per-operator metrics (tuples output by leaf / join / other operators,
 //!   bitvector probe and elimination counts, wall-clock time) matching the
 //!   quantities reported in Figures 7–10 and Table 4, collected inside the
 //!   operators where the work happens,
 //! * a configurable [`ExecConfig::batch_size`] and [`ExecConfig::num_threads`]
-//!   — every `(batch_size, morsel_size, num_threads)` combination produces
-//!   bit-identical rows and counters — and
-//! * a switch to ignore bitvector filters entirely, mirroring the
-//!   SQL Server option used for the Table 4 comparison.
+//!   — every `(batch_size, num_threads)` combination produces bit-identical
+//!   rows and counters.
+//!
+//! Every bitvector placement of a plan is wired; a plan without placements
+//! is how a query runs without bitvector filters, mirroring the SQL Server
+//! option used for the Table 4 comparison.
 //!
 //! [`execute`] is the one way a plan runs: it compiles the plan, drains the
 //! root operator under an [`ExecContext`] and, on request, gathers the
@@ -66,27 +70,31 @@
 
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod batch;
-pub mod cancel;
-pub mod executor;
-pub mod join_table;
-pub mod kernels;
-pub mod metrics;
-pub mod morsel;
-pub mod operators;
-pub mod pipeline;
-pub mod pool;
+mod batch;
+mod cancel;
+mod executor;
+mod join_table;
+mod kernels;
+mod metrics;
+mod morsel;
+mod operators;
+mod pipeline;
+mod pool;
 
 pub use batch::Batch;
 pub use cancel::CancelToken;
-pub use executor::{
-    execute, BoundPlan, ExecConfig, KernelMode, QueryResult, DEFAULT_BATCH_SIZE,
-    DEFAULT_PARALLEL_THRESHOLD,
-};
+pub use executor::{execute, BoundPlan, ExecConfig, KernelMode, QueryResult, DEFAULT_BATCH_SIZE};
 pub use join_table::JoinTable;
 pub use metrics::{ExecutionMetrics, OperatorKind, OperatorMetrics};
-pub use morsel::{chunk_morsels, morsels, run_morsels_with, Morsel};
-pub use operators::{HashJoinOp, PhysicalOperator, ScanOp};
+pub use operators::PhysicalOperator;
 pub use pipeline::{ExecContext, PipelineBuilder};
 pub use pool::WorkerPool;
+
+// Internals that the kernel differential suite (`kernel_oracle`) holds to its
+// scalar references, and that the pool runtime suite (`worker_pool`) drives
+// the pool with directly.
+pub use batch::{gather_keys, row_key};
+pub use kernels::{join_probe, probe_mask_range, probe_retain, ProbeScratch};
+pub use morsel::{morsels, run_morsels_with, Morsel};

@@ -65,7 +65,7 @@ impl ExecutionMetrics {
     }
 
     /// Records an operator's output.
-    pub fn record_operator(
+    pub(crate) fn record_operator(
         &mut self,
         node: NodeId,
         kind: OperatorKind,

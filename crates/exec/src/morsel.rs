@@ -82,7 +82,7 @@ pub fn morsels(num_rows: usize, morsel_size: usize) -> Vec<Morsel> {
 /// Splits `num_rows` rows into (at most) `num_threads` balanced contiguous
 /// morsels — the partitioning used for intra-batch kernels such as the hash
 /// join's probe loop and the partitioned build.
-pub fn chunk_morsels(num_rows: usize, num_threads: usize) -> Vec<Morsel> {
+pub(crate) fn chunk_morsels(num_rows: usize, num_threads: usize) -> Vec<Morsel> {
     let threads = num_threads.max(1);
     morsels(num_rows, num_rows.div_ceil(threads).max(1))
 }

@@ -33,11 +33,10 @@
 //! Contract: between `open` and the first `None`, an operator yields at least
 //! one batch (possibly empty) so downstream operators always observe its
 //! output schema. Neither batching granularity nor parallelism changes
-//! results or counters: every `(batch_size, morsel_size, num_threads)`
-//! combination produces identical rows, `output_rows`, filter
-//! probe/eliminate statistics and per-operator tuple counts, because morsels
-//! partition contiguous row ranges and per-morsel outputs merge in morsel
-//! order.
+//! results or counters: every `(batch_size, num_threads)` combination
+//! produces identical rows, `output_rows`, filter probe/eliminate statistics
+//! and per-operator tuple counts, because morsels partition contiguous row
+//! ranges and per-morsel outputs merge in morsel order.
 
 use crate::batch::Batch;
 use crate::join_table::{row_id, JoinTable};
@@ -102,7 +101,7 @@ struct MorselScan {
 /// configuration's:
 ///
 /// * A source with [`ChunkSource::resident_columns`] (an in-memory table)
-///   shares those columns across `effective_morsel_size()`-row morsels and
+///   shares those columns across `batch_size`-row morsels and
 ///   emits zero-copy batches over them. Nothing is fetched, so the storage
 ///   counters stay 0.
 /// * Any other source (an on-disk columnar file) is scanned with
@@ -116,8 +115,8 @@ struct MorselScan {
 ///
 /// Rows, batch boundaries, `FilterStats` and operator counters are
 /// bit-identical between the two, for every `(num_threads, batch_size,
-/// morsel_size, kernel mode, zone_map_pruning)` combination.
-pub struct ScanOp<'p> {
+/// kernel mode, zone_map_pruning)` combination.
+pub(crate) struct ScanOp<'p> {
     node: NodeId,
     info: &'p RelationInfo,
     source: Arc<dyn ChunkSource>,
@@ -149,7 +148,7 @@ impl std::fmt::Debug for ScanOp<'_> {
 
 impl<'p> ScanOp<'p> {
     /// Creates a scan of `relation` over `source`.
-    pub fn new(
+    pub(crate) fn new(
         node: NodeId,
         relation: RelId,
         info: &'p RelationInfo,
@@ -239,14 +238,13 @@ impl PhysicalOperator for ScanOp<'_> {
             })
             .collect::<Result<_, _>>()?;
 
-        // Resident columns are shared by `effective_morsel_size()`-row
-        // morsels. A fetched source gets one morsel per chunk: fetch
-        // granularity, work granularity and cancellation granularity
-        // coincide out-of-core.
+        // Resident columns are shared by `batch_size`-row morsels. A fetched
+        // source gets one morsel per chunk: fetch granularity, work
+        // granularity and cancellation granularity coincide out-of-core.
         let source = &self.source;
         let resident = source.resident_columns();
         let morsel_list: Vec<Morsel> = match resident {
-            Some(_) => morsels(source.num_rows(), ctx.config.effective_morsel_size()),
+            Some(_) => morsels(source.num_rows(), ctx.config.batch_size),
             None => (0..source.num_chunks())
                 .map(|index| {
                     let (start, end) = source.chunk_range(index);
@@ -367,7 +365,7 @@ impl PhysicalOperator for ScanOp<'_> {
         // Emission granularity is unchanged from the serial executor: one
         // batch per `batch_size` range of the global row space with at least
         // one survivor, so parents observe identical batch boundaries for
-        // every `(num_threads, morsel_size)` combination and every source.
+        // every `num_threads` and every source.
         let num_rows = self.source.num_rows();
         let batch_size = ctx.config.batch_size.max(1);
         while self.cursor < num_rows {
@@ -421,7 +419,7 @@ impl PhysicalOperator for ScanOp<'_> {
 /// probe batch's row ids; an exact single-`Int64` key is recorded as an
 /// equality pair, so the answer gathers it once. Residual bitvector filters
 /// targeted at this join's output refine each output batch's row ids.
-pub struct HashJoinOp<'p> {
+pub(crate) struct HashJoinOp<'p> {
     node: NodeId,
     build: Box<dyn PhysicalOperator + 'p>,
     probe: Box<dyn PhysicalOperator + 'p>,
@@ -459,7 +457,7 @@ impl std::fmt::Debug for HashJoinOp<'_> {
 
 impl<'p> HashJoinOp<'p> {
     /// Creates a hash join over two child operators.
-    pub fn new(
+    pub(crate) fn new(
         node: NodeId,
         build: Box<dyn PhysicalOperator + 'p>,
         probe: Box<dyn PhysicalOperator + 'p>,

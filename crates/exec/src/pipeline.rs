@@ -53,9 +53,10 @@ impl ExecContext {
         }
     }
 
-    /// The same context observing `token` for cooperative cancellation: every
-    /// morsel-claim boundary and every [`ExecContext::check_cancelled`] call
-    /// site aborts with `StorageError::Cancelled` once the token fires.
+    /// The same context observing `token` for cooperative cancellation: once
+    /// the token fires, the run fails with `StorageError::Cancelled` at its
+    /// next morsel claim, serial batch pull, join-table build step or
+    /// gathered batch.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -65,7 +66,7 @@ impl ExecContext {
     /// has fired (or its deadline passed). Operators call this at the top of
     /// their serial batch loops — the non-parallel counterpart of the
     /// morsel-claim checks inside [`ExecContext::run_morsels`].
-    pub fn check_cancelled(&self) -> Result<(), StorageError> {
+    pub(crate) fn check_cancelled(&self) -> Result<(), StorageError> {
         if self.cancel.is_cancelled() {
             Err(StorageError::Cancelled)
         } else {
@@ -80,7 +81,7 @@ impl ExecContext {
     /// the scheduling mode for the whole pipeline. The context's cancel token
     /// is re-checked at every morsel claim; an interrupted section returns
     /// `StorageError::Cancelled`.
-    pub fn run_morsels<T, K>(
+    pub(crate) fn run_morsels<T, K>(
         &self,
         num_threads: usize,
         morsels: &[Morsel],
@@ -101,7 +102,7 @@ impl ExecContext {
 
     /// Publishes a bitvector filter for the placement with index `placement`,
     /// making it available to every probe site targeting that placement.
-    pub fn publish_filter(&mut self, placement: usize, filter: AnyFilter) {
+    pub(crate) fn publish_filter(&mut self, placement: usize, filter: AnyFilter) {
         self.filters.insert(placement, filter);
         self.metrics.filters_created += 1;
     }
@@ -113,7 +114,7 @@ impl ExecContext {
     }
 
     /// Folds one probe site's filter counters into the query totals.
-    pub fn merge_filter_stats(&mut self, stats: &FilterStats) {
+    pub(crate) fn merge_filter_stats(&mut self, stats: &FilterStats) {
         self.metrics.filter_stats.merge(stats);
     }
 
@@ -129,7 +130,7 @@ impl ExecContext {
 ///
 /// Lowering borrows the plan's node payloads (join keys, placement columns)
 /// instead of cloning them; only the `Arc<dyn ChunkSource>` handles are
-/// refcounted. Every scan lowers to the same [`ScanOp`], whatever backs the
+/// refcounted. Every scan lowers to the same scan operator, whatever backs the
 /// table. Every placement of the plan is wired: a plan without placements is
 /// how a query runs without bitvector filters.
 pub struct PipelineBuilder<'p> {

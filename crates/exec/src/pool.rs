@@ -184,7 +184,7 @@ impl Drop for PoolOwner {
 }
 
 /// A persistent, shareable pool of parked worker threads executing mirrored
-/// work-stealing tasks (see the [module docs](self)).
+/// work-stealing tasks.
 #[derive(Clone)]
 pub struct WorkerPool {
     shared: Arc<PoolShared>,

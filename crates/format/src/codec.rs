@@ -12,7 +12,7 @@ use bqo_storage::{Column, DataType, Value};
 
 /// A little-endian byte cursor with bounds-checked reads; every decode
 /// failure is a `String` detail the caller wraps into a `FormatError`.
-pub struct Cursor<'a> {
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
 }
@@ -27,16 +27,16 @@ impl std::fmt::Debug for Cursor<'_> {
 }
 
 impl<'a> Cursor<'a> {
-    pub fn new(bytes: &'a [u8]) -> Self {
+    pub(crate) fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, at: 0 }
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.bytes.len() - self.at
     }
 
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.remaining() < n {
             return Err(format!(
                 "need {n} bytes, {} left at offset {}",
@@ -49,29 +49,29 @@ impl<'a> Cursor<'a> {
         Ok(slice)
     }
 
-    pub fn u8(&mut self) -> Result<u8, String> {
+    pub(crate) fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u32(&mut self) -> Result<u32, String> {
+    pub(crate) fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub fn u64(&mut self) -> Result<u64, String> {
+    pub(crate) fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn i64(&mut self) -> Result<i64, String> {
+    pub(crate) fn i64(&mut self) -> Result<i64, String> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub fn f64(&mut self) -> Result<f64, String> {
+    pub(crate) fn f64(&mut self) -> Result<f64, String> {
         Ok(f64::from_bits(self.u64()?))
     }
 
     /// A `u64` that must fit in `usize` and stay below `limit` (structural
     /// sanity bound so corrupt counts cannot drive huge allocations).
-    pub fn bounded_len(&mut self, limit: usize, what: &str) -> Result<usize, String> {
+    pub(crate) fn bounded_len(&mut self, limit: usize, what: &str) -> Result<usize, String> {
         let v = self.u64()?;
         // CAST-OK: usize widens losslessly into u64 on supported targets
         if v > limit as u64 {
@@ -80,7 +80,7 @@ impl<'a> Cursor<'a> {
         Ok(v as usize) // CAST-OK: v <= limit (a usize), checked above
     }
 
-    pub fn string(&mut self, limit: usize) -> Result<String, String> {
+    pub(crate) fn string(&mut self, limit: usize) -> Result<String, String> {
         let len = self.u32()? as usize; // CAST-OK: u32 fits usize on supported targets
         if len > limit {
             return Err(format!("string length {len} exceeds limit {limit}"));
@@ -90,21 +90,21 @@ impl<'a> Cursor<'a> {
     }
 }
 
-pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub fn put_string(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_string(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32); // CAST-OK: u32 length field; readers cap strings far below it
     out.extend_from_slice(s.as_bytes());
 }
 
 /// One-byte tag for a [`DataType`].
-pub fn type_code(dt: DataType) -> u8 {
+pub(crate) fn type_code(dt: DataType) -> u8 {
     match dt {
         DataType::Int64 => 0,
         DataType::Float64 => 1,
@@ -113,7 +113,7 @@ pub fn type_code(dt: DataType) -> u8 {
     }
 }
 
-pub fn type_from_code(code: u8) -> Result<DataType, String> {
+pub(crate) fn type_from_code(code: u8) -> Result<DataType, String> {
     match code {
         0 => Ok(DataType::Int64),
         1 => Ok(DataType::Float64),
@@ -124,7 +124,7 @@ pub fn type_from_code(code: u8) -> Result<DataType, String> {
 }
 
 /// Appends the encoded run of `column[start..end]` to `out`.
-pub fn encode_column_range(column: &Column, start: usize, end: usize, out: &mut Vec<u8>) {
+pub(crate) fn encode_column_range(column: &Column, start: usize, end: usize, out: &mut Vec<u8>) {
     match column {
         Column::Int64(v) => {
             for &x in &v[start..end] {
@@ -154,7 +154,7 @@ pub fn encode_column_range(column: &Column, start: usize, end: usize, out: &mut 
 ///
 /// `rows` comes from the file's footer, so it is checked against the length
 /// of the run before anything is allocated for it.
-pub fn decode_column(dt: DataType, rows: usize, bytes: &[u8]) -> Result<Column, String> {
+pub(crate) fn decode_column(dt: DataType, rows: usize, bytes: &[u8]) -> Result<Column, String> {
     match dt {
         DataType::Int64 => Ok(Column::Int64(
             words(rows, bytes)?.map(i64::from_le_bytes).collect(),
@@ -211,7 +211,7 @@ fn run_length_mismatch(rows: usize, width: usize, len: usize) -> String {
 }
 
 /// Appends a type-tagged [`Value`] (zone-map bound) to `out`.
-pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
+pub(crate) fn encode_value(value: &Value, out: &mut Vec<u8>) {
     match value {
         Value::Int64(v) => {
             out.push(type_code(DataType::Int64));
@@ -233,7 +233,7 @@ pub fn encode_value(value: &Value, out: &mut Vec<u8>) {
 }
 
 /// Decodes a type-tagged [`Value`].
-pub fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, String> {
+pub(crate) fn decode_value(cur: &mut Cursor<'_>) -> Result<Value, String> {
     match type_from_code(cur.u8()?)? {
         DataType::Int64 => Ok(Value::Int64(cur.i64()?)),
         DataType::Float64 => Ok(Value::Float64(cur.f64()?)),

@@ -29,26 +29,26 @@ pub const FORMAT_VERSION: u32 = 1;
 
 /// Longest table or column name in bytes. The reader rejects a longer one,
 /// so the writer refuses to seal it.
-pub const MAX_NAME_LEN: usize = 1 << 16;
+pub(crate) const MAX_NAME_LEN: usize = 1 << 16;
 
 /// Most columns a table may have; checked on both sides like
 /// [`MAX_NAME_LEN`].
-pub const MAX_COLUMNS: usize = 1 << 16;
+pub(crate) const MAX_COLUMNS: usize = 1 << 16;
 
 /// Longest `Utf8` zone-map bound in bytes. The reader rejects a longer one;
 /// the writer stores no zone for such a chunk instead.
-pub const MAX_ZONE_STRING_LEN: usize = 1 << 20;
+pub(crate) const MAX_ZONE_STRING_LEN: usize = 1 << 20;
 
 /// File extension `Catalog::attach_dir` looks for.
 pub const FILE_EXTENSION: &str = "bqo";
 
 /// Byte length of the fixed trailer: footer length + footer checksum +
 /// closing magic.
-pub const TRAILER_LEN: u64 = 8 + 8 + MAGIC.len() as u64;
+pub(crate) const TRAILER_LEN: u64 = 8 + 8 + MAGIC.len() as u64;
 
 /// Directory entry for one (chunk, column) run.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ChunkEntry {
+pub(crate) struct ChunkEntry {
     /// Absolute file offset of the encoded run.
     pub offset: u64,
     /// Encoded length in bytes.

@@ -24,18 +24,23 @@
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod codec;
-pub mod error;
-pub mod layout;
-pub mod reader;
-pub mod writer;
-pub mod xxhash;
+mod codec;
+mod error;
+mod layout;
+mod reader;
+mod writer;
+mod xxhash;
 
 pub use error::FormatError;
-pub use layout::{ChunkEntry, FILE_EXTENSION, FORMAT_VERSION, MAGIC};
-pub use reader::{is_format_file, FileReader};
+pub use layout::FILE_EXTENSION;
+pub use reader::FileReader;
 pub use writer::{write_table, FileSummary};
+
+// Internals that the corruption suite (`tests/corruption.rs`) forges and
+// re-seals damaged files with.
+pub use layout::{FORMAT_VERSION, MAGIC};
 pub use xxhash::xxh64;
 
 use bqo_storage::Catalog;
@@ -72,7 +77,7 @@ impl CatalogExt for Catalog {
         let mut files = Vec::new();
         for entry in std::fs::read_dir(dir).map_err(io)? {
             let path = entry.map_err(io)?.path();
-            if path.is_file() && is_format_file(&path) {
+            if path.is_file() && reader::is_format_file(&path) {
                 files.push(path);
             }
         }
@@ -255,7 +260,7 @@ mod tests {
         write_table(dir.join("t.bqo"), &table, 100).unwrap();
         let reader = FileReader::open(dir.join("t.bqo")).unwrap();
         let expected = table.compute_stats();
-        let got = reader.stats();
+        let got = reader.table_stats();
         assert_eq!(got.row_count, expected.row_count);
         for field in table.schema().fields() {
             let e = expected.column(&field.name).unwrap();

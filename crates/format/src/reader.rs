@@ -135,13 +135,9 @@ impl FileReader {
         &self.name
     }
 
-    /// Statistics persisted at write time — identical to what
-    /// `Table::compute_stats` produces on the same rows.
-    pub fn stats(&self) -> &TableStats {
-        &self.stats
-    }
-
-    /// Materializes one chunk, verifying every column run's checksum.
+    /// Materializes one chunk, verifying every column run's checksum. Unlike
+    /// `ChunkSource::read_chunk`, a failure keeps its [`FormatError`] type,
+    /// which is what the corruption suite asserts on.
     pub fn read_chunk_columns(&self, chunk: usize) -> Result<Vec<Arc<Column>>, FormatError> {
         let entries = self
             .directory
@@ -262,7 +258,7 @@ impl ChunkSource for FileReader {
 }
 
 /// True when `path` has the format's `.bqo` extension.
-pub fn is_format_file(path: &Path) -> bool {
+pub(crate) fn is_format_file(path: &Path) -> bool {
     path.extension().and_then(|e| e.to_str()) == Some(FILE_EXTENSION)
 }
 

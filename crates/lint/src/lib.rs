@@ -30,7 +30,11 @@
 //! * **L006** — the lint wall stands: every workspace crate's `lib.rs`
 //!   carries `#![deny(unsafe_op_in_unsafe_fn)]` and
 //!   `#![warn(missing_debug_implementations)]`, plus `#![warn(missing_docs)]`
-//!   on `bqo-bitvector` and `bqo-plan`.
+//!   on `bqo-bitvector` and `bqo-plan`, and `#![warn(unreachable_pub)]` on
+//!   the seven engine crates whose modules are private (`bqo-bitvector`,
+//!   `bqo-storage`, `bqo-format`, `bqo-plan`, `bqo-optimizer`, `bqo-exec`,
+//!   `bqo-core`), so a `pub` item their `lib.rs` does not re-export fails
+//!   clippy `-D warnings`.
 //!
 //! Justification markers are ordinary comments attached to the flagged line:
 //! trailing on the same line, mid-statement on the line directly above, or
@@ -160,28 +164,35 @@ pub const WALL_BASE: [&str; 2] = [
 /// The additional attribute required on the fully-documented crates.
 pub const WALL_DOCS: &str = "#![warn(missing_docs)]";
 
+/// The additional attribute required on the engine crates whose modules are
+/// private: their `lib.rs` re-export list is their whole public surface.
+pub const WALL_SURFACE: &str = "#![warn(unreachable_pub)]";
+
 impl Config {
     /// The project's canonical configuration rooted at `root`.
     pub fn workspace(root: impl Into<PathBuf>) -> Config {
-        let base: Vec<&'static str> = WALL_BASE.to_vec();
-        let with_docs: Vec<&'static str> = WALL_BASE.iter().copied().chain([WALL_DOCS]).collect();
-        let wall = [
-            ("crates/bitvector/src/lib.rs", with_docs.clone()),
-            ("crates/plan/src/lib.rs", with_docs),
-            ("crates/storage/src/lib.rs", base.clone()),
-            ("crates/format/src/lib.rs", base.clone()),
-            ("crates/sql/src/lib.rs", base.clone()),
-            ("crates/optimizer/src/lib.rs", base.clone()),
-            ("crates/exec/src/lib.rs", base.clone()),
-            ("crates/workloads/src/lib.rs", base.clone()),
-            ("crates/core/src/lib.rs", base.clone()),
-            ("crates/bench/src/lib.rs", base.clone()),
-            ("crates/lint/src/lib.rs", base.clone()),
-            ("tests/src/lib.rs", base),
-        ]
-        .into_iter()
-        .map(|(path, attrs)| (path.to_string(), attrs))
-        .collect();
+        // Each crate root's attributes beyond `WALL_BASE`.
+        let extra: [(&str, &[&'static str]); 12] = [
+            ("crates/bitvector/src/lib.rs", &[WALL_DOCS, WALL_SURFACE]),
+            ("crates/plan/src/lib.rs", &[WALL_DOCS, WALL_SURFACE]),
+            ("crates/storage/src/lib.rs", &[WALL_SURFACE]),
+            ("crates/format/src/lib.rs", &[WALL_SURFACE]),
+            ("crates/sql/src/lib.rs", &[]),
+            ("crates/optimizer/src/lib.rs", &[WALL_SURFACE]),
+            ("crates/exec/src/lib.rs", &[WALL_SURFACE]),
+            ("crates/workloads/src/lib.rs", &[]),
+            ("crates/core/src/lib.rs", &[WALL_SURFACE]),
+            ("crates/bench/src/lib.rs", &[]),
+            ("crates/lint/src/lib.rs", &[]),
+            ("tests/src/lib.rs", &[]),
+        ];
+        let wall = extra
+            .into_iter()
+            .map(|(path, attrs)| {
+                let attrs = WALL_BASE.iter().chain(attrs).copied().collect();
+                (path.to_string(), attrs)
+            })
+            .collect();
         Config {
             root: root.into(),
             audit_file: "UNSAFE_AUDIT.md".to_string(),

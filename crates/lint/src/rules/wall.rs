@@ -53,3 +53,42 @@ pub fn check(config: &Config, files: &[SourceFile]) -> Vec<Diagnostic> {
     }
     diagnostics
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{WALL_BASE, WALL_DOCS, WALL_SURFACE};
+
+    /// The seven engine crates whose `lib.rs` is their whole surface.
+    const SURFACE_ROOTS: [&str; 7] = [
+        "crates/bitvector/src/lib.rs",
+        "crates/storage/src/lib.rs",
+        "crates/format/src/lib.rs",
+        "crates/plan/src/lib.rs",
+        "crates/optimizer/src/lib.rs",
+        "crates/exec/src/lib.rs",
+        "crates/core/src/lib.rs",
+    ];
+
+    /// The L006 findings `check` reports for one crate root with `attrs`.
+    fn findings_for(root: &str, attrs: &[&str]) -> Vec<Diagnostic> {
+        let config = Config::workspace(".");
+        let file = SourceFile::parse(root.to_string(), &attrs.join("\n"), false).unwrap();
+        let findings = check(&config, &[file]);
+        findings.into_iter().filter(|d| d.path == root).collect()
+    }
+
+    #[test]
+    fn a_surface_crate_root_without_unreachable_pub_is_a_finding() {
+        for root in SURFACE_ROOTS {
+            let walled: Vec<&str> = WALL_BASE.iter().copied().chain([WALL_DOCS]).collect();
+            let findings = findings_for(root, &walled);
+            assert_eq!(findings.len(), 1, "{root}: {findings:?}");
+            assert!(findings[0].message.contains(WALL_SURFACE), "{root}");
+            let complete: Vec<&str> = walled.iter().copied().chain([WALL_SURFACE]).collect();
+            assert!(findings_for(root, &complete).is_empty(), "{root}");
+        }
+        // A crate whose modules stay public is not asked for it.
+        assert!(findings_for("crates/workloads/src/lib.rs", &WALL_BASE).is_empty());
+    }
+}

@@ -25,7 +25,7 @@ use bqo_plan::{JoinGraph, JoinTree, RelId};
 /// Candidate plans for a snowflake query (Theorem 5.1). `fact` is `R0`;
 /// each branch is ordered from the relation adjacent to the fact (`R_{i,1}`)
 /// outwards (`R_{i,n_i}`).
-pub fn snowflake_candidates(fact: RelId, branches: &[Vec<RelId>]) -> Vec<JoinTree> {
+pub(crate) fn snowflake_candidates(fact: RelId, branches: &[Vec<RelId>]) -> Vec<JoinTree> {
     let mut plans = Vec::new();
 
     // Fact-first plan: T(R0, branch_1 ..., branch_2 ..., ...). Within a

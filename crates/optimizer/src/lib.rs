@@ -14,29 +14,35 @@
 //!   Algorithm 2 (single fact table) and Algorithm 3 (arbitrary join graphs),
 //!   then selecting bitvector filters cost-based (Section 6.3).
 //!
-//! The [`enumerate`] module provides the exhaustive right-deep enumeration
-//! used by the tests and the Table 2 experiment to verify that the candidate
-//! sets really contain a minimum-cost plan.
+//! [`enumerate_right_deep`] and [`exhaustive_best_right_deep`] are the
+//! exhaustive right-deep enumeration used by the tests and the Table 2
+//! experiment to verify that the candidate sets really contain a
+//! minimum-cost plan.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod candidates;
-pub mod costed_bv;
-pub mod dp;
-pub mod enumerate;
-pub mod general;
-pub mod snowflake;
+mod candidates;
+mod costed_bv;
+mod dp;
+mod enumerate;
+mod general;
+mod snowflake;
 
 use bqo_plan::{push_down_bitvectors, CostModel, JoinGraph, PhysicalPlan};
 
-pub use candidates::{candidate_plans, snowflake_candidates};
+pub use candidates::candidate_plans;
 pub use costed_bv::prune_low_benefit_filters;
 pub use dp::conventional_tree;
 pub use enumerate::{enumerate_right_deep, exhaustive_best_right_deep};
-pub use general::{extract_snowflakes, optimize_join_graph};
-pub use snowflake::{for_each_snowflake_candidate, optimize_snowflake, BranchGroup, BranchInfo};
+pub use general::optimize_join_graph;
+
+// Algorithm 3's parts, which the costing suite (`costing_oracle`) holds to a
+// full reference costing one candidate at a time.
+pub use general::extract_snowflakes;
+pub use snowflake::{for_each_snowflake_candidate, optimize_snowflake};
 
 /// A join-order optimizer: join graph in, physical plan (with bitvector
 /// placements) out.

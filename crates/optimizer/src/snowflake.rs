@@ -31,7 +31,7 @@ use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
 
 /// The priority group a branch falls into (Section 6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum BranchGroup {
+pub(crate) enum BranchGroup {
     /// No PKFK join with the fact table.
     P0,
     /// Ordinary branch, smaller than the fact.
@@ -45,7 +45,7 @@ pub enum BranchGroup {
 /// One branch of the (generalized) snowflake around the fact table:
 /// a connected component of the join graph with the fact removed.
 #[derive(Debug, Clone)]
-pub struct BranchInfo {
+pub(crate) struct BranchInfo {
     /// Relations of the branch in a join order that never introduces a cross
     /// product when appended after the fact table (each relation joins an
     /// earlier one or the fact).
@@ -75,7 +75,7 @@ impl BranchInfo {
 }
 
 /// Analyzes the branches of `subset` around `fact`.
-pub fn analyze_branches(
+pub(crate) fn analyze_branches(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
     subset: RelSet,

@@ -286,8 +286,8 @@ impl QuerySpec {
 mod tests {
     use super::*;
     use crate::predicate::CompareOp;
-    use bqo_storage::generator::DataGenerator;
     use bqo_storage::Catalog;
+    use bqo_storage::DataGenerator;
 
     fn catalog() -> Catalog {
         let gen = DataGenerator::new(7);

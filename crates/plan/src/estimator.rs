@@ -46,11 +46,6 @@ impl<'a> CardinalityEstimator<'a> {
         }
     }
 
-    /// The join graph this estimator reads statistics from.
-    pub fn graph(&self) -> &'a JoinGraph {
-        self.graph
-    }
-
     /// Cardinality of a single relation after its local predicates.
     pub fn base_card(&self, rel: RelId) -> f64 {
         self.graph.relation(rel).filtered_rows
@@ -104,7 +99,7 @@ impl<'a> CardinalityEstimator<'a> {
     /// the estimate is independent of the order filters are applied in, which
     /// is what makes the paper's equal-cost lemmas hold exactly under this
     /// estimator.
-    pub fn semi_reduced_card(&self, core: RelSet, external: RelSet) -> f64 {
+    pub(crate) fn semi_reduced_card(&self, core: RelSet, external: RelSet) -> f64 {
         if core.is_empty() {
             return 0.0;
         }

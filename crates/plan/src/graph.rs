@@ -90,7 +90,7 @@ impl RelationInfo {
     }
 
     /// Records where the relation's rows live (defaults to memory).
-    pub fn with_backing(mut self, backing: ScanBacking) -> Self {
+    pub(crate) fn with_backing(mut self, backing: ScanBacking) -> Self {
         self.backing = backing;
         self
     }
@@ -310,7 +310,7 @@ impl JoinGraph {
     }
 
     /// All edges between two relations (composite join keys produce several).
-    pub fn edges_between(&self, a: RelId, b: RelId) -> Vec<&JoinEdge> {
+    pub(crate) fn edges_between(&self, a: RelId, b: RelId) -> Vec<&JoinEdge> {
         self.adjacency[a.0]
             .iter()
             .map(|&i| &self.edges[i])

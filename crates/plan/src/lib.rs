@@ -3,46 +3,47 @@
 //!
 //! This crate is the analytical heart of the reproduction. It contains:
 //!
-//! * [`graph`] — the join-graph model ([`JoinGraph`], [`RelationInfo`],
+//! * `graph` — the join-graph model ([`JoinGraph`], [`RelationInfo`],
 //!   [`JoinEdge`]) with PKFK metadata, fact-table detection and the clean
 //!   snowflake test (stars and chains are snowflakes).
-//! * [`relset`] — [`RelSet`], the `Copy` bitset every "set of relations" in
+//! * `relset` — [`RelSet`], the `Copy` bitset every "set of relations" in
 //!   the planner and the optimizers is written as.
-//! * [`tree`] — [`JoinTree`], the one join-tree type: a flat arena the
+//! * `tree` — [`JoinTree`], the one join-tree type: a flat arena the
 //!   optimizers build every plan in, including the right-deep trees the
 //!   paper's analysis is about.
-//! * [`estimator`] — the cardinality estimator: join cardinalities over
+//! * `estimator` — the cardinality estimator: join cardinalities over
 //!   relation sets and semi-join (bitvector) reduction factors.
-//! * [`cost`] — the `Cout` cost function (Eq. 1): bitvector-aware over a
+//! * `cost` — the `Cout` cost function (Eq. 1): bitvector-aware over a
 //!   join tree, and over a physical plan with whatever filters it carries.
-//! * [`physical`] — the physical plan (scans + hash joins) plus bitvector
+//! * `physical` — the physical plan (scans + hash joins) plus bitvector
 //!   filter placements.
-//! * [`pushdown`] — Algorithm 1: create a bitvector filter at each hash join
+//! * `pushdown` — Algorithm 1: create a bitvector filter at each hash join
 //!   and push it to the lowest possible operator of the probe side.
-//! * [`builder`] — helpers that build a statistics-annotated [`JoinGraph`]
+//! * `builder` — helpers that build a statistics-annotated [`JoinGraph`]
 //!   from a [`bqo_storage::Catalog`] and a query description, including
 //!   parameter placeholders ([`Params`], [`QuerySpec::bind`]).
-//! * [`fingerprint`] — canonical, order-invariant query fingerprints used as
+//! * `fingerprint` — canonical, order-invariant query fingerprints used as
 //!   plan-cache keys.
-//! * [`unparse`] — [`QuerySpec::to_sql`] / `Display`: renders a spec back to
+//! * `unparse` — [`QuerySpec::to_sql`] / `Display`: renders a spec back to
 //!   SQL text for the `bqo-sql` frontend's round-trip fuzzing.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
-pub mod builder;
-pub mod cost;
-pub mod estimator;
-pub mod fingerprint;
-pub mod graph;
-pub mod physical;
-pub mod predicate;
-pub mod pushdown;
-pub mod relset;
-pub mod tree;
-pub mod unparse;
+mod builder;
+mod cost;
+mod estimator;
+mod fingerprint;
+mod graph;
+mod physical;
+mod predicate;
+mod pushdown;
+mod relset;
+mod tree;
+mod unparse;
 
 pub use builder::QuerySpec;
 pub use cost::{CostModel, CoutBreakdown};

@@ -143,7 +143,7 @@ impl PhysicalPlan {
     }
 
     /// Number of operators.
-    pub fn num_nodes(&self) -> usize {
+    pub(crate) fn num_nodes(&self) -> usize {
         self.nodes.len()
     }
 

@@ -46,16 +46,8 @@ pub enum PredicateValue {
 }
 
 impl PredicateValue {
-    /// The literal, if this side is already bound.
-    pub fn literal(&self) -> Option<&Value> {
-        match self {
-            PredicateValue::Literal(v) => Some(v),
-            PredicateValue::Param(_) => None,
-        }
-    }
-
     /// The parameter name, if this side is a placeholder.
-    pub fn param_name(&self) -> Option<&str> {
+    pub(crate) fn param_name(&self) -> Option<&str> {
         match self {
             PredicateValue::Literal(_) => None,
             PredicateValue::Param(name) => Some(name),
@@ -304,7 +296,7 @@ impl ColumnPredicate {
     /// falls back to the literal-free default of its operator class (the
     /// estimate is re-derived from the bound literal at bind time, so this
     /// path is only reachable when inspecting unbound templates).
-    pub fn estimate_selectivity(&self, stats: &ColumnStats) -> f64 {
+    pub(crate) fn estimate_selectivity(&self, stats: &ColumnStats) -> f64 {
         let numeric = match &self.value {
             PredicateValue::Literal(Value::Int64(v)) => Some(*v as f64),
             PredicateValue::Literal(Value::Float64(v)) => Some(*v),
@@ -570,10 +562,8 @@ mod tests {
     #[test]
     fn predicate_value_accessors() {
         let lit = PredicateValue::Literal(bqo_storage::Value::Int64(3));
-        assert_eq!(lit.literal(), Some(&bqo_storage::Value::Int64(3)));
         assert_eq!(lit.param_name(), None);
         let param = PredicateValue::Param("p".into());
-        assert_eq!(param.literal(), None);
         assert_eq!(param.param_name(), Some("p"));
         assert_eq!(param.to_string(), "$p");
     }

@@ -47,7 +47,7 @@ pub struct TableRef {
 
 impl TableRef {
     /// The name this item is addressable by in the rest of the query.
-    pub fn exposed_name(&self) -> &Ident {
+    pub(crate) fn exposed_name(&self) -> &Ident {
         self.alias.as_ref().unwrap_or(&self.table)
     }
 }

@@ -84,14 +84,6 @@ impl TableMeta {
         self.as_source().byte_size()
     }
 
-    /// The in-memory table, when this entry is memory-backed.
-    pub fn memory_table(&self) -> Option<&Arc<Table>> {
-        match &self.backing {
-            TableBacking::Memory(t) => Some(t),
-            TableBacking::Source(_) => None,
-        }
-    }
-
     /// The chunk source, when this entry is file-backed.
     pub fn source(&self) -> Option<&Arc<dyn ChunkSource>> {
         match &self.backing {
@@ -485,7 +477,7 @@ mod tests {
         // Stats, schema and keys work through the meta accessors…
         let meta = c.table_meta("disk").unwrap();
         assert!(meta.is_file_backed());
-        assert!(meta.memory_table().is_none());
+        assert!(matches!(meta.backing, TableBacking::Source(_)));
         assert!(meta.source().is_some());
         assert_eq!(meta.num_rows(), 5);
         assert_eq!(c.stats("disk").unwrap().row_count, 5);

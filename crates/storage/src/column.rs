@@ -135,24 +135,6 @@ impl Column {
         }
     }
 
-    /// Builds a new column keeping only rows where `mask[i]` is true.
-    ///
-    /// # Panics
-    /// Panics if `mask.len() != self.len()`.
-    pub fn filter(&self, mask: &[bool]) -> Column {
-        assert_eq!(
-            mask.len(),
-            self.len(),
-            "mask length must match column length"
-        );
-        match self {
-            Column::Int64(v) => Column::Int64(zip_filter(v, mask)),
-            Column::Float64(v) => Column::Float64(zip_filter(v, mask)),
-            Column::Utf8(v) => Column::Utf8(zip_filter(v, mask)),
-            Column::Bool(v) => Column::Bool(zip_filter(v, mask)),
-        }
-    }
-
     /// Appends all values of `other` to this column.
     pub fn append(&mut self, other: &Column) -> Result<(), StorageError> {
         self.extend_rows(other, None)
@@ -217,14 +199,6 @@ impl Column {
             Column::Bool(v) => v.len(),
         }
     }
-}
-
-fn zip_filter<T: Clone>(values: &[T], mask: &[bool]) -> Vec<T> {
-    values
-        .iter()
-        .zip(mask.iter())
-        .filter_map(|(v, &keep)| if keep { Some(v.clone()) } else { None })
-        .collect()
 }
 
 impl From<Vec<i64>> for Column {
@@ -318,20 +292,6 @@ mod tests {
         let c = Column::from(vec![10i64, 20, 30]);
         let t = c.take(&[2, 0, 0]);
         assert_eq!(t.as_i64().unwrap(), &[30, 10, 10]);
-    }
-
-    #[test]
-    fn filter_by_mask() {
-        let c = Column::from(vec![1.0f64, 2.0, 3.0, 4.0]);
-        let f = c.filter(&[true, false, true, false]);
-        assert_eq!(f.as_f64().unwrap(), &[1.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "mask length")]
-    fn filter_mask_length_mismatch_panics() {
-        let c = Column::from(vec![1i64, 2]);
-        let _ = c.filter(&[true]);
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl DataGenerator {
 /// Implemented locally to avoid pulling in `rand_distr`; the workloads only
 /// need a reproducible skewed distribution, not a statistically perfect one.
 #[derive(Debug, Clone)]
-pub struct ZipfSampler {
+pub(crate) struct ZipfSampler {
     n: usize,
     theta: f64,
     /// Cumulative probabilities for the first `PREFIX` ranks; the tail is
@@ -146,7 +146,7 @@ impl ZipfSampler {
     const PREFIX: usize = 1024;
 
     /// Creates a sampler over `0..n` with skew parameter `theta >= 0`.
-    pub fn new(n: usize, theta: f64) -> Self {
+    pub(crate) fn new(n: usize, theta: f64) -> Self {
         assert!(n > 0, "domain must not be empty");
         assert!(theta >= 0.0, "theta must be non-negative");
         let prefix = Self::PREFIX.min(n);
@@ -174,7 +174,7 @@ impl ZipfSampler {
     }
 
     /// Draws one sample in `0..n` (0-based rank).
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+    pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
             Ok(idx) => idx,

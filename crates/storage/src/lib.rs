@@ -21,20 +21,22 @@
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod catalog;
-pub mod column;
-pub mod error;
-pub mod generator;
-pub mod schema;
-pub mod source;
-pub mod stats;
-pub mod table;
-pub mod value;
+mod catalog;
+mod column;
+mod error;
+mod generator;
+mod schema;
+mod source;
+mod stats;
+mod table;
+mod value;
 
 pub use catalog::{Catalog, ForeignKey, TableBacking, TableMeta};
 pub use column::Column;
 pub use error::StorageError;
+pub use generator::DataGenerator;
 pub use schema::{Field, Schema};
 pub use source::ChunkSource;
 pub use stats::{ColumnStats, TableStats};

@@ -19,7 +19,7 @@ use crate::table::Table;
 use std::collections::HashMap;
 
 /// Number of buckets used by the equi-width histograms.
-pub const HISTOGRAM_BUCKETS: usize = 64;
+pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
 
 /// Statistics for a single column.
 #[derive(Debug, Clone, PartialEq)]

@@ -101,11 +101,6 @@ impl Table {
         &self.columns[idx]
     }
 
-    /// Reads a full row as boxed values (test / debugging convenience).
-    pub fn row(&self, idx: usize) -> Vec<Value> {
-        self.columns.iter().map(|c| c.value(idx)).collect()
-    }
-
     /// Computes per-column statistics for this table.
     pub fn compute_stats(&self) -> TableStats {
         TableStats::compute(self)
@@ -243,8 +238,9 @@ mod tests {
     #[test]
     fn row_access() {
         let t = people();
+        let row: Vec<Value> = t.columns().iter().map(|c| c.value(1)).collect();
         assert_eq!(
-            t.row(1),
+            row,
             vec![
                 Value::Int64(2),
                 Value::Utf8("b".into()),

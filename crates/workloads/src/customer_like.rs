@@ -8,7 +8,7 @@
 
 use crate::{Scale, Workload};
 use bqo_plan::{ColumnPredicate, CompareOp, QuerySpec};
-use bqo_storage::generator::DataGenerator;
+use bqo_storage::DataGenerator;
 use bqo_storage::{Catalog, TableBuilder};
 use rand::Rng;
 
@@ -33,13 +33,6 @@ impl Default for CustomerSchema {
             chains_per_fact: 12,
             chain_length: 3,
         }
-    }
-}
-
-impl CustomerSchema {
-    /// Total number of tables the schema produces.
-    pub fn num_tables(&self) -> usize {
-        self.facts * (1 + self.chains_per_fact * self.chain_length)
     }
 }
 
@@ -165,8 +158,6 @@ mod tests {
 
     #[test]
     fn schema_table_count() {
-        let schema = CustomerSchema::default();
-        assert_eq!(schema.num_tables(), 3 * (1 + 12 * 3));
         let catalog = build_catalog(
             Scale(0.01),
             CustomerSchema {
@@ -201,7 +192,7 @@ mod tests {
     fn stats_match_paper_profile() {
         let w = generate(Scale(0.01), 8, 11);
         let stats = w.stats();
-        assert_eq!(stats.tables, CustomerSchema::default().num_tables());
+        assert_eq!(stats.tables, 3 * (1 + 12 * 3));
         assert!(
             stats.avg_joins >= 20.0 && stats.avg_joins <= 36.0,
             "avg {}",

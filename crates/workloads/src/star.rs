@@ -6,8 +6,8 @@
 
 use crate::{Scale, Workload};
 use bqo_plan::{ColumnPredicate, CompareOp, QuerySpec};
-use bqo_storage::generator::DataGenerator;
 use bqo_storage::Catalog;
+use bqo_storage::DataGenerator;
 use rand::Rng;
 
 /// Number of distinct category values every generated dimension has;

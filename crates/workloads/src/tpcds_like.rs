@@ -11,7 +11,7 @@
 
 use crate::{Scale, Workload};
 use bqo_plan::{ColumnPredicate, CompareOp, QuerySpec};
-use bqo_storage::generator::DataGenerator;
+use bqo_storage::DataGenerator;
 use bqo_storage::{Catalog, TableBuilder};
 use rand::Rng;
 

@@ -179,21 +179,10 @@ fn default_num_threads_is_serial_and_zero_is_clamped() {
     // `num_threads = 0` is clamped to the serial path, not a panic.
     assert_eq!(ExecConfig::default().with_num_threads(0).num_threads, 1);
     assert_eq!(ExecConfig::default().with_num_threads(8).num_threads, 8);
-    // Morsel size defaults to the batch size and is clamped the same way.
-    assert_eq!(
-        ExecConfig::default().effective_morsel_size(),
-        DEFAULT_BATCH_SIZE
-    );
-    assert_eq!(
-        ExecConfig::default()
-            .with_morsel_size(0)
-            .effective_morsel_size(),
-        1
-    );
 }
 
 /// `PreparedStatement::explain` surfaces the engine's default execution
-/// configuration — including the morsel size — and `Session::explain`
+/// configuration and `Session::explain`
 /// renders the session's overrides instead.
 #[test]
 fn explain_surfaces_the_execution_configuration() {
@@ -212,11 +201,6 @@ fn explain_surfaces_the_execution_configuration() {
         explain.contains(&format!("batch_size={DEFAULT_BATCH_SIZE}")),
         "{explain}"
     );
-    // The morsel size defaults to the batch size and must be reported too.
-    assert!(
-        explain.contains(&format!("morsel_size={DEFAULT_BATCH_SIZE}")),
-        "{explain}"
-    );
 
     let workload = bqo_core::workloads::star::generate(Scale(0.02), 2, 1, 5);
     let parallel = Engine::builder()
@@ -224,8 +208,7 @@ fn explain_surfaces_the_execution_configuration() {
         .exec_config(
             ExecConfig::default()
                 .with_num_threads(4)
-                .with_batch_size(usize::MAX)
-                .with_morsel_size(4096),
+                .with_batch_size(usize::MAX),
         )
         .build()
         .unwrap();
@@ -235,17 +218,16 @@ fn explain_surfaces_the_execution_configuration() {
     let explain = stmt.explain();
     assert!(explain.contains("num_threads=4"), "{explain}");
     assert!(explain.contains("batch_size=unbatched"), "{explain}");
-    assert!(explain.contains("morsel_size=4096"), "{explain}");
 
     // A session override changes the reported configuration, not the plan.
     let session = parallel.session().with_exec_config(
         ExecConfig::default()
             .with_num_threads(2)
-            .with_morsel_size(64),
+            .with_batch_size(64),
     );
     let explain = session.explain(&stmt);
     assert!(explain.contains("num_threads=2"), "{explain}");
-    assert!(explain.contains("morsel_size=64"), "{explain}");
+    assert!(explain.contains("batch_size=64"), "{explain}");
 }
 
 #[test]

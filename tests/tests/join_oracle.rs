@@ -33,7 +33,7 @@ use bqo_exec::{
     WorkerPool,
 };
 use bqo_format::{write_table, CatalogExt};
-use bqo_integration_tests::env_threads;
+use bqo_integration_tests::{env_threads, Rechunked};
 use bqo_plan::{
     push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, JoinGraph, JoinNode,
     JoinTree, PhysicalPlan, RelId, RelSet, RelationInfo,
@@ -92,6 +92,16 @@ impl Scenario {
         let mut catalog = Catalog::new();
         for table in &self.tables {
             catalog.register_table(table.clone());
+        }
+        catalog
+    }
+
+    /// The same tables fetched in 2-row chunks: scan morsels are chunks, so
+    /// 4 threads fan out over morsels that disagree with batch boundaries.
+    fn fetched_catalog(&self) -> Catalog {
+        let mut catalog = Catalog::new();
+        for table in &self.tables {
+            catalog.register_source(Arc::new(Rechunked::new(Arc::new(table.clone()), 2)));
         }
         catalog
     }
@@ -285,6 +295,7 @@ fn assert_matches_reference(s: &Scenario) -> usize {
     std::fs::create_dir_all(&dir).expect("temp dir");
     let memory = s.memory_catalog();
     let file = s.file_catalog(&dir);
+    let fetched = s.fetched_catalog();
     let (schema, expected) = reference(s, s.tree.root());
     // The catalog's own handle of each output column.
     let resident: Vec<Arc<Column>> = schema
@@ -305,16 +316,16 @@ fn assert_matches_reference(s: &Scenario) -> usize {
 
     for (plan, bitvectors) in [(&filtered, true), (&bare, false)] {
         for batch_size in [3, 4096] {
-            // Tiny morsels and no inline gate, so 4 threads really fan out.
+            // No inline gate, so 4 threads really fan out.
             let base = ExecConfig::default()
                 .with_batch_size(batch_size)
-                .with_morsel_size(2)
                 .with_parallel_threshold(1);
             let oracle_config = base
                 .with_num_threads(1)
                 .with_kernel_mode(KernelMode::Scalar);
             let oracle = run(&memory, s, plan, oracle_config);
-            for (backing, catalog) in [("memory", &memory), ("file", &file)] {
+            let backings = [("memory", &memory), ("file", &file), ("fetched", &fetched)];
+            for (backing, catalog) in backings {
                 for &num_threads in &threads {
                     for kernel_mode in [KernelMode::Vectorized, KernelMode::Scalar] {
                         let config = base
@@ -336,7 +347,7 @@ fn assert_matches_reference(s: &Scenario) -> usize {
                             assert_eq!(batch.schema(), &schema[..], "{cell}: schema");
                             let shared = batch.columns().iter().zip(&resident);
                             assert!(
-                                backing == "file"
+                                backing != "memory"
                                     || shared.into_iter().all(|(c, r)| Arc::ptr_eq(c, r)),
                                 "{cell}: a resident column was copied"
                             );

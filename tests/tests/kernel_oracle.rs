@@ -33,12 +33,14 @@
 //! `-C overflow-checks=on` and `debug_assertions` so wrap-prone word/tail
 //! index arithmetic cannot pass silently.
 
-use bqo_core::bitvector::hash::{combine_key, fold_parts};
+use bqo_core::bitvector::{combine_key, fold_parts};
 use bqo_core::bitvector::{AnyFilter, BitvectorFilter, FilterKind, FilterStats};
-use bqo_core::exec::batch::{gather_keys, row_key};
-use bqo_core::exec::kernels::{join_probe, probe_mask_range, probe_retain, ProbeScratch};
-use bqo_core::exec::{Batch, ExecConfig, ExecContext, JoinTable, KernelMode, WorkerPool};
-use bqo_core::storage::generator::DataGenerator;
+
+use bqo_core::exec::{
+    gather_keys, join_probe, probe_mask_range, probe_retain, row_key, Batch, ExecConfig,
+    ExecContext, JoinTable, KernelMode, ProbeScratch, WorkerPool,
+};
+use bqo_core::storage::DataGenerator;
 use bqo_core::storage::{Catalog, Column, Value};
 use bqo_core::{ColumnPredicate, CompareOp, Engine, OptimizerChoice, QuerySpec, RunOptions};
 use bqo_integration_tests::env_threads;

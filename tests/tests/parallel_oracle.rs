@@ -14,7 +14,8 @@
 use bqo_core::exec::{ExecConfig, KernelMode};
 use bqo_core::workloads::{star, tpcds_like, Scale};
 use bqo_core::{Engine, OptimizerChoice, QuerySpec, RunOptions};
-use bqo_integration_tests::env_threads;
+use bqo_integration_tests::{env_threads, Rechunked};
+use std::sync::Arc;
 
 const THREAD_MATRIX: [usize; 4] = [1, 2, 4, 8];
 const BATCH_MATRIX: [usize; 4] = [1, 7, 1024, usize::MAX];
@@ -118,17 +119,21 @@ fn tpcds_like_matrix_matches_serial_oracle() {
     );
 }
 
-/// Star workload with exact filters, and a decoupled morsel size smaller
-/// than most batch sizes so scan morsels and batch boundaries disagree.
+/// Star workload with exact filters and the fact table fetched in 64-row
+/// chunks: its scan morsels are chunks, so they disagree with most batch
+/// boundaries of the matrix.
 #[test]
 fn star_matrix_matches_serial_oracle_with_exact_filters() {
-    let workload = star::generate(Scale(0.02), 3, 2, 42);
+    let mut workload = star::generate(Scale(0.02), 3, 2, 42);
+    let fact = workload.catalog.table("fact").unwrap();
+    let fetched = Rechunked::new(fact, 64);
+    workload.catalog.register_source(Arc::new(fetched));
     let engine = Engine::from_catalog(workload.catalog);
     assert_parallel_matches_serial_oracle(
         &engine,
         &workload.queries,
         &[OptimizerChoice::Bqo],
-        ExecConfig::exact_filters().with_morsel_size(64),
+        ExecConfig::exact_filters(),
     );
 }
 

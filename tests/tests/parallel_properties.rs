@@ -17,7 +17,7 @@
 //! ascending list of build rows carrying that key.
 
 use bqo_core::exec::{ExecConfig, ExecContext, JoinTable, KernelMode, WorkerPool};
-use bqo_core::storage::generator::DataGenerator;
+use bqo_core::storage::DataGenerator;
 use bqo_core::storage::{Catalog, Table};
 use bqo_core::{ColumnPredicate, CompareOp, Engine, OptimizerChoice, QuerySpec, RunOptions};
 use bqo_integration_tests::{env_threads, Rechunked};
@@ -90,7 +90,6 @@ proptest! {
         skew in 0.0f64..1.2,
         dims in prop::collection::vec(dim_strategy(), 1..4),
         batch_size in 1usize..300,
-        morsel_size in 1usize..300,
         num_threads in 2usize..9,
     ) {
         let (engine, spec) = build_star(seed, fact_rows, skew, &dims, None);
@@ -100,9 +99,7 @@ proptest! {
         let serial = ExecConfig::default()
             .with_batch_size(batch_size)
             .with_num_threads(1);
-        let parallel = serial
-            .with_morsel_size(morsel_size)
-            .with_num_threads(num_threads.max(env_threads()));
+        let parallel = serial.with_num_threads(num_threads.max(env_threads()));
 
         let serial_out = session
             .execute(
@@ -180,7 +177,6 @@ proptest! {
         dims in prop::collection::vec(dim_strategy(), 1..4),
         chunk_choice in 0usize..5,
         batch_size in 1usize..300,
-        morsel_size in 1usize..300,
         parallel in 0usize..2,
         scalar in 0usize..2,
         pruning in 0usize..2,
@@ -188,7 +184,6 @@ proptest! {
         let chunk_rows = [1, 7, 64, fact_rows.max(1), fact_rows + 1][chunk_choice];
         let config = ExecConfig::default()
             .with_batch_size(batch_size)
-            .with_morsel_size(morsel_size)
             .with_num_threads([1, 4][parallel])
             .with_parallel_threshold(1)
             .with_kernel_mode([KernelMode::Vectorized, KernelMode::Scalar][scalar])

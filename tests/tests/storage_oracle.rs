@@ -360,7 +360,7 @@ fn fault_configs() -> Vec<ExecConfig> {
             ExecConfig::default()
                 .with_num_threads(threads)
                 .with_kernel_mode(kernel)
-                .with_morsel_size(64)
+                .with_batch_size(64)
                 .with_parallel_threshold(1)
         })
     });

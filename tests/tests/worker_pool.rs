@@ -3,8 +3,7 @@
 //! bit-identical execution against the serial/inline path when the pool
 //! supplies the helper workers.
 
-use bqo_core::exec::pool::WorkerPool;
-use bqo_core::exec::{morsels, run_morsels_with, ExecConfig};
+use bqo_core::exec::{morsels, run_morsels_with, ExecConfig, WorkerPool};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{Engine, OptimizerChoice, RunOptions};
 use bqo_integration_tests::env_threads;
