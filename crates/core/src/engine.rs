@@ -4,14 +4,17 @@
 //!
 //! ```text
 //! Engine (Arc-internal, Clone + Send + Sync)
-//!   ├── prepare(spec, choice)          -> PreparedStatement   (owned, 'static)
-//!   ├── bind(spec, params, choice)     -> PreparedStatement   (via PlanCache)
+//!   ├── prepare(spec, choice)           -> PreparedStatement  (owned, 'static)
+//!   ├── bind(spec, params, choice)      -> PreparedStatement  (via PlanCache)
+//!   ├── prepare_sql(sql, choice)        -> PreparedStatement  (SQL text, via PlanCache)
+//!   ├── bind_sql(sql, params, choice)   -> PreparedStatement  (SQL template, via PlanCache)
 //!   ├── prepare_plan(name, graph, plan) -> PreparedStatement  (hand-built, no cache)
-//!   └── session() -> Session ── execute(&stmt, RunOptions) -> StatementOutput
+//!   └── session() -> Session ── execute(&stmt, RunOptions) -> QueryOutput
 //! ```
 
 use crate::cache::{CacheStats, CacheStatus, PlanCache};
 use crate::{BqoError, OptimizerChoice};
+use bqo_bitvector::FilterKind;
 use bqo_exec::{
     Batch, BoundPlan, CancelToken, ExecConfig, ExecContext, ExecutionMetrics, QueryResult,
     WorkerPool,
@@ -20,11 +23,12 @@ use bqo_optimizer::{BaselineOptimizer, BqoOptimizer, Optimizer};
 use bqo_plan::{CostModel, CoutBreakdown, JoinGraph, Params, PhysicalPlan, QuerySpec};
 use bqo_storage::{Catalog, ForeignKey, Table};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Minimum effective parallelism the engine's worker pool is sized for when
 /// the builder does not pin an explicit [`EngineBuilder::worker_threads`]:
 /// the pool gets `max(default num_threads, available_parallelism, 4) - 1`
-/// helper threads, so per-session `num_threads` overrides up to at least 4
+/// helper threads, so per-run `num_threads` overrides up to at least 4
 /// (and up to the hardware width) are served by parked pool workers instead
 /// of running inline.
 const MIN_DEFAULT_PARALLELISM: usize = 4;
@@ -64,21 +68,6 @@ struct EngineInner {
     pool: OnceLock<WorkerPool>,
 }
 
-impl Default for EngineInner {
-    fn default() -> Self {
-        let exec_config = ExecConfig::default();
-        EngineInner {
-            catalog: Catalog::default(),
-            exec_config,
-            catalog_version: 0,
-            catalog_tag: 0,
-            cache: PlanCache::default(),
-            pool_workers: default_pool_workers(exec_config),
-            pool: OnceLock::new(),
-        }
-    }
-}
-
 /// The unified query engine: a catalog, a default execution configuration and
 /// a plan cache behind one `Arc` — cloning an `Engine` is a reference-count
 /// bump, and every clone (and every thread) observes the same cache.
@@ -102,7 +91,7 @@ impl Default for EngineInner {
 /// let out = session.execute(&stmt, RunOptions::new()).unwrap();
 /// assert!(out.result.output_rows > 0);
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct Engine {
     inner: Arc<EngineInner>,
 }
@@ -117,15 +106,22 @@ impl Engine {
     /// generators) with the default execution configuration and a fresh plan
     /// cache.
     pub fn from_catalog(catalog: Catalog) -> Self {
-        let exec_config = ExecConfig::default();
+        Engine::new(Engine::builder().catalog(catalog))
+    }
+
+    /// The one constructor, over a builder whose constraints are declared.
+    fn new(b: EngineBuilder) -> Self {
+        let pool_workers = b
+            .worker_threads
+            .unwrap_or_else(|| default_pool_workers(b.exec_config));
         Engine {
             inner: Arc::new(EngineInner {
-                catalog_version: catalog.version(),
-                catalog_tag: catalog.schema_tag(),
-                catalog,
-                exec_config,
-                cache: PlanCache::new(),
-                pool_workers: default_pool_workers(exec_config),
+                catalog_version: b.catalog.version(),
+                catalog_tag: b.catalog.schema_tag(),
+                catalog: b.catalog,
+                exec_config: b.exec_config,
+                cache: b.cache.unwrap_or_default(),
+                pool_workers,
                 pool: OnceLock::new(),
             }),
         }
@@ -174,13 +170,11 @@ impl Engine {
             .get_or_init(|| WorkerPool::new(self.inner.pool_workers))
     }
 
-    /// Opens a session with the engine's default execution configuration.
-    /// Sessions are cheap (an `Arc` clone plus a `Copy` config) — open one
-    /// per thread or per request.
+    /// Opens a session. Sessions are cheap (an `Arc` clone) — open one per
+    /// thread or per request.
     pub fn session(&self) -> Session {
         Session {
             engine: self.clone(),
-            exec_config: self.inner.exec_config,
         }
     }
 
@@ -361,17 +355,25 @@ fn render_rows(n: usize) -> String {
     }
 }
 
-/// Renders the execution-configuration line appended to EXPLAIN output.
+/// Renders the execution-configuration line appended to EXPLAIN output:
+/// every [`ExecConfig`] field, in declaration order.
 fn render_exec_config(config: ExecConfig) -> String {
+    let filter = match config.filter_kind {
+        FilterKind::Bitmap => "bitmap".to_string(),
+        FilterKind::Exact => "exact".to_string(),
+        FilterKind::Bloom { bits_per_key } => format!("bloom({bits_per_key})"),
+        FilterKind::BlockedBloom { bits_per_key } => format!("blocked_bloom({bits_per_key})"),
+    };
     let kernels = match config.kernel_mode {
         bqo_exec::KernelMode::Vectorized => "vectorized",
         bqo_exec::KernelMode::Scalar => "scalar",
     };
     format!(
-        "execution: batch_size={}, num_threads={}, kernels={}, zone_map_pruning={}\n",
+        "execution: filter={filter}, batch_size={}, num_threads={}, parallel_threshold={}, \
+         kernels={kernels}, zone_map_pruning={}\n",
         render_rows(config.batch_size),
         config.num_threads,
-        kernels,
+        config.parallel_threshold,
         if config.zone_map_pruning { "on" } else { "off" }
     )
 }
@@ -441,7 +443,7 @@ impl EngineBuilder {
     /// Without this, the pool is sized to
     /// `max(default num_threads, available_parallelism, 4) - 1`. `0` disables
     /// the pool: every parallel section runs inline on the calling thread,
-    /// whatever `num_threads` a session asks for.
+    /// whatever `num_threads` a run asks for.
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = Some(threads);
         self
@@ -469,19 +471,7 @@ impl EngineBuilder {
                 .declare_foreign_key(fk)
                 .map_err(BqoError::setup)?;
         }
-        Ok(Engine {
-            inner: Arc::new(EngineInner {
-                catalog_version: self.catalog.version(),
-                catalog_tag: self.catalog.schema_tag(),
-                catalog: self.catalog,
-                exec_config: self.exec_config,
-                cache: self.cache.unwrap_or_default(),
-                pool_workers: self
-                    .worker_threads
-                    .unwrap_or_else(|| default_pool_workers(self.exec_config)),
-                pool: OnceLock::new(),
-            }),
-        })
+        Ok(Engine::new(self))
     }
 }
 
@@ -545,23 +535,15 @@ impl PreparedStatement {
     }
 
     /// EXPLAIN-style rendering of the plan, followed by the engine's default
-    /// execution configuration (batch size, worker-thread count and morsel
-    /// size). Use [`Session::explain`] to render a session's overridden
-    /// configuration instead.
+    /// execution configuration (every [`ExecConfig`] field). Statements
+    /// prepared from SQL lead with the original query text.
     pub fn explain(&self) -> String {
-        self.explain_with(self.default_exec)
-    }
-
-    /// EXPLAIN-style rendering of the plan followed by an explicit execution
-    /// configuration. Statements prepared from SQL lead with the original
-    /// query text.
-    fn explain_with(&self, config: ExecConfig) -> String {
         let mut out = String::new();
         if let Some(sql) = &self.sql {
             out.push_str(&format!("sql: {sql}\n"));
         }
         out.push_str(&self.plan.explain(&self.graph));
-        out.push_str(&render_exec_config(config));
+        out.push_str(&render_exec_config(self.default_exec));
         out
     }
 
@@ -573,15 +555,17 @@ impl PreparedStatement {
     }
 }
 
-/// Per-run knobs for [`Session::execute`]: an optional [`ExecConfig`]
-/// override, whether to collect the output rows, and an optional
-/// [`CancelToken`] observed by the run.
+/// Per-run knobs for [`Session::execute`] — the only per-run
+/// configuration, whether the run is direct or served (a [`crate::Request`]
+/// carries one): an optional [`ExecConfig`] override, whether to collect
+/// the output rows, and an optional [`CancelToken`] observed by the run.
 #[derive(Debug, Clone, Default)]
 pub struct RunOptions {
-    /// Execution configuration for this run; `None` uses the session's.
+    /// Execution configuration for this run; `None` uses the engine's
+    /// default ([`EngineBuilder::exec_config`]).
     pub exec_config: Option<ExecConfig>,
     /// When true, the concatenated output rows are returned in
-    /// [`StatementOutput::rows`] — the differential-testing mode the oracle
+    /// [`QueryOutput::rows`] — the differential-testing mode the oracle
     /// harnesses use to compare results bit for bit.
     pub collect_rows: bool,
     /// Cancel token the run observes cooperatively; firing it (or its
@@ -592,7 +576,7 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Default options: session config, no row collection, no cancel token.
+    /// Default options: engine config, no row collection, no cancel token.
     pub fn new() -> Self {
         RunOptions::default()
     }
@@ -616,44 +600,41 @@ impl RunOptions {
     }
 }
 
-/// Everything one [`Session::execute`] run produces: the query result, the
-/// collected rows (when [`RunOptions::collect_rows`] was set) and how the
-/// statement's plan was obtained from the cache.
+/// Everything one run produces, from [`Session::execute`] or a served
+/// request's [`crate::Ticket::wait`].
 #[derive(Debug, Clone)]
-pub struct StatementOutput {
+pub struct QueryOutput {
     /// Row count and execution metrics.
     pub result: QueryResult,
-    /// Concatenated output rows, present iff the run collected them.
+    /// Concatenated output rows, present iff the run collected them
+    /// ([`RunOptions::collect_rows`]).
     pub rows: Option<Batch>,
-    /// The statement's plan-cache status (copied from the statement — a
-    /// property of preparation, repeated here so serving callers get the
-    /// whole story from one value).
+    /// How the statement's plan was obtained from the plan cache
+    /// ([`CacheStatus::Bypassed`] for hand-built plans).
     pub cache_status: CacheStatus,
+    /// Time a served request spent queued before a dispatcher picked it
+    /// up; zero for a direct run.
+    pub queue_wait: Duration,
+    /// Submit-to-completion wall time of a served request (queueing +
+    /// planning + execution); a direct run's execution time
+    /// (`result.metrics.elapsed`).
+    pub total_wall: Duration,
 }
 
-/// A lightweight execution handle: an engine reference plus per-session
-/// [`ExecConfig`] overrides. Sessions are `Clone + Send + Sync`; open one per
-/// thread or request and run any number of [`PreparedStatement`]s through it
-/// via [`Session::execute`].
+/// A lightweight execution handle over an engine. Sessions are
+/// `Clone + Send + Sync`; open one per thread or request and run any number
+/// of [`PreparedStatement`]s through it via [`Session::execute`].
 #[derive(Debug, Clone)]
 pub struct Session {
     engine: Engine,
-    exec_config: ExecConfig,
 }
 
 impl Session {
-    /// The same session with a different execution configuration (e.g.
-    /// exact filters, another batch size or worker-thread count).
-    pub fn with_exec_config(mut self, config: ExecConfig) -> Self {
-        self.exec_config = config;
-        self
-    }
-
     /// Runs a prepared statement through the pull-based operator pipeline —
     /// the single execution entry point, and the one caller of
     /// [`bqo_exec::execute`]. [`RunOptions`] selects the configuration
-    /// (session default unless overridden), whether to collect output rows,
-    /// and an optional cancel token. Parallel configurations draw their
+    /// (the engine's default unless overridden), whether to collect output
+    /// rows, and an optional cancel token. Parallel configurations draw their
     /// helper workers from the engine's [`WorkerPool`]; serial ones never
     /// touch (or spawn) it. A cancelled run's error carries the metrics
     /// gathered before the abort ([`BqoError::partial_metrics`]):
@@ -666,9 +647,9 @@ impl Session {
         &self,
         stmt: &PreparedStatement,
         options: RunOptions,
-    ) -> Result<StatementOutput, BqoError> {
-        let config = options.exec_config.unwrap_or(self.exec_config);
+    ) -> Result<QueryOutput, BqoError> {
         let engine = &self.engine;
+        let config = options.exec_config.unwrap_or(engine.inner.exec_config);
         let pool = (config.num_threads > 1).then(|| engine.worker_pool().clone());
         let mut ctx = ExecContext::with_pool(config, pool);
         if let Some(token) = options.cancel {
@@ -676,29 +657,26 @@ impl Session {
         }
         let catalog = &engine.inner.catalog;
         match bqo_exec::execute(catalog, stmt.bound(), ctx, options.collect_rows) {
-            (result, Ok(rows)) => Ok(StatementOutput {
+            (result, Ok(rows)) => Ok(QueryOutput {
+                total_wall: result.metrics.elapsed,
                 result,
                 rows,
                 cache_status: stmt.cache_status,
+                queue_wait: Duration::ZERO,
             }),
             (result, Err(e)) => Err(BqoError::from_exec(&stmt.name, e, result.metrics)),
         }
     }
 
-    /// EXPLAIN-style rendering of a statement's plan under the session's
-    /// execution configuration.
-    pub fn explain(&self, stmt: &PreparedStatement) -> String {
-        stmt.explain_with(self.exec_config)
-    }
-
     /// EXPLAIN ANALYZE: renders the plan (each scan labelled with its
-    /// backing, `scan=memory` or `scan=file`), executes the statement under
-    /// the session's configuration, and appends the observed storage
-    /// counters — chunks read vs pruned by zone maps, the pruning ratio and
-    /// bytes fetched. Purely in-memory plans report zero chunks.
+    /// backing, `scan=memory` or `scan=file`) as [`PreparedStatement::explain`]
+    /// does, executes the statement under the engine's configuration, and
+    /// appends the observed storage counters — chunks read vs pruned by zone
+    /// maps, the pruning ratio and bytes fetched. Purely in-memory plans
+    /// report zero chunks.
     pub fn explain_analyze(&self, stmt: &PreparedStatement) -> Result<String, BqoError> {
         let out = self.execute(stmt, RunOptions::new())?;
-        let mut text = stmt.explain_with(self.exec_config);
+        let mut text = stmt.explain();
         text.push_str(&render_storage_counters(&out.result.metrics));
         Ok(text)
     }
@@ -737,5 +715,20 @@ mod tests {
             ExecConfig::default().with_kernel_mode(bqo_exec::KernelMode::Scalar),
         );
         assert!(line.contains("kernels=scalar"), "{line}");
+        assert!(line.contains("filter=bitmap"), "{line}");
+        assert!(line.contains("zone_map_pruning=on"), "{line}");
+        let line = render_exec_config(ExecConfig::exact_filters().with_parallel_threshold(1));
+        assert!(line.contains("filter=exact"), "{line}");
+        assert!(line.contains("parallel_threshold=1,"), "{line}");
+        let bloom = |filter_kind| ExecConfig {
+            filter_kind,
+            zone_map_pruning: false,
+            ..ExecConfig::default()
+        };
+        let line = render_exec_config(bloom(FilterKind::Bloom { bits_per_key: 10 }));
+        assert!(line.contains("filter=bloom(10)"), "{line}");
+        assert!(line.contains("zone_map_pruning=off"), "{line}");
+        let line = render_exec_config(bloom(FilterKind::BlockedBloom { bits_per_key: 8 }));
+        assert!(line.contains("filter=blocked_bloom(8)"), "{line}");
     }
 }

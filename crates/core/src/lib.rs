@@ -26,18 +26,18 @@
 //!   the same cache entry) and `$param` templates with bind-time
 //!   selectivity re-derivation. [`RequestBuilder::sql`] serves SQL text
 //!   through the [`Server`].
-//! * [`Session`] — a lightweight execution handle carrying per-session
-//!   [`ExecConfig`] overrides; [`Session::execute`] runs any statement
-//!   through the pull-based operator pipeline of `bqo-exec`, with
-//!   [`RunOptions`] selecting a per-run configuration, output-row
-//!   collection, and an optional [`CancelToken`] for cooperative
-//!   cancellation, all returned in one [`StatementOutput`]. Every fallible
-//!   step returns the unified [`BqoError`], which keeps the query name and
-//!   processing phase attached to the underlying cause.
+//! * [`Session`] — a lightweight execution handle; [`Session::execute`]
+//!   runs any statement through the pull-based operator pipeline of
+//!   `bqo-exec`. [`RunOptions`], the only per-run configuration, selects
+//!   an [`ExecConfig`] (the engine's default unless set), output-row
+//!   collection and an optional [`CancelToken`]; every run, direct or
+//!   served, returns one [`QueryOutput`]. Every fallible step returns the
+//!   unified [`BqoError`], which keeps the query name and processing phase
+//!   attached to the underlying cause.
 //! * [`Server`] — the multi-tenant serving front end over the engine:
 //!   [`Server::submit`] admits a [`Request`] (built with
-//!   [`Request::builder`], carrying [`QueryOptions`]: tenant, priority,
-//!   deadline, row collection, exec-config overrides) into a bounded queue
+//!   [`Request::builder`]: tenant, priority and deadline, plus the
+//!   [`RunOptions`] its run gets) into a bounded queue
 //!   (backpressure via [`SubmitError::QueueFull`], per-tenant quotas via
 //!   [`SubmitError::TenantQuotaExceeded`]) and returns a [`Ticket`]
 //!   (`wait` / `cancel` / timeout). Dispatch picks by (priority,
@@ -48,14 +48,14 @@
 //!   partial [`ExecutionMetrics`]. At most
 //!   [`ServerConfig::max_concurrent_queries`] statements execute at once on
 //!   persistent dispatcher threads, panics are contained per request, and
-//!   [`ServerStats`] / [`Server::stats_for`] report global and per-tenant
-//!   counters plus queue-wait and run-time latency histograms. Scheduling
-//!   and accounting are one single-threaded state machine taking `now` as a
-//!   parameter, behind one mutex: every request is counted before its ticket
-//!   resolves, and per tenant as exactly as globally. Parallel
-//!   sections inside the executor draw their helper workers from the
-//!   engine-owned persistent [`WorkerPool`] instead of spawning threads per
-//!   query.
+//!   one [`ServerStats`] type reports global ([`Server::stats`]) and
+//!   per-tenant ([`Server::stats_for`]) counters plus queue-wait and
+//!   run-time latency histograms. Scheduling and accounting are one
+//!   single-threaded state machine taking `now` as a parameter, behind one
+//!   mutex: every request is counted before its ticket resolves, and per
+//!   tenant as exactly as globally. Parallel sections inside the executor
+//!   draw their helper workers from the engine-owned persistent
+//!   [`WorkerPool`] instead of spawning threads per query.
 //! * [`mod@format`] — the on-disk columnar file format (`.bqo`): chunked
 //!   columns with per-chunk zone maps and checksums, written with
 //!   [`format::write_table`] and registered into a catalog via
@@ -78,7 +78,7 @@
 //! // Prepare the first query with the bitvector-aware optimizer and run it.
 //! let query = &workload.queries[0];
 //! let stmt = engine.prepare(query, OptimizerChoice::Bqo).unwrap();
-//! println!("{}", session.explain(&stmt));
+//! println!("{}", stmt.explain());
 //! let result = session.execute(&stmt, RunOptions::new()).unwrap().result;
 //!
 //! // The same query prepared with the baseline returns the same answer.
@@ -141,12 +141,12 @@ pub use bqo_workloads as workloads;
 
 pub use cache::{CacheStats, CacheStatus, PlanCache};
 pub use engine::{
-    Engine, EngineBuilder, EngineStats, PreparedStatement, RunOptions, Session, StatementOutput,
+    Engine, EngineBuilder, EngineStats, PreparedStatement, QueryOutput, RunOptions, Session,
 };
 pub use error::{BqoError, QueryPhase};
 pub use server::{
-    LatencyStats, QueryOptions, QueryOutput, Request, RequestBuilder, ServeError, Server,
-    ServerConfig, ServerStats, SubmitError, TenantQuota, TenantStats, Ticket,
+    LatencyStats, Request, RequestBuilder, ServeError, Server, ServerConfig, ServerStats,
+    SubmitError, TenantQuota, Ticket,
 };
 
 pub use bqo_exec::{

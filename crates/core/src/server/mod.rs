@@ -9,7 +9,7 @@
 //! shapes the traffic —
 //!
 //! * **Priority/deadline-aware scheduling.** Dispatch picks the queued
-//!   request with the highest [`QueryOptions::priority`], breaking ties by
+//!   request with the highest [`RequestBuilder::priority`], breaking ties by
 //!   earliest deadline and then submission order (so equal-priority,
 //!   deadline-free traffic is served first-in-first-out). At most
 //!   [`ServerConfig::max_concurrent_queries`] statements execute at once (a
@@ -19,7 +19,7 @@
 //!   ([`SubmitError::TenantQuotaExceeded`] at admission) and how many it may
 //!   have running at once (enforced at dispatch — other tenants' requests
 //!   are picked around a saturated tenant).
-//! * **Deadlines.** A request with a [`QueryOptions::deadline`] that expires
+//! * **Deadlines.** A request with a [`RequestBuilder::deadline`] that expires
 //!   while still queued is dropped with [`ServeError::DeadlineExceeded`]
 //!   before wasting pool time; one that expires mid-execution is aborted
 //!   cooperatively within roughly one morsel, returning the partial
@@ -42,7 +42,7 @@
 //!   and implied when the last server handle drops.
 //! * **Operational visibility.** [`Server::stats`] reports global counters
 //!   plus queue-wait and run-time latency histograms ([`LatencyStats`]);
-//!   [`Server::stats_for`] reports the same per tenant.
+//!   [`Server::stats_for`] reports the same [`ServerStats`] per tenant.
 //!
 //! Execution itself goes through the engine like any session run: plans come
 //! from the shared [`crate::PlanCache`], and parallel sections draw their
@@ -83,9 +83,9 @@
 
 mod queue;
 
-use crate::engine::{Engine, RunOptions};
-use crate::{BqoError, CacheStatus, OptimizerChoice};
-use bqo_exec::{Batch, CancelToken, ExecConfig, ExecutionMetrics, QueryResult};
+use crate::engine::{Engine, QueryOutput, RunOptions};
+use crate::{BqoError, OptimizerChoice};
+use bqo_exec::{CancelToken, ExecConfig, ExecutionMetrics};
 use bqo_plan::{JoinGraph, Params, PhysicalPlan, QuerySpec};
 use queue::{Dispatch, Outcome, Running, Scheduler};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -176,37 +176,18 @@ impl ServerConfig {
     }
 }
 
-/// Per-request scheduling and execution options carried by a [`Request`].
-#[derive(Debug, Clone, Default)]
-pub struct QueryOptions {
-    /// The tenant this request is accounted to. Named tenants are subject to
-    /// [`ServerConfig::tenant_quota`] and show up in [`Server::stats_for`];
-    /// `None` is the anonymous tenant (unbounded, aggregated globally only).
-    pub tenant: Option<String>,
-    /// Scheduling priority — higher values dispatch first. Default 0.
-    pub priority: i32,
-    /// Relative deadline, measured from submission. A request still queued
-    /// when it expires resolves to [`ServeError::DeadlineExceeded`] without
-    /// executing; one caught mid-execution is aborted cooperatively. A
-    /// deadline too far to represent as an instant (such as `Duration::MAX`)
-    /// is no deadline.
-    pub deadline: Option<Duration>,
-    /// Collect the concatenated output rows into [`QueryOutput::rows`]
-    /// (the differential-testing mode of the server oracle).
-    pub collect_rows: bool,
-    /// Execution-configuration override for this request; `None` uses the
-    /// engine's default configuration.
-    pub exec_config: Option<ExecConfig>,
-}
-
 /// One unit of work for [`Server::submit`]: what to run (a query spec with
-/// optional parameters, or a hand-built plan), which optimizer plans it, and
-/// its [`QueryOptions`]. Built with [`Request::builder`].
+/// optional parameters, or a hand-built plan), which optimizer plans it, how
+/// it is scheduled (tenant, priority, deadline) and the [`RunOptions`] its
+/// run gets. Built with [`Request::builder`].
 #[derive(Debug, Clone)]
 pub struct Request {
     statement: Statement,
     choice: OptimizerChoice,
-    options: QueryOptions,
+    tenant: Option<String>,
+    priority: i32,
+    deadline: Option<Duration>,
+    run: RunOptions,
 }
 
 impl Request {
@@ -221,23 +202,15 @@ impl Request {
 /// Exactly one statement source is required: [`RequestBuilder::query`] or
 /// [`RequestBuilder::sql`] (each optionally with [`RequestBuilder::params`]),
 /// or [`RequestBuilder::plan`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct RequestBuilder {
     statement: Option<Statement>,
     params: Option<Params>,
-    choice: OptimizerChoice,
-    options: QueryOptions,
-}
-
-impl Default for RequestBuilder {
-    fn default() -> Self {
-        RequestBuilder {
-            statement: None,
-            params: None,
-            choice: OptimizerChoice::Bqo,
-            options: QueryOptions::default(),
-        }
-    }
+    choice: Option<OptimizerChoice>,
+    tenant: Option<String>,
+    priority: i32,
+    deadline: Option<Duration>,
+    run: RunOptions,
 }
 
 impl RequestBuilder {
@@ -286,38 +259,47 @@ impl RequestBuilder {
     /// Which optimizer plans a spec request (default
     /// [`OptimizerChoice::Bqo`]; ignored for plan requests).
     pub fn optimizer(mut self, choice: OptimizerChoice) -> Self {
-        self.choice = choice;
+        self.choice = Some(choice);
         self
     }
 
-    /// Accounts the request to a named tenant (see [`QueryOptions::tenant`]).
+    /// Accounts the request to a named tenant. Named tenants are subject to
+    /// [`ServerConfig::tenant_quota`] and show up in [`Server::stats_for`];
+    /// without one the request is anonymous (unbounded, counted globally
+    /// only).
     pub fn tenant(mut self, tenant: impl Into<String>) -> Self {
-        self.options.tenant = Some(tenant.into());
+        self.tenant = Some(tenant.into());
         self
     }
 
     /// Scheduling priority — higher dispatches first (default 0).
     pub fn priority(mut self, priority: i32) -> Self {
-        self.options.priority = priority;
+        self.priority = priority;
         self
     }
 
-    /// Relative deadline, measured from submission (see
-    /// [`QueryOptions::deadline`]).
+    /// Relative deadline, measured from submission. A request still queued
+    /// when it expires resolves to [`ServeError::DeadlineExceeded`] without
+    /// executing; one caught mid-execution is aborted cooperatively. A
+    /// deadline too far to represent as an instant (such as `Duration::MAX`)
+    /// is no deadline.
     pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.options.deadline = Some(deadline);
+        self.deadline = Some(deadline);
         self
     }
 
-    /// Collects the concatenated output rows into [`QueryOutput::rows`].
+    /// Collects the concatenated output rows into [`QueryOutput::rows`]
+    /// ([`RunOptions::collecting_rows`]).
     pub fn collect_rows(mut self) -> Self {
-        self.options.collect_rows = true;
+        self.run = self.run.collecting_rows();
         self
     }
 
-    /// Execution-configuration override for this request.
+    /// Execution configuration for this request
+    /// ([`RunOptions::with_exec_config`]); without one the engine's default
+    /// runs.
     pub fn exec_config(mut self, config: ExecConfig) -> Self {
-        self.options.exec_config = Some(config);
+        self.run = self.run.with_exec_config(config);
         self
     }
 
@@ -340,8 +322,11 @@ impl RequestBuilder {
         };
         Ok(Request {
             statement,
-            choice: self.choice,
-            options: self.options,
+            choice: self.choice.unwrap_or(OptimizerChoice::Bqo),
+            tenant: self.tenant,
+            priority: self.priority,
+            deadline: self.deadline,
+            run: self.run,
         })
     }
 }
@@ -400,7 +385,7 @@ pub enum ServeError {
         /// mid-execution.
         partial: Option<ExecutionMetrics>,
     },
-    /// The request's own [`QueryOptions::deadline`] expired — while queued
+    /// The request's own [`RequestBuilder::deadline`] expired — while queued
     /// (`partial` is `None`) or mid-execution (`partial` carries the work
     /// done before the abort).
     DeadlineExceeded {
@@ -439,23 +424,6 @@ impl std::error::Error for ServeError {
             _ => None,
         }
     }
-}
-
-/// The result of one served request.
-#[derive(Debug, Clone)]
-pub struct QueryOutput {
-    /// Row count and execution metrics.
-    pub result: QueryResult,
-    /// Concatenated output rows, when requested via
-    /// [`QueryOptions::collect_rows`].
-    pub rows: Option<Batch>,
-    /// How the plan was obtained from the plan cache
-    /// ([`CacheStatus::Bypassed`] for hand-built plan requests).
-    pub cache_status: CacheStatus,
-    /// Time the request spent queued before a dispatcher picked it up.
-    pub queue_wait: Duration,
-    /// Submit-to-completion wall time (queueing + planning + execution).
-    pub total_wall: Duration,
 }
 
 /// What a queued request executes.
@@ -636,9 +604,8 @@ impl Ticket {
 struct Job {
     statement: Statement,
     choice: OptimizerChoice,
-    exec_config: Option<ExecConfig>,
-    collect_rows: bool,
-    cancel: CancelToken,
+    /// The request's run options, carrying its cancel token.
+    run: RunOptions,
     ticket: Arc<TicketShared>,
 }
 
@@ -688,14 +655,18 @@ impl ServerShared {
 }
 
 /// A point-in-time snapshot of a server's traffic counters, as returned by
-/// [`Server::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// [`Server::stats`] for the whole server and by [`Server::stats_for`] for
+/// one tenant (all zeros for a tenant the server has never seen). Every
+/// field means the same in both, except that a tenant's `rejected` counts
+/// only its [`SubmitError::TenantQuotaExceeded`] rejections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerStats {
     /// Requests accepted into the queue.
     pub admitted: u64,
     /// Requests that finished with a [`QueryOutput`].
     pub completed: u64,
-    /// Submissions rejected (queue full, tenant quota, or shut down).
+    /// Submissions rejected (queue full, tenant quota, or shut down; for a
+    /// tenant, tenant quota only).
     pub rejected: u64,
     /// Admitted requests cancelled — while queued or mid-flight.
     pub cancelled: u64,
@@ -711,34 +682,6 @@ pub struct ServerStats {
     pub running: usize,
     /// Cumulative submit-to-completion wall time over completed requests.
     pub total_wall: Duration,
-    /// Queue-wait latency distribution over dispatched requests.
-    pub queue_wait: LatencyStats,
-    /// Execution-time distribution over completed requests.
-    pub run_time: LatencyStats,
-}
-
-/// A point-in-time snapshot of one tenant's traffic, as returned by
-/// [`Server::stats_for`]. Unknown tenants report all zeros.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TenantStats {
-    /// Requests this tenant got admitted.
-    pub admitted: u64,
-    /// Requests that finished with a [`QueryOutput`].
-    pub completed: u64,
-    /// Submissions rejected by the tenant quota.
-    pub rejected: u64,
-    /// Requests cancelled — while queued or mid-flight.
-    pub cancelled: u64,
-    /// Requests dropped or aborted because their deadline expired.
-    pub deadline_expired: u64,
-    /// Requests that failed planning or execution.
-    pub failed: u64,
-    /// Requests whose execution panicked (contained per request).
-    pub panicked: u64,
-    /// Requests currently waiting in the queue.
-    pub queued: usize,
-    /// Requests currently executing.
-    pub running: usize,
     /// Queue-wait latency distribution over dispatched requests.
     pub queue_wait: LatencyStats,
     /// Execution-time distribution over completed requests.
@@ -831,15 +774,11 @@ impl Server {
         let Request {
             statement,
             choice,
-            options,
-        } = request;
-        let QueryOptions {
             tenant,
             priority,
             deadline,
-            collect_rows,
-            exec_config,
-        } = options;
+            run,
+        } = request;
         let submitted = Instant::now();
         // A deadline too far to represent as an instant is no deadline.
         let deadline = deadline.and_then(|d| submitted.checked_add(d));
@@ -848,9 +787,7 @@ impl Server {
         let job = Job {
             statement,
             choice,
-            exec_config,
-            collect_rows,
-            cancel: cancel.clone(),
+            run: run.with_cancel_token(cancel.clone()),
             ticket: Arc::clone(&ticket),
         };
         let id = self
@@ -888,10 +825,10 @@ impl Server {
         self.shared.lock().stats()
     }
 
-    /// A point-in-time snapshot of one tenant's counters, occupancy and
-    /// latency histograms. A tenant the server has never seen reports all
-    /// zeros.
-    pub fn stats_for(&self, tenant: &str) -> TenantStats {
+    /// The same snapshot as [`Server::stats`] for one tenant's requests (see
+    /// [`ServerStats`] for how its `rejected` differs). A tenant the server
+    /// has never seen reports all zeros.
+    pub fn stats_for(&self, tenant: &str) -> ServerStats {
         self.shared.lock().tenant_stats(tenant)
     }
 
@@ -948,7 +885,8 @@ fn serve_one(shared: &ServerShared, running: Running, job: Job) {
         }
         Ok(Err(mut e)) if e.is_cancelled() => {
             let partial = e.take_partial_metrics();
-            if job.cancel.cancel_requested() {
+            let cancel = job.run.cancel.as_ref();
+            if cancel.is_some_and(CancelToken::cancel_requested) {
                 (Outcome::Cancelled, Err(ServeError::Cancelled { partial }))
             } else {
                 let expired = ServeError::DeadlineExceeded { partial };
@@ -965,8 +903,9 @@ fn serve_one(shared: &ServerShared, running: Running, job: Job) {
     job.ticket.resolve(resolved);
 }
 
-/// Plans and executes one request on the dispatcher thread, observing the
-/// request's cancel token throughout execution.
+/// Plans and executes one request on the dispatcher thread under its
+/// [`RunOptions`] (cancel token included); [`serve_one`] stamps the output's
+/// `queue_wait` and `total_wall`.
 fn run_request(engine: &Engine, job: &Job) -> Result<QueryOutput, BqoError> {
     let choice = job.choice;
     let stmt = match &job.statement {
@@ -984,19 +923,7 @@ fn run_request(engine: &Engine, job: &Job) -> Result<QueryOutput, BqoError> {
             engine.prepare_plan(name, graph.clone(), plan.clone())
         }
     };
-    let options = RunOptions {
-        exec_config: job.exec_config,
-        collect_rows: job.collect_rows,
-        cancel: Some(job.cancel.clone()),
-    };
-    let out = engine.session().execute(&stmt, options)?;
-    Ok(QueryOutput {
-        result: out.result,
-        rows: out.rows,
-        cache_status: out.cache_status,
-        queue_wait: Duration::ZERO,
-        total_wall: Duration::ZERO,
-    })
+    engine.session().execute(&stmt, job.run.clone())
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -1030,7 +957,6 @@ mod tests {
         assert_send_sync::<Request>();
         assert_send_sync::<ServerConfig>();
         assert_send_sync::<ServerStats>();
-        assert_send_sync::<TenantStats>();
     }
 
     #[test]
@@ -1101,9 +1027,9 @@ mod tests {
             .deadline(Duration::from_secs(1))
             .build()
             .unwrap();
-        assert_eq!(request.options.tenant.as_deref(), Some("a"));
-        assert_eq!(request.options.priority, 3);
-        assert_eq!(request.options.deadline, Some(Duration::from_secs(1)));
+        assert_eq!(request.tenant.as_deref(), Some("a"));
+        assert_eq!(request.priority, 3);
+        assert_eq!(request.deadline, Some(Duration::from_secs(1)));
         // Params on a plan request are rejected.
         let graph = JoinGraph::new();
         let plan =

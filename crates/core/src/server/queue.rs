@@ -16,7 +16,7 @@
 //! failed + panicked + queued + running`, and a payload is handed back for
 //! resolution at most once.
 
-use super::{LatencyStats, ServerConfig, ServerStats, SubmitError, TenantQuota, TenantStats};
+use super::{LatencyStats, ServerConfig, ServerStats, SubmitError, TenantQuota};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -94,6 +94,24 @@ impl Counters {
                     self.total_wall = self.total_wall.saturating_add(total_wall);
                 }
             }
+        }
+    }
+
+    /// The ledger as the public snapshot.
+    fn snapshot(&self) -> ServerStats {
+        ServerStats {
+            admitted: self.admitted,
+            completed: self.completed,
+            rejected: self.rejected,
+            cancelled: self.cancelled,
+            deadline_expired: self.deadline_expired,
+            failed: self.failed,
+            panicked: self.panicked,
+            queue_depth: self.queued,
+            running: self.running,
+            total_wall: self.total_wall,
+            queue_wait: self.queue_wait.snapshot(),
+            run_time: self.run_time.snapshot(),
         }
     }
 
@@ -392,39 +410,14 @@ impl<P> Scheduler<P> {
     }
 
     pub(super) fn stats(&self) -> ServerStats {
-        let c = &self.totals;
-        ServerStats {
-            admitted: c.admitted,
-            completed: c.completed,
-            rejected: c.rejected,
-            cancelled: c.cancelled,
-            deadline_expired: c.deadline_expired,
-            failed: c.failed,
-            panicked: c.panicked,
-            queue_depth: c.queued,
-            running: c.running,
-            total_wall: c.total_wall,
-            queue_wait: c.queue_wait.snapshot(),
-            run_time: c.run_time.snapshot(),
-        }
+        self.totals.snapshot()
     }
 
-    pub(super) fn tenant_stats(&self, tenant: &str) -> TenantStats {
+    /// One tenant's ledger; all zeros for a tenant never seen.
+    pub(super) fn tenant_stats(&self, tenant: &str) -> ServerStats {
         self.tenants
             .get(tenant)
-            .map_or_else(TenantStats::default, |c| TenantStats {
-                admitted: c.admitted,
-                completed: c.completed,
-                rejected: c.rejected,
-                cancelled: c.cancelled,
-                deadline_expired: c.deadline_expired,
-                failed: c.failed,
-                panicked: c.panicked,
-                queued: c.queued,
-                running: c.running,
-                queue_wait: c.queue_wait.snapshot(),
-                run_time: c.run_time.snapshot(),
-            })
+            .map_or_else(ServerStats::default, Counters::snapshot)
     }
 
     /// Removes the queued entry at `index`, booked under `outcome`.
@@ -543,7 +536,7 @@ mod tests {
         );
         assert_eq!((stats.queue_depth, stats.queue_wait.count), (0, 1));
         let t = scheduler.tenant_stats("t");
-        assert_eq!((t.admitted, t.deadline_expired, t.queued), (1, 1, 0));
+        assert_eq!((t.admitted, t.deadline_expired, t.queue_depth), (1, 1, 0));
     }
 
     #[test]
@@ -618,10 +611,10 @@ mod tests {
         scheduler.submit(t0, None, 0, None, "anon").unwrap();
         let stats_a = scheduler.tenant_stats("a");
         assert_eq!(
-            (stats_a.admitted, stats_a.rejected, stats_a.queued),
+            (stats_a.admitted, stats_a.rejected, stats_a.queue_depth),
             (2, 1, 2)
         );
-        assert_eq!(scheduler.tenant_stats("b").queued, 1);
+        assert_eq!(scheduler.tenant_stats("b").queue_depth, 1);
         assert_eq!(scheduler.stats().rejected, 1);
         // Cancelling one of "a"'s queued requests frees its slot at once.
         assert_eq!(scheduler.cancel_queued(a1), Some("a1"));
@@ -640,7 +633,7 @@ mod tests {
         scheduler.finish(anon, t0, Outcome::Completed);
         assert!(next(&mut scheduler, t0).is_none(), "\"a\" is at its quota");
         let stats_a = scheduler.tenant_stats("a");
-        assert_eq!((stats_a.queued, stats_a.running), (1, 1));
+        assert_eq!((stats_a.queue_depth, stats_a.running), (1, 1));
         scheduler.finish(a2, t0, Outcome::Completed);
         let (a3, name) = next(&mut scheduler, t0).unwrap();
         assert_eq!(name, "a3");
@@ -650,7 +643,7 @@ mod tests {
             (a.admitted, a.completed, a.cancelled, a.rejected),
             (3, 2, 1, 1)
         );
-        assert_eq!((a.queued, a.running), (0, 0));
+        assert_eq!((a.queue_depth, a.running), (0, 0));
     }
 
     #[test]
@@ -715,7 +708,7 @@ mod tests {
     }
 
     impl Ledger {
-        fn of_server(s: &ServerStats) -> Ledger {
+        fn of(s: &ServerStats) -> Ledger {
             Ledger {
                 admitted: s.admitted,
                 completed: s.completed,
@@ -727,21 +720,6 @@ mod tests {
                 queued: s.queue_depth,
                 running: s.running,
                 dispatched: s.queue_wait.count,
-            }
-        }
-
-        fn of_tenant(t: &TenantStats) -> Ledger {
-            Ledger {
-                admitted: t.admitted,
-                completed: t.completed,
-                rejected: t.rejected,
-                cancelled: t.cancelled,
-                deadline_expired: t.deadline_expired,
-                failed: t.failed,
-                panicked: t.panicked,
-                queued: t.queued,
-                running: t.running,
-                dispatched: t.queue_wait.count,
             }
         }
 
@@ -844,12 +822,12 @@ mod tests {
         /// The invariants, checked after every step.
         fn check(&mut self) {
             let state = format!("at tick {} with {:?}", self.now, self.phase);
-            let stats = Ledger::of_server(&self.scheduler.stats());
+            let stats = Ledger::of(&self.scheduler.stats());
             assert_eq!(stats, self.expected(|_| true, false), "{state}");
             assert!(stats.reconciles(), "{state}");
             assert!(stats.running <= 2 && stats.queued <= 2, "{state}");
             for tenant in ["a", "b"] {
-                let ledger = Ledger::of_tenant(&self.scheduler.tenant_stats(tenant));
+                let ledger = Ledger::of(&self.scheduler.tenant_stats(tenant));
                 let expected = self.expected(|i| TENANT[i] == tenant, true);
                 assert_eq!(ledger, expected, "tenant {tenant} {state}");
                 assert!(ledger.reconciles() && ledger.running <= 1, "{state}");
@@ -1056,7 +1034,7 @@ mod tests {
                 assert_eq!((stats.queue_depth, stats.running), (0, 0));
                 for tenant in ["a", "b"] {
                     let t = world.scheduler.tenant_stats(tenant);
-                    assert_eq!((t.queued, t.running), (0, 0));
+                    assert_eq!((t.queue_depth, t.running), (0, 0));
                 }
             }
             let next = world.successors(&mut seen);

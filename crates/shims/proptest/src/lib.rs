@@ -54,7 +54,7 @@ impl TestRng {
         }
     }
 
-    pub fn next_u64(&mut self) -> u64 {
+    fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -98,18 +98,6 @@ impl<S: Strategy, O, F: Fn(S::Value) -> O> Strategy for Map<S, F> {
     }
 }
 
-/// Strategy producing a constant.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
-}
-
 macro_rules! impl_int_range_strategy {
     ($($t:ty),*) => {$(
         impl Strategy for Range<$t> {
@@ -125,26 +113,23 @@ macro_rules! impl_int_range_strategy {
     )*};
 }
 
-impl_int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_int_range_strategy!(u8, u32, u64, usize, i64);
 
-macro_rules! impl_float_range_strategy {
-    ($($t:ty),*) => {$(
-        impl Strategy for Range<$t> {
-            type Value = $t;
+impl Strategy for Range<f64> {
+    type Value = f64;
 
-            fn generate(&self, rng: &mut TestRng) -> $t {
-                assert!(self.start < self.end, "empty strategy range");
-                // The unit draw is in [0, 1) as f64, but the cast (for f32)
-                // or the final rounding can land exactly on `end`; clamp back
-                // inside the half-open range.
-                let v = self.start + rng.unit_f64() as $t * (self.end - self.start);
-                if v >= self.end { self.end.next_down() } else { v }
-            }
+    fn generate(&self, rng: &mut TestRng) -> f64 {
+        assert!(self.start < self.end, "empty strategy range");
+        // The unit draw is in [0, 1), but the final rounding can land
+        // exactly on `end`; clamp back inside the half-open range.
+        let v = self.start + rng.unit_f64() * (self.end - self.start);
+        if v >= self.end {
+            self.end.next_down()
+        } else {
+            v
         }
-    )*};
+    }
 }
-
-impl_float_range_strategy!(f32, f64);
 
 macro_rules! impl_tuple_strategy {
     ($(($($name:ident),+))*) => {$(
@@ -161,12 +146,9 @@ macro_rules! impl_tuple_strategy {
 }
 
 impl_tuple_strategy! {
-    (A)
     (A, B)
     (A, B, C)
-    (A, B, C, D)
     (A, B, C, D, E)
-    (A, B, C, D, E, F)
 }
 
 pub mod collection {
@@ -204,8 +186,7 @@ pub mod prop {
 
 pub mod prelude {
     pub use crate::{
-        prop, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest, Just,
-        ProptestConfig, Strategy,
+        prop, prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig, Strategy,
     };
 }
 
@@ -236,19 +217,6 @@ macro_rules! prop_assert_eq {
             "assertion failed: `left == right` (left: `{:?}`, right: `{:?}`)",
             l,
             r
-        );
-    }};
-}
-
-/// Asserts inequality inside a proptest case.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (l, r) = (&$left, &$right);
-        $crate::prop_assert!(
-            l != r,
-            "assertion failed: `left != right` (both: `{:?}`)",
-            l
         );
     }};
 }
@@ -351,7 +319,6 @@ mod tests {
         fn assume_rejects_without_failing(x in 0u32..10) {
             prop_assume!(x % 2 == 0);
             prop_assert_eq!(x % 2, 0);
-            prop_assert_ne!(x % 2, 1);
         }
     }
 

@@ -14,17 +14,6 @@ use std::ops::{Range, RangeInclusive};
 pub trait RngCore {
     /// Returns the next 64 uniformly distributed bits.
     fn next_u64(&mut self) -> u64;
-
-    /// Returns the next 32 uniformly distributed bits.
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-}
-
-impl<R: RngCore + ?Sized> RngCore for &mut R {
-    fn next_u64(&mut self) -> u64 {
-        (**self).next_u64()
-    }
 }
 
 /// Seedable generators (mirrors `rand::SeedableRng`, seed-from-integer only).
@@ -42,36 +31,6 @@ impl StandardSample for f64 {
     fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits -> uniform in [0, 1).
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl StandardSample for f32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
-    }
-}
-
-impl StandardSample for u64 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
-impl StandardSample for u32 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
-impl StandardSample for i64 {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() as i64
-    }
-}
-
-impl StandardSample for bool {
-    fn sample_standard<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
     }
 }
 
@@ -103,35 +62,27 @@ macro_rules! impl_sample_uniform_int {
     )*};
 }
 
-impl_sample_uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_sample_uniform_int!(i32, usize, i64);
 
-macro_rules! impl_sample_uniform_float {
-    ($($t:ty),*) => {$(
-        impl SampleUniform for $t {
-            fn sample_in<R: RngCore + ?Sized>(
-                rng: &mut R,
-                lo: Self,
-                hi: Self,
-                inclusive: bool,
-            ) -> Self {
-                // The f64 unit draw is in [0, 1), but casting to f32 (or the
-                // final fma rounding) can land exactly on `hi`; clamp back so
-                // the half-open contract holds.
-                let unit = f64::sample_standard(rng) as $t;
-                let v = lo + unit * (hi - lo);
-                if inclusive {
-                    if v > hi { hi } else { v }
-                } else if v >= hi {
-                    hi.next_down()
-                } else {
-                    v
-                }
+impl SampleUniform for f64 {
+    fn sample_in<R: RngCore + ?Sized>(rng: &mut R, lo: Self, hi: Self, inclusive: bool) -> Self {
+        // The unit draw is in [0, 1), but the final rounding can land
+        // exactly on `hi`; clamp back so the half-open contract holds.
+        let unit = f64::sample_standard(rng);
+        let v = lo + unit * (hi - lo);
+        if inclusive {
+            if v > hi {
+                hi
+            } else {
+                v
             }
+        } else if v >= hi {
+            hi.next_down()
+        } else {
+            v
         }
-    )*};
+    }
 }
-
-impl_sample_uniform_float!(f32, f64);
 
 /// Ranges accepted by `Rng::gen_range` (mirrors `rand::distributions::uniform::SampleRange`).
 pub trait SampleRange<T> {
@@ -229,7 +180,7 @@ mod tests {
         let mut a = StdRng::seed_from_u64(42);
         let mut b = StdRng::seed_from_u64(42);
         for _ in 0..100 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
+            assert_eq!(a.gen::<f64>().to_bits(), b.gen::<f64>().to_bits());
         }
     }
 
@@ -237,7 +188,7 @@ mod tests {
     fn ranges_respect_bounds() {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..10_000 {
-            let v = rng.gen_range(3..10);
+            let v = rng.gen_range(3..10usize);
             assert!((3..10).contains(&v));
             let w = rng.gen_range(1..=5i64);
             assert!((1..=5).contains(&w));

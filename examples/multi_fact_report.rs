@@ -41,7 +41,7 @@ fn main() {
                 .expect("query executes")
                 .result;
             println!("--- {} ---", choice.display_label());
-            println!("{}", session.explain(&stmt));
+            println!("{}", stmt.explain());
             println!(
                 "result rows {}, join tuples {}, filters {} (eliminated {}), wall {:.1} ms",
                 result.output_rows,

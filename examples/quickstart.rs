@@ -97,7 +97,7 @@ fn main() {
             .bind(&template, &params, choice)
             .expect("query binds");
         println!("=== {} ===", choice.label());
-        println!("{}", session.explain(&stmt));
+        println!("{}", stmt.explain());
         serve(&session, choice.label(), &stmt);
     }
 

@@ -12,6 +12,7 @@ use bqo_core::{
 };
 use bqo_integration_tests::Rechunked;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Batch sizes swept by the invariance tests; `usize::MAX` is effectively
 /// unbatched (one batch per scan), i.e. the pre-redesign execution granularity.
@@ -75,15 +76,19 @@ fn batch_size_sweep_matches_the_pre_redesign_oracle() {
     let mut eliminated = Vec::new();
     let stmt = engine.prepare_plan("tiny_star", graph, plan);
     for batch_size in BATCH_SIZES {
-        let result = engine
+        let out = engine
             .session()
             .execute(
                 &stmt,
                 RunOptions::new()
                     .with_exec_config(ExecConfig::exact_filters().with_batch_size(batch_size)),
             )
-            .unwrap()
-            .result;
+            .unwrap();
+        // A direct run was never queued, and its wall time is its execution.
+        assert_eq!(out.queue_wait, Duration::ZERO);
+        assert_eq!(out.total_wall, out.result.metrics.elapsed);
+        assert_eq!(out.cache_status, stmt.cache_status());
+        let result = out.result;
         assert_eq!(result.output_rows, 4, "batch_size {batch_size}");
         assert_eq!(result.metrics.filters_created, 2, "batch_size {batch_size}");
         assert_eq!(
@@ -182,8 +187,7 @@ fn default_num_threads_is_serial_and_zero_is_clamped() {
 }
 
 /// `PreparedStatement::explain` surfaces the engine's default execution
-/// configuration and `Session::explain`
-/// renders the session's overrides instead.
+/// configuration.
 #[test]
 fn explain_surfaces_the_execution_configuration() {
     let spec = QuerySpec::new("explained")
@@ -218,16 +222,6 @@ fn explain_surfaces_the_execution_configuration() {
     let explain = stmt.explain();
     assert!(explain.contains("num_threads=4"), "{explain}");
     assert!(explain.contains("batch_size=unbatched"), "{explain}");
-
-    // A session override changes the reported configuration, not the plan.
-    let session = parallel.session().with_exec_config(
-        ExecConfig::default()
-            .with_num_threads(2)
-            .with_batch_size(64),
-    );
-    let explain = session.explain(&stmt);
-    assert!(explain.contains("num_threads=2"), "{explain}");
-    assert!(explain.contains("batch_size=64"), "{explain}");
 }
 
 #[test]

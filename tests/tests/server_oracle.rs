@@ -19,7 +19,7 @@ use bqo_core::exec::{Batch, ExecConfig};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
     CacheStatus, Engine, OptimizerChoice, Params, PhysicalPlan, QuerySpec, Request, RunOptions,
-    ServeError, Server, ServerConfig, SubmitError, Table, TenantQuota, TenantStats,
+    ServeError, Server, ServerConfig, ServerStats, SubmitError, Table, TenantQuota,
 };
 use bqo_integration_tests::{env_threads, Rechunked};
 use std::sync::{mpsc, Arc};
@@ -106,10 +106,11 @@ fn quick_request() -> Request {
 }
 
 /// `admitted = completed + cancelled + deadline_expired + failed + panicked +
-/// queued + running`: every admitted request is in exactly one place.
-fn reconciles(t: &TenantStats) -> bool {
-    let ended = t.completed + t.cancelled + t.deadline_expired + t.failed + t.panicked;
-    t.admitted == ended + (t.queued + t.running) as u64
+/// queue_depth + running`: every admitted request is in exactly one place —
+/// for the server and for each tenant alike.
+fn reconciles(s: &ServerStats) -> bool {
+    let ended = s.completed + s.cancelled + s.deadline_expired + s.failed + s.panicked;
+    s.admitted == ended + (s.queue_depth + s.running) as u64
 }
 
 /// Rows as a plan-order-independent canonical form: each row becomes its
@@ -342,6 +343,7 @@ fn mixed_scheduling_traffic_matches_oracle() {
 
     let total = (num_clients * ROUNDS * cases.len()) as u64;
     let stats = server.stats();
+    assert!(reconciles(&stats), "{stats:?}");
     assert_eq!(stats.admitted, total);
     assert_eq!(stats.completed, total);
     assert_eq!(stats.deadline_expired, 0, "deadlines were generous");
@@ -355,7 +357,7 @@ fn mixed_scheduling_traffic_matches_oracle() {
     assert_eq!(per_tenant.iter().map(|s| s.completed).sum::<u64>(), total);
     for (tenant, s) in tenants.iter().zip(&per_tenant) {
         assert!(s.admitted > 0, "tenant {tenant} saw traffic");
-        assert_eq!(s.queued, 0);
+        assert_eq!(s.queue_depth, 0);
         assert_eq!(s.running, 0);
         assert_eq!(s.queue_wait.count, s.completed, "{tenant}");
         assert_eq!(s.run_time.count, s.completed, "{tenant}");
@@ -573,7 +575,9 @@ fn worker_panic_propagates_through_ticket_wait() {
         }
         other => panic!("expected a contained panic, got {other:?}"),
     }
-    assert_eq!(server.stats().panicked, 1);
+    let stats = server.stats();
+    assert!(reconciles(&stats), "{stats:?}");
+    assert_eq!(stats.panicked, 1);
     let tenant = server.stats_for("a");
     assert!(reconciles(&tenant), "{tenant:?}");
     assert_eq!((tenant.admitted, tenant.panicked), (1, 1));
@@ -584,7 +588,9 @@ fn worker_panic_propagates_through_ticket_wait() {
     let output = output.expect("server still serves after a panic");
     assert!(output.result.output_rows > 0);
     assert_eq!(output.cache_status, CacheStatus::Miss);
-    assert_eq!(server.stats().completed, 1);
+    let stats = server.stats();
+    assert!(reconciles(&stats), "{stats:?}");
+    assert_eq!(stats.completed, 1);
     let tenant = server.stats_for("a");
     assert!(reconciles(&tenant), "{tenant:?}");
     assert_eq!((tenant.admitted, tenant.completed), (2, 1));
@@ -693,6 +699,7 @@ fn pool_worker_panic_under_concurrent_traffic_is_contained() {
 
     let good = (num_clients * ROUNDS * cases.len()) as u64;
     let stats = server.stats();
+    assert!(reconciles(&stats), "{stats:?}");
     assert_eq!((stats.panicked, stats.completed), (panics, good));
     assert_eq!(stats.failed + stats.cancelled + stats.deadline_expired, 0);
     for tenant in tenants {
@@ -786,7 +793,7 @@ fn zero_tenant_quota_bounds_are_clamped_not_a_hang() {
         let served = server
             .submit(request)
             .map(|ticket| ticket.wait_timeout(Duration::from_secs(5)));
-        let queued = server.stats_for("a").queued;
+        let queued = server.stats_for("a").queue_depth;
         let (done, shut_down) = mpsc::channel();
         std::thread::spawn(move || {
             server.shutdown();

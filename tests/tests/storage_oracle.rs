@@ -24,7 +24,7 @@ use bqo_core::format::{write_table, CatalogExt, FileReader};
 use bqo_core::workloads::{tpcds_like, Scale};
 use bqo_core::{
     BqoError, ColumnPredicate, CompareOp, Engine, ExecConfig, KernelMode, OptimizerChoice,
-    QuerySpec, RunOptions, StatementOutput, StorageError, Table, TableBuilder,
+    QueryOutput, QuerySpec, RunOptions, StorageError, Table, TableBuilder,
 };
 use bqo_integration_tests::Rechunked;
 use bqo_storage::{Catalog, ChunkSource};
@@ -69,7 +69,7 @@ fn file_twin(catalog: &Catalog, dir: &Path, chunk_rows: usize) -> Catalog {
     twin
 }
 
-fn run(engine: &Engine, stmt: &bqo_core::PreparedStatement, config: ExecConfig) -> StatementOutput {
+fn run(engine: &Engine, stmt: &bqo_core::PreparedStatement, config: ExecConfig) -> QueryOutput {
     engine
         .session()
         .execute(
@@ -372,13 +372,13 @@ fn try_run(
     engine: &Engine,
     stmt: &bqo_core::PreparedStatement,
     config: ExecConfig,
-) -> Result<StatementOutput, BqoError> {
+) -> Result<QueryOutput, BqoError> {
     let options = RunOptions::new().with_exec_config(config).collecting_rows();
     engine.session().execute(stmt, options)
 }
 
 /// `got` answers like `want`: rows, row count, and every counter.
-fn assert_same_answer(got: &StatementOutput, want: &StatementOutput, cell: &str) {
+fn assert_same_answer(got: &QueryOutput, want: &QueryOutput, cell: &str) {
     assert_eq!(got.rows, want.rows, "{cell}: rows");
     assert_eq!(got.result.output_rows, want.result.output_rows, "{cell}");
     let (m, w) = (&got.result.metrics, &want.result.metrics);

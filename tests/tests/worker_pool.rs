@@ -160,11 +160,11 @@ fn concurrent_sessions_share_the_engine_pool() {
                     .with_num_threads(2 + worker % 3)
                     .with_parallel_threshold(1)
                     .with_batch_size(119 + worker * 61);
-                let session = engine.session().with_exec_config(config);
+                let session = engine.session();
                 for _ in 0..5 {
                     assert_eq!(
                         session
-                            .execute(&stmt, RunOptions::new())
+                            .execute(&stmt, RunOptions::new().with_exec_config(config))
                             .unwrap()
                             .result
                             .output_rows,
