@@ -1,7 +1,7 @@
 //! The selectivity-aware plan cache behind `Engine::prepare` / `Engine::bind`.
 //!
-//! Entries are keyed by a canonical query fingerprint (normalized spec +
-//! optimizer choice + catalog version, assembled by the engine) and store the
+//! Entries are keyed by the optimizer choice and a canonical query
+//! fingerprint (normalized spec, assembled by the engine) and store the
 //! optimized plan **together with the selectivity envelope it was optimized
 //! for**: one `(name, lo, hi)` band per relation. A bind whose re-estimated
 //! per-relation selectivities stay inside the envelope is served the cached
@@ -11,8 +11,9 @@
 //! analysis, arXiv:2005.03328) — transparently re-optimizes and replaces the
 //! entry.
 //!
-//! The cache is internally `Arc`-shared: clones observe the same entries and
-//! counters, so one cache can serve many engines/sessions concurrently. The
+//! One cache serves one engine: it lives in the engine's shared state, so
+//! the engine's clones, sessions and `Server` dispatchers all resolve
+//! through it, and it is read through [`PlanCache::cache_stats`]. The
 //! entries, the counters and the LRU clock sit behind one mutex, whose
 //! critical section covers the map access and the envelope check, never the
 //! optimizer run — racing misses on the same key both optimize and the last
@@ -27,7 +28,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// `[s/4, 4s]` of the selectivities it was optimized for.
 pub(crate) const DEFAULT_ENVELOPE_RATIO: f64 = 4.0;
 
-/// Default [`PlanCache::capacity`]: the maximum number of cached plans before
+/// Default [`CacheStats::capacity`]: the maximum number of cached plans before
 /// least-recently-used entries are evicted. Parameterized templates share one
 /// entry per template, so this comfortably covers a serving workload's
 /// distinct statement shapes while bounding memory for ad-hoc literal
@@ -102,12 +103,6 @@ impl State {
     }
 }
 
-#[derive(Debug)]
-struct PlanCacheInner {
-    state: Mutex<State>,
-    capacity: usize,
-}
-
 /// A consistent snapshot of a [`PlanCache`]'s counters and occupancy, as
 /// returned by [`PlanCache::cache_stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,50 +121,37 @@ pub struct CacheStats {
     pub capacity: usize,
 }
 
-/// A shared, thread-safe cache of optimized plans with per-entry selectivity
-/// envelopes. Cloning is cheap and shares entries and counters.
+/// An engine's thread-safe cache of optimized plans with per-entry
+/// selectivity envelopes, reached through `Engine::plan_cache`.
 ///
-/// The cache is bounded: at most [`PlanCache::capacity`] plans are retained
-/// (default 256), and inserting beyond that
-/// evicts the least-recently-used entry ([`CacheStats::evictions`] records
-/// how often). High-cardinality literal values should still be expressed as
+/// The cache is bounded: at most 256 plans are retained, and inserting
+/// beyond that evicts the least-recently-used entry
+/// ([`CacheStats::evictions`] records how often). High-cardinality literal values should still be expressed as
 /// parameterized templates (all binds of one template share a single entry)
 /// rather than as per-value literal specs — eviction bounds memory, but an
 /// evicted plan costs a fresh optimizer run on its next use.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct PlanCache {
-    inner: Arc<PlanCacheInner>,
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new()
-    }
+    state: Mutex<State>,
+    capacity: usize,
 }
 
 impl PlanCache {
     /// An empty cache with the default capacity of 256 plans.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PlanCache::with_capacity(DEFAULT_PLAN_CACHE_CAPACITY)
     }
 
     /// An empty cache with an explicit capacity bound (clamped to at least 1).
-    pub fn with_capacity(capacity: usize) -> Self {
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
         PlanCache {
-            inner: Arc::new(PlanCacheInner {
-                state: Mutex::default(),
-                capacity: capacity.max(1),
-            }),
+            state: Mutex::default(),
+            capacity: capacity.max(1),
         }
     }
 
     fn lock(&self) -> MutexGuard<'_, State> {
-        self.inner.state.lock().expect("plan cache poisoned")
-    }
-
-    /// Maximum number of cached plans before LRU eviction kicks in.
-    pub fn capacity(&self) -> usize {
-        self.inner.capacity
+        self.state.lock().expect("plan cache poisoned")
     }
 
     /// A snapshot of counters and occupancy, taken under the cache's lock:
@@ -182,18 +164,8 @@ impl PlanCache {
             reoptimizations: state.reoptimizations,
             evictions: state.evictions,
             len: state.entries.len(),
-            capacity: self.inner.capacity,
+            capacity: self.capacity,
         }
-    }
-
-    /// Number of cached plans.
-    pub fn len(&self) -> usize {
-        self.lock().entries.len()
-    }
-
-    /// True if the cache holds no plans.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Drops every cached plan. Counters are preserved (they describe
@@ -260,7 +232,7 @@ impl PlanCache {
         // LRU eviction: drop least-recently-used entries until the capacity
         // bound holds again. The just-inserted entry carries the newest
         // stamp, so it always survives its own insertion.
-        while state.entries.len() > self.inner.capacity {
+        while state.entries.len() > self.capacity {
             let victim = state
                 .entries
                 .iter()
@@ -303,6 +275,12 @@ mod tests {
 
     fn dummy_plan() -> PhysicalPlan {
         PhysicalPlan::new()
+    }
+
+    /// `(len, evictions)` of one snapshot.
+    fn occupancy(cache: &PlanCache) -> (usize, u64) {
+        let stats = cache.cache_stats();
+        (stats.len, stats.evictions)
     }
 
     #[test]
@@ -364,7 +342,7 @@ mod tests {
         let g = star(5.0);
         assert_eq!(cache.resolve("a", &g, dummy_plan).1, CacheStatus::Miss);
         assert_eq!(cache.resolve("b", &g, dummy_plan).1, CacheStatus::Miss);
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.cache_stats().len, 2);
     }
 
     #[test]
@@ -376,28 +354,18 @@ mod tests {
         let counters = |c: &PlanCache| (c.cache_stats().hits, c.cache_stats().misses);
         assert_eq!(counters(&cache), (1, 1));
         cache.clear();
-        assert!(cache.is_empty());
+        assert_eq!(cache.cache_stats().len, 0);
         assert_eq!(counters(&cache), (1, 1));
         // Re-resolving after clear is a miss again.
         assert_eq!(cache.resolve("k", &g, dummy_plan).1, CacheStatus::Miss);
     }
 
     #[test]
-    fn clones_share_entries_and_counters() {
-        let cache = PlanCache::new();
-        let clone = cache.clone();
-        let g = star(5.0);
-        cache.resolve("k", &g, dummy_plan);
-        assert_eq!(clone.resolve("k", &g, dummy_plan).1, CacheStatus::Hit);
-        assert_eq!(cache.cache_stats().hits, 1);
-        assert_eq!(clone.cache_stats().hits, 1);
-    }
-
-    #[test]
     fn capacity_is_clamped_and_defaults_apply() {
-        assert_eq!(PlanCache::new().capacity(), DEFAULT_PLAN_CACHE_CAPACITY);
-        assert_eq!(PlanCache::with_capacity(0).capacity(), 1);
-        assert_eq!(PlanCache::with_capacity(8).capacity(), 8);
+        let capacity = |cache: PlanCache| cache.cache_stats().capacity;
+        assert_eq!(capacity(PlanCache::new()), DEFAULT_PLAN_CACHE_CAPACITY);
+        assert_eq!(capacity(PlanCache::with_capacity(0)), 1);
+        assert_eq!(capacity(PlanCache::with_capacity(8)), 8);
     }
 
     #[test]
@@ -406,7 +374,7 @@ mod tests {
         let g = star(5.0);
         cache.resolve("a", &g, dummy_plan);
         cache.resolve("b", &g, dummy_plan);
-        assert_eq!((cache.len(), cache.cache_stats().evictions), (2, 0));
+        assert_eq!(occupancy(&cache), (2, 0));
         // Touch "a" so "b" becomes the least recently used entry...
         assert_eq!(
             cache.resolve("a", &g, || unreachable!()).1,
@@ -414,14 +382,14 @@ mod tests {
         );
         // ...then overflow: "b" is evicted, "a" survives.
         cache.resolve("c", &g, dummy_plan);
-        assert_eq!((cache.len(), cache.cache_stats().evictions), (2, 1));
+        assert_eq!(occupancy(&cache), (2, 1));
         assert_eq!(
             cache.resolve("a", &g, || unreachable!()).1,
             CacheStatus::Hit
         );
         assert_eq!(cache.resolve("b", &g, dummy_plan).1, CacheStatus::Miss);
         // Re-resolving "b" overflowed again: "c" (least recent) was evicted.
-        assert_eq!((cache.len(), cache.cache_stats().evictions), (2, 2));
+        assert_eq!(occupancy(&cache), (2, 2));
         assert_eq!(cache.resolve("c", &g, dummy_plan).1, CacheStatus::Miss);
 
         let stats = cache.cache_stats();
@@ -458,7 +426,7 @@ mod tests {
             cache.resolve("c", &g, || unreachable!()).1,
             CacheStatus::Hit
         );
-        assert_eq!((cache.len(), cache.cache_stats().evictions), (2, 1));
+        assert_eq!(occupancy(&cache), (2, 1));
     }
 
     #[test]
@@ -467,7 +435,7 @@ mod tests {
         let g = star(5.0);
         cache.resolve("a", &g, dummy_plan);
         cache.resolve("b", &g, dummy_plan);
-        assert_eq!((cache.len(), cache.cache_stats().evictions), (1, 1));
+        assert_eq!(occupancy(&cache), (1, 1));
         assert_eq!(
             cache.resolve("b", &g, || unreachable!()).1,
             CacheStatus::Hit

@@ -1,9 +1,10 @@
 //! The serving-grade `Engine` facade: a cheaply shareable handle over the
-//! catalog, a selectivity-aware plan cache, owned prepared statements and
-//! lightweight execution sessions.
+//! catalog, the engine's own selectivity-aware plan cache, owned prepared
+//! statements and lightweight execution sessions.
 //!
 //! ```text
 //! Engine (Arc-internal, Clone + Send + Sync)
+//!   ├── plan_cache().cache_stats()      -> CacheStats         (the cache's one read path)
 //!   ├── prepare(spec, choice)           -> PreparedStatement  (owned, 'static)
 //!   ├── bind(spec, params, choice)      -> PreparedStatement  (via PlanCache)
 //!   ├── prepare_sql(sql, choice)        -> PreparedStatement  (SQL text, via PlanCache)
@@ -12,7 +13,7 @@
 //!   └── session() -> Session ── execute(&stmt, RunOptions) -> QueryOutput
 //! ```
 
-use crate::cache::{CacheStats, CacheStatus, PlanCache};
+use crate::cache::{CacheStatus, PlanCache};
 use crate::{BqoError, OptimizerChoice};
 use bqo_bitvector::FilterKind;
 use bqo_exec::{
@@ -49,14 +50,8 @@ fn default_pool_workers(config: ExecConfig) -> usize {
 struct EngineInner {
     catalog: Catalog,
     exec_config: ExecConfig,
-    /// Snapshot of `catalog.version()` at build time; folded into every
-    /// plan-cache key so engines over different catalog generations sharing
-    /// one [`PlanCache`] never serve each other's plans.
-    catalog_version: u64,
-    /// Snapshot of `catalog.schema_tag()` at build time: a content hash that
-    /// keeps *diverged* clones with coinciding mutation counts apart in the
-    /// cache key (the version alone is a bare count).
-    catalog_tag: u64,
+    /// The engine's own plan cache: no other engine reaches it, so its keys
+    /// need not name the catalog.
     cache: PlanCache,
     /// Helper-thread count of the engine-owned worker pool.
     pool_workers: usize,
@@ -69,8 +64,8 @@ struct EngineInner {
 }
 
 /// The unified query engine: a catalog, a default execution configuration and
-/// a plan cache behind one `Arc` — cloning an `Engine` is a reference-count
-/// bump, and every clone (and every thread) observes the same cache.
+/// its plan cache behind one `Arc` — cloning an `Engine` is a reference-count
+/// bump, and every clone, session and thread resolves through the same cache.
 ///
 /// Construct one with [`Engine::builder`] (or [`Engine::from_catalog`] when a
 /// workload generator already produced the catalog), then turn a
@@ -116,11 +111,9 @@ impl Engine {
             .unwrap_or_else(|| default_pool_workers(b.exec_config));
         Engine {
             inner: Arc::new(EngineInner {
-                catalog_version: b.catalog.version(),
-                catalog_tag: b.catalog.schema_tag(),
                 catalog: b.catalog,
                 exec_config: b.exec_config,
-                cache: b.cache.unwrap_or_default(),
+                cache: PlanCache::new(),
                 pool_workers,
                 pool: OnceLock::new(),
             }),
@@ -137,27 +130,10 @@ impl Engine {
         self.inner.exec_config
     }
 
-    /// The plan cache serving [`Engine::prepare`] and [`Engine::bind`]
-    /// (exposes hit/miss/re-optimization counters).
+    /// The plan cache serving [`Engine::prepare`] and [`Engine::bind`]; read
+    /// its counters and occupancy with [`PlanCache::cache_stats`].
     pub fn plan_cache(&self) -> &PlanCache {
         &self.inner.cache
-    }
-
-    /// The catalog version this engine was built against.
-    pub fn catalog_version(&self) -> u64 {
-        self.inner.catalog_version
-    }
-
-    /// One consolidated observability snapshot: plan-cache counters, the
-    /// worker-pool size, and the catalog generation — replacing the scattered
-    /// per-component getters in dashboards and examples.
-    pub fn stats(&self) -> EngineStats {
-        EngineStats {
-            cache: self.inner.cache.cache_stats(),
-            pool_workers: self.inner.pool_workers,
-            catalog_version: self.inner.catalog_version,
-            catalog_tables: self.inner.catalog.len(),
-        }
     }
 
     /// The engine-owned persistent [`WorkerPool`] backing every parallel
@@ -263,12 +239,7 @@ impl Engine {
         let graph = bound
             .to_join_graph(&self.inner.catalog)
             .map_err(|e| BqoError::planning(&bound.name, e))?;
-        let key = format!(
-            "v{}-{:016x}|{}|{fingerprint}",
-            self.inner.catalog_version,
-            self.inner.catalog_tag,
-            choice.display_label()
-        );
+        let key = format!("{}|{fingerprint}", choice.display_label());
         let (plan, cache_status) = self
             .inner
             .cache
@@ -316,22 +287,6 @@ impl Engine {
             sql: None,
         }
     }
-}
-
-/// One consolidated snapshot of the engine's observable state, returned by
-/// [`Engine::stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Plan-cache counters (hits, misses, re-optimizations, evictions,
-    /// occupancy).
-    pub cache: CacheStats,
-    /// Helper-thread count the engine's worker pool is (or will be) sized to.
-    /// The pool itself spawns lazily; this is the configured size either way.
-    pub pool_workers: usize,
-    /// The catalog generation the engine was built against.
-    pub catalog_version: u64,
-    /// Number of tables in the catalog.
-    pub catalog_tables: usize,
 }
 
 /// Runs the chosen optimizer over a resolved join graph.
@@ -392,13 +347,13 @@ fn render_storage_counters(metrics: &ExecutionMetrics) -> String {
 }
 
 /// Builder for [`Engine`]: registers tables and constraints, sets the
-/// execution configuration and (optionally) a shared plan cache, and
-/// validates everything at [`EngineBuilder::build`].
+/// execution configuration and the worker-pool size, and validates
+/// everything at [`EngineBuilder::build`]. Every engine gets its own plan
+/// cache of 256 plans.
 #[derive(Debug, Default)]
 pub struct EngineBuilder {
     catalog: Catalog,
     exec_config: ExecConfig,
-    cache: Option<PlanCache>,
     worker_threads: Option<usize>,
     primary_keys: Vec<(String, String)>,
     foreign_keys: Vec<ForeignKey>,
@@ -446,16 +401,6 @@ impl EngineBuilder {
     /// whatever `num_threads` a run asks for.
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = Some(threads);
-        self
-    }
-
-    /// Uses a shared plan cache instead of a fresh one. Entries are keyed by
-    /// catalog version, so engines built over *different generations of the
-    /// same catalog lineage* can safely share a cache (a version bump
-    /// invalidates the older engine's entries for the newer one). Unrelated
-    /// catalogs should not share a cache.
-    pub fn plan_cache(mut self, cache: PlanCache) -> Self {
-        self.cache = Some(cache);
         self
     }
 

@@ -6,10 +6,11 @@
 //! serving-grade entry point:
 //!
 //! * [`Engine`] — built with [`Engine::builder`] (tables, constraints,
-//!   [`ExecConfig`], optional shared [`PlanCache`]) or
-//!   [`Engine::from_catalog`]. The engine is `Arc`-internal: cloning is a
-//!   reference-count bump and every clone is `Send + Sync`, so one engine
-//!   serves any number of threads.
+//!   [`ExecConfig`]) or [`Engine::from_catalog`]. The engine is
+//!   `Arc`-internal: cloning is a reference-count bump and every clone is
+//!   `Send + Sync`, so one engine serves any number of threads. Each engine
+//!   owns one [`PlanCache`], shared by its clones, sessions and [`Server`]
+//!   dispatchers and read through [`PlanCache::cache_stats`].
 //! * [`PreparedStatement`] — an **owned** (`'static`, `Send + Sync`) bound
 //!   and optimized query produced by [`Engine::prepare`] (literal specs) or
 //!   [`Engine::bind`] (parameterized specs with [`Params`]). Binding
@@ -140,9 +141,7 @@ pub use bqo_storage as storage;
 pub use bqo_workloads as workloads;
 
 pub use cache::{CacheStats, CacheStatus, PlanCache};
-pub use engine::{
-    Engine, EngineBuilder, EngineStats, PreparedStatement, QueryOutput, RunOptions, Session,
-};
+pub use engine::{Engine, EngineBuilder, PreparedStatement, QueryOutput, RunOptions, Session};
 pub use error::{BqoError, QueryPhase};
 pub use server::{
     LatencyStats, Request, RequestBuilder, ServeError, Server, ServerConfig, ServerStats,

@@ -45,7 +45,7 @@
 //!   [`Server::stats_for`] reports the same [`ServerStats`] per tenant.
 //!
 //! Execution itself goes through the engine like any session run: plans come
-//! from the shared [`crate::PlanCache`], and parallel sections draw their
+//! from the engine's [`crate::PlanCache`], and parallel sections draw their
 //! helper workers from the engine-owned persistent
 //! [`bqo_exec::WorkerPool`] — dispatchers are the *query*-level concurrency
 //! limit, the pool is the *morsel*-level one.

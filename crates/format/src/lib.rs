@@ -55,7 +55,7 @@ pub trait CatalogExt {
     fn register_file(&mut self, path: impl AsRef<Path>) -> Result<String, FormatError>;
 
     /// Registers every `.bqo` file directly inside `dir`, in file-name
-    /// order (deterministic catalog versions). Returns the registered
+    /// order (deterministic registration order). Returns the registered
     /// table names.
     fn attach_dir(&mut self, dir: impl AsRef<Path>) -> Result<Vec<String>, FormatError>;
 }

@@ -125,8 +125,8 @@ impl QuerySpec {
     /// predicates by their rendering. Parameter placeholders are rendered by
     /// name while literal bounds are rendered by (type-tagged) value. Every
     /// join and predicate is rendered once, into one buffer, and sorted there.
-    /// Suitable as a plan-cache key together with the optimizer choice and the
-    /// catalog version.
+    /// Suitable as a plan-cache key together with the optimizer choice (a
+    /// cache serves one engine, so one catalog).
     pub fn fingerprint(&self) -> String {
         let mut tables: Vec<&str> = self.tables.iter().map(String::as_str).collect();
         tables.sort_unstable();

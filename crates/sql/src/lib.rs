@@ -36,8 +36,9 @@
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
 #![warn(missing_debug_implementations)]
+#![warn(unreachable_pub)]
 
-pub mod ast;
+mod ast;
 mod binder;
 mod error;
 mod lexer;

@@ -116,10 +116,6 @@ impl TableMeta {
 pub struct Catalog {
     tables: HashMap<String, TableMeta>,
     foreign_keys: Vec<ForeignKey>,
-    /// Monotonic schema/statistics version: bumped by every mutation
-    /// (table registration, key declarations). Plan caches key their entries
-    /// on this so a changed catalog invalidates stale plans.
-    version: u64,
 }
 
 impl Catalog {
@@ -140,7 +136,6 @@ impl Catalog {
                 primary_key: None,
             },
         );
-        self.version += 1;
     }
 
     /// Registers a chunked (file-backed) table source alongside the
@@ -159,25 +154,15 @@ impl Catalog {
                 primary_key: None,
             },
         );
-        self.version += 1;
-    }
-
-    /// The catalog's mutation version: incremented by every table
-    /// registration and key declaration, so plan caches can use it as a
-    /// cheap staleness check along one mutation lineage. The bare count
-    /// cannot tell diverged clones apart (two clones that each applied one
-    /// *different* mutation share a count) — combine it with
-    /// [`Catalog::schema_tag`] when keying shared state.
-    pub fn version(&self) -> u64 {
-        self.version
     }
 
     /// A content tag over the catalog's schema: an FNV-1a hash of the sorted
     /// table names with their row counts, column names, declared primary
-    /// keys and foreign keys. Two catalogs with different registered schemas
-    /// hash differently (modulo hash collisions) even when their mutation
-    /// counts coincide, which is what lets diverged clones of one catalog
-    /// safely share a plan cache keyed on `(version, schema_tag)`.
+    /// keys, backing-file fingerprints and foreign keys. Two catalogs with
+    /// different registered schemas hash differently (modulo hash
+    /// collisions); the engine does not read it. It is a cheap identity
+    /// check for callers that compare two catalogs, such as a wrapper that
+    /// must register the same schema as the catalog it wraps.
     pub fn schema_tag(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -205,7 +190,7 @@ impl Catalog {
             }
             // File-backed tables fold in the backing file's content
             // fingerprint, so re-registering a *different* file under the
-            // same name changes the tag (and invalidates cached plans).
+            // same name changes the tag.
             if let TableBacking::Source(source) = &meta.backing {
                 mix_bytes(&source.fingerprint().to_le_bytes());
             }
@@ -244,7 +229,6 @@ impl Catalog {
             }
         }
         meta.primary_key = Some(column.to_string());
-        self.version += 1;
         Ok(())
     }
 
@@ -263,7 +247,6 @@ impl Catalog {
             }
         }
         self.foreign_keys.push(fk);
-        self.version += 1;
         Ok(())
     }
 
@@ -412,26 +395,6 @@ mod tests {
     }
 
     #[test]
-    fn version_counts_mutations() {
-        let mut c = Catalog::new();
-        assert_eq!(c.version(), 0);
-        c.register_table(
-            TableBuilder::new("dim")
-                .with_i64("id", vec![1, 2, 3])
-                .build()
-                .unwrap(),
-        );
-        assert_eq!(c.version(), 1);
-        let snapshot = c.clone();
-        c.declare_primary_key("dim", "id").unwrap();
-        assert_eq!(c.version(), 2);
-        // The clone keeps its own version; failed mutations don't bump.
-        assert_eq!(snapshot.version(), 1);
-        assert!(c.declare_primary_key("ghost", "id").is_err());
-        assert_eq!(c.version(), 2);
-    }
-
-    #[test]
     fn schema_tag_distinguishes_diverged_clones() {
         let base = catalog();
         let mut a = base.clone();
@@ -448,9 +411,7 @@ mod tests {
                 .build()
                 .unwrap(),
         );
-        // Same mutation count, different content: the bare version collides
-        // but the schema tag does not.
-        assert_eq!(a.version(), b.version());
+        // Same number of mutations, different content: different tags.
         assert_ne!(a.schema_tag(), b.schema_tag());
         // Identical lineages share a tag; key declarations change it.
         assert_eq!(base.schema_tag(), base.clone().schema_tag());

@@ -91,9 +91,9 @@ pub trait ChunkSource: Send + Sync + std::fmt::Debug {
     }
 
     /// A content fingerprint of the backing data (e.g. a hash of the file's
-    /// footer). The catalog folds this into its schema tag so plan caches
-    /// keyed on the catalog distinguish different files registered under the
-    /// same table name.
+    /// footer). [`Catalog::schema_tag`](crate::Catalog::schema_tag) folds it
+    /// in, so two different files registered under one table name give
+    /// different tags. The engine does not read it.
     fn fingerprint(&self) -> u64;
 
     /// The backing file's path, when there is one (diagnostics only).

@@ -149,8 +149,9 @@ impl ChunkSource for Table {
         self.byte_size() as u64
     }
 
-    /// In-memory tables carry no content fingerprint: the catalog tells them
-    /// apart by its mutation version and row counts.
+    /// In-memory tables carry no content fingerprint:
+    /// [`Catalog::schema_tag`](crate::Catalog::schema_tag) tells them apart
+    /// by name, row count and columns.
     fn fingerprint(&self) -> u64 {
         0
     }

@@ -119,21 +119,12 @@ fn main() {
             &stmt,
         );
     }
-    // One engine-wide snapshot: plan-cache traffic, worker-pool size and
-    // catalog shape in a single call.
-    let snapshot = engine.stats();
+    // The engine's plan cache: one consistent snapshot of its traffic
+    // counters and occupancy.
+    let cache = engine.plan_cache().cache_stats();
     println!(
         "plan cache          : {} hits, {} misses, {} re-optimizations ({} evictions, {}/{} entries)",
-        snapshot.cache.hits,
-        snapshot.cache.misses,
-        snapshot.cache.reoptimizations,
-        snapshot.cache.evictions,
-        snapshot.cache.len,
-        snapshot.cache.capacity
-    );
-    println!(
-        "engine              : {} pooled workers, {} tables (catalog v{})",
-        snapshot.pool_workers, snapshot.catalog_tables, snapshot.catalog_version
+        cache.hits, cache.misses, cache.reoptimizations, cache.evictions, cache.len, cache.capacity
     );
 
     // The same template as SQL text: `$category` / `$region` are named
@@ -160,7 +151,7 @@ fn main() {
             &stmt,
         );
     }
-    let cache = engine.stats().cache;
+    let cache = engine.plan_cache().cache_stats();
     println!(
         "plan cache after SQL: {} hits, {} misses, {} re-optimizations",
         cache.hits, cache.misses, cache.reoptimizations

@@ -1,11 +1,11 @@
-//! Semantics of the serving-side plan cache: fingerprint stability under
-//! spec reordering, catalog-version invalidation, selectivity-envelope
-//! exits that provably re-optimize into a different bitvector placement, and
-//! the LRU capacity bound (eviction counters, hot-entry retention).
+//! Semantics of an engine's plan cache: fingerprint stability under spec
+//! reordering, one entry per optimizer choice, and selectivity-envelope
+//! exits that provably re-optimize into a different bitvector placement.
+//! The LRU capacity bound is checked by the cache's own unit tests.
 
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
-    CacheStatus, ColumnPredicate, CompareOp, Engine, OptimizerChoice, Params, PlanCache, QuerySpec,
+    CacheStatus, ColumnPredicate, CompareOp, Engine, OptimizerChoice, Params, QuerySpec,
     RunOptions, TableBuilder,
 };
 use std::sync::Arc;
@@ -57,7 +57,7 @@ fn fingerprint_is_stable_under_spec_reordering() {
     assert_eq!(second.cache_status(), CacheStatus::Hit);
     assert_eq!(engine.plan_cache().cache_stats().hits, 1);
     assert_eq!(engine.plan_cache().cache_stats().misses, 1);
-    assert_eq!(engine.plan_cache().len(), 1);
+    assert_eq!(engine.plan_cache().cache_stats().len, 1);
 
     // The hit is only legitimate if the served plan actually *executes*
     // correctly for the reordered spec: the cached plan is renumbered to
@@ -175,67 +175,41 @@ fn delimiters_in_column_names_do_not_share_a_cache_entry() {
     assert_eq!(prepare_and_count(&first), (CacheStatus::Miss, 2));
     assert_eq!(prepare_and_count(&second), (CacheStatus::Miss, 3));
     assert_eq!(prepare_and_count(&first), (CacheStatus::Hit, 2));
-    assert_eq!(engine.plan_cache().len(), 2);
+    assert_eq!(engine.plan_cache().cache_stats().len, 2);
 }
 
-/// Engines over different generations of one catalog can share a plan cache:
-/// a catalog-version bump invalidates (misses past) the older generation's
-/// entries, while an engine over the *same* generation hits them.
+/// The optimizer choice is the only part of the cache key besides the
+/// fingerprint: one spec prepared on one engine under four choices gets
+/// four entries, and each choice is served its own plan back.
 #[test]
-fn catalog_version_bump_is_a_cache_miss() {
-    let catalog = star::build_catalog(Scale(0.02), DIMS, 7);
-    let cache = PlanCache::new();
-    let query = star::build_query("versioned", DIMS, &[(0, 2)]);
+fn optimizer_choices_get_separate_entries() {
+    let engine = star_engine(7);
+    let query = star::build_query("choices", DIMS, &[(0, 1), (DIMS - 1, 1)]);
+    let choices = [
+        OptimizerChoice::Baseline,
+        OptimizerChoice::BaselineNoBitvectors,
+        OptimizerChoice::Bqo,
+        OptimizerChoice::BqoWithThreshold(0.0),
+    ];
+    let first: Vec<_> = choices
+        .iter()
+        .map(|&choice| engine.prepare(&query, choice).unwrap())
+        .collect();
+    for stmt in &first {
+        assert_eq!(stmt.cache_status(), CacheStatus::Miss);
+    }
+    assert_eq!(engine.plan_cache().cache_stats().len, 4);
+    assert!(first[1].plan().placements.is_empty());
+    assert!(!first[0].plan().placements.is_empty());
 
-    let engine_v1 = Engine::builder()
-        .catalog(catalog.clone())
-        .plan_cache(cache.clone())
-        .build()
-        .unwrap();
-    assert_eq!(
-        engine_v1
-            .prepare(&query, OptimizerChoice::Bqo)
-            .unwrap()
-            .cache_status(),
-        CacheStatus::Miss
-    );
-
-    // Same catalog generation, same shared cache: hit.
-    let engine_v1b = Engine::builder()
-        .catalog(catalog.clone())
-        .plan_cache(cache.clone())
-        .build()
-        .unwrap();
-    assert_eq!(engine_v1b.catalog_version(), engine_v1.catalog_version());
-    assert_eq!(
-        engine_v1b
-            .prepare(&query, OptimizerChoice::Bqo)
-            .unwrap()
-            .cache_status(),
-        CacheStatus::Hit
-    );
-
-    // Mutate the catalog (re-register a dimension -> version bump): the new
-    // engine's keys no longer match the v1 entries.
-    let mut bumped = catalog.clone();
-    let dim0 = bumped.table("dim0").unwrap();
-    bumped.register_table((*dim0).clone());
-    bumped.declare_primary_key("dim0", "dim0_sk").unwrap();
-    assert!(bumped.version() > catalog.version());
-    let engine_v2 = Engine::builder()
-        .catalog(bumped)
-        .plan_cache(cache.clone())
-        .build()
-        .unwrap();
-    assert_ne!(engine_v2.catalog_version(), engine_v1.catalog_version());
-    assert_eq!(
-        engine_v2
-            .prepare(&query, OptimizerChoice::Bqo)
-            .unwrap()
-            .cache_status(),
-        CacheStatus::Miss
-    );
-    assert_eq!(cache.len(), 2, "one entry per catalog version");
+    for (&choice, earlier) in choices.iter().zip(&first) {
+        let again = engine.prepare(&query, choice).unwrap();
+        assert_eq!(again.cache_status(), CacheStatus::Hit, "{choice:?}");
+        assert!(
+            Arc::ptr_eq(&again.shared_plan(), &earlier.shared_plan()),
+            "{choice:?}"
+        );
+    }
 }
 
 /// The paper's core observation, enforced at the cache boundary: binds whose
@@ -345,84 +319,4 @@ fn envelope_exit_reoptimizes_and_changes_the_bitvector_placement() {
         )
         .unwrap();
     assert_eq!(again.cache_status(), CacheStatus::Hit);
-}
-
-/// A capacity-bounded cache behind an engine evicts least-recently-used
-/// entries, counts the evictions, and keeps the traffic's hot entries.
-#[test]
-fn lru_eviction_bounds_a_shared_engine_cache() {
-    let catalog = star::build_catalog(Scale(0.02), DIMS, 31);
-    let engine = Engine::builder()
-        .catalog(catalog)
-        .plan_cache(PlanCache::with_capacity(2))
-        .build()
-        .unwrap();
-    let cache = engine.plan_cache();
-    assert_eq!(cache.capacity(), 2);
-
-    let queries: Vec<QuerySpec> = (0..3)
-        .map(|i| star::build_query(format!("evict_q{i}"), DIMS, &[(i % DIMS, 3 + i as i64)]))
-        .collect();
-
-    // Fill the cache with q0 and q1, keep q0 hot, then admit q2: q1 is the
-    // LRU victim.
-    assert_eq!(
-        engine
-            .prepare(&queries[0], OptimizerChoice::Bqo)
-            .unwrap()
-            .cache_status(),
-        CacheStatus::Miss
-    );
-    assert_eq!(
-        engine
-            .prepare(&queries[1], OptimizerChoice::Bqo)
-            .unwrap()
-            .cache_status(),
-        CacheStatus::Miss
-    );
-    assert_eq!(
-        engine
-            .prepare(&queries[0], OptimizerChoice::Bqo)
-            .unwrap()
-            .cache_status(),
-        CacheStatus::Hit
-    );
-    assert_eq!(
-        engine
-            .prepare(&queries[2], OptimizerChoice::Bqo)
-            .unwrap()
-            .cache_status(),
-        CacheStatus::Miss
-    );
-    let stats = cache.cache_stats();
-    assert_eq!((stats.len, stats.evictions), (2, 1));
-
-    // The hot entry survived; the evicted one pays a fresh optimizer run.
-    assert_eq!(
-        engine
-            .prepare(&queries[0], OptimizerChoice::Bqo)
-            .unwrap()
-            .cache_status(),
-        CacheStatus::Hit
-    );
-    assert_eq!(
-        engine
-            .prepare(&queries[1], OptimizerChoice::Bqo)
-            .unwrap()
-            .cache_status(),
-        CacheStatus::Miss
-    );
-    assert_eq!(cache.cache_stats().evictions, 2);
-
-    // Evicted-and-reloaded plans still execute correctly.
-    let stmt = engine.prepare(&queries[1], OptimizerChoice::Bqo).unwrap();
-    assert!(
-        engine
-            .session()
-            .execute(&stmt, RunOptions::new())
-            .unwrap()
-            .result
-            .output_rows
-            > 0
-    );
 }

@@ -252,7 +252,7 @@ fn server_matches_fresh_single_threaded_sessions() {
         total
     );
     assert!(cache.cache_stats().hits > 0, "cached serving must hit");
-    assert_eq!(cache.len(), 4);
+    assert_eq!(cache.cache_stats().len, 4);
 
     server.shutdown();
     // Shutdown rejects new traffic but preserves stats.

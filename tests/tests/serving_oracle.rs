@@ -175,5 +175,5 @@ fn concurrent_serving_matches_fresh_single_threaded_prepares() {
         "each distinct fingerprint misses at least once: {}",
         cache.cache_stats().misses
     );
-    assert_eq!(cache.len(), 4);
+    assert_eq!(cache.cache_stats().len, 4);
 }
