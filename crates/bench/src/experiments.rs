@@ -160,7 +160,7 @@ pub fn run_figure2(scale: Scale) -> Vec<Figure2Plan> {
             .right_deep_order()
             .expect("the plan space is right-deep")
             .into_iter()
-            .map(|r| graph.relation(r).name.as_str())
+            .map(|r| &*graph.relation(r).name)
             .collect();
         Figure2Plan {
             label: label.to_string(),

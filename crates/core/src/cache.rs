@@ -61,7 +61,7 @@ struct CachedPlan {
     /// physical plans reference relations positionally while fingerprints
     /// are order-invariant, so a bind that lists the same tables in another
     /// order is served the plan renumbered to its ids.
-    relations: Vec<(String, f64, f64)>,
+    relations: Vec<(Arc<str>, f64, f64)>,
     /// Logical timestamp of the entry's last lookup (hit or replacement);
     /// the LRU eviction key.
     last_used: u64,

@@ -182,7 +182,7 @@ impl<'p> ScanOp<'p> {
             .schema()
             .index_of(column)
             .ok_or_else(|| StorageError::ColumnNotFound {
-                table: self.info.name.clone(),
+                table: self.info.name.to_string(),
                 column: column.to_string(),
             })
     }
@@ -321,10 +321,16 @@ impl PhysicalOperator for ScanOp<'_> {
         };
 
         // Deterministic merge: concatenate rows and sum counters in morsel
-        // order, independent of worker scheduling.
-        let mut survivors = Vec::new();
+        // order, independent of worker scheduling. The survivor count is
+        // known up front, so the merged rows and (fetched sources only)
+        // columns are allocated once, at their final size.
+        let total: usize = per_morsel.iter().flatten().map(|m| m.rows.len()).sum();
+        let mut survivors = Vec::with_capacity(total);
+        let fetched = if resident.is_some() { 0 } else { total };
         let fields = source.schema().fields().iter();
-        let mut compacted: Vec<Column> = fields.map(|f| Column::empty(f.data_type)).collect();
+        let mut compacted: Vec<Column> = fields
+            .map(|f| Column::with_capacity(f.data_type, fetched))
+            .collect();
         let mut merged = vec![FilterStats::new(); self.placements.len()];
         for result in per_morsel {
             let morsel: MorselScan = result?;

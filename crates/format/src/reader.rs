@@ -394,9 +394,9 @@ fn parse_stats(cur: &mut Cursor<'_>, schema: &Schema) -> Result<TableStats, Stri
     let mut columns = HashMap::new();
     for _ in 0..num_cols {
         let name = cur.string(MAX_NAME_LEN)?;
-        if !schema.contains(&name) {
+        let Some(field) = schema.field(&name) else {
             return Err(format!("stats name `{name}` not in schema"));
-        }
+        };
         let col_rows = cur.bounded_len(usize::MAX / 2, "column row_count")?;
         let distinct_count = cur.bounded_len(usize::MAX / 2, "distinct count")?;
         let min = match cur.u8()? {
@@ -421,7 +421,7 @@ fn parse_stats(cur: &mut Cursor<'_>, schema: &Schema) -> Result<TableStats, Stri
             histogram.push(cur.bounded_len(usize::MAX / 2, "histogram bucket")?);
         }
         columns.insert(
-            name,
+            Arc::clone(&field.name),
             ColumnStats {
                 row_count: col_rows,
                 distinct_count,

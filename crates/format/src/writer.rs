@@ -13,6 +13,7 @@ use crate::layout::{
 };
 use crate::xxhash::xxh64;
 use bqo_storage::{Column, Schema, Table, TableStats, Value};
+use std::cmp::Ordering;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -34,19 +35,28 @@ pub struct FileSummary {
 /// bound is longer than a reader accepts.
 fn zone_of(column: &Column, start: usize, end: usize) -> Option<(Value, Value)> {
     debug_assert!(start < end, "zone of an empty range");
-    let mut min = column.value(start);
-    let mut max = column.value(start);
-    for i in start + 1..end {
-        let v = column.value(i);
-        if v.total_cmp(&min) == std::cmp::Ordering::Less {
-            min = v.clone();
-        }
-        if v.total_cmp(&max) == std::cmp::Ordering::Greater {
-            max = v;
-        }
-    }
+    let (min, max) = match column {
+        Column::Int64(v) => bounds(&v[start..end], Ord::cmp, |x| Value::Int64(*x)),
+        Column::Float64(v) => bounds(&v[start..end], f64::total_cmp, |x| Value::Float64(*x)),
+        Column::Utf8(v) => bounds(&v[start..end], Ord::cmp, |x| Value::Utf8(x.clone())),
+        Column::Bool(v) => bounds(&v[start..end], Ord::cmp, |x| Value::Bool(*x)),
+    }?;
     let too_long = |v: &Value| matches!(v, Value::Utf8(s) if s.len() > MAX_ZONE_STRING_LEN);
     (!too_long(&min) && !too_long(&max)).then_some((min, max))
+}
+
+/// The least and greatest of `run` under `cmp`, as values; `None` when
+/// `run` is empty. Elements equal under `cmp` — every order `zone_of`
+/// passes is [`Value::total_cmp`] on one type — are identical, so which of
+/// the tied elements is picked does not matter.
+fn bounds<T>(
+    run: &[T],
+    cmp: impl Fn(&T, &T) -> Ordering,
+    value: impl Fn(&T) -> Value,
+) -> Option<(Value, Value)> {
+    let min = run.iter().min_by(|a, b| cmp(a, b))?;
+    let max = run.iter().max_by(|a, b| cmp(a, b))?;
+    Some((value(min), value(max)))
 }
 
 /// Writes all of `table` to `path` as chunks of `chunk_rows` rows (clamped

@@ -25,65 +25,53 @@ fn merge_round(acc: u64, val: u64) -> u64 {
         .wrapping_add(PRIME_4)
 }
 
-#[inline]
-fn read_u64(bytes: &[u8], at: usize) -> u64 {
-    u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap())
-}
-
-#[inline]
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap())
-}
-
 /// One-shot XXH64 of `bytes` with the given `seed`.
 pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
-    let len = bytes.len();
-    let mut hash;
-    let mut at = 0usize;
-    if len >= 32 {
-        let mut v1 = seed.wrapping_add(PRIME_1).wrapping_add(PRIME_2);
-        let mut v2 = seed.wrapping_add(PRIME_2);
-        let mut v3 = seed;
-        let mut v4 = seed.wrapping_sub(PRIME_1);
-        while at + 32 <= len {
-            v1 = round(v1, read_u64(bytes, at));
-            v2 = round(v2, read_u64(bytes, at + 8));
-            v3 = round(v3, read_u64(bytes, at + 16));
-            v4 = round(v4, read_u64(bytes, at + 24));
-            at += 32;
+    let (stripes, tail) = bytes.as_chunks::<32>();
+    let mut hash = if stripes.is_empty() {
+        seed.wrapping_add(PRIME_5)
+    } else {
+        let mut acc = [
+            seed.wrapping_add(PRIME_1).wrapping_add(PRIME_2),
+            seed.wrapping_add(PRIME_2),
+            seed,
+            seed.wrapping_sub(PRIME_1),
+        ];
+        for stripe in stripes {
+            for (v, lane) in acc.iter_mut().zip(stripe.as_chunks::<8>().0) {
+                *v = round(*v, u64::from_le_bytes(*lane));
+            }
         }
-        hash = v1
+        let [v1, v2, v3, v4] = acc;
+        let mut hash = v1
             .rotate_left(1)
             .wrapping_add(v2.rotate_left(7))
             .wrapping_add(v3.rotate_left(12))
             .wrapping_add(v4.rotate_left(18));
-        hash = merge_round(hash, v1);
-        hash = merge_round(hash, v2);
-        hash = merge_round(hash, v3);
-        hash = merge_round(hash, v4);
-    } else {
-        hash = seed.wrapping_add(PRIME_5);
-    }
-    hash = hash.wrapping_add(len as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
-    while at + 8 <= len {
-        hash = (hash ^ round(0, read_u64(bytes, at)))
+        for v in acc {
+            hash = merge_round(hash, v);
+        }
+        hash
+    };
+    hash = hash.wrapping_add(bytes.len() as u64); // CAST-OK: usize widens losslessly into u64 on supported targets
+    let (words, mut tail) = tail.as_chunks::<8>();
+    for word in words {
+        hash = (hash ^ round(0, u64::from_le_bytes(*word)))
             .rotate_left(27)
             .wrapping_mul(PRIME_1)
             .wrapping_add(PRIME_4);
-        at += 8;
     }
-    if at + 4 <= len {
-        hash = (hash ^ u64::from(read_u32(bytes, at)).wrapping_mul(PRIME_1))
+    if let Some((word, rest)) = tail.split_first_chunk::<4>() {
+        hash = (hash ^ u64::from(u32::from_le_bytes(*word)).wrapping_mul(PRIME_1))
             .rotate_left(23)
             .wrapping_mul(PRIME_2)
             .wrapping_add(PRIME_3);
-        at += 4;
+        tail = rest;
     }
-    while at < len {
-        hash = (hash ^ u64::from(bytes[at]).wrapping_mul(PRIME_5))
+    for &byte in tail {
+        hash = (hash ^ u64::from(byte).wrapping_mul(PRIME_5))
             .rotate_left(11)
             .wrapping_mul(PRIME_1);
-        at += 1;
     }
     hash ^= hash >> 33;
     hash = hash.wrapping_mul(PRIME_2);
@@ -96,6 +84,29 @@ pub fn xxh64(bytes: &[u8], seed: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The reference implementation's published seed-0 vectors. The last
+    /// input is 39 bytes: one 32-byte stripe, then the 8-, 4- and 1-byte
+    /// tails.
+    #[test]
+    fn matches_the_published_vectors() {
+        for (input, expected) in [
+            (&b""[..], 0xEF46_DB37_51D8_E999),
+            (b"a", 0xD24E_C4F1_A98C_6E5B),
+            (b"abc", 0x44BC_2CF5_AD77_0999),
+            (
+                b"Nobody inspects the spammish repetition",
+                0xFBCE_A83C_8A37_8BF1,
+            ),
+        ] {
+            assert_eq!(
+                xxh64(input, 0),
+                expected,
+                "{:?}",
+                String::from_utf8_lossy(input)
+            );
+        }
+    }
 
     #[test]
     fn deterministic_and_seeded() {

@@ -361,7 +361,7 @@ mod tests {
             .iter()
             .min_by(|a, b| a.fact_keep_fraction.total_cmp(&b.fact_keep_fraction))
             .unwrap();
-        assert_eq!(g.relation(min.members[0]).name, "d0");
+        assert_eq!(&*g.relation(min.members[0]).name, "d0");
     }
 
     #[test]
@@ -372,7 +372,7 @@ mod tests {
         let group_of = |name: &str| {
             branches
                 .iter()
-                .find(|b| b.members.iter().any(|&r| g.relation(r).name == name))
+                .find(|b| b.members.iter().any(|&r| *g.relation(r).name == *name))
                 .map(|b| b.group)
                 .unwrap()
         };
@@ -425,7 +425,11 @@ mod tests {
         fn check(tree: &JoinTree, node: usize, g: &JoinGraph) {
             if let JoinNode::Join { build, probe } = tree.node(node) {
                 if let JoinNode::Leaf(r) = tree.node(build) {
-                    assert_ne!(g.relation(r).name, "big_dim", "big_dim used as build side");
+                    assert_ne!(
+                        &*g.relation(r).name,
+                        "big_dim",
+                        "big_dim used as build side"
+                    );
                 }
                 check(tree, build, g);
                 check(tree, probe, g);

@@ -13,27 +13,28 @@ use crate::predicate::{ColumnPredicate, Params};
 use crate::relset::RelSet;
 use bqo_storage::{Catalog, StorageError};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// One equi-join condition `left_table.left_column = right_table.right_column`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinCondition {
     /// Table on the left-hand side of the equality.
-    pub left_table: String,
+    pub left_table: Arc<str>,
     /// Column of `left_table` being joined.
-    pub left_column: String,
+    pub left_column: Arc<str>,
     /// Table on the right-hand side of the equality.
-    pub right_table: String,
+    pub right_table: Arc<str>,
     /// Column of `right_table` being joined.
-    pub right_column: String,
+    pub right_column: Arc<str>,
 }
 
 impl JoinCondition {
     /// Creates a join condition.
     pub fn new(
-        left_table: impl Into<String>,
-        left_column: impl Into<String>,
-        right_table: impl Into<String>,
-        right_column: impl Into<String>,
+        left_table: impl Into<Arc<str>>,
+        left_column: impl Into<Arc<str>>,
+        right_table: impl Into<Arc<str>>,
+        right_column: impl Into<Arc<str>>,
     ) -> Self {
         JoinCondition {
             left_table: left_table.into(),
@@ -46,16 +47,20 @@ impl JoinCondition {
 
 /// A declarative query: which tables are joined how, and which local
 /// predicates restrict them.
+///
+/// Table and column names are `Arc<str>`: a spec bound from SQL holds the
+/// catalog's own names, and everything lowered from it — join graph, plan,
+/// operator schemas — clones those `Arc`s rather than the text.
 #[derive(Debug, Clone, Default)]
 pub struct QuerySpec {
     /// Query name (used for plan-cache keys and reporting).
     pub name: String,
     /// Tables referenced by the query.
-    pub tables: Vec<String>,
+    pub tables: Vec<Arc<str>>,
     /// Equi-join conditions between the tables.
     pub joins: Vec<JoinCondition>,
     /// Local predicates, keyed by table name.
-    pub predicates: HashMap<String, Vec<ColumnPredicate>>,
+    pub predicates: HashMap<Arc<str>, Vec<ColumnPredicate>>,
 }
 
 impl QuerySpec {
@@ -68,7 +73,7 @@ impl QuerySpec {
     }
 
     /// Adds a table to the query.
-    pub fn table(mut self, name: impl Into<String>) -> Self {
+    pub fn table(mut self, name: impl Into<Arc<str>>) -> Self {
         self.tables.push(name.into());
         self
     }
@@ -76,10 +81,10 @@ impl QuerySpec {
     /// Adds an equi-join condition.
     pub fn join(
         mut self,
-        left_table: impl Into<String>,
-        left_column: impl Into<String>,
-        right_table: impl Into<String>,
-        right_column: impl Into<String>,
+        left_table: impl Into<Arc<str>>,
+        left_column: impl Into<Arc<str>>,
+        right_table: impl Into<Arc<str>>,
+        right_column: impl Into<Arc<str>>,
     ) -> Self {
         self.joins.push(JoinCondition::new(
             left_table,
@@ -91,7 +96,7 @@ impl QuerySpec {
     }
 
     /// Adds a local predicate to one of the tables.
-    pub fn predicate(mut self, table: impl Into<String>, predicate: ColumnPredicate) -> Self {
+    pub fn predicate(mut self, table: impl Into<Arc<str>>, predicate: ColumnPredicate) -> Self {
         self.predicates
             .entry(table.into())
             .or_default()
@@ -104,8 +109,8 @@ impl QuerySpec {
     /// it can be resolved against a catalog.
     pub fn param_predicate(
         self,
-        table: impl Into<String>,
-        column: impl Into<String>,
+        table: impl Into<Arc<str>>,
+        column: impl Into<Arc<str>>,
         op: crate::predicate::CompareOp,
         param: impl Into<String>,
     ) -> Self {
@@ -187,9 +192,9 @@ impl QuerySpec {
             )));
         }
         let mut graph = JoinGraph::new();
-        let mut ids = HashMap::new();
+        let mut ids: HashMap<&str, _> = HashMap::with_capacity(self.tables.len());
         for table_name in &self.tables {
-            if ids.contains_key(table_name) {
+            if ids.contains_key(&**table_name) {
                 return Err(invalid(format!("lists table `{table_name}` twice")));
             }
             let meta = catalog.table_meta(table_name)?;
@@ -206,8 +211,8 @@ impl QuerySpec {
                     meta.stats
                         .column(&p.column)
                         .ok_or_else(|| StorageError::ColumnNotFound {
-                            table: table_name.clone(),
-                            column: p.column.clone(),
+                            table: table_name.to_string(),
+                            column: p.column.to_string(),
                         })?;
                 selectivity *= p.estimate_selectivity(col_stats);
             }
@@ -217,22 +222,22 @@ impl QuerySpec {
             } else {
                 crate::graph::ScanBacking::Memory
             };
-            let info = RelationInfo::new(table_name.clone(), base_rows, filtered)
+            let info = RelationInfo::new(Arc::clone(&meta.name), base_rows, filtered)
                 .with_predicates(predicates)
                 .with_backing(backing);
-            ids.insert(table_name.clone(), graph.add_relation(info));
+            ids.insert(&**table_name, graph.add_relation(info));
         }
         for join in &self.joins {
             let left = *ids
-                .get(&join.left_table)
+                .get(&*join.left_table)
                 .ok_or_else(|| StorageError::TableNotFound {
-                    table: join.left_table.clone(),
+                    table: join.left_table.to_string(),
                 })?;
-            let right = *ids
-                .get(&join.right_table)
-                .ok_or_else(|| StorageError::TableNotFound {
-                    table: join.right_table.clone(),
-                })?;
+            let right =
+                *ids.get(&*join.right_table)
+                    .ok_or_else(|| StorageError::TableNotFound {
+                        table: join.right_table.to_string(),
+                    })?;
             if left == right {
                 return Err(invalid(format!(
                     "joins table `{}` with itself; self-joins are not supported",
@@ -243,14 +248,14 @@ impl QuerySpec {
             let right_stats = catalog.stats(&join.right_table)?;
             let left_col = left_stats.column(&join.left_column).ok_or_else(|| {
                 StorageError::ColumnNotFound {
-                    table: join.left_table.clone(),
-                    column: join.left_column.clone(),
+                    table: join.left_table.to_string(),
+                    column: join.left_column.to_string(),
                 }
             })?;
             let right_col = right_stats.column(&join.right_column).ok_or_else(|| {
                 StorageError::ColumnNotFound {
-                    table: join.right_table.clone(),
-                    column: join.right_column.clone(),
+                    table: join.right_table.to_string(),
+                    column: join.right_column.to_string(),
                 }
             })?;
             let left_unique = catalog.is_unique_column(&join.left_table, &join.left_column);
@@ -270,7 +275,7 @@ impl QuerySpec {
         if let Some(first) = all.first() {
             let stranded = all - graph.component_of(first, all);
             if !stranded.is_empty() {
-                let names: Vec<&str> = stranded.iter().map(|r| self.tables[r.0].as_str()).collect();
+                let names: Vec<&str> = stranded.iter().map(|r| &*self.tables[r.0]).collect();
                 return Err(invalid(format!(
                     "has no join condition connecting `{}` to `{}`; cross products are not supported",
                     names.join("`, `"),

@@ -77,8 +77,8 @@ fn render_value(out: &mut String, value: &PredicateValue) {
 /// `(table, column)` side first: a join is symmetric.
 fn render_join(out: &mut String, j: &JoinCondition) {
     let mut sides = [
-        (j.left_table.as_str(), j.left_column.as_str()),
-        (j.right_table.as_str(), j.right_column.as_str()),
+        (&*j.left_table, &*j.left_column),
+        (&*j.right_table, &*j.right_column),
     ];
     sides.sort_unstable();
     for (i, (table, column)) in sides.into_iter().enumerate() {
@@ -128,7 +128,7 @@ impl QuerySpec {
     /// Suitable as a plan-cache key together with the optimizer choice (a
     /// cache serves one engine, so one catalog).
     pub fn fingerprint(&self) -> String {
-        let mut tables: Vec<&str> = self.tables.iter().map(String::as_str).collect();
+        let mut tables: Vec<&str> = self.tables.iter().map(|t| &**t).collect();
         tables.sort_unstable();
         tables.dedup();
 

@@ -9,6 +9,7 @@
 use crate::predicate::ColumnPredicate;
 use crate::relset::RelSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a relation inside one [`JoinGraph`] (dense index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -59,7 +60,7 @@ impl fmt::Display for ScanBacking {
 #[derive(Debug, Clone)]
 pub struct RelationInfo {
     /// Table name in the catalog.
-    pub name: String,
+    pub name: Arc<str>,
     /// Cardinality of the base table, `|R|`.
     pub base_rows: f64,
     /// Estimated cardinality after local predicates.
@@ -72,7 +73,7 @@ pub struct RelationInfo {
 
 impl RelationInfo {
     /// Creates relation info without local predicates.
-    pub fn new(name: impl Into<String>, base_rows: f64, filtered_rows: f64) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, base_rows: f64, filtered_rows: f64) -> Self {
         RelationInfo {
             name: name.into(),
             base_rows: base_rows.max(1.0),
@@ -114,9 +115,9 @@ pub struct JoinEdge {
     /// Relation on the right-hand side of the equality.
     pub right: RelId,
     /// Join column of `left`.
-    pub left_column: String,
+    pub left_column: Arc<str>,
     /// Join column of `right`.
-    pub right_column: String,
+    pub right_column: Arc<str>,
     /// Distinct values of `left_column` in the *base* (unfiltered) relation.
     pub left_distinct: f64,
     /// Distinct values of `right_column` in the *base* (unfiltered) relation.
@@ -133,8 +134,8 @@ impl JoinEdge {
     pub fn new(
         left: RelId,
         right: RelId,
-        left_column: impl Into<String>,
-        right_column: impl Into<String>,
+        left_column: impl Into<Arc<str>>,
+        right_column: impl Into<Arc<str>>,
         left_distinct: f64,
         right_distinct: f64,
         left_unique: bool,
@@ -156,9 +157,9 @@ impl JoinEdge {
     /// where the PK relation has `pk_rows` rows (its key is dense and unique).
     pub fn pkfk(
         fk_rel: RelId,
-        fk_col: impl Into<String>,
+        fk_col: impl Into<Arc<str>>,
         pk_rel: RelId,
-        pk_col: impl Into<String>,
+        pk_col: impl Into<Arc<str>>,
         pk_rows: f64,
     ) -> Self {
         JoinEdge::new(
@@ -186,7 +187,7 @@ impl JoinEdge {
     }
 
     /// The join column on `rel`'s side.
-    pub fn column_of(&self, rel: RelId) -> &str {
+    pub fn column_of(&self, rel: RelId) -> &Arc<str> {
         if self.left == rel {
             &self.left_column
         } else {
@@ -295,7 +296,7 @@ impl JoinGraph {
     pub fn relation_by_name(&self, name: &str) -> Option<RelId> {
         self.relations
             .iter()
-            .position(|r| r.name == name)
+            .position(|r| *r.name == *name)
             .map(RelId)
     }
 
@@ -523,8 +524,8 @@ mod tests {
         assert!(e.touches(RelId(0)));
         assert!(!e.touches(RelId(2)));
         assert_eq!(e.other(RelId(0)), RelId(1));
-        assert_eq!(e.column_of(RelId(0)), "fk");
-        assert_eq!(e.column_of(RelId(1)), "pk");
+        assert_eq!(&**e.column_of(RelId(0)), "fk");
+        assert_eq!(&**e.column_of(RelId(1)), "pk");
         assert!(e.unique_on(RelId(1)));
         assert!(!e.unique_on(RelId(0)));
         assert!((e.selectivity() - 0.01).abs() < 1e-12);
@@ -665,7 +666,7 @@ mod tests {
         let (g, fact, _) = star();
         assert_eq!(g.relation_by_name("fact"), Some(fact));
         assert_eq!(g.relation_by_name("nope"), None);
-        assert_eq!(g.relation(fact).name, "fact");
+        assert_eq!(&*g.relation(fact).name, "fact");
     }
 
     #[test]

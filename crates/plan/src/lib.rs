@@ -26,6 +26,14 @@
 //!   plan-cache keys.
 //! * `unparse` — [`QuerySpec::to_sql`] / `Display`: renders a spec back to
 //!   SQL text for the `bqo-sql` frontend's round-trip fuzzing.
+//!
+//! One name, one allocation: every table and column name a query carries —
+//! in [`QuerySpec`], [`RelationInfo`], [`JoinEdge`], [`ColumnPredicate`] and
+//! [`ColumnRef`] (so in [`JoinKeyPair`], the placements and every executor
+//! schema) — is an `Arc<str>`. A spec bound from SQL holds the catalog's own
+//! `Arc`s; lowering it to a join graph and a plan clones `Arc`s, not text.
+//! Constructors and [`QuerySpec`]'s builder methods take
+//! `impl Into<Arc<str>>`, so `&str` and `String` arguments still work.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -9,6 +9,7 @@ use crate::graph::{JoinGraph, RelId};
 use crate::relset::RelSet;
 use crate::tree::{JoinNode, JoinTree};
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a node inside one [`PhysicalPlan`] arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -26,12 +27,12 @@ pub struct ColumnRef {
     /// The relation the column belongs to.
     pub relation: RelId,
     /// Column name within that relation.
-    pub column: String,
+    pub column: Arc<str>,
 }
 
 impl ColumnRef {
     /// Creates a column reference.
-    pub fn new(relation: RelId, column: impl Into<String>) -> Self {
+    pub fn new(relation: RelId, column: impl Into<Arc<str>>) -> Self {
         ColumnRef {
             relation,
             column: column.into(),
@@ -271,8 +272,8 @@ impl PhysicalPlan {
                             (edge.right, edge.left)
                         };
                         JoinKeyPair {
-                            build: ColumnRef::new(build_rel, edge.column_of(build_rel)),
-                            probe: ColumnRef::new(probe_rel, edge.column_of(probe_rel)),
+                            build: ColumnRef::new(build_rel, edge.column_of(build_rel).clone()),
+                            probe: ColumnRef::new(probe_rel, edge.column_of(probe_rel).clone()),
                         }
                     })
                     .collect();
@@ -378,7 +379,7 @@ mod tests {
                 assert_eq!(keys.len(), 1);
                 assert_eq!(keys[0].build.relation, dims[1]);
                 assert_eq!(keys[0].probe.relation, fact);
-                assert_eq!(keys[0].probe.column, "d2_sk");
+                assert_eq!(&*keys[0].probe.column, "d2_sk");
             }
             other => panic!("expected join at root, got {other:?}"),
         }

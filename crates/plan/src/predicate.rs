@@ -2,6 +2,7 @@
 
 use bqo_storage::{Column, ColumnStats, StorageError, Value};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Comparison operators supported by local predicates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,7 +120,7 @@ impl Params {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnPredicate {
     /// Column the predicate restricts.
-    pub column: String,
+    pub column: Arc<str>,
     /// Comparison operator.
     pub op: CompareOp,
     /// Literal or `$param` placeholder compared against.
@@ -128,7 +129,7 @@ pub struct ColumnPredicate {
 
 impl ColumnPredicate {
     /// Creates a literal predicate.
-    pub fn new(column: impl Into<String>, op: CompareOp, value: impl Into<Value>) -> Self {
+    pub fn new(column: impl Into<Arc<str>>, op: CompareOp, value: impl Into<Value>) -> Self {
         ColumnPredicate {
             column: column.into(),
             op,
@@ -137,7 +138,7 @@ impl ColumnPredicate {
     }
 
     /// Creates a parameterized predicate `column <op> $name`.
-    pub fn param(column: impl Into<String>, op: CompareOp, name: impl Into<String>) -> Self {
+    pub fn param(column: impl Into<Arc<str>>, op: CompareOp, name: impl Into<String>) -> Self {
         ColumnPredicate {
             column: column.into(),
             op,

@@ -143,7 +143,7 @@ mod tests {
         // Each filter checks the fact's foreign-key column.
         let cols: BTreeSet<&str> = at_fact
             .iter()
-            .flat_map(|p| p.probe_columns.iter().map(|c| c.column.as_str()))
+            .flat_map(|p| p.probe_columns.iter().map(|c| &*c.column))
             .collect();
         assert_eq!(cols, ["d1_sk", "d2_sk"].into_iter().collect());
     }
@@ -167,7 +167,7 @@ mod tests {
         let r1_scan = scan_of(&plan, r1);
         assert_eq!(at(&plan, fact_scan).len(), 1);
         assert_eq!(at(&plan, r1_scan).len(), 1);
-        assert_eq!(at(&plan, r1_scan)[0].probe_columns[0].column, "r2_sk");
+        assert_eq!(&*at(&plan, r1_scan)[0].probe_columns[0].column, "r2_sk");
     }
 
     /// The Figure 1 example: join graph A-B, B-C, A-D, C-D and the plan
@@ -237,9 +237,9 @@ mod tests {
         // d2's filter reaches the fact scan (through the lower join's build
         // side); the lower join's own filter (from fact) reaches d1's scan.
         assert_eq!(at(&plan, fact_scan).len(), 1);
-        assert_eq!(at(&plan, fact_scan)[0].probe_columns[0].column, "d2_sk");
+        assert_eq!(&*at(&plan, fact_scan)[0].probe_columns[0].column, "d2_sk");
         assert_eq!(at(&plan, d1_scan).len(), 1);
-        assert_eq!(at(&plan, d1_scan)[0].probe_columns[0].column, "sk");
+        assert_eq!(&*at(&plan, d1_scan)[0].probe_columns[0].column, "sk");
     }
 
     /// Push-down also works for bushy trees produced by the baseline

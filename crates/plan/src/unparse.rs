@@ -60,15 +60,15 @@ impl QuerySpec {
             .tables
             .iter()
             .enumerate()
-            .map(|(i, t)| (t.as_str(), i))
+            .map(|(i, t)| (&**t, i))
             .collect();
         // conditions[i] holds the ON conjuncts of the clause joining
         // tables[i]; index 0 (the FROM table) stays empty for well-formed
         // specs.
         let mut conditions: Vec<Vec<String>> = vec![Vec::new(); self.tables.len()];
         for join in &self.joins {
-            let left = position.get(join.left_table.as_str());
-            let right = position.get(join.right_table.as_str());
+            let left = position.get(&*join.left_table);
+            let right = position.get(&*join.right_table);
             let clause = match (left, right) {
                 (Some(&l), Some(&r)) => l.max(r).max(1),
                 _ => self.tables.len() - 1,

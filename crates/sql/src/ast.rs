@@ -1,7 +1,8 @@
 //! Spanned abstract syntax tree for the SQL subset.
 //!
 //! Every name-bearing node carries the byte [`Span`] it was parsed from so
-//! the binder can point error carets at the exact offending fragment.
+//! the binder can point error carets at the exact offending fragment. Names
+//! borrow from the SQL text (`'a`).
 
 use crate::error::Span;
 use bqo_plan::CompareOp;
@@ -9,19 +10,19 @@ use bqo_storage::Value;
 
 /// An identifier with its source span.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Ident {
-    pub text: String,
+pub struct Ident<'a> {
+    pub text: &'a str,
     pub span: Span,
 }
 
 /// A possibly qualified column reference (`x` or `a.x`).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ColumnName {
-    pub qualifier: Option<Ident>,
-    pub column: Ident,
+pub struct ColumnName<'a> {
+    pub qualifier: Option<Ident<'a>>,
+    pub column: Ident<'a>,
 }
 
-impl ColumnName {
+impl ColumnName<'_> {
     /// The span covering the whole reference (qualifier included).
     pub fn span(&self) -> Span {
         match &self.qualifier {
@@ -33,21 +34,21 @@ impl ColumnName {
 
 /// The SELECT list: `*` or an explicit column list.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Projection {
+pub enum Projection<'a> {
     Star,
-    Columns(Vec<ColumnName>),
+    Columns(Vec<ColumnName<'a>>),
 }
 
 /// A `FROM`/`JOIN` item: a table name with an optional alias.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableRef {
-    pub table: Ident,
-    pub alias: Option<Ident>,
+pub struct TableRef<'a> {
+    pub table: Ident<'a>,
+    pub alias: Option<Ident<'a>>,
 }
 
-impl TableRef {
+impl<'a> TableRef<'a> {
     /// The name this item is addressable by in the rest of the query.
-    pub(crate) fn exposed_name(&self) -> &Ident {
+    pub(crate) fn exposed_name(&self) -> &Ident<'a> {
         self.alias.as_ref().unwrap_or(&self.table)
     }
 }
@@ -63,12 +64,12 @@ pub enum JoinKind {
 
 /// One `col = col` equality inside an `ON` clause.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinOn {
-    pub left: ColumnName,
-    pub right: ColumnName,
+pub struct JoinOn<'a> {
+    pub left: ColumnName<'a>,
+    pub right: ColumnName<'a>,
 }
 
-impl JoinOn {
+impl JoinOn<'_> {
     /// The span covering the whole condition.
     pub fn span(&self) -> Span {
         self.left.span().to(self.right.span())
@@ -77,43 +78,43 @@ impl JoinOn {
 
 /// One `JOIN` clause: the joined table and its `ON` conditions.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinClause {
+pub struct JoinClause<'a> {
     pub kind: JoinKind,
-    pub table: TableRef,
-    pub conditions: Vec<JoinOn>,
+    pub table: TableRef<'a>,
+    pub conditions: Vec<JoinOn<'a>>,
 }
 
 /// The right-hand side of a `WHERE` comparison.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ScalarValue {
+pub enum ScalarValue<'a> {
     /// A typed literal.
     Literal(Value),
     /// A `$name` parameter placeholder.
-    Param(String),
+    Param(&'a str),
 }
 
 /// A spanned scalar.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Scalar {
-    pub value: ScalarValue,
+pub struct Scalar<'a> {
+    pub value: ScalarValue<'a>,
     pub span: Span,
 }
 
 /// One `WHERE` conjunct: `column <op> literal-or-param`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct WherePredicate {
-    pub column: ColumnName,
+pub struct WherePredicate<'a> {
+    pub column: ColumnName<'a>,
     pub op: CompareOp,
-    pub value: Scalar,
+    pub value: Scalar<'a>,
 }
 
 /// A parsed `SELECT` statement.
 #[derive(Debug, Clone, PartialEq)]
-pub struct SelectStatement {
-    pub projection: Projection,
-    pub from: TableRef,
-    pub joins: Vec<JoinClause>,
-    pub selection: Vec<WherePredicate>,
+pub struct SelectStatement<'a> {
+    pub projection: Projection<'a>,
+    pub from: TableRef<'a>,
+    pub joins: Vec<JoinClause<'a>>,
+    pub selection: Vec<WherePredicate<'a>>,
 }
 
 #[cfg(test)]
@@ -124,11 +125,11 @@ mod tests {
     fn spans_cover_qualified_names() {
         let col = ColumnName {
             qualifier: Some(Ident {
-                text: "a".into(),
+                text: "a",
                 span: Span::new(0, 1),
             }),
             column: Ident {
-                text: "x".into(),
+                text: "x",
                 span: Span::new(2, 3),
             },
         };
@@ -136,7 +137,7 @@ mod tests {
         let bare = ColumnName {
             qualifier: None,
             column: Ident {
-                text: "x".into(),
+                text: "x",
                 span: Span::new(2, 3),
             },
         };
@@ -146,11 +147,11 @@ mod tests {
     #[test]
     fn exposed_name_prefers_the_alias() {
         let t = Ident {
-            text: "sales".into(),
+            text: "sales",
             span: Span::new(0, 5),
         };
         let a = Ident {
-            text: "s".into(),
+            text: "s",
             span: Span::new(9, 10),
         };
         let no_alias = TableRef {

@@ -24,7 +24,8 @@ use crate::ast::{ColumnName, Projection, ScalarValue, SelectStatement, TableRef}
 use crate::error::{SqlError, SqlErrorKind};
 use crate::parser::parse;
 use bqo_plan::{ColumnPredicate, QuerySpec};
-use bqo_storage::{Catalog, DataType, Value};
+use bqo_storage::{Catalog, DataType, Field, TableMeta, Value};
+use std::sync::Arc;
 
 /// Parses and binds `sql`, returning the lowered [`QuerySpec`]. The spec is
 /// named with [`query_label`]`(sql)`.
@@ -54,16 +55,23 @@ pub fn query_label(sql: &str) -> String {
 }
 
 /// One in-scope table: its exposed name (alias or table name) and the
-/// catalog table it stands for.
-struct ScopeEntry {
-    exposed: String,
-    table: String,
+/// catalog entry it stands for.
+struct ScopeEntry<'a> {
+    exposed: &'a str,
+    meta: &'a TableMeta,
+}
+
+/// A resolved column reference: the catalog's table entry and schema field,
+/// whose `Arc<str>` names the lowered spec shares.
+struct Resolved<'a> {
+    table: &'a TableMeta,
+    field: &'a Field,
 }
 
 struct Binder<'a> {
     sql: &'a str,
     catalog: &'a Catalog,
-    scope: Vec<ScopeEntry>,
+    scope: Vec<ScopeEntry<'a>>,
 }
 
 impl<'a> Binder<'a> {
@@ -72,52 +80,45 @@ impl<'a> Binder<'a> {
     }
 
     /// Checks the table exists and its exposed name is fresh, then adds it
-    /// to the scope.
-    fn add_table(&mut self, tref: &TableRef) -> Result<(), SqlError> {
-        let table = &tref.table.text;
-        if self.catalog.table_meta(table).is_err() {
+    /// to the scope and returns its catalog entry.
+    fn add_table(&mut self, tref: &TableRef<'a>) -> Result<&'a TableMeta, SqlError> {
+        let table = tref.table.text;
+        let Ok(meta) = self.catalog.table_meta(table) else {
             return Err(self.error(
                 SqlErrorKind::UnknownTable {
-                    name: table.clone(),
+                    name: table.to_string(),
                 },
                 tref.table.span,
             ));
-        }
+        };
         let exposed = tref.exposed_name();
         if self.scope.iter().any(|e| e.exposed == exposed.text) {
             return Err(self.error(
                 SqlErrorKind::DuplicateAlias {
-                    name: exposed.text.clone(),
+                    name: exposed.text.to_string(),
                 },
                 exposed.span,
             ));
         }
-        if self.scope.iter().any(|e| e.table == *table) {
+        if self.scope.iter().any(|e| *e.meta.name == *table) {
             return Err(self.error(
                 SqlErrorKind::DuplicateTable {
-                    name: table.clone(),
+                    name: table.to_string(),
                 },
                 tref.table.span,
             ));
         }
         self.scope.push(ScopeEntry {
-            exposed: exposed.text.clone(),
-            table: table.clone(),
+            exposed: exposed.text,
+            meta,
         });
-        Ok(())
+        Ok(meta)
     }
 
-    fn has_column(&self, table: &str, column: &str) -> bool {
-        self.catalog
-            .table_meta(table)
-            .map(|meta| meta.schema().contains(column))
-            .unwrap_or(false)
-    }
-
-    /// Resolves a (possibly qualified) column reference to
-    /// `(table_name, column_name)`.
-    fn resolve_column(&self, name: &ColumnName) -> Result<(String, String), SqlError> {
-        let column = &name.column.text;
+    /// Resolves a (possibly qualified) column reference to the catalog's
+    /// table entry and field.
+    fn resolve_column(&self, name: &ColumnName<'_>) -> Result<Resolved<'a>, SqlError> {
+        let column = name.column.text;
         if let Some(qualifier) = &name.qualifier {
             let entry = self
                 .scope
@@ -126,54 +127,53 @@ impl<'a> Binder<'a> {
                 .ok_or_else(|| {
                     self.error(
                         SqlErrorKind::UnknownTable {
-                            name: qualifier.text.clone(),
+                            name: qualifier.text.to_string(),
                         },
                         qualifier.span,
                     )
                 })?;
-            if !self.has_column(&entry.table, column) {
+            let Some(field) = entry.meta.schema().field(column) else {
                 return Err(self.error(
                     SqlErrorKind::UnknownColumn {
-                        name: column.clone(),
-                        table: Some(entry.table.clone()),
+                        name: column.to_string(),
+                        table: Some(entry.meta.name.to_string()),
                     },
                     name.column.span,
                 ));
-            }
-            return Ok((entry.table.clone(), column.clone()));
+            };
+            return Ok(Resolved {
+                table: entry.meta,
+                field,
+            });
         }
-        let candidates: Vec<&ScopeEntry> = self
-            .scope
-            .iter()
-            .filter(|e| self.has_column(&e.table, column))
-            .collect();
-        match candidates.as_slice() {
-            [] => Err(self.error(
+        let mut candidates = self.scope.iter().filter_map(|e| {
+            let field = e.meta.schema().field(column)?;
+            Some(Resolved {
+                table: e.meta,
+                field,
+            })
+        });
+        match (candidates.next(), candidates.next()) {
+            (None, _) => Err(self.error(
                 SqlErrorKind::UnknownColumn {
-                    name: column.clone(),
+                    name: column.to_string(),
                     table: None,
                 },
                 name.column.span,
             )),
-            [entry] => Ok((entry.table.clone(), column.clone())),
-            many => Err(self.error(
+            (Some(only), None) => Ok(only),
+            (Some(first), Some(second)) => Err(self.error(
                 SqlErrorKind::AmbiguousColumn {
-                    name: column.clone(),
-                    candidates: many.iter().map(|e| e.table.clone()).collect(),
+                    name: column.to_string(),
+                    candidates: [first, second]
+                        .into_iter()
+                        .chain(candidates)
+                        .map(|c| c.table.name.to_string())
+                        .collect(),
                 },
                 name.column.span,
             )),
         }
-    }
-
-    fn column_type(&self, table: &str, column: &str) -> DataType {
-        self.catalog
-            .table_meta(table)
-            .expect("resolved table exists")
-            .schema()
-            .field(column)
-            .expect("resolved column exists")
-            .data_type
     }
 }
 
@@ -195,38 +195,52 @@ fn types_compatible(column: DataType, literal: DataType) -> bool {
 }
 
 /// Binds a parsed statement against `catalog`. Exposed for callers that
-/// already hold an AST; most should use [`lower`].
-pub fn bind(sql: &str, stmt: &SelectStatement, catalog: &Catalog) -> Result<QuerySpec, SqlError> {
+/// already hold an AST; most should use [`lower`]. Every table and column
+/// name in the returned spec is the catalog's own `Arc<str>`.
+pub fn bind(
+    sql: &str,
+    stmt: &SelectStatement<'_>,
+    catalog: &Catalog,
+) -> Result<QuerySpec, SqlError> {
     let mut binder = Binder {
         sql,
         catalog,
-        scope: Vec::new(),
+        scope: Vec::with_capacity(1 + stmt.joins.len()),
     };
 
     let mut spec = QuerySpec::new(query_label(sql));
+    spec.tables.reserve_exact(1 + stmt.joins.len());
+    spec.joins
+        .reserve_exact(stmt.joins.iter().map(|j| j.conditions.len()).sum());
 
-    binder.add_table(&stmt.from)?;
-    spec = spec.table(stmt.from.table.text.clone());
+    let from = binder.add_table(&stmt.from)?;
+    spec = spec.table(Arc::clone(&from.name));
 
     for join in &stmt.joins {
         // The joined table enters the scope before its ON conditions are
         // bound, so conditions may reference it and every earlier table —
         // but not tables joined later.
-        binder.add_table(&join.table)?;
-        spec = spec.table(join.table.table.text.clone());
+        let joined = binder.add_table(&join.table)?;
+        spec = spec.table(Arc::clone(&joined.name));
         for condition in &join.conditions {
-            let (left_table, left_column) = binder.resolve_column(&condition.left)?;
-            let (right_table, right_column) = binder.resolve_column(&condition.right)?;
-            if left_table == right_table {
+            let left = binder.resolve_column(&condition.left)?;
+            let right = binder.resolve_column(&condition.right)?;
+            if left.table.name == right.table.name {
                 return Err(binder.error(
                     SqlErrorKind::InvalidJoin(format!(
-                        "join condition relates table `{left_table}` to itself; \
-                         the two sides must come from different tables"
+                        "join condition relates table `{}` to itself; \
+                         the two sides must come from different tables",
+                        left.table.name
                     )),
                     condition.span(),
                 ));
             }
-            spec = spec.join(left_table, left_column, right_table, right_column);
+            spec = spec.join(
+                Arc::clone(&left.table.name),
+                Arc::clone(&left.field.name),
+                Arc::clone(&right.table.name),
+                Arc::clone(&right.field.name),
+            );
         }
     }
 
@@ -237,28 +251,28 @@ pub fn bind(sql: &str, stmt: &SelectStatement, catalog: &Catalog) -> Result<Quer
     }
 
     for predicate in &stmt.selection {
-        let (table, column) = binder.resolve_column(&predicate.column)?;
+        let Resolved { table, field } = binder.resolve_column(&predicate.column)?;
+        let column = Arc::clone(&field.name);
         match &predicate.value.value {
             ScalarValue::Literal(value) => {
-                let column_type = binder.column_type(&table, &column);
                 let literal_type = value_type(value);
-                if !types_compatible(column_type, literal_type) {
+                if !types_compatible(field.data_type, literal_type) {
                     return Err(binder.error(
                         SqlErrorKind::TypeMismatch {
-                            column: column.clone(),
-                            expected: column_type,
+                            column: column.to_string(),
+                            expected: field.data_type,
                             found: literal_type,
                         },
                         predicate.value.span,
                     ));
                 }
                 spec = spec.predicate(
-                    table,
+                    Arc::clone(&table.name),
                     ColumnPredicate::new(column, predicate.op, value.clone()),
                 );
             }
             ScalarValue::Param(name) => {
-                spec = spec.param_predicate(table, column, predicate.op, name.clone());
+                spec = spec.param_predicate(Arc::clone(&table.name), column, predicate.op, *name);
             }
         }
     }
@@ -303,10 +317,10 @@ mod tests {
             &catalog,
         )
         .unwrap();
-        assert_eq!(spec.tables, vec!["sales", "item"]);
+        assert_eq!(spec.tables, vec!["sales".into(), "item".into()]);
         assert_eq!(spec.joins.len(), 1);
-        assert_eq!(spec.joins[0].left_table, "sales");
-        assert_eq!(spec.joins[0].right_table, "item");
+        assert_eq!(&*spec.joins[0].left_table, "sales");
+        assert_eq!(&*spec.joins[0].right_table, "item");
         let item_preds = &spec.predicates["item"];
         assert_eq!(item_preds.len(), 1);
         assert_eq!(item_preds[0].op, CompareOp::Lt);

@@ -3,14 +3,16 @@
 //! Produces a flat, spanned token stream. Keywords are *not* distinguished
 //! here — they are ordinary identifiers matched case-insensitively by the
 //! parser — so column names that happen to collide with keywords still lex.
+//! Identifiers and parameter names borrow from the SQL text; the binder
+//! resolves them to the catalog's names, so lexing copies no name.
 
 use crate::error::{Span, SqlError, SqlErrorKind};
 
 /// One lexical token.
 #[derive(Debug, Clone, PartialEq)]
-pub enum TokenKind {
+pub enum TokenKind<'a> {
     /// Identifier or keyword (`[A-Za-z_][A-Za-z0-9_]*`).
-    Ident(String),
+    Ident(&'a str),
     /// Integer literal (optionally signed).
     Int(i64),
     /// Float literal (optionally signed; `2.5`, `1e-3`, `4.0e2`).
@@ -18,7 +20,7 @@ pub enum TokenKind {
     /// Single-quoted string literal, `''` unescaped to `'`.
     Str(String),
     /// `$name` parameter placeholder.
-    Param(String),
+    Param(&'a str),
     /// `*`
     Star,
     /// `,`
@@ -43,13 +45,13 @@ pub enum TokenKind {
 
 /// A token plus the byte range it was lexed from.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Token {
-    pub kind: TokenKind,
+pub struct Token<'a> {
+    pub kind: TokenKind<'a>,
     pub span: Span,
 }
 
 /// Lexes `sql` into a token vector ending with a single [`TokenKind::Eof`].
-pub fn lex(sql: &str) -> Result<Vec<Token>, SqlError> {
+pub fn lex(sql: &str) -> Result<Vec<Token<'_>>, SqlError> {
     let bytes = sql.as_bytes();
     let mut tokens = Vec::new();
     let mut i = 0;
@@ -124,7 +126,7 @@ pub fn lex(sql: &str) -> Result<Vec<Token>, SqlError> {
                     ));
                 }
                 tokens.push(Token {
-                    kind: TokenKind::Param(sql[start..end].to_string()),
+                    kind: TokenKind::Param(&sql[start..end]),
                     span: Span::new(i, end),
                 });
                 i = end;
@@ -152,7 +154,7 @@ pub fn lex(sql: &str) -> Result<Vec<Token>, SqlError> {
             b'A'..=b'Z' | b'a'..=b'z' | b'_' => {
                 let end = ident_end(bytes, i);
                 tokens.push(Token {
-                    kind: TokenKind::Ident(sql[i..end].to_string()),
+                    kind: TokenKind::Ident(&sql[i..end]),
                     span: Span::new(i, end),
                 });
                 i = end;
@@ -174,7 +176,7 @@ pub fn lex(sql: &str) -> Result<Vec<Token>, SqlError> {
     Ok(tokens)
 }
 
-fn symbol(kind: TokenKind, at: usize, len: usize) -> Token {
+fn symbol(kind: TokenKind<'static>, at: usize, len: usize) -> Token<'static> {
     Token {
         kind,
         span: Span::new(at, at + len),
@@ -190,7 +192,7 @@ fn ident_end(bytes: &[u8], mut i: usize) -> usize {
 
 /// Lexes a single-quoted string starting at the opening quote; `''` inside
 /// the literal unescapes to one `'`.
-fn lex_string(sql: &str, start: usize) -> Result<(Token, usize), SqlError> {
+fn lex_string(sql: &str, start: usize) -> Result<(Token<'static>, usize), SqlError> {
     let bytes = sql.as_bytes();
     let mut out = String::new();
     let mut i = start + 1;
@@ -224,7 +226,7 @@ fn lex_string(sql: &str, start: usize) -> Result<(Token, usize), SqlError> {
 /// Lexes a numeric literal (optional leading `-`): integer unless it has a
 /// fractional part or an exponent. A signed integer that overflows `i64` is
 /// a spanned error, not a silent float.
-fn lex_number(sql: &str, start: usize) -> Result<(Token, usize), SqlError> {
+fn lex_number(sql: &str, start: usize) -> Result<(Token<'static>, usize), SqlError> {
     let bytes = sql.as_bytes();
     let mut i = start;
     if bytes[i] == b'-' {
@@ -282,7 +284,7 @@ fn lex_number(sql: &str, start: usize) -> Result<(Token, usize), SqlError> {
 mod tests {
     use super::*;
 
-    fn kinds(sql: &str) -> Vec<TokenKind> {
+    fn kinds(sql: &str) -> Vec<TokenKind<'_>> {
         lex(sql).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -292,20 +294,20 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("SELECT".into()),
+                TokenKind::Ident("SELECT"),
                 TokenKind::Star,
-                TokenKind::Ident("FROM".into()),
-                TokenKind::Ident("t".into()),
-                TokenKind::Ident("AS".into()),
-                TokenKind::Ident("a".into()),
-                TokenKind::Ident("WHERE".into()),
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("FROM"),
+                TokenKind::Ident("t"),
+                TokenKind::Ident("AS"),
+                TokenKind::Ident("a"),
+                TokenKind::Ident("WHERE"),
+                TokenKind::Ident("a"),
                 TokenKind::Dot,
-                TokenKind::Ident("x".into()),
+                TokenKind::Ident("x"),
                 TokenKind::Ge,
                 TokenKind::Int(-2),
-                TokenKind::Ident("AND".into()),
-                TokenKind::Ident("y".into()),
+                TokenKind::Ident("AND"),
+                TokenKind::Ident("y"),
                 TokenKind::NotEq,
                 TokenKind::Str("it's".into()),
                 TokenKind::Eof,
@@ -324,7 +326,7 @@ mod tests {
                 TokenKind::Float(-0.5),
                 TokenKind::Float(1e-3),
                 TokenKind::Float(4.0e2),
-                TokenKind::Param("cap".into()),
+                TokenKind::Param("cap"),
                 TokenKind::Eof,
             ]
         );

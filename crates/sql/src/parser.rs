@@ -29,8 +29,9 @@ const KEYWORDS: &[&str] = &[
     "SELECT", "FROM", "JOIN", "INNER", "CROSS", "ON", "WHERE", "AND", "AS", "TRUE", "FALSE",
 ];
 
-/// Parses one `SELECT` statement, consuming the entire input.
-pub fn parse(sql: &str) -> Result<SelectStatement, SqlError> {
+/// Parses one `SELECT` statement, consuming the entire input. Names in the
+/// returned tree borrow from `sql`.
+pub fn parse(sql: &str) -> Result<SelectStatement<'_>, SqlError> {
     let tokens = lex(sql)?;
     let mut parser = Parser {
         sql,
@@ -42,21 +43,22 @@ pub fn parse(sql: &str) -> Result<SelectStatement, SqlError> {
 
 struct Parser<'a> {
     sql: &'a str,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
-    fn peek(&self) -> &Token {
+    fn peek(&self) -> &Token<'a> {
         &self.tokens[self.pos]
     }
 
-    fn advance(&mut self) -> Token {
-        let token = self.tokens[self.pos].clone();
+    /// Moves past the current token (never past `Eof`) and returns its span.
+    fn advance(&mut self) -> Span {
+        let span = self.tokens[self.pos].span;
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        token
+        span
     }
 
     fn error(&self, message: impl Into<String>, span: Span) -> SqlError {
@@ -82,7 +84,7 @@ impl<'a> Parser<'a> {
         if self.eat_keyword(kw) {
             Ok(())
         } else {
-            let token = self.peek().clone();
+            let token = self.peek();
             Err(self.error(
                 format!("expected `{kw}`, found {}", describe(&token.kind)),
                 token.span,
@@ -90,20 +92,21 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<Ident, SqlError> {
-        match self.peek().kind.clone() {
+    fn expect_ident(&mut self, what: &str) -> Result<Ident<'a>, SqlError> {
+        let token = self.peek();
+        match token.kind {
             TokenKind::Ident(text) => {
-                let span = self.advance().span;
+                let span = self.advance();
                 Ok(Ident { text, span })
             }
-            other => {
-                let span = self.peek().span;
-                Err(self.error(format!("expected {what}, found {}", describe(&other)), span))
-            }
+            ref other => Err(self.error(
+                format!("expected {what}, found {}", describe(other)),
+                token.span,
+            )),
         }
     }
 
-    fn select_statement(&mut self) -> Result<SelectStatement, SqlError> {
+    fn select_statement(&mut self) -> Result<SelectStatement<'a>, SqlError> {
         self.expect_keyword("SELECT")?;
         let projection = self.projection()?;
         self.expect_keyword("FROM")?;
@@ -171,7 +174,7 @@ impl<'a> Parser<'a> {
         self.at_keyword("AND")
     }
 
-    fn projection(&mut self) -> Result<Projection, SqlError> {
+    fn projection(&mut self) -> Result<Projection<'a>, SqlError> {
         if matches!(self.peek().kind, TokenKind::Star) {
             self.advance();
             return Ok(Projection::Star);
@@ -184,11 +187,11 @@ impl<'a> Parser<'a> {
         Ok(Projection::Columns(columns))
     }
 
-    fn table_ref(&mut self) -> Result<TableRef, SqlError> {
+    fn table_ref(&mut self) -> Result<TableRef<'a>, SqlError> {
         let table = self.expect_ident("a table name")?;
         let alias = if self.eat_keyword("AS") {
             Some(self.expect_ident("an alias")?)
-        } else if let TokenKind::Ident(text) = &self.peek().kind {
+        } else if let TokenKind::Ident(text) = self.peek().kind {
             // Bare alias: an identifier that is not a keyword.
             if KEYWORDS.iter().any(|kw| text.eq_ignore_ascii_case(kw)) {
                 None
@@ -201,7 +204,7 @@ impl<'a> Parser<'a> {
         Ok(TableRef { table, alias })
     }
 
-    fn column_name(&mut self) -> Result<ColumnName, SqlError> {
+    fn column_name(&mut self) -> Result<ColumnName<'a>, SqlError> {
         let first = self.expect_ident("a column name")?;
         if matches!(self.peek().kind, TokenKind::Dot) {
             self.advance();
@@ -218,7 +221,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn join_condition(&mut self) -> Result<JoinOn, SqlError> {
+    fn join_condition(&mut self) -> Result<JoinOn<'a>, SqlError> {
         let left = self.column_name()?;
         match self.peek().kind {
             TokenKind::Eq => {
@@ -236,7 +239,7 @@ impl<'a> Parser<'a> {
         Ok(JoinOn { left, right })
     }
 
-    fn where_predicate(&mut self) -> Result<WherePredicate, SqlError> {
+    fn where_predicate(&mut self) -> Result<WherePredicate<'a>, SqlError> {
         let column = self.column_name()?;
         let op = self.compare_op()?;
         let value = self.scalar()?;
@@ -266,17 +269,17 @@ impl<'a> Parser<'a> {
         Ok(op)
     }
 
-    fn scalar(&mut self) -> Result<Scalar, SqlError> {
-        let token = self.peek().clone();
+    fn scalar(&mut self) -> Result<Scalar<'a>, SqlError> {
+        let token = self.peek();
         let value = match token.kind {
             TokenKind::Int(v) => ScalarValue::Literal(Value::Int64(v)),
             TokenKind::Float(v) => ScalarValue::Literal(Value::Float64(v)),
             TokenKind::Str(ref s) => ScalarValue::Literal(Value::Utf8(s.clone())),
-            TokenKind::Param(ref name) => ScalarValue::Param(name.clone()),
-            TokenKind::Ident(ref text) if text.eq_ignore_ascii_case("TRUE") => {
+            TokenKind::Param(name) => ScalarValue::Param(name),
+            TokenKind::Ident(text) if text.eq_ignore_ascii_case("TRUE") => {
                 ScalarValue::Literal(Value::Bool(true))
             }
-            TokenKind::Ident(ref text) if text.eq_ignore_ascii_case("FALSE") => {
+            TokenKind::Ident(text) if text.eq_ignore_ascii_case("FALSE") => {
                 ScalarValue::Literal(Value::Bool(false))
             }
             ref other => {
@@ -289,11 +292,8 @@ impl<'a> Parser<'a> {
                 ));
             }
         };
-        self.advance();
-        Ok(Scalar {
-            value,
-            span: token.span,
-        })
+        let span = self.advance();
+        Ok(Scalar { value, span })
     }
 }
 
@@ -346,10 +346,7 @@ mod tests {
             stmt.selection[0].value.value,
             ScalarValue::Literal(Value::Float64(2.5))
         );
-        assert_eq!(
-            stmt.selection[1].value.value,
-            ScalarValue::Param("q".into())
-        );
+        assert_eq!(stmt.selection[1].value.value, ScalarValue::Param("q"));
         assert_eq!(
             stmt.selection[2].value.value,
             ScalarValue::Literal(Value::Utf8("x'y".into()))

@@ -15,19 +15,19 @@ use std::sync::Arc;
 /// key in `R2`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ForeignKey {
-    pub fk_table: String,
-    pub fk_column: String,
-    pub pk_table: String,
-    pub pk_column: String,
+    pub fk_table: Arc<str>,
+    pub fk_column: Arc<str>,
+    pub pk_table: Arc<str>,
+    pub pk_column: Arc<str>,
 }
 
 impl ForeignKey {
     /// Creates a foreign key declaration.
     pub fn new(
-        fk_table: impl Into<String>,
-        fk_column: impl Into<String>,
-        pk_table: impl Into<String>,
-        pk_column: impl Into<String>,
+        fk_table: impl Into<Arc<str>>,
+        fk_column: impl Into<Arc<str>>,
+        pk_table: impl Into<Arc<str>>,
+        pk_column: impl Into<Arc<str>>,
     ) -> Self {
         ForeignKey {
             fk_table: fk_table.into(),
@@ -53,11 +53,15 @@ pub enum TableBacking {
 /// metadata.
 #[derive(Debug, Clone)]
 pub struct TableMeta {
+    /// The table's name, allocated once at registration: query specs bound
+    /// against the catalog and the plans built from them share this `Arc`.
+    pub name: Arc<str>,
     /// Where the rows live.
     pub backing: TableBacking,
     pub stats: Arc<TableStats>,
-    /// Name of the primary-key column, if declared.
-    pub primary_key: Option<String>,
+    /// Name of the primary-key column (the schema field's own `Arc`), if
+    /// declared.
+    pub primary_key: Option<Arc<str>>,
 }
 
 impl TableMeta {
@@ -114,7 +118,7 @@ impl TableMeta {
 /// catalog; the executor reads the table data through it.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    tables: HashMap<String, TableMeta>,
+    tables: HashMap<Arc<str>, TableMeta>,
     foreign_keys: Vec<ForeignKey>,
 }
 
@@ -127,15 +131,8 @@ impl Catalog {
     /// Registers a table, computing its statistics.
     pub fn register_table(&mut self, table: Table) {
         let stats = Arc::new(table.compute_stats());
-        let name = table.name().to_string();
-        self.tables.insert(
-            name,
-            TableMeta {
-                backing: TableBacking::Memory(Arc::new(table)),
-                stats,
-                primary_key: None,
-            },
-        );
+        let name = Arc::clone(&table.name);
+        self.insert(name, TableBacking::Memory(Arc::new(table)), stats);
     }
 
     /// Registers a chunked (file-backed) table source alongside the
@@ -145,15 +142,18 @@ impl Catalog {
     /// source instead of through an `Arc<Table>`.
     pub fn register_source(&mut self, source: Arc<dyn ChunkSource>) {
         let stats = Arc::new(source.table_stats());
-        let name = source.name().to_string();
-        self.tables.insert(
-            name,
-            TableMeta {
-                backing: TableBacking::Source(source),
-                stats,
-                primary_key: None,
-            },
-        );
+        let name: Arc<str> = Arc::from(source.name());
+        self.insert(name, TableBacking::Source(source), stats);
+    }
+
+    fn insert(&mut self, name: Arc<str>, backing: TableBacking, stats: Arc<TableStats>) {
+        let meta = TableMeta {
+            name: Arc::clone(&name),
+            backing,
+            stats,
+            primary_key: None,
+        };
+        self.tables.insert(name, meta);
     }
 
     /// A content tag over the catalog's schema: an FNV-1a hash of the sorted
@@ -176,7 +176,7 @@ impl Catalog {
             hash ^= 0xff;
             hash = hash.wrapping_mul(FNV_PRIME);
         };
-        let mut names: Vec<&String> = self.tables.keys().collect();
+        let mut names: Vec<&Arc<str>> = self.tables.keys().collect();
         names.sort_unstable();
         for name in names {
             let meta = &self.tables[name];
@@ -214,12 +214,13 @@ impl Catalog {
             .ok_or_else(|| StorageError::TableNotFound {
                 table: table.to_string(),
             })?;
-        if !meta.schema().contains(column) {
+        let Some(field) = meta.schema().field(column) else {
             return Err(StorageError::ColumnNotFound {
                 table: table.to_string(),
                 column: column.to_string(),
             });
-        }
+        };
+        let name = Arc::clone(&field.name);
         if let Some(stats) = meta.stats.column(column) {
             if stats.distinct_count != stats.row_count {
                 return Err(StorageError::InvalidArgument(format!(
@@ -228,7 +229,7 @@ impl Catalog {
                 )));
             }
         }
-        meta.primary_key = Some(column.to_string());
+        meta.primary_key = Some(name);
         Ok(())
     }
 
@@ -238,11 +239,13 @@ impl Catalog {
             let meta = self
                 .tables
                 .get(t)
-                .ok_or_else(|| StorageError::TableNotFound { table: t.clone() })?;
+                .ok_or_else(|| StorageError::TableNotFound {
+                    table: t.to_string(),
+                })?;
             if !meta.schema().contains(c) {
                 return Err(StorageError::ColumnNotFound {
-                    table: t.clone(),
-                    column: c.clone(),
+                    table: t.to_string(),
+                    column: c.to_string(),
                 });
             }
         }
@@ -306,7 +309,7 @@ impl Catalog {
 
     /// Names of all registered tables (unordered).
     pub fn table_names(&self) -> Vec<&str> {
-        self.tables.keys().map(|s| s.as_str()).collect()
+        self.tables.keys().map(|s| &**s).collect()
     }
 
     /// Number of registered tables.

@@ -17,6 +17,13 @@
 //!   bitvector code paths simple and fast.
 //! * There are no nulls. Synthetic generators always produce values, and the
 //!   paper's analysis does not depend on null semantics.
+//! * One name, one allocation. A table name and each column name is an
+//!   `Arc<str>` allocated once: by the [`Table`] (or, for a
+//!   [`ChunkSource`], by the catalog at registration) and by its
+//!   [`Schema`]'s [`Field`]s. The catalog entry, the primary key, the
+//!   statistics and everything downstream — query specs bound from SQL,
+//!   join graphs, plans, operator schemas, batches — clone that `Arc`,
+//!   never the text.
 
 #![forbid(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]

@@ -2,17 +2,20 @@
 
 use crate::value::DataType;
 use std::fmt;
+use std::sync::Arc;
 
 /// A named, typed column description.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Field {
-    pub name: String,
+    /// The column's name, allocated once with the schema: plans, operator
+    /// schemas and batches share this `Arc` instead of copying the text.
+    pub name: Arc<str>,
     pub data_type: DataType,
 }
 
 impl Field {
     /// Creates a new field.
-    pub fn new(name: impl Into<String>, data_type: DataType) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, data_type: DataType) -> Self {
         Field {
             name: name.into(),
             data_type,
@@ -49,12 +52,12 @@ impl Schema {
 
     /// Index of the column with the given name, if present.
     pub fn index_of(&self, name: &str) -> Option<usize> {
-        self.fields.iter().position(|f| f.name == name)
+        self.fields.iter().position(|f| *f.name == *name)
     }
 
     /// The field with the given name, if present.
     pub fn field(&self, name: &str) -> Option<&Field> {
-        self.fields.iter().find(|f| f.name == name)
+        self.fields.iter().find(|f| *f.name == *name)
     }
 
     /// The field at the given index.
@@ -72,7 +75,7 @@ impl Schema {
 
     /// Column names in declaration order.
     pub fn names(&self) -> Vec<&str> {
-        self.fields.iter().map(|f| f.name.as_str()).collect()
+        self.fields.iter().map(|f| &*f.name).collect()
     }
 }
 
@@ -124,7 +127,7 @@ mod tests {
         let s = sample();
         assert_eq!(s.field("name").unwrap().data_type, DataType::Utf8);
         assert!(s.field("missing").is_none());
-        assert_eq!(s.field_at(0).name, "id");
+        assert_eq!(&*s.field_at(0).name, "id");
     }
 
     #[test]

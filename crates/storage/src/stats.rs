@@ -17,6 +17,7 @@
 use crate::column::Column;
 use crate::table::Table;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Number of buckets used by the equi-width histograms.
 pub(crate) const HISTOGRAM_BUCKETS: usize = 64;
@@ -161,7 +162,7 @@ pub struct TableStats {
     /// Number of rows in the table.
     pub row_count: usize,
     /// Per-column statistics, keyed by column name.
-    pub columns: HashMap<String, ColumnStats>,
+    pub columns: HashMap<Arc<str>, ColumnStats>,
 }
 
 impl TableStats {

@@ -16,7 +16,8 @@ use std::sync::Arc;
 /// cloning a `Table` never duplicates column data.
 #[derive(Debug, Clone)]
 pub struct Table {
-    name: String,
+    /// Shared with the catalog entry the table is registered under.
+    pub(crate) name: Arc<str>,
     schema: Schema,
     columns: Vec<Arc<Column>>,
     num_rows: usize,
@@ -26,7 +27,7 @@ impl Table {
     /// Creates a table from a schema and matching columns.
     ///
     /// All columns must have identical lengths and types matching the schema.
-    pub fn new(name: impl Into<String>, schema: Schema, columns: Vec<Column>) -> Result<Self> {
+    pub fn new(name: impl Into<Arc<str>>, schema: Schema, columns: Vec<Column>) -> Result<Self> {
         let name = name.into();
         if schema.len() != columns.len() {
             return Err(StorageError::LengthMismatch {
@@ -87,7 +88,7 @@ impl Table {
             .schema
             .index_of(name)
             .ok_or_else(|| StorageError::ColumnNotFound {
-                table: self.name.clone(),
+                table: self.name.to_string(),
                 column: name.to_string(),
             })?;
         Ok(&self.columns[idx])
@@ -164,14 +165,14 @@ impl ChunkSource for Table {
 /// Incremental builder for a [`Table`], used by the data generators.
 #[derive(Debug)]
 pub struct TableBuilder {
-    name: String,
+    name: Arc<str>,
     fields: Vec<Field>,
     columns: Vec<Column>,
 }
 
 impl TableBuilder {
     /// Starts building a table with the given name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         TableBuilder {
             name: name.into(),
             fields: Vec::new(),
@@ -180,28 +181,28 @@ impl TableBuilder {
     }
 
     /// Adds a fully materialized integer column.
-    pub fn with_i64(mut self, name: impl Into<String>, values: Vec<i64>) -> Self {
+    pub fn with_i64(mut self, name: impl Into<Arc<str>>, values: Vec<i64>) -> Self {
         self.fields.push(Field::new(name, DataType::Int64));
         self.columns.push(Column::Int64(values));
         self
     }
 
     /// Adds a fully materialized float column.
-    pub fn with_f64(mut self, name: impl Into<String>, values: Vec<f64>) -> Self {
+    pub fn with_f64(mut self, name: impl Into<Arc<str>>, values: Vec<f64>) -> Self {
         self.fields.push(Field::new(name, DataType::Float64));
         self.columns.push(Column::Float64(values));
         self
     }
 
     /// Adds a fully materialized string column.
-    pub fn with_utf8(mut self, name: impl Into<String>, values: Vec<String>) -> Self {
+    pub fn with_utf8(mut self, name: impl Into<Arc<str>>, values: Vec<String>) -> Self {
         self.fields.push(Field::new(name, DataType::Utf8));
         self.columns.push(Column::Utf8(values));
         self
     }
 
     /// Adds a fully materialized boolean column.
-    pub fn with_bool(mut self, name: impl Into<String>, values: Vec<bool>) -> Self {
+    pub fn with_bool(mut self, name: impl Into<Arc<str>>, values: Vec<bool>) -> Self {
         self.fields.push(Field::new(name, DataType::Bool));
         self.columns.push(Column::Bool(values));
         self

@@ -51,7 +51,7 @@ pub fn build_catalog(scale: Scale, schema: CustomerSchema, seed: u64) -> Catalog
             for level in (1..=schema.chain_length).rev() {
                 let name = chain_table_name(f, c, level);
                 let rows = scale.rows(200 * 6usize.pow((schema.chain_length - level) as u32), 6);
-                let mut builder = TableBuilder::new(&name)
+                let mut builder = TableBuilder::new(name.as_str())
                     .with_i64(format!("{name}_sk"), gen.sequential_keys(rows))
                     .with_i64(
                         format!("{name}_category"),

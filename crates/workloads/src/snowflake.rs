@@ -29,7 +29,7 @@ pub fn build_catalog(scale: Scale, branch_lengths: &[usize], seed: u64) -> Catal
         for j in (1..=len).rev() {
             let name = format!("b{i}_{j}");
             let rows = scale.rows(40 * 8usize.pow((len - j) as u32), 8);
-            let mut builder = TableBuilder::new(&name)
+            let mut builder = TableBuilder::new(name.as_str())
                 .with_i64(format!("{name}_sk"), gen.sequential_keys(rows))
                 .with_i64(
                     format!("{name}_category"),

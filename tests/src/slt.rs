@@ -458,7 +458,7 @@ error unknown table or alias `nope`
         let SltExpect::Query { spec, binds, rows } = &file.cases[0].expect else {
             panic!("expected query case");
         };
-        assert_eq!(spec.tables, vec!["item"]);
+        assert_eq!(spec.tables, vec!["item".into()]);
         assert!(binds.is_empty());
         assert_eq!(rows.len(), 2);
         let SltExpect::Query { spec, binds, .. } = &file.cases[1].expect else {

@@ -216,7 +216,7 @@ fn shared_columns(s: &Scenario, schema: &[ColumnRef]) -> Vec<usize> {
             let is_int = table.column(name).expect("key column").as_i64().is_some();
             let at = schema
                 .iter()
-                .position(|c| *c == ColumnRef::new(relation, name));
+                .position(|c| *c == ColumnRef::new(relation, name.clone()));
             (is_int, at.expect("key column in the output"))
         };
         let ((left_int, a), (right_int, b)) = (column(edge.left), column(edge.right));
