@@ -9,8 +9,6 @@
 //! spreads) are not made here: they belong to `benchmark/` (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_debug_implementations)]
 
 pub mod experiments;
 pub mod report;

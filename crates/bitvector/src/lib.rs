@@ -26,9 +26,6 @@
 //! into one 64-bit hash by the executor before reaching the filter.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_debug_implementations)]
-#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod bitmap;

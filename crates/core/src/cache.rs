@@ -150,6 +150,10 @@ impl PlanCache {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "lock poisoning: an update of the entries, counters or LRU clock panicked elsewhere; serving stale-or-torn plans or stats is worse than aborting"
+    )]
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().expect("plan cache poisoned")
     }
@@ -233,6 +237,10 @@ impl PlanCache {
         // bound holds again. The just-inserted entry carries the newest
         // stamp, so it always survives its own insertion.
         while state.entries.len() > self.capacity {
+            #[expect(
+                clippy::expect_used,
+                reason = "invariant: the eviction loop only runs while `len > capacity`, and a non-empty map has a minimum"
+            )]
             let victim = state
                 .entries
                 .iter()

@@ -633,7 +633,6 @@ mod tests {
 
     // The serving contract: everything a multi-threaded server shares is
     // Send + Sync and free of borrowed lifetimes.
-    #[allow(dead_code)]
     fn assert_send_sync<T: Send + Sync + 'static>() {}
 
     #[test]

@@ -459,6 +459,10 @@ struct TicketShared {
 }
 
 impl TicketShared {
+    #[expect(
+        clippy::expect_used,
+        reason = "lock poisoning: the query thread panicked mid-update; the waiter cannot trust the ticket state"
+    )]
     fn lock(&self) -> MutexGuard<'_, Option<Result<QueryOutput, ServeError>>> {
         self.outcome.lock().expect("ticket poisoned")
     }
@@ -525,6 +529,10 @@ impl Ticket {
         // dispatch, and a running one is aborted by its cancel token.
         let mut expiry = self.deadline;
         let mut outcome = self.shared.lock();
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning: the query thread panicked mid-update; the waiter cannot trust the ticket state"
+        )]
         loop {
             if let Some(outcome) = &*outcome {
                 return outcome.clone();
@@ -649,6 +657,10 @@ impl ServerShared {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "lock poisoning: a dispatcher already panicked; aborting beats scheduling from a half-mutated queue"
+    )]
     fn lock(&self) -> MutexGuard<'_, Scheduler<Job>> {
         self.scheduler.lock().expect("server queue poisoned")
     }
@@ -699,10 +711,18 @@ impl ServerOwner {
     fn shutdown(&self) {
         self.shared.lock().close();
         self.shared.work.notify_all();
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning: a dispatcher already panicked; aborting beats scheduling from a half-mutated queue"
+        )]
         let handles = std::mem::take(&mut *self.handles.lock().expect("server queue poisoned"));
         for handle in handles {
             // Dispatchers contain request panics; the loop itself never
             // panics.
+            #[expect(
+                clippy::expect_used,
+                reason = "deliberate panic propagation: shutdown re-raises a dispatcher's panic on the owner thread instead of swallowing it"
+            )]
             handle.join().expect("server dispatcher panicked");
         }
     }
@@ -741,6 +761,10 @@ impl Server {
     /// threads and begins accepting submissions immediately.
     pub fn new(engine: Engine, config: ServerConfig) -> Self {
         let shared = Arc::new(ServerShared::new(engine, config));
+        #[expect(
+            clippy::expect_used,
+            reason = "startup-only: if the OS cannot spawn dispatcher threads the server cannot exist; fail construction loudly"
+        )]
         let handles = (0..shared.config.max_concurrent_queries)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -845,6 +869,10 @@ impl Server {
 /// shut down and drained.
 fn dispatcher_loop(shared: Arc<ServerShared>) {
     let mut scheduler = shared.lock();
+    #[expect(
+        clippy::expect_used,
+        reason = "lock poisoning: a dispatcher already panicked; aborting beats scheduling from a half-mutated queue"
+    )]
     loop {
         let Dispatch { expired, next } = scheduler.dispatch(Instant::now());
         for job in expired {
@@ -947,7 +975,6 @@ mod tests {
         Instant::now()
     }
 
-    #[allow(dead_code)]
     fn assert_send_sync<T: Send + Sync + 'static>() {}
 
     #[test]

@@ -326,6 +326,10 @@ impl Batch {
             );
             for (i, (dst, src)) in columns.iter_mut().zip(&batch.columns).enumerate() {
                 if let Some(dst) = dst {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "invariant: the schema equality assert above guarantees column-wise type equality"
+                    )]
                     dst.extend_rows(src, batch.rows_of(i))
                         .expect("column type mismatch in concat");
                 }
@@ -441,6 +445,7 @@ impl Batch {
         key_columns
             .iter()
             .map(|c| {
+                #[expect(clippy::panic, reason = "internal contract: key columns come from the bound plan, which resolved them against this schema")]
                 let index = self
                     .index_of(c)
                     .unwrap_or_else(|| panic!("key column {c:?} not found in batch"));

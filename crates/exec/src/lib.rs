@@ -68,9 +68,17 @@
 //! root's row-id batches into the output rows. User-facing code goes through
 //! the `Engine` facade in `bqo-core`, whose `Session::execute` is its caller.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_debug_implementations)]
-#![warn(unreachable_pub)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable
+    )
+)]
 
 mod batch;
 mod cancel;

@@ -164,6 +164,10 @@ where
             local.push((i, kernel(morsel)));
         }
         if !local.is_empty() {
+            #[expect(
+                clippy::expect_used,
+                reason = "lock poisoning: a worker panicked mid-append; partial results must not be returned as complete"
+            )]
             produced
                 .lock()
                 .expect("morsel result sink poisoned")
@@ -177,6 +181,10 @@ where
     // unclaimed only when the cancel token fired.
     let mut slots: Vec<Option<T>> = Vec::with_capacity(morsels.len());
     slots.resize_with(morsels.len(), || None);
+    #[expect(
+        clippy::expect_used,
+        reason = "lock poisoning: a worker panicked mid-append; partial results must not be returned as complete"
+    )]
     for (i, value) in produced.into_inner().expect("morsel result sink poisoned") {
         slots[i] = Some(value);
     }

@@ -83,9 +83,17 @@ impl JobState {
     /// Marks one copy complete, recording the first panic payload.
     fn complete(&self, panic: Option<Box<dyn Any + Send>>) {
         if let Some(payload) = panic {
+            #[expect(
+                clippy::expect_used,
+                reason = "lock poisoning on the slot that records worker panics; the original panic is already propagating"
+            )]
             let mut slot = self.panic.lock().expect("pool job panic slot poisoned");
             slot.get_or_insert(payload);
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning: the completion latch mutex guards two integers; poisoning implies a panic already in flight"
+        )]
         let mut remaining = self.remaining.lock().expect("pool job latch poisoned");
         *remaining -= 1;
         if *remaining == 0 {
@@ -94,6 +102,10 @@ impl JobState {
     }
 
     /// Blocks until every copy has completed.
+    #[expect(
+        clippy::expect_used,
+        reason = "lock poisoning: the completion latch mutex guards two integers; poisoning implies a panic already in flight"
+    )]
     fn wait(&self) {
         let mut remaining = self.remaining.lock().expect("pool job latch poisoned");
         while *remaining > 0 {
@@ -101,6 +113,10 @@ impl JobState {
         }
     }
 
+    #[expect(
+        clippy::expect_used,
+        reason = "lock poisoning on the slot that records worker panics; the original panic is already propagating"
+    )]
     fn take_panic(&self) -> Option<Box<dyn Any + Send>> {
         self.panic
             .lock()
@@ -123,6 +139,10 @@ struct PoolShared {
 
 fn worker_loop(shared: Arc<PoolShared>) {
     loop {
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning: a worker already panicked while holding pool state; continuing would hand out jobs from a broken queue"
+        )]
         let job = {
             let mut state = shared.state.lock().expect("worker pool poisoned");
             loop {
@@ -161,6 +181,10 @@ struct PoolOwner {
 impl PoolOwner {
     fn shutdown(&self) {
         {
+            #[expect(
+                clippy::expect_used,
+                reason = "lock poisoning: a worker already panicked while holding pool state; continuing would hand out jobs from a broken queue"
+            )]
             let mut state = self.shared.state.lock().expect("worker pool poisoned");
             state.shutdown = true;
         }
@@ -169,9 +193,17 @@ impl PoolOwner {
         // above (the mutex already orders the workers themselves).
         self.workers.store(0, Ordering::Release);
         self.shared.work_available.notify_all();
+        #[expect(
+            clippy::expect_used,
+            reason = "lock poisoning: a worker already panicked while holding pool state; continuing would hand out jobs from a broken queue"
+        )]
         let handles = std::mem::take(&mut *self.handles.lock().expect("worker pool poisoned"));
         for handle in handles {
             // Workers only exit their loop; task panics are caught inside it.
+            #[expect(
+                clippy::expect_used,
+                reason = "deliberate panic propagation: pool drop re-raises a worker's panic instead of losing it"
+            )]
             handle.join().expect("pool worker thread panicked");
         }
     }
@@ -210,6 +242,10 @@ impl WorkerPool {
             }),
             work_available: Condvar::new(),
         });
+        #[expect(
+            clippy::expect_used,
+            reason = "startup-only: thread spawn failure at pool construction is unrecoverable resource exhaustion"
+        )]
         let handles = (0..num_workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
@@ -264,6 +300,10 @@ impl WorkerPool {
             let task: *const (dyn Fn() + Sync) = unsafe {
                 std::mem::transmute::<&(dyn Fn() + Sync), &'static (dyn Fn() + Sync)>(task)
             };
+            #[expect(
+                clippy::expect_used,
+                reason = "lock poisoning: a worker already panicked while holding pool state; continuing would hand out jobs from a broken queue"
+            )]
             let mut pool_state = self.shared.state.lock().expect("worker pool poisoned");
             if pool_state.shutdown {
                 None
@@ -307,6 +347,10 @@ impl WorkerPool {
         impl Drop for WaitGuard<'_> {
             fn drop(&mut self) {
                 let withdrawn = {
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "lock poisoning: a worker already panicked while holding pool state; continuing would hand out jobs from a broken queue"
+                    )]
                     let mut pool_state = self.shared.state.lock().expect("worker pool poisoned");
                     let before = pool_state.queue.len();
                     pool_state

@@ -53,14 +53,26 @@ impl<'a> Cursor<'a> {
         Ok(self.take(1)?[0])
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "infallible: `take(N)?` returned exactly N bytes; the conversion to [u8; N] cannot fail"
+    )]
     pub(crate) fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "infallible: `take(N)?` returned exactly N bytes; the conversion to [u8; N] cannot fail"
+    )]
     pub(crate) fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
+    #[expect(
+        clippy::unwrap_used,
+        reason = "infallible: `take(N)?` returned exactly N bytes; the conversion to [u8; N] cannot fail"
+    )]
     pub(crate) fn i64(&mut self) -> Result<i64, String> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }

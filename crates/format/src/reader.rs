@@ -101,7 +101,15 @@ impl FileReader {
         if &trailer[16..24] != MAGIC {
             return Err(truncated("closing magic missing".to_string()));
         }
+        #[expect(
+            clippy::unwrap_used,
+            reason = "infallible: the trailer slice indices are compile-time constants matching the array width"
+        )]
         let footer_len = u64::from_le_bytes(trailer[0..8].try_into().unwrap());
+        #[expect(
+            clippy::unwrap_used,
+            reason = "infallible: the trailer slice indices are compile-time constants matching the array width"
+        )]
         let footer_checksum = u64::from_le_bytes(trailer[8..16].try_into().unwrap());
         // CAST-OK: constant 8-byte magic
         if footer_len + TRAILER_LEN + MAGIC.len() as u64 > file_len {

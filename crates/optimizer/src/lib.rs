@@ -20,9 +20,6 @@
 //! minimum-cost plan.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_debug_implementations)]
-#![warn(unreachable_pub)]
 
 mod candidates;
 mod costed_bv;

@@ -130,7 +130,10 @@ pub struct JoinEdge {
 
 impl JoinEdge {
     /// Creates an edge with explicit statistics.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "an edge is two (relation, column, distinct count, key flag) endpoints"
+    )]
     pub fn new(
         left: RelId,
         right: RelId,

@@ -36,9 +36,6 @@
 //! `impl Into<Arc<str>>`, so `&str` and `String` arguments still work.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_debug_implementations)]
-#![warn(unreachable_pub)]
 #![warn(missing_docs)]
 
 mod builder;

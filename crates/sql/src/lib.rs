@@ -34,9 +34,6 @@
 //! `bqo-core`, which add plan caching and execution.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_debug_implementations)]
-#![warn(unreachable_pub)]
 
 mod ast;
 mod binder;

@@ -88,6 +88,10 @@ impl DataGenerator {
     ///
     /// The `_sk` column is a dense primary key; `_category` is the column the
     /// workload generators place predicates on.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: all columns are built with the same `rows` length, the only failure `build` checks"
+    )]
     pub fn dimension_table(&self, name: &str, rows: usize, categories: usize) -> Table {
         TableBuilder::new(name)
             .with_i64(format!("{name}_sk"), self.sequential_keys(rows))
@@ -106,6 +110,10 @@ impl DataGenerator {
     /// Builds a fact table with one foreign key per `(dim_name, dim_rows, skew)`
     /// entry plus a measure column. The FK column is named `<dim>_sk` so that
     /// equi-join predicates can be written as `fact.<dim>_sk = <dim>.<dim>_sk`.
+    #[expect(
+        clippy::expect_used,
+        reason = "invariant: all columns are built with the same `rows` length, the only failure `build` checks"
+    )]
     pub fn fact_table(&self, name: &str, rows: usize, dims: &[(String, usize, f64)]) -> Table {
         let mut builder =
             TableBuilder::new(name).with_i64(format!("{name}_id"), self.sequential_keys(rows));
@@ -174,6 +182,10 @@ impl ZipfSampler {
     }
 
     /// Draws one sample in `0..n` (0-based rank).
+    #[expect(
+        clippy::unwrap_used,
+        reason = "infallible: CDF entries are finite (sums of positive finite weights) and `u` is a finite sample, so the comparison is total"
+    )]
     pub(crate) fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let u: f64 = rng.gen();
         match self.cdf.binary_search_by(|p| p.partial_cmp(&u).unwrap()) {
@@ -186,6 +198,10 @@ impl ZipfSampler {
                 if self.n <= prefix {
                     return self.n - 1;
                 }
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "infallible: the constructor asserts `n > 0`, so the CDF prefix holds at least one entry"
+                )]
                 let last = *self.cdf.last().unwrap();
                 let frac = ((u - last) / (1.0 - last)).clamp(0.0, 1.0);
                 let lo = prefix as f64 + 0.5;

@@ -21,8 +21,6 @@
 //!   bitvector filter's selectivity.
 
 #![forbid(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_debug_implementations)]
 
 pub mod customer_like;
 pub mod job_like;

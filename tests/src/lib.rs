@@ -5,9 +5,6 @@
 //! paper's theorems, and [`Rechunked`], the fetched-source fake of the
 //! storage properties and the serving tests' slow query.
 
-#![deny(unsafe_op_in_unsafe_fn)]
-#![warn(missing_debug_implementations)]
-
 pub mod mini;
 pub mod slt;
 

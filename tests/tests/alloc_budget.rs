@@ -48,6 +48,10 @@ fn record(layout: Layout) {
 /// Forwards every call to [`System`] and counts it.
 struct CountingAlloc;
 
+#[expect(
+    unsafe_op_in_unsafe_fn,
+    reason = "each method body is one call to `System` under the method's own contract"
+)]
 // SAFETY: every method forwards its arguments unchanged to `System`, which
 // upholds the `GlobalAlloc` contract; counting only updates a thread-local
 // `Cell` and neither allocates nor unwinds.
