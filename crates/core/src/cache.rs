@@ -47,7 +47,7 @@ pub enum CacheStatus {
     /// optimizer re-ran and the entry was replaced.
     Reoptimized,
     /// The cache was not consulted: the statement wraps a hand-built plan
-    /// (`Engine::prepare_plan`, or a `Server` plan request).
+    /// (`Engine::prepare_plan`).
     Bypassed,
 }
 

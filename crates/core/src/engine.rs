@@ -28,22 +28,17 @@ use std::time::Duration;
 
 /// Minimum effective parallelism the engine's worker pool is sized for when
 /// the builder does not pin an explicit [`EngineBuilder::worker_threads`]:
-/// the pool gets `max(default num_threads, available_parallelism, 4) - 1`
-/// helper threads, so per-run `num_threads` overrides up to at least 4
-/// (and up to the hardware width) are served by parked pool workers instead
-/// of running inline.
+/// the pool gets `max(available_parallelism, 4) - 1` helper threads, so
+/// per-run `num_threads` overrides up to at least 4 (and up to the hardware
+/// width) are served by parked pool workers instead of running inline.
 const MIN_DEFAULT_PARALLELISM: usize = 4;
 
-/// Default helper-worker count for an engine pool (see
-/// [`MIN_DEFAULT_PARALLELISM`]). The calling thread always participates as
-/// worker 0, hence the `- 1`.
-fn default_pool_workers(config: ExecConfig) -> usize {
-    let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
-    config
-        .num_threads
-        .max(hardware)
-        .max(MIN_DEFAULT_PARALLELISM)
-        - 1
+/// Default helper-worker count for an engine pool on `hardware` threads
+/// (see [`MIN_DEFAULT_PARALLELISM`]). The calling thread always participates
+/// as worker 0, hence the `- 1`. No `num_threads` sizes it: a run asking for
+/// more threads than the pool has runs with fewer helpers, bit-identically.
+fn default_pool_workers(hardware: usize) -> usize {
+    hardware.max(MIN_DEFAULT_PARALLELISM) - 1
 }
 
 #[derive(Debug)]
@@ -106,9 +101,9 @@ impl Engine {
 
     /// The one constructor, over a builder whose constraints are declared.
     fn new(b: EngineBuilder) -> Self {
-        let pool_workers = b
-            .worker_threads
-            .unwrap_or_else(|| default_pool_workers(b.exec_config));
+        let pool_workers = b.worker_threads.unwrap_or_else(|| {
+            default_pool_workers(std::thread::available_parallelism().map_or(1, |p| p.get()))
+        });
         Engine {
             inner: Arc::new(EngineInner {
                 catalog: b.catalog,
@@ -325,11 +320,10 @@ fn render_exec_config(config: ExecConfig) -> String {
     };
     format!(
         "execution: filter={filter}, batch_size={}, num_threads={}, parallel_threshold={}, \
-         kernels={kernels}, zone_map_pruning={}\n",
+         kernels={kernels}\n",
         render_rows(config.batch_size),
         config.num_threads,
         config.parallel_threshold,
-        if config.zone_map_pruning { "on" } else { "off" }
     )
 }
 
@@ -386,8 +380,7 @@ impl EngineBuilder {
     }
 
     /// Sets the execution configuration (filter kind, batch size,
-    /// worker-thread count, parallel threshold, kernel mode, zone-map
-    /// pruning).
+    /// worker-thread count, parallel threshold, kernel mode).
     pub fn exec_config(mut self, config: ExecConfig) -> Self {
         self.exec_config = config;
         self
@@ -395,8 +388,8 @@ impl EngineBuilder {
 
     /// Pins the engine's persistent worker pool to exactly `threads` helper
     /// threads (the calling thread always participates as worker 0 on top).
-    /// Without this, the pool is sized to
-    /// `max(default num_threads, available_parallelism, 4) - 1`. `0` disables
+    /// Without this, the pool is sized to `max(available_parallelism, 4) - 1`
+    /// whatever the default `num_threads` asks for. `0` disables
     /// the pool: every parallel section runs inline on the calling thread,
     /// whatever `num_threads` a run asks for.
     pub fn worker_threads(mut self, threads: usize) -> Self {
@@ -643,6 +636,20 @@ mod tests {
         assert_send_sync::<PlanCache>();
     }
 
+    /// The default pool is sized from the hardware alone: a default
+    /// `num_threads` of a million no longer asks for a million threads.
+    /// Building an engine starts no thread (the pool is spawned lazily).
+    #[test]
+    fn default_pool_is_sized_from_the_hardware_not_num_threads() {
+        assert_eq!(default_pool_workers(1), MIN_DEFAULT_PARALLELISM - 1);
+        assert_eq!(default_pool_workers(64), 63);
+        let huge = ExecConfig::default().with_num_threads(1 << 20);
+        let engine = Engine::builder().exec_config(huge).build().unwrap();
+        let hardware = std::thread::available_parallelism().map_or(1, |p| p.get());
+        assert_eq!(engine.inner.pool_workers, default_pool_workers(hardware));
+        assert!(engine.inner.pool.get().is_none(), "no pool was spawned");
+    }
+
     #[test]
     fn exec_config_rendering_reports_all_knobs() {
         let line = render_exec_config(ExecConfig::default());
@@ -660,18 +667,15 @@ mod tests {
         );
         assert!(line.contains("kernels=scalar"), "{line}");
         assert!(line.contains("filter=bitmap"), "{line}");
-        assert!(line.contains("zone_map_pruning=on"), "{line}");
         let line = render_exec_config(ExecConfig::exact_filters().with_parallel_threshold(1));
         assert!(line.contains("filter=exact"), "{line}");
         assert!(line.contains("parallel_threshold=1,"), "{line}");
         let bloom = |filter_kind| ExecConfig {
             filter_kind,
-            zone_map_pruning: false,
             ..ExecConfig::default()
         };
         let line = render_exec_config(bloom(FilterKind::Bloom { bits_per_key: 10 }));
         assert!(line.contains("filter=bloom(10)"), "{line}");
-        assert!(line.contains("zone_map_pruning=off"), "{line}");
         let line = render_exec_config(bloom(FilterKind::BlockedBloom { bits_per_key: 8 }));
         assert!(line.contains("filter=blocked_bloom(8)"), "{line}");
     }

@@ -39,9 +39,8 @@
 //!   [`Server::submit`] admits a [`Request`] (built with
 //!   [`Request::builder`]: tenant, priority and deadline, plus the
 //!   [`RunOptions`] its run gets) into a bounded queue
-//!   (backpressure via [`SubmitError::QueueFull`], per-tenant quotas via
-//!   [`SubmitError::TenantQuotaExceeded`]) and returns a [`Ticket`]
-//!   (`wait` / `cancel` / timeout). Dispatch picks by (priority,
+//!   (backpressure via [`SubmitError::QueueFull`]) and returns a [`Ticket`]
+//!   (`wait` / `wait_timeout` / `cancel`). Dispatch picks by (priority,
 //!   earliest-deadline, FIFO tiebreak); cancellation and deadline expiry
 //!   propagate through a cooperative [`CancelToken`] that aborts
 //!   in-flight queries at morsel granularity, surfacing as
@@ -61,9 +60,9 @@
 //!   columns with per-chunk zone maps and checksums, written with
 //!   [`format::write_table`] and registered into a catalog via
 //!   [`format::CatalogExt`] (`register_file` / `attach_dir`). File-backed
-//!   tables execute out of core through chunk-streaming scans with
-//!   zone-map pruning ([`ExecConfig::zone_map_pruning`]), bit-identically
-//!   to their in-memory twins.
+//!   tables execute out of core through chunk-streaming scans that skip
+//!   every chunk their zone maps prove empty, bit-identically to their
+//!   in-memory twins.
 //!
 //! ## Quick example
 //!
@@ -153,7 +152,7 @@ pub use engine::{Engine, EngineBuilder, PreparedStatement, QueryOutput, RunOptio
 pub use error::{BqoError, QueryPhase};
 pub use server::{
     LatencyStats, Request, RequestBuilder, ServeError, Server, ServerConfig, ServerStats,
-    SubmitError, TenantQuota, Ticket,
+    SubmitError, Ticket,
 };
 
 pub use bqo_exec::{

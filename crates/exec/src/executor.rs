@@ -31,29 +31,8 @@ pub enum KernelMode {
     #[default]
     Vectorized,
     /// Row-at-a-time scalar key, filter-probe and join-probe loops over the
-    /// same row-id batches and the same join table — kept as the oracle. Pin
-    /// it globally with `BQO_FORCE_SCALAR=1`.
+    /// same row-id batches and the same join table — kept as the oracle.
     Scalar,
-}
-
-impl KernelMode {
-    /// The default kernel mode honoring the `BQO_FORCE_SCALAR` environment
-    /// variable: any non-empty value other than `0` pins the scalar kernels
-    /// process-wide (read once and cached). Used by `ExecConfig::default()`
-    /// so the whole test suite can be swept under both modes from CI.
-    fn from_env() -> Self {
-        static FORCE_SCALAR: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let forced = *FORCE_SCALAR.get_or_init(|| {
-            std::env::var("BQO_FORCE_SCALAR")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false)
-        });
-        if forced {
-            KernelMode::Scalar
-        } else {
-            KernelMode::Vectorized
-        }
-    }
 }
 
 /// Execution configuration. Every field is a production knob: a test that
@@ -84,18 +63,9 @@ pub struct ExecConfig {
     /// tables. Values below 1 are treated as 1.
     pub parallel_threshold: usize,
     /// Which probe/filter kernel implementations the operators run
-    /// ([`KernelMode::Vectorized`] by default, unless `BQO_FORCE_SCALAR` is
-    /// set). Results and counters are bit-identical in both modes.
+    /// ([`KernelMode::Vectorized`] by default). Results and counters are
+    /// bit-identical in both modes.
     pub kernel_mode: KernelMode,
-    /// Zone-map chunk pruning for file-backed scans (`true` by default). A
-    /// chunk whose min/max bounds prove that no row can satisfy a local
-    /// predicate — or that no surviving build key of a pushed-down
-    /// bitvector filter can fall in the chunk's key range — is skipped
-    /// without being read. Rows, batch boundaries and `FilterStats` are
-    /// identical with pruning on or off (pruning only removes provably
-    /// dead work); `false` force-disables it for A/B measurements and
-    /// oracle tests.
-    pub zone_map_pruning: bool,
 }
 
 impl Default for ExecConfig {
@@ -105,8 +75,7 @@ impl Default for ExecConfig {
             batch_size: DEFAULT_BATCH_SIZE,
             num_threads: 1,
             parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
-            kernel_mode: KernelMode::from_env(),
-            zone_map_pruning: true,
+            kernel_mode: KernelMode::Vectorized,
         }
     }
 }
@@ -146,19 +115,11 @@ impl ExecConfig {
         self
     }
 
-    /// The same configuration with an explicit kernel mode, overriding the
-    /// `BQO_FORCE_SCALAR`-aware default. The differential harnesses use this
-    /// to sweep vectorized vs scalar kernels within one process.
+    /// The same configuration with an explicit kernel mode. The
+    /// differential harnesses use this to sweep vectorized vs scalar kernels
+    /// within one process.
     pub fn with_kernel_mode(mut self, kernel_mode: KernelMode) -> Self {
         self.kernel_mode = kernel_mode;
-        self
-    }
-
-    /// The same configuration with zone-map chunk pruning switched on or
-    /// off. Off is the A/B baseline: identical rows and counters except
-    /// `chunks_pruned`, which stays 0.
-    pub fn with_zone_map_pruning(mut self, enabled: bool) -> Self {
-        self.zone_map_pruning = enabled;
         self
     }
 
@@ -711,9 +672,7 @@ mod tests {
                 .kernel_mode,
             KernelMode::Vectorized
         );
-        // The process-wide default is cached; both variants are valid
-        // depending on BQO_FORCE_SCALAR.
-        let _ = KernelMode::from_env();
+        assert_eq!(ExecConfig::default().kernel_mode, KernelMode::Vectorized);
     }
 
     #[test]

@@ -34,9 +34,8 @@
 //! * **vectorized probe kernels**: bitvector membership is probed 64 rows
 //!   per survivor word and composite join keys are hashed column-at-a-time
 //!   — with the row-at-a-time scalar kernels retained as a differential
-//!   oracle behind [`ExecConfig::kernel_mode`] / `BQO_FORCE_SCALAR`; the
-//!   mode is dispatched inside the kernels only, operators never branch on
-//!   it,
+//!   oracle behind [`ExecConfig::kernel_mode`]; the mode is dispatched
+//!   inside the kernels only, operators never branch on it,
 //! * a persistent [`WorkerPool`]: helper workers for the parallel sections
 //!   are parked pool threads woken per section instead of freshly spawned
 //!   ones, so a serving workload of many small queries stops paying

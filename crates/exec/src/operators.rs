@@ -115,7 +115,7 @@ struct MorselScan {
 ///
 /// Rows, batch boundaries, `FilterStats` and operator counters are
 /// bit-identical between the two, for every `(num_threads, batch_size,
-/// kernel mode, zone_map_pruning)` combination.
+/// kernel mode)` combination.
 pub(crate) struct ScanOp<'p> {
     node: NodeId,
     info: &'p RelationInfo,
@@ -285,12 +285,7 @@ impl PhysicalOperator for ScanOp<'_> {
                     );
                     return Ok(out);
                 }
-                let decision = if config.zone_map_pruning {
-                    chunk_decision(source.as_ref(), m.index, &predicates, &filters)
-                } else {
-                    ChunkDecision::Scan
-                };
-                match decision {
+                match chunk_decision(source.as_ref(), m.index, &predicates, &filters) {
                     ChunkDecision::PrunedByPredicate => {}
                     ChunkDecision::PrunedByFilter => {
                         // See `ChunkDecision`: slot 0 probed and eliminated

@@ -44,9 +44,6 @@ pub use snowflake::{for_each_snowflake_candidate, optimize_snowflake};
 /// A join-order optimizer: join graph in, physical plan (with bitvector
 /// placements) out.
 pub trait Optimizer {
-    /// Human-readable name used in reports.
-    fn name(&self) -> &'static str;
-
     /// Produces an executable physical plan for the query.
     fn optimize(&self, graph: &JoinGraph) -> PhysicalPlan;
 }
@@ -86,10 +83,6 @@ impl BqoOptimizer {
 }
 
 impl Optimizer for BqoOptimizer {
-    fn name(&self) -> &'static str {
-        "bqo"
-    }
-
     fn optimize(&self, graph: &JoinGraph) -> PhysicalPlan {
         let cost_model = CostModel::new(graph);
         let mut tree = optimize_join_graph(graph, &cost_model);
@@ -147,14 +140,6 @@ impl BaselineOptimizer {
 }
 
 impl Optimizer for BaselineOptimizer {
-    fn name(&self) -> &'static str {
-        if self.add_bitvectors {
-            "baseline+bv"
-        } else {
-            "baseline"
-        }
-    }
-
     fn optimize(&self, graph: &JoinGraph) -> PhysicalPlan {
         let cost_model = CostModel::new(graph);
         let tree = conventional_tree(graph, &cost_model);
@@ -192,7 +177,7 @@ mod tests {
             &BaselineOptimizer::new(),
         ] {
             let plan = opt.optimize(&g);
-            assert_eq!(plan.relation_set(plan.root()).len(), 4, "{}", opt.name());
+            assert_eq!(plan.relation_set(plan.root()).len(), 4);
             assert_eq!(plan.num_joins(), 3);
         }
     }
@@ -230,12 +215,5 @@ mod tests {
         let pruned = BqoOptimizer::new().optimize(&g);
         assert!(pruned.placements.len() < keep_all.placements.len());
         assert!(!pruned.placements.is_empty());
-    }
-
-    #[test]
-    fn optimizer_names() {
-        assert_eq!(BqoOptimizer::new().name(), "bqo");
-        assert_eq!(BaselineOptimizer::new().name(), "baseline+bv");
-        assert_eq!(BaselineOptimizer::without_bitvectors().name(), "baseline");
     }
 }

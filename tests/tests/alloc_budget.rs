@@ -13,7 +13,7 @@
 //! The engine runs with one thread, so every allocation of the run happens
 //! on the calling thread. Run in debug and in release.
 
-use bqo_core::exec::{ExecConfig, KernelMode};
+use bqo_core::exec::ExecConfig;
 use bqo_core::workloads::{customer_like, snowflake, Scale};
 use bqo_core::{Catalog, Engine, OptimizerChoice, RunOptions};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -88,11 +88,8 @@ const SNOWFLAKE_BRANCHES: [usize; 5] = [4, 4, 3, 3, 2];
 /// The allocations of lowering, preparing (on an empty plan cache) and
 /// running `sql` count-only on a fresh one-thread engine over `catalog`.
 fn cold_run(catalog: &Catalog, sql: &str) -> Counts {
-    // Pinned: `BQO_FORCE_SCALAR` must not pick the kernels, and the test
-    // thread must be the only one that works.
-    let config = ExecConfig::default()
-        .with_kernel_mode(KernelMode::Vectorized)
-        .with_num_threads(1);
+    // Pinned: the test thread must be the only one that works.
+    let config = ExecConfig::default().with_num_threads(1);
     let engine = Engine::builder()
         .catalog(catalog.clone())
         .exec_config(config)

@@ -7,8 +7,8 @@ use bqo_core::exec::{ExecConfig, DEFAULT_BATCH_SIZE};
 use bqo_core::plan::{push_down_bitvectors, JoinTree, PhysicalPlan};
 use bqo_core::workloads::{tpcds_like, Scale};
 use bqo_core::{
-    Catalog, ColumnPredicate, CompareOp, Engine, OperatorKind, OptimizerChoice, QueryPhase,
-    QuerySpec, RunOptions, StorageError, TableBuilder,
+    CacheStatus, Catalog, ColumnPredicate, CompareOp, Engine, OperatorKind, OptimizerChoice,
+    QueryPhase, QuerySpec, RunOptions, StorageError, TableBuilder,
 };
 use bqo_integration_tests::Rechunked;
 use std::sync::Arc;
@@ -75,6 +75,8 @@ fn batch_size_sweep_matches_the_pre_redesign_oracle() {
     let mut probed = Vec::new();
     let mut eliminated = Vec::new();
     let stmt = engine.prepare_plan("tiny_star", graph, plan);
+    // A hand-built plan never goes through the plan cache.
+    assert_eq!(stmt.cache_status(), CacheStatus::Bypassed);
     for batch_size in BATCH_SIZES {
         let out = engine
             .session()

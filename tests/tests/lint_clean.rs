@@ -11,10 +11,11 @@
 //! sites are exactly `UNSAFE_AUDIT.md`'s `path:line` entries. **L003**: every
 //! atomic `Ordering::…` line carries `// ORDERING:`. **L004**: every numeric
 //! `as` cast in the audited files carries `// CAST-OK:`. **L005**: `ci.yml`
-//! runs every suite as `--test <stem>`. **L006**: every non-shim member opts
-//! into the workspace lints, and the attributes a table cannot carry stay in
-//! their crate roots. A marker counts in a `//` comment on the line or in the
-//! comment block above it, blank lines included. L003 and L004 skip test
+//! runs every suite: it keeps an unfiltered `cargo test … --workspace` run
+//! line, and `tests/Cargo.toml` leaves suite discovery on. **L006**: every
+//! non-shim member opts into the workspace lints, and the attributes a table
+//! cannot carry stay in their crate roots. A marker counts in a `//` comment
+//! on the line or in the comment block above it, blank lines included. L003 and L004 skip test
 //! code: `tests/` and `examples/` files, and the `#[cfg(test)] mod tests`
 //! that must end any other file.
 
@@ -150,13 +151,31 @@ fn audit(sites: &BTreeSet<String>, audit: &str) -> Vec<String> {
         .collect()
 }
 
-/// L005: each suite stem must follow `--test` on a non-comment line of `ci`.
-fn uncovered_suites(stems: &[String], ci: &str) -> Vec<String> {
-    let lines = ci.lines().filter(|l| !l.trim_start().starts_with('#'));
-    let words: Vec<&str> = lines.flat_map(str::split_whitespace).collect();
-    let covered = |stem: &str| words.windows(2).any(|w| w == ["--test", stem]);
-    let unrun = stems.iter().filter(|stem| !covered(stem)).cloned();
-    unrun.map(|stem| stem + ": L005 not in ci.yml").collect()
+/// Flags that narrow a `cargo test` run to fewer suites or tests.
+const NARROWING: &str = "--test --lib --bin --bins --example --doc --exclude -p --package --";
+
+/// L005: `ci` has a `run: cargo test` line over the whole workspace with no
+/// narrowing flag or filter, and `tests` (the suites' manifest) does not
+/// turn off Cargo's discovery of `tests/tests/*.rs`.
+fn suites_unrun(ci: &str, tests: &str) -> Vec<String> {
+    let unfiltered = |line: &str| {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        let flags = words.get(3..).unwrap_or_default();
+        words.starts_with(&["run:", "cargo", "test"])
+            && flags.contains(&"--workspace")
+            && flags
+                .iter()
+                .all(|w| w.starts_with('-') && !NARROWING.split(' ').any(|n| n == *w))
+    };
+    let mut findings = Vec::new();
+    if !ci.lines().any(unfiltered) {
+        findings.push("ci.yml: L005 lacks an unfiltered `cargo test --workspace` run".into());
+    }
+    let squash = |l: &str| l.split_whitespace().collect::<String>();
+    if tests.lines().any(|l| squash(l) == "autotests=false") {
+        findings.push("tests/Cargo.toml: L005 sets `autotests = false`".into());
+    }
+    findings
 }
 
 /// L006: the workspace table, each member's opt-in and the crate-root attributes.
@@ -229,11 +248,8 @@ fn workspace_is_lint_clean() {
         sites.extend(unsafe_lines.iter().map(|line| format!("{file}:{line}")));
     }
     findings.extend(audit(&sites, &read("UNSAFE_AUDIT.md")));
-    let suites = files
-        .iter()
-        .filter_map(|f| f.strip_prefix("tests/tests/")?.strip_suffix(".rs"));
-    let stems: Vec<String> = suites.map(String::from).collect();
-    findings.extend(uncovered_suites(&stems, &read(".github/workflows/ci.yml")));
+    let ci = read(".github/workflows/ci.yml");
+    findings.extend(suites_unrun(&ci, &read("tests/Cargo.toml")));
     findings.extend(wall(&|path| read(path)));
     assert!(findings.is_empty(), "{}", findings.join("\n"));
 }
@@ -253,9 +269,21 @@ fn each_scanner_flags_its_seeded_violation() {
     // Casts are audited in the listed files only.
     assert_eq!(heads("a.rs", text), ["a.rs:1: L001", "a.rs:2: L003"]);
 
-    let stems = ["kept".to_string(), "gone".to_string()];
-    let ci = "run: cargo test --test kept\n# --test gone\nrun: cargo test --test gone_too\n";
-    assert_eq!(uncovered_suites(&stems, ci), ["gone: L005 not in ci.yml"]);
+    let (ci, tests) = ("  run: cargo test -q --workspace\n", "[lib]\n");
+    assert!(suites_unrun(ci, tests).is_empty());
+    let unrun = "ci.yml: L005 lacks an unfiltered `cargo test --workspace` run";
+    for narrowed in [
+        "# run: cargo test -q --workspace",
+        "run: cargo test -q",
+        "run: cargo test -q --workspace --test kept",
+        "run: cargo test -q --workspace -p bqo-core",
+        "run: cargo test -q --workspace kept",
+        "run: cargo test -q --workspace -- --skip kept",
+    ] {
+        assert_eq!(suites_unrun(narrowed, tests), [unrun], "{narrowed}");
+    }
+    let off = "tests/Cargo.toml: L005 sets `autotests = false`";
+    assert_eq!(suites_unrun(ci, "[package]\nautotests = false\n"), [off]);
 
     let members = "members = [\n  \"crates/a\",\n  \"crates/shims/b\",\n]\n";
     let read = |lints: &'static str| {

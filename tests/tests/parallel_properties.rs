@@ -166,8 +166,8 @@ proptest! {
     }
 
     /// The chunk-aligned-morsel invariant: a fetched source scanned one
-    /// morsel per chunk — whatever the chunk size, with or without zone-map
-    /// pruning — yields the rows, `FilterStats` and per-operator counters of
+    /// morsel per chunk, its zone maps pruning chunks — whatever the chunk
+    /// size — yields the rows, `FilterStats` and per-operator counters of
     /// the in-memory scan under the same configuration.
     #[test]
     fn rechunked_sources_answer_like_in_memory_tables(
@@ -179,15 +179,13 @@ proptest! {
         batch_size in 1usize..300,
         parallel in 0usize..2,
         scalar in 0usize..2,
-        pruning in 0usize..2,
     ) {
         let chunk_rows = [1, 7, 64, fact_rows.max(1), fact_rows + 1][chunk_choice];
         let config = ExecConfig::default()
             .with_batch_size(batch_size)
             .with_num_threads([1, 4][parallel])
             .with_parallel_threshold(1)
-            .with_kernel_mode([KernelMode::Vectorized, KernelMode::Scalar][scalar])
-            .with_zone_map_pruning(pruning == 1);
+            .with_kernel_mode([KernelMode::Vectorized, KernelMode::Scalar][scalar]);
         let run = |chunk_rows| {
             let (engine, spec) = build_star(seed, fact_rows, skew, &dims, chunk_rows);
             let prepared = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
@@ -201,13 +199,12 @@ proptest! {
         prop_assert_eq!(&fetched.result.metrics.operators, &memory.result.metrics.operators);
         prop_assert_eq!(fetched.result.metrics.filter_stats, memory.result.metrics.filter_stats);
         prop_assert_eq!(fetched.result.metrics.filters_created, memory.result.metrics.filters_created);
-        // Only fetched chunks are counted, and only pruning skips any.
+        // Only fetched chunks are counted.
         prop_assert_eq!(memory.result.metrics.chunks_read + memory.result.metrics.chunks_pruned, 0);
         let table_rows = dims.iter().map(|d| d.0).chain([fact_rows]);
         let chunks: usize = table_rows.map(|rows| rows.div_ceil(chunk_rows)).sum();
         let metrics = &fetched.result.metrics;
         prop_assert_eq!(metrics.chunks_read + metrics.chunks_pruned, chunks as u64);
-        prop_assert!(pruning == 1 || metrics.chunks_pruned == 0);
     }
 
     /// Count-then-scatter is deterministic: for 1/2/4/8 build workers, over

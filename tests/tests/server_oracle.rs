@@ -1,16 +1,16 @@
 //! Serving-runtime oracle for the multi-tenant `Server` front end: results
 //! served through `Server::submit` from many concurrent client threads must
 //! be identical to fresh single-threaded `Session` runs, and the
-//! traffic-shaping contract (bounded queue, tenant quotas, priority/deadline
-//! scheduling, mid-flight cancellation, timeout, panic containment, graceful
-//! shutdown) must hold under load.
+//! traffic-shaping contract (bounded queue, per-tenant accounting,
+//! priority/deadline scheduling, mid-flight cancellation, wait timeouts,
+//! panic containment, graceful shutdown) must hold under load.
 //!
 //! Comparison levels mirror `serving_oracle.rs`: bit-identical rows for
 //! requests whose plan is deterministic across serving and oracle, canonical
 //! row multisets (and exact row counts) for every request.
 //!
-//! What needs no execution — dispatch order, the queue bound, quotas at
-//! admission and at dispatch, the queued-deadline sweep — is tested on the
+//! What needs no execution — dispatch order, the queue bound, the
+//! queued-deadline sweep — is tested on the
 //! scheduler state machine itself, with a hand-advanced clock
 //! (`crates/core/src/server/queue.rs`); this suite keeps what needs real
 //! execution or the `Ticket` API.
@@ -18,11 +18,11 @@
 use bqo_core::exec::{Batch, ExecConfig};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
-    CacheStatus, Engine, OptimizerChoice, Params, PhysicalPlan, QuerySpec, Request, RunOptions,
-    ServeError, Server, ServerConfig, ServerStats, SubmitError, Table, TenantQuota,
+    CacheStatus, Engine, KernelMode, OptimizerChoice, Params, QuerySpec, Request, RunOptions,
+    ServeError, Server, ServerConfig, ServerStats, SubmitError, Table,
 };
 use bqo_integration_tests::{env_threads, Rechunked};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const DIMS: usize = 3;
@@ -83,20 +83,33 @@ fn plain_request(spec: &QuerySpec) -> Request {
 /// 16-row chunks that sleeps 4 ms per chunk. Under [`slow_config`] a star
 /// query reads ~250 chunks one after another — about a second instead of
 /// microseconds, a wide cancel window — and stops within a chunk of an
-/// abort.
-fn slow_engine(seed: u64) -> Engine {
+/// abort. The fact keys are unclustered, so no chunk's zone maps prove it
+/// empty: the same chunks without the delay answer `spec` pruning none.
+fn slow_engine(seed: u64, spec: &QuerySpec) -> Engine {
     let mut catalog = star::build_catalog(Scale(0.02), 2, seed);
     let fact = catalog.table("fact").unwrap();
+    let mut quick = catalog.clone();
+    quick.register_source(Arc::new(Rechunked::new(Arc::clone(&fact), 16)));
+    let quick = Engine::from_catalog(quick);
+    let stmt = quick.prepare(spec, OptimizerChoice::Bqo).unwrap();
+    let options = RunOptions::new().with_exec_config(slow_config());
+    let metrics = quick
+        .session()
+        .execute(&stmt, options)
+        .unwrap()
+        .result
+        .metrics;
+    assert_eq!(metrics.chunks_read, fact.num_rows().div_ceil(16) as u64);
+    assert_eq!(metrics.chunks_pruned, 0, "the slow scan would skip a chunk");
+
     let slow = Rechunked::new(fact, 16).with_delay(Duration::from_millis(4));
     catalog.register_source(Arc::new(slow));
     Engine::from_catalog(catalog)
 }
 
-/// One thread, every chunk read (no zone-map pruning).
+/// One thread: the slow scan's chunks are read one after another.
 fn slow_config() -> ExecConfig {
-    ExecConfig::default()
-        .with_num_threads(1)
-        .with_zone_map_pruning(false)
+    ExecConfig::default().with_num_threads(1)
 }
 
 /// A query that never touches the slow fact table.
@@ -180,13 +193,17 @@ fn server_matches_fresh_single_threaded_sessions() {
             let cases = &cases;
             let oracle = &oracle;
             scope.spawn(move || {
-                // Each client submits with a different batch size (results
-                // are config-invariant) and a rotated request order, so
-                // queued, running and cache-hit requests interleave.
+                // Each client submits with a different batch size and, on
+                // every other client, the scalar kernels (results are
+                // config-invariant; the oracle ran vectorized) and a rotated
+                // request order, so queued, running and cache-hit requests
+                // interleave.
+                let kernels = [KernelMode::Vectorized, KernelMode::Scalar][worker % 2];
                 let config = ExecConfig::default()
                     .with_batch_size(257 + worker * 119)
                     .with_num_threads(1 + worker % 3)
-                    .with_parallel_threshold(1);
+                    .with_parallel_threshold(1)
+                    .with_kernel_mode(kernels);
                 for round in 0..ROUNDS {
                     // Submit the whole round first (tickets outstanding
                     // concurrently), then collect.
@@ -278,8 +295,7 @@ fn mixed_scheduling_traffic_matches_oracle() {
         engine,
         ServerConfig::default()
             .with_max_concurrent_queries(3)
-            .with_queue_capacity(256)
-            .with_tenant_quota(TenantQuota::new(256, 2)),
+            .with_queue_capacity(256),
     );
     let cases = traffic();
     let oracle = oracle_outputs(&catalog, &cases);
@@ -366,60 +382,17 @@ fn mixed_scheduling_traffic_matches_oracle() {
     assert_eq!(server.stats_for("nobody").admitted, 0);
 }
 
-/// A hand-built plan is the same executable unit as an optimized statement:
-/// the same join order submitted as `.plan(..)` and obtained via `.query(..)`
-/// returns `==` rows (when asked to collect them), operator counters and
-/// filter statistics.
-#[test]
-fn plan_requests_collect_rows_like_spec_requests() {
-    let catalog = star::build_catalog(Scale(0.02), DIMS, 61);
-    let engine = Engine::from_catalog(catalog);
-    let server = Server::new(engine.clone(), ServerConfig::default());
-    let spec = star::build_query("same_order", DIMS, &[(0, 7), (1, 12)]);
-    // The optimizer's own plan, resubmitted by hand.
-    let stmt = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
-    let by_plan = Request::builder()
-        .plan(stmt.name(), stmt.graph().clone(), stmt.plan().clone())
-        .collect_rows()
-        .build()
-        .unwrap();
-    let by_spec = Request::builder()
-        .query(&spec)
-        .collect_rows()
-        .build()
-        .unwrap();
-    let by_plan = server.submit(by_plan).unwrap().wait().unwrap();
-    let by_spec = server.submit(by_spec).unwrap().wait().unwrap();
-
-    let rows = by_plan.rows.expect("plan requests honour collect_rows");
-    assert_eq!(rows.num_rows() as u64, by_plan.result.output_rows);
-    assert_eq!(Some(rows), by_spec.rows);
-    assert_eq!(by_plan.result.output_rows, by_spec.result.output_rows);
-    assert_eq!(
-        by_plan.result.metrics.operators,
-        by_spec.result.metrics.operators
-    );
-    assert_eq!(
-        by_plan.result.metrics.filter_stats,
-        by_spec.result.metrics.filter_stats
-    );
-    assert_eq!(by_plan.cache_status, CacheStatus::Bypassed);
-    assert_eq!(by_spec.cache_status, CacheStatus::Hit);
-    server.shutdown();
-}
-
 /// Mid-flight cancellation: a cancel issued after execution starts aborts
 /// the query cooperatively (within roughly one chunk — far sooner than the
 /// slow query would take to finish), returns the partial metrics, and
 /// frees the execution slot for the next request.
 #[test]
 fn midflight_cancel_aborts_and_frees_the_slot() {
-    let engine = slow_engine(37);
+    let spec = star::build_query("long_running", 2, &[(0, 4)]);
     let server = Server::new(
-        engine,
+        slow_engine(37, &spec),
         ServerConfig::default().with_max_concurrent_queries(1),
     );
-    let spec = star::build_query("long_running", 2, &[(0, 4)]);
     // ~250 fact chunks x 4ms >= 1s of scan time.
     let slow = Request::builder()
         .query(&spec)
@@ -468,12 +441,11 @@ fn midflight_cancel_aborts_and_frees_the_slot() {
 /// surfaces as `DeadlineExceeded` with the partial metrics.
 #[test]
 fn deadline_aborts_a_running_request_with_partial_metrics() {
-    let engine = slow_engine(41);
+    let spec = star::build_query("deadlined", 2, &[(0, 4)]);
     let server = Server::new(
-        engine,
+        slow_engine(41, &spec),
         ServerConfig::default().with_max_concurrent_queries(1),
     );
-    let spec = star::build_query("deadlined", 2, &[(0, 4)]);
     // The slow query needs >= 1s; the deadline is far shorter but still
     // leaves plenty of time to be dispatched.
     let request = Request::builder()
@@ -546,32 +518,38 @@ fn expired_queued_deadline_resolves_wait_immediately() {
     server.resume();
 }
 
-/// A panicking statement (malformed hand-built plan) must surface through
+/// A statement that panics on the dispatcher (its fact table a
+/// [`Rechunked`] source armed to panic on a chunk read) must surface through
 /// `Ticket::wait` as `ServeError::Panicked` — and the dispatcher must
 /// survive to serve the next request. The panic is booked to the request's
 /// tenant too (it used to be counted only globally, so a tenant's ledger
 /// stopped adding up).
 #[test]
 fn worker_panic_propagates_through_ticket_wait() {
-    let catalog = star::build_catalog(Scale(0.02), 2, 7);
-    let engine = Engine::from_catalog(catalog);
+    let mut catalog = star::build_catalog(Scale(0.02), 2, 7);
+    let fact = Rechunked::new(catalog.table("fact").unwrap(), 64);
+    let fact = Arc::new(fact);
+    catalog.register_source(fact.clone());
     let server = Server::new(
-        engine.clone(),
+        Engine::from_catalog(catalog),
         ServerConfig::default().with_max_concurrent_queries(1),
     );
 
-    // A plan with no root: executing it panics inside the dispatcher.
+    // A serial run reads every chunk on the dispatcher thread itself.
     let spec = star::build_query("panicking", 2, &[(0, 3)]);
-    let graph = spec.to_join_graph(engine.catalog()).unwrap();
-    let malformed = Request::builder()
-        .plan("malformed", graph, PhysicalPlan::new())
-        .tenant("a")
-        .build()
-        .unwrap();
-    let ticket = server.submit(malformed).unwrap();
+    let serial = ExecConfig::default().with_num_threads(1);
+    let request = || {
+        Request::builder()
+            .query(&spec)
+            .exec_config(serial)
+            .tenant("a")
+    };
+    fact.panic_next_read(0);
+    let ticket = server.submit(request().build().unwrap()).unwrap();
     match ticket.wait() {
         Err(ServeError::Panicked(message)) => {
-            assert!(message.contains("no root"), "{message}");
+            assert!(message.contains("injected panic in chunk 0"), "{message}");
+            assert!(message.contains("bqo-dispatch"), "{message}");
         }
         other => panic!("expected a contained panic, got {other:?}"),
     }
@@ -583,11 +561,10 @@ fn worker_panic_propagates_through_ticket_wait() {
     assert_eq!((tenant.admitted, tenant.panicked), (1, 1));
 
     // The dispatcher survived: the very next request is served normally.
-    let next = Request::builder().query(&spec).tenant("a").build().unwrap();
-    let output = server.submit(next).unwrap().wait();
+    let output = server.submit(request().build().unwrap()).unwrap().wait();
     let output = output.expect("server still serves after a panic");
     assert!(output.result.output_rows > 0);
-    assert_eq!(output.cache_status, CacheStatus::Miss);
+    assert_eq!(output.cache_status, CacheStatus::Hit);
     let stats = server.stats();
     assert!(reconciles(&stats), "{stats:?}");
     assert_eq!(stats.completed, 1);
@@ -721,19 +698,15 @@ fn pool_worker_panic_under_concurrent_traffic_is_contained() {
 }
 
 /// A bound too far to represent as an instant is no bound: with an optional
-/// request `deadline`, server `config` and `wait_timeout` bound, the request
-/// serves the fresh oracle's rows. Each `Duration::MAX` case below used to
-/// overflow `Instant + Duration` and panic on the client thread.
-fn serves_under_far_bounds(
-    deadline: Option<Duration>,
-    config: ServerConfig,
-    wait: Option<Duration>,
-) {
+/// request `deadline` and `wait_timeout` bound, the request serves the fresh
+/// oracle's rows. Each `Duration::MAX` case below used to overflow
+/// `Instant + Duration` and panic on the client thread.
+fn serves_under_far_bounds(deadline: Option<Duration>, wait: Option<Duration>) {
     let catalog = star::build_catalog(Scale(0.02), DIMS, 67);
     let cases = traffic();
     let case = &cases[cases.len() - 1];
     let (oracle_rows, oracle_batch) = &oracle_outputs(&catalog, std::slice::from_ref(case))[0];
-    let server = Server::new(Engine::from_catalog(catalog), config);
+    let server = Server::new(Engine::from_catalog(catalog), ServerConfig::default());
     let mut builder = Request::builder().query(&case.spec).collect_rows();
     if let Some(deadline) = deadline {
         builder = builder.deadline(deadline);
@@ -751,60 +724,12 @@ fn serves_under_far_bounds(
 
 #[test]
 fn a_duration_max_deadline_is_no_deadline() {
-    serves_under_far_bounds(Some(Duration::MAX), ServerConfig::default(), None);
+    serves_under_far_bounds(Some(Duration::MAX), None);
 }
 
 #[test]
 fn wait_timeout_of_duration_max_waits_for_the_output() {
-    serves_under_far_bounds(None, ServerConfig::default(), Some(Duration::MAX));
-}
-
-#[test]
-fn a_duration_max_default_timeout_server_serves() {
-    let config = ServerConfig::default().with_default_timeout(Duration::MAX);
-    serves_under_far_bounds(None, config, None);
-}
-
-/// Regression: a quota built as a struct literal with a 0 bound is clamped
-/// to 1, as its docs promise. `max_concurrent: 0` used to strand a tenant's
-/// request in the queue forever — and with it `shutdown` (and the drop of
-/// the last handle), which drains the queue; `max_queued: 0` rejected every
-/// tenant submission. Waits are bounded and shutdown runs on a helper
-/// thread, so a regression fails here instead of hanging the suite.
-#[test]
-fn zero_tenant_quota_bounds_are_clamped_not_a_hang() {
-    let engine = Engine::from_catalog(star::build_catalog(Scale(0.02), 2, 29));
-    let spec = QuerySpec::new("tenant_scan").table("dim0");
-    let stranding = TenantQuota {
-        max_queued: 1,
-        max_concurrent: 0,
-    };
-    let rejecting = TenantQuota {
-        max_queued: 0,
-        max_concurrent: 1,
-    };
-    for quota in [stranding, rejecting] {
-        let server = Server::new(
-            engine.clone(),
-            ServerConfig::default().with_tenant_quota(quota),
-        );
-        assert_eq!(server.config().tenant_quota, Some(TenantQuota::new(1, 1)));
-        let request = Request::builder().query(&spec).tenant("a").build().unwrap();
-        let served = server
-            .submit(request)
-            .map(|ticket| ticket.wait_timeout(Duration::from_secs(5)));
-        let queued = server.stats_for("a").queue_depth;
-        let (done, shut_down) = mpsc::channel();
-        std::thread::spawn(move || {
-            server.shutdown();
-            let _ = done.send(());
-        });
-        let shut_down = shut_down.recv_timeout(Duration::from_secs(5)).is_ok();
-        let served = served.unwrap_or_else(|e| panic!("{quota:?}: rejected: {e}"));
-        let output = served.unwrap_or_else(|e| panic!("{quota:?}: {queued} queued: {e}"));
-        assert!(output.result.output_rows > 0);
-        assert!(shut_down, "{quota:?}: shutdown did not return");
-    }
+    serves_under_far_bounds(None, Some(Duration::MAX));
 }
 
 /// Cancelling a queued request resolves its ticket with `Cancelled` without
@@ -886,33 +811,31 @@ fn cancel_relieves_queue_backpressure() {
     );
 }
 
-/// `Ticket::wait` honors the server's default timeout; the request keeps
-/// running and a later unbounded wait still collects the result.
+/// `Ticket::wait_timeout` bounds the wait, not the request: it keeps
+/// running and a later wait still collects the result.
 #[test]
-fn default_timeout_bounds_wait_without_killing_the_request() {
+fn wait_timeout_bounds_wait_without_killing_the_request() {
     let catalog = star::build_catalog(Scale(0.02), 2, 13);
     let engine = Engine::from_catalog(catalog);
     let server = Server::new(
         engine,
-        ServerConfig::default()
-            .with_max_concurrent_queries(1)
-            .with_default_timeout(Duration::from_millis(1)),
+        ServerConfig::default().with_max_concurrent_queries(1),
     );
     let spec = star::build_query("timed", 2, &[(0, 6)]);
 
     server.pause(); // nothing dispatches -> the bounded wait must time out
     let ticket = server.submit(plain_request(&spec)).unwrap();
-    assert_eq!(ticket.wait().unwrap_err(), ServeError::TimedOut);
+    let timed_out = ticket.wait_timeout(Duration::from_millis(1));
+    assert_eq!(timed_out.unwrap_err(), ServeError::TimedOut);
     assert!(ticket.try_wait().is_none());
     server.resume();
 
     let output = ticket
-        .wait_timeout(Duration::from_secs(60))
+        .wait()
         .expect("request finishes once dispatching resumes");
     assert!(output.result.output_rows > 0);
-    assert!(ticket.is_finished());
     // The retained outcome can be collected again, now within any bound.
-    assert!(ticket.wait().is_ok());
+    assert!(ticket.wait_timeout(Duration::ZERO).is_ok());
 }
 
 /// Graceful shutdown drains the backlog: every admitted ticket resolves.
