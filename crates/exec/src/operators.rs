@@ -47,6 +47,7 @@ use crate::pipeline::ExecContext;
 use bqo_bitvector::{AnyFilter, BitvectorFilter, FilterKind, FilterStats};
 use bqo_plan::{BitvectorPlacement, ColumnPredicate, ColumnRef, NodeId, RelId, RelationInfo};
 use bqo_storage::{ChunkSource, Column, DataType, StorageError, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A pull-based physical operator producing batches of rows.
@@ -88,8 +89,6 @@ struct MorselScan {
     columns: Vec<Column>,
     /// Morsel-local bitvector counters, one per placement slot.
     stats: Vec<FilterStats>,
-    /// Bytes fetched for this morsel's chunk (`None`: nothing was read).
-    bytes_read: Option<u64>,
 }
 
 /// Scan of one base relation through its [`ChunkSource`]: local predicates
@@ -256,10 +255,14 @@ impl PhysicalOperator for ScanOp<'_> {
         let config = ctx.config;
 
         // Evaluate local predicates and pushed-down bitvector probes with one
-        // shared-state-free kernel per morsel. Every filter targeting this
-        // scan is already published: a hash join publishes its filters before
-        // opening its probe side, and placement targets always sit below the
-        // source join's probe child.
+        // kernel per morsel, whose only shared state is the chunk counters:
+        // the kernel counts reads, prunes and bytes itself, so a scan that
+        // is cancelled or fails part-way still reports every chunk it
+        // fetched. Every filter targeting this scan is already published: a
+        // hash join publishes its filters before opening its probe side, and
+        // placement targets always sit below the source join's probe child.
+        let (chunks_read, chunks_pruned, bytes_read) =
+            (AtomicU64::new(0), AtomicU64::new(0), AtomicU64::new(0));
         let per_morsel = {
             let filters: Vec<ScanFilter<'_>> = self
                 .placements
@@ -272,7 +275,6 @@ impl PhysicalOperator for ScanOp<'_> {
                     rows: Vec::new(),
                     columns: Vec::new(),
                     stats: vec![FilterStats::new(); filters.len()],
-                    bytes_read: None,
                 };
                 if let Some(columns) = resident {
                     out.rows = scan_morsel(
@@ -285,7 +287,13 @@ impl PhysicalOperator for ScanOp<'_> {
                     );
                     return Ok(out);
                 }
-                match chunk_decision(source.as_ref(), m.index, &predicates, &filters) {
+                let decision = chunk_decision(source.as_ref(), m.index, &predicates, &filters);
+                if !matches!(decision, ChunkDecision::Scan) {
+                    // ORDERING: Relaxed — a tally, read once the section has
+                    // ended, whose join supplies the happens-before edge.
+                    chunks_pruned.fetch_add(1, Ordering::Relaxed);
+                }
+                match decision {
                     ChunkDecision::PrunedByPredicate => {}
                     ChunkDecision::PrunedByFilter => {
                         // See `ChunkDecision`: slot 0 probed and eliminated
@@ -295,6 +303,11 @@ impl PhysicalOperator for ScanOp<'_> {
                     }
                     ChunkDecision::Scan => {
                         let columns = source.read_chunk(m.index)?;
+                        // ORDERING: Relaxed — tallies, as above.
+                        chunks_read.fetch_add(1, Ordering::Relaxed);
+                        let bytes = source.chunk_byte_size(m.index);
+                        // ORDERING: Relaxed — tallies, as above.
+                        bytes_read.fetch_add(bytes, Ordering::Relaxed);
                         let local = scan_morsel(
                             &config,
                             &columns,
@@ -308,12 +321,15 @@ impl PhysicalOperator for ScanOp<'_> {
                         // survivor set plus `num_threads` in-flight chunks.
                         out.columns = columns.iter().map(|c| c.take(&local)).collect();
                         out.rows = local.iter().map(|&r| m.start + r).collect();
-                        out.bytes_read = Some(source.chunk_byte_size(m.index));
                     }
                 }
                 Ok(out)
-            })?
+            })
         };
+        ctx.metrics.chunks_read += chunks_read.into_inner();
+        ctx.metrics.chunks_pruned += chunks_pruned.into_inner();
+        ctx.metrics.bytes_read += bytes_read.into_inner();
+        let per_morsel = per_morsel?;
 
         // Deterministic merge: concatenate rows and sum counters in morsel
         // order, independent of worker scheduling. The survivor count is
@@ -329,15 +345,6 @@ impl PhysicalOperator for ScanOp<'_> {
         let mut merged = vec![FilterStats::new(); self.placements.len()];
         for result in per_morsel {
             let morsel: MorselScan = result?;
-            if resident.is_none() {
-                match morsel.bytes_read {
-                    Some(bytes) => {
-                        ctx.metrics.chunks_read += 1;
-                        ctx.metrics.bytes_read += bytes;
-                    }
-                    None => ctx.metrics.chunks_pruned += 1,
-                }
-            }
             survivors.extend(morsel.rows);
             for (acc, c) in compacted.iter_mut().zip(morsel.columns) {
                 acc.append_owned(c)?;

@@ -26,8 +26,14 @@
 //! Every candidate is built in one reused [`JoinTree`] and costed with
 //! [`CostModel::cout`] bounded by the least cost so far: a candidate stops
 //! being costed once it cannot win, and only a cheaper one is copied out.
+//! The rotations of one chain branch differ only in their bottom, the branch
+//! and the fact (`2·|branch| + 1` nodes), under the same remaining branches.
+//! So the same filters reach the bottom and every estimate above it is the
+//! same: [`CostModel::cout_sharing_top`] walks that top once per branch, then
+//! each rotation's bottom, adding the recorded top estimates in the walk's
+//! order, which keeps every rotation's cost its full `Cout`, bit for bit.
 
-use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet};
+use bqo_plan::{CostModel, JoinGraph, JoinTree, RelId, RelSet, SharedTop};
 
 /// The priority group a branch falls into (Section 6.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -210,6 +216,19 @@ pub fn for_each_snowflake_candidate(
     fact: RelId,
     mut visit: impl FnMut(&JoinTree),
 ) {
+    for_each_candidate(graph, cost_model, subset, fact, |tree, _| visit(tree));
+}
+
+/// [`for_each_snowflake_candidate`], which also hands `visit` the root of
+/// the bottom of every rotation of a chain branch with more than one member:
+/// the rotations of one branch differ only in the nodes up to that root.
+fn for_each_candidate(
+    graph: &JoinGraph,
+    cost_model: &CostModel<'_>,
+    subset: RelSet,
+    fact: RelId,
+    mut visit: impl FnMut(&JoinTree, Option<usize>),
+) {
     assert!(subset.contains(fact), "subset must contain the fact table");
     let mut branches = analyze_branches(graph, cost_model, subset, fact);
     // Sort by priority (descending), then by selectivity on the fact
@@ -226,7 +245,7 @@ pub fn for_each_snowflake_candidate(
     let mut tree = JoinTree::default();
     let plan = tree.add_leaf(fact);
     join_branches_onto(&mut tree, cost_model, fact, branches.iter(), plan);
-    visit(&tree);
+    visit(&tree, None);
 
     // Candidates 2..: each branch in turn forms the bottom of the probe
     // pipeline (with its chain rotations), then the fact, then the remaining
@@ -254,6 +273,7 @@ pub fn for_each_snowflake_candidate(
                 let leaf = tree.add_leaf(r);
                 plan = tree.add_join(leaf, plan);
             }
+            let shared = (rotations > 1).then_some(plan);
             // Then the remaining branches in priority order.
             let rest = branches
                 .iter()
@@ -261,7 +281,7 @@ pub fn for_each_snowflake_candidate(
                 .filter(|(j, _)| *j != i)
                 .map(|(_, b)| b);
             join_branches_onto(&mut tree, cost_model, fact, rest, plan);
-            visit(&tree);
+            visit(&tree, shared);
         }
     }
 }
@@ -273,7 +293,9 @@ pub fn for_each_snowflake_candidate(
 ///
 /// Each candidate is costed only until its running sum reaches the least
 /// cost so far (the bound of [`CostModel::cout`]); a cheaper candidate is
-/// copied into the one tree kept.
+/// copied into the one tree kept. The rotations of a chain branch are costed
+/// in full from one walk of their shared top instead (see the module docs):
+/// a full cost is below the bound exactly when the bounded one is.
 pub fn optimize_snowflake(
     graph: &JoinGraph,
     cost_model: &CostModel<'_>,
@@ -282,9 +304,13 @@ pub fn optimize_snowflake(
 ) -> JoinTree {
     let mut best = JoinTree::default();
     let mut least: Option<f64> = None;
-    for_each_snowflake_candidate(graph, cost_model, subset, fact, |tree| {
+    let mut shared = SharedTop::default();
+    for_each_candidate(graph, cost_model, subset, fact, |tree, bottom| {
         let bound = least.unwrap_or(f64::INFINITY);
-        let cost = cost_model.cout(tree, bound);
+        let cost = match bottom {
+            Some(bottom) => cost_model.cout_sharing_top(tree, bottom, &mut shared),
+            None => cost_model.cout(tree, bound),
+        };
         if least.is_none() || cost < bound {
             least = Some(cost);
             best.clone_from(tree);
@@ -298,6 +324,7 @@ mod tests {
     use super::*;
     use crate::enumerate::exhaustive_best_right_deep;
     use bqo_plan::{JoinEdge, JoinNode, RelationInfo};
+    use proptest::prelude::*;
 
     fn full_set(graph: &JoinGraph) -> RelSet {
         RelSet::first_n(graph.num_relations())
@@ -455,5 +482,116 @@ mod tests {
         assert_eq!(rotations[0], vec![RelId(1), RelId(2), RelId(3)]);
         assert_eq!(rotations[1], vec![RelId(2), RelId(3), RelId(1)]);
         assert_eq!(rotations[2], vec![RelId(3), RelId(2), RelId(1)]);
+    }
+
+    /// A snowflake around a 100 000-row fact, one branch per
+    /// `(kind, length, pick)`: kind 0 a chain (P1), 1 a chain whose first
+    /// relation is larger than the fact (P3), 2 a chain whose second relation
+    /// also joins the fact (P2), 3 a chain hanging off a non-key edge (P0),
+    /// 4 a tree of relations under the first (P2). Cardinalities come from a
+    /// three-value palette, so tied estimates are common.
+    fn random_snowflake(branches: &[(usize, usize, usize)]) -> (JoinGraph, RelId) {
+        const ROWS: [f64; 3] = [10.0, 1000.0, 50_000.0];
+        const KEEP: [f64; 3] = [1.0, 0.5, 0.01];
+        let mut g = JoinGraph::new();
+        let fact = g.add_relation(RelationInfo::new("fact", 100_000.0, 100_000.0));
+        for (b, &(kind, len, pick)) in branches.iter().enumerate() {
+            let mut first = fact;
+            let mut parent = fact;
+            for m in 0..len {
+                let rows = match (kind, m) {
+                    (1, 0) => 1_000_000.0,
+                    _ => ROWS[(pick + m) % 3],
+                };
+                let keep = KEEP[(pick / 3 + m) % 3];
+                let rel = g.add_relation(RelationInfo::new(format!("b{b}_{m}"), rows, rows * keep));
+                match (kind, m) {
+                    (3, 0) => g.add_edge(JoinEdge::new(
+                        fact, rel, "x", "y", 500.0, 500.0, false, false,
+                    )),
+                    (4, 1..) => {
+                        g.add_edge(JoinEdge::pkfk(first, format!("fk{b}_{m}"), rel, "sk", rows))
+                    }
+                    _ => g.add_edge(JoinEdge::pkfk(
+                        parent,
+                        format!("fk{b}_{m}"),
+                        rel,
+                        "sk",
+                        rows,
+                    )),
+                }
+                if (kind, m) == (2, 1) {
+                    g.add_edge(JoinEdge::pkfk(fact, format!("fk{b}_f"), rel, "sk", rows));
+                }
+                if m == 0 {
+                    first = rel;
+                }
+                parent = rel;
+            }
+        }
+        (g, fact)
+    }
+
+    /// Checks every candidate costed from a shared top against its full
+    /// costing and the winner of `optimize_snowflake`; returns how many
+    /// candidates shared a top.
+    fn check_shared_costs(g: &JoinGraph, fact: RelId) -> Result<usize, String> {
+        let model = CostModel::new(g);
+        let mut shared = SharedTop::default();
+        let (mut rotations, mut mismatch) = (0, None);
+        let mut first_least: Option<(f64, JoinTree)> = None;
+        for_each_candidate(g, &model, full_set(g), fact, |tree, bottom| {
+            let full = model.cout(tree, f64::INFINITY);
+            let cost = match bottom {
+                Some(bottom) => model.cout_sharing_top(tree, bottom, &mut shared),
+                None => full,
+            };
+            if cost.to_bits() != full.to_bits() {
+                mismatch.get_or_insert(format!("{cost} vs {full} for {tree}"));
+            }
+            rotations += usize::from(bottom.is_some());
+            if first_least.as_ref().is_none_or(|(least, _)| full < *least) {
+                first_least = Some((full, tree.clone()));
+            }
+        });
+        if let Some(mismatch) = mismatch {
+            return Err(mismatch);
+        }
+        let (_, winner) = first_least.ok_or("no candidate")?;
+        if optimize_snowflake(g, &model, full_set(g), fact) != winner {
+            return Err(format!("optimize_snowflake did not keep {winner}"));
+        }
+        Ok(rotations)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The shared-top costing of chain rotations is the full `Cout`, bit
+        /// for bit, with P0–P3 branches in the top and chains of 1–4
+        /// relations, and `optimize_snowflake` keeps the first cheapest.
+        #[test]
+        fn shared_rotation_costs_are_the_full_costs(
+            branches in prop::collection::vec((0usize..5, 1usize..5, 0usize..9), 1..6),
+        ) {
+            let (g, fact) = random_snowflake(&branches);
+            let checked = check_shared_costs(&g, fact);
+            prop_assert!(checked.is_ok(), "{:?}", checked);
+        }
+    }
+
+    #[test]
+    fn chain_rotations_share_a_top_holding_a_p3_swap() {
+        // A 4-chain, a P3 branch and a P0 branch: the chain's four rotations
+        // are costed from one walk of a top that joins the P3 relation on
+        // the probe side.
+        let (g, fact) = random_snowflake(&[(0, 4, 2), (1, 2, 0), (3, 1, 4)]);
+        let model = CostModel::new(&g);
+        let groups: Vec<BranchGroup> = analyze_branches(&g, &model, full_set(&g), fact)
+            .iter()
+            .map(|b| b.group)
+            .collect();
+        assert_eq!(groups, [BranchGroup::P1, BranchGroup::P3, BranchGroup::P0]);
+        assert_eq!(check_shared_costs(&g, fact), Ok(4));
     }
 }

@@ -16,6 +16,10 @@
 //!   post-processing treatment (Figure 2c). For a tree this is the
 //!   reference `cout` is tested against, bit for bit.
 //!
+//! [`CostModel::cout_sharing_top`] is `cout` for a run of trees that differ
+//! only in one subtree: it walks the rest once, records what the walk adds
+//! there, and for each later tree walks only the subtree.
+//!
 //! Estimated cardinalities come from [`CardinalityEstimator`]; the reduction
 //! of a scan or join output by pushed-down filters uses the no-false-positive
 //! semi-join semantics of Section 3.2.
@@ -86,6 +90,60 @@ impl<'a> CostModel<'a> {
     /// # Panics
     /// Panics if some join the walk reaches is a cross product.
     pub fn cout(&self, tree: &JoinTree, bound: f64) -> f64 {
+        self.walk(tree, bound, None)
+    }
+
+    /// `cout(tree, f64::INFINITY)`, bit for bit, for one of a run of trees
+    /// that differ only under node `bottom`, whose subtree must be nodes
+    /// `0..=bottom`. When `shared` holds a walk of a tree with the same nodes
+    /// from `bottom` up, only the subtree is walked, from the recorded
+    /// filters and running sums, and the recorded estimates above it are
+    /// added in the walk's order; otherwise the whole tree is walked and
+    /// recorded. Nothing above the subtree depends on its shape: the same
+    /// filters reach it and all are applied inside it, so its effective set,
+    /// and with it every estimate above it, is the same.
+    ///
+    /// # Panics
+    /// Panics if nodes `0..=bottom` are not the subtree under `bottom`, or
+    /// if some join the walk reaches is a cross product.
+    pub fn cout_sharing_top(&self, tree: &JoinTree, bottom: usize, shared: &mut SharedTop) -> f64 {
+        let nodes = &tree.nodes[..];
+        assert!(
+            2 * nodes[bottom].rels.len() == bottom + 2,
+            "the subtree under node {bottom} is not nodes 0..={bottom}"
+        );
+        let recorded = shared.bottom == bottom && shared.top[..] == nodes[bottom..];
+        let Some((base_total, join_total)) = shared.before.filter(|_| recorded) else {
+            shared.bottom = bottom;
+            shared.top.clear();
+            shared.top.extend_from_slice(&nodes[bottom..]);
+            shared.incoming.clear();
+            shared.before = None;
+            return self.walk(tree, f64::INFINITY, Some(shared));
+        };
+        let mut filters = self.filters.borrow_mut();
+        filters.clone_from(&shared.incoming);
+        let mut walk = TreeWalk {
+            model: self,
+            nodes,
+            filters: &mut filters,
+            base_total,
+            join_total,
+            bound: f64::INFINITY,
+            record: None,
+        };
+        if walk.visit(bottom, 0).is_some() {
+            shared
+                .after
+                .iter()
+                .all(|&(base, card)| walk.add(base, card));
+        }
+        walk.base_total + walk.join_total
+    }
+
+    /// [`cout`](CostModel::cout), recording into `record` when given one;
+    /// a walk cut short leaves no record.
+    fn walk(&self, tree: &JoinTree, bound: f64, record: Option<&mut SharedTop>) -> f64 {
         let mut filters = self.filters.borrow_mut();
         filters.clear();
         let mut walk = TreeWalk {
@@ -95,8 +153,11 @@ impl<'a> CostModel<'a> {
             base_total: 0.0,
             join_total: 0.0,
             bound,
+            record,
         };
-        walk.visit(tree.root(), 0);
+        if let (None, Some(record)) = (walk.visit(tree.root(), 0), walk.record.as_deref_mut()) {
+            record.before = None;
+        }
         walk.base_total + walk.join_total
     }
 
@@ -185,6 +246,20 @@ struct TreeFilter {
     source: RelSet,
 }
 
+/// What a [`CostModel::cout`] walk does outside the subtree under one node,
+/// recorded by [`CostModel::cout_sharing_top`]: the tree's nodes from the
+/// subtree's root up, the filters routed into it, the running sums when the
+/// walk enters it (`None` unless the record is complete), and the estimates
+/// added after it, in order (`true`: a base table).
+#[derive(Debug, Default)]
+pub struct SharedTop {
+    bottom: usize,
+    top: Vec<Entry>,
+    incoming: Vec<TreeFilter>,
+    before: Option<(f64, f64)>,
+    after: Vec<(bool, f64)>,
+}
+
 /// The state of one [`CostModel::cout`] call.
 struct TreeWalk<'m, 'a, 't> {
     model: &'m CostModel<'a>,
@@ -195,6 +270,8 @@ struct TreeWalk<'m, 'a, 't> {
     base_total: f64,
     join_total: f64,
     bound: f64,
+    /// Set when [`CostModel::cout_sharing_top`] records this walk.
+    record: Option<&'t mut SharedTop>,
 }
 
 /// What visiting a subtree tells its parent.
@@ -214,6 +291,10 @@ impl TreeWalk<'_, '_, '_> {
     /// above `incoming` in no particular state. `None` once the running sum
     /// has reached the bound.
     fn visit(&mut self, node: usize, incoming: usize) -> Option<Visited> {
+        if let Some(record) = self.record.as_deref_mut().filter(|r| r.bottom == node) {
+            record.incoming.extend_from_slice(&self.filters[incoming..]);
+            record.before = Some((self.base_total, self.join_total));
+        }
         let Entry { rels, join } = self.nodes[node];
         let mut effective = rels;
         let (neighbors, probe) = match join {
@@ -284,15 +365,31 @@ impl TreeWalk<'_, '_, '_> {
                 .unwrap_or_else(|| est.join_card(effective));
             (semi_reduce(core_card, full_card), Some(full_card))
         };
-        match join {
-            None => self.base_total += card,
-            Some(_) => self.join_total += card,
+        let below = self.add(join.is_none(), card);
+        // A record keeps what is added after the subtree.
+        if let Some(record) = self.record.as_deref_mut() {
+            if node == record.bottom {
+                record.after.clear();
+            } else {
+                record.after.push((join.is_none(), card));
+            }
         }
-        (self.base_total + self.join_total < self.bound).then_some(Visited {
+        below.then_some(Visited {
             effective,
             effective_card,
             neighbors,
         })
+    }
+
+    /// Adds one estimate, of a base table or of a join, to its running sum;
+    /// true while the total stays below the bound.
+    fn add(&mut self, base: bool, card: f64) -> bool {
+        if base {
+            self.base_total += card;
+        } else {
+            self.join_total += card;
+        }
+        self.base_total + self.join_total < self.bound
     }
 }
 
@@ -574,6 +671,87 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `T(bottom..., fact, rest...)` with the bottom relations first.
+    fn bottom_first(bottom: &[RelId], fact: RelId, rest: &[RelId]) -> JoinTree {
+        let order: Vec<RelId> = bottom.iter().chain([&fact]).chain(rest).copied().collect();
+        JoinTree::right_deep(&order)
+    }
+
+    #[test]
+    fn a_matching_record_is_replayed_and_any_other_tree_recorded() {
+        let (g, fact, d) = star();
+        let model = CostModel::new(&g);
+        let mut shared = SharedTop::default();
+        let full = |tree: &JoinTree| model.cout(tree, f64::INFINITY).to_bits();
+        // The bottom of `T(d0, fact, d1, d2)` is node 2: `d0`, `fact`, their join.
+        let first = bottom_first(&[d[0]], fact, &[d[1], d[2]]);
+        assert_eq!(
+            model.cout_sharing_top(&first, 2, &mut shared).to_bits(),
+            full(&first)
+        );
+        assert!(shared.before.is_some());
+        assert_eq!(
+            shared.incoming.len(),
+            2,
+            "d1's and d2's filters reach the bottom"
+        );
+        // d1 and d2 are visited before the bottom, their joins after it.
+        assert_eq!(shared.before, Some((1000.0 + 2.0, 0.0)));
+        assert_eq!(shared.after, [(false, 20_000.0), (false, 20_000.0)]);
+        // A replay reads the record: a term added to it shows in the total.
+        shared.after.push((false, 1.0));
+        assert_eq!(
+            model.cout_sharing_top(&first, 2, &mut shared),
+            model.cout(&first, f64::INFINITY) + 1.0
+        );
+        // Another top, or a bottom over other relations, is walked anew.
+        for tree in [
+            bottom_first(&[d[0]], fact, &[d[2], d[1]]),
+            bottom_first(&[d[1]], fact, &[d[0], d[2]]),
+        ] {
+            assert_eq!(
+                model.cout_sharing_top(&tree, 2, &mut shared).to_bits(),
+                full(&tree)
+            );
+            assert_eq!(shared.top[..], tree.nodes[2..]);
+        }
+    }
+
+    #[test]
+    fn bottoms_under_one_top_cost_like_the_reference() {
+        // Figure 1's cycle under a star-like top: every bottom order of
+        // {A, B, C} below D, costed from one record.
+        let mut g = JoinGraph::new();
+        let a = g.add_relation(RelationInfo::new("A", 1000.0, 400.0));
+        let b = g.add_relation(RelationInfo::new("B", 10_000.0, 10_000.0));
+        let c = g.add_relation(RelationInfo::new("C", 2000.0, 150.0));
+        let d = g.add_relation(RelationInfo::new("D", 500.0, 20.0));
+        let e = g.add_relation(RelationInfo::new("E", 30.0, 3.0));
+        for (left, right, distinct) in [(a, b, 10_000.0), (b, c, 2000.0), (d, a, 1000.0)] {
+            g.add_edge(JoinEdge::new(
+                left, right, "l", "r", distinct, distinct, false, true,
+            ));
+        }
+        g.add_edge(JoinEdge::new(d, c, "l2", "r2", 2000.0, 2000.0, false, true));
+        g.add_edge(JoinEdge::pkfk(d, "e_sk", e, "sk", 30.0));
+        let model = CostModel::new(&g);
+        let mut shared = SharedTop::default();
+        for bottom in [[a, b, c], [b, a, c], [c, b, a], [b, c, a]] {
+            let tree = JoinTree::right_deep(&[bottom[0], bottom[1], bottom[2], d, e]);
+            let reference = lowered_cout(&g, &tree, true).total;
+            let shared_cost = model.cout_sharing_top(&tree, 4, &mut shared);
+            assert_eq!(shared_cost.to_bits(), reference.to_bits(), "{tree}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "is not nodes 0..=1")]
+    fn a_bottom_must_be_the_first_nodes() {
+        let (g, fact, d) = star();
+        let tree = JoinTree::right_deep(&[fact, d[0]]);
+        CostModel::new(&g).cout_sharing_top(&tree, 1, &mut SharedTop::default());
     }
 
     #[test]

@@ -17,32 +17,58 @@
 //! For PKFK joins these formulas reproduce the paper's absorption rule
 //! (Lemma 1/3): semi-joining a fact table with all its (filtered) dimensions
 //! yields exactly the cardinality of the full join.
+//!
+//! # The memo
+//!
+//! Its hash is Thorup's vector multiply-shift over a set's two 64-bit words,
+//! `((a0·lo + a1·hi + b) mod 2^128) >> 64`, with random 128-bit `a0, a1, b`
+//! drawn per estimator from `RandomState`. The family is strongly universal
+//! (Thorup, "High Speed Hashing for Integers and Strings"): two distinct sets
+//! collide with probability 2^-64, whichever they are, so keys derived from
+//! user queries cannot be aimed at one bucket — the reason the memo hashed
+//! with SipHash — for a few multiplications a lookup. The table is sized up
+//! front, and a miss multiplies per-graph `(edge mask, selectivity)` pairs
+//! in the order `join_card_uncached` always has.
 
 use crate::graph::{JoinGraph, RelId};
 use crate::relset::RelSet;
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 /// Statistics-based cardinality estimator bound to one join graph.
 ///
 /// It remembers every [`join_card`](CardinalityEstimator::join_card) of two
 /// or more relations it has computed: the candidate plans of one optimizer
 /// call differ in one branch position, so they ask for the same relation sets
-/// over and over. The memo hashes with the standard library's SipHash, since
-/// its keys derive from user queries. The estimator borrows the graph, so the
-/// statistics cannot change under the memo; a new estimator starts empty.
+/// over and over (see the module docs). The estimator borrows the graph, so
+/// the statistics cannot change under the memo; a new estimator starts empty.
 #[derive(Debug, Clone)]
 pub struct CardinalityEstimator<'a> {
     graph: &'a JoinGraph,
-    join_cards: RefCell<HashMap<RelSet, f64>>,
+    /// Each edge's two endpoints and selectivity, in the graph's order.
+    edges: Vec<(RelSet, f64)>,
+    join_cards: RefCell<HashMap<RelSet, f64, MultiplyShift>>,
 }
 
 impl<'a> CardinalityEstimator<'a> {
     /// Creates an estimator for a join graph.
     pub fn new(graph: &'a JoinGraph) -> Self {
+        // One `BqoOptimizer` optimize keeps 42–56 sets of a 12-relation
+        // snowflake, 349–365 of a 37-relation CUSTOMER-like query.
+        let slots = 12 * graph.num_relations();
         CardinalityEstimator {
             graph,
-            join_cards: RefCell::default(),
+            edges: graph
+                .edges()
+                .iter()
+                .map(|e| ([e.left, e.right].into_iter().collect(), e.selectivity()))
+                .collect(),
+            join_cards: RefCell::new(HashMap::with_capacity_and_hasher(
+                slots,
+                MultiplyShift::new(),
+            )),
         }
     }
 
@@ -77,9 +103,9 @@ impl<'a> CardinalityEstimator<'a> {
             return 0.0;
         }
         let mut card: f64 = set.iter().map(|r| self.base_card(r)).product();
-        for edge in self.graph.edges() {
-            if set.contains(edge.left) && set.contains(edge.right) {
-                card *= edge.selectivity();
+        for &(ends, selectivity) in &self.edges {
+            if ends.is_subset(set) {
+                card *= selectivity;
             }
         }
         card
@@ -126,6 +152,60 @@ impl<'a> CardinalityEstimator<'a> {
 /// join cardinalities are known and the core's is positive.
 pub(crate) fn semi_reduce(core_card: f64, full_card: f64) -> f64 {
     core_card * (full_card / core_card).min(1.0)
+}
+
+/// The memo's hash (see the module docs): its keys, and as a `Hasher` the
+/// hash of the one `u128` a [`RelSet`] writes.
+#[derive(Debug, Clone, Copy)]
+struct MultiplyShift {
+    keys: [u128; 3],
+    hash: u64,
+}
+
+impl MultiplyShift {
+    fn new() -> Self {
+        let state = RandomState::new();
+        let key = |i: u64| {
+            u128::from(state.hash_one(2 * i)) << 64 | u128::from(state.hash_one(2 * i + 1))
+        };
+        MultiplyShift {
+            keys: [key(0), key(1), key(2)],
+            hash: 0,
+        }
+    }
+}
+
+impl BuildHasher for MultiplyShift {
+    type Hasher = Self;
+
+    fn build_hasher(&self) -> Self {
+        *self
+    }
+}
+
+impl Hasher for MultiplyShift {
+    fn write_u128(&mut self, set: u128) {
+        let [a0, a1, b] = self.keys;
+        // CAST-OK: the low word, truncated on purpose.
+        let lo = u128::from(set as u64);
+        let sum = a0
+            .wrapping_mul(lo)
+            .wrapping_add(a1.wrapping_mul(set >> 64))
+            .wrapping_add(b);
+        // CAST-OK: the high word of the sum, which fits.
+        self.hash = (sum >> 64) as u64;
+    }
+
+    /// Any other key a byte at a time, each after the hash so far.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u128(u128::from(self.hash) << 8 | u128::from(byte));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.hash
+    }
 }
 
 #[cfg(test)]
@@ -278,5 +358,63 @@ mod tests {
         let keep = est.semijoin_keep_fraction(dims[1], set(&[fact]));
         assert!(keep <= 1.0);
         assert!(keep > 0.0);
+    }
+
+    /// The formula the memo's misses must reproduce bit for bit: base
+    /// cardinalities in id order, then every edge inside the set in the
+    /// graph's edge order.
+    fn reference_join_card(g: &JoinGraph, set: RelSet) -> f64 {
+        let mut card: f64 = set.iter().map(|r| g.relation(r).filtered_rows).product();
+        for edge in g.edges() {
+            if set.contains(edge.left) && set.contains(edge.right) {
+                card *= edge.selectivity();
+            }
+        }
+        card
+    }
+
+    #[test]
+    fn memo_returns_the_uncached_card_bit_for_bit_under_any_key() {
+        let (g, _, _) = star();
+        let (first, second) = (CardinalityEstimator::new(&g), CardinalityEstimator::new(&g));
+        let keys = |est: &CardinalityEstimator<'_>| est.join_cards.borrow().hasher().keys;
+        assert_ne!(
+            keys(&first),
+            keys(&second),
+            "each estimator draws its own key"
+        );
+        for est in [&first, &second] {
+            // Every subset twice: a miss, then a hit.
+            for _ in 0..2 {
+                for mask in 0..16u128 {
+                    let set = RelSet(mask);
+                    let expected = match set.len() {
+                        0 => 0.0,
+                        1 => est.base_card(set.first().unwrap()),
+                        _ => reference_join_card(&g, set),
+                    };
+                    assert_eq!(est.join_card(set).to_bits(), expected.to_bits(), "{set:?}");
+                    assert_eq!(est.join_card_uncached(set).to_bits(), expected.to_bits());
+                }
+            }
+            assert_eq!(est.join_cards.borrow().len(), 11, "the sets of two or more");
+        }
+    }
+
+    #[test]
+    fn the_hash_is_vector_multiply_shift() {
+        // With a0 = 2^64, a1 = 3·2^64 and b = 5·2^64 the high word of the
+        // 128-bit sum is lo + 3·hi + 5, wrapped to 64 bits.
+        let keys = MultiplyShift {
+            keys: [1 << 64, 3 << 64, 5 << 64],
+            hash: 0,
+        };
+        let hash = |set: RelSet| keys.hash_one(set);
+        assert_eq!(hash(RelSet(7)), 7 + 5);
+        assert_eq!(hash(RelSet(2 << 64 | 7)), 7 + 6 + 5);
+        assert_eq!(
+            hash(RelSet(u128::MAX)),
+            u64::MAX.wrapping_mul(4).wrapping_add(5)
+        );
     }
 }

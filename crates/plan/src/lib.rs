@@ -51,7 +51,7 @@ mod tree;
 mod unparse;
 
 pub use builder::QuerySpec;
-pub use cost::{CostModel, CoutBreakdown};
+pub use cost::{CostModel, CoutBreakdown, SharedTop};
 pub use estimator::CardinalityEstimator;
 pub use graph::{JoinEdge, JoinGraph, RelId, RelationInfo, ScanBacking};
 pub use physical::{

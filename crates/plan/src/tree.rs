@@ -36,7 +36,7 @@ pub enum JoinNode {
 }
 
 /// One stored node: the relations under it and, for a join, its children.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Entry {
     pub(crate) rels: RelSet,
     pub(crate) join: Option<(usize, usize)>,

@@ -36,17 +36,17 @@ pub fn lower(sql: &str, catalog: &Catalog) -> Result<QuerySpec, SqlError> {
 
 /// A compact, single-line label for a SQL query: whitespace collapsed and
 /// truncated to 64 characters. Used as the lowered spec's name, so errors
-/// and stats quote the query itself.
+/// and stats quote the query itself. Reads the text only until the 65th
+/// label character, so a long query costs no more than a short one.
 pub fn query_label(sql: &str) -> String {
-    let mut label = String::new();
-    for word in sql.split_whitespace() {
-        if !label.is_empty() {
-            label.push(' ');
-        }
-        label.push_str(word);
-    }
-    if label.chars().count() > 64 {
-        let mut truncated: String = label.chars().take(61).collect();
+    const MAX_CHARS: usize = 64;
+    let collapsed = sql
+        .split_whitespace()
+        .enumerate()
+        .flat_map(|(i, word)| (i > 0).then_some(' ').into_iter().chain(word.chars()));
+    let label: String = collapsed.take(MAX_CHARS + 1).collect();
+    if label.chars().count() > MAX_CHARS {
+        let mut truncated: String = label.chars().take(MAX_CHARS - 3).collect();
         truncated.push_str("...");
         truncated
     } else {
@@ -444,5 +444,48 @@ mod tests {
         let label = query_label(&long);
         assert_eq!(label.chars().count(), 64);
         assert!(label.ends_with("..."));
+    }
+
+    /// The label before it stopped reading early: the whole text collapsed,
+    /// then cut.
+    fn reference_query_label(sql: &str) -> String {
+        let mut label = String::new();
+        for word in sql.split_whitespace() {
+            if !label.is_empty() {
+                label.push(' ');
+            }
+            label.push_str(word);
+        }
+        if label.chars().count() > 64 {
+            let mut truncated: String = label.chars().take(61).collect();
+            truncated.push_str("...");
+            truncated
+        } else {
+            label
+        }
+    }
+
+    #[test]
+    fn query_label_reads_a_bounded_prefix_and_labels_as_before() {
+        let word = "é€😀 ";
+        let mut inputs: Vec<String> = vec![
+            String::new(),
+            " \t\n ".into(),
+            "SELECT".into(),
+            "SELECT *\n\n\tFROM t".into(),
+            format!("SELECT * FROM t WHERE {}", "x = 1 AND ".repeat(400)),
+            format!("{}SELECT{}*", " \n".repeat(300), "\t ".repeat(300)),
+        ];
+        // Every length around the cut, in one- to four-byte characters and
+        // with runs of whitespace.
+        for len in 55..75 {
+            inputs.push("a".repeat(len));
+            inputs.push(word.repeat(len / 4 + 1).chars().take(len).collect());
+            inputs.push("ab  \n ".repeat(len / 3));
+            inputs.push(format!("{} {}", "x".repeat(len - 2), "😀"));
+        }
+        for sql in &inputs {
+            assert_eq!(query_label(sql), reference_query_label(sql), "{sql:?}");
+        }
     }
 }

@@ -2,11 +2,13 @@
 //! five query families of the benchmark's `plan-cold` workload.
 //!
 //! The five phases are the five steps of `BqoOptimizer::optimize`, called here
-//! one after the other on one `CostModel` exactly as it calls them; the last
-//! two columns time the two optimizers whole. Times are the mean over each
-//! family's ten queries × `REPEATS`, in microseconds. They locate a cost
-//! inside the optimizer; speed claims are made with `benchmark/` (see
-//! `BENCHMARK.json`), never with this table.
+//! one after the other on one `CostModel` exactly as it calls them; the next
+//! two columns time the two optimizers whole, and the last is their ratio.
+//! Each family has two rows: the mean over its ten queries × `REPEATS`, and
+//! the mean over `REPEATS` calls on its widest query (the first of the most
+//! relations), which a family mean hides. Times are in microseconds. They
+//! locate a cost inside the optimizer; speed claims are made with
+//! `benchmark/` (see `BENCHMARK.json`), never with this table.
 //!
 //! ```text
 //! cargo run --release --example optimizer_phases
@@ -65,6 +67,33 @@ fn time_phases(graph: &JoinGraph, spent: &mut [f64; 7]) {
     lap(6);
 }
 
+/// Mean µs per call of each column over `graphs`, each timed `REPEATS`
+/// times after one untimed pass that warms the allocator and the caches.
+fn mean_us(graphs: &[&JoinGraph]) -> [f64; 7] {
+    let mut spent = [0.0f64; 7];
+    for graph in graphs {
+        time_phases(graph, &mut [0.0; 7]);
+        for _ in 0..REPEATS {
+            time_phases(graph, &mut spent);
+        }
+    }
+    let calls = (graphs.len() * REPEATS) as f64;
+    spent.map(|seconds| seconds * 1e6 / calls)
+}
+
+/// One table row: label, relation range, the seven columns and bqo / baseline.
+fn print_row(label: &str, graphs: &[&JoinGraph], us: &[f64; 7]) {
+    let relations = graphs.iter().map(|g| g.num_relations());
+    let (fewest, most) = (relations.clone().min(), relations.max());
+    println!(
+        "| {label} | {}-{} | {} | {:.2} |",
+        fewest.expect("a query"),
+        most.expect("a query"),
+        us.map(|us| format!("{us:.1}")).join(" | "),
+        us[5] / us[6]
+    );
+}
+
 fn main() {
     let families: [(&str, Workload); 5] = [
         (
@@ -86,12 +115,15 @@ fn main() {
         ),
     ];
     println!(
-        "µs per call, mean of {QUERIES} queries x {REPEATS} repeats \
-         (scale {}, seed {SEED})\n",
+        "µs per call, mean of {QUERIES} queries x {REPEATS} repeats, then of the \
+         widest query x {REPEATS} (scale {}, seed {SEED})\n",
         SCALE.0
     );
-    println!("| family | relations | {} |", COLUMNS.join(" | "));
-    println!("|---|---|{}", "---|".repeat(COLUMNS.len()));
+    println!(
+        "| family | relations | {} | bqo / baseline |",
+        COLUMNS.join(" | ")
+    );
+    println!("|---|---|{}---|", "---|".repeat(COLUMNS.len()));
     let mut pass_total = 0.0;
     for (name, workload) in &families {
         let graphs: Vec<JoinGraph> = workload
@@ -103,24 +135,16 @@ fn main() {
                     .expect("generated query resolves")
             })
             .collect();
-        let mut spent = [0.0f64; 7];
-        for graph in &graphs {
-            // One untimed pass warms the allocator and the caches.
-            time_phases(graph, &mut [0.0; 7]);
-            for _ in 0..REPEATS {
-                time_phases(graph, &mut spent);
-            }
-        }
-        let calls = (graphs.len() * REPEATS) as f64;
-        let mean_us = spent.map(|seconds| seconds * 1e6 / calls);
-        pass_total += mean_us[5] * graphs.len() as f64;
-        let relations: Vec<usize> = graphs.iter().map(JoinGraph::num_relations).collect();
-        println!(
-            "| {name} | {}-{} | {} |",
-            relations.iter().min().expect("ten queries"),
-            relations.iter().max().expect("ten queries"),
-            mean_us.map(|us| format!("{us:.1}")).join(" | ")
-        );
+        let all: Vec<&JoinGraph> = graphs.iter().collect();
+        let family = mean_us(&all);
+        pass_total += family[5] * graphs.len() as f64;
+        print_row(name, &all, &family);
+        let most = graphs.iter().map(JoinGraph::num_relations).max();
+        let widest = graphs
+            .iter()
+            .find(|g| Some(g.num_relations()) == most)
+            .expect("ten queries");
+        print_row(&format!("{name}, widest"), &[widest], &mean_us(&[widest]));
     }
     println!(
         "\nΣ `BqoOptimizer::optimize` over the {} queries of one pass: {:.2} ms",

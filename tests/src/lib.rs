@@ -11,6 +11,7 @@ pub mod slt;
 use bqo_format::FormatError;
 use bqo_plan::{JoinEdge, JoinGraph, RelationInfo};
 use bqo_storage::{ChunkSource, Column, Schema, StorageError, Table, TableStats, Value};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -34,7 +35,7 @@ pub fn env_threads() -> usize {
 /// tests' slow query: a scan then takes a known time per chunk, and a
 /// cancel lands between chunks. [`Rechunked::fail_next_read`] injects a
 /// transient I/O fault into one chunk, [`Rechunked::panic_next_read`] a
-/// kernel panic.
+/// kernel panic. [`Rechunked::served`] counts the reads it answered.
 #[derive(Debug)]
 pub struct Rechunked {
     table: Arc<Table>,
@@ -42,6 +43,9 @@ pub struct Rechunked {
     delay: Duration,
     /// The chunk whose next read faults, and how, if a fault is armed.
     fault: Mutex<Option<(usize, Fault)>>,
+    /// Reads answered with a chunk, and the sum of their `chunk_byte_size`.
+    served_reads: AtomicU64,
+    served_bytes: AtomicU64,
 }
 
 /// What an armed one-shot fault does to its chunk's next read.
@@ -59,6 +63,8 @@ impl Rechunked {
             chunk_rows,
             delay: Duration::ZERO,
             fault: Mutex::new(None),
+            served_reads: AtomicU64::new(0),
+            served_bytes: AtomicU64::new(0),
         }
     }
 
@@ -80,6 +86,16 @@ impl Rechunked {
     /// name starts with `bqo-worker`), and every later read succeeds again.
     pub fn panic_next_read(&self, chunk: usize) {
         *self.fault.lock().expect("fault slot poisoned") = Some((chunk, Fault::Panic));
+    }
+
+    /// The reads answered with a chunk so far, and the sum of those chunks'
+    /// `chunk_byte_size`.
+    pub fn served(&self) -> (u64, u64) {
+        // ORDERING: SeqCst — test bookkeeping; a reader on another thread
+        // sees every read counted before the chunk was returned.
+        let reads = self.served_reads.load(Ordering::SeqCst);
+        // ORDERING: SeqCst — as above.
+        (reads, self.served_bytes.load(Ordering::SeqCst))
     }
 }
 
@@ -136,7 +152,13 @@ impl ChunkSource for Rechunked {
         let (start, end) = self.chunk_range(chunk);
         let rows: Vec<usize> = (start..end).collect();
         let columns = self.table.columns().iter();
-        Ok(columns.map(|c| Arc::new(c.take(&rows))).collect())
+        let chunk_columns = columns.map(|c| Arc::new(c.take(&rows))).collect();
+        // ORDERING: SeqCst — see `served`.
+        self.served_bytes
+            .fetch_add(self.chunk_byte_size(chunk), Ordering::SeqCst);
+        // ORDERING: SeqCst — see `served`.
+        self.served_reads.fetch_add(1, Ordering::SeqCst);
+        Ok(chunk_columns)
     }
     fn chunk_byte_size(&self, chunk: usize) -> u64 {
         let (start, end) = self.chunk_range(chunk);

@@ -15,7 +15,7 @@
 //! (`crates/core/src/server/queue.rs`); this suite keeps what needs real
 //! execution or the `Ticket` API.
 
-use bqo_core::exec::{Batch, ExecConfig};
+use bqo_core::exec::{Batch, CancelToken, ExecConfig};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
     CacheStatus, Engine, KernelMode, OptimizerChoice, Params, QuerySpec, Request, RunOptions,
@@ -435,6 +435,46 @@ fn midflight_cancel_aborts_and_frees_the_slot() {
     assert!(next.wait().expect("slot was freed").result.output_rows > 0);
     let stats = server.stats();
     assert_eq!((stats.cancelled, stats.completed), (1, 1));
+}
+
+/// A run cancelled mid-scan reports the chunks it fetched: its partial
+/// metrics count exactly the reads the source answered and their bytes.
+#[test]
+fn a_cancelled_scan_reports_the_chunks_it_read() {
+    let spec = star::build_query("long_running", 2, &[(0, 4)]);
+    let mut catalog = star::build_catalog(Scale(0.02), 2, 41);
+    let fact = catalog.table("fact").unwrap();
+    let source = Arc::new(Rechunked::new(fact, 16).with_delay(Duration::from_millis(4)));
+    catalog.register_source(Arc::clone(&source) as _);
+    let engine = Engine::from_catalog(catalog);
+    let stmt = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
+    let token = CancelToken::new();
+    let canceller = {
+        let (source, token) = (Arc::clone(&source), token.clone());
+        std::thread::spawn(move || {
+            let started = Instant::now();
+            while source.served().0 < 3 && started.elapsed() < Duration::from_secs(30) {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            token.cancel();
+        })
+    };
+    let options = RunOptions::new()
+        .with_exec_config(slow_config())
+        .with_cancel_token(token);
+    let err = engine
+        .session()
+        .execute(&stmt, options)
+        .expect_err("the scan is cancelled after three reads");
+    canceller.join().unwrap();
+    assert!(err.is_cancelled(), "{err}");
+    let partial = err
+        .partial_metrics()
+        .expect("a cancelled run keeps its metrics");
+    let (reads, bytes) = source.served();
+    assert!(reads >= 3, "{reads} reads");
+    assert_eq!(partial.chunks_read, reads);
+    assert_eq!(partial.bytes_read, bytes);
 }
 
 /// A deadline that expires mid-execution aborts the query cooperatively and
