@@ -574,8 +574,10 @@ impl Session {
     /// (the engine's default unless overridden), whether to collect output
     /// rows, and an optional cancel token. Parallel configurations draw their
     /// helper workers from the engine's [`WorkerPool`]; serial ones never
-    /// touch (or spawn) it. A cancelled run's error carries the metrics
-    /// gathered before the abort ([`BqoError::partial_metrics`]):
+    /// touch (or spawn) it. Any execution failure — an I/O error, a corrupt
+    /// chunk, a cancel or a passed deadline — stops the run at its next
+    /// morsel claim, and the error carries the metrics gathered until then
+    /// ([`BqoError::partial_metrics`]):
     ///
     /// ```ignore
     /// let out = session.execute(&stmt, RunOptions::new())?;                  // plain run

@@ -57,29 +57,19 @@ impl BqoError {
         }
     }
 
-    /// An execution error for the named query.
-    pub fn execution(query: impl Into<String>, source: StorageError) -> Self {
-        BqoError {
-            phase: QueryPhase::Execution,
-            query: Some(query.into()),
-            source,
-            partial_metrics: None,
-        }
-    }
-
-    /// An execution error from a failed [`bqo_exec::execute`] run, given
-    /// the metrics the run gathered: they are kept only when the run was
-    /// cancelled (`StorageError::Cancelled`), so a serving layer can report
-    /// how much work a killed query did.
+    /// An execution error from a failed [`bqo_exec::execute`] run, carrying
+    /// the metrics the run gathered before it stopped — whatever the cause,
+    /// so a caller can see how much work a failed or cancelled query did.
     pub(crate) fn from_exec(
         query: impl Into<String>,
         source: StorageError,
         metrics: ExecutionMetrics,
     ) -> Self {
-        let cancelled = source == StorageError::Cancelled;
         BqoError {
-            partial_metrics: cancelled.then(|| Box::new(metrics)),
-            ..BqoError::execution(query, source)
+            phase: QueryPhase::Execution,
+            query: Some(query.into()),
+            source,
+            partial_metrics: Some(Box::new(metrics)),
         }
     }
 
@@ -104,14 +94,15 @@ impl BqoError {
         self.source == StorageError::Cancelled
     }
 
-    /// The metrics a cancelled run gathered before it was aborted, if this
-    /// error carries them: how a `Session::execute` caller reads them.
+    /// What a failed run did before it stopped — any execution failure (an
+    /// I/O error, a corrupt chunk, a cancel, a passed deadline) stops it at
+    /// its next morsel claim: `Some` for every [`QueryPhase::Execution`]
+    /// error, `None` for setup and planning errors.
     pub fn partial_metrics(&self) -> Option<&ExecutionMetrics> {
         self.partial_metrics.as_deref()
     }
 
-    /// Moves the partial metrics of a cancelled run, if any, out of the
-    /// error.
+    /// Moves the partial metrics, if any, out of the error.
     pub(crate) fn take_partial_metrics(&mut self) -> Option<ExecutionMetrics> {
         self.partial_metrics.take().map(|m| *m)
     }
@@ -174,7 +165,11 @@ mod tests {
     #[test]
     fn error_chain_exposes_the_storage_cause() {
         use std::error::Error;
-        let e = BqoError::execution("q", StorageError::InvalidArgument("x".into()));
+        let e = BqoError::from_exec(
+            "q",
+            StorageError::InvalidArgument("x".into()),
+            ExecutionMetrics::new(),
+        );
         assert!(e.source().is_some());
         assert!(matches!(
             e.storage_error(),
@@ -182,6 +177,7 @@ mod tests {
         ));
     }
 
+    /// A cancelled and a failed run keep their metrics alike.
     #[test]
     fn from_exec_preserves_partial_metrics_on_cancellation() {
         let mut metrics = ExecutionMetrics::new();
@@ -194,8 +190,9 @@ mod tests {
         assert_eq!(e.partial_metrics(), None);
 
         let missing = StorageError::TableNotFound { table: "t".into() };
-        let plain = BqoError::from_exec("q", missing, metrics);
-        assert!(!plain.is_cancelled());
-        assert!(plain.partial_metrics().is_none());
+        let failed = BqoError::from_exec("q", missing, metrics.clone());
+        assert!(!failed.is_cancelled());
+        assert_eq!(failed.phase(), QueryPhase::Execution);
+        assert_eq!(failed.partial_metrics(), Some(&metrics));
     }
 }

@@ -305,7 +305,9 @@ impl std::error::Error for SubmitError {}
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
     /// Planning or execution failed (the usual error path, with query name
-    /// and phase attached).
+    /// and phase attached). An execution failure stopped the run at its
+    /// next morsel claim, and [`BqoError::partial_metrics`] reports what it
+    /// did — the chunks a failed scan read, as for a cancelled run.
     Query(BqoError),
     /// Execution panicked on the dispatcher; the payload's message. The
     /// dispatcher survived and keeps serving other requests.
@@ -554,21 +556,24 @@ pub struct LatencyStats {
 
 struct ServerShared {
     engine: Engine,
-    /// The scheduler's clamped configuration, readable without the lock.
+    /// The configuration, every bound clamped to at least 1 — the one place
+    /// configuration enters the server.
     config: ServerConfig,
     scheduler: Mutex<Scheduler<Job>>,
-    /// Dispatchers park here while no request is dispatchable (queue empty,
-    /// server paused, or every slot taken).
+    /// Free dispatchers park here while no request is dispatchable (queue
+    /// empty or server paused).
     work: Condvar,
 }
 
 impl ServerShared {
     fn new(engine: Engine, config: ServerConfig) -> Self {
-        let scheduler = Scheduler::new(config);
+        let config = ServerConfig::default()
+            .with_max_concurrent_queries(config.max_concurrent_queries)
+            .with_queue_capacity(config.queue_capacity);
         ServerShared {
             engine,
-            config: scheduler.config(),
-            scheduler: Mutex::new(scheduler),
+            config,
+            scheduler: Mutex::new(Scheduler::new(config.queue_capacity)),
             work: Condvar::new(),
         }
     }
@@ -672,7 +677,9 @@ impl std::fmt::Debug for Server {
 impl Server {
     /// Starts a server over an engine: spawns
     /// [`ServerConfig::max_concurrent_queries`] persistent dispatcher
-    /// threads and begins accepting submissions immediately.
+    /// threads (at least one) and begins accepting submissions immediately.
+    /// Each dispatcher runs one request at a time, so their number alone
+    /// bounds how many run at once.
     pub fn new(engine: Engine, config: ServerConfig) -> Self {
         let shared = Arc::new(ServerShared::new(engine, config));
         #[expect(
@@ -903,6 +910,20 @@ mod tests {
         assert_eq!(config.queue_capacity, 1);
     }
 
+    /// A config built field by field skips the builder's clamp; the server
+    /// clamps again where it starts. Unclamped, zero dispatchers never
+    /// dispatched a request and a zero capacity rejected every one.
+    #[test]
+    fn the_server_clamps_zero_bounds_to_one() {
+        let bounds = |max_concurrent_queries, queue_capacity| ServerConfig {
+            max_concurrent_queries,
+            queue_capacity,
+        };
+        let engine = Engine::from_catalog(crate::Catalog::new());
+        let shared = ServerShared::new(engine, bounds(0, 0));
+        assert_eq!(shared.config, bounds(1, 1));
+    }
+
     #[test]
     fn errors_render_their_cause() {
         let full = SubmitError::QueueFull { capacity: 7 };
@@ -959,8 +980,7 @@ mod tests {
 
     #[test]
     fn dispatch_order_prefers_priority_then_deadline_then_seq() {
-        let config = ServerConfig::default().with_max_concurrent_queries(8);
-        let mut scheduler = Scheduler::new(config);
+        let mut scheduler = Scheduler::new(ServerConfig::default().queue_capacity);
         let now = Instant::now();
         let soon = Some(now + Duration::from_millis(10));
         let later = Some(now + Duration::from_secs(10));

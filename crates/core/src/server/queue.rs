@@ -17,7 +17,7 @@
 //! resolution at most once. A rejection is booked to its named tenant too,
 //! so every field of a tenant's ledger means what the server's does.
 
-use super::{LatencyStats, ServerConfig, ServerStats, SubmitError};
+use super::{LatencyStats, ServerStats, SubmitError};
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
@@ -233,7 +233,8 @@ pub(super) struct Dispatch<P> {
 /// The server's queue, flags and ledger (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub(super) struct Scheduler<P> {
-    config: ServerConfig,
+    /// The most requests [`Scheduler::submit`] lets wait in the queue.
+    capacity: usize,
     queue: VecDeque<Entry<P>>,
     accepting: bool,
     paused: bool,
@@ -244,15 +245,11 @@ pub(super) struct Scheduler<P> {
 }
 
 impl<P> Scheduler<P> {
-    /// An accepting scheduler for `config`, every bound clamped to at least
-    /// 1 — the one place configuration enters the server.
-    pub(super) fn new(config: ServerConfig) -> Self {
-        let config = ServerConfig {
-            max_concurrent_queries: config.max_concurrent_queries.max(1),
-            queue_capacity: config.queue_capacity.max(1),
-        };
+    /// An accepting scheduler whose queue holds up to `capacity` requests
+    /// (the server passes its clamped [`super::ServerConfig::queue_capacity`]).
+    pub(super) fn new(capacity: usize) -> Self {
         Scheduler {
-            config,
+            capacity,
             queue: VecDeque::new(),
             accepting: true,
             paused: false,
@@ -260,11 +257,6 @@ impl<P> Scheduler<P> {
             totals: Counters::default(),
             tenants: HashMap::new(),
         }
-    }
-
-    /// The clamped configuration.
-    pub(super) fn config(&self) -> ServerConfig {
-        self.config
     }
 
     /// Admits a request submitted at `now`, or rejects it (shut down or queue
@@ -283,7 +275,7 @@ impl<P> Scheduler<P> {
             self.book(tenant.as_deref(), Event::Rejected);
             return Err(SubmitError::ShutDown);
         }
-        let capacity = self.config.queue_capacity;
+        let capacity = self.capacity;
         if self.queue.len() >= capacity {
             self.book(tenant.as_deref(), Event::Rejected);
             return Err(SubmitError::QueueFull { capacity });
@@ -302,10 +294,11 @@ impl<P> Scheduler<P> {
         Ok(id)
     }
 
-    /// Sweeps the queue for passed deadlines, then, while fewer than
-    /// `max_concurrent_queries` run, picks the request that runs next: the
-    /// one that [`beats`] every other. A paused server does neither —
-    /// unless it is shutting down, when draining wins.
+    /// Sweeps the queue for passed deadlines, then picks the request that
+    /// runs next: the one that [`beats`] every other. A paused server does
+    /// neither — unless it is shutting down, when draining wins. Only a free
+    /// dispatcher calls this, so the number of dispatchers bounds how many
+    /// requests run.
     pub(super) fn dispatch(&mut self, now: Instant) -> Dispatch<P> {
         let mut dispatch = Dispatch {
             expired: Vec::new(),
@@ -322,9 +315,6 @@ impl<P> Scheduler<P> {
             dispatch
                 .expired
                 .extend(self.drop_at(index, Outcome::DeadlineExpired));
-        }
-        if self.totals.running >= self.config.max_concurrent_queries {
-            return dispatch;
         }
         let best = self
             .queue
@@ -434,13 +424,6 @@ mod tests {
         t0 + Duration::from_secs(ticks)
     }
 
-    fn config(max_concurrent: usize, capacity: usize) -> ServerConfig {
-        ServerConfig {
-            max_concurrent_queries: max_concurrent,
-            queue_capacity: capacity,
-        }
-    }
-
     /// Dispatches at `now`, asserting the sweep found nothing.
     fn next<P>(scheduler: &mut Scheduler<P>, now: Instant) -> Option<(Running, P)> {
         let dispatch = scheduler.dispatch(now);
@@ -448,21 +431,20 @@ mod tests {
         dispatch.next
     }
 
-    /// One slot, a backlog of four, then a probe: a higher-priority probe
-    /// runs first; an equal-priority one runs last, the backlog in
+    /// One dispatcher, a backlog of four, then a probe: a higher-priority
+    /// probe runs first; an equal-priority one runs last, the backlog in
     /// submission order.
     #[test]
     fn priority_overtakes_a_backlog_and_equal_priorities_are_fifo() {
         for (probe_priority, expected) in [(5, [4, 0, 1, 2, 3]), (0, [0, 1, 2, 3, 4])] {
             let t0 = epoch();
-            let mut scheduler = Scheduler::new(config(1, 64));
+            let mut scheduler = Scheduler::new(64);
             for i in 0..5 {
                 let priority = if i == 4 { probe_priority } else { 0 };
                 scheduler.submit(t0, None, priority, None, i).unwrap();
             }
             let (mut order, mut waits, mut now) = (Vec::new(), Vec::new(), t0);
             while let Some((running, i)) = next(&mut scheduler, now) {
-                assert!(next(&mut scheduler, now).is_none(), "one slot");
                 waits.push(running.queue_wait());
                 now += Duration::from_secs(1);
                 scheduler.finish(running, now, Outcome::Completed);
@@ -482,7 +464,7 @@ mod tests {
     #[test]
     fn queued_deadlines_expire_at_dispatch_or_through_the_waiter() {
         let t0 = epoch();
-        let mut scheduler = Scheduler::new(config(1, 8));
+        let mut scheduler = Scheduler::new(8);
         scheduler.set_paused(true);
         let tenant = Some("t".to_string());
         let a = scheduler
@@ -518,7 +500,7 @@ mod tests {
     #[test]
     fn a_full_queue_rejects_until_a_slot_frees() {
         let t0 = epoch();
-        let mut scheduler = Scheduler::new(config(1, 3));
+        let mut scheduler = Scheduler::new(3);
         scheduler.set_paused(true);
         let ids: Vec<u64> = (0..3)
             .map(|i| scheduler.submit(t0, None, 0, None, i).unwrap())
@@ -554,7 +536,7 @@ mod tests {
     #[test]
     fn closing_rejects_new_work_and_drains_even_when_paused() {
         let t0 = epoch();
-        let mut scheduler = Scheduler::new(config(1, 8));
+        let mut scheduler = Scheduler::new(8);
         scheduler.set_paused(true);
         scheduler.submit(t0, None, 0, None, ()).unwrap();
         scheduler.close();
@@ -570,12 +552,12 @@ mod tests {
         assert_eq!((stats.rejected, stats.failed, stats.running), (1, 1, 0));
     }
 
+    /// The server clamps a zero queue capacity to 1 (`server::tests`); a
+    /// one-request queue admits and dispatches. Unclamped, a zero capacity
+    /// rejected every request.
     #[test]
     fn zero_bounds_are_clamped_to_one() {
-        let mut scheduler = Scheduler::new(config(0, 0));
-        assert_eq!(scheduler.config(), config(1, 1));
-        // Unclamped, a zero capacity rejected every request and zero slots
-        // never dispatched one.
+        let mut scheduler = Scheduler::new(1);
         let t0 = epoch();
         scheduler.submit(t0, Some("a".into()), 0, None, ()).unwrap();
         let (running, ()) = next(&mut scheduler, t0).expect("dispatches");
@@ -805,9 +787,9 @@ mod tests {
             self
         }
 
-        /// Dispatches, checked against the model: the sweep takes exactly
-        /// the queued requests whose deadline passed, and the pick is the
-        /// best queued one while a slot is free. `None` when dispatching
+        /// Dispatches on a free dispatcher, checked against the model: the
+        /// sweep takes exactly the queued requests whose deadline passed,
+        /// and the pick is the best queued one. `None` when dispatching
         /// changes nothing.
         fn dispatch(mut self, seen: &mut Seen) -> Option<World> {
             let due = |w: &World, i: usize| w.deadline(i).is_some_and(|d| d <= w.now);
@@ -820,9 +802,8 @@ mod tests {
                 self.resolve(i, Outcome::DeadlineExpired);
             }
             assert_eq!(expired, expect_expired, "sweep at tick {}", self.now);
-            let running = (0..3).filter(|&i| self.is(i, Phase::Running)).count();
             let expect_next = (0..3)
-                .filter(|&i| running < 2 && self.is(i, Phase::Queued))
+                .filter(|&i| self.is(i, Phase::Queued))
                 .min_by_key(|&i| {
                     let deadline = self.deadline(i);
                     (
@@ -893,15 +874,19 @@ mod tests {
                 w.closed = true;
                 out.push(w);
             }
-            out.extend(self.clone().dispatch(seen));
+            // The server's two dispatchers: only a free one dispatches.
+            let running = (0..3).filter(|&i| self.is(i, Phase::Running)).count();
+            if running < 2 {
+                out.extend(self.clone().dispatch(seen));
+            }
             out
         }
     }
 
     /// Every interleaving of submit / cancel / clock advance / waiter-side
-    /// expiry / dispatch / finish (each outcome) / close over three requests
-    /// and two tenants keeps the invariants in [`World::check`]: no request
-    /// resolves twice, `running` stays within its bound, the queue within
+    /// expiry / dispatch (by one of two dispatchers) / finish (each outcome)
+    /// / close over three requests and two tenants keeps the invariants in
+    /// [`World::check`]: no request resolves twice, the queue stays within
     /// its capacity, the counters match the model
     /// and reconcile globally and per tenant, and nothing queued is stranded.
     /// Worlds with equal [`Key`]s have equal futures, so each is expanded
@@ -910,7 +895,7 @@ mod tests {
     fn every_interleaving_keeps_the_ledger() {
         let t0 = epoch();
         let start = World {
-            scheduler: Scheduler::new(config(2, 2)),
+            scheduler: Scheduler::new(2),
             t0,
             now: 0,
             closed: false,

@@ -179,8 +179,9 @@ pub struct QueryResult {
 /// (`Ok(None)`).
 ///
 /// The [`QueryResult`] holds the metrics gathered so far whatever the
-/// outcome, so a run aborted by its cancel token
-/// (`StorageError::Cancelled`) still reports how much work it did.
+/// outcome. Any failure — a kernel's error such as a failed chunk read, or
+/// the cancel token (`StorageError::Cancelled`) — stops the run at its next
+/// morsel claim, so a failed run reports how much work it did.
 /// `metrics.elapsed` is stamped last, after the rows exist.
 pub fn execute(
     catalog: &Catalog,
@@ -196,7 +197,7 @@ pub fn execute(
         let mut collected = Vec::new();
         // Drive the pipeline, capturing the first failure instead of
         // `?`-returning so `close` always runs and the context's partial
-        // metrics survive a cancellation.
+        // metrics survive any failure.
         let drained = (|| -> Result<(), StorageError> {
             root.open(&mut ctx)?;
             while let Some(batch) = root.next_batch(&mut ctx)? {

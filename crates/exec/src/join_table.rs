@@ -309,7 +309,7 @@ where
         }
         offsets.rotate_right(1);
         offsets[0] = 0;
-        Csr { offsets, rows }
+        Ok(Csr { offsets, rows })
     })?;
 
     // Concatenate the per-range pieces, rebasing each piece's offsets on

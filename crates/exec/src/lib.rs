@@ -42,14 +42,15 @@
 //!   per-query thread start-up ([`ExecContext::with_pool`]; a context
 //!   without a pool runs every section inline), gated by
 //!   [`ExecConfig::parallel_threshold`] so tiny inputs stay inline,
-//! * **cooperative cancellation**: a cloneable [`CancelToken`] (an atomic
-//!   flag and an optional deadline) attached via
+//! * **one stop rule for every failure**: a cloneable [`CancelToken`] (an
+//!   atomic flag and an optional deadline) attached via
 //!   [`ExecContext::with_cancel_token`] is re-checked at every morsel-claim
 //!   boundary of the four parallel sections, at every serial batch pull and
-//!   once per batch of the final gather, so an in-flight query aborts within
-//!   roughly one morsel of [`CancelToken::cancel`] or deadline expiry,
-//!   failing with `StorageError::Cancelled` beside the metrics gathered so
-//!   far,
+//!   once per batch of the final gather, and a kernel's error (a failed
+//!   chunk read) stops its section's claims the same way — so any failure
+//!   stops the run at its next morsel claim, within roughly one morsel of
+//!   the fault, [`CancelToken::cancel`] or deadline expiry, and [`execute`]
+//!   returns the error beside the metrics gathered so far,
 //! * per-operator metrics (tuples output by leaf / join / other operators,
 //!   bitvector probe and elimination counts, wall-clock time) matching the
 //!   quantities reported in Figures 7–10 and Table 4, collected inside the

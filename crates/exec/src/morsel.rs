@@ -29,7 +29,7 @@
 use crate::cancel::CancelToken;
 use crate::pool::WorkerPool;
 use bqo_storage::StorageError;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// A contiguous range of rows `[start, end)` claimed as one unit of work.
@@ -88,7 +88,7 @@ pub(crate) fn chunk_morsels(num_rows: usize, num_threads: usize) -> Vec<Morsel> 
 }
 
 /// Runs `kernel` over every morsel using up to `num_threads` workers and
-/// returns the per-morsel results **in morsel order**.
+/// returns the per-morsel results **in morsel order**, or the first failure.
 ///
 /// Workers claim morsels from a shared atomic cursor (work stealing over a
 /// contiguous range); results are slotted by morsel index, so the returned
@@ -98,13 +98,12 @@ pub(crate) fn chunk_morsels(num_rows: usize, num_threads: usize) -> Vec<Morsel> 
 /// no pool, or a pool without live workers (0-worker or shut down) the
 /// kernels run inline on the calling thread, in morsel order.
 ///
-/// With `Some(token)`, every worker re-checks the token before claiming its
-/// next morsel; a fired token stops all claim loops and the section returns
-/// `Err(StorageError::Cancelled)` once any morsel was left unprocessed — the
-/// cooperative mid-flight cancellation seam, bounding abort latency to
-/// roughly one morsel of kernel work. A token that fires after the last morsel was claimed does
-/// not fail the section: the complete result set is returned and the *next*
-/// check point observes the cancellation.
+/// One stop rule covers every failure: a kernel's `Err` and a fired `cancel`
+/// token (re-checked before every claim) both stop all claim loops at their
+/// next claim. Claims form a prefix in cursor order and a claimed morsel
+/// always runs, so the error is the lowest-index failed morsel's, or
+/// `StorageError::Cancelled` if the token alone cut the section short; a
+/// token fired after the last claim is seen by the *next* check point.
 ///
 /// # Panics
 /// Propagates kernel panics to the caller.
@@ -117,7 +116,7 @@ pub fn run_morsels_with<T, K>(
 ) -> Result<Vec<T>, StorageError>
 where
     T: Send,
-    K: Fn(&Morsel) -> T + Sync,
+    K: Fn(&Morsel) -> Result<T, StorageError> + Sync,
 {
     let workers = num_threads.max(1).min(morsels.len());
     if let Some(pool) = pool.filter(|pool| workers > 1 && pool.num_workers() > 0) {
@@ -128,7 +127,7 @@ where
         if cancel.is_some_and(CancelToken::is_cancelled) {
             return Err(StorageError::Cancelled);
         }
-        out.push(kernel(morsel));
+        out.push(kernel(morsel)?);
     }
     Ok(out)
 }
@@ -144,16 +143,16 @@ fn run_morsels_pooled<T, K>(
 ) -> Result<Vec<T>, StorageError>
 where
     T: Send,
-    K: Fn(&Morsel) -> T + Sync,
+    K: Fn(&Morsel) -> Result<T, StorageError> + Sync,
 {
     let cursor = AtomicUsize::new(0);
-    let produced: Mutex<Vec<(usize, T)>> = Mutex::new(Vec::with_capacity(morsels.len()));
+    let failed = AtomicBool::new(false);
+    let produced = Mutex::new(Vec::with_capacity(morsels.len()));
     let claim_all = || {
         let mut local = Vec::new();
-        loop {
-            if cancel.is_some_and(CancelToken::is_cancelled) {
-                break;
-            }
+        // ORDERING: Relaxed — the stop flag guards no data; the failed
+        // result is published via the section's join/latch.
+        while !failed.load(Ordering::Relaxed) && !cancel.is_some_and(CancelToken::is_cancelled) {
             // ORDERING: Relaxed — the counter only allocates a unique
             // morsel index; the produced results are published via the
             // section's join/latch, which supplies the happens-before edge.
@@ -161,7 +160,12 @@ where
             let Some(morsel) = morsels.get(i) else {
                 break;
             };
-            local.push((i, kernel(morsel)));
+            let result = kernel(morsel);
+            if result.is_err() {
+                // ORDERING: Relaxed — as for the load above.
+                failed.store(true, Ordering::Relaxed);
+            }
+            local.push((i, result));
         }
         if !local.is_empty() {
             #[expect(
@@ -177,20 +181,20 @@ where
     pool.run_mirrored(workers - 1, &claim_all);
 
     // Deterministic merge: results are slotted by morsel index, so scheduling
-    // (and which copies ran at all) is invisible. A morsel can be left
-    // unclaimed only when the cancel token fired.
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(morsels.len());
+    // is invisible. The claimed slots form a prefix, so the first failure in
+    // morsel order precedes any slot a fired token left empty.
+    let mut slots: Vec<Option<Result<T, StorageError>>> = Vec::with_capacity(morsels.len());
     slots.resize_with(morsels.len(), || None);
     #[expect(
         clippy::expect_used,
         reason = "lock poisoning: a worker panicked mid-append; partial results must not be returned as complete"
     )]
-    for (i, value) in produced.into_inner().expect("morsel result sink poisoned") {
-        slots[i] = Some(value);
+    for (i, result) in produced.into_inner().expect("morsel result sink poisoned") {
+        slots[i] = Some(result);
     }
     slots
         .into_iter()
-        .map(|slot| slot.ok_or(StorageError::Cancelled))
+        .map(|slot| slot.unwrap_or(Err(StorageError::Cancelled)))
         .collect()
 }
 
@@ -233,14 +237,14 @@ mod tests {
         assert_eq!(chunk_morsels(10, 0).len(), 1);
     }
 
-    /// Runs an uncancellable section over `pool`.
+    /// Runs an uncancellable section of an infallible kernel over `pool`.
     fn run<T: Send>(
         pool: Option<&WorkerPool>,
         threads: usize,
         ms: &[Morsel],
         kernel: impl Fn(&Morsel) -> T + Sync,
     ) -> Vec<T> {
-        run_morsels_with(pool, None, threads, ms, kernel).expect("no cancel token attached")
+        run_morsels_with(pool, None, threads, ms, |m| Ok(kernel(m))).expect("nothing fails")
     }
 
     #[test]
@@ -306,7 +310,7 @@ mod tests {
         token.cancel();
         let ms = morsels(100, 3);
         for (pool, threads) in [(None, 1usize), (Some(&pool), 4)] {
-            let result = run_morsels_with(pool, Some(&token), threads, &ms, |m| m.len());
+            let result = run_morsels_with(pool, Some(&token), threads, &ms, |m| Ok(m.len()));
             assert_eq!(result, Err(StorageError::Cancelled), "threads {threads}");
         }
     }
@@ -326,7 +330,7 @@ mod tests {
                 if m.index == 10 {
                     token.cancel();
                 }
-                m.len()
+                Ok(m.len())
             });
             assert_eq!(result, Err(StorageError::Cancelled), "{label}");
             assert!(
@@ -344,9 +348,82 @@ mod tests {
         let serial = run(None, 1, &ms, |m| m.rows().sum::<usize>());
         for threads in [1, 2, 4] {
             let result = run_morsels_with(Some(&pool), Some(&token), threads, &ms, |m| {
-                m.rows().sum::<usize>()
+                Ok(m.rows().sum::<usize>())
             });
             assert_eq!(result.unwrap(), serial, "threads {threads}");
+        }
+    }
+
+    /// A kernel that fails at morsel `k` (and, with `also`, at a later
+    /// one), counting the morsels it ran.
+    fn failing_at(
+        k: usize,
+        also: Option<usize>,
+        ran: &AtomicUsize,
+    ) -> impl Fn(&Morsel) -> Result<usize, StorageError> + Sync + '_ {
+        move |m| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if m.index == k || Some(m.index) == also {
+                return Err(StorageError::InvalidArgument(format!("morsel {}", m.index)));
+            }
+            Ok(m.len())
+        }
+    }
+
+    #[test]
+    fn a_failed_kernel_stops_the_serial_section_at_its_morsel() {
+        let ms = morsels(100, 1);
+        for k in [0, 1, 57, 99] {
+            let ran = AtomicUsize::new(0);
+            let result = run_morsels_with(None, None, 1, &ms, failing_at(k, None, &ran));
+            let want = StorageError::InvalidArgument(format!("morsel {k}"));
+            assert_eq!(result, Err(want), "k {k}");
+            assert_eq!(
+                ran.load(Ordering::Relaxed),
+                k + 1,
+                "no morsel after {k} runs"
+            );
+        }
+    }
+
+    #[test]
+    fn a_pooled_section_returns_the_lowest_failed_morsels_error() {
+        let pool = WorkerPool::new(3);
+        let ms = morsels(400, 1);
+        for workers in 1..=4 {
+            for k in [0, 3, 150, 398] {
+                let ran = AtomicUsize::new(0);
+                let kernel = failing_at(k, Some(k + 1), &ran);
+                let result = run_morsels_with(Some(&pool), None, workers, &ms, kernel);
+                let want = StorageError::InvalidArgument(format!("morsel {k}"));
+                assert_eq!(result, Err(want), "workers {workers}, k {k}");
+                // Every morsel up to `k` was claimed, so every one ran.
+                let ran = ran.load(Ordering::Relaxed);
+                assert!(ran > k, "workers {workers}, k {k}: {ran} ran");
+            }
+        }
+    }
+
+    /// Morsel 0 fails at once and every other morsel takes a millisecond, so
+    /// the pooled workers stop after about one morsel each; were the failure
+    /// not to stop the other claim loops, all 400 would run.
+    #[test]
+    fn a_pooled_failure_stops_the_other_claim_loops() {
+        let pool = WorkerPool::new(3);
+        let ms = morsels(400, 1);
+        for workers in 2..=4 {
+            let ran = AtomicUsize::new(0);
+            let fail_first = failing_at(0, None, &ran);
+            let result = run_morsels_with(Some(&pool), None, workers, &ms, |m| {
+                if m.index > 0 {
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+                fail_first(m)
+            });
+            let want = StorageError::InvalidArgument("morsel 0".to_string());
+            assert_eq!(result, Err(want), "workers {workers}");
+            let ran = ran.load(Ordering::Relaxed);
+            assert!(ran <= 64, "workers {workers}: {ran} of 400 morsels ran");
         }
     }
 }

@@ -258,7 +258,8 @@ impl PhysicalOperator for ScanOp<'_> {
         // kernel per morsel, whose only shared state is the chunk counters:
         // the kernel counts reads, prunes and bytes itself, so a scan that
         // is cancelled or fails part-way still reports every chunk it
-        // fetched. Every filter targeting this scan is already published: a
+        // fetched. A failed read fails the section, which stops claiming
+        // chunks. Every filter targeting this scan is already published: a
         // hash join publishes its filters before opening its probe side, and
         // placement targets always sit below the source join's probe child.
         let (chunks_read, chunks_pruned, bytes_read) =
@@ -335,7 +336,7 @@ impl PhysicalOperator for ScanOp<'_> {
         // order, independent of worker scheduling. The survivor count is
         // known up front, so the merged rows and (fetched sources only)
         // columns are allocated once, at their final size.
-        let total: usize = per_morsel.iter().flatten().map(|m| m.rows.len()).sum();
+        let total: usize = per_morsel.iter().map(|m| m.rows.len()).sum();
         let mut survivors = Vec::with_capacity(total);
         let fetched = if resident.is_some() { 0 } else { total };
         let fields = source.schema().fields().iter();
@@ -343,8 +344,7 @@ impl PhysicalOperator for ScanOp<'_> {
             .map(|f| Column::with_capacity(f.data_type, fetched))
             .collect();
         let mut merged = vec![FilterStats::new(); self.placements.len()];
-        for result in per_morsel {
-            let morsel: MorselScan = result?;
+        for morsel in per_morsel {
             survivors.extend(morsel.rows);
             for (acc, c) in compacted.iter_mut().zip(morsel.columns) {
                 acc.append_owned(c)?;
@@ -562,7 +562,7 @@ impl PhysicalOperator for HashJoinOp<'_> {
             let workers = ctx.config.workers_for(probe_keys.len());
             let chunks = chunk_morsels(probe_keys.len(), workers);
             let matched = ctx.run_morsels(workers, &chunks, |m| {
-                join_probe(&config, table, &probe_keys, m.rows())
+                Ok(join_probe(&config, table, &probe_keys, m.rows()))
             })?;
             let mut matched = matched.into_iter();
             let (mut build_rows, mut probe_rows) = matched.next().unwrap_or_default();
@@ -602,7 +602,7 @@ impl PhysicalOperator for HashJoinOp<'_> {
                     let parts = ctx.run_morsels(workers, &chunks, |m| {
                         let mut stats = FilterStats::new();
                         let mask = probe_mask(&config, filter, &keys[m.rows()], &mut stats);
-                        (mask, stats)
+                        Ok((mask, stats))
                     })?;
                     let mut mask: Vec<bool> = Vec::with_capacity(keys.len());
                     for (part, stats) in parts {

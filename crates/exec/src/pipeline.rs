@@ -78,9 +78,9 @@ impl ExecContext {
     /// from the context's worker pool when one is attached and running
     /// inline otherwise (see [`run_morsels_with`]). Operators call
     /// this for every parallel section so one executor configuration decides
-    /// the scheduling mode for the whole pipeline. The context's cancel token
-    /// is re-checked at every morsel claim; an interrupted section returns
-    /// `StorageError::Cancelled`.
+    /// the scheduling mode for the whole pipeline. A kernel's error or the
+    /// context's cancel token (re-checked at every morsel claim) stops the
+    /// section at its next claim.
     pub(crate) fn run_morsels<T, K>(
         &self,
         num_threads: usize,
@@ -89,7 +89,7 @@ impl ExecContext {
     ) -> Result<Vec<T>, StorageError>
     where
         T: Send,
-        K: Fn(&Morsel) -> T + Sync,
+        K: Fn(&Morsel) -> Result<T, StorageError> + Sync,
     {
         run_morsels_with(
             self.pool.as_ref(),

@@ -350,6 +350,12 @@ fn execution_phase_errors_carry_query_context() {
     assert_eq!(err.phase(), QueryPhase::Execution);
     assert_eq!(err.query(), Some("runtime_ghost"));
     assert!(err.to_string().contains("runtime_ghost"), "{err}");
+    // Every execution error carries the run's metrics; this run stopped
+    // while lowering, before any operator ran.
+    let partial = err
+        .partial_metrics()
+        .expect("execution errors keep metrics");
+    assert!(partial.operators.is_empty());
 }
 
 /// `f1` and `f2` are facts; `y` is adjacent to no snowflake until `x` joins

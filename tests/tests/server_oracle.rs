@@ -477,6 +477,79 @@ fn a_cancelled_scan_reports_the_chunks_it_read() {
     assert_eq!(partial.bytes_read, bytes);
 }
 
+/// The slow query's star with its fact table served, undelayed, in 16-row
+/// chunks (250 of them, none pruned — see [`slow_engine`]), and the source.
+fn rechunked_engine(seed: u64) -> (Engine, Arc<Rechunked>) {
+    let mut catalog = star::build_catalog(Scale(0.02), 2, seed);
+    let fact = catalog.table("fact").unwrap();
+    assert_eq!(fact.num_rows().div_ceil(16), 250);
+    let source = Arc::new(Rechunked::new(fact, 16));
+    catalog.register_source(Arc::clone(&source) as _);
+    (Engine::from_catalog(catalog), source)
+}
+
+/// Regression: a failed chunk read stops the scan at that chunk. A 1-thread
+/// run whose first read fails used to fetch the other 249 chunks before the
+/// error surfaced, and the error carried no metrics.
+#[test]
+fn a_failed_read_stops_the_scan_at_its_chunk() {
+    let spec = star::build_query("failing", 2, &[(0, 4)]);
+    let (engine, source) = rechunked_engine(41);
+    let stmt = engine.prepare(&spec, OptimizerChoice::Bqo).unwrap();
+    source.fail_next_read(0);
+    let options = RunOptions::new().with_exec_config(slow_config());
+    let err = engine
+        .session()
+        .execute(&stmt, options)
+        .expect_err("the first read fails");
+    assert!(!err.is_cancelled(), "{err}");
+    assert!(
+        err.to_string().contains("injected fault in chunk 0"),
+        "{err}"
+    );
+    assert_eq!(source.served(), (0, 0), "no read after the failed one");
+    let partial = err
+        .partial_metrics()
+        .expect("a failed run keeps its metrics");
+    assert_eq!((partial.chunks_read, partial.bytes_read), (0, 0));
+}
+
+/// A served run whose scan fails mid-way resolves as `ServeError::Query`
+/// reporting the chunks it fetched, booked as failed; the dispatcher keeps
+/// serving.
+#[test]
+fn a_failed_served_scan_reports_the_chunks_it_read() {
+    let spec = star::build_query("failing", 2, &[(0, 4)]);
+    let (engine, source) = rechunked_engine(41);
+    let server = Server::new(
+        engine,
+        ServerConfig::default().with_max_concurrent_queries(1),
+    );
+    source.fail_next_read(3);
+    let request = Request::builder()
+        .query(&spec)
+        .exec_config(slow_config())
+        .build()
+        .unwrap();
+    let err = server
+        .submit(request)
+        .unwrap()
+        .wait()
+        .expect_err("chunk 3 fails");
+    let ServeError::Query(err) = err else {
+        panic!("expected a query error, got {err:?}");
+    };
+    let partial = err
+        .partial_metrics()
+        .expect("a failed run keeps its metrics");
+    let (reads, bytes) = source.served();
+    assert_eq!(reads, 3, "chunks 0..3 and nothing after the fault");
+    assert_eq!((partial.chunks_read, partial.bytes_read), (reads, bytes));
+    assert_eq!(server.stats().failed, 1);
+    let next = server.submit(quick_request()).unwrap();
+    assert!(next.wait().expect("server still serves").result.output_rows > 0);
+}
+
 /// A deadline that expires mid-execution aborts the query cooperatively and
 /// surfaces as `DeadlineExceeded` with the partial metrics.
 #[test]

@@ -398,8 +398,10 @@ fn assert_same_answer(got: &QueryOutput, want: &QueryOutput, cell: &str) {
 }
 
 /// An I/O error from `read_chunk(k)` of a fetched fact table, for every
-/// chunk `k`: the run fails with that typed error, and the next run on the
-/// same engine answers bit-identically to a fresh engine's.
+/// chunk `k`: the run fails with that typed error and stops reading — its
+/// partial metrics count exactly the reads the source served, `k` of them
+/// at one worker — and the next run on the same engine answers
+/// bit-identically to a fresh engine's.
 #[test]
 fn an_io_error_in_any_chunk_fails_typed_and_the_engine_recovers() {
     let (fact, ..) = fault_tables();
@@ -421,8 +423,17 @@ fn an_io_error_in_any_chunk_fails_typed_and_the_engine_recovers() {
         assert_eq!(want.result.metrics.chunks_read, chunks as u64);
         for k in 0..chunks {
             let cell = format!("{config:?}, chunk {k}");
+            let before = source.served();
             source.fail_next_read(k);
             let err = try_run(&engine, &stmt, config).expect_err(&cell);
+            let after = source.served();
+            let (reads, bytes) = (after.0 - before.0, after.1 - before.1);
+            let partial = err.partial_metrics().expect(&cell);
+            assert_eq!(partial.chunks_read, reads, "{cell}: chunks read");
+            assert_eq!(partial.bytes_read, bytes, "{cell}: bytes read");
+            if config.num_threads == 1 {
+                assert_eq!(reads, k as u64, "{cell}: no read after the fault");
+            }
             match err.storage_error() {
                 StorageError::Format { path, detail } => {
                     assert_eq!(path, "fact", "{cell}");
@@ -457,8 +468,9 @@ fn poke(path: &Path, offset: u64, byte: u8) -> u8 {
 }
 
 /// One flipped byte inside chunk `k`'s run of a real `.bqo` fact file, for
-/// every chunk `k`: the run fails with the chunk's checksum mismatch, and
-/// once the byte is restored the same engine answers bit-identically to a
+/// every chunk `k`: the run fails with the chunk's checksum mismatch and
+/// partial metrics (`k` chunks read at one worker), and once the byte is
+/// restored the same engine answers bit-identically to a
 /// fresh engine over an intact file.
 #[test]
 fn a_flipped_byte_in_any_chunk_fails_typed_and_the_engine_recovers() {
@@ -495,6 +507,10 @@ fn a_flipped_byte_in_any_chunk_fails_typed_and_the_engine_recovers() {
             poke(&path, offset, !old);
             let err = try_run(&engine, &stmt, config).expect_err(&cell);
             poke(&path, offset, old);
+            let partial = err.partial_metrics().expect(&cell);
+            if config.num_threads == 1 {
+                assert_eq!(partial.chunks_read, k as u64, "{cell}: chunks read");
+            }
             match err.storage_error() {
                 StorageError::Format { detail, .. } => assert_eq!(
                     detail,

@@ -59,14 +59,13 @@ fn kernel_panics_propagate_and_workers_survive() {
             if m.index == 200 {
                 panic!("poisoned morsel");
             }
-            m.len()
+            Ok(m.len())
         })
     }));
     assert!(outcome.is_err(), "kernel panic must reach the caller");
     // The pool is still fully operational for the next section.
     assert_eq!(pool.num_workers(), 2);
-    let ok =
-        run_morsels_with(Some(&pool), None, 3, &ms, |m| m.len()).expect("no cancel token attached");
+    let ok = run_morsels_with(Some(&pool), None, 3, &ms, |m| Ok(m.len())).expect("nothing fails");
     assert_eq!(ok.len(), ms.len());
     pool.shutdown();
 }
@@ -75,14 +74,13 @@ fn kernel_panics_propagate_and_workers_survive() {
 fn pooled_morsel_runs_match_serial_and_inline() {
     let pool = WorkerPool::new(3);
     let ms = morsels(10_000, 17);
-    let kernel = |m: &bqo_core::exec::Morsel| m.rows().map(|r| r * r).sum::<usize>();
-    let serial = run_morsels_with(None, None, 1, &ms, kernel).expect("no cancel token attached");
+    let kernel = |m: &bqo_core::exec::Morsel| Ok(m.rows().map(|r| r * r).sum::<usize>());
+    let serial = run_morsels_with(None, None, 1, &ms, kernel).expect("nothing fails");
     for threads in [2usize, 4, env_threads().max(2)] {
         // No pool: the section runs inline whatever the thread count.
-        let inline =
-            run_morsels_with(None, None, threads, &ms, kernel).expect("no cancel token attached");
-        let pooled = run_morsels_with(Some(&pool), None, threads, &ms, kernel)
-            .expect("no cancel token attached");
+        let inline = run_morsels_with(None, None, threads, &ms, kernel).expect("nothing fails");
+        let pooled =
+            run_morsels_with(Some(&pool), None, threads, &ms, kernel).expect("nothing fails");
         assert_eq!(serial, inline, "inline threads {threads}");
         assert_eq!(serial, pooled, "pooled threads {threads}");
     }
