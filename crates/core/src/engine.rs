@@ -17,8 +17,7 @@ use crate::cache::{CacheStatus, PlanCache};
 use crate::{BqoError, OptimizerChoice};
 use bqo_bitvector::FilterKind;
 use bqo_exec::{
-    Batch, BoundPlan, CancelToken, ExecConfig, ExecContext, ExecutionMetrics, QueryResult,
-    WorkerPool,
+    Batch, CancelToken, ExecConfig, ExecContext, ExecutionMetrics, QueryResult, WorkerPool,
 };
 use bqo_optimizer::{BaselineOptimizer, BqoOptimizer, Optimizer};
 use bqo_plan::{CostModel, CoutBreakdown, JoinGraph, Params, PhysicalPlan, QuerySpec};
@@ -50,7 +49,7 @@ struct EngineInner {
     cache: PlanCache,
     /// Helper-thread count of the engine-owned worker pool.
     pool_workers: usize,
-    /// The persistent worker pool serving every parallel section of every
+    /// The persistent worker pool serving the scans' parallel section in every
     /// session (and every `Server` dispatcher) of this engine. Spawned
     /// lazily on the first parallel run, so serial-only engines never start
     /// threads; shut down (threads joined) when the engine's last clone
@@ -390,7 +389,7 @@ impl EngineBuilder {
     /// threads (the calling thread always participates as worker 0 on top).
     /// Without this, the pool is sized to `max(available_parallelism, 4) - 1`
     /// whatever the default `num_threads` asks for. `0` disables
-    /// the pool: every parallel section runs inline on the calling thread,
+    /// the pool: every scan runs inline on the calling thread,
     /// whatever `num_threads` a run asks for.
     pub fn worker_threads(mut self, threads: usize) -> Self {
         self.worker_threads = Some(threads);
@@ -465,11 +464,6 @@ impl PreparedStatement {
     /// ([`CacheStatus::Bypassed`], see [`Engine::prepare_plan`]).
     pub fn cache_status(&self) -> CacheStatus {
         self.cache_status
-    }
-
-    /// The statement viewed as the execution layer's bound-plan unit.
-    pub fn bound(&self) -> BoundPlan<'_> {
-        BoundPlan::new(&self.graph, &self.plan)
     }
 
     /// EXPLAIN-style rendering of the plan, followed by the engine's default
@@ -596,7 +590,7 @@ impl Session {
             ctx = ctx.with_cancel_token(token);
         }
         let catalog = &engine.inner.catalog;
-        match bqo_exec::execute(catalog, stmt.bound(), ctx, options.collect_rows) {
+        match bqo_exec::execute(catalog, &stmt.graph, &stmt.plan, ctx, options.collect_rows) {
             (result, Ok(rows)) => Ok(QueryOutput {
                 total_wall: result.metrics.elapsed,
                 result,

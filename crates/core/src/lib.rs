@@ -107,12 +107,13 @@
 //! most [`ExecConfig::batch_size`] rows: scans apply local predicates and
 //! pushed-down bitvector probes, hash joins drain their build side at `open`
 //! (publishing their bitvector filter before the probe side starts) and
-//! stream the probe side. The probe-heavy loops run as shared-state-free
-//! kernels over row **morsels** (a batch of an in-memory table, one chunk of
-//! a file-backed one) dispatched to
+//! stream the probe side on the thread that pulls each batch. The scans'
+//! predicate and filter probes are the one parallel section: they run as
+//! shared-state-free kernels over row **morsels** (a batch of an in-memory
+//! table, one chunk of a file-backed one) dispatched to
 //! [`ExecConfig::num_threads`] workers ([`ExecConfig::with_num_threads`]) —
 //! parked threads of the engine-owned persistent [`WorkerPool`], woken per
-//! parallel section, with tiny inputs gated inline by
+//! scan, with tiny tables gated inline by
 //! [`ExecConfig::parallel_threshold`] — and per-morsel outputs and counters
 //! merged deterministically in morsel order, so results and all reported
 //! counters are bit-identical for every
@@ -156,8 +157,7 @@ pub use server::{
 };
 
 pub use bqo_exec::{
-    BoundPlan, CancelToken, ExecConfig, ExecutionMetrics, KernelMode, OperatorKind, QueryResult,
-    WorkerPool,
+    CancelToken, ExecConfig, ExecutionMetrics, KernelMode, OperatorKind, QueryResult, WorkerPool,
 };
 pub use bqo_optimizer::{BaselineOptimizer, BqoOptimizer, Optimizer};
 pub use bqo_plan::{

@@ -42,8 +42,8 @@
 //!   tenant ([`RequestBuilder::tenant`]).
 //!
 //! Execution itself goes through the engine like any session run: plans come
-//! from the engine's [`crate::PlanCache`], and parallel sections draw their
-//! helper workers from the engine-owned persistent
+//! from the engine's [`crate::PlanCache`], and the scans' parallel section
+//! draws its helper workers from the engine-owned persistent
 //! [`bqo_exec::WorkerPool`] — dispatchers are the *query*-level concurrency
 //! limit, the pool is the *morsel*-level one.
 //!

@@ -5,8 +5,9 @@
 //! clone to the run's [`crate::ExecContext`]
 //! ([`crate::ExecContext::with_cancel_token`]), and keeps the original on the
 //! request's ticket. Execution checks the token *cooperatively* at its
-//! natural preemption points — every morsel-claim in the parallel sections
-//! and every batch pull in the serial loops — so [`CancelToken::cancel`] (or
+//! natural preemption points — every morsel claim of the scan's parallel
+//! section, every join-table build and every batch pull in the serial
+//! loops — so [`CancelToken::cancel`] (or
 //! a passed deadline) aborts a running query within roughly one morsel of
 //! work, without killing threads or poisoning shared state. An aborted run
 //! fails with `StorageError::Cancelled`, and [`crate::execute`] still returns

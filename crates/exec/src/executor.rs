@@ -12,9 +12,10 @@ use std::time::Instant;
 /// Default number of rows per batch pulled through the pipeline.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
-/// Default [`ExecConfig::parallel_threshold`]: minimum rows per worker before
-/// a kernel fans out to helper workers. Tiny inputs run inline — fanning out
-/// (even to a parked pool worker) costs more than a few hundred probes.
+/// Default [`ExecConfig::parallel_threshold`]: minimum table rows per worker
+/// before a scan fans out to helper workers. Tiny tables are scanned inline —
+/// fanning out (even to a parked pool worker) costs more than a few hundred
+/// probes.
 pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 
 /// Which probe/filter kernel implementations the operators run.
@@ -27,7 +28,7 @@ pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
 pub enum KernelMode {
     /// Word-level vectorized kernels (the default): bitvector membership is
     /// probed 64 rows per survivor word, composite join keys are hashed
-    /// column-at-a-time, and the join table is probed a morsel at a time.
+    /// column-at-a-time, and the join table is probed a batch at a time.
     #[default]
     Vectorized,
     /// Row-at-a-time scalar key, filter-probe and join-probe loops over the
@@ -48,19 +49,20 @@ pub struct ExecConfig {
     /// effectively unbatched (one batch per scan). Values below 1 are treated
     /// as 1.
     pub batch_size: usize,
-    /// Worker threads for the morsel-parallel sections (scan predicate and
-    /// bitvector-probe evaluation, the join table's count-then-scatter
-    /// build, hash-probe and residual-filter loops). `1` (the default) runs everything inline
-    /// on the calling thread — the serial path. Results and all counters are
-    /// bit-identical for every value; values below 1 are treated as 1.
+    /// Worker threads for the one morsel-parallel section, the scan's
+    /// predicate and bitvector-probe evaluation; hash joins build, probe and
+    /// filter on the thread that pulls their batches. `1` (the default) runs
+    /// everything inline on the calling thread — the serial path. Results
+    /// and all counters are bit-identical for every value; values below 1
+    /// are treated as 1.
     pub num_threads: usize,
-    /// Minimum rows per worker before a parallel section fans out to helper
-    /// workers; inputs smaller than one worker's share run inline on the
-    /// calling thread. Purely an overhead guard — results and counters are
-    /// identical for every value (kernels partition contiguous row ranges and
-    /// merge in order). Lower it (e.g. to 1) to force fan-out on small
-    /// inputs, as the oracle suites do to reach the parallel path on tiny
-    /// tables. Values below 1 are treated as 1.
+    /// Minimum table rows per worker before a scan fans out to helper
+    /// workers; a table smaller than one worker's share is scanned inline on
+    /// the calling thread. Purely an overhead guard — results and counters
+    /// are identical for every value (morsels are contiguous row ranges
+    /// merged in order). Lower it (e.g. to 1) to force fan-out on small
+    /// tables, as the oracle suites do to reach the parallel path. Values
+    /// below 1 are treated as 1.
     pub parallel_threshold: usize,
     /// Which probe/filter kernel implementations the operators run
     /// ([`KernelMode::Vectorized`] by default). Results and counters are
@@ -108,7 +110,7 @@ impl ExecConfig {
     }
 
     /// The same configuration with a different inline-gate threshold (clamped
-    /// to at least 1): parallel sections fan out only when the input exceeds
+    /// to at least 1): a scan fans out only when its table exceeds
     /// `parallel_threshold` rows per helper worker.
     pub fn with_parallel_threshold(mut self, parallel_threshold: usize) -> Self {
         self.parallel_threshold = parallel_threshold.max(1);
@@ -138,27 +140,6 @@ impl ExecConfig {
     }
 }
 
-/// A bound, executable statement: the resolved (statistics-annotated) join
-/// graph together with the physical plan chosen for it.
-///
-/// This is the execution layer's view of `bqo-core`'s `PreparedStatement`:
-/// [`execute`] takes this pair as one unit so callers cannot accidentally
-/// execute a plan against the wrong graph.
-#[derive(Debug, Clone, Copy)]
-pub struct BoundPlan<'a> {
-    /// The join graph supplying relation names and local predicates.
-    pub graph: &'a JoinGraph,
-    /// The physical plan (join order + bitvector placements) to execute.
-    pub plan: &'a PhysicalPlan,
-}
-
-impl<'a> BoundPlan<'a> {
-    /// Bundles a graph and a plan into one executable unit.
-    pub fn new(graph: &'a JoinGraph, plan: &'a PhysicalPlan) -> Self {
-        BoundPlan { graph, plan }
-    }
-}
-
 /// The result of executing one query plan.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
@@ -170,7 +151,8 @@ pub struct QueryResult {
     pub metrics: ExecutionMetrics,
 }
 
-/// Runs a bound statement against `catalog` — the one way a plan executes.
+/// Runs `plan` over `graph` (relation names and local predicates) against
+/// `catalog` — the one way a plan executes.
 /// It lowers the plan into the operator pipeline, drains the root under
 /// `ctx` (its configuration, worker pool and cancel token), always closes
 /// the pipeline, and with `collect_rows` gathers the root's row-id batches
@@ -185,11 +167,11 @@ pub struct QueryResult {
 /// `metrics.elapsed` is stamped last, after the rows exist.
 pub fn execute(
     catalog: &Catalog,
-    bound: BoundPlan<'_>,
+    graph: &JoinGraph,
+    plan: &PhysicalPlan,
     mut ctx: ExecContext,
     collect_rows: bool,
 ) -> (QueryResult, Result<Option<Batch>, StorageError>) {
-    let BoundPlan { graph, plan } = bound;
     let start = Instant::now();
     let mut output_rows = 0u64;
     let pipeline = PipelineBuilder::new(catalog, graph, plan, ctx.config).build();
@@ -251,7 +233,7 @@ mod tests {
         graph: &JoinGraph,
         plan: &PhysicalPlan,
     ) -> QueryResult {
-        let (result, rows) = execute(catalog, BoundPlan::new(graph, plan), ctx, false);
+        let (result, rows) = execute(catalog, graph, plan, ctx, false);
         assert!(
             rows.unwrap().is_none(),
             "rows are returned only when asked for"
@@ -274,7 +256,7 @@ mod tests {
         graph: &JoinGraph,
         plan: &PhysicalPlan,
     ) -> (QueryResult, Batch) {
-        let (result, rows) = execute(catalog, BoundPlan::new(graph, plan), ctx, true);
+        let (result, rows) = execute(catalog, graph, plan, ctx, true);
         (result, rows.unwrap().expect("collect_rows was set"))
     }
 
@@ -684,7 +666,7 @@ mod tests {
         let tree = JoinTree::right_deep(&[ghost]);
         let plan = PhysicalPlan::from_join_tree(&g, &tree);
         let ctx = ExecContext::new(ExecConfig::default());
-        let (_, rows) = execute(&catalog, BoundPlan::new(&g, &plan), ctx, false);
+        let (_, rows) = execute(&catalog, &g, &plan, ctx, false);
         assert!(rows.is_err());
     }
 
@@ -754,7 +736,7 @@ mod tests {
                 .with_num_threads(threads)
                 .with_parallel_threshold(1);
             let ctx = pooled(config).with_cancel_token(token.clone());
-            let (partial, rows) = execute(&catalog, BoundPlan::new(&g, &plan), ctx, false);
+            let (partial, rows) = execute(&catalog, &g, &plan, ctx, false);
             assert_eq!(rows, Err(StorageError::Cancelled), "threads {threads}");
             // Nothing ran, but the metrics gathered so far are returned.
             assert_eq!(partial.metrics.tuples_by_kind(OperatorKind::Join), 0);
@@ -840,9 +822,8 @@ mod tests {
                     let label = format!("{mode:?} threads={threads} chunk={k}");
                     let token = CancelToken::new();
                     *source.armed.lock().unwrap() = Some((k, token.clone()));
-                    let bound = BoundPlan::new(&g, &plan);
-                    let (partial, rows) =
-                        execute(&catalog, bound, ctx().with_cancel_token(token), true);
+                    let cancellable = ctx().with_cancel_token(token);
+                    let (partial, rows) = execute(&catalog, &g, &plan, cancellable, true);
                     *source.armed.lock().unwrap() = None;
                     assert_eq!(rows.err(), Some(StorageError::Cancelled), "{label}");
                     // The fact scan opens last, under both joins: no join

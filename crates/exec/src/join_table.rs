@@ -25,16 +25,13 @@
 //! `Arc<KeyIndex>` probed for membership only when hashed — one key gather
 //! and one key index per join.
 //!
-//! The CSR arrays are built by count-then-scatter. Each worker owns a
-//! contiguous *slot range* — hence a contiguous range of `rows` — counts the
-//! build rows falling into it, prefix-sums, and scatters them in ascending
-//! row order; the per-range pieces are then concatenated, so every key's row
-//! list is ascending and identical for every worker count (the determinism
-//! contract `parallel_properties` pins) with no re-hash merge. The unique
-//! pass and the hashed shape's slot assignment (the index's find-or-insert
-//! pass) are sequential, so the layout never depends on the worker count.
+//! The CSR arrays are built by one count-then-scatter over the build rows in
+//! ascending order, so every key's row list is ascending (the determinism
+//! contract `parallel_properties` pins). The whole build — the unique pass,
+//! the hashed shape's slot assignment (the index's find-or-insert pass) and
+//! the scatter — runs on the thread that opens the join, so the layout never
+//! depends on the worker count.
 
-use crate::morsel::chunk_morsels;
 use crate::pipeline::ExecContext;
 use bqo_bitvector::{dense_span, KeyIndex, RangeBitmapFilter};
 use bqo_storage::StorageError;
@@ -129,30 +126,28 @@ impl Default for JoinTable {
 
 impl JoinTable {
     /// Builds the table over `keys`, where `keys[row]` is the collapsed join
-    /// key of build row `row`. Fans a CSR's count-then-scatter out over the
-    /// context's workers; fails with [`StorageError::RowIdOverflow`] for more
-    /// rows than `u32` row ids address, or `Cancelled`.
+    /// key of build row `row`, on the calling thread after one cancellation
+    /// check; fails with [`StorageError::RowIdOverflow`] for more rows than
+    /// `u32` row ids address, or `Cancelled`.
     pub fn build(ctx: &ExecContext, keys: &[i64]) -> Result<JoinTable, StorageError> {
         row_id(keys.len())?;
         if keys.is_empty() {
             return Ok(JoinTable::default());
         }
+        ctx.check_cancelled()?;
         let layout = match dense_span(keys) {
-            Some((min, span)) => {
-                ctx.check_cancelled()?;
-                match unique_rows(min, span, keys) {
-                    Some(row_of) => Layout::Unique { min, row_of },
-                    None => {
-                        let slot_of = |row: usize| (keys[row] - min) as usize; // CAST-OK: keys[row] - min in [0, span), and span fits usize
-                        let csr = scatter(ctx, keys.len(), span, slot_of)?;
-                        Layout::Direct { min, csr }
-                    }
+            Some((min, span)) => match unique_rows(min, span, keys) {
+                Some(row_of) => Layout::Unique { min, row_of },
+                None => {
+                    let slot_of = |row: usize| (keys[row] - min) as usize; // CAST-OK: keys[row] - min in [0, span), and span fits usize
+                    let csr = scatter(keys.len(), span, slot_of);
+                    Layout::Direct { min, csr }
                 }
-            }
+            },
             None => {
                 let (index, slots) = KeyIndex::build(keys);
                 let slot_of = |row: usize| slots[row] as usize; // CAST-OK: u32 widens losslessly into usize on supported targets
-                let csr = scatter(ctx, keys.len(), index.num_keys(), slot_of)?;
+                let csr = scatter(keys.len(), index.num_keys(), slot_of);
                 let index = Arc::new(index);
                 Layout::Hashed { index, csr }
             }
@@ -190,18 +185,12 @@ impl JoinTable {
 
     /// Appends the matches of `keys` to the two match lists: for every key,
     /// in order, each build row carrying it (ascending) paired with the
-    /// key's probe row id `first_row + position` — what calling
+    /// key's probe row id, its position in `keys` — what calling
     /// [`JoinTable::get`] per key produces, with the layout dispatch hoisted
-    /// out of the loop. The caller guarantees `first_row + keys.len()` fits
-    /// `u32` (see `row_id`).
-    pub(crate) fn probe(
-        &self,
-        keys: &[i64],
-        first_row: u32,
-        build_rows: &mut Vec<u32>,
-        probe_rows: &mut Vec<u32>,
-    ) {
-        let probe_rows_of = keys.iter().zip(first_row..);
+    /// out of the loop. The caller guarantees `keys.len()` fits `u32` (see
+    /// `row_id`).
+    pub(crate) fn probe(&self, keys: &[i64], build_rows: &mut Vec<u32>, probe_rows: &mut Vec<u32>) {
+        let probe_rows_of = keys.iter().zip(0u32..);
         match &self.layout {
             Layout::Unique { min, row_of } => {
                 // At most one match per key: one load each, no reallocation.
@@ -266,68 +255,31 @@ fn unique_rows(min: i64, span: usize, keys: &[i64]) -> Option<Vec<u32>> {
 
 /// Count-then-scatter of `num_rows` rows into `num_slots` slots, where row
 /// `row` belongs to slot `slot_of(row)`: returns the CSR with each slot's
-/// rows ascending. One morsel per worker, each covering a contiguous slot
-/// range (see the module docs).
-fn scatter<F>(
-    ctx: &ExecContext,
-    num_rows: usize,
-    num_slots: usize,
-    slot_of: F,
-) -> Result<Csr, StorageError>
-where
-    F: Fn(usize) -> usize + Sync,
-{
-    let workers = ctx.config.workers_for(num_rows);
-    let ranges = chunk_morsels(num_slots, workers);
-    let parts = ctx.run_morsels(workers, &ranges, |range| {
-        let local = |row: usize| {
-            let slot = slot_of(row);
-            (range.start..range.end)
-                .contains(&slot)
-                .then(|| slot - range.start)
-        };
-        // Count into `offsets[slot]`, then turn the counts into each slot's
-        // start by an exclusive prefix sum.
-        let mut offsets = vec![0u32; range.len() + 1];
-        for slot in (0..num_rows).filter_map(&local) {
-            offsets[slot] += 1;
-        }
-        let mut total = 0u32;
-        for offset in &mut offsets {
-            total += std::mem::replace(offset, total);
-        }
-        // Scatter in ascending row order, using each slot's start as its
-        // write cursor: afterwards `offsets[slot]` is the slot's *end*, so
-        // rotating right by one (and zeroing the wrapped-around total) turns
-        // the ends back into starts with the total last.
-        let mut rows = vec![0u32; total as usize]; // CAST-OK: u32 widens losslessly into usize on supported targets
-        for row in 0..num_rows {
-            if let Some(slot) = local(row) {
-                rows[offsets[slot] as usize] = row as u32; // CAST-OK: cursor widens losslessly; row < num_rows, which `row_id` proved fits u32
-                offsets[slot] += 1;
-            }
-        }
-        offsets.rotate_right(1);
-        offsets[0] = 0;
-        Ok(Csr { offsets, rows })
-    })?;
-
-    // Concatenate the per-range pieces, rebasing each piece's offsets on
-    // the rows before it; a piece's leading 0 replaces its predecessor's
-    // trailing total (the same number once rebased).
-    let mut parts = parts.into_iter();
-    let mut csr = parts.next().unwrap_or_else(|| Csr {
-        offsets: vec![0],
-        rows: Vec::new(),
-    });
-    for piece in parts {
-        let base = csr.rows.len() as u32; // CAST-OK: rows.len() <= num_rows, which `row_id` proved fits u32
-        csr.offsets.pop();
-        csr.offsets
-            .extend(piece.offsets.iter().map(|offset| offset + base));
-        csr.rows.extend(piece.rows);
+/// rows ascending.
+fn scatter(num_rows: usize, num_slots: usize, slot_of: impl Fn(usize) -> usize) -> Csr {
+    // Count into `offsets[slot]`, then turn the counts into each slot's
+    // start by an exclusive prefix sum.
+    let mut offsets = vec![0u32; num_slots + 1];
+    for row in 0..num_rows {
+        offsets[slot_of(row)] += 1;
     }
-    Ok(csr)
+    let mut total = 0u32;
+    for offset in &mut offsets {
+        total += std::mem::replace(offset, total);
+    }
+    // Scatter in ascending row order, using each slot's start as its write
+    // cursor: afterwards `offsets[slot]` is the slot's *end*, so rotating
+    // right by one (and zeroing the wrapped-around total) turns the ends
+    // back into starts with the total last.
+    let mut rows = vec![0u32; num_rows];
+    for row in 0..num_rows {
+        let cursor = &mut offsets[slot_of(row)];
+        rows[*cursor as usize] = row as u32; // CAST-OK: cursor widens losslessly; row < num_rows, which `row_id` proved fits u32
+        *cursor += 1;
+    }
+    offsets.rotate_right(1);
+    offsets[0] = 0;
+    Csr { offsets, rows }
 }
 
 #[cfg(test)]
@@ -343,7 +295,8 @@ mod tests {
         ExecContext::new(ExecConfig::default())
     }
 
-    /// A context building with `workers` workers and no inline gate.
+    /// A context with `workers` pooled workers and no inline gate: the build
+    /// must not depend on it.
     fn with_workers(workers: usize) -> ExecContext {
         let config = ExecConfig::default()
             .with_num_threads(workers)
@@ -427,15 +380,15 @@ mod tests {
     fn probe_pairs_every_match_in_probe_then_build_order() {
         let table = JoinTable::build(&serial(), &[5, 6, 5]).unwrap();
         let (mut build, mut probe) = (Vec::new(), Vec::new());
-        table.probe(&[6, 9, 5, 5], 10, &mut build, &mut probe);
+        table.probe(&[6, 9, 5, 5], &mut build, &mut probe);
         assert_eq!(build, vec![1, 0, 2, 0, 2]);
-        assert_eq!(probe, vec![10, 12, 12, 13, 13]);
+        assert_eq!(probe, vec![0, 2, 2, 3, 3]);
 
         let unique = JoinTable::build(&serial(), &[5, 6, 4]).unwrap();
         let (mut build, mut probe) = (Vec::new(), Vec::new());
-        unique.probe(&[6, 9, 5, 3, 4], 10, &mut build, &mut probe);
+        unique.probe(&[6, 9, 5, 3, 4], &mut build, &mut probe);
         assert_eq!(build, vec![1, 0, 2]);
-        assert_eq!(probe, vec![10, 12, 14]);
+        assert_eq!(probe, vec![0, 2, 4]);
     }
 
     #[test]
@@ -496,8 +449,8 @@ mod tests {
 
     /// `get`, the vectorized `probe`, the scalar `join_probe` loop and
     /// `filter()` against a `HashMap<i64, Vec<u32>>` reference, for every
-    /// layout case at 1, 2, 4 and 8 build workers; unique dense keys take
-    /// the unique layout and any duplicate takes a CSR.
+    /// layout case under contexts of 1, 2, 4 and 8 workers; unique dense
+    /// keys take the unique layout and any duplicate takes a CSR.
     #[test]
     fn every_layout_matches_a_hash_map_reference() {
         for (name, keys, layout) in layout_cases() {
@@ -527,12 +480,11 @@ mod tests {
                     assert_eq!(table.get(*key), matches(key), "{cell}: key {key}");
                 }
                 let (mut build, mut probe) = (Vec::new(), Vec::new());
-                table.probe(&probes, 0, &mut build, &mut probe);
+                table.probe(&probes, &mut build, &mut probe);
                 assert_eq!((build, probe), want, "{cell}: probe");
-                let all = 0..probes.len();
                 for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
                     let config = ExecConfig::default().with_kernel_mode(mode);
-                    let got = join_probe(&config, &table, &probes, all.clone());
+                    let got = join_probe(&config, &table, &probes);
                     assert_eq!(got, want, "{cell}: {mode:?} join_probe");
                 }
                 let filter = table.filter(&keys);

@@ -1,9 +1,9 @@
 //! Probe kernels, and the one place [`KernelMode`] is dispatched.
 //!
-//! The per-morsel hot loops of the scan and join operators — bitvector
-//! membership tests over candidate rows, join-key extraction, the join-table
-//! probe — are implemented here in two interchangeable shapes selected by
-//! [`crate::KernelMode`]:
+//! The hot loops of the scan (per morsel) and join (per batch) operators —
+//! bitvector membership tests over candidate rows, join-key extraction, the
+//! join-table probe — are implemented here in two interchangeable shapes
+//! selected by [`crate::KernelMode`]:
 //!
 //! * the **scalar** shape works one row at a time — one
 //!   [`BitvectorFilter::maybe_contains`], [`crate::batch::row_key`] or
@@ -13,7 +13,7 @@
 //!   column-at-a-time ([`crate::batch::gather_keys`]), probes them 64 keys
 //!   per survivor word ([`BitvectorFilter::probe_words`]), compacts the
 //!   survivors in place from the word masks, and probes the join table a
-//!   morsel at a time (`JoinTable::probe`). A predicate-free scan's first
+//!   batch at a time (`JoinTable::probe`). A predicate-free scan's first
 //!   filter over one `Int64` key column skips the candidate list: it probes
 //!   the morsel's contiguous key slice and reads the survivors off the word
 //!   mask.
@@ -190,41 +190,28 @@ pub(crate) fn probe_mask(
 ) -> Vec<bool> {
     match config.kernel_mode {
         KernelMode::Scalar => mask_scalar(filter, keys, stats),
-        KernelMode::Vectorized => probe_mask_range(
-            filter,
-            keys,
-            0,
-            keys.len(),
-            stats,
-            &mut ProbeScratch::default(),
-        ),
+        KernelMode::Vectorized => {
+            probe_mask_range(filter, keys, stats, &mut ProbeScratch::default())
+        }
     }
 }
 
-/// The hash join's probe kernel over `keys[rows]`: every `(build row, probe
-/// row)` match pair as two parallel lists, probe rows in order and each
-/// key's build rows ascending. A probe row's id is its position in `keys`,
-/// whose length the caller has checked fits `u32` (`join_table::row_id`).
-pub fn join_probe(
-    config: &ExecConfig,
-    table: &JoinTable,
-    keys: &[i64],
-    rows: Range<usize>,
-) -> (Vec<u32>, Vec<u32>) {
-    let first_row = rows.start as u32; // CAST-OK: rows.start <= keys.len(), which the caller checked fits u32
+/// The hash join's probe kernel over `keys`: every `(build row, probe row)`
+/// match pair as two parallel lists, probe rows in order and each key's
+/// build rows ascending. A probe row's id is its position in `keys`, whose
+/// length the caller has checked fits `u32` (`join_table::row_id`).
+pub fn join_probe(config: &ExecConfig, table: &JoinTable, keys: &[i64]) -> (Vec<u32>, Vec<u32>) {
     let (mut build_rows, mut probe_rows) = (Vec::new(), Vec::new());
     match config.kernel_mode {
         KernelMode::Scalar => {
-            for (&key, probe_row) in keys[rows].iter().zip(first_row..) {
+            for (&key, probe_row) in keys.iter().zip(0u32..) {
                 for &build_row in table.get(key) {
                     build_rows.push(build_row);
                     probe_rows.push(probe_row);
                 }
             }
         }
-        KernelMode::Vectorized => {
-            table.probe(&keys[rows], first_row, &mut build_rows, &mut probe_rows)
-        }
+        KernelMode::Vectorized => table.probe(keys, &mut build_rows, &mut probe_rows),
     }
     (build_rows, probe_rows)
 }
@@ -296,29 +283,25 @@ pub fn probe_retain<F: BitvectorFilter + ?Sized>(
     stats.eliminated += (before - kept) as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
 }
 
-/// Vectorized mask computation for a contiguous key range: returns the
-/// keep-mask for `keys[start..end]` and records one probe per key — the
-/// word-level equivalent of mapping `maybe_contains` over the range. Used by
-/// the hash join's residual filters, whose output feeds
+/// Vectorized mask computation: returns the keep-mask for `keys` and records
+/// one probe per key — the word-level equivalent of mapping `maybe_contains`
+/// over them. Used by the hash join's residual filters, whose output feeds
 /// [`crate::Batch::filter_select`].
 pub fn probe_mask_range<F: BitvectorFilter + ?Sized>(
     filter: &F,
     keys: &[i64],
-    start: usize,
-    end: usize,
     stats: &mut FilterStats,
     scratch: &mut ProbeScratch,
 ) -> Vec<bool> {
-    let slice = &keys[start..end];
-    if slice.len() < VECTOR_MIN_ROWS {
-        return mask_scalar(filter, slice, stats);
+    if keys.len() < VECTOR_MIN_ROWS {
+        return mask_scalar(filter, keys, stats);
     }
-    filter.probe_words(slice, &mut scratch.words);
-    let mut mask = vec![false; slice.len()];
+    filter.probe_words(keys, &mut scratch.words);
+    let mut mask = vec![false; keys.len()];
     for_each_set_bit(&scratch.words, |i| mask[i] = true);
     let kept: usize = scratch.words.iter().map(|w| w.count_ones() as usize).sum(); // CAST-OK: popcount <= 64 fits usize
-    stats.probed += slice.len() as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
-    stats.eliminated += (slice.len() - kept) as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
+    stats.probed += keys.len() as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
+    stats.eliminated += (keys.len() - kept) as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
     mask
 }
 
@@ -461,7 +444,8 @@ mod tests {
             let mut scalar_stats = FilterStats::new();
             let scalar_mask = mask_scalar(&filter, &keys[start..end], &mut scalar_stats);
             let mut vec_stats = FilterStats::new();
-            let mask = probe_mask_range(&filter, &keys, start, end, &mut vec_stats, &mut scratch);
+            let range = &keys[start..end];
+            let mask = probe_mask_range(&filter, range, &mut vec_stats, &mut scratch);
             assert_eq!(mask, scalar_mask, "range {start}..{end}");
             assert_eq!(vec_stats, scalar_stats, "range {start}..{end}");
         }

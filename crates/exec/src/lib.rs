@@ -16,12 +16,13 @@
 //!   operator tree without cloning plan payloads,
 //! * bitvector filters applied wherever Algorithm 1 placed them (scans or
 //!   residual positions above joins),
-//! * **morsel-driven parallelism** ([`run_morsels_with`]): scan predicate
-//!   and filter-probe evaluation, the join table's count-then-scatter build
-//!   and the hash-probe loops run as shared-state-free kernels over row
-//!   morsels — a batch of an in-memory table, one chunk of a fetched one —
-//!   fanned out across [`ExecConfig::num_threads`] workers with a
-//!   deterministic in-morsel-order merge,
+//! * **morsel-driven parallelism at one granularity** ([`run_morsels_with`]):
+//!   the scan's predicate and filter-probe evaluation is the one parallel
+//!   section — a shared-state-free kernel over row morsels (a batch of an
+//!   in-memory table, one chunk of a fetched one) fanned out across
+//!   [`ExecConfig::num_threads`] workers with a deterministic
+//!   in-morsel-order merge; a hash join builds its table, probes it and
+//!   applies its residual filters on the thread that pulls its batch,
 //! * **late materialization**: [`Batch`]es carry one `u32` row-id vector
 //!   per source relation over shared columns, the root join's included;
 //!   values are gathered once, by [`Batch::concat`], when rows are
@@ -36,21 +37,21 @@
 //!   — with the row-at-a-time scalar kernels retained as a differential
 //!   oracle behind [`ExecConfig::kernel_mode`]; the mode is dispatched
 //!   inside the kernels only, operators never branch on it,
-//! * a persistent [`WorkerPool`]: helper workers for the parallel sections
-//!   are parked pool threads woken per section instead of freshly spawned
-//!   ones, so a serving workload of many small queries stops paying
-//!   per-query thread start-up ([`ExecContext::with_pool`]; a context
-//!   without a pool runs every section inline), gated by
-//!   [`ExecConfig::parallel_threshold`] so tiny inputs stay inline,
+//! * a persistent [`WorkerPool`]: helper workers for the scan's section are
+//!   parked pool threads woken per section instead of freshly spawned ones,
+//!   so a serving workload of many small queries stops paying per-query
+//!   thread start-up ([`ExecContext::with_pool`]; a context without a pool
+//!   runs the section inline), gated by [`ExecConfig::parallel_threshold`]
+//!   so tiny scans stay inline,
 //! * **one stop rule for every failure**: a cloneable [`CancelToken`] (an
 //!   atomic flag and an optional deadline) attached via
-//!   [`ExecContext::with_cancel_token`] is re-checked at every morsel-claim
-//!   boundary of the four parallel sections, at every serial batch pull and
-//!   once per batch of the final gather, and a kernel's error (a failed
-//!   chunk read) stops its section's claims the same way — so any failure
-//!   stops the run at its next morsel claim, within roughly one morsel of
-//!   the fault, [`CancelToken::cancel`] or deadline expiry, and [`execute`]
-//!   returns the error beside the metrics gathered so far,
+//!   [`ExecContext::with_cancel_token`] is re-checked at every morsel claim
+//!   of the scan's section, before every join-table build, at every serial
+//!   batch pull and once per batch of the final gather, and a kernel's error
+//!   (a failed chunk read) stops the section's claims the same way — so any
+//!   failure stops the run at its next morsel claim, within roughly one
+//!   morsel of the fault, [`CancelToken::cancel`] or deadline expiry, and
+//!   [`execute`] returns the error beside the metrics gathered so far,
 //! * per-operator metrics (tuples output by leaf / join / other operators,
 //!   bitvector probe and elimination counts, wall-clock time) matching the
 //!   quantities reported in Figures 7–10 and Table 4, collected inside the
@@ -93,7 +94,7 @@ mod pool;
 
 pub use batch::Batch;
 pub use cancel::CancelToken;
-pub use executor::{execute, BoundPlan, ExecConfig, KernelMode, QueryResult, DEFAULT_BATCH_SIZE};
+pub use executor::{execute, ExecConfig, KernelMode, QueryResult, DEFAULT_BATCH_SIZE};
 pub use join_table::JoinTable;
 pub use metrics::{ExecutionMetrics, OperatorKind, OperatorMetrics};
 pub use operators::PhysicalOperator;

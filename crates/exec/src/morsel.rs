@@ -1,19 +1,23 @@
 //! Morsel-driven parallel scheduling.
 //!
-//! The executor splits per-operator row ranges into fixed-size **morsels**
-//! (Leis et al., "Morsel-Driven Parallelism", adapted to this pipeline's
-//! batch seam) and dispatches them to worker threads — the calling thread
-//! participates as worker 0, and callers gate small inputs inline (see
-//! `ExecConfig::parallel_threshold`) since fanning out costs more than a few
-//! hundred probes. Helpers are the parked threads of a persistent
+//! The scan splits its table's rows into **morsels** (Leis et al.,
+//! "Morsel-Driven Parallelism", adapted to this pipeline's batch seam) — one
+//! batch of an in-memory table, one chunk of a fetched one — and dispatches
+//! them to worker threads. This is the executor's one parallel section:
+//! `ScanOp::open` is the one caller of `ExecContext::run_morsels`, and a hash
+//! join builds, probes and filters on the thread that pulls its batch. The
+//! calling thread participates as worker 0, and the scan gates small tables
+//! inline (see `ExecConfig::parallel_threshold`) since fanning out costs more
+//! than a few hundred probes. Helpers are the parked threads of a persistent
 //! [`WorkerPool`] ([`run_morsels_with`]); without a pool — or with a
 //! 0-worker or shut-down one — the section runs inline on the calling
 //! thread. Three properties make the parallel path bit-identical to the
 //! serial one:
 //!
 //! 1. **Shared-state-free kernels.** A kernel only reads shared immutable
-//!    state (columns, published bitvector filters, hash tables) and returns
-//!    an owned per-morsel result; it never writes shared counters.
+//!    state (columns, published bitvector filters) and returns an owned
+//!    per-morsel result; the only counters it writes are the scan's chunk
+//!    tallies, which are order-independent sums.
 //! 2. **Deterministic merge.** Workers claim morsels from an atomic cursor in
 //!    any order, but results are placed into a slot per morsel and merged *in
 //!    morsel order* — so concatenated rows and summed counters are identical
@@ -77,14 +81,6 @@ pub fn morsels(num_rows: usize, morsel_size: usize) -> Vec<Morsel> {
         start = end;
     }
     out
-}
-
-/// Splits `num_rows` rows into (at most) `num_threads` balanced contiguous
-/// morsels — the partitioning used for intra-batch kernels such as the hash
-/// join's probe loop and the partitioned build.
-pub(crate) fn chunk_morsels(num_rows: usize, num_threads: usize) -> Vec<Morsel> {
-    let threads = num_threads.max(1);
-    morsels(num_rows, num_rows.div_ceil(threads).max(1))
 }
 
 /// Runs `kernel` over every morsel using up to `num_threads` workers and
@@ -225,16 +221,6 @@ mod tests {
         let ms = morsels(3, 0);
         assert_eq!(ms.len(), 3);
         assert!(ms.iter().all(|m| m.len() == 1));
-    }
-
-    #[test]
-    fn chunk_morsels_balance_across_threads() {
-        let ms = chunk_morsels(100, 4);
-        assert_eq!(ms.len(), 4);
-        assert!(ms.iter().all(|m| m.len() == 25));
-        assert_eq!(chunk_morsels(3, 8).len(), 3);
-        assert_eq!(chunk_morsels(0, 4).len(), 0);
-        assert_eq!(chunk_morsels(10, 0).len(), 1);
     }
 
     /// Runs an uncancellable section of an infallible kernel over `pool`.

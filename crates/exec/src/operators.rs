@@ -13,11 +13,14 @@
 //!   relies on). A table build that fails (`RowIdOverflow`, `Cancelled`)
 //!   publishes nothing and leaves `filters_created` untouched.
 //! * [`PhysicalOperator::next_batch`] pulls the next batch of at most
-//!   [`crate::ExecConfig::batch_size`] rows, or `None` once exhausted. Local
-//!   predicates and pushed-down bitvector probes run as shared-state-free
-//!   per-morsel kernels (see [`crate::morsel`]) so eliminated tuples never
-//!   reach the joins above; with [`crate::ExecConfig::num_threads`] > 1 the
-//!   kernels fan out across a worker pool.
+//!   [`crate::ExecConfig::batch_size`] rows, or `None` once exhausted. A
+//!   scan's local predicates and pushed-down bitvector probes run at `open`
+//!   as shared-state-free per-morsel kernels (see [`crate::morsel`]) so
+//!   eliminated tuples never reach the joins above; with
+//!   [`crate::ExecConfig::num_threads`] > 1 they fan out across a worker
+//!   pool — the executor's one parallel section. A hash join builds its
+//!   table, probes each batch and applies its residual filters on the
+//!   thread that pulls the batch.
 //! * [`PhysicalOperator::close`] tears the operator down and flushes its
 //!   accumulated per-operator counters into the context's
 //!   [`crate::ExecutionMetrics`].
@@ -35,14 +38,14 @@
 //! output schema. Neither batching granularity nor parallelism changes
 //! results or counters: every `(batch_size, num_threads)` combination
 //! produces identical rows, `output_rows`, filter probe/eliminate statistics
-//! and per-operator tuple counts, because morsels partition contiguous row
-//! ranges and per-morsel outputs merge in morsel order.
+//! and per-operator tuple counts, because a scan's morsels partition
+//! contiguous row ranges and per-morsel outputs merge in morsel order.
 
 use crate::batch::Batch;
 use crate::join_table::{row_id, JoinTable};
 use crate::kernels::{batch_keys, join_probe, probe_mask, scan_batch, scan_morsel, ScanFilter};
 use crate::metrics::OperatorKind;
-use crate::morsel::{chunk_morsels, morsels, Morsel};
+use crate::morsel::{morsels, Morsel};
 use crate::pipeline::ExecContext;
 use bqo_bitvector::{AnyFilter, BitvectorFilter, FilterKind, FilterStats};
 use bqo_plan::{BitvectorPlacement, ColumnPredicate, ColumnRef, NodeId, RelId, RelationInfo};
@@ -525,7 +528,7 @@ impl PhysicalOperator for HashJoinOp<'_> {
         self.build_batch = Batch::stack(batches)?;
 
         // 2. Gather the build keys, once, and index them in the flat table
-        //    (row lists ascending for any worker count).
+        //    (row lists ascending).
         let build_keys = batch_keys(&ctx.config, &self.build_batch, &self.build_key_cols);
         self.build_rows = build_keys.len() as u64;
         self.table = JoinTable::build(ctx, &build_keys)?;
@@ -555,21 +558,7 @@ impl PhysicalOperator for HashJoinOp<'_> {
             row_id(probe_keys.len())?;
             self.probe_rows += probe_keys.len() as u64;
 
-            // Probe the join table one contiguous row chunk per worker; the
-            // chunk outputs concatenate in chunk order, reproducing the
-            // serial left-to-right match order exactly.
-            let table = &self.table;
-            let workers = ctx.config.workers_for(probe_keys.len());
-            let chunks = chunk_morsels(probe_keys.len(), workers);
-            let matched = ctx.run_morsels(workers, &chunks, |m| {
-                Ok(join_probe(&config, table, &probe_keys, m.rows()))
-            })?;
-            let mut matched = matched.into_iter();
-            let (mut build_rows, mut probe_rows) = matched.next().unwrap_or_default();
-            for (b, p) in matched {
-                build_rows.extend(b);
-                probe_rows.extend(p);
-            }
+            let (build_rows, probe_rows) = join_probe(&config, &self.table, &probe_keys);
 
             let (build, equal_key) = (&self.build_batch, &mut self.equal_key);
             let keys = (&self.build_key_cols, &self.probe_key_cols);
@@ -588,30 +577,15 @@ impl PhysicalOperator for HashJoinOp<'_> {
             }
             self.join_output_rows += output.num_rows() as u64;
 
-            // Residual bitvector filters targeted at this join's output,
-            // probed per chunk with morsel-local counters.
+            // Residual bitvector filters targeted at this join's output.
             for (slot, &(idx, placement)) in self.residual_placements.iter().enumerate() {
-                let mut merged = FilterStats::new();
-                {
-                    let Some(filter) = ctx.filter(idx) else {
-                        continue;
-                    };
-                    let keys = batch_keys(&config, &output, &placement.probe_columns);
-                    let workers = ctx.config.workers_for(keys.len());
-                    let chunks = chunk_morsels(keys.len(), workers);
-                    let parts = ctx.run_morsels(workers, &chunks, |m| {
-                        let mut stats = FilterStats::new();
-                        let mask = probe_mask(&config, filter, &keys[m.rows()], &mut stats);
-                        Ok((mask, stats))
-                    })?;
-                    let mut mask: Vec<bool> = Vec::with_capacity(keys.len());
-                    for (part, stats) in parts {
-                        mask.extend(part);
-                        merged.merge(&stats);
-                    }
-                    output = output.filter_select(&mask);
-                }
-                ctx.merge_filter_stats(&merged);
+                let Some(filter) = ctx.filter(idx) else {
+                    continue;
+                };
+                let keys = batch_keys(&config, &output, &placement.probe_columns);
+                let mut stats = FilterStats::new();
+                output = output.filter_select(&probe_mask(&config, filter, &keys, &mut stats));
+                ctx.merge_filter_stats(&stats);
                 self.residual_rows[slot].0 += output.num_rows() as u64;
                 self.residual_rows[slot].1 = true;
             }

@@ -12,7 +12,7 @@ use bqo_storage::{Catalog, StorageError};
 use std::collections::HashMap;
 
 /// State shared by every operator of one running pipeline: the execution
-/// configuration, the worker pool supplying parallel-section helpers (if
+/// configuration, the worker pool supplying the scans' helper workers (if
 /// any), the bitvector filters published so far (keyed by their placement
 /// index in the plan), and the metrics being collected where the work
 /// happens.
@@ -36,13 +36,13 @@ impl std::fmt::Debug for ExecContext {
 
 impl ExecContext {
     /// Creates a fresh context for one query execution (no worker pool —
-    /// parallel sections run inline on the calling thread).
+    /// scans run inline on the calling thread).
     pub fn new(config: ExecConfig) -> Self {
         ExecContext::with_pool(config, None)
     }
 
-    /// Creates a fresh context whose parallel sections draw helper workers
-    /// from a persistent pool.
+    /// Creates a fresh context whose scans draw helper workers from a
+    /// persistent pool.
     pub fn with_pool(config: ExecConfig, pool: Option<WorkerPool>) -> Self {
         ExecContext {
             config,
@@ -55,8 +55,8 @@ impl ExecContext {
 
     /// The same context observing `token` for cooperative cancellation: once
     /// the token fires, the run fails with `StorageError::Cancelled` at its
-    /// next morsel claim, serial batch pull, join-table build step or
-    /// gathered batch.
+    /// next morsel claim, serial batch pull, join-table build or gathered
+    /// batch.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -64,8 +64,9 @@ impl ExecContext {
 
     /// Returns `Err(StorageError::Cancelled)` once the context's cancel token
     /// has fired (or its deadline passed). Operators call this at the top of
-    /// their serial batch loops — the non-parallel counterpart of the
-    /// morsel-claim checks inside [`ExecContext::run_morsels`].
+    /// their serial batch loops and before a join-table build — the serial
+    /// counterpart of the morsel-claim checks inside
+    /// [`ExecContext::run_morsels`].
     pub(crate) fn check_cancelled(&self) -> Result<(), StorageError> {
         if self.cancel.is_cancelled() {
             Err(StorageError::Cancelled)
@@ -76,11 +77,10 @@ impl ExecContext {
 
     /// Runs a morsel kernel with up to `num_threads` workers, drawing helpers
     /// from the context's worker pool when one is attached and running
-    /// inline otherwise (see [`run_morsels_with`]). Operators call
-    /// this for every parallel section so one executor configuration decides
-    /// the scheduling mode for the whole pipeline. A kernel's error or the
-    /// context's cancel token (re-checked at every morsel claim) stops the
-    /// section at its next claim.
+    /// inline otherwise (see [`run_morsels_with`]). The scan's open is the
+    /// one caller: it is the executor's one parallel section. A kernel's
+    /// error or the context's cancel token (re-checked at every morsel claim)
+    /// stops the section at its next claim.
     pub(crate) fn run_morsels<T, K>(
         &self,
         num_threads: usize,

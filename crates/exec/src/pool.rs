@@ -1,4 +1,4 @@
-//! Persistent worker pool for the morsel-parallel sections.
+//! Persistent worker pool for the scan's morsel-parallel section.
 //!
 //! Spawning a thread for each helper worker of each parallel section is
 //! acceptable for one long analytical query, but a measurable fixed cost

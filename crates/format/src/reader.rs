@@ -55,12 +55,7 @@ fn read_exact_at(file: &File, path: &Path, offset: u64, buf: &mut [u8]) -> std::
 pub struct FileReader {
     path: PathBuf,
     file: File,
-    name: String,
-    schema: Schema,
-    chunk_rows: usize,
-    row_count: usize,
-    directory: Vec<Vec<ChunkEntry>>,
-    stats: TableStats,
+    footer: ParsedFooter,
     fingerprint: u64,
 }
 
@@ -124,39 +119,35 @@ impl FileReader {
             return Err(truncated("footer checksum mismatch".to_string()));
         }
         let fingerprint = xxh64(&footer, FINGERPRINT_SEED);
-        let parsed = parse_footer(&footer, &path, footer_start)?;
+        let footer = parse_footer(&footer, &path, footer_start)?;
         Ok(FileReader {
             path,
             file,
-            name: parsed.name,
-            schema: parsed.schema,
-            chunk_rows: parsed.chunk_rows,
-            row_count: parsed.row_count,
-            directory: parsed.directory,
-            stats: parsed.stats,
+            footer,
             fingerprint,
         })
     }
 
     /// The table name stored in the footer.
     pub fn table_name(&self) -> &str {
-        &self.name
+        &self.footer.name
     }
 
     /// Materializes one chunk, verifying every column run's checksum. Unlike
     /// `ChunkSource::read_chunk`, a failure keeps its [`FormatError`] type,
     /// which is what the corruption suite asserts on.
     pub fn read_chunk_columns(&self, chunk: usize) -> Result<Vec<Arc<Column>>, FormatError> {
-        let entries = self
-            .directory
-            .get(chunk)
-            .ok_or_else(|| FormatError::ChunkOutOfBounds {
-                path: self.path.clone(),
-                chunk,
-                chunks: self.directory.len(),
-            })?;
-        let start = chunk * self.chunk_rows;
-        let rows = (start + self.chunk_rows).min(self.row_count) - start;
+        let entries =
+            self.footer
+                .directory
+                .get(chunk)
+                .ok_or_else(|| FormatError::ChunkOutOfBounds {
+                    path: self.path.clone(),
+                    chunk,
+                    chunks: self.footer.directory.len(),
+                })?;
+        let start = chunk * self.footer.chunk_rows;
+        let rows = (start + self.footer.chunk_rows).min(self.footer.row_count) - start;
         let mut columns = Vec::with_capacity(entries.len());
         let mut buf = Vec::new();
         for (column, entry) in entries.iter().enumerate() {
@@ -174,7 +165,7 @@ impl FileReader {
                     column,
                 });
             }
-            let decoded = decode_column(self.schema.field_at(column).data_type, rows, &buf)
+            let decoded = decode_column(self.footer.schema.field_at(column).data_type, rows, &buf)
                 .map_err(|detail| FormatError::Corrupt {
                     path: self.path.clone(),
                     chunk: Some(chunk),
@@ -189,12 +180,13 @@ impl FileReader {
     /// round-trip tests and small-table registration.
     pub fn read_table(&self) -> Result<Table, FormatError> {
         let mut columns: Vec<Column> = self
+            .footer
             .schema
             .fields()
             .iter()
             .map(|f| Column::empty(f.data_type))
             .collect();
-        for chunk in 0..self.directory.len() {
+        for chunk in 0..self.footer.directory.len() {
             for (i, col) in self.read_chunk_columns(chunk)?.into_iter().enumerate() {
                 columns[i].append(&col).map_err(|e| FormatError::Corrupt {
                     path: self.path.clone(),
@@ -203,39 +195,43 @@ impl FileReader {
                 })?;
             }
         }
-        Table::new(self.name.clone(), self.schema.clone(), columns).map_err(|e| {
-            FormatError::Corrupt {
-                path: self.path.clone(),
-                chunk: None,
-                detail: e.to_string(),
-            }
+        Table::new(
+            self.footer.name.clone(),
+            self.footer.schema.clone(),
+            columns,
+        )
+        .map_err(|e| FormatError::Corrupt {
+            path: self.path.clone(),
+            chunk: None,
+            detail: e.to_string(),
         })
     }
 }
 
 impl ChunkSource for FileReader {
     fn name(&self) -> &str {
-        &self.name
+        &self.footer.name
     }
 
     fn schema(&self) -> &Schema {
-        &self.schema
+        &self.footer.schema
     }
 
     fn num_rows(&self) -> usize {
-        self.row_count
+        self.footer.row_count
     }
 
     fn chunk_rows(&self) -> usize {
-        self.chunk_rows
+        self.footer.chunk_rows
     }
 
     fn num_chunks(&self) -> usize {
-        self.directory.len()
+        self.footer.directory.len()
     }
 
     fn zone_map(&self, chunk: usize, column: usize) -> Option<(Value, Value)> {
-        self.directory
+        self.footer
+            .directory
             .get(chunk)
             .and_then(|entries| entries.get(column))
             .and_then(|entry| entry.zone.clone())
@@ -246,7 +242,8 @@ impl ChunkSource for FileReader {
     }
 
     fn chunk_byte_size(&self, chunk: usize) -> u64 {
-        self.directory
+        self.footer
+            .directory
             .get(chunk)
             .map(|entries| entries.iter().map(|e| e.len).sum())
             .unwrap_or(0)
@@ -261,7 +258,7 @@ impl ChunkSource for FileReader {
     }
 
     fn table_stats(&self) -> TableStats {
-        self.stats.clone()
+        self.footer.stats.clone()
     }
 }
 
@@ -270,6 +267,8 @@ pub(crate) fn is_format_file(path: &Path) -> bool {
     path.extension().and_then(|e| e.to_str()) == Some(FILE_EXTENSION)
 }
 
+/// The table a footer describes: everything a [`FileReader`] reads chunks by.
+#[derive(Debug)]
 struct ParsedFooter {
     name: String,
     schema: Schema,

@@ -53,15 +53,6 @@ impl<'a> TableRef<'a> {
     }
 }
 
-/// How a joined table relates to the tables before it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKind {
-    /// `[INNER] JOIN ... ON <conditions>`
-    Inner,
-    /// `CROSS JOIN` (no conditions).
-    Cross,
-}
-
 /// One `col = col` equality inside an `ON` clause.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinOn<'a> {
@@ -76,10 +67,10 @@ impl JoinOn<'_> {
     }
 }
 
-/// One `JOIN` clause: the joined table and its `ON` conditions.
+/// One `JOIN` clause: the joined table and its `ON` conditions (none for a
+/// `CROSS JOIN`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JoinClause<'a> {
-    pub kind: JoinKind,
     pub table: TableRef<'a>,
     pub conditions: Vec<JoinOn<'a>>,
 }

@@ -24,7 +24,7 @@ use crate::ast::{ColumnName, Projection, ScalarValue, SelectStatement, TableRef}
 use crate::error::{SqlError, SqlErrorKind};
 use crate::parser::parse;
 use bqo_plan::{ColumnPredicate, QuerySpec};
-use bqo_storage::{Catalog, DataType, Field, TableMeta, Value};
+use bqo_storage::{Catalog, DataType, Field, TableMeta};
 use std::sync::Arc;
 
 /// Parses and binds `sql`, returning the lowered [`QuerySpec`]. The spec is
@@ -177,15 +177,6 @@ impl<'a> Binder<'a> {
     }
 }
 
-fn value_type(value: &Value) -> DataType {
-    match value {
-        Value::Int64(_) => DataType::Int64,
-        Value::Float64(_) => DataType::Float64,
-        Value::Utf8(_) => DataType::Utf8,
-        Value::Bool(_) => DataType::Bool,
-    }
-}
-
 /// Numeric types compare across each other (the predicate kernels evaluate
 /// `Int64` columns against `Float64` literals and vice versa); everything
 /// else must match exactly.
@@ -255,7 +246,7 @@ pub fn bind(
         let column = Arc::clone(&field.name);
         match &predicate.value.value {
             ScalarValue::Literal(value) => {
-                let literal_type = value_type(value);
+                let literal_type = value.data_type();
                 if !types_compatible(field.data_type, literal_type) {
                     return Err(binder.error(
                         SqlErrorKind::TypeMismatch {
@@ -284,7 +275,7 @@ pub fn bind(
 mod tests {
     use super::*;
     use bqo_plan::{CompareOp, Params, PredicateValue};
-    use bqo_storage::TableBuilder;
+    use bqo_storage::{TableBuilder, Value};
 
     fn catalog() -> Catalog {
         let mut catalog = Catalog::new();

@@ -16,8 +16,8 @@
 //! Keywords are matched case-insensitively; identifiers are taken verbatim.
 
 use crate::ast::{
-    ColumnName, Ident, JoinClause, JoinKind, JoinOn, Projection, Scalar, ScalarValue,
-    SelectStatement, TableRef, WherePredicate,
+    ColumnName, Ident, JoinClause, JoinOn, Projection, Scalar, ScalarValue, SelectStatement,
+    TableRef, WherePredicate,
 };
 use crate::error::{Span, SqlError, SqlErrorKind};
 use crate::lexer::{lex, Token, TokenKind};
@@ -117,7 +117,6 @@ impl<'a> Parser<'a> {
                 self.expect_keyword("JOIN")?;
                 let table = self.table_ref()?;
                 joins.push(JoinClause {
-                    kind: JoinKind::Cross,
                     table,
                     conditions: Vec::new(),
                 });
@@ -127,15 +126,10 @@ impl<'a> Parser<'a> {
                 let table = self.table_ref()?;
                 self.expect_keyword("ON")?;
                 let mut conditions = vec![self.join_condition()?];
-                while self.looking_at_and_condition() {
-                    self.eat_keyword("AND");
+                while self.eat_keyword("AND") {
                     conditions.push(self.join_condition()?);
                 }
-                joins.push(JoinClause {
-                    kind: JoinKind::Inner,
-                    table,
-                    conditions,
-                });
+                joins.push(JoinClause { table, conditions });
             } else {
                 break;
             }
@@ -162,16 +156,6 @@ impl<'a> Parser<'a> {
                 ))
             }
         }
-    }
-
-    /// Distinguishes `AND <condition>` (another ON equality) from the end of
-    /// the ON clause. An ON conjunct is always `column = column`, so after
-    /// `AND` the lookahead `ident [. ident] =` identifies a condition; the
-    /// grammar has no other `AND` inside a join clause, so a plain check for
-    /// `AND` followed by a non-WHERE context suffices: ON clauses can only be
-    /// followed by JOIN/CROSS/WHERE/EOF.
-    fn looking_at_and_condition(&self) -> bool {
-        self.at_keyword("AND")
     }
 
     fn projection(&mut self) -> Result<Projection<'a>, SqlError> {
@@ -335,10 +319,8 @@ mod tests {
         assert_eq!(stmt.from.table.text, "sales");
         assert_eq!(stmt.from.alias.as_ref().unwrap().text, "s");
         assert_eq!(stmt.joins.len(), 2);
-        assert_eq!(stmt.joins[0].kind, JoinKind::Inner);
         assert_eq!(stmt.joins[0].conditions.len(), 2);
         assert_eq!(stmt.joins[0].table.alias.as_ref().unwrap().text, "i");
-        assert_eq!(stmt.joins[1].kind, JoinKind::Cross);
         assert!(stmt.joins[1].conditions.is_empty());
         assert_eq!(stmt.selection.len(), 4);
         assert_eq!(stmt.selection[0].op, CompareOp::Le);

@@ -316,7 +316,7 @@ fn assert_matches_reference(s: &Scenario) -> usize {
 
     for (plan, bitvectors) in [(&filtered, true), (&bare, false)] {
         for batch_size in [3, 4096] {
-            // No inline gate, so 4 threads really fan out.
+            // No inline gate, so at 4 threads every scan really fans out.
             let base = ExecConfig::default()
                 .with_batch_size(batch_size)
                 .with_parallel_threshold(1);

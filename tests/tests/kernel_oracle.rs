@@ -502,7 +502,7 @@ proptest! {
         let all: Vec<i64> = probes.iter().chain(&keys).copied().collect();
         for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
             let config = ExecConfig::default().with_kernel_mode(mode);
-            let got = join_probe(&config, &table, &all, 0..all.len());
+            let got = join_probe(&config, &table, &all);
             prop_assert_eq!(&got.0, &want_build);
             prop_assert_eq!(&got.1, &want_probe);
         }
@@ -556,7 +556,8 @@ proptest! {
             })
             .collect();
         let mut vec_stats = FilterStats::new();
-        let mask = probe_mask_range(&filter, &mapped, start, end, &mut vec_stats, &mut scratch);
+        let range = &mapped[start..end];
+        let mask = probe_mask_range(&filter, range, &mut vec_stats, &mut scratch);
         prop_assert_eq!(&mask, &scalar_mask);
         prop_assert_eq!(vec_stats, scalar_stats);
     }

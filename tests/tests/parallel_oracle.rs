@@ -138,7 +138,8 @@ fn star_matrix_matches_serial_oracle_with_exact_filters() {
 }
 
 /// Plans without bitvector placements: the parallel path must also be a
-/// bit-identical reproduction (probe loops still fan out across morsels).
+/// bit-identical reproduction (the scans' predicate morsels still fan out,
+/// while every join probes on the thread that pulls its batch).
 #[test]
 fn star_matrix_matches_serial_oracle_without_bitvectors() {
     let workload = star::generate(Scale(0.02), 3, 1, 7);

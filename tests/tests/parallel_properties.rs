@@ -207,9 +207,11 @@ proptest! {
         prop_assert_eq!(metrics.chunks_read + metrics.chunks_pruned, chunks as u64);
     }
 
-    /// Count-then-scatter is deterministic: for 1/2/4/8 build workers, over
-    /// dense (direct-addressed), sparse (hashed) and extreme key sets, every
-    /// key's row list is exactly the ascending build rows carrying it.
+    /// Count-then-scatter is deterministic: under contexts of 1/2/4/8
+    /// workers (the build runs on the calling thread, so none may change
+    /// it), over dense (direct-addressed), sparse (hashed) and extreme key
+    /// sets, every key's row list is exactly the ascending build rows
+    /// carrying it.
     #[test]
     fn join_table_row_lists_are_ascending_for_every_worker_count(
         raw in prop::collection::vec(-40i64..40, 0..400),
