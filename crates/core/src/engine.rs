@@ -544,8 +544,8 @@ pub struct QueryOutput {
     /// How the statement's plan was obtained from the plan cache
     /// ([`CacheStatus::Bypassed`] for hand-built plans).
     pub cache_status: CacheStatus,
-    /// Time a served request spent queued before a dispatcher picked it
-    /// up; zero for a direct run.
+    /// Time a served request spent queued before it started running — on
+    /// a dispatcher, or on the client waiting on it; zero for a direct run.
     pub queue_wait: Duration,
     /// Submit-to-completion wall time of a served request (queueing +
     /// planning + execution); a direct run's execution time

@@ -46,8 +46,10 @@
 //!   in-flight queries at morsel granularity, surfacing as
 //!   [`ServeError::Cancelled`] / [`ServeError::DeadlineExceeded`] with the
 //!   partial [`ExecutionMetrics`]. At most
-//!   [`ServerConfig::max_concurrent_queries`] statements execute at once on
-//!   persistent dispatcher threads, panics are contained per request, and
+//!   [`ServerConfig::max_concurrent_queries`] statements execute at once — a
+//!   bound the scheduler holds — on persistent dispatcher threads or on the
+//!   client blocked in [`Ticket::wait`], which runs its own request when a
+//!   slot is free and it is next; panics are contained per request, and
 //!   one [`ServerStats`] type reports global ([`Server::stats`]) and
 //!   per-tenant ([`Server::stats_for`]) counters plus queue-wait and
 //!   run-time latency histograms. Scheduling and accounting are one

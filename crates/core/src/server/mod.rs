@@ -12,8 +12,17 @@
 //!   request with the highest [`RequestBuilder::priority`], breaking ties by
 //!   earliest deadline and then submission order (so equal-priority,
 //!   deadline-free traffic is served first-in-first-out). At most
-//!   [`ServerConfig::max_concurrent_queries`] statements execute at once (a
-//!   fixed set of persistent dispatcher threads).
+//!   [`ServerConfig::max_concurrent_queries`] statements execute at once:
+//!   the scheduler refuses to dispatch past that bound, whichever thread
+//!   asks.
+//! * **A waiting client runs its own request.** [`Ticket::wait`] first
+//!   asks the scheduler for its own request: when a slot is free and that
+//!   request is the one dispatch would pick next, it runs on the calling
+//!   thread, saving the hand-off to a dispatcher and back. Otherwise it
+//!   blocks until a dispatcher has run it. The persistent dispatcher
+//!   threads, as many as the bound, serve every request nobody waits on
+//!   this way — detached tickets, [`Ticket::wait_timeout`] callers, and
+//!   requests that were not next when their client began to wait.
 //! * **Deadlines.** A request with a [`RequestBuilder::deadline`] that expires
 //!   while still queued is dropped with [`ServeError::DeadlineExceeded`]
 //!   before wasting pool time; one that expires mid-execution is aborted
@@ -31,11 +40,13 @@
 //!   query stops within roughly one morsel and surfaces as
 //!   [`ServeError::Cancelled`] with its partial metrics.
 //! * **Panic containment.** A statement that panics mid-execution takes down
-//!   neither the dispatcher nor the server: the panic is caught and surfaced
-//!   through that request's ticket as [`ServeError::Panicked`].
+//!   neither the thread that ran it — dispatcher or waiting client — nor
+//!   the server: the panic is caught and surfaced through that request's
+//!   ticket as [`ServeError::Panicked`].
 //! * **Graceful shutdown.** [`Server::shutdown`] stops admissions, drains
-//!   everything already queued, and joins the dispatchers; it is idempotent
-//!   and implied when the last server handle drops.
+//!   everything already queued, waits for every running request (one
+//!   running on a waiting client included) and joins the dispatchers; it is
+//!   idempotent and implied when the last server handle drops.
 //! * **Operational visibility.** [`Server::stats`] reports global counters
 //!   plus queue-wait and run-time latency histograms ([`LatencyStats`]);
 //!   [`Server::stats_for`] reports the same [`ServerStats`] per named
@@ -44,17 +55,21 @@
 //! Execution itself goes through the engine like any session run: plans come
 //! from the engine's [`crate::PlanCache`], and the scans' parallel section
 //! draws its helper workers from the engine-owned persistent
-//! [`bqo_exec::WorkerPool`] — dispatchers are the *query*-level concurrency
-//! limit, the pool is the *morsel*-level one.
+//! [`bqo_exec::WorkerPool`] — the scheduler's bound is the *query*-level
+//! concurrency limit, the pool is the *morsel*-level one.
 //!
-//! Scheduling and accounting — the queue, the accepting/paused flags,
-//! every counter and histogram, per tenant and in total — live in one
-//! single-threaded state machine (`server/queue.rs`) whose transitions take
-//! `now` as a parameter. This module wraps it in one mutex and a condvar,
-//! runs the dispatcher threads and hands out [`Ticket`]s. A queued request
-//! is resolved only under that mutex, by whichever transition removes it
-//! from the queue, and every request is booked before its ticket resolves:
-//! [`Server::stats`] read after [`Ticket::wait`] returns counts it.
+//! Scheduling and accounting — the queue, the accepting/paused flags, the
+//! concurrency bound, every counter and histogram, per tenant and in total —
+//! live in one single-threaded state machine (`server/queue.rs`) whose
+//! transitions take `now` as a parameter. This module wraps it in one mutex
+//! and a condvar, runs the dispatcher threads and hands out [`Ticket`]s. A
+//! dispatcher and a waiting client take a request out of the queue through
+//! the same dispatch and run it through the same code, so booking, panic
+//! containment and cancellation do not depend on which thread ran it. A
+//! queued request is resolved only under that mutex, by whichever
+//! transition removes it from the queue, and every request is booked before
+//! its ticket resolves: [`Server::stats`] read after [`Ticket::wait`]
+//! returns counts it.
 //!
 //! ```
 //! use bqo_core::workloads::{star, Scale};
@@ -93,8 +108,10 @@ use std::time::{Duration, Instant};
 /// Traffic-shaping knobs of a [`Server`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
-    /// Maximum number of statements executing concurrently (the number of
-    /// persistent dispatcher threads). Values below 1 are treated as 1.
+    /// Maximum number of statements executing concurrently, on dispatcher
+    /// threads and on clients running their own request in
+    /// [`Ticket::wait`] together; the server also starts this many
+    /// dispatcher threads. Values below 1 are treated as 1.
     pub max_concurrent_queries: usize,
     /// Maximum number of admitted-but-not-yet-started requests; submissions
     /// beyond this bound fail fast with [`SubmitError::QueueFull`]. Values
@@ -167,8 +184,8 @@ pub struct RequestBuilder {
 
 impl RequestBuilder {
     /// Runs a (possibly parameterized) query spec, planned through the
-    /// engine's plan cache on the dispatcher. Replaces any previously set
-    /// statement.
+    /// engine's plan cache on the thread that runs the request. Replaces any
+    /// previously set statement.
     pub fn query(mut self, spec: &QuerySpec) -> Self {
         self.statement = Some(Statement::Spec {
             spec: spec.clone(),
@@ -179,8 +196,8 @@ impl RequestBuilder {
 
     /// Runs a SQL `SELECT` (see the `bqo-sql` crate for the supported
     /// grammar), parsed and bound against the engine's catalog on the
-    /// dispatcher. Combine with [`RequestBuilder::params`] for `$param`
-    /// templates. Replaces any previously set statement.
+    /// thread that runs the request. Combine with [`RequestBuilder::params`]
+    /// for `$param` templates. Replaces any previously set statement.
     pub fn sql(mut self, text: impl Into<String>) -> Self {
         self.statement = Some(Statement::Sql {
             text: text.into(),
@@ -309,8 +326,9 @@ pub enum ServeError {
     /// next morsel claim, and [`BqoError::partial_metrics`] reports what it
     /// did — the chunks a failed scan read, as for a cancelled run.
     Query(BqoError),
-    /// Execution panicked on the dispatcher; the payload's message. The
-    /// dispatcher survived and keeps serving other requests.
+    /// Execution panicked; the payload's message. The thread that ran it —
+    /// a dispatcher, or the client waiting on the request — survived, and
+    /// the server keeps serving other requests.
     Panicked(String),
     /// The request was cancelled via [`Ticket::cancel`]. `partial` carries
     /// the metrics a mid-flight cancellation accumulated before the abort
@@ -365,13 +383,14 @@ impl std::error::Error for ServeError {
 #[derive(Debug, Clone)]
 enum Statement {
     /// A (possibly parameterized) query spec, planned through the engine's
-    /// plan cache on the dispatcher.
+    /// plan cache on the thread that runs it.
     Spec {
         spec: QuerySpec,
         params: Option<Params>,
     },
     /// A SQL `SELECT`, parsed and bound against the engine's catalog on the
-    /// dispatcher, then planned through the plan cache like a spec request.
+    /// thread that runs it, then planned through the plan cache like a spec
+    /// request.
     Sql {
         text: String,
         params: Option<Params>,
@@ -432,15 +451,28 @@ impl std::fmt::Debug for Ticket {
 impl Ticket {
     /// Blocks until the request finishes and returns its output. Waiting
     /// repeatedly is fine — the outcome is retained.
+    ///
+    /// When a slot is free and the request is the one the scheduler would
+    /// dispatch next, it runs on the calling thread, exactly as a dispatcher
+    /// would run it (a panic is contained to the request and returned as
+    /// [`ServeError::Panicked`]); otherwise the call blocks until a
+    /// dispatcher has run it.
     pub fn wait(&self) -> Result<QueryOutput, ServeError> {
+        if let Some(server) = self.server.upgrade() {
+            let next = dispatch(&mut server.lock(), Some(self.id));
+            if let Some((running, job)) = next {
+                serve_one(&server, running, job);
+            }
+        }
         self.wait_deadline(None)
     }
 
     /// Blocks until the request finishes or `timeout` elapses; a wait that
-    /// returns [`ServeError::TimedOut`] leaves the request running. A request
-    /// whose own deadline has already passed while still queued resolves to
-    /// [`ServeError::DeadlineExceeded`] immediately instead of blocking for
-    /// the full bound. A `timeout` too far to represent as an instant (such
+    /// returns [`ServeError::TimedOut`] leaves the request running. It never
+    /// runs the request on the calling thread, so it returns on time. A
+    /// request whose own deadline has already passed while still queued
+    /// resolves to [`ServeError::DeadlineExceeded`] immediately instead of
+    /// blocking for the full bound. A `timeout` too far to represent as an instant (such
     /// as `Duration::MAX`) is no bound.
     pub fn wait_timeout(&self, timeout: Duration) -> Result<QueryOutput, ServeError> {
         self.wait_deadline(Instant::now().checked_add(timeout))
@@ -504,8 +536,8 @@ impl Ticket {
                 return true;
             }
         }
-        // Not queued: finished, or running — then its dispatcher books and
-        // resolves the abort once execution notices the token.
+        // Not queued: finished, or running — then the thread running it
+        // books and resolves the abort once execution notices the token.
         if self.shared.lock().is_some() {
             return false;
         }
@@ -525,8 +557,8 @@ impl Ticket {
     }
 }
 
-/// What a dispatcher needs to run one request and resolve its ticket — the
-/// scheduler's payload.
+/// What a dispatcher or waiting client needs to run one request and resolve
+/// its ticket — the scheduler's payload.
 struct Job {
     statement: Statement,
     choice: OptimizerChoice,
@@ -561,7 +593,7 @@ struct ServerShared {
     config: ServerConfig,
     scheduler: Mutex<Scheduler<Job>>,
     /// Free dispatchers park here while no request is dispatchable (queue
-    /// empty or server paused).
+    /// empty, every slot taken or server paused) until the server drains.
     work: Condvar,
 }
 
@@ -573,7 +605,10 @@ impl ServerShared {
         ServerShared {
             engine,
             config,
-            scheduler: Mutex::new(Scheduler::new(config.queue_capacity)),
+            scheduler: Mutex::new(Scheduler::new(
+                config.queue_capacity,
+                config.max_concurrent_queries,
+            )),
             work: Condvar::new(),
         }
     }
@@ -609,7 +644,8 @@ pub struct ServerStats {
     pub panicked: u64,
     /// Requests currently waiting in the queue.
     pub queue_depth: usize,
-    /// Requests currently executing on dispatchers.
+    /// Requests currently executing, on dispatchers or on the clients
+    /// waiting on them.
     pub running: usize,
     /// Cumulative submit-to-completion wall time over completed requests.
     pub total_wall: Duration,
@@ -678,8 +714,8 @@ impl Server {
     /// Starts a server over an engine: spawns
     /// [`ServerConfig::max_concurrent_queries`] persistent dispatcher
     /// threads (at least one) and begins accepting submissions immediately.
-    /// Each dispatcher runs one request at a time, so their number alone
-    /// bounds how many run at once.
+    /// The scheduler, not the thread count, bounds how many requests run at
+    /// once: clients in [`Ticket::wait`] run requests too.
     pub fn new(engine: Engine, config: ServerConfig) -> Self {
         let shared = Arc::new(ServerShared::new(engine, config));
         #[expect(
@@ -738,6 +774,8 @@ impl Server {
             .shared
             .lock()
             .submit(submitted, tenant, priority, deadline, job)?;
+        // Wake a dispatcher even if the client will wait and run the
+        // request itself: a detached ticket must still run.
         self.shared.work.notify_one();
         Ok(Ticket {
             shared: ticket,
@@ -775,16 +813,17 @@ impl Server {
     }
 
     /// Stops accepting new submissions, drains everything already queued,
-    /// and joins the dispatcher threads. Idempotent; implied when the last
-    /// server handle drops. Submissions after shutdown fail with
-    /// [`SubmitError::ShutDown`].
+    /// waits for every running request — one running on a client in
+    /// [`Ticket::wait`] included — and joins the dispatcher threads.
+    /// Idempotent; implied when the last server handle drops. Submissions
+    /// after shutdown fail with [`SubmitError::ShutDown`].
     pub fn shutdown(&self) {
         self.owner.shutdown();
     }
 }
 
 /// One dispatcher: dispatches, runs and books requests until the server is
-/// shut down and drained.
+/// shut down, drained and has nothing running.
 fn dispatcher_loop(shared: Arc<ServerShared>) {
     let mut scheduler = shared.lock();
     #[expect(
@@ -792,16 +831,8 @@ fn dispatcher_loop(shared: Arc<ServerShared>) {
         reason = "lock poisoning: a dispatcher already panicked; aborting beats scheduling from a half-mutated queue"
     )]
     loop {
-        let Dispatch { expired, next } = scheduler.dispatch(Instant::now());
-        for job in expired {
-            job.ticket
-                .resolve(Err(ServeError::DeadlineExceeded { partial: None }));
-        }
-        if let Some((running, job)) = next {
+        if let Some((running, job)) = dispatch(&mut scheduler, None) {
             drop(scheduler);
-            // A completion wakes no other dispatcher: each runs one request
-            // at a time, so a parked one waits for a submission, `resume`
-            // or `close`, which notify it themselves.
             serve_one(&shared, running, job);
             scheduler = shared.lock();
         } else if scheduler.drained() {
@@ -812,15 +843,28 @@ fn dispatcher_loop(shared: Arc<ServerShared>) {
     }
 }
 
+/// The one transition into the running set, for a dispatcher (`only` is
+/// `None`) and for a client waiting on request `only`: sweeps and resolves
+/// expired requests, then returns the request to run, if any.
+fn dispatch(scheduler: &mut Scheduler<Job>, only: Option<u64>) -> Option<(Running, Job)> {
+    let Dispatch { expired, next } = scheduler.dispatch(Instant::now(), only);
+    for job in expired {
+        job.ticket
+            .resolve(Err(ServeError::DeadlineExceeded { partial: None }));
+    }
+    next
+}
+
 /// Runs one dispatched request without the lock, books its outcome under
 /// the lock, then resolves its ticket — in that order, so a waiter that sees
 /// the request finished also sees it counted. The ticket resolves after the
 /// lock is released: the woken client's next submit must not find the lock
-/// still held by its waker.
+/// still held by its waker. Called on a dispatcher or on the client waiting
+/// on the request.
 fn serve_one(shared: &ServerShared, running: Running, job: Job) {
-    // Contain panics to this request: the dispatcher thread (and the
-    // engine's worker pool, which re-throws kernel panics on this thread)
-    // must survive a malformed statement.
+    // Contain panics to this request: the running thread (and the engine's
+    // worker pool, which re-throws kernel panics on this thread) must
+    // survive a malformed statement.
     let result = catch_unwind(AssertUnwindSafe(|| run_request(&shared.engine, &job)));
     let now = Instant::now();
     let (outcome, resolved) = match result {
@@ -845,11 +889,22 @@ fn serve_one(shared: &ServerShared, running: Running, job: Job) {
             (Outcome::Panicked, Err(ServeError::Panicked(message)))
         }
     };
-    shared.lock().finish(running, now, outcome);
+    let mut scheduler = shared.lock();
+    scheduler.finish(running, now, outcome);
+    let (more, drained) = (scheduler.dispatchable(), scheduler.drained());
+    drop(scheduler);
     job.ticket.resolve(resolved);
+    // A slot freed: a dispatcher parked while every slot was taken serves
+    // what is queued. The last request to finish after `close` lets every
+    // dispatcher exit.
+    if drained {
+        shared.work.notify_all();
+    } else if more {
+        shared.work.notify_one();
+    }
 }
 
-/// Plans and executes one request on the dispatcher thread under its
+/// Plans and executes one request on the calling thread under its
 /// [`RunOptions`] (cancel token included); [`serve_one`] stamps the output's
 /// `queue_wait` and `total_wall`.
 fn run_request(engine: &Engine, job: &Job) -> Result<QueryOutput, BqoError> {
@@ -980,7 +1035,8 @@ mod tests {
 
     #[test]
     fn dispatch_order_prefers_priority_then_deadline_then_seq() {
-        let mut scheduler = Scheduler::new(ServerConfig::default().queue_capacity);
+        // Five slots: each request dispatches without waiting for a finish.
+        let mut scheduler = Scheduler::new(ServerConfig::default().queue_capacity, 5);
         let now = Instant::now();
         let soon = Some(now + Duration::from_millis(10));
         let later = Some(now + Duration::from_secs(10));
@@ -999,7 +1055,8 @@ mod tests {
         // priority the earlier deadline, and a deadline beats none; full
         // ties go in submission order.
         let order: Vec<&str> =
-            std::iter::from_fn(|| scheduler.dispatch(now).next.map(|(_, name)| name)).collect();
+            std::iter::from_fn(|| scheduler.dispatch(now, None).next.map(|(_, name)| name))
+                .collect();
         assert_eq!(order, ["high", "soon", "later", "none-1", "none-2"]);
     }
 
@@ -1026,7 +1083,7 @@ mod tests {
         let ticket = server
             .submit(Request::builder().query(&spec).build().unwrap())
             .unwrap();
-        let dispatched = server.shared.lock().dispatch(Instant::now()).next;
+        let dispatched = server.shared.lock().dispatch(Instant::now(), None).next;
         let (running, job) = dispatched.expect("one request is queued");
         assert_eq!(server.stats().running, 1);
 

@@ -1,11 +1,17 @@
 //! The server's scheduling and accounting state machine.
 //!
 //! A [`Scheduler`] is single-threaded and reads no clock: it owns the pending
-//! queue, the accepting/paused flags and every counter and latency
-//! histogram, per tenant and in total, as plain integers, and each transition takes `now` and
-//! returns what the caller must resolve. The server keeps one behind one
-//! mutex (see [`super`]); the tests below drive it on the test thread with a
-//! hand-advanced clock and `()` or index payloads.
+//! queue, the accepting/paused flags, the concurrency bound and every counter
+//! and latency histogram, per tenant and in total, as plain integers, and
+//! each transition takes `now` and returns what the caller must resolve. The
+//! server keeps one behind one mutex (see [`super`]); the tests below drive
+//! it on the test thread with a hand-advanced clock and `()` or index
+//! payloads.
+//!
+//! [`Scheduler::dispatch`] is the one way into the running set, for a
+//! dispatcher thread and for a client waiting on its own request alike, and
+//! it refuses while `max_running` requests run: the bound holds whichever
+//! threads execute the requests.
 //!
 //! The ledger is exact by construction. A request is booked once at
 //! admission and once more by the one transition that takes it out of the
@@ -235,6 +241,8 @@ pub(super) struct Dispatch<P> {
 pub(super) struct Scheduler<P> {
     /// The most requests [`Scheduler::submit`] lets wait in the queue.
     capacity: usize,
+    /// The most requests [`Scheduler::dispatch`] lets run at once.
+    max_running: usize,
     queue: VecDeque<Entry<P>>,
     accepting: bool,
     paused: bool,
@@ -246,10 +254,13 @@ pub(super) struct Scheduler<P> {
 
 impl<P> Scheduler<P> {
     /// An accepting scheduler whose queue holds up to `capacity` requests
-    /// (the server passes its clamped [`super::ServerConfig::queue_capacity`]).
-    pub(super) fn new(capacity: usize) -> Self {
+    /// and which runs up to `max_running` at once (the server passes its
+    /// clamped [`super::ServerConfig::queue_capacity`] and
+    /// [`super::ServerConfig::max_concurrent_queries`]).
+    pub(super) fn new(capacity: usize, max_running: usize) -> Self {
         Scheduler {
             capacity,
+            max_running,
             queue: VecDeque::new(),
             accepting: true,
             paused: false,
@@ -295,11 +306,12 @@ impl<P> Scheduler<P> {
     }
 
     /// Sweeps the queue for passed deadlines, then picks the request that
-    /// runs next: the one that [`beats`] every other. A paused server does
-    /// neither — unless it is shutting down, when draining wins. Only a free
-    /// dispatcher calls this, so the number of dispatchers bounds how many
-    /// requests run.
-    pub(super) fn dispatch(&mut self, now: Instant) -> Dispatch<P> {
+    /// runs next: the one that [`beats`] every other. The pick is refused
+    /// while `max_running` requests run and, when `only` names a request,
+    /// unless that request is the pick — a waiter runs its own request and
+    /// overtakes none; the sweep happens either way. A paused server does
+    /// neither — unless it is shutting down, when draining wins.
+    pub(super) fn dispatch(&mut self, now: Instant, only: Option<u64>) -> Dispatch<P> {
         let mut dispatch = Dispatch {
             expired: Vec::new(),
             next: None,
@@ -316,11 +328,15 @@ impl<P> Scheduler<P> {
                 .expired
                 .extend(self.drop_at(index, Outcome::DeadlineExpired));
         }
+        if self.totals.running >= self.max_running {
+            return dispatch;
+        }
         let best = self
             .queue
             .iter()
             .enumerate()
             .reduce(|best, next| if beats(next.1, best.1) { next } else { best })
+            .filter(|(_, entry)| only.is_none_or(|id| entry.id == id))
             .map(|(index, _)| index);
         if let Some(entry) = best.and_then(|index| self.queue.remove(index)) {
             let running = Running {
@@ -372,9 +388,18 @@ impl<P> Scheduler<P> {
         self.accepting = false;
     }
 
-    /// Closed with nothing left to dispatch: dispatchers may exit.
+    /// Whether a dispatch would pick a request: one is queued, a slot is
+    /// free and the server is not paused (or is draining).
+    pub(super) fn dispatchable(&self) -> bool {
+        !self.queue.is_empty()
+            && self.totals.running < self.max_running
+            && !(self.paused && self.accepting)
+    }
+
+    /// Closed with nothing queued and nothing running: dispatchers may exit,
+    /// and shutdown returns.
     pub(super) fn drained(&self) -> bool {
-        !self.accepting && self.queue.is_empty()
+        !self.accepting && self.queue.is_empty() && self.totals.running == 0
     }
 
     pub(super) fn stats(&self) -> ServerStats {
@@ -426,25 +451,26 @@ mod tests {
 
     /// Dispatches at `now`, asserting the sweep found nothing.
     fn next<P>(scheduler: &mut Scheduler<P>, now: Instant) -> Option<(Running, P)> {
-        let dispatch = scheduler.dispatch(now);
+        let dispatch = scheduler.dispatch(now, None);
         assert!(dispatch.expired.is_empty(), "nothing was due to expire");
         dispatch.next
     }
 
-    /// One dispatcher, a backlog of four, then a probe: a higher-priority
-    /// probe runs first; an equal-priority one runs last, the backlog in
+    /// One slot, a backlog of four, then a probe: a higher-priority probe
+    /// runs first; an equal-priority one runs last, the backlog in
     /// submission order.
     #[test]
     fn priority_overtakes_a_backlog_and_equal_priorities_are_fifo() {
         for (probe_priority, expected) in [(5, [4, 0, 1, 2, 3]), (0, [0, 1, 2, 3, 4])] {
             let t0 = epoch();
-            let mut scheduler = Scheduler::new(64);
+            let mut scheduler = Scheduler::new(64, 1);
             for i in 0..5 {
                 let priority = if i == 4 { probe_priority } else { 0 };
                 scheduler.submit(t0, None, priority, None, i).unwrap();
             }
             let (mut order, mut waits, mut now) = (Vec::new(), Vec::new(), t0);
             while let Some((running, i)) = next(&mut scheduler, now) {
+                assert!(next(&mut scheduler, now).is_none(), "one slot");
                 waits.push(running.queue_wait());
                 now += Duration::from_secs(1);
                 scheduler.finish(running, now, Outcome::Completed);
@@ -464,7 +490,7 @@ mod tests {
     #[test]
     fn queued_deadlines_expire_at_dispatch_or_through_the_waiter() {
         let t0 = epoch();
-        let mut scheduler = Scheduler::new(8);
+        let mut scheduler = Scheduler::new(8, 1);
         scheduler.set_paused(true);
         let tenant = Some("t".to_string());
         let a = scheduler
@@ -474,11 +500,11 @@ mod tests {
         let c = scheduler.submit(t0, None, 0, Some(at(t0, 3)), "c").unwrap();
         // Nothing expires early, and a paused server sweeps nothing.
         assert_eq!(scheduler.expire_queued(a, at(t0, 0)), None);
-        let held = scheduler.dispatch(at(t0, 2));
+        let held = scheduler.dispatch(at(t0, 2), None);
         assert!(held.expired.is_empty() && held.next.is_none());
         // Resumed, the sweep drops `a` before the pick.
         scheduler.set_paused(false);
-        let Dispatch { expired, next } = scheduler.dispatch(at(t0, 2));
+        let Dispatch { expired, next } = scheduler.dispatch(at(t0, 2), None);
         assert_eq!(expired, ["a"]);
         let (running, b) = next.unwrap();
         assert_eq!(b, "b");
@@ -500,7 +526,7 @@ mod tests {
     #[test]
     fn a_full_queue_rejects_until_a_slot_frees() {
         let t0 = epoch();
-        let mut scheduler = Scheduler::new(3);
+        let mut scheduler = Scheduler::new(3, 1);
         scheduler.set_paused(true);
         let ids: Vec<u64> = (0..3)
             .map(|i| scheduler.submit(t0, None, 0, None, i).unwrap())
@@ -536,7 +562,7 @@ mod tests {
     #[test]
     fn closing_rejects_new_work_and_drains_even_when_paused() {
         let t0 = epoch();
-        let mut scheduler = Scheduler::new(8);
+        let mut scheduler = Scheduler::new(8, 1);
         scheduler.set_paused(true);
         scheduler.submit(t0, None, 0, None, ()).unwrap();
         scheduler.close();
@@ -546,23 +572,61 @@ mod tests {
         );
         assert!(!scheduler.drained());
         let (running, ()) = next(&mut scheduler, t0).expect("draining beats pausing");
-        assert!(scheduler.drained());
+        assert!(!scheduler.drained(), "a request still runs");
         scheduler.finish(running, t0, Outcome::Failed);
+        assert!(scheduler.drained());
         let stats = scheduler.stats();
         assert_eq!((stats.rejected, stats.failed, stats.running), (1, 1, 0));
     }
 
-    /// The server clamps a zero queue capacity to 1 (`server::tests`); a
-    /// one-request queue admits and dispatches. Unclamped, a zero capacity
-    /// rejected every request.
+    /// The server clamps zero bounds to 1 (`server::tests`); a one-request
+    /// queue with one slot admits and dispatches. Unclamped, a zero capacity
+    /// rejected every request and zero slots dispatched none.
     #[test]
     fn zero_bounds_are_clamped_to_one() {
-        let mut scheduler = Scheduler::new(1);
+        let mut scheduler = Scheduler::new(1, 1);
         let t0 = epoch();
         scheduler.submit(t0, Some("a".into()), 0, None, ()).unwrap();
         let (running, ()) = next(&mut scheduler, t0).expect("dispatches");
         scheduler.finish(running, t0, Outcome::Completed);
         assert_eq!(scheduler.tenant_stats("a").completed, 1);
+    }
+
+    /// A waiter's dispatch, restricted to its own request, picks nothing
+    /// while another request wins or every slot is taken, and sweeps the
+    /// passed deadlines either way.
+    #[test]
+    fn a_restricted_dispatch_runs_only_the_next_request_in_a_free_slot() {
+        let t0 = epoch();
+        let mut scheduler = Scheduler::new(8, 1);
+        scheduler.submit(t0, None, 0, Some(at(t0, 1)), "a").unwrap();
+        let b = scheduler.submit(t0, None, 1, None, "b").unwrap();
+        let c = scheduler.submit(t0, None, 0, None, "c").unwrap();
+        scheduler.submit(t0, None, 0, Some(at(t0, 3)), "d").unwrap();
+        // `b` wins: `c`'s waiter gets nothing, but `a`'s deadline is swept.
+        let beaten = scheduler.dispatch(at(t0, 2), Some(c));
+        assert_eq!((beaten.expired, beaten.next.is_none()), (vec!["a"], true));
+        let (running, name) = next(&mut scheduler, at(t0, 2)).unwrap();
+        assert_eq!(name, "b");
+        // The one slot is taken: `c`'s waiter still gets nothing, and
+        // neither does a dispatcher, while `d` is swept.
+        let full = scheduler.dispatch(at(t0, 4), Some(c));
+        assert_eq!((full.expired, full.next.is_none()), (vec!["d"], true));
+        assert!(next(&mut scheduler, at(t0, 4)).is_none());
+        assert_eq!(
+            scheduler.dispatch(at(t0, 4), Some(b)).next.map(|n| n.1),
+            None
+        );
+        // The slot frees and `c` is next: its waiter runs it.
+        scheduler.finish(running, at(t0, 4), Outcome::Completed);
+        let (_, name) = scheduler.dispatch(at(t0, 4), Some(c)).next.unwrap();
+        assert_eq!(name, "c");
+        let stats = scheduler.stats();
+        assert_eq!(
+            (stats.deadline_expired, stats.completed, stats.running),
+            (2, 1, 1)
+        );
+        assert_eq!((stats.queue_depth, stats.queue_wait.count), (0, 2));
     }
 
     // --- The exhaustive small model -------------------------------------
@@ -642,6 +706,8 @@ mod tests {
         expired_by_waiter: bool,
         cancelled: bool,
         finished: HashSet<Outcome>,
+        /// How waiters' dispatches went: "ran", "full", "beaten", "expired".
+        waited: HashSet<&'static str>,
     }
 
     #[derive(Clone)]
@@ -721,6 +787,7 @@ mod tests {
             let stats = Ledger::of(&self.scheduler.stats());
             assert_eq!(stats, self.expected(|_| true), "{state}");
             assert!(stats.reconciles(), "{state}");
+            // The scheduler's bound: two slots, whoever dispatches.
             assert!(stats.running <= 2 && stats.queued <= 2, "{state}");
             for tenant in ["a", "b"] {
                 let ledger = Ledger::of(&self.scheduler.tenant_stats(tenant));
@@ -742,11 +809,16 @@ mod tests {
             }
             assert_eq!(
                 self.scheduler.drained(),
-                self.closed && stats.queued == 0,
+                self.closed && stats.queued == 0 && stats.running == 0,
                 "{state}"
             );
-            if stats.queued > 0 && stats.running == 0 {
-                let progress = self.clone().dispatch(&mut Seen::default());
+            assert_eq!(
+                self.scheduler.dispatchable(),
+                stats.queued > 0 && stats.running < 2,
+                "{state}"
+            );
+            if stats.queued > 0 && stats.running < 2 {
+                let progress = self.clone().dispatch(None, &mut Seen::default());
                 assert!(progress.is_some(), "a queued request is stranded {state}");
             }
         }
@@ -787,38 +859,53 @@ mod tests {
             self
         }
 
-        /// Dispatches on a free dispatcher, checked against the model: the
-        /// sweep takes exactly the queued requests whose deadline passed,
-        /// and the pick is the best queued one. `None` when dispatching
-        /// changes nothing.
-        fn dispatch(mut self, seen: &mut Seen) -> Option<World> {
+        /// Dispatches — by a dispatcher (`waiter` is `None`) or by the
+        /// client waiting on request `waiter` — checked against the model:
+        /// the sweep takes exactly the queued requests whose deadline
+        /// passed; the pick is the best queued one while a slot of two is
+        /// free, and a waiter gets it only when it is the waiter's own.
+        /// `None` when dispatching changes nothing.
+        fn dispatch(mut self, waiter: Option<usize>, seen: &mut Seen) -> Option<World> {
             let due = |w: &World, i: usize| w.deadline(i).is_some_and(|d| d <= w.now);
             let expect_expired: Vec<usize> = (0..3)
                 .filter(|&i| self.is(i, Phase::Queued) && due(&self, i))
                 .collect();
-            let Dispatch { mut expired, next } = self.scheduler.dispatch(at(self.t0, self.now));
+            let full = (0..3).filter(|&i| self.is(i, Phase::Running)).count() == 2;
+            let only = waiter.map(|i| self.id[i]);
+            let now = at(self.t0, self.now);
+            let Dispatch { mut expired, next } = self.scheduler.dispatch(now, only);
             expired.sort_unstable();
             for &i in &expired {
                 self.resolve(i, Outcome::DeadlineExpired);
             }
             assert_eq!(expired, expect_expired, "sweep at tick {}", self.now);
-            let expect_next = (0..3)
-                .filter(|&i| self.is(i, Phase::Queued))
-                .min_by_key(|&i| {
-                    let deadline = self.deadline(i);
-                    (
-                        Reverse(PRIORITY[i]),
-                        deadline.is_none(),
-                        deadline,
-                        self.id[i],
-                    )
-                });
+            let rank = |i: usize| {
+                let deadline = self.deadline(i);
+                let key = (deadline.is_none(), deadline, self.id[i]);
+                (Reverse(PRIORITY[i]), key)
+            };
+            let queued: Vec<usize> = (0..3).filter(|&i| self.is(i, Phase::Queued)).collect();
+            let best = queued.iter().copied().min_by_key(|&i| rank(i));
+            let expect_next = best.filter(|&i| !full && waiter.is_none_or(|w| w == i));
             assert_eq!(
                 next.as_ref().map(|(_, i)| *i),
                 expect_next,
-                "{:?}",
+                "{waiter:?} dispatches with {:?}",
                 self.phase
             );
+            if let Some(w) = waiter {
+                if let Some((_, i)) = &next {
+                    // The waiter's request beat every other queued one.
+                    let others = queued.iter().filter(|&&j| j != *i);
+                    assert!(others.into_iter().all(|&j| rank(*i) < rank(j)));
+                }
+                seen.waited.insert(match (&next, full) {
+                    (Some(_), _) => "ran",
+                    (None, true) => "full",
+                    (None, false) if queued.contains(&w) => "beaten",
+                    (None, false) => "expired",
+                });
+            }
             seen.swept |= !expired.is_empty();
             if let Some((handle, i)) = next {
                 self.phase[i] = Phase::Running;
@@ -874,28 +961,31 @@ mod tests {
                 w.closed = true;
                 out.push(w);
             }
-            // The server's two dispatchers: only a free one dispatches.
-            let running = (0..3).filter(|&i| self.is(i, Phase::Running)).count();
-            if running < 2 {
-                out.extend(self.clone().dispatch(seen));
+            // A dispatcher, and every client waiting on a queued request;
+            // the scheduler holds the two-slot bound for all of them.
+            out.extend(self.clone().dispatch(None, seen));
+            for i in (0..3).filter(|&i| self.is(i, Phase::Queued)) {
+                out.extend(self.clone().dispatch(Some(i), seen));
             }
             out
         }
     }
 
     /// Every interleaving of submit / cancel / clock advance / waiter-side
-    /// expiry / dispatch (by one of two dispatchers) / finish (each outcome)
-    /// / close over three requests and two tenants keeps the invariants in
-    /// [`World::check`]: no request resolves twice, the queue stays within
-    /// its capacity, the counters match the model
-    /// and reconcile globally and per tenant, and nothing queued is stranded.
+    /// expiry / dispatch (by a dispatcher, or by a client waiting on its own
+    /// request) / finish (each outcome) / close over three requests and two
+    /// tenants keeps the invariants in [`World::check`]: no request resolves
+    /// twice, at most two run and at most two are queued, a waiter runs only
+    /// its own request and only when it beats every queued one, the counters
+    /// match the model and reconcile globally and per tenant, and nothing
+    /// queued is stranded while a slot is free.
     /// Worlds with equal [`Key`]s have equal futures, so each is expanded
     /// once; every transition out of every reachable world is still taken.
     #[test]
     fn every_interleaving_keeps_the_ledger() {
         let t0 = epoch();
         let start = World {
-            scheduler: Scheduler::new(2),
+            scheduler: Scheduler::new(2, 2),
             t0,
             now: 0,
             closed: false,
@@ -937,6 +1027,7 @@ mod tests {
             seen.swept && seen.expired_by_waiter && seen.cancelled,
             "{seen:?}"
         );
+        assert_eq!(seen.waited.len(), 4, "{seen:?}");
         assert!(endings > 100, "{endings} endings");
         println!(
             "{} worlds, {transitions} transitions, {endings} endings",

@@ -11,7 +11,8 @@ pub mod slt;
 use bqo_format::FormatError;
 use bqo_plan::{JoinEdge, JoinGraph, RelationInfo};
 use bqo_storage::{ChunkSource, Column, Schema, StorageError, Table, TableStats, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -35,7 +36,9 @@ pub fn env_threads() -> usize {
 /// tests' slow query: a scan then takes a known time per chunk, and a
 /// cancel lands between chunks. [`Rechunked::fail_next_read`] injects a
 /// transient I/O fault into one chunk, [`Rechunked::panic_next_read`] a
-/// kernel panic. [`Rechunked::served`] counts the reads it answered.
+/// kernel panic. [`Rechunked::served`] counts the reads it answered,
+/// [`Rechunked::peak_reads`] the most that were in progress at once, and
+/// [`Rechunked::readers`] names the threads that read.
 #[derive(Debug)]
 pub struct Rechunked {
     table: Arc<Table>,
@@ -46,6 +49,11 @@ pub struct Rechunked {
     /// Reads answered with a chunk, and the sum of their `chunk_byte_size`.
     served_reads: AtomicU64,
     served_bytes: AtomicU64,
+    /// Reads in progress now, and the most ever in progress at once.
+    reading: AtomicUsize,
+    peak_reading: AtomicUsize,
+    /// The names of the threads that called `read_chunk`.
+    readers: Mutex<BTreeSet<String>>,
 }
 
 /// What an armed one-shot fault does to its chunk's next read.
@@ -65,6 +73,9 @@ impl Rechunked {
             fault: Mutex::new(None),
             served_reads: AtomicU64::new(0),
             served_bytes: AtomicU64::new(0),
+            reading: AtomicUsize::new(0),
+            peak_reading: AtomicUsize::new(0),
+            readers: Mutex::new(BTreeSet::new()),
         }
     }
 
@@ -97,6 +108,30 @@ impl Rechunked {
         // ORDERING: SeqCst — as above.
         (reads, self.served_bytes.load(Ordering::SeqCst))
     }
+
+    /// The most `read_chunk` calls that were in progress at once so far: a
+    /// serial scan reads one chunk at a time, so over serial scans this is
+    /// the most scans that ran at once.
+    pub fn peak_reads(&self) -> usize {
+        // ORDERING: SeqCst — test bookkeeping, as in `served`.
+        self.peak_reading.load(Ordering::SeqCst)
+    }
+
+    /// The names of the threads that have called `read_chunk` (`unnamed`
+    /// for a thread without one).
+    pub fn readers(&self) -> BTreeSet<String> {
+        self.readers.lock().expect("reader set poisoned").clone()
+    }
+}
+
+/// Counts one `read_chunk` in progress until it returns or unwinds.
+struct Reading<'a>(&'a AtomicUsize);
+
+impl Drop for Reading<'_> {
+    fn drop(&mut self) {
+        // ORDERING: SeqCst — test bookkeeping, as in `served`.
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl ChunkSource for Rechunked {
@@ -128,6 +163,18 @@ impl ChunkSource for Rechunked {
         }))
     }
     fn read_chunk(&self, chunk: usize) -> Result<Vec<Arc<Column>>, StorageError> {
+        // ORDERING: SeqCst — test bookkeeping, as in `served`.
+        let now_reading = self.reading.fetch_add(1, Ordering::SeqCst) + 1;
+        let _reading = Reading(&self.reading);
+        // ORDERING: SeqCst — as above.
+        self.peak_reading.fetch_max(now_reading, Ordering::SeqCst);
+        let thread = std::thread::current();
+        let name = thread.name().unwrap_or("unnamed");
+        let mut readers = self.readers.lock().expect("reader set poisoned");
+        if !readers.contains(name) {
+            readers.insert(name.to_owned());
+        }
+        drop(readers);
         if !self.delay.is_zero() {
             std::thread::sleep(self.delay);
         }
@@ -143,8 +190,6 @@ impl ChunkSource for Rechunked {
                 return Err(FormatError::Io { path, source }.into());
             }
             Some(Fault::Panic) => {
-                let thread = std::thread::current();
-                let name = thread.name().unwrap_or("unnamed");
                 panic!("injected panic in chunk {chunk} on thread {name}");
             }
             None => {}

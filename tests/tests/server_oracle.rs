@@ -18,10 +18,11 @@
 use bqo_core::exec::{Batch, CancelToken, ExecConfig};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{
-    CacheStatus, Engine, KernelMode, OptimizerChoice, Params, QuerySpec, Request, RunOptions,
-    ServeError, Server, ServerConfig, ServerStats, SubmitError, Table,
+    CacheStatus, Engine, KernelMode, OptimizerChoice, Params, QueryOutput, QuerySpec, Request,
+    RunOptions, ServeError, Server, ServerConfig, ServerStats, SubmitError, Table, Ticket,
 };
 use bqo_integration_tests::{env_threads, Rechunked};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -430,7 +431,7 @@ fn midflight_cancel_aborts_and_frees_the_slot() {
         cancelled_at.elapsed()
     );
 
-    // The dispatcher slot is free: the very next request serves normally.
+    // The slot is free: the very next request serves normally.
     let next = server.submit(quick_request()).unwrap();
     assert!(next.wait().expect("slot was freed").result.output_rows > 0);
     let stats = server.stats();
@@ -515,7 +516,7 @@ fn a_failed_read_stops_the_scan_at_its_chunk() {
 }
 
 /// A served run whose scan fails mid-way resolves as `ServeError::Query`
-/// reporting the chunks it fetched, booked as failed; the dispatcher keeps
+/// reporting the chunks it fetched, booked as failed; the server keeps
 /// serving.
 #[test]
 fn a_failed_served_scan_reports_the_chunks_it_read() {
@@ -631,14 +632,11 @@ fn expired_queued_deadline_resolves_wait_immediately() {
     server.resume();
 }
 
-/// A statement that panics on the dispatcher (its fact table a
-/// [`Rechunked`] source armed to panic on a chunk read) must surface through
-/// `Ticket::wait` as `ServeError::Panicked` — and the dispatcher must
-/// survive to serve the next request. The panic is booked to the request's
-/// tenant too (it used to be counted only globally, so a tenant's ledger
-/// stopped adding up).
-#[test]
-fn worker_panic_propagates_through_ticket_wait() {
+/// A one-slot server over the star catalog whose fact table is a
+/// [`Rechunked`] source that can be armed to panic, and a serial request over
+/// it for tenant `a`: a serial run reads every chunk on the thread that runs
+/// the request, so an injected panic names that thread.
+fn panicking_server() -> (Server, Arc<Rechunked>, Request) {
     let mut catalog = star::build_catalog(Scale(0.02), 2, 7);
     let fact = Rechunked::new(catalog.table("fact").unwrap(), 64);
     let fact = Arc::new(fact);
@@ -647,34 +645,35 @@ fn worker_panic_propagates_through_ticket_wait() {
         Engine::from_catalog(catalog),
         ServerConfig::default().with_max_concurrent_queries(1),
     );
-
-    // A serial run reads every chunk on the dispatcher thread itself.
     let spec = star::build_query("panicking", 2, &[(0, 3)]);
-    let serial = ExecConfig::default().with_num_threads(1);
-    let request = || {
-        Request::builder()
-            .query(&spec)
-            .exec_config(serial)
-            .tenant("a")
-    };
-    fact.panic_next_read(0);
-    let ticket = server.submit(request().build().unwrap()).unwrap();
-    match ticket.wait() {
-        Err(ServeError::Panicked(message)) => {
-            assert!(message.contains("injected panic in chunk 0"), "{message}");
-            assert!(message.contains("bqo-dispatch"), "{message}");
-        }
-        other => panic!("expected a contained panic, got {other:?}"),
-    }
+    let request = Request::builder()
+        .query(&spec)
+        .exec_config(ExecConfig::default().with_num_threads(1))
+        .tenant("a")
+        .build()
+        .unwrap();
+    (server, fact, request)
+}
+
+/// The ledgers after `panics` contained panics and nothing else: the
+/// panics are booked globally and to the request's tenant too (they used to
+/// be counted only globally, so a tenant's ledger stopped adding up).
+fn assert_panics_booked(server: &Server, panics: u64) {
     let stats = server.stats();
     assert!(reconciles(&stats), "{stats:?}");
-    assert_eq!(stats.panicked, 1);
+    assert_eq!(stats.panicked, panics);
     let tenant = server.stats_for("a");
     assert!(reconciles(&tenant), "{tenant:?}");
-    assert_eq!((tenant.admitted, tenant.panicked), (1, 1));
+    assert_eq!((tenant.admitted, tenant.panicked), (panics, panics));
+}
 
-    // The dispatcher survived: the very next request is served normally.
-    let output = server.submit(request().build().unwrap()).unwrap().wait();
+/// The next request after `panics` contained panics is served normally,
+/// from the plan cache, and booked.
+fn assert_serves_after_panics(
+    output: Result<QueryOutput, ServeError>,
+    server: &Server,
+    panics: u64,
+) {
     let output = output.expect("server still serves after a panic");
     assert!(output.result.output_rows > 0);
     assert_eq!(output.cache_status, CacheStatus::Hit);
@@ -683,7 +682,72 @@ fn worker_panic_propagates_through_ticket_wait() {
     assert_eq!(stats.completed, 1);
     let tenant = server.stats_for("a");
     assert!(reconciles(&tenant), "{tenant:?}");
-    assert_eq!((tenant.admitted, tenant.completed), (2, 1));
+    assert_eq!((tenant.admitted, tenant.completed), (panics + 1, 1));
+}
+
+/// The ticket's outcome, polled with `try_wait`: the client never waits, so
+/// a dispatcher runs the request.
+fn poll(ticket: &Ticket) -> Result<QueryOutput, ServeError> {
+    let started = Instant::now();
+    loop {
+        if let Some(outcome) = ticket.try_wait() {
+            return outcome;
+        }
+        assert!(started.elapsed() < Duration::from_secs(30), "never served");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A statement that panics on the client waiting on it must surface through
+/// `Ticket::wait` as `ServeError::Panicked` naming the waiting thread, and
+/// the server must serve the next request. A request a dispatcher picked up
+/// first names `bqo-dispatch` instead; the client submits again until one
+/// ran on its own thread.
+#[test]
+fn worker_panic_propagates_through_ticket_wait() {
+    let (server, fact, request) = panicking_server();
+    let thread = std::thread::current();
+    let waiter = format!("on thread {}", thread.name().unwrap_or("unnamed"));
+    let mut panics = 0;
+    loop {
+        assert!(panics < 32, "no request ran on its waiting client");
+        fact.panic_next_read(0);
+        let ticket = server.submit(request.clone()).unwrap();
+        let message = match ticket.wait() {
+            Err(ServeError::Panicked(message)) => message,
+            other => panic!("expected a contained panic, got {other:?}"),
+        };
+        panics += 1;
+        assert!(message.contains("injected panic in chunk 0"), "{message}");
+        assert_panics_booked(&server, panics);
+        if message.ends_with(&waiter) {
+            break;
+        }
+        assert!(message.contains("bqo-dispatch"), "{message}");
+    }
+    let output = server.submit(request).unwrap().wait();
+    assert_serves_after_panics(output, &server, panics);
+}
+
+/// A statement that panics on a dispatcher (its client only polls
+/// `try_wait`) surfaces as `ServeError::Panicked` naming the dispatcher,
+/// and the dispatcher survives to serve the next request.
+#[test]
+fn dispatcher_panic_propagates_through_ticket_try_wait() {
+    let (server, fact, request) = panicking_server();
+    fact.panic_next_read(0);
+    let ticket = server.submit(request.clone()).unwrap();
+    match poll(&ticket) {
+        Err(ServeError::Panicked(message)) => {
+            assert!(message.contains("injected panic in chunk 0"), "{message}");
+            assert!(message.contains("bqo-dispatch"), "{message}");
+        }
+        other => panic!("expected a contained panic, got {other:?}"),
+    }
+    assert_panics_booked(&server, 1);
+    // The one dispatcher survived: it serves the next request.
+    let output = poll(&server.submit(request).unwrap());
+    assert_serves_after_panics(output, &server, 1);
 }
 
 /// A kernel panic on one of the engine's pool workers, amid concurrent
@@ -691,9 +755,9 @@ fn worker_panic_propagates_through_ticket_wait() {
 /// second time, as `boom`: a [`Rechunked`] source of 16 chunks whose armed
 /// chunk panics when read. `boom` scans run at four threads with the
 /// parallel gate forced open, so pool workers read its chunks while the
-/// dispatcher thread reads its first. Panicking requests resolve
+/// thread running the request reads its first. Panicking requests resolve
 /// `Panicked` (until one panic has been seen on a pool worker); every good
-/// request, interleaved on other dispatchers, returns the fresh
+/// request, interleaved on other slots, returns the fresh
 /// single-threaded oracle's rows; every tenant ledger reconciles; and
 /// parallel queries after the burst still serve.
 #[test]
@@ -978,4 +1042,102 @@ fn shutdown_drains_queued_requests() {
     assert_eq!(stats.completed, 8);
     assert_eq!(stats.queue_depth, 0);
     assert_eq!(stats.running, 0);
+}
+
+/// The star catalog with its fact table served in 32 chunks of 128 rows,
+/// each read sleeping `delay`; the scans below prune none of them.
+fn delayed_engine(seed: u64, delay: Duration) -> (Engine, Arc<Rechunked>) {
+    let mut catalog = star::build_catalog(Scale(0.02), 2, seed);
+    let fact = catalog.table("fact").unwrap();
+    let source = Arc::new(Rechunked::new(fact, 128).with_delay(delay));
+    catalog.register_source(Arc::clone(&source) as _);
+    (Engine::from_catalog(catalog), source)
+}
+
+/// At most `max_concurrent_queries` requests run at once, whether a
+/// dispatcher or the waiting client runs them: four clients `submit` +
+/// `wait` serial scans of a delayed fact table, so the most chunk reads in
+/// progress at once is the most scans running at once. It stays 1 under one
+/// slot; under two it stays at most 2 and reaches 2.
+#[test]
+fn waiters_and_dispatchers_share_the_concurrency_bound() {
+    const CLIENTS: usize = 4;
+    const ROUNDS: usize = 3;
+    let spec = star::build_query("bounded", 2, &[(0, 4)]);
+    for slots in [1, 2] {
+        let (engine, source) = delayed_engine(47, Duration::from_millis(1));
+        let config = ServerConfig::default().with_max_concurrent_queries(slots);
+        let server = Server::new(engine, config);
+        let request = Request::builder()
+            .query(&spec)
+            .exec_config(slow_config())
+            .build()
+            .unwrap();
+        std::thread::scope(|scope| {
+            for _ in 0..CLIENTS {
+                scope.spawn(|| {
+                    for _ in 0..ROUNDS {
+                        let output = server.submit(request.clone()).unwrap().wait();
+                        assert!(output.expect("request serves").result.output_rows > 0);
+                    }
+                });
+            }
+        });
+        let peak = source.peak_reads();
+        assert!(
+            peak <= slots,
+            "{peak} scans ran at once under {slots} slots"
+        );
+        if slots == 2 {
+            assert_eq!(peak, 2, "two slots never ran two scans at once");
+        }
+        let stats = server.stats();
+        assert_eq!(
+            (stats.completed, stats.running),
+            ((CLIENTS * ROUNDS) as u64, 0)
+        );
+    }
+}
+
+/// `shutdown` returns only after every running request has finished, one
+/// running on the client waiting on it included: a slow request runs on its
+/// waiter while another thread shuts the server down. A request a
+/// dispatcher picked up first proves nothing here; the test starts over
+/// until one ran on its waiter.
+#[test]
+fn shutdown_waits_for_a_request_running_on_its_waiter() {
+    let spec = star::build_query("draining_waiter", 2, &[(0, 4)]);
+    for attempt in 0.. {
+        assert!(attempt < 16, "no request ran on its waiting client");
+        // 32 chunks x 4 ms: a scan of over 100 ms.
+        let (engine, source) = delayed_engine(53, Duration::from_millis(4));
+        let server = Server::new(
+            engine,
+            ServerConfig::default().with_max_concurrent_queries(1),
+        );
+        let request = Request::builder()
+            .query(&spec)
+            .exec_config(slow_config())
+            .build()
+            .unwrap();
+        let output = std::thread::scope(|scope| {
+            let waiter = std::thread::Builder::new()
+                .name("shutdown-waiter".into())
+                .spawn_scoped(scope, || server.submit(request).unwrap().wait())
+                .unwrap();
+            let started = Instant::now();
+            while server.stats().running == 0 {
+                assert!(started.elapsed() < Duration::from_secs(30), "never ran");
+                std::thread::yield_now();
+            }
+            server.shutdown();
+            let stats = server.stats();
+            assert_eq!((stats.running, stats.completed), (0, 1));
+            waiter.join().unwrap()
+        });
+        assert!(output.expect("the request finishes").result.output_rows > 0);
+        if source.readers() == BTreeSet::from(["shutdown-waiter".to_string()]) {
+            break;
+        }
+    }
 }
