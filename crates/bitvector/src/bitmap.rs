@@ -6,39 +6,73 @@
 //! per probe, no hashing, no false positives. This is the cheapest possible
 //! filter probe and the implementation the executor uses by default; the
 //! Bloom variants remain available for the ablation experiments.
+//!
+//! The representation is priced in bits: a selective build (a handful of
+//! dates or customers out of a wide key range) still gets the bitmap as
+//! long as the bitmap stays cache-sized, and only a key range too wide for
+//! that falls back to the hashed [`KeyIndex`].
 
 use crate::key_index::KeyIndex;
 use crate::BitvectorFilter;
 use std::sync::Arc;
 
 /// How much larger than the number of inserted keys the key range may be
-/// before a bitmap is considered too sparse and the filter falls back to a
-/// hashed key index.
+/// before direct addressing is considered too sparse: the executor's join
+/// table spends 4 bytes per slot, so it addresses directly only within this
+/// bound.
 const MAX_RANGE_EXPANSION: u64 = 64;
 
-/// The smallest key `min` and the number of slots (`max - min + 1`) a
-/// structure addressed directly by `key - min` needs for `keys`, or `None`
-/// when there are no keys or their span is too sparse to be worth it: wider
-/// than `MAX_RANGE_EXPANSION` slots per key, or not addressable at all.
-/// Computed overflow-free — a span wider than `i64::MAX` (any composite or
-/// string key digest) is sparse, never a wrapped small number. The bitmap
-/// filter and the executor's join table share this one rule.
-pub fn dense_span(keys: &[i64]) -> Option<(i64, usize)> {
+/// The widest bitmap a filter takes whatever its number of keys: 2^20 bits,
+/// a 128 KiB bitmap that stays cache-resident while a scan probes it. A
+/// bitmap probe (one shift and one AND) beats a hashed [`KeyIndex`] lookup
+/// at every width up to 2^24 bits, by 2x or more; what grows with the width
+/// is the bitmap's build, zeroing `span / 8` bytes. At 2^20 bits that takes
+/// about as long as indexing a thousand keys; at 2^24 it is ten times
+/// longer, and 2 MiB per filter.
+const MAX_BITMAP_BITS: u64 = 1 << 20;
+
+/// The smallest key and the number of slots (`max - min + 1`) of `keys`, if
+/// that span is at most `max(keys.len() * MAX_RANGE_EXPANSION, min_budget)`
+/// and addressable at all; `None` for no keys. Computed overflow-free — a
+/// span wider than `i64::MAX` (any composite or string key digest) is
+/// sparse, never a wrapped small number.
+fn span_within(keys: &[i64], min_budget: u64) -> Option<(i64, usize)> {
     let (min, max) = keys
         .iter()
         .fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
     let span = max.checked_sub(min)?.unsigned_abs().checked_add(1)?;
     let budget = u64::try_from(keys.len())
         .ok()?
-        .saturating_mul(MAX_RANGE_EXPANSION);
+        .saturating_mul(MAX_RANGE_EXPANSION)
+        .max(min_budget);
     if span > budget || span > i64::MAX.unsigned_abs() - 64 {
         return None;
     }
     Some((min, usize::try_from(span).ok()?))
 }
 
-/// A no-false-positive filter that uses a dense bitmap over the observed key
-/// range when the keys are dense enough, and a hashed key index otherwise.
+/// The smallest key `min` and the number of slots (`max - min + 1`) a
+/// structure addressed directly by `key - min` needs for `keys`, or `None`
+/// when there are no keys or their span is too sparse to be worth it: wider
+/// than `MAX_RANGE_EXPANSION` (64) slots per key, or not addressable at all.
+/// This is the executor's join-table layout rule, priced in its 4-byte
+/// slots; the bitmap filter, priced in bits, is dense on a wider rule
+/// (see [`RangeBitmapFilter::from_keys`]) that includes this one.
+pub fn dense_span(keys: &[i64]) -> Option<(i64, usize)> {
+    span_within(keys, 0)
+}
+
+/// The bitmap filter's representation rule: the `(min, span)` of a dense
+/// bitmap over `keys` when their span is at most 64 slots per key (the
+/// [`dense_span`] rule) or at most `MAX_BITMAP_BITS` (2^20) bits, otherwise
+/// `None` — the hashed key index.
+fn bitmap_span(keys: &[i64]) -> Option<(i64, usize)> {
+    span_within(keys, MAX_BITMAP_BITS)
+}
+
+/// A no-false-positive filter: a dense bitmap over the observed key range
+/// when that range is at most 64 slots per key or at most 2^20 bits (128
+/// KiB), and a hashed key index otherwise.
 #[derive(Debug, Clone)]
 pub enum RangeBitmapFilter {
     /// Dense representation: bit `key - min` is set for every key.
@@ -55,20 +89,33 @@ pub enum RangeBitmapFilter {
 }
 
 impl RangeBitmapFilter {
-    /// Builds a filter from a slice of keys, choosing the dense or sparse
-    /// representation based on the observed key range (see [`dense_span`]).
+    /// Builds a filter from a slice of keys: the dense bitmap when the keys'
+    /// span is at most 64 slots per key (the [`dense_span`] rule) or at most
+    /// 2^20 bits, otherwise a freshly built hashed key index. No keys give
+    /// the empty bitmap.
     pub fn from_keys(keys: &[i64]) -> Self {
-        match dense_span(keys) {
+        match bitmap_span(keys) {
             Some((min, span)) => RangeBitmapFilter::dense(min, span, keys),
             None if keys.is_empty() => RangeBitmapFilter::dense(0, 0, keys),
             None => RangeBitmapFilter::hashed(keys),
         }
     }
 
+    /// The filter over `keys` when `index` already indexes exactly them, as
+    /// a hashed join table's index does: the bitmap
+    /// [`RangeBitmapFilter::from_keys`] would build when the same rule
+    /// allows one, otherwise `index` itself, shared rather than rebuilt.
+    pub fn over_index(keys: &[i64], index: &Arc<KeyIndex>) -> Self {
+        match bitmap_span(keys) {
+            Some((min, span)) => RangeBitmapFilter::dense(min, span, keys),
+            None => RangeBitmapFilter::Sparse(Arc::clone(index)),
+        }
+    }
+
     /// The dense representation over `span` slots starting at `min`, for
-    /// `keys` that all lie in `[min, min + span)` — the caller ran
-    /// [`dense_span`] over them or, like the join table, already addresses
-    /// them this way.
+    /// `keys` that all lie in `[min, min + span)` — the caller applied the
+    /// representation rule to them or, like the join table, already
+    /// addresses them this way.
     pub fn dense(min: i64, span: usize, keys: &[i64]) -> Self {
         let mut words = vec![0u64; span.div_ceil(64)];
         for &k in keys {
@@ -285,6 +332,113 @@ mod tests {
             Some((i64::MAX - 3, 4))
         );
         assert_eq!(dense_span(&[]), None);
+    }
+
+    /// `from_keys` and `over_index` (the join table's filter view) agree on
+    /// the representation of `keys`; returns whether it is the bitmap.
+    fn rule_takes_bitmap(keys: &[i64]) -> bool {
+        let index = Arc::new(KeyIndex::build(keys).0);
+        let over_index = RangeBitmapFilter::over_index(keys, &index).is_dense();
+        let from_keys = RangeBitmapFilter::from_keys(keys).is_dense();
+        assert_eq!(from_keys, over_index, "{} keys", keys.len());
+        from_keys
+    }
+
+    #[test]
+    fn bitmap_rule_takes_spans_up_to_two_to_the_twenty_bits() {
+        let bits: i64 = 1 << 20;
+        // Two keys, far beyond 64 slots per key: the bit bound decides.
+        assert!(rule_takes_bitmap(&[0, bits - 1]));
+        assert!(!rule_takes_bitmap(&[0, bits]));
+        assert!(rule_takes_bitmap(&[-bits / 2, bits / 2 - 1]));
+        assert!(!rule_takes_bitmap(&[-bits / 2, bits / 2]));
+        // At the `i64` extremes.
+        assert!(rule_takes_bitmap(&[i64::MAX - (bits - 1), i64::MAX]));
+        assert!(!rule_takes_bitmap(&[i64::MAX - bits, i64::MAX]));
+        assert!(rule_takes_bitmap(&[i64::MIN, i64::MIN + (bits - 1)]));
+        assert!(!rule_takes_bitmap(&[i64::MIN, i64::MIN + bits]));
+        assert!(!rule_takes_bitmap(&[i64::MIN, i64::MAX]));
+        // One slot past the bound is still a bitmap when the keys are 64
+        // slots apart or closer: 2^14 + 1 keys at stride 64 span 2^20 + 1.
+        let per_key: Vec<i64> = (0..=bits / 64).map(|k| k * 64).collect();
+        assert_eq!(span_within(&per_key, 0), Some((0, (bits + 1) as usize)));
+        assert!(rule_takes_bitmap(&per_key));
+        // Without the last-but-one key the same span is 64 slots per key
+        // plus one, and the index takes it.
+        let mut short = per_key.clone();
+        short.remove(per_key.len() - 2);
+        assert!(!rule_takes_bitmap(&short));
+        // The join table's own rule does not widen.
+        assert_eq!(dense_span(&[0, bits - 1]), None);
+    }
+
+    #[test]
+    fn bitmap_and_key_index_agree_on_keys_straddling_the_bound() {
+        let bits: i64 = 1 << 20;
+        let spread = |base: i64, top: i64| -> Vec<i64> {
+            let mut keys: Vec<i64> = (0..40).map(|i| base + i * 7_919).collect();
+            keys.extend([base, base + top, base + top / 2, base + 3]);
+            keys
+        };
+        let key_sets = [
+            spread(0, bits - 1),
+            spread(0, bits),
+            spread(-bits / 3, bits - 1),
+            spread(-bits / 3, bits + 1),
+            spread(i64::MAX - (bits - 1), bits - 1),
+            spread(i64::MIN, bits - 1),
+            spread(i64::MIN, bits),
+        ];
+        for keys in &key_sets {
+            let bitmap_or_index = RangeBitmapFilter::from_keys(keys);
+            let index = RangeBitmapFilter::hashed(keys);
+            let (min, max) = (keys.iter().min().unwrap(), keys.iter().max().unwrap());
+            let span = i128::from(*max) - i128::from(*min) + 1;
+            assert_eq!(
+                bitmap_or_index.is_dense(),
+                span <= i128::from(bits),
+                "span {span}"
+            );
+            let mut probes: Vec<i64> = Vec::new();
+            for &k in keys {
+                probes.extend([k.wrapping_sub(1), k, k.wrapping_add(1)]);
+            }
+            probes.extend([
+                i64::MIN,
+                i64::MAX,
+                0,
+                -1,
+                min.wrapping_sub(64),
+                max.wrapping_add(64),
+            ]);
+            probes.extend((0..200).map(|i| min.wrapping_add(i * 5_243)));
+            for &p in &probes {
+                assert_eq!(
+                    bitmap_or_index.maybe_contains(p),
+                    index.maybe_contains(p),
+                    "{p}"
+                );
+            }
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            bitmap_or_index.probe_words(&probes, &mut got);
+            index.probe_words(&probes, &mut want);
+            assert_eq!(got, want);
+            let mut bounds = vec![i64::MIN, i64::MAX, 0, -1, *min, *max];
+            bounds.extend(
+                keys.iter()
+                    .take(8)
+                    .flat_map(|&k| [k.wrapping_sub(1), k, k.wrapping_add(1)]),
+            );
+            for &lo in &bounds {
+                for &hi in &bounds {
+                    assert_eq!(
+                        bitmap_or_index.probe_range_empty(lo, hi),
+                        index.probe_range_empty(lo, hi),
+                        "[{lo}, {hi}]"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

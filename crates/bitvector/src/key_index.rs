@@ -2,10 +2,12 @@
 //!
 //! A hash join whose build keys are too sparse for direct addressing needs
 //! a key → slot map for its join table, and the bitvector filter it
-//! publishes needs a key set over the *same* keys. [`KeyIndex`] is both: the
-//! executor's join table holds it for slot lookups and
+//! publishes needs a key set over the *same* keys. [`KeyIndex`] can be both:
+//! the executor's join table holds it for slot lookups, and when the keys
+//! are too sparse for the filter's bitmap as well (wider than 2^20 bits),
 //! [`crate::RangeBitmapFilter::Sparse`] holds the same allocation (through
-//! an `Arc`) and probes it for membership only — one index per join.
+//! an `Arc`) and probes it for membership only — at most one index per
+//! join.
 //!
 //! Linear probing over `(key, slot)` entries, load factor at most 1/2,
 //! slots numbered in first-seen order; the home position of a key is the

@@ -7,14 +7,17 @@
 //! small false-positive rate.
 //!
 //! This crate provides:
-//! * [`RangeBitmapFilter`] — a dense bitmap over the observed key range, or
-//!   membership in a hashed [`KeyIndex`] for sparse domains: the classic
-//!   "bitmap or hash filter" on surrogate keys, no false positives, the
-//!   cheapest probe, and the executor's default. A hash join does not build
-//!   it separately: the filter it publishes is a view of its join table
-//!   (the same keys, and for sparse keys the same `Arc<KeyIndex>`).
-//! * [`KeyIndex`] — the open-addressing `i64 -> slot` index that both the
-//!   sparse filter and the executor's join table hold.
+//! * [`RangeBitmapFilter`] — a dense bitmap over the observed key range
+//!   whenever that bitmap is at most 64 slots per key or at most 2^20 bits
+//!   (128 KiB), and membership in a hashed [`KeyIndex`] only for wider key
+//!   ranges: the classic "bitmap or hash filter" on surrogate keys, no false
+//!   positives, the cheapest probe, and the executor's default. A hash join
+//!   does not build it separately: the filter it publishes is a view of its
+//!   join table (the same keys; a bitmap for any span within the bound,
+//!   else the table's own `Arc<KeyIndex>`).
+//! * [`KeyIndex`] — the open-addressing `i64 -> slot` index that the
+//!   executor's join table holds for sparse keys, shared with the filter
+//!   when the keys are too wide for its bitmap.
 //! * [`BloomFilter`] — a classic Bloom filter with configurable bits per key.
 //! * [`BlockedBloomFilter`] — a cache-line blocked variant that mirrors the
 //!   register-blocked filters used by modern engines.
@@ -111,8 +114,9 @@ pub trait BitvectorFilter: Send + Sync {
 /// Which filter implementation the executor should build at hash joins.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FilterKind {
-    /// Range bitmap over dense surrogate keys (hashed key index for sparse
-    /// domains): no false positives, cheapest probe. This is what the
+    /// Range bitmap over the key range (a hashed key index for ranges wider
+    /// than 2^20 bits and 64 slots per key): no false positives, cheapest
+    /// probe. This is what the
     /// paper's "bitmap or hash filter" amounts to on warehouse schemas and
     /// is the executor's default.
     #[default]

@@ -3,9 +3,9 @@
 //!
 //! A [`JoinTable`] maps a collapsed join key to the build rows carrying it.
 //! There is no per-key allocation, nothing to free row by row, and match
-//! lists come back as `&[u32]` slices. The layout is picked by the rule the
-//! range bitmap filter uses ([`bqo_bitvector::dense_span`]) plus one
-//! uniqueness pass:
+//! lists come back as `&[u32]` slices. The layout is picked by the
+//! direct-addressing rule ([`bqo_bitvector::dense_span`]: at most 64 slots
+//! per key) plus one uniqueness pass:
 //!
 //! * **unique** — the keys' span is dense *and* every key is distinct (the
 //!   primary-key side of a PK–FK join, the paper's star/snowflake case): one
@@ -21,9 +21,11 @@
 //!
 //! The bitvector filter the join publishes is a view of this table
 //! ([`JoinTable::filter`]): built from the same gathered keys with the
-//! table's own `min` and span when direct-addressed, the very same
-//! `Arc<KeyIndex>` probed for membership only when hashed — one key gather
-//! and one key index per join.
+//! table's own `min` and span when direct-addressed. A hashed table's keys
+//! still get a bitmap when its span is at most 2^20 bits — the filter's own
+//! rule is priced in bits, the table's in 4-byte slots — and only wider
+//! spans publish the very same `Arc<KeyIndex>`, probed for membership only:
+//! one key gather and at most one key index per join.
 //!
 //! The CSR arrays are built by one count-then-scatter over the build rows in
 //! ascending order, so every key's row list is ascending (the determinism
@@ -157,13 +159,16 @@ impl JoinTable {
 
     /// The default ([`bqo_bitvector::FilterKind::Bitmap`]) bitvector filter
     /// over `keys`, the keys this table was built from, as a view of the
-    /// table: a direct-addressed table already knows the bitmap's `min` and
-    /// span, a hashed table shares its key index.
+    /// table — the filter [`RangeBitmapFilter::from_keys`] builds, without a
+    /// second key index: a direct-addressed table already knows the
+    /// bitmap's `min` and span; a hashed table gets its own bitmap when the
+    /// filter's wider rule (at most 2^20 bits) allows one, and otherwise
+    /// shares its key index.
     pub fn filter(&self, keys: &[i64]) -> RangeBitmapFilter {
         match &self.layout {
             Layout::Unique { min, row_of } => RangeBitmapFilter::dense(*min, row_of.len(), keys),
             Layout::Direct { min, csr } => RangeBitmapFilter::dense(*min, csr.num_slots(), keys),
-            Layout::Hashed { index, .. } => RangeBitmapFilter::Sparse(Arc::clone(index)),
+            Layout::Hashed { index, .. } => RangeBitmapFilter::over_index(keys, index),
         }
     }
 
@@ -373,6 +378,24 @@ mod tests {
         for keys in [[0i64, 127], [0, 128]] {
             let table = JoinTable::build(&serial(), &keys).unwrap();
             assert_matches_reference(&table, &keys, &[-1, 1, 126, 129]);
+        }
+    }
+
+    #[test]
+    fn a_hashed_table_publishes_a_bitmap_within_two_to_the_twenty_bits() {
+        let filter_of = |keys: &[i64]| {
+            let table = JoinTable::build(&serial(), keys).unwrap();
+            assert!(!table.is_direct(), "{keys:?}");
+            table.filter(keys)
+        };
+        let within = [3, 1 << 19, (1 << 20) + 2, 1 << 19];
+        assert!(filter_of(&within).is_dense());
+        let wider = [3, 1 << 19, (1 << 20) + 3, 1 << 19];
+        assert!(!filter_of(&wider).is_dense());
+        for (keys, filter) in [(within, filter_of(&within)), (wider, filter_of(&wider))] {
+            for key in keys.iter().flat_map(|&k| [k - 1, k, k + 1]) {
+                assert_eq!(filter.maybe_contains(key), keys.contains(&key), "{key}");
+            }
         }
     }
 

@@ -18,6 +18,11 @@
 //!   the morsel's contiguous key slice and reads the survivors off the word
 //!   mask.
 //!
+//! Local predicates are not part of the mode split: both shapes run them
+//! through [`ColumnPredicate::select`] and [`ColumnPredicate::retain`], which
+//! resolve the column type and the operator once per call and select the
+//! morsel's survivors in one pass — no per-predicate mask.
+//!
 //! Both shapes run over the same row-id [`Batch`]es and the same
 //! [`JoinTable`] and produce identical surviving rows **in the same order**
 //! and identical [`FilterStats`] (probed = candidates before the filter,
@@ -45,12 +50,13 @@ use std::sync::Arc;
 pub(crate) type ScanFilter<'a> = (Option<&'a AnyFilter>, &'a [usize]);
 
 /// The scan's per-morsel kernel: the physical `rows` of `columns` that pass
-/// every local predicate (paired with the index of the column it reads) and
-/// then every pushed-down filter in placement order — a row eliminated by
-/// one filter is never probed by the next. Survivors come back ascending;
-/// `stats` (one slot per filter) stays morsel-local, so the kernel shares no
-/// mutable state. Both kernel modes produce identical survivors, order and
-/// counters.
+/// every local predicate (paired with the index of the column it reads) —
+/// the first selects from `rows`, each further one retains its survivors —
+/// and then every pushed-down filter in placement order; a row eliminated
+/// by one predicate or filter is never tested by the next. Survivors come
+/// back ascending; `stats` (one slot per filter) stays morsel-local, so the
+/// kernel shares no mutable state. Both kernel modes produce identical
+/// survivors, order and counters.
 pub(crate) fn scan_morsel(
     config: &ExecConfig,
     columns: &[Arc<Column>],
@@ -59,10 +65,6 @@ pub(crate) fn scan_morsel(
     filters: &[ScanFilter<'_>],
     stats: &mut [FilterStats],
 ) -> Vec<usize> {
-    let (start, end) = (rows.start, rows.end);
-    let mut masks = predicates
-        .iter()
-        .map(|&(predicate, column)| predicate.evaluate_range(&columns[column], start, end));
     // Slots whose source join published nothing are skipped.
     let mut filters = filters
         .iter()
@@ -73,17 +75,18 @@ pub(crate) fn scan_morsel(
             Some((filter, key_columns, stats))
         });
     let mut scratch = ProbeScratch::default();
-    let mut survivors: Vec<usize> = match masks.next() {
-        Some(mut mask) => {
-            for passes in masks {
-                mask.iter_mut().zip(passes).for_each(|(acc, p)| *acc &= p);
+    let mut survivors: Vec<usize> = match predicates.split_first() {
+        // The first predicate selects from the row range, the rest retain.
+        Some((&(first, column), rest)) => {
+            let mut survivors = first.select(&columns[column], rows);
+            for &(predicate, column) in rest {
+                predicate.retain(&columns[column], &mut survivors);
             }
-            let kept = rows.zip(mask).filter_map(|(r, keep)| keep.then_some(r));
-            kept.collect()
+            survivors
         }
         // A scan without local predicates (every fact-table scan) starts from
-        // the row range itself: no mask is built, and its first filter probes
-        // the range without listing it.
+        // the row range itself, and its first filter probes the range
+        // without listing it.
         None => match filters.next() {
             Some((filter, key_columns, stats)) => {
                 probe_range(config, filter, &key_columns, rows, stats, &mut scratch)
@@ -382,7 +385,8 @@ mod tests {
             let mut expected = None;
             for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
                 let config = ExecConfig::default().with_kernel_mode(mode);
-                // An always-true predicate takes the mask path to the same answer.
+                // An always-true predicate takes the selection path to the
+                // same answer.
                 for predicates in [&[][..], &[(&predicate, 0)][..]] {
                     let mut stats = [FilterStats::new(); 2];
                     let survivors = scan_morsel(

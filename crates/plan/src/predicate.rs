@@ -1,7 +1,9 @@
 //! Local (single-table) predicates, with optional parameter placeholders.
 
 use bqo_storage::{Column, ColumnStats, StorageError, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Comparison operators supported by local predicates.
@@ -174,66 +176,72 @@ impl ColumnPredicate {
         }
     }
 
+    /// The rows of `rows` whose value in `column` satisfies the predicate,
+    /// ascending — a scan's first predicate, selecting straight from its
+    /// morsel's row range. A type-mismatched literal or an unbound
+    /// parameter selects nothing.
+    ///
+    /// # Panics
+    /// Panics if `rows` reaches past `column.len()`.
+    pub fn select(&self, column: &Column, rows: Range<usize>) -> Vec<usize> {
+        let mut selected = Vec::new();
+        self.run(column, Rows::Range(rows, &mut selected));
+        selected
+    }
+
+    /// Keeps, in order, the rows of `rows` whose value in `column`
+    /// satisfies the predicate — each further predicate of a scan, refining
+    /// the survivors of the first. Selects exactly what
+    /// [`ColumnPredicate::select`] selects.
+    ///
+    /// # Panics
+    /// Panics if a row is out of `column`'s bounds.
+    pub fn retain(&self, column: &Column, rows: &mut Vec<usize>) {
+        self.run(column, Rows::List(rows));
+    }
+
     /// Evaluates the predicate against every row of a column, producing a
     /// selection mask.
     pub fn evaluate(&self, column: &Column) -> Vec<bool> {
-        self.evaluate_range(column, 0, column.len())
+        let mut mask = vec![false; column.len()];
+        for row in self.select(column, 0..column.len()) {
+            mask[row] = true;
+        }
+        mask
     }
 
-    /// Evaluates the predicate against the rows `start..end` of a column,
-    /// producing a selection mask of length `end - start`. This is the
-    /// morsel-kernel entry point: evaluating a column range by range yields
-    /// exactly the same mask as one whole-column [`ColumnPredicate::evaluate`]
-    /// pass.
-    ///
-    /// # Panics
-    /// Panics if `start > end` or `end > column.len()`.
-    pub fn evaluate_range(&self, column: &Column, start: usize, end: usize) -> Vec<bool> {
-        let mut mask = vec![false; end - start];
+    /// The one selection entry: resolves the column type, the literal and
+    /// the operator once, then runs `pass` with a per-row test over the
+    /// typed values.
+    fn run(&self, column: &Column, pass: Rows<'_>) {
         // An unbound parameter selects nothing; graph resolution rejects
         // parameterized predicates before execution, so this arm is only a
         // defensive fallback (mirroring the type-mismatch behaviour below).
         let PredicateValue::Literal(value) = &self.value else {
-            return mask;
+            return pass.reject_all();
         };
+        let op = self.op;
         match (column, value) {
-            (Column::Int64(values), Value::Int64(lit)) => {
-                for (m, v) in mask.iter_mut().zip(&values[start..end]) {
-                    *m = compare_ord(v.cmp(lit), self.op);
-                }
-            }
+            (Column::Int64(values), Value::Int64(lit)) => by_op(pass, values, op, |v| v.cmp(lit)),
             (Column::Int64(values), Value::Float64(lit)) => {
-                for (m, v) in mask.iter_mut().zip(&values[start..end]) {
-                    *m = compare_ord((*v as f64).total_cmp(lit), self.op);
-                }
+                by_op(pass, values, op, |v| (*v as f64).total_cmp(lit))
             }
             (Column::Float64(values), Value::Float64(lit)) => {
-                for (m, v) in mask.iter_mut().zip(&values[start..end]) {
-                    *m = compare_ord(v.total_cmp(lit), self.op);
-                }
+                by_op(pass, values, op, |v| v.total_cmp(lit))
             }
             (Column::Float64(values), Value::Int64(lit)) => {
                 let lit = *lit as f64;
-                for (m, v) in mask.iter_mut().zip(&values[start..end]) {
-                    *m = compare_ord(v.total_cmp(&lit), self.op);
-                }
+                by_op(pass, values, op, |v| v.total_cmp(&lit))
             }
             (Column::Utf8(values), Value::Utf8(lit)) => {
-                for (m, v) in mask.iter_mut().zip(&values[start..end]) {
-                    *m = compare_ord(v.as_str().cmp(lit.as_str()), self.op);
-                }
+                by_op(pass, values, op, |v| v.as_str().cmp(lit.as_str()))
             }
-            (Column::Bool(values), Value::Bool(lit)) => {
-                for (m, v) in mask.iter_mut().zip(&values[start..end]) {
-                    *m = compare_ord(v.cmp(lit), self.op);
-                }
-            }
+            (Column::Bool(values), Value::Bool(lit)) => by_op(pass, values, op, |v| v.cmp(lit)),
             // Type mismatch: nothing qualifies. Workload generators never
             // produce mismatched predicates, but a silent empty result is a
             // safer behaviour than a panic for user-written queries.
-            _ => {}
+            _ => pass.reject_all(),
         }
-        mask
     }
 
     /// Zone-map test: can *any* value `v` with `min <= v <= max` (under
@@ -241,17 +249,18 @@ impl ColumnPredicate {
     /// this predicate? `false` proves the whole range fails, so a scan may
     /// skip a chunk with these bounds without reading it.
     ///
-    /// Mirrors [`ColumnPredicate::evaluate_range`] arm by arm: the typed
+    /// Mirrors [`ColumnPredicate::select`] arm by arm: the typed
     /// comparisons match, a type-mismatched predicate selects nothing (so
     /// the range is prunable), and an unbound parameter likewise selects
     /// nothing. The monotone `i64 -> f64` casts keep the mixed-numeric
-    /// arms consistent with row-at-a-time evaluation.
+    /// arms consistent with row-at-a-time evaluation, so a one-value range
+    /// `[v, v]` may pass exactly when `v` is selected.
     pub fn range_may_pass(&self, min: &Value, max: &Value) -> bool {
         let PredicateValue::Literal(value) = &self.value else {
             return false;
         };
         // Orderings of the range endpoints against the literal, in the
-        // same typed comparison evaluate_range uses. `None` is the
+        // same typed comparison `select` uses. `None` is the
         // type-mismatch arm: no row can pass.
         let bounds = match (min, max, value) {
             (Value::Int64(lo), Value::Int64(hi), Value::Int64(lit)) => {
@@ -318,15 +327,68 @@ impl ColumnPredicate {
     }
 }
 
-fn compare_ord(ord: std::cmp::Ordering, op: CompareOp) -> bool {
+/// The candidate rows of one selection pass.
+enum Rows<'a> {
+    /// A contiguous row range, selected from into the list.
+    Range(Range<usize>, &'a mut Vec<usize>),
+    /// A row list, retained in place and in order.
+    List(&'a mut Vec<usize>),
+}
+
+impl Rows<'_> {
+    /// Runs the pass with the per-row test `keep` over the typed column
+    /// `values`; compiled once per typed comparison, so the row loops carry
+    /// no dispatch.
+    fn run<T>(self, values: &[T], keep: impl Fn(&T) -> bool) {
+        match self {
+            // 64 rows at a time: the tests fill one word without a branch,
+            // and only its set bits are visited, one step per selected row.
+            Rows::Range(rows, selected) => {
+                let start = rows.start;
+                for (at, chunk) in (start..).step_by(64).zip(values[rows].chunks(64)) {
+                    let mut word = 0u64;
+                    for (bit, value) in chunk.iter().enumerate() {
+                        word |= u64::from(keep(value)) << bit;
+                    }
+                    while word != 0 {
+                        selected.push(at + word.trailing_zeros() as usize);
+                        word &= word - 1;
+                    }
+                }
+            }
+            // Branch-free compaction: every row is written at the cursor,
+            // and the cursor moves past it only when it is kept.
+            Rows::List(rows) => {
+                let mut kept = 0;
+                for at in 0..rows.len() {
+                    let row = rows[at];
+                    rows[kept] = row;
+                    kept += usize::from(keep(&values[row]));
+                }
+                rows.truncate(kept);
+            }
+        }
+    }
+
+    /// Runs the pass as if no row satisfied the test.
+    fn reject_all(self) {
+        if let Rows::List(rows) = self {
+            rows.clear();
+        }
+    }
+}
+
+/// Runs `pass` with the test `op` puts on `cmp`, the ordering of a value
+/// against the literal: one monomorphic pass per operator.
+fn by_op<T>(pass: Rows<'_>, values: &[T], op: CompareOp, cmp: impl Fn(&T) -> Ordering) {
     use std::cmp::Ordering::*;
     match op {
-        CompareOp::Eq => ord == Equal,
-        CompareOp::NotEq => ord != Equal,
-        CompareOp::Lt => ord == Less,
-        CompareOp::Le => ord != Greater,
-        CompareOp::Gt => ord == Greater,
-        CompareOp::Ge => ord != Less,
+        CompareOp::Eq => pass.run(values, |v| cmp(v) == Equal),
+        CompareOp::NotEq => pass.run(values, |v| cmp(v) != Equal),
+        CompareOp::Lt => pass.run(values, |v| cmp(v) == Less),
+        CompareOp::Le => pass.run(values, |v| cmp(v) != Greater),
+        CompareOp::Gt => pass.run(values, |v| cmp(v) == Greater),
+        CompareOp::Ge => pass.run(values, |v| cmp(v) != Less),
     }
 }
 
@@ -340,9 +402,10 @@ impl std::fmt::Display for ColumnPredicate {
 mod tests {
     use super::*;
     use bqo_storage::Column;
+    use proptest::prelude::*;
 
     #[test]
-    fn evaluate_range_matches_whole_column_pass() {
+    fn select_by_ranges_and_retain_match_the_whole_column_pass() {
         let c = Column::from(vec![3i64, 1, 4, 1, 5, 9, 2, 6]);
         for op in [
             CompareOp::Eq,
@@ -353,16 +416,25 @@ mod tests {
             CompareOp::Ge,
         ] {
             let p = ColumnPredicate::new("x", op, 4i64);
-            let whole = p.evaluate(&c);
-            // Any partitioning into ranges reproduces the whole-column mask.
+            let whole = p.select(&c, 0..c.len());
+            let mask = p.evaluate(&c);
+            let from_mask: Vec<usize> = (0..c.len()).filter(|&r| mask[r]).collect();
+            assert_eq!(whole, from_mask, "{op:?}");
+            // Any partitioning into ranges reproduces the whole-column pass.
             for split in 0..=c.len() {
-                let mut stitched = p.evaluate_range(&c, 0, split);
-                stitched.extend(p.evaluate_range(&c, split, c.len()));
+                let mut stitched = p.select(&c, 0..split);
+                stitched.extend(p.select(&c, split..c.len()));
                 assert_eq!(stitched, whole, "{op:?} split {split}");
             }
+            // Retaining over every row, or over rows in any order, keeps
+            // the same rows in list order.
+            let mut all: Vec<usize> = (0..c.len()).rev().collect();
+            p.retain(&c, &mut all);
+            all.reverse();
+            assert_eq!(all, whole, "{op:?} retain");
         }
         assert!(ColumnPredicate::new("x", CompareOp::Eq, 4i64)
-            .evaluate_range(&c, 3, 3)
+            .select(&c, 3..3)
             .is_empty());
     }
 
@@ -545,6 +617,101 @@ mod tests {
         let stats = bqo_storage::ColumnStats::compute(&c);
         let sel = p.estimate_selectivity(&stats);
         assert!(sel > 0.0 && sel <= 1.0);
+    }
+
+    const OPS: [CompareOp; 6] = [
+        CompareOp::Eq,
+        CompareOp::NotEq,
+        CompareOp::Lt,
+        CompareOp::Le,
+        CompareOp::Gt,
+        CompareOp::Ge,
+    ];
+    /// 2^53 + 1 rounds to 2^53 as an `f64`: the mixed-numeric arms compare
+    /// after that cast.
+    const INTS: [i64; 9] = [-3, -1, 0, 1, 2, 7, i64::MIN, i64::MAX, (1 << 53) + 1];
+    /// Both zeros and both NaNs: `total_cmp` orders -0.0 below 0.0 and NaN
+    /// above infinity (-NaN below -infinity).
+    const FLOATS: [f64; 11] = [
+        -0.0,
+        0.0,
+        f64::NAN,
+        -f64::NAN,
+        1.5,
+        -2.5,
+        7.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        2.0,
+        9_007_199_254_740_992.0,
+    ];
+    const STRS: [&str; 6] = ["", "a", "apple", "b", "banana", "A"];
+
+    /// A column of `kind` (Int64, Float64, Utf8, Bool) whose row `r` is the
+    /// `cells[r]`-th value of that type's pool, cyclically.
+    fn pool_column(kind: usize, cells: &[usize]) -> Column {
+        match kind {
+            0 => Column::Int64(cells.iter().map(|&c| INTS[c % INTS.len()]).collect()),
+            1 => Column::Float64(cells.iter().map(|&c| FLOATS[c % FLOATS.len()]).collect()),
+            2 => Column::Utf8(cells.iter().map(|&c| STRS[c % STRS.len()].into()).collect()),
+            _ => Column::Bool(cells.iter().map(|&c| c % 2 == 1).collect()),
+        }
+    }
+
+    /// Every literal of every pool, then an unbound parameter.
+    fn every_right_hand_side() -> Vec<PredicateValue> {
+        let ints = INTS.iter().map(|&v| Value::Int64(v));
+        let floats = FLOATS.iter().map(|&v| Value::Float64(v));
+        let strs = STRS.iter().map(|&v| Value::Utf8(v.into()));
+        let bools = [Value::Bool(false), Value::Bool(true)].into_iter();
+        let literals = ints.chain(floats).chain(strs).chain(bools);
+        let mut values: Vec<PredicateValue> = literals.map(PredicateValue::Literal).collect();
+        values.push(PredicateValue::Param("unbound".into()));
+        values
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// `select` over any row range and `retain` over any row list (in
+        /// any order, with repeats) pick exactly the rows whose value `v`
+        /// has `range_may_pass(&v, &v)` — the zone-map test, which compares
+        /// arm by arm without sharing the selection code — for every
+        /// operator, column type and right-hand side: matching,
+        /// mixed-numeric and mismatched literals and an unbound parameter.
+        #[test]
+        fn selection_is_the_one_value_zone_test(
+            cells in prop::collection::vec(0usize..64, 0..120),
+            range in (0usize..121, 0usize..121),
+            picks in prop::collection::vec(0usize..120, 0..80),
+        ) {
+            let len = cells.len();
+            let start = range.0 % (len + 1);
+            let end = start + range.1 % (len + 1 - start);
+            let picks: Vec<usize> = if len == 0 {
+                Vec::new()
+            } else {
+                picks.iter().map(|&p| p % len).collect()
+            };
+            for kind in 0..4 {
+                let column = pool_column(kind, &cells);
+                for value in every_right_hand_side() {
+                    for op in OPS {
+                        let p = ColumnPredicate { column: "c".into(), op, value: value.clone() };
+                        let passes = |&row: &usize| {
+                            let v = column.value(row);
+                            p.range_may_pass(&v, &v)
+                        };
+                        let want: Vec<usize> = (start..end).filter(passes).collect();
+                        prop_assert_eq!(p.select(&column, start..end), want);
+                        let want: Vec<usize> = picks.iter().copied().filter(passes).collect();
+                        let mut got = picks.clone();
+                        p.retain(&column, &mut got);
+                        prop_assert_eq!(got, want);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

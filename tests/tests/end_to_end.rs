@@ -1,5 +1,6 @@
 //! End-to-end correctness: for every generated workload, every optimizer and
-//! every execution configuration must return exactly the same query answers,
+//! every execution configuration must return exactly the same query answers
+//! (and one plan the same filter counters under both exact filter kinds),
 //! and the bitvector-aware optimizer must never be estimated worse than the
 //! post-processed baseline.
 
@@ -29,6 +30,9 @@ fn assert_consistent(workload: &bqo_core::workloads::Workload) {
             let mut bare = prepared.plan().clone();
             bare.placements.clear();
             let bare = engine.prepare_plan(&query.name, prepared.graph().clone(), bare);
+            // The filter counters of `prepared` under each filter
+            // representation it runs with.
+            let mut filter_stats = Vec::new();
             for (stmt, config) in [
                 (&prepared, ExecConfig::default()),
                 (&prepared, ExecConfig::exact_filters()),
@@ -38,6 +42,9 @@ fn assert_consistent(workload: &bqo_core::workloads::Workload) {
                     .execute(stmt, RunOptions::new().with_exec_config(config))
                     .unwrap_or_else(|e| panic!("{}: execute failed: {e}", query.name))
                     .result;
+                if std::ptr::eq(stmt, &prepared) {
+                    filter_stats.push(result.metrics.filter_stats);
+                }
                 match expected {
                     None => expected = Some(result.output_rows),
                     Some(rows) => assert_eq!(
@@ -51,6 +58,14 @@ fn assert_consistent(workload: &bqo_core::workloads::Workload) {
                     ),
                 }
             }
+            // The default range bitmap (a bitmap or a hashed key index by
+            // key span) and the always-hashed exact filter are both exact,
+            // so the same plan probes and eliminates the same rows.
+            assert_eq!(
+                filter_stats[0], filter_stats[1],
+                "{} under {choice:?}: filter counters depend on the filter representation",
+                query.name
+            );
         }
     }
 }

@@ -509,7 +509,8 @@ fn key_spans_on_both_sides_of_the_density_threshold() {
     }
 }
 
-/// One key index per join: a hashed table's filter views, and the filter the
+/// At most one key index per join: when a hashed table's keys span more
+/// than the bitmap filter's 2^20 bits, its filter views, and the filter the
 /// join publishes, hold the table's own `KeyIndex` allocation — the second
 /// index cannot grow back unnoticed.
 #[test]

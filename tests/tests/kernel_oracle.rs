@@ -6,9 +6,10 @@
 //! vectorized kernel to the row-at-a-time scalar reference it replaced:
 //!
 //! * word-level bitvector probes (`probe_word`/`probe_words`) for every
-//!   filter kind — dense bitmap, sparse (hashed-index) bitmap, exact, Bloom,
-//!   blocked Bloom, and the dense and sparse filter views of a `JoinTable` —
-//!   against a `maybe_contains` loop,
+//!   filter kind — dense bitmap (over near and medium-spread keys), sparse
+//!   (hashed-index) bitmap, exact, Bloom, blocked Bloom, and the filter
+//!   views of a direct-addressed and of a hashed `JoinTable` (bitmap and
+//!   shared-index views) — against a `maybe_contains` loop,
 //! * the filter view a hash join publishes (`JoinTable::filter`) against the
 //!   independently built `AnyFilter::from_keys(FilterKind::Bitmap, ..)`,
 //! * chunked composite-key hashing (`fold_parts` / `gather_keys` /
@@ -49,11 +50,19 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 /// The filter shapes under test. Shapes 4 and 6 spread the keys so far
-/// apart that `RangeBitmapFilter` takes its sparse hashed-index arm — the
-/// word probe must agree with the scalar probe in both representations.
-/// Shapes 5 and 6 are what a hash join publishes: the filter view of the
-/// `JoinTable` built over the keys (direct-addressed and hashed).
-const NUM_FILTER_SHAPES: usize = 7;
+/// apart (×1 000 003) that `RangeBitmapFilter` takes its sparse
+/// hashed-index arm — the word probe must agree with the scalar probe in
+/// both representations. Shapes 7 and 8 spread them by `MEDIUM_STRIDE`:
+/// more than 64 slots per key, so the join table hashes them, but within
+/// 2^20 bits, so the filter is still a bitmap. Shapes 5, 6 and 8 are what a
+/// hash join publishes: the filter view of the `JoinTable` built over the
+/// keys (direct-addressed, hashed, and hashed with a bitmap view).
+const NUM_FILTER_SHAPES: usize = 9;
+
+/// The medium spread: every key set and probe range of this suite (keys
+/// within `[-100, 1 300)`) spans under 2^20 slots after scaling, and any two
+/// distinct keys are more than 64 slots apart.
+const MEDIUM_STRIDE: i64 = 509;
 
 /// A context fanning out over `BQO_TEST_THREADS` workers with no inline
 /// gate, so table builds really run in parallel at 4 threads.
@@ -73,26 +82,48 @@ fn table_view(keys: &[i64]) -> AnyFilter {
 }
 
 fn build_filter(shape: usize, members: &[i64]) -> AnyFilter {
-    // Spread keys to defeat the dense range representation.
-    let spread = |keys: &[i64]| -> Vec<i64> { keys.iter().map(|&k| probe_key(4, k)).collect() };
+    // Spread keys to defeat the dense range representation, or only the
+    // join table's direct addressing.
+    let scaled = |keys: &[i64]| -> Vec<i64> { keys.iter().map(|&k| probe_key(shape, k)).collect() };
     match shape {
         0 => AnyFilter::from_keys(FilterKind::Bitmap, members),
         1 => AnyFilter::from_keys(FilterKind::Exact, members),
         2 => AnyFilter::from_keys(FilterKind::Bloom { bits_per_key: 8 }, members),
         3 => AnyFilter::from_keys(FilterKind::BlockedBloom { bits_per_key: 10 }, members),
-        4 => AnyFilter::from_keys(FilterKind::Bitmap, &spread(members)),
-        5 => table_view(members),
-        _ => table_view(&spread(members)),
+        4 | 7 => AnyFilter::from_keys(FilterKind::Bitmap, &scaled(members)),
+        _ => table_view(&scaled(members)),
     }
 }
 
 /// Maps probe keys into the same domain the filter of `shape` was built on.
 fn probe_key(shape: usize, key: i64) -> i64 {
-    if matches!(shape, 4 | 6) {
-        key.wrapping_mul(1_000_003)
-    } else {
-        key
+    match shape {
+        4 | 6 => key.wrapping_mul(1_000_003),
+        7 | 8 => key.wrapping_mul(MEDIUM_STRIDE),
+        _ => key,
     }
+}
+
+/// Whether the filter is the range bitmap's dense arm.
+fn is_dense(filter: &AnyFilter) -> bool {
+    matches!(filter, AnyFilter::Bitmap(f) if f.is_dense())
+}
+
+/// The spread shapes take the representation they exist for: ×1 000 003
+/// keys the hashed index, medium-spread keys a bitmap — also as the view
+/// of a join table that itself hashes them.
+#[test]
+fn spread_shapes_take_the_representation_they_test() {
+    let members: Vec<i64> = (0..40).collect();
+    for shape in [4, 6] {
+        assert!(!is_dense(&build_filter(shape, &members)), "shape {shape}");
+    }
+    for shape in [7, 8] {
+        assert!(is_dense(&build_filter(shape, &members)), "shape {shape}");
+    }
+    let medium: Vec<i64> = members.iter().map(|&k| probe_key(8, k)).collect();
+    let table = JoinTable::build(&table_ctx(), &medium).expect("join table");
+    assert!(!table.is_direct());
 }
 
 /// The scalar oracle for a word probe: one `maybe_contains` per key.
@@ -156,7 +187,6 @@ fn word_probes_cover_boundary_lengths_for_all_filter_shapes() {
 fn assert_view_matches_from_keys(keys: &[i64], probes: &[i64], bounds: &[i64]) {
     let view = table_view(keys);
     let built = AnyFilter::from_keys(FilterKind::Bitmap, keys);
-    let is_dense = |f: &AnyFilter| matches!(f, AnyFilter::Bitmap(f) if f.is_dense());
     assert_eq!(is_dense(&view), is_dense(&built), "keys {keys:?}");
     assert_eq!(scalar_mask(&view, probes), scalar_mask(&built, probes));
     let (mut view_words, mut built_words) = (Vec::new(), Vec::new());
@@ -176,7 +206,7 @@ fn assert_view_matches_from_keys(keys: &[i64], probes: &[i64], bounds: &[i64]) {
 
 #[test]
 fn join_table_filter_view_matches_from_keys_on_corner_key_sets() {
-    let key_sets: [Vec<i64>; 9] = [
+    let key_sets: [Vec<i64>; 10] = [
         vec![],
         vec![5; 70],
         vec![3, 3, 9, 3, 9, 9, 3, 4],
@@ -186,9 +216,16 @@ fn join_table_filter_view_matches_from_keys_on_corner_key_sets() {
         (0..300).map(|k| k * 3 % 200).collect(),
         (0..100).map(|k| k * 1_000_000_007).collect(),
         vec![i64::MIN, i64::MIN + 100, i64::MIN + 7],
+        (-20..80).map(|k| k * MEDIUM_STRIDE).collect(),
     ];
-    // Both sides of the 64x threshold: `[0, 127]` is dense, `[0, 128]` sparse.
-    let threshold = [vec![0, 127], vec![0, 128]];
+    // Both sides of the 64x threshold: `[0, 127]` is direct-addressed,
+    // `[0, 128]` hashed; and both sides of the filter's 2^20-bit bound.
+    let threshold = [
+        vec![0, 127],
+        vec![0, 128],
+        vec![-5, (1 << 20) - 6],
+        vec![-5, (1 << 20) - 5],
+    ];
     for keys in key_sets.iter().chain(&threshold) {
         let mut probes: Vec<i64> = (-140..140).collect();
         probes.extend([i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX]);
@@ -209,11 +246,11 @@ proptest! {
     #[test]
     fn join_table_filter_view_matches_from_keys(
         keys in prop::collection::vec(-60i64..200, 0..80),
-        stride in 0usize..3,
+        stride in 0usize..4,
         probes in prop::collection::vec(-100i64..260, 0..150),
         bounds in prop::collection::vec(-100i64..260, 2..6),
     ) {
-        let stride = [1i64, 3, 1_000_003][stride];
+        let stride = [1i64, 3, MEDIUM_STRIDE, 1_000_003][stride];
         let scale = |k: &i64| k.wrapping_mul(stride);
         let keys: Vec<i64> = keys.iter().map(scale).collect();
         let probes: Vec<i64> = probes.iter().map(scale).collect();
