@@ -318,11 +318,9 @@ fn render_exec_config(config: ExecConfig) -> String {
         bqo_exec::KernelMode::Scalar => "scalar",
     };
     format!(
-        "execution: filter={filter}, batch_size={}, num_threads={}, parallel_threshold={}, \
-         kernels={kernels}\n",
+        "execution: filter={filter}, batch_size={}, num_threads={}, kernels={kernels}\n",
         render_rows(config.batch_size),
         config.num_threads,
-        config.parallel_threshold,
     )
 }
 
@@ -379,7 +377,7 @@ impl EngineBuilder {
     }
 
     /// Sets the execution configuration (filter kind, batch size,
-    /// worker-thread count, parallel threshold, kernel mode).
+    /// worker-thread count, kernel mode).
     pub fn exec_config(mut self, config: ExecConfig) -> Self {
         self.exec_config = config;
         self
@@ -663,9 +661,8 @@ mod tests {
         );
         assert!(line.contains("kernels=scalar"), "{line}");
         assert!(line.contains("filter=bitmap"), "{line}");
-        let line = render_exec_config(ExecConfig::exact_filters().with_parallel_threshold(1));
+        let line = render_exec_config(ExecConfig::exact_filters());
         assert!(line.contains("filter=exact"), "{line}");
-        assert!(line.contains("parallel_threshold=1,"), "{line}");
         let bloom = |filter_kind| ExecConfig {
             filter_kind,
             ..ExecConfig::default()

@@ -115,11 +115,9 @@
 //! table, one chunk of a file-backed one) dispatched to
 //! [`ExecConfig::num_threads`] workers ([`ExecConfig::with_num_threads`]) —
 //! parked threads of the engine-owned persistent [`WorkerPool`], woken per
-//! scan, with tiny tables gated inline by
-//! [`ExecConfig::parallel_threshold`] — and per-morsel outputs and counters
-//! merged deterministically in morsel order, so results and all reported
-//! counters are bit-identical for every
-//! `(batch_size, num_threads, parallel_threshold)` combination.
+//! scan — and per-morsel outputs and counters merged deterministically in
+//! morsel order, so results and all reported counters are bit-identical for
+//! every `(batch_size, num_threads)` combination.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(

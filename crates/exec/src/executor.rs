@@ -12,12 +12,6 @@ use std::time::Instant;
 /// Default number of rows per batch pulled through the pipeline.
 pub const DEFAULT_BATCH_SIZE: usize = 4096;
 
-/// Default [`ExecConfig::parallel_threshold`]: minimum table rows per worker
-/// before a scan fans out to helper workers. Tiny tables are scanned inline —
-/// fanning out (even to a parked pool worker) costs more than a few hundred
-/// probes.
-pub(crate) const DEFAULT_PARALLEL_THRESHOLD: usize = 2048;
-
 /// Which probe/filter kernel implementations the operators run.
 ///
 /// Both modes produce bit-identical rows, batch boundaries and counters for
@@ -51,19 +45,12 @@ pub struct ExecConfig {
     pub batch_size: usize,
     /// Worker threads for the one morsel-parallel section, the scan's
     /// predicate and bitvector-probe evaluation; hash joins build, probe and
-    /// filter on the thread that pulls their batches. `1` (the default) runs
-    /// everything inline on the calling thread — the serial path. Results
-    /// and all counters are bit-identical for every value; values below 1
-    /// are treated as 1.
+    /// filter on the thread that pulls their batches. A scan runs one worker
+    /// per morsel, at most `num_threads` of them, so a one-morsel scan runs
+    /// inline on the calling thread. `1` (the default) runs everything
+    /// inline — the serial path. Results and all counters are bit-identical
+    /// for every value; values below 1 are treated as 1.
     pub num_threads: usize,
-    /// Minimum table rows per worker before a scan fans out to helper
-    /// workers; a table smaller than one worker's share is scanned inline on
-    /// the calling thread. Purely an overhead guard — results and counters
-    /// are identical for every value (morsels are contiguous row ranges
-    /// merged in order). Lower it (e.g. to 1) to force fan-out on small
-    /// tables, as the oracle suites do to reach the parallel path. Values
-    /// below 1 are treated as 1.
-    pub parallel_threshold: usize,
     /// Which probe/filter kernel implementations the operators run
     /// ([`KernelMode::Vectorized`] by default). Results and counters are
     /// bit-identical in both modes.
@@ -76,7 +63,6 @@ impl Default for ExecConfig {
             filter_kind: FilterKind::default(),
             batch_size: DEFAULT_BATCH_SIZE,
             num_threads: 1,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
             kernel_mode: KernelMode::Vectorized,
         }
     }
@@ -109,14 +95,6 @@ impl ExecConfig {
         self
     }
 
-    /// The same configuration with a different inline-gate threshold (clamped
-    /// to at least 1): a scan fans out only when its table exceeds
-    /// `parallel_threshold` rows per helper worker.
-    pub fn with_parallel_threshold(mut self, parallel_threshold: usize) -> Self {
-        self.parallel_threshold = parallel_threshold.max(1);
-        self
-    }
-
     /// The same configuration with an explicit kernel mode. The
     /// differential harnesses use this to sweep vectorized vs scalar kernels
     /// within one process.
@@ -129,14 +107,6 @@ impl ExecConfig {
     /// differential-testing oracle).
     pub fn scalar_kernels() -> Self {
         ExecConfig::default().with_kernel_mode(KernelMode::Scalar)
-    }
-
-    /// Number of workers worth fanning out for `rows` rows under this
-    /// configuration: at most one per [`ExecConfig::parallel_threshold`]
-    /// rows, capped by [`ExecConfig::num_threads`].
-    pub(crate) fn workers_for(&self, rows: usize) -> usize {
-        self.num_threads
-            .min(rows.div_ceil(self.parallel_threshold.max(1)).max(1))
     }
 }
 
@@ -421,8 +391,7 @@ mod tests {
         for threads in [1usize, 4] {
             let config = ExecConfig::default()
                 .with_batch_size(5)
-                .with_num_threads(threads)
-                .with_parallel_threshold(1);
+                .with_num_threads(threads);
             let counted = run(&catalog, pooled(config), &g, &plan);
             let (collected, rows) = run_rows(&catalog, pooled(config), &g, &plan);
             assert_eq!(counted.output_rows, EXPECTED_ROWS);
@@ -530,18 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_threshold_is_clamped_and_controls_fanout() {
-        let config = ExecConfig::default().with_num_threads(8);
-        assert_eq!(config.parallel_threshold, DEFAULT_PARALLEL_THRESHOLD);
-        assert_eq!(config.workers_for(100), 1);
-        assert_eq!(config.workers_for(DEFAULT_PARALLEL_THRESHOLD * 3), 3);
-        assert_eq!(config.workers_for(usize::MAX), 8);
-        let forced = config.with_parallel_threshold(0);
-        assert_eq!(forced.parallel_threshold, 1);
-        assert_eq!(forced.workers_for(4), 4);
-    }
-
-    #[test]
     fn pool_backed_executor_matches_the_inline_path() {
         let catalog = tiny_catalog();
         let (g, fact, d1, d2) = tiny_graph();
@@ -549,10 +506,10 @@ mod tests {
         let plan = push_down_bitvectors(&g, PhysicalPlan::from_join_tree(&g, &tree));
         let config = ExecConfig::exact_filters()
             .with_num_threads(4)
-            .with_parallel_threshold(1);
-        // The gate is purely an overhead guard: forcing fan-out on a tiny
-        // input changes neither results nor counters. With no pool attached
-        // the same configuration runs inline.
+            .with_batch_size(2);
+        // 2-row morsels make even the 12-row fact scan fan out, which changes
+        // neither results nor counters. With no pool attached the same
+        // configuration runs inline.
         let inline = run_rows(&catalog, ExecContext::new(config), &g, &plan);
         let pool = WorkerPool::new(3);
         let ctx = ExecContext::with_pool(config, Some(pool.clone()));
@@ -626,8 +583,7 @@ mod tests {
                         let config = base
                             .with_kernel_mode(mode)
                             .with_num_threads(threads)
-                            .with_batch_size(batch_size)
-                            .with_parallel_threshold(1);
+                            .with_batch_size(batch_size);
                         let (result, rows) = run_rows(&catalog, pooled(config), &g, &plan);
                         let label = format!("{mode:?} threads={threads} batch={batch_size}");
                         assert_eq!(result.output_rows, oracle.0.output_rows, "{label}");
@@ -732,9 +688,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for threads in [1usize, 4] {
-            let config = ExecConfig::exact_filters()
-                .with_num_threads(threads)
-                .with_parallel_threshold(1);
+            let config = ExecConfig::exact_filters().with_num_threads(threads);
             let ctx = pooled(config).with_cancel_token(token.clone());
             let (partial, rows) = execute(&catalog, &g, &plan, ctx, false);
             assert_eq!(rows, Err(StorageError::Cancelled), "threads {threads}");
@@ -813,8 +767,7 @@ mod tests {
             for threads in [1usize, 4] {
                 let config = ExecConfig::exact_filters()
                     .with_kernel_mode(mode)
-                    .with_num_threads(threads)
-                    .with_parallel_threshold(1);
+                    .with_num_threads(threads);
                 let ctx = || ExecContext::with_pool(config, Some(pool.clone()));
                 let (reference, reference_rows) = run_rows(&catalog, ctx(), &g, &plan);
                 assert_eq!(reference.output_rows, EXPECTED_ROWS);

@@ -300,12 +300,10 @@ mod tests {
         ExecContext::new(ExecConfig::default())
     }
 
-    /// A context with `workers` pooled workers and no inline gate: the build
-    /// must not depend on it.
+    /// A context with `workers` pooled workers: the build runs on the calling
+    /// thread and must not depend on them.
     fn with_workers(workers: usize) -> ExecContext {
-        let config = ExecConfig::default()
-            .with_num_threads(workers)
-            .with_parallel_threshold(1);
+        let config = ExecConfig::default().with_num_threads(workers);
         ExecContext::with_pool(config, Some(WorkerPool::new(workers - 1)))
     }
 

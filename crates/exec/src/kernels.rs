@@ -249,9 +249,7 @@ fn mask_scalar<F: BitvectorFilter + ?Sized>(
 }
 
 /// Minimum candidate count before the word-level path engages; below it the
-/// scalar loop runs (identical results, no gather/mask setup cost). Plays
-/// the same overhead-gate role as [`crate::ExecConfig::parallel_threshold`]
-/// does for fan-out.
+/// scalar loop runs (identical results, no gather/mask setup cost).
 pub(crate) const VECTOR_MIN_ROWS: usize = 16;
 
 /// Reusable scratch buffers for the gather → probe → compact pipeline, so a

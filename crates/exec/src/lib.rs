@@ -41,8 +41,7 @@
 //!   parked pool threads woken per section instead of freshly spawned ones,
 //!   so a serving workload of many small queries stops paying per-query
 //!   thread start-up ([`ExecContext::with_pool`]; a context without a pool
-//!   runs the section inline), gated by [`ExecConfig::parallel_threshold`]
-//!   so tiny scans stay inline,
+//!   runs the section inline, as does a one-morsel scan),
 //! * **one stop rule for every failure**: a cloneable [`CancelToken`] (an
 //!   atomic flag and an optional deadline) attached via
 //!   [`ExecContext::with_cancel_token`] is re-checked at every morsel claim

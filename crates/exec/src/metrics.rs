@@ -82,26 +82,6 @@ impl ExecutionMetrics {
         });
     }
 
-    /// Folds another set of counters into this one — the utility for
-    /// aggregating metrics across query executions (e.g. workload totals in
-    /// analysis tooling and tests). The merge is associative with
-    /// [`ExecutionMetrics::new`] as identity: per-operator entries are
-    /// appended in order, filter counters and creation counts are summed, and
-    /// elapsed times **add** (a total-work-time accumulation — not the wall
-    /// time of concurrent executions). The executor's hot path does not use
-    /// this: the morsel scheduler folds per-morsel `FilterStats` directly,
-    /// following the same associative in-order discipline this method's tests
-    /// pin down.
-    pub fn merge(&mut self, other: &ExecutionMetrics) {
-        self.operators.extend(other.operators.iter().cloned());
-        self.filter_stats.merge(&other.filter_stats);
-        self.filters_created += other.filters_created;
-        self.chunks_read += other.chunks_read;
-        self.chunks_pruned += other.chunks_pruned;
-        self.bytes_read += other.bytes_read;
-        self.elapsed += other.elapsed;
-    }
-
     /// Total tuples output by operators of one kind.
     pub fn tuples_by_kind(&self, kind: OperatorKind) -> u64 {
         self.operators
@@ -191,58 +171,6 @@ mod tests {
         assert_eq!(m.elapsed_secs(), 0.0);
     }
 
-    /// Builds a per-"worker" metrics fragment as the morsel scheduler would.
-    fn fragment(node: usize, rows: u64, probed: u64, eliminated: u64) -> ExecutionMetrics {
-        let mut m = ExecutionMetrics::new();
-        m.record_operator(NodeId(node), OperatorKind::Leaf, rows, 0, 0);
-        m.filter_stats.probed = probed;
-        m.filter_stats.eliminated = eliminated;
-        m.filters_created = 1;
-        m.chunks_read = rows / 10;
-        m.chunks_pruned = probed / 4;
-        m.bytes_read = rows * 100;
-        m.elapsed = Duration::from_millis(rows);
-        m
-    }
-
-    #[test]
-    fn merge_identity_is_empty_metrics() {
-        let a = fragment(0, 100, 40, 10);
-        // identity ⊕ a == a ⊕ identity == a
-        let mut left = ExecutionMetrics::new();
-        left.merge(&a);
-        assert_eq!(left, a);
-        let mut right = a.clone();
-        right.merge(&ExecutionMetrics::new());
-        assert_eq!(right, a);
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        let (a, b, c) = (
-            fragment(0, 10, 4, 1),
-            fragment(1, 20, 8, 3),
-            fragment(2, 0, 5, 5),
-        );
-        // (a ⊕ b) ⊕ c
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ab_c = ab;
-        ab_c.merge(&c);
-        // a ⊕ (b ⊕ c)
-        let mut bc = b.clone();
-        bc.merge(&c);
-        let mut a_bc = a.clone();
-        a_bc.merge(&bc);
-        assert_eq!(ab_c, a_bc);
-        assert_eq!(ab_c.total_tuples(), 30);
-        assert_eq!(ab_c.filter_stats.probed, 17);
-        // The chunk counters sum like every other counter.
-        assert_eq!(ab_c.chunks_read, 1 + 2);
-        assert_eq!(ab_c.chunks_pruned, 1 + 2 + 1);
-        assert_eq!(ab_c.bytes_read, 3000);
-    }
-
     #[test]
     fn chunk_pruning_ratio_handles_empty_and_mixed() {
         let mut m = ExecutionMetrics::new();
@@ -260,8 +188,8 @@ mod tests {
         // Regression: operators record `batch.num_rows()`, which must be the
         // *logical* (selection-aware) count — a fully-selected shared batch
         // and a zero-survivor selection batch must produce exactly the
-        // metrics their dense equivalents would, so merged totals cannot
-        // depend on which kernel mode produced the batches.
+        // metrics their dense equivalents would, so totals cannot depend on
+        // which kernel mode produced the batches.
         let schema = vec![ColumnRef::new(RelId(0), "k")];
         let dense = Batch::new(schema, vec![Column::Int64(vec![1, 2, 3])]);
         let full = dense.clone().with_selection(vec![0, 1, 2]);
@@ -272,27 +200,7 @@ mod tests {
         let mut from_dense = ExecutionMetrics::new();
         from_dense.record_operator(NodeId(0), OperatorKind::Leaf, dense.num_rows() as u64, 0, 0);
         from_dense.record_operator(NodeId(1), OperatorKind::Leaf, 0, 0, 0);
-        let mut merged_selected = ExecutionMetrics::new();
-        merged_selected.merge(&from_selected);
-        let mut merged_dense = ExecutionMetrics::new();
-        merged_dense.merge(&from_dense);
-        assert_eq!(merged_selected, merged_dense);
-        assert_eq!(merged_selected.total_tuples(), 3);
-    }
-
-    #[test]
-    fn merge_keeps_counters_of_zero_row_morsels() {
-        // A morsel can survive no rows yet still have probed (and eliminated)
-        // every one of them — those counters must not be dropped.
-        let mut total = fragment(0, 50, 50, 0);
-        let empty_morsel = fragment(1, 0, 64, 64);
-        total.merge(&empty_morsel);
-        assert_eq!(total.filter_stats.probed, 114);
-        assert_eq!(total.filter_stats.eliminated, 64);
-        assert_eq!(total.filters_created, 2);
-        assert_eq!(total.operators.len(), 2);
-        assert_eq!(total.tuples_by_kind(OperatorKind::Leaf), 50);
-        // The zero-row operator entry itself is preserved.
-        assert_eq!(total.operators[1].output_rows, 0);
+        assert_eq!(from_selected, from_dense);
+        assert_eq!(from_selected.total_tuples(), 3);
     }
 }

@@ -6,13 +6,12 @@
 //! them to worker threads. This is the executor's one parallel section:
 //! `ScanOp::open` is the one caller of `ExecContext::run_morsels`, and a hash
 //! join builds, probes and filters on the thread that pulls its batch. The
-//! calling thread participates as worker 0, and the scan gates small tables
-//! inline (see `ExecConfig::parallel_threshold`) since fanning out costs more
-//! than a few hundred probes. Helpers are the parked threads of a persistent
-//! [`WorkerPool`] ([`run_morsels_with`]); without a pool — or with a
-//! 0-worker or shut-down one — the section runs inline on the calling
-//! thread. Three properties make the parallel path bit-identical to the
-//! serial one:
+//! calling thread participates as worker 0, and a section never runs more
+//! workers than it has morsels, so a one-morsel scan runs inline. Helpers
+//! are the parked threads of a persistent [`WorkerPool`]
+//! ([`run_morsels_with`]); without a pool — or with a 0-worker or shut-down
+//! one — the section runs inline on the calling thread. Three properties
+//! make the parallel path bit-identical to the serial one:
 //!
 //! 1. **Shared-state-free kernels.** A kernel only reads shared immutable
 //!    state (columns, published bitvector filters) and returns an owned

@@ -17,10 +17,10 @@
 //!   scan's local predicates and pushed-down bitvector probes run at `open`
 //!   as shared-state-free per-morsel kernels (see [`crate::morsel`]) so
 //!   eliminated tuples never reach the joins above; with
-//!   [`crate::ExecConfig::num_threads`] > 1 they fan out across a worker
-//!   pool — the executor's one parallel section. A hash join builds its
-//!   table, probes each batch and applies its residual filters on the
-//!   thread that pulls the batch.
+//!   [`crate::ExecConfig::num_threads`] > 1 a scan of several morsels fans
+//!   out across a worker pool — the executor's one parallel section. A hash
+//!   join builds its table, probes each batch and applies its residual
+//!   filters on the thread that pulls the batch.
 //! * [`PhysicalOperator::close`] tears the operator down and flushes its
 //!   accumulated per-operator counters into the context's
 //!   [`crate::ExecutionMetrics`].
@@ -254,7 +254,6 @@ impl PhysicalOperator for ScanOp<'_> {
                 })
                 .collect(),
         };
-        let num_threads = ctx.config.workers_for(source.num_rows());
         let config = ctx.config;
 
         // Evaluate local predicates and pushed-down bitvector probes with one
@@ -274,7 +273,7 @@ impl PhysicalOperator for ScanOp<'_> {
                 .zip(&placement_cols)
                 .map(|(&(idx, _), cols)| (ctx.filter(idx), cols.as_slice()))
                 .collect();
-            ctx.run_morsels(num_threads, &morsel_list, |m| {
+            ctx.run_morsels(&morsel_list, |m| {
                 let mut out = MorselScan {
                     rows: Vec::new(),
                     columns: Vec::new(),

@@ -75,15 +75,14 @@ impl ExecContext {
         }
     }
 
-    /// Runs a morsel kernel with up to `num_threads` workers, drawing helpers
-    /// from the context's worker pool when one is attached and running
-    /// inline otherwise (see [`run_morsels_with`]). The scan's open is the
-    /// one caller: it is the executor's one parallel section. A kernel's
-    /// error or the context's cancel token (re-checked at every morsel claim)
-    /// stops the section at its next claim.
+    /// Runs a morsel kernel with up to [`ExecConfig::num_threads`] workers,
+    /// drawing helpers from the context's worker pool when one is attached
+    /// and running inline otherwise (see [`run_morsels_with`]). The scan's
+    /// open is the one caller: it is the executor's one parallel section. A
+    /// kernel's error or the context's cancel token (re-checked at every
+    /// morsel claim) stops the section at its next claim.
     pub(crate) fn run_morsels<T, K>(
         &self,
-        num_threads: usize,
         morsels: &[Morsel],
         kernel: K,
     ) -> Result<Vec<T>, StorageError>
@@ -94,7 +93,7 @@ impl ExecContext {
         run_morsels_with(
             self.pool.as_ref(),
             Some(&self.cancel),
-            num_threads,
+            self.config.num_threads,
             morsels,
             kernel,
         )

@@ -316,10 +316,10 @@ fn assert_matches_reference(s: &Scenario) -> usize {
 
     for (plan, bitvectors) in [(&filtered, true), (&bare, false)] {
         for batch_size in [3, 4096] {
-            // No inline gate, so at 4 threads every scan really fans out.
-            let base = ExecConfig::default()
-                .with_batch_size(batch_size)
-                .with_parallel_threshold(1);
+            // A scan runs one worker per morsel: at batch 3 an in-memory
+            // scan of more than 3 rows fans out at 4 threads, and at 4 096 a
+            // table of at most 4 096 rows is one morsel and runs inline.
+            let base = ExecConfig::default().with_batch_size(batch_size);
             let oracle_config = base
                 .with_num_threads(1)
                 .with_kernel_mode(KernelMode::Scalar);

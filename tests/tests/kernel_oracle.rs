@@ -64,13 +64,11 @@ const NUM_FILTER_SHAPES: usize = 9;
 /// distinct keys are more than 64 slots apart.
 const MEDIUM_STRIDE: i64 = 509;
 
-/// A context fanning out over `BQO_TEST_THREADS` workers with no inline
-/// gate, so table builds really run in parallel at 4 threads.
+/// A context over `BQO_TEST_THREADS` workers. A table builds on the calling
+/// thread, so no table may depend on the worker count.
 fn table_ctx() -> ExecContext {
     let threads = env_threads();
-    let config = ExecConfig::default()
-        .with_num_threads(threads)
-        .with_parallel_threshold(1);
+    let config = ExecConfig::default().with_num_threads(threads);
     let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
     ExecContext::with_pool(config, pool)
 }
@@ -522,7 +520,7 @@ proptest! {
             expected.entry(key).or_default().push(row as u32);
         }
         let workers = [1usize, 2, 4, 8][workers];
-        let config = ExecConfig::default().with_num_threads(workers).with_parallel_threshold(1);
+        let config = ExecConfig::default().with_num_threads(workers);
         let ctx = ExecContext::with_pool(config, Some(WorkerPool::new(workers - 1)));
         let table = JoinTable::build(&ctx, &keys).expect("join table");
         let distinct = expected.len() == keys.len();
@@ -632,8 +630,7 @@ fn kernel_modes_agree_end_to_end() {
         let config = ExecConfig::default()
             .with_kernel_mode(mode)
             .with_num_threads(threads)
-            .with_batch_size(batch_size)
-            .with_parallel_threshold(1);
+            .with_batch_size(batch_size);
         session
             .execute(
                 &prepared,

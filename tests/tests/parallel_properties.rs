@@ -84,8 +84,9 @@ proptest! {
     #[test]
     fn serial_and_parallel_execution_agree(
         seed in 0u64..1_000_000,
-        // Spans the inline/fan-out boundary: facts below MIN_CHUNK_ROWS run
-        // the kernels inline, larger ones cross the spawned-worker path.
+        // Spans the inline/fan-out boundary: a fact of at most `batch_size`
+        // rows is one morsel and runs inline, a larger one fans out over the
+        // engine's pool workers.
         fact_rows in 0usize..6000,
         skew in 0.0f64..1.2,
         dims in prop::collection::vec(dim_strategy(), 1..4),
@@ -184,7 +185,6 @@ proptest! {
         let config = ExecConfig::default()
             .with_batch_size(batch_size)
             .with_num_threads([1, 4][parallel])
-            .with_parallel_threshold(1)
             .with_kernel_mode([KernelMode::Vectorized, KernelMode::Scalar][scalar]);
         let run = |chunk_rows| {
             let (engine, spec) = build_star(seed, fact_rows, skew, &dims, chunk_rows);
@@ -227,9 +227,7 @@ proptest! {
             expected.entry(key).or_default().push(row as u32);
         }
         for workers in [1usize, 2, 4, 8] {
-            let config = ExecConfig::default()
-                .with_num_threads(workers)
-                .with_parallel_threshold(1);
+            let config = ExecConfig::default().with_num_threads(workers);
             let ctx = ExecContext::with_pool(config, Some(WorkerPool::new(workers - 1)));
             let table = JoinTable::build(&ctx, &keys).unwrap();
             prop_assert_eq!(table.num_rows(), keys.len());

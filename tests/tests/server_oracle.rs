@@ -203,7 +203,6 @@ fn server_matches_fresh_single_threaded_sessions() {
                 let config = ExecConfig::default()
                     .with_batch_size(257 + worker * 119)
                     .with_num_threads(1 + worker % 3)
-                    .with_parallel_threshold(1)
                     .with_kernel_mode(kernels);
                 for round in 0..ROUNDS {
                     // Submit the whole round first (tickets outstanding
@@ -311,8 +310,7 @@ fn mixed_scheduling_traffic_matches_oracle() {
             scope.spawn(move || {
                 let config = ExecConfig::default()
                     .with_batch_size(193 + worker * 67)
-                    .with_num_threads(1 + worker % 2)
-                    .with_parallel_threshold(1);
+                    .with_num_threads(1 + worker % 2);
                 for round in 0..ROUNDS {
                     let tickets: Vec<(usize, _)> = (0..cases.len())
                         .map(|i| {
@@ -781,9 +779,7 @@ fn pool_worker_panic_under_concurrent_traffic_is_contained() {
             .with_max_concurrent_queries(3)
             .with_queue_capacity(256),
     );
-    let parallel = ExecConfig::default()
-        .with_num_threads(4)
-        .with_parallel_threshold(1);
+    let parallel = ExecConfig::default().with_num_threads(4);
     let tenants = ["steady", "risky"];
     let good_request = |case: &TrafficCase, tenant: &str| {
         let mut builder = Request::builder()

@@ -369,7 +369,6 @@ fn fault_configs() -> Vec<ExecConfig> {
                 .with_num_threads(threads)
                 .with_kernel_mode(kernel)
                 .with_batch_size(64)
-                .with_parallel_threshold(1)
         })
     });
     cells.collect()

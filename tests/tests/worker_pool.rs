@@ -6,10 +6,11 @@
 use bqo_core::exec::{morsels, run_morsels_with, ExecConfig, WorkerPool};
 use bqo_core::workloads::{star, Scale};
 use bqo_core::{Engine, OptimizerChoice, RunOptions};
-use bqo_integration_tests::env_threads;
+use bqo_integration_tests::{env_threads, Rechunked};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 #[test]
 fn pool_shutdown_and_drop_are_idempotent() {
@@ -98,11 +99,11 @@ fn engine_pool_is_shared_lazy_and_query_results_are_identical() {
         let serial = session
             .execute(&stmt, RunOptions::new().collecting_rows())
             .unwrap();
-        // Forced fan-out on every section (threshold 1) through the
-        // engine-owned pool must reproduce the serial run bit for bit.
+        // 97-row morsels make every scan of over 97 rows fan out through the
+        // engine-owned pool, which must reproduce the serial run bit for bit.
         let config = ExecConfig::default()
             .with_num_threads(threads)
-            .with_parallel_threshold(1);
+            .with_batch_size(97);
         let out = session
             .execute(
                 &stmt,
@@ -156,7 +157,6 @@ fn concurrent_sessions_share_the_engine_pool() {
             scope.spawn(move || {
                 let config = ExecConfig::default()
                     .with_num_threads(2 + worker % 3)
-                    .with_parallel_threshold(1)
                     .with_batch_size(119 + worker * 61);
                 let session = engine.session();
                 for _ in 0..5 {
@@ -190,19 +190,67 @@ fn worker_threads_zero_disables_the_pool_and_runs_inline() {
     let serial = session
         .execute(&stmt, RunOptions::new().collecting_rows())
         .unwrap();
-    // "Parallel" configurations run inline and stay bit-identical.
+    // "Parallel" configurations over many 97-row morsels run inline and
+    // stay bit-identical.
+    let parallel = ExecConfig::default()
+        .with_num_threads(4)
+        .with_batch_size(97);
     let out = session
         .execute(
             &stmt,
             RunOptions::new()
-                .with_exec_config(
-                    ExecConfig::default()
-                        .with_num_threads(4)
-                        .with_parallel_threshold(1),
-                )
+                .with_exec_config(parallel)
                 .collecting_rows(),
         )
         .unwrap();
     assert_eq!(out.result.output_rows, serial.result.output_rows);
     assert_eq!(out.rows, serial.rows);
+}
+
+/// A scan runs one worker per morsel, at most `num_threads`: the star's
+/// 4 000-row fact served as one chunk is read on the calling thread alone,
+/// and served as eight chunks its reads overlap on more than two workers (a
+/// gate of 2 048 rows per worker would cap it at two). Every read sleeps
+/// 1 ms so the workers' reads overlap; a loaded host can still serialise
+/// them, so the eight-chunk scan may start over a bounded number of times.
+#[test]
+fn a_scan_runs_one_worker_per_morsel_up_to_num_threads() {
+    let workload = star::generate(Scale(0.02), 2, 1, 31);
+    let fact = workload.catalog.table("fact").unwrap();
+    assert_eq!(fact.num_rows(), 4_000);
+    let config = ExecConfig::default().with_num_threads(4);
+    let scan = |chunk_rows: usize| {
+        let source = Rechunked::new(Arc::clone(&fact), chunk_rows);
+        let source = Arc::new(source.with_delay(Duration::from_millis(1)));
+        let mut catalog = workload.catalog.clone();
+        catalog.register_source(Arc::clone(&source) as _);
+        let engine = Engine::builder()
+            .catalog(catalog)
+            .worker_threads(3)
+            .build()
+            .unwrap();
+        let stmt = engine
+            .prepare(&workload.queries[0], OptimizerChoice::Bqo)
+            .unwrap();
+        let options = RunOptions::new().with_exec_config(config);
+        engine.session().execute(&stmt, options).unwrap();
+        source
+    };
+
+    let one = scan(4_000);
+    assert_eq!((one.served().0, one.peak_reads()), (1, 1));
+    let readers = one.readers();
+    assert!(
+        readers.iter().all(|name| !name.starts_with("bqo-worker")),
+        "a one-chunk scan ran on a pool worker: {readers:?}"
+    );
+    for attempt in 0.. {
+        assert!(
+            attempt < 16,
+            "an eight-chunk scan never ran three reads at once"
+        );
+        if scan(500).peak_reads() > 2 {
+            break;
+        }
+    }
 }
