@@ -7,8 +7,9 @@
 //! keys, key spans on either side of the direct-addressing density
 //! threshold, composite and `Utf8` keys (matched through digests), a build
 //! side that is itself a join output (multi-relation row ids, with a
-//! composite key whose columns come from two different relations), and four
-//! join levels. The reference evaluates the same tree with nested loops in
+//! composite key whose columns come from two different relations), four
+//! join levels, and a cyclic graph whose composite filter Algorithm 1 leaves
+//! residual at a join. The reference evaluates the same tree with nested loops in
 //! the order a hash join emits (probe rows in order, each one's build
 //! matches in order; build columns first).
 //!
@@ -29,14 +30,14 @@
 use bqo_core::bitvector::{AnyFilter, RangeBitmapFilter};
 use bqo_core::{Engine, OptimizerChoice, QuerySpec, RunOptions};
 use bqo_exec::{
-    Batch, ExecConfig, ExecContext, ExecutionMetrics, JoinTable, KernelMode, PipelineBuilder,
-    WorkerPool,
+    Batch, ExecConfig, ExecContext, ExecutionMetrics, JoinTable, KernelMode, OperatorKind,
+    PipelineBuilder, WorkerPool,
 };
 use bqo_format::{write_table, CatalogExt};
 use bqo_integration_tests::{env_threads, Rechunked};
 use bqo_plan::{
     push_down_bitvectors, ColumnPredicate, ColumnRef, CompareOp, JoinEdge, JoinGraph, JoinNode,
-    JoinTree, PhysicalPlan, RelId, RelSet, RelationInfo,
+    JoinTree, PhysicalNode, PhysicalPlan, RelId, RelSet, RelationInfo,
 };
 use bqo_storage::{Catalog, Column, Table, TableBuilder, Value};
 use std::collections::BTreeSet;
@@ -725,6 +726,64 @@ fn four_join_levels() {
     // A single-`Int64`-key star: each FK column shares its PK's `Arc`.
     assert_eq!(shared_count(&s), 4);
     let rows = assert_matches_reference(&s);
+    assert!(rows > 0, "{rows} reference rows");
+}
+
+/// Figure 1's cycle: `d` joins `a` on `x` and `b` on `y`, and `b` joins `a`
+/// on `a`. Under `d ⋈ (a ⋈ b)` the root's filter probes `(a.x, b.y)`, which
+/// no one scan holds, so Algorithm 1 leaves it residual at `a ⋈ b`: that
+/// join narrows its own output batches with it, and the run records one
+/// `Other` operator for it.
+#[test]
+fn a_cyclic_graph_leaves_one_residual_filter_at_a_join() {
+    let a = int_table(
+        "a",
+        &[
+            ("a", (0..12).collect()),
+            ("x", (0..12).map(|i| i % 4).collect()),
+        ],
+    );
+    let b = int_table(
+        "b",
+        &[
+            ("a", (0..40).map(|i| (i * 7) % 15).collect()),
+            ("y", (0..40).map(|i| i % 5).collect()),
+        ],
+    );
+    // Nine distinct (x, y) pairs out of the twenty that `a ⋈ b` can carry.
+    let d = int_table(
+        "d",
+        &[
+            ("x", (0..9).map(|i| i % 4).collect()),
+            ("y", (0..9).map(|i| (i * 2) % 5).collect()),
+        ],
+    );
+    let s = Scenario::new(
+        "residual",
+        vec![(a, none()), (b, none()), (d, none())],
+        &[(1, "a", 0, "a"), (2, "x", 0, "x"), (2, "y", 1, "y")],
+        JoinTree::join(leaf(2), JoinTree::join(leaf(0), leaf(1))),
+    );
+    let plan = PhysicalPlan::from_join_tree(&s.graph, &s.tree);
+    let plan = push_down_bitvectors(&s.graph, plan);
+    let at_joins = plan
+        .placements
+        .iter()
+        .filter(|p| matches!(plan.node(p.target), PhysicalNode::HashJoin { .. }));
+    assert_eq!(at_joins.count(), 1, "{:?}", plan.placements);
+
+    let oracle_config = ExecConfig::default()
+        .with_num_threads(1)
+        .with_kernel_mode(KernelMode::Scalar);
+    let oracle = run(&s.memory_catalog(), &s, &plan, oracle_config);
+    let others = oracle.metrics.operators.iter();
+    let others: Vec<_> = others.filter(|o| o.kind == OperatorKind::Other).collect();
+    assert_eq!(others.len(), 1, "{:?}", oracle.metrics.operators);
+    let rows = assert_matches_reference(&s);
+    assert_eq!(
+        others[0].output_rows, rows as u64,
+        "the residual keeps exactly the answer"
+    );
     assert!(rows > 0, "{rows} reference rows");
 }
 
