@@ -27,7 +27,7 @@
 //! Composite, `Utf8`, `Float64` and `Bool` keys match on a 64-bit digest
 //! (`row_key`), so two matched rows may carry different key values, and a
 //! `Float64` key compares by bit pattern; none of them is recorded. Pairs
-//! survive [`Batch::join`], [`Batch::filter_select`], `Batch::stack` and
+//! survive [`Batch::join`], [`Batch::keep_rows`], `Batch::stack` and
 //! [`Batch::into_dense`], and the gathers ([`Batch::concat`],
 //! `into_dense`) copy one column per equality class and share its `Arc`
 //! with the rest of the class — a PK–FK answer holds its key values once.
@@ -168,8 +168,8 @@ impl Batch {
     }
 
     /// Restricts this single-relation batch to the given physical row
-    /// indices, replacing any existing selection (use
-    /// [`Batch::filter_select`] to refine logically).
+    /// indices, replacing any existing selection (use [`Batch::keep_rows`]
+    /// to refine logically).
     ///
     /// # Panics
     /// Panics on a multi-relation batch; debug-asserts that every index is
@@ -236,25 +236,21 @@ impl Batch {
         source.and_then(|s| s.rows.as_deref())
     }
 
-    /// Keeps only the logical rows where `mask` is true, materializing a
-    /// dense batch; [`Batch::filter_select`] is the lazy equivalent.
-    pub fn filter(&self, mask: &[bool]) -> Batch {
-        self.clone().filter_select(mask).into_dense()
-    }
-
-    /// Keeps only the logical rows where `mask` is true *without copying any
-    /// column data*: every source's row ids are refined in place. The result
-    /// is logically identical to [`Batch::filter`] on the same mask.
-    pub fn filter_select(mut self, mask: &[bool]) -> Batch {
-        assert_eq!(mask.len(), self.num_rows(), "mask length mismatch");
-        let kept = |(&keep, row): (&bool, u32)| keep.then_some(row);
+    /// Keeps only the logical rows `keep`, in that order, *without copying
+    /// any column data*: every source's row ids are refined as a join
+    /// refines them — how a hash join applies a residual filter.
+    ///
+    /// # Panics
+    /// Panics if the batch has more logical rows than `u32` row ids address;
+    /// debug-asserts that every kept row is one of them.
+    pub fn keep_rows(mut self, keep: &[usize]) -> Batch {
+        assert!(row_id(self.num_rows).is_ok(), "rows outgrow u32 row ids");
+        debug_assert!(keep.iter().all(|&row| row < self.num_rows));
+        let keep: Vec<u32> = keep.iter().map(|&row| row as u32).collect(); // CAST-OK: row < num_rows, which the assert above proved fits u32
         for source in &mut self.sources {
-            source.rows = Some(match source.rows.take() {
-                None => mask.iter().zip(0..).filter_map(kept).collect(),
-                Some(rows) => mask.iter().zip(rows).filter_map(kept).collect(),
-            });
+            *source = source.joined(&keep, 0);
         }
-        self.num_rows = mask.iter().filter(|&&keep| keep).count();
+        self.num_rows = keep.len();
         self
     }
 
@@ -662,7 +658,8 @@ mod tests {
     #[test]
     fn filter_materializes_the_survivors() {
         let b = sample();
-        let filtered = b.filter(&[true, false, true, false]);
+        let filtered = b.keep_rows(&[0, 2]).into_dense();
+        assert!(filtered.is_dense());
         assert_eq!(filtered.num_rows(), 2);
         assert_eq!(
             filtered
@@ -675,30 +672,38 @@ mod tests {
     }
 
     #[test]
-    fn filter_select_matches_filter() {
+    fn keep_rows_selects_without_copying() {
         let b = sample();
-        let mask = [true, false, true, false];
-        let dense = b.filter(&mask);
-        let lazy = b.clone().filter_select(&mask);
+        let lazy = b.clone().keep_rows(&[0, 2]);
         assert!(!lazy.is_dense());
+        assert!(Arc::ptr_eq(&lazy.columns()[0], &b.columns()[0]));
         assert_eq!(lazy.num_rows(), 2);
         assert_eq!(lazy.selection(), Some(&[0u32, 2][..]));
+        let dense = Batch::new(
+            b.schema().to_vec(),
+            vec![
+                Column::Int64(vec![1, 3]),
+                Column::Utf8(vec!["a".into(), "c".into()]),
+            ],
+        );
         assert_eq!(lazy, dense);
         assert_eq!(lazy.into_dense(), dense);
+        // Rows come back in the order they are listed.
+        assert_eq!(b.keep_rows(&[3, 0]).selection(), Some(&[3u32, 0][..]));
     }
 
     #[test]
-    fn filter_select_refines_existing_selection() {
-        let b = sample().filter_select(&[true, true, false, true]); // rows 1,2,4
-        let refined = b.filter_select(&[false, true, true]); // rows 2,4
+    fn keep_rows_refines_existing_selection() {
+        let b = sample().keep_rows(&[0, 1, 3]); // rows 1,2,4
+        let refined = b.keep_rows(&[1, 2]); // rows 2,4
         assert_eq!(refined.selection(), Some(&[1u32, 3][..]));
-        assert_eq!(refined, sample().filter(&[false, true, false, true]));
+        assert_eq!(refined, sample().with_selection(vec![1, 3]));
     }
 
     #[test]
     fn filter_on_selected_batch_compacts() {
-        let b = sample().filter_select(&[true, true, false, true]); // rows 1,2,4
-        let dense = b.filter(&[false, true, true]); // rows 2,4
+        let b = sample().keep_rows(&[0, 1, 3]); // rows 1,2,4
+        let dense = b.keep_rows(&[1, 2]).into_dense(); // rows 2,4
         assert!(dense.is_dense());
         assert_eq!(
             dense
@@ -719,7 +724,7 @@ mod tests {
         assert_eq!(b, full);
         // Zero survivors == empty dense batch with the same schema.
         let none = b.clone().with_selection(Vec::new());
-        let empty_dense = b.filter(&[false; 4]);
+        let empty_dense = b.clone().keep_rows(&[]).into_dense();
         assert_eq!(none, empty_dense);
         assert_eq!(empty_dense, none);
         // Different logical content != equal.
@@ -772,7 +777,7 @@ mod tests {
     fn multi_relation_row_id_batch_equals_its_dense_equivalent() {
         // Build side: a selection; probe side: dense. Duplicates and
         // reordering on both sides.
-        let build = sample().filter_select(&[false, true, true, true]); // ids 2,3,4
+        let build = sample().keep_rows(&[1, 2, 3]); // ids 2,3,4
         let joined = join(&build, &[2, 0, 0], &other(), &[1, 1, 2]);
         assert_eq!(joined.num_sources(), 2);
         assert_eq!(joined.num_rows(), 3);
@@ -795,9 +800,10 @@ mod tests {
         assert_eq!(joined.key_values_vectorized(&refs[..1]), vec![4, 2, 2]);
 
         // Filtering refines every relation's row ids together.
-        let filtered = joined.clone().filter_select(&[true, false, true]);
+        let filtered = joined.clone().keep_rows(&[0, 2]);
+        assert_eq!(filtered.num_sources(), 2);
         assert_eq!(filtered, dense_pairs(&[4, 2], &[1.5, 2.5]));
-        assert_eq!(joined.filter(&[true, false, true]), filtered);
+        assert_eq!(filtered.clone().into_dense(), filtered);
 
         // A join output is itself a valid join input (three relations).
         let again = join(&other(), &[0, 0], &joined, &[2, 0]);
@@ -811,7 +817,7 @@ mod tests {
     #[test]
     fn concat_gathers_a_join_roots_row_id_batches() {
         // A scan root's batches: one selection, readable as is.
-        let selected = sample().filter_select(&[true, false, true, false]);
+        let selected = sample().keep_rows(&[0, 2]);
         assert_eq!(selected.num_sources(), 1);
         assert_eq!(selected.selection(), Some(&[0u32, 2][..]));
         assert_eq!(selected.physical_row(1), 2);
@@ -965,9 +971,7 @@ mod tests {
         assert_eq!(dense.equal, vec![(0, 2)]);
 
         // Row refinement and stacking keep the pair; a later join shifts it.
-        let filtered = joined
-            .clone()
-            .filter_select(&[true, false, true, true, false]);
+        let filtered = joined.clone().keep_rows(&[0, 2, 3]);
         assert_eq!(filtered.equal, vec![(0, 2)]);
         let stacked = Batch::stack(vec![joined.clone(), filtered.clone()]).unwrap();
         assert_eq!(stacked.equal, vec![(0, 2)]);
@@ -1022,10 +1026,10 @@ mod tests {
     fn stack_concatenates_row_ids_without_copying_values() {
         let b = sample();
         let stacked = Batch::stack(vec![
-            b.clone().filter_select(&[false, false, true, false]), // id 3
-            b.clone().with_selection(Vec::new()),                  // nothing
-            b.clone().with_selection(vec![1, 1, 0]),               // ids 2,2,1
-            b.clone(),                                             // dense: 1,2,3,4
+            b.clone().keep_rows(&[2]),               // id 3
+            b.clone().with_selection(Vec::new()),    // nothing
+            b.clone().with_selection(vec![1, 1, 0]), // ids 2,2,1
+            b.clone(),                               // dense: 1,2,3,4
         ])
         .unwrap();
         assert!(Arc::ptr_eq(&stacked.columns()[0], &b.columns()[0]));
@@ -1048,7 +1052,7 @@ mod tests {
     #[test]
     fn stack_falls_back_to_values_for_batches_over_different_columns() {
         // Equal contents, separately allocated columns.
-        let stacked = Batch::stack(vec![sample().filter(&[true; 4]), sample()]).unwrap();
+        let stacked = Batch::stack(vec![sample(), sample()]).unwrap();
         assert!(stacked.is_dense());
         let ids = [ColumnRef::new(RelId(0), "id")];
         assert_eq!(stacked.key_values(&ids), vec![1, 2, 3, 4, 1, 2, 3, 4]);
@@ -1063,7 +1067,7 @@ mod tests {
 
     #[test]
     fn key_values_respect_selection() {
-        let b = sample().filter_select(&[false, true, false, true]);
+        let b = sample().keep_rows(&[1, 3]);
         let refs = [ColumnRef::new(RelId(0), "id")];
         assert_eq!(b.key_values(&refs), vec![2, 4]);
         assert_eq!(b.key_values_vectorized(&refs), vec![2, 4]);
@@ -1169,14 +1173,14 @@ mod tests {
         // zero-survivor batches contribute nothing — regression test for the
         // selection-aware concat bugfix.
         let stacked = Batch::concat(vec![
-            b.clone().filter_select(&[true, false, false, false]), // row 1
-            b.clone().with_selection(Vec::new()),                  // nothing
-            b.clone().filter_select(&[false, true, true, true]),   // rows 2,3,4
+            b.clone().keep_rows(&[0]),            // row 1
+            b.clone().with_selection(Vec::new()), // nothing
+            b.clone().keep_rows(&[1, 2, 3]),      // rows 2,3,4
         ]);
         assert!(stacked.is_dense());
         assert_eq!(stacked, b);
         // A lone selected batch compacts too.
-        let single = Batch::concat(vec![b.clone().filter_select(&[false, true, false, false])]);
+        let single = Batch::concat(vec![b.clone().keep_rows(&[1])]);
         assert!(single.is_dense());
         assert_eq!(single.num_rows(), 1);
         // Leading zero-survivor batch followed by dense rows.

@@ -31,10 +31,9 @@
 //! ascending order, so every key's row list is ascending (the determinism
 //! contract `parallel_properties` pins). The whole build — the unique pass,
 //! the hashed shape's slot assignment (the index's find-or-insert pass) and
-//! the scatter — runs on the thread that opens the join, so the layout never
-//! depends on the worker count.
+//! the scatter — sees only the keys: it runs on the thread that opens the
+//! join, which checks for cancellation first, and never sees a worker count.
 
-use crate::pipeline::ExecContext;
 use bqo_bitvector::{dense_span, KeyIndex, RangeBitmapFilter};
 use bqo_storage::StorageError;
 use std::sync::Arc;
@@ -128,15 +127,14 @@ impl Default for JoinTable {
 
 impl JoinTable {
     /// Builds the table over `keys`, where `keys[row]` is the collapsed join
-    /// key of build row `row`, on the calling thread after one cancellation
-    /// check; fails with [`StorageError::RowIdOverflow`] for more rows than
-    /// `u32` row ids address, or `Cancelled`.
-    pub fn build(ctx: &ExecContext, keys: &[i64]) -> Result<JoinTable, StorageError> {
+    /// key of build row `row`, on the calling thread; fails with
+    /// [`StorageError::RowIdOverflow`] for more rows than `u32` row ids
+    /// address.
+    pub fn build(keys: &[i64]) -> Result<JoinTable, StorageError> {
         row_id(keys.len())?;
         if keys.is_empty() {
             return Ok(JoinTable::default());
         }
-        ctx.check_cancelled()?;
         let layout = match dense_span(keys) {
             Some((min, span)) => match unique_rows(min, span, keys) {
                 Some(row_of) => Layout::Unique { min, row_of },
@@ -292,20 +290,8 @@ mod tests {
     use super::*;
     use crate::executor::{ExecConfig, KernelMode};
     use crate::kernels::join_probe;
-    use crate::pool::WorkerPool;
     use bqo_bitvector::BitvectorFilter;
     use std::collections::HashMap;
-
-    fn serial() -> ExecContext {
-        ExecContext::new(ExecConfig::default())
-    }
-
-    /// A context with `workers` pooled workers: the build runs on the calling
-    /// thread and must not depend on them.
-    fn with_workers(workers: usize) -> ExecContext {
-        let config = ExecConfig::default().with_num_threads(workers);
-        ExecContext::with_pool(config, Some(WorkerPool::new(workers - 1)))
-    }
 
     /// `key -> ascending rows`, the slow way.
     fn reference(keys: &[i64], key: i64) -> Vec<u32> {
@@ -317,16 +303,6 @@ mod tests {
         assert_eq!(table.num_rows(), keys.len());
         for &key in keys.iter().chain(probes) {
             assert_eq!(table.get(key), reference(keys, key), "key {key}");
-        }
-    }
-
-    /// Every array of the table's layout, for layout-equality checks.
-    fn arrays(table: &JoinTable) -> Vec<&[u32]> {
-        match &table.layout {
-            Layout::Unique { row_of, .. } => vec![row_of],
-            Layout::Direct { csr, .. } | Layout::Hashed { csr, .. } => {
-                vec![&csr.offsets, &csr.rows]
-            }
         }
     }
 
@@ -345,7 +321,7 @@ mod tests {
 
     #[test]
     fn empty_build_side_misses_everything() {
-        let table = JoinTable::build(&serial(), &[]).unwrap();
+        let table = JoinTable::build(&[]).unwrap();
         assert_eq!(table.num_rows(), 0);
         assert!(table.get(0).is_empty());
         assert!(table.get(i64::MIN).is_empty());
@@ -354,7 +330,7 @@ mod tests {
     #[test]
     fn dense_keys_are_addressed_directly() {
         let keys = [7, 3, 7, 5, 3, 7, -2];
-        let table = JoinTable::build(&serial(), &keys).unwrap();
+        let table = JoinTable::build(&keys).unwrap();
         assert!(table.is_direct() && !table.is_unique());
         assert_matches_reference(&table, &keys, &[-3, 4, 8, i64::MIN, i64::MAX]);
         assert_eq!(table.get(7), &[0, 2, 5]);
@@ -363,7 +339,7 @@ mod tests {
     #[test]
     fn sparse_and_extreme_keys_are_hashed() {
         let keys = [i64::MAX, i64::MIN, 0, i64::MAX, 1 << 40, i64::MIN + 1, 0];
-        let table = JoinTable::build(&serial(), &keys).unwrap();
+        let table = JoinTable::build(&keys).unwrap();
         assert!(!table.is_direct());
         assert_matches_reference(&table, &keys, &[1, -1, i64::MAX - 1, 1 << 41]);
     }
@@ -371,10 +347,10 @@ mod tests {
     #[test]
     fn density_threshold_decides_the_index() {
         // Span 64 per key is the last dense span; 65 is sparse.
-        assert!(JoinTable::build(&serial(), &[0, 127]).unwrap().is_direct());
-        assert!(!JoinTable::build(&serial(), &[0, 128]).unwrap().is_direct());
+        assert!(JoinTable::build(&[0, 127]).unwrap().is_direct());
+        assert!(!JoinTable::build(&[0, 128]).unwrap().is_direct());
         for keys in [[0i64, 127], [0, 128]] {
-            let table = JoinTable::build(&serial(), &keys).unwrap();
+            let table = JoinTable::build(&keys).unwrap();
             assert_matches_reference(&table, &keys, &[-1, 1, 126, 129]);
         }
     }
@@ -382,7 +358,7 @@ mod tests {
     #[test]
     fn a_hashed_table_publishes_a_bitmap_within_two_to_the_twenty_bits() {
         let filter_of = |keys: &[i64]| {
-            let table = JoinTable::build(&serial(), keys).unwrap();
+            let table = JoinTable::build(keys).unwrap();
             assert!(!table.is_direct(), "{keys:?}");
             table.filter(keys)
         };
@@ -399,32 +375,17 @@ mod tests {
 
     #[test]
     fn probe_pairs_every_match_in_probe_then_build_order() {
-        let table = JoinTable::build(&serial(), &[5, 6, 5]).unwrap();
+        let table = JoinTable::build(&[5, 6, 5]).unwrap();
         let (mut build, mut probe) = (Vec::new(), Vec::new());
         table.probe(&[6, 9, 5, 5], &mut build, &mut probe);
         assert_eq!(build, vec![1, 0, 2, 0, 2]);
         assert_eq!(probe, vec![0, 2, 2, 3, 3]);
 
-        let unique = JoinTable::build(&serial(), &[5, 6, 4]).unwrap();
+        let unique = JoinTable::build(&[5, 6, 4]).unwrap();
         let (mut build, mut probe) = (Vec::new(), Vec::new());
         unique.probe(&[6, 9, 5, 3, 4], &mut build, &mut probe);
         assert_eq!(build, vec![1, 0, 2]);
         assert_eq!(probe, vec![0, 2, 4]);
-    }
-
-    #[test]
-    fn worker_count_does_not_change_the_table() {
-        let dense: Vec<i64> = (0..5000).map(|i| (i * 7919) % 613).collect();
-        let sparse: Vec<i64> = dense.iter().map(|k| k * 1_000_003_i64.pow(2)).collect();
-        let unique: Vec<i64> = (0..5000).map(|i| (i * 7919) % 5003).collect();
-        for keys in [dense, sparse, unique] {
-            let expected = JoinTable::build(&serial(), &keys).unwrap();
-            for workers in [2usize, 4, 8] {
-                let table = JoinTable::build(&with_workers(workers), &keys).unwrap();
-                assert_eq!(table.is_unique(), expected.is_unique());
-                assert_eq!(arrays(&table), arrays(&expected), "{workers} workers");
-            }
-        }
     }
 
     /// The name of the table's layout.
@@ -470,8 +431,8 @@ mod tests {
 
     /// `get`, the vectorized `probe`, the scalar `join_probe` loop and
     /// `filter()` against a `HashMap<i64, Vec<u32>>` reference, for every
-    /// layout case under contexts of 1, 2, 4 and 8 workers; unique dense
-    /// keys take the unique layout and any duplicate takes a CSR.
+    /// layout case; unique dense keys take the unique layout and any
+    /// duplicate takes a CSR.
     #[test]
     fn every_layout_matches_a_hash_map_reference() {
         for (name, keys, layout) in layout_cases() {
@@ -492,27 +453,24 @@ mod tests {
                 want_probe.extend(matches(&key).iter().map(|_| probe_row));
             }
             let want = (want_build, want_probe);
-            for workers in [1usize, 2, 4, 8] {
-                let cell = format!("{name}, {workers} worker(s)");
-                let table = JoinTable::build(&with_workers(workers), &keys).unwrap();
-                assert_eq!(layout_of(&table), layout, "{cell}");
-                assert_eq!(table.num_rows(), keys.len(), "{cell}");
-                for key in &probes {
-                    assert_eq!(table.get(*key), matches(key), "{cell}: key {key}");
-                }
-                let (mut build, mut probe) = (Vec::new(), Vec::new());
-                table.probe(&probes, &mut build, &mut probe);
-                assert_eq!((build, probe), want, "{cell}: probe");
-                for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
-                    let config = ExecConfig::default().with_kernel_mode(mode);
-                    let got = join_probe(&config, &table, &probes);
-                    assert_eq!(got, want, "{cell}: {mode:?} join_probe");
-                }
-                let filter = table.filter(&keys);
-                for key in &probes {
-                    let member = expected.contains_key(key);
-                    assert_eq!(filter.maybe_contains(*key), member, "{cell}: filter {key}");
-                }
+            let table = JoinTable::build(&keys).unwrap();
+            assert_eq!(layout_of(&table), layout, "{name}");
+            assert_eq!(table.num_rows(), keys.len(), "{name}");
+            for key in &probes {
+                assert_eq!(table.get(*key), matches(key), "{name}: key {key}");
+            }
+            let (mut build, mut probe) = (Vec::new(), Vec::new());
+            table.probe(&probes, &mut build, &mut probe);
+            assert_eq!((build, probe), want, "{name}: probe");
+            for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                let config = ExecConfig::default().with_kernel_mode(mode);
+                let got = join_probe(&config, &table, &probes);
+                assert_eq!(got, want, "{name}: {mode:?} join_probe");
+            }
+            let filter = table.filter(&keys);
+            for key in &probes {
+                let member = expected.contains_key(key);
+                assert_eq!(filter.maybe_contains(*key), member, "{name}: filter {key}");
             }
         }
     }

@@ -31,7 +31,7 @@
 //! over word-aligned and ragged lengths.
 //!
 //! Operators never look at the mode. They call the config-taking functions
-//! below ([`scan_morsel`], [`batch_keys`], [`probe_mask`], [`join_probe`]),
+//! below ([`scan_morsel`], [`batch_keys`], [`probe_range`], [`join_probe`]),
 //! and every `Scalar`/`Vectorized` `match` lives in this file.
 
 use crate::batch::{gather_keys, row_key, Batch};
@@ -125,10 +125,10 @@ fn retain(
     }
 }
 
-/// [`retain`] over every row of `rows`, without listing them first when it
-/// can: one `Int64` key column is probed straight from its contiguous
-/// values, and the survivors are read off the word mask.
-fn probe_range(
+/// `retain` over every row of `rows`, without listing them first when it
+/// can: one `Int64` key column (a residual filter's gathered keys, too) is
+/// probed straight from its values, and survivors are read off the word mask.
+pub fn probe_range(
     config: &ExecConfig,
     filter: &AnyFilter,
     columns: &[&Column],
@@ -183,22 +183,6 @@ pub(crate) fn batch_keys(config: &ExecConfig, batch: &Batch, columns: &[ColumnRe
     }
 }
 
-/// The keep-mask of `filter` over `keys`, recording one probe per key in
-/// `stats` — the hash join's residual-filter kernel.
-pub(crate) fn probe_mask(
-    config: &ExecConfig,
-    filter: &AnyFilter,
-    keys: &[i64],
-    stats: &mut FilterStats,
-) -> Vec<bool> {
-    match config.kernel_mode {
-        KernelMode::Scalar => mask_scalar(filter, keys, stats),
-        KernelMode::Vectorized => {
-            probe_mask_range(filter, keys, stats, &mut ProbeScratch::default())
-        }
-    }
-}
-
 /// The hash join's probe kernel over `keys`: every `(build row, probe row)`
 /// match pair as two parallel lists, probe rows in order and each key's
 /// build rows ascending. A probe row's id is its position in `keys`, whose
@@ -231,21 +215,6 @@ fn retain_scalar<F: BitvectorFilter + ?Sized>(
         stats.record(!keep);
         keep
     });
-}
-
-/// The scalar oracle's mask loop: one `maybe_contains` per key.
-fn mask_scalar<F: BitvectorFilter + ?Sized>(
-    filter: &F,
-    keys: &[i64],
-    stats: &mut FilterStats,
-) -> Vec<bool> {
-    keys.iter()
-        .map(|&k| {
-            let keep = filter.maybe_contains(k);
-            stats.record(!keep);
-            keep
-        })
-        .collect()
 }
 
 /// Minimum candidate count before the word-level path engages; below it the
@@ -282,28 +251,6 @@ pub fn probe_retain<F: BitvectorFilter + ?Sized>(
     let kept = compact_by_mask(rows, &scratch.words);
     stats.probed += before as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
     stats.eliminated += (before - kept) as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
-}
-
-/// Vectorized mask computation: returns the keep-mask for `keys` and records
-/// one probe per key — the word-level equivalent of mapping `maybe_contains`
-/// over them. Used by the hash join's residual filters, whose output feeds
-/// [`crate::Batch::filter_select`].
-pub fn probe_mask_range<F: BitvectorFilter + ?Sized>(
-    filter: &F,
-    keys: &[i64],
-    stats: &mut FilterStats,
-    scratch: &mut ProbeScratch,
-) -> Vec<bool> {
-    if keys.len() < VECTOR_MIN_ROWS {
-        return mask_scalar(filter, keys, stats);
-    }
-    filter.probe_words(keys, &mut scratch.words);
-    let mut mask = vec![false; keys.len()];
-    for_each_set_bit(&scratch.words, |i| mask[i] = true);
-    let kept: usize = scratch.words.iter().map(|w| w.count_ones() as usize).sum(); // CAST-OK: popcount <= 64 fits usize
-    stats.probed += keys.len() as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
-    stats.eliminated += (keys.len() - kept) as u64; // CAST-OK: usize widens losslessly into u64 on supported targets
-    mask
 }
 
 /// Compacts `rows` in place keeping index `i` iff bit `i % 64` of word
@@ -431,25 +378,36 @@ mod tests {
     }
 
     #[test]
-    fn probe_mask_range_matches_scalar_map() {
+    fn probe_range_over_gathered_keys_matches_scalar_loop() {
+        // A residual filter's keys: gathered into one `Int64` column and
+        // probed over all of its rows.
         let keys: Vec<i64> = (0..300).map(|i| i % 7).collect();
         let filter = AnyFilter::from_keys(FilterKind::Bitmap, &[0, 2, 4]);
         let mut scratch = ProbeScratch::default();
-        for (start, end) in [
-            (0usize, 0usize),
-            (0, 1),
-            (5, 20),
-            (0, 64),
-            (10, 75),
-            (0, 300),
-        ] {
-            let mut scalar_stats = FilterStats::new();
-            let scalar_mask = mask_scalar(&filter, &keys[start..end], &mut scalar_stats);
-            let mut vec_stats = FilterStats::new();
-            let range = &keys[start..end];
-            let mask = probe_mask_range(&filter, range, &mut vec_stats, &mut scratch);
-            assert_eq!(mask, scalar_mask, "range {start}..{end}");
-            assert_eq!(vec_stats, scalar_stats, "range {start}..{end}");
+        for len in [0usize, 1, 15, 16, 63, 64, 65, 300] {
+            let column = Column::Int64(keys[..len].to_vec());
+            let mut expected_stats = FilterStats::new();
+            let expected: Vec<usize> = (0..len)
+                .filter(|&row| {
+                    let keep = filter.maybe_contains(keys[row]);
+                    expected_stats.record(!keep);
+                    keep
+                })
+                .collect();
+            for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+                let config = ExecConfig::default().with_kernel_mode(mode);
+                let mut stats = FilterStats::new();
+                let kept = probe_range(
+                    &config,
+                    &filter,
+                    &[&column],
+                    0..len,
+                    &mut stats,
+                    &mut scratch,
+                );
+                assert_eq!(kept, expected, "{mode:?} len {len}");
+                assert_eq!(stats, expected_stats, "{mode:?} len {len}");
+            }
         }
     }
 

@@ -15,7 +15,8 @@
 //! * a [`PipelineBuilder`] lowering a `PhysicalPlan + JoinGraph` into the
 //!   operator tree without cloning plan payloads,
 //! * bitvector filters applied wherever Algorithm 1 placed them (scans or
-//!   residual positions above joins),
+//!   residual positions above joins), probed by one range kernel and
+//!   narrowing rows one way — row lists, never a `bool` mask,
 //! * **morsel-driven parallelism at one granularity** ([`run_morsels_with`]):
 //!   the scan's predicate and filter-probe evaluation is the one parallel
 //!   section — a shared-state-free kernel over row morsels (a batch of an
@@ -104,5 +105,5 @@ pub use pool::WorkerPool;
 // scalar references, and that the pool runtime suite (`worker_pool`) drives
 // the pool with directly.
 pub use batch::{gather_keys, row_key};
-pub use kernels::{join_probe, probe_mask_range, probe_retain, ProbeScratch};
+pub use kernels::{join_probe, probe_range, probe_retain, ProbeScratch};
 pub use morsel::{morsels, run_morsels_with, Morsel};

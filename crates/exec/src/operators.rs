@@ -43,7 +43,9 @@
 
 use crate::batch::Batch;
 use crate::join_table::{row_id, JoinTable};
-use crate::kernels::{batch_keys, join_probe, probe_mask, scan_batch, scan_morsel, ScanFilter};
+use crate::kernels::{
+    batch_keys, join_probe, probe_range, scan_batch, scan_morsel, ProbeScratch, ScanFilter,
+};
 use crate::metrics::OperatorKind;
 use crate::morsel::{morsels, Morsel};
 use crate::pipeline::ExecContext;
@@ -427,8 +429,9 @@ impl PhysicalOperator for ScanOp<'_> {
 /// pairing build and probe row ids (`Batch::join`): a unique-key table that
 /// matched every probe row is an identity probe, and the output adopts the
 /// probe batch's row ids; an exact single-`Int64` key is recorded as an
-/// equality pair, so the answer gathers it once. Residual bitvector filters
-/// targeted at this join's output refine each output batch's row ids.
+/// equality pair, so the answer gathers it once. A residual bitvector filter
+/// targeted at this join's output probes its gathered keys with the scan's
+/// range kernel, and the kept rows refine every source's row ids.
 pub(crate) struct HashJoinOp<'p> {
     node: NodeId,
     build: Box<dyn PhysicalOperator + 'p>,
@@ -527,10 +530,15 @@ impl PhysicalOperator for HashJoinOp<'_> {
         self.build_batch = Batch::stack(batches)?;
 
         // 2. Gather the build keys, once, and index them in the flat table
-        //    (row lists ascending).
+        //    (row lists ascending): row ids checked, then one cancellation
+        //    check unless the build side is empty.
         let build_keys = batch_keys(&ctx.config, &self.build_batch, &self.build_key_cols);
         self.build_rows = build_keys.len() as u64;
-        self.table = JoinTable::build(ctx, &build_keys)?;
+        row_id(build_keys.len())?;
+        if !build_keys.is_empty() {
+            ctx.check_cancelled()?;
+        }
+        self.table = JoinTable::build(&build_keys)?;
 
         // 3. Publish the bitvector filter sourced at this join (Algorithm 1
         //    places it exactly once), so it is in place before any
@@ -581,9 +589,13 @@ impl PhysicalOperator for HashJoinOp<'_> {
                 let Some(filter) = ctx.filter(idx) else {
                     continue;
                 };
-                let keys = batch_keys(&config, &output, &placement.probe_columns);
-                let mut stats = FilterStats::new();
-                output = output.filter_select(&probe_mask(&config, filter, &keys, &mut stats));
+                // The keys as one `Int64` column, probed by the scan's kernel.
+                let keys = Column::Int64(batch_keys(&config, &output, &placement.probe_columns));
+                let (rows, mut stats) = (0..keys.len(), FilterStats::new());
+                row_id(rows.len())?;
+                let scratch = &mut ProbeScratch::default();
+                let kept = probe_range(&config, filter, &[&keys], rows, &mut stats, scratch);
+                output = output.keep_rows(&kept);
                 ctx.merge_filter_stats(&stats);
                 self.residual_rows[slot].0 += output.num_rows() as u64;
                 self.residual_rows[slot].1 = true;

@@ -200,16 +200,6 @@ impl ColumnPredicate {
         self.run(column, Rows::List(rows));
     }
 
-    /// Evaluates the predicate against every row of a column, producing a
-    /// selection mask.
-    pub fn evaluate(&self, column: &Column) -> Vec<bool> {
-        let mut mask = vec![false; column.len()];
-        for row in self.select(column, 0..column.len()) {
-            mask[row] = true;
-        }
-        mask
-    }
-
     /// The one selection entry: resolves the column type, the literal and
     /// the operator once, then runs `pass` with a per-row test over the
     /// typed values.
@@ -404,6 +394,11 @@ mod tests {
     use bqo_storage::Column;
     use proptest::prelude::*;
 
+    /// Every row of `column` that `p` selects.
+    fn selected(p: &ColumnPredicate, column: &Column) -> Vec<usize> {
+        p.select(column, 0..column.len())
+    }
+
     #[test]
     fn select_by_ranges_and_retain_match_the_whole_column_pass() {
         let c = Column::from(vec![3i64, 1, 4, 1, 5, 9, 2, 6]);
@@ -416,10 +411,7 @@ mod tests {
             CompareOp::Ge,
         ] {
             let p = ColumnPredicate::new("x", op, 4i64);
-            let whole = p.select(&c, 0..c.len());
-            let mask = p.evaluate(&c);
-            let from_mask: Vec<usize> = (0..c.len()).filter(|&r| mask[r]).collect();
-            assert_eq!(whole, from_mask, "{op:?}");
+            let whole = selected(&p, &c);
             // Any partitioning into ranges reproduces the whole-column pass.
             for split in 0..=c.len() {
                 let mut stitched = p.select(&c, 0..split);
@@ -441,57 +433,40 @@ mod tests {
     #[test]
     fn evaluate_int_comparisons() {
         let c = Column::from(vec![1i64, 5, 10]);
-        assert_eq!(
-            ColumnPredicate::new("x", CompareOp::Lt, 5i64).evaluate(&c),
-            vec![true, false, false]
-        );
-        assert_eq!(
-            ColumnPredicate::new("x", CompareOp::Le, 5i64).evaluate(&c),
-            vec![true, true, false]
-        );
-        assert_eq!(
-            ColumnPredicate::new("x", CompareOp::Eq, 5i64).evaluate(&c),
-            vec![false, true, false]
-        );
-        assert_eq!(
-            ColumnPredicate::new("x", CompareOp::NotEq, 5i64).evaluate(&c),
-            vec![true, false, true]
-        );
-        assert_eq!(
-            ColumnPredicate::new("x", CompareOp::Ge, 5i64).evaluate(&c),
-            vec![false, true, true]
-        );
-        assert_eq!(
-            ColumnPredicate::new("x", CompareOp::Gt, 5i64).evaluate(&c),
-            vec![false, false, true]
-        );
+        let rows = |op| selected(&ColumnPredicate::new("x", op, 5i64), &c);
+        assert_eq!(rows(CompareOp::Lt), [0]);
+        assert_eq!(rows(CompareOp::Le), [0, 1]);
+        assert_eq!(rows(CompareOp::Eq), [1]);
+        assert_eq!(rows(CompareOp::NotEq), [0, 2]);
+        assert_eq!(rows(CompareOp::Ge), [1, 2]);
+        assert_eq!(rows(CompareOp::Gt), [2]);
     }
 
     #[test]
     fn evaluate_mixed_numeric_types() {
         let c = Column::from(vec![1.0f64, 2.5, 4.0]);
-        let mask = ColumnPredicate::new("x", CompareOp::Gt, 2i64).evaluate(&c);
-        assert_eq!(mask, vec![false, true, true]);
+        let p = ColumnPredicate::new("x", CompareOp::Gt, 2i64);
+        assert_eq!(selected(&p, &c), [1, 2]);
         let ci = Column::from(vec![1i64, 3]);
-        let mask = ColumnPredicate::new("x", CompareOp::Lt, 2.5f64).evaluate(&ci);
-        assert_eq!(mask, vec![true, false]);
+        let p = ColumnPredicate::new("x", CompareOp::Lt, 2.5f64);
+        assert_eq!(selected(&p, &ci), [0]);
     }
 
     #[test]
     fn evaluate_strings_and_bools() {
         let c = Column::from(vec!["apple".to_string(), "banana".into()]);
-        let mask = ColumnPredicate::new("s", CompareOp::Eq, "banana").evaluate(&c);
-        assert_eq!(mask, vec![false, true]);
+        let p = ColumnPredicate::new("s", CompareOp::Eq, "banana");
+        assert_eq!(selected(&p, &c), [1]);
         let b = Column::from(vec![true, false, true]);
-        let mask = ColumnPredicate::new("b", CompareOp::Eq, true).evaluate(&b);
-        assert_eq!(mask, vec![true, false, true]);
+        let p = ColumnPredicate::new("b", CompareOp::Eq, true);
+        assert_eq!(selected(&p, &b), [0, 2]);
     }
 
     #[test]
     fn type_mismatch_selects_nothing() {
         let c = Column::from(vec![1i64, 2]);
-        let mask = ColumnPredicate::new("x", CompareOp::Eq, "oops").evaluate(&c);
-        assert_eq!(mask, vec![false, false]);
+        let p = ColumnPredicate::new("x", CompareOp::Eq, "oops");
+        assert!(selected(&p, &c).is_empty());
     }
 
     #[test]
@@ -561,7 +536,7 @@ mod tests {
                     };
                     if !p.range_may_pass(&min, &max) {
                         assert!(
-                            p.evaluate(column).iter().all(|&m| !m),
+                            selected(&p, column).is_empty(),
                             "pruned a passing chunk: {p} over {min:?}..{max:?}"
                         );
                     }
@@ -613,7 +588,7 @@ mod tests {
     fn unbound_parameter_selects_nothing_and_estimates_a_default() {
         let c = Column::from(vec![1i64, 2, 3]);
         let p = ColumnPredicate::param("x", CompareOp::Lt, "b");
-        assert_eq!(p.evaluate(&c), vec![false, false, false]);
+        assert!(selected(&p, &c).is_empty());
         let stats = bqo_storage::ColumnStats::compute(&c);
         let sel = p.estimate_selectivity(&stats);
         assert!(sel > 0.0 && sel <= 1.0);

@@ -137,19 +137,17 @@ fn reference(s: &Scenario, node: usize) -> (Vec<ColumnRef>, Vec<Vec<Value>>) {
     match s.tree.node(node) {
         JoinNode::Leaf(relation) => {
             let table = &s.tables[relation.0];
-            let mut keep = vec![true; table.num_rows()];
+            let mut keep: Vec<usize> = (0..table.num_rows()).collect();
             for predicate in &s.graph.relation(relation).predicates {
                 let column = table.column(&predicate.column).expect("predicate column");
-                for (keep, pass) in keep.iter_mut().zip(predicate.evaluate(column)) {
-                    *keep &= pass;
-                }
+                let selected = predicate.select(column, 0..column.len());
+                keep.retain(|row| selected.contains(row));
             }
             let fields = table.schema().fields();
             let schema = fields
                 .iter()
                 .map(|f| ColumnRef::new(relation, f.name.clone()));
-            let rows = (0..table.num_rows())
-                .filter(|&row| keep[row])
+            let rows = (keep.into_iter())
                 .map(|row| table.columns().iter().map(|c| c.value(row)).collect());
             (schema.collect(), rows.collect())
         }
@@ -502,8 +500,7 @@ fn key_spans_on_both_sides_of_the_density_threshold() {
     // 4 build rows: a span of 256 is the last direct-addressed one.
     for (name, top) in [("dense-span", 255), ("sparse-span", 256)] {
         let build = vec![0, 17, 17, top];
-        let ctx = ExecContext::new(ExecConfig::default());
-        let table = JoinTable::build(&ctx, &build).expect("table");
+        let table = JoinTable::build(&build).expect("table");
         assert_eq!(table.is_direct(), top == 255, "{name}");
         let probe = (-5..270).step_by(3).chain([17, top, 0]).collect();
         assert!(assert_matches_reference(&two_way(name, build, none(), probe, none())) > 0);
@@ -521,8 +518,7 @@ fn hashed_table_and_its_published_filter_share_one_index() {
         RangeBitmapFilter::Bitmap { .. } => panic!("sparse keys took the dense bitmap"),
     };
     let build = vec![0, 1 << 40, -(1 << 50), 1 << 40];
-    let ctx = ExecContext::new(ExecConfig::default());
-    let table = JoinTable::build(&ctx, &build).expect("table");
+    let table = JoinTable::build(&build).expect("table");
     assert!(!table.is_direct());
     let (first, second) = (sparse(&table.filter(&build)), sparse(&table.filter(&build)));
     assert!(Arc::ptr_eq(&first, &second));

@@ -15,17 +15,17 @@
 //! * chunked composite-key hashing (`fold_parts` / `gather_keys` /
 //!   `Batch::key_values_vectorized`) against `combine_key` / `row_key` /
 //!   `Batch::key_values`,
-//! * selection-vector filtering (`Batch::filter_select` + `into_dense`)
-//!   against the dense `Batch::filter`,
+//! * row-id narrowing (`Batch::keep_rows`, twice over) against a dense
+//!   `Batch::new` of the kept cells,
 //! * the one gather (`Batch::concat` over multi-source row-id batches, with
 //!   and without equality pairs) against densifying each batch and
 //!   appending cell by cell,
 //! * the join table's three layouts (unique, direct and hashed): `get`,
 //!   the vectorized and scalar probes and the filter view against a
-//!   `HashMap` reference at 1, 2, 4 and 8 build workers, and
-//! * the executor-facing retain/mask kernels (`probe_retain`,
-//!   `probe_mask_range`) against the scalar retain/map loops, including
-//!   their `FilterStats` accounting,
+//!   `HashMap` reference, and
+//! * the executor-facing kernels (`probe_retain`, and `probe_range` over
+//!   gathered keys as a residual filter runs it) against the scalar
+//!   `maybe_contains` loops, including their `FilterStats` accounting,
 //!
 //! over word-aligned and ragged lengths (0, 1, 63/64/65, non-word-aligned
 //! tails), all-pass and all-fail selections, and randomized inputs. An
@@ -38,8 +38,8 @@ use bqo_core::bitvector::{combine_key, fold_parts};
 use bqo_core::bitvector::{AnyFilter, BitvectorFilter, FilterKind, FilterStats};
 
 use bqo_core::exec::{
-    gather_keys, join_probe, probe_mask_range, probe_retain, row_key, Batch, ExecConfig,
-    ExecContext, JoinTable, KernelMode, ProbeScratch, WorkerPool,
+    gather_keys, join_probe, probe_range, probe_retain, row_key, Batch, ExecConfig, JoinTable,
+    KernelMode, ProbeScratch,
 };
 use bqo_core::storage::DataGenerator;
 use bqo_core::storage::{Catalog, Column, Value};
@@ -64,18 +64,9 @@ const NUM_FILTER_SHAPES: usize = 9;
 /// distinct keys are more than 64 slots apart.
 const MEDIUM_STRIDE: i64 = 509;
 
-/// A context over `BQO_TEST_THREADS` workers. A table builds on the calling
-/// thread, so no table may depend on the worker count.
-fn table_ctx() -> ExecContext {
-    let threads = env_threads();
-    let config = ExecConfig::default().with_num_threads(threads);
-    let pool = (threads > 1).then(|| WorkerPool::new(threads - 1));
-    ExecContext::with_pool(config, pool)
-}
-
 /// The filter view of the join table built over `keys`.
 fn table_view(keys: &[i64]) -> AnyFilter {
-    let table = JoinTable::build(&table_ctx(), keys).expect("join table");
+    let table = JoinTable::build(keys).expect("join table");
     AnyFilter::Bitmap(table.filter(keys))
 }
 
@@ -120,7 +111,7 @@ fn spread_shapes_take_the_representation_they_test() {
         assert!(is_dense(&build_filter(shape, &members)), "shape {shape}");
     }
     let medium: Vec<i64> = members.iter().map(|&k| probe_key(8, k)).collect();
-    let table = JoinTable::build(&table_ctx(), &medium).expect("join table");
+    let table = JoinTable::build(&medium).expect("join table");
     assert!(!table.is_direct());
 }
 
@@ -322,37 +313,39 @@ proptest! {
         }
     }
 
-    /// Selection-vector filtering is invisible: `filter_select` + densify
-    /// equals the dense `filter`, stacking across two rounds of masks, and
-    /// the vectorized key extraction agrees on the surviving selection.
+    /// Row-id narrowing is invisible: `keep_rows`, over two rounds, equals
+    /// a dense batch built directly from the kept cells — and densifies to
+    /// it — and the vectorized key extraction agrees on the kept rows.
     #[test]
     fn selection_filter_and_keys_match_dense_reference(
         cells in prop::collection::vec((-50i64..50, 0u8..2, 0u8..2), 0..130),
     ) {
         let schema = vec![ColumnRef::new(RelId(0), "k"), ColumnRef::new(RelId(0), "f")];
-        let ints: Vec<i64> = cells.iter().map(|&(v, _, _)| v).collect();
-        let floats: Vec<f64> = cells.iter().map(|&(v, _, _)| v as f64 * 0.5).collect();
-        let mask1: Vec<bool> = cells.iter().map(|&(_, m, _)| m == 1).collect();
-        let batch = Batch::new(
-            schema.clone(),
-            vec![Column::Int64(ints), Column::Float64(floats)],
-        );
+        let dense_of = |cells: &[(i64, u8, u8)]| {
+            let ints = cells.iter().map(|&(v, _, _)| v).collect();
+            let floats = cells.iter().map(|&(v, _, _)| v as f64 * 0.5).collect();
+            Batch::new(schema.clone(), vec![Column::Int64(ints), Column::Float64(floats)])
+        };
+        // The positions whose flag is set, and the cells at them.
+        let keep = |cells: &[(i64, u8, u8)], flag: fn(&(i64, u8, u8)) -> bool| {
+            let rows: Vec<usize> = (0..cells.len()).filter(|&r| flag(&cells[r])).collect();
+            let kept: Vec<(i64, u8, u8)> = rows.iter().map(|&r| cells[r]).collect();
+            (rows, kept)
+        };
 
-        let dense_once = batch.filter(&mask1);
-        let selected_once = batch.clone().filter_select(&mask1);
+        let (rows_once, kept_once) = keep(&cells, |c| c.1 == 1);
+        let selected_once = dense_of(&cells).keep_rows(&rows_once);
+        let dense_once = dense_of(&kept_once);
         prop_assert_eq!(&selected_once, &dense_once);
         prop_assert_eq!(&selected_once.clone().into_dense(), &dense_once);
 
-        // Second-round mask over the survivors: refining an existing
-        // selection must equal filtering the dense intermediate.
-        let mask2: Vec<bool> = cells
-            .iter()
-            .filter(|&&(_, m, _)| m == 1)
-            .map(|&(_, _, m2)| m2 == 1)
-            .collect();
-        let dense_twice = dense_once.filter(&mask2);
-        let selected_twice = selected_once.filter_select(&mask2);
+        // Second round over the survivors: refining existing row ids must
+        // equal the dense batch of the cells kept by both rounds.
+        let (rows_twice, kept_twice) = keep(&kept_once, |c| c.2 == 1);
+        let selected_twice = selected_once.keep_rows(&rows_twice);
+        let dense_twice = dense_of(&kept_twice);
         prop_assert_eq!(&selected_twice, &dense_twice);
+        prop_assert_eq!(&selected_twice.clone().into_dense(), &dense_twice);
 
         // Key extraction on the selected survivor batch: vectorized ==
         // scalar == keys of the dense equivalent.
@@ -433,8 +426,8 @@ proptest! {
                 match kind % 4 {
                     // A residual filter refined every relation's row ids.
                     2 => {
-                        let mask: Vec<bool> = pairs.iter().map(|p| p.2 == 1).collect();
-                        joined.filter_select(&mask)
+                        let kept = pairs.iter().enumerate().filter(|(_, p)| p.2 == 1);
+                        joined.keep_rows(&kept.map(|(row, _)| row).collect::<Vec<_>>())
                     }
                     // A dense batch over columns nobody else holds.
                     3 => joined.into_dense(),
@@ -485,9 +478,9 @@ proptest! {
 
     /// Every join-table layout against a `HashMap<i64, Vec<u32>>`: random
     /// distinct dense keys (the unique layout), the same with one duplicate
-    /// planted anywhere (a direct CSR), and spread keys (hashed), built at
-    /// 1, 2, 4 or 8 workers — `get`, the vectorized and scalar `join_probe`
-    /// and the filter view all agree with the reference.
+    /// planted anywhere (a direct CSR), and spread keys (hashed) — `get`,
+    /// the vectorized and scalar `join_probe` and the filter view all agree
+    /// with the reference.
     #[test]
     fn join_table_layouts_match_a_hash_map(
         order in prop::collection::vec(0u32..1000, 0..120),
@@ -496,7 +489,6 @@ proptest! {
         from in 0usize..120,
         to in 0usize..120,
         spread in 0usize..2,
-        workers in 0usize..4,
         probes in prop::collection::vec(-20i64..400, 0..200),
     ) {
         // Distinct keys in a random order: the ranks of `order`, stepped by
@@ -519,10 +511,7 @@ proptest! {
         for (row, &key) in keys.iter().enumerate() {
             expected.entry(key).or_default().push(row as u32);
         }
-        let workers = [1usize, 2, 4, 8][workers];
-        let config = ExecConfig::default().with_num_threads(workers);
-        let ctx = ExecContext::with_pool(config, Some(WorkerPool::new(workers - 1)));
-        let table = JoinTable::build(&ctx, &keys).expect("join table");
+        let table = JoinTable::build(&keys).expect("join table");
         let distinct = expected.len() == keys.len();
         prop_assert_eq!(table.is_unique(), distinct && (spread == 0 || keys.len() <= 1));
         prop_assert_eq!(table.num_rows(), keys.len());
@@ -547,9 +536,11 @@ proptest! {
         }
     }
 
-    /// The executor-facing kernels: `probe_retain` and `probe_mask_range`
-    /// reproduce the scalar retain/map loops — same survivors, same order,
-    /// same `FilterStats` — over random candidate sets and filters.
+    /// The executor-facing kernels: `probe_retain`, and `probe_range` over
+    /// gathered keys (how a hash join probes a residual filter) in both
+    /// kernel modes, reproduce the scalar `maybe_contains` loops — same
+    /// survivors, same order, same `FilterStats` — over random candidate
+    /// sets and filters.
     #[test]
     fn retain_and_mask_kernels_match_scalar_loops(
         shape in 0usize..NUM_FILTER_SHAPES,
@@ -578,23 +569,27 @@ proptest! {
         prop_assert_eq!(&vec_rows, &scalar_rows);
         prop_assert_eq!(vec_stats, scalar_stats);
 
-        // Mask kernel over a sub-range of the gathered keys.
-        let start = mapped.len() / 3;
-        let end = mapped.len();
+        // A residual filter's kernel: a sub-range's keys, gathered into one
+        // `Int64` column and probed over all of its rows.
+        let rows: Vec<usize> = (values.len() / 3..values.len()).collect();
+        let mut keys = Vec::new();
+        gather_keys(&cols, &rows, &mut keys);
         let mut scalar_stats = FilterStats::new();
-        let scalar_mask: Vec<bool> = mapped[start..end]
-            .iter()
-            .map(|&k| {
-                let keep = filter.maybe_contains(k);
+        let scalar_kept: Vec<usize> = (0..keys.len())
+            .filter(|&i| {
+                let keep = filter.maybe_contains(keys[i]);
                 scalar_stats.record(!keep);
                 keep
             })
             .collect();
-        let mut vec_stats = FilterStats::new();
-        let range = &mapped[start..end];
-        let mask = probe_mask_range(&filter, range, &mut vec_stats, &mut scratch);
-        prop_assert_eq!(&mask, &scalar_mask);
-        prop_assert_eq!(vec_stats, scalar_stats);
+        let gathered = Column::Int64(keys);
+        for mode in [KernelMode::Scalar, KernelMode::Vectorized] {
+            let config = ExecConfig::default().with_kernel_mode(mode);
+            let (mut stats, rows) = (FilterStats::new(), 0..gathered.len());
+            let kept = probe_range(&config, &filter, &[&gathered], rows, &mut stats, &mut scratch);
+            prop_assert_eq!((mode, &kept), (mode, &scalar_kept));
+            prop_assert_eq!((mode, stats), (mode, scalar_stats));
+        }
     }
 }
 
